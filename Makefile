@@ -9,7 +9,8 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 .PHONY: all build test vet race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit tune-smoke backend-diff \
-	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke
+	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke \
+	bench-smoke
 
 all: build test
 
@@ -150,7 +151,16 @@ cluster-smoke: build
 	$(GO) test -race -count=1 -run 'TestCluster|TestDiskTier' -v ./internal/svc
 	$(GO) test -count=1 -run 'TestClusterEndToEnd' -v .
 
-ci: vet test race serve-test check lint-self audit staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke
+# Bench smoke: bench/ is its own module (`replace repro => ../`), so
+# the root build and tests never descend into it and an API break in
+# internal/vm or internal/distvm would stay invisible until the
+# benchmark pipeline runs. Its tests also check every committed
+# bench/expected transcript — the -p2 ones against the shard executor.
+bench-smoke: build
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+ci: vet test race serve-test check lint-self audit staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
 
 experiments:
 	$(GO) run ./cmd/experiments

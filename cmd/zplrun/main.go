@@ -263,6 +263,8 @@ func main() {
 		if err := dm.ScalarsConsistent(); err != nil {
 			fatal(fmt.Errorf("replicated-scalar invariant violated: %w", err))
 		}
+		fmt.Fprintf(os.Stderr, "zplrun: %d element-statements, %d bytes of arrays\n",
+			dm.Steps(), dm.MemoryFootprint())
 		fmt.Fprintf(os.Stderr, "zplrun: distributed execution on %d processors complete\n", *procs)
 		return
 	}

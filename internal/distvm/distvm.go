@@ -4,15 +4,29 @@
 // and the compiler-inserted communication primitives perform real
 // ghost-cell exchanges.
 //
-// Each of the p processors runs as its own goroutine over its block.
-// Scalar state is replicated and deterministic, so control flow is
-// identical on every processor; the only cross-processor interactions
-// are channel-based messages mirroring the machine's communication
-// primitives:
+// There is one LIR executor in the repository, package vm, and a
+// processor here is a vm.Machine built through the vm.Shard seam: it
+// allocates each array over the processor's local bounds, sweeps
+// region ∩ block of every nest with the bounds captured when its
+// closures are compiled, and hands the three instructions that involve
+// other processors to this package. Operators, builtins, control flow,
+// step charging and cancellation are therefore the sequential VM's by
+// construction, not by a second implementation kept in agreement.
+//
+// What lives here is what is genuinely distributed: the decomposition
+// and each processor's local bounds (block ± halo, clipped to the
+// allocation, the halo widths taken from lir.Refs — the same walk the
+// shard checks its storage against), the mailboxes, and the protocol
+// the p goroutines speak over them. Scalar state is replicated and
+// deterministic, so control flow is identical on every processor; the
+// only cross-processor interactions are channel messages mirroring
+// the machine's communication primitives:
 //
 //   - ghost-cell exchange: the owner captures its boundary values at
 //     the send phase and the requiring processor installs them at the
-//     receive phase, matching the lir.Comm send/receive split;
+//     receive phase, matching the lir.Comm send/receive split. Which
+//     elements travel is a pure function of the block geometry, planned
+//     once per Comm node and processor when the shard is compiled;
 //   - reductions: partials gather at processor 0, combine in processor
 //     order (deterministic regardless of goroutine scheduling), and
 //     broadcast back;
@@ -21,17 +35,20 @@
 //     and surfaces divergent control flow as a protocol error.
 //
 // A watchdog timeout converts a lost processor or a protocol mismatch
-// into a descriptive error instead of a deadlock, and the first
-// processor to fail aborts the others promptly.
+// into a descriptive error instead of a deadlock. The first processor
+// to fail cancels the context every shard polls in its step charge and
+// every blocked mailbox operation selects on, so the others unwind
+// promptly; the caller's Options.Ctx is that context's parent.
 //
 // Running a program here and on the sequential VM and comparing every
 // array element is the strongest validation of the communication-
 // insertion machinery: a missing or misplaced exchange leaves stale
 // halo values and the results diverge. Because every array element is
-// computed by exactly one owner from bit-identical inputs, a parallel
-// run Gathers bit-identically to the sequential VM whenever reduction
-// results do not feed back into array values (see the determinism
-// tests).
+// computed by exactly one owner from bit-identical inputs by the same
+// closures, a parallel run Gathers bit-identically to the sequential VM
+// whenever reduction results do not feed back into array values (see
+// the determinism tests), and a one-processor run is the sequential run
+// bit for bit, reductions included.
 package distvm
 
 import (
@@ -40,20 +57,20 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/air"
 	"repro/internal/dist"
 	"repro/internal/lir"
 	"repro/internal/sema"
+	"repro/internal/vm"
 )
 
 // Options configures a distributed run.
 type Options struct {
 	Procs    int
 	Out      io.Writer     // processor 0's writeln output; nil discards
-	MaxSteps int64         // element-execution budget; 0 = default 1e9
+	MaxSteps int64         // per-processor statement budget (the VM's charging rule); 0 = default 1e9
 	Timeout  time.Duration // watchdog for lost processors; 0 = default 30s
 	// Ctx, when non-nil, cancels the run: cancellation aborts every
 	// processor the same way a peer failure does (blocked channel
@@ -63,24 +80,24 @@ type Options struct {
 	Ctx context.Context
 }
 
-// Machine is the distributed interpreter state. During a run the only
-// mutable shared state is the step counter (atomic) and the channels;
-// every processor goroutine owns its scalar map and its local array
-// slices exclusively, and halo data moves only by message.
+// Machine is a distributed run: p shard executors plus the geometry
+// and mailboxes that connect them. During a run each processor
+// goroutine owns its vm.Machine exclusively and halo data moves only by
+// message; the shared state is the channels and the abort context.
 type Machine struct {
 	prog  *lir.Program
 	procs int
-	out   io.Writer
 
 	// One decomposition per array rank, anchored at the bounding box
 	// of every region of that rank.
 	decomps map[int]*dist.Decomp
+	// Every processor's storage bounds for every uncontracted array.
+	locals map[string][]*localArray
 
-	scalars []map[string]float64 // per-processor scalar state
-	arrays  map[string][]*localArray
+	shards  []*vm.Machine        // processor p's executor, storage included
+	scalars []map[string]float64 // per-processor final scalar state
+	steps   int64
 
-	steps   atomic.Int64
-	max     int64
 	timeout time.Duration
 
 	// Per-processor mailboxes: halo carries ghost-cell data, ctrl
@@ -88,40 +105,51 @@ type Machine struct {
 	halo []chan haloMsg
 	ctrl []chan ctrlMsg
 
-	// First failure aborts every processor.
-	done     chan struct{}
+	// First failure cancels ctx, which aborts every processor.
+	ctx      context.Context
+	cancel   context.CancelFunc
 	failOnce sync.Once
 	failErr  error
+
+	// plans caches haloPlan while the shards compile (one goroutine).
+	plans map[planKey]map[int][][]int
 }
 
-// errAborted is returned by a processor unwinding because another
-// processor failed first; it never becomes the run's reported error.
+// errAborted is returned by a processor unwinding from a mailbox
+// operation because the run's context is done.
 var errAborted = errors.New("distvm: aborted by another processor's failure")
 
-// abort records the first real failure and releases every processor
-// blocked on a channel operation.
+// abort records the first failure and cancels the run's context, which
+// releases every processor blocked on a channel operation and stops
+// the rest at their next step charge. A processor that merely observed
+// the cancellation reports errAborted: if that is the first report, no
+// processor failed and the cancellation was the caller's.
 func (m *Machine) abort(err error) {
-	if err == nil || errors.Is(err, errAborted) {
+	if err == nil {
 		return
+	}
+	if errors.Is(err, errAborted) {
+		err = fmt.Errorf("distvm: execution cancelled: %w", m.ctx.Err())
 	}
 	m.failOnce.Do(func() {
 		m.failErr = err
-		close(m.done)
+		m.cancel()
 	})
 }
 
-// localArray is one processor's slice of an array: its block expanded
-// by the array's halo widths, clipped to the allocation bounds.
+// localArray is the geometry of one processor's slice of an array: its
+// block expanded by the array's halo widths, clipped to the allocation
+// bounds. The storage itself belongs to the processor's vm.Machine,
+// row-major over bounds.
 type localArray struct {
-	lo, hi  []int
+	bounds  *sema.Region
 	strides []int
-	data    []float64
 	block   *sema.Region // owned block of the anchor
 }
 
 func (a *localArray) contains(idx []int) bool {
 	for k := range idx {
-		if idx[k] < a.lo[k] || idx[k] > a.hi[k] {
+		if idx[k] < a.bounds.Lo[k] || idx[k] > a.bounds.Hi[k] {
 			return false
 		}
 	}
@@ -131,7 +159,7 @@ func (a *localArray) contains(idx []int) bool {
 func (a *localArray) at(idx []int) int {
 	p := 0
 	for k := range idx {
-		p += (idx[k] - a.lo[k]) * a.strides[k]
+		p += (idx[k] - a.bounds.Lo[k]) * a.strides[k]
 	}
 	return p
 }
@@ -145,66 +173,91 @@ func Run(prog *lir.Program, opt Options) (*Machine, error) {
 	m := &Machine{
 		prog:    prog,
 		procs:   opt.Procs,
-		out:     opt.Out,
 		decomps: map[int]*dist.Decomp{},
-		arrays:  map[string][]*localArray{},
-		max:     opt.MaxSteps,
+		locals:  map[string][]*localArray{},
 		timeout: opt.Timeout,
-	}
-	if m.max == 0 {
-		m.max = 1e9
+		plans:   map[planKey]map[int][][]int{},
 	}
 	if m.timeout == 0 {
 		m.timeout = 30 * time.Second
 	}
+	maxSteps := opt.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = 1e9
+	}
 	if err := m.decompose(); err != nil {
 		return nil, err
 	}
-	m.allocate()
-	m.openChannels()
+	m.layout()
+	m.openChannels(opt.Ctx)
+	defer m.cancel()
 
-	if opt.Ctx != nil {
-		// A cancelled context aborts the run exactly like a failing
-		// processor: failErr is set once and m.done releases every
-		// blocked channel operation. The watcher exits when the run
-		// finishes first.
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-opt.Ctx.Done():
-				m.abort(fmt.Errorf("distvm: execution cancelled: %w", opt.Ctx.Err()))
-			case <-finished:
-			case <-m.done:
-			}
-		}()
+	m.shards = make([]*vm.Machine, m.procs)
+	for p := range m.shards {
+		vopt := vm.Options{MaxSteps: maxSteps, Ctx: m.ctx}
+		if p == 0 {
+			vopt.Out = opt.Out
+		}
+		sm, err := vm.NewShard(prog, vopt, newShard(m, p))
+		if err != nil {
+			return nil, fmt.Errorf("distvm: processor %d: %w", p, err)
+		}
+		m.shards[p] = sm
 	}
+	m.plans = nil
 
-	m.scalars = make([]map[string]float64, m.procs)
+	steps := make([]int64, m.procs)
 	var wg sync.WaitGroup
-	for p := 0; p < m.procs; p++ {
-		w := newWorker(m, p)
-		m.scalars[p] = w.scalars
+	for p, sm := range m.shards {
 		wg.Add(1)
-		go func() {
+		go func(p int, sm *vm.Machine) {
 			defer wg.Done()
-			m.abort(w.run())
-		}()
+			res, err := sm.Run()
+			if err != nil {
+				m.abort(fmt.Errorf("distvm: processor %d: %w", p, err))
+				return
+			}
+			steps[p] = res.Steps
+		}(p, sm)
 	}
 	wg.Wait()
 	if m.failErr != nil {
 		return nil, m.failErr
 	}
+	m.scalars = make([]map[string]float64, m.procs)
+	for p, sm := range m.shards {
+		m.scalars[p] = sm.Scalars()
+		m.steps += steps[p]
+	}
 	return m, nil
 }
 
-// openChannels sizes the mailboxes so that the regular protocol never
-// blocks a sender: ctrl sees at most p-1 in-flight arrivals plus one
-// release, halo at most a handful of pipelined slabs per neighbor.
-// Should a protocol bug overflow them anyway, the watchdog turns the
-// stalled send into an error instead of a deadlock.
-func (m *Machine) openChannels() {
-	m.done = make(chan struct{})
+// Steps returns the statements executed, summed over the processors'
+// step counters (replicated scalar statements count once per
+// processor; element-statements count once, at their owner).
+func (m *Machine) Steps() int64 { return m.steps }
+
+// MemoryFootprint returns the total bytes of array storage over all
+// processors, halos included.
+func (m *Machine) MemoryFootprint() int64 {
+	var n int64
+	for _, sm := range m.shards {
+		n += sm.MemoryFootprint()
+	}
+	return n
+}
+
+// openChannels creates the abort context under parent (nil means none)
+// and sizes the mailboxes so that the regular protocol never blocks a
+// sender: ctrl sees at most p-1 in-flight arrivals plus one release,
+// halo at most a handful of pipelined slabs per neighbor. Should a
+// protocol bug overflow them anyway, the watchdog turns the stalled
+// send into an error instead of a deadlock.
+func (m *Machine) openChannels(parent context.Context) {
+	if parent == nil {
+		parent = context.Background()
+	}
+	m.ctx, m.cancel = context.WithCancel(parent)
 	m.halo = make([]chan haloMsg, m.procs)
 	m.ctrl = make([]chan ctrlMsg, m.procs)
 	for p := 0; p < m.procs; p++ {
@@ -213,28 +266,32 @@ func (m *Machine) openChannels() {
 	}
 }
 
+// sweeps calls visit for every Nest and PartialReduce of the program.
+func (m *Machine) sweeps(visit func(lir.Node)) {
+	for _, pr := range m.prog.Procs {
+		lir.Walk(pr.Body, func(n lir.Node) {
+			switch n.(type) {
+			case *lir.Nest, *lir.PartialReduce:
+				visit(n)
+			}
+		})
+	}
+}
+
 // decompose builds one anchor per rank covering every declared region
-// and every nest region, so ownership is total over all executed
+// and every sweep region, so ownership is total over all executed
 // indices.
 func (m *Machine) decompose() error {
 	bbox := map[int]*sema.Region{}
 	cover := func(r *sema.Region) {
-		if r == nil {
-			return
-		}
 		b, ok := bbox[r.Rank()]
 		if !ok {
-			b = &sema.Region{Lo: append([]int(nil), r.Lo...), Hi: append([]int(nil), r.Hi...)}
-			bbox[r.Rank()] = b
+			bbox[r.Rank()] = &sema.Region{Lo: append([]int(nil), r.Lo...), Hi: append([]int(nil), r.Hi...)}
 			return
 		}
 		for k := 0; k < r.Rank(); k++ {
-			if r.Lo[k] < b.Lo[k] {
-				b.Lo[k] = r.Lo[k]
-			}
-			if r.Hi[k] > b.Hi[k] {
-				b.Hi[k] = r.Hi[k]
-			}
+			b.Lo[k] = min(b.Lo[k], r.Lo[k])
+			b.Hi[k] = max(b.Hi[k], r.Hi[k])
 		}
 	}
 	for _, a := range m.prog.Source.Arrays {
@@ -242,28 +299,15 @@ func (m *Machine) decompose() error {
 			cover(a.Declared)
 		}
 	}
-	for _, pr := range m.prog.Procs {
-		var walk func(ns []lir.Node)
-		walk = func(ns []lir.Node) {
-			for _, n := range ns {
-				switch x := n.(type) {
-				case *lir.Nest:
-					cover(x.Region)
-				case *lir.PartialReduce:
-					cover(x.Region)
-					cover(x.Dest)
-				case *lir.Loop:
-					walk(x.Body)
-				case *lir.While:
-					walk(x.Body)
-				case *lir.If:
-					walk(x.Then)
-					walk(x.Else)
-				}
-			}
+	m.sweeps(func(n lir.Node) {
+		switch x := n.(type) {
+		case *lir.Nest:
+			cover(x.Region)
+		case *lir.PartialReduce:
+			cover(x.Region)
+			cover(x.Dest)
 		}
-		walk(pr.Body)
-	}
+	})
 	for rank, b := range bbox {
 		d, err := dist.NewDecomp(m.procs, b)
 		if err != nil {
@@ -274,118 +318,54 @@ func (m *Machine) decompose() error {
 	return nil
 }
 
-// offsetHalos scans the program for the maximum negative/positive
-// offset applied to each array in each dimension: the inter-processor
-// halo widths. (The global Alloc-vs-Declared halo only reflects
-// offsets that cross the global region bounds; a neighbor offset deep
-// in the interior still needs a local ghost row.)
-func (m *Machine) offsetHalos() map[string][2][]int {
-	out := map[string][2][]int{}
-	note := func(name string, off []int) {
-		info := m.prog.Source.Arrays[name]
-		if info == nil || info.Contracted {
-			return
+// layout computes every processor's local bounds for every array. The
+// halo is the wider of the array's global halo (Alloc vs Declared,
+// which only reflects offsets that cross the global region bounds) and
+// the largest offset any sweep applies to it in each direction: a
+// neighbor offset deep in the interior still needs a local ghost row.
+// The offsets come from lir.Refs, preloads included — the walk the
+// shard executor checks its storage against.
+func (m *Machine) layout() {
+	type widths struct{ lo, hi []int }
+	halos := map[string]widths{}
+	for name, a := range m.prog.Source.Arrays {
+		if !a.Contracted {
+			lo, hi := a.Halo()
+			halos[name] = widths{lo, hi}
 		}
-		h, ok := out[name]
-		if !ok {
-			h = [2][]int{make([]int, len(off)), make([]int, len(off))}
-		}
-		for k, v := range off {
-			if -v > h[0][k] {
-				h[0][k] = -v // negative offsets need low-side halo
-			}
-			if v > h[1][k] {
-				h[1][k] = v
-			}
-		}
-		out[name] = h
 	}
-	var walkExpr func(e air.Expr)
-	walkExpr = func(e air.Expr) {
-		air.Walk(e, func(x air.Expr) {
-			if r, ok := x.(*air.RefExpr); ok {
-				note(r.Ref.Array, r.Ref.Off)
+	m.sweeps(func(n lir.Node) {
+		lir.Refs(n, func(array string, off air.Offset, _ *sema.Region) {
+			h, ok := halos[array]
+			if !ok {
+				return // contracted: a register, no storage
+			}
+			for k, v := range off {
+				h.lo[k] = max(h.lo[k], -v)
+				h.hi[k] = max(h.hi[k], v)
 			}
 		})
-	}
-	var walk func(ns []lir.Node)
-	walk = func(ns []lir.Node) {
-		for _, n := range ns {
-			switch x := n.(type) {
-			case *lir.Nest:
-				for _, st := range x.Body {
-					walkExpr(st.RHS)
-				}
-			case *lir.PartialReduce:
-				walkExpr(x.Body)
-			case *lir.Loop:
-				walk(x.Body)
-			case *lir.While:
-				walk(x.Body)
-			case *lir.If:
-				walk(x.Then)
-				walk(x.Else)
-			}
-		}
-	}
-	for _, pr := range m.prog.Procs {
-		walk(pr.Body)
-	}
-	return out
-}
-
-func (m *Machine) allocate() {
-	offHalos := m.offsetHalos()
-	for name, a := range m.prog.Source.Arrays {
-		if a.Contracted {
-			continue
-		}
-		haloLo, haloHi := a.Halo()
-		if oh, ok := offHalos[name]; ok {
-			for k := range haloLo {
-				haloLo[k] = maxInt(haloLo[k], oh[0][k])
-				haloHi[k] = maxInt(haloHi[k], oh[1][k])
-			}
-		}
-		d := m.decomps[a.Declared.Rank()]
+	})
+	for name, h := range halos {
+		a := m.prog.Source.Arrays[name]
+		rank := a.Declared.Rank()
+		d := m.decomps[rank]
 		locals := make([]*localArray, m.procs)
-		for p := 0; p < m.procs; p++ {
+		for p := range locals {
 			blk := d.Block(p)
-			rank := a.Declared.Rank()
-			lo := make([]int, rank)
-			hi := make([]int, rank)
+			b := &sema.Region{Lo: make([]int, rank), Hi: make([]int, rank)}
 			for k := 0; k < rank; k++ {
-				lo[k] = maxInt(blk.Lo[k]-haloLo[k], a.Alloc.Lo[k])
-				hi[k] = minInt(blk.Hi[k]+haloHi[k], a.Alloc.Hi[k])
+				b.Lo[k] = max(blk.Lo[k]-h.lo[k], a.Alloc.Lo[k])
+				b.Hi[k] = min(blk.Hi[k]+h.hi[k], a.Alloc.Hi[k])
 			}
-			la := &localArray{lo: lo, hi: hi, block: blk}
+			la := &localArray{bounds: b, block: blk, strides: make([]int, rank)}
 			size := 1
-			la.strides = make([]int, rank)
 			for k := rank - 1; k >= 0; k-- {
-				ext := hi[k] - lo[k] + 1
-				if ext < 0 {
-					ext = 0
-				}
 				la.strides[k] = size
-				size *= ext
+				size *= max(b.Extent(k), 0)
 			}
-			la.data = make([]float64, size)
 			locals[p] = la
 		}
-		m.arrays[name] = locals
+		m.locals[name] = locals
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

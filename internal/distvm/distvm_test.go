@@ -20,8 +20,15 @@ import (
 // writeln transcripts.
 func runBoth(t *testing.T, src string, lvl core.Level, procs int, cfg map[string]int64) {
 	t.Helper()
+	runBothOpt(t, src, driver.Options{Level: lvl, Configs: cfg}, procs)
+}
+
+// runBothOpt is runBoth over arbitrary compile options (opt.Comm is
+// set here for the distributed side).
+func runBothOpt(t *testing.T, src string, opt driver.Options, procs int) {
+	t.Helper()
 	// Sequential reference: same optimization level, no communication.
-	ref, err := driver.Compile(src, driver.Options{Level: lvl, Configs: cfg})
+	ref, err := driver.Compile(src, opt)
 	if err != nil {
 		t.Fatalf("sequential compile: %v", err)
 	}
@@ -33,7 +40,8 @@ func runBoth(t *testing.T, src string, lvl core.Level, procs int, cfg map[string
 
 	// Distributed: communication inserted, real exchanges performed.
 	co := comm.DefaultOptions(procs)
-	dc, err := driver.Compile(src, driver.Options{Level: lvl, Configs: cfg, Comm: &co})
+	opt.Comm = &co
+	dc, err := driver.Compile(src, opt)
 	if err != nil {
 		t.Fatalf("distributed compile: %v", err)
 	}

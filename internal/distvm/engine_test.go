@@ -63,9 +63,9 @@ func TestScalarsConsistentAccepts(t *testing.T) {
 // reaches must get a descriptive timeout error, not hang forever.
 func TestWatchdogTimeout(t *testing.T) {
 	m := &Machine{procs: 2, timeout: 50 * time.Millisecond}
-	m.openChannels()
-	w := newWorker(m, 1)
-	err := w.barrier() // worker 0 never arrives
+	m.openChannels(nil)
+	w := newShard(m, 1)
+	_, err := w.AllCombine(nil, nil) // a barrier processor 0 never reaches
 	if err == nil {
 		t.Fatal("lone barrier arrival did not time out")
 	}
@@ -78,10 +78,13 @@ func TestWatchdogTimeout(t *testing.T) {
 // a collective must unwind with errAborted well before the watchdog.
 func TestAbortUnblocksPeers(t *testing.T) {
 	m := &Machine{procs: 2, timeout: 30 * time.Second}
-	m.openChannels()
-	w := newWorker(m, 1)
+	m.openChannels(nil)
+	w := newShard(m, 1)
 	errc := make(chan error, 1)
-	go func() { errc <- w.barrier() }()
+	go func() {
+		_, err := w.AllCombine(nil, nil)
+		errc <- err
+	}()
 	m.abort(errTest)
 	select {
 	case err := <-errc:

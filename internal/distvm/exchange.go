@@ -9,41 +9,28 @@ import (
 	"repro/internal/sema"
 )
 
-// exchange performs the real data movement of one ghost-cell exchange
-// as message passing between the processor goroutines. The send phase
-// captures the owner's current boundary values and posts them (legal
-// because insertion guarantees the array is not rewritten between a
-// send and its receive, so send-time data equals receive-time data);
-// the receive phase installs the matching messages into this
-// processor's halo. A whole (unpipelined) primitive does both at once.
-func (w *worker) exchange(c *lir.Comm) error {
-	locals, ok := w.m.arrays[c.Array]
-	if !ok {
-		return fmt.Errorf("distvm: exchange of unknown array %s", c.Array)
-	}
-	switch c.Phase {
-	case air.CommSend:
-		return w.postHalo(c, locals)
-	case air.CommRecv:
-		return w.acceptHalo(c, locals)
-	default:
-		if err := w.postHalo(c, locals); err != nil {
-			return err
-		}
-		return w.acceptHalo(c, locals)
-	}
+// planKey identifies one receiver's halo plan. The plan depends on the
+// Comm node only through its array and direction, so the send and
+// receive halves of a pipelined exchange share one.
+type planKey struct {
+	array, off string
+	recv       int
 }
 
 // haloPlan computes, for the receiver of one exchange, the halo slab
 // indices it must refresh, grouped by owning processor, in row-major
 // slab order. The plan is a pure function of the static block
 // geometry, so the owner and the requirer derive identical plans
-// independently — messages carry only values, no index lists.
+// independently — messages carry only values, no index lists. Plans
+// are built while the shards compile and cached for that long.
 func (m *Machine) haloPlan(c *lir.Comm, recv int) map[int][][]int {
-	locals := m.arrays[c.Array]
-	info := m.prog.Source.Arrays[c.Array]
-	d := m.decomps[info.Declared.Rank()]
-	rank := info.Declared.Rank()
+	key := planKey{c.Array, c.Off.String(), recv}
+	if plan, ok := m.plans[key]; ok {
+		return plan
+	}
+	locals := m.locals[c.Array]
+	rank := len(c.Off)
+	d := m.decomps[rank]
 	la := locals[recv]
 
 	// The halo slab for this direction, relative to the receiver's
@@ -61,15 +48,8 @@ func (m *Machine) haloPlan(c *lir.Comm, recv int) map[int][][]int {
 			slab.Lo[k] = la.block.Lo[k]
 			slab.Hi[k] = la.block.Hi[k]
 		}
-		if slab.Lo[k] < la.lo[k] {
-			slab.Lo[k] = la.lo[k]
-		}
-		if slab.Hi[k] > la.hi[k] {
-			slab.Hi[k] = la.hi[k]
-		}
-		if slab.Lo[k] > slab.Hi[k] {
-			return nil
-		}
+		slab.Lo[k] = max(slab.Lo[k], la.bounds.Lo[k])
+		slab.Hi[k] = min(slab.Hi[k], la.bounds.Hi[k])
 	}
 
 	plan := map[int][][]int{}
@@ -81,8 +61,7 @@ func (m *Machine) haloPlan(c *lir.Comm, recv int) map[int][][]int {
 			if owner < 0 {
 				return // beyond the anchor: stays zero (global halo)
 			}
-			src := locals[owner]
-			if !src.contains(idx) {
+			if !locals[owner].contains(idx) {
 				return // owner clipped it away (outside alloc)
 			}
 			plan[owner] = append(plan[owner], append([]int(nil), idx...))
@@ -94,50 +73,92 @@ func (m *Machine) haloPlan(c *lir.Comm, recv int) map[int][][]int {
 		}
 	}
 	walk(0)
+	m.plans[key] = plan
 	return plan
 }
 
-// postHalo sends this processor's contribution to every requirer of
-// the exchange: the owned values of each receiver's halo slab.
-func (w *worker) postHalo(c *lir.Comm, locals []*localArray) error {
-	src := locals[w.id]
-	for r := 0; r < w.m.procs; r++ {
-		if r == w.id {
-			continue
-		}
-		idxs := w.m.haloPlan(c, r)[w.id]
-		if len(idxs) == 0 {
-			continue
-		}
-		vals := make([]float64, len(idxs))
-		for i, idx := range idxs {
-			vals[i] = src.data[src.at(idx)]
-		}
-		if err := w.sendHalo(r, haloMsg{from: w.id, array: c.Array, msgID: c.MsgID, vals: vals}); err != nil {
-			return err
-		}
-	}
-	return nil
+// leg is one message of an exchange as one processor sees it: the peer
+// and the positions, in this processor's storage, of the values that
+// travel.
+type leg struct {
+	peer int
+	pos  []int
 }
 
-// acceptHalo installs every owner's message into this processor's halo.
-func (w *worker) acceptHalo(c *lir.Comm, locals []*localArray) error {
-	la := locals[w.id]
-	plan := w.m.haloPlan(c, w.id)
-	for o := 0; o < w.m.procs; o++ {
-		idxs := plan[o]
-		if len(idxs) == 0 || o == w.id {
-			continue // nothing needed, or already our own data
-		}
-		vals, err := w.recvHaloFrom(o, c.Array, c.MsgID, len(idxs))
-		if err != nil {
-			return err
-		}
+// Comm plans one ghost-cell exchange as message passing between the
+// processor goroutines and returns the function that performs c's
+// phase of it over data, this processor's storage for the array. The
+// send phase captures the owner's current boundary values and posts
+// them (legal because insertion guarantees the array is not rewritten
+// between a send and its receive, so send-time data equals
+// receive-time data); the receive phase installs the matching messages
+// into this processor's halo. A whole (unpipelined) primitive does
+// both at once.
+func (s *shard) Comm(c *lir.Comm, data []float64) (func() error, error) {
+	locals, ok := s.m.locals[c.Array]
+	if !ok {
+		return nil, fmt.Errorf("distvm: exchange of unknown array %s", c.Array)
+	}
+	mine := locals[s.id]
+	legOf := func(peer int, idxs [][]int) leg {
+		l := leg{peer: peer, pos: make([]int, len(idxs))}
 		for i, idx := range idxs {
-			la.data[la.at(idx)] = vals[i]
+			l.pos[i] = mine.at(idx)
+		}
+		return l
+	}
+	// What every other receiver needs from this owner, and what this
+	// receiver needs from every other owner.
+	var sends, recvs []leg
+	for r := 0; r < s.m.procs; r++ {
+		if idxs := s.m.haloPlan(c, r)[s.id]; r != s.id && len(idxs) > 0 {
+			sends = append(sends, legOf(r, idxs))
 		}
 	}
-	return nil
+	plan := s.m.haloPlan(c, s.id)
+	for o := 0; o < s.m.procs; o++ {
+		if idxs := plan[o]; o != s.id && len(idxs) > 0 {
+			recvs = append(recvs, legOf(o, idxs))
+		}
+	}
+
+	array, msgID := c.Array, c.MsgID
+	post := func() error {
+		for _, l := range sends {
+			vals := make([]float64, len(l.pos))
+			for i, p := range l.pos {
+				vals[i] = data[p]
+			}
+			if err := s.sendHalo(l.peer, haloMsg{from: s.id, array: array, msgID: msgID, vals: vals}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	accept := func() error {
+		for _, l := range recvs {
+			vals, err := s.recvHaloFrom(l.peer, array, msgID, len(l.pos))
+			if err != nil {
+				return err
+			}
+			for i, p := range l.pos {
+				data[p] = vals[i]
+			}
+		}
+		return nil
+	}
+	switch c.Phase {
+	case air.CommSend:
+		return post, nil
+	case air.CommRecv:
+		return accept, nil
+	}
+	return func() error {
+		if err := post(); err != nil {
+			return err
+		}
+		return accept()
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -152,7 +173,7 @@ func (m *Machine) Gather(name string) []float64 {
 	if info == nil || info.Contracted {
 		return nil
 	}
-	locals := m.arrays[name]
+	locals := m.locals[name]
 	d := m.decomps[info.Declared.Rank()]
 	rank := info.Declared.Rank()
 	size := info.Alloc.Size()
@@ -165,6 +186,10 @@ func (m *Machine) Gather(name string) []float64 {
 		s *= info.Alloc.Extent(k)
 	}
 
+	data := make([][]float64, m.procs)
+	for p, sm := range m.shards {
+		data[p] = sm.ArrayData(name)
+	}
 	idx := make([]int, rank)
 	var walk func(k int)
 	walk = func(k int) {
@@ -181,7 +206,7 @@ func (m *Machine) Gather(name string) []float64 {
 			for j := 0; j < rank; j++ {
 				pos += (idx[j] - info.Alloc.Lo[j]) * strides[j]
 			}
-			out[pos] = la.data[la.at(idx)]
+			out[pos] = data[owner][la.at(idx)]
 			return
 		}
 		for i := info.Alloc.Lo[k]; i <= info.Alloc.Hi[k]; i++ {
@@ -206,10 +231,24 @@ func (m *Machine) Scalar(name string) (float64, bool) {
 // replication means every processor executed the same assignments.
 // Returns the first discrepancy found.
 func (m *Machine) ScalarsConsistent() error {
+	// Contracted-array registers and scalar-replacement preloads are
+	// per-iteration scratch and legitimately end with different values
+	// on each processor.
+	scratch := map[string]bool{}
+	for name, info := range m.prog.Source.Arrays {
+		if info.Contracted {
+			scratch[name] = true
+		}
+	}
+	m.sweeps(func(n lir.Node) {
+		if nest, ok := n.(*lir.Nest); ok {
+			for _, pl := range nest.Preloads {
+				scratch[pl.Var] = true
+			}
+		}
+	})
 	for name, v0 := range m.scalars[0] {
-		// Contracted-array registers are per-iteration scratch and
-		// legitimately end with different values on each processor.
-		if info := m.prog.Source.Arrays[name]; info != nil && info.Contracted {
+		if scratch[name] {
 			continue
 		}
 		for p := 1; p < m.procs; p++ {

@@ -168,27 +168,72 @@ func (*Call) nodeKind()          {}
 func (*Return) nodeKind()        {}
 func (*Writeln) nodeKind()       {}
 
+// Walk calls visit for every node of the tree in program order,
+// descending into the bodies of loops, whiles and both branches of ifs.
+func Walk(nodes []Node, visit func(Node)) {
+	for _, n := range nodes {
+		visit(n)
+		switch x := n.(type) {
+		case *Loop:
+			Walk(x.Body, visit)
+		case *While:
+			Walk(x.Body, visit)
+		case *If:
+			Walk(x.Then, visit)
+			Walk(x.Else, visit)
+		}
+	}
+}
+
 // Nests returns every loop nest in the node tree, in order.
 func Nests(nodes []Node) []*Nest {
 	var out []*Nest
-	var walk func(ns []Node)
-	walk = func(ns []Node) {
-		for _, n := range ns {
-			switch x := n.(type) {
-			case *Nest:
-				out = append(out, x)
-			case *Loop:
-				walk(x.Body)
-			case *While:
-				walk(x.Body)
-			case *If:
-				walk(x.Then)
-				walk(x.Else)
+	Walk(nodes, func(n Node) {
+		if x, ok := n.(*Nest); ok {
+			out = append(out, x)
+		}
+	})
+	return out
+}
+
+// Refs calls visit for every array element a sweep node — a Nest or a
+// PartialReduce; no other node touches array storage — accesses: the
+// array, the offset from the sweep index, and the region of indices the
+// access executes over (a statement's guard, else the node's region;
+// the destination slab for a partial reduction's store). Preloads are
+// unguarded reads over the whole nest; stores are at the zero offset.
+// References to contracted arrays are reported like any other.
+//
+// This is the one definition of "what storage does this sweep touch":
+// a distributed run sizes its halos from it and the shard executor
+// checks its local bounds against it, so the two cannot disagree.
+func Refs(n Node, visit func(array string, off air.Offset, over *sema.Region)) {
+	reads := func(e air.Expr, over *sema.Region) {
+		air.Walk(e, func(x air.Expr) {
+			if r, ok := x.(*air.RefExpr); ok {
+				visit(r.Ref.Array, r.Ref.Off, over)
+			}
+		})
+	}
+	switch x := n.(type) {
+	case *Nest:
+		for _, pl := range x.Preloads {
+			visit(pl.Array, pl.Off, x.Region)
+		}
+		for _, s := range x.Body {
+			over := x.Region
+			if s.Guard != nil {
+				over = s.Guard
+			}
+			reads(s.RHS, over)
+			if !s.IsReduce && !s.Contracted {
+				visit(s.LHS, air.Zero(over.Rank()), over)
 			}
 		}
+	case *PartialReduce:
+		reads(x.Body, x.Region)
+		visit(x.LHS, air.Zero(x.Dest.Rank()), x.Dest)
 	}
-	walk(nodes)
-	return out
 }
 
 // CountNests returns the number of loop nests in the program — the

@@ -234,9 +234,9 @@ type RaceSummary struct {
 type RunResponse struct {
 	CompileResponse
 	Output      string  `json:"output"`
-	Steps       int64   `json:"steps,omitempty"` // sequential runs only
-	MemoryBytes int64   `json:"memory_bytes,omitempty"`
-	Procs       int     `json:"procs,omitempty"` // distributed runs only
+	Steps       int64   `json:"steps,omitempty"`        // interpreted runs; summed over processors when distributed
+	MemoryBytes int64   `json:"memory_bytes,omitempty"` // array storage; halos included when distributed
+	Procs       int     `json:"procs,omitempty"`        // distributed runs only
 	RunMS       float64 `json:"run_ms"`
 
 	// Native-backend runs only.
@@ -644,6 +644,8 @@ func (s *Server) execute(ctx context.Context, entry *ccache.Entry, req *Request)
 				err = fmt.Errorf("replicated-scalar invariant violated: %w", scErr)
 			}
 			resp.Procs = req.Procs
+			resp.Steps = dm.Steps()
+			resp.MemoryBytes = dm.MemoryFootprint()
 		}
 	} else {
 		var m *vm.Machine

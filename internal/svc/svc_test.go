@@ -447,6 +447,14 @@ func TestDistributedRun(t *testing.T) {
 	if !transcriptsClose(seq.Output, dist.Output) {
 		t.Errorf("distributed output %q != sequential %q", dist.Output, seq.Output)
 	}
+	// Distributed replies report what sequential ones do: every
+	// element-statement runs once at its owner, so the processors' sum
+	// is at least the sequential count (replicated scalar statements and
+	// exchanges add to it), and halos only add storage.
+	if dist.Steps < seq.Steps || dist.MemoryBytes < seq.MemoryBytes {
+		t.Errorf("distributed steps/memory = %d/%d, want at least the sequential %d/%d",
+			dist.Steps, dist.MemoryBytes, seq.Steps, seq.MemoryBytes)
+	}
 
 	// The distributed reply carries the happens-before verdict census;
 	// the sequential one has no schedule to analyze.

@@ -281,6 +281,9 @@ func (m *Machine) compileWriteln(x *lir.Writeln) (execFn, error) {
 }
 
 func (m *Machine) compileComm(x *lir.Comm) (execFn, error) {
+	if m.shard != nil {
+		return m.shardComm(x)
+	}
 	// On the sequential VM arrays are whole, so the halo values are
 	// already in place; the primitive only reports its traffic to the
 	// tracer (the machine model charges it).
@@ -342,12 +345,18 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	combine := reduceCombine(x.Op)
-	id := x.Op.Identity()
 	collapsed := make([]bool, rank)
 	for k := 0; k < rank; k++ {
 		collapsed[k] = x.Dest.Extent(k) == 1 && x.Region.Extent(k) != 1
 	}
+	if m.shard != nil {
+		if err := m.checkLocal(x); err != nil {
+			return nil, err
+		}
+		return m.shardPartialReduce(x, body, store, collapsed), nil
+	}
+	combine := reduceCombine(x.Op)
+	id := x.Op.Identity()
 	dest, region := x.Dest, x.Region
 
 	elems := int64(region.Size())
@@ -356,42 +365,22 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 			return sigFault
 		}
 		// Initialize the destination slab.
-		var init func(k int)
-		init = func(k int) {
-			if k == rank {
-				store(m, id)
-				return
-			}
-			for i := dest.Lo[k]; i <= dest.Hi[k]; i++ {
-				m.idx[k] = i
-				init(k + 1)
-			}
-		}
-		init(0)
+		m.each(dest, func() { store(m, id) })
 		// Accumulate.
-		var sweep func(k int)
-		sweep = func(k int) {
-			if k == rank {
-				v := body(m)
-				if m.tracer != nil {
-					m.tracer.Flops(flops + 1)
-				}
-				save := m.idx
-				for d := 0; d < rank; d++ {
-					if collapsed[d] {
-						m.idx[d] = dest.Lo[d]
-					}
-				}
-				store(m, combine(load(m), v))
-				m.idx = save
-				return
+		m.each(region, func() {
+			v := body(m)
+			if m.tracer != nil {
+				m.tracer.Flops(flops + 1)
 			}
-			for i := region.Lo[k]; i <= region.Hi[k]; i++ {
-				m.idx[k] = i
-				sweep(k + 1)
+			save := m.idx
+			for d := 0; d < rank; d++ {
+				if collapsed[d] {
+					m.idx[d] = dest.Lo[d]
+				}
 			}
-		}
-		sweep(0)
+			store(m, combine(load(m), v))
+			m.idx = save
+		})
 		if m.tracer != nil {
 			m.tracer.Reduce()
 		}
@@ -399,11 +388,36 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 	}, nil
 }
 
+// each runs f at every index of r in row-major order, with m.idx set.
+func (m *Machine) each(r *sema.Region, f func()) {
+	var walk func(k int)
+	walk = func(k int) {
+		if k == r.Rank() {
+			f()
+			return
+		}
+		for i := r.Lo[k]; i <= r.Hi[k]; i++ {
+			m.idx[k] = i
+			walk(k + 1)
+		}
+	}
+	walk(0)
+}
+
 // ---------------------------------------------------------------------------
 // Nest compilation
 
 func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 	rank := x.Region.Rank()
+	// A shard sweeps its owned portion of the region; the clipped
+	// bounds are captured by the loop closures exactly as whole ones.
+	region := x.Region
+	if m.shard != nil {
+		if err := m.checkLocal(x); err != nil {
+			return nil, err
+		}
+		region = m.portion(x.Region)
+	}
 	type stmtC struct {
 		exec execFn // one element execution (uses m.idx)
 		init execFn // reduction target initialization, or nil
@@ -515,7 +529,7 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 			dim = -dim
 		}
 		d := dim - 1
-		lo, hi := x.Region.Lo[d], x.Region.Hi[d]
+		lo, hi := region.Lo[d], region.Hi[d]
 		inner := run
 		if pi > 0 {
 			run = func(m *Machine) {
@@ -540,8 +554,8 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 			nReduce++
 		}
 	}
-	elemSteps := int64(x.Region.Size()) * int64(len(stmts))
-	return func(m *Machine) signal {
+	elemSteps := int64(region.Size()) * int64(len(stmts))
+	sweep := func(m *Machine) signal {
 		if !m.charge(elemSteps) {
 			return sigFault
 		}
@@ -557,7 +571,11 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 			}
 		}
 		return sigNext
-	}, nil
+	}
+	if m.shard != nil {
+		return m.shardNest(x, sweep), nil
+	}
+	return sweep, nil
 }
 
 // compileGuard returns a predicate over m.idx, or nil when the guard

@@ -80,6 +80,7 @@ type Machine struct {
 	arrays  map[string]*arrayStore
 	procs   map[string]*compiledProc
 	bounds  *absint.Result
+	shard   Shard // nil for a whole-program machine; consulted only while compiling
 
 	out     io.Writer
 	tracer  Tracer
@@ -101,7 +102,7 @@ type Machine struct {
 type arrayStore struct {
 	name    string
 	data    []float64
-	lo      []int
+	lo, hi  []int // storage bounds: Alloc, or a shard's local bounds
 	strides []int
 	base    int64 // byte base address in the simulated address space
 }
@@ -132,6 +133,10 @@ type evalFn func(m *Machine) float64
 // New compiles the program. The returned machine is single-use: call
 // Run once; storage persists for inspection afterwards.
 func New(p *lir.Program, opt Options) (*Machine, error) {
+	return build(p, opt, nil)
+}
+
+func build(p *lir.Program, opt Options, sh Shard) (*Machine, error) {
 	m := &Machine{
 		prog:    p,
 		slotIdx: map[string]int{},
@@ -142,6 +147,7 @@ func New(p *lir.Program, opt Options) (*Machine, error) {
 		max:     opt.MaxSteps,
 		ctx:     opt.Ctx,
 		bounds:  opt.Bounds,
+		shard:   sh,
 	}
 	if m.max == 0 {
 		m.max = 1e10
@@ -173,25 +179,31 @@ func New(p *lir.Program, opt Options) (*Machine, error) {
 		}
 	}
 
-	// Array storage over allocation bounds, row-major, with bases laid
-	// out sequentially in a simulated byte address space.
+	// Array storage over allocation bounds (a shard's local bounds),
+	// row-major, with bases laid out sequentially in a simulated byte
+	// address space.
 	var nextBase int64
 	for _, n := range arrNames {
 		a := p.Source.Arrays[n]
 		if a.Contracted {
 			continue
 		}
-		rank := a.Alloc.Rank()
+		bounds := a.Alloc
+		if sh != nil {
+			bounds = sh.Local(n)
+		}
+		rank := bounds.Rank()
 		strides := make([]int, rank)
 		size := 1
 		for d := rank - 1; d >= 0; d-- {
 			strides[d] = size
-			size *= a.Alloc.Extent(d)
+			size *= max(bounds.Extent(d), 0)
 		}
 		m.arrays[n] = &arrayStore{
 			name:    n,
 			data:    make([]float64, size),
-			lo:      append([]int(nil), a.Alloc.Lo...),
+			lo:      append([]int(nil), bounds.Lo...),
+			hi:      append([]int(nil), bounds.Hi...),
 			strides: strides,
 			base:    nextBase,
 		}
@@ -276,6 +288,16 @@ func (m *Machine) Scalar(name string) (float64, bool) {
 	return 0, false
 }
 
+// Scalars returns the current value of every scalar slot by name:
+// declared scalars and the registers of contracted arrays.
+func (m *Machine) Scalars() map[string]float64 {
+	out := make(map[string]float64, len(m.slotIdx))
+	for name, i := range m.slotIdx {
+		out[name] = m.slots[i]
+	}
+	return out
+}
+
 // SetScalar overwrites a scalar's slot before Run — the lazy runtime's
 // seeding path (it also overwrites config scalars, whose Init value
 // New already installed). Reports whether the scalar exists.
@@ -287,8 +309,8 @@ func (m *Machine) SetScalar(name string, v float64) bool {
 	return false
 }
 
-// ArrayData exposes an array's backing storage for tests: data in
-// row-major order over the allocation bounds.
+// ArrayData exposes an array's backing storage: data in row-major
+// order over the allocation bounds (a shard's local bounds).
 func (m *Machine) ArrayData(name string) []float64 {
 	if a := m.arrays[name]; a != nil {
 		return a.data
