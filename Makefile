@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 .PHONY: all build test vet race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit tune-smoke backend-diff \
 	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke \
-	bench-smoke
+	bench-smoke loc
 
 all: build test
 
@@ -160,6 +160,21 @@ bench-smoke: build
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# Non-test Go lines per top-level directory, so a simplicity PR quotes a
+# reproducible before/after instead of a hand count. bench/ (its own
+# module, frozen by BENCHMARK.json) and results/ are excluded. Override
+# LOC_DIRS to size one subsystem, e.g. the front ends PR 13 measured:
+#   make loc LOC_DIRS="cmd internal/svc internal/tune internal/job"
+LOC_DIRS ?= $(filter-out bench results,$(patsubst %/,%,$(wildcard */)))
+loc:
+	@total=0; for d in $(LOC_DIRS); do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat 2>/dev/null | wc -l); \
+		printf '%8d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%8d  total\n' $$total
+
+# The front-end parity table (internal/job, internal/svc, cli_test.go)
+# and the fingerprint field-coverage test (internal/ccache) are ordinary
+# package tests, so `test` runs them and `race` runs them under -race.
 ci: vet test race serve-test check lint-self audit staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
 
 experiments:

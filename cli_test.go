@@ -647,3 +647,77 @@ func TestZpltunePlanRoundtrip(t *testing.T) {
 		t.Errorf("bad plan file exit = %d, want 2", c)
 	}
 }
+
+// TestFrontEndsAgreeCLI drives the one table of illegal requests
+// (testdata/illegal_specs.json; internal/job runs it through Resolve,
+// internal/svc through zpld) through every CLI that can express each
+// case: all must exit with the usage code, 2, and say why.
+func TestFrontEndsAgreeCLI(t *testing.T) {
+	data, err := os.ReadFile("testdata/illegal_specs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name string
+		CLI  [][]string
+	}
+	if err := json.Unmarshal(data, &cases); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		for _, argv := range c.CLI {
+			_, stderr, err := runTool(t, argv[0], argv[1:]...)
+			if code := exitCode(t, err); code != 2 {
+				t.Errorf("%s: %v exited %d, want 2 (stderr %q)", c.Name, argv, code, stderr)
+			}
+			if !strings.HasPrefix(stderr, argv[0]+": ") {
+				t.Errorf("%s: %v gave no diagnostic: %q", c.Name, argv, stderr)
+			}
+		}
+	}
+}
+
+// TestUsageErrorsPrecedeCompile: zplrun used to validate -machine and
+// -dist only after compiling, so a bad flag on a broken program was
+// reported as a compile error (exit 3) after paying for the compile.
+func TestUsageErrorsPrecedeCompile(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.za")
+	if err := os.WriteFile(bad, []byte("program junk; not a program"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-machine", "cray-3", bad},
+		{"-dist", bad},
+		{"-p", "4", "-dist", "-machine", "t3e", bad},
+	} {
+		_, stderr, err := runTool(t, "zplrun", args...)
+		if c := exitCode(t, err); c != 2 {
+			t.Errorf("zplrun %v exited %d, want 2 (stderr %q)", args, c, stderr)
+		}
+	}
+}
+
+// TestZplrunBindsZplcsPipelineFlags: -comm and -scalarrep reach zplrun
+// exactly as they reach zplc and zpld. The scalarrep case is PR 12's
+// TestPreloadHalo from the command line: ScalarReplace + Comm at p >= 2
+// needs halos sized from Nest.Preloads.
+func TestZplrunBindsZplcsPipelineFlags(t *testing.T) {
+	seq, _, err := runTool(t, "zplrun", "-bench", "tomcatv", "-config", "n=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, stderr, err := runTool(t, "zplrun", "-bench", "tomcatv", "-config", "n=16", "-p", "4", "-dist", "-scalarrep")
+	if err != nil {
+		t.Fatalf("zplrun -p 4 -dist -scalarrep: %v\n%s", err, stderr)
+	}
+	if !transcriptsClose(seq, dist) {
+		t.Errorf("-dist -scalarrep output %q != sequential %q", dist, seq)
+	}
+	comm, stderr, err := runTool(t, "zplrun", "-bench", "tomcatv", "-config", "n=16", "-p", "4", "-dist", "-comm", "favor-comm")
+	if err != nil {
+		t.Fatalf("zplrun -comm favor-comm: %v\n%s", err, stderr)
+	}
+	if !transcriptsClose(seq, comm) {
+		t.Errorf("-comm favor-comm output %q != sequential %q", comm, seq)
+	}
+}

@@ -44,6 +44,9 @@
 //	              reject it with a positioned diagnostic naming both
 //	              events. Exit 1 when caught, 3 when missed (an
 //	              analyzer bug), 2 when the program offers no site
+//
+// The request flags are bound and validated by internal/job (shared
+// with zplrun): a usage error exits 2 before any compile, anything else 1.
 package main
 
 import (
@@ -51,129 +54,61 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/air"
 	"repro/internal/ast"
-	"repro/internal/backend"
 	"repro/internal/check"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/driver"
 	"repro/internal/gogen"
+	"repro/internal/job"
 	"repro/internal/lir"
 	"repro/internal/mhp"
 	"repro/internal/parser"
 	"repro/internal/source"
 )
 
-type configFlags map[string]int64
-
-func (c configFlags) String() string { return fmt.Sprintf("%v", map[string]int64(c)) }
-
-func (c configFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return err
-	}
-	c[k] = n
-	return nil
-}
+// spec is the request (package-level so fatal can name its flags).
+var spec = job.Spec{Procs: 1, Strategy: "favor-fusion"}
 
 func main() {
-	level := flag.String("O", "c2+f3", "optimization level")
-	backendName := flag.String("backend", "vm", "vm | go: go also builds the native artifact")
-	planFile := flag.String("plan", "", "apply a plan spec JSON file instead of the -O ladder")
+	spec.Bind(flag.CommandLine, job.PipelineFlags...)
 	emit := flag.String("emit", "plan", "output form: ast | air | asdg | plan | c | go")
-	procs := flag.Int("p", 1, "processor count (inserts communication when > 1)")
-	scalarRep := flag.Bool("scalarrep", false, "install scalar replacement in the loop nests")
-	strat := flag.String("comm", "favor-fusion", "communication strategy: favor-fusion | favor-comm")
-	runCheck := flag.Bool("check", false, "run the static verifier between pipeline phases")
-	prove := flag.Bool("prove", false, "run the bounds prover (the default; spell it to assert it)")
-	noProve := flag.Bool("noprove", false, "skip the bounds prover: generated code keeps every check")
-	proveFault := flag.Int("provefault", 0, "seed an evidence fault into the n-th proven site; 0 disables")
 	remarks := flag.Bool("remarks", false, "print one optimization remark per fusion/contraction decision")
 	checkFault := flag.String("checkfault", "", "inject a seeded bug and require the named verifier pass to catch it")
-	noRace := flag.Bool("norace", false, "skip the happens-before race analyzer on distributed compilations")
 	raceFault := flag.String("racefault", "", "seed a schedule fault (barrier | mispair | stale) and require the race analyzer to catch it")
-	configs := configFlags{}
-	flag.Var(configs, "config", "override a config constant, key=value (repeatable)")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: zplc [flags] file.za")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *prove && *noProve {
-		fatalUsage(fmt.Errorf("-prove and -noprove are contradictory: pick one"))
-	}
-	if *noProve && *proveFault > 0 {
-		fatalUsage(fmt.Errorf("-provefault %d needs the prover that -noprove disables", *proveFault))
-	}
-	if *raceFault != "" && *noRace {
-		fatalUsage(fmt.Errorf("-racefault %s needs the analyzer that -norace disables", *raceFault))
-	}
-	if *raceFault != "" && *procs < 2 {
-		fatalUsage(fmt.Errorf("-racefault %s needs a distributed compilation (-p > 1)", *raceFault))
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
+	if err := spec.Parse(flag.CommandLine, os.Args[1:]); err != nil {
 		fatal(err)
 	}
-
-	lvl, err := core.ParseLevel(*level)
-	if err != nil {
+	if *emit == "go" {
+		spec.Sequential = "emit go"
+	}
+	src, opt, err := spec.Resolve()
+	switch {
+	case err != nil:
 		fatal(err)
+	case *raceFault != "" && spec.NoRace:
+		fatal(job.Usagef("-racefault %s needs the analyzer that {norace} disables", *raceFault))
+	case *raceFault != "" && spec.Procs < 2:
+		fatal(job.Usagef("-racefault %s needs a distributed compilation ({procs} > 1)", *raceFault))
 	}
 
 	if *emit == "ast" {
 		var errs source.ErrorList
-		errs.File = flag.Arg(0)
-		prog := parser.Parse(string(src), &errs)
+		errs.File = src.Name
+		prog := parser.Parse(src.Text, &errs)
 		if errs.HasErrors() {
-			fatal(errs.Err())
+			fatal(&job.CompileError{Err: errs.Err()})
 		}
 		fmt.Print(ast.Format(prog))
 		return
 	}
 
-	be, err := driver.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	if be.Native() && *procs > 1 {
-		fatal(fmt.Errorf("-backend=go compiles the sequential program; it cannot be combined with -p > 1"))
-	}
-
-	opt := driver.Options{Level: lvl, Configs: configs, ScalarReplace: *scalarRep, Check: *runCheck, Backend: be,
-		NoProve: *noProve, ProveFault: *proveFault, NoRace: *noRace}
-	if *planFile != "" {
-		data, err := os.ReadFile(*planFile)
-		if err != nil {
-			fatal(err)
-		}
-		spec, err := core.ParseSpec(data)
-		if err != nil {
-			fatal(fmt.Errorf("-plan %s: %w", *planFile, err))
-		}
-		opt.Plan = spec
-	}
-	if *procs > 1 {
-		co := comm.DefaultOptions(*procs)
-		if *strat == "favor-comm" {
-			co.Strategy = comm.FavorComm
-		}
-		opt.Comm = &co
-	}
-	c, err := driver.Compile(string(src), opt)
+	ctx := context.Background()
+	c, err := job.Compile(ctx, src.Text, opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -183,7 +118,7 @@ func main() {
 		return
 	}
 	if *raceFault != "" {
-		raceSelfTest(c, *raceFault, *procs)
+		raceSelfTest(c, *raceFault, spec.Procs)
 		return
 	}
 
@@ -204,27 +139,20 @@ func main() {
 	case "go":
 		src, err := gogen.EmitBounds(c.LIR, c.Bounds)
 		if err != nil {
-			fatal(err)
+			fatal(&job.CompileError{Err: err})
 		}
 		fmt.Print(src)
 	case "plan":
 		printPlan(c)
 	default:
-		fatal(fmt.Errorf("unknown -emit form %q", *emit))
+		fatal(job.Usagef("unknown -emit form %q", *emit))
 	}
 	if *remarks {
-		printRemarks(flag.Arg(0), c)
+		printRemarks(src.Name, c)
 	}
 
-	if be.Native() {
-		if !backend.Available() {
-			fatal(fmt.Errorf("-backend=go requires a go toolchain on PATH"))
-		}
-		store, err := backend.Open("")
-		if err != nil {
-			fatal(err)
-		}
-		art, _, err := store.BuildProgramBounds(context.Background(), c.LIR, c.Bounds)
+	if opt.Backend.Native() {
+		art, err := job.Build(ctx, c, "", nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -456,14 +384,11 @@ func faultComm(c *driver.Compilation) bool {
 	return dropped
 }
 
+// fatal reports err and exits 2 for a usage error, 1 for anything else:
+// 3 is taken by the fault self-tests' "fault missed" verdict.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "zplc:", err)
+	if code := spec.Report(os.Stderr, "zplc", err); code == job.ClassUsage.ExitCode() {
+		os.Exit(code)
+	}
 	os.Exit(1)
-}
-
-// fatalUsage reports a flag-level mistake; exit 2 matches the no-file
-// usage path so scripts can tell misuse from compile failures.
-func fatalUsage(err error) {
-	fmt.Fprintln(os.Stderr, "zplc:", err)
-	os.Exit(2)
 }

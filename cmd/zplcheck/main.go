@@ -47,101 +47,51 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/check"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/job"
 	"repro/internal/lint"
-	"repro/internal/programs"
 )
 
-type configFlags map[string]int64
-
-func (c configFlags) String() string { return fmt.Sprintf("%v", map[string]int64(c)) }
-
-func (c configFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return err
-	}
-	c[k] = n
-	return nil
-}
-
-type unit struct {
-	name string
-	src  string
-}
-
 func main() {
+	var spec job.Spec
+	spec.Bind(flag.CommandLine, "config", "p", "bench")
 	levelsFlag := flag.String("O", "baseline,c1,c2,c2+f3", "comma-separated optimization levels; \"all\" for the full ladder")
 	passFlag := flag.String("pass", "all", "comma-separated verifier passes; \"all\" runs every pass")
-	procs := flag.Int("p", 0, "additionally verify a distributed compilation for n processors")
-	bench := flag.String("bench", "", "built-in benchmark name, or \"all\"")
 	verbose := flag.Bool("v", false, "list clean configurations too")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON report")
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	configs := configFlags{}
-	flag.Var(configs, "config", "override a config constant, key=value (repeatable)")
 	flag.Parse()
+	fatal := func(err error) { spec.Fatal("zplcheck", err) }
 
-	var units []unit
-	switch {
-	case *bench == "all":
-		for _, b := range programs.All() {
-			units = append(units, unit{"bench:" + b.Name, b.Source})
-		}
-	case *bench != "":
-		b, ok := programs.ByName(*bench)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "zplcheck: unknown benchmark %q\n", *bench)
-			os.Exit(2)
-		}
-		units = append(units, unit{"bench:" + b.Name, b.Source})
+	units, err := job.Sources(spec.Bench, flag.Args())
+	if err != nil {
+		fatal(err)
 	}
-	for _, f := range flag.Args() {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zplcheck:", err)
-			os.Exit(2)
-		}
-		units = append(units, unit{f, string(data)})
-	}
-	if len(units) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: zplcheck [flags] file.za...")
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	var levels []core.Level
-	if *levelsFlag == "all" {
-		levels = core.AllLevels()
-	} else {
+	levels := core.AllLevels()
+	if *levelsFlag != "all" {
+		levels = nil
 		for _, name := range strings.Split(*levelsFlag, ",") {
 			lvl, err := core.ParseLevel(strings.TrimSpace(name))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "zplcheck:", err)
-				os.Exit(2)
+				fatal(job.Usagef("%v", err))
 			}
 			levels = append(levels, lvl)
 		}
 	}
-
 	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "zplcheck: -json and -sarif are mutually exclusive")
-		os.Exit(2)
+		fatal(job.Usagef("-json and -sarif are mutually exclusive"))
 	}
 	passes, err := parsePasses(*passFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "zplcheck:", err)
-		os.Exit(2)
+		fatal(err)
+	}
+	co, err := job.CommOptions(spec.Procs, "")
+	if err != nil {
+		fatal(err)
 	}
 	var collect []lint.Finding
 	structured := *jsonOut || *sarifOut
@@ -153,30 +103,26 @@ func main() {
 			if structured {
 				collector = &collect
 			}
-			failures += verify(u, lvl, driver.Options{Level: lvl, Configs: configs}, "", *verbose, passes, collector)
+			failures += verify(u, lvl, driver.Options{Level: lvl, Configs: spec.Configs}, "", *verbose, passes, collector)
 			configurations++
-			if *procs > 1 {
-				co := comm.DefaultOptions(*procs)
+			if co != nil {
 				failures += verify(u, lvl,
-					driver.Options{Level: lvl, Configs: configs, Comm: &co},
-					fmt.Sprintf(" p=%d", *procs), *verbose, passes, collector)
+					driver.Options{Level: lvl, Configs: spec.Configs, Comm: co},
+					fmt.Sprintf(" p=%d", co.Procs), *verbose, passes, collector)
 				configurations++
 			}
 		}
 	}
 	switch {
 	case *jsonOut:
-		if err := lint.EncodeJSON(os.Stdout, "", collect, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "zplcheck:", err)
-			os.Exit(2)
-		}
+		err = lint.EncodeJSON(os.Stdout, "", collect, nil)
 	case *sarifOut:
-		if err := lint.EncodeSARIF(os.Stdout, "zplcheck", collect); err != nil {
-			fmt.Fprintln(os.Stderr, "zplcheck:", err)
-			os.Exit(2)
-		}
+		err = lint.EncodeSARIF(os.Stdout, "zplcheck", collect)
 	default:
 		fmt.Printf("zplcheck: %d configuration(s), %d with findings\n", configurations, failures)
+	}
+	if err != nil {
+		fatal(job.Usagef("%v", err))
 	}
 	if failures > 0 {
 		os.Exit(1)
@@ -189,9 +135,9 @@ func main() {
 // finding or compile error, 0 when clean. When collect is non-nil the
 // findings are appended there (labelled with the configuration) for a
 // structured report instead of being printed.
-func verify(u unit, lvl core.Level, opt driver.Options, suffix string, verbose bool, passes map[string]bool, collect *[]lint.Finding) int {
-	label := fmt.Sprintf("%s at %s%s", u.name, lvl, suffix)
-	c, err := driver.Compile(u.src, opt)
+func verify(u job.Source, lvl core.Level, opt driver.Options, suffix string, verbose bool, passes map[string]bool, collect *[]lint.Finding) int {
+	label := fmt.Sprintf("%s at %s%s", u.Name, lvl, suffix)
+	c, err := driver.Compile(u.Text, opt)
 	if err != nil {
 		if collect != nil {
 			*collect = append(*collect, lint.Finding{
@@ -246,7 +192,7 @@ func parsePasses(s string) (map[string]bool, error) {
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
 		if !knownPasses[name] {
-			return nil, fmt.Errorf("unknown verifier pass %q (want all, %s, %s, %s, %s, %s, %s, or %s)",
+			return nil, job.Usagef("unknown verifier pass %q (want all, %s, %s, %s, %s, %s, %s, or %s)",
 				name, check.PassAIR, check.PassASDG, check.PassFusion,
 				check.PassContraction, check.PassComm, check.PassBounds, check.PassRace)
 		}

@@ -45,36 +45,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/lint"
-	"repro/internal/programs"
 	"repro/internal/remark"
 )
-
-type configFlags map[string]int64
-
-func (c configFlags) String() string { return fmt.Sprintf("%v", map[string]int64(c)) }
-
-func (c configFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return err
-	}
-	c[k] = n
-	return nil
-}
-
-type unit struct {
-	name string
-	src  string
-}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -83,79 +59,50 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("zpllint", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	levelFlag := fs.String("O", "c2+f3", "optimization level backing the remark-derived rules")
+	spec := job.Spec{Level: "c2+f3"}
+	spec.Bind(fs, "O", "config", "bench", "p")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
-	bench := fs.String("bench", "", "built-in benchmark name, or \"all\"")
 	strict := fs.Bool("strict", false, "exit nonzero on warnings too")
 	remarks := fs.Bool("remarks", false, "include optimization remarks in the output")
 	boundsNotes := fs.Bool("bounds", false, "emit one note per proven array access")
-	procs := fs.Int("p", 0, "lint the distributed compilation for n processors")
 	raceNotes := fs.Bool("race", false, "emit one note per proven-ordered conflicting pair (with -p > 1)")
-	configs := configFlags{}
-	fs.Var(configs, "config", "override a config constant, key=value (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	usage := func(err error) int { return spec.Report(os.Stderr, "zpllint", err) }
 
-	lvl, err := core.ParseLevel(*levelFlag)
+	lvl, err := core.ParseLevel(spec.Level)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "zpllint:", err)
-		return 2
+		return usage(job.Usagef("%v", err))
 	}
-	if *raceNotes && *procs < 2 {
-		fmt.Fprintln(os.Stderr, "zpllint: -race needs a distributed lint (-p > 1)")
-		return 2
+	if *raceNotes && spec.Procs < 2 {
+		return usage(job.Usagef("-race needs a distributed lint ({procs} > 1)"))
 	}
 	switch *format {
 	case "text", "json", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "zpllint: unknown format %q (want text, json, or sarif)\n", *format)
-		return 2
+		return usage(job.Usagef("unknown format %q (want text, json, or sarif)", *format))
 	}
-
-	var units []unit
-	switch {
-	case *bench == "all":
-		for _, b := range programs.All() {
-			units = append(units, unit{"bench:" + b.Name, b.Source})
-		}
-	case *bench != "":
-		b, ok := programs.ByName(*bench)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "zpllint: unknown benchmark %q\n", *bench)
-			return 2
-		}
-		units = append(units, unit{"bench:" + b.Name, b.Source})
-	}
-	for _, f := range fs.Args() {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zpllint:", err)
-			return 2
-		}
-		units = append(units, unit{f, string(data)})
-	}
-	if len(units) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: zpllint [flags] file.za...")
-		fs.Usage()
-		return 2
+	units, err := job.Sources(spec.Bench, fs.Args())
+	if err != nil {
+		return usage(err)
 	}
 
 	var all []lint.Finding
 	var allRemarks []remark.Remark
 	compileFailed := false
 	for _, u := range units {
-		res, err := lint.Run(u.src, lint.Options{File: u.name, Level: lvl, Configs: configs,
-			BoundsNotes: *boundsNotes, Procs: *procs, RaceNotes: *raceNotes})
+		res, err := lint.Run(u.Text, lint.Options{File: u.Name, Level: lvl, Configs: spec.Configs,
+			BoundsNotes: *boundsNotes, Procs: spec.Procs, RaceNotes: *raceNotes})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zpllint: %s: %v\n", u.name, err)
+			fmt.Fprintf(os.Stderr, "zpllint: %s: %v\n", u.Name, err)
 			compileFailed = true
 			continue
 		}
 		all = append(all, res.Findings...)
 		if *remarks {
 			if *format == "text" {
-				lint.EncodeText(os.Stdout, u.name, nil, res.Remarks)
+				lint.EncodeText(os.Stdout, u.Name, nil, res.Remarks)
 			} else if len(units) == 1 {
 				allRemarks = res.Remarks
 			}
@@ -166,7 +113,7 @@ func run(args []string) int {
 	case "text":
 		lint.EncodeText(os.Stdout, "", all, nil)
 	case "json":
-		name := units[0].name
+		name := units[0].Name
 		if len(units) > 1 {
 			name = ""
 		}

@@ -41,156 +41,66 @@
 //	              fail on any finding
 //	-timeout d    wall-clock deadline for the whole search
 //
-// Exit codes follow the zplrun scheme:
-//
-//	0  success (tuned plan found, no worse than the heuristic)
-//	1  runtime error — including a tuned plan scoring worse than the
-//	   heuristic, which the search's construction rules out
-//	2  usage error (bad flags, conflicting sources)
-//	3  compile error (parse/sema/lowering/verifier failure)
-//	4  timeout (the -timeout deadline expired mid-search)
+// Exit codes follow the zplrun scheme (the table is internal/job's):
+// 0 success, 1 runtime error — including a tuned plan scoring worse
+// than the heuristic, which the search's construction rules out —
+// 2 usage, 3 compile error, 4 the -timeout deadline expired mid-search.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
-	"repro/internal/backend"
-	"repro/internal/comm"
-	"repro/internal/core"
-	"repro/internal/driver"
-	"repro/internal/machine"
-	"repro/internal/programs"
+	"repro/internal/job"
 	"repro/internal/tune"
 )
 
-// Exit codes; keep in sync with the doc comment above.
-const (
-	exitRuntime = 1
-	exitUsage   = 2
-	exitCompile = 3
-	exitTimeout = 4
-)
-
-type configFlags map[string]int64
-
-func (c configFlags) String() string { return fmt.Sprintf("%v", map[string]int64(c)) }
-
-func (c configFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return err
-	}
-	c[k] = n
-	return nil
-}
-
 func main() {
-	level := flag.String("O", "c2+f4", "ladder heuristic to beat")
-	bench := flag.String("bench", "", "built-in benchmark name")
-	procs := flag.Int("p", 1, "processor count")
-	strategy := flag.String("strategy", "", "favor-fusion | favor-comm (requires -p > 1)")
+	spec := job.Spec{Level: "c2+f4", Procs: 1, Backend: "vm"}
+	spec.Bind(flag.CommandLine, "O", "bench", "config", "p", "strategy", "backend")
 	mach := flag.String("machine", "t3e", "cost-model machine: t3e | sp2 | paragon | origin")
 	model := flag.String("model", "cycle", "cost model: cycle | cache")
 	beam := flag.Int("beam", 0, "beam width for large blocks (0 = default)")
 	exhaustive := flag.Int("exhaustive", 0, "max fusible statements for exhaustive search (0 = default)")
 	states := flag.Int("states", 0, "exhaustive state budget (0 = default)")
 	measure := flag.Bool("measure", false, "run top-K candidates, pick by wall clock")
-	backendName := flag.String("backend", "vm", "measured-mode execution engine: vm | go")
 	topk := flag.Int("topk", 0, "measured-mode candidate count (0 = default)")
 	emit := flag.String("emit", "", "write the tuned plan spec JSON to this file (\"-\" = stdout)")
 	jsonOut := flag.Bool("json", false, "print the tuning result as JSON")
 	runCheck := flag.Bool("check", false, "re-compile with the tuned plan under the static verifier")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline for the search; 0 disables")
-	configs := configFlags{}
-	flag.Var(configs, "config", "override a config constant, key=value")
-	flag.Parse()
-
-	var src, name string
-	switch {
-	case *bench != "" && flag.NArg() > 0:
-		fatalUsage(fmt.Errorf("-bench %s conflicts with file argument %q: pass one program source, not both", *bench, flag.Arg(0)))
-	case *bench != "":
-		b, ok := programs.ByName(*bench)
-		if !ok {
-			fatalUsage(fmt.Errorf("unknown benchmark %q", *bench))
-		}
-		src, name = b.Source, "bench:"+*bench
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatalUsage(err)
-		}
-		src, name = string(data), flag.Arg(0)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: zpltune [flags] file.za")
-		flag.Usage()
-		os.Exit(exitUsage)
+	fatal := func(err error) { spec.Fatal("zpltune", err) }
+	if err := spec.Parse(flag.CommandLine, os.Args[1:]); err != nil {
+		fatal(err)
 	}
-
-	lvl, err := core.ParseLevel(*level)
+	if *measure {
+		spec.Sequential = "measure"
+	}
+	src, dopt, err := spec.Resolve()
 	if err != nil {
-		fatalUsage(err)
+		fatal(err)
 	}
-	m, ok := machine.ByName(*mach)
-	if !ok {
-		fatalUsage(fmt.Errorf("unknown machine %q (want t3e, sp2, paragon, or origin)", *mach))
+	if dopt.Backend.Native() && !*measure {
+		fatal(job.Usagef("{backend} go only affects measured mode; pass -measure"))
 	}
-
+	costModel, err := tune.ParseModel(*model, *mach, spec.Procs)
+	if err != nil {
+		fatal(err)
+	}
 	opt := tune.Options{
-		Level:   lvl,
-		Configs: configs,
+		Level:   dopt.Level,
+		Model:   costModel,
+		Configs: dopt.Configs,
+		Comm:    dopt.Comm,
 		Search:  tune.SearchOptions{Beam: *beam, ExhaustiveVertices: *exhaustive, MaxStates: *states},
 		Measure: *measure,
+		Backend: dopt.Backend,
 		TopK:    *topk,
-	}
-	if *procs > 1 {
-		co := comm.DefaultOptions(*procs)
-		switch *strategy {
-		case "", "favor-fusion":
-		case "favor-comm":
-			co.Strategy = comm.FavorComm
-		default:
-			fatalUsage(fmt.Errorf("unknown strategy %q (want favor-fusion or favor-comm)", *strategy))
-		}
-		opt.Comm = &co
-	} else if *strategy != "" && *strategy != "favor-fusion" {
-		fatalUsage(fmt.Errorf("-strategy %s requires -p > 1", *strategy))
-	}
-	be, err := driver.ParseBackend(*backendName)
-	if err != nil {
-		fatalUsage(err)
-	}
-	opt.Backend = be
-	if *measure && *procs > 1 {
-		fatalUsage(fmt.Errorf("-measure requires a sequential program"))
-	}
-	if be.Native() {
-		if !*measure {
-			fatalUsage(fmt.Errorf("-backend=go only affects measured mode; pass -measure"))
-		}
-		if !backend.Available() {
-			fatalUsage(fmt.Errorf("-backend=go requires a go toolchain on PATH"))
-		}
-	}
-	switch *model {
-	case "cycle":
-		opt.Model = tune.CycleModel{M: m, Procs: *procs}
-	case "cache":
-		opt.Model = tune.CacheModel{M: m, Procs: *procs}
-	default:
-		fatalUsage(fmt.Errorf("unknown cost model %q (want cycle or cache)", *model))
 	}
 
 	ctx := context.Background()
@@ -200,15 +110,8 @@ func main() {
 		defer cancel()
 	}
 
-	res, err := tune.Tune(ctx, src, opt)
+	res, err := tune.Tune(ctx, src.Text, opt)
 	if err != nil {
-		var ce *tune.CompileError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fatalTimeout(fmt.Errorf("timeout after %v while tuning", *timeout))
-		case errors.As(err, &ce):
-			fatalCompile(err)
-		}
 		fatal(err)
 	}
 
@@ -220,12 +123,9 @@ func main() {
 	}
 
 	if *runCheck {
-		dopt := driver.Options{Configs: configs, Plan: res.Spec, Check: true, Comm: opt.Comm}
-		if _, err := driver.CompileCtx(ctx, src, dopt); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				fatalTimeout(fmt.Errorf("timeout after %v while verifying the tuned plan", *timeout))
-			}
-			fatalCompile(fmt.Errorf("tuned plan failed verification: %w", err))
+		dopt.Plan, dopt.Check = res.Spec, true
+		if _, err := job.Compile(ctx, src.Text, dopt); err != nil {
+			fatal(fmt.Errorf("tuned plan failed verification: %w", err))
 		}
 		fmt.Fprintln(os.Stderr, "zpltune: tuned plan passed the static verifier")
 	}
@@ -250,7 +150,7 @@ func main() {
 		}
 		return
 	}
-	fmt.Print(formatResult(name, res))
+	fmt.Print(formatResult(src.Name, res))
 }
 
 // formatResult renders the heuristic-vs-tuned comparison table.
@@ -313,24 +213,4 @@ func formatResult(name string, res *tune.Result) string {
 		}
 	}
 	return b.String()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "zpltune:", err)
-	os.Exit(exitRuntime)
-}
-
-func fatalUsage(err error) {
-	fmt.Fprintln(os.Stderr, "zpltune:", err)
-	os.Exit(exitUsage)
-}
-
-func fatalCompile(err error) {
-	fmt.Fprintln(os.Stderr, "zpltune: compile error:", err)
-	os.Exit(exitCompile)
-}
-
-func fatalTimeout(err error) {
-	fmt.Fprintln(os.Stderr, "zpltune:", err)
-	os.Exit(exitTimeout)
 }

@@ -435,7 +435,12 @@ func (c *Cache) Put(k Key, e *Entry) {
 }
 
 func (c *Cache) insertLocked(k Key, e *Entry) {
-	e.Key = k // eviction needs the reverse mapping
+	// Eviction needs the reverse mapping. An entry that already carries
+	// its key may be shared (a peer can be encoding it out of another
+	// cache right now), so it is not written again.
+	if e.Key != k {
+		e.Key = k
+	}
 	if e.Size <= 0 {
 		e.Size = SizeOf(e)
 	}

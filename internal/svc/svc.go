@@ -17,21 +17,13 @@
 //	GET  /metrics  Prometheus text exposition of counters + histograms
 //	GET  /healthz  liveness ("ok"; 503 while draining)
 //
-// Status mapping (the error paths the CLIs collapse are distinct here):
-//
-//	400 malformed request (bad JSON, unknown level/strategy/bench,
-//	    native backend requested with no go toolchain on the host)
-//	404 unknown endpoint
-//	405 wrong method
-//	413 request body over the configured limit
-//	422 compile error (the program is at fault; includes a go build
-//	    failure of emitted code under backend "go" — the toolchain
-//	    diagnostics ride in the error body)
-//	429 queue depth exceeded (back off and retry)
-//	500 runtime error (execution fault, budget exhaustion, or a
-//	    native-binary runtime trap under backend "go")
-//	503 draining (shutdown in progress)
-//	504 request deadline expired (compiling, building, or running)
+// A request that fails is answered with the status and kind of its
+// failure class — 400 bad_request, 422 compile_error, 500
+// runtime_error, 504 timeout, 499 canceled; internal/job holds that
+// table next to the CLIs' exit codes, and the rules that make a request
+// a 400. What is left is the server's own: 404 unknown endpoint, 405
+// wrong method, 413 body over the limit, 429 queue full (back off and
+// retry), 503 draining.
 package svc
 
 import (
@@ -45,21 +37,19 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/backend"
 	"repro/internal/ccache"
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/distvm"
 	"repro/internal/driver"
 	"repro/internal/gogen"
+	"repro/internal/job"
 	"repro/internal/lint"
-	"repro/internal/programs"
 	"repro/internal/remark"
 	"repro/internal/store"
-	"repro/internal/vm"
 )
 
 // Config tunes the service; zero values take the documented defaults.
@@ -389,19 +379,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "store mem=%d disk=%d\n", ts.Mem.Entries, ts.Disk.Entries)
 }
 
-// fail writes the error reply and records it.
+// fail writes the error reply.
 func (s *Server) fail(w http.ResponseWriter, status int, kind, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: msg, Kind: kind})
 }
 
-// serve handles /compile (run=false) and /run (run=true).
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
-	endpoint := "/compile"
-	if run {
-		endpoint = "/run"
-	}
+// admit is the life every work request shares: refuse while draining,
+// require POST, decode the JSON body into req (strictly, under the size
+// cap), validate it with resolve — all before the request may occupy a
+// queue ticket — then take the ticket, start the deadline (timeoutMS
+// points into req, so it is read after decoding) and wait for a worker
+// slot. work runs on that slot; it writes its own success reply and
+// returns the cache outcome for the log, or an error that job.Classify
+// turns into the status and kind of the failure reply. An expired or
+// cancelled request context decides the class whatever work returned.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, req any, timeoutMS *int64,
+	resolve func() error, work func(ctx context.Context) (outcome string, err error)) {
 	t0 := time.Now()
 	status, kind, outcome := http.StatusOK, "", ""
 	defer func() {
@@ -409,39 +404,37 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 		s.metrics.Request(endpoint, status, d)
 		s.logRequest(r, endpoint, status, kind, outcome, d)
 	}()
+	reject := func(st int, k, msg string) {
+		status, kind = st, k
+		s.fail(w, st, k, msg)
+	}
+	classed := func(err error) {
+		c := job.Classify(err)
+		reject(c.HTTPStatus(), c.Kind(), err.Error())
+	}
 
 	if s.draining.Load() {
 		s.metrics.Drained()
-		status, kind = http.StatusServiceUnavailable, "draining"
-		s.fail(w, status, kind, "server is draining")
+		reject(http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
 	if r.Method != http.MethodPost {
-		status, kind = http.StatusMethodNotAllowed, "bad_request"
-		s.fail(w, status, kind, "POST a JSON request body")
+		reject(http.StatusMethodNotAllowed, "bad_request", "POST a JSON request body")
 		return
 	}
-
-	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			status, kind = http.StatusRequestEntityTooLarge, "too_large"
-			s.fail(w, status, kind, fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+			reject(http.StatusRequestEntityTooLarge, "too_large", fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 			return
 		}
-		status, kind = http.StatusBadRequest, "bad_request"
-		s.fail(w, status, kind, "bad request JSON: "+err.Error())
+		reject(http.StatusBadRequest, "bad_request", "bad request JSON: "+err.Error())
 		return
 	}
-
-	src, opt, err := s.resolve(&req, run)
-	if err != nil {
-		status, kind = http.StatusBadRequest, "bad_request"
-		s.fail(w, status, kind, err.Error())
+	if err := resolve(); err != nil {
+		classed(err)
 		return
 	}
 
@@ -451,19 +444,15 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 	case s.queue <- struct{}{}:
 	default:
 		s.metrics.Rejected()
-		status, kind = http.StatusTooManyRequests, "overloaded"
-		s.fail(w, status, kind, fmt.Sprintf("queue full (%d waiting)", cap(s.queue)))
+		reject(http.StatusTooManyRequests, "overloaded", fmt.Sprintf("queue full (%d waiting)", cap(s.queue)))
 		return
 	}
 	defer func() { <-s.queue }()
 
 	// Per-request deadline, threaded through compile and run.
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+	if *timeoutMS > 0 {
+		timeout = min(time.Duration(*timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -472,14 +461,44 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		status, kind = statusForCtx(ctx.Err())
-		s.fail(w, status, kind, "deadline expired while queued")
+		classed(fmt.Errorf("deadline expired while queued: %w", ctx.Err()))
 		return
 	}
 	defer func() { <-s.sem }()
 	s.metrics.IncInflight()
 	defer s.metrics.DecInflight()
 
+	var err error
+	if outcome, err = work(ctx); err != nil {
+		if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
+			err = fmt.Errorf("%v: %w", err, cerr)
+		}
+		classed(err)
+	}
+}
+
+// serve handles /compile (run=false) and /run (run=true).
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
+	endpoint := "/compile"
+	if run {
+		endpoint = "/run"
+	}
+	var req Request
+	var src string
+	var opt driver.Options
+	s.admit(w, r, endpoint, &req, &req.TimeoutMS,
+		func() (err error) {
+			src, opt, err = s.resolve(&req, run)
+			return err
+		},
+		func(ctx context.Context) (string, error) {
+			return s.compileAndRun(ctx, w, &req, src, opt, run)
+		})
+}
+
+// compileAndRun is the work of /compile and /run on an admitted request.
+func (s *Server) compileAndRun(ctx context.Context, w http.ResponseWriter, req *Request,
+	src string, opt driver.Options, run bool) (string, error) {
 	akind := ccache.ArtifactIR
 	if opt.Backend.Native() {
 		akind = ccache.ArtifactNative
@@ -489,7 +508,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 		hooked := opt
 		start, end := s.metrics.Phases.StartEnd()
 		hooked.Hooks = driver.Hooks{PhaseStart: start, PhaseEnd: end}
-		c, err := driver.CompileCtx(ctx, src, hooked)
+		c, err := job.Compile(ctx, src, hooked)
 		if err != nil {
 			return nil, err
 		}
@@ -505,7 +524,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 			} else if opt.Backend.Native() {
 				// On the VM path a failed emission only degrades
 				// emit_go; on the native path there is nothing to run.
-				return nil, err
+				return nil, &job.CompileError{Err: err}
 			}
 		}
 		if opt.Backend.Native() {
@@ -513,7 +532,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 			art, berr := s.bstore.Build(ctx, e.GoSrc)
 			end("backend_build")
 			if berr != nil {
-				// *backend.BuildError flows to the compile_error reply
+				// *backend.BuildError classifies as a compile error
 				// (422) with the toolchain diagnostics in the body.
 				s.metrics.BackendBuild("error")
 				return nil, berr
@@ -529,16 +548,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 	})
 	lookup := res.Outcome
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			status, kind = statusForCtx(err)
-			s.fail(w, status, kind, "compile aborted: "+err.Error())
-			return
-		}
-		status, kind = http.StatusUnprocessableEntity, "compile_error"
-		s.fail(w, status, kind, err.Error())
-		return
+		return "", err
 	}
-	outcome = lookup.String()
 
 	cresp := CompileResponse{
 		Key:      entry.Key.String(),
@@ -597,9 +608,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 		if lerr != nil {
 			// The main compile succeeded, so a sequential lint compile
 			// cannot fail; surface the inconsistency rather than hide it.
-			status, kind = http.StatusUnprocessableEntity, "compile_error"
-			s.fail(w, status, kind, "lint: "+lerr.Error())
-			return
+			return "", &job.CompileError{Err: fmt.Errorf("lint: %w", lerr)}
 		}
 		cresp.Lint = res.Findings
 		s.metrics.Lint(res.Findings)
@@ -608,199 +617,76 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, run bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if !run {
 		json.NewEncoder(w).Encode(cresp)
-		return
+		return lookup.String(), nil
 	}
-
-	resp, runStatus, runKind, err := s.execute(ctx, entry, &req)
+	resp, err := s.execute(ctx, entry, req.spec().RunSpec())
 	if err != nil {
-		status, kind = runStatus, runKind
-		s.fail(w, status, kind, err.Error())
-		return
+		return lookup.String(), err
 	}
 	resp.CompileResponse = cresp
 	json.NewEncoder(w).Encode(resp)
+	return lookup.String(), nil
 }
 
-// execute runs a cached compilation on the requested backend.
-func (s *Server) execute(ctx context.Context, entry *ccache.Entry, req *Request) (*RunResponse, int, string, error) {
-	if entry.Kind == ccache.ArtifactNative {
-		return s.executeNative(ctx, entry)
+// execute runs a cached compilation as rs asks. A locally compiled
+// entry carries its bounds proofs into the interpreters; one rehydrated
+// from the disk or peer tier (proofs do not travel) stays checked. A
+// native entry's binary is re-derived from the store by its cached Go
+// source — normally an instant hit, and a rebuild if the store
+// directory was wiped underneath a live entry.
+func (s *Server) execute(ctx context.Context, entry *ccache.Entry, rs job.RunSpec) (*RunResponse, error) {
+	if rs.MaxSteps <= 0 {
+		rs.MaxSteps = s.cfg.MaxSteps
 	}
-	maxSteps := req.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = s.cfg.MaxSteps
-	}
+	rs.GoSrc = entry.GoSrc
 	var out bytes.Buffer
-	t0 := time.Now()
-	resp := &RunResponse{}
-	var err error
-	if req.Dist {
-		var dm *distvm.Machine
-		dm, err = distvm.Run(entry.Comp.LIR, distvm.Options{
-			Procs: req.Procs, Out: &out, MaxSteps: maxSteps, Ctx: ctx,
-		})
-		if err == nil {
-			if scErr := dm.ScalarsConsistent(); scErr != nil {
-				err = fmt.Errorf("replicated-scalar invariant violated: %w", scErr)
-			}
-			resp.Procs = req.Procs
-			resp.Steps = dm.Steps()
-			resp.MemoryBytes = dm.MemoryFootprint()
-		}
-	} else {
-		var m *vm.Machine
-		var res *vm.Result
-		m, res, err = vm.Run(entry.Comp.LIR, vm.Options{Out: &out, MaxSteps: maxSteps, Ctx: ctx})
-		if err == nil {
-			resp.Steps = res.Steps
-			resp.MemoryBytes = m.MemoryFootprint()
-		}
+	res, err := job.Run(ctx, entry.Comp, rs, &out, s.bstore)
+	if res.Art != nil {
+		s.metrics.BackendRun(string(rs.Backend), err == nil)
 	}
-	d := time.Since(t0)
-	s.metrics.Phases.Observe("run", d)
+	if rs.Backend.Native() && res.Art == nil {
+		return nil, err // the build failed: nothing ran
+	}
+	s.metrics.Phases.Observe("run", res.Wall)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			st, kind := statusForCtx(err)
-			return nil, st, kind, fmt.Errorf("run aborted: %w", err)
-		}
-		return nil, http.StatusInternalServerError, "runtime_error", err
+		return nil, err
 	}
-	resp.Output = out.String()
-	resp.RunMS = float64(d) / float64(time.Millisecond)
-	return resp, http.StatusOK, "", nil
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	resp := &RunResponse{Output: out.String(), Steps: res.Steps, MemoryBytes: res.MemoryBytes, RunMS: ms(res.Wall)}
+	if rs.Dist {
+		resp.Procs = rs.Procs
+	}
+	if res.Art != nil {
+		resp.Backend = string(rs.Backend)
+		resp.BuildHit, resp.BuildMS, resp.ComputeMS = res.Art.Hit, ms(res.BuildWall), ms(res.Compute)
+	}
+	return resp, nil
 }
 
-// executeNative runs a native-backend entry: the binary is re-derived
-// from the store (content-addressed on the cached Go source, so this
-// is normally an instant hit — and a rebuild if the store directory
-// was wiped underneath a live ccache entry) and executed. A runtime
-// trap in the binary maps to 500 runtime_error; a deadline to 504.
-func (s *Server) executeNative(ctx context.Context, entry *ccache.Entry) (*RunResponse, int, string, error) {
-	if s.bstore == nil {
-		// Unreachable after resolve, but a nil store must not panic.
-		return nil, http.StatusBadRequest, "bad_request", fmt.Errorf("native backend unavailable")
+// spec is the request as the one resolver and the one executor see it.
+func (req *Request) spec() *job.Spec {
+	spec := &job.Spec{Source: req.Source, Bench: req.Bench, Level: req.Level, Backend: req.Backend,
+		Configs: req.Configs, Procs: req.Procs, Strategy: req.Strategy, ScalarRep: req.ScalarRep,
+		Check: req.Check, NoProve: req.NoProve, Dist: req.Dist, MaxSteps: req.MaxSteps}
+	if req.EmitGo {
+		spec.Sequential = "emit_go"
 	}
-	t0 := time.Now()
-	art, err := s.bstore.Build(ctx, entry.GoSrc)
-	buildD := time.Since(t0)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			st, kind := statusForCtx(err)
-			return nil, st, kind, fmt.Errorf("native build aborted: %w", err)
-		}
-		var berr *backend.BuildError
-		if errors.As(err, &berr) {
-			return nil, http.StatusUnprocessableEntity, "compile_error", err
-		}
-		return nil, http.StatusInternalServerError, "runtime_error", err
-	}
-	var out bytes.Buffer
-	t1 := time.Now()
-	stats, err := art.Run(ctx, &out)
-	d := time.Since(t1)
-	s.metrics.Phases.Observe("run", d)
-	if err != nil {
-		s.metrics.BackendRun("go", false)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			st, kind := statusForCtx(err)
-			return nil, st, kind, fmt.Errorf("run aborted: %w", err)
-		}
-		return nil, http.StatusInternalServerError, "runtime_error", err
-	}
-	s.metrics.BackendRun("go", true)
-	return &RunResponse{
-		Output:    out.String(),
-		RunMS:     float64(d) / float64(time.Millisecond),
-		Backend:   string(driver.BackendGo),
-		BuildHit:  art.Hit,
-		BuildMS:   float64(buildD) / float64(time.Millisecond),
-		ComputeMS: float64(stats.Compute) / float64(time.Millisecond),
-	}, http.StatusOK, "", nil
+	return spec
 }
 
-// statusForCtx maps a context error to (status, kind): an expired
-// deadline is a 504 timeout; a client disconnect is reported as 499
-// (nginx's convention; the client is gone either way).
-func statusForCtx(err error) (int, string) {
-	if errors.Is(err, context.Canceled) {
-		return 499, "canceled"
-	}
-	return http.StatusGatewayTimeout, "timeout"
-}
-
-// resolve validates the request and builds the driver options.
+// resolve validates the request through the one resolver and adds the
+// two rules only a server has: dist needs an endpoint that runs, and
+// the native backend needs this server's artifact store.
 func (s *Server) resolve(req *Request, run bool) (string, driver.Options, error) {
-	var opt driver.Options
-	var src string
+	src, opt, err := req.spec().Resolve()
 	switch {
-	case req.Source != "" && req.Bench != "":
-		return "", opt, fmt.Errorf("pass source or bench, not both")
-	case req.Bench != "":
-		b, ok := programs.ByName(req.Bench)
-		if !ok {
-			return "", opt, fmt.Errorf("unknown benchmark %q", req.Bench)
-		}
-		src = b.Source
-	case req.Source != "":
-		src = req.Source
-	default:
-		return "", opt, fmt.Errorf("pass source or bench")
+	case err != nil:
+	case req.Dist && !run:
+		err = job.Usagef("{dist} applies to /run only")
+	case opt.Backend.Native() && s.bstore == nil:
+		err = job.Usagef("native backend unavailable: the artifact store did not open")
 	}
-
-	levelName := req.Level
-	if levelName == "" {
-		levelName = "c2+f3"
-	}
-	lvl, err := core.ParseLevel(levelName)
-	if err != nil {
-		return "", opt, err
-	}
-	be, err := driver.ParseBackend(req.Backend)
-	if err != nil {
-		return "", opt, err
-	}
-	if be.Native() {
-		// Mirror zplrun's rejections: native code is the sequential
-		// program, so the interpreter-only knobs are refused rather
-		// than silently ignored.
-		switch {
-		case req.Dist:
-			return "", opt, fmt.Errorf("backend %q cannot be combined with dist", req.Backend)
-		case req.Procs > 1:
-			return "", opt, fmt.Errorf("backend %q cannot be combined with procs > 1", req.Backend)
-		case req.MaxSteps > 0:
-			return "", opt, fmt.Errorf("backend %q does not support max_steps (step budgets are an interpreter feature)", req.Backend)
-		}
-		if s.bstore == nil {
-			return "", opt, fmt.Errorf("native backend unavailable: no go toolchain on this host")
-		}
-	}
-	opt = driver.Options{Level: lvl, Configs: req.Configs, ScalarReplace: req.ScalarRep, Check: req.Check, Backend: be,
-		NoProve: req.NoProve}
-
-	if req.Procs > 1 {
-		co := comm.DefaultOptions(req.Procs)
-		switch req.Strategy {
-		case "", "favor-fusion":
-		case "favor-comm":
-			co.Strategy = comm.FavorComm
-		default:
-			return "", opt, fmt.Errorf("unknown strategy %q (want favor-fusion or favor-comm)", req.Strategy)
-		}
-		opt.Comm = &co
-	} else if req.Strategy != "" && req.Strategy != "favor-fusion" {
-		return "", opt, fmt.Errorf("strategy %q requires procs > 1", req.Strategy)
-	}
-	if req.Dist && !run {
-		return "", opt, fmt.Errorf("dist applies to /run only")
-	}
-	if req.Dist && req.Procs < 2 {
-		return "", opt, fmt.Errorf("dist requires procs > 1")
-	}
-	if req.EmitGo && req.Procs > 1 {
-		return "", opt, fmt.Errorf("emit_go applies to sequential compilations only")
-	}
-	return src, opt, nil
+	return src.Text, opt, err
 }
 
 // metaOf derives the serializable response metadata from a fresh
@@ -884,8 +770,28 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, kind, 
 // drains gracefully: the drain flag flips (healthz 503, new compile/run
 // requests refused), the listener closes, and in-flight requests get
 // DrainTimeout to finish before the server gives up on them.
+//
+// A connection that was dialled but has not yet sent a byte of a
+// request (StateNew — a peer's pooled dial, say) carries no work, yet
+// http.Server.Shutdown counts it as active for its first 5 s. Those are
+// tracked here and closed when the drain begins, so a clustered node
+// exits promptly.
 func (s *Server) ServeListener(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
+	var mu sync.Mutex
+	silent := map[net.Conn]bool{}
+	draining := false
+	hs := &http.Server{Handler: s.Handler(), ConnState: func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(silent, c)
+		case draining:
+			c.Close()
+		default:
+			silent[c] = true
+		}
+	}}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 	select {
@@ -894,6 +800,12 @@ func (s *Server) ServeListener(ctx context.Context, l net.Listener) error {
 	case <-ctx.Done():
 	}
 	s.SetDraining(true)
+	mu.Lock()
+	draining = true
+	for c := range silent {
+		c.Close()
+	}
+	mu.Unlock()
 	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 	return hs.Shutdown(drainCtx)

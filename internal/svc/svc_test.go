@@ -151,6 +151,13 @@ func TestStatusMapping(t *testing.T) {
 		Request{Bench: "fibro", Level: "O9"})
 	check("dist without procs", http.StatusBadRequest, "bad_request",
 		Request{Bench: "fibro", Dist: true})
+	for name, body := range illegalSpecs(t, "run") {
+		var req Request
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check("illegal spec "+name, http.StatusBadRequest, "bad_request", req)
+	}
 
 	// Oversized body → 413.
 	status, body := post(t, ts.URL+"/compile",
@@ -776,6 +783,13 @@ func TestTuneStatusMapping(t *testing.T) {
 		TuneRequest{Bench: "frac", Procs: 4, Measure: true})
 	check("timeout", http.StatusGatewayTimeout, "timeout",
 		TuneRequest{Bench: "sp", TimeoutMS: 1})
+	for name, body := range illegalSpecs(t, "tune") {
+		var req TuneRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check("illegal spec "+name, http.StatusBadRequest, "bad_request", req)
+	}
 
 	// Wrong method → 405.
 	resp, err := http.Get(ts.URL + "/tune")

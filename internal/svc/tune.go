@@ -3,17 +3,15 @@ package svc
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
+	"strings"
 	"time"
 
 	"repro/internal/ccache"
-	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/machine"
-	"repro/internal/programs"
+	"repro/internal/job"
 	"repro/internal/tune"
 )
 
@@ -30,18 +28,20 @@ type TuneRequest struct {
 	Procs    int              `json:"procs,omitempty"`
 	Strategy string           `json:"strategy,omitempty"` // favor-fusion | favor-comm
 
-	Machine string `json:"machine,omitempty"` // t3e | sp2 | paragon | origin; default t3e
-	Model   string `json:"model,omitempty"`   // cycle | cache; default cycle
+	// The search knobs: driver.Options carries none of them, so each is
+	// tagged into the cache key by name (see tuneExtra).
+	Machine string `json:"machine,omitempty" key:"machine"` // t3e | sp2 | paragon | origin; default t3e
+	Model   string `json:"model,omitempty" key:"model"`     // cycle | cache; default cycle
 
 	// Search bounds (0 = tune.SearchOptions defaults).
-	Beam               int `json:"beam,omitempty"`
-	ExhaustiveVertices int `json:"exhaustive_vertices,omitempty"`
-	MaxStates          int `json:"max_states,omitempty"`
+	Beam               int `json:"beam,omitempty" key:"beam"`
+	ExhaustiveVertices int `json:"exhaustive_vertices,omitempty" key:"exh"`
+	MaxStates          int `json:"max_states,omitempty" key:"states"`
 
 	// Measure runs the top-K candidates on the VM and picks the winner
 	// by wall clock (sequential programs only).
-	Measure bool `json:"measure,omitempty"`
-	TopK    int  `json:"topk,omitempty"`
+	Measure bool `json:"measure,omitempty" key:"measure"`
+	TopK    int  `json:"topk,omitempty" key:"topk"`
 
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -57,84 +57,34 @@ type TuneResponse struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// resolveTune validates the request and builds the tuning options plus
-// the keying inputs: the driver options carrying the cache-relevant
-// compilation fields and the extra fingerprint for the search knobs
-// the options struct does not carry.
-func (s *Server) resolveTune(req *TuneRequest) (src string, topt tune.Options, dopt driver.Options, extra string, err error) {
-	switch {
-	case req.Source != "" && req.Bench != "":
-		return "", topt, dopt, "", fmt.Errorf("pass source or bench, not both")
-	case req.Bench != "":
-		b, ok := programs.ByName(req.Bench)
-		if !ok {
-			return "", topt, dopt, "", fmt.Errorf("unknown benchmark %q", req.Bench)
-		}
-		src = b.Source
-	case req.Source != "":
-		src = req.Source
-	default:
-		return "", topt, dopt, "", fmt.Errorf("pass source or bench")
+// resolveTune fills the request's defaults, validates it — the program
+// and distribution half through the one resolver, the cost model
+// through tune.ParseModel — and builds the tuning options plus the
+// driver options that key the result.
+func resolveTune(req *TuneRequest) (src job.Source, topt tune.Options, dopt driver.Options, err error) {
+	if req.Level == "" {
+		req.Level = "c2+f4"
 	}
-
-	levelName := req.Level
-	if levelName == "" {
-		levelName = "c2+f4"
+	if req.Machine == "" {
+		req.Machine = "t3e"
 	}
-	lvl, err := core.ParseLevel(levelName)
-	if err != nil {
-		return "", topt, dopt, "", err
+	if req.Model == "" {
+		req.Model = "cycle"
 	}
-
-	var commOpt *comm.Options
-	if req.Procs > 1 {
-		co := comm.DefaultOptions(req.Procs)
-		switch req.Strategy {
-		case "", "favor-fusion":
-		case "favor-comm":
-			co.Strategy = comm.FavorComm
-		default:
-			return "", topt, dopt, "", fmt.Errorf("unknown strategy %q (want favor-fusion or favor-comm)", req.Strategy)
-		}
-		commOpt = &co
-	} else if req.Strategy != "" && req.Strategy != "favor-fusion" {
-		return "", topt, dopt, "", fmt.Errorf("strategy %q requires procs > 1", req.Strategy)
+	spec := job.Spec{Source: req.Source, Bench: req.Bench, Level: req.Level, Configs: req.Configs,
+		Procs: req.Procs, Strategy: req.Strategy}
+	if req.Measure {
+		spec.Sequential = "measure"
 	}
-	if req.Measure && req.Procs > 1 {
-		return "", topt, dopt, "", fmt.Errorf("measure requires a sequential program (procs <= 1)")
+	if src, dopt, err = spec.Resolve(); err != nil {
+		return
 	}
-
-	machName := req.Machine
-	if machName == "" {
-		machName = "t3e"
-	}
-	mach, ok := machine.ByName(machName)
-	if !ok {
-		return "", topt, dopt, "", fmt.Errorf("unknown machine %q (want t3e, sp2, paragon, or origin)", req.Machine)
-	}
-	procs := 1
-	if req.Procs > 1 {
-		procs = req.Procs
-	}
-	modelName := req.Model
-	if modelName == "" {
-		modelName = "cycle"
-	}
-	var model tune.CostModel
-	switch modelName {
-	case "cycle":
-		model = tune.CycleModel{M: mach, Procs: procs}
-	case "cache":
-		model = tune.CacheModel{M: mach, Procs: procs}
-	default:
-		return "", topt, dopt, "", fmt.Errorf("unknown cost model %q (want cycle or cache)", req.Model)
-	}
-
+	model, err := tune.ParseModel(req.Model, req.Machine, max(req.Procs, 1))
 	topt = tune.Options{
-		Level:   lvl,
+		Level:   dopt.Level,
 		Model:   model,
 		Configs: req.Configs,
-		Comm:    commOpt,
+		Comm:    dopt.Comm,
 		Search: tune.SearchOptions{
 			Beam:               req.Beam,
 			ExhaustiveVertices: req.ExhaustiveVertices,
@@ -143,135 +93,69 @@ func (s *Server) resolveTune(req *TuneRequest) (src string, topt tune.Options, d
 		Measure: req.Measure,
 		TopK:    req.TopK,
 	}
-	dopt = driver.Options{Level: lvl, Configs: req.Configs, Comm: commOpt}
-	extra = fmt.Sprintf("tune:machine=%s,model=%s,beam=%d,exh=%d,states=%d,measure=%t,topk=%d",
-		machName, modelName, req.Beam, req.ExhaustiveVertices, req.MaxStates, req.Measure, req.TopK)
-	return src, topt, dopt, extra, nil
+	return src, topt, dopt, err
+}
+
+// tuneExtra renders the search knobs — every TuneRequest field tagged
+// `key` — as the extra dimension of the tuned-plan cache key, straight
+// from the struct the request decoded into, so a new knob joins the key
+// by carrying the tag (TestTuneKeyCoversEveryField fails if it carries
+// neither the tag nor an exemption).
+func tuneExtra(req *TuneRequest) string {
+	var parts []string
+	v := reflect.ValueOf(*req)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Tag.Get("key"); name != "" {
+			parts = append(parts, fmt.Sprintf("%s=%v", name, v.Field(i).Interface()))
+		}
+	}
+	return "tune:" + strings.Join(parts, ",")
 }
 
 // handleTune serves POST /tune: search for a better fusion/contraction
 // plan than the requested heuristic, caching the serialized result by
-// the content address of (source, compile options, search knobs).
+// the content address of (source, compile options, search knobs). It is
+// admitted exactly like /compile and /run — a tuning search is the most
+// expensive request the server takes, so it must not bypass the pool.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/tune"
-	t0 := time.Now()
-	status, kind, outcome := http.StatusOK, "", ""
-	defer func() {
-		d := time.Since(t0)
-		s.metrics.Request(endpoint, status, d)
-		s.logRequest(r, endpoint, status, kind, outcome, d)
-	}()
-
-	if s.draining.Load() {
-		s.metrics.Drained()
-		status, kind = http.StatusServiceUnavailable, "draining"
-		s.fail(w, status, kind, "server is draining")
-		return
-	}
-	if r.Method != http.MethodPost {
-		status, kind = http.StatusMethodNotAllowed, "bad_request"
-		s.fail(w, status, kind, "POST a JSON request body")
-		return
-	}
-
 	var req TuneRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status, kind = http.StatusRequestEntityTooLarge, "too_large"
-			s.fail(w, status, kind, fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		status, kind = http.StatusBadRequest, "bad_request"
-		s.fail(w, status, kind, "bad request JSON: "+err.Error())
-		return
-	}
-	s.metrics.TuneRequest()
-
-	src, topt, dopt, extra, err := s.resolveTune(&req)
-	if err != nil {
-		status, kind = http.StatusBadRequest, "bad_request"
-		s.fail(w, status, kind, err.Error())
-		return
-	}
-
-	// Admission, deadline, and worker slot: identical to /compile and
-	// /run — a tuning search is the most expensive request the server
-	// takes, so it must not bypass the pool.
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.metrics.Rejected()
-		status, kind = http.StatusTooManyRequests, "overloaded"
-		s.fail(w, status, kind, fmt.Sprintf("queue full (%d waiting)", cap(s.queue)))
-		return
-	}
-	defer func() { <-s.queue }()
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		status, kind = statusForCtx(ctx.Err())
-		s.fail(w, status, kind, "deadline expired while queued")
-		return
-	}
-	defer func() { <-s.sem }()
-	s.metrics.IncInflight()
-	defer s.metrics.DecInflight()
-
-	key := ccache.KeyOfExtra(src, dopt, extra)
-	entry, res, err := s.tcache.GetOrCompute(ctx, key, func() (*ccache.Entry, error) {
-		start := time.Now()
-		res, terr := tune.Tune(ctx, src, topt)
-		s.metrics.Phases.Observe("tune", time.Since(start))
-		if terr != nil {
-			return nil, terr
-		}
-		buf, merr := json.Marshal(res)
-		if merr != nil {
-			return nil, merr
-		}
-		// The kind routes cluster puts into the tune cache rather than
-		// the compilation cache (see Server.New's RegisterLocal calls).
-		return &ccache.Entry{Kind: ccache.ArtifactTune, Source: src, Aux: buf}, nil
-	})
-	lookup := res.Outcome
-	if err != nil {
-		var ce *tune.CompileError
-		switch {
-		case ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			status, kind = statusForCtx(err)
-			s.fail(w, status, kind, "tune aborted: "+err.Error())
-		case errors.As(err, &ce):
-			status, kind = http.StatusUnprocessableEntity, "compile_error"
-			s.fail(w, status, kind, err.Error())
-		default:
-			status, kind = http.StatusInternalServerError, "runtime_error"
-			s.fail(w, status, kind, err.Error())
-		}
-		return
-	}
-	outcome = lookup.String()
-
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(TuneResponse{
-		Key:    entry.Key.String(),
-		Cached: lookup == ccache.Hit,
-		Dedup:  lookup == ccache.Dedup,
-		Tier:   res.Tier,
-		Result: json.RawMessage(entry.Aux),
-	})
+	var src job.Source
+	var topt tune.Options
+	var dopt driver.Options
+	s.admit(w, r, "/tune", &req, &req.TimeoutMS,
+		func() (err error) {
+			s.metrics.TuneRequest()
+			src, topt, dopt, err = resolveTune(&req)
+			return err
+		},
+		func(ctx context.Context) (string, error) {
+			key := ccache.KeyOfExtra(src.Text, dopt, tuneExtra(&req))
+			entry, res, err := s.tcache.GetOrCompute(ctx, key, func() (*ccache.Entry, error) {
+				start := time.Now()
+				res, terr := tune.Tune(ctx, src.Text, topt)
+				s.metrics.Phases.Observe("tune", time.Since(start))
+				if terr != nil {
+					return nil, terr
+				}
+				buf, merr := json.Marshal(res)
+				if merr != nil {
+					return nil, merr
+				}
+				// The kind routes cluster puts into the tune cache rather than
+				// the compilation cache (see Server.New's RegisterLocal calls).
+				return &ccache.Entry{Kind: ccache.ArtifactTune, Source: src.Text, Aux: buf}, nil
+			})
+			if err != nil {
+				return "", err
+			}
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(TuneResponse{
+				Key:    entry.Key.String(),
+				Cached: res.Outcome == ccache.Hit,
+				Dedup:  res.Outcome == ccache.Dedup,
+				Tier:   res.Tier,
+				Result: json.RawMessage(entry.Aux),
+			})
+			return res.Outcome.String(), nil
+		})
 }

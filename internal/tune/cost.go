@@ -22,6 +22,7 @@ import (
 	"repro/internal/asdg"
 	"repro/internal/cachesim"
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/machine"
 )
 
@@ -34,6 +35,23 @@ type CostModel interface {
 	Name() string
 	BlockScore(prog *air.Program, g *asdg.Graph, p *core.Partition,
 		contracted map[string]bool) float64
+}
+
+// ParseModel builds the cost model a front end names — "cycle" or
+// "cache" on one of job.Machine's machines; an unknown name is a usage
+// error.
+func ParseModel(model, mach string, procs int) (CostModel, error) {
+	m, err := job.Machine(mach)
+	if err != nil {
+		return nil, err
+	}
+	switch model {
+	case "cycle":
+		return CycleModel{M: m, Procs: procs}, nil
+	case "cache":
+		return CacheModel{M: m, Procs: procs}, nil
+	}
+	return nil, job.Usagef("unknown cost {model} %q (want cycle or cache)", model)
 }
 
 // registerCycles is the charge for a reference to a contracted array:

@@ -5,30 +5,25 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/air"
 	"repro/internal/asdg"
-	"repro/internal/backend"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/job"
 	"repro/internal/liveness"
 	"repro/internal/lower"
 	"repro/internal/machine"
 	"repro/internal/parser"
 	"repro/internal/sema"
 	"repro/internal/source"
-	"repro/internal/vm"
 )
 
 // CompileError marks a failure of the source itself (parse, sema,
-// lower) as opposed to a failure of the search: the CLI and service
-// map it to exit code 3 / HTTP 422.
-type CompileError struct{ Err error }
-
-func (e *CompileError) Error() string { return e.Err.Error() }
-func (e *CompileError) Unwrap() error { return e.Err }
+// lower) as opposed to a failure of the search: job.Classify maps it
+// to exit code 3 / HTTP 422.
+type CompileError = job.CompileError
 
 // Options configures one tuning run.
 type Options struct {
@@ -96,11 +91,11 @@ type Measured struct {
 
 // Result is the outcome of one tuning run.
 type Result struct {
-	Spec           *core.PlanSpec     `json:"spec"`
-	Model          string             `json:"model"`
-	HeuristicLevel string             `json:"heuristic_level"`
-	HeuristicScore float64            `json:"heuristic_score"`
-	TunedScore     float64            `json:"tuned_score"`
+	Spec           *core.PlanSpec `json:"spec"`
+	Model          string         `json:"model"`
+	HeuristicLevel string         `json:"heuristic_level"`
+	HeuristicScore float64        `json:"heuristic_score"`
+	TunedScore     float64        `json:"tuned_score"`
 	// Proven is true when every block was searched exhaustively: the
 	// tuned plan is optimal under the model, so the heuristic's gap
 	// to it is a gap to the true optimum.
@@ -123,15 +118,15 @@ func frontEnd(src string, configs map[string]int64, commOpt *comm.Options) (*air
 	var errs source.ErrorList
 	prog := parser.Parse(src, &errs)
 	if errs.HasErrors() {
-		return nil, cfg, &CompileError{errs.Err()}
+		return nil, cfg, &CompileError{Err: errs.Err()}
 	}
 	info := sema.Check(prog, configs, &errs)
 	if errs.HasErrors() {
-		return nil, cfg, &CompileError{errs.Err()}
+		return nil, cfg, &CompileError{Err: errs.Err()}
 	}
 	airProg := lower.Lower(info, &errs)
 	if errs.HasErrors() {
-		return nil, cfg, &CompileError{errs.Err()}
+		return nil, cfg, &CompileError{Err: errs.Err()}
 	}
 	if commOpt != nil && commOpt.Procs > 1 {
 		comm.Insert(airProg, *commOpt)
@@ -283,22 +278,11 @@ func scoreLevel(src string, opt Options, lvl core.Level, model CostModel) (float
 // measure runs the top-K candidates (the tuned plan plus the
 // best-scoring ladder rungs) on the selected backend and records
 // wall-clock times; the fastest becomes the winner. With the native
-// backend each candidate is built through the artifact store first,
-// so only execution — not the toolchain — is timed.
+// backend job.Run builds each candidate through the artifact store
+// first, so only execution — not the toolchain — is timed.
 func measure(ctx context.Context, src string, opt Options, res *Result) error {
 	if opt.procs() > 1 {
 		return fmt.Errorf("measured mode requires a single process")
-	}
-	var store *backend.Store
-	if opt.Backend.Native() {
-		if !backend.Available() {
-			return fmt.Errorf("measured mode on the native backend requires a go toolchain on PATH")
-		}
-		s, err := backend.Open("")
-		if err != nil {
-			return err
-		}
-		store = s
 	}
 	topK := opt.TopK
 	if topK <= 0 {
@@ -344,29 +328,13 @@ func measure(ctx context.Context, src string, opt Options, res *Result) error {
 		if err != nil {
 			return fmt.Errorf("measured mode: compiling %s: %w", c.name, err)
 		}
-		var ms float64
-		var steps int64
-		if store != nil {
-			art, _, err := store.BuildProgramBounds(ctx, comp.LIR, comp.Bounds)
-			if err != nil {
-				return fmt.Errorf("measured mode: building %s: %w", c.name, err)
-			}
-			start := time.Now()
-			if _, err := art.Run(ctx, io.Discard); err != nil {
-				return fmt.Errorf("measured mode: running %s: %w", c.name, err)
-			}
-			ms = float64(time.Since(start).Microseconds()) / 1000
-		} else {
-			start := time.Now()
-			_, r, err := comp.Run(vm.Options{Ctx: ctx})
-			if err != nil {
-				return fmt.Errorf("measured mode: running %s: %w", c.name, err)
-			}
-			ms = float64(time.Since(start).Microseconds()) / 1000
-			steps = r.Steps
+		r, err := job.Run(ctx, comp, job.RunSpec{Backend: opt.Backend}, io.Discard, nil)
+		if err != nil {
+			return fmt.Errorf("measured mode: running %s: %w", c.name, err)
 		}
+		ms := float64(r.Wall.Microseconds()) / 1000
 		res.Measured = append(res.Measured, Measured{
-			Name: c.name, ModelScore: c.score, WallMS: ms, Steps: steps,
+			Name: c.name, ModelScore: c.score, WallMS: ms, Steps: r.Steps,
 		})
 		if bestMS < 0 || ms < bestMS {
 			bestMS = ms
