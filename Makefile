@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
 .PHONY: all build test vet race check serve-test ci experiments \
-	lint-self staticcheck govulncheck audit tune-smoke backend-diff \
+	lint-self staticcheck govulncheck audit results-check tune-smoke backend-diff \
 	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke \
 	bench-smoke loc
 
@@ -57,6 +57,15 @@ lint-self: build
 # across the Fig. 7/8 suite must carry a machine-readable explanation.
 audit: build
 	$(GO) run ./cmd/experiments -run audit
+
+# Golden check of results/: every deterministic study is regenerated
+# through harness.Studies and compared byte for byte with the committed
+# results/<id>.{txt,json}. The tier-1 run of TestResultsGolden skips the
+# ladder study (fig9, fig10, fig11, headline; ~15 s); -full adds it.
+# After a deliberate table change, re-commit with
+#   $(GO) test ./internal/harness -run TestResultsGolden -full -update
+results-check: build
+	$(GO) test -count=1 -run TestResultsGolden ./internal/harness -full
 
 staticcheck:
 	@if GOFLAGS=-mod=mod GOPROXY=off $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) --version >/dev/null 2>&1; then \
@@ -175,7 +184,7 @@ loc:
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary
 # package tests, so `test` runs them and `race` runs them under -race.
-ci: vet test race serve-test check lint-self audit staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
+ci: vet test race serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -49,7 +49,7 @@ func BenchmarkFig6Fragments(b *testing.B) {
 
 func BenchmarkFig7StaticArrays(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunFig7()
+		rows, err := harness.RunFig7(&harness.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFig7StaticArrays(b *testing.B) {
 
 func BenchmarkFig8ProblemSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunFig8()
+		rows, err := harness.RunFig8(&harness.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,10 +80,7 @@ func BenchmarkFig8ProblemSize(b *testing.B) {
 
 func perfStudy(b *testing.B) *harness.PerfResult {
 	b.Helper()
-	res, err := harness.RunPerfStudy(harness.StudyOptions{
-		SizeFactor: benchSize,
-		Procs:      []int{1, 16, 64},
-	})
+	res, err := harness.RunPerfStudy(&harness.Env{Size: benchSize}, []int{1, 16, 64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -127,7 +124,7 @@ func BenchmarkFigure11Paragon(b *testing.B) {
 
 func BenchmarkSec55CommVsFusion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunSec55(16, benchSize)
+		rows, err := harness.RunSec55(&harness.Env{Size: benchSize}, 16)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,273 +1,82 @@
-// Command experiments regenerates every table and figure of the
-// paper's evaluation (§5).
+// Command experiments regenerates the tables and figures of the
+// paper's evaluation (§5) and of this repository's extensions to it.
+// The studies are declared in internal/harness (harness.Studies);
+// `experiments -h` lists them.
 //
 // Usage:
 //
-//	experiments [-run id] [-size f] [-jobs n] [-out dir]
-//
-//	-run id    which experiment: fig6, fig7, fig8, fig9, fig10, fig11,
-//	           sec55, origin (latency sensitivity), audit (remark
-//	           completeness over the Fig. 7/8 suite), tune (plan-search
-//	           autotuner vs the greedy ladder; also writes tune.json
-//	           under -out), backend (VM-vs-native differential run and
-//	           speedup table over every benchmark x level; every cell
-//	           is asserted bit-identical; also writes backend.json
-//	           under -out; skipped with a notice when the host has no
-//	           go toolchain), prove (bounds-prover coverage and the
-//	           checked-vs-unchecked differential on both engines over
-//	           every benchmark at the ladder ends; fails unless every
-//	           cell is bit-identical and ≥90% of sites are proven;
-//	           also writes prove.json under -out; skipped without a
-//	           go toolchain), lazy (deferred-evaluation runtime study:
-//	           double-buffered Jacobi through the zpl library, cached
-//	           steady state vs compile-every-iteration on the VM and,
-//	           when a toolchain is present, the native backend, with
-//	           residual trajectories asserted identical across
-//	           backends; also writes lazy.json under -out), race
-//	           (happens-before verdict census over every benchmark x
-//	           level x processor-count schedule plus the seeded-fault
-//	           differential; fails unless every conflicting pair is
-//	           proven ordered and every seeded fault is rejected; also
-//	           writes race.json under -out), or all (default all)
-//	-size f    problem-size factor for the runtime studies (default 1.0)
-//	-jobs n    measurements to run concurrently (default: all CPUs)
-//	-out dir   also write each table to dir/<id>.txt
-//	-timings   collect per-phase compile latencies across every
-//	           measurement (driver phase hooks) and print the summary
-//	           table at the end
+//	experiments [-run id] [-size f] [-jobs n] [-out dir] [-timings]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/phase"
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run")
+	run := flag.String("run", "all", "study or output to regenerate, or all")
 	size := flag.Float64("size", 1.0, "problem-size factor for runtime studies")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "measurements to run concurrently")
-	out := flag.String("out", "", "directory to write tables into")
-	timings := flag.Bool("timings", false, "collect and print per-phase compile latencies")
+	out := flag.String("out", "", "directory to also write each table into, as <id>.txt and <id>.json")
+	timings := flag.Bool("timings", false, "collect per-phase compile latencies across every measurement and print the summary table at the end")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: experiments [-run id] [-size f] [-jobs n] [-out dir] [-timings]")
+		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "\nstudies (-run takes a study id or one of its outputs):\n%s", harness.Usage())
+	}
 	flag.Parse()
-	harness.SetJobs(*jobs)
-	harness.SetTimings(*timings)
 
-	want := func(id string) bool { return *run == "all" || *run == id }
-	emit := func(id, text string) {
-		fmt.Println(text)
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(*out, id+".txt"), []byte(text), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	if want("fig6") {
-		res, err := harness.RunFig6()
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig6", res.Format())
-	}
-	if want("fig7") {
-		rows, err := harness.RunFig7()
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig7", harness.FormatFig7(rows))
-	}
-	if want("fig8") {
-		rows, err := harness.RunFig8()
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig8", harness.FormatFig8(rows))
-	}
-
-	needPerf := want("fig9") || want("fig10") || want("fig11")
-	if needPerf {
-		fmt.Fprintln(os.Stderr, "experiments: running the transformation ladder (6 benchmarks × 8 levels × 4 processor counts)...")
-		res, err := harness.RunPerfStudy(harness.StudyOptions{SizeFactor: *size})
-		if err != nil {
-			fatal(err)
-		}
-		if want("fig9") {
-			emit("fig9", res.FormatMachine("Cray T3E", "Figure 9")+
-				"\n"+res.FormatMachineBars("Cray T3E", 16, 40))
-		}
-		if want("fig10") {
-			emit("fig10", res.FormatMachine("IBM SP-2", "Figure 10")+
-				"\n"+res.FormatMachineBars("IBM SP-2", 16, 40))
-		}
-		if want("fig11") {
-			emit("fig11", res.FormatMachine("Intel Paragon", "Figure 11")+
-				"\n"+res.FormatMachineBars("Intel Paragon", 16, 40))
-		}
-		median, max := res.Headline()
-		emit("headline", fmt.Sprintf(
-			"Headline (§1): c2 improvement over baseline across benchmarks,\nmachines and processor counts: median %.1f%%, maximum %.1f%%\n(paper: \"typically greater than 20%% and sometimes up to 400%%\")\n",
-			median, max))
-	}
-
-	if want("audit") {
-		rows, err := harness.AuditRemarks(core.AllLevels())
-		if err != nil {
-			fatal(err)
-		}
-		emit("audit", harness.FormatAudit(rows))
-		if n := harness.AuditProblems(rows); n > 0 {
-			fatal(fmt.Errorf("remark audit: %d problem(s)", n))
-		}
-	}
-
-	if want("tune") {
-		rows, err := harness.RunTune()
-		if err != nil {
-			fatal(err)
-		}
-		emit("tune", harness.FormatTune(rows))
-		if *out != "" {
-			buf, err := harness.TuneJSON(rows)
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(*out, "tune.json"), buf, 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	if want("backend") {
-		if !backend.Available() {
-			// Graceful degradation: the differential study needs the
-			// host toolchain; everything else in the suite does not.
-			fmt.Fprintln(os.Stderr, "experiments: skipping backend study: no go toolchain on PATH")
-		} else {
-			store, err := backend.Open("")
-			if err != nil {
-				fatal(err)
-			}
-			rows, err := harness.RunBackend(store, *size)
-			if err != nil {
-				fatal(err)
-			}
-			emit("backend", harness.FormatBackend(rows))
-			if *out != "" {
-				buf, err := harness.BackendJSON(rows)
-				if err != nil {
-					fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(*out, "backend.json"), buf, 0o644); err != nil {
-					fatal(err)
-				}
-			}
-			if !harness.NativeWinsAll(rows) {
-				fatal(fmt.Errorf("backend study: the native backend did not win every cell"))
-			}
-		}
-	}
-
-	if want("prove") {
-		if !backend.Available() {
-			fmt.Fprintln(os.Stderr, "experiments: skipping prove study: no go toolchain on PATH")
-		} else {
-			store, err := backend.Open("")
-			if err != nil {
-				fatal(err)
-			}
-			rows, err := harness.RunProve(store, *size)
-			if err != nil {
-				fatal(err)
-			}
-			emit("prove", harness.FormatProve(rows))
-			if *out != "" {
-				buf, err := harness.ProveJSON(rows)
-				if err != nil {
-					fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(*out, "prove.json"), buf, 0o644); err != nil {
-					fatal(err)
-				}
-			}
-			if min := harness.MinProvenRate(rows); min < 90 {
-				fatal(fmt.Errorf("prove study: only %.0f%% of sites proven in the worst cell (acceptance needs >= 90%%)", min))
-			}
-		}
-	}
-
-	if want("race") {
-		rows, err := harness.RunRace(32)
-		if err != nil {
-			fatal(err)
-		}
-		emit("race", harness.FormatRace(rows))
-		if *out != "" {
-			buf, err := harness.RaceJSON(rows)
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(*out, "race.json"), buf, 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		if !harness.RaceCleanAll(rows) {
-			fatal(fmt.Errorf("race study: a schedule was not fully proven ordered or a seeded fault escaped"))
-		}
-	}
-
-	if want("lazy") {
-		rows, err := harness.RunLazy(*size)
-		if err != nil {
-			fatal(err)
-		}
-		emit("lazy", harness.FormatLazy(rows))
-		if *out != "" {
-			buf, err := harness.LazyJSON(rows)
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(*out, "lazy.json"), buf, 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		if !harness.LazyCachedEverywhere(rows) {
-			fatal(fmt.Errorf("lazy study: a cell recompiled in the steady state"))
-		}
-	}
-
-	if want("sec55") {
-		const procs = 16
-		rows, err := harness.RunSec55(procs, *size)
-		if err != nil {
-			fatal(err)
-		}
-		emit("sec55", harness.FormatSec55(rows, procs))
-	}
-
-	if want("origin") {
-		const procs = 16
-		alphas := []float64{4800, 2400, 1200, 600, 300, 150}
-		pts, err := harness.RunLatencySensitivity("tomcatv", procs, alphas)
-		if err != nil {
-			fatal(err)
-		}
-		emit("origin", harness.FormatLatency("tomcatv", procs, pts))
-	}
-
+	env := &harness.Env{Size: *size, Jobs: *jobs}
 	if *timings {
-		if rep := harness.TimingsReport(); rep != "" {
-			emit("timings", rep)
+		env.Timings = phase.NewCollector()
+	}
+	emit := func(o harness.Output) {
+		fmt.Println(o.Text)
+		if *out != "" {
+			if err := o.Write(*out); err != nil {
+				fatal(err)
+			}
 		}
+		if o.Gate != nil {
+			fatal(o.Gate)
+		}
+	}
+
+	known := *run == "all"
+	for _, s := range harness.Studies {
+		if *run != "all" && !s.Has(*run) {
+			continue
+		}
+		known = true
+		if s.NeedsToolchain && !backend.Available() {
+			// Graceful degradation: only the studies that build native
+			// binaries need the host toolchain.
+			fmt.Fprintf(os.Stderr, "experiments: skipping %s study: no go toolchain on PATH\n", s.ID)
+			continue
+		}
+		outs, err := s.Run(env)
+		if err != nil {
+			fatal(err)
+		}
+		for _, o := range outs {
+			if *run == "all" || *run == s.ID || *run == o.ID {
+				emit(o)
+			}
+		}
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "experiments: unknown study %q\n", *run)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *timings && len(env.Timings.Names()) > 0 {
+		emit(harness.Output{ID: "timings", Text: "Pipeline phase timings across all measurements:\n" + env.Timings.Format()})
 	}
 }
 

@@ -322,23 +322,6 @@ func (s *Store) BuildProgramBounds(ctx context.Context, p *lir.Program, bounds *
 	return art, goSrc, err
 }
 
-// BuildProgramState is BuildProgramBounds with gogen's state protocol
-// wired in: the emitted binary loads its initial array/scalar state
-// from the file named by gogen.StateInEnv and dumps its final state to
-// gogen.StateOutEnv (see RunEnv). The spec is folded into the emitted
-// source, so programs with different state layouts occupy different
-// store keys. This is the build path of the lazy runtime, whose cached
-// batches must inject handle state into — and read results back out
-// of — an otherwise self-contained binary.
-func (s *Store) BuildProgramState(ctx context.Context, p *lir.Program, bounds *absint.Result, spec *gogen.StateSpec) (*Artifact, string, error) {
-	goSrc, err := gogen.EmitState(p, bounds, spec)
-	if err != nil {
-		return nil, "", err
-	}
-	art, err := s.Build(ctx, goSrc)
-	return art, goSrc, err
-}
-
 // RunStats reports one native execution.
 type RunStats struct {
 	// Wall is the whole-process wall clock, startup included.

@@ -388,7 +388,11 @@ end;
 		t.Fatalf("program shape changed: arr=%q sc=%q", arr, sc)
 	}
 	spec := &gogen.StateSpec{Arrays: []string{arr}, Scalars: []string{sc}}
-	art, _, err := store.BuildProgramState(context.Background(), c.LIR, c.Bounds, spec)
+	goSrc, err := gogen.EmitState(c.LIR, c.Bounds, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := store.Build(context.Background(), goSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

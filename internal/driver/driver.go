@@ -165,9 +165,20 @@ func Compile(src string, opt Options) (*Compilation, error) {
 // compiling promptly and returns ctx.Err() (errors.Is-testable for
 // context.DeadlineExceeded).
 func CompileCtx(ctx context.Context, src string, opt Options) (*Compilation, error) {
-	h := opt.Hooks
-	if err := ctx.Err(); err != nil {
+	airProg, info, err := FrontEnd(ctx, src, opt.Configs, opt.Hooks)
+	if err != nil {
 		return nil, err
+	}
+	return finishAIR(ctx, airProg, info, opt)
+}
+
+// FrontEnd is the pipeline's front half, parse → sema → lower, for
+// tools that plan or analyze the AIR themselves (the tuner, the
+// linter, the compiler emulations). configs overrides config constants
+// by name; the context is consulted between phases.
+func FrontEnd(ctx context.Context, src string, configs map[string]int64, h Hooks) (*air.Program, *sema.Info, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 
 	var errs source.ErrorList
@@ -175,29 +186,49 @@ func CompileCtx(ctx context.Context, src string, opt Options) (*Compilation, err
 	prog := parser.Parse(src, &errs)
 	h.done("parse")
 	if errs.HasErrors() {
-		return nil, errs.Err()
+		return nil, nil, errs.Err()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	h.begin("sema")
-	info := sema.Check(prog, opt.Configs, &errs)
+	info := sema.Check(prog, configs, &errs)
 	h.done("sema")
 	if errs.HasErrors() {
-		return nil, errs.Err()
+		return nil, nil, errs.Err()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	h.begin("lower")
 	airProg := lower.Lower(info, &errs)
 	h.done("lower")
 	if errs.HasErrors() {
-		return nil, errs.Err()
+		return nil, nil, errs.Err()
 	}
-	return finishAIR(ctx, airProg, info, opt)
+	return airProg, info, nil
+}
+
+// Distribute inserts communication into prog when co asks for more
+// than one processor and returns the planner configuration that
+// follows from it; a nil or single-processor co leaves prog alone.
+func Distribute(prog *air.Program, co *comm.Options, h Hooks) (*comm.Result, core.Config) {
+	cfg := core.Config{PhaseStart: h.PhaseStart, PhaseEnd: h.PhaseEnd}
+	if co == nil || co.Procs <= 1 {
+		return nil, cfg
+	}
+	h.begin("comm")
+	res := comm.Insert(prog, *co)
+	h.done("comm")
+	// Distributed arrays cannot host realigned temporaries (the
+	// shifted temp would itself need communication).
+	cfg.DisableRealign = true
+	if co.Strategy == comm.FavorComm {
+		cfg.SegmentFn = comm.Segments
+	}
+	return res, cfg
 }
 
 // CompileAIR runs the pipeline tail — verification, communication
@@ -235,19 +266,7 @@ func finishAIR(ctx context.Context, airProg *air.Program, info *sema.Info, opt O
 		return nil, err
 	}
 
-	var commRes *comm.Result
-	cfg := core.Config{PhaseStart: h.PhaseStart, PhaseEnd: h.PhaseEnd}
-	if opt.Comm != nil && opt.Comm.Procs > 1 {
-		h.begin("comm")
-		commRes = comm.Insert(airProg, *opt.Comm)
-		h.done("comm")
-		// Distributed arrays cannot host realigned temporaries (the
-		// shifted temp would itself need communication).
-		cfg.DisableRealign = true
-		if opt.Comm.Strategy == comm.FavorComm {
-			cfg.SegmentFn = comm.Segments
-		}
-	}
+	commRes, cfg := Distribute(airProg, opt.Comm, h)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/liveness"
-	"repro/internal/programs"
 	"repro/internal/remark"
 )
 
@@ -51,18 +50,14 @@ var edgeTests = map[string]bool{
 //   - every remark whose failed test is a dependence test names the
 //     blocking edge with its variable, distance vector, and dependence
 //     type.
-func AuditRemarks(levels []core.Level) ([]AuditRow, error) {
-	var rows []AuditRow
-	for _, b := range programs.All() {
-		for _, lvl := range levels {
-			c, err := driver.Compile(b.Source, driver.Options{Level: lvl})
-			if err != nil {
-				return nil, fmt.Errorf("%s at %s: %w", b.Name, lvl, err)
-			}
-			rows = append(rows, auditOne(b.Name, lvl, c))
+func AuditRemarks(e *Env, levels []core.Level) ([]AuditRow, error) {
+	return eachCell(e, grid(levels), func(c cell) (AuditRow, error) {
+		comp, err := e.compile(c.b.Source, c.options(nil))
+		if err != nil {
+			return AuditRow{}, err
 		}
-	}
-	return rows, nil
+		return auditOne(c.b.Name, c.lvl, comp), nil
+	})
 }
 
 // AuditProblems counts the property violations across rows.

@@ -3,17 +3,15 @@ package harness
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"math"
+	"io"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/programs"
-	"repro/internal/vm"
+	"repro/internal/job"
 )
 
 // BackendRow is one benchmark × level cell of the VM-vs-native study:
@@ -24,7 +22,7 @@ import (
 type BackendRow struct {
 	Benchmark string  `json:"benchmark"`
 	Level     string  `json:"level"`
-	Match     bool    `json:"match"`     // outputs byte-identical
+	Match     bool    `json:"match"`     // always true: a divergence is an error, never a row
 	VMMS      float64 `json:"vm_ms"`     // interpreter wall clock
 	NativeMS  float64 `json:"native_ms"` // native compute wall clock
 	BuildMS   float64 `json:"build_ms"`  // toolchain time (0 on a store hit)
@@ -33,79 +31,80 @@ type BackendRow struct {
 	Steps     int64   `json:"steps"`   // VM element statements
 }
 
+// interpret runs c on the VM and returns the run and what it printed.
+func interpret(c *driver.Compilation) (*job.Result, string, error) {
+	var out bytes.Buffer
+	res, err := job.Run(context.Background(), c, job.RunSpec{}, &out, nil)
+	return res, out.String(), err
+}
+
+// native builds c in the shared store and runs the binary the given
+// number of times. It returns the first run and its output, and the
+// fastest self-timed compute over all runs — the native compute is
+// microseconds, so a single sample is scheduler noise.
+func (e *Env) native(c *driver.Compilation, runs int) (first *job.Result, out string, best time.Duration, err error) {
+	store, err := e.Store()
+	if err != nil {
+		return nil, "", 0, err
+	}
+	var buf bytes.Buffer
+	for i := 0; i < runs; i++ {
+		var w io.Writer = io.Discard
+		if i == 0 {
+			w = &buf
+		}
+		res, err := job.Run(context.Background(), c, job.RunSpec{Backend: driver.BackendGo}, w, store)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		d := res.Compute
+		if d <= 0 {
+			d = res.Wall
+		}
+		if i == 0 {
+			first, best = res, d
+		}
+		best = min(best, d)
+	}
+	return first, buf.String(), best, nil
+}
+
 // RunBackend measures every benchmark at every ladder level on both
 // execution engines, asserting bit-identical output cell by cell. A
 // mismatch is an error, not a row: a miscompile invalidates the whole
-// table. Cells run on the harness worker pool; the shared store
-// deduplicates identical emissions across cells.
-func RunBackend(store *backend.Store, sizeFactor float64) ([]BackendRow, error) {
-	if sizeFactor == 0 {
-		sizeFactor = 1
-	}
-	type cell struct {
-		b   programs.Benchmark
-		lvl core.Level
-	}
-	var cells []cell
-	for _, b := range programs.All() {
-		for _, lvl := range core.AllLevels() {
-			cells = append(cells, cell{b, lvl})
-		}
-	}
-	return parallelMap(cells, func(_ int, c cell) (BackendRow, error) {
-		size := int64(float64(c.b.DefaultSize) * sizeFactor)
-		if size < 8 {
-			size = 8
-		}
-		comp, err := driver.Compile(c.b.Source, hooked(driver.Options{
-			Level:   c.lvl,
-			Configs: map[string]int64{c.b.SizeConfig: size},
-		}))
+// table. Both engines keep every bounds check (the prove study
+// measures what dropping them buys). Cells run on the worker pool; the
+// shared store deduplicates identical emissions across cells.
+func RunBackend(e *Env) ([]BackendRow, error) {
+	return eachCell(e, grid(core.AllLevels()), func(c cell) (BackendRow, error) {
+		opt := c.options(e.configs(c.b))
+		opt.NoProve = true
+		comp, err := e.compile(c.b.Source, opt)
 		if err != nil {
-			return BackendRow{}, fmt.Errorf("%s at %s: %w", c.b.Name, c.lvl, err)
+			return BackendRow{}, err
 		}
-
-		var vmOut bytes.Buffer
-		t0 := time.Now()
-		_, res, err := vm.Run(comp.LIR, vm.Options{Out: &vmOut})
-		vmD := time.Since(t0)
+		vmRes, vmOut, err := interpret(comp)
 		if err != nil {
-			return BackendRow{}, fmt.Errorf("%s at %s: vm: %w", c.b.Name, c.lvl, err)
+			return BackendRow{}, fmt.Errorf("vm: %w", err)
 		}
-
-		art, _, err := store.BuildProgram(context.Background(), comp.LIR)
+		nat, natOut, compute, err := e.native(comp, 1)
 		if err != nil {
-			return BackendRow{}, fmt.Errorf("%s at %s: build: %w", c.b.Name, c.lvl, err)
+			return BackendRow{}, fmt.Errorf("native: %w", err)
 		}
-		var natOut bytes.Buffer
-		stats, err := art.Run(context.Background(), &natOut)
-		if err != nil {
-			return BackendRow{}, fmt.Errorf("%s at %s: native run: %w", c.b.Name, c.lvl, err)
+		if natOut != vmOut {
+			return BackendRow{}, fmt.Errorf("native output diverges from VM\nnative: %q\nvm:     %q", natOut, vmOut)
 		}
-		if natOut.String() != vmOut.String() {
-			return BackendRow{}, fmt.Errorf(
-				"%s at %s: native output diverges from VM\nnative: %q\nvm:     %q",
-				c.b.Name, c.lvl, natOut.String(), vmOut.String())
-		}
-
-		native := stats.Compute
-		if native <= 0 {
-			native = stats.Wall
-		}
-		row := BackendRow{
+		return BackendRow{
 			Benchmark: c.b.Name,
 			Level:     c.lvl.String(),
 			Match:     true,
-			VMMS:      float64(vmD) / float64(time.Millisecond),
-			NativeMS:  float64(native) / float64(time.Millisecond),
-			BuildMS:   float64(art.Build) / float64(time.Millisecond),
-			BuildHit:  art.Hit,
-			Steps:     res.Steps,
-		}
-		if native > 0 {
-			row.Speedup = float64(vmD) / float64(native)
-		}
-		return row, nil
+			VMMS:      ms(vmRes.Wall),
+			NativeMS:  ms(compute),
+			BuildMS:   ms(nat.Art.Build),
+			BuildHit:  nat.Art.Hit,
+			Speedup:   float64(vmRes.Wall) / float64(compute),
+			Steps:     vmRes.Steps,
+		}, nil
 	})
 }
 
@@ -117,61 +116,37 @@ func FormatBackend(rows []BackendRow) string {
 	b.WriteString("wall-clock speedup per benchmark x optimization level\n\n")
 	fmt.Fprintf(&b, "%-10s %-10s %10s %12s %12s %10s %8s\n",
 		"app", "level", "vm ms", "native ms", "build ms", "speedup", "match")
+	var order []string
+	speedups := map[string][]float64{}
 	for _, r := range rows {
-		match := "DIVERGED"
-		if r.Match {
-			match = "ok"
-		}
 		build := fmt.Sprintf("%.0f", r.BuildMS)
 		if r.BuildHit {
 			build = "hit"
 		}
 		fmt.Fprintf(&b, "%-10s %-10s %10.2f %12.4f %12s %9.0fx %8s\n",
-			r.Benchmark, r.Level, r.VMMS, r.NativeMS, build, r.Speedup, match)
+			r.Benchmark, r.Level, r.VMMS, r.NativeMS, build, r.Speedup, "ok")
+		if speedups[r.Benchmark] == nil {
+			order = append(order, r.Benchmark)
+		}
+		speedups[r.Benchmark] = append(speedups[r.Benchmark], r.Speedup)
 	}
 
 	// Per-benchmark worst case: the weakest cell still decides whether
 	// native "wins the benchmark".
-	order := []string{}
-	min := map[string]float64{}
-	geo := map[string]float64{}
-	n := map[string]int{}
-	for _, r := range rows {
-		if _, ok := min[r.Benchmark]; !ok {
-			order = append(order, r.Benchmark)
-			min[r.Benchmark] = r.Speedup
-		}
-		if r.Speedup < min[r.Benchmark] {
-			min[r.Benchmark] = r.Speedup
-		}
-		geo[r.Benchmark] += math.Log(r.Speedup)
-		n[r.Benchmark]++
-	}
 	b.WriteString("\nper-benchmark speedup (native over VM):\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s %8s\n", "app", "geomean", "min", "wins")
 	wins := 0
 	for _, name := range order {
-		g := math.Exp(geo[name] / float64(n[name]))
+		worst := slices.Min(speedups[name])
 		win := "no"
-		if min[name] > 1 {
+		if worst > 1 {
 			win = "yes"
 			wins++
 		}
-		fmt.Fprintf(&b, "%-10s %11.0fx %11.0fx %8s\n", name, g, min[name], win)
+		fmt.Fprintf(&b, "%-10s %11.0fx %11.0fx %8s\n", name, geomean(speedups[name]), worst, win)
 	}
-	fmt.Fprintf(&b, "\nnative wins %d/%d benchmarks (every cell bit-identical: %t)\n",
-		wins, len(order), AllMatch(rows))
+	fmt.Fprintf(&b, "\nnative wins %d/%d benchmarks (every cell bit-identical: true)\n", wins, len(order))
 	return b.String()
-}
-
-// AllMatch reports whether every cell passed the differential check.
-func AllMatch(rows []BackendRow) bool {
-	for _, r := range rows {
-		if !r.Match {
-			return false
-		}
-	}
-	return true
 }
 
 // NativeWinsAll reports whether the native backend beat the VM in
@@ -183,13 +158,4 @@ func NativeWinsAll(rows []BackendRow) bool {
 		}
 	}
 	return true
-}
-
-// BackendJSON serializes the rows for results/backend.json.
-func BackendJSON(rows []BackendRow) ([]byte, error) {
-	buf, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
 }

@@ -2,9 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
-
-	"repro/internal/core"
 )
 
 // FormatMachineBars renders one machine's ladder as horizontal bar
@@ -13,41 +12,17 @@ import (
 // count; negative bars extend left of the axis, as in the paper
 // ("negative bars represent slowdown").
 func (r *PerfResult) FormatMachineBars(mach string, procs int, width int) string {
-	if width <= 0 {
-		width = 40
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s, p=%d: %% improvement over baseline\n\n", mach, procs)
 
-	var benches []string
-	seen := map[string]bool{}
-	var levels []core.Level
-	seenL := map[core.Level]bool{}
-	for _, p := range r.Points {
-		if p.Procs != procs || p.Level == core.Baseline {
-			continue
-		}
-		if !seen[p.Benchmark] {
-			seen[p.Benchmark] = true
-			benches = append(benches, p.Benchmark)
-		}
-		if !seenL[p.Level] {
-			seenL[p.Level] = true
-			levels = append(levels, p.Level)
-		}
-	}
-
+	benches, _, levels := r.axes()
 	for _, bench := range benches {
 		// Scale each benchmark's group independently, as the paper's
 		// per-benchmark graphs do (their y-axes differ).
 		maxAbs := 1.0
 		for _, lvl := range levels {
 			if pt := r.Point(bench, procs, lvl); pt != nil {
-				if v := pt.Improvement[mach]; v > maxAbs {
-					maxAbs = v
-				} else if -v > maxAbs {
-					maxAbs = -v
-				}
+				maxAbs = max(maxAbs, math.Abs(pt.Improvement[mach]))
 			}
 		}
 		scale := float64(width) / maxAbs

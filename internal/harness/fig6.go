@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/programs"
+	"repro/internal/scalarize"
 )
 
 // Fig6Cell is one compiler × fragment observation.
@@ -49,7 +50,7 @@ func evalFragment(fr programs.Fragment, em core.Emulation) (Fig6Cell, error) {
 	if err != nil {
 		return Fig6Cell{}, err
 	}
-	if err := Scalarizable(prog, plan); err != nil {
+	if _, err := scalarize.Scalarize(prog, plan); err != nil {
 		return Fig6Cell{}, err
 	}
 	exp := fr.Expect

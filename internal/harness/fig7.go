@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/driver"
-	"repro/internal/programs"
 )
 
 // Fig7Row is one benchmark's static array accounting.
@@ -36,12 +34,12 @@ var paperFig7 = map[string][3]int{
 
 // RunFig7 compiles every benchmark with and without contraction and
 // counts static arrays.
-func RunFig7() ([]Fig7Row, error) {
-	var rows []Fig7Row
-	for _, b := range programs.All() {
-		c, err := driver.Compile(b.Source, hooked(driver.Options{Level: core.C2F3}))
+func RunFig7(e *Env) ([]Fig7Row, error) {
+	return eachCell(e, grid([]core.Level{core.C2F3}), func(cl cell) (Fig7Row, error) {
+		b := cl.b
+		c, err := e.compile(b.Source, cl.options(nil))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
+			return Fig7Row{}, err
 		}
 		counts := core.CountStaticArrays(c.AIR, c.Plan)
 		row := Fig7Row{
@@ -57,9 +55,8 @@ func RunFig7() ([]Fig7Row, error) {
 		if p, ok := paperFig7[b.Name]; ok {
 			row.PaperBefore, row.PaperAfter, row.PaperScalarEq = p[0], p[1], p[2]
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // FormatFig7 renders the table.

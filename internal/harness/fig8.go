@@ -34,19 +34,19 @@ const Fig8Budget = int64(64 << 20) // 64 MB
 // RunFig8 computes predicted and measured problem-size scaling. The
 // per-benchmark binary searches are independent and run on the
 // harness worker pool.
-func RunFig8() ([]Fig8Row, error) {
-	return parallelMap(programs.All(), func(_ int, b programs.Benchmark) (Fig8Row, error) {
+func RunFig8(e *Env) ([]Fig8Row, error) {
+	return parallelMap(e, programs.All(), func(b programs.Benchmark) (Fig8Row, error) {
 		row := Fig8Row{Benchmark: b.Name}
 
 		// lb and la: arrays allocated at baseline versus c2, counting
 		// only full-size arrays (the paper's model assumes uniform
 		// array sizes; our benchmarks follow it except for the 1-D
 		// sweep carriers, which we exclude from the count).
-		base, err := driver.Compile(b.Source, hooked(driver.Options{Level: core.Baseline}))
+		base, err := e.compile(b.Source, driver.Options{Level: core.Baseline})
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("%s: %w", b.Name, err)
 		}
-		opt, err := driver.Compile(b.Source, hooked(driver.Options{Level: core.C2F3}))
+		opt, err := e.compile(b.Source, driver.Options{Level: core.C2F3})
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -60,11 +60,11 @@ func RunFig8() ([]Fig8Row, error) {
 			row.C = math.Inf(1)
 		}
 
-		row.MaxWithout, err = maxProblemSize(b, core.Baseline)
+		row.MaxWithout, err = maxProblemSize(e, b, core.Baseline)
 		if err != nil {
 			return Fig8Row{}, err
 		}
-		row.MaxWith, err = maxProblemSize(b, core.C2F3)
+		row.MaxWith, err = maxProblemSize(e, b, core.C2F3)
 		if err != nil {
 			return Fig8Row{}, err
 		}
@@ -96,16 +96,16 @@ func countMainArrays(c *driver.Compilation, rank int) int {
 // maxProblemSize binary-searches the largest per-dimension size whose
 // allocated array footprint fits the budget. EP contracts everything;
 // its optimized footprint is size-independent, so the search is capped.
-func maxProblemSize(b programs.Benchmark, lvl core.Level) (int, error) {
+func maxProblemSize(e *Env, b programs.Benchmark, lvl core.Level) (int, error) {
 	limit := 1 << 14
 	if b.Rank == 1 {
 		limit = 1 << 24
 	}
 	fits := func(n int) (bool, error) {
-		c, err := driver.Compile(b.Source, hooked(driver.Options{
+		c, err := e.compile(b.Source, driver.Options{
 			Level:   lvl,
 			Configs: map[string]int64{b.SizeConfig: int64(n)},
-		}))
+		})
 		if err != nil {
 			return false, fmt.Errorf("%s n=%d: %w", b.Name, n, err)
 		}

@@ -2,17 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/driver"
 	"repro/internal/machine"
-	"repro/internal/programs"
 )
-
-// ProcCounts are the processor counts of Figs. 9–11.
-var ProcCounts = []int{1, 4, 16, 64}
 
 // PerfPoint is one (benchmark, processors, level) measurement: percent
 // improvement over baseline on each machine model.
@@ -29,106 +24,38 @@ type PerfResult struct {
 	Points []PerfPoint
 }
 
-// SizeFactor scales the per-processor problem size for the study; 1.0
-// uses each benchmark's default size. The paper scales total problem
-// size with p (constant data per processor), which is what a fixed
-// per-processor size under our one-representative-processor model
-// reproduces.
-type StudyOptions struct {
-	SizeFactor float64
-	// Levels to measure; nil means the full §5.4 ladder.
-	Levels []core.Level
-	// Procs to measure; nil means ProcCounts.
-	Procs []int
-	// Benchmarks to measure; nil means all six.
-	Benchmarks []string
-}
-
 // RunPerfStudy executes the §5.4 transformation ladder for every
-// benchmark and processor count, pricing each run on all three machine
-// models in a single execution.
-func RunPerfStudy(opt StudyOptions) (*PerfResult, error) {
-	levels := opt.Levels
-	if levels == nil {
-		levels = core.Levels()
-	}
-	procs := opt.Procs
-	if procs == nil {
-		procs = ProcCounts
-	}
-	benches := programs.All()
-	if opt.Benchmarks != nil {
-		benches = benches[:0:0]
-		for _, name := range opt.Benchmarks {
-			b, ok := programs.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("unknown benchmark %q", name)
-			}
-			benches = append(benches, b)
-		}
-	}
-	factor := opt.SizeFactor
-	if factor == 0 {
-		factor = 1
-	}
-
-	// Flatten the study into independent (benchmark, procs, level)
-	// measurements, run them on the worker pool, then assemble the
-	// ladder in the original order — improvements are computed after
-	// the fact from each (benchmark, procs) group's baseline point, so
-	// the result is identical to the sequential traversal.
-	type task struct {
-		bench programs.Benchmark
-		cfg   map[string]int64
-		procs int
-		level core.Level
-	}
-	var tasks []task
-	for _, b := range benches {
-		size := int64(float64(b.DefaultSize) * factor)
-		if size < 8 {
-			size = 8
-		}
-		cfg := map[string]int64{b.SizeConfig: size}
-		for _, p := range procs {
-			for _, lvl := range levels {
-				tasks = append(tasks, task{bench: b, cfg: cfg, procs: p, level: lvl})
-			}
-		}
-	}
-
-	meas, err := parallelMap(tasks, func(_ int, t task) (*Measurement, error) {
-		co := comm.DefaultOptions(t.procs)
-		m, err := Measure(t.bench.Source, driver.Options{
-			Level: t.level, Configs: t.cfg, Comm: &co,
-		}, t.procs)
-		if err != nil {
-			return nil, fmt.Errorf("%s p=%d %v: %w", t.bench.Name, t.procs, t.level, err)
-		}
-		return m, nil
+// benchmark at each processor count, pricing each run on all three
+// machine models in a single execution.
+func RunPerfStudy(e *Env, procs []int) (*PerfResult, error) {
+	// The (benchmark, level, procs) measurements are independent;
+	// improvements are computed afterwards from each (benchmark, procs)
+	// group's baseline point, so the result does not depend on the
+	// order the pool ran them in.
+	cells := grid(core.Levels(), procs...)
+	meas, err := eachCell(e, cells, func(c cell) (*Measurement, error) {
+		return Measure(e, c.b.Source, c.options(e.configs(c.b)), c.procs)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &PerfResult{}
-	baselines := map[string]map[string]float64{}
-	for i, t := range tasks {
-		if t.level == core.Baseline {
-			baselines[fmt.Sprintf("%s/%d", t.bench.Name, t.procs)] = meas[i].Cycles
-		}
+	cycles := map[cell]map[string]float64{}
+	for i, c := range cells {
+		cycles[c] = meas[i].Cycles
 	}
-	for i, t := range tasks {
-		baseline := baselines[fmt.Sprintf("%s/%d", t.bench.Name, t.procs)]
+	res := &PerfResult{}
+	for i, c := range cells {
+		baseline := cycles[cell{c.b, core.Baseline, c.procs}]
 		pt := PerfPoint{
-			Benchmark:   t.bench.Name,
-			Procs:       t.procs,
-			Level:       t.level,
+			Benchmark:   c.b.Name,
+			Procs:       c.procs,
+			Level:       c.lvl,
 			Improvement: map[string]float64{},
 			Cycles:      meas[i].Cycles,
 		}
-		for m, c := range meas[i].Cycles {
-			pt.Improvement[m] = Improvement(baseline[m], c)
+		for m, cyc := range meas[i].Cycles {
+			pt.Improvement[m] = Improvement(baseline[m], cyc)
 		}
 		res.Points = append(res.Points, pt)
 	}
@@ -136,6 +63,8 @@ func RunPerfStudy(opt StudyOptions) (*PerfResult, error) {
 }
 
 // Point returns the measurement for (benchmark, procs, level), or nil.
+// A study measures the full product of its axes, so every combination
+// of values from axes has a point.
 func (r *PerfResult) Point(bench string, procs int, lvl core.Level) *PerfPoint {
 	for i := range r.Points {
 		p := &r.Points[i]
@@ -153,27 +82,7 @@ func (r *PerfResult) FormatMachine(mach string, figure string) string {
 	fmt.Fprintf(&b, "%s: %% improvement over baseline on the %s model\n", figure, mach)
 	b.WriteString("(positive = speedup from the transformation; §5.4 ladder)\n\n")
 
-	var benches []string
-	seen := map[string]bool{}
-	var procs []int
-	seenP := map[int]bool{}
-	var levels []core.Level
-	seenL := map[core.Level]bool{}
-	for _, p := range r.Points {
-		if !seen[p.Benchmark] {
-			seen[p.Benchmark] = true
-			benches = append(benches, p.Benchmark)
-		}
-		if !seenP[p.Procs] {
-			seenP[p.Procs] = true
-			procs = append(procs, p.Procs)
-		}
-		if !seenL[p.Level] && p.Level != core.Baseline {
-			seenL[p.Level] = true
-			levels = append(levels, p.Level)
-		}
-	}
-
+	benches, procs, levels := r.axes()
 	for _, bench := range benches {
 		fmt.Fprintf(&b, "%s\n", bench)
 		fmt.Fprintf(&b, "  %4s", "p")
@@ -184,17 +93,29 @@ func (r *PerfResult) FormatMachine(mach string, figure string) string {
 		for _, p := range procs {
 			fmt.Fprintf(&b, "  %4d", p)
 			for _, lvl := range levels {
-				pt := r.Point(bench, p, lvl)
-				if pt == nil {
-					fmt.Fprintf(&b, " %9s", "-")
-					continue
-				}
-				fmt.Fprintf(&b, " %8.1f%%", pt.Improvement[mach])
+				fmt.Fprintf(&b, " %8.1f%%", r.Point(bench, p, lvl).Improvement[mach])
 			}
 			b.WriteString("\n")
 		}
 	}
 	return b.String()
+}
+
+// axes lists the study's benchmarks, processor counts and
+// non-baseline levels, each in first-measured order.
+func (r *PerfResult) axes() (benches []string, procs []int, levels []core.Level) {
+	for _, p := range r.Points {
+		if !slices.Contains(benches, p.Benchmark) {
+			benches = append(benches, p.Benchmark)
+		}
+		if !slices.Contains(procs, p.Procs) {
+			procs = append(procs, p.Procs)
+		}
+		if p.Level != core.Baseline && !slices.Contains(levels, p.Level) {
+			levels = append(levels, p.Level)
+		}
+	}
+	return benches, procs, levels
 }
 
 // Headline summarizes the paper's §1 claim over the study: the median
@@ -212,10 +133,14 @@ func (r *PerfResult) Headline() (median, max float64) {
 	if len(vals) == 0 {
 		return 0, 0
 	}
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
+	slices.Sort(vals)
 	return vals[len(vals)/2], vals[len(vals)-1]
+}
+
+// FormatHeadline renders Headline beside the paper's wording.
+func (r *PerfResult) FormatHeadline() string {
+	median, max := r.Headline()
+	return fmt.Sprintf(
+		"Headline (§1): c2 improvement over baseline across benchmarks,\nmachines and processor counts: median %.1f%%, maximum %.1f%%\n(paper: \"typically greater than 20%% and sometimes up to 400%%\")\n",
+		median, max)
 }

@@ -6,44 +6,30 @@
 package harness
 
 import (
-	"fmt"
+	"context"
 	"sync"
 
 	"repro/internal/air"
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/lower"
 	"repro/internal/machine"
-	"repro/internal/parser"
-	"repro/internal/scalarize"
-	"repro/internal/sema"
-	"repro/internal/source"
 	"repro/internal/vm"
 )
 
 // CompileEmulated runs the front half of the pipeline and applies an
 // emulated compiler strategy instead of the standard ladder.
 func CompileEmulated(src string, em core.Emulation, configs map[string]int64) (*air.Program, *core.Plan, error) {
-	var errs source.ErrorList
-	prog := parser.Parse(src, &errs)
-	if errs.HasErrors() {
-		return nil, nil, errs.Err()
+	airProg, _, err := driver.FrontEnd(context.TODO(), src, configs, driver.Hooks{})
+	if err != nil {
+		return nil, nil, err
 	}
-	info := sema.Check(prog, configs, &errs)
-	if errs.HasErrors() {
-		return nil, nil, errs.Err()
-	}
-	airProg := lower.Lower(info, &errs)
-	if errs.HasErrors() {
-		return nil, nil, errs.Err()
-	}
-	plan := core.Emulate(airProg, em)
-	return airProg, plan, nil
+	return airProg, core.Emulate(airProg, em), nil
 }
 
 // Measurement is one benchmark execution under the machine models.
 type Measurement struct {
-	Cycles      map[string]float64 // machine name -> modeled cycles
+	Compilation *driver.Compilation // what was executed
+	Cycles      map[string]float64  // machine name -> modeled cycles
 	CommCycles  map[string]float64
 	Accesses    int64
 	Flops       int64
@@ -163,8 +149,8 @@ func (m *multiTracer) Reduce() {
 
 // Measure compiles src with the given options and executes it once,
 // pricing the run on every machine model with p processors.
-func Measure(src string, opt driver.Options, procs int) (*Measurement, error) {
-	c, err := driver.Compile(src, hooked(opt))
+func Measure(e *Env, src string, opt driver.Options, procs int) (*Measurement, error) {
+	c, err := e.compile(src, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +166,7 @@ func Measure(src string, opt driver.Options, procs int) (*Measurement, error) {
 		return nil, err
 	}
 	meas := &Measurement{
+		Compilation: c,
 		Cycles:      map[string]float64{},
 		CommCycles:  map[string]float64{},
 		MemoryBytes: mach.MemoryFootprint(),
@@ -188,10 +175,8 @@ func Measure(src string, opt driver.Options, procs int) (*Measurement, error) {
 		meas.Cycles[mdl.Name] = mt.ts[i].Cycles
 		meas.CommCycles[mdl.Name] = mt.ts[i].CommCycles
 	}
-	if len(mt.ts) > 0 {
-		meas.Accesses = mt.ts[0].AccessCount
-		meas.Flops = mt.ts[0].FlopCount
-	}
+	// The trace statistics are the program's, the same under every model.
+	meas.Accesses, meas.Flops = ts[0].AccessCount, ts[0].FlopCount
 	return meas, nil
 }
 
@@ -204,12 +189,3 @@ func Improvement(baseline, optimized float64) float64 {
 	}
 	return (baseline/optimized - 1) * 100
 }
-
-// Scalarizable confirms a plan scalarizes cleanly (used by checks).
-func Scalarizable(prog *air.Program, plan *core.Plan) error {
-	_, err := scalarize.Scalarize(prog, plan)
-	return err
-}
-
-// fmtPct renders a percentage with one decimal.
-func fmtPct(v float64) string { return fmt.Sprintf("%+.1f%%", v) }

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
@@ -85,7 +83,7 @@ func runLazyCell(lvl core.Level, be driver.Backend, n, iters int) (LazyRow, []fl
 		}
 		d := time.Since(t0)
 		if i == 0 {
-			row.FirstMS = float64(d) / float64(time.Millisecond)
+			row.FirstMS = ms(d)
 		} else {
 			steady += d
 		}
@@ -95,9 +93,7 @@ func runLazyCell(lvl core.Level, be driver.Backend, n, iters int) (LazyRow, []fl
 		}
 		hist = append(hist, r)
 	}
-	if iters > 1 {
-		row.SteadyMS = float64(steady) / float64(iters-1) / float64(time.Millisecond)
-	}
+	row.SteadyMS = ms(steady) / float64(iters-1)
 	d := e.CacheStats().Sub(before)
 	row.Misses, row.Hits = d.Misses, d.Hits
 
@@ -123,11 +119,10 @@ func runLazyCell(lvl core.Level, be driver.Backend, n, iters int) (LazyRow, []fl
 		ef, curF, nxtF, resF, err := lazySetup(opt, n)
 		if err == nil {
 			ef.ClearCache() // the setup compile must not subsidize the sweep
-			curF, nxtF = lazySweep(ef, curF, nxtF, resF, n)
+			lazySweep(ef, curF, nxtF, resF, n)
 			t0 := time.Now()
 			err = ef.Eval()
 			fresh += time.Since(t0)
-			_ = curF
 		}
 		if dir != "" {
 			os.RemoveAll(dir)
@@ -136,7 +131,7 @@ func runLazyCell(lvl core.Level, be driver.Backend, n, iters int) (LazyRow, []fl
 			return row, nil, err
 		}
 	}
-	row.FreshMS = float64(fresh) / float64(freshIters) / float64(time.Millisecond)
+	row.FreshMS = ms(fresh) / float64(freshIters)
 	if row.SteadyMS > 0 {
 		row.Speedup = row.FreshMS / row.SteadyMS
 	}
@@ -148,14 +143,8 @@ func runLazyCell(lvl core.Level, be driver.Backend, n, iters int) (LazyRow, []fl
 // asserting the residual trajectories agree bit for bit across every
 // cell — the differential check that deferred evaluation changes
 // nothing but when compilation happens.
-func RunLazy(sizeFactor float64) ([]LazyRow, error) {
-	if sizeFactor == 0 {
-		sizeFactor = 1
-	}
-	n := int(32 * sizeFactor)
-	if n < 8 {
-		n = 8
-	}
+func RunLazy(e *Env) ([]LazyRow, error) {
+	n := int(e.scale(32))
 	const iters = 20
 	levels := []core.Level{core.Baseline, core.C2F4S}
 	backends := []driver.Backend{driver.BackendVM}
@@ -207,16 +196,15 @@ func FormatLazy(rows []LazyRow) string {
 		fmt.Fprintf(&b, "%-8s %-10s %6d %6d %10.3f %12.4f %12.4f %9.1fx %8d\n",
 			r.Backend, r.Level, r.N, r.Iters, r.FirstMS, r.SteadyMS, r.FreshMS, r.Speedup, r.Misses)
 	}
-	geo, cells := 0.0, 0
+	var speedups []float64
 	for _, r := range rows {
 		if r.Speedup > 0 {
-			geo += math.Log(r.Speedup)
-			cells++
+			speedups = append(speedups, r.Speedup)
 		}
 	}
-	if cells > 0 {
+	if len(speedups) > 0 {
 		fmt.Fprintf(&b, "\ncached steady state vs compile-every-iteration: geomean %.1fx over %d cells\n",
-			math.Exp(geo/float64(cells)), cells)
+			geomean(speedups), len(speedups))
 	}
 	fmt.Fprintf(&b, "every cell compiled exactly once and matched the VM residuals: %t\n",
 		LazyCachedEverywhere(rows))
@@ -233,13 +221,4 @@ func LazyCachedEverywhere(rows []LazyRow) bool {
 		}
 	}
 	return true
-}
-
-// LazyJSON serializes the rows for results/lazy.json.
-func LazyJSON(rows []LazyRow) ([]byte, error) {
-	buf, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
 }

@@ -24,7 +24,7 @@ type LatencyPoint struct {
 // has less latency to hide, so sacrificing contraction to preserve
 // overlap windows buys less and less while still paying the full
 // memory-traffic price.
-func RunLatencySensitivity(bench string, procs int, alphas []float64) ([]LatencyPoint, error) {
+func RunLatencySensitivity(e *Env, bench string, procs int, alphas []float64) ([]LatencyPoint, error) {
 	b, ok := programs.ByName(bench)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", bench)
@@ -35,11 +35,11 @@ func RunLatencySensitivity(bench string, procs int, alphas []float64) ([]Latency
 	fc := comm.DefaultOptions(procs)
 	fc.Strategy = comm.FavorComm
 
-	cf, err := driver.Compile(b.Source, hooked(driver.Options{Level: core.C2F3, Configs: cfg, Comm: &ff}))
+	cf, err := e.compile(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &ff})
 	if err != nil {
 		return nil, err
 	}
-	cc, err := driver.Compile(b.Source, hooked(driver.Options{Level: core.C2F3, Configs: cfg, Comm: &fc}))
+	cc, err := e.compile(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &fc})
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func RunLatencySensitivity(bench string, procs int, alphas []float64) ([]Latency
 	// Each α point replays both compilations on fresh tracers; the
 	// points share only the (immutable) compilations, so the sweep
 	// runs on the worker pool.
-	return parallelMap(alphas, func(_ int, alpha float64) (LatencyPoint, error) {
+	return parallelMap(e, alphas, func(alpha float64) (LatencyPoint, error) {
 		model := machine.Origin().WithCommAlpha(alpha)
 		fuse := machine.NewCostTracer(model, procs)
 		if _, _, err := vm.Run(cf.LIR, vm.Options{Tracer: fuse}); err != nil {

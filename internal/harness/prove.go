@@ -1,21 +1,10 @@
 package harness
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"strings"
-	"time"
 
-	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/driver"
-	"repro/internal/gogen"
-	"repro/internal/programs"
-	"repro/internal/vm"
 )
 
 // ProveRow is one benchmark × level cell of the bounds-prover study:
@@ -32,7 +21,7 @@ type ProveRow struct {
 	Unsafe    int     `json:"unsafe"`
 	ProvenPct float64 `json:"proven_pct"` // 100 when every site is proven (or there are none)
 
-	Match bool `json:"match"` // checked/unchecked outputs byte-identical, VM and native
+	Match bool `json:"match"` // always true: a divergence (VM or native) is an error, never a row
 
 	VMCheckedMS   float64 `json:"vm_checked_ms"`
 	VMUncheckedMS float64 `json:"vm_unchecked_ms"`
@@ -45,122 +34,54 @@ type ProveRow struct {
 	ScaffoldElided bool `json:"scaffold_elided"` // AllProven: no trap scaffold in the emission
 }
 
-// proveLevels are the ladder ends the study measures: the unoptimized
-// program and the full fusion+contraction pipeline (the acceptance
-// condition reads the latter).
-func proveLevels() []core.Level { return []core.Level{core.Baseline, core.C2F4} }
-
-// nativeBest builds src and returns the binary's best-of-N self-timed
-// compute (minimum over runs — the native compute is microseconds, so
-// a single sample is scheduler noise) plus the first run's output.
-func nativeBest(store *backend.Store, src string, runs int) (time.Duration, string, error) {
-	art, err := store.Build(context.Background(), src)
-	if err != nil {
-		return 0, "", err
-	}
-	var out bytes.Buffer
-	stats, err := art.Run(context.Background(), &out)
-	if err != nil {
-		return 0, "", err
-	}
-	best := stats.Compute
-	if best <= 0 {
-		best = stats.Wall
-	}
-	for i := 1; i < runs; i++ {
-		stats, err := art.Run(context.Background(), io.Discard)
-		if err != nil {
-			return 0, "", err
-		}
-		d := stats.Compute
-		if d <= 0 {
-			d = stats.Wall
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best, out.String(), nil
-}
-
 // RunProve measures every benchmark at both ladder ends: the prover's
 // coverage, the checked-vs-unchecked differential on both engines, and
 // the speedup check elimination buys. Any divergence is an error, not
 // a row — an unsound proof invalidates the study.
-func RunProve(store *backend.Store, sizeFactor float64) ([]ProveRow, error) {
-	if sizeFactor == 0 {
-		sizeFactor = 1
-	}
+func RunProve(e *Env) ([]ProveRow, error) {
 	const nativeRuns = 5
-	type cell struct {
-		b   programs.Benchmark
-		lvl core.Level
-	}
-	var cells []cell
-	for _, b := range programs.All() {
-		for _, lvl := range proveLevels() {
-			cells = append(cells, cell{b, lvl})
-		}
-	}
-	return parallelMap(cells, func(_ int, c cell) (ProveRow, error) {
-		size := int64(float64(c.b.DefaultSize) * sizeFactor)
-		if size < 8 {
-			size = 8
-		}
-		comp, err := driver.Compile(c.b.Source, hooked(driver.Options{
-			Level:   c.lvl,
-			Configs: map[string]int64{c.b.SizeConfig: size},
-		}))
+	// The ladder ends: the unoptimized program and the full
+	// fusion+contraction pipeline (the acceptance condition reads the
+	// latter).
+	ends := []core.Level{core.Baseline, core.C2F4}
+	return eachCell(e, grid(ends), func(c cell) (ProveRow, error) {
+		comp, err := e.compile(c.b.Source, c.options(e.configs(c.b)))
 		if err != nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: %w", c.b.Name, c.lvl, err)
+			return ProveRow{}, err
 		}
 		bounds := comp.Bounds
 		if bounds == nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: compilation carries no bounds result", c.b.Name, c.lvl)
+			return ProveRow{}, fmt.Errorf("compilation carries no bounds result")
 		}
+		// The same compilation with the prover's result withheld: the
+		// VM dispatches every site checked and the emission keeps every
+		// check (and the trap scaffold), where comp's proven sites go
+		// unchecked on both engines.
+		checked := *comp
+		checked.Bounds = nil
 
-		// VM, fully checked: the prover's result withheld.
-		var vmChk bytes.Buffer
-		t0 := time.Now()
-		if _, _, err := vm.Run(comp.LIR, vm.Options{Out: &vmChk}); err != nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: vm checked: %w", c.b.Name, c.lvl, err)
-		}
-		vmChkD := time.Since(t0)
-
-		// VM, proof-carrying: proven sites dispatch unchecked.
-		var vmUnchk bytes.Buffer
-		t0 = time.Now()
-		if _, _, err := comp.Run(vm.Options{Out: &vmUnchk}); err != nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: vm unchecked: %w", c.b.Name, c.lvl, err)
-		}
-		vmUnchkD := time.Since(t0)
-		if vmUnchk.String() != vmChk.String() {
-			return ProveRow{}, fmt.Errorf("%s at %s: VM unchecked output diverges from checked", c.b.Name, c.lvl)
-		}
-
-		// Native, both emissions: every check kept vs proven checks
-		// dropped (and the trap scaffold elided when all are proven).
-		checkedSrc, err := gogen.EmitBounds(comp.LIR, nil)
+		vmChk, want, err := interpret(&checked)
 		if err != nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: emit checked: %w", c.b.Name, c.lvl, err)
+			return ProveRow{}, fmt.Errorf("vm checked: %w", err)
 		}
-		uncheckedSrc, err := gogen.EmitBounds(comp.LIR, bounds)
+		vmUnchk, vmOut, err := interpret(comp)
 		if err != nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: emit unchecked: %w", c.b.Name, c.lvl, err)
+			return ProveRow{}, fmt.Errorf("vm unchecked: %w", err)
 		}
-		natChkD, natChkOut, err := nativeBest(store, checkedSrc, nativeRuns)
+		_, natChkOut, natChk, err := e.native(&checked, nativeRuns)
 		if err != nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: native checked: %w", c.b.Name, c.lvl, err)
+			return ProveRow{}, fmt.Errorf("native checked: %w", err)
 		}
-		natUnchkD, natUnchkOut, err := nativeBest(store, uncheckedSrc, nativeRuns)
+		_, natUnchkOut, natUnchk, err := e.native(comp, nativeRuns)
 		if err != nil {
-			return ProveRow{}, fmt.Errorf("%s at %s: native unchecked: %w", c.b.Name, c.lvl, err)
+			return ProveRow{}, fmt.Errorf("native unchecked: %w", err)
 		}
-		if natChkOut != vmChk.String() {
-			return ProveRow{}, fmt.Errorf("%s at %s: native checked output diverges from VM", c.b.Name, c.lvl)
-		}
-		if natUnchkOut != vmChk.String() {
-			return ProveRow{}, fmt.Errorf("%s at %s: native unchecked output diverges from VM", c.b.Name, c.lvl)
+		for _, got := range []struct{ engine, out string }{
+			{"VM unchecked", vmOut}, {"native checked", natChkOut}, {"native unchecked", natUnchkOut},
+		} {
+			if got.out != want {
+				return ProveRow{}, fmt.Errorf("%s output diverges from the checked VM", got.engine)
+			}
 		}
 
 		row := ProveRow{
@@ -173,21 +94,17 @@ func RunProve(store *backend.Store, sizeFactor float64) ([]ProveRow, error) {
 			ProvenPct: 100,
 			Match:     true,
 
-			VMCheckedMS:       float64(vmChkD) / float64(time.Millisecond),
-			VMUncheckedMS:     float64(vmUnchkD) / float64(time.Millisecond),
-			NativeCheckedMS:   float64(natChkD) / float64(time.Millisecond),
-			NativeUncheckedMS: float64(natUnchkD) / float64(time.Millisecond),
+			VMCheckedMS:       ms(vmChk.Wall),
+			VMUncheckedMS:     ms(vmUnchk.Wall),
+			VMSpeedup:         float64(vmChk.Wall) / float64(vmUnchk.Wall),
+			NativeCheckedMS:   ms(natChk),
+			NativeUncheckedMS: ms(natUnchk),
+			NativeSpeedup:     float64(natChk) / float64(natUnchk),
 
 			ScaffoldElided: bounds.AllProven(),
 		}
 		if len(bounds.Sites) > 0 {
 			row.ProvenPct = float64(bounds.NumProven) / float64(len(bounds.Sites)) * 100
-		}
-		if vmUnchkD > 0 {
-			row.VMSpeedup = float64(vmChkD) / float64(vmUnchkD)
-		}
-		if natUnchkD > 0 {
-			row.NativeSpeedup = float64(natChkD) / float64(natUnchkD)
 		}
 		return row, nil
 	})
@@ -213,39 +130,24 @@ func FormatProve(rows []ProveRow) string {
 	// Aggregates: worst-case coverage and the geometric-mean speedup of
 	// elimination (cells with sites only; a fully contracted program
 	// has nothing to eliminate).
-	minRate := 100.0
-	vmGeo, natGeo, n := 0.0, 0.0, 0
+	var vm, nat []float64
 	elided := 0
 	for _, r := range rows {
-		if r.ProvenPct < minRate {
-			minRate = r.ProvenPct
-		}
 		if r.ScaffoldElided {
 			elided++
 		}
-		if r.Sites > 0 && r.VMSpeedup > 0 && r.NativeSpeedup > 0 {
-			vmGeo += math.Log(r.VMSpeedup)
-			natGeo += math.Log(r.NativeSpeedup)
-			n++
+		if r.Sites > 0 {
+			vm, nat = append(vm, r.VMSpeedup), append(nat, r.NativeSpeedup)
 		}
 	}
 	fmt.Fprintf(&b, "\nproven-site coverage: min %.0f%% across %d cells; trap scaffold elided in %d/%d\n",
-		minRate, len(rows), elided, len(rows))
-	if n > 0 {
+		MinProvenRate(rows), len(rows), elided, len(rows))
+	if len(vm) > 0 {
 		fmt.Fprintf(&b, "check-elimination speedup (geomean over %d cells with sites): VM %.2fx, native %.2fx\n",
-			n, math.Exp(vmGeo/float64(n)), math.Exp(natGeo/float64(n)))
+			len(vm), geomean(vm), geomean(nat))
 	}
-	fmt.Fprintf(&b, "every cell bit-identical: %t\n", allProveMatch(rows))
+	b.WriteString("every cell bit-identical: true\n")
 	return b.String()
-}
-
-func allProveMatch(rows []ProveRow) bool {
-	for _, r := range rows {
-		if !r.Match {
-			return false
-		}
-	}
-	return true
 }
 
 // MinProvenRate returns the worst per-cell proven percentage — the
@@ -258,13 +160,4 @@ func MinProvenRate(rows []ProveRow) float64 {
 		}
 	}
 	return min
-}
-
-// ProveJSON serializes the rows for results/prove.json.
-func ProveJSON(rows []ProveRow) ([]byte, error) {
-	buf, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
 }

@@ -1,15 +1,11 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/driver"
 	"repro/internal/mhp"
-	"repro/internal/programs"
 )
 
 // RaceRow is one benchmark × level × processor-count cell of the
@@ -36,51 +32,25 @@ type RaceRow struct {
 	FaultsCaught int `json:"faults_caught"`
 }
 
-// raceProcs are the processor counts the study sweeps; together with
-// the 6 benchmarks and 9 ladder levels they span every distributed
-// schedule the compiler produces.
-func raceProcs() []int { return []int{2, 4, 8} }
-
-// RunRace compiles every benchmark × level × processor-count cell,
-// runs the happens-before analyzer over the scalarized schedule, and
-// then re-runs it over each seeded-fault mutation of that schedule.
-// A cell that is not fully ProvenOrdered, or a seeded fault the
-// analyzer misses, is an error, not a row — an unsound analysis
-// invalidates the study.
-func RunRace(size int64) ([]RaceRow, error) {
-	if size < 8 {
-		size = 32
-	}
-	type cell struct {
-		b     programs.Benchmark
-		lvl   core.Level
-		procs int
-	}
-	var cells []cell
-	for _, b := range programs.All() {
-		for _, lvl := range core.AllLevels() {
-			for _, p := range raceProcs() {
-				cells = append(cells, cell{b, lvl, p})
-			}
-		}
-	}
-	return parallelMap(cells, func(_ int, c cell) (RaceRow, error) {
-		co := comm.DefaultOptions(c.procs)
-		comp, err := driver.Compile(c.b.Source, hooked(driver.Options{
-			Level:   c.lvl,
-			Comm:    &co,
-			Configs: map[string]int64{c.b.SizeConfig: size},
-		}))
+// RunRace compiles every benchmark × level × processor-count cell at
+// problem size n=size, runs the happens-before analyzer over the
+// scalarized schedule, and then re-runs it over each seeded-fault
+// mutation of that schedule. A cell that is not fully ProvenOrdered, or
+// a seeded fault the analyzer misses, is an error, not a row — an
+// unsound analysis invalidates the study.
+func RunRace(e *Env, size int64, procs ...int) ([]RaceRow, error) {
+	return eachCell(e, grid(core.AllLevels(), procs...), func(c cell) (RaceRow, error) {
+		comp, err := e.compile(c.b.Source, c.options(map[string]int64{c.b.SizeConfig: size}))
 		if err != nil {
-			return RaceRow{}, fmt.Errorf("%s at %s p=%d: %w", c.b.Name, c.lvl, c.procs, err)
+			return RaceRow{}, err
 		}
 		res := comp.Races
 		if res == nil {
-			return RaceRow{}, fmt.Errorf("%s at %s p=%d: compilation carries no race analysis", c.b.Name, c.lvl, c.procs)
+			return RaceRow{}, fmt.Errorf("compilation carries no race analysis")
 		}
 		if !res.Clean() {
-			return RaceRow{}, fmt.Errorf("%s at %s p=%d: schedule not proven ordered: race=%d unknown=%d deadlocks=%d",
-				c.b.Name, c.lvl, c.procs, res.NumRace, res.NumUnknown, len(res.Deadlocks))
+			return RaceRow{}, fmt.Errorf("schedule not proven ordered: race=%d unknown=%d deadlocks=%d",
+				res.NumRace, res.NumUnknown, len(res.Deadlocks))
 		}
 
 		// Seeded-fault differential: every fault kind with a valid
@@ -97,8 +67,7 @@ func RunRace(size int64) ([]RaceRow, error) {
 			if mhp.Analyze(bad).Err() != nil {
 				caught++
 			} else {
-				return RaceRow{}, fmt.Errorf("%s at %s p=%d: seeded fault %v not rejected",
-					c.b.Name, c.lvl, c.procs, bad.Faults)
+				return RaceRow{}, fmt.Errorf("seeded fault %v not rejected", bad.Faults)
 			}
 		}
 
@@ -167,13 +136,4 @@ func RaceCleanAll(rows []RaceRow) bool {
 		sends += r.Sends
 	}
 	return ordered > 0 && sends > 0
-}
-
-// RaceJSON serializes the rows for results/race.json.
-func RaceJSON(rows []RaceRow) ([]byte, error) {
-	buf, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
 }

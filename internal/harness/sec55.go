@@ -25,55 +25,42 @@ type Sec55Row struct {
 var Sec55Benchmarks = []string{"simple", "tomcatv", "sp", "fibro"}
 
 // RunSec55 measures the favor-fusion versus favor-comm strategies at
-// c2+f3 with the given processor count.
-func RunSec55(procs int, sizeFactor float64) ([]Sec55Row, error) {
-	if sizeFactor == 0 {
-		sizeFactor = 1
-	}
-	// Each benchmark's pair of strategy measurements is independent;
-	// run them on the worker pool.
-	rows, err := parallelMap(Sec55Benchmarks, func(_ int, name string) (Sec55Row, error) {
+// c2+f3 with the given processor count. Each benchmark's pair of
+// strategy measurements is independent and runs on the worker pool.
+func RunSec55(e *Env, procs int) ([]Sec55Row, error) {
+	return parallelMap(e, Sec55Benchmarks, func(name string) (Sec55Row, error) {
 		b, _ := programs.ByName(name)
-		cfg := map[string]int64{b.SizeConfig: int64(float64(b.DefaultSize) * sizeFactor)}
-
-		fuse := comm.DefaultOptions(procs)
-		fuse.Strategy = comm.FavorFusion
-		fm, err := Measure(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &fuse}, procs)
-		if err != nil {
-			return Sec55Row{}, fmt.Errorf("%s favor-fusion: %w", name, err)
+		measure := func(strategy comm.Strategy) (*Measurement, error) {
+			co := comm.DefaultOptions(procs)
+			co.Strategy = strategy
+			m, err := Measure(e, b.Source, driver.Options{Level: core.C2F3, Configs: e.configs(b), Comm: &co}, procs)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", name, strategy, err)
+			}
+			return m, nil
 		}
-
-		cm := comm.DefaultOptions(procs)
-		cm.Strategy = comm.FavorComm
-		cc, err := driver.Compile(b.Source, hooked(driver.Options{Level: core.C2F3, Configs: cfg, Comm: &cm}))
-		if err != nil {
-			return Sec55Row{}, fmt.Errorf("%s favor-comm: %w", name, err)
-		}
-		cmMeas, err := Measure(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &cm}, procs)
-		if err != nil {
-			return Sec55Row{}, fmt.Errorf("%s favor-comm: %w", name, err)
-		}
-
-		// Count the contraction opportunities favor-comm disables.
-		ff, err := driver.Compile(b.Source, hooked(driver.Options{Level: core.C2F3, Configs: cfg, Comm: &fuse}))
+		fuse, err := measure(comm.FavorFusion)
 		if err != nil {
 			return Sec55Row{}, err
 		}
-		lost := len(ff.Plan.Contracted) - len(cc.Plan.Contracted)
+		cm, err := measure(comm.FavorComm)
+		if err != nil {
+			return Sec55Row{}, err
+		}
 
-		row := Sec55Row{Benchmark: name, Slowdown: map[string]float64{}, LostContr: lost}
+		row := Sec55Row{
+			Benchmark: name,
+			Slowdown:  map[string]float64{},
+			// The contraction opportunities favor-comm disables.
+			LostContr: len(fuse.Compilation.Plan.Contracted) - len(cm.Compilation.Plan.Contracted),
+		}
 		for _, m := range machine.Models() {
-			base := fm.Cycles[m.Name]
-			if base > 0 {
-				row.Slowdown[m.Name] = (cmMeas.Cycles[m.Name]/base - 1) * 100
+			if base := fuse.Cycles[m.Name]; base > 0 {
+				row.Slowdown[m.Name] = (cm.Cycles[m.Name]/base - 1) * 100
 			}
 		}
 		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // FormatSec55 renders the study.

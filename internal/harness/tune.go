@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -37,8 +36,8 @@ type TuneRow struct {
 // (c2+f4) under the analytic T3E cycle model and reports how close the
 // greedy heuristic comes to the searched (and, where proven, optimal)
 // plan.
-func RunTune() ([]TuneRow, error) {
-	return parallelMap(programs.All(), func(_ int, b programs.Benchmark) (TuneRow, error) {
+func RunTune(e *Env) ([]TuneRow, error) {
+	return parallelMap(e, programs.All(), func(b programs.Benchmark) (TuneRow, error) {
 		model := tune.CycleModel{M: machine.T3E(), Procs: 1}
 		res, err := tune.Tune(context.Background(), b.Source, tune.Options{
 			Level: core.C2F4,
@@ -103,13 +102,4 @@ func FormatTune(rows []TuneRow) string {
 		"the greedy heuristic is within %.1f%% of the proven optimum.\n",
 		provenCount, maxGap)
 	return b.String()
-}
-
-// TuneJSON serializes the rows for results/tune.json.
-func TuneJSON(rows []TuneRow) ([]byte, error) {
-	buf, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
 }

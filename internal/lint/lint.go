@@ -12,6 +12,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -20,10 +21,9 @@ import (
 	"repro/internal/ast"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/liveness"
 	"repro/internal/mhp"
-	"repro/internal/lower"
-	"repro/internal/parser"
 	"repro/internal/remark"
 	"repro/internal/scalarize"
 	"repro/internal/sema"
@@ -158,26 +158,12 @@ func Run(src string, opt Options) (*Result, error) {
 	if opt.File == "" {
 		opt.File = "<input>"
 	}
-	var errs source.ErrorList
-	prog := parser.Parse(src, &errs)
-	if errs.HasErrors() {
-		return nil, errs.Err()
+	airProg, info, err := driver.FrontEnd(context.TODO(), src, opt.Configs, driver.Hooks{})
+	if err != nil {
+		return nil, err
 	}
-	info := sema.Check(prog, opt.Configs, &errs)
-	if errs.HasErrors() {
-		return nil, errs.Err()
-	}
-	airProg := lower.Lower(info, &errs)
-	if errs.HasErrors() {
-		return nil, errs.Err()
-	}
-	var cfg core.Config
-	if opt.Procs > 1 {
-		comm.Insert(airProg, comm.DefaultOptions(opt.Procs))
-		// Distributed arrays cannot host realigned temporaries (mirrors
-		// the driver's distributed planning configuration).
-		cfg.DisableRealign = true
-	}
+	co := comm.DefaultOptions(opt.Procs)
+	_, cfg := driver.Distribute(airProg, &co, driver.Hooks{})
 	plan := core.ApplyEx(airProg, opt.Level, cfg)
 	lirProg, err := scalarize.Scalarize(airProg, plan)
 	if err != nil {

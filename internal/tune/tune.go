@@ -13,11 +13,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/job"
 	"repro/internal/liveness"
-	"repro/internal/lower"
 	"repro/internal/machine"
-	"repro/internal/parser"
-	"repro/internal/sema"
-	"repro/internal/source"
 )
 
 // CompileError marks a failure of the source itself (parse, sema,
@@ -110,32 +106,16 @@ type Result struct {
 	MeasuredBackend string `json:"measured_backend,omitempty"`
 }
 
-// frontEnd replicates the driver pipeline up to the planning phase:
-// parse, sema (with config overrides), lower, and — for distributed
-// tuning — communication insertion with the derived core.Config.
-func frontEnd(src string, configs map[string]int64, commOpt *comm.Options) (*air.Program, core.Config, error) {
-	var cfg core.Config
-	var errs source.ErrorList
-	prog := parser.Parse(src, &errs)
-	if errs.HasErrors() {
-		return nil, cfg, &CompileError{Err: errs.Err()}
+// frontEnd is the driver's pipeline up to the planning phase (front
+// half, then communication insertion for distributed tuning), with a
+// failure of the source typed as a compile error.
+func frontEnd(ctx context.Context, src string, configs map[string]int64, commOpt *comm.Options) (*air.Program, core.Config, error) {
+	prog, _, err := driver.FrontEnd(ctx, src, configs, driver.Hooks{})
+	if err != nil {
+		return nil, core.Config{}, &CompileError{Err: err}
 	}
-	info := sema.Check(prog, configs, &errs)
-	if errs.HasErrors() {
-		return nil, cfg, &CompileError{Err: errs.Err()}
-	}
-	airProg := lower.Lower(info, &errs)
-	if errs.HasErrors() {
-		return nil, cfg, &CompileError{Err: errs.Err()}
-	}
-	if commOpt != nil && commOpt.Procs > 1 {
-		comm.Insert(airProg, *commOpt)
-		cfg.DisableRealign = true
-		if commOpt.Strategy == comm.FavorComm {
-			cfg.SegmentFn = comm.Segments
-		}
-	}
-	return airProg, cfg, nil
+	_, cfg := driver.Distribute(prog, commOpt, driver.Hooks{})
+	return prog, cfg, nil
 }
 
 // Tune searches for the best legal fusion/contraction plan of the
@@ -145,7 +125,7 @@ func frontEnd(src string, configs map[string]int64, commOpt *comm.Options) (*air
 // enumeration covers the whole legal space.
 func Tune(ctx context.Context, src string, opt Options) (*Result, error) {
 	model := opt.model()
-	prog, cfg, err := frontEnd(src, opt.Configs, opt.Comm)
+	prog, cfg, err := frontEnd(ctx, src, opt.Configs, opt.Comm)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +218,7 @@ func Tune(ctx context.Context, src string, opt Options) (*Result, error) {
 	// Score every ladder rung for the comparison table, each through
 	// its own fresh front end (realignment mutates the AIR).
 	for _, lvl := range core.AllLevels() {
-		s, err := scoreLevel(src, opt, lvl, model)
+		s, err := scoreLevel(ctx, src, opt, lvl, model)
 		if err != nil {
 			return nil, err
 		}
@@ -258,8 +238,8 @@ func Tune(ctx context.Context, src string, opt Options) (*Result, error) {
 
 // scoreLevel compiles the program fresh at one ladder level and sums
 // the model score over its blocks.
-func scoreLevel(src string, opt Options, lvl core.Level, model CostModel) (float64, error) {
-	prog, cfg, err := frontEnd(src, opt.Configs, opt.Comm)
+func scoreLevel(ctx context.Context, src string, opt Options, lvl core.Level, model CostModel) (float64, error) {
+	prog, cfg, err := frontEnd(ctx, src, opt.Configs, opt.Comm)
 	if err != nil {
 		return 0, err
 	}
