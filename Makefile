@@ -7,10 +7,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test vet race check serve-test ci experiments \
+.PHONY: all build test vet fmt-check race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit results-check tune-smoke backend-diff \
 	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke \
-	bench-smoke loc
+	bench-smoke plan-guard loc
 
 all: build test
 
@@ -23,6 +23,11 @@ test: build
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to say about any tracked Go
+# file outside bench/ (frozen by BENCHMARK.json, its own module).
+fmt-check:
+	@test -z "$$(gofmt -l cmd internal zpl *.go)" || { echo "gofmt -l:"; gofmt -l cmd internal zpl *.go; exit 1; }
 
 # The distributed interpreter and the experiment harness are
 # concurrent; the race detector is part of the bar, not optional.
@@ -169,6 +174,18 @@ bench-smoke: build
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# Partitioner guard: the plan-identity and complexity tests of the
+# fusion partitioner, re-run fresh — distributed plans and remarks
+# against testdata/plans/dist_hashes.json, the production greedy against
+# the literal f4 rescan on benchmarks and random graphs, and the
+# allocation ceiling on the sp c2+f4 p=2 compile. All of them are
+# ordinary tier-1 tests; this target is the one to run after touching
+# internal/core.
+plan-guard: build
+	$(GO) test -count=1 -run 'TestGoldenPlans' .
+	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates' ./internal/core
+	$(GO) test -count=1 -run 'TestCompileDistAllocs' ./internal/driver
+
 # Non-test Go lines per top-level directory, so a simplicity PR quotes a
 # reproducible before/after instead of a hand count. bench/ (its own
 # module, frozen by BENCHMARK.json) and results/ are excluded. Override
@@ -184,7 +201,7 @@ loc:
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary
 # package tests, so `test` runs them and `race` runs them under -race.
-ci: vet test race serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
+ci: vet fmt-check test race plan-guard serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
 
 experiments:
 	$(GO) run ./cmd/experiments

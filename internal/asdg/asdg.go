@@ -25,9 +25,11 @@ type Graph struct {
 	// segment; the FavorComm strategy forbids fusion across segments.
 	Seg []int
 
-	succ [][]int
-	pred [][]int
-	idx  map[[2]int]int // (from,to) -> index into Edges
+	succ   [][]int
+	pred   [][]int
+	idx    map[[2]int]int   // (from,to) -> index into Edges
+	arrays [][]string       // vertex -> arrays it references, with repeats
+	refs   map[string][]int // array -> vertices referencing it, ascending
 }
 
 // Build computes dependences among stmts and assembles the graph.
@@ -39,11 +41,21 @@ func Build(stmts []air.Stmt) *Graph {
 // computation (used by ablations, e.g. dep.ComputeNaive).
 func BuildWith(stmts []air.Stmt, computeDeps func([]air.Stmt) []dep.Edge) *Graph {
 	g := &Graph{
-		Stmts: stmts,
-		Edges: computeDeps(stmts),
-		succ:  make([][]int, len(stmts)),
-		pred:  make([][]int, len(stmts)),
-		idx:   map[[2]int]int{},
+		Stmts:  stmts,
+		Edges:  computeDeps(stmts),
+		succ:   make([][]int, len(stmts)),
+		pred:   make([][]int, len(stmts)),
+		idx:    map[[2]int]int{},
+		arrays: make([][]string, len(stmts)),
+		refs:   map[string][]int{},
+	}
+	for v, s := range stmts {
+		g.arrays[v] = referenced(s)
+		for _, x := range g.arrays[v] {
+			if at := g.refs[x]; len(at) == 0 || at[len(at)-1] != v {
+				g.refs[x] = append(at, v)
+			}
+		}
 	}
 	for i, e := range g.Edges {
 		g.succ[e.From] = append(g.succ[e.From], e.To)

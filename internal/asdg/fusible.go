@@ -1,6 +1,8 @@
 package asdg
 
 import (
+	"slices"
+
 	"repro/internal/air"
 	"repro/internal/sema"
 )
@@ -35,24 +37,34 @@ func (g *Graph) StmtRegion(v int) *sema.Region {
 // References reports whether vertex v references array x (as a read,
 // write, reduction input, or communication subject).
 func (g *Graph) References(v int, x string) bool {
-	switch s := g.Stmts[v].(type) {
+	_, found := slices.BinarySearch(g.refs[x], v)
+	return found
+}
+
+// Referencing returns, in program order, the vertices that reference
+// array x. The slice is the graph's own.
+func (g *Graph) Referencing(x string) []int { return g.refs[x] }
+
+// Arrays returns the arrays vertex v references, once per reference:
+// the written array, then each read (for a communication statement,
+// its subject). The slice is the graph's own.
+func (g *Graph) Arrays(v int) []string { return g.arrays[v] }
+
+// referenced lists the arrays a statement references, with repeats.
+func referenced(s air.Stmt) []string {
+	var out []string
+	switch s := s.(type) {
 	case *air.ArrayStmt:
-		if s.LHS == x {
-			return true
-		}
+		out = append(out, s.LHS)
 		for _, r := range s.Reads() {
-			if r.Array == x {
-				return true
-			}
+			out = append(out, r.Array)
 		}
 	case *air.ReduceStmt:
 		for _, r := range air.Refs(s.Body) {
-			if r.Array == x {
-				return true
-			}
+			out = append(out, r.Array)
 		}
 	case *air.CommStmt:
-		return s.Array == x
+		out = append(out, s.Array)
 	}
-	return false
+	return out
 }

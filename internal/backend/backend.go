@@ -179,11 +179,11 @@ func (s *Store) Stats() Stats {
 
 // Artifact is one built native program.
 type Artifact struct {
-	Key   string // content address: hex SHA-256 of (toolchain, source)
-	Dir   string // the artifact's directory in the store
-	Src   string // path of the emitted Go source
-	Bin   string // path of the built binary
-	Hit   bool   // served from the store without invoking the toolchain
+	Key   string        // content address: hex SHA-256 of (toolchain, source)
+	Dir   string        // the artifact's directory in the store
+	Src   string        // path of the emitted Go source
+	Bin   string        // path of the built binary
+	Hit   bool          // served from the store without invoking the toolchain
 	Build time.Duration // toolchain wall clock (0 on a hit)
 }
 

@@ -1,12 +1,20 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/air"
 	"repro/internal/asdg"
+	"repro/internal/comm"
 	"repro/internal/dep"
+	"repro/internal/liveness"
+	"repro/internal/lower"
+	"repro/internal/programs"
 	"repro/internal/sema"
+	"repro/internal/source"
 )
 
 func off(vs ...int) air.Offset { return air.Offset(vs) }
@@ -434,5 +442,373 @@ func TestLevelParsingExtensions(t *testing.T) {
 	}
 	if !C2F4S.ContractsUsers() || !C2F4S.FusesUsers() {
 		t.Error("c2+f4s capability flags wrong")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The partitioner against its definition.
+//
+// The production partitioner maintains a cluster condensation, memoises
+// failed pairs and pre-filters by class. The references below do none
+// of that: they execute Fig. 3's GROW, Definition 5 and the f4 rescan
+// literally, on nothing but the rep vector and the ASDG's edges — the
+// code the optimized paths replaced. Identical merge results on the
+// benchmarks and on random graphs are what "a complexity fix, not a
+// heuristic change" means.
+
+// refGrow is GROW with the condensation rebuilt from every edge.
+func refGrow(p *Partition, c map[int]bool) map[int]bool {
+	succ, pred := map[int][]int{}, map[int][]int{}
+	for _, e := range p.G.Edges {
+		if a, b := p.rep[e.From], p.rep[e.To]; a != b {
+			succ[a] = append(succ[a], b)
+			pred[b] = append(pred[b], a)
+		}
+	}
+	reach := func(adj map[int][]int) map[int]bool {
+		seen := map[int]bool{}
+		var stack []int
+		for s := range c {
+			stack = append(stack, s)
+		}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range adj[v] {
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+		return seen
+	}
+	down, up := reach(succ), reach(pred)
+	out := map[int]bool{}
+	for v := range down {
+		if up[v] && !c[v] {
+			out[v] = true
+		}
+	}
+	return out
+}
+
+// refFusionOK is FUSION-PARTITION? as Definition 5 reads, plus the
+// segment rule, over the vertices of the clusters in cs.
+func refFusionOK(p *Partition, cs map[int]bool) bool {
+	if len(cs) < 2 {
+		return true
+	}
+	g := p.G
+	first := -1
+	for v, r := range p.rep {
+		if !cs[r] {
+			continue
+		}
+		if !g.IsFusible(v) {
+			return false
+		}
+		if first < 0 {
+			first = v
+		}
+		if !Translates(g.StmtRegion(first), g.StmtRegion(v)) || g.Seg != nil && g.Seg[v] != g.Seg[first] {
+			return false
+		}
+	}
+	vectors, flowsNull, ok := p.IntraVectors(cs)
+	if !ok || !flowsNull {
+		return false
+	}
+	_, found := FindLoopStructure(g.StmtRegion(first).Rank(), vectors)
+	return found
+}
+
+// refGreedy is the f4 rescan as first written: after every merge start
+// over from the first pair, test every pair again. minShared > 0 is
+// the spatial variant, its reference sets recomputed per pair.
+func refGreedy(p *Partition, minShared int) *Partition {
+	refs := func(c int) map[string]bool {
+		out := map[string]bool{}
+		for _, v := range p.Members(c) {
+			switch s := p.G.Stmts[v].(type) {
+			case *air.ArrayStmt:
+				out[s.LHS] = true
+				for _, r := range s.Reads() {
+					out[r.Array] = true
+				}
+			case *air.ReduceStmt:
+				for _, r := range air.Refs(s.Body) {
+					out[r.Array] = true
+				}
+			}
+		}
+		return out
+	}
+	for {
+		merged := false
+		cl := p.Clusters()
+		for i := 0; i < len(cl) && !merged; i++ {
+			for j := i + 1; j < len(cl) && !merged; j++ {
+				if minShared > 0 {
+					shared, rj := 0, refs(cl[j])
+					for x := range refs(cl[i]) {
+						if rj[x] {
+							shared++
+						}
+					}
+					if shared < minShared {
+						continue
+					}
+				}
+				c := map[int]bool{cl[i]: true, cl[j]: true}
+				for d := range refGrow(p, c) {
+					c[d] = true
+				}
+				if refFusionOK(p, c) {
+					p.MergeSet(c)
+					merged = true
+				}
+			}
+		}
+		if !merged {
+			return p
+		}
+	}
+}
+
+// randomGraph builds the ASDG of a random block: array statements over
+// two conformable regions and one that is not, neighbour offsets,
+// reductions, and unfusible statements (communication, scalar
+// assignments, a writeln barrier); half the graphs carry segment
+// labels.
+func randomGraph(r *rand.Rand) *asdg.Graph {
+	regions := []*sema.Region{
+		reg2(8, 8),
+		{Lo: []int{2, 2}, Hi: []int{9, 9}},
+		reg2(6, 8),
+	}
+	array := func() string { return fmt.Sprintf("A%d", r.Intn(6)) }
+	reads := func() []air.Ref {
+		out := make([]air.Ref, 1+r.Intn(3))
+		for i := range out {
+			out[i] = ref(array(), r.Intn(3)-1, r.Intn(3)-1)
+		}
+		return out
+	}
+	var stmts []air.Stmt
+	for n := 4 + r.Intn(12); len(stmts) < n; {
+		reg := regions[r.Intn(len(regions))]
+		switch k := r.Intn(20); {
+		case k < 15:
+			stmts = append(stmts, arrStmt(reg, array(), reads()...))
+		case k < 17:
+			stmts = append(stmts, &air.ReduceStmt{Target: "s", Region: reg, Body: arrStmt(reg, "", reads()...).RHS})
+		case k < 18:
+			stmts = append(stmts, &air.CommStmt{Array: array(), Off: off(0, 1), Region: reg})
+		case k < 19:
+			stmts = append(stmts, &air.ScalarStmt{LHS: "s", RHS: &air.ConstExpr{Val: 1}})
+		default:
+			stmts = append(stmts, &air.WritelnStmt{Args: []air.WriteArg{{Str: "x"}}})
+		}
+	}
+	g := asdg.Build(stmts)
+	if r.Intn(2) == 0 {
+		g.Seg = make([]int, len(stmts))
+		for v := 1; v < len(stmts); v++ {
+			g.Seg[v] = g.Seg[v-1]
+			if r.Intn(5) == 0 {
+				g.Seg[v]++
+			}
+		}
+	}
+	return g
+}
+
+// sameGreedy runs the production and the reference greedy from copies
+// of start and requires the same clusters.
+func sameGreedy(t *testing.T, what string, start *Partition) {
+	t.Helper()
+	for _, minShared := range []int{0, 1, 2} {
+		got, want := greedyPairs(start.Clone(), minShared), refGreedy(start.Clone(), minShared)
+		if !reflect.DeepEqual(got.rep, want.rep) {
+			t.Errorf("%s, minShared %d:\n got  %s\n want %s", what, minShared, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s, minShared %d: %v", what, minShared, err)
+		}
+	}
+}
+
+func TestGreedyMatchesReferenceOnBenchmarks(t *testing.T) {
+	for _, b := range programs.All() {
+		for _, mode := range []string{"seq", "p2", "p2 favor-comm"} {
+			var errs source.ErrorList
+			prog := lower.Lower(lowerBench(t, b.Name), &errs)
+			if errs.HasErrors() {
+				t.Fatal(errs.Err())
+			}
+			if mode != "seq" {
+				comm.Insert(prog, comm.DefaultOptions(2))
+			}
+			cands := liveness.Candidates(prog)
+			for bi, blk := range prog.AllBlocks() {
+				g := asdg.Build(blk.Stmts)
+				if mode == "p2 favor-comm" {
+					g.Seg = comm.Segments(blk.Stmts)
+				}
+				what := fmt.Sprintf("%s %s block %d", b.Name, mode, bi)
+				sameGreedy(t, what+" from trivial", Trivial(g))
+				p, _ := FusionForContraction(g, nil, cands[blk])
+				sameGreedy(t, what+" from c2+f3", FusionForLocality(g, p, AllArrays(g)))
+			}
+		}
+	}
+}
+
+func TestGreedyMatchesReferenceOnRandomGraphs(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 300; i++ {
+		g := randomGraph(r)
+		start := Trivial(g)
+		start.NoCarriedAnti = i%3 == 0
+		what := fmt.Sprintf("graph %d (anti %v, seg %v)", i, start.NoCarriedAnti, g.Seg != nil)
+		sameGreedy(t, what, start)
+		if t.Failed() {
+			t.Fatalf("%s:\n%s", what, g)
+		}
+	}
+}
+
+// randomSet picks k distinct clusters of p.
+func randomSet(r *rand.Rand, p *Partition, k int) map[int]bool {
+	cl := p.Clusters()
+	cs := map[int]bool{}
+	for _, i := range r.Perm(len(cl))[:min(k, len(cl))] {
+		cs[cl[i]] = true
+	}
+	return cs
+}
+
+// TestCondensationTracksMerges drives random legal merge sequences and
+// after every merge compares what the partition maintains with what
+// the definitions give: GROW and FUSION-PARTITION? on random sets, and
+// the member and adjacency lists against a fresh condensation of rep.
+func TestCondensationTracksMerges(t *testing.T) {
+	lists := func(p *Partition) string { return fmt.Sprint(p.members, p.succ, p.pred, p.count) }
+	r := rand.New(rand.NewSource(61))
+	merges := 0
+	for i := 0; i < 200; i++ {
+		g := randomGraph(r)
+		p := Trivial(g)
+		p.NoCarriedAnti = i%4 == 0
+		for try := 0; try < 2*g.N(); try++ {
+			cs := randomSet(r, p, 2)
+			for d := range p.Grow(cs) {
+				cs[d] = true
+			}
+			if refFusionOK(p, cs) {
+				p.MergeSet(cs)
+				merges++
+			}
+			fresh := &Partition{G: g, rep: append([]int(nil), p.rep...)}
+			fresh.condense()
+			if got, want := lists(p), lists(fresh); got != want {
+				t.Fatalf("graph %d: condensation after merging %v:\n got  %s\n want %s\n%s", i, cs, got, want, g)
+			}
+			if got, want := lists(p.Clone()), lists(p); got != want {
+				t.Fatalf("graph %d: clone differs:\n got  %s\n want %s", i, got, want)
+			}
+			for k := 1; k <= 3; k++ {
+				cs := randomSet(r, p, k)
+				if got, want := p.Grow(cs), refGrow(p, cs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("graph %d: Grow(%v) = %v, want %v\n%s\n%s", i, cs, got, want, p, g)
+				}
+				if got, want := FusionOK(p, cs), refFusionOK(p, cs); got != want {
+					t.Fatalf("graph %d: FusionOK(%v) = %v, want %v\n%s\n%s", i, cs, got, want, p, g)
+				}
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("graph %d: %v", i, err)
+		}
+	}
+	if merges < 200 {
+		t.Errorf("only %d merges exercised", merges)
+	}
+}
+
+// TestFusionAntiMonotone checks the property the failed-pair memo and
+// the class pre-filter rest on: a cluster set that fails
+// FUSION-PARTITION? fails with any clusters added, before and after
+// merges (which only ever add vertices to a closure).
+func TestFusionAntiMonotone(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	failing := 0
+	for i := 0; i < 300; i++ {
+		g := randomGraph(r)
+		p := Trivial(g)
+		p.NoCarriedAnti = i%3 == 0
+		if i%2 == 0 {
+			p = GreedyPairwiseShared(p, 2) // some multi-statement clusters
+		}
+		for try := 0; try < 20; try++ {
+			cs := randomSet(r, p, 2+r.Intn(2))
+			if FusionOK(p, cs) {
+				continue
+			}
+			failing++
+			for c := range randomSet(r, p, 1+r.Intn(3)) {
+				cs[c] = true
+			}
+			if FusionOK(p, cs) || refFusionOK(p, cs) {
+				t.Fatalf("graph %d: superset %v of a failing set passes\n%s\n%s", i, cs, p, g)
+			}
+		}
+	}
+	if failing < 1000 {
+		t.Errorf("only %d failing sets exercised", failing)
+	}
+}
+
+// TestGrowSteadyStateAllocs: once the partition's scratch has grown,
+// GROW allocates its result map and nothing else.
+func TestGrowSteadyStateAllocs(t *testing.T) {
+	// A chain T → Y → Z: GROW({T, Z}) = {Y}.
+	r := reg2(8, 8)
+	p := Trivial(asdg.Build([]air.Stmt{
+		arrStmt(r, "T", ref("A", 0, 0)),
+		arrStmt(r, "Y", ref("T", 0, 0)),
+		arrStmt(r, "Z", ref("Y", 0, 0)),
+	}))
+	ends := map[int]bool{0: true, 2: true}
+	if got := p.Grow(ends); !reflect.DeepEqual(got, map[int]bool{1: true}) {
+		t.Fatalf("Grow = %v, want {1}", got)
+	}
+	var sink map[int]bool
+	result := testing.AllocsPerRun(100, func() {
+		sink = map[int]bool{}
+		sink[1] = true
+	})
+	if got := testing.AllocsPerRun(100, func() { sink = p.Grow(ends) }); got > result {
+		t.Errorf("Grow allocates %.0f times, its result alone %.0f", got, result)
+	}
+}
+
+// TestNonRepresentativeKeys: any member vertex names its cluster.
+func TestNonRepresentativeKeys(t *testing.T) {
+	r := reg2(8, 8)
+	g := asdg.Build([]air.Stmt{
+		arrStmt(r, "B", ref("A", 0, 0)),
+		arrStmt(r, "C", ref("B", 0, 0)),
+		arrStmt(r, "D", ref("C", 0, 0)),
+	})
+	p := Trivial(g)
+	p.MergeSet(map[int]bool{0: true, 1: true})
+	if ls, ok := p.LoopStructureFor(1); ls != nil || !ok {
+		t.Errorf("LoopStructureFor(non-representative) = %v, %v; want nil, true", ls, ok)
+	}
+	p.MergeSet(map[int]bool{1: true, 2: true}) // 1 names cluster {0, 1}
+	if p.NumClusters() != 1 || p.ClusterOf(2) != 0 {
+		t.Errorf("MergeSet through a member vertex: %s", p)
 	}
 }

@@ -7,35 +7,21 @@ import (
 	"repro/internal/asdg"
 	"repro/internal/dep"
 	"repro/internal/remark"
-	"repro/internal/sema"
 	"repro/internal/source"
 )
 
-// fuseDiag is the verdict of the FUSION-PARTITION? predicate with
-// evidence: when !OK, Test names the failed legality test and Edge (or
-// Pos) points at the concrete witness.
-type fuseDiag struct {
+// diagnosis is a rendered verdict: when !OK, Test names the failed
+// legality test and Edge (or Pos) points at the concrete witness. When
+// CONTRACTIBLE? is blocked by exactly one dependence item attributable
+// to a single read offset, Fixit carries an actionable suggestion.
+type diagnosis struct {
 	OK     bool
 	Test   string
 	Reason string
 	Detail string
+	Fixit  string
 	Pos    source.Pos
 	Edge   *remark.Edge
-}
-
-// contractDiag is the verdict of the CONTRACTIBLE? predicate with
-// evidence. Offending counts the blocking dependence items; when it is
-// exactly 1 and attributable to a single read offset, Fixit carries an
-// actionable suggestion.
-type contractDiag struct {
-	OK        bool
-	Test      string
-	Reason    string
-	Detail    string
-	Fixit     string
-	Pos       source.Pos
-	Edge      *remark.Edge
-	Offending int
 }
 
 // witnessEdge renders a dependence item as a remark witness.
@@ -55,196 +41,229 @@ func witnessEdge(g *asdg.Graph, e *dep.Edge, it dep.Item) *remark.Edge {
 	}
 }
 
-// setMembers returns, in ascending vertex order, the members of every
-// cluster in cs. Vertex order keeps the diagnosis deterministic (map
-// iteration over cs is not).
-func setMembers(p *Partition, cs map[int]bool) []int {
-	var out []int
-	for v := 0; v < p.G.N(); v++ {
-		if cs[p.rep[v]] {
-			out = append(out, v)
-		}
-	}
-	return out
+// verdict is the compact outcome of a legality check — which test
+// failed and the indices of its witness, nothing rendered. The greedy
+// loops run thousands of checks and keep only ok(); explainBlock hands
+// the few verdicts it records to the renderers below. One check, one
+// renderer per predicate: a remark cannot contradict the decision it
+// explains, and the decision does not pay for the explanation.
+type verdict struct {
+	test       string // remark.Test* of the first violated test; "" when none
+	v, ref     int    // segment, fusible, conformable: the offending vertex and the one it is compared with
+	edge, item int    // dependence tests: the witness is G.Edges[edge].Items[item]
+	offending  int    // contraction: how many dependence items block it
 }
 
-// diagnoseFusion is fusionPartitionOK with evidence: it re-checks
-// every Definition 5 condition (plus the segment constraint) over the
-// would-be merged cluster set and, on failure, reports which test
-// failed and the first offending statement or dependence edge in
-// program order. The success path performs exactly the checks of
-// fusionPartitionOK; witnesses are only materialized on failure.
-func diagnoseFusion(p *Partition, cs map[int]bool) fuseDiag {
-	if len(cs) < 2 {
-		return fuseDiag{OK: true}
+func (d verdict) ok() bool { return d.test == "" }
+
+// checkFusion is the FUSION-PARTITION? predicate: merging the clusters
+// in set must yield a valid fusion partition (Definition 5, plus the
+// segment constraint). Inter-cluster cycles are not checked — the
+// caller has closed set under GROW (the paper makes the same
+// observation). The verdict names the first violated test and the
+// first offending statement or dependence item in program order.
+//
+// Exact translates of a region are admitted as well as equal regions
+// (equal extents, shifted bounds): realigned compiler temporaries
+// produce such clusters, and scalarization guards the shifted
+// statements inside the union loop nest.
+func checkFusion(p *Partition, set []int) verdict {
+	g := p.G
+	p.in.reset(len(p.rep))
+	n := 0
+	for _, c := range set {
+		if p.in.add(c) {
+			n++
+		}
 	}
-	members := setMembers(p, cs)
+	if n < 2 {
+		return verdict{}
+	}
 
 	// FavorComm segment constraint: fusion may not cross a
 	// communication primitive (it would shrink the overlap window).
-	if p.G.Seg != nil {
-		seg, segV := -1, -1
-		for _, v := range members {
-			if seg < 0 {
-				seg, segV = p.G.Seg[v], v
-			} else if p.G.Seg[v] != seg {
-				return fuseDiag{
-					Test:   remark.TestSegment,
-					Reason: "fusion would cross a communication segment boundary",
-					Detail: fmt.Sprintf("v%d is in segment %d, v%d in segment %d", segV, seg, v, p.G.Seg[v]),
-					Pos:    air.PosOf(p.G.Stmts[v]),
-				}
+	if g.Seg != nil {
+		first := -1
+		for v, r := range p.rep {
+			switch {
+			case !p.in.has(r):
+			case first < 0:
+				first = v
+			case g.Seg[v] != g.Seg[first]:
+				return verdict{test: remark.TestSegment, v: v, ref: first}
 			}
 		}
 	}
 
 	// Conditions (i) + fusibility: every member statement is fusible
 	// and operates under one region (or an exact translate of it).
-	var reg *sema.Region
-	var regV int
-	for _, v := range members {
-		if !p.G.IsFusible(v) {
-			return fuseDiag{
-				Test:   remark.TestFusible,
-				Reason: fmt.Sprintf("statement v%d is not a fusible (normalized) statement", v),
-				Detail: "cycle closure (GROW) may have pulled the statement into the merge set",
-				Pos:    air.PosOf(p.G.Stmts[v]),
-			}
-		}
-		r := p.G.StmtRegion(v)
-		if reg == nil {
-			reg, regV = r, v
-		} else if !Translates(reg, r) {
-			return fuseDiag{
-				Test:   remark.TestConformable,
-				Reason: "member statements iterate over non-conformable regions",
-				Detail: fmt.Sprintf("v%d runs over %s, v%d over %s", regV, reg, v, r),
-				Pos:    air.PosOf(p.G.Stmts[v]),
-			}
+	first := -1
+	for v, r := range p.rep {
+		switch {
+		case !p.in.has(r):
+		case !g.IsFusible(v):
+			return verdict{test: remark.TestFusible, v: v}
+		case first < 0:
+			first = v
+		case !Translates(g.StmtRegion(first), g.StmtRegion(v)):
+			return verdict{test: remark.TestConformable, v: v, ref: first}
 		}
 	}
 
 	// Conditions (ii) and (iv) over the would-be intra-cluster deps.
-	vectors, flowsNull, ok := p.IntraVectors(cs)
-	if !ok || !flowsNull {
-		// Walk the edges again to attribute the failure to the first
-		// offending item in program order.
-		for ei := range p.G.Edges {
-			e := &p.G.Edges[ei]
-			if !cs[p.rep[e.From]] || !cs[p.rep[e.To]] {
-				continue
-			}
-			for _, it := range e.Items {
-				switch {
-				case !it.Vector:
-					return fuseDiag{
-						Test:   remark.TestOrderingOnly,
-						Reason: "an intra-cluster dependence carries no distance vector",
-						Edge:   witnessEdge(p.G, e, it),
-						Pos:    air.PosOf(p.G.Stmts[e.From]),
-					}
-				case it.Kind == dep.Flow && !it.U.IsZero():
-					return fuseDiag{
-						Test:   remark.TestNullFlow,
-						Reason: "fusing would make a non-null flow dependence intra-cluster (contraction-unsafe ordering)",
-						Edge:   witnessEdge(p.G, e, it),
-						Pos:    air.PosOf(p.G.Stmts[e.From]),
-					}
-				case p.NoCarriedAnti && it.Kind == dep.Anti && !it.U.IsZero():
-					return fuseDiag{
-						Test:   remark.TestCarriedAnti,
-						Reason: "the fused cluster would carry a non-null anti dependence (emulated compiler restriction)",
-						Edge:   witnessEdge(p.G, e, it),
-						Pos:    air.PosOf(p.G.Stmts[e.From]),
-					}
-				}
-			}
+	vecs := p.vecs[:0]
+	nonNull := verdict{}
+	for ei := range g.Edges {
+		e := &g.Edges[ei]
+		if !p.in.has(p.rep[e.From]) || !p.in.has(p.rep[e.To]) {
+			continue
 		}
-		// Unreachable: IntraVectors failed, so an offender exists.
-		return fuseDiag{Test: remark.TestNullFlow, Reason: "intra-cluster dependence vectors are illegal"}
+		for ii := range e.Items {
+			it := &e.Items[ii]
+			switch {
+			case !it.Vector:
+				return verdict{test: remark.TestOrderingOnly, edge: ei, item: ii}
+			case it.U.IsZero():
+			case it.Kind == dep.Flow:
+				return verdict{test: remark.TestNullFlow, edge: ei, item: ii}
+			case it.Kind == dep.Anti && p.NoCarriedAnti:
+				return verdict{test: remark.TestCarriedAnti, edge: ei, item: ii}
+			case nonNull.ok():
+				nonNull = verdict{test: remark.TestLoopStructure, edge: ei, item: ii}
+			}
+			vecs = append(vecs, it.U)
+		}
 	}
-	if _, found := FindLoopStructure(reg.Rank(), vectors); !found {
-		d := fuseDiag{
-			Test:   remark.TestLoopStructure,
-			Reason: "FIND-LOOP-STRUCTURE: no loop structure vector preserves every intra-cluster dependence",
-			Detail: fmt.Sprintf("intra-cluster distance vectors %v", vectors),
+	p.vecs = vecs
+	// An all-null vector set always admits the identity structure; the
+	// first non-null vector is the witness when none exists.
+	if !nonNull.ok() {
+		if _, found := FindLoopStructure(g.StmtRegion(first).Rank(), vecs); !found {
+			return nonNull
 		}
-		// Witness: the first non-null-vector dependence (an all-null
-		// vector set always admits the identity structure).
-		for ei := range p.G.Edges {
-			e := &p.G.Edges[ei]
-			if !cs[p.rep[e.From]] || !cs[p.rep[e.To]] {
-				continue
-			}
-			for _, it := range e.Items {
-				if it.Vector && !it.U.IsZero() {
-					d.Edge = witnessEdge(p.G, e, it)
-					d.Pos = air.PosOf(p.G.Stmts[e.From])
-					return d
-				}
-			}
-		}
-		return d
 	}
-	return fuseDiag{OK: true}
+	return verdict{}
 }
 
-// diagnoseContraction is contractible (Definition 6) with evidence:
-// every dependence due to x must run inside the fused cluster set with
-// a null unconstrained distance vector. On failure it reports the
-// first offending edge, counts all offenders, and — when a single
-// non-null flow dependence is the only blocker — emits a fix-it note
-// naming the read offset the user would have to align.
-func diagnoseContraction(p *Partition, x string, cs map[int]bool) contractDiag {
-	d := contractDiag{OK: true}
-	var fixOff air.Offset
+// checkContraction is the CONTRACTIBLE? predicate (Definition 6):
+// after fusing the clusters in set, array x is contractible iff every
+// dependence due to x runs between vertices of the fused cluster and
+// carries a null unconstrained distance vector. The verdict names the
+// first offending item and counts them all. The caller must also have
+// established that x's live range permits elimination (package
+// liveness).
+func checkContraction(p *Partition, x string, set []int) verdict {
+	p.in.reset(len(p.rep))
+	for _, c := range set {
+		p.in.add(c)
+	}
+	var d verdict
 	for ei := range p.G.Edges {
 		e := &p.G.Edges[ei]
-		for _, it := range e.Items {
-			if it.Var != x {
+		confined := p.in.has(p.rep[e.From]) && p.in.has(p.rep[e.To])
+		for ii := range e.Items {
+			it := &e.Items[ii]
+			test := ""
+			switch {
+			case it.Var != x:
+				continue
+			case !confined:
+				test = remark.TestConfined
+			case !it.Vector || !it.U.IsZero():
+				test = remark.TestNullVector
+			default:
 				continue
 			}
-			switch {
-			case !cs[p.ClusterOf(e.From)] || !cs[p.ClusterOf(e.To)]:
-				d.Offending++
-				fixOff = nil
-				if d.OK {
-					d.OK = false
-					d.Test = remark.TestConfined
-					d.Reason = fmt.Sprintf("a dependence on %s escapes the fused cluster (Def. 6 condition (i))", x)
-					d.Edge = witnessEdge(p.G, e, it)
-					d.Pos = air.PosOf(p.G.Stmts[e.To])
-				}
-			case !it.Vector || !it.U.IsZero():
-				d.Offending++
-				if d.OK {
-					d.OK = false
-					d.Test = remark.TestNullVector
-					if !it.Vector {
-						d.Reason = fmt.Sprintf("a dependence on %s carries no distance vector (Def. 6 condition (ii))", x)
-					} else {
-						d.Reason = fmt.Sprintf("a dependence on %s has non-null unconstrained distance vector %s (Def. 6 condition (ii))", x, it.U)
-					}
-					d.Edge = witnessEdge(p.G, e, it)
-					d.Pos = air.PosOf(p.G.Stmts[e.To])
-					if it.Kind == dep.Flow && it.Vector {
-						// u = src_off − dst_off and the producing write
-						// is at offset zero, so the offending read sits
-						// at −u.
-						fixOff = make(air.Offset, len(it.U))
-						for i, u := range it.U {
-							fixOff[i] = -u
-						}
-					}
-				} else {
-					fixOff = nil
-				}
+			if d.offending == 0 {
+				d.test, d.edge, d.item = test, ei, ii
 			}
+			d.offending++
 		}
 	}
-	if d.Offending == 1 && fixOff != nil {
-		d.Fixit = fmt.Sprintf("%s would contract but for the single read at offset %s (%s); aligning that reference with its producer (offset %s) enables contraction",
-			x, fixOff, d.Edge.ToPos, air.Zero(len(fixOff)))
-	}
 	return d
+}
+
+// diagnoseFusion renders checkFusion's verdict on the merge of the
+// clusters in cs as remark evidence.
+func diagnoseFusion(p *Partition, cs map[int]bool) diagnosis {
+	g := p.G
+	d := checkFusion(p, p.clustersOf(cs))
+	pos := func(v int) source.Pos { return air.PosOf(g.Stmts[v]) }
+	switch d.test {
+	case "":
+		return diagnosis{OK: true}
+	case remark.TestSegment:
+		return diagnosis{
+			Test:   d.test,
+			Reason: "fusion would cross a communication segment boundary",
+			Detail: fmt.Sprintf("v%d is in segment %d, v%d in segment %d", d.ref, g.Seg[d.ref], d.v, g.Seg[d.v]),
+			Pos:    pos(d.v),
+		}
+	case remark.TestFusible:
+		return diagnosis{
+			Test:   d.test,
+			Reason: fmt.Sprintf("statement v%d is not a fusible (normalized) statement", d.v),
+			Detail: "cycle closure (GROW) may have pulled the statement into the merge set",
+			Pos:    pos(d.v),
+		}
+	case remark.TestConformable:
+		return diagnosis{
+			Test:   d.test,
+			Reason: "member statements iterate over non-conformable regions",
+			Detail: fmt.Sprintf("v%d runs over %s, v%d over %s", d.ref, g.StmtRegion(d.ref), d.v, g.StmtRegion(d.v)),
+			Pos:    pos(d.v),
+		}
+	}
+	e := &g.Edges[d.edge]
+	out := diagnosis{Test: d.test, Edge: witnessEdge(g, e, e.Items[d.item]), Pos: pos(e.From)}
+	switch d.test {
+	case remark.TestOrderingOnly:
+		out.Reason = "an intra-cluster dependence carries no distance vector"
+	case remark.TestNullFlow:
+		out.Reason = "fusing would make a non-null flow dependence intra-cluster (contraction-unsafe ordering)"
+	case remark.TestCarriedAnti:
+		out.Reason = "the fused cluster would carry a non-null anti dependence (emulated compiler restriction)"
+	case remark.TestLoopStructure:
+		vectors, _, _ := p.IntraVectors(cs)
+		out.Reason = "FIND-LOOP-STRUCTURE: no loop structure vector preserves every intra-cluster dependence"
+		out.Detail = fmt.Sprintf("intra-cluster distance vectors %v", vectors)
+	}
+	return out
+}
+
+// diagnoseContraction renders checkContraction's verdict as remark
+// evidence. When a single non-null flow dependence is the only
+// blocker, it adds a fix-it note naming the read offset the user would
+// have to align.
+func diagnoseContraction(p *Partition, x string, cs map[int]bool) diagnosis {
+	d := checkContraction(p, x, p.clustersOf(cs))
+	if d.ok() {
+		return diagnosis{OK: true}
+	}
+	e := &p.G.Edges[d.edge]
+	it := e.Items[d.item]
+	out := diagnosis{
+		Test: d.test,
+		Edge: witnessEdge(p.G, e, it),
+		Pos:  air.PosOf(p.G.Stmts[e.To]),
+	}
+	switch {
+	case d.test == remark.TestConfined:
+		out.Reason = fmt.Sprintf("a dependence on %s escapes the fused cluster (Def. 6 condition (i))", x)
+	case !it.Vector:
+		out.Reason = fmt.Sprintf("a dependence on %s carries no distance vector (Def. 6 condition (ii))", x)
+	default:
+		out.Reason = fmt.Sprintf("a dependence on %s has non-null unconstrained distance vector %s (Def. 6 condition (ii))", x, it.U)
+	}
+	if d.offending == 1 && d.test == remark.TestNullVector && it.Kind == dep.Flow && it.Vector {
+		// u = src_off − dst_off and the producing write is at offset
+		// zero, so the offending read sits at −u.
+		at := make(air.Offset, len(it.U))
+		for i, u := range it.U {
+			at[i] = -u
+		}
+		out.Fixit = fmt.Sprintf("%s would contract but for the single read at offset %s (%s); aligning that reference with its producer (offset %s) enables contraction",
+			x, at, out.Edge.ToPos, air.Zero(len(at)))
+	}
+	return out
 }

@@ -162,7 +162,7 @@ func contractPairs(prog *air.Program, g *asdg.Graph, p *Partition, temps []strin
 			continue
 		}
 		cs := map[int]bool{p.ClusterOf(v): true, p.ClusterOf(v + 1): true}
-		if !contractible(p, def.LHS, cs) {
+		if !ContractionOK(p, def.LHS, cs) {
 			continue
 		}
 		// The pair's internal anti dependence (on the array both read
@@ -170,7 +170,7 @@ func contractPairs(prog *air.Program, g *asdg.Graph, p *Partition, temps []strin
 		// source statement; allow it only with the capability.
 		save := p.NoCarriedAnti
 		p.NoCarriedAnti = !withinAnti
-		ok = fusionPartitionOK(p, cs)
+		ok = FusionOK(p, cs)
 		p.NoCarriedAnti = save
 		if !ok {
 			continue

@@ -3,45 +3,42 @@ package core
 import (
 	"sort"
 
-	"repro/internal/air"
 	"repro/internal/asdg"
 )
 
-// Weight computes the reference weight w(x, G) of §3: the number of
-// array element references that contraction of x would eliminate — the
-// number of array-level references to x, each weighted by the size of
-// the region over which it occurs.
-func Weight(g *asdg.Graph, x string) int {
-	w := 0
-	for v := 0; v < g.N(); v++ {
-		switch s := g.Stmts[v].(type) {
-		case *air.ArrayStmt:
-			if s.LHS == x {
-				w += s.Region.Size()
-			}
-			for _, r := range s.Reads() {
-				if r.Array == x {
-					w += s.Region.Size()
-				}
-			}
-		case *air.ReduceStmt:
-			for _, r := range air.Refs(s.Body) {
-				if r.Array == x {
-					w += s.Region.Size()
-				}
+// eachRef calls f once per array reference of every fusible statement
+// — the write, then each read — in program order.
+func eachRef(g *asdg.Graph, f func(v int, array string)) {
+	for v := range g.Stmts {
+		if g.IsFusible(v) {
+			for _, x := range g.Arrays(v) {
+				f(v, x)
 			}
 		}
 	}
+}
+
+// weights computes the reference weight w(x, G) of §3 for every array
+// in one walk of the graph: the number of array element references
+// that contraction of x would eliminate — the number of array-level
+// references to x, each weighted by the size of the region over which
+// it occurs.
+func weights(g *asdg.Graph) map[string]int {
+	w := map[string]int{}
+	eachRef(g, func(v int, x string) { w[x] += g.StmtRegion(v).Size() })
 	return w
 }
+
+// Weight returns w(x, G) for one array.
+func Weight(g *asdg.Graph, x string) int { return weights(g)[x] }
 
 // ByDecreasingWeight sorts array names by decreasing w(x, G), breaking
 // ties by name for determinism (line 3 of Fig. 3).
 func ByDecreasingWeight(g *asdg.Graph, names []string) []string {
+	w := weights(g)
 	out := append([]string(nil), names...)
 	sort.SliceStable(out, func(i, j int) bool {
-		wi, wj := Weight(g, out[i]), Weight(g, out[j])
-		if wi != wj {
+		if wi, wj := w[out[i]], w[out[j]]; wi != wj {
 			return wi > wj
 		}
 		return out[i] < out[j]
@@ -49,47 +46,22 @@ func ByDecreasingWeight(g *asdg.Graph, names []string) []string {
 	return out
 }
 
-// fusionPartitionOK is the FUSION-PARTITION? predicate: merging the
-// clusters in cs must yield a valid fusion partition (Definition 5).
-// Inter-cluster cycles need not be checked here — the caller has
-// already applied Grow (the paper makes the same observation).
-//
-// The checks live in diagnoseFusion (diagnose.go), which shares one
-// implementation between the hot greedy loops (which only need the
-// boolean) and the remarks engine (which needs the witness). We admit
-// exact translates of a region as well as equal regions (equal
-// extents, shifted bounds): realigned compiler temporaries produce
-// such clusters, and scalarization guards the shifted statements
-// inside the union loop nest.
-func fusionPartitionOK(p *Partition, cs map[int]bool) bool {
-	return diagnoseFusion(p, cs).OK
-}
-
-// contractible is the CONTRACTIBLE? predicate (Definition 6): after
-// fusing the clusters in cs, array x is contractible iff every
-// dependence due to x runs between vertices of the fused cluster and
-// carries a null unconstrained distance vector. The caller must also
-// have established that x's live range permits elimination (package
-// liveness).
-func contractible(p *Partition, x string, cs map[int]bool) bool {
-	return diagnoseContraction(p, x, cs).OK
-}
-
-// FusionOK exposes the FUSION-PARTITION? predicate to external plan
-// generators: merging the clusters in cs must yield a valid fusion
-// partition. As with fusionPartitionOK, the caller is responsible for
-// closing cs under Grow first.
+// FusionOK is the FUSION-PARTITION? predicate over a cluster set given
+// as a map, the form the emulations and external plan generators use:
+// merging the clusters in cs must yield a valid fusion partition. The
+// caller is responsible for closing cs under Grow first. The check
+// itself is checkFusion (diagnose.go).
 func FusionOK(p *Partition, cs map[int]bool) bool {
-	return fusionPartitionOK(p, cs)
+	return checkFusion(p, p.clustersOf(cs)).ok()
 }
 
-// ContractionOK exposes the CONTRACTIBLE? predicate to external plan
-// generators: after fusing the clusters in cs, array x is contractible
-// iff every dependence due to x is confined to the fused cluster with
-// a null unconstrained distance vector. Liveness candidacy is the
-// caller's obligation, exactly as for contractible.
+// ContractionOK is the CONTRACTIBLE? predicate in the same form: after
+// fusing the clusters in cs, array x is contractible iff every
+// dependence due to x is confined to the fused cluster with a null
+// unconstrained distance vector (checkContraction). Liveness candidacy
+// is the caller's obligation.
 func ContractionOK(p *Partition, x string, cs map[int]bool) bool {
-	return contractible(p, x, cs)
+	return checkContraction(p, x, p.clustersOf(cs)).ok()
 }
 
 // FusionForContraction is the algorithm of Fig. 3. candidates is the
@@ -107,15 +79,13 @@ func FusionForContraction(g *asdg.Graph, p *Partition, candidates []string) (*Pa
 	}
 	contracted := map[string]bool{}
 	for _, x := range ByDecreasingWeight(g, candidates) {
-		c := p.clustersReferencing(x)
+		c := p.clusters(g.Referencing(x))
 		if len(c) == 0 {
 			continue
 		}
-		for d := range p.Grow(c) {
-			c[d] = true
-		}
-		if contractible(p, x, c) && fusionPartitionOK(p, c) {
-			p.MergeSet(c)
+		c = p.closure(c)
+		if checkContraction(p, x, c).ok() && checkFusion(p, c).ok() {
+			p.merge(c)
 			contracted[x] = true
 		}
 	}
@@ -131,44 +101,15 @@ func FusionForLocality(g *asdg.Graph, p *Partition, arrays []string) *Partition 
 		p = Trivial(g)
 	}
 	for _, x := range ByDecreasingWeight(g, arrays) {
-		c := p.clustersReferencing(x)
+		c := p.clusters(g.Referencing(x))
 		if len(c) < 2 {
 			continue
 		}
-		for d := range p.Grow(c) {
-			c[d] = true
-		}
-		if fusionPartitionOK(p, c) {
-			p.MergeSet(c)
+		if c = p.closure(c); checkFusion(p, c).ok() {
+			p.merge(c)
 		}
 	}
 	return p
-}
-
-// GreedyPairwise performs all legal fusion by a greedy pairwise
-// algorithm (the f4 transformation of §5.4): repeatedly try to merge
-// any two clusters (plus the cycle closure Grow demands) until no pair
-// can be merged.
-func GreedyPairwise(p *Partition) *Partition {
-	for {
-		merged := false
-		cl := p.Clusters()
-		for i := 0; i < len(cl) && !merged; i++ {
-			for j := i + 1; j < len(cl) && !merged; j++ {
-				c := map[int]bool{cl[i]: true, cl[j]: true}
-				for d := range p.Grow(c) {
-					c[d] = true
-				}
-				if fusionPartitionOK(p, c) {
-					p.MergeSet(c)
-					merged = true
-				}
-			}
-		}
-		if !merged {
-			return p
-		}
-	}
 }
 
 // AllArrays returns the names of arrays referenced by fusible
@@ -176,25 +117,12 @@ func GreedyPairwise(p *Partition) *Partition {
 func AllArrays(g *asdg.Graph) []string {
 	seen := map[string]bool{}
 	var out []string
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+	eachRef(g, func(_ int, x string) {
+		if !seen[x] {
+			seen[x] = true
+			out = append(out, x)
 		}
-	}
-	for v := 0; v < g.N(); v++ {
-		switch s := g.Stmts[v].(type) {
-		case *air.ArrayStmt:
-			add(s.LHS)
-			for _, r := range s.Reads() {
-				add(r.Array)
-			}
-		case *air.ReduceStmt:
-			for _, r := range air.Refs(s.Body) {
-				add(r.Array)
-			}
-		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,6 +15,18 @@ import (
 // partitioning of the graph's vertices into fusible clusters. Each
 // cluster is identified by its representative, the smallest vertex
 // index it contains.
+//
+// The partition owns its cluster condensation — member lists and
+// duplicate-free successor and predecessor lists, indexed by
+// representative — built once by Trivial, FromClusters and Clone and
+// updated by MergeSet. GROW therefore costs O(e), as Fig. 3 states,
+// instead of a rebuild of the condensation from every ASDG edge.
+//
+// The accessors (ClusterOf, Members, Clusters, TopoClusters, Acyclic,
+// IntraVectors, LoopStructureFor, Validate) only read, so a finished
+// partition may be shared between goroutines, as a cached compilation's
+// is. Grow, MergeSet and the legality predicates use the partition's
+// scratch sets and belong to the one goroutine building it.
 type Partition struct {
 	G   *asdg.Graph
 	rep []int // vertex -> cluster representative
@@ -23,14 +36,50 @@ type Partition struct {
 	// restriction in the APR and Cray compilers ("unable to fuse
 	// loops that carry anti-dependences"); the emulations set it.
 	NoCarriedAnti bool
+
+	count   int     // number of clusters
+	members [][]int // representative -> its vertices, ascending; nil for other vertices
+	succ    [][]int // representative -> successor clusters, ascending
+	pred    [][]int // representative -> predecessor clusters, ascending
+
+	// Scratch of the mutating half, reused so that a legality query
+	// allocates nothing once the buffers have grown.
+	in, down, up      stampSet
+	seeds, set, queue []int
+	vecs              []air.Offset
 }
+
+// stampSet is a set over [0,n) that empties in O(1): its members are
+// the indices stamped with the current epoch.
+type stampSet struct {
+	at    []uint32
+	epoch uint32
+}
+
+func (s *stampSet) reset(n int) {
+	if len(s.at) != n {
+		s.at, s.epoch = make([]uint32, n), 0
+	}
+	if s.epoch++; s.epoch == 0 {
+		clear(s.at)
+		s.epoch = 1
+	}
+}
+
+// add inserts v and reports whether it was absent.
+func (s *stampSet) add(v int) bool {
+	if s.at[v] == s.epoch {
+		return false
+	}
+	s.at[v] = s.epoch
+	return true
+}
+
+func (s *stampSet) has(v int) bool { return s.at[v] == s.epoch }
 
 // Trivial returns the partition with one statement per cluster.
 func Trivial(g *asdg.Graph) *Partition {
-	p := &Partition{G: g, rep: make([]int, g.N())}
-	for v := range p.rep {
-		p.rep[v] = v
-	}
+	p, _ := FromClusters(g, nil)
 	return p
 }
 
@@ -39,7 +88,10 @@ func Trivial(g *asdg.Graph) *Partition {
 // become singletons. It validates indices and disjointness only — the
 // caller proves Definition 5 legality separately (Validate).
 func FromClusters(g *asdg.Graph, clusters [][]int) (*Partition, error) {
-	p := Trivial(g)
+	p := &Partition{G: g, rep: make([]int, g.N())}
+	for v := range p.rep {
+		p.rep[v] = v
+	}
 	seen := make([]bool, g.N())
 	for _, members := range clusters {
 		min := -1
@@ -59,111 +111,242 @@ func FromClusters(g *asdg.Graph, clusters [][]int) (*Partition, error) {
 			p.rep[v] = min
 		}
 	}
+	p.condense()
 	return p, nil
+}
+
+// condense builds the condensation from rep and the ASDG's edges.
+func (p *Partition) condense() {
+	n := len(p.rep)
+	p.count = 0
+	p.members, p.succ, p.pred = make([][]int, n), make([][]int, n), make([][]int, n)
+	for v, r := range p.rep {
+		if v == r {
+			p.count++
+		}
+		p.members[r] = append(p.members[r], v)
+	}
+	for _, e := range p.G.Edges {
+		if a, b := p.rep[e.From], p.rep[e.To]; a != b {
+			p.succ[a] = append(p.succ[a], b)
+			p.pred[b] = append(p.pred[b], a)
+		}
+	}
+	for c := range p.succ {
+		sort.Ints(p.succ[c])
+		p.succ[c] = slices.Compact(p.succ[c])
+		sort.Ints(p.pred[c])
+		p.pred[c] = slices.Compact(p.pred[c])
+	}
 }
 
 // Clone returns an independent copy of the partition.
 func (p *Partition) Clone() *Partition {
-	q := &Partition{G: p.G, rep: make([]int, len(p.rep)), NoCarriedAnti: p.NoCarriedAnti}
-	copy(q.rep, p.rep)
-	return q
+	return &Partition{
+		G: p.G, NoCarriedAnti: p.NoCarriedAnti, count: p.count,
+		rep:     append([]int(nil), p.rep...),
+		members: cloneLists(p.members),
+		succ:    cloneLists(p.succ),
+		pred:    cloneLists(p.pred),
+	}
+}
+
+// cloneLists deep-copies a list of lists into one backing array. Each
+// copy's capacity is clipped to its length, so growing one list can
+// never write into its neighbour.
+func cloneLists(src [][]int) [][]int {
+	total := 0
+	for _, l := range src {
+		total += len(l)
+	}
+	buf := make([]int, 0, total)
+	dst := make([][]int, len(src))
+	for i, l := range src {
+		if l != nil {
+			buf = append(buf, l...)
+			dst[i] = buf[len(buf)-len(l) : len(buf) : len(buf)]
+		}
+	}
+	return dst
 }
 
 // ClusterOf returns the representative of the cluster containing v.
 func (p *Partition) ClusterOf(v int) int { return p.rep[v] }
 
 // NumClusters returns the number of clusters.
-func (p *Partition) NumClusters() int {
-	n := 0
-	for v, r := range p.rep {
-		if v == r {
-			n++
-		}
-	}
-	return n
-}
+func (p *Partition) NumClusters() int { return p.count }
 
 // Members returns the vertices of the cluster with representative c,
-// in program order.
+// in program order (nil when c is not a representative). The slice is
+// the caller's.
 func (p *Partition) Members(c int) []int {
-	var out []int
-	for v, r := range p.rep {
-		if r == c {
-			out = append(out, v)
-		}
+	return append([]int(nil), p.membersOf(c)...)
+}
+
+// membersOf is Members without the copy.
+func (p *Partition) membersOf(c int) []int {
+	if c < 0 || c >= len(p.members) {
+		return nil
 	}
-	return out
+	return p.members[c]
 }
 
 // Clusters returns all cluster representatives in ascending order.
 func (p *Partition) Clusters() []int {
-	var out []int
-	for v, r := range p.rep {
-		if v == r {
-			out = append(out, v)
+	out := make([]int, 0, p.count)
+	for c, m := range p.members {
+		if m != nil {
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// MergeSet unions the given clusters (by representative) into one,
-// represented by the smallest member, mirroring lines 8–10 of Fig. 3.
-func (p *Partition) MergeSet(cs map[int]bool) {
-	min := -1
-	for c := range cs {
-		if min < 0 || c < min {
-			min = c
+// MergeSet unions the clusters named by cs into one, represented by
+// its smallest member, mirroring lines 8–10 of Fig. 3. Any member
+// vertex names its cluster.
+func (p *Partition) MergeSet(cs map[int]bool) { p.merge(p.clustersOf(cs)) }
+
+// clustersOf lists the clusters named by the true keys of cs.
+func (p *Partition) clustersOf(cs map[int]bool) []int {
+	p.queue = p.queue[:0]
+	for v, ok := range cs {
+		if ok {
+			p.queue = append(p.queue, v)
 		}
 	}
-	if min < 0 {
+	return p.clusters(p.queue)
+}
+
+// clusters lists the distinct representatives of the clusters holding
+// the given vertices. The result is scratch and unordered.
+func (p *Partition) clusters(vertices []int) []int {
+	p.in.reset(len(p.rep))
+	p.seeds = p.seeds[:0]
+	for _, v := range vertices {
+		if r := p.rep[v]; p.in.add(r) {
+			p.seeds = append(p.seeds, r)
+		}
+	}
+	return p.seeds
+}
+
+// merge unions the given distinct clusters and folds their rows of the
+// condensation into the survivor's, in time proportional to the
+// clusters' members and neighbours.
+func (p *Partition) merge(set []int) {
+	if len(set) < 2 {
 		return
 	}
-	for v, r := range p.rep {
-		if cs[r] {
-			p.rep[v] = min
-		}
+	m := slices.Min(set)
+	p.in.reset(len(p.rep))
+	for _, c := range set {
+		p.in.add(c)
 	}
-}
-
-// clustersReferencing returns the representatives of clusters that
-// contain a reference to array x (line 5 of Fig. 3).
-func (p *Partition) clustersReferencing(x string) map[int]bool {
-	out := map[int]bool{}
-	for v := 0; v < p.G.N(); v++ {
-		if p.G.References(v, x) {
-			out[p.rep[v]] = true
-		}
-	}
-	return out
-}
-
-// ClustersReferencing exposes clustersReferencing for external plan
-// generators (the tune search engine and ApplySpec validation).
-func (p *Partition) ClustersReferencing(x string) map[int]bool {
-	return p.clustersReferencing(x)
-}
-
-// clusterSucc builds the cluster-level successor relation.
-func (p *Partition) clusterSucc() map[int][]int {
-	succ := map[int]map[int]bool{}
-	for _, e := range p.G.Edges {
-		a, b := p.rep[e.From], p.rep[e.To]
-		if a == b {
+	succ := p.absorb(p.succ, p.pred, set, m)
+	pred := p.absorb(p.pred, p.succ, set, m)
+	all := p.members[m]
+	for _, c := range set {
+		if c == m {
 			continue
 		}
-		if succ[a] == nil {
-			succ[a] = map[int]bool{}
+		for _, v := range p.members[c] {
+			p.rep[v] = m
 		}
-		succ[a][b] = true
+		all = append(all, p.members[c]...)
+		p.members[c], p.succ[c], p.pred[c] = nil, nil, nil
 	}
-	out := map[int][]int{}
-	for a, m := range succ {
-		for b := range m {
-			out[a] = append(out[a], b)
+	sort.Ints(all)
+	p.members[m], p.succ[m], p.pred[m] = all, succ, pred
+	p.count -= len(set) - 1
+}
+
+// absorb returns the union of the fwd lists of the clusters in set
+// (which p.in holds) without the set itself, and makes the back list
+// of every cluster in that union name m in place of the set's members.
+func (p *Partition) absorb(fwd, back [][]int, set []int, m int) []int {
+	var out []int
+	p.down.reset(len(p.rep))
+	for _, c := range set {
+		for _, d := range fwd[c] {
+			if !p.in.has(d) && p.down.add(d) {
+				out = append(out, d)
+			}
 		}
-		sort.Ints(out[a])
+	}
+	sort.Ints(out)
+	for _, d := range out {
+		kept := back[d][:0]
+		for _, c := range back[d] {
+			if !p.in.has(c) {
+				kept = append(kept, c)
+			}
+		}
+		back[d] = insertSorted(kept, m)
 	}
 	return out
+}
+
+// ClustersReferencing returns the representatives of the clusters that
+// contain a reference to array x (line 5 of Fig. 3).
+func (p *Partition) ClustersReferencing(x string) map[int]bool {
+	out := map[int]bool{}
+	for _, c := range p.clusters(p.G.Referencing(x)) {
+		out[c] = true
+	}
+	return out
+}
+
+// closure returns seeds ∪ GROW(seeds) in ascending order; seeds are
+// representatives. It walks the maintained condensation once forward
+// and once backward, so it runs in O(e). The result is scratch, valid
+// until the next call, and p.in is left holding exactly the seeds.
+func (p *Partition) closure(seeds []int) []int {
+	n := len(p.rep)
+	p.in.reset(n)
+	set := p.set[:0]
+	for _, s := range seeds {
+		if p.in.add(s) {
+			set = append(set, s)
+		}
+	}
+	p.up.reset(n)
+	p.queue = reach(set, p.pred, &p.up, p.queue[:0])
+	p.down.reset(n)
+	// The clusters reachable from the seeds land behind them and are
+	// filtered in place down to those that also reach a seed.
+	all := reach(set, p.succ, &p.down, set)
+	k := len(set)
+	for _, d := range all[k:] {
+		if p.up.has(d) && !p.in.has(d) {
+			all[k] = d
+			k++
+		}
+	}
+	p.set = all[:k]
+	sort.Ints(p.set)
+	return p.set
+}
+
+// reach appends to buf, and stamps in seen, every cluster one or more
+// adj steps away from a cluster of start.
+func reach(start []int, adj [][]int, seen *stampSet, buf []int) []int {
+	from := len(buf)
+	for _, s := range start {
+		for _, d := range adj[s] {
+			if seen.add(d) {
+				buf = append(buf, d)
+			}
+		}
+	}
+	for ; from < len(buf); from++ {
+		for _, d := range adj[buf[from]] {
+			if seen.add(d) {
+				buf = append(buf, d)
+			}
+		}
+	}
+	return buf
 }
 
 // Grow implements GROW(c, G): the clusters not in c that are reachable
@@ -171,75 +354,18 @@ func (p *Partition) clusterSucc() map[int][]int {
 // inter-fusible-cluster dependence cycle if c were fused (line 6 of
 // Fig. 3). Runs in O(e).
 func (p *Partition) Grow(c map[int]bool) map[int]bool {
-	succ := p.clusterSucc()
-	pred := map[int][]int{}
-	for a, bs := range succ {
-		for _, b := range bs {
-			pred[b] = append(pred[b], a)
-		}
-	}
-	reach := func(start map[int]bool, adj map[int][]int) map[int]bool {
-		seen := map[int]bool{}
-		var stack []int
-		for s := range start {
-			stack = append(stack, s)
-		}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[v] {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		return seen
-	}
-	down := reach(c, succ)
-	up := reach(c, pred)
 	out := map[int]bool{}
-	for v := range down {
-		if up[v] && !c[v] {
-			out[v] = true
+	for _, d := range p.closure(p.clustersOf(c)) {
+		if !p.in.has(d) {
+			out[d] = true
 		}
 	}
 	return out
 }
 
 // Acyclic reports whether the cluster-level condensation is a DAG
-// (condition (iii) of Definition 5).
-func (p *Partition) Acyclic() bool {
-	succ := p.clusterSucc()
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[int]int{}
-	var visit func(v int) bool
-	visit = func(v int) bool {
-		color[v] = gray
-		for _, w := range succ[v] {
-			switch color[w] {
-			case gray:
-				return false
-			case white:
-				if !visit(w) {
-					return false
-				}
-			}
-		}
-		color[v] = black
-		return true
-	}
-	for _, c := range p.Clusters() {
-		if color[c] == white && !visit(c) {
-			return false
-		}
-	}
-	return true
-}
+// (condition (iii) of Definition 5): a topological order covers it.
+func (p *Partition) Acyclic() bool { return len(p.TopoClusters()) == p.count }
 
 // IntraVectors returns the unconstrained distance vectors of every
 // dependence between vertices that would share a cluster if the
@@ -284,7 +410,10 @@ func (p *Partition) clusterVectors(c int) []air.Offset {
 // identity structure when unconstrained. The bool is false when no
 // legal structure exists (which a valid partition never exhibits).
 func (p *Partition) LoopStructureFor(c int) (dep.LoopStructure, bool) {
-	members := p.Members(c)
+	members := p.membersOf(c)
+	if len(members) == 0 {
+		return nil, true // not a representative: no loop nest
+	}
 	reg := p.G.StmtRegion(members[0])
 	if reg == nil {
 		return nil, true // unnormalized singleton: no loop nest
@@ -301,7 +430,7 @@ func (p *Partition) LoopStructureFor(c int) (dep.LoopStructure, bool) {
 // fusion algorithms themselves.
 func (p *Partition) Validate() error {
 	for _, c := range p.Clusters() {
-		members := p.Members(c)
+		members := p.members[c]
 		if len(members) == 1 {
 			continue
 		}
@@ -336,31 +465,24 @@ func (p *Partition) Validate() error {
 // TopoClusters returns the cluster representatives in a topological
 // order of the cluster condensation, breaking ties by program order.
 func (p *Partition) TopoClusters() []int {
-	succ := p.clusterSucc()
-	indeg := map[int]int{}
-	for _, c := range p.Clusters() {
-		indeg[c] = 0
-	}
-	for _, bs := range succ {
-		for _, b := range bs {
-			indeg[b]++
-		}
-	}
-	// Min-heap by representative keeps the order deterministic and
-	// close to program order.
+	indeg := make([]int, len(p.rep))
+	// The ready list stays sorted, so the smallest representative goes
+	// first: a deterministic order close to program order.
 	var ready []int
-	for _, c := range p.Clusters() {
-		if indeg[c] == 0 {
+	for c, m := range p.members {
+		if m == nil {
+			continue
+		}
+		if indeg[c] = len(p.pred[c]); indeg[c] == 0 {
 			ready = append(ready, c)
 		}
 	}
-	sort.Ints(ready)
-	var out []int
+	out := make([]int, 0, p.count)
 	for len(ready) > 0 {
 		c := ready[0]
 		ready = ready[1:]
 		out = append(out, c)
-		for _, b := range succ[c] {
+		for _, b := range p.succ[c] {
 			indeg[b]--
 			if indeg[b] == 0 {
 				ready = insertSorted(ready, b)
@@ -382,7 +504,7 @@ func insertSorted(s []int, v int) []int {
 func (p *Partition) String() string {
 	var parts []string
 	for _, c := range p.TopoClusters() {
-		ms := p.Members(c)
+		ms := p.members[c]
 		strs := make([]string, len(ms))
 		for i, v := range ms {
 			strs[i] = fmt.Sprintf("v%d", v)

@@ -97,10 +97,10 @@ func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
 	for _, x := range sorted {
 		pos := firstWritePos(g, x)
 		if contracted[x] {
-			cls := p.clustersReferencing(x)
+			cls := p.ClustersReferencing(x)
 			var members []int
 			for c := range cls {
-				members = append(members, p.Members(c)...)
+				members = append(members, p.members[c]...)
 			}
 			sort.Ints(members)
 			out = append(out, remark.Remark{
@@ -159,7 +159,7 @@ func explainUncontracted(prog *air.Program, level Level, blockIdx int,
 		return r
 	}
 
-	cs := p.clustersReferencing(x)
+	cs := p.ClustersReferencing(x)
 	if len(cs) == 0 {
 		r.Test = remark.TestFusible
 		r.Reason = "no fusible statement references the array (only unnormalized or communication statements do)"

@@ -75,21 +75,21 @@ func TestDiagnosisAgreesWithPredicates(t *testing.T) {
 			p := bp.Part
 			for _, c := range p.Clusters() {
 				cs := map[int]bool{c: true}
-				if got, want := diagnoseFusion(p, cs).OK, fusionPartitionOK(p, cs); got != want {
-					t.Errorf("%s: diagnoseFusion=%v but fusionPartitionOK=%v for cluster %d",
+				if got, want := diagnoseFusion(p, cs).OK, FusionOK(p, cs); got != want {
+					t.Errorf("%s: diagnoseFusion=%v but FusionOK=%v for cluster %d",
 						b.Name, got, want, c)
 				}
 			}
 			for _, x := range cands[bp.Block] {
-				cs := p.clustersReferencing(x)
+				cs := p.ClustersReferencing(x)
 				if len(cs) == 0 {
 					continue
 				}
 				for d := range p.Grow(cs) {
 					cs[d] = true
 				}
-				if got, want := diagnoseContraction(p, x, cs).OK, contractible(p, x, cs); got != want {
-					t.Errorf("%s: diagnoseContraction=%v but contractible=%v for %s",
+				if got, want := diagnoseContraction(p, x, cs).OK, ContractionOK(p, x, cs); got != want {
+					t.Errorf("%s: diagnoseContraction=%v but ContractionOK=%v for %s",
 						b.Name, got, want, x)
 				}
 			}

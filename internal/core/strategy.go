@@ -69,8 +69,8 @@ func AllLevels() []Level {
 
 // ParseLevel maps a strategy name ("c2", "c2+f3", "c2f3", ...) to its Level.
 func ParseLevel(s string) (Level, error) {
-	for l, n := range levelNames {
-		if s == n && l != External {
+	for _, l := range AllLevels() {
+		if s == l.String() {
 			return l, nil
 		}
 	}

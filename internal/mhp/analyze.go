@@ -255,7 +255,7 @@ func matchMessages(sched *Schedule, res *Result) map[msgKey]*exchange {
 		case s.Off.IsZero():
 			ex.broken = true
 			res.Deadlocks = append(res.Deadlocks, Deadlock{
-				Pos: s.Pos,
+				Pos:     s.Pos,
 				Message: fmt.Sprintf("%s has a null direction: a self-send matches no neighbor and blocks", s.describe()),
 			})
 		case r.Index <= s.Index:

@@ -62,11 +62,11 @@ func TestAnalyzeSchedules(t *testing.T) {
 	west := air.Offset{-1}
 
 	cases := []struct {
-		name                    string
-		sched                   *Schedule
-		ordered, race, unknown  int
-		deadlocks               int
-		wantErr                 string // substring of Err(); "" = nil
+		name                   string
+		sched                  *Schedule
+		ordered, race, unknown int
+		deadlocks              int
+		wantErr                string // substring of Err(); "" = nil
 	}{
 		{
 			name: "ordered stencil exchange",

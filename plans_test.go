@@ -9,18 +9,22 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/programs"
 )
 
-var updatePlans = flag.Bool("update", false, "rewrite the golden plan specs in testdata/plans")
+var updatePlans = flag.Bool("update", false, "rewrite the golden plan specs and distributed hashes in testdata/plans")
 
 func TestGoldenPlans(t *testing.T) {
 	if *updatePlans {
@@ -74,6 +78,82 @@ func TestGoldenPlans(t *testing.T) {
 			if got2, _ := core.Extract(c2.Plan).Marshal(); !bytes.Equal(got, got2) {
 				t.Errorf("%s: plan not a fixed point of apply∘extract:\n%s\nvs\n%s", name, got, got2)
 			}
+		}
+	}
+}
+
+// distPlanHashes is one cell of testdata/plans/dist_hashes.json: the
+// content address of the chosen plan and of every remark explaining it.
+type distPlanHashes struct {
+	Plan    string `json:"plan"`
+	Remarks string `json:"remarks"`
+}
+
+// TestGoldenPlansDistributed pins what TestGoldenPlans cannot: the
+// plans and remarks of distributed compilations, where communication
+// insertion reshapes every block's ASDG (and favor-comm adds segment
+// labels). One file holds PlanSpec.Hash and a SHA-256 of the JSON-
+// rendered Plan.Remarks per program × level × p × strategy; refresh
+// deliberately with
+//
+//	go test -run TestGoldenPlansDistributed -update
+func TestGoldenPlansDistributed(t *testing.T) {
+	path := filepath.Join("testdata", "plans", "dist_hashes.json")
+	got := map[string]distPlanHashes{}
+	for _, b := range programs.All() {
+		for _, lvl := range core.AllLevels() {
+			for _, procs := range []int{2, 4, 8} {
+				for _, strategy := range []comm.Strategy{comm.FavorFusion, comm.FavorComm} {
+					co := comm.DefaultOptions(procs)
+					co.Strategy = strategy
+					cell := fmt.Sprintf("%s/%s/p%d/%s", b.Name, lvl, procs, strategy)
+					c, err := driver.Compile(b.Source, driver.Options{Level: lvl, Comm: &co})
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					remarks, err := json.Marshal(c.Plan.Remarks)
+					if err != nil {
+						t.Fatalf("%s: marshal remarks: %v", cell, err)
+					}
+					sum := sha256.Sum256(remarks)
+					got[cell] = distPlanHashes{
+						Plan:    core.Extract(c.Plan).Hash(),
+						Remarks: hex.EncodeToString(sum[:]),
+					}
+				}
+			}
+		}
+	}
+	if *updatePlans {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (refresh with go test -run TestGoldenPlansDistributed -update)", err)
+	}
+	want := map[string]distPlanHashes{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d cells compiled, %d pinned", len(got), len(want))
+	}
+	for cell, g := range got {
+		w, ok := want[cell]
+		switch {
+		case !ok:
+			t.Errorf("%s: not pinned (refresh deliberately with -update)", cell)
+		case g.Plan != w.Plan:
+			t.Errorf("%s: plan changed: %s, pinned %s", cell, g.Plan[:12], w.Plan[:12])
+		case g.Remarks != w.Remarks:
+			t.Errorf("%s: remarks changed (plan unchanged): %s, pinned %s", cell, g.Remarks[:12], w.Remarks[:12])
 		}
 	}
 }
