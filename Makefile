@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 .PHONY: all build test vet fmt-check race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit results-check tune-smoke backend-diff \
 	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke \
-	bench-smoke plan-guard loc
+	bench-smoke plan-guard vm-guard loc
 
 all: build test
 
@@ -186,6 +186,19 @@ plan-guard: build
 	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates' ./internal/core
 	$(GO) test -count=1 -run 'TestCompileDistAllocs' ./internal/driver
 
+# VM guard: the three tests that let the strip evaluator be changed
+# without the bench harness, re-run fresh — the Tracer stream against
+# testdata/vm/trace_hashes.json (what the machine models see), the
+# strip-width differential (widths 1, 3 and the production one agree on
+# every transcript, array bit and step count) and the allocation ceiling
+# on vm.New. All are ordinary tier-1 tests; this target is the one to
+# run after touching internal/vm. `go test -run '^$$' -bench Run
+# ./internal/vm` prints ns per element-statement for the same cells the
+# run-interp workload times.
+vm-guard: build
+	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestNewAllocs' ./internal/vm
+	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
+
 # Non-test Go lines per top-level directory, so a simplicity PR quotes a
 # reproducible before/after instead of a hand count. bench/ (its own
 # module, frozen by BENCHMARK.json) and results/ are excluded. Override
@@ -201,7 +214,7 @@ loc:
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary
 # package tests, so `test` runs them and `race` runs them under -race.
-ci: vet fmt-check test race plan-guard serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
+ci: vet fmt-check test race plan-guard vm-guard serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -218,8 +218,7 @@ func (m *Machine) Gather(name string) []float64 {
 	return out
 }
 
-// Scalar returns processor 0's value of a scalar (or contracted
-// register).
+// Scalar returns processor 0's value of a scalar.
 func (m *Machine) Scalar(name string) (float64, bool) {
 	v, ok := m.scalars[0][name]
 	return v, ok
@@ -231,26 +230,7 @@ func (m *Machine) Scalar(name string) (float64, bool) {
 // replication means every processor executed the same assignments.
 // Returns the first discrepancy found.
 func (m *Machine) ScalarsConsistent() error {
-	// Contracted-array registers and scalar-replacement preloads are
-	// per-iteration scratch and legitimately end with different values
-	// on each processor.
-	scratch := map[string]bool{}
-	for name, info := range m.prog.Source.Arrays {
-		if info.Contracted {
-			scratch[name] = true
-		}
-	}
-	m.sweeps(func(n lir.Node) {
-		if nest, ok := n.(*lir.Nest); ok {
-			for _, pl := range nest.Preloads {
-				scratch[pl.Var] = true
-			}
-		}
-	})
 	for name, v0 := range m.scalars[0] {
-		if scratch[name] {
-			continue
-		}
 		for p := 1; p < m.procs; p++ {
 			v, ok := m.scalars[p][name]
 			if !ok {

@@ -358,9 +358,9 @@ func finishAIR(ctx context.Context, airProg *air.Program, info *sema.Info, opt O
 	return &Compilation{Info: info, AIR: airProg, Plan: plan, LIR: lirProg, Comm: commRes, Bounds: bounds, Races: races}, nil
 }
 
-// Run executes the compiled program on the VM. The prover's verdicts
-// ride along automatically: ProvenSafe sites take the VM's unchecked
-// dispatch unless the caller supplied its own Options.Bounds.
+// Run executes the compiled program on the VM. The prover's result
+// rides along unless the caller supplied its own Options.Bounds; the VM
+// reads only a seeded fault from it (-provefault).
 func (c *Compilation) Run(opt vm.Options) (*vm.Machine, *vm.Result, error) {
 	if opt.Bounds == nil && c.Bounds != nil {
 		opt.Bounds = c.Bounds

@@ -16,6 +16,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/programs"
 	"repro/internal/vm"
 )
 
@@ -43,7 +44,7 @@ func runProve(src string, lvl core.Level, fault int) (checked, unchecked string,
 func TestQuickProveSoundness(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		src := genProgram(r)
+		src := programs.Random(r)
 		for _, lvl := range []core.Level{core.Baseline, core.C1, core.C2F4} {
 			checked, unchecked, proven, total, err := runProve(src, lvl, 0)
 			if err != nil {
@@ -80,7 +81,7 @@ func TestQuickProveSoundness(t *testing.T) {
 func TestQuickProveFaultCaught(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		src := genProgram(r)
+		src := programs.Random(r)
 
 		// Static catch: Check must reject the faulted compilation.
 		if _, err := Compile(src, Options{Level: core.C2F4, Check: true, ProveFault: 1}); err == nil {

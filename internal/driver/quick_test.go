@@ -2,7 +2,6 @@ package driver
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -10,64 +9,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/air"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/programs"
 	"repro/internal/vm"
 )
-
-// genProgram builds a random straight-line-plus-loop ZA program over a
-// small pool of arrays: random element-wise statements with random
-// neighbor offsets, interleaved reductions, all checksummed at the
-// end. It is the input generator for the transformation-soundness
-// property test.
-func genProgram(r *rand.Rand) string {
-	nArrays := 3 + r.Intn(4)
-	var b strings.Builder
-	b.WriteString("program quickgen;\nconfig n : integer = 8;\nregion R = [1..n, 1..n];\nregion I = [2..n-1, 2..n-1];\n")
-	names := make([]string, nArrays)
-	for i := range names {
-		names[i] = fmt.Sprintf("A%d", i)
-	}
-	fmt.Fprintf(&b, "var %s : [R] double;\n", strings.Join(names, ", "))
-	b.WriteString("var s, acc : double;\nproc main()\nbegin\n")
-	for i, nm := range names {
-		fmt.Fprintf(&b, "  [R] %s := index1 * 0.%d + index2 * 0.3;\n", nm, i+1)
-	}
-	b.WriteString("  acc := 0.0;\n")
-	b.WriteString("  for it := 1 to 2 do\n")
-	nStmts := 3 + r.Intn(6)
-	regions := []string{"R", "I"}
-	for i := 0; i < nStmts; i++ {
-		target := names[r.Intn(nArrays)]
-		reg := regions[r.Intn(2)]
-		terms := make([]string, 1+r.Intn(3))
-		for j := range terms {
-			src := names[r.Intn(nArrays)]
-			dx, dy := r.Intn(3)-1, r.Intn(3)-1
-			if reg == "R" {
-				// Keep offsets inside allocations trivially legal:
-				// offsets allowed anywhere (halos are zero-filled),
-				// but restrict to one-sided to vary dependences.
-				dx, dy = r.Intn(2)-1, r.Intn(2)-1
-			}
-			if dx == 0 && dy == 0 {
-				terms[j] = src
-			} else {
-				terms[j] = fmt.Sprintf("%s@(%d,%d)", src, dx, dy)
-			}
-		}
-		fmt.Fprintf(&b, "    [%s] %s := (%s) * 0.4;\n", reg, target, strings.Join(terms, " + "))
-		if r.Intn(4) == 0 {
-			fmt.Fprintf(&b, "    s := +<< [I] %s;\n    acc := acc + s * 0.1;\n", names[r.Intn(nArrays)])
-		}
-	}
-	b.WriteString("  end;\n")
-	for _, nm := range names {
-		fmt.Fprintf(&b, "  s := +<< [R] %s;\n  writeln(\"%s\", s);\n", nm, nm)
-	}
-	b.WriteString("  writeln(\"acc\", acc);\nend;\n")
-	return b.String()
-}
 
 // outputsClose compares two writeln transcripts token-wise, allowing
 // tiny relative differences on numeric tokens: fusing a reduction into
@@ -114,7 +61,7 @@ func runLevel(src string, lvl core.Level) (string, error) {
 func TestQuickTransformationSoundness(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		src := genProgram(r)
+		src := programs.Random(r)
 		want, err := runLevel(src, core.Baseline)
 		if err != nil {
 			t.Logf("baseline failed (seed %d): %v\n%s", seed, err, src)
@@ -148,7 +95,7 @@ func TestQuickTransformationSoundness(t *testing.T) {
 func TestQuickPartitionsValid(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		src := genProgram(r)
+		src := programs.Random(r)
 		for _, lvl := range []core.Level{core.C1, core.C2, core.C2F3, core.C2F4} {
 			c, err := Compile(src, Options{Level: lvl})
 			if err != nil {
@@ -181,7 +128,7 @@ func TestQuickPartitionsValid(t *testing.T) {
 func TestQuickDistributedSoundness(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		src := genProgram(r)
+		src := programs.Random(r)
 		want, err := runLevel(src, core.Baseline)
 		if err != nil {
 			return false
@@ -227,33 +174,6 @@ func checkFailure(src string, opt Options) string {
 	return ""
 }
 
-// shrinkProgram greedily deletes statement lines from a failing random
-// program while the failure (a non-empty string from failing) persists,
-// so the logged reproducer is close to minimal.
-func shrinkProgram(src string, failing func(string) string) string {
-	for {
-		lines := strings.Split(src, "\n")
-		shrunk := false
-		for i, ln := range lines {
-			trimmed := strings.TrimSpace(ln)
-			// Only statement lines are candidates; structure lines
-			// (program/region/var/for/end) must survive.
-			if !strings.Contains(trimmed, ":=") && !strings.HasPrefix(trimmed, "writeln") {
-				continue
-			}
-			cand := strings.Join(append(append([]string{}, lines[:i]...), lines[i+1:]...), "\n")
-			if failing(cand) != "" {
-				src = cand
-				shrunk = true
-				break
-			}
-		}
-		if !shrunk {
-			return src
-		}
-	}
-}
-
 // TestQuickVerifierClean: every random program the generator can
 // produce must verify clean under the full static verifier at every
 // level, sequential and distributed. A failure is shrunk to a
@@ -262,7 +182,7 @@ func TestQuickVerifierClean(t *testing.T) {
 	sequential := []core.Level{core.Baseline, core.C1, core.C2, core.C2F3, core.C2F4}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		src := genProgram(r)
+		src := programs.Random(r)
 		var opts []Options
 		for _, lvl := range sequential {
 			opts = append(opts, Options{Level: lvl})
@@ -271,7 +191,7 @@ func TestQuickVerifierClean(t *testing.T) {
 		opts = append(opts, Options{Level: core.C2F3, Comm: &co})
 		for _, opt := range opts {
 			if msg := checkFailure(src, opt); msg != "" {
-				small := shrinkProgram(src, func(s string) string { return checkFailure(s, opt) })
+				small := programs.Shrink(src, func(s string) string { return checkFailure(s, opt) })
 				t.Logf("verifier failed (seed %d, level %v, dist %v): %s\nshrunk reproducer:\n%s",
 					seed, opt.Level, opt.Comm != nil, msg, small)
 				return false
@@ -282,6 +202,58 @@ func TestQuickVerifierClean(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20}
 	if testing.Short() {
 		cfg.MaxCount = 4
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// nopTracer observes nothing; its presence makes the VM run at strip
+// width 1.
+type nopTracer struct{}
+
+func (nopTracer) Access(int64, bool)                                     {}
+func (nopTracer) Flops(int64)                                            {}
+func (nopTracer) Comm(string, air.Offset, int, air.CommPhase, int, bool) {}
+func (nopTracer) Reduce()                                                {}
+
+// TestQuickTracedMatchesUntraced: the VM has one evaluator with two
+// modes — a traced machine runs every sweep an element at a time, an
+// untraced one a strip at a time — and the same compilation must print
+// the same bytes in both, with and without scalar replacement. This is
+// the check from outside the vm package, with no test hook.
+func TestQuickTracedMatchesUntraced(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		src := programs.Random(r)
+		for _, opt := range []Options{{Level: core.Baseline}, {Level: core.C2F4}, {Level: core.C2F3, ScalarReplace: true}} {
+			c, err := Compile(src, opt)
+			if err != nil {
+				t.Logf("%v failed (seed %d): %v\n%s", opt.Level, seed, err, src)
+				return false
+			}
+			var plain, traced bytes.Buffer
+			_, pres, err := c.Run(vm.Options{Out: &plain})
+			if err != nil {
+				t.Logf("%v untraced run failed (seed %d): %v\n%s", opt.Level, seed, err, src)
+				return false
+			}
+			_, tres, err := c.Run(vm.Options{Out: &traced, Tracer: nopTracer{}})
+			if err != nil {
+				t.Logf("%v traced run failed (seed %d): %v\n%s", opt.Level, seed, err, src)
+				return false
+			}
+			if plain.String() != traced.String() || pres.Steps != tres.Steps {
+				t.Logf("%v (seed %d): traced run diverged\nuntraced %q (%d steps)\ntraced   %q (%d steps)\n%s",
+					opt.Level, seed, plain.String(), pres.Steps, traced.String(), tres.Steps, src)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 25}
+	if testing.Short() {
+		cfg.MaxCount = 5
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)

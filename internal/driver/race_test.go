@@ -118,13 +118,13 @@ func raceFailure(src string, opt Options, procs int) string {
 func TestQuickRaceClean(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		src := genProgram(r)
+		src := programs.Random(r)
 		for _, lvl := range []core.Level{core.C2, core.C2F3, core.C2F4} {
 			for _, procs := range []int{2, 4} {
 				co := defaultComm(procs)
 				opt := Options{Level: lvl, Comm: &co}
 				if msg := raceFailure(src, opt, procs); msg != "" {
-					small := shrinkProgram(src, func(s string) string { return raceFailure(s, opt, procs) })
+					small := programs.Shrink(src, func(s string) string { return raceFailure(s, opt, procs) })
 					t.Logf("race analysis failed (seed %d, level %v, p=%d): %s\nshrunk reproducer:\n%s",
 						seed, lvl, procs, msg, small)
 					return false

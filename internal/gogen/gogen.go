@@ -1,9 +1,13 @@
 // Package gogen is the native back end: it emits a scalarized program
 // as a standalone Go source file whose output matches the VM's
-// bit-for-bit. This is what a production array compiler would ship —
-// the VM exists for tracing and machine modeling, gogen for speed —
-// and running both closes the loop on code-generation correctness
-// with the host toolchain as the final referee.
+// bit-for-bit. This is what a production array compiler would ship.
+// On speed the two engines are close since the VM runs a strip at a
+// time: on the bench harness's run cells the emitted loops cost ~2.5 ns
+// per element-statement against the VM's 3–5, and a native run pays a
+// process spawn (~2 ms) the VM does not, so native wins on large arrays
+// and long runs and the VM everywhere else (ROADMAP item 2). Running
+// both closes the loop on code-generation correctness with the host
+// toolchain as the final referee.
 //
 // Emitted programs are self-contained (standard library only) and make
 // three guarantees the differential harness (internal/backend,

@@ -54,9 +54,10 @@ func RunProve(e *Env) ([]ProveRow, error) {
 			return ProveRow{}, fmt.Errorf("compilation carries no bounds result")
 		}
 		// The same compilation with the prover's result withheld: the
-		// VM dispatches every site checked and the emission keeps every
-		// check (and the trap scaffold), where comp's proven sites go
-		// unchecked on both engines.
+		// emission keeps every check (and the trap scaffold), where
+		// comp's proven sites go unchecked. The VM runs the same code
+		// either way (one slice bound per strip); its pair of runs is
+		// the differential and the noise floor.
 		checked := *comp
 		checked.Bounds = nil
 
@@ -143,8 +144,13 @@ func FormatProve(rows []ProveRow) string {
 	fmt.Fprintf(&b, "\nproven-site coverage: min %.0f%% across %d cells; trap scaffold elided in %d/%d\n",
 		MinProvenRate(rows), len(rows), elided, len(rows))
 	if len(vm) > 0 {
-		fmt.Fprintf(&b, "check-elimination speedup (geomean over %d cells with sites): VM %.2fx, native %.2fx\n",
-			len(vm), geomean(vm), geomean(nat))
+		fmt.Fprintf(&b, "check-elimination speedup (geomean over %d cells with sites): native %.2fx\n",
+			len(nat), geomean(nat))
+		// The VM checks one slice bound per strip whatever the verdict,
+		// so its two columns time the same code: the ratio is the noise
+		// floor to read the native column against.
+		fmt.Fprintf(&b, "VM columns run one code path twice (no per-element check to eliminate): %.2fx is run-to-run noise\n",
+			geomean(vm))
 	}
 	b.WriteString("every cell bit-identical: true\n")
 	return b.String()

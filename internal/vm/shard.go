@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/air"
+	"repro/internal/dep"
 	"repro/internal/lir"
 	"repro/internal/sema"
 )
@@ -42,7 +43,7 @@ type Shard interface {
 // in a barrier and Comm nodes move real data. ArrayData then returns
 // storage over the local bounds.
 func NewShard(p *lir.Program, opt Options, sh Shard) (*Machine, error) {
-	return build(p, opt, sh)
+	return build(p, opt, sh, stripWidth)
 }
 
 // portion returns the part of r this shard sweeps; an empty portion is
@@ -137,24 +138,16 @@ func (m *Machine) shardNest(x *lir.Nest, sweep execFn) execFn {
 // accumulate in a dense buffer over the destination slab, the buffers
 // all-combine, and each processor stores the destination elements it
 // owns.
-func (m *Machine) shardPartialReduce(x *lir.PartialReduce, body evalFn, store func(*Machine, float64), collapsed []bool) execFn {
+func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructure, body value, dst ref, collapsed []bool) execFn {
 	rank := x.Region.Rank()
 	dest := x.Dest
-	strides := make([]int, rank)
+	slab := &arrayStore{lo: dest.Lo, strides: make([]int, rank)}
 	size := 1
 	for d := rank - 1; d >= 0; d-- {
-		strides[d] = size
+		slab.strides[d] = size
 		size *= dest.Extent(d)
 	}
-	flat := func(m *Machine) int {
-		p := 0
-		for d := 0; d < rank; d++ {
-			if !collapsed[d] {
-				p += (m.idx[d] - dest.Lo[d]) * strides[d]
-			}
-		}
-		return p
-	}
+	flat := m.ref(slab, air.Zero(rank), nil).project(collapsed, dest)
 	combine := reduceCombine(x.Op)
 	id := x.Op.Identity()
 	fold := func(acc, next []float64) {
@@ -163,25 +156,34 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, body evalFn, store fu
 		}
 	}
 	source, owned := m.portion(x.Region), m.portion(dest)
+	var buf, all []float64
+	accumulate := m.sweep(source, order, []stripFn{func(m *Machine, j, n int) {
+		p := flat.pos(m, j)
+		for _, v := range body.vec(m, j, n) {
+			buf[p] = combine(buf[p], v)
+			p += flat.step
+		}
+	}})
+	store := m.sweep(owned, order, []stripFn{m.store(dst, value{own: -1, vec: func(m *Machine, j, n int) []float64 {
+		p := flat.pos(m, j)
+		return all[p : p+n]
+	}})})
 	elems := int64(source.Size())
 	sh := m.shard
 	return func(m *Machine) signal {
 		if !m.charge(elems) {
 			return sigFault
 		}
-		buf := make([]float64, size)
+		buf = make([]float64, size)
 		for i := range buf {
 			buf[i] = id
 		}
-		m.each(source, func() {
-			p := flat(m)
-			buf[p] = combine(buf[p], body(m))
-		})
-		all, err := sh.AllCombine(buf, fold)
-		if err != nil {
+		accumulate(m)
+		var err error
+		if all, err = sh.AllCombine(buf, fold); err != nil {
 			return m.fail(err)
 		}
-		m.each(owned, func() { store(m, all[flat(m)]) })
+		store(m)
 		return sigNext
 	}
 }

@@ -1,8 +1,12 @@
 // Package vm executes scalarized (LIR) programs on real data. It
 // compiles expressions and statements to closures once, then runs
-// them; every array element access can be streamed to a Tracer, which
-// is how the machine models observe the memory behavior that fusion
-// and contraction change.
+// them, a loop nest a strip of its innermost loop at a time (DESIGN.md
+// §22): 3–5 ns per element-statement on the six benchmarks against
+// ~2.5 for the emitted Go of internal/gogen, so it is the default
+// engine, not only the instrumented one. Every array element access can
+// be streamed to a Tracer, which is how the machine models observe the
+// memory behavior that fusion and contraction change; a traced machine
+// runs at strip width 1 and reports element order.
 //
 // All values are float64 (integers are exact up to 2^53; booleans are
 // 0/1), matching the ZA surface language's numeric model.
@@ -48,16 +52,13 @@ type Options struct {
 	// (errors.Is-testable for context.DeadlineExceeded).
 	Ctx context.Context
 	// Bounds carries the abstract-interpretation prover's per-site
-	// verdicts (internal/absint) for this exact LIR instance. Accesses
-	// at ProvenSafe sites compile to unchecked dispatch — a raw pointer
-	// load/store with no slice bounds check — which is sound precisely
-	// because the prover's interval evidence covers every index the
-	// site can produce. Nil keeps every access on the checked path.
-	// Traced runs (Tracer != nil) also stay checked: they measure the
-	// memory model, not raw speed. A Faulted site (the -provefault
-	// self-test) has its unchecked access displaced by FaultShift
-	// elements, so the seeded wrong evidence becomes an observable
-	// wrong answer for the differential harness to catch.
+	// verdicts (internal/absint) for this exact LIR instance. The
+	// machine checks one slice bound per strip whatever the verdict, so
+	// a proof buys it nothing; the field stays for the -provefault
+	// self-test. A Faulted site has every element access displaced by
+	// FaultShift elements (wrapped into the storage), so the seeded
+	// wrong evidence becomes an observable wrong answer for the
+	// differential harness to catch. Nil means no site is faulted.
 	Bounds *absint.Result
 }
 
@@ -91,8 +92,19 @@ type Machine struct {
 	fault   error           // set when a sigFault is raised (budget exhaustion or cancellation)
 
 	// idx holds the current loop-nest indices (absolute region
-	// coordinates) while a Nest executes.
+	// coordinates) while a sweep executes; along the strip dimension it
+	// is the index of the strip's first element.
 	idx [4]int
+
+	// Strip buffers: expression scratch, contracted arrays and preload
+	// registers. width is the strip width, nest the sweep being
+	// compiled; free and bufLen are the compile-time pool behind
+	// acquire/release.
+	width  int
+	bufs   [][]float64
+	bufLen []int
+	free   []int
+	nest   *nestCtx
 
 	// curResult is the result slot of the procedure currently being
 	// compiled (-1 when none); used by return-with-value.
@@ -100,7 +112,6 @@ type Machine struct {
 }
 
 type arrayStore struct {
-	name    string
 	data    []float64
 	lo, hi  []int // storage bounds: Alloc, or a shard's local bounds
 	strides []int
@@ -133,11 +144,15 @@ type evalFn func(m *Machine) float64
 // New compiles the program. The returned machine is single-use: call
 // Run once; storage persists for inspection afterwards.
 func New(p *lir.Program, opt Options) (*Machine, error) {
-	return build(p, opt, nil)
+	return build(p, opt, nil, stripWidth)
 }
 
-func build(p *lir.Program, opt Options, sh Shard) (*Machine, error) {
+func build(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error) {
+	if opt.Tracer != nil {
+		width = 1
+	}
 	m := &Machine{
+		width:   width,
 		prog:    p,
 		slotIdx: map[string]int{},
 		arrays:  map[string]*arrayStore{},
@@ -153,10 +168,22 @@ func build(p *lir.Program, opt Options, sh Shard) (*Machine, error) {
 		m.max = 1e10
 	}
 
-	// Scalar slots: declared scalars, then contracted arrays.
+	// Scalar slots: the declared scalars. Scalar-replacement preloads
+	// are registered as scalars too, but like contracted arrays they
+	// live in strip buffers, not slots.
+	preload := map[string]bool{}
+	for _, pr := range p.Procs {
+		for _, nest := range lir.Nests(pr.Body) {
+			for _, pl := range nest.Preloads {
+				preload[pl.Var] = true
+			}
+		}
+	}
 	names := make([]string, 0, len(p.Source.Scalars))
 	for n := range p.Source.Scalars {
-		names = append(names, n)
+		if !preload[n] {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	for _, n := range names {
@@ -167,11 +194,6 @@ func build(p *lir.Program, opt Options, sh Shard) (*Machine, error) {
 		arrNames = append(arrNames, n)
 	}
 	sort.Strings(arrNames)
-	for _, n := range arrNames {
-		if p.Source.Arrays[n].Contracted {
-			m.slotIdx[n] = len(m.slotIdx)
-		}
-	}
 	m.slots = make([]float64, len(m.slotIdx))
 	for _, n := range names {
 		if s := p.Source.Scalars[n]; s.Config {
@@ -200,7 +222,6 @@ func build(p *lir.Program, opt Options, sh Shard) (*Machine, error) {
 			size *= max(bounds.Extent(d), 0)
 		}
 		m.arrays[n] = &arrayStore{
-			name:    n,
 			data:    make([]float64, size),
 			lo:      append([]int(nil), bounds.Lo...),
 			hi:      append([]int(nil), bounds.Hi...),
@@ -241,6 +262,15 @@ func build(p *lir.Program, opt Options, sh Shard) (*Machine, error) {
 	if m.procs["main"] == nil {
 		return nil, fmt.Errorf("vm: program has no main")
 	}
+	total := 0
+	for _, n := range m.bufLen {
+		total += n
+	}
+	slab := make([]float64, total)
+	m.bufs = make([][]float64, len(m.bufLen))
+	for i, n := range m.bufLen {
+		m.bufs[i], slab = slab[:n:n], slab[n:]
+	}
 	return m, nil
 }
 
@@ -279,8 +309,10 @@ func (m *Machine) Run() (res *Result, err error) {
 	return &Result{Steps: m.steps}, nil
 }
 
-// Scalar returns the final value of a scalar (or contracted array
-// register) by mangled name.
+// Scalar returns the final value of a scalar by mangled name. The
+// registers of contracted arrays and scalar-replacement preloads are
+// strip buffers, per-iteration scratch with no final value, and are not
+// observable here or through Scalars.
 func (m *Machine) Scalar(name string) (float64, bool) {
 	if i, ok := m.slotIdx[name]; ok {
 		return m.slots[i], true
@@ -288,8 +320,7 @@ func (m *Machine) Scalar(name string) (float64, bool) {
 	return 0, false
 }
 
-// Scalars returns the current value of every scalar slot by name:
-// declared scalars and the registers of contracted arrays.
+// Scalars returns the current value of every declared scalar by name.
 func (m *Machine) Scalars() map[string]float64 {
 	out := make(map[string]float64, len(m.slotIdx))
 	for name, i := range m.slotIdx {
@@ -355,7 +386,9 @@ func (m *Machine) step() bool { return m.charge(1) }
 func (m *Machine) charge(n int64) bool {
 	m.steps += n
 	if m.steps > m.max {
-		m.budgetFault()
+		if m.fault == nil {
+			m.fault = fmt.Errorf("vm: execution budget exceeded (%d steps)", m.max)
+		}
 		return false
 	}
 	if m.ctx != nil {
@@ -373,14 +406,6 @@ func (m *Machine) charge(n int64) bool {
 		}
 	}
 	return true
-}
-
-// budgetFault records budget exhaustion and returns sigFault.
-func (m *Machine) budgetFault() signal {
-	if m.fault == nil {
-		m.fault = fmt.Errorf("vm: execution budget exceeded (%d steps)", m.max)
-	}
-	return sigFault
 }
 
 func truthy(v float64) bool { return v != 0 }
