@@ -9,7 +9,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 .PHONY: all build test vet fmt-check race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit results-check tune-smoke backend-diff \
-	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke \
+	prove-fuzz lazy-smoke race-smoke race-sweep cluster-smoke \
 	bench-smoke plan-guard vm-guard loc
 
 all: build test
@@ -95,13 +95,22 @@ tune-smoke: build
 	$(GO) run ./cmd/zpltune -bench frac -config n=24 -check
 	$(GO) run ./cmd/zpltune -bench fibro -config n=16 -check
 
-# Differential backend check: every testdata program (short ladder)
-# plus every benchmark under its golden tuned plan must produce
+# Native differential: everything that builds emitted Go and compares it
+# with the VM, re-run fresh and in full — the one target to run after
+# touching internal/gogen. Every testdata program (short ladder) plus
+# every benchmark under its golden tuned plan must produce
 # byte-identical output on the native backend and the VM, and a seeded
-# miscompile must be caught. Skips gracefully on a host without a go
-# toolchain (the backend package's tests skip themselves).
+# miscompile must be caught; the unchecked emission (nest-local base
+# pointers, trap scaffold elided when everything is proven) must stay
+# byte-identical to the checked emission and to the VM, a faulted proof
+# must surface as a wrong answer or a trap, never silence, and the run
+# must be clean under -d=checkptr; and the edge-nest matrix (-full: every
+# ladder level, every imposed loop structure in both emissions, forty
+# random programs; tier-1 runs a cut of it) must match the VM. Skips
+# gracefully on a host without a go toolchain (the backend package's
+# tests skip themselves).
 backend-diff: build
-	$(GO) test -count=1 -run 'TestBackendBitIdentical|TestSeedFaultCaught' -v ./internal/backend
+	$(GO) test -count=1 -run 'TestBackendBitIdentical|TestSeedFaultCaught|TestProveBitIdentical|TestProveFaultCaughtNative|TestNativeEdgeNests|TestEmittedCheckptrClean' -v ./internal/backend -full
 
 # Prover differential fuzz: random programs across the ladder must be
 # fully proven, run bit-identical checked vs proof-carrying, and a
@@ -109,14 +118,6 @@ backend-diff: build
 # bounds cross-validator and dynamically by the differential.
 prove-fuzz: build
 	$(GO) test -count=1 -run 'TestQuickProve' -v ./internal/driver
-
-# Prover native smoke: the unchecked emission (hoisted base pointers,
-# trap scaffold elided when everything is proven) must stay
-# byte-identical to the checked emission and to the VM, and a faulted
-# proof must surface as a wrong answer or a trap, never silence. Skips
-# itself on a host without a go toolchain.
-prove-smoke: build
-	$(GO) test -count=1 -run 'TestProveBitIdentical|TestProveFaultCaughtNative' -v ./internal/backend
 
 # Lazy-runtime smoke: the example solver builds, and the differential
 # test (lazy output byte-identical to the equivalent ZA program across
@@ -214,7 +215,7 @@ loc:
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary
 # package tests, so `test` runs them and `race` runs them under -race.
-ci: vet fmt-check test race plan-guard vm-guard serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
+ci: vet fmt-check test race plan-guard vm-guard serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
 
 experiments:
 	$(GO) run ./cmd/experiments

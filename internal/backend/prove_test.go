@@ -11,9 +11,12 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/gogen"
@@ -151,4 +154,70 @@ func TestProveFaultCaughtNative(t *testing.T) {
 		}
 	}
 	t.Errorf("no injected fault across %d sites changed the native output", total)
+}
+
+// TestEmittedCheckptrClean runs the proof-carrying emission under the
+// toolchain's pointer checker: built with -d=checkptr, every conversion
+// of an unsafe.Pointer to *float64 is looked up in the heap (a pointer
+// into a span's unused tail or a freed span, or one whose eight bytes
+// straddle two objects, is a fatal error), and the run must still print
+// the VM's transcript. It is the executable statement of "no derived
+// pointer leaves its allocation" — the reason a row offset is an
+// integer added to the array's base in one step, never a row pointer
+// that an outer loop parks before the first element or beyond the last.
+func TestEmittedCheckptrClean(t *testing.T) {
+	requireToolchain(t)
+	if testing.Short() {
+		t.Skip("invokes the go toolchain repeatedly")
+	}
+	tool, _ := backend.Toolchain()
+	file := func(name string) string {
+		data, err := os.ReadFile("../../testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	tomcatv, _ := programs.ByName("tomcatv")
+	for _, cs := range []struct {
+		name, src string
+		cfgs      map[string]int64
+	}{
+		{"heat", file("heat.za"), nil},
+		{"tomcatv", tomcatv.Source, benchConfigs(tomcatv)},
+		{"rowsums", file("rowsums.za"), nil},
+	} {
+		t.Run(cs.name, func(t *testing.T) {
+			t.Parallel()
+			c, err := driver.Compile(cs.src, driver.Options{Level: core.C2F4, Configs: cs.cfgs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			goSrc, err := gogen.EmitBounds(c.LIR, c.Bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(goSrc, "unsafe.Add") {
+				t.Fatal("emission has no unchecked access; the case is vacuous")
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			build := exec.Command(tool, "build", "-gcflags=all=-d=checkptr", "-o", "prog", "main.go")
+			build.Dir = dir
+			if out, err := build.CombinedOutput(); err != nil {
+				t.Fatalf("go build -d=checkptr: %v\n%s", err, out)
+			}
+			var stdout, stderr bytes.Buffer
+			run := exec.Command(filepath.Join(dir, "prog"))
+			run.Stdout, run.Stderr = &stdout, &stderr
+			if err := run.Run(); err != nil {
+				t.Fatalf("run under checkptr: %v\n%s", err, stderr.String())
+			}
+			if want := vmOutput(t, c); stdout.String() != want {
+				t.Errorf("output under checkptr %q, VM %q", stdout.String(), want)
+			}
+		})
+	}
 }

@@ -1,13 +1,18 @@
 // Package gogen is the native back end: it emits a scalarized program
 // as a standalone Go source file whose output matches the VM's
 // bit-for-bit. This is what a production array compiler would ship.
-// On speed the two engines are close since the VM runs a strip at a
-// time: on the bench harness's run cells the emitted loops cost ~2.5 ns
-// per element-statement against the VM's 3–5, and a native run pays a
-// process spawn (~2 ms) the VM does not, so native wins on large arrays
-// and long runs and the VM everywhere else (ROADMAP item 2). Running
-// both closes the loop on code-generation correctness with the host
-// toolchain as the final referee.
+// A loop nest is emitted so that the Go compiler can do for it what the
+// paper expects of a scalar back end: everything the innermost loop
+// touches — contracted arrays, accumulators, scalars, base pointers —
+// is a local of the nest's block, a reference is base + row offset +
+// displacement, and what is fixed along a row is computed once per row
+// (see the sweep type; DESIGN.md §13). On the bench harness's run cells
+// the emitted loops cost ~2.0 ns per element-statement against the
+// VM's 3–5, and emitted heat runs within 1.1× of a hand-fused Go kernel;
+// a native run pays a process spawn (~4 ms) the VM does not, so native
+// wins on large arrays and long runs and the VM everywhere else
+// (ROADMAP item 2). Running both closes the loop on code-generation
+// correctness with the host toolchain as the final referee.
 //
 // Emitted programs are self-contained (standard library only) and make
 // three guarantees the differential harness (internal/backend,
@@ -35,6 +40,7 @@
 package gogen
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -120,7 +126,7 @@ func EmitBounds(p *lir.Program, bounds *absint.Result) (string, error) {
 // artifacts keep their keys.
 func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error) {
 	g := &gen{p: p, bounds: bounds, spec: spec}
-	var body strings.Builder
+	var body bytes.Buffer
 	g.b = &body
 
 	procNames := make([]string, 0, len(p.Procs))
@@ -150,6 +156,7 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 	g.declarations(&decls)
 
 	var out strings.Builder
+	out.Grow(body.Len() + decls.Len() + len(stateFns) + 2048)
 	out.WriteString("// Code generated by gogen from program " + p.Name + ". DO NOT EDIT.\n")
 	allProven := false
 	if bounds != nil {
@@ -187,7 +194,7 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 	if g.useWrap {
 		out.WriteString(helperWrap)
 	}
-	out.WriteString(body.String())
+	out.Write(body.Bytes())
 	out.WriteString(stateFns)
 	switch {
 	case g.spec != nil && allProven:
@@ -263,7 +270,7 @@ func (g *gen) stateFuncs() (string, error) {
 
 type gen struct {
 	p      *lir.Program
-	b      *strings.Builder
+	b      *bytes.Buffer
 	bounds *absint.Result
 	spec   *StateSpec
 	ind    int
@@ -277,17 +284,34 @@ type gen struct {
 	useWrap   bool
 	useBinary bool
 
-	// basePtrs are the arrays with at least one unchecked access; each
-	// gets one package-level unsafe.Pointer to its backing store, so
-	// the per-access cost is a single add — re-deriving the base from
-	// the slice header at every access re-buys the check being removed.
-	basePtrs map[string]bool
+	// sw is the loop nest being emitted, nil between nests, and inner
+	// the side buffer its body renders into (one for the whole
+	// emission); strides holds each array's row-major stride vector,
+	// computed on its first reference.
+	sw      *sweep
+	inner   bytes.Buffer
+	strides map[string][]int
 }
 
 func (g *gen) line(format string, args ...interface{}) {
-	g.b.WriteString(strings.Repeat("\t", g.ind))
+	g.indent()
 	fmt.Fprintf(g.b, format, args...)
 	g.b.WriteByte('\n')
+}
+
+// text is line for parts that need no formatting.
+func (g *gen) text(parts ...string) {
+	g.indent()
+	for _, p := range parts {
+		g.b.WriteString(p)
+	}
+	g.b.WriteByte('\n')
+}
+
+func (g *gen) indent() {
+	for i := 0; i < g.ind; i++ {
+		g.b.WriteByte('\t')
+	}
 }
 
 func (g *gen) fail(format string, args ...interface{}) {
@@ -297,19 +321,17 @@ func (g *gen) fail(format string, args ...interface{}) {
 }
 
 // goName sanitizes a mangled ZA name into a Go identifier.
-func goName(n string) string {
-	n = strings.ReplaceAll(n, ".", "_")
-	n = strings.ReplaceAll(n, "$", "_")
-	return "za_" + n
-}
+func goName(n string) string { return mangle("za_", n) }
 
-// baseName is the package-level unsafe base pointer of an array with
-// unchecked accesses. The "zaP_" prefix cannot collide with goName's
+// mangle is goName under another prefix: "zaP_" is the nest-local base
+// pointer of an array with unchecked accesses and "zaA_" a reduction
+// target's nest-local accumulator. Neither prefix — nor "zaO_" (row
+// offsets) and "zaH_" (hoisted expressions) — can collide with goName's
 // "za_" namespace.
-func baseName(n string) string {
+func mangle(prefix, n string) string {
 	n = strings.ReplaceAll(n, ".", "_")
 	n = strings.ReplaceAll(n, "$", "_")
-	return "zaP_" + n
+	return prefix + n
 }
 
 // floatLit renders a float64 as a deterministic, valid Go expression.
@@ -331,7 +353,8 @@ func (g *gen) floatLit(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// declarations emits array storage and scalar variables.
+// declarations emits array storage and scalar variables. Contracted
+// arrays have no storage at all: each is a local of its one nest.
 func (g *gen) declarations(out *strings.Builder) {
 	names := make([]string, 0, len(g.p.Source.Arrays))
 	for n := range g.p.Source.Arrays {
@@ -358,27 +381,6 @@ func (g *gen) declarations(out *strings.Builder) {
 		} else {
 			fmt.Fprintf(out, "var %s float64\n", goName(n))
 		}
-	}
-	// Contracted arrays become plain variables.
-	names = names[:0]
-	for n, a := range g.p.Source.Arrays {
-		if a.Contracted {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(out, "var %s float64 // contracted array\n", goName(n))
-	}
-	// Hoisted base pointers for the unchecked accesses (declarations
-	// render after the procs, so the set is complete here).
-	names = names[:0]
-	for n := range g.basePtrs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(out, "var %s = unsafe.Pointer(&%s[0])\n", baseName(n), goName(n))
 	}
 	out.WriteString("\n")
 }
@@ -516,26 +518,26 @@ func (g *gen) node(n lir.Node, pr *lir.Proc) {
 	case *lir.Nest:
 		g.nest(x)
 	case *lir.ScalarAssign:
-		g.line("%s = %s", goName(x.LHS), g.expr(x.RHS, nil))
+		g.line("%s = %s", goName(x.LHS), g.expr(x.RHS))
 	case *lir.Loop:
 		v := goName(x.Var)
 		if x.Down {
-			g.line("for %s = %s; %s >= %s; %s-- {", v, g.expr(x.Lo, nil), v, g.expr(x.Hi, nil), v)
+			g.line("for %s = %s; %s >= %s; %s-- {", v, g.expr(x.Lo), v, g.expr(x.Hi), v)
 		} else {
-			g.line("for %s = %s; %s <= %s; %s++ {", v, g.expr(x.Lo, nil), v, g.expr(x.Hi, nil), v)
+			g.line("for %s = %s; %s <= %s; %s++ {", v, g.expr(x.Lo), v, g.expr(x.Hi), v)
 		}
 		g.ind++
 		g.nodes(x.Body, pr)
 		g.ind--
 		g.line("}")
 	case *lir.While:
-		g.line("for (%s) != 0 {", g.expr(x.Cond, nil))
+		g.line("for (%s) != 0 {", g.expr(x.Cond))
 		g.ind++
 		g.nodes(x.Body, pr)
 		g.ind--
 		g.line("}")
 	case *lir.If:
-		g.line("if (%s) != 0 {", g.expr(x.Cond, nil))
+		g.line("if (%s) != 0 {", g.expr(x.Cond))
 		g.ind++
 		g.nodes(x.Then, pr)
 		g.ind--
@@ -553,7 +555,7 @@ func (g *gen) node(n lir.Node, pr *lir.Proc) {
 	case *lir.Call:
 		args := make([]string, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = g.expr(a, nil)
+			args[i] = g.expr(a)
 		}
 		g.line("%s(%s)", goName(x.Proc), strings.Join(args, ", "))
 		if x.Target != "" {
@@ -561,7 +563,7 @@ func (g *gen) node(n lir.Node, pr *lir.Proc) {
 		}
 	case *lir.Return:
 		if x.Value != nil {
-			g.line("%s = %s", goName(pr.Name+".$result"), g.expr(x.Value, nil))
+			g.line("%s = %s", goName(pr.Name+".$result"), g.expr(x.Value))
 		}
 		g.line("return")
 	case *lir.Writeln:
@@ -570,7 +572,7 @@ func (g *gen) node(n lir.Node, pr *lir.Proc) {
 		for _, a := range x.Args {
 			if a.Expr != nil {
 				fmts = append(fmts, "%g")
-				args = append(args, g.expr(a.Expr, nil))
+				args = append(args, g.expr(a.Expr))
 			} else {
 				fmts = append(fmts, "%s")
 				args = append(args, fmt.Sprintf("%q", a.Str))
@@ -599,27 +601,177 @@ func idxSlice(n int) []string {
 	return idx
 }
 
+// sweep is the loop nest being emitted: a lir.Nest, or either half of a
+// lir.PartialReduce. A nest is one block in which everything the
+// innermost loop touches is a local that the Go compiler can keep in a
+// register — a package-level variable is a load and a store at every
+// use, because any store through an unsafe pointer may alias it:
+//
+//	{
+//		var za_LAP float64                 // contracted array, preload register
+//		var zaA__s1 float64 = 0            // reduction accumulator
+//		za_dt := za_dt                     // scalar the body reads
+//		zaP_T := unsafe.Pointer(&za_T[0])  // array with proven accesses (za_T := za_T: with checked ones)
+//		for i1 := 2; i1 <= 511; i1++ {
+//			zaO_0 := 512*i1                          // row offset
+//			zaH_1 := math.Sin((0.1 * float64(i1)))   // fixed along the row
+//			for i2 := 2; i2 <= 511; i2++ {
+//				... *(*float64)(unsafe.Add(zaP_T, 8*(zaO_0+i2)-4104)) ...
+//			}
+//		}
+//		za__s1 = zaA__s1
+//	}
+//
+// Why each local is legal. A nest body is array statements only: it
+// assigns array elements, contracted arrays, preload registers and
+// reduction targets, never a plain scalar, so a scalar it reads is
+// invariant and may be copied at entry. A contracted array is confined
+// to one nest and written before it is read at the same index
+// (Definition 6; internal/check's contraction pass audits it), so a var
+// that starts at zero is the storage it needs; it is declared outside
+// the loops, so a guarded read sees what the previous iteration left.
+// A reduction target is written by its own statement only, so it
+// accumulates in a local that is stored once after the loops — unless a
+// statement of the nest reads the target, which then stays the
+// package-level variable. A row offset is an int, not a pointer, so no
+// pointer ever leaves its allocation (-d=checkptr runs clean). A hoisted
+// expression is the same text evaluated on the same inputs, never
+// re-associated; every builtin is pure and none traps, so evaluating it
+// on a row where a guard then skips the statement changes nothing.
+//
+// The innermost loop may be any dimension, in either direction
+// (Nest.Order): "row" above means the terms of every other index.
+// A nest of rank three or more still hoists one level only.
+//
+// The body renders once, into a side buffer, and what it turns out to
+// reference decides the declarations that are written ahead of it.
+type sweep struct {
+	idx   []string // index variable of each dimension
+	inner int      // the dimension the innermost loop runs over
+
+	// reads holds the names the body both assigns and reads — its
+	// registers (contracted arrays, preloads) and any reduction target
+	// a statement reads: the scalars that are not invariant. nest finds
+	// them in one walk over the body before it renders.
+	reads map[string]bool
+
+	pre   []string          // declarations at the top of the block
+	defs  []string          // row offsets and hoisted expressions, just outside the innermost loop
+	post  []string          // accumulator stores after the loops
+	names map[string]string // a declared name, or a definition's text, to its local
+}
+
+// loop is one level of a sweep: dimension dim from lo to hi, or from hi
+// down to lo.
+type loop struct {
+	dim, lo, hi int
+	down        bool
+}
+
+// loopsOf orders the dimensions of lo..hi by a loop structure vector
+// (Nest.Order); nil is the row-major order of a partial reduction.
+func loopsOf(lo, hi, order []int) []loop {
+	ls := make([]loop, len(lo))
+	for k := range ls {
+		d := k + 1
+		if order != nil {
+			d = order[k]
+		}
+		ls[k].down = d < 0
+		if d < 0 {
+			d = -d
+		}
+		ls[k].dim, ls[k].lo, ls[k].hi = d-1, lo[d-1], hi[d-1]
+	}
+	return ls
+}
+
+// declare adds name's declaration — the parts, concatenated — to the
+// top of the block unless it is there already, and reports whether it
+// added it.
+func (sw *sweep) declare(name string, parts ...string) bool {
+	if _, ok := sw.names[name]; ok {
+		return false
+	}
+	sw.names[name] = name
+	sw.pre = append(sw.pre, strings.Join(parts, ""))
+	return true
+}
+
+// define names a value that is fixed along the innermost loop — one
+// local per distinct text — and returns the name.
+func (sw *sweep) define(prefix, text string) string {
+	name, ok := sw.names[text]
+	if !ok {
+		name = prefix + strconv.Itoa(len(sw.defs))
+		sw.names[text] = name
+		sw.defs = append(sw.defs, name+" := "+text)
+	}
+	return name
+}
+
+// sweep emits the block of one loop nest around the statements body
+// renders (see the sweep type).
+func (g *gen) sweep(idx []string, reads map[string]bool, loops []loop, body func()) {
+	sw := &sweep{idx: idx, inner: loops[len(loops)-1].dim, reads: reads, names: map[string]string{}}
+	out, depth := g.b, len(loops)+1
+	g.inner.Reset()
+	g.b, g.sw, g.ind = &g.inner, sw, g.ind+depth
+	body()
+	g.b, g.sw, g.ind = out, nil, g.ind-depth
+
+	g.line("{")
+	g.ind++
+	g.lines(sw.pre)
+	for k, l := range loops {
+		if k == len(loops)-1 {
+			g.lines(sw.defs)
+		}
+		v := sw.idx[l.dim]
+		if l.down {
+			g.line("for %s := %d; %s >= %d; %s-- {", v, l.hi, v, l.lo, v)
+		} else {
+			g.line("for %s := %d; %s <= %d; %s++ {", v, l.lo, v, l.hi, v)
+		}
+		g.ind++
+	}
+	g.b.Write(g.inner.Bytes())
+	for range loops {
+		g.ind--
+		g.line("}")
+	}
+	g.lines(sw.post)
+	g.ind--
+	g.line("}")
+}
+
+func (g *gen) lines(ls []string) {
+	for _, l := range ls {
+		g.text(l)
+	}
+}
+
 // reduceStep emits one accumulation statement dst op= rhs.
 func (g *gen) reduceStep(dst string, op air.ReduceOp, rhs string) {
 	switch op {
 	case air.ReduceSum:
-		g.line("%s += %s", dst, rhs)
+		g.text(dst, " += ", rhs)
 	case air.ReduceProd:
-		g.line("%s *= %s", dst, rhs)
+		g.text(dst, " *= ", rhs)
 	case air.ReduceMax:
 		g.useMath = true
-		g.line("%s = math.Max(%s, %s)", dst, dst, rhs)
+		g.text(dst, " = math.Max(", dst, ", ", rhs, ")")
 	case air.ReduceMin:
 		g.useMath = true
-		g.line("%s = math.Min(%s, %s)", dst, dst, rhs)
+		g.text(dst, " = math.Min(", dst, ", ", rhs, ")")
 	default:
 		g.fail("gogen: unknown reduce op %v", op)
 	}
 }
 
-// partialReduce emits a dimensional reduction: identity-fill the
-// destination slab, then sweep the source accumulating into the
-// projected element.
+// partialReduce emits a dimensional reduction as two sweeps:
+// identity-fill the destination slab, then sweep the source
+// accumulating into the projected element.
 func (g *gen) partialReduce(x *lir.PartialReduce) {
 	rank := x.Region.Rank()
 	idx := idxSlice(rank)
@@ -630,107 +782,123 @@ func (g *gen) partialReduce(x *lir.PartialReduce) {
 	if g.bounds != nil {
 		site = g.bounds.ReduceStore(x)
 	}
-	// Identity fill.
-	for k := 0; k < rank; k++ {
-		v := idx[k]
-		g.line("for %s := %d; %s <= %d; %s++ {", v, x.Dest.Lo[k], v, x.Dest.Hi[k], v)
-		g.ind++
-	}
-	g.line("%s = %s", g.indexed(x.LHS, air.Zero(rank), idx, site), g.identity(x.Op))
-	for k := 0; k < rank; k++ {
-		g.ind--
-		g.line("}")
-	}
-	// Accumulation sweep with projected destination index.
+	g.sweep(idx, nil, loopsOf(x.Dest.Lo, x.Dest.Hi, nil), func() {
+		g.line("%s = %s", g.indexed(x.LHS, air.Zero(rank), idx, site), g.identity(x.Op))
+	})
+	// A collapsed dimension is pinned at the destination's one index.
 	proj := make([]string, rank)
 	for k := 0; k < rank; k++ {
 		if x.Dest.Extent(k) == 1 && x.Region.Extent(k) != 1 {
-			proj[k] = fmt.Sprintf("%d", x.Dest.Lo[k])
+			proj[k] = strconv.Itoa(x.Dest.Lo[k])
 		} else {
 			proj[k] = idx[k]
 		}
 	}
-	for k := 0; k < rank; k++ {
-		v := idx[k]
-		g.line("for %s := %d; %s <= %d; %s++ {", v, x.Region.Lo[k], v, x.Region.Hi[k], v)
+	g.sweep(idx, nil, loopsOf(x.Region.Lo, x.Region.Hi, nil), func() {
+		g.reduceStep(g.indexed(x.LHS, air.Zero(rank), proj, site), x.Op, g.expr(x.Body))
+	})
+}
+
+func (g *gen) nest(n *lir.Nest) {
+	// One walk before anything renders: which of the names the body
+	// assigns — registers and reduction targets — does it also read?
+	assigned, reads := map[string]bool{}, map[string]bool{}
+	for _, pl := range n.Preloads {
+		assigned[pl.Var] = true
+	}
+	for _, s := range n.Body {
+		if s.Contracted {
+			assigned[s.LHS] = true
+		} else if s.IsReduce {
+			assigned[s.Target] = true
+		}
+	}
+	if len(assigned) > 0 {
+		note := func(e air.Expr) {
+			switch x := e.(type) {
+			case *air.ScalarExpr:
+				if assigned[x.Name] {
+					reads[x.Name] = true
+				}
+			case *air.RefExpr:
+				if assigned[x.Ref.Array] {
+					reads[x.Ref.Array] = true
+				}
+			}
+		}
+		for _, s := range n.Body {
+			air.Walk(s.RHS, note)
+		}
+	}
+	idx := idxSlice(n.Region.Rank())
+	g.sweep(idx, reads, loopsOf(n.Region.Lo, n.Region.Hi, n.Order), func() {
+		for i, pl := range n.Preloads {
+			var site *absint.Site
+			if g.bounds != nil {
+				site = g.bounds.PreloadSite(n, i)
+			}
+			g.assign(pl.Var, g.indexed(pl.Array, pl.Off, idx, site))
+		}
+		for _, s := range n.Body {
+			g.stmt(n, s)
+		}
+	})
+}
+
+// stmt emits one statement of a nest body under its guard.
+func (g *gen) stmt(n *lir.Nest, s *lir.NestStmt) {
+	sw := g.sw
+	var conds []string
+	if s.Guard != nil {
+		for d, v := range sw.idx {
+			if s.Guard.Lo[d] != n.Region.Lo[d] || s.Guard.Hi[d] != n.Region.Hi[d] {
+				conds = append(conds, fmt.Sprintf("%d <= %s && %s <= %d", s.Guard.Lo[d], v, v, s.Guard.Hi[d]))
+			}
+		}
+	}
+	if len(conds) > 0 {
+		g.line("if %s {", strings.Join(conds, " && "))
 		g.ind++
 	}
-	g.reduceStep(g.indexed(x.LHS, air.Zero(rank), proj, site), x.Op, g.expr(x.Body, idx))
-	for k := 0; k < rank; k++ {
+	rhs := g.expr(s.RHS)
+	switch {
+	case s.IsReduce && sw.reads[s.Target]:
+		// Some statement reads the running value: it stays in memory.
+		dst := goName(s.Target)
+		sw.declare(dst, dst, " = ", g.identity(s.Op))
+		g.reduceStep(dst, s.Op, rhs)
+	case s.IsReduce:
+		acc := mangle("zaA_", s.Target)
+		if sw.declare(acc, "var ", acc, " float64 = ", g.identity(s.Op)) {
+			sw.post = append(sw.post, goName(s.Target)+" = "+acc)
+		}
+		g.reduceStep(acc, s.Op, rhs)
+	case s.Contracted:
+		g.assign(s.LHS, rhs)
+	default:
+		var site *absint.Site
+		if g.bounds != nil {
+			site = g.bounds.Store(s)
+		}
+		g.text(g.indexed(s.LHS, air.Zero(len(sw.idx)), sw.idx, site), " = ", rhs)
+	}
+	if len(conds) > 0 {
 		g.ind--
 		g.line("}")
 	}
 }
 
-func (g *gen) nest(n *lir.Nest) {
-	rank := n.Region.Rank()
-	idx := idxSlice(rank)
-	// Reduction initializations.
-	for _, s := range n.Body {
-		if s.IsReduce {
-			g.line("%s = %s", goName(s.Target), g.identity(s.Op))
-		}
+// assign emits reg = rhs for a contracted array or a preload register.
+// One that nothing reads is not declared (Go rejects an unused local):
+// its value is evaluated, for the checks its reads carry, and dropped.
+func (g *gen) assign(reg, rhs string) {
+	if !g.sw.reads[reg] {
+		g.text("_ = ", rhs)
+		return
 	}
-	for k := 0; k < rank; k++ {
-		pi := n.Order[k]
-		dim := pi
-		if dim < 0 {
-			dim = -dim
-		}
-		v := idx[dim-1]
-		lo, hi := n.Region.Lo[dim-1], n.Region.Hi[dim-1]
-		if pi > 0 {
-			g.line("for %s := %d; %s <= %d; %s++ {", v, lo, v, hi, v)
-		} else {
-			g.line("for %s := %d; %s >= %d; %s-- {", v, hi, v, lo, v)
-		}
-		g.ind++
-	}
-	for i, pl := range n.Preloads {
-		var site *absint.Site
-		if g.bounds != nil {
-			site = g.bounds.PreloadSite(n, i)
-		}
-		g.line("%s = %s", goName(pl.Var), g.indexed(pl.Array, pl.Off, idx, site))
-	}
-	for _, s := range n.Body {
-		closeGuard := false
-		if s.Guard != nil {
-			var conds []string
-			for d := 0; d < rank; d++ {
-				if s.Guard.Lo[d] != n.Region.Lo[d] || s.Guard.Hi[d] != n.Region.Hi[d] {
-					conds = append(conds, fmt.Sprintf("%d <= %s && %s <= %d",
-						s.Guard.Lo[d], idx[d], idx[d], s.Guard.Hi[d]))
-				}
-			}
-			if len(conds) > 0 {
-				g.line("if %s {", strings.Join(conds, " && "))
-				g.ind++
-				closeGuard = true
-			}
-		}
-		rhs := g.expr(s.RHS, idx)
-		switch {
-		case s.IsReduce:
-			g.reduceStep(goName(s.Target), s.Op, rhs)
-		case s.Contracted:
-			g.line("%s = %s", goName(s.LHS), rhs)
-		default:
-			var site *absint.Site
-			if g.bounds != nil {
-				site = g.bounds.Store(s)
-			}
-			g.line("%s = %s", g.indexed(s.LHS, air.Zero(rank), idx, site), rhs)
-		}
-		if closeGuard {
-			g.ind--
-			g.line("}")
-		}
-	}
-	for k := 0; k < rank; k++ {
-		g.ind--
-		g.line("}")
-	}
+	v := goName(reg)
+	g.sw.declare(v, "var ", v, " float64")
+	g.text(v, " = ", rhs)
 }
 
 func (g *gen) identity(op air.ReduceOp) string {
@@ -747,143 +915,237 @@ func (g *gen) identity(op air.ReduceOp) string {
 	return "0"
 }
 
-// indexed renders one array element access against alloc bounds. The
-// checked form is A[flat offset expression] (Go's implicit slice
-// check); a ProvenSafe site instead renders as raw pointer arithmetic
-// with no check, and a Faulted site renders with its access displaced
-// by the injected evidence shift (wrapped into the storage).
+// indexed renders one array element access against alloc bounds; idx
+// gives each dimension's index, a loop variable or (the pinned
+// dimension of a partial reduction) a constant. The flat position is
+// the sweep's row offset for the terms of the outer dimensions, plus
+// the innermost term, plus a constant displacement. The checked form
+// indexes the slice (Go's implicit check); a ProvenSafe site instead
+// renders as raw pointer arithmetic with no check, and a Faulted site
+// renders with its access displaced by the injected evidence shift
+// (wrapped into the storage).
 func (g *gen) indexed(name string, off air.Offset, idx []string, site *absint.Site) string {
-	a := g.p.Source.Arrays[name]
+	a, sw := g.p.Source.Arrays[name], g.sw
 	if a == nil {
 		g.fail("gogen: unknown array %s", name)
 		return "zaBAD"
 	}
-	rank := a.Alloc.Rank()
-	size := a.Alloc.Size()
-	strides := make([]int, rank)
-	s := 1
-	for k := rank - 1; k >= 0; k-- {
-		strides[k] = s
-		s *= a.Alloc.Extent(k)
+	strides := g.strides[name]
+	if strides == nil {
+		strides = make([]int, a.Alloc.Rank())
+		s := 1
+		for k := len(strides) - 1; k >= 0; k-- {
+			strides[k] = s
+			s *= a.Alloc.Extent(k)
+		}
+		if g.strides == nil {
+			g.strides = map[string][]int{}
+		}
+		g.strides[name] = strides
 	}
-	var terms []string
+	var row, at string
 	base := 0
-	for k := 0; k < rank; k++ {
-		d := off[k] - a.Alloc.Lo[k]
-		base += d * strides[k]
-		if strides[k] == 1 {
-			terms = append(terms, idx[k])
-		} else {
-			terms = append(terms, fmt.Sprintf("%d*%s", strides[k], idx[k]))
+	for k, stride := range strides {
+		base += (off[k] - a.Alloc.Lo[k]) * stride
+		term := idx[k]
+		if stride != 1 {
+			term = strconv.Itoa(stride) + "*" + term
+		}
+		switch {
+		case k == sw.inner:
+			at = term
+		case row == "":
+			row = term
+		default:
+			row += "+" + term
 		}
 	}
-	expr := strings.Join(terms, "+")
-	if base != 0 {
-		expr = fmt.Sprintf("%s%+d", expr, base)
-	}
-	if site != nil && site.Verdict == absint.ProvenSafe && size > 0 {
-		if site.FaultShift != 0 {
-			g.useWrap = true
-			return fmt.Sprintf("%s[za_wrap(%s%+d, %d)]", goName(name), expr, site.FaultShift, size)
+	if row != "" {
+		row = sw.define("zaO_", row)
+		if at != "" {
+			row += "+"
 		}
+		at = row + at
+	}
+	size := a.Alloc.Size()
+	v := goName(name)
+	proven := site != nil && site.Verdict == absint.ProvenSafe && size > 0
+	if proven && site.FaultShift == 0 {
+		// The displacement stays outside the scaled index: base +
+		// 8*register + constant is one addressing mode.
 		g.useUnsafe = true
-		if g.basePtrs == nil {
-			g.basePtrs = map[string]bool{}
-		}
-		g.basePtrs[name] = true
-		return fmt.Sprintf("*(*float64)(unsafe.Add(%s, 8*(%s)))", baseName(name), expr)
+		p := mangle("zaP_", name)
+		sw.declare(p, p, " := unsafe.Pointer(&", v, "[0])")
+		return "*(*float64)(unsafe.Add(" + p + ", 8*(" + at + ")" + signed(8*base) + "))"
 	}
-	return fmt.Sprintf("%s[%s]", goName(name), expr)
+	sw.declare(v, v, " := ", v)
+	if proven {
+		g.useWrap = true
+		return v + "[za_wrap(" + at + signed(base+site.FaultShift) + ", " + strconv.Itoa(size) + ")]"
+	}
+	return v + "[" + at + signed(base) + "]"
 }
 
-func (g *gen) expr(e air.Expr, idx []string) string {
+// signed renders a constant term of a sum: "+n", "-n", nothing for 0.
+func signed(n int) string {
+	switch {
+	case n > 0:
+		return "+" + strconv.Itoa(n)
+	case n < 0:
+		return strconv.Itoa(n)
+	}
+	return ""
+}
+
+// mathFuncs maps the builtins that are calls into package math.
+var mathFuncs = map[string]string{
+	"sqrt": "Sqrt", "exp": "Exp", "log": "Log", "sin": "Sin",
+	"cos": "Cos", "tan": "Tan", "abs": "Abs", "floor": "Floor",
+	"ceil": "Ceil", "min": "Min", "max": "Max", "pow": "Pow",
+	"mod": "Mod", "atan2": "Atan2",
+}
+
+// expr renders an expression. Inside a sweep its maximal subexpressions
+// that are fixed along the innermost loop — no array reference, no
+// register the body assigns, no innermost index — become locals defined
+// once per iteration of the loop outside it.
+func (g *gen) expr(e air.Expr) string {
+	text, fixed := g.render(e)
+	return g.hoist(e, text, fixed)
+}
+
+// hoist replaces a fixed subexpression's text with the local that holds
+// it. Constants and scalars are left where they are: they already cost
+// nothing per element.
+func (g *gen) hoist(e air.Expr, text string, fixed bool) string {
+	if !fixed || g.sw == nil {
+		return text
+	}
+	switch e.(type) {
+	case *air.ConstExpr, *air.ScalarExpr:
+		return text
+	}
+	return g.sw.define("zaH_", text)
+}
+
+// render returns e's Go text and whether its value is fixed along the
+// innermost loop (always, outside a sweep). An operator whose operands
+// are not all fixed is not fixed either, so each operand that is fixed
+// is maximal and is hoisted there.
+func (g *gen) render(e air.Expr) (string, bool) {
+	sw := g.sw
 	switch x := e.(type) {
 	case *air.ConstExpr:
 		if x.Val == float64(int64(x.Val)) {
-			return fmt.Sprintf("float64(%d)", int64(x.Val))
+			return "float64(" + strconv.FormatInt(int64(x.Val), 10) + ")", true
 		}
-		return g.floatLit(x.Val)
+		return g.floatLit(x.Val), true
 	case *air.ScalarExpr:
-		return goName(x.Name)
-	case *air.IndexExpr:
-		if idx == nil || x.Dim-1 >= len(idx) {
-			g.fail("gogen: index%d outside a nest", x.Dim)
-			return "0"
+		v := goName(x.Name)
+		if sw != nil {
+			if sw.reads[x.Name] {
+				return v, false
+			}
+			sw.declare(v, v, " := ", v)
 		}
-		return "float64(" + idx[x.Dim-1] + ")"
+		return v, true
+	case *air.IndexExpr:
+		if sw == nil || x.Dim-1 >= len(sw.idx) {
+			g.fail("gogen: index%d outside a nest", x.Dim)
+			return "0", true
+		}
+		return "float64(" + sw.idx[x.Dim-1] + ")", x.Dim-1 != sw.inner
 	case *air.RefExpr:
+		if sw == nil {
+			g.fail("gogen: reference to %s outside a nest", x.Ref.Array)
+			return "0", true
+		}
 		if info := g.p.Source.Arrays[x.Ref.Array]; info != nil && info.Contracted {
-			return goName(x.Ref.Array)
+			v := goName(x.Ref.Array)
+			sw.declare(v, "var ", v, " float64")
+			return v, false
 		}
 		var site *absint.Site
 		if g.bounds != nil {
 			site = g.bounds.Read(x)
 		}
-		return g.indexed(x.Ref.Array, x.Ref.Off, idx, site)
+		return g.indexed(x.Ref.Array, x.Ref.Off, sw.idx, site), false
 	case *air.BinExpr:
-		a, b := g.expr(x.X, idx), g.expr(x.Y, idx)
-		switch x.Op {
-		case air.OpAdd:
-			return "(" + a + " + " + b + ")"
-		case air.OpSub:
-			return "(" + a + " - " + b + ")"
-		case air.OpMul:
-			return "(" + a + " * " + b + ")"
-		case air.OpDiv:
-			return "(" + a + " / " + b + ")"
-		case air.OpRem:
-			g.useMath = true
-			return "math.Mod(" + a + ", " + b + ")"
-		case air.OpPow:
-			g.useMath = true
-			return "math.Pow(" + a + ", " + b + ")"
-		case air.OpEq:
-			return g.b2f(a + " == " + b)
-		case air.OpNe:
-			return g.b2f(a + " != " + b)
-		case air.OpLt:
-			return g.b2f(a + " < " + b)
-		case air.OpLe:
-			return g.b2f(a + " <= " + b)
-		case air.OpGt:
-			return g.b2f(a + " > " + b)
-		case air.OpGe:
-			return g.b2f(a + " >= " + b)
-		case air.OpAnd:
-			return g.b2f("(" + a + ") != 0 && (" + b + ") != 0")
-		case air.OpOr:
-			return g.b2f("(" + a + ") != 0 || (" + b + ") != 0")
+		a, afixed := g.render(x.X)
+		b, bfixed := g.render(x.Y)
+		if afixed != bfixed {
+			a, b = g.hoist(x.X, a, afixed), g.hoist(x.Y, b, bfixed)
 		}
+		return g.binary(x.Op, a, b), afixed && bfixed
 	case *air.UnExpr:
-		a := g.expr(x.X, idx)
+		a, fixed := g.render(x.X)
 		if x.Op == air.OpNot {
-			return g.b2f("(" + a + ") == 0")
+			return g.b2f("(" + a + ") == 0"), fixed
 		}
-		return "(-" + a + ")"
+		return "(-" + a + ")", fixed
 	case *air.CallExpr:
-		args := make([]string, len(x.Args))
+		args, fixed := make([]string, len(x.Args)), make([]bool, len(x.Args))
+		all := true
 		for i, a := range x.Args {
-			args[i] = g.expr(a, idx)
+			args[i], fixed[i] = g.render(a)
+			all = all && fixed[i]
+		}
+		if !all {
+			for i, a := range x.Args {
+				args[i] = g.hoist(a, args[i], fixed[i])
+			}
 		}
 		list := strings.Join(args, ", ")
-		switch x.Name {
-		case "sqrt", "exp", "log", "sin", "cos", "tan", "abs", "floor", "ceil", "min", "max", "pow", "mod", "atan2":
-			fn := map[string]string{
-				"sqrt": "Sqrt", "exp": "Exp", "log": "Log", "sin": "Sin",
-				"cos": "Cos", "tan": "Tan", "abs": "Abs", "floor": "Floor",
-				"ceil": "Ceil", "min": "Min", "max": "Max", "pow": "Pow",
-				"mod": "Mod", "atan2": "Atan2",
-			}[x.Name]
+		if fn, ok := mathFuncs[x.Name]; ok {
 			g.useMath = true
-			return "math." + fn + "(" + list + ")"
-		case "sign":
+			return "math." + fn + "(" + list + ")", all
+		}
+		if x.Name == "sign" {
 			g.useSign = true
-			return "za_sign(" + list + ")"
+			return "za_sign(" + list + ")", all
 		}
 		g.fail("gogen: unknown builtin %s", x.Name)
-		return "0"
+		return "0", true
 	}
 	g.fail("gogen: unknown expression %T", e)
+	return "0", true
+}
+
+// binary renders one binary operator over rendered operands.
+func (g *gen) binary(op air.Op, a, b string) string {
+	switch op {
+	case air.OpAdd:
+		return "(" + a + " + " + b + ")"
+	case air.OpSub:
+		return "(" + a + " - " + b + ")"
+	case air.OpMul:
+		return "(" + a + " * " + b + ")"
+	case air.OpDiv:
+		return "(" + a + " / " + b + ")"
+	case air.OpRem:
+		g.useMath = true
+		return "math.Mod(" + a + ", " + b + ")"
+	case air.OpPow:
+		g.useMath = true
+		return "math.Pow(" + a + ", " + b + ")"
+	case air.OpEq:
+		return g.b2f(a + " == " + b)
+	case air.OpNe:
+		return g.b2f(a + " != " + b)
+	case air.OpLt:
+		return g.b2f(a + " < " + b)
+	case air.OpLe:
+		return g.b2f(a + " <= " + b)
+	case air.OpGt:
+		return g.b2f(a + " > " + b)
+	case air.OpGe:
+		return g.b2f(a + " >= " + b)
+	case air.OpAnd:
+		return g.b2f("(" + a + ") != 0 && (" + b + ") != 0")
+	case air.OpOr:
+		return g.b2f("(" + a + ") != 0 || (" + b + ") != 0")
+	}
+	g.fail("gogen: unknown operator %v", op)
 	return "0"
 }
 

@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/air"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/gogen"
+	"repro/internal/lir"
 	"repro/internal/programs"
 	"repro/internal/vm"
 )
@@ -204,16 +206,55 @@ func TestEmittedSourceVetClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cmd := exec.Command("go", "vet", "main.go")
-		cmd.Dir = dir
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Errorf("%s: go vet rejects emitted source: %v\n%s", b.Name, err, out)
-		}
+		vetClean(t, b.Name, src)
 	}
+}
+
+// vetClean runs go vet over one emitted source.
+func vetClean(t *testing.T, name, src string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "vet", "main.go")
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Errorf("%s: go vet rejects emitted source: %v\n%s", name, err, out)
+	}
+}
+
+// TestUnreadRegisterVetClean: a register the nest assigns and nothing
+// reads (the compiler does not leave one behind; the emitter must not
+// depend on that) is not declared — Go rejects an unused local — and its
+// right-hand side is still evaluated.
+func TestUnreadRegisterVetClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("invokes the go toolchain")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	src, err := os.ReadFile("../../testdata/heat.za")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nest := range lir.Nests(c.LIR.Main.Body) {
+		nest.Body = append(nest.Body, &lir.NestStmt{LHS: "DEAD", Contracted: true,
+			RHS: &air.BinExpr{Op: air.OpMul, X: &air.IndexExpr{Dim: 2}, Y: &air.ConstExpr{Val: 1.5}}})
+	}
+	out, err := gogen.EmitBounds(c.LIR, c.Bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "_ = (float64(i2) * 1.5)") || strings.Contains(out, "za_DEAD") {
+		t.Errorf("unread register not dropped:\n%s", out)
+	}
+	vetClean(t, "heat", out)
 }
 
 // TestNativePartialReduction: dimensional reductions through the
@@ -321,6 +362,36 @@ func TestEmitStateSpecValidation(t *testing.T) {
 	for _, want := range []string{"za_load_state", "za_dump_state", gogen.StateInEnv, gogen.StateOutEnv, "encoding/binary"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stateful emission missing %q", want)
+		}
+	}
+}
+
+var emitSink int // keeps the benchmarked emission's result alive
+
+// BenchmarkEmit times EmitBounds over the cells the bench harness's
+// compile workload emits (6 programs × ladder ends, default sizes): the
+// emitter is inside that workload's operation, so an emitter change
+// has a number here before the harness runs. One op is all 12 cells.
+func BenchmarkEmit(b *testing.B) {
+	var comps []*driver.Compilation
+	for _, p := range programs.All() {
+		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+			c, err := driver.Compile(p.Source, driver.Options{Level: lvl})
+			if err != nil {
+				b.Fatal(err)
+			}
+			comps = append(comps, c)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range comps {
+			src, err := gogen.EmitBounds(c.LIR, c.Bounds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			emitSink += len(src)
 		}
 	}
 }

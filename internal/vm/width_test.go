@@ -157,111 +157,6 @@ func TestWidthRandomPrograms(t *testing.T) {
 	}
 }
 
-// edgeSrc exercises what the benchmarks do not: a statement the
-// compiler must run with a descending innermost loop (A reads its own
-// left neighbour), all four reduction operators, a guarded statement
-// fused with a whole-region one, twice-read operands for scalar
-// replacement, and partial reductions along each dimension. The test
-// replaces the operand of u's reduction, marked by the 77, with the
-// constant 0.1 (sema
-// rejects an array-free reduction in source; the lazy runtime issues
-// them), which must still be folded once per element.
-const edgeSrc = `
-program edges;
-config m : integer = 5;
-config n : integer = 7;
-region R = [1..m, 1..n];
-region I = [2..m-1, 3..n-1];
-region Rows = [1..m, 1..1];
-region Cols = [1..1, 1..n];
-var A, B, C, T : [R] double;
-var RS : [Rows] double;
-var CM : [Cols] double;
-var s, p, mx, mn, u : double;
-proc main()
-begin
-  [R] A := index1 * 10.0 + index2 * 0.25;
-  [R] B := sin(0.3 * index1) + index2;
-  for it := 1 to 2 do
-    [R] A := A@(0,-1) + 1.0;
-    [R] T := A@(0,1) * B + A@(0,1);
-    [I] C := T + B@(-1,0) * B@(-1,0);
-    [R] B := T * 0.5 - C;
-    s := +<< [R] B;
-    p := *<< [I] 1.0 + C * 0.001;
-    mx := max<< [R] T;
-    mn := min<< [I] T - C;
-    u := +<< [R] A * 77.0;
-  end;
-  [Rows] RS := +<< [R] A + B;
-  [Cols] CM := max<< [R] A - C;
-  writeln(s, p, mx, mn, u);
-  s := +<< [Rows] RS;
-  p := +<< [Cols] CM;
-  writeln(s, p);
-end;
-`
-
-// guardSrc is Fig. 5's fragment (8) twice, once along each dimension:
-// the contracted T1, T2 (U1, U2) live over a translate of R, so one
-// nest holds statements whose guards differ along the strip dimension
-// (they clip, and registers written under one guard are read under
-// another) and along the outer one (they exclude whole rows).
-const guardSrc = `
-program guards;
-config m : integer = 5;
-config n : integer = 7;
-region R = [1..m, 1..n];
-var A, B, C, D : [R] double;
-var T1, T2 : [1..m, 2..n+1] double;
-var U1, U2 : [2..m+1, 1..n] double;
-var chk : double;
-proc main()
-begin
-  [R] A := index1 * 0.1 + index2 * 0.01;
-  [R] C := index1 * 0.3 - index2 * 0.02;
-  for p := 1 to 2 do
-    [R] B := A * 0.5 + index2 * 0.001;
-    [1..m, 2..n+1] T1 := B;
-    [1..m, 2..n+1] T2 := B * index2;
-    [R] A := A@(0,1) + T1@(0,1) + T2@(0,1);
-    [R] D := C * 0.5;
-    [2..m+1, 1..n] U1 := D;
-    [2..m+1, 1..n] U2 := D + index1;
-    [R] C := C@(1,0) + U1@(1,0) + U2@(1,0);
-  end;
-  chk := +<< [R] A + B + C + D;
-  writeln(chk);
-end;
-`
-
-// rank3Src has partial reductions whose collapsed dimension is the
-// outermost, the middle and the innermost one.
-const rank3Src = `
-program cube;
-config n : integer = 4;
-region V = [1..n, 1..n+1, 1..n+3];
-region D1 = [1..1, 1..n+1, 1..n+3];
-region D2 = [1..n, 1..1, 1..n+3];
-region D3 = [1..n, 1..n+1, 1..1];
-var X : [V] double;
-var P1 : [D1] double;
-var P2 : [D2] double;
-var P3 : [D3] double;
-var a, b, c : double;
-proc main()
-begin
-  [V] X := index1 * 100.0 + index2 * 10.0 + index3 * 0.5;
-  [D1] P1 := +<< [V] X;
-  [D2] P2 := max<< [V] X * 0.5;
-  [D3] P3 := min<< [V] X - index3;
-  a := +<< [D1] P1;
-  b := +<< [D2] P2;
-  c := +<< [D3] P3;
-  writeln(a, b, c);
-end;
-`
-
 // TestWidthEdges: the hand-written cases, over extents that are 1,
 // shorter than every width above 1, and not a multiple of 3.
 func TestWidthEdges(t *testing.T) {
@@ -270,7 +165,7 @@ func TestWidthEdges(t *testing.T) {
 		for _, lvl := range []core.Level{core.Baseline, core.C2, core.C2F4} {
 			for _, sr := range []bool{false, true} {
 				id := fmt.Sprintf("edges %v/%s/scalarrep=%t", cfg, lvl, sr)
-				c := mustCompile(t, edgeSrc, driver.Options{Level: lvl, Configs: cfg, ScalarReplace: sr})
+				c := mustCompile(t, programs.EdgeSrc, driver.Options{Level: lvl, Configs: cfg, ScalarReplace: sr})
 				descending, preloads := false, 0
 				for _, nest := range lir.Nests(c.LIR.Main.Body) {
 					descending = descending || nest.Order[len(nest.Order)-1] < 0
@@ -299,7 +194,7 @@ func TestWidthEdges(t *testing.T) {
 		}
 	}
 	for _, cfg := range sizes {
-		c := mustCompile(t, guardSrc, driver.Options{Level: core.C2F4, Configs: cfg})
+		c := mustCompile(t, programs.GuardSrc, driver.Options{Level: core.C2F4, Configs: cfg})
 		clips, rows, regs := false, false, false
 		for _, nest := range lir.Nests(c.LIR.Main.Body) {
 			for _, s := range nest.Body {
@@ -316,7 +211,7 @@ func TestWidthEdges(t *testing.T) {
 		sameAtEveryWidth(t, fmt.Sprintf("guards %v", cfg), c)
 	}
 	for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
-		sameAtEveryWidth(t, fmt.Sprintf("cube/%s", lvl), mustCompile(t, rank3Src, driver.Options{Level: lvl}))
+		sameAtEveryWidth(t, fmt.Sprintf("cube/%s", lvl), mustCompile(t, programs.Rank3Src, driver.Options{Level: lvl}))
 		sameAtEveryWidth(t, fmt.Sprintf("logic/%s", lvl), mustCompile(t, logicSrc, driver.Options{Level: lvl}))
 	}
 	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "rowsums.za"))
@@ -328,41 +223,15 @@ func TestWidthEdges(t *testing.T) {
 	}
 }
 
-// permSrc has no loop-carried dependence inside any nest of its loop
-// body (T contracts, A is read-only there, B and C are read where they
-// were written), so every loop structure is legal for it and the test
-// may impose the ones the partitioner rarely picks.
-const permSrc = `
-program perm;
-config m : integer = 5;
-config n : integer = 8;
-region R = [1..m, 1..n];
-region I = [2..m-1, 2..n-2];
-var A, B, C, T : [R] double;
-var s, mx : double;
-proc main()
-begin
-  [R] A := index1 * 10.0 + index2 * 0.25;
-  for it := 1 to 1 do
-    [R] T := A@(0,1) * 0.5 + A@(1,0) + index2;
-    [I] B := T + A@(-1,-1);
-    [R] C := T - A * index1;
-    s := +<< [R] C + B;
-    mx := max<< [I] C * B;
-  end;
-  writeln(s, mx);
-end;
-`
-
 // TestWidthLoopStructures imposes every signed permutation of the two
-// loops on the nests of permSrc and guardSrc (whose fused nest has only
-// null distances too): descending and strided innermost loops,
-// with guards and reductions inside them. Widths must agree under each
-// structure; across structures only the arrays are compared, because a
-// reduction's bits follow the traversal.
+// loops on the nests of programs.PermSrc and programs.GuardSrc (whose
+// fused nest has only null distances too): descending and strided
+// innermost loops, with guards and reductions inside them. Widths must
+// agree under each structure; across structures only the arrays are
+// compared, because a reduction's bits follow the traversal.
 func TestWidthLoopStructures(t *testing.T) {
 	for _, order := range []dep.LoopStructure{{1, 2}, {1, -2}, {-1, 2}, {-1, -2}, {2, 1}, {2, -1}, {-2, 1}, {-2, -1}} {
-		for name, src := range map[string]string{"perm": permSrc, "guards": guardSrc} {
+		for name, src := range map[string]string{"perm": programs.PermSrc, "guards": programs.GuardSrc} {
 			for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
 				c := mustCompile(t, src, driver.Options{Level: lvl})
 				for _, nest := range lir.Nests(c.LIR.Main.Body) {
@@ -546,13 +415,13 @@ func runShards(t *testing.T, c *driver.Compilation, procs, rows, width int) []ou
 
 // TestWidthShards: shard machines — owned portions, the all-combine of
 // full reductions, the dense-buffer partial reduction — at p = 1, 2 and
-// 4 over the four rows guardSrc sweeps when m = 3, so that the last
+// 4 over the four rows programs.GuardSrc sweeps when m = 3, so that the last
 // processor of four owns no part of any sweep over R.
 // Every processor's outcome must be the same at every width, and p = 1
 // must be the whole-program machine.
 func TestWidthShards(t *testing.T) {
 	cfg := map[string]int64{"m": 3, "n": 7}
-	for _, src := range []string{edgeSrc, permSrc, guardSrc} {
+	for _, src := range []string{programs.EdgeSrc, programs.PermSrc, programs.GuardSrc} {
 		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
 			c := mustCompile(t, src, driver.Options{Level: lvl, Configs: cfg})
 			for _, procs := range []int{1, 2, 4} {
