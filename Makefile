@@ -181,11 +181,17 @@ bench-smoke: build
 # the literal f4 rescan on benchmarks and random graphs, and the
 # allocation ceiling on the sp c2+f4 p=2 compile. All of them are
 # ordinary tier-1 tests; this target is the one to run after touching
-# internal/core.
+# internal/core. It also holds the provers to their contract: after
+# touching internal/mhp or internal/absint run this and race-sweep —
+# TestEvidencePinned compares every string either can render (every
+# benchmark cell, the seeded faults, hand-built schedules) with
+# testdata/provers/evidence_hashes.json and
+# internal/mhp/testdata/evidence_hashes.json, and TestAnalyzeAllocs
+# fails if an analysis starts wording its verdicts again.
 plan-guard: build
-	$(GO) test -count=1 -run 'TestGoldenPlans' .
+	$(GO) test -count=1 -run 'TestGoldenPlans|TestEvidencePinned|TestZpllintEvidenceGolden|TestLoopDefectReportedOnce' . ./internal/mhp
 	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates' ./internal/core
-	$(GO) test -count=1 -run 'TestCompileDistAllocs' ./internal/driver
+	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs' ./internal/driver ./internal/mhp ./internal/absint
 
 # VM guard: the three tests that let the strip evaluator be changed
 # without the bench harness, re-run fresh — the Tracer stream against

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/air"
@@ -42,7 +43,8 @@ func (v Verdict) String() string {
 }
 
 // Site is one array access (read or write) with its verdict and the
-// interval derivation that justifies it.
+// interval derivation that justifies it; Reason words the derivation
+// when somebody asks.
 type Site struct {
 	ID    int
 	Proc  string
@@ -65,8 +67,6 @@ type Site struct {
 	// FailDim is the first dimension whose hull escapes the allocation
 	// (-1 when none).
 	FailDim int
-	// Reason is the human-readable derivation (or failure) summary.
-	Reason string
 
 	// Faulted marks the site whose evidence was deliberately perturbed
 	// by Options.FaultSite; FaultShift is the element displacement the
@@ -163,7 +163,7 @@ func (r *Result) Err() error {
 			if s.Write {
 				what = "write"
 			}
-			return fmt.Errorf("%s: out-of-bounds %s of %s%s: %s", s.Pos, what, s.Array, offString(s.Off), s.Reason)
+			return fmt.Errorf("%s: out-of-bounds %s of %s%s: %s", s.Pos, what, s.Array, appendOff(nil, s.Off), s.Reason())
 		}
 	}
 	return nil
@@ -685,8 +685,8 @@ func (a *analyzer) site(k siteKey, array string, off air.Offset, write bool, pos
 	a.res.sites[k] = s
 }
 
-// finalize computes verdicts, evidence strings, the fault injection,
-// counts, and the fingerprint.
+// finalize computes verdicts, the fault injection, counts, and the
+// fingerprint.
 func (a *analyzer) finalize(opt Options) {
 	for _, s := range a.res.Sites {
 		a.verdict(s)
@@ -704,50 +704,90 @@ func (a *analyzer) finalize(opt Options) {
 			a.res.NumUnknown++
 		}
 	}
-	h := sha256.New()
-	for _, s := range a.res.Sites {
-		fmt.Fprintf(h, "%s;%s;%s;%s;%t;%s;%d;", s.Proc, s.Pos, s.Array, offString(s.Off), s.Write, s.Verdict, s.FaultShift)
+	a.res.fp = fingerprint(a.res.Sites)
+}
+
+// fingerprint hashes one "proc;pos;array;@off;write;verdict;shift;hull,"
+// line per site, appended to one buffer and hashed once: a few µs a
+// program, so it is not worth deferring to the one reader it has
+// (gogen's header).
+func fingerprint(sites []*Site) string {
+	b := make([]byte, 0, 64*len(sites))
+	for _, s := range sites {
+		b = append(append(b, s.Proc...), ';')
+		b = append(s.Pos.AppendTo(b), ';')
+		b = append(append(b, s.Array...), ';')
+		b = append(appendOff(b, s.Off), ';')
+		b = append(strconv.AppendBool(b, s.Write), ';')
+		b = append(append(b, s.Verdict.String()...), ';')
+		b = append(strconv.AppendInt(b, int64(s.FaultShift), 10), ';')
 		for _, iv := range s.Index {
-			fmt.Fprintf(h, "%s,", iv)
+			b = append(iv.appendTo(b), ',')
 		}
-		fmt.Fprintln(h)
+		b = append(b, '\n')
 	}
-	a.res.fp = hex.EncodeToString(h.Sum(nil))[:16]
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
 }
 
 // verdict classifies one site from its evidence.
 func (a *analyzer) verdict(s *Site) {
 	if s.Index == nil {
 		s.Verdict = Unknown
-		s.Reason = "no static index context (access outside a loop nest)"
 		return
 	}
 	rank := s.Alloc.Rank()
 	for d := 0; d < rank; d++ {
 		if s.Index[d].IsEmpty() {
 			s.Verdict = ProvenSafe
-			s.Reason = "empty iteration space: the access never executes"
 			return
 		}
 	}
-	alloc := regionHull(s.Alloc)
 	for d := 0; d < rank; d++ {
-		if !alloc[d].Contains(s.Index[d]) {
+		if !Range(int64(s.Alloc.Lo[d]), int64(s.Alloc.Hi[d])).Contains(s.Index[d]) {
 			s.FailDim = d
+			s.Verdict = Unknown
 			if s.exact {
 				s.Verdict = ProvenUnsafe
-				s.Reason = fmt.Sprintf("dim %d: index %s escapes allocation %s", d+1, s.Index[d], alloc[d])
-			} else {
-				s.Verdict = Unknown
-				s.Reason = fmt.Sprintf("dim %d: index %s not contained in allocation %s", d+1, s.Index[d], alloc[d])
 			}
 			return
 		}
 	}
 	s.FlatRange, s.FlatStride = a.flatten(s)
 	s.Verdict = ProvenSafe
-	s.Reason = fmt.Sprintf("index %s within allocation %s; flat offset %s stride %s",
-		hullString(s.Index), hullString(alloc), s.FlatRange, s.FlatStride)
+}
+
+// Reason is the human-readable derivation (or failure) summary, worded
+// from the site's verdict and evidence on every call; it writes
+// nothing, so concurrent readers of a shared Result may call it.
+func (s *Site) Reason() string {
+	if s.Index == nil {
+		return "no static index context (access outside a loop nest)"
+	}
+	hull, fault := s.Index, ""
+	if s.Faulted {
+		// The derivation is of the hull the analysis found; the injected
+		// shift of the innermost dimension is reported beside it.
+		d := len(hull) - 1
+		hull = append([]Interval(nil), hull...)
+		hull[d] = hull[d].AddConst(int64(-s.FaultShift))
+		fault = fmt.Sprintf(" [FAULT INJECTED: evidence shifted %+d on dim %d]", s.FaultShift, d+1)
+	}
+	for _, iv := range hull {
+		if iv.IsEmpty() {
+			return "empty iteration space: the access never executes" + fault
+		}
+	}
+	alloc := regionHull(s.Alloc)
+	if d := s.FailDim; d >= 0 {
+		how := "not contained in"
+		if s.Verdict == ProvenUnsafe {
+			how = "escapes"
+		}
+		return fmt.Sprintf("dim %d: index %s %s allocation %s", d+1, hull[d], how, alloc[d])
+	}
+	return fmt.Sprintf("index %s within allocation %s; flat offset %s stride %s",
+		hullString(hull), hullString(alloc), s.FlatRange, s.FlatStride) + fault
 }
 
 // flatten derives the interval and congruence of the site's flattened
@@ -792,7 +832,6 @@ func (a *analyzer) injectFault(n int) {
 		s.Index[d] = s.Index[d].AddConst(shift)
 		s.FaultShift = int(shift)
 		s.Faulted = true
-		s.Reason += fmt.Sprintf(" [FAULT INJECTED: evidence shifted %+d on dim %d]", shift, d+1)
 		return
 	}
 }
@@ -816,22 +855,18 @@ func hullString(hull []Interval) string {
 	return strings.Join(parts, "x")
 }
 
-func offString(off air.Offset) string {
-	if len(off) == 0 {
-		return ""
+// appendOff appends "@(o1,o2,...)" for a nonzero offset and nothing
+// for a null one.
+func appendOff(b []byte, off air.Offset) []byte {
+	if off.IsZero() {
+		return b
 	}
-	zero := true
-	for _, o := range off {
-		if o != 0 {
-			zero = false
-		}
-	}
-	if zero {
-		return ""
-	}
-	parts := make([]string, len(off))
+	b = append(b, "@("...)
 	for i, o := range off {
-		parts[i] = fmt.Sprintf("%d", o)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(o), 10)
 	}
-	return "@(" + strings.Join(parts, ",") + ")"
+	return append(b, ')')
 }

@@ -51,7 +51,7 @@ func TestStencilAllProven(t *testing.T) {
 	if !r.AllProven() {
 		for _, s := range r.Sites {
 			if s.Verdict != absint.ProvenSafe {
-				t.Errorf("site %s %s @%s: %s (%s)", s.Proc, s.Array, s.Pos, s.Verdict, s.Reason)
+				t.Errorf("site %s %s @%s: %s (%s)", s.Proc, s.Array, s.Pos, s.Verdict, s.Reason())
 			}
 		}
 		t.Fatalf("stencil should be fully proven: %d/%d", r.NumProven, len(r.Sites))
@@ -201,8 +201,8 @@ func TestInjectedFaultShape(t *testing.T) {
 	if f.Verdict != absint.ProvenSafe {
 		t.Errorf("faulted site keeps its (wrong) proven verdict, got %s", f.Verdict)
 	}
-	if !strings.Contains(f.Reason, "FAULT INJECTED") {
-		t.Errorf("reason should record the injection: %q", f.Reason)
+	if !strings.Contains(f.Reason(), "FAULT INJECTED") {
+		t.Errorf("reason should record the injection: %q", f.Reason())
 	}
 }
 
@@ -243,9 +243,55 @@ end;
 		r := analyze(t, src, driver.Options{Level: lvl, Check: true})
 		if !r.AllProven() {
 			for _, s := range r.Sites {
-				t.Logf("site %s %s: %s (%s)", s.Proc, s.Array, s.Verdict, s.Reason)
+				t.Logf("site %s %s: %s (%s)", s.Proc, s.Array, s.Verdict, s.Reason())
 			}
 			t.Fatalf("@%s: wavefront should be fully proven (%d/%d)", lvl, r.NumProven, len(r.Sites))
 		}
+	}
+}
+
+// lirOf is the sequential c2+f4 LIR of one benchmark: what the
+// sequential cells of bench/'s compile workload prove.
+func lirOf(tb testing.TB, name string) *lir.Program {
+	tb.Helper()
+	b, ok := programs.ByName(name)
+	if !ok {
+		tb.Fatalf("unknown benchmark %q", name)
+	}
+	c, err := driver.Compile(b.Source, driver.Options{Level: core.C2F4, NoProve: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c.LIR
+}
+
+var sink *absint.Result
+
+// BenchmarkAnalyze is absint.prove_ms without the harness: ns and
+// allocations per analysis of each benchmark.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, p := range programs.All() {
+		lp := lirOf(b, p.Name)
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = absint.Analyze(lp)
+			}
+		})
+	}
+}
+
+// TestAnalyzeAllocs is the guard that the analysis words nothing: an
+// all-proven program costs its sites, hulls and environments. One
+// Reason per site and an Fprintf'd fingerprint, as the analyzer
+// produced until PR 19, cost sp about 5,000 more.
+func TestAnalyzeAllocs(t *testing.T) {
+	const ceiling = 1200
+	lp := lirOf(t, "sp")
+	if got := testing.AllocsPerRun(5, func() { sink = absint.Analyze(lp) }); got > ceiling {
+		t.Errorf("absint.Analyze on sp c2+f4: %.0f allocations, ceiling %d", got, ceiling)
+	}
+	if !sink.AllProven() {
+		t.Fatalf("sp: %d of %d sites proven", sink.NumProven, len(sink.Sites))
 	}
 }

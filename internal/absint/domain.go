@@ -22,11 +22,17 @@
 // fixpoint terminates in at most two passes per loop; the congruence
 // component has finite ascending chains (joins only shrink the
 // modulus), so its widening is the join.
+//
+// The analysis keeps each site's verdict and the intervals behind it;
+// the prose (Site.Reason) is a pure function of those fields, rendered
+// when zpllint, zplcheck or a failed proof asks, and the fingerprint is
+// hashed from the same fields without formatting them.
 package absint
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Inf and NegInf are the saturated "infinite" interval endpoints.
@@ -224,18 +230,25 @@ func (i Interval) Mul(o Interval) Interval {
 // AddConst shifts both bounds by c.
 func (i Interval) AddConst(c int64) Interval { return i.Add(ConstInterval(c)) }
 
-func (i Interval) String() string {
+func (i Interval) String() string { return string(i.appendTo(nil)) }
+
+// appendTo appends the text of String to b.
+func (i Interval) appendTo(b []byte) []byte {
 	if i.IsEmpty() {
-		return "(empty)"
+		return append(b, "(empty)"...)
 	}
-	lo, hi := "-inf", "+inf"
-	if i.Lo != NegInf {
-		lo = fmt.Sprintf("%d", i.Lo)
+	bound := func(v, inf int64, name string) {
+		if v == inf {
+			b = append(b, name...)
+		} else {
+			b = strconv.AppendInt(b, v, 10)
+		}
 	}
-	if i.Hi != Inf {
-		hi = fmt.Sprintf("%d", i.Hi)
-	}
-	return fmt.Sprintf("[%s,%s]", lo, hi)
+	b = append(b, '[')
+	bound(i.Lo, NegInf, "-inf")
+	b = append(b, ',')
+	bound(i.Hi, Inf, "+inf")
+	return append(b, ']')
 }
 
 // ---------------------------------------------------------------------------

@@ -214,27 +214,74 @@ func Walk(e Expr, fn func(Expr)) {
 	}
 }
 
-// Refs returns every array reference in e, in visit order.
+// Refs returns every array reference in e, in visit order. Every pass
+// from dep to mhp asks for a statement's reads, so this is Walk
+// specialized: direct recursion, and one allocation of the counted size
+// in place of a slice grown from nil.
 func Refs(e Expr) []Ref {
-	var refs []Ref
-	Walk(e, func(x Expr) {
-		if r, ok := x.(*RefExpr); ok {
-			refs = append(refs, r.Ref)
+	n := countRefs(e)
+	if n == 0 {
+		return nil
+	}
+	return appendRefs(make([]Ref, 0, n), e)
+}
+
+func countRefs(e Expr) int {
+	switch x := e.(type) {
+	case *RefExpr:
+		return 1
+	case *BinExpr:
+		return countRefs(x.X) + countRefs(x.Y)
+	case *UnExpr:
+		return countRefs(x.X)
+	case *CallExpr:
+		n := 0
+		for _, a := range x.Args {
+			n += countRefs(a)
 		}
-	})
+		return n
+	}
+	return 0
+}
+
+func appendRefs(refs []Ref, e Expr) []Ref {
+	switch x := e.(type) {
+	case *RefExpr:
+		return append(refs, x.Ref)
+	case *BinExpr:
+		return appendRefs(appendRefs(refs, x.X), x.Y)
+	case *UnExpr:
+		return appendRefs(refs, x.X)
+	case *CallExpr:
+		for _, a := range x.Args {
+			refs = appendRefs(refs, a)
+		}
+	}
 	return refs
 }
 
-// ScalarReads returns the names of scalar variables read by e.
-func ScalarReads(e Expr) []string {
-	var names []string
-	seen := map[string]bool{}
-	Walk(e, func(x Expr) {
-		if s, ok := x.(*ScalarExpr); ok && !seen[s.Name] {
-			seen[s.Name] = true
-			names = append(names, s.Name)
+// ScalarReads returns the names of scalar variables read by e, each
+// once, in visit order.
+func ScalarReads(e Expr) []string { return appendScalarReads(nil, e) }
+
+func appendScalarReads(names []string, e Expr) []string {
+	switch x := e.(type) {
+	case *ScalarExpr:
+		for _, n := range names {
+			if n == x.Name {
+				return names
+			}
 		}
-	})
+		return append(names, x.Name)
+	case *BinExpr:
+		return appendScalarReads(appendScalarReads(names, x.X), x.Y)
+	case *UnExpr:
+		return appendScalarReads(names, x.X)
+	case *CallExpr:
+		for _, a := range x.Args {
+			names = appendScalarReads(names, a)
+		}
+	}
 	return names
 }
 

@@ -43,7 +43,7 @@ func Bounds(lp *lir.Program, r *absint.Result) []Report {
 	}
 	for _, s := range r.Sites {
 		if s.Verdict == absint.ProvenUnsafe {
-			rp.errorf(s.Pos, "proven out-of-bounds %s of %s: %s", rw(s.Write), s.Array, s.Reason)
+			rp.errorf(s.Pos, "proven out-of-bounds %s of %s: %s", rw(s.Write), s.Array, s.Reason())
 		}
 	}
 	return rp.reports

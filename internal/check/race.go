@@ -30,10 +30,10 @@ func Races(lp *lir.Program, procs int) []Report {
 		switch p.Verdict {
 		case mhp.Race:
 			rp.errorf(p.Second.Pos, "data race: %s may happen in parallel with %s: %s",
-				p.First, p.Second, p.Evidence)
+				p.First, p.Second, p.Evidence())
 		case mhp.Unknown:
 			rp.warnf(p.Second.Pos, "unproven ordering: %s vs %s: %s",
-				p.First, p.Second, p.Evidence)
+				p.First, p.Second, p.Evidence())
 		}
 	}
 	return rp.reports

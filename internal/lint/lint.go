@@ -616,14 +616,14 @@ func boundsFindings(r *absint.Result, notes bool) []Finding {
 		case absint.ProvenSafe:
 			if notes {
 				out = append(out, Finding{Rule: RuleProvenBounds, Severity: SevNote, Pos: s.Pos,
-					Message: fmt.Sprintf("%s of %s proven in bounds, check eliminated: %s", rw, s.Array, s.Reason)})
+					Message: fmt.Sprintf("%s of %s proven in bounds, check eliminated: %s", rw, s.Array, s.Reason())})
 			}
 		case absint.Unknown:
 			out = append(out, Finding{Rule: RuleUnprovenBounds, Severity: SevWarning, Pos: s.Pos,
-				Message: fmt.Sprintf("%s of %s cannot be proven in bounds: %s; a runtime check remains", rw, s.Array, s.Reason)})
+				Message: fmt.Sprintf("%s of %s cannot be proven in bounds: %s; a runtime check remains", rw, s.Array, s.Reason())})
 		case absint.ProvenUnsafe:
 			out = append(out, Finding{Rule: RuleUnsafeBounds, Severity: SevError, Pos: s.Pos,
-				Message: fmt.Sprintf("%s of %s is proven out-of-bounds: %s", rw, s.Array, s.Reason)})
+				Message: fmt.Sprintf("%s of %s is proven out-of-bounds: %s", rw, s.Array, s.Reason())})
 		}
 	}
 	return out
@@ -648,14 +648,14 @@ func raceFindings(r *mhp.Result, notes bool) []Finding {
 		case mhp.ProvenOrdered:
 			if notes {
 				out = append(out, Finding{Rule: RuleOrderedComm, Severity: SevNote, Pos: p.Second.Pos,
-					Message: fmt.Sprintf("%s and %s are ordered: %s", p.First, p.Second, p.Evidence)})
+					Message: fmt.Sprintf("%s and %s are ordered: %s", p.First, p.Second, p.Evidence())})
 			}
 		case mhp.Unknown:
 			out = append(out, Finding{Rule: RuleUnprovenOrder, Severity: SevWarning, Pos: p.Second.Pos,
-				Message: fmt.Sprintf("cannot prove %s ordered against %s: %s", p.First, p.Second, p.Evidence)})
+				Message: fmt.Sprintf("cannot prove %s ordered against %s: %s", p.First, p.Second, p.Evidence())})
 		case mhp.Race:
 			out = append(out, Finding{Rule: RuleDataRace, Severity: SevError, Pos: p.Second.Pos,
-				Message: fmt.Sprintf("%s may happen in parallel with %s: %s", p.First, p.Second, p.Evidence)})
+				Message: fmt.Sprintf("%s may happen in parallel with %s: %s", p.First, p.Second, p.Evidence())})
 		}
 	}
 	return out

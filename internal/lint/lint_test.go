@@ -3,11 +3,16 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/driver"
+	"repro/internal/programs"
 	"repro/internal/remark"
 	"repro/internal/source"
 )
@@ -442,4 +447,41 @@ end;
 		}
 	}
 	t.Errorf("no %s finding; got %v", RuleWouldContract, rules(res))
+}
+
+// TestEvidenceRenderConcurrent is the executable form of "rendering is
+// pure": a Compilation is shared by concurrent zpld requests through
+// ccache, so wording the provers' evidence — every note of both
+// analyzers, and the bounds fingerprint, which is computed on first
+// use — from eight goroutines at once must be race-free (make race)
+// and give eight identical texts.
+func TestEvidenceRenderConcurrent(t *testing.T) {
+	b, _ := programs.ByName("tomcatv")
+	co := comm.DefaultOptions(2)
+	c, err := driver.Compile(b.Source, driver.Options{Level: core.C2F4, Comm: &co})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make([]string, 8)
+	var wg sync.WaitGroup
+	for g := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sb strings.Builder
+			for _, f := range append(raceFindings(c.Races, true), boundsFindings(c.Bounds, true)...) {
+				fmt.Fprintln(&sb, f)
+			}
+			texts[g] = sb.String() + c.Bounds.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	if n := strings.Count(texts[0], "\n"); n < len(c.Races.Pairs)+len(c.Bounds.Sites) {
+		t.Fatalf("%d notes for %d pairs and %d sites", n, len(c.Races.Pairs), len(c.Bounds.Sites))
+	}
+	for g, text := range texts {
+		if text != texts[0] {
+			t.Errorf("goroutine %d rendered different evidence:\n%s\nvs\n%s", g, text, texts[0])
+		}
+	}
 }

@@ -5,9 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/absint"
 	"repro/internal/air"
 	"repro/internal/dep"
+	"repro/internal/sema"
 	"repro/internal/source"
 )
 
@@ -55,16 +55,14 @@ type Pair struct {
 	FirstEvent, SecondEvent int
 	WriteWrite              bool
 	Verdict                 Verdict
-	// Evidence is the happens-before chain that orders the pair, or
-	// the missing edge that fails to.
-	Evidence string
-	// Overlap is the per-dimension interval intersection that makes
-	// the pair conflicting.
-	Overlap string
+	// why is the compact fact the verdict rests on. Evidence and Overlap
+	// word it when somebody asks (evidence.go); the analysis formats
+	// nothing.
+	why cause
 }
 
 func (p Pair) String() string {
-	return fmt.Sprintf("%s vs %s: %s: %s", p.First, p.Second, p.Verdict, p.Evidence)
+	return fmt.Sprintf("%s vs %s: %s: %s", p.First, p.Second, p.Verdict, p.Evidence())
 }
 
 // Deadlock is one defect in the send/recv matching: an incomplete,
@@ -91,17 +89,6 @@ type Result struct {
 	Computes, Sends, Recvs, Barriers int
 }
 
-// Races returns the pairs classified Race.
-func (r *Result) Races() []Pair {
-	var out []Pair
-	for _, p := range r.Pairs {
-		if p.Verdict == Race {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Clean reports whether every conflicting pair is ProvenOrdered and
 // the matching is deadlock-free — the acceptance bar for
 // compiler-produced schedules.
@@ -120,7 +107,7 @@ func (r *Result) Err() error {
 	for _, p := range r.Pairs {
 		if p.Verdict == Race {
 			return fmt.Errorf("%s: data race: %s may happen in parallel with %s: %s",
-				p.Second.Pos, p.First, p.Second, p.Evidence)
+				p.Second.Pos, p.First, p.Second, p.Evidence())
 		}
 	}
 	return nil
@@ -128,15 +115,12 @@ func (r *Result) Err() error {
 
 // exchange is one matched (or broken) message: the send/recv halves
 // plus the writes observed between them (send-time capture hazards).
+// send and recv are set only when the message has exactly one of each.
 type exchange struct {
-	send, recv *Event
-	stale      []*Event // compute events that wrote the array mid-flight
-	broken     bool     // matching defect; reported as a deadlock
-}
-
-type writeRec struct {
-	ev  *Event
-	acc Access
+	send, recv   *Event
+	nsend, nrecv int
+	stale        []*Event // compute events that wrote the array mid-flight
+	broken       bool     // matching defect; reported as a deadlock
 }
 
 // covEntry is the halo coverage of one neighbor direction of a remote
@@ -146,7 +130,8 @@ type covEntry struct {
 	ex  *exchange // nil: no valid exchange covered the direction
 }
 
-type readRec struct {
+// accessRec is one write, or one remote read with its coverage.
+type accessRec struct {
 	ev  *Event
 	acc Access
 	cov []covEntry
@@ -170,14 +155,16 @@ func Analyze(sched *Schedule) *Result {
 }
 
 // msgKey identifies one dynamic message instance: the static message
-// id plus the control-flow context. Loop doubling replays each static
-// send/recv once per copy, and the machine's FIFO channels pair the
-// halves of one iteration with each other, so matching is per-context.
-type msgKey struct {
-	id  int
-	ctx string
-}
+// id plus the control-flow context (Event.ctx, interned by reindex).
+// Loop doubling replays each static send/recv once per copy, and the
+// machine's FIFO channels pair the halves of one iteration with each
+// other, so matching is per-context.
+type msgKey struct{ id, ctx int }
 
+func (e *Event) msgKey() msgKey { return msgKey{e.MsgID, e.ctx} }
+
+// ctxString renders a context the way deadlocks have always been
+// ordered by; only a defective schedule pays for it.
 func ctxString(ctx []ctxFrame) string {
 	var b strings.Builder
 	for _, f := range ctx {
@@ -187,84 +174,75 @@ func ctxString(ctx []ctxFrame) string {
 }
 
 // matchMessages proves the send/recv matching complete and acyclic,
-// reporting every defect as a deadlock. Statically identical defects
-// from different loop copies are reported once.
+// reporting every defect as a deadlock, in (message id, context)
+// order. Statically identical defects from different loop copies are
+// reported once.
 func matchMessages(sched *Schedule, res *Result) map[msgKey]*exchange {
-	type halves struct{ sends, recvs []*Event }
-	msgs := map[msgKey]*halves{}
-	var keys []msgKey
+	out := map[msgKey]*exchange{}
+	var order []*exchange // first appearance
 	for _, e := range sched.Events {
 		if e.Kind != EvSend && e.Kind != EvRecv {
 			continue
 		}
-		k := msgKey{e.MsgID, ctxString(e.Ctx)}
-		h := msgs[k]
-		if h == nil {
-			h = &halves{}
-			msgs[k] = h
-			keys = append(keys, k)
+		ex := out[e.msgKey()]
+		if ex == nil {
+			ex = &exchange{}
+			out[e.msgKey()] = ex
+			order = append(order, ex)
 		}
 		if e.Kind == EvSend {
-			h.sends = append(h.sends, e)
-		} else {
-			h.recvs = append(h.recvs, e)
+			if ex.nsend++; ex.send == nil {
+				ex.send = e
+			}
+		} else if ex.nrecv++; ex.recv == nil {
+			ex.recv = e
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].id != keys[j].id {
-			return keys[i].id < keys[j].id
-		}
-		return keys[i].ctx < keys[j].ctx
-	})
 
-	seenDead := map[string]bool{}
-	report := func(pos source.Pos, msg string) {
-		if seenDead[msg] {
-			return
-		}
-		seenDead[msg] = true
-		res.Deadlocks = append(res.Deadlocks, Deadlock{Pos: pos, Message: msg})
+	type defect struct {
+		at  *Event // its context orders the report, its position locates it
+		msg string
 	}
-
-	out := map[msgKey]*exchange{}
-	for _, k := range keys {
-		h := msgs[k]
-		ex := &exchange{}
-		out[k] = ex
-		any := h.sends
-		if len(any) == 0 {
-			any = h.recvs
-		}
-		if len(h.sends) != 1 || len(h.recvs) != 1 {
-			ex.broken = true
-			report(any[0].Pos, fmt.Sprintf(
+	var defects []defect
+	for _, ex := range order {
+		s, r := ex.send, ex.recv
+		var d defect
+		switch {
+		case ex.nsend != 1 || ex.nrecv != 1:
+			if d.at = s; s == nil {
+				d.at = r
+			}
+			ex.send, ex.recv = nil, nil
+			d.msg = fmt.Sprintf(
 				"message %d of %s has %d send(s) and %d receive(s); an unmatched half blocks its processor forever",
-				k.id, any[0].Array, len(h.sends), len(h.recvs)))
+				d.at.MsgID, d.at.Array, ex.nsend, ex.nrecv)
+		case s.Array != r.Array || !s.Off.Equal(r.Off):
+			d = defect{r, fmt.Sprintf("%s is paired with %s: the receive waits for a message the send never produces",
+				s.describe(), r.describe())}
+		case s.Off.IsZero():
+			d = defect{s, fmt.Sprintf("%s has a null direction: a self-send matches no neighbor and blocks", s.describe())}
+		case r.Index <= s.Index:
+			d = defect{r, fmt.Sprintf(
+				"%s precedes its %s in program order: every processor blocks receiving before any sends (happens-before cycle)",
+				r.describe(), s.describe())}
+		default:
 			continue
 		}
-		s, r := h.sends[0], h.recvs[0]
-		ex.send, ex.recv = s, r
-		switch {
-		case s.Array != r.Array || !s.Off.Equal(r.Off):
-			ex.broken = true
-			res.Deadlocks = append(res.Deadlocks, Deadlock{
-				Pos: r.Pos,
-				Message: fmt.Sprintf("%s is paired with %s: the receive waits for a message the send never produces",
-					s.describe(), r.describe()),
-			})
-		case s.Off.IsZero():
-			ex.broken = true
-			res.Deadlocks = append(res.Deadlocks, Deadlock{
-				Pos:     s.Pos,
-				Message: fmt.Sprintf("%s has a null direction: a self-send matches no neighbor and blocks", s.describe()),
-			})
-		case r.Index <= s.Index:
-			ex.broken = true
-			res.Deadlocks = append(res.Deadlocks, Deadlock{
-				Pos: r.Pos,
-				Message: fmt.Sprintf("%s precedes its %s in program order: every processor blocks receiving before any sends (happens-before cycle)",
-					r.describe(), s.describe()),
-			})
+		ex.broken = true
+		defects = append(defects, d)
+	}
+	sort.SliceStable(defects, func(i, j int) bool {
+		a, b := defects[i].at, defects[j].at
+		if a.MsgID != b.MsgID {
+			return a.MsgID < b.MsgID
+		}
+		return ctxString(a.Ctx) < ctxString(b.Ctx)
+	})
+	seen := map[string]bool{}
+	for _, d := range defects {
+		if !seen[d.msg] {
+			seen[d.msg] = true
+			res.Deadlocks = append(res.Deadlocks, Deadlock{Pos: d.at.Pos, Message: d.msg})
 		}
 	}
 	return out
@@ -275,31 +253,24 @@ func matchMessages(sched *Schedule, res *Result) map[msgKey]*exchange {
 // by a write to the array or a control-flow boundary) and which
 // exchanges a write poisoned mid-flight, and snapshots the coverage of
 // every remote read at its event.
-func walkCoverage(sched *Schedule, exchanges map[msgKey]*exchange) ([]readRec, []writeRec) {
-	type haloKey struct{ array, dir string }
-	valid := map[haloKey]*exchange{}
-	open := map[msgKey]*Event{} // send seen, recv pending
-	var reads []readRec
-	var writes []writeRec
+func walkCoverage(sched *Schedule, exchanges map[msgKey]*exchange) (reads, writes []accessRec) {
+	valid := map[string][]covEntry{} // array -> receives since its last write
+	open := map[msgKey]*Event{}      // send seen, recv pending
 
 	for _, e := range sched.Events {
 		switch e.Kind {
 		case EvReset:
-			valid = map[haloKey]*exchange{}
+			clear(valid)
 		case EvSend:
-			open[msgKey{e.MsgID, ctxString(e.Ctx)}] = e
+			open[e.msgKey()] = e
 		case EvRecv:
-			delete(open, msgKey{e.MsgID, ctxString(e.Ctx)})
-			valid[haloKey{e.Array, e.Off.String()}] = exchanges[msgKey{e.MsgID, ctxString(e.Ctx)}]
+			delete(open, e.msgKey())
+			valid[e.Array] = append(valid[e.Array], covEntry{e.Off, exchanges[e.msgKey()]})
 		case EvCompute:
 			for _, a := range e.Accesses {
 				if a.Write {
-					writes = append(writes, writeRec{ev: e, acc: a})
-					for k := range valid {
-						if k.array == a.Array {
-							delete(valid, k)
-						}
-					}
+					writes = append(writes, accessRec{ev: e, acc: a})
+					delete(valid, a.Array)
 					for k, s := range open {
 						if s.Array == a.Array {
 							if ex := exchanges[k]; ex != nil {
@@ -312,9 +283,9 @@ func walkCoverage(sched *Schedule, exchanges map[msgKey]*exchange) ([]readRec, [
 				if !a.Remote() {
 					continue
 				}
-				r := readRec{ev: e, acc: a}
+				r := accessRec{ev: e, acc: a}
 				for _, dir := range neighborDirs(a.Off) {
-					r.cov = append(r.cov, covEntry{dir: dir, ex: valid[haloKey{a.Array, dir.String()}]})
+					r.cov = append(r.cov, covEntry{dir, covering(valid[a.Array], dir)})
 				}
 				reads = append(reads, r)
 			}
@@ -323,58 +294,84 @@ func walkCoverage(sched *Schedule, exchanges map[msgKey]*exchange) ([]readRec, [
 	return reads, writes
 }
 
+// covering returns the exchange whose receive last validated direction
+// dir of a halo list, or nil.
+func covering(halo []covEntry, dir air.Offset) *exchange {
+	for i := len(halo) - 1; i >= 0; i-- {
+		if halo[i].dir.Equal(dir) {
+			return halo[i].ex
+		}
+	}
+	return nil
+}
+
+// offKey is an offset as a comparable map key: its length, then its
+// components (sema.MaxRank bounds every rank the front end admits).
+type offKey [1 + sema.MaxRank]int
+
+func keyOf(off air.Offset) (k offKey) {
+	k[0] = len(off)
+	copy(k[1:], off)
+	return k
+}
+
 // classify enumerates and classifies every conflicting pair.
-func classify(sched *Schedule, res *Result, reads []readRec, writes []writeRec) {
+func classify(sched *Schedule, res *Result, reads, writes []accessRec) {
 	type pairKey struct {
 		fPos, sPos   source.Pos
-		array, off   string
+		array        string
+		off          offKey
 		ww, sameNest bool
 	}
 	seen := map[pairKey]int{} // key -> index into res.Pairs
+	severity := [...]int{ProvenOrdered: 0, Unknown: 1, Race: 2}
 
-	record := func(p Pair) {
-		k := pairKey{p.First.Pos, p.Second.Pos, p.Array, p.Second.Off.String(),
-			p.WriteWrite, p.FirstEvent == p.SecondEvent}
-		if i, ok := seen[k]; ok {
-			// Loop doubling visits a source pair up to four times; keep
-			// the worst verdict so a racy copy is never masked.
-			if worse(p.Verdict, res.Pairs[i].Verdict) {
-				retally(res, res.Pairs[i].Verdict, -1)
-				res.Pairs[i] = p
-				retally(res, p.Verdict, 1)
-			}
+	// record classifies two accesses and files the pair, unless they
+	// cannot conflict (contradictory branches, disjoint regions).
+	record := func(a, b accessRec, ww bool) {
+		conflict, unknown := overlap(a.acc, b.acc)
+		if !ctxCompatible(a.ev, b.ev) || !(conflict || unknown) {
 			return
 		}
-		seen[k] = len(res.Pairs)
-		res.Pairs = append(res.Pairs, p)
-		retally(res, p.Verdict, 1)
+		p := Pair{Array: a.acc.Array, WriteWrite: ww, First: a.acc, Second: b.acc,
+			FirstEvent: a.ev.Index, SecondEvent: b.ev.Index}
+		sameNest := p.FirstEvent == p.SecondEvent
+		switch {
+		case unknown:
+			// No bounds to compare: Unknown, the zero cause.
+		case ww && sameNest:
+			p.Verdict, p.why = Race, cause{kind: writesInNest}
+		case ww:
+			p.Verdict, p.why = classifyAnti(sched, a.ev, b.ev)
+		case sameNest:
+			p.Verdict, p.why = classifySameNest(b)
+		case p.FirstEvent < p.SecondEvent:
+			p.Verdict, p.why = classifyFlow(a, b)
+		default:
+			p.Verdict, p.why = classifyAnti(sched, b.ev, a.ev)
+		}
+		k := pairKey{p.First.Pos, p.Second.Pos, p.Array, keyOf(p.Second.Off), ww, sameNest}
+		if i, ok := seen[k]; !ok {
+			seen[k] = len(res.Pairs)
+			res.Pairs = append(res.Pairs, p)
+		} else if severity[p.Verdict] > severity[res.Pairs[i].Verdict] {
+			// Loop doubling visits a source pair up to four times; keep
+			// the worst verdict so a racy copy is never masked.
+			res.Pairs[i] = p
+		}
+	}
+
+	byArray := map[string][]accessRec{}
+	remoteWrite := false
+	for _, w := range writes {
+		byArray[w.acc.Array] = append(byArray[w.acc.Array], w)
+		remoteWrite = remoteWrite || w.acc.Remote()
 	}
 
 	// Write/remote-read pairs.
 	for _, r := range reads {
-		for _, w := range writes {
-			if w.acc.Array != r.acc.Array || !ctxCompatible(w.ev, r.ev) {
-				continue
-			}
-			conflict, overlapEv, unknownOv := overlap(w.acc, r.acc)
-			if !conflict && !unknownOv {
-				continue
-			}
-			p := Pair{Array: r.acc.Array, Overlap: overlapEv,
-				First: w.acc, Second: r.acc,
-				FirstEvent: w.ev.Index, SecondEvent: r.ev.Index}
-			switch {
-			case unknownOv:
-				p.Verdict, p.Evidence = Unknown, overlapEv
-			case w.ev.Index == r.ev.Index:
-				p.Verdict, p.Evidence = classifySameNest(w, r)
-			case w.ev.Index < r.ev.Index:
-				p.Verdict, p.Evidence = classifyFlow(w, r)
-			default:
-				p.Verdict, p.Evidence = classifyAnti(sched, r.ev, w.ev,
-					fmt.Sprintf("the remote %s", r.acc), fmt.Sprintf("the later %s", w.acc))
-			}
-			record(p)
+		for _, w := range byArray[r.acc.Array] {
+			record(w, r, false)
 		}
 	}
 
@@ -382,56 +379,25 @@ func classify(sched *Schedule, res *Result, reads []readRec, writes []writeRec) 
 	// (never in compiler output under block ownership; hand-built
 	// schedules can model them).
 	for i, w1 := range writes {
+		if !remoteWrite {
+			break
+		}
 		for _, w2 := range writes[i+1:] {
-			if w1.acc.Array != w2.acc.Array || (!w1.acc.Remote() && !w2.acc.Remote()) {
-				continue
+			if w1.acc.Array == w2.acc.Array && (w1.acc.Remote() || w2.acc.Remote()) {
+				record(w1, w2, true)
 			}
-			if !ctxCompatible(w1.ev, w2.ev) {
-				continue
-			}
-			conflict, overlapEv, unknownOv := overlap(w1.acc, w2.acc)
-			if !conflict && !unknownOv {
-				continue
-			}
-			p := Pair{Array: w1.acc.Array, Overlap: overlapEv, WriteWrite: true,
-				First: w1.acc, Second: w2.acc,
-				FirstEvent: w1.ev.Index, SecondEvent: w2.ev.Index}
-			switch {
-			case unknownOv:
-				p.Verdict, p.Evidence = Unknown, overlapEv
-			case w1.ev.Index == w2.ev.Index:
-				p.Verdict = Race
-				p.Evidence = fmt.Sprintf("%s and %s target overlapping elements in one nest with no intervening synchronization", w1.acc, w2.acc)
-			default:
-				p.Verdict, p.Evidence = classifyAnti(sched, w1.ev, w2.ev,
-					w1.acc.String(), w2.acc.String())
-			}
-			record(p)
 		}
 	}
-}
 
-func worse(a, b Verdict) bool {
-	rank := func(v Verdict) int {
-		switch v {
+	for _, p := range res.Pairs {
+		switch p.Verdict {
+		case ProvenOrdered:
+			res.NumOrdered++
 		case Race:
-			return 2
-		case Unknown:
-			return 1
+			res.NumRace++
+		default:
+			res.NumUnknown++
 		}
-		return 0
-	}
-	return rank(a) > rank(b)
-}
-
-func retally(res *Result, v Verdict, d int) {
-	switch v {
-	case ProvenOrdered:
-		res.NumOrdered += d
-	case Race:
-		res.NumRace += d
-	default:
-		res.NumUnknown += d
 	}
 }
 
@@ -439,37 +405,27 @@ func retally(res *Result, v Verdict, d int) {
 // neighbor direction of the read must be covered by a valid exchange
 // whose send follows the write, giving the chain
 // write →po send →msg recv →po read.
-func classifyFlow(w writeRec, r readRec) (Verdict, string) {
-	var chains []string
-	for _, c := range r.cov {
+func classifyFlow(w, r accessRec) (Verdict, cause) {
+	for i, c := range r.cov {
 		if c.ex == nil || c.ex.send == nil {
-			return Race, fmt.Sprintf(
-				"no send→recv edge covers the %s halo of %s: %s on one processor may happen in parallel with %s on a neighbor",
-				c.dir, r.acc.Array, w.acc, r.acc)
+			return Race, cause{flowUncovered, r.cov, i, nil}
 		}
 		if c.ex.broken {
-			return Unknown, fmt.Sprintf(
-				"ordering depends on message %d, whose send/recv matching is broken (see deadlock report)", c.ex.send.MsgID)
+			return Unknown, cause{brokenExchange, r.cov, i, nil}
 		}
 		for _, st := range c.ex.stale {
 			if st.Index == w.ev.Index {
-				return Race, fmt.Sprintf(
-					"%s captured %s before %s: the receive at %s delivers stale values to %s (send-time capture violated)",
-					c.ex.send.describe(), r.acc.Array, w.acc, c.ex.recv.Pos, r.acc)
+				return Race, cause{flowStale, r.cov, i, nil}
 			}
 		}
 		if w.ev.Index > c.ex.send.Index {
 			// The write postdates the send but the halo stayed valid:
 			// only possible mid-flight, which the stale list covers, or
 			// through a model extension; be conservative.
-			return Race, fmt.Sprintf(
-				"%s happens after %s captured the array: no happens-before edge orders it before %s",
-				w.acc, c.ex.send.describe(), r.acc)
+			return Race, cause{flowLateWrite, r.cov, i, nil}
 		}
-		chains = append(chains, fmt.Sprintf("%s →po %s →msg %s →po %s",
-			w.acc, c.ex.send.describe(), c.ex.recv.describe(), r.acc))
 	}
-	return ProvenOrdered, strings.Join(chains, "; ")
+	return ProvenOrdered, cause{kind: flowChains, cov: r.cov}
 }
 
 // classifySameNest orders a write and a remote read fused into one
@@ -477,77 +433,54 @@ func classifyFlow(w writeRec, r readRec) (Verdict, string) {
 // the in-nest direction must be anti — the constrained distance of the
 // read offset lexicographically nonnegative under the nest's loop
 // structure — so the pre-capture matches sequential semantics.
-func classifySameNest(w writeRec, r readRec) (Verdict, string) {
-	for _, c := range r.cov {
+func classifySameNest(r accessRec) (Verdict, cause) {
+	for i, c := range r.cov {
 		if c.ex == nil || c.ex.send == nil {
-			return Race, fmt.Sprintf(
-				"no valid exchange covers the %s halo of %s at the nest fusing %s with %s",
-				c.dir, r.acc.Array, w.acc, r.acc)
+			return Race, cause{nestUncovered, r.cov, i, nil}
 		}
 		if c.ex.broken {
-			return Unknown, fmt.Sprintf(
-				"ordering depends on message %d, whose send/recv matching is broken (see deadlock report)", c.ex.send.MsgID)
+			return Unknown, cause{brokenExchange, r.cov, i, nil}
 		}
 	}
 	ord := r.ev.Order
 	if len(ord) != len(r.acc.Off) || !ord.Valid() {
-		return Unknown, fmt.Sprintf("no loop structure to orient %s against %s within one nest", r.acc, w.acc)
+		return Unknown, cause{kind: nestNoOrder}
 	}
-	d := dep.Constrain(r.acc.Off, ord)
-	if !dep.LexNonNegative(d) {
-		return Race, fmt.Sprintf(
-			"%s and %s share a nest with a flow direction (constrained distance %s is lexicographically negative under order %s): the pre-nest halo capture delivers values the neighbor has not yet written",
-			w.acc, r.acc, d, ord)
+	if !dep.LexNonNegative(dep.Constrain(r.acc.Off, ord)) {
+		return Race, cause{kind: nestFlow, ev: r.ev}
 	}
-	return ProvenOrdered, fmt.Sprintf(
-		"pre-nest halo capture: the exchange precedes the nest and the in-nest direction is anti (constrained distance %s ≥ 0 under order %s), so the read's snapshot matches sequential semantics",
-		d, ord)
+	return ProvenOrdered, cause{kind: nestAnti, ev: r.ev}
 }
 
 // classifyAnti orders an earlier access before a later write on a
 // different processor: a barrier (guaranteed to execute whenever both
 // events do) must separate them, else the later write may overtake.
-func classifyAnti(sched *Schedule, first, second *Event, firstDesc, secondDesc string) (Verdict, string) {
+func classifyAnti(sched *Schedule, first, second *Event) (Verdict, cause) {
 	for _, e := range sched.Events[first.Index+1 : second.Index] {
 		if e.Kind == EvBarrier && ctxCovered(e, first, second) {
-			return ProvenOrdered, fmt.Sprintf(
-				"%s →po %s →sync %s: the barrier's cross-product edge orders every processor's earlier access before every later one",
-				firstDesc, e.describe(), secondDesc)
+			return ProvenOrdered, cause{kind: barrierOrders, ev: e}
 		}
 	}
-	return Race, fmt.Sprintf(
-		"no barrier separates %s from %s: the write may overtake the access on a neighboring processor (missing barrier edge)",
-		firstDesc, secondDesc)
+	return Race, cause{kind: noBarrier}
 }
 
-// overlap decides whether two accesses touch common elements: the
-// per-dimension interval intersection of (region + offset) on each
-// side, with the absint interval domain supplying the evidence.
-func overlap(a, b Access) (conflict bool, evidence string, unknown bool) {
+// overlap decides whether two accesses touch common elements — every
+// dimension's (region + offset) intervals meet — or reports that it
+// cannot tell (a hand-built access without bounds). Pair.Overlap words
+// the intersection.
+func overlap(a, b Access) (conflict, unknown bool) {
 	if a.Region == nil || b.Region == nil {
-		return false, fmt.Sprintf("cannot compare regions of %s and %s (no bounds)", a, b), true
+		return false, true
 	}
 	if a.Region.Rank() != b.Region.Rank() {
-		return false, "", false
+		return false, false
 	}
-	rank := a.Region.Rank()
-	offAt := func(off air.Offset, d int) int64 {
-		if d < len(off) {
-			return int64(off[d])
+	for d := 0; d < a.Region.Rank(); d++ {
+		if a.span(d).Meet(b.span(d)).IsEmpty() {
+			return false, false
 		}
-		return 0
 	}
-	var dims []string
-	for d := 0; d < rank; d++ {
-		ia := absint.Range(int64(a.Region.Lo[d])+offAt(a.Off, d), int64(a.Region.Hi[d])+offAt(a.Off, d))
-		ib := absint.Range(int64(b.Region.Lo[d])+offAt(b.Off, d), int64(b.Region.Hi[d])+offAt(b.Off, d))
-		m := ia.Meet(ib)
-		if m.IsEmpty() {
-			return false, "", false
-		}
-		dims = append(dims, fmt.Sprintf("dim %d: %s ∩ %s = %s", d+1, ia, ib, m))
-	}
-	return true, strings.Join(dims, ", "), false
+	return true, false
 }
 
 // neighborDirs decomposes a read offset into the per-neighbor

@@ -72,7 +72,7 @@ func injectBarrier(s *Schedule) (*Schedule, error) {
 					if !wa.Write || wa.Array != ra.Array {
 						continue
 					}
-					if conflict, _, _ := overlap(wa, ra); !conflict {
+					if conflict, _ := overlap(wa, ra); !conflict {
 						continue
 					}
 					var barriers []*Event

@@ -37,6 +37,13 @@
 // barrier, mis-pair a send, capture a send after its producing write
 // — which is how the -racefault self-test proves the analyzer would
 // catch a scheduling bug without teaching the compiler to emit one.
+//
+// Analyze computes verdicts and the compact cause behind each (a kind
+// tag, the read's coverage entries, the barrier or nest it names); the
+// prose — Pair.Evidence, Pair.Overlap — is a pure function of that
+// cause, rendered when zpllint, zplcheck or a failed proof asks.
+// Deadlock messages are worded eagerly: only a defective schedule has
+// any.
 package mhp
 
 import (
@@ -121,6 +128,7 @@ type Event struct {
 	Index int // position in Schedule.Events, set by BuildSchedule/Analyze
 	Pos   source.Pos
 	Ctx   []ctxFrame
+	ctx   int // Ctx interned by reindex: equal frames, equal id
 
 	// Compute payload.
 	Accesses []Access
@@ -158,10 +166,28 @@ type Schedule struct {
 	Faults []string
 }
 
-// reindex renumbers Event.Index after construction or fault injection.
+// reindex renumbers Event.Index after construction or fault injection
+// and interns every event's context: contexts form a tree (the builder
+// pushes and pops frames), so a context's id is its node in a trie keyed
+// by (parent node, frame), and a message key is two integers.
 func (s *Schedule) reindex() {
+	type edge struct {
+		parent int
+		frame  ctxFrame
+	}
+	nodes := map[edge]int{}
 	for i, e := range s.Events {
 		e.Index = i
+		e.ctx = 0
+		for _, f := range e.Ctx {
+			k := edge{e.ctx, f}
+			n, ok := nodes[k]
+			if !ok {
+				n = len(nodes) + 1
+				nodes[k] = n
+			}
+			e.ctx = n
+		}
 	}
 }
 

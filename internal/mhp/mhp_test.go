@@ -55,19 +55,23 @@ func sched(procs int, evs ...*Event) *Schedule {
 // ---------------------------------------------------------------------------
 // Table-driven classification tests
 
-func TestAnalyzeSchedules(t *testing.T) {
+type scheduleCase struct {
+	name                   string
+	sched                  *Schedule
+	ordered, race, unknown int
+	deadlocks              int
+	wantErr                string // substring of Err(); "" = nil
+}
+
+// scheduleCases is TestAnalyzeSchedules' table; TestEvidencePinned
+// pins the rendered evidence of the same schedules.
+func scheduleCases() []scheduleCase {
 	whole := reg(1, 64)
 	interior := reg(2, 63)
 	east := air.Offset{1}
 	west := air.Offset{-1}
 
-	cases := []struct {
-		name                   string
-		sched                  *Schedule
-		ordered, race, unknown int
-		deadlocks              int
-		wantErr                string // substring of Err(); "" = nil
-	}{
+	return []scheduleCase{
 		{
 			name: "ordered stencil exchange",
 			sched: sched(4,
@@ -186,8 +190,10 @@ func TestAnalyzeSchedules(t *testing.T) {
 			unknown: 1,
 		},
 	}
+}
 
-	for _, tc := range cases {
+func TestAnalyzeSchedules(t *testing.T) {
+	for _, tc := range scheduleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			res := Analyze(tc.sched)
 			if res.NumOrdered != tc.ordered || res.NumRace != tc.race || res.NumUnknown != tc.unknown {
@@ -242,21 +248,22 @@ func TestRaceNamesBothEvents(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Same-nest direction tests
 
-func TestSameNestDirections(t *testing.T) {
-	whole := reg(1, 64)
+// sameNest fuses a remote read of A@off with a write of A into one
+// nest under the given loop structure, behind a matched exchange.
+func sameNest(off air.Offset, order dep.LoopStructure) *Schedule {
 	interior := reg(2, 63)
+	nest := compute(3, rd("A", off, interior, 3), wr("A", interior, 3))
+	nest.Order = order
+	return sched(4,
+		send("A", off, 1, 2),
+		recv("A", off, 1, 2),
+		nest,
+		barrier(3),
+	)
+}
 
-	mk := func(off air.Offset) *Schedule {
-		nest := compute(3, rd("A", off, interior, 3), wr("A", interior, 3))
-		nest.Order = dep.LoopStructure{1}
-		return sched(4,
-			send("A", off, 1, 2),
-			recv("A", off, 1, 2),
-			nest,
-			barrier(3),
-		)
-	}
-	_ = whole
+func TestSameNestDirections(t *testing.T) {
+	mk := func(off air.Offset) *Schedule { return sameNest(off, dep.LoopStructure{1}) }
 
 	// Anti direction (read the east neighbor, ascending order): the
 	// pre-nest capture matches sequential semantics.
@@ -281,46 +288,55 @@ func TestSameNestDirections(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Branch-context tests
 
-func TestBranchContexts(t *testing.T) {
+// branchSchedules are TestBranchContexts' three schedules: a write and
+// a remote read in sibling arms, a barrier inside one arm between a
+// read and a later write, and the same barrier unconditioned.
+func branchSchedules() (siblings, conditional, unconditional *Schedule) {
 	whole := reg(1, 64)
 	interior := reg(2, 63)
 	east := air.Offset{1}
 
-	// Write in the then-arm, remote read in the else-arm: never in one
-	// dynamic execution, so no conflicting pair at all.
 	w := compute(2, wr("A", whole, 2))
 	w.Ctx = []ctxFrame{{ID: 1, Arm: 0}}
 	r := compute(4, rd("A", east, interior, 4))
 	r.Ctx = []ctxFrame{{ID: 1, Arm: 1}}
-	res := Analyze(sched(4, w, &Event{Kind: EvReset}, r))
+	siblings = sched(4, w, &Event{Kind: EvReset}, r)
+
+	b := barrier(3)
+	b.Ctx = []ctxFrame{{ID: 1, Arm: 0}}
+	conditional = sched(4,
+		send("A", east, 1, 1),
+		recv("A", east, 1, 1),
+		compute(2, rd("A", east, interior, 2)), b, compute(4, wr("A", whole, 4)),
+	)
+	unconditional = sched(4,
+		send("A", east, 1, 1),
+		recv("A", east, 1, 1),
+		compute(2, rd("A", east, interior, 2)), barrier(3), compute(4, wr("A", whole, 4)),
+	)
+	return
+}
+
+func TestBranchContexts(t *testing.T) {
+	siblings, conditional, unconditional := branchSchedules()
+
+	// Write in the then-arm, remote read in the else-arm: never in one
+	// dynamic execution, so no conflicting pair at all.
+	res := Analyze(siblings)
 	if len(res.Pairs) != 0 {
 		t.Errorf("sibling branches: %d pairs, want 0\n%s", len(res.Pairs), pairDump(res))
 	}
 
 	// A barrier inside one arm of an if does not order events outside
 	// it: the read/write pair stays racy.
-	rr := compute(2, rd("A", east, interior, 2))
-	b := barrier(3)
-	b.Ctx = []ctxFrame{{ID: 1, Arm: 0}}
-	ww := compute(4, wr("A", whole, 4))
-	res = Analyze(sched(4,
-		send("A", east, 1, 1),
-		recv("A", east, 1, 1),
-		rr, b, ww,
-	))
+	res = Analyze(conditional)
 	if res.NumRace != 1 {
 		t.Errorf("conditional barrier: census %d/%d/%d, want 1 race\n%s",
 			res.NumOrdered, res.NumRace, res.NumUnknown, pairDump(res))
 	}
 
 	// The same barrier unconditioned orders the pair.
-	rr2 := compute(2, rd("A", east, interior, 2))
-	ww2 := compute(4, wr("A", whole, 4))
-	res = Analyze(sched(4,
-		send("A", east, 1, 1),
-		recv("A", east, 1, 1),
-		rr2, barrier(3), ww2,
-	))
+	res = Analyze(unconditional)
 	if res.NumRace != 0 || res.NumOrdered == 0 {
 		t.Errorf("unconditional barrier: census %d/%d/%d, want 0 races\n%s",
 			res.NumOrdered, res.NumRace, res.NumUnknown, pairDump(res))
@@ -330,26 +346,35 @@ func TestBranchContexts(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Write/write pairs (hand-built: compiler output never writes remotely)
 
-func TestWriteWritePairs(t *testing.T) {
+// writeWriteSchedules are an offsetted write against an owned write of
+// the same array, without and with a barrier between them.
+func writeWriteSchedules() (unsynchronized, barriered *Schedule) {
 	whole := reg(1, 64)
 	remote := Access{Array: "A", Off: air.Offset{1}, Region: whole, Write: true, Pos: at(5)}
-
-	// Unsynchronized offsetted write against an owned write: race.
-	res := Analyze(sched(4,
+	unsynchronized = sched(4,
 		compute(1, wr("A", whole, 1)),
 		compute(5, remote),
-	))
+	)
+	barriered = sched(4,
+		compute(1, wr("A", whole, 1)),
+		barrier(1),
+		compute(5, remote),
+	)
+	return
+}
+
+func TestWriteWritePairs(t *testing.T) {
+	unsynchronized, barriered := writeWriteSchedules()
+
+	// Unsynchronized offsetted write against an owned write: race.
+	res := Analyze(unsynchronized)
 	if res.NumRace != 1 {
 		t.Errorf("unsynchronized: census %d/%d/%d, want 1 race\n%s",
 			res.NumOrdered, res.NumRace, res.NumUnknown, pairDump(res))
 	}
 
 	// With a barrier between them: ordered.
-	res = Analyze(sched(4,
-		compute(1, wr("A", whole, 1)),
-		barrier(1),
-		compute(5, remote),
-	))
+	res = Analyze(barriered)
 	if res.NumRace != 0 || res.NumOrdered != 1 {
 		t.Errorf("barriered: census %d/%d/%d, want 1 ordered\n%s",
 			res.NumOrdered, res.NumRace, res.NumUnknown, pairDump(res))

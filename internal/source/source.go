@@ -5,6 +5,7 @@ package source
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -18,11 +19,16 @@ type Pos struct {
 // IsValid reports whether p denotes a real source location.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-func (p Pos) String() string {
+func (p Pos) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the text of String ("line:col", or "-" for no
+// position) to b.
+func (p Pos) AppendTo(b []byte) []byte {
 	if !p.IsValid() {
-		return "-"
+		return append(b, '-')
 	}
-	return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	return strconv.AppendInt(append(b, ':'), int64(p.Col), 10)
 }
 
 // Before reports whether p appears strictly before q in the file.
