@@ -221,7 +221,12 @@ loc:
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary
 # package tests, so `test` runs them and `race` runs them under -race.
-ci: vet fmt-check test race plan-guard vm-guard serve-test check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff prove-fuzz lazy-smoke race-smoke race-sweep cluster-smoke bench-smoke
+# For the same reason seven targets are not chained here: serve-test,
+# race-smoke, lazy-smoke and cluster-smoke re-run, with -run filters,
+# tests that `race` (and `test`, `build`) already ran, and prove-fuzz,
+# plan-guard and vm-guard re-run tests that `test` already ran. Each
+# stays as the shortcut to run after touching what its comment names.
+ci: vet fmt-check test race check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff race-sweep bench-smoke
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -25,7 +25,7 @@
 //	-format f      output format: text (default), json, or sarif
 //	-remarks       include optimization remarks in the output
 //	-bounds        emit one proven-bounds note per array access the
-//	               abstract interpreter proves safe
+//	               bounds prover proves safe
 //	-p n           lint the distributed compilation for n processors:
 //	               communication is inserted and the happens-before
 //	               analyzer classifies every conflicting cross-

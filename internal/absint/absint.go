@@ -175,7 +175,7 @@ func (r *Result) Err() error {
 // on distinct content addresses.
 func (r *Result) Fingerprint() string { return r.fp }
 
-// Analyze runs the abstract interpreter over the program.
+// Analyze runs the bounds prover over the program.
 func Analyze(p *lir.Program) *Result { return AnalyzeOpts(p, Options{}) }
 
 // AnalyzeOpts is Analyze with options (fault injection).
@@ -191,82 +191,22 @@ func AnalyzeOpts(p *lir.Program, opt Options) *Result {
 	sort.Strings(names)
 	for _, n := range names {
 		a.proc = n
-		a.nodes(p.Procs[n].Body, a.seedEnv())
+		lir.Walk(p.Procs[n].Body, a.node)
 	}
 	a.finalize(opt)
 	return a.res
 }
 
 // ---------------------------------------------------------------------------
-// Abstract environment
-
-// env maps scalar names to abstract values. A missing key means top.
-type env map[string]Value
-
-func (e env) get(name string) Value {
-	if v, ok := e[name]; ok {
-		return v
-	}
-	return TopValue()
-}
-
-func (e env) clone() env {
-	c := make(env, len(e))
-	for k, v := range e {
-		c[k] = v
-	}
-	return c
-}
-
-func (e env) set(name string, v Value) {
-	if v.I.IsTop() && v.S.IsTop() && !v.Int {
-		delete(e, name)
-		return
-	}
-	e[name] = v
-}
-
-// join keeps only facts present (and joined) on both sides; a key
-// missing on either side is top and drops out.
-func (e env) join(o env) env {
-	out := env{}
-	for k, v := range e {
-		if ov, ok := o[k]; ok {
-			out.set(k, v.Join(ov))
-		}
-	}
-	return out
-}
-
-// widen extrapolates e (the loop-head state) against its successor o.
-func (e env) widen(o env) env {
-	out := env{}
-	for k, v := range e {
-		if ov, ok := o[k]; ok {
-			out.set(k, v.Widen(ov))
-		}
-	}
-	return out
-}
-
-func (e env) equal(o env) bool {
-	if len(e) != len(o) {
-		return false
-	}
-	for k, v := range e {
-		if ov, ok := o[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------------
-// Analyzer
-
-// maxFixpointIters bounds loop-head iteration; with interval widening
-// after the first pass the chain is finite, so this is a backstop.
-const maxFixpointIters = 8
+// The walk
+//
+// A normalized reference is [R] A@d with R a static region and d a
+// constant offset (the paper's §2.1), so the index set of a site is the
+// rectangle R+d whatever the scalars around it hold: lir.Walk's one
+// pre-order pass visits every node once, and no scalar state is tracked.
+// Site order is observable (Site.ID, the fingerprint, Options.FaultSite):
+// a Loop is visited as Lo, Hi, body; a While as Cond, body; an If as
+// Cond, Then, Else.
 
 type analyzer struct {
 	p    *lir.Program
@@ -274,148 +214,45 @@ type analyzer struct {
 	proc string
 }
 
-// seedEnv binds config constants to their exact values. Configs are
-// compile-time constants in ZA; everything else starts at top.
-func (a *analyzer) seedEnv() env {
-	en := env{}
-	for n, s := range a.p.Source.Scalars {
-		if s.Config {
-			v := s.Init
-			if v == float64(int64(v)) {
-				en.set(n, ConstValue(int64(v)))
-			}
-		}
-	}
-	return en
-}
-
-func (a *analyzer) nodes(ns []lir.Node, en env) env {
-	for _, n := range ns {
-		en = a.node(n, en)
-	}
-	return en
-}
-
-func (a *analyzer) node(n lir.Node, en env) env {
+// node records the sites of one node; lir.Walk descends into the body
+// of a Loop, While or If after it.
+func (a *analyzer) node(n lir.Node) {
 	switch x := n.(type) {
 	case *lir.ScalarAssign:
-		v := a.eval(x.RHS, en, nil, x.Pos)
-		en.set(x.LHS, v)
-		return en
+		a.refs(x.RHS, nil, x.Pos)
 	case *lir.Nest:
-		return a.nest(x, en)
+		a.nest(x)
 	case *lir.PartialReduce:
-		return a.partialReduce(x, en)
+		a.partialReduce(x)
 	case *lir.Loop:
-		return a.loop(x, en)
+		a.refs(x.Lo, nil, source.Pos{})
+		a.refs(x.Hi, nil, source.Pos{})
 	case *lir.While:
-		return a.while(x, en)
+		a.refs(x.Cond, nil, source.Pos{})
 	case *lir.If:
-		a.eval(x.Cond, en, nil, source.Pos{})
-		t := a.nodes(x.Then, a.refine(en.clone(), x.Cond, true))
-		e := a.nodes(x.Else, a.refine(en.clone(), x.Cond, false))
-		return t.join(e)
+		a.refs(x.Cond, nil, source.Pos{})
 	case *lir.Comm:
 		// Sequential ghost exchange touches no storage (the VM's comm
 		// primitive only reports traffic); nothing to prove.
-		return en
 	case *lir.Call:
 		for _, arg := range x.Args {
-			a.eval(arg, en, nil, x.Pos)
+			a.refs(arg, nil, x.Pos)
 		}
-		// The callee may write any global scalar: havoc everything but
-		// the config constants.
-		return a.seedEnv()
 	case *lir.Return:
-		if x.Value != nil {
-			a.eval(x.Value, en, nil, x.Pos)
-		}
-		return en
+		a.refs(x.Value, nil, x.Pos) // nil for a bare return: nothing to walk
 	case *lir.Writeln:
 		for _, arg := range x.Args {
-			if arg.Expr != nil {
-				a.eval(arg.Expr, en, nil, x.Pos)
-			}
+			a.refs(arg.Expr, nil, x.Pos) // nil for a string argument
 		}
-		return en
 	}
-	return en
-}
-
-// loop analyzes a dynamic counted loop with widening at the loop head.
-func (a *analyzer) loop(x *lir.Loop, en env) env {
-	start := a.eval(x.Lo, en, nil, source.Pos{})
-	end := a.eval(x.Hi, en, nil, source.Pos{})
-	varOf := func(s, e Value) Value {
-		lo, hi := s.I, e.I
-		if x.Down {
-			lo, hi = e.I, s.I
-		}
-		if lo.IsEmpty() || hi.IsEmpty() {
-			return Value{I: EmptyInterval(), S: BotStride(), Int: true}
-		}
-		return RangeValue(lo.Lo, hi.Hi)
-	}
-	cur := en.clone()
-	for iter := 0; iter < maxFixpointIters; iter++ {
-		it := cur.clone()
-		it.set(x.Var, varOf(a.eval(x.Lo, cur, nil, source.Pos{}), a.eval(x.Hi, cur, nil, source.Pos{})))
-		out := a.nodes(x.Body, it)
-		next := cur.join(out)
-		if iter >= 1 {
-			next = cur.widen(next)
-		}
-		if next.equal(cur) {
-			break
-		}
-		cur = next
-	}
-	// Post state: the loop may run zero times (cur ⊇ en by
-	// construction); the variable holds some iterate or its old value.
-	cur.set(x.Var, cur.get(x.Var).Join(varOf(start, end)))
-	return cur
-}
-
-// while analyzes a while loop: guard refinement on entry, widening at
-// the head, negated-guard refinement on exit.
-func (a *analyzer) while(x *lir.While, en env) env {
-	a.eval(x.Cond, en, nil, source.Pos{})
-	cur := en.clone()
-	for iter := 0; iter < maxFixpointIters; iter++ {
-		out := a.nodes(x.Body, a.refine(cur.clone(), x.Cond, true))
-		next := cur.join(out)
-		if iter >= 1 {
-			next = cur.widen(next)
-		}
-		if next.equal(cur) {
-			break
-		}
-		cur = next
-	}
-	return a.refine(cur, x.Cond, false)
 }
 
 // nest records the access sites of one loop nest. The index hull is
 // exact: the nest iterates the full dense region, and a guarded
-// statement executes exactly on the guard's intersection with it
-// (branch refinement at the guard).
-func (a *analyzer) nest(x *lir.Nest, en env) env {
+// statement executes exactly on the guard's intersection with it.
+func (a *analyzer) nest(x *lir.Nest) {
 	rank := x.Region.Rank()
 	full := regionHull(x.Region)
-
-	// Scalars written inside the nest hold unknown values while its
-	// statements evaluate.
-	for _, pl := range x.Preloads {
-		en.set(pl.Var, TopValue())
-	}
-	for _, s := range x.Body {
-		switch {
-		case s.IsReduce:
-			en.set(s.Target, TopValue())
-		case s.Contracted:
-			en.set(s.LHS, TopValue())
-		}
-	}
 
 	// Preloads execute over the whole region, unguarded.
 	for i, pl := range x.Preloads {
@@ -430,18 +267,17 @@ func (a *analyzer) nest(x *lir.Nest, en env) env {
 				eff[d] = full[d].Meet(g[d])
 			}
 		}
-		a.eval(s.RHS, en, eff, s.Pos)
+		a.refs(s.RHS, eff, s.Pos)
 		if !s.IsReduce && !s.Contracted {
 			a.site(siteKey{kindStore, s, 0}, s.LHS, air.Zero(rank), true, s.Pos, eff, true)
 		}
 	}
-	return en
 }
 
 // partialReduce records the destination fill/accumulate writes, the
 // accumulation read-modify, and the body reads of a dimensional
 // reduction.
-func (a *analyzer) partialReduce(x *lir.PartialReduce, en env) env {
+func (a *analyzer) partialReduce(x *lir.PartialReduce) {
 	rank := x.Region.Rank()
 	regHull := regionHull(x.Region)
 	destHull := regionHull(x.Dest)
@@ -464,169 +300,18 @@ func (a *analyzer) partialReduce(x *lir.PartialReduce, en env) env {
 	zero := air.Zero(rank)
 	a.site(siteKey{kindReduceStore, x, 0}, x.LHS, zero, true, x.Pos, writeHull, true)
 	a.site(siteKey{kindReduceLoad, x, 0}, x.LHS, zero, false, x.Pos, proj, true)
-	a.eval(x.Body, en, regHull, x.Pos)
-	return en
+	a.refs(x.Body, regHull, x.Pos)
 }
 
-// eval is the expression transfer function. idx is the per-dimension
-// hull of the current loop indices (nil outside nests); any array
-// reference encountered is recorded as a site.
-func (a *analyzer) eval(e air.Expr, en env, idx []Interval, pos source.Pos) Value {
-	switch x := e.(type) {
-	case *air.ConstExpr:
-		if x.Val == float64(int64(x.Val)) {
-			return ConstValue(int64(x.Val))
+// refs records a site for every array reference in e, left to right.
+// idx is the per-dimension hull of the enclosing nest's indices (nil
+// outside nests, where a reference has no static index context).
+func (a *analyzer) refs(e air.Expr, idx []Interval, pos source.Pos) {
+	air.Walk(e, func(x air.Expr) {
+		if r, ok := x.(*air.RefExpr); ok {
+			a.site(siteKey{kindRead, r, 0}, r.Ref.Array, r.Ref.Off, false, pos, idx, idx != nil)
 		}
-		return TopValue()
-	case *air.ScalarExpr:
-		return en.get(x.Name)
-	case *air.IndexExpr:
-		d := x.Dim - 1
-		if idx != nil && d >= 0 && d < len(idx) {
-			return Value{I: idx[d], S: TopStride(), Int: true}.reduce()
-		}
-		return TopInt()
-	case *air.RefExpr:
-		info := a.p.Source.Arrays[x.Ref.Array]
-		if info != nil && info.Contracted {
-			return TopValue() // register read, no memory access
-		}
-		a.site(siteKey{kindRead, x, 0}, x.Ref.Array, x.Ref.Off, false, pos, idx, idx != nil)
-		return TopValue()
-	case *air.BinExpr:
-		l := a.eval(x.X, en, idx, pos)
-		r := a.eval(x.Y, en, idx, pos)
-		switch x.Op {
-		case air.OpAdd:
-			return l.Add(r)
-		case air.OpSub:
-			return l.Sub(r)
-		case air.OpMul:
-			return l.Mul(r)
-		case air.OpEq, air.OpNe, air.OpLt, air.OpLe, air.OpGt, air.OpGe, air.OpAnd, air.OpOr:
-			return RangeValue(0, 1)
-		}
-		return TopValue()
-	case *air.UnExpr:
-		v := a.eval(x.X, en, idx, pos)
-		if x.Op == air.OpNot {
-			return RangeValue(0, 1)
-		}
-		return v.Neg()
-	case *air.CallExpr:
-		for _, arg := range x.Args {
-			a.eval(arg, en, idx, pos)
-		}
-		switch x.Name {
-		case "floor", "ceil", "sign":
-			return TopInt()
-		}
-		return TopValue()
-	}
-	return TopValue()
-}
-
-// refine narrows the environment under the assumption that cond
-// evaluates to truth. Only facts about known-integral scalars compared
-// against bounded values are narrowed; anything else passes through.
-// (Refinement sharpens evidence and Unknown-site precision; safety
-// verdicts rest on the exact region hulls alone, so an unrefinable
-// condition costs precision, never soundness.)
-func (a *analyzer) refine(en env, cond air.Expr, truth bool) env {
-	switch x := cond.(type) {
-	case *air.UnExpr:
-		if x.Op == air.OpNot {
-			return a.refine(en, x.X, !truth)
-		}
-	case *air.BinExpr:
-		switch x.Op {
-		case air.OpAnd:
-			if truth {
-				return a.refine(a.refine(en, x.X, true), x.Y, true)
-			}
-		case air.OpOr:
-			if !truth {
-				return a.refine(a.refine(en, x.X, false), x.Y, false)
-			}
-		case air.OpLt, air.OpLe, air.OpGt, air.OpGe, air.OpEq:
-			op := x.Op
-			if !truth {
-				// Negate the comparison. (Sound for the VM's numeric
-				// model on ordered values; a NaN operand satisfies
-				// neither side, so the refined state still
-				// over-approximates every state that reaches it —
-				// refinement only ever narrows toward Unknown-site
-				// precision, never toward a safety claim.)
-				neg := map[air.Op]air.Op{
-					air.OpLt: air.OpGe, air.OpLe: air.OpGt,
-					air.OpGt: air.OpLe, air.OpGe: air.OpLt,
-				}
-				var ok bool
-				if op, ok = neg[op]; !ok {
-					return en
-				}
-			}
-			en = a.refineCmp(en, x.X, x.Y, op, idxNil)
-			en = a.refineCmp(en, x.Y, x.X, flip(op), idxNil)
-			return en
-		}
-	}
-	return en
-}
-
-var idxNil []Interval
-
-func flip(op air.Op) air.Op {
-	switch op {
-	case air.OpLt:
-		return air.OpGt
-	case air.OpLe:
-		return air.OpGe
-	case air.OpGt:
-		return air.OpLt
-	case air.OpGe:
-		return air.OpLe
-	}
-	return op
-}
-
-// refineCmp narrows lhs (when it is a scalar) under lhs op rhs.
-func (a *analyzer) refineCmp(en env, lhs, rhs air.Expr, op air.Op, idx []Interval) env {
-	sv, ok := lhs.(*air.ScalarExpr)
-	if !ok {
-		return en
-	}
-	cur := en.get(sv.Name)
-	bound := a.eval(rhs, en, idx, source.Pos{})
-	if bound.I.IsEmpty() {
-		return en
-	}
-	strict := int64(0)
-	if cur.Int && bound.Int {
-		strict = 1
-	}
-	var narrowed Interval
-	switch op {
-	case air.OpLt:
-		narrowed = cur.I.Meet(Range(NegInf, satAdd(bound.I.Hi, -strict)))
-	case air.OpLe:
-		narrowed = cur.I.Meet(Range(NegInf, bound.I.Hi))
-	case air.OpGt:
-		narrowed = cur.I.Meet(Range(satAdd(bound.I.Lo, strict), Inf))
-	case air.OpGe:
-		narrowed = cur.I.Meet(Range(bound.I.Lo, Inf))
-	case air.OpEq:
-		if !cur.Int || !bound.Int {
-			return en
-		}
-		en.set(sv.Name, cur.Meet(bound))
-		return en
-	default:
-		return en
-	}
-	cur.I = narrowed
-	en.set(sv.Name, cur.reduce())
-	return en
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -638,7 +323,7 @@ func (a *analyzer) refineCmp(en env, lhs, rhs air.Expr, op air.Op, idx []Interva
 func (a *analyzer) site(k siteKey, array string, off air.Offset, write bool, pos source.Pos, hull []Interval, exact bool) {
 	info := a.p.Source.Arrays[array]
 	if info == nil || info.Contracted {
-		return
+		return // a contracted array is a register: no memory access
 	}
 	rank := info.Alloc.Rank()
 	var index []Interval
@@ -650,8 +335,9 @@ func (a *analyzer) site(k siteKey, array string, off air.Offset, write bool, pos
 		}
 	}
 	if s := a.res.sites[k]; s != nil {
-		// A fixpoint re-walk (or a shared node) revisits the site: join
-		// the evidence, weakening exactness if contexts disagree.
+		// A node shared by two contexts revisits the site (compiled LIR
+		// never does): join the evidence, weakening exactness if the
+		// contexts disagree.
 		if s.Index == nil || index == nil {
 			s.Index = nil
 			s.exact = false
@@ -803,7 +489,7 @@ func (a *analyzer) flatten(s *Site) (Interval, Stride) {
 	}
 	flat := ConstValue(0)
 	for d := 0; d < rank; d++ {
-		vd := Value{I: s.Index[d], S: TopStride(), Int: true}.reduce()
+		vd := Value{I: s.Index[d], S: TopStride()}.reduce()
 		term := vd.Sub(ConstValue(int64(s.Alloc.Lo[d]))).Mul(ConstValue(strides[d]))
 		flat = flat.Add(term)
 	}

@@ -2,11 +2,12 @@ package absint_test
 
 // Analyzer-level tests drive the prover through the real pipeline (the
 // external test package may import driver; the analyzer itself is
-// imported by it), checking verdicts, evidence, guard refinement,
+// imported by it), checking verdicts, evidence, guard hulls,
 // unsafe detection, fault injection, and fingerprint sensitivity on
 // whole programs.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -218,10 +219,9 @@ func TestNoProveLeavesBoundsNil(t *testing.T) {
 
 func TestLoopCarriedStatementsProven(t *testing.T) {
 	// The Fig. 1 tridiagonal pattern: 1-D row statements carried
-	// through a scalar loop. The loop fixpoint (with widening) runs
-	// over the loop body; every site's hull still comes from the
-	// static 1-D region, so everything stays proven and reductions
-	// over the carriers keep exact evidence.
+	// through a scalar loop. Every site's hull comes from the static
+	// 1-D region whatever the loop variable holds, so everything stays
+	// proven and reductions over the carriers keep exact evidence.
 	src := `
 program wave;
 config n : integer = 8;
@@ -246,6 +246,95 @@ end;
 				t.Logf("site %s %s: %s (%s)", s.Proc, s.Array, s.Verdict, s.Reason())
 			}
 			t.Fatalf("@%s: wavefront should be fully proven (%d/%d)", lvl, r.NumProven, len(r.Sites))
+		}
+	}
+}
+
+// flowSrc places the same statements — Fig. 5's fragment (8), whose
+// fusion over a translate of R guards both stores, a stencil read, and
+// a partial reduction — on the same source lines under whatever scalar
+// control flow the two %s lines open and close.
+const flowSrc = `
+program flow;
+config m : integer = 5;
+config n : integer = 7;
+region R = [1..m, 1..n];
+region Rows = [1..m, 1..1];
+var A, B, C : [R] double;
+var T : [1..m, 2..n+1] double;
+var RS : [Rows] double;
+var s, t, k : double;
+proc bump()
+begin
+  s := s + 1.0;
+end;
+proc main()
+begin
+  [R] A := index1 * 10.0 + index2 * 0.25;
+  s := 0.0;
+  t := 2.0;
+  k := max<< [R] A;
+  writeln(k);
+  %s
+    [R] B := A * 0.5 + index2 * 0.001;
+    [1..m, 2..n+1] T := B;
+    [R] C := A@(0,1) + T@(0,1);
+    [Rows] RS := +<< [R] C + A@(0,1);
+  %s
+  s := +<< [Rows] RS;
+  writeln(s);
+end;
+`
+
+// TestVerdictsIgnoreScalarFlow states the invariant the prover rests
+// on: a site's index set is its static region (met with its guard) plus
+// its constant offset, so no scalar control flow around a nest — a
+// counted loop whose bound is a reduction's result, a while, an if, a
+// call that may write every global — changes any site. A language
+// extension that lets a region or an offset depend on a scalar must
+// fail here before it can ship an unchecked access.
+func TestVerdictsIgnoreScalarFlow(t *testing.T) {
+	contexts := []struct{ name, open, close string }{
+		{"top", "", ""},
+		{"for", "for i := 1 to mod(k, 3) do", "end;"},
+		{"while", "while s < t do", "s := s + 1.0; end;"},
+		{"if", "if k > 0.0 then", "end;"},
+		{"call", "bump();", ""},
+	}
+	var want []string
+	for _, cx := range contexts {
+		c, err := driver.Compile(fmt.Sprintf(flowSrc, cx.open, cx.close), driver.Options{Level: core.C2F4})
+		if err != nil {
+			t.Fatalf("%s: %v", cx.name, err)
+		}
+		guarded := false
+		for _, n := range lir.Nests(c.LIR.Procs["main"].Body) {
+			for _, st := range n.Body {
+				guarded = guarded || st.Guard != nil
+			}
+		}
+		if !guarded {
+			t.Fatalf("%s: no guarded statement in the compiled nests", cx.name)
+		}
+		var got []string
+		for _, s := range c.Bounds.Sites {
+			got = append(got, fmt.Sprintf("%d %s %s %s%v write=%t %s %v flat %s stride %s: %s",
+				s.ID, s.Proc, s.Pos, s.Array, s.Off, s.Write, s.Verdict, s.Index, s.FlatRange, s.FlatStride, s.Reason()))
+		}
+		if !c.Bounds.AllProven() {
+			t.Errorf("%s: %d of %d sites proven", cx.name, c.Bounds.NumProven, len(got))
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d sites, %d at top level", cx.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: site differs from the top-level one:\n got %s\nwant %s", cx.name, got[i], want[i])
+			}
 		}
 	}
 }
@@ -282,11 +371,11 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 // TestAnalyzeAllocs is the guard that the analysis words nothing: an
-// all-proven program costs its sites, hulls and environments. One
+// all-proven program costs its sites and their hulls (sp: 556). One
 // Reason per site and an Fprintf'd fingerprint, as the analyzer
 // produced until PR 19, cost sp about 5,000 more.
 func TestAnalyzeAllocs(t *testing.T) {
-	const ceiling = 1200
+	const ceiling = 700
 	lp := lirOf(t, "sp")
 	if got := testing.AllocsPerRun(5, func() { sink = absint.Analyze(lp) }); got > ceiling {
 		t.Errorf("absint.Analyze on sp c2+f4: %.0f allocations, ceiling %d", got, ceiling)

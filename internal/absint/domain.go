@@ -1,27 +1,30 @@
-// Package absint is a flow-sensitive abstract interpreter over the
-// scalar Loop IR (internal/lir). It assigns every array read and write
-// a verdict — ProvenSafe (with the interval derivation as evidence),
-// ProvenUnsafe (definite out-of-bounds, a compile-time error), or
-// Unknown — so the execution backends can drop bounds checks with a
-// certificate instead of a hope.
+// Package absint is the bounds prover over the scalar Loop IR
+// (internal/lir). It assigns every array read and write a verdict —
+// ProvenSafe (with the interval derivation as evidence), ProvenUnsafe
+// (definite out-of-bounds, a compile-time error), or Unknown — so the
+// execution backends can drop bounds checks with a certificate instead
+// of a hope.
 //
-// The abstract domain is the reduced product of two classic lattices:
+// The proof is a containment check. A normalized array reference is
+// [R] A@d with a static region R and a constant offset d (the paper's
+// §2.1), so the index set of a site is the rectangle R+d (R met with the
+// statement's guard) whatever the surrounding scalar code computes: one
+// walk over the LIR records that rectangle per site and tests it against
+// the array's allocation. No scalar is tracked, so there is no
+// environment, fixpoint or widening; TestVerdictsIgnoreScalarFlow pins
+// the invariant a language extension (dynamic regions, computed
+// offsets) would break.
+//
+// Evidence is kept in two small domains:
 //
 //   - intervals over int64 with saturating (±∞-sticky) arithmetic:
-//     MinInt64 and MaxInt64 act as -∞/+∞, and any overflowing
-//     operation saturates toward them, so transfer functions are sound
-//     for arbitrarily large concrete values;
+//     MinInt64 and MaxInt64 act as -∞/+∞, and any overflowing operation
+//     saturates toward them, so a hull stays sound for arbitrarily large
+//     regions;
 //   - congruences ("strides"): value ≡ Rem (mod Mod), with Mod == 0
-//     denoting the exact constant Rem and Mod == 1 the top element.
-//
-// Intervals bound *real* values with integer endpoints (the VM's
-// numeric model is float64); the Int flag marks values known to be
-// integral, which is what licenses the strict-inequality tightening
-// used by branch refinement (x < c ⇒ x ≤ c-1 only holds for integral
-// x). Widening at loop heads jumps any bound that grew to ±∞, so the
-// fixpoint terminates in at most two passes per loop; the congruence
-// component has finite ascending chains (joins only shrink the
-// modulus), so its widening is the join.
+//     denoting the exact constant Rem and Mod == 1 the top element. The
+//     flattened row-major offset of a proven site carries one beside its
+//     interval (Site.FlatRange, Site.FlatStride).
 //
 // The analysis keeps each site's verdict and the intervals behind it;
 // the prose (Site.Reason) is a pure function of those fields, rendered
@@ -113,9 +116,6 @@ type Interval struct {
 // EmptyInterval is the bottom element.
 func EmptyInterval() Interval { return Interval{} }
 
-// TopInterval is [-∞, +∞].
-func TopInterval() Interval { return Interval{Lo: NegInf, Hi: Inf, nonEmpty: true} }
-
 // ConstInterval is the singleton [c, c].
 func ConstInterval(c int64) Interval { return Interval{Lo: c, Hi: c, nonEmpty: true} }
 
@@ -129,9 +129,6 @@ func Range(lo, hi int64) Interval {
 
 // IsEmpty reports bottom.
 func (i Interval) IsEmpty() bool { return !i.nonEmpty }
-
-// IsTop reports [-∞, +∞].
-func (i Interval) IsTop() bool { return i.nonEmpty && i.Lo == NegInf && i.Hi == Inf }
 
 // IsConst reports a singleton and returns its value.
 func (i Interval) IsConst() (int64, bool) {
@@ -147,11 +144,6 @@ func (i Interval) Contains(o Interval) bool {
 		return true
 	}
 	return i.nonEmpty && i.Lo <= o.Lo && o.Hi <= i.Hi
-}
-
-// ContainsPoint reports v ∈ i.
-func (i Interval) ContainsPoint(v int64) bool {
-	return i.nonEmpty && i.Lo <= v && v <= i.Hi
 }
 
 // Join is the interval hull (least upper bound).
@@ -171,25 +163,6 @@ func (i Interval) Meet(o Interval) Interval {
 		return Interval{}
 	}
 	return Range(max64(i.Lo, o.Lo), min64(i.Hi, o.Hi))
-}
-
-// Widen extrapolates i against its successor o: any bound that grew
-// jumps to ±∞, guaranteeing a finite ascending chain at loop heads.
-func (i Interval) Widen(o Interval) Interval {
-	if i.IsEmpty() {
-		return o
-	}
-	if o.IsEmpty() {
-		return i
-	}
-	w := i
-	if o.Lo < i.Lo {
-		w.Lo = NegInf
-	}
-	if o.Hi > i.Hi {
-		w.Hi = Inf
-	}
-	return w
 }
 
 // Add is the sound interval sum; empty operands propagate.
@@ -282,9 +255,6 @@ func Congruent(m, rem int64) Stride {
 	return Stride{Mod: m, Rem: mod(rem, m)}
 }
 
-// IsTop reports the full class.
-func (s Stride) IsTop() bool { return !s.Bot && s.Mod == 1 }
-
 // IsConst reports an exact constant and returns it.
 func (s Stride) IsConst() (int64, bool) {
 	if !s.Bot && s.Mod == 0 {
@@ -302,62 +272,6 @@ func (s Stride) ContainsPoint(v int64) bool {
 		return v == s.Rem
 	}
 	return mod(v, s.Mod) == s.Rem
-}
-
-// Join is the least congruence containing both classes:
-// gcd(m1, m2, |r1-r2|) with the shared remainder.
-func (s Stride) Join(o Stride) Stride {
-	if s.Bot {
-		return o
-	}
-	if o.Bot {
-		return s
-	}
-	m := gcd(gcd(s.Mod, o.Mod), abs64(s.Rem-o.Rem))
-	return Congruent(m, s.Rem)
-}
-
-// Widen is the join: ascending chains of congruences are finite (the
-// modulus only ever shrinks through divisors).
-func (s Stride) Widen(o Stride) Stride { return s.Join(o) }
-
-// Meet intersects the classes (Chinese remaindering). When the exact
-// lcm modulus would overflow, the finer operand is returned — a sound
-// over-approximation of the intersection.
-func (s Stride) Meet(o Stride) Stride {
-	if s.Bot || o.Bot {
-		return BotStride()
-	}
-	if c, ok := s.IsConst(); ok {
-		if o.ContainsPoint(c) {
-			return s
-		}
-		return BotStride()
-	}
-	if c, ok := o.IsConst(); ok {
-		if s.ContainsPoint(c) {
-			return o
-		}
-		return BotStride()
-	}
-	g := gcd(s.Mod, o.Mod)
-	if mod(s.Rem-o.Rem, g) != 0 {
-		return BotStride()
-	}
-	// lcm with overflow guard.
-	q := s.Mod / g
-	if q != 0 && o.Mod > math.MaxInt64/q {
-		if s.Mod >= o.Mod {
-			return s
-		}
-		return o
-	}
-	l := q * o.Mod
-	// One CRT step: find x ≡ s.Rem (mod s.Mod) ∧ x ≡ o.Rem (mod o.Mod).
-	// x = s.Rem + s.Mod * t where t ≡ (o.Rem - s.Rem)/g * inv(s.Mod/g) (mod o.Mod/g).
-	_, p, _ := egcd(s.Mod/g, o.Mod/g)
-	t := mod((o.Rem-s.Rem)/g*p, o.Mod/g)
-	return Congruent(l, s.Rem+s.Mod*t)
 }
 
 // Add is the congruence sum.
@@ -448,29 +362,17 @@ func satConstOrTopAdd(a, b int64) int64 { return satAdd(a, b) }
 // ---------------------------------------------------------------------------
 // Reduced product
 
-// Value is one abstract scalar: interval × congruence, plus the
-// known-integral flag that licenses strict-inequality refinement.
+// Value is one abstract integer: interval × congruence. The prover's
+// only values are index components and the flattened element offset
+// built from them.
 type Value struct {
-	I   Interval
-	S   Stride
-	Int bool
+	I Interval
+	S Stride
 }
-
-// TopValue is the unconstrained, possibly non-integral value.
-func TopValue() Value { return Value{I: TopInterval(), S: TopStride()} }
-
-// TopInt is the unconstrained but known-integral value.
-func TopInt() Value { return Value{I: TopInterval(), S: TopStride(), Int: true} }
 
 // ConstValue is the exact integer constant c.
 func ConstValue(c int64) Value {
-	return Value{I: ConstInterval(c), S: ConstStride(c), Int: true}
-}
-
-// RangeValue is an integral value in [lo, hi] with unit stride.
-func RangeValue(lo, hi int64) Value {
-	v := Value{I: Range(lo, hi), S: TopStride(), Int: true}
-	return v.reduce()
+	return Value{I: ConstInterval(c), S: ConstStride(c)}
 }
 
 // IsBottom reports an impossible value (empty in either component).
@@ -479,42 +381,19 @@ func (v Value) IsBottom() bool { return v.I.IsEmpty() || v.S.Bot }
 // reduce propagates information between the components: a singleton
 // interval pins the congruence, a bottom in one empties the other.
 func (v Value) reduce() Value {
-	if v.I.IsEmpty() || v.S.Bot {
-		return Value{I: EmptyInterval(), S: BotStride(), Int: v.Int}
+	if v.IsBottom() {
+		return Value{I: EmptyInterval(), S: BotStride()}
 	}
-	if c, ok := v.I.IsConst(); ok && v.Int {
+	if c, ok := v.I.IsConst(); ok {
 		if !v.S.ContainsPoint(c) {
-			return Value{I: EmptyInterval(), S: BotStride(), Int: v.Int}
+			return Value{I: EmptyInterval(), S: BotStride()}
 		}
 		v.S = ConstStride(c)
 	}
 	return v
 }
 
-// Join is the componentwise least upper bound.
-func (v Value) Join(o Value) Value {
-	if v.IsBottom() {
-		return o
-	}
-	if o.IsBottom() {
-		return v
-	}
-	return Value{I: v.I.Join(o.I), S: v.S.Join(o.S), Int: v.Int && o.Int}
-}
-
-// Meet is the componentwise greatest lower bound.
-func (v Value) Meet(o Value) Value {
-	return Value{I: v.I.Meet(o.I), S: v.S.Meet(o.S), Int: v.Int || o.Int}.reduce()
-}
-
-// Widen extrapolates at loop heads (interval widening, congruence join).
-func (v Value) Widen(o Value) Value {
-	return Value{I: v.I.Widen(o.I), S: v.S.Widen(o.S), Int: v.Int && o.Int}
-}
-
-// Add, Sub, Mul, Neg are the arithmetic transfer functions. The
-// congruence component is only meaningful for integral values; a
-// possibly-fractional operand widens it to top.
+// Add, Sub and Mul are the componentwise arithmetic, reduced.
 func (v Value) Add(o Value) Value { return arith(v, o, Interval.Add, Stride.Add) }
 
 // Sub is v - o.
@@ -523,42 +402,11 @@ func (v Value) Sub(o Value) Value { return arith(v, o, Interval.Sub, Stride.Sub)
 // Mul is v * o.
 func (v Value) Mul(o Value) Value { return arith(v, o, Interval.Mul, Stride.Mul) }
 
-// Neg is -v.
-func (v Value) Neg() Value {
-	if v.IsBottom() {
-		return v
-	}
-	s := TopStride()
-	if v.Int {
-		s = v.S.Neg()
-	}
-	return Value{I: v.I.Neg(), S: s, Int: v.Int}.reduce()
-}
-
 func arith(v, o Value, fi func(Interval, Interval) Interval, fs func(Stride, Stride) Stride) Value {
 	if v.IsBottom() || o.IsBottom() {
 		return Value{I: EmptyInterval(), S: BotStride()}
 	}
-	isInt := v.Int && o.Int
-	s := TopStride()
-	if isInt {
-		s = fs(v.S, o.S)
-	}
-	return Value{I: fi(v.I, o.I), S: s, Int: isInt}.reduce()
-}
-
-func (v Value) String() string {
-	if v.IsBottom() {
-		return "(bot)"
-	}
-	s := v.I.String()
-	if !v.S.IsTop() {
-		s += " " + v.S.String()
-	}
-	if !v.Int {
-		s += " real"
-	}
-	return s
+	return Value{I: fi(v.I, o.I), S: fs(v.S, o.S)}.reduce()
 }
 
 // ---------------------------------------------------------------------------
@@ -603,13 +451,4 @@ func gcd(a, b int64) int64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// egcd returns g, x, y with a·x + b·y = g = gcd(a, b).
-func egcd(a, b int64) (g, x, y int64) {
-	if b == 0 {
-		return a, 1, 0
-	}
-	g, x1, y1 := egcd(b, a%b)
-	return g, y1, x1 - (a/b)*y1
 }

@@ -46,6 +46,7 @@ import (
 	"repro/internal/absint"
 	"repro/internal/gogen"
 	"repro/internal/lir"
+	"repro/internal/store"
 )
 
 // toolchain caches the PATH probe for the go tool.
@@ -260,7 +261,7 @@ func (s *Store) build(ctx context.Context, tool string, art *Artifact, goSrc str
 	if err := os.MkdirAll(art.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	if err := atomicWrite(art.Src, []byte(goSrc)); err != nil {
+	if err := store.AtomicWrite(art.Src, []byte(goSrc)); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
 	tmp := art.Bin + ".tmp" + strconv.Itoa(os.Getpid())
@@ -284,19 +285,6 @@ func (s *Store) build(ctx context.Context, tool string, art *Artifact, goSrc str
 	}
 	art.Build = time.Since(t0)
 	return art, nil
-}
-
-// atomicWrite writes data to path via a temp file + rename.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp" + strconv.Itoa(os.Getpid())
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // BuildProgram emits p as Go (fully bounds-checked) and builds it,

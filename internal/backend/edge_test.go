@@ -89,7 +89,7 @@ func TestNativeEdgeNests(t *testing.T) {
 	// The programs as compiled, with and without scalar replacement.
 	srcs := []struct{ name, src string }{
 		{"edges", programs.EdgeSrc}, {"guards", programs.GuardSrc}, {"perm", programs.PermSrc},
-		{"cube", programs.Rank3Src}, {"rowsums", string(rowsums)},
+		{"cube", programs.Rank3Src}, {"rowsums", string(rowsums)}, {"builtins", programs.BuiltinSrc()},
 	}
 	for _, p := range srcs {
 		for _, lvl := range levels {

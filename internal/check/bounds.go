@@ -13,12 +13,14 @@ import (
 // PassBounds re-proves the bounds prover's claims.
 const PassBounds = "bounds"
 
-// Bounds cross-checks the abstract interpreter's access-site verdicts
-// against an independent re-derivation. The prover (internal/absint)
-// computes per-site index hulls through its interval×stride domain;
-// this pass recomputes the hull of every statically indexed access
-// directly from the region structure — plain integer arithmetic, no
-// abstract domain — and demands that
+// Bounds cross-checks the bounds prover's access-site verdicts against
+// an independent re-derivation. The prover (internal/absint) is itself
+// a containment check — region ∩ guard + constant offset, as Intervals,
+// inside the allocation — so this pass is the same idea written a second
+// time, over plain ints and sharing no code with it. The redundancy is
+// deliberate: it is what catches a wrong interval (-provefault), however
+// it got there. This pass recomputes the hull of every statically
+// indexed access directly from the region structure and demands that
 //
 //   - the prover produced a site for every access this walker finds;
 //   - the prover's evidence interval contains the re-derived hull on

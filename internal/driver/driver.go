@@ -104,7 +104,7 @@ type Options struct {
 	// Check runs the static verifier (package check) between pipeline
 	// phases and fails the compilation on any report.
 	Check bool
-	// NoProve disables the abstract-interpretation bounds prover
+	// NoProve disables the bounds prover
 	// (internal/absint). By default every compilation carries per-site
 	// safety verdicts (Compilation.Bounds) that let the VM and the
 	// native emitter drop bounds checks at ProvenSafe sites; NoProve
@@ -143,9 +143,9 @@ type Compilation struct {
 	Plan *core.Plan
 	LIR  *lir.Program
 	Comm *comm.Result // nil when communication was not requested
-	// Bounds carries the per-access-site safety verdicts of the
-	// abstract-interpretation bounds prover; nil when Options.NoProve
-	// disabled it. Backends consult it to elide proven checks.
+	// Bounds carries the per-access-site safety verdicts of the bounds
+	// prover; nil when Options.NoProve disabled it. Backends consult it
+	// to elide proven checks.
 	Bounds *absint.Result
 	// Races carries the happens-before analysis of the distributed comm
 	// schedule: every conflicting cross-processor pair with its verdict

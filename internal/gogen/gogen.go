@@ -101,7 +101,7 @@ type StateSpec struct {
 // recover scaffold).
 func Emit(p *lir.Program) (string, error) { return EmitBounds(p, nil) }
 
-// EmitBounds renders the program using the abstract-interpretation
+// EmitBounds renders the program using the bounds
 // prover's verdicts: accesses at ProvenSafe sites compile to raw
 // pointer arithmetic (unsafe.Add) with no slice bounds check, and when
 // every site in the program is proven the recover scaffold is dropped

@@ -8,9 +8,9 @@ import (
 )
 
 // ProveRow is one benchmark × level cell of the bounds-prover study:
-// the prover's verdict census, the differential soundness check (the
-// unchecked execution must be byte-identical to the checked one on
-// both engines), and the wall-clock cost of the eliminated checks.
+// the prover's verdict census, the differential soundness check (both
+// native emissions must be byte-identical to the VM), and the
+// wall-clock cost of the eliminated checks.
 type ProveRow struct {
 	Benchmark string `json:"benchmark"`
 	Level     string `json:"level"`
@@ -21,11 +21,7 @@ type ProveRow struct {
 	Unsafe    int     `json:"unsafe"`
 	ProvenPct float64 `json:"proven_pct"` // 100 when every site is proven (or there are none)
 
-	Match bool `json:"match"` // always true: a divergence (VM or native) is an error, never a row
-
-	VMCheckedMS   float64 `json:"vm_checked_ms"`
-	VMUncheckedMS float64 `json:"vm_unchecked_ms"`
-	VMSpeedup     float64 `json:"vm_speedup"`
+	Match bool `json:"match"` // always true: a divergence from the VM is an error, never a row
 
 	NativeCheckedMS   float64 `json:"native_checked_ms"`
 	NativeUncheckedMS float64 `json:"native_unchecked_ms"`
@@ -35,9 +31,9 @@ type ProveRow struct {
 }
 
 // RunProve measures every benchmark at both ladder ends: the prover's
-// coverage, the checked-vs-unchecked differential on both engines, and
-// the speedup check elimination buys. Any divergence is an error, not
-// a row — an unsound proof invalidates the study.
+// coverage, the checked-vs-unchecked native differential against the
+// VM, and the speedup check elimination buys. Any divergence is an
+// error, not a row — an unsound proof invalidates the study.
 func RunProve(e *Env) ([]ProveRow, error) {
 	const nativeRuns = 5
 	// The ladder ends: the unoptimized program and the full
@@ -55,19 +51,15 @@ func RunProve(e *Env) ([]ProveRow, error) {
 		}
 		// The same compilation with the prover's result withheld: the
 		// emission keeps every check (and the trap scaffold), where
-		// comp's proven sites go unchecked. The VM runs the same code
-		// either way (one slice bound per strip); its pair of runs is
-		// the differential and the noise floor.
+		// comp's proven sites go unchecked. The VM checks one slice
+		// bound per strip whatever the verdict, so it has nothing to
+		// time here: one run of it is the reference output.
 		checked := *comp
 		checked.Bounds = nil
 
-		vmChk, want, err := interpret(&checked)
+		_, want, err := interpret(&checked)
 		if err != nil {
-			return ProveRow{}, fmt.Errorf("vm checked: %w", err)
-		}
-		vmUnchk, vmOut, err := interpret(comp)
-		if err != nil {
-			return ProveRow{}, fmt.Errorf("vm unchecked: %w", err)
+			return ProveRow{}, fmt.Errorf("vm: %w", err)
 		}
 		_, natChkOut, natChk, err := e.native(&checked, nativeRuns)
 		if err != nil {
@@ -78,10 +70,10 @@ func RunProve(e *Env) ([]ProveRow, error) {
 			return ProveRow{}, fmt.Errorf("native unchecked: %w", err)
 		}
 		for _, got := range []struct{ engine, out string }{
-			{"VM unchecked", vmOut}, {"native checked", natChkOut}, {"native unchecked", natUnchkOut},
+			{"native checked", natChkOut}, {"native unchecked", natUnchkOut},
 		} {
 			if got.out != want {
-				return ProveRow{}, fmt.Errorf("%s output diverges from the checked VM", got.engine)
+				return ProveRow{}, fmt.Errorf("%s output diverges from the VM", got.engine)
 			}
 		}
 
@@ -95,9 +87,6 @@ func RunProve(e *Env) ([]ProveRow, error) {
 			ProvenPct: 100,
 			Match:     true,
 
-			VMCheckedMS:       ms(vmChk.Wall),
-			VMUncheckedMS:     ms(vmUnchk.Wall),
-			VMSpeedup:         float64(vmChk.Wall) / float64(vmUnchk.Wall),
 			NativeCheckedMS:   ms(natChk),
 			NativeUncheckedMS: ms(natUnchk),
 			NativeSpeedup:     float64(natChk) / float64(natUnchk),
@@ -115,42 +104,35 @@ func RunProve(e *Env) ([]ProveRow, error) {
 // line the acceptance check reads.
 func FormatProve(rows []ProveRow) string {
 	var b strings.Builder
-	b.WriteString("Bounds prover: abstract-interpretation coverage and the cost of the\n")
-	b.WriteString("eliminated checks (checked vs proof-carrying, both engines; outputs\n")
-	b.WriteString("asserted bit-identical cell by cell)\n\n")
-	fmt.Fprintf(&b, "%-10s %-10s %6s %7s %8s %11s %11s %8s %11s %11s %8s\n",
-		"app", "level", "sites", "proven", "rate", "vm chk ms", "vm unchk", "speedup",
-		"nat chk ms", "nat unchk", "speedup")
+	b.WriteString("Bounds prover: coverage and the cost of the eliminated checks\n")
+	b.WriteString("(native, checked vs proof-carrying; both outputs asserted\n")
+	b.WriteString("bit-identical to the VM cell by cell)\n\n")
+	fmt.Fprintf(&b, "%-10s %-10s %6s %7s %8s %11s %11s %8s\n",
+		"app", "level", "sites", "proven", "rate", "nat chk ms", "nat unchk", "speedup")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-10s %6d %7d %7.0f%% %11.2f %11.2f %7.2fx %11.4f %11.4f %7.2fx\n",
+		fmt.Fprintf(&b, "%-10s %-10s %6d %7d %7.0f%% %11.4f %11.4f %7.2fx\n",
 			r.Benchmark, r.Level, r.Sites, r.Proven, r.ProvenPct,
-			r.VMCheckedMS, r.VMUncheckedMS, r.VMSpeedup,
 			r.NativeCheckedMS, r.NativeUncheckedMS, r.NativeSpeedup)
 	}
 
 	// Aggregates: worst-case coverage and the geometric-mean speedup of
 	// elimination (cells with sites only; a fully contracted program
 	// has nothing to eliminate).
-	var vm, nat []float64
+	var nat []float64
 	elided := 0
 	for _, r := range rows {
 		if r.ScaffoldElided {
 			elided++
 		}
 		if r.Sites > 0 {
-			vm, nat = append(vm, r.VMSpeedup), append(nat, r.NativeSpeedup)
+			nat = append(nat, r.NativeSpeedup)
 		}
 	}
 	fmt.Fprintf(&b, "\nproven-site coverage: min %.0f%% across %d cells; trap scaffold elided in %d/%d\n",
 		MinProvenRate(rows), len(rows), elided, len(rows))
-	if len(vm) > 0 {
+	if len(nat) > 0 {
 		fmt.Fprintf(&b, "check-elimination speedup (geomean over %d cells with sites): native %.2fx\n",
 			len(nat), geomean(nat))
-		// The VM checks one slice bound per strip whatever the verdict,
-		// so its two columns time the same code: the ratio is the noise
-		// floor to read the native column against.
-		fmt.Fprintf(&b, "VM columns run one code path twice (no per-element check to eliminate): %.2fx is run-to-run noise\n",
-			geomean(vm))
 	}
 	b.WriteString("every cell bit-identical: true\n")
 	return b.String()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/air"
+	"repro/internal/sema"
 )
 
 // Expr is a deferred element-wise expression over array handles,
@@ -103,14 +104,6 @@ func Min(x, y Expr) Expr { return Call("min", x, y) }
 // Max is the element-wise maximum of x and y.
 func Max(x, y Expr) Expr { return Call("max", x, y) }
 
-// builtins are the callable function names, mirroring what the VM and
-// the native emitter implement.
-var builtins = map[string]int{
-	"sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "tan": 1,
-	"abs": 1, "floor": 1, "ceil": 1, "sign": 1,
-	"min": 2, "max": 2, "pow": 2, "mod": 2, "atan2": 2,
-}
-
 // walkExpr visits e and its subexpressions in pre-order.
 func walkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
@@ -201,7 +194,7 @@ func checkExpr(e Expr, eng *Engine, rank int) error {
 				note("lazy: index%d out of range for rank %d", n.dim, rank)
 			}
 		case *callExpr:
-			arity, ok := builtins[n.name]
+			arity, ok := sema.Builtins[n.name]
 			if !ok {
 				note("lazy: unknown builtin %q", n.name)
 			} else if len(n.args) != arity {

@@ -132,7 +132,7 @@ type Result struct {
 	// Remarks are the optimizer's decisions at opt.Level, for callers
 	// that also display or encode them (-remarks).
 	Remarks []remark.Remark
-	// Bounds is the abstract interpreter's result at opt.Level, for
+	// Bounds is the bounds prover's result at opt.Level, for
 	// callers that summarize the prover (proven/unknown/unsafe counts).
 	Bounds *absint.Result
 	// Races is the happens-before analysis of the distributed comm
@@ -600,11 +600,11 @@ func deadAfter(rest []air.Stmt, w *air.ArrayStmt) bool {
 	return true
 }
 
-// boundsFindings surfaces the abstract interpreter's per-site
-// verdicts: an unproven access warns (the runtime check it keeps is
-// the cost), a proven-unsafe access is an error (it faults on every
-// execution), and — when notes is set — each proven access carries a
-// note with the evidence that eliminated its check.
+// boundsFindings surfaces the bounds prover's per-site verdicts: an
+// unproven access warns (the runtime check it keeps is the cost), a
+// proven-unsafe access is an error (it faults on every execution), and
+// — when notes is set — each proven access carries a note with the
+// evidence that eliminated its check.
 func boundsFindings(r *absint.Result, notes bool) []Finding {
 	var out []Finding
 	for _, s := range r.Sites {

@@ -1,5 +1,13 @@
 package programs
 
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"repro/internal/sema"
+)
+
 // The edge-nest programs: hand-written sources for the loop shapes that
 // neither the benchmarks nor Random produce. Both differentials that
 // execute a nest in a way of their own draw on them — the VM's
@@ -137,3 +145,44 @@ begin
   writeln(s, mx);
 end;
 `
+
+// BuiltinSrc calls every entry of sema.Builtins in a nest of its own
+// and prints a checksum of each result. The front end has the one table
+// of names; the VM and the native emitter each map a name to an
+// implementation, so a builtin added to the table and to only one of
+// them fails here instead of at a user's first call. B is positive
+// (sqrt, log and pow's base stay in their domains); C takes both signs
+// and is never zero (sign, abs, floor, ceil see both; mod and atan2
+// never divide by zero).
+func BuiltinSrc() string {
+	names := make([]string, 0, len(sema.Builtins))
+	for name := range sema.Builtins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(`
+program builtins;
+config m : integer = 5;
+config n : integer = 7;
+region R = [1..m, 1..n];
+var A, B, C : [R] double;
+var s : double;
+proc main()
+begin
+  [R] B := 0.25 + index1 * 0.5 + index2 * 0.125;
+  [R] C := index1 * 0.75 - index2 * 0.625 + 0.3;
+`)
+	for _, name := range names {
+		arg := "C"
+		if name == "sqrt" || name == "log" {
+			arg = "B"
+		}
+		if sema.Builtins[name] == 2 {
+			arg = "B, C"
+		}
+		fmt.Fprintf(&b, "  [R] A := %s(%s);\n  s := +<< [R] A;\n  writeln(\"%s\", s);\n", name, arg, name)
+	}
+	b.WriteString("end;\n")
+	return b.String()
+}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -173,15 +172,7 @@ func (d *Disk) PutRaw(k ccache.Key, raw []byte) error {
 		d.mu.Unlock()
 		return fmt.Errorf("store: disk: %w", err)
 	}
-	tmp := path + ".tmp" + strconv.Itoa(os.Getpid())
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		d.mu.Lock()
-		d.stats.Errors++
-		d.mu.Unlock()
-		return fmt.Errorf("store: disk: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := AtomicWrite(path, raw); err != nil {
 		d.mu.Lock()
 		d.stats.Errors++
 		d.mu.Unlock()
@@ -193,6 +184,33 @@ func (d *Disk) PutRaw(k ccache.Key, raw []byte) error {
 	d.stats.Bytes += int64(len(raw))
 	d.mu.Unlock()
 	return nil
+}
+
+// AtomicWrite writes data to path through a temp file of its own in
+// the same directory and a rename: a reader finds the old file, the new
+// one or none, never a partial one. The temp name is unique per call,
+// so writers racing on one path — two processes, or two goroutines of
+// one (peers that both compiled a key both publish it) — never share an
+// inode; the last rename wins. The temp file is removed on any failure.
+func AtomicWrite(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 would hide the file from a process sharing the directory
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Put encodes and writes the entry under k.

@@ -233,6 +233,74 @@ func TestDiskCorruptionIsMissAndRepaired(t *testing.T) {
 	}
 }
 
+// Two peers that both compiled a key both publish it to the owner, and
+// Node.ServePut calls PutRaw outside any flight: writers of one key in
+// one process must not share a temp file. With a pid-named temp the
+// second writer truncated what the first was about to rename, a
+// concurrent Get read the torn file and deleted the slot as corrupt,
+// and the loser's rename failed.
+func TestDiskConcurrentPutsOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var putErr atomic.Value
+	absent := 0
+	aux := bytes.Repeat([]byte("ZA"), 1<<19) // a 1 MiB envelope: a write takes long enough to interleave
+	for round := 0; round < 30; round++ {
+		k := ccache.KeyOf(fmt.Sprintf("round %d", round), driver.Options{})
+		raw, err := Encode(&ccache.Entry{Key: k, Kind: ccache.ArtifactTune, Aux: aux})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var writers, readers sync.WaitGroup
+		done := make(chan struct{})
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						d.Get(k)
+					}
+				}
+			}()
+		}
+		for w := 0; w < 8; w++ {
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				if err := d.PutRaw(k, raw); err != nil {
+					putErr.Store(err)
+				}
+			}()
+		}
+		writers.Wait()
+		close(done)
+		readers.Wait()
+		if e, ok := d.Get(k); !ok || !bytes.Equal(e.Aux, aux) {
+			absent++
+		}
+	}
+	if absent != 0 {
+		t.Errorf("key absent or undecodable after 8 concurrent puts in %d of 30 rounds", absent)
+	}
+	if st := d.Stats(); st.Errors != 0 || st.Corrupt != 0 {
+		t.Errorf("%d I/O errors in 240 puts (the last: %v), %d files deleted as corrupt; want 0 and 0",
+			st.Errors, putErr.Load(), st.Corrupt)
+	}
+	filepath.WalkDir(dir, func(path string, de os.DirEntry, err error) error {
+		if err == nil && strings.Contains(de.Name(), ".tmp") {
+			t.Errorf("temp file left behind: %s", path)
+		}
+		return nil
+	})
+}
+
 // failCompute is a compute fn that must not run.
 func failCompute(t *testing.T) func() (*ccache.Entry, error) {
 	return func() (*ccache.Entry, error) {

@@ -191,7 +191,7 @@ type CompileResponse struct {
 	Lint    []lint.Finding  `json:"lint,omitempty"`
 	Remarks []remark.Remark `json:"remarks,omitempty"`
 
-	// Bounds summarizes the abstract-interpretation bounds prover
+	// Bounds summarizes the bounds prover
 	// (absent when the request set noprove).
 	Bounds *BoundsSummary `json:"bounds,omitempty"`
 

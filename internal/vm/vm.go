@@ -51,7 +51,7 @@ type Options struct {
 	// ctxPollInterval scalar statements. The run reports ctx.Err()
 	// (errors.Is-testable for context.DeadlineExceeded).
 	Ctx context.Context
-	// Bounds carries the abstract-interpretation prover's per-site
+	// Bounds carries the bounds prover's per-site
 	// verdicts (internal/absint) for this exact LIR instance. The
 	// machine checks one slice bound per strip whatever the verdict, so
 	// a proof buys it nothing; the field stays for the -provefault

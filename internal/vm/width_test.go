@@ -421,7 +421,7 @@ func runShards(t *testing.T, c *driver.Compilation, procs, rows, width int) []ou
 // must be the whole-program machine.
 func TestWidthShards(t *testing.T) {
 	cfg := map[string]int64{"m": 3, "n": 7}
-	for _, src := range []string{programs.EdgeSrc, programs.PermSrc, programs.GuardSrc} {
+	for _, src := range []string{programs.EdgeSrc, programs.PermSrc, programs.GuardSrc, programs.BuiltinSrc()} {
 		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
 			c := mustCompile(t, src, driver.Options{Level: lvl, Configs: cfg})
 			for _, procs := range []int{1, 2, 4} {
