@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 .PHONY: all build test vet fmt-check race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit results-check tune-smoke backend-diff \
 	prove-fuzz lazy-smoke race-smoke race-sweep cluster-smoke \
-	bench-smoke plan-guard vm-guard loc
+	bench-smoke plan-guard vm-guard loc soak
 
 all: build test
 
@@ -212,11 +212,26 @@ vm-guard: build
 # LOC_DIRS to size one subsystem, e.g. the front ends PR 13 measured:
 #   make loc LOC_DIRS="cmd internal/svc internal/tune internal/job"
 LOC_DIRS ?= $(filter-out bench results,$(patsubst %/,%,$(wildcard */)))
-loc:
-	@total=0; for d in $(LOC_DIRS); do \
+# The three content-addressed stores and the one flight table they share
+# are sized apart, after the total: PR 21 bounded their sum by the three
+# stores' size before it (2,407 lines), and ROADMAP item 6(c) wants it
+# down a further 30%.
+LOC_STORES ?= internal/ccache internal/store internal/backend internal/flight
+loc_sum = total=0; for d in $(1); do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat 2>/dev/null | wc -l); \
 		printf '%8d  %s\n' $$n $$d; total=$$((total + n)); \
-	done; printf '%8d  total\n' $$total
+	done; printf '%8d  $(2)\n' $$total
+loc:
+	@$(call loc_sum,$(LOC_DIRS),total)
+	@$(call loc_sum,$(LOC_STORES),of which the stores)
+
+# The time-seeded search the property tests used to be on every tier-1
+# run: each test prints the seed it drew before using it (a failure
+# reproduces by putting that seed at the test's soak.Config site) and
+# runs 20x its tier-1 cases. Only the three packages whose tests import
+# internal/soak define the flag.
+soak: build
+	$(GO) test -count=1 -run 'TestQuick' ./internal/driver ./internal/parser ./internal/dist -soak
 
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary

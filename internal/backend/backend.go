@@ -8,10 +8,10 @@
 // toolchain version, so identical emissions (the same program at the
 // same plan, or the same request repeated) are build cache hits: the
 // binary on disk is reused without invoking the toolchain at all.
-// Builds are deduplicated in-process (concurrent requests for one key
-// share a single toolchain invocation) and written atomically
-// (temp-file + rename), so several processes may share one store
-// directory.
+// Builds are deduplicated in-process (internal/flight: concurrent
+// requests for one key share a single toolchain invocation) and
+// written atomically (temp-file + rename), so several processes may
+// share one store directory.
 //
 // Failure classification mirrors the repo's exit-code discipline:
 //
@@ -41,9 +41,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/absint"
+	"repro/internal/flight"
 	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/store"
@@ -139,21 +141,14 @@ type Stats struct {
 	Dedups   int64 // joined another caller's in-flight build
 }
 
-type buildFlight struct {
-	done chan struct{}
-	art  *Artifact
-	err  error
-}
-
 // Store is a content-addressed native-artifact cache rooted at one
 // directory. All methods are safe for concurrent use; multiple
 // processes may share a directory.
 type Store struct {
-	dir string
+	dir    string
+	builds flight.Group[string, *Artifact]
 
-	mu       sync.Mutex
-	inflight map[string]*buildFlight
-	stats    Stats
+	hits, misses, failures, dedups atomic.Int64
 }
 
 // Open creates (if needed) and opens an artifact store. An empty dir
@@ -165,7 +160,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: artifact store: %w", err)
 	}
-	return &Store{dir: dir, inflight: map[string]*buildFlight{}}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -173,9 +168,7 @@ func (s *Store) Dir() string { return s.dir }
 
 // Stats snapshots the build counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Failures: s.failures.Load(), Dedups: s.dedups.Load()}
 }
 
 // Artifact is one built native program.
@@ -218,40 +211,24 @@ func (s *Store) Build(ctx context.Context, goSrc string) (*Artifact, error) {
 
 	// Fast path: the binary is already on disk.
 	if fi, err := os.Stat(art.Bin); err == nil && fi.Mode().IsRegular() {
-		s.mu.Lock()
-		s.stats.Hits++
-		s.mu.Unlock()
+		s.hits.Add(1)
 		art.Hit = true
 		return art, nil
 	}
 
 	// Deduplicate concurrent builds of the same key.
-	s.mu.Lock()
-	if fl, ok := s.inflight[key]; ok {
-		s.stats.Dedups++
-		s.mu.Unlock()
-		select {
-		case <-fl.done:
-			return fl.art, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	built, joined, err := s.builds.Do(ctx, key, func() (*Artifact, error) {
+		s.misses.Add(1)
+		a, err := s.build(ctx, tool, art, goSrc)
+		if err != nil {
+			s.failures.Add(1)
 		}
+		return a, err
+	})
+	if joined {
+		s.dedups.Add(1)
 	}
-	fl := &buildFlight{done: make(chan struct{})}
-	s.inflight[key] = fl
-	s.stats.Misses++
-	s.mu.Unlock()
-
-	fl.art, fl.err = s.build(ctx, tool, art, goSrc)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if fl.err != nil {
-		s.stats.Failures++
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	return fl.art, fl.err
+	return built, err
 }
 
 // build invokes the toolchain; the binary lands under its final name

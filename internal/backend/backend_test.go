@@ -15,6 +15,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/gogen"
 	"repro/internal/programs"
 	"repro/internal/vm"
@@ -75,6 +76,30 @@ func TestArtifactCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A build that panics (exec.CommandContext does, on a nil Context)
+	// reaches its caller and leaves the key free: the same source builds
+	// on the next call. The suffix keeps the key cold on every run.
+	goSrc, err := gogen.Emit(c.LIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goSrc += "\n// built " + time.Now().Format(time.RFC3339Nano) + "\n"
+	func() {
+		defer func() {
+			var pe *flight.PanicError
+			if r, _ := recover().(error); !errors.As(r, &pe) {
+				t.Errorf("the build's panic did not reach its caller as a *flight.PanicError: %v", r)
+			}
+		}()
+		var none context.Context
+		store.Build(none, goSrc)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if art, err := store.Build(ctx, goSrc); err != nil || art.Hit {
+		t.Fatalf("build after a panicked build of the same key: %+v, %v", art, err)
+	}
+
 	a1, _, err := store.BuildProgram(context.Background(), c.LIR)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,10 @@
 //
 //   - byte-bounded LRU eviction: the cache never holds more than its
 //     budget of artifact bytes, evicting least-recently-used entries;
-//   - singleflight deduplication: N concurrent requests for the same
-//     missing key cost one compile — one caller computes, the others
-//     block on its result and share the entry (or its error).
+//   - singleflight deduplication (internal/flight): N concurrent
+//     requests for the same missing key cost one compile — one caller
+//     computes, the others block on its result and share the entry (or
+//     its error).
 //
 // Cached entries are shared by reference, which is sound because a
 // finished Compilation is immutable: the VM and the distributed
@@ -19,14 +20,17 @@ package ccache
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/lir"
 )
 
@@ -318,81 +322,57 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// HitRate is the fraction of lookups that did not run a compile.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.DedupHits
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.DedupHits) / float64(total)
-}
-
-type flight struct {
-	done chan struct{}
-	e    *Entry
-	err  error
-}
-
 // Cache is the byte-bounded LRU cache with singleflight lookups.
 // All methods are safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	max      int64
-	size     int64
-	ll       *list.List // front = most recently used; values are *Entry
-	entries  map[Key]*list.Element
-	inflight map[Key]*flight
+	mu      sync.Mutex
+	max     int64
+	size    int64
+	ll      *list.List // front = most recently used; values are *Entry
+	entries map[Key]*list.Element
+	flights flight.Group[Key, *Entry]
 
-	hits, misses, dedup, evictions, tooLarge int64
+	hits, evictions, tooLarge int64
+	misses, dedup             atomic.Int64 // counted outside mu, around a flight
 }
 
 // New creates a cache bounded to maxBytes of accounted artifact bytes.
 // maxBytes <= 0 means unbounded.
 func New(maxBytes int64) *Cache {
-	return &Cache{
-		max:      maxBytes,
-		ll:       list.New(),
-		entries:  map[Key]*list.Element{},
-		inflight: map[Key]*flight{},
-	}
+	return &Cache{max: maxBytes, ll: list.New(), entries: map[Key]*list.Element{}}
 }
 
 // GetOrCompute returns the entry for k, computing it at most once
-// across concurrent callers. On a miss this caller runs compute and
-// (on success) inserts the result, evicting LRU entries past the byte
-// bound; concurrent callers for the same key block and share the
-// result or error. Errors are never cached.
+// across concurrent callers (internal/flight). On a miss this caller
+// runs compute and (on success) inserts the result, evicting LRU
+// entries past the byte bound; concurrent callers for the same key
+// block and share the result or error. Errors are never cached.
 func (c *Cache) GetOrCompute(k Key, compute func() (*Entry, error)) (*Entry, Outcome, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		e := el.Value.(*Entry)
-		c.mu.Unlock()
+	if e, ok := c.Get(k); ok {
 		return e, Hit, nil
 	}
-	if fl, ok := c.inflight[k]; ok {
-		c.dedup++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.e, Dedup, fl.err
+	out := Miss
+	// The signature carries no ctx, so a joiner waits without a deadline.
+	e, joined, err := c.flights.Do(context.TODO(), k, func() (*Entry, error) {
+		// A flight inserts before it releases its key, so a flight that
+		// ended between the lookup above and this one left the entry here:
+		// no window in which a finished key is computed again.
+		if e, ok := c.Get(k); ok {
+			out = Hit
+			return e, nil
+		}
+		c.misses.Add(1)
+		e, err := compute()
+		if err == nil && e != nil {
+			c.Put(k, e)
+		}
+		return e, err
+	})
+	if joined {
+		c.dedup.Add(1)
+		out = Dedup
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[k] = fl
-	c.misses++
-	c.mu.Unlock()
-
-	e, err := compute()
-	fl.e, fl.err = e, err
-
-	c.mu.Lock()
-	delete(c.inflight, k)
-	if err == nil && e != nil {
-		c.insertLocked(k, e)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return e, Miss, err
+	return e, out, err
 }
 
 // Get peeks without computing; it counts as a hit and refreshes
@@ -423,18 +403,13 @@ func (c *Cache) Peek(k Key) (*Entry, bool) {
 	return el.Value.(*Entry), true
 }
 
-// Put inserts an entry computed (or fetched) outside GetOrCompute —
-// the promotion path of the tiered store, which runs its own
-// singleflight across all tiers and uses this cache purely as the
-// memory tier. Eviction and the byte bound apply as for computed
-// entries; inserting an already-resident key refreshes its recency.
+// Put inserts an entry: GetOrCompute's own insertion, and the promotion
+// path of the tiered store, which uses this cache purely as its memory
+// tier. LRU entries past the byte bound are evicted; inserting an
+// already-resident key refreshes its recency.
 func (c *Cache) Put(k Key, e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(k, e)
-}
-
-func (c *Cache) insertLocked(k Key, e *Entry) {
 	// Eviction needs the reverse mapping. An entry that already carries
 	// its key may be shared (a peer can be encoding it out of another
 	// cache right now), so it is not written again.
@@ -445,8 +420,7 @@ func (c *Cache) insertLocked(k Key, e *Entry) {
 		e.Size = SizeOf(e)
 	}
 	if old, ok := c.entries[k]; ok {
-		// A racing flight already inserted (possible when compute was
-		// retried externally); keep the resident entry's recency.
+		// Already resident (a peer's put raced a compile, say).
 		c.ll.MoveToFront(old)
 		return
 	}
@@ -475,8 +449,8 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Hits:      c.hits,
-		Misses:    c.misses,
-		DedupHits: c.dedup,
+		Misses:    c.misses.Load(),
+		DedupHits: c.dedup.Load(),
 		Evictions: c.evictions,
 		TooLarge:  c.tooLarge,
 		Bytes:     c.size,

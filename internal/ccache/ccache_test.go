@@ -11,6 +11,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/flight"
 )
 
 func keyN(n int) Key {
@@ -139,9 +140,19 @@ func TestSingleflightCollapse(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
+	// Nor is a panic: it reaches the caller, and the key is free again.
+	func() {
+		defer func() {
+			var pe *flight.PanicError
+			if r, _ := recover().(error); !errors.As(r, &pe) || pe.Value != "kaboom" {
+				t.Errorf("compute's panic did not reach its caller as a *flight.PanicError: %v", r)
+			}
+		}()
+		c.GetOrCompute(keyN(8), func() (*Entry, error) { panic("kaboom") })
+	}()
 	_, o, err := c.GetOrCompute(keyN(8), func() (*Entry, error) { return entryN(8, 10), nil })
 	if err != nil || o != Miss {
-		t.Errorf("after failed flight: outcome %v err %v, want fresh miss", o, err)
+		t.Errorf("after failed flights: outcome %v err %v, want fresh miss", o, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sema"
+	"repro/internal/soak"
 )
 
 func TestGridFactorization(t *testing.T) {
@@ -130,7 +131,7 @@ func TestQuickBlocksPartition(t *testing.T) {
 		}
 		return count == anchor.Size()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, soak.Config(t, 50, 3)); err != nil {
 		t.Error(err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/programs"
+	"repro/internal/soak"
 	"repro/internal/vm"
 )
 
@@ -63,7 +64,7 @@ func TestQuickProveSoundness(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 20}
+	cfg := soak.Config(t, 20, 4)
 	if testing.Short() {
 		cfg.MaxCount = 5
 	}
@@ -109,7 +110,7 @@ func TestQuickProveFaultCaught(t *testing.T) {
 		t.Logf("seed %d: no injected fault changed the output across %d sites\n%s", seed, total, src)
 		return false
 	}
-	cfg := &quick.Config{MaxCount: 8}
+	cfg := soak.Config(t, 8, 5)
 	if testing.Short() {
 		cfg.MaxCount = 2
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/programs"
+	"repro/internal/soak"
 	"repro/internal/vm"
 )
 
@@ -80,7 +81,7 @@ func TestQuickTransformationSoundness(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 25}
+	cfg := soak.Config(t, 25, 7)
 	if testing.Short() {
 		cfg.MaxCount = 5
 	}
@@ -114,7 +115,7 @@ func TestQuickPartitionsValid(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 25}
+	cfg := soak.Config(t, 25, 8)
 	if testing.Short() {
 		cfg.MaxCount = 5
 	}
@@ -152,13 +153,23 @@ func TestQuickDistributedSoundness(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 15}
+	cfg := soak.Config(t, 15, 9)
 	if testing.Short() {
 		cfg.MaxCount = 3
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+	// The one program the time-seeded runs of this test have found that
+	// fails it: a halo reused by a later statement is a dependence the
+	// ASDG does not carry (ROADMAP item 1, diagnosed there, fixed by the
+	// PR that takes it). Un-skip it with that fix.
+	t.Run("seed -5482402805499627837 (ROADMAP item 1)", func(t *testing.T) {
+		t.Skip("known failure, ROADMAP item 1: the reused-halo dependence is missing from the ASDG")
+		if !f(-5482402805499627837) {
+			t.Error("distributed compile or run diverged from the sequential baseline")
+		}
+	})
 }
 
 func defaultComm(procs int) comm.Options { return comm.DefaultOptions(procs) }
@@ -199,7 +210,7 @@ func TestQuickVerifierClean(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 20}
+	cfg := soak.Config(t, 20, 10)
 	if testing.Short() {
 		cfg.MaxCount = 4
 	}
@@ -251,7 +262,7 @@ func TestQuickTracedMatchesUntraced(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 25}
+	cfg := soak.Config(t, 25, 11)
 	if testing.Short() {
 		cfg.MaxCount = 5
 	}

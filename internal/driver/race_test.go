@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mhp"
 	"repro/internal/programs"
+	"repro/internal/soak"
 )
 
 // TestRaceLadderClean: the acceptance sweep for the happens-before
@@ -133,7 +134,7 @@ func TestQuickRaceClean(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 15}
+	cfg := soak.Config(t, 15, 6)
 	if testing.Short() {
 		cfg.MaxCount = 3
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/vm"
 )
 
@@ -100,6 +101,8 @@ func TestClassTables(t *testing.T) {
 		{fmt.Errorf("running: %w", context.DeadlineExceeded), ClassTimeout, 4, 504, "timeout"},
 		{&CompileError{context.DeadlineExceeded}, ClassTimeout, 4, 504, "timeout"},
 		{fmt.Errorf("running: %w", context.Canceled), ClassCanceled, 1, 499, "canceled"},
+		{fmt.Errorf("joined: %w", &flight.PanicError{Value: "boom"}), ClassInternal, 1, 500, "internal"},
+		{fmt.Errorf("%w: %w", &flight.PanicError{Value: "boom"}, context.DeadlineExceeded), ClassInternal, 1, 500, "internal"},
 	} {
 		got := Classify(c.err)
 		if got != c.class || got.ExitCode() != c.exit || got.HTTPStatus() != c.status || got.Kind() != c.kind {

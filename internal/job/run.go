@@ -10,6 +10,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/distvm"
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/gogen"
 	"repro/internal/machine"
 	"repro/internal/vm"
@@ -26,6 +27,7 @@ const (
 	ClassCompile
 	ClassTimeout
 	ClassCanceled
+	ClassInternal
 )
 
 // classes is the one table from failure class to CLI exit code and to
@@ -40,6 +42,7 @@ var classes = [...]struct {
 	ClassCompile:  {3, 422, "compile_error"}, // parse/sema/verifier failure, go build failure of emitted code
 	ClassTimeout:  {4, 504, "timeout"},       // the deadline expired: compiling, building, or running
 	ClassCanceled: {1, 499, "canceled"},      // the client went away (nginx's convention)
+	ClassInternal: {1, 500, "internal"},      // a panic in the compiler or an executor: this program's bug, not the request's
 }
 
 func (c Class) ExitCode() int   { return classes[c].exit }
@@ -54,14 +57,19 @@ func (e *CompileError) Error() string { return e.Err.Error() }
 func (e *CompileError) Unwrap() error { return e.Err }
 
 // Classify maps an error from any stage of a request to its class. A
-// context error wins over whatever wraps it.
+// panic (a *flight.PanicError, which is also what the callers that joined
+// the panicking flight receive) wins over everything; then a context
+// error wins over whatever wraps it.
 func Classify(err error) Class {
 	var ue *UsageError
 	var ce *CompileError
 	var be *backend.BuildError
+	var pe *flight.PanicError
 	switch {
 	case err == nil:
 		return ClassOK
+	case errors.As(err, &pe):
+		return ClassInternal
 	case errors.Is(err, context.DeadlineExceeded):
 		return ClassTimeout
 	case errors.Is(err, context.Canceled):

@@ -12,6 +12,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/ccache"
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/sema"
@@ -19,10 +20,19 @@ import (
 )
 
 // runBatch compiles (or cache-hits) one canonical batch and executes
-// it with the engine's handle state bound to the canonical names.
-func (e *Engine) runBatch(ctx context.Context, cb *canonBatch) error {
+// it with the engine's handle state bound to the canonical names. A
+// panic on the way — the compiler's, the emitter's, the build's — comes
+// back as an error naming the batch by its content address (the hash of
+// its canonical text under the engine's options); the cache holds no
+// trace of the attempt, so the same shape compiles afresh next time.
+func (e *Engine) runBatch(ctx context.Context, cb *canonBatch) (err error) {
 	dopt := e.driverOptions()
 	key := ccache.KeyOfKind(cb.text, dopt, ccache.ArtifactLazy)
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("lazy: batch %s: %w", key, flight.AsPanic(v))
+		}
+	}()
 	native := dopt.Backend.Native()
 	if native && e.store == nil {
 		st, err := backend.Open(e.opt.ArtifactDir)
@@ -33,6 +43,9 @@ func (e *Engine) runBatch(ctx context.Context, cb *canonBatch) error {
 	}
 
 	entry, _, err := e.cache.GetOrCompute(key, func() (*ccache.Entry, error) {
+		if e.compileHook != nil {
+			e.compileHook()
+		}
 		// Build a fresh program: CompileAIR rewrites it in place, so the
 		// instance rendered for the fingerprint is never handed over.
 		prog, err := cb.build()

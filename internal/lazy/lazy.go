@@ -37,6 +37,7 @@ package lazy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -46,6 +47,7 @@ import (
 	"repro/internal/ccache"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/remark"
 	"repro/internal/sema"
 )
@@ -110,6 +112,10 @@ type Engine struct {
 
 	remarks []remark.Remark
 	stats   Stats
+
+	// compileHook, set by tests only, runs first in a batch's compile:
+	// the seam for a compiler that panics.
+	compileHook func()
 }
 
 // NewEngine creates an engine. A native-backend engine opens its
@@ -438,7 +444,12 @@ func (e *Engine) record(o *op) {
 // Eval forces every pending operation: the sync point at which the
 // engine fuses, compiles (or cache-hits), and executes the deferred
 // DAG. After a successful Eval all non-Temp handles and all scalars
-// hold their updated values.
+// hold their updated values. A panic inside the compiler, the emitter or
+// a native build is returned as an error that names the batch by its
+// content address and wraps a *flight.PanicError (value and stack);
+// unlike a program's own error it is not sticky: the pending operations
+// of this Eval are dropped, handles keep the values they had, and the
+// next Eval of the same shape runs a fresh compile.
 func (e *Engine) Eval() error { return e.EvalCtx(context.Background()) }
 
 // EvalCtx is Eval with cancellation, consulted between pipeline phases
@@ -480,6 +491,12 @@ func (e *Engine) evalLocked(ctx context.Context) error {
 			return e.err
 		}
 		if err := e.runBatch(ctx, cb); err != nil {
+			var pe *flight.PanicError
+			if errors.As(err, &pe) {
+				// Our fault, not the recorded program's: this Eval's
+				// operations are lost, the engine is not.
+				return err
+			}
 			e.fail(err)
 			return e.err
 		}

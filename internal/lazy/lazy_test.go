@@ -2,13 +2,16 @@ package lazy
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/remark"
 	"repro/internal/vm"
 )
@@ -564,5 +567,52 @@ func TestWritelnOrderAcrossStatements(t *testing.T) {
 	want := "first 3\nsecond 6\n"
 	if out.String() != want {
 		t.Errorf("output = %q, want %q", out.String(), want)
+	}
+}
+
+// TestEvalPanicIsAnError: a compiler panic costs one Eval an error that
+// names the batch, not the process a crash nor the batch shape a hang:
+// the same operations recorded again compile afresh.
+func TestEvalPanicIsAnError(t *testing.T) {
+	e := NewEngine(Options{Level: core.C2F4S})
+	a := e.Array("a", R(1, 8))
+	panicked := false
+	e.compileHook = func() {
+		if !panicked {
+			panicked = true
+			panic("compiler bug")
+		}
+	}
+	a.Assign(nil, Index(1))
+	err := e.Eval()
+	var pe *flight.PanicError
+	if !errors.As(err, &pe) || pe.Value != "compiler bug" || !strings.Contains(err.Error(), "lazy: batch ") {
+		t.Fatalf("Eval over a panicking compile returned %v, want an error naming the batch and wrapping the panic", err)
+	}
+	if !strings.Contains(string(pe.Stack), "TestEvalPanicIsAnError") {
+		t.Errorf("the panic's stack does not reach the panicking frame:\n%s", pe.Stack)
+	}
+	if e.Err() != nil {
+		t.Errorf("a panic left the engine with a sticky error: %v", e.Err())
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		a.Assign(nil, Index(1))
+		done <- e.Eval()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Eval of the same shape after the panic: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Eval of the same shape after the panic hangs")
+	}
+	if st := e.CacheStats(); st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("cache after panic + retry: %+v, want two computes and one entry", st)
+	}
+	if v, err := a.Values(); err != nil || v[7] != 8 {
+		t.Errorf("values after the retry: %v, %v", v, err)
 	}
 }

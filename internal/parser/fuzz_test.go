@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/soak"
 	"repro/internal/source"
 )
 
@@ -21,7 +22,7 @@ func TestQuickParserNeverPanics(t *testing.T) {
 		Parse(input, &errs)
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, soak.Config(t, 300, 1)); err != nil {
 		t.Error(err)
 	}
 }
@@ -67,7 +68,7 @@ end;
 		Parse(string(b), &errs)
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, soak.Config(t, 300, 2)); err != nil {
 		t.Error(err)
 	}
 }

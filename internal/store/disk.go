@@ -110,51 +110,42 @@ func (d *Disk) GetRaw(k ccache.Key) ([]byte, bool) {
 	return raw, true
 }
 
-// GetRawVerified reads the envelope for k and checks its checksum
-// without a full decode — the read used to serve a peer from disk,
-// where corrupt bytes must not be relayed. A failing file is deleted
-// (miss + repaired), exactly as in Get.
-func (d *Disk) GetRawVerified(k ccache.Key) ([]byte, bool) {
+// read is GetRaw plus the integrity gate both decoding readers share: a
+// file that fails check is deleted and reported as a miss, so the next
+// successful compute repairs the slot.
+func (d *Disk) read(k ccache.Key, check func(raw []byte) error) ([]byte, bool) {
 	raw, ok := d.GetRaw(k)
 	if !ok {
 		return nil, false
 	}
-	if err := Verify(raw); err != nil {
-		d.mu.Lock()
+	err := check(raw)
+	d.mu.Lock()
+	if err != nil {
 		d.stats.Corrupt++
 		d.stats.Entries--
 		d.stats.Bytes -= int64(len(raw))
-		d.mu.Unlock()
-		os.Remove(d.path(k))
-		return nil, false
+	} else {
+		d.stats.Hits++
 	}
-	d.mu.Lock()
-	d.stats.Hits++
 	d.mu.Unlock()
-	return raw, true
+	if err != nil {
+		os.Remove(d.path(k))
+	}
+	return raw, err == nil
 }
 
-// Get reads and decodes the entry for k. A present-but-invalid file is
-// deleted and reported as a miss.
-func (d *Disk) Get(k ccache.Key) (*ccache.Entry, bool) {
-	raw, ok := d.GetRaw(k)
-	if !ok {
-		return nil, false
-	}
-	e, err := Decode(raw)
-	if err != nil {
-		d.mu.Lock()
-		d.stats.Corrupt++
-		d.stats.Entries--
-		d.stats.Bytes -= int64(len(raw))
-		d.mu.Unlock()
-		os.Remove(d.path(k))
-		return nil, false
-	}
-	d.mu.Lock()
-	d.stats.Hits++
-	d.mu.Unlock()
-	return e, true
+// GetRawVerified reads the envelope for k and checks its checksum
+// without a full decode — the read used to serve a peer from disk,
+// where corrupt bytes must not be relayed.
+func (d *Disk) GetRawVerified(k ccache.Key) ([]byte, bool) { return d.read(k, Verify) }
+
+// Get reads and decodes the entry for k.
+func (d *Disk) Get(k ccache.Key) (e *ccache.Entry, ok bool) {
+	_, ok = d.read(k, func(raw []byte) (err error) {
+		e, err = Decode(raw)
+		return err
+	})
+	return e, ok
 }
 
 // PutRaw writes an already-encoded envelope under k, atomically. An

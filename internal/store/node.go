@@ -41,6 +41,10 @@ import (
 // clockAfter is time.After, stubbed in tests that drive claim waits.
 var clockAfter = time.After
 
+// claim is a lease, not a flight (internal/flight): the work it shields
+// runs in another process, so no function return can resolve it. A
+// peer's put or abandon does, or the TTL — which is why it is a separate
+// mechanism from the one flight table the in-process stores share.
 type claim struct {
 	done    chan struct{}
 	expires time.Time
@@ -194,8 +198,9 @@ func (n *Node) tryClaim(k ccache.Key) (ClaimState, <-chan struct{}) {
 	return ClaimGranted, c.done
 }
 
-// resolveClaim clears the claim on k and wakes its waiters (the
-// artifact is in place). Idempotent.
+// resolveClaim clears the claim on k and wakes its waiters, who re-read
+// the tiers: the artifact is in place, or the claimant gave up and they
+// fall back to their own compiles. Idempotent.
 func (n *Node) resolveClaim(k ccache.Key) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -204,10 +209,6 @@ func (n *Node) resolveClaim(k ccache.Key) {
 		delete(n.claims, k)
 	}
 }
-
-// abandonClaim is resolveClaim for the failure path; waiters wake and
-// fall back to their own compiles.
-func (n *Node) abandonClaim(k ccache.Key) { n.resolveClaim(k) }
 
 // claimWaiter returns the done channel of a live claim on k, if any.
 func (n *Node) claimWaiter(k ccache.Key) (<-chan struct{}, bool) {
@@ -241,7 +242,8 @@ func (n *Node) ServeGet(w http.ResponseWriter, r *http.Request) {
 	raw, tier, ok := n.lookupLocal(k)
 	if !ok {
 		// A live claim means the artifact is seconds away; hold the
-		// request (bounded) instead of making the caller recompile.
+		// request (bounded) instead of making the caller recompile. A
+		// claim just gone was resolved, likely by a put: look again too.
 		if ms, _ := strconv.Atoi(r.URL.Query().Get("wait_ms")); ms > 0 {
 			if done, live := n.claimWaiter(k); live {
 				wait := time.Duration(ms) * time.Millisecond
@@ -253,8 +255,8 @@ func (n *Node) ServeGet(w http.ResponseWriter, r *http.Request) {
 				case <-clockAfter(wait):
 				case <-r.Context().Done():
 				}
-				raw, tier, ok = n.lookupLocal(k)
 			}
+			raw, tier, ok = n.lookupLocal(k)
 		}
 	}
 	if !ok || int64(len(raw)) > n.maxBytes {

@@ -78,6 +78,13 @@ type peerState struct {
 	deadUntil time.Time // breaker: skip calls before this
 }
 
+// count bumps one of st.stats's counters.
+func (st *peerState) count(n *int64) {
+	st.mu.Lock()
+	*n++
+	st.mu.Unlock()
+}
+
 // Peers is the client pool over the static member list.
 type Peers struct {
 	timeout  time.Duration
@@ -166,10 +173,10 @@ func noteOK(st *peerState) {
 	st.failures = 0
 }
 
-// do runs one request with retry/backoff on transport errors. HTTP
-// responses of any status are returned without retry — the server
-// answered; only failing to reach it is retryable.
-func (p *Peers) do(ctx context.Context, st *peerState, build func(ctx context.Context) (*http.Request, error), attemptTimeout time.Duration) (*http.Response, error) {
+// do runs one request (body nil: none) with retry/backoff on transport
+// errors. HTTP responses of any status are returned without retry — the
+// server answered; only failing to reach it is retryable.
+func (p *Peers) do(ctx context.Context, st *peerState, method, url string, body []byte, attemptTimeout time.Duration) (*http.Response, error) {
 	var lastErr error
 	for attempt := 0; attempt < peerAttempts; attempt++ {
 		if attempt > 0 {
@@ -180,7 +187,11 @@ func (p *Peers) do(ctx context.Context, st *peerState, build func(ctx context.Co
 			}
 		}
 		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
-		req, err := build(actx)
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(actx, method, url, rd)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -230,17 +241,13 @@ func (p *Peers) Get(ctx context.Context, peer string, k ccache.Key, wait time.Du
 		// The attempt must outlive the server-side wait.
 		attempt = wait + p.timeout
 	}
-	resp, err := p.do(ctx, st, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodGet, url, nil)
-	}, attempt)
+	resp, err := p.do(ctx, st, http.MethodGet, url, nil, attempt)
 	if err != nil {
-		st.mu.Lock()
-		if ctxErr := ctx.Err(); ctxErr != nil || isTimeout(err) {
-			st.stats.GetTimeouts++
+		if ctx.Err() != nil || isTimeout(err) {
+			st.count(&st.stats.GetTimeouts)
 		} else {
-			st.stats.GetErrors++
+			st.count(&st.stats.GetErrors)
 		}
-		st.mu.Unlock()
 		return nil, false
 	}
 	defer resp.Body.Close()
@@ -248,26 +255,18 @@ func (p *Peers) Get(ctx context.Context, peer string, k ccache.Key, wait time.Du
 	case http.StatusOK:
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, p.maxBytes+1))
 		if err != nil || int64(len(raw)) > p.maxBytes {
-			st.mu.Lock()
-			st.stats.GetErrors++
-			st.mu.Unlock()
+			st.count(&st.stats.GetErrors)
 			return nil, false
 		}
-		st.mu.Lock()
-		st.stats.GetHits++
-		st.mu.Unlock()
+		st.count(&st.stats.GetHits)
 		return raw, true
 	case http.StatusNotFound:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		st.mu.Lock()
-		st.stats.GetMisses++
-		st.mu.Unlock()
+		st.count(&st.stats.GetMisses)
 		return nil, false
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		st.mu.Lock()
-		st.stats.GetErrors++
-		st.mu.Unlock()
+		st.count(&st.stats.GetErrors)
 		return nil, false
 	}
 }
@@ -282,30 +281,20 @@ func (p *Peers) Put(ctx context.Context, peer string, k ccache.Key, raw []byte) 
 		return false
 	}
 	url := fmt.Sprintf("http://%s/store/put?key=%s", peer, k.String())
-	resp, err := p.do(ctx, st, func(actx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		return req, nil
-	}, p.timeout)
+	resp, err := p.do(ctx, st, http.MethodPost, url, raw, p.timeout)
 	if err != nil {
-		st.mu.Lock()
-		st.stats.PutErrors++
-		st.mu.Unlock()
+		st.count(&st.stats.PutErrors)
 		return false
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	st.mu.Lock()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent {
-		st.stats.Puts++
+	ok := resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent
+	if ok {
+		st.count(&st.stats.Puts)
 	} else {
-		st.stats.PutErrors++
+		st.count(&st.stats.PutErrors)
 	}
-	st.mu.Unlock()
-	return resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent
+	return ok
 }
 
 // Claim asks the owner for the compile claim on k: a PUT with no body
@@ -316,17 +305,13 @@ func (p *Peers) Claim(ctx context.Context, peer string, k ccache.Key) (ClaimStat
 		return "", false
 	}
 	url := fmt.Sprintf("http://%s/store/put?key=%s&claim=1", peer, k.String())
-	resp, err := p.do(ctx, st, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodPost, url, nil)
-	}, p.timeout)
+	resp, err := p.do(ctx, st, http.MethodPost, url, nil, p.timeout)
 	if err != nil {
 		return "", false
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64))
-	st.mu.Lock()
-	st.stats.Claims++
-	st.mu.Unlock()
+	st.count(&st.stats.Claims)
 	if resp.StatusCode != http.StatusOK {
 		return "", false
 	}
@@ -347,9 +332,7 @@ func (p *Peers) Abandon(ctx context.Context, peer string, k ccache.Key) {
 		return
 	}
 	url := fmt.Sprintf("http://%s/store/put?key=%s&abandon=1", peer, k.String())
-	resp, err := p.do(ctx, st, func(actx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(actx, http.MethodPost, url, nil)
-	}, p.timeout)
+	resp, err := p.do(ctx, st, http.MethodPost, url, nil, p.timeout)
 	if err != nil {
 		return
 	}

@@ -30,9 +30,11 @@ package store
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/ccache"
+	"repro/internal/flight"
 )
 
 // Tier names as reported in Result and metrics.
@@ -76,11 +78,10 @@ type TierStats struct {
 	Peers map[string]PeerStats // nil when unclustered
 }
 
-type tflight struct {
-	done chan struct{}
-	e    *ccache.Entry
-	res  Result
-	err  error
+// served is a flight's result: the entry and the tier it came from.
+type served struct {
+	e   *ccache.Entry
+	res Result
 }
 
 // Tiered is the Store implementation. disk and node are optional: a
@@ -88,78 +89,60 @@ type tflight struct {
 // (and with both nil, Tiered is the memory LRU plus singleflight —
 // the pre-cluster behavior, re-expressed).
 type Tiered struct {
-	mem  *ccache.Cache
-	disk *Disk
-	node *Node
+	mem     *ccache.Cache
+	disk    *Disk
+	node    *Node
+	flights flight.Group[ccache.Key, served]
 
-	mu       sync.Mutex
-	inflight map[ccache.Key]*tflight
-
-	memHits, diskHits, peerHits, misses, dedups int64
+	memHits, diskHits, peerHits, misses, dedups atomic.Int64
 }
 
 // NewTiered assembles a store from its tiers.
 func NewTiered(mem *ccache.Cache, disk *Disk, node *Node) *Tiered {
-	return &Tiered{mem: mem, disk: disk, node: node, inflight: map[ccache.Key]*tflight{}}
+	return &Tiered{mem: mem, disk: disk, node: node}
 }
-
-// Mem exposes the memory tier (the service registers it with the
-// cluster node so peers can be served out of hot entries).
-func (t *Tiered) Mem() *ccache.Cache { return t.mem }
 
 // GetOrCompute implements Store.
 func (t *Tiered) GetOrCompute(ctx context.Context, k ccache.Key, compute func() (*ccache.Entry, error)) (*ccache.Entry, Result, error) {
 	// Hot tier first: no flight, no lock ordering, just the LRU.
 	if e, ok := t.mem.Get(k); ok {
-		t.mu.Lock()
-		t.memHits++
-		t.mu.Unlock()
+		t.memHits.Add(1)
 		return e, Result{ccache.Hit, TierMem}, nil
 	}
 
-	// In-process singleflight across ALL lower tiers: one goroutine
+	// One flight (internal/flight) across ALL lower tiers: one goroutine
 	// probes disk/peers/compute per key; the rest join its result.
-	t.mu.Lock()
-	if fl, ok := t.inflight[k]; ok {
-		t.dedups++
-		t.mu.Unlock()
-		select {
-		case <-fl.done:
-			res := fl.res
-			res.Outcome = ccache.Dedup
-			return fl.e, res, fl.err
-		case <-ctx.Done():
-			return nil, Result{}, ctx.Err()
+	s, joined, err := t.flights.Do(ctx, k, func() (served, error) {
+		// A flight promotes before it releases its key, so one that ended
+		// since the lookup above left its entry in mem.
+		if e, ok := t.mem.Get(k); ok {
+			t.memHits.Add(1)
+			return served{e, Result{ccache.Hit, TierMem}}, nil
 		}
+		e, res, err := t.fill(ctx, k, compute)
+		switch {
+		case err != nil:
+			t.misses.Add(1)
+			return served{}, err
+		case res.Outcome == ccache.Dedup:
+			t.dedups.Add(1) // waited on a cluster claim
+		case res.Tier == TierDisk:
+			t.diskHits.Add(1)
+		case res.Tier == TierPeer:
+			t.peerHits.Add(1)
+		default:
+			t.misses.Add(1)
+		}
+		// Promote into the hot tier before the flight releases its
+		// joiners, so a joiner's next same-key request is a mem hit.
+		t.mem.Put(k, e)
+		return served{e, res}, nil
+	})
+	if joined {
+		t.dedups.Add(1)
+		s.res.Outcome = ccache.Dedup
 	}
-	fl := &tflight{done: make(chan struct{})}
-	t.inflight[k] = fl
-	t.mu.Unlock()
-
-	fl.e, fl.res, fl.err = t.fill(ctx, k, compute)
-	if fl.err == nil && fl.e != nil {
-		// Promote into the hot tier before releasing joiners, so a
-		// joiner's next same-key request is a mem hit.
-		t.mem.Put(k, fl.e)
-	}
-
-	t.mu.Lock()
-	delete(t.inflight, k)
-	switch {
-	case fl.err != nil:
-		t.misses++
-	case fl.res.Tier == TierDisk:
-		t.diskHits++
-	case fl.res.Tier == TierPeer && fl.res.Outcome == ccache.Dedup:
-		t.dedups++
-	case fl.res.Tier == TierPeer:
-		t.peerHits++
-	default:
-		t.misses++
-	}
-	t.mu.Unlock()
-	close(fl.done)
-	return fl.e, fl.res, fl.err
+	return s.e, s.res, err
 }
 
 // fill serves a mem-missed key from the lower tiers, computing as the
@@ -173,12 +156,10 @@ func (t *Tiered) fill(ctx context.Context, k ccache.Key, compute func() (*ccache
 		}
 	}
 
-	owner := ""
 	if t.node != nil {
-		owner = t.node.Owner(k)
-	}
-	if owner != "" && !t.node.IsSelf(owner) {
-		return t.fillRemote(ctx, k, owner, compute)
+		if owner := t.node.Owner(k); owner != "" && !t.node.IsSelf(owner) {
+			return t.fillRemote(ctx, k, owner, compute)
+		}
 	}
 	return t.fillLocal(ctx, k, compute)
 }
@@ -189,32 +170,30 @@ func (t *Tiered) fill(ctx context.Context, k ccache.Key, compute func() (*ccache
 // unreachable or slow.
 func (t *Tiered) fillRemote(ctx context.Context, k ccache.Key, owner string, compute func() (*ccache.Entry, error)) (*ccache.Entry, Result, error) {
 	peers := t.node.Clients()
-	if raw, ok := peers.Get(ctx, owner, k, 0); ok {
-		if e, err := Decode(raw); err == nil {
-			t.writeDisk(k, raw) // replicate for this node's restarts
-			return e, Result{ccache.Hit, TierPeer}, nil
-		}
+	if e, ok := t.fetch(ctx, owner, k, 0); ok {
+		return e, Result{ccache.Hit, TierPeer}, nil
 	}
 
+	// A claim still held on the way out (the compute failed or panicked,
+	// the put was lost) is given up: waiters recompile now, not at the TTL.
 	granted := false
+	defer func() {
+		if granted {
+			peers.Abandon(ctx, owner, k)
+		}
+	}()
 	if state, ok := peers.Claim(ctx, owner, k); ok {
 		switch state {
 		case ClaimPresent:
 			// The artifact landed between get and claim.
-			if raw, ok := peers.Get(ctx, owner, k, 0); ok {
-				if e, err := Decode(raw); err == nil {
-					t.writeDisk(k, raw)
-					return e, Result{ccache.Hit, TierPeer}, nil
-				}
+			if e, ok := t.fetch(ctx, owner, k, 0); ok {
+				return e, Result{ccache.Hit, TierPeer}, nil
 			}
 		case ClaimBusy:
 			// Another node is compiling this key right now; wait for
 			// its result on the owner instead of duplicating the work.
-			if raw, ok := peers.Get(ctx, owner, k, t.node.WaitCap()); ok {
-				if e, err := Decode(raw); err == nil {
-					t.writeDisk(k, raw)
-					return e, Result{ccache.Dedup, TierPeer}, nil
-				}
+			if e, ok := t.fetch(ctx, owner, k, t.node.WaitCap()); ok {
+				return e, Result{ccache.Dedup, TierPeer}, nil
 			}
 		case ClaimGranted:
 			granted = true
@@ -222,103 +201,93 @@ func (t *Tiered) fillRemote(ctx context.Context, k ccache.Key, owner string, com
 	}
 
 	// Local compile: we hold the cluster claim, or the owner is
-	// degraded and we eat the duplicate work rather than fail.
-	e, err := compute()
+	// degraded and we eat the duplicate work rather than fail. Then
+	// publish to the owner (resolving our claim there); best effort — a
+	// failed put costs the cluster a recompile later, never this request.
+	e, raw, err := t.compute(k, compute)
+	if raw != nil && peers.Put(ctx, owner, k, raw) {
+		granted = false
+	}
+	return e, Result{ccache.Miss, ""}, err
+}
+
+// fetch gets k from its owner, blocking up to wait on a claimant's put,
+// and replicates the envelope to disk for this node's restarts.
+func (t *Tiered) fetch(ctx context.Context, owner string, k ccache.Key, wait time.Duration) (*ccache.Entry, bool) {
+	raw, ok := t.node.Clients().Get(ctx, owner, k, wait)
+	if !ok {
+		return nil, false
+	}
+	e, err := Decode(raw)
 	if err != nil {
-		if granted {
-			peers.Abandon(ctx, owner, k)
-		}
-		return nil, Result{ccache.Miss, ""}, err
+		return nil, false
+	}
+	if t.disk != nil {
+		t.disk.PutRaw(k, raw)
+	}
+	return e, true
+}
+
+// compute runs the caller's compute and writes the entry through to
+// disk; raw is its envelope, nil when it failed or does not encode.
+func (t *Tiered) compute(k ccache.Key, compute func() (*ccache.Entry, error)) (e *ccache.Entry, raw []byte, err error) {
+	if e, err = compute(); err != nil {
+		return nil, nil, err
 	}
 	e.Key = k
-	if raw, encErr := Encode(e); encErr == nil {
-		t.writeDisk(k, raw)
-		// Publish to the owner (resolving our claim there); best
-		// effort — a failed put costs the cluster a recompile later,
-		// never this request.
-		if !peers.Put(ctx, owner, k, raw) && granted {
-			peers.Abandon(ctx, owner, k)
-		}
-	} else if granted {
-		peers.Abandon(ctx, owner, k)
+	if raw, err = Encode(e); err != nil {
+		return e, nil, nil
 	}
-	return e, Result{ccache.Miss, ""}, nil
+	if t.disk != nil {
+		t.disk.PutRaw(k, raw)
+	}
+	return e, raw, nil
 }
 
 // fillLocal handles a key this node owns (or an unclustered store):
 // take the node-level claim so remote waiters block on us, compute,
 // and write disk before resolving so woken waiters find the artifact.
 func (t *Tiered) fillLocal(ctx context.Context, k ccache.Key, compute func() (*ccache.Entry, error)) (*ccache.Entry, Result, error) {
-	claimed := false
 	if t.node != nil {
 		state, done := t.node.tryClaim(k)
 		if state == ClaimBusy {
 			// A remote node holds the compile claim on our key. Wait
-			// like any other cluster member, then re-check the tiers.
-			wait := t.node.WaitCap()
+			// like any other cluster member.
 			select {
 			case <-done:
-			case <-clockAfter(wait):
+			case <-clockAfter(t.node.WaitCap()):
 			case <-ctx.Done():
 				return nil, Result{}, ctx.Err()
 			}
-			if e, ok := t.mem.Peek(k); ok {
-				return e, Result{ccache.Dedup, TierMem}, nil
-			}
-			if t.disk != nil {
-				if e, ok := t.disk.Get(k); ok {
-					return e, Result{ccache.Dedup, TierDisk}, nil
-				}
-			}
-			// Claimant died or failed: fall through and compute
-			// without a claim — correctness over exactly-once.
 		} else {
-			claimed = true
+			// Waiters woken on the way out re-read mem/disk: after a
+			// compile the disk write has happened by then (the mem
+			// promotion is for in-process joiners).
+			defer t.node.resolveClaim(k)
+		}
+		// A remote claimant's put may have landed, while we waited or
+		// between fill's probe and our claim: re-check the tiers. Else
+		// compute, claimless after a wait: correctness over exactly-once.
+		if e, ok := t.mem.Peek(k); ok {
+			return e, Result{ccache.Dedup, TierMem}, nil
+		}
+		if t.disk != nil {
+			if e, ok := t.disk.Get(k); ok {
+				return e, Result{ccache.Dedup, TierDisk}, nil
+			}
 		}
 	}
-
-	e, err := compute()
-	if err != nil {
-		if claimed {
-			t.node.abandonClaim(k)
-		}
-		return nil, Result{ccache.Miss, ""}, err
-	}
-	e.Key = k
-	if raw, encErr := Encode(e); encErr == nil {
-		t.writeDisk(k, raw)
-	}
-	if claimed {
-		// Waiters woken here re-read mem/disk; the disk write above
-		// (and the caller's mem promotion for in-process joiners)
-		// already happened.
-		t.node.resolveClaim(k)
-	}
-	return e, Result{ccache.Miss, ""}, nil
-}
-
-func (t *Tiered) writeDisk(k ccache.Key, raw []byte) {
-	if t.disk != nil {
-		t.disk.PutRaw(k, raw)
-	}
+	e, _, err := t.compute(k, compute)
+	return e, Result{ccache.Miss, ""}, err
 }
 
 // Stats implements Store: gauges from the memory tier, flow counters
 // from the store's own cross-tier accounting.
 func (t *Tiered) Stats() ccache.Stats {
-	ms := t.mem.Stats()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return ccache.Stats{
-		Hits:      t.memHits + t.diskHits + t.peerHits,
-		Misses:    t.misses,
-		DedupHits: t.dedups,
-		Evictions: ms.Evictions,
-		TooLarge:  ms.TooLarge,
-		Bytes:     ms.Bytes,
-		Entries:   ms.Entries,
-		MaxBytes:  ms.MaxBytes,
-	}
+	s := t.mem.Stats()
+	s.Hits = t.memHits.Load() + t.diskHits.Load() + t.peerHits.Load()
+	s.Misses, s.DedupHits = t.misses.Load(), t.dedups.Load()
+	return s
 }
 
 // TierStats implements Store.
@@ -330,9 +299,7 @@ func (t *Tiered) TierStats() TierStats {
 	if t.node != nil {
 		ts.Peers = t.node.Clients().Stats()
 	}
-	t.mu.Lock()
-	ts.MemHits, ts.DiskHits, ts.PeerHits = t.memHits, t.diskHits, t.peerHits
-	ts.Misses, ts.Dedups = t.misses, t.dedups
-	t.mu.Unlock()
+	ts.MemHits, ts.DiskHits, ts.PeerHits = t.memHits.Load(), t.diskHits.Load(), t.peerHits.Load()
+	ts.Misses, ts.Dedups = t.misses.Load(), t.dedups.Load()
 	return ts
 }

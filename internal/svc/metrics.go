@@ -31,6 +31,7 @@ type Metrics struct {
 	inflight int64
 	rejected int64            // queue-depth 429s
 	drained  int64            // requests refused because the server is draining
+	panics   int64            // requests whose work panicked (answered 500 internal)
 	lints    map[string]int64 // lint findings per severity ("rule|severity")
 	remarks  map[string]int64 // optimization remarks per kind
 	bounds   map[string]int64 // prover sites per verdict (proven|unknown|unsafe)
@@ -165,6 +166,13 @@ func (m *Metrics) Drained() {
 	m.mu.Unlock()
 }
 
+// Panicked counts a request whose work panicked (zpld_panics_total).
+func (m *Metrics) Panicked() {
+	m.mu.Lock()
+	m.panics++
+	m.mu.Unlock()
+}
+
 // Render emits the registry plus the counters of the compilation
 // cache (cs) and the tuned-plan cache (ts).
 func (m *Metrics) Render(cs, ts ccache.Stats) string {
@@ -185,6 +193,7 @@ func (m *Metrics) Render(cs, ts ccache.Stats) string {
 	fmt.Fprintf(&b, "# TYPE zpld_inflight gauge\nzpld_inflight %d\n", m.inflight)
 	fmt.Fprintf(&b, "# TYPE zpld_queue_rejections_total counter\nzpld_queue_rejections_total %d\n", m.rejected)
 	fmt.Fprintf(&b, "# TYPE zpld_drain_rejections_total counter\nzpld_drain_rejections_total %d\n", m.drained)
+	fmt.Fprintf(&b, "# TYPE zpld_panics_total counter\nzpld_panics_total %d\n", m.panics)
 	if len(m.lints) > 0 {
 		lk := make([]string, 0, len(m.lints))
 		for k := range m.lints {

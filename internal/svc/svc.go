@@ -19,11 +19,12 @@
 //
 // A request that fails is answered with the status and kind of its
 // failure class — 400 bad_request, 422 compile_error, 500
-// runtime_error, 504 timeout, 499 canceled; internal/job holds that
-// table next to the CLIs' exit codes, and the rules that make a request
-// a 400. What is left is the server's own: 404 unknown endpoint, 405
-// wrong method, 413 body over the limit, 429 queue full (back off and
-// retry), 503 draining.
+// runtime_error, 500 internal (a panic in the server, recovered), 504
+// timeout, 499 canceled; internal/job holds that table next to the
+// CLIs' exit codes, and the rules that make a request a 400. What is
+// left is the server's own: 404 unknown endpoint, 405 wrong method, 413
+// body over the limit, 429 queue full (back off and retry), 503
+// draining.
 package svc
 
 import (
@@ -45,6 +46,7 @@ import (
 	"repro/internal/ccache"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/flight"
 	"repro/internal/gogen"
 	"repro/internal/job"
 	"repro/internal/lint"
@@ -240,7 +242,8 @@ type RunResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	// Kind classifies the failure: bad_request, too_large,
-	// compile_error, runtime_error, timeout, overloaded, draining.
+	// compile_error, runtime_error, internal, timeout, overloaded,
+	// draining.
 	Kind string `json:"kind"`
 }
 
@@ -258,6 +261,10 @@ type Server struct {
 	draining atomic.Bool
 	logMu    chan struct{} // serializes log lines (n=1 semaphore)
 	warns    []string      // startup degradations (for logs and /cluster)
+
+	// compileHook, set by tests only, runs first in the compile closure
+	// (the leader of a flight): the seam for a compile that panics.
+	compileHook func()
 }
 
 // New builds a server from cfg (zero value is fully usable).
@@ -394,21 +401,31 @@ func (s *Server) fail(w http.ResponseWriter, status int, kind, msg string) {
 // slot. work runs on that slot; it writes its own success reply and
 // returns the cache outcome for the log, or an error that job.Classify
 // turns into the status and kind of the failure reply. An expired or
-// cancelled request context decides the class whatever work returned.
+// cancelled request context decides the class whatever work returned —
+// unless work panicked: that is recovered here (net/http would drop the
+// connection with nothing sent, and the deferred accounting below would
+// record a 200), counted, answered as a 500 of kind internal like the
+// requests that had joined its flight, and logged with its stack. The
+// ticket and the slot are released by defer either way.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, req any, timeoutMS *int64,
 	resolve func() error, work func(ctx context.Context) (outcome string, err error)) {
 	t0 := time.Now()
 	status, kind, outcome := http.StatusOK, "", ""
+	var stack []byte
 	defer func() {
 		d := time.Since(t0)
 		s.metrics.Request(endpoint, status, d)
-		s.logRequest(r, endpoint, status, kind, outcome, d)
+		s.logRequest(r, endpoint, status, kind, outcome, stack, d)
 	}()
 	reject := func(st int, k, msg string) {
 		status, kind = st, k
 		s.fail(w, st, k, msg)
 	}
 	classed := func(err error) {
+		var pe *flight.PanicError
+		if errors.As(err, &pe) {
+			stack = pe.Stack
+		}
 		c := job.Classify(err)
 		reject(c.HTTPStatus(), c.Kind(), err.Error())
 	}
@@ -469,9 +486,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 	defer s.metrics.DecInflight()
 
 	var err error
-	if outcome, err = work(ctx); err != nil {
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				s.metrics.Panicked()
+				err = flight.AsPanic(v)
+			}
+		}()
+		outcome, err = work(ctx)
+	}()
+	if err != nil {
 		if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
-			err = fmt.Errorf("%v: %w", err, cerr)
+			err = fmt.Errorf("%w: %w", err, cerr)
 		}
 		classed(err)
 	}
@@ -505,6 +531,9 @@ func (s *Server) compileAndRun(ctx context.Context, w http.ResponseWriter, req *
 	}
 	key := ccache.KeyOfKind(src, opt, akind)
 	entry, res, err := s.cache.GetOrCompute(ctx, key, func() (*ccache.Entry, error) {
+		if s.compileHook != nil {
+			s.compileHook()
+		}
 		hooked := opt
 		start, end := s.metrics.Phases.StartEnd()
 		hooked.Hooks = driver.Hooks{PhaseStart: start, PhaseEnd: end}
@@ -735,7 +764,7 @@ func planSummary(c *driver.Compilation) string {
 }
 
 // logRequest appends one JSON line to the request log.
-func (s *Server) logRequest(r *http.Request, endpoint string, status int, kind, outcome string, d time.Duration) {
+func (s *Server) logRequest(r *http.Request, endpoint string, status int, kind, outcome string, stack []byte, d time.Duration) {
 	if s.cfg.Logs == nil {
 		return
 	}
@@ -746,6 +775,7 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, kind, 
 		Status   int     `json:"status"`
 		Kind     string  `json:"kind,omitempty"`
 		Cache    string  `json:"cache,omitempty"`
+		Stack    string  `json:"stack,omitempty"` // of the panic behind a 500 internal
 		MS       float64 `json:"ms"`
 	}{
 		Time:     time.Now().UTC().Format(time.RFC3339Nano),
@@ -754,6 +784,7 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, kind, 
 		Status:   status,
 		Kind:     kind,
 		Cache:    outcome,
+		Stack:    string(stack),
 		MS:       float64(d) / float64(time.Millisecond),
 	}
 	buf, err := json.Marshal(line)

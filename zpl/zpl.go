@@ -39,6 +39,13 @@
 // the promise that lets the contraction phase eliminate its storage —
 // the paper's payoff, available to library callers.
 //
+// Context.Eval (and every read-back, which is an Eval) returns errors and
+// does not panic: a panic inside the compiler, the emitter or a native
+// build comes back as an error that names the batch by its content
+// address and carries the panic's value and stack. That error is not
+// sticky — the Eval's pending operations are dropped, the Context stays
+// usable, and the next Eval of the same shape runs a fresh compile.
+//
 // The types here are aliases of package internal/lazy's; the methods
 // on Array, Scalar, and Context are documented there.
 package zpl
