@@ -129,13 +129,17 @@ lazy-smoke: build
 	$(GO) test -race -count=1 -run 'TestLazyMatchesZA|TestSteadyStateZeroRecompile|TestQuickstart' -v ./internal/lazy ./zpl
 
 # Race smoke: the concurrent subsystems under the race detector — the
-# distributed interpreter's engine protocol (watchdog abort, peer
+# distributed interpreter's engine protocol (the combining barrier's
+# rounds, fold order and mismatch errors, watchdog abort, peer
 # unblocking, mid-exchange cancellation), the lazy engine hammered from
-# many goroutines, and the zpld request burst. Complements the static
-# analyzer below: this is the dynamic detector over our own runtime,
-# that is the happens-before proof over compiled schedules.
+# many goroutines, and the zpld request burst. The distvm suite then
+# runs once more on one P, where a wait that spins without yielding is
+# a hang and not a slowdown. Complements the static analyzer below: this
+# is the dynamic detector over our own runtime, that is the
+# happens-before proof over compiled schedules.
 race-smoke: build
-	$(GO) test -race -count=1 -run 'TestWatchdogTimeout|TestAbortUnblocksPeers|TestCancelMidExchange|TestDeadlineMidExchange|TestCancelBeforeRun' -v ./internal/distvm
+	$(GO) test -race -count=1 -run 'TestBarrierRounds|TestFoldInProcessorOrder|TestProtocolMismatch|TestLockstep|TestWatchdogTimeout|TestAbortUnblocksPeers|TestCancelMidExchange|TestDeadlineMidExchange|TestCancelBeforeRun' -v ./internal/distvm
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/distvm
 	$(GO) test -race -count=1 -run 'TestConcurrentEval' -v ./internal/lazy
 	$(GO) test -race -count=1 -run 'TestServe' -v .
 

@@ -89,8 +89,9 @@ func main() {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "zplrun: %d element-statements, %d bytes of arrays\n", res.Steps, res.MemoryBytes)
-	if rs.Dist {
-		fmt.Fprintf(os.Stderr, "zplrun: distributed execution on %d processors complete\n", rs.Procs)
+	if t := res.Traffic; t != nil {
+		fmt.Fprintf(os.Stderr, "zplrun: %d processors: %d barriers, %d reductions, %d halo messages (%d elements), %d parked waits\n",
+			rs.Procs, t.Barriers, t.Reductions, t.HaloMessages, t.HaloElements, t.Parks)
 	}
 	if t := res.Cost; t != nil {
 		fmt.Fprintf(os.Stderr, "zplrun: %s (p=%d): %.0f cycles (%.2f ms modeled), %.0f comm cycles\n",

@@ -2,6 +2,8 @@ package distvm
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -19,35 +21,57 @@ type haloMsg struct {
 	vals  []float64
 }
 
-// ctrlKind tags the synchronization messages.
-type ctrlKind int
+// slot is one processor's word in the combining barrier. Only its owner
+// writes it: part and then seq when it arrives at a synchronisation
+// (processor 0: when it releases one, so slot 0 is the release word and
+// its part the combined result), parked around a block on wake. The
+// atomic store of seq publishes part, and the load that observes it is
+// what licenses reading part. The padding keeps two processors' words
+// off one cache line.
+type slot struct {
+	seq    atomic.Int64
+	parked atomic.Bool
+	part   []float64
+	wake   chan struct{} // capacity 1: a token nobody is waiting for is a spurious wake-up
+	_      [64]byte
+}
 
-const (
-	ctrlArrive  ctrlKind = iota // processor -> processor 0: barrier/reduce entry
-	ctrlRelease                 // processor 0 -> processor: combined result
-)
-
-func (k ctrlKind) String() string {
-	if k == ctrlArrive {
-		return "arrive"
+// rouse wakes the slot's owner if it has parked. The caller has just
+// published what the owner waits for; the owner re-reads that after it
+// raises parked, so whichever of the two is second sees the other.
+func (sl *slot) rouse() {
+	if sl.parked.Load() {
+		select {
+		case sl.wake <- struct{}{}:
+		default:
+		}
 	}
-	return "release"
 }
 
-// ctrlMsg is one barrier or reduction message. vals carries the
-// reduction partials on arrival and the combined result on release;
-// nil for a pure barrier.
-type ctrlMsg struct {
-	kind ctrlKind
-	from int
-	seq  int
-	vals []float64
-}
+// A waiter polls spinPolls times, then polls between up to spinYields
+// runtime.Gosched calls, then parks; each step is needed. The spin
+// (0.4 µs) outlasts the release of a round everybody had reached (0.2–
+// 0.3 µs), so the busy side of a sweep stays out of the scheduler, and
+// is all a waiter may burn before it knows its peer is running at all:
+// with more processors than Ps, or both goroutines on one P, the peer
+// runs only once the waiter yields, and a 3 µs spin made that case
+// (which this sandbox's scheduler produces at p = 2 on two CPUs too)
+// slower than the channels it replaced. A yield hands the P to whoever
+// is runnable and costs 0.1 µs when nobody is, so the idle side of a
+// row-per-nest sweep (2–4 µs a wait) never leaves it. Parking gives the
+// thread away and waking it costs a futex (5–50 µs here), so a waiter
+// yields for about that long first; when the P has other work, a yield
+// lasts as long as that work. Chosen on BenchmarkBarrier and
+// BenchmarkRun with GOMAXPROCS 1 and 2: the grid is in DESIGN.md §24.
+const (
+	spinPolls  = 256
+	spinYields = 256
+)
 
 // shard is one processor's end of the protocol: the vm.Shard its
 // executor is compiled against. All fields are owned exclusively by
 // the processor's goroutine; cross-processor data moves only through
-// the machine's channels.
+// the machine's slots and halo channels.
 type shard struct {
 	m  *Machine
 	id int
@@ -55,21 +79,18 @@ type shard struct {
 	// syncSeq numbers the barrier/reduction operations this processor
 	// has entered. Replicated control flow gives every processor the
 	// same sequence; a mismatch is a protocol error.
-	syncSeq int
+	syncSeq int64
 
 	// stash holds halo messages that arrived ahead of the receive
 	// operation that consumes them (pipelined sends can overtake).
 	stash []haloMsg
 
-	// watchdog is armed around every blocking mailbox operation and
-	// stopped (and drained) after it, so it is idle in between.
+	// watchdog exists from the first blocking operation on: a halo
+	// message or a parked wait. It is stopped (and drained) after each.
 	watchdog *time.Timer
-}
 
-func newShard(m *Machine, id int) *shard {
-	t := time.NewTimer(m.timeout)
-	t.Stop()
-	return &shard{m: m, id: id, watchdog: t}
+	inbox   int     // receive legs planned: the halo mailbox's capacity
+	traffic Traffic // Barriers and Reductions are counted on processor 0 only
 }
 
 // Local returns this processor's storage bounds for an array.
@@ -80,11 +101,11 @@ func (s *shard) Local(array string) *sema.Region {
 // Portion returns the part of a sweep region inside this processor's
 // owned block, nil when there is none.
 func (s *shard) Portion(r *sema.Region) *sema.Region {
-	d, ok := s.m.decomps[r.Rank()]
+	blocks, ok := s.m.blocks[r.Rank()]
 	if !ok {
 		return nil
 	}
-	p := dist.Intersect(r, d.Block(s.id))
+	p := dist.Intersect(r, blocks[s.id])
 	if dist.Empty(p) {
 		return nil
 	}
@@ -93,7 +114,11 @@ func (s *shard) Portion(r *sema.Region) *sema.Region {
 
 // arm starts the watchdog for one blocking operation.
 func (s *shard) arm() <-chan time.Time {
-	s.watchdog.Reset(s.m.timeout)
+	if s.watchdog == nil {
+		s.watchdog = time.NewTimer(s.m.timeout)
+	} else {
+		s.watchdog.Reset(s.m.timeout)
+	}
 	return s.watchdog.C
 }
 
@@ -115,108 +140,127 @@ func (s *shard) timeoutErr(what string) error {
 		s.id, s.m.timeout, what, s.syncSeq)
 }
 
-// send delivers v on a mailbox under the watchdog. The mailboxes are
-// sized for the regular protocol, so a blocked send already means
-// something is wrong; the watchdog reports it instead of deadlocking.
-func send[T any](s *shard, ch chan<- T, v T, what func() string) error {
+// sendHalo posts one ghost-cell message under the watchdog. The
+// mailboxes are sized for the regular protocol, so a blocked send
+// already means something is wrong; the watchdog reports it instead of
+// deadlocking.
+func (s *shard) sendHalo(to int, msg haloMsg) error {
 	defer s.disarm()
 	select {
-	case ch <- v:
+	case s.m.halo[to] <- msg:
 		return nil
 	case <-s.m.ctx.Done():
 		return errAborted
 	case <-s.arm():
-		return s.timeoutErr(what())
+		return s.timeoutErr(fmt.Sprintf("space in processor %d's halo mailbox", to))
 	}
 }
 
-// recv blocks on a mailbox under the watchdog.
-func recv[T any](s *shard, ch <-chan T, what func() string) (T, error) {
+// recvHalo takes the next message from this processor's mailbox, under
+// the watchdog.
+func (s *shard) recvHalo(what func() string) (haloMsg, error) {
 	defer s.disarm()
-	var v T
 	select {
-	case v = <-ch:
-		return v, nil
+	case msg := <-s.m.halo[s.id]:
+		return msg, nil
 	case <-s.m.ctx.Done():
-		return v, errAborted
+		return haloMsg{}, errAborted
 	case <-s.arm():
-		return v, s.timeoutErr(what())
+		return haloMsg{}, s.timeoutErr(what())
 	}
 }
 
-func (s *shard) recvCtrl(what string) (ctrlMsg, error) {
-	return recv(s, s.m.ctrl[s.id], func() string { return what })
+// await returns once processor q's slot shows sync number seq: spin,
+// then yield, then park (see spinPolls). A slot that is already past
+// seq means the two processors' control flow diverged.
+func (s *shard) await(q int, seq int64) error {
+	sl := &s.m.slots[q]
+	for i := 0; ; i++ {
+		switch at := sl.seq.Load(); {
+		case at == seq:
+			return nil
+		case at > seq:
+			return fmt.Errorf("distvm: processor %d: protocol mismatch: processor %d is at sync #%d, want #%d", s.id, q, at, seq)
+		case i < spinPolls:
+			if s.m.aborted.Load() {
+				return errAborted
+			}
+		case i < spinPolls+spinYields:
+			runtime.Gosched()
+		default:
+			if err := s.park(sl, seq, q); err != nil {
+				return err
+			}
+		}
+	}
 }
 
-func (s *shard) sendCtrl(to int, msg ctrlMsg) error {
-	return send(s, s.m.ctrl[to], msg, func() string {
-		return fmt.Sprintf("space in processor %d's control mailbox", to)
-	})
+// park blocks until a publication in sl rouses this processor. One that
+// lands between await's poll and the parked flag is seen by the second
+// look here; one that lands after it sees the flag and sends a token.
+// This is the only place a synchronisation arms the watchdog.
+func (s *shard) park(sl *slot, seq int64, q int) error {
+	me := &s.m.slots[s.id]
+	me.parked.Store(true)
+	defer me.parked.Store(false)
+	if sl.seq.Load() >= seq {
+		return nil
+	}
+	s.traffic.Parks++
+	defer s.disarm()
+	select {
+	case <-me.wake:
+		return nil
+	case <-s.m.ctx.Done():
+		return errAborted
+	case <-s.arm():
+		return s.timeoutErr(fmt.Sprintf("processor %d", q))
+	}
 }
 
 // AllCombine is the machine's gather-combine-broadcast primitive: every
-// processor contributes part, processor 0 folds the parts together in
-// processor order (so the result is deterministic no matter how the
-// goroutines are scheduled), and every processor returns the combined
-// vector. part is consumed — processor 0 folds into its own. Empty
-// parts degenerate to a barrier.
+// processor publishes part in its slot, processor 0 folds the parts
+// into its own in processor order (so the result is deterministic no
+// matter how the goroutines are scheduled) and releases it through slot
+// 0. The result is therefore processor 0's part, shared, and stays
+// untouched until its caller's next AllCombine. Empty parts degenerate
+// to a barrier.
 func (s *shard) AllCombine(part []float64, fold func(acc, next []float64)) ([]float64, error) {
 	s.syncSeq++
-	seq := s.syncSeq
+	seq, slots := s.syncSeq, s.m.slots
 	if s.id != 0 {
-		if err := s.sendCtrl(0, ctrlMsg{kind: ctrlArrive, from: s.id, seq: seq, vals: part}); err != nil {
+		slots[s.id].part = part
+		slots[s.id].seq.Store(seq)
+		slots[0].rouse()
+		if err := s.await(0, seq); err != nil {
 			return nil, err
 		}
-		msg, err := s.recvCtrl("release from processor 0")
-		if err != nil {
-			return nil, err
-		}
-		if msg.kind != ctrlRelease || msg.seq != seq {
-			return nil, fmt.Errorf("distvm: processor %d: protocol mismatch: got %s #%d, want release #%d",
-				s.id, msg.kind, msg.seq, seq)
-		}
-		return msg.vals, nil
+		return slots[0].part, nil
 	}
-
-	parts := make([][]float64, s.m.procs)
-	seen := make([]bool, s.m.procs)
-	for n := 1; n < s.m.procs; n++ {
-		msg, err := s.recvCtrl("arrivals from the other processors")
-		if err != nil {
-			return nil, err
-		}
-		if msg.kind != ctrlArrive || msg.seq != seq {
-			return nil, fmt.Errorf("distvm: processor 0: protocol mismatch: got %s #%d from processor %d, want arrive #%d",
-				msg.kind, msg.seq, msg.from, seq)
-		}
-		if msg.from <= 0 || msg.from >= s.m.procs || seen[msg.from] {
-			return nil, fmt.Errorf("distvm: processor 0: protocol mismatch: bad arrival from processor %d", msg.from)
-		}
-		seen[msg.from] = true
-		parts[msg.from] = msg.vals
-	}
-	for p := 1; p < s.m.procs; p++ {
-		if len(parts[p]) != len(part) {
-			return nil, fmt.Errorf("distvm: processor 0: protocol mismatch: processor %d contributes %d values to sync #%d, want %d",
-				p, len(parts[p]), seq, len(part))
-		}
-		if len(part) > 0 {
-			fold(part, parts[p])
-		}
+	if len(part) > 0 {
+		s.traffic.Reductions++
+	} else {
+		s.traffic.Barriers++
 	}
 	for q := 1; q < s.m.procs; q++ {
-		if err := s.sendCtrl(q, ctrlMsg{kind: ctrlRelease, seq: seq, vals: part}); err != nil {
+		if err := s.await(q, seq); err != nil {
 			return nil, err
 		}
+		next := slots[q].part
+		if len(next) != len(part) {
+			return nil, fmt.Errorf("distvm: processor 0: protocol mismatch: processor %d contributes %d values to sync #%d, want %d",
+				q, len(next), seq, len(part))
+		}
+		if len(part) > 0 {
+			fold(part, next)
+		}
+	}
+	slots[0].part = part
+	slots[0].seq.Store(seq)
+	for q := 1; q < s.m.procs; q++ {
+		slots[q].rouse()
 	}
 	return part, nil
-}
-
-// sendHalo posts one ghost-cell message under the watchdog.
-func (s *shard) sendHalo(to int, msg haloMsg) error {
-	return send(s, s.m.halo[to], msg, func() string {
-		return fmt.Sprintf("space in processor %d's halo mailbox", to)
-	})
 }
 
 // maxStash bounds the early-arrival buffer; exceeding it means the
@@ -234,7 +278,7 @@ func (s *shard) recvHaloFrom(from int, array string, msgID int, wantElems int) (
 		}
 	}
 	for {
-		msg, err := recv(s, s.m.halo[s.id], func() string {
+		msg, err := s.recvHalo(func() string {
 			return fmt.Sprintf("halo of %s (msg %d) from processor %d", array, msgID, from)
 		})
 		if err != nil {

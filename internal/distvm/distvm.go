@@ -16,29 +16,40 @@
 // What lives here is what is genuinely distributed: the decomposition
 // and each processor's local bounds (block ± halo, clipped to the
 // allocation, the halo widths taken from lir.Refs — the same walk the
-// shard checks its storage against), the mailboxes, and the protocol
-// the p goroutines speak over them. Scalar state is replicated and
-// deterministic, so control flow is identical on every processor; the
-// only cross-processor interactions are channel messages mirroring
-// the machine's communication primitives:
+// shard checks its storage against), and the protocol the p goroutines
+// speak. Each compiles its own shard and then runs it. Scalar state is
+// replicated and deterministic, so control flow is identical on every
+// processor; the only cross-processor interactions mirror the machine's
+// communication primitives:
 //
-//   - ghost-cell exchange: the owner captures its boundary values at
-//     the send phase and the requiring processor installs them at the
-//     receive phase, matching the lir.Comm send/receive split. Which
-//     elements travel is a pure function of the block geometry, planned
-//     once per Comm node and processor when the shard is compiled;
-//   - reductions: partials gather at processor 0, combine in processor
-//     order (deterministic regardless of goroutine scheduling), and
-//     broadcast back;
-//   - a barrier at every statement-group boundary (loop nests and
-//     dimensional reductions), which keeps the processors in lockstep
-//     and surfaces divergent control flow as a protocol error.
+//   - ghost-cell exchange, by message: the owner captures its boundary
+//     values at the send phase and the requiring processor installs
+//     them at the receive phase, matching the lir.Comm send/receive
+//     split. What travels is a rectangle — a pure function of the block
+//     geometry, which each side works out for itself when its shard is
+//     compiled — copied a row at a time. Few and large (at most 21 a run
+//     on the benchmarks), so they stay on buffered channels;
+//   - a synchronisation at every statement-group boundary (loop nests
+//     and dimensional reductions), thousands a run, through one
+//     shared-memory combining barrier: a processor publishes its sync
+//     number and its vector of partials (empty: a plain barrier) in its
+//     own cache-line-sized slot; processor 0 folds the vectors in
+//     processor order (deterministic regardless of goroutine
+//     scheduling) and publishes the result in its slot, which releases
+//     the others. This keeps the processors in lockstep — package mhp's
+//     proofs assume exactly that — and a slot that is a synchronisation
+//     ahead, or a vector of another length, is divergent control flow
+//     and a protocol error.
 //
-// A watchdog timeout converts a lost processor or a protocol mismatch
-// into a descriptive error instead of a deadlock. The first processor
-// to fail cancels the context every shard polls in its step charge and
-// every blocked mailbox operation selects on, so the others unwind
-// promptly; the caller's Options.Ctx is that context's parent.
+// A wait on a slot spins briefly, then yields its P, then parks on the
+// processor's wake channel (comm.go says why each). Only a parked wait
+// and a halo message can block for long, and those run under a watchdog
+// timer that converts a lost processor or a protocol mismatch into a
+// descriptive error instead of a deadlock. The first processor to fail
+// raises the abort flag spinning waiters poll and cancels the context
+// that every shard polls in its step charge and every blocked operation
+// selects on, so the others unwind promptly; the caller's Options.Ctx
+// is that context's parent.
 //
 // Running a program here and on the sequential VM and comparing every
 // array element is the strongest validation of the communication-
@@ -57,6 +68,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/air"
@@ -80,43 +92,69 @@ type Options struct {
 	Ctx context.Context
 }
 
-// Machine is a distributed run: p shard executors plus the geometry
-// and mailboxes that connect them. During a run each processor
-// goroutine owns its vm.Machine exclusively and halo data moves only by
-// message; the shared state is the channels and the abort context.
+// Machine is a distributed run: p shard executors plus the geometry,
+// barrier slots and halo mailboxes that connect them. During a run each
+// processor goroutine owns its vm.Machine exclusively and halo data
+// moves only by message; the shared state is the slots, the channels
+// and the abort context.
 type Machine struct {
 	prog  *lir.Program
 	procs int
 
 	// One decomposition per array rank, anchored at the bounding box
-	// of every region of that rank.
+	// of every region of that rank, and every processor's block of it.
 	decomps map[int]*dist.Decomp
+	blocks  map[int][]*sema.Region
 	// Every processor's storage bounds for every uncontracted array.
 	locals map[string][]*localArray
 
 	shards  []*vm.Machine        // processor p's executor, storage included
+	ends    []*shard             // and its end of the protocol
 	scalars []map[string]float64 // per-processor final scalar state
 	steps   int64
 
 	timeout time.Duration
 
-	// Per-processor mailboxes: halo carries ghost-cell data, ctrl
-	// carries barrier arrivals, reduction partials, and releases.
-	halo []chan haloMsg
-	ctrl []chan ctrlMsg
+	// slots[p] is processor p's word in the combining barrier (slot 0
+	// doubles as the release word); halo[p] its ghost-cell mailbox,
+	// which p makes once it has planned its receives.
+	slots []slot
+	halo  []chan haloMsg
 
-	// First failure cancels ctx, which aborts every processor.
+	// First failure raises aborted, which spinning waiters poll, and
+	// cancels ctx, which everything that blocks selects on.
 	ctx      context.Context
 	cancel   context.CancelFunc
+	aborted  atomic.Bool
 	failOnce sync.Once
 	failErr  error
-
-	// plans caches haloPlan while the shards compile (one goroutine).
-	plans map[planKey]map[int][][]int
 }
 
-// errAborted is returned by a processor unwinding from a mailbox
-// operation because the run's context is done.
+// Traffic counts what a run's processors exchanged. Everything but
+// Parks is a function of the program and the processor count.
+type Traffic struct {
+	Barriers     int64 // synchronisations that combine nothing: one per execution of a nest without reductions
+	Reductions   int64 // synchronisations that combine a vector
+	HaloMessages int64
+	HaloElements int64
+	Parks        int64 // waits that outlasted the spin and yield budget and blocked; timing-dependent
+}
+
+// Traffic returns the run's counts: the synchronisations as processor 0
+// counted them (every processor takes part in each), halo traffic and
+// parks summed over the processors.
+func (m *Machine) Traffic() Traffic {
+	t := m.ends[0].traffic
+	for _, s := range m.ends[1:] {
+		t.HaloMessages += s.traffic.HaloMessages
+		t.HaloElements += s.traffic.HaloElements
+		t.Parks += s.traffic.Parks
+	}
+	return t
+}
+
+// errAborted is returned by a processor unwinding from a wait because
+// the run has been aborted or its context is done.
 var errAborted = errors.New("distvm: aborted by another processor's failure")
 
 // abort records the first failure and cancels the run's context, which
@@ -133,6 +171,7 @@ func (m *Machine) abort(err error) {
 	}
 	m.failOnce.Do(func() {
 		m.failErr = err
+		m.aborted.Store(true)
 		m.cancel()
 	})
 }
@@ -164,8 +203,9 @@ func (a *localArray) at(idx []int) int {
 	return p
 }
 
-// Run executes the program on p processors — one goroutine each — and
-// returns the machine for inspection.
+// Run executes the program on p processors — one goroutine each, which
+// compiles its shard and then runs it — and returns the machine for
+// inspection.
 func Run(prog *lir.Program, opt Options) (*Machine, error) {
 	if opt.Procs < 1 {
 		return nil, fmt.Errorf("distvm: need at least one processor")
@@ -174,53 +214,60 @@ func Run(prog *lir.Program, opt Options) (*Machine, error) {
 		prog:    prog,
 		procs:   opt.Procs,
 		decomps: map[int]*dist.Decomp{},
+		blocks:  map[int][]*sema.Region{},
 		locals:  map[string][]*localArray{},
 		timeout: opt.Timeout,
-		plans:   map[planKey]map[int][][]int{},
 	}
 	if m.timeout == 0 {
 		m.timeout = 30 * time.Second
-	}
-	maxSteps := opt.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1e9
 	}
 	if err := m.decompose(); err != nil {
 		return nil, err
 	}
 	m.layout()
-	m.openChannels(opt.Ctx)
+	m.connect(opt.Ctx)
 	defer m.cancel()
+	vopt := vm.Options{Out: opt.Out, MaxSteps: opt.MaxSteps, Ctx: m.ctx}
+	if vopt.MaxSteps == 0 {
+		vopt.MaxSteps = 1e9
+	}
 
 	m.shards = make([]*vm.Machine, m.procs)
-	for p := range m.shards {
-		vopt := vm.Options{MaxSteps: maxSteps, Ctx: m.ctx}
-		if p == 0 {
-			vopt.Out = opt.Out
-		}
-		sm, err := vm.NewShard(prog, vopt, newShard(m, p))
-		if err != nil {
-			return nil, fmt.Errorf("distvm: processor %d: %w", p, err)
-		}
-		m.shards[p] = sm
-	}
-	m.plans = nil
-
+	m.ends = make([]*shard, m.procs)
 	steps := make([]int64, m.procs)
-	var wg sync.WaitGroup
-	for p, sm := range m.shards {
-		wg.Add(1)
-		go func(p int, sm *vm.Machine) {
-			defer wg.Done()
+	// Nobody runs before everybody has compiled: a processor's mailbox
+	// must exist before a neighbor posts to it. Its capacity is the
+	// receive legs its shard planned — a Comm node runs at most once
+	// between two synchronisations, so no more can be in flight to it
+	// and a send never blocks. Should a protocol bug overflow it anyway,
+	// the watchdog turns the stalled send into an error.
+	var built, done sync.WaitGroup
+	built.Add(m.procs)
+	done.Add(m.procs)
+	for p := range m.shards {
+		go func(p int, vopt vm.Options) {
+			defer done.Done()
+			s := &shard{m: m, id: p}
+			sm, err := vm.NewShard(prog, vopt, s)
+			m.shards[p], m.ends[p], m.halo[p] = sm, s, make(chan haloMsg, s.inbox)
+			if err != nil {
+				m.abort(fmt.Errorf("distvm: processor %d: %w", p, err))
+			}
+			built.Done()
+			built.Wait()
+			if m.aborted.Load() {
+				return
+			}
 			res, err := sm.Run()
 			if err != nil {
 				m.abort(fmt.Errorf("distvm: processor %d: %w", p, err))
 				return
 			}
 			steps[p] = res.Steps
-		}(p, sm)
+		}(p, vopt)
+		vopt.Out = nil // processor 0 alone writes
 	}
-	wg.Wait()
+	done.Wait()
 	if m.failErr != nil {
 		return nil, m.failErr
 	}
@@ -247,22 +294,18 @@ func (m *Machine) MemoryFootprint() int64 {
 	return n
 }
 
-// openChannels creates the abort context under parent (nil means none)
-// and sizes the mailboxes so that the regular protocol never blocks a
-// sender: ctrl sees at most p-1 in-flight arrivals plus one release,
-// halo at most a handful of pipelined slabs per neighbor. Should a
-// protocol bug overflow them anyway, the watchdog turns the stalled
-// send into an error instead of a deadlock.
-func (m *Machine) openChannels(parent context.Context) {
+// connect creates the abort context under parent (nil means none) and
+// the barrier slots. The halo mailboxes come later, one per processor,
+// sized by what its compiled shard will receive.
+func (m *Machine) connect(parent context.Context) {
 	if parent == nil {
 		parent = context.Background()
 	}
 	m.ctx, m.cancel = context.WithCancel(parent)
 	m.halo = make([]chan haloMsg, m.procs)
-	m.ctrl = make([]chan ctrlMsg, m.procs)
-	for p := 0; p < m.procs; p++ {
-		m.halo[p] = make(chan haloMsg, 4*m.procs+64)
-		m.ctrl[p] = make(chan ctrlMsg, m.procs+1)
+	m.slots = make([]slot, m.procs)
+	for p := range m.slots {
+		m.slots[p].wake = make(chan struct{}, 1)
 	}
 }
 
@@ -314,6 +357,9 @@ func (m *Machine) decompose() error {
 			return fmt.Errorf("distvm: rank %d: %w", rank, err)
 		}
 		m.decomps[rank] = d
+		for p := 0; p < m.procs; p++ {
+			m.blocks[rank] = append(m.blocks[rank], d.Block(p))
+		}
 	}
 	return nil
 }
@@ -349,10 +395,8 @@ func (m *Machine) layout() {
 	for name, h := range halos {
 		a := m.prog.Source.Arrays[name]
 		rank := a.Declared.Rank()
-		d := m.decomps[rank]
 		locals := make([]*localArray, m.procs)
-		for p := range locals {
-			blk := d.Block(p)
+		for p, blk := range m.blocks[rank] {
 			b := &sema.Region{Lo: make([]int, rank), Hi: make([]int, rank)}
 			for k := 0; k < rank; k++ {
 				b.Lo[k] = max(blk.Lo[k]-h.lo[k], a.Alloc.Lo[k])

@@ -6,83 +6,57 @@ import (
 
 	"repro/internal/air"
 	"repro/internal/lir"
-	"repro/internal/sema"
 )
 
-// planKey identifies one receiver's halo plan. The plan depends on the
-// Comm node only through its array and direction, so the send and
-// receive halves of a pipelined exchange share one.
-type planKey struct {
-	array, off string
-	recv       int
+// leg is one message of an exchange as one processor sees it: the peer
+// and, in this processor's storage, the rectangle that travels — rows
+// of width contiguous elements starting at the offsets in rows, in
+// row-major order.
+type leg struct {
+	peer  int
+	rows  []int
+	width int
 }
 
-// haloPlan computes, for the receiver of one exchange, the halo slab
-// indices it must refresh, grouped by owning processor, in row-major
-// slab order. The plan is a pure function of the static block
-// geometry, so the owner and the requirer derive identical plans
-// independently — messages carry only values, no index lists. Plans
-// are built while the shards compile and cached for that long.
-func (m *Machine) haloPlan(c *lir.Comm, recv int) map[int][][]int {
-	key := planKey{c.Array, c.Off.String(), recv}
-	if plan, ok := m.plans[key]; ok {
-		return plan
-	}
-	locals := m.locals[c.Array]
-	rank := len(c.Off)
-	d := m.decomps[rank]
-	la := locals[recv]
+func (l leg) elems() int { return len(l.rows) * l.width }
 
-	// The halo slab for this direction, relative to the receiver's
-	// block, clipped to the receiver's local storage.
-	slab := &sema.Region{Lo: make([]int, rank), Hi: make([]int, rank)}
+// legRows plans the message by which processor recv refreshes its ghost
+// cells of c.Array in direction c.Off from processor owner, as rows in
+// the storage of in (one of the two); nil when nothing travels. What
+// travels is the halo slab on that side of recv's block, clipped to
+// recv's storage, ∩ owner's block (ownership: beyond the anchor nobody
+// owns it and it stays zero) ∩ owner's storage (clipped away outside the
+// allocation): a rectangle, and a pure function of the static block
+// geometry, so both sides derive the same one independently and
+// messages carry only values, in its row-major order.
+func legRows(c *lir.Comm, recv, owner, in *localArray) (rows []int, width int) {
+	rank := len(c.Off)
+	lo, hi := make([]int, rank), make([]int, rank)
 	for k := 0; k < rank; k++ {
+		lo[k], hi[k] = recv.block.Lo[k], recv.block.Hi[k]
 		switch {
 		case c.Off[k] > 0:
-			slab.Lo[k] = la.block.Hi[k] + 1
-			slab.Hi[k] = la.block.Hi[k] + c.Off[k]
+			lo[k], hi[k] = recv.block.Hi[k]+1, recv.block.Hi[k]+c.Off[k]
 		case c.Off[k] < 0:
-			slab.Lo[k] = la.block.Lo[k] + c.Off[k]
-			slab.Hi[k] = la.block.Lo[k] - 1
-		default:
-			slab.Lo[k] = la.block.Lo[k]
-			slab.Hi[k] = la.block.Hi[k]
+			lo[k], hi[k] = recv.block.Lo[k]+c.Off[k], recv.block.Lo[k]-1
 		}
-		slab.Lo[k] = max(slab.Lo[k], la.bounds.Lo[k])
-		slab.Hi[k] = min(slab.Hi[k], la.bounds.Hi[k])
-	}
-
-	plan := map[int][][]int{}
-	idx := make([]int, rank)
-	var walk func(k int)
-	walk = func(k int) {
-		if k == rank {
-			owner := d.Owner(idx)
-			if owner < 0 {
-				return // beyond the anchor: stays zero (global halo)
-			}
-			if !locals[owner].contains(idx) {
-				return // owner clipped it away (outside alloc)
-			}
-			plan[owner] = append(plan[owner], append([]int(nil), idx...))
-			return
-		}
-		for i := slab.Lo[k]; i <= slab.Hi[k]; i++ {
-			idx[k] = i
-			walk(k + 1)
+		lo[k] = max(lo[k], recv.bounds.Lo[k], owner.block.Lo[k], owner.bounds.Lo[k])
+		hi[k] = min(hi[k], recv.bounds.Hi[k], owner.block.Hi[k], owner.bounds.Hi[k])
+		if lo[k] > hi[k] {
+			return nil, 0
 		}
 	}
-	walk(0)
-	m.plans[key] = plan
-	return plan
-}
-
-// leg is one message of an exchange as one processor sees it: the peer
-// and the positions, in this processor's storage, of the values that
-// travel.
-type leg struct {
-	peer int
-	pos  []int
+	idx := append([]int(nil), lo...)
+	for k := rank - 1; k >= 0; {
+		rows = append(rows, in.at(idx))
+		for k = rank - 2; k >= 0; k-- { // next row: an odometer over all but the last dimension
+			if idx[k]++; idx[k] <= hi[k] {
+				break
+			}
+			idx[k] = lo[k]
+		}
+	}
+	return rows, hi[rank-1] - lo[rank-1] + 1
 }
 
 // Comm plans one ghost-cell exchange as message passing between the
@@ -99,65 +73,46 @@ func (s *shard) Comm(c *lir.Comm, data []float64) (func() error, error) {
 	if !ok {
 		return nil, fmt.Errorf("distvm: exchange of unknown array %s", c.Array)
 	}
-	mine := locals[s.id]
-	legOf := func(peer int, idxs [][]int) leg {
-		l := leg{peer: peer, pos: make([]int, len(idxs))}
-		for i, idx := range idxs {
-			l.pos[i] = mine.at(idx)
-		}
-		return l
-	}
 	// What every other receiver needs from this owner, and what this
 	// receiver needs from every other owner.
 	var sends, recvs []leg
-	for r := 0; r < s.m.procs; r++ {
-		if idxs := s.m.haloPlan(c, r)[s.id]; r != s.id && len(idxs) > 0 {
-			sends = append(sends, legOf(r, idxs))
+	mine := locals[s.id]
+	for q, other := range locals {
+		if q == s.id {
+			continue
+		}
+		if rows, w := legRows(c, other, mine, mine); rows != nil && c.Phase != air.CommRecv {
+			sends = append(sends, leg{q, rows, w})
+		}
+		if rows, w := legRows(c, mine, other, mine); rows != nil && c.Phase != air.CommSend {
+			recvs = append(recvs, leg{q, rows, w})
 		}
 	}
-	plan := s.m.haloPlan(c, s.id)
-	for o := 0; o < s.m.procs; o++ {
-		if idxs := plan[o]; o != s.id && len(idxs) > 0 {
-			recvs = append(recvs, legOf(o, idxs))
-		}
-	}
+	s.inbox += len(recvs)
 
 	array, msgID := c.Array, c.MsgID
-	post := func() error {
+	return func() error {
 		for _, l := range sends {
-			vals := make([]float64, len(l.pos))
-			for i, p := range l.pos {
-				vals[i] = data[p]
+			vals := make([]float64, 0, l.elems())
+			for _, at := range l.rows {
+				vals = append(vals, data[at:at+l.width]...)
 			}
+			s.traffic.HaloMessages++
+			s.traffic.HaloElements += int64(len(vals))
 			if err := s.sendHalo(l.peer, haloMsg{from: s.id, array: array, msgID: msgID, vals: vals}); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	accept := func() error {
 		for _, l := range recvs {
-			vals, err := s.recvHaloFrom(l.peer, array, msgID, len(l.pos))
+			vals, err := s.recvHaloFrom(l.peer, array, msgID, l.elems())
 			if err != nil {
 				return err
 			}
-			for i, p := range l.pos {
-				data[p] = vals[i]
+			for i, at := range l.rows {
+				copy(data[at:at+l.width], vals[i*l.width:])
 			}
 		}
 		return nil
-	}
-	switch c.Phase {
-	case air.CommSend:
-		return post, nil
-	case air.CommRecv:
-		return accept, nil
-	}
-	return func() error {
-		if err := post(); err != nil {
-			return err
-		}
-		return accept()
 	}, nil
 }
 

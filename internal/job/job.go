@@ -60,6 +60,12 @@ type Spec struct {
 	flags map[string]string // field → the flag this front end bound it to
 }
 
+// MaxDistProcs is the most processors a distributed run may ask for.
+// The analytic machine models price any count; the distributed
+// interpreter spends real goroutines and memory on each, and its
+// requests come from the network. (The largest count a test runs is 16.)
+const MaxDistProcs = 64
+
 const strategyHelp = "communication `strategy`: favor-fusion | favor-comm (needs -p > 1)"
 
 // flagDefs is every flag a CLI can bind onto a Spec: its name, the Spec
@@ -312,6 +318,8 @@ func (s *Spec) Resolve() (Source, driver.Options, error) {
 		return fail("{provefault} %d needs the prover that {noprove} disables", s.ProveFault)
 	case s.Dist && s.Procs < 2:
 		return fail("{dist} requires {procs} > 1")
+	case s.Dist && s.Procs > MaxDistProcs:
+		return fail("{dist} runs at most %d processors, not {procs} %d: each one is a goroutine holding its block and halos of every array", MaxDistProcs, s.Procs)
 	case s.Dist && model != "":
 		// The distributed interpreter performs real exchanges and has
 		// no tracer, so the model would be silently ignored.

@@ -189,8 +189,11 @@ func TestRunEnginesAgree(t *testing.T) {
 	}
 	var dist bytes.Buffer
 	dres, err := Run(ctx, dc, dspec.RunSpec(), &dist, nil)
-	if err != nil || dres.Steps == 0 {
+	if err != nil || dres.Steps == 0 || dres.Traffic == nil || dres.Traffic.Barriers == 0 || dres.Traffic.HaloMessages == 0 {
 		t.Fatalf("dist run: %v %+v", err, dres)
+	}
+	if res.Traffic != nil {
+		t.Errorf("a sequential run reports traffic: %+v", res.Traffic)
 	}
 	if len(strings.Fields(dist.String())) != len(strings.Fields(seq.String())) {
 		t.Errorf("distributed transcript shape differs:\n%q\n%q", dist.String(), seq.String())

@@ -111,6 +111,7 @@ type Result struct {
 	MemoryBytes int64 // array storage; halos included when distributed
 	Wall        time.Duration
 	Cost        *machine.CostTracer // traced runs only
+	Traffic     *distvm.Traffic     // distributed runs only: what the processors exchanged
 
 	// Native runs only.
 	Art       *backend.Artifact
@@ -171,7 +172,8 @@ func Run(ctx context.Context, c *driver.Compilation, rs RunSpec, out io.Writer, 
 		if err := dm.ScalarsConsistent(); err != nil {
 			return res, fmt.Errorf("replicated-scalar invariant violated: %w", err)
 		}
-		res.Steps, res.MemoryBytes = dm.Steps(), dm.MemoryFootprint()
+		tr := dm.Traffic()
+		res.Steps, res.MemoryBytes, res.Traffic = dm.Steps(), dm.MemoryFootprint(), &tr
 
 	default:
 		opt := vm.Options{Out: out, MaxSteps: rs.MaxSteps, Ctx: ctx}

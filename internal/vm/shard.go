@@ -31,9 +31,14 @@ type Shard interface {
 	Comm(c *lir.Comm, data []float64) (func() error, error)
 	// AllCombine contributes part to a collective and returns the
 	// parts of all processors folded in processor order (fold
-	// accumulates next into acc element-wise). part is consumed; the
-	// result is shared between processors and must not be written. An
-	// empty part makes the collective a barrier.
+	// accumulates next into acc element-wise). An empty part makes the
+	// collective a barrier. Ownership: the result is processor 0's
+	// part, shared between the processors; nobody writes it, and it is
+	// valid until the caller's next AllCombine. A caller may therefore
+	// reuse a part from its second-next AllCombine on, and no sooner:
+	// processor 0 is back in its next sweep while a peer still reads
+	// the last result, which is why the callers below alternate between
+	// two buffers.
 	AllCombine(part []float64, fold func(acc, next []float64)) ([]float64, error)
 }
 
@@ -67,9 +72,12 @@ func (m *Machine) portion(r *sema.Region) *sema.Region {
 // for a per-element test.
 func (m *Machine) checkLocal(n lir.Node) error {
 	var err error
+	var last, part *sema.Region // a node's references share a region or two
 	lir.Refs(n, func(array string, off air.Offset, over *sema.Region) {
 		a := m.arrays[array]
-		part := m.shard.Portion(over)
+		if over != last {
+			last, part = over, m.shard.Portion(over)
+		}
 		if a == nil || part == nil || err != nil {
 			return
 		}
@@ -113,12 +121,12 @@ func (m *Machine) shardNest(x *lir.Nest, sweep execFn) execFn {
 		}
 	}
 	sh := m.shard
+	part, spare := make([]float64, len(slots)), make([]float64, len(slots))
 	return func(m *Machine) signal {
 		if s := sweep(m); s != sigNext {
 			return s
 		}
-		// A fresh vector per execution: it is handed to processor 0.
-		part := make([]float64, len(slots))
+		part, spare = spare, part // see Shard.AllCombine
 		for j, slot := range slots {
 			part[j] = m.slots[slot]
 		}
@@ -156,7 +164,8 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 		}
 	}
 	source, owned := m.portion(x.Region), m.portion(dest)
-	var buf, all []float64
+	buf, spare := make([]float64, size), make([]float64, size)
+	var all []float64
 	accumulate := m.sweep(source, order, []stripFn{func(m *Machine, j, n int) {
 		p := flat.pos(m, j)
 		for _, v := range body.vec(m, j, n) {
@@ -174,7 +183,7 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 		if !m.charge(elems) {
 			return sigFault
 		}
-		buf = make([]float64, size)
+		buf, spare = spare, buf // see Shard.AllCombine
 		for i := range buf {
 			buf[i] = id
 		}
