@@ -63,10 +63,11 @@ lint-self: build
 audit: build
 	$(GO) run ./cmd/experiments -run audit
 
-# Golden check of results/: every deterministic study is regenerated
-# through harness.Studies and compared byte for byte with the committed
-# results/<id>.{txt,json}. The tier-1 run of TestResultsGolden skips the
-# ladder study (fig9, fig10, fig11, headline; ~15 s); -full adds it.
+# Golden check of results/: every study is regenerated through
+# harness.Studies and compared byte for byte with the committed
+# results/<id>.{txt,json}, and a file there that no study declares
+# fails. The tier-1 run of TestResultsGolden skips the ladder study
+# (fig9, fig10, fig11, headline; ~15 s); -full adds it.
 # After a deliberate table change, re-commit with
 #   $(GO) test ./internal/harness -run TestResultsGolden -full -update
 results-check: build
@@ -97,10 +98,12 @@ tune-smoke: build
 
 # Native differential: everything that builds emitted Go and compares it
 # with the VM, re-run fresh and in full — the one target to run after
-# touching internal/gogen. Every testdata program (short ladder) plus
-# every benchmark under its golden tuned plan must produce
-# byte-identical output on the native backend and the VM, and a seeded
-# miscompile must be caught; the unchecked emission (nest-local base
+# touching internal/gogen. Every testdata program plus every benchmark
+# under its golden tuned plan must produce byte-identical output on the
+# native backend and the VM (-full: the testdata programs at all nine
+# ladder levels, tier-1 runs two, and the six benchmarks at each of the
+# nine as well, 54 cells), and a seeded miscompile must be caught; the
+# unchecked emission (nest-local base
 # pointers, trap scaffold elided when everything is proven) must stay
 # byte-identical to the checked emission and to the VM, a faulted proof
 # must surface as a wrong answer or a trap, never silence, and the run
@@ -247,5 +250,7 @@ soak: build
 # stays as the shortcut to run after touching what its comment names.
 ci: vet fmt-check test race check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff race-sweep bench-smoke
 
+# Every study, tables to stdout. All are deterministic: none builds a
+# native binary or reads a clock (wall-clock numbers are bench/'s).
 experiments:
 	$(GO) run ./cmd/experiments

@@ -376,8 +376,9 @@ func BenchmarkAblationScalarReplacement(b *testing.B) {
 // BenchmarkLazySteadyState measures the zpl lazy runtime's cached
 // steady state: one double-buffered Jacobi sweep per iteration, every
 // Eval after the warm-up a pure fingerprint hit. The reported metrics
-// back results/lazy's narrative: zero compilations inside the timed
-// loop however long it runs, hit rate 1 per iteration.
+// are the property EXPERIMENTS.md states for the fingerprint cache: zero
+// compilations inside the timed loop however long it runs, hit rate 1
+// per iteration.
 func BenchmarkLazySteadyState(b *testing.B) {
 	const n = 32
 	ctx := zpl.New(zpl.Config{Level: core.C2F4S})

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run id] [-size f] [-jobs n] [-out dir] [-timings]
+//	experiments [-run id] [-size f] [-jobs n] [-out dir]
 package main
 
 import (
@@ -14,9 +14,7 @@ import (
 	"os"
 	"runtime"
 
-	"repro/internal/backend"
 	"repro/internal/harness"
-	"repro/internal/phase"
 )
 
 func main() {
@@ -24,18 +22,14 @@ func main() {
 	size := flag.Float64("size", 1.0, "problem-size factor for runtime studies")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "measurements to run concurrently")
 	out := flag.String("out", "", "directory to also write each table into, as <id>.txt and <id>.json")
-	timings := flag.Bool("timings", false, "collect per-phase compile latencies across every measurement and print the summary table at the end")
 	flag.Usage = func() {
-		fmt.Fprintln(flag.CommandLine.Output(), "usage: experiments [-run id] [-size f] [-jobs n] [-out dir] [-timings]")
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: experiments [-run id] [-size f] [-jobs n] [-out dir]")
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), "\nstudies (-run takes a study id or one of its outputs):\n%s", harness.Usage())
 	}
 	flag.Parse()
 
 	env := &harness.Env{Size: *size, Jobs: *jobs}
-	if *timings {
-		env.Timings = phase.NewCollector()
-	}
 	emit := func(o harness.Output) {
 		fmt.Println(o.Text)
 		if *out != "" {
@@ -54,12 +48,6 @@ func main() {
 			continue
 		}
 		known = true
-		if s.NeedsToolchain && !backend.Available() {
-			// Graceful degradation: only the studies that build native
-			// binaries need the host toolchain.
-			fmt.Fprintf(os.Stderr, "experiments: skipping %s study: no go toolchain on PATH\n", s.ID)
-			continue
-		}
 		outs, err := s.Run(env)
 		if err != nil {
 			fatal(err)
@@ -74,9 +62,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown study %q\n", *run)
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *timings && len(env.Timings.Names()) > 0 {
-		emit(harness.Output{ID: "timings", Text: "Pipeline phase timings across all measurements:\n" + env.Timings.Format()})
 	}
 }
 

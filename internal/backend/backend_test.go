@@ -64,6 +64,16 @@ func nativeOutput(t *testing.T, c *driver.Compilation) string {
 	return out.String()
 }
 
+// nativeMatchesVM fails t unless the checked native build of c prints
+// the VM's transcript.
+func nativeMatchesVM(t *testing.T, c *driver.Compilation) {
+	t.Helper()
+	want := vmOutput(t, c)
+	if got := nativeOutput(t, c); got != want {
+		t.Errorf("native output diverges from VM\nnative: %q\nvm:     %q", got, want)
+	}
+}
+
 // TestArtifactCacheHit: rebuilding an identical program must be a
 // store hit that skips the toolchain.
 func TestArtifactCacheHit(t *testing.T) {
@@ -254,11 +264,10 @@ func TestRunReportsComputeTime(t *testing.T) {
 	}
 }
 
-// bitIdenticalLevels is the short differential ladder; set
-// ZPL_BACKEND_FULL=1 for all nine levels (experiments -run backend
-// covers the full ladder with timings as well).
+// bitIdenticalLevels is the short differential ladder; -full (make
+// backend-diff) runs all nine levels.
 func bitIdenticalLevels() []core.Level {
-	if os.Getenv("ZPL_BACKEND_FULL") != "" {
+	if *full {
 		return core.AllLevels()
 	}
 	return []core.Level{core.Baseline, core.C2F3}
@@ -275,9 +284,10 @@ func benchConfigs(b programs.Benchmark) map[string]int64 {
 }
 
 // TestBackendBitIdentical is the differential suite: every testdata
-// program at every ladder level, plus every built-in benchmark under
-// its golden tuned plan, must produce byte-identical output on the
-// native backend and the VM.
+// program across the ladder, plus every built-in benchmark under its
+// golden tuned plan and, with -full, at each of the nine levels (54
+// cells), must produce byte-identical output on the native backend and
+// the VM.
 func TestBackendBitIdentical(t *testing.T) {
 	requireToolchain(t)
 	if testing.Short() {
@@ -300,11 +310,7 @@ func TestBackendBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := vmOutput(t, c)
-				got := nativeOutput(t, c)
-				if got != want {
-					t.Errorf("native output diverges from VM\nnative: %q\nvm:     %q", got, want)
-				}
+				nativeMatchesVM(t, c)
 			})
 		}
 	}
@@ -327,12 +333,21 @@ func TestBackendBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := vmOutput(t, c)
-			got := nativeOutput(t, c)
-			if got != want {
-				t.Errorf("native output diverges from VM under tuned plan\nnative: %q\nvm:     %q", got, want)
-			}
+			nativeMatchesVM(t, c)
 		})
+		if !*full {
+			continue
+		}
+		for _, lvl := range core.AllLevels() {
+			t.Run(b.Name+"/"+lvl.String(), func(t *testing.T) {
+				t.Parallel()
+				c, err := driver.Compile(b.Source, driver.Options{Level: lvl, Configs: benchConfigs(b)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nativeMatchesVM(t, c)
+			})
+		}
 	}
 }
 

@@ -15,8 +15,8 @@
 // correctness with the host toolchain as the final referee.
 //
 // Emitted programs are self-contained (standard library only) and make
-// three guarantees the differential harness (internal/backend,
-// experiments -run backend) relies on:
+// three guarantees the differential tests (internal/backend, make
+// backend-diff) rely on:
 //
 //   - stdout is bit-identical to the VM's: writeln arguments print
 //     with %g separated by single spaces, exactly like internal/vm;

@@ -52,7 +52,7 @@ var edgeTests = map[string]bool{
 //     type.
 func AuditRemarks(e *Env, levels []core.Level) ([]AuditRow, error) {
 	return eachCell(e, grid(levels), func(c cell) (AuditRow, error) {
-		comp, err := e.compile(c.b.Source, c.options(nil))
+		comp, err := driver.Compile(c.b.Source, c.options(nil))
 		if err != nil {
 			return AuditRow{}, err
 		}

@@ -2,53 +2,20 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
-	"time"
 
-	"repro/internal/backend"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/phase"
 	"repro/internal/programs"
 )
 
-// Env is what a study runs under: the three settings cmd/experiments
-// takes from its flags, and the native-artifact store the studies that
-// build binaries share. The zero value runs at full size on every CPU
-// with no timing collection. An Env must not be copied after use.
+// Env is what a study runs under: the two settings cmd/experiments
+// takes from its flags. The zero value runs at full size on every CPU.
 type Env struct {
 	Size float64 // problem-size factor for the runtime studies; 0 means 1
 	Jobs int     // measurements run concurrently; < 1 means one per CPU
-	// Timings, when non-nil, aggregates per-phase latencies across
-	// every compilation the studies issue (the phase.Collector
-	// mechanism zpld's metrics use).
-	Timings *phase.Collector
-
-	storeOnce sync.Once
-	store     *backend.Store
-	storeErr  error
-}
-
-// Store returns the default native-artifact store, opened on first
-// use. Sharing one store deduplicates identical emissions across the
-// cells of a study and across studies.
-func (e *Env) Store() (*backend.Store, error) {
-	e.storeOnce.Do(func() { e.store, e.storeErr = backend.Open("") })
-	return e.store, e.storeErr
-}
-
-// compile is driver.Compile reporting to Timings. Each call builds a
-// fresh hook pair, so concurrent measurements never share per-compile
-// state.
-func (e *Env) compile(src string, opt driver.Options) (*driver.Compilation, error) {
-	if e.Timings != nil {
-		start, end := e.Timings.StartEnd()
-		opt.Hooks = driver.Hooks{PhaseStart: start, PhaseEnd: end}
-	}
-	return driver.Compile(src, opt)
 }
 
 // scale applies the size factor to a study's default problem size.
@@ -157,19 +124,4 @@ func parallelMap[T, R any](e *Env, items []T, f func(T) (R, error)) ([]R, error)
 		}
 	}
 	return out, nil
-}
-
-// ms is d in (fractional) milliseconds, the unit of every timed table.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// geomean is the geometric mean of xs; 0 when xs is empty.
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/driver"
 )
 
 // Fig7Row is one benchmark's static array accounting.
@@ -37,7 +38,7 @@ var paperFig7 = map[string][3]int{
 func RunFig7(e *Env) ([]Fig7Row, error) {
 	return eachCell(e, grid([]core.Level{core.C2F3}), func(cl cell) (Fig7Row, error) {
 		b := cl.b
-		c, err := e.compile(b.Source, cl.options(nil))
+		c, err := driver.Compile(b.Source, cl.options(nil))
 		if err != nil {
 			return Fig7Row{}, err
 		}

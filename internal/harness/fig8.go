@@ -42,11 +42,11 @@ func RunFig8(e *Env) ([]Fig8Row, error) {
 		// only full-size arrays (the paper's model assumes uniform
 		// array sizes; our benchmarks follow it except for the 1-D
 		// sweep carriers, which we exclude from the count).
-		base, err := e.compile(b.Source, driver.Options{Level: core.Baseline})
+		base, err := driver.Compile(b.Source, driver.Options{Level: core.Baseline})
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("%s: %w", b.Name, err)
 		}
-		opt, err := e.compile(b.Source, driver.Options{Level: core.C2F3})
+		opt, err := driver.Compile(b.Source, driver.Options{Level: core.C2F3})
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -60,11 +60,11 @@ func RunFig8(e *Env) ([]Fig8Row, error) {
 			row.C = math.Inf(1)
 		}
 
-		row.MaxWithout, err = maxProblemSize(e, b, core.Baseline)
+		row.MaxWithout, err = maxProblemSize(b, core.Baseline)
 		if err != nil {
 			return Fig8Row{}, err
 		}
-		row.MaxWith, err = maxProblemSize(e, b, core.C2F3)
+		row.MaxWith, err = maxProblemSize(b, core.C2F3)
 		if err != nil {
 			return Fig8Row{}, err
 		}
@@ -96,13 +96,13 @@ func countMainArrays(c *driver.Compilation, rank int) int {
 // maxProblemSize binary-searches the largest per-dimension size whose
 // allocated array footprint fits the budget. EP contracts everything;
 // its optimized footprint is size-independent, so the search is capped.
-func maxProblemSize(e *Env, b programs.Benchmark, lvl core.Level) (int, error) {
+func maxProblemSize(b programs.Benchmark, lvl core.Level) (int, error) {
 	limit := 1 << 14
 	if b.Rank == 1 {
 		limit = 1 << 24
 	}
 	fits := func(n int) (bool, error) {
-		c, err := e.compile(b.Source, driver.Options{
+		c, err := driver.Compile(b.Source, driver.Options{
 			Level:   lvl,
 			Configs: map[string]int64{b.SizeConfig: int64(n)},
 		})

@@ -34,7 +34,7 @@ func RunPerfStudy(e *Env, procs []int) (*PerfResult, error) {
 	// order the pool ran them in.
 	cells := grid(core.Levels(), procs...)
 	meas, err := eachCell(e, cells, func(c cell) (*Measurement, error) {
-		return Measure(e, c.b.Source, c.options(e.configs(c.b)), c.procs)
+		return Measure(c.b.Source, c.options(e.configs(c.b)), c.procs)
 	})
 	if err != nil {
 		return nil, err

@@ -149,8 +149,8 @@ func (m *multiTracer) Reduce() {
 
 // Measure compiles src with the given options and executes it once,
 // pricing the run on every machine model with p processors.
-func Measure(e *Env, src string, opt driver.Options, procs int) (*Measurement, error) {
-	c, err := e.compile(src, opt)
+func Measure(src string, opt driver.Options, procs int) (*Measurement, error) {
+	c, err := driver.Compile(src, opt)
 	if err != nil {
 		return nil, err
 	}

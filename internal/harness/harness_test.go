@@ -259,7 +259,7 @@ func TestFormatters(t *testing.T) {
 // models and reports trace statistics.
 func TestMeasureReportsAllMachines(t *testing.T) {
 	b := "program m; region R = [1..32]; var A : [R] double; var s : double; proc main() begin [R] A := index1 * 1.0; s := +<< [R] A; writeln(s); end;"
-	meas, err := Measure(&Env{}, b, driverOptions(), 4)
+	meas, err := Measure(b, driverOptions(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,11 @@ func RunLatencySensitivity(e *Env, bench string, procs int, alphas []float64) ([
 	fc := comm.DefaultOptions(procs)
 	fc.Strategy = comm.FavorComm
 
-	cf, err := e.compile(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &ff})
+	cf, err := driver.Compile(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &ff})
 	if err != nil {
 		return nil, err
 	}
-	cc, err := e.compile(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &fc})
+	cc, err := driver.Compile(b.Source, driver.Options{Level: core.C2F3, Configs: cfg, Comm: &fc})
 	if err != nil {
 		return nil, err
 	}

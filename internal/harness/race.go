@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/mhp"
 )
 
@@ -40,7 +41,7 @@ type RaceRow struct {
 // unsound analysis invalidates the study.
 func RunRace(e *Env, size int64, procs ...int) ([]RaceRow, error) {
 	return eachCell(e, grid(core.AllLevels(), procs...), func(c cell) (RaceRow, error) {
-		comp, err := e.compile(c.b.Source, c.options(map[string]int64{c.b.SizeConfig: size}))
+		comp, err := driver.Compile(c.b.Source, c.options(map[string]int64{c.b.SizeConfig: size}))
 		if err != nil {
 			return RaceRow{}, err
 		}

@@ -33,7 +33,7 @@ func RunSec55(e *Env, procs int) ([]Sec55Row, error) {
 		measure := func(strategy comm.Strategy) (*Measurement, error) {
 			co := comm.DefaultOptions(procs)
 			co.Strategy = strategy
-			m, err := Measure(e, b.Source, driver.Options{Level: core.C2F3, Configs: e.configs(b), Comm: &co}, procs)
+			m, err := Measure(b.Source, driver.Options{Level: core.C2F3, Configs: e.configs(b), Comm: &co}, procs)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", name, strategy, err)
 			}

@@ -21,14 +21,9 @@ type Study struct {
 	// Outputs names what Run returns when that is not the single
 	// output ID, so -run can select a study by one of its outputs.
 	Outputs []string
-	// NeedsToolchain marks a study that builds native binaries; it is
-	// skipped with a notice on a host without a go toolchain.
-	NeedsToolchain bool
-	// Timed marks a study whose tables hold wall-clock measurements.
-	// Every other study is deterministic, and the committed results/
-	// files pin its outputs byte for byte (TestResultsGolden).
-	Timed bool
-	// Run measures the study. The study's fixed parameters (processor
+	// Run measures the study. Every study is deterministic, and the
+	// committed results/ files pin its outputs byte for byte
+	// (TestResultsGolden). The study's fixed parameters (processor
 	// counts, sweeps, chart widths) live in its declaration; only what
 	// cmd/experiments' flags set comes from the Env.
 	Run func(*Env) ([]Output, error)
@@ -132,33 +127,11 @@ var Studies = []Study{
 	{ID: "tune", Doc: "plan search vs the greedy c2+f4 rung under the T3E cycle model",
 		Run: study(RunTune,
 			func(rows []TuneRow) []Output { return []Output{{ID: "tune", Text: FormatTune(rows), Rows: rows}} })},
-	{ID: "backend", NeedsToolchain: true, Timed: true,
-		Doc: "VM vs native backend, every benchmark x level bit-identical; speedup reported",
-		Run: study(RunBackend,
-			func(rows []BackendRow) []Output {
-				return []Output{{ID: "backend", Text: FormatBackend(rows), Rows: rows,
-					Gate: gate(BackendAllMatch(rows), "backend study: a cell's native output differs from the VM's")}}
-			})},
-	{ID: "prove", NeedsToolchain: true, Timed: true,
-		Doc: "bounds-prover coverage, checked-vs-unchecked differential; >= 90% proven",
-		Run: study(RunProve,
-			func(rows []ProveRow) []Output {
-				worst := MinProvenRate(rows)
-				return []Output{{ID: "prove", Text: FormatProve(rows), Rows: rows,
-					Gate: gate(worst >= 90, "prove study: only %.0f%% of sites proven in the worst cell (acceptance needs >= 90%%)", worst)}}
-			})},
 	{ID: "race", Doc: "happens-before census of every schedule at p=2,4,8, plus seeded faults",
 		Run: study(func(e *Env) ([]RaceRow, error) { return RunRace(e, 32, 2, 4, 8) },
 			func(rows []RaceRow) []Output {
 				return []Output{{ID: "race", Text: FormatRace(rows), Rows: rows,
 					Gate: gate(RaceCleanAll(rows), "race study: a schedule was not fully proven ordered or a seeded fault escaped")}}
-			})},
-	{ID: "lazy", Timed: true,
-		Doc: "lazy runtime: cached steady state vs compile-every-iteration (Jacobi)",
-		Run: study(RunLazy,
-			func(rows []LazyRow) []Output {
-				return []Output{{ID: "lazy", Text: FormatLazy(rows), Rows: rows,
-					Gate: gate(LazyCachedEverywhere(rows), "lazy study: a cell recompiled in the steady state")}}
 			})},
 	{ID: "sec55", Doc: "§5.5: slowdown when favoring communication optimization over fusion",
 		Run: study(func(e *Env) ([]Sec55Row, error) { return RunSec55(e, 16) },

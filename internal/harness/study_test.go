@@ -18,19 +18,44 @@ var (
 
 const resultsDir = "../../results"
 
-// TestResultsGolden regenerates every deterministic output through the
-// Studies table, exactly as cmd/experiments does, and compares it byte
-// for byte with the committed results/ file. A deliberate change to a
-// table is committed with
+// outputIDs is the file stems a study's declaration says Run returns.
+func outputIDs(s Study) []string {
+	if s.Outputs == nil {
+		return []string{s.ID}
+	}
+	return s.Outputs
+}
+
+// TestResultsGolden regenerates every output through the Studies
+// table, exactly as cmd/experiments does, and compares it byte for byte
+// with the committed results/ file; a top-level file under results/
+// that no study declares fails it too, so the directory cannot hold an
+// unpinned table (results/bench/, a directory, is the benchmark's). A
+// deliberate change to a table is committed with
 //
 //	go test ./internal/harness -run TestResultsGolden -full -update
 //
-// The ladder study runs only under -full (make results-check); timed
-// studies are not reproducible and are not pinned.
+// The ladder study runs only under -full (make results-check).
 func TestResultsGolden(t *testing.T) {
 	env := &Env{}
+	declared := map[string]bool{}
 	for _, s := range Studies {
-		if s.Timed || (s.ID == "ladder" && !*full) {
+		for _, id := range outputIDs(s) {
+			declared[id] = true
+		}
+	}
+	committed, err := os.ReadDir(resultsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range committed {
+		ext := filepath.Ext(f.Name())
+		if !f.IsDir() && (ext == ".txt" || ext == ".json") && !declared[strings.TrimSuffix(f.Name(), ext)] {
+			t.Errorf("results/%s is an output of no study in the Studies table: delete it", f.Name())
+		}
+	}
+	for _, s := range Studies {
+		if s.ID == "ladder" && !*full {
 			continue
 		}
 		t.Run(s.ID, func(t *testing.T) {
@@ -38,16 +63,12 @@ func TestResultsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			declared := s.Outputs
-			if declared == nil {
-				declared = []string{s.ID}
-			}
 			var ids []string
 			for _, o := range outs {
 				ids = append(ids, o.ID)
 			}
-			if !slices.Equal(ids, declared) {
-				t.Errorf("Run returned outputs %v, the declaration says %v", ids, declared)
+			if !slices.Equal(ids, outputIDs(s)) {
+				t.Errorf("Run returned outputs %v, the declaration says %v", ids, outputIDs(s))
 			}
 			dir := resultsDir
 			if !*update {

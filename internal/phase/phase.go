@@ -1,8 +1,8 @@
 // Package phase accumulates per-phase latency distributions for the
-// compilation pipeline. It is the shared observability substrate of
-// the zpld service metrics and the experiment harness: both hand a
-// pair of (PhaseStart, PhaseEnd) callbacks to driver.Options.Hooks and
-// read the aggregated histograms back out.
+// compilation pipeline. It is the substrate of the zpld service
+// metrics: a request hands a pair of (PhaseStart, PhaseEnd) callbacks
+// to driver.Options.Hooks and /metrics reads the aggregated histograms
+// back out.
 //
 // A Collector is safe for concurrent use; the callback pair returned
 // by StartEnd is not (each concurrent compilation gets its own pair,
@@ -10,9 +10,7 @@
 package phase
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -37,7 +35,6 @@ type Histogram struct {
 	mu      sync.Mutex
 	count   int64
 	sum     time.Duration
-	max     time.Duration
 	buckets [NumBuckets]int64
 }
 
@@ -53,9 +50,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Lock()
 	h.count++
 	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
 	h.buckets[i]++
 	h.mu.Unlock()
 }
@@ -64,7 +58,6 @@ func (h *Histogram) Observe(d time.Duration) {
 type Snapshot struct {
 	Count   int64
 	Sum     time.Duration
-	Max     time.Duration
 	Buckets [NumBuckets]int64 // per-bucket counts (not cumulative)
 }
 
@@ -72,38 +65,7 @@ type Snapshot struct {
 func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return Snapshot{Count: h.count, Sum: h.sum, Max: h.max, Buckets: h.buckets}
-}
-
-// Mean returns the average observed duration.
-func (s Snapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1)
-// derived from the bucket boundaries.
-func (s Snapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	want := int64(q * float64(s.Count))
-	if want < 1 {
-		want = 1
-	}
-	var seen int64
-	for i := 0; i < NumBuckets; i++ {
-		seen += s.Buckets[i]
-		if seen >= want {
-			if i == NumBuckets-1 {
-				return s.Max
-			}
-			return Boundary(i)
-		}
-	}
-	return s.Max
+	return Snapshot{Count: h.count, Sum: h.sum, Buckets: h.buckets}
 }
 
 // Collector aggregates named histograms; names are created on demand.
@@ -161,28 +123,4 @@ func (c *Collector) StartEnd() (start, end func(name string)) {
 		}
 	}
 	return start, end
-}
-
-// Format renders the collector as an aligned table, one row per phase.
-func (c *Collector) Format() string {
-	names := c.Names()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %10s %12s %12s %12s\n", "phase", "count", "total", "mean", "max")
-	for _, n := range names {
-		s := c.Hist(n).Snapshot()
-		fmt.Fprintf(&b, "%-14s %10d %12s %12s %12s\n",
-			n, s.Count, round(s.Sum), round(s.Mean()), round(s.Max))
-	}
-	return b.String()
-}
-
-func round(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond).String()
-	case d >= time.Millisecond:
-		return d.Round(time.Microsecond).String()
-	default:
-		return d.Round(time.Nanosecond).String()
-	}
 }
