@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 .PHONY: all build test vet fmt-check race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit results-check tune-smoke backend-diff \
 	prove-fuzz lazy-smoke race-smoke race-sweep cluster-smoke \
-	bench-smoke plan-guard vm-guard loc soak
+	bench-smoke plan-guard vm-guard loc soak fuzz-soak
 
 all: build test
 
@@ -239,6 +239,15 @@ loc:
 # internal/soak define the flag.
 soak: build
 	$(GO) test -count=1 -run 'TestQuick' ./internal/driver ./internal/parser ./internal/dist -soak
+
+# Coverage-guided fuzzing of the envelope decoder (what a peer's POST
+# /store/put reaches), from the committed seed corpus, for a bounded
+# time. Tier-1 runs the seeds only. A finding lands in
+# internal/store/testdata/fuzz/FuzzDecode/ and then runs with them:
+# fix it and commit the file.
+FUZZTIME ?= 60s
+fuzz-soak: build
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/store
 
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary

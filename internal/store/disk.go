@@ -4,11 +4,15 @@
 // writes keyed by content hash, so several processes can share one
 // directory without locks: a reader either sees a complete envelope
 // or no file at all, and two writers racing on one key write the same
-// bytes.
+// bytes — the codec is deterministic (maps in key order, tables in
+// first-use order; TestEncodeDeterministic), which the gob body it
+// replaced was not.
 //
 // Corruption (a truncated or bit-flipped file, detected by the
-// envelope checksum) is treated as a miss: the offending file is
-// deleted so the next successful compute repairs the slot.
+// envelope checksum; a file in an older envelope format, detected by
+// its magic) is treated as a miss: the offending file is deleted so the
+// next successful compute repairs the slot. That is the whole upgrade
+// path of a cache directory: no migration, one recompile per key.
 package store
 
 import (

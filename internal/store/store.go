@@ -72,6 +72,10 @@ type TierStats struct {
 	PeerHits int64
 	Misses   int64 // lookups that ran the compute
 	Dedups   int64 // in-process flight joins + cluster claim waits
+	// EncodeErrors counts computed entries the codec refused (a node it
+	// has no encoding for, nesting past its depth cap): each was served
+	// from memory and reached neither the disk nor the key's owner.
+	EncodeErrors int64
 
 	Mem   ccache.Stats
 	Disk  DiskStats            // zero when no disk tier is configured
@@ -94,7 +98,7 @@ type Tiered struct {
 	node    *Node
 	flights flight.Group[ccache.Key, served]
 
-	memHits, diskHits, peerHits, misses, dedups atomic.Int64
+	memHits, diskHits, peerHits, misses, dedups, encodeErrors atomic.Int64
 }
 
 // NewTiered assembles a store from its tiers.
@@ -229,13 +233,16 @@ func (t *Tiered) fetch(ctx context.Context, owner string, k ccache.Key, wait tim
 }
 
 // compute runs the caller's compute and writes the entry through to
-// disk; raw is its envelope, nil when it failed or does not encode.
+// disk; raw is its envelope, nil when it failed or does not encode. An
+// entry that does not encode still answers this request (and later ones,
+// from memory); the lower tiers never see it, which EncodeErrors counts.
 func (t *Tiered) compute(k ccache.Key, compute func() (*ccache.Entry, error)) (e *ccache.Entry, raw []byte, err error) {
 	if e, err = compute(); err != nil {
 		return nil, nil, err
 	}
 	e.Key = k
 	if raw, err = Encode(e); err != nil {
+		t.encodeErrors.Add(1)
 		return e, nil, nil
 	}
 	if t.disk != nil {
@@ -300,6 +307,6 @@ func (t *Tiered) TierStats() TierStats {
 		ts.Peers = t.node.Clients().Stats()
 	}
 	ts.MemHits, ts.DiskHits, ts.PeerHits = t.memHits.Load(), t.diskHits.Load(), t.peerHits.Load()
-	ts.Misses, ts.Dedups = t.misses.Load(), t.dedups.Load()
+	ts.Misses, ts.Dedups, ts.EncodeErrors = t.misses.Load(), t.dedups.Load(), t.encodeErrors.Load()
 	return ts
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/flight"
+	"repro/internal/lir"
 	"repro/internal/vm"
 )
 
@@ -60,64 +61,6 @@ func runVM(t *testing.T, e *ccache.Entry) string {
 		t.Fatalf("vm run: %v", err)
 	}
 	return out.String()
-}
-
-// TestCodecRoundTripDifferential proves the envelope preserves
-// executability: the decoded LIR must produce byte-identical VM
-// output, and the serializable fields must survive untouched.
-func TestCodecRoundTripDifferential(t *testing.T) {
-	src := heatSource(t)
-	opt := driver.Options{Level: core.C2F3}
-	e := compileEntry(t, src, opt, ccache.ArtifactIR)
-	e.Key = ccache.KeyOf(src, opt)
-	e.GoSrc = "package main"
-	e.BinKey = "abc123"
-	e.Aux = []byte("aux-bytes")
-	want := runVM(t, e)
-
-	raw, err := Encode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Key != e.Key || got.Kind != e.Kind || got.Source != src ||
-		got.Plan != e.Plan || got.GoSrc != e.GoSrc || got.BinKey != e.BinKey ||
-		string(got.Aux) != "aux-bytes" {
-		t.Errorf("fields did not survive round trip: %+v", got)
-	}
-	if got.Meta == nil || got.Meta.NestCount != e.Meta.NestCount ||
-		string(got.Meta.RemarksJSON) != string(e.Meta.RemarksJSON) {
-		t.Errorf("meta did not survive round trip: %+v", got.Meta)
-	}
-	if out := runVM(t, got); out != want {
-		t.Errorf("decoded program output differs:\nwant %q\ngot  %q", want, out)
-	}
-}
-
-func TestCodecRejectsCorruption(t *testing.T) {
-	e := compileEntry(t, heatSource(t), driver.Options{}, ccache.ArtifactIR)
-	raw, err := Encode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"truncated":    raw[:len(raw)/2],
-		"empty":        {},
-		"bad magic":    append([]byte("NOTMAGIC"), raw[8:]...),
-		"flipped body": flipByte(raw, len(raw)-1),
-		"flipped sum":  flipByte(raw, len(envMagic)+3),
-	}
-	for name, bad := range cases {
-		if _, err := Decode(bad); err == nil {
-			t.Errorf("%s: Decode accepted corrupt envelope", name)
-		}
-		if err := Verify(bad); err == nil {
-			t.Errorf("%s: Verify accepted corrupt envelope", name)
-		}
-	}
 }
 
 func flipByte(raw []byte, i int) []byte {
@@ -766,5 +709,180 @@ func TestClaimExpiry(t *testing.T) {
 	case <-done:
 	default:
 		t.Error("resolve did not wake waiters")
+	}
+}
+
+// v1Fixture is a genuine ZPLSTORE1 envelope (gob body), written by PR
+// 24's parent for testdata/fig2.za at c2+f4, with its source, options
+// and key.
+func v1Fixture(t *testing.T) (raw []byte, src string, opt driver.Options, k ccache.Key) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/v1-fig2.zpe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("../../testdata/fig2.za")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, opt = string(data), driver.Options{Level: core.C2F4}
+	if !bytes.HasPrefix(raw, []byte("ZPLSTORE1\n")) {
+		t.Fatal("fixture is not a v1 envelope")
+	}
+	return raw, src, opt, ccache.KeyOf(src, opt)
+}
+
+// TestDiskV1EnvelopeIsMissAndRewritten is the upgrade path of a
+// -cache-dir written by an older zpld: a ZPLSTORE1 file is a miss, not
+// an error; it is deleted, the key recompiles, and the slot holds a
+// current envelope afterwards.
+func TestDiskV1EnvelopeIsMissAndRewritten(t *testing.T) {
+	raw, src, opt, k := v1Fixture(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, k.String()[:2], k.String()+diskExt)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := NewTiered(ccache.New(0), d, nil)
+
+	computes := 0
+	e, res, err := ts.GetOrCompute(context.Background(), k, func() (*ccache.Entry, error) {
+		computes++
+		return compileEntry(t, src, opt, ccache.ArtifactIR), nil
+	})
+	if err != nil || e == nil {
+		t.Fatalf("a v1 file produced a request error: %v", err)
+	}
+	if res.Outcome != ccache.Miss || computes != 1 {
+		t.Errorf("outcome %v after %d computes, want one miss", res.Outcome, computes)
+	}
+	if st := d.Stats(); st.Corrupt != 1 || st.Errors != 0 || st.Entries != 1 {
+		t.Errorf("disk stats: %+v, want the v1 file counted corrupt and one entry resident", st)
+	}
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(now, []byte(envMagic)) {
+		t.Errorf("slot was not rewritten in the current format: %q", now[:len(envMagic)])
+	}
+
+	// A restart on the repaired directory is a disk hit.
+	d2, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, res, err := NewTiered(ccache.New(0), d2, nil).GetOrCompute(context.Background(), k, failCompute(t))
+	if err != nil || res.Tier != TierDisk {
+		t.Fatalf("after the rewrite: %v %v", res, err)
+	}
+	if runVM(t, got) != runVM(t, e) {
+		t.Error("rehydrated program output differs")
+	}
+}
+
+// TestPeerAnsweringV1DegradesToLocalCompile: a cluster member still
+// running the old format answers gets with ZPLSTORE1 bytes and refuses
+// this node's puts. Both cost a local compile, never a request error.
+func TestPeerAnsweringV1DegradesToLocalCompile(t *testing.T) {
+	raw, src, opt, k := v1Fixture(t)
+	var gets, puts atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/store/get", func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		w.Write(raw)
+	})
+	mux.HandleFunc("/store/put", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("claim") == "1" {
+			fmt.Fprint(w, ClaimGranted)
+			return
+		}
+		puts.Add(1)
+		http.Error(w, "store: bad envelope magic", http.StatusBadRequest)
+	})
+	old := httptest.NewServer(mux)
+	defer old.Close()
+	oldAddr := strings.TrimPrefix(old.URL, "http://")
+
+	disk, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find a key the old node owns (the ring holds this node too).
+	node := NewNode(NodeConfig{Self: "127.0.0.1:1", Peers: []string{oldAddr}, Disk: disk, Timeout: 2 * time.Second})
+	for node.Owner(k) != oldAddr {
+		src += "\n"
+		k = ccache.KeyOf(src, opt)
+	}
+	mem := ccache.New(0)
+	node.RegisterLocal("compile", mem, nil)
+	ts := NewTiered(mem, disk, node)
+
+	e, res, err := ts.GetOrCompute(context.Background(), k, func() (*ccache.Entry, error) {
+		return compileEntry(t, src, opt, ccache.ArtifactIR), nil
+	})
+	if err != nil || e == nil {
+		t.Fatalf("a v1 peer produced a request error: %v", err)
+	}
+	if res.Outcome != ccache.Miss || res.Tier != "" {
+		t.Errorf("served as %v/%q, want a local compile", res.Outcome, res.Tier)
+	}
+	if gets.Load() == 0 || puts.Load() == 0 {
+		t.Errorf("old peer saw %d gets and %d puts; the test did not reach it", gets.Load(), puts.Load())
+	}
+	// The v1 bytes were not written through to this node's disk; the
+	// local compile was.
+	if got, ok := disk.Get(k); !ok || got.Comp == nil {
+		t.Error("local compile did not reach the disk tier")
+	}
+	if st := disk.Stats(); st.Corrupt != 0 {
+		t.Errorf("peer bytes reached the disk tier undecoded: %+v", st)
+	}
+}
+
+// alienNode is an lir.Node the codec has no encoding for.
+type alienNode struct{ *lir.Nest }
+
+// TestEncodeErrorIsCounted: an entry that does not encode still answers
+// its request and later ones from memory, reaches no lower tier, and is
+// counted — it used to vanish silently.
+func TestEncodeErrorIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := NewTiered(ccache.New(0), d, nil)
+	src := heatSource(t)
+	k := ccache.KeyOf(src, driver.Options{})
+	ctx := context.Background()
+
+	e, res, err := ts.GetOrCompute(ctx, k, func() (*ccache.Entry, error) {
+		e := compileEntry(t, src, driver.Options{}, ccache.ArtifactIR)
+		main := *e.Comp.LIR.Main
+		main.Body = append([]lir.Node{alienNode{}}, main.Body...)
+		lirCopy := *e.Comp.LIR
+		lirCopy.Main, lirCopy.Procs = &main, map[string]*lir.Proc{"main": &main}
+		e.Comp = &driver.Compilation{LIR: &lirCopy}
+		return e, nil
+	})
+	if err != nil || e == nil || res.Outcome != ccache.Miss {
+		t.Fatalf("compute with an unencodable entry: %v %v", res, err)
+	}
+	if _, err := Encode(e); err == nil || !strings.Contains(err.Error(), "alienNode") {
+		t.Errorf("Encode error = %v, want one naming the node type", err)
+	}
+	if st := ts.TierStats(); st.EncodeErrors != 1 || st.Disk.Puts != 0 || st.Disk.Entries != 0 {
+		t.Errorf("tier stats: EncodeErrors %d, disk %+v; want 1 and an untouched disk", st.EncodeErrors, st.Disk)
+	}
+	if _, res, err := ts.GetOrCompute(ctx, k, failCompute(t)); err != nil || res.Tier != TierMem {
+		t.Errorf("second lookup = %v, %v; want a memory hit", res, err)
 	}
 }

@@ -239,6 +239,11 @@ func RenderStoreMetrics(cs, ts store.TierStats, node *store.Node) string {
 	fmt.Fprintf(&b, "zpld_store_tier_bytes{store=\"shared\",tier=\"disk\"} %d\n", cs.Disk.Bytes)
 	scalar(&b, "zpld_store_disk_corrupt_total", "counter", cs.Disk.Corrupt)
 	scalar(&b, "zpld_store_disk_errors_total", "counter", cs.Disk.Errors)
+	// Entries the envelope codec refused: served from memory, absent
+	// from the disk and peer tiers.
+	b.WriteString("# TYPE zpld_store_encode_errors_total counter\n")
+	fmt.Fprintf(&b, "zpld_store_encode_errors_total{store=\"compile\"} %d\n", cs.EncodeErrors)
+	fmt.Fprintf(&b, "zpld_store_encode_errors_total{store=\"tune\"} %d\n", ts.EncodeErrors)
 
 	if node == nil {
 		return b.String()
