@@ -25,9 +25,10 @@ vet:
 	$(GO) vet ./...
 
 # Formatting gate: gofmt must have nothing to say about any tracked Go
-# file outside bench/ (frozen by BENCHMARK.json, its own module).
+# file outside bench/ (frozen by BENCHMARK.json, its own module) — the
+# examples that build and vet compile included.
 fmt-check:
-	@test -z "$$(gofmt -l cmd internal zpl *.go)" || { echo "gofmt -l:"; gofmt -l cmd internal zpl *.go; exit 1; }
+	@test -z "$$(gofmt -l cmd internal zpl examples *.go)" || { echo "gofmt -l:"; gofmt -l cmd internal zpl examples *.go; exit 1; }
 
 # The distributed interpreter and the experiment harness are
 # concurrent; the race detector is part of the bar, not optional.
@@ -193,12 +194,14 @@ bench-smoke: build
 # TestEvidencePinned compares every string either can render (every
 # benchmark cell, the seeded faults, hand-built schedules) with
 # testdata/provers/evidence_hashes.json and
-# internal/mhp/testdata/evidence_hashes.json, and TestAnalyzeAllocs
-# fails if an analysis starts wording its verdicts again.
+# internal/mhp/testdata/evidence_hashes.json, TestAnalyzeAllocs fails
+# if an analysis starts wording (or storing) what it can render, and
+# TestFlatOffsetMatchesEnumeration holds Reason's closed-form flat
+# offset to the offsets it describes.
 plan-guard: build
 	$(GO) test -count=1 -run 'TestGoldenPlans|TestEvidencePinned|TestZpllintEvidenceGolden|TestLoopDefectReportedOnce' . ./internal/mhp
 	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates' ./internal/core
-	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs' ./internal/driver ./internal/mhp ./internal/absint
+	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs|TestFlatOffsetMatchesEnumeration' ./internal/driver ./internal/mhp ./internal/absint
 
 # VM guard: the three tests that let the strip evaluator be changed
 # without the bench harness, re-run fresh — the Tracer stream against

@@ -59,11 +59,6 @@ type Site struct {
 	// site can touch (allocation coordinates are Index[d] - Alloc.Lo[d]).
 	// Nil when the site has no static index context.
 	Index []Interval
-	// FlatRange and FlatStride bound the flattened element offset into
-	// the array's row-major storage: the interval and congruence of
-	// Σ (i_d + off_d - alloc.Lo[d]) · stride_d.
-	FlatRange  Interval
-	FlatStride Stride
 	// FailDim is the first dimension whose hull escapes the allocation
 	// (-1 when none).
 	FailDim int
@@ -375,7 +370,7 @@ func (a *analyzer) site(k siteKey, array string, off air.Offset, write bool, pos
 // fingerprint.
 func (a *analyzer) finalize(opt Options) {
 	for _, s := range a.res.Sites {
-		a.verdict(s)
+		verdict(s)
 	}
 	if opt.FaultSite > 0 {
 		a.injectFault(opt.FaultSite)
@@ -417,7 +412,7 @@ func fingerprint(sites []*Site) string {
 }
 
 // verdict classifies one site from its evidence.
-func (a *analyzer) verdict(s *Site) {
+func verdict(s *Site) {
 	if s.Index == nil {
 		s.Verdict = Unknown
 		return
@@ -439,7 +434,6 @@ func (a *analyzer) verdict(s *Site) {
 			return
 		}
 	}
-	s.FlatRange, s.FlatStride = a.flatten(s)
 	s.Verdict = ProvenSafe
 }
 
@@ -472,28 +466,39 @@ func (s *Site) Reason() string {
 		}
 		return fmt.Sprintf("dim %d: index %s %s allocation %s", d+1, hull[d], how, alloc[d])
 	}
+	flat, stride := flatOffset(hull, s.Alloc)
 	return fmt.Sprintf("index %s within allocation %s; flat offset %s stride %s",
-		hullString(hull), hullString(alloc), s.FlatRange, s.FlatStride) + fault
+		hullString(hull), hullString(alloc), flat, stride) + fault
 }
 
-// flatten derives the interval and congruence of the site's flattened
-// row-major element offset — the quantity the backends actually index
-// with.
-func (a *analyzer) flatten(s *Site) (Interval, Stride) {
-	rank := s.Alloc.Rank()
-	strides := make([]int64, rank)
-	sz := int64(1)
-	for d := rank - 1; d >= 0; d-- {
-		strides[d] = sz
-		sz *= int64(s.Alloc.Extent(d))
+// flatOffset words the row-major element offset Σ (i_d − alloc.Lo_d) ·
+// stride_d — the quantity the backends index with — over a non-empty
+// hull inside the allocation, in closed form: its interval, and its
+// congruence: "=c" when every dimension is one index, "any" when the
+// varying dimensions' strides have gcd 1, else "r mod m" with m that gcd
+// and r the single-index dimensions' terms (non-negative: the hull is
+// inside the allocation) reduced mod m.
+func flatOffset(hull []Interval, alloc *sema.Region) (Interval, string) {
+	flat := ConstInterval(0)
+	var m, r int64 // m == 0 while no dimension varies
+	stride := int64(1)
+	for d := len(hull) - 1; d >= 0; d-- {
+		t := hull[d].AddConst(-int64(alloc.Lo[d]))
+		flat = flat.Add(Range(satMul(t.Lo, stride), satMul(t.Hi, stride)))
+		if t.Lo == t.Hi {
+			r = satAdd(r, satMul(t.Lo, stride))
+		} else {
+			m = gcd(m, stride)
+		}
+		stride *= int64(alloc.Extent(d))
 	}
-	flat := ConstValue(0)
-	for d := 0; d < rank; d++ {
-		vd := Value{I: s.Index[d], S: TopStride()}.reduce()
-		term := vd.Sub(ConstValue(int64(s.Alloc.Lo[d]))).Mul(ConstValue(strides[d]))
-		flat = flat.Add(term)
+	switch m {
+	case 0:
+		return flat, "=" + strconv.FormatInt(r, 10)
+	case 1:
+		return flat, "any"
 	}
-	return flat.I, flat.S
+	return flat, fmt.Sprintf("%d mod %d", r%m, m)
 }
 
 // injectFault perturbs the Nth proven site's evidence by one element

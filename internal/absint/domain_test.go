@@ -1,8 +1,12 @@
 package absint
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/sema"
 )
 
 func TestIntervalJoin(t *testing.T) {
@@ -54,6 +58,9 @@ func TestIntervalMeet(t *testing.T) {
 	}
 }
 
+// TestIntervalArithmeticSaturation covers the arithmetic the flat-offset
+// clause is built from: a hull shifted by minus the allocation's lower
+// bound (sub), its ends scaled by a stride (mul, on satMul), summed.
 func TestIntervalArithmeticSaturation(t *testing.T) {
 	big := int64(math.MaxInt64 - 1)
 	cases := []struct {
@@ -65,17 +72,14 @@ func TestIntervalArithmeticSaturation(t *testing.T) {
 		{"add-overflow-hi", ConstInterval(big).Add(ConstInterval(big)), ConstInterval(Inf)},
 		{"add-overflow-lo", ConstInterval(-big).Add(ConstInterval(-big)), ConstInterval(NegInf)},
 		{"add-inf-sticky", Range(0, Inf).Add(ConstInterval(-5)), Range(-5, Inf)},
-		{"sub", Range(10, 20).Sub(Range(1, 2)), Range(8, 19)},
-		{"sub-neginf-sticky", Range(NegInf, 0).Sub(ConstInterval(1)), Range(NegInf, -1)},
-		{"neg", Range(-3, 7).Neg(), Range(-7, 3)},
-		{"neg-mininit", ConstInterval(NegInf).Neg(), ConstInterval(Inf)},
-		{"mul", Range(-2, 3).Mul(Range(4, 5)), Range(-10, 15)},
-		{"mul-overflow", ConstInterval(big).Mul(ConstInterval(4)), ConstInterval(Inf)},
-		{"mul-overflow-neg", ConstInterval(big).Mul(ConstInterval(-4)), ConstInterval(NegInf)},
-		{"mul-zero-inf", ConstInterval(0).Mul(Range(NegInf, Inf)), ConstInterval(0)},
+		{"sub", Range(10, 20).AddConst(-2), Range(8, 18)},
+		{"sub-neginf-sticky", Range(NegInf, 0).AddConst(-1), Range(NegInf, -1)},
+		{"mul", Range(satMul(-2, 5), satMul(3, 5)), Range(-10, 15)},
+		{"mul-overflow", ConstInterval(satMul(big, 4)), ConstInterval(Inf)},
+		{"mul-overflow-neg", ConstInterval(satMul(big, -4)), ConstInterval(NegInf)},
+		{"mul-zero-inf", ConstInterval(satMul(0, Inf)), ConstInterval(0)},
 		{"add-empty-propagates", EmptyInterval().Add(Range(1, 2)), EmptyInterval()},
-		{"sub-empty-propagates", Range(1, 2).Sub(EmptyInterval()), EmptyInterval()},
-		{"mul-empty-propagates", EmptyInterval().Mul(Range(NegInf, Inf)), EmptyInterval()},
+		{"sub-empty-propagates", EmptyInterval().AddConst(-1), EmptyInterval()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -101,45 +105,76 @@ func TestIntervalContains(t *testing.T) {
 	}
 }
 
-func TestStrideArithmetic(t *testing.T) {
-	cases := []struct {
-		name string
-		got  Stride
-		want Stride
-	}{
-		{"add-const", ConstStride(3).Add(ConstStride(4)), ConstStride(7)},
-		{"add-shift", Congruent(8, 3).Add(ConstStride(10)), Congruent(8, 5)},
-		{"add-congr", Congruent(6, 1).Add(Congruent(4, 3)), Congruent(2, 0)},
-		{"neg", Congruent(8, 3).Neg(), Congruent(8, 5)},
-		{"sub", Congruent(8, 3).Sub(ConstStride(4)), Congruent(8, 7)},
-		{"mul-const", Congruent(4, 1).Mul(ConstStride(3)), Congruent(12, 3)},
-		{"mul-congr", Congruent(4, 0).Mul(Congruent(6, 0)), Congruent(24, 0)},
-		{"mul-overflow-top", ConstStride(math.MaxInt64 / 2).Mul(ConstStride(4)), TopStride()},
-		{"bot-propagates", BotStride().Add(ConstStride(1)), BotStride()},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if c.got != c.want {
-				t.Errorf("got %s, want %s", c.got, c.want)
+// TestFlatOffsetMatchesEnumeration holds the closed form of Reason's
+// flat-offset clause to the offsets themselves. For random hulls of rank
+// 1–3 inside allocations with negative lower bounds (single-index
+// dimensions included, innermost and all of them), the interval must be
+// the least and greatest row-major offset any index of the hull reaches,
+// and the congruence the strongest one every such offset satisfies: the
+// gcd of their distances from the first.
+func TestFlatOffsetMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	branches := map[string]int{}
+	for n := 0; n < 3000; n++ {
+		rank := 1 + rng.Intn(3)
+		alloc := &sema.Region{Lo: make([]int, rank), Hi: make([]int, rank)}
+		hull := make([]Interval, rank)
+		for d := range hull {
+			alloc.Lo[d] = -4 + rng.Intn(4)
+			alloc.Hi[d] = alloc.Lo[d] + rng.Intn(5)
+			lo := alloc.Lo[d] + rng.Intn(alloc.Extent(d))
+			hi := lo
+			if rng.Intn(3) > 0 {
+				hi += rng.Intn(alloc.Hi[d] - lo + 1)
 			}
-		})
-	}
-}
+			hull[d] = Range(int64(lo), int64(hi))
+		}
 
-func TestValueReducedProduct(t *testing.T) {
-	// A singleton interval pins the congruence.
-	v := Value{I: ConstInterval(7), S: TopStride()}.reduce()
-	if c, ok := v.S.IsConst(); !ok || c != 7 {
-		t.Errorf("reduce should pin stride to constant 7, got %s", v.S)
+		// Every index of the hull, innermost dimension fastest: the first
+		// offset is the least, so every distance from it is non-negative.
+		var offs []int64
+		idx := make([]int64, rank)
+		for d := range idx {
+			idx[d] = hull[d].Lo
+		}
+		for {
+			off, stride := int64(0), int64(1)
+			for d := rank - 1; d >= 0; d-- {
+				off += (idx[d] - int64(alloc.Lo[d])) * stride
+				stride *= int64(alloc.Extent(d))
+			}
+			offs = append(offs, off)
+			d := rank - 1
+			for ; d >= 0 && idx[d] == hull[d].Hi; d-- {
+				idx[d] = hull[d].Lo
+			}
+			if d < 0 {
+				break
+			}
+			idx[d]++
+		}
+		lo, hi, m := offs[0], offs[0], int64(0)
+		for _, o := range offs {
+			lo, hi, m = min(lo, o), max(hi, o), gcd(m, o-offs[0])
+		}
+		want, branch := fmt.Sprintf("=%d", offs[0]), "=c"
+		switch {
+		case m == 1:
+			want, branch = "any", "any"
+		case m > 1:
+			want, branch = fmt.Sprintf("%d mod %d", offs[0]%m, m), "r mod m"
+		}
+		branches[branch]++
+
+		gotRange, got := flatOffset(hull, alloc)
+		if gotRange != Range(lo, hi) || got != want {
+			t.Fatalf("hull %s in allocation %s: flat offset %s stride %s, enumeration gives %s stride %s",
+				hullString(hull), hullString(regionHull(alloc)), gotRange, got, Range(lo, hi), want)
+		}
 	}
-	// A contradiction between components empties the value.
-	v = Value{I: ConstInterval(7), S: Congruent(2, 0)}.reduce()
-	if !v.IsBottom() {
-		t.Errorf("7 ∧ (0 mod 2) should be bottom, got %+v", v)
-	}
-	// Bottom propagates through arithmetic.
-	b := v.Add(ConstValue(1))
-	if !b.IsBottom() {
-		t.Errorf("bottom + 1 should stay bottom, got %+v", b)
+	for _, b := range []string{"=c", "any", "r mod m"} {
+		if branches[b] < 100 {
+			t.Errorf("only %d of the random hulls render %q: %v", branches[b], b, branches)
+		}
 	}
 }

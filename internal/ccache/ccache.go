@@ -2,15 +2,12 @@
 // are keyed by the SHA-256 of the program source plus a canonical
 // fingerprint of the driver options that shape the artifact, so a
 // repeated compile of an identical (source, options) request is a map
-// lookup instead of a pipeline run. Two mechanisms make it safe to
-// put in front of a concurrent service:
-//
-//   - byte-bounded LRU eviction: the cache never holds more than its
-//     budget of artifact bytes, evicting least-recently-used entries;
-//   - singleflight deduplication (internal/flight): N concurrent
-//     requests for the same missing key cost one compile — one caller
-//     computes, the others block on its result and share the entry (or
-//     its error).
+// lookup instead of a pipeline run. The cache is a byte-bounded LRU: it
+// never holds more than its budget of artifact bytes, evicting
+// least-recently-used entries. It does not compute: zpld's concurrent
+// misses collapse in the store in front of it (store.Tiered, through
+// internal/flight), and the lazy engine, its other user, looks up and
+// inserts under its own lock.
 //
 // Cached entries are shared by reference, which is sound because a
 // finished Compilation is immutable: the VM and the distributed
@@ -20,17 +17,14 @@ package ccache
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/driver"
-	"repro/internal/flight"
 	"repro/internal/lir"
 )
 
@@ -292,11 +286,13 @@ func (o Outcome) String() string {
 	}
 }
 
-// Stats is a snapshot of the cache's counters.
+// Stats is a snapshot of the cache's counters. A Cache counts its own
+// lookups; store.Tiered overwrites the three flow counters with its
+// cross-tier ones.
 type Stats struct {
 	Hits      int64 // lookups served from the cache
-	Misses    int64 // lookups that ran a compile
-	DedupHits int64 // lookups that joined an in-flight compile
+	Misses    int64 // lookups that found nothing (and so ran a compile)
+	DedupHits int64 // lookups that joined an in-flight compile (store.Tiered only)
 	Evictions int64 // entries evicted by the byte bound
 	TooLarge  int64 // computed entries larger than the whole budget (never cached)
 	Bytes     int64 // resident artifact bytes
@@ -322,18 +318,16 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// Cache is the byte-bounded LRU cache with singleflight lookups.
-// All methods are safe for concurrent use.
+// Cache is the byte-bounded LRU cache. All methods are safe for
+// concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	max     int64
 	size    int64
 	ll      *list.List // front = most recently used; values are *Entry
 	entries map[Key]*list.Element
-	flights flight.Group[Key, *Entry]
 
-	hits, evictions, tooLarge int64
-	misses, dedup             atomic.Int64 // counted outside mu, around a flight
+	hits, misses, evictions, tooLarge int64
 }
 
 // New creates a cache bounded to maxBytes of accounted artifact bytes.
@@ -342,46 +336,15 @@ func New(maxBytes int64) *Cache {
 	return &Cache{max: maxBytes, ll: list.New(), entries: map[Key]*list.Element{}}
 }
 
-// GetOrCompute returns the entry for k, computing it at most once
-// across concurrent callers (internal/flight). On a miss this caller
-// runs compute and (on success) inserts the result, evicting LRU
-// entries past the byte bound; concurrent callers for the same key
-// block and share the result or error. Errors are never cached.
-func (c *Cache) GetOrCompute(k Key, compute func() (*Entry, error)) (*Entry, Outcome, error) {
-	if e, ok := c.Get(k); ok {
-		return e, Hit, nil
-	}
-	out := Miss
-	// The signature carries no ctx, so a joiner waits without a deadline.
-	e, joined, err := c.flights.Do(context.TODO(), k, func() (*Entry, error) {
-		// A flight inserts before it releases its key, so a flight that
-		// ended between the lookup above and this one left the entry here:
-		// no window in which a finished key is computed again.
-		if e, ok := c.Get(k); ok {
-			out = Hit
-			return e, nil
-		}
-		c.misses.Add(1)
-		e, err := compute()
-		if err == nil && e != nil {
-			c.Put(k, e)
-		}
-		return e, err
-	})
-	if joined {
-		c.dedup.Add(1)
-		out = Dedup
-	}
-	return e, out, err
-}
-
-// Get peeks without computing; it counts as a hit and refreshes
-// recency when present.
+// Get looks k up: a hit refreshes its recency, and either outcome is
+// counted. A caller that compiles on a miss and Puts the result (the
+// lazy engine) makes Misses its compile count.
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
+		c.misses++
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
@@ -403,10 +366,10 @@ func (c *Cache) Peek(k Key) (*Entry, bool) {
 	return el.Value.(*Entry), true
 }
 
-// Put inserts an entry: GetOrCompute's own insertion, and the promotion
-// path of the tiered store, which uses this cache purely as its memory
-// tier. LRU entries past the byte bound are evicted; inserting an
-// already-resident key refreshes its recency.
+// Put inserts an entry: the lazy engine's freshly compiled batch, and
+// the promotion path of the tiered store, which uses this cache purely
+// as its memory tier. LRU entries past the byte bound are evicted;
+// inserting an already-resident key refreshes its recency.
 func (c *Cache) Put(k Key, e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -449,8 +412,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Hits:      c.hits,
-		Misses:    c.misses.Load(),
-		DedupHits: c.dedup.Load(),
+		Misses:    c.misses,
 		Evictions: c.evictions,
 		TooLarge:  c.tooLarge,
 		Bytes:     c.size,

@@ -1,17 +1,12 @@
 package ccache
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/flight"
 )
 
 func keyN(n int) Key {
@@ -31,7 +26,7 @@ func entryN(n int, size int64) *Entry {
 func TestLRUEvictionAtByteBound(t *testing.T) {
 	c := New(300)
 	for i := 0; i < 3; i++ {
-		c.GetOrCompute(keyN(i), func() (*Entry, error) { return entryN(i, 100), nil })
+		c.Put(keyN(i), entryN(i, 100))
 	}
 	if s := c.Stats(); s.Entries != 3 || s.Bytes != 300 || s.Evictions != 0 {
 		t.Fatalf("warm state wrong: %+v", s)
@@ -44,7 +39,7 @@ func TestLRUEvictionAtByteBound(t *testing.T) {
 
 	// Insert a 150-byte entry: must evict keys 1 and 2 (LRU order),
 	// keeping 0 and 3.
-	c.GetOrCompute(keyN(3), func() (*Entry, error) { return entryN(3, 150), nil })
+	c.Put(keyN(3), entryN(3, 150))
 	s := c.Stats()
 	if s.Evictions != 2 {
 		t.Fatalf("evictions = %d, want 2 (stats %+v)", s.Evictions, s)
@@ -67,7 +62,7 @@ func TestLRUEvictionAtByteBound(t *testing.T) {
 
 	// An entry larger than the whole budget is never cached (and must
 	// not evict the world to make room).
-	c.GetOrCompute(keyN(9), func() (*Entry, error) { return entryN(9, 1000), nil })
+	c.Put(keyN(9), entryN(9, 1000))
 	s = c.Stats()
 	if s.TooLarge != 1 {
 		t.Errorf("tooLarge = %d, want 1", s.TooLarge)
@@ -77,82 +72,6 @@ func TestLRUEvictionAtByteBound(t *testing.T) {
 	}
 	if _, ok := c.Get(keyN(0)); !ok {
 		t.Error("oversized insert evicted resident entries")
-	}
-}
-
-// TestSingleflightCollapse: 100 concurrent identical requests must
-// cost exactly one compute; run under -race this also proves the
-// locking discipline.
-func TestSingleflightCollapse(t *testing.T) {
-	c := New(1 << 20)
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	results := make([]*Entry, 100)
-	outcomes := make([]Outcome, 100)
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			e, o, err := c.GetOrCompute(keyN(7), func() (*Entry, error) {
-				computes.Add(1)
-				time.Sleep(20 * time.Millisecond) // hold the flight open
-				return entryN(7, 64), nil
-			})
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-			}
-			results[i] = e
-			outcomes[i] = o
-		}(i)
-	}
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times, want 1", n)
-	}
-	var miss, dedup, hit int
-	for i := range results {
-		if results[i] != results[0] {
-			t.Fatalf("request %d got a different entry", i)
-		}
-		switch outcomes[i] {
-		case Miss:
-			miss++
-		case Dedup:
-			dedup++
-		case Hit:
-			hit++
-		}
-	}
-	if miss != 1 {
-		t.Errorf("misses = %d, want exactly 1 leader", miss)
-	}
-	if dedup+hit != 99 {
-		t.Errorf("dedup %d + hit %d = %d, want 99 followers", dedup, hit, dedup+hit)
-	}
-	s := c.Stats()
-	if s.Misses != 1 || s.DedupHits != int64(dedup) {
-		t.Errorf("stats disagree with outcomes: %+v", s)
-	}
-	// Errors must not be cached: a failing flight leaves the key
-	// recomputable.
-	boom := errors.New("boom")
-	_, _, err := c.GetOrCompute(keyN(8), func() (*Entry, error) { return nil, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	// Nor is a panic: it reaches the caller, and the key is free again.
-	func() {
-		defer func() {
-			var pe *flight.PanicError
-			if r, _ := recover().(error); !errors.As(r, &pe) || pe.Value != "kaboom" {
-				t.Errorf("compute's panic did not reach its caller as a *flight.PanicError: %v", r)
-			}
-		}()
-		c.GetOrCompute(keyN(8), func() (*Entry, error) { panic("kaboom") })
-	}()
-	_, o, err := c.GetOrCompute(keyN(8), func() (*Entry, error) { return entryN(8, 10), nil })
-	if err != nil || o != Miss {
-		t.Errorf("after failed flights: outcome %v err %v, want fresh miss", o, err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/absint"
 	"repro/internal/air"
 	"repro/internal/lir"
@@ -288,6 +286,3 @@ func shiftSpan(s span, off int) span {
 	s.hi += off
 	return s
 }
-
-// String unused guard (fmt kept for reporter formatting).
-var _ = fmt.Sprintf

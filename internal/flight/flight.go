@@ -1,5 +1,5 @@
-// Package flight is the one singleflight table behind the three
-// content-addressed stores (ccache, store.Tiered, backend.Store): N
+// Package flight is the one singleflight table behind the two
+// content-addressed stores that compute (store.Tiered, backend.Store): N
 // overlapping callers of one missing key cost one run of the function,
 // and a flight always resolves, however that run ends.
 package flight

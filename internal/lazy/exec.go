@@ -42,7 +42,10 @@ func (e *Engine) runBatch(ctx context.Context, cb *canonBatch) (err error) {
 		e.store = st
 	}
 
-	entry, _, err := e.cache.GetOrCompute(key, func() (*ccache.Entry, error) {
+	// The engine's lock is held over the whole Eval and no other engine
+	// shares this cache, so a miss has nobody to share its compile with.
+	entry, ok := e.cache.Get(key)
+	if !ok {
 		if e.compileHook != nil {
 			e.compileHook()
 		}
@@ -50,28 +53,25 @@ func (e *Engine) runBatch(ctx context.Context, cb *canonBatch) (err error) {
 		// instance rendered for the fingerprint is never handed over.
 		prog, err := cb.build()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		comp, err := driver.CompileAIR(ctx, prog, dopt)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ent := &ccache.Entry{Key: key, Kind: ccache.ArtifactLazy, Source: cb.text, Comp: comp}
+		entry = &ccache.Entry{Key: key, Kind: ccache.ArtifactLazy, Source: cb.text, Comp: comp}
 		if native {
 			goSrc, err := gogen.EmitState(comp.LIR, comp.Bounds, stateSpec(comp.LIR))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			art, err := e.store.Build(ctx, goSrc)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			ent.GoSrc, ent.Bin, ent.BinKey = goSrc, art.Bin, art.Key
+			entry.GoSrc, entry.Bin, entry.BinKey = goSrc, art.Bin, art.Key
 		}
-		return ent, nil
-	})
-	if err != nil {
-		return err
+		e.cache.Put(key, entry)
 	}
 	if entry.Comp.Plan != nil {
 		e.remarks = append(e.remarks, entry.Comp.Plan.Remarks...)

@@ -51,10 +51,11 @@ type Result struct {
 	Tier    string
 }
 
-// Store is the lookup interface the service compiles through. The
-// contract matches ccache.Cache.GetOrCompute with a context threaded
-// in (peer fetches must respect the request deadline) and the serving
-// tier reported alongside the outcome.
+// Store is the lookup interface the service compiles through: return
+// the entry for k, computing it at most once across concurrent callers
+// (errors are never cached), with a context threaded in (peer fetches
+// and joiners respect the request deadline) and the serving tier
+// reported alongside the outcome.
 type Store interface {
 	GetOrCompute(ctx context.Context, k ccache.Key, compute func() (*ccache.Entry, error)) (*ccache.Entry, Result, error)
 	// Stats aggregates across tiers into the classic counter shape:
