@@ -8,9 +8,8 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
 .PHONY: all build test vet fmt-check race check serve-test ci experiments \
-	lint-self staticcheck govulncheck audit results-check tune-smoke backend-diff \
-	prove-fuzz lazy-smoke race-smoke race-sweep cluster-smoke \
-	bench-smoke plan-guard vm-guard loc soak fuzz-soak
+	lint-self staticcheck govulncheck audit results-check race-smoke race-sweep \
+	cluster-smoke bench-smoke plan-guard vm-guard loc soak fuzz-soak
 
 all: build test
 
@@ -87,50 +86,6 @@ govulncheck:
 	else \
 		echo "govulncheck@$(GOVULNCHECK_VERSION) not in the module cache and no network; skipping"; \
 	fi
-
-# Plan-search smoke: tune the two smallest benchmarks (frac is fully
-# exhaustive, so its result is the proven optimum; fibro is where the
-# search beats the greedy ladder). zpltune itself asserts the
-# tuned <= heuristic guarantee on every run (exit 1 on violation) and
-# -check re-proves the winning plan through the static verifier.
-tune-smoke: build
-	$(GO) run ./cmd/zpltune -bench frac -config n=24 -check
-	$(GO) run ./cmd/zpltune -bench fibro -config n=16 -check
-
-# Native differential: everything that builds emitted Go and compares it
-# with the VM, re-run fresh and in full — the one target to run after
-# touching internal/gogen. Every testdata program plus every benchmark
-# under its golden tuned plan must produce byte-identical output on the
-# native backend and the VM (-full: the testdata programs at all nine
-# ladder levels, tier-1 runs two, and the six benchmarks at each of the
-# nine as well, 54 cells), and a seeded miscompile must be caught; the
-# unchecked emission (nest-local base
-# pointers, trap scaffold elided when everything is proven) must stay
-# byte-identical to the checked emission and to the VM, a faulted proof
-# must surface as a wrong answer or a trap, never silence, and the run
-# must be clean under -d=checkptr; and the edge-nest matrix (-full: every
-# ladder level, every imposed loop structure in both emissions, forty
-# random programs; tier-1 runs a cut of it) must match the VM. Skips
-# gracefully on a host without a go toolchain (the backend package's
-# tests skip themselves).
-backend-diff: build
-	$(GO) test -count=1 -run 'TestBackendBitIdentical|TestSeedFaultCaught|TestProveBitIdentical|TestProveFaultCaughtNative|TestNativeEdgeNests|TestEmittedCheckptrClean' -v ./internal/backend -full
-
-# Prover differential fuzz: random programs across the ladder must be
-# fully proven, run bit-identical checked vs proof-carrying, and a
-# seeded one-element evidence fault must be caught — statically by the
-# bounds cross-validator and dynamically by the differential.
-prove-fuzz: build
-	$(GO) test -count=1 -run 'TestQuickProve' -v ./internal/driver
-
-# Lazy-runtime smoke: the example solver builds, and the differential
-# test (lazy output byte-identical to the equivalent ZA program across
-# three ladder levels, VM and native) plus the steady-state cache
-# property (a double-buffer swap never recompiles) run under the race
-# detector.
-lazy-smoke: build
-	$(GO) build -o /dev/null ./examples/lazy
-	$(GO) test -race -count=1 -run 'TestLazyMatchesZA|TestSteadyStateZeroRecompile|TestQuickstart' -v ./internal/lazy ./zpl
 
 # Race smoke: the concurrent subsystems under the race detector — the
 # distributed interpreter's engine protocol (the combining barrier's
@@ -238,10 +193,10 @@ loc:
 # The time-seeded search the property tests used to be on every tier-1
 # run: each test prints the seed it drew before using it (a failure
 # reproduces by putting that seed at the test's soak.Config site) and
-# runs 20x its tier-1 cases. Only the three packages whose tests import
+# runs 20x its tier-1 cases. Only the four packages whose tests import
 # internal/soak define the flag.
 soak: build
-	$(GO) test -count=1 -run 'TestQuick' ./internal/driver ./internal/parser ./internal/dist -soak
+	$(GO) test -count=1 -run 'TestQuick' ./internal/driver ./internal/parser ./internal/dist ./internal/difftest -soak
 
 # Coverage-guided fuzzing of the envelope decoder (what a peer's POST
 # /store/put reaches), from the committed seed corpus, for a bounded
@@ -255,12 +210,15 @@ fuzz-soak: build
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary
 # package tests, so `test` runs them and `race` runs them under -race.
-# For the same reason seven targets are not chained here: serve-test,
-# race-smoke, lazy-smoke and cluster-smoke re-run, with -run filters,
-# tests that `race` (and `test`, `build`) already ran, and prove-fuzz,
-# plan-guard and vm-guard re-run tests that `test` already ran. Each
-# stays as the shortcut to run after touching what its comment names.
-ci: vet fmt-check test race check lint-self audit results-check staticcheck govulncheck tune-smoke backend-diff race-sweep bench-smoke
+# For the same reason five targets are not chained here: serve-test,
+# race-smoke and cluster-smoke re-run, with -run filters, tests that
+# `race` (and `test`, `build`) already ran, and plan-guard and vm-guard
+# re-run tests that `test` already ran. Each stays as the shortcut to
+# run after touching what its comment names. The last step is the whole
+# differential matrix (internal/difftest, DESIGN.md §26): tier-1 runs
+# its cut, -full every ladder level and every native cell, ~50 s.
+ci: vet fmt-check test race check lint-self audit results-check staticcheck govulncheck race-sweep bench-smoke
+	$(GO) test -count=1 ./internal/difftest ./internal/backend -full
 
 # Every study, tables to stdout. All are deterministic: none builds a
 # native binary or reads a clock (wall-clock numbers are bench/'s).

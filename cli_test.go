@@ -6,40 +6,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
-)
 
-// transcriptsClose compares outputs token-wise with a floating-point
-// tolerance (distributed reductions reorder the accumulation).
-func transcriptsClose(a, b string) bool {
-	ta, tb := strings.Fields(a), strings.Fields(b)
-	if len(ta) != len(tb) {
-		return false
-	}
-	for i := range ta {
-		if ta[i] == tb[i] {
-			continue
-		}
-		fa, errA := strconv.ParseFloat(ta[i], 64)
-		fb, errB := strconv.ParseFloat(tb[i], 64)
-		if errA != nil || errB != nil {
-			return false
-		}
-		diff := math.Abs(fa - fb)
-		scale := math.Max(math.Abs(fa), math.Abs(fb))
-		if diff > 1e-9*math.Max(scale, 1) {
-			return false
-		}
-	}
-	return true
-}
+	"repro/internal/difftest"
+)
 
 var (
 	buildOnce sync.Once
@@ -204,7 +179,7 @@ func TestZplrunDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !transcriptsClose(seq, dist) {
+	if !difftest.Close(seq, dist) {
 		t.Errorf("distributed CLI output %q != sequential %q", dist, seq)
 	}
 	if _, _, err := runTool(t, "zplrun", "-bench", "fibro", "-dist"); err == nil {
@@ -710,14 +685,14 @@ func TestZplrunBindsZplcsPipelineFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zplrun -p 4 -dist -scalarrep: %v\n%s", err, stderr)
 	}
-	if !transcriptsClose(seq, dist) {
+	if !difftest.Close(seq, dist) {
 		t.Errorf("-dist -scalarrep output %q != sequential %q", dist, seq)
 	}
 	comm, stderr, err := runTool(t, "zplrun", "-bench", "tomcatv", "-config", "n=16", "-p", "4", "-dist", "-comm", "favor-comm")
 	if err != nil {
 		t.Fatalf("zplrun -comm favor-comm: %v\n%s", err, stderr)
 	}
-	if !transcriptsClose(seq, comm) {
+	if !difftest.Close(seq, comm) {
 		t.Errorf("-comm favor-comm output %q != sequential %q", comm, seq)
 	}
 }

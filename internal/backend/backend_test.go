@@ -14,11 +14,10 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/difftest/matrix"
 	"repro/internal/driver"
 	"repro/internal/flight"
 	"repro/internal/gogen"
-	"repro/internal/programs"
-	"repro/internal/vm"
 )
 
 func requireToolchain(t *testing.T) {
@@ -28,51 +27,10 @@ func requireToolchain(t *testing.T) {
 	}
 }
 
-// store is shared across this package's tests so identical emissions
-// (the same program reached from several tests) are build hits.
-var store = func() *backend.Store {
-	dir, err := os.MkdirTemp("", "zpl-backend-test")
-	if err != nil {
-		panic(err)
-	}
-	s, err := backend.Open(dir)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}()
-
-func vmOutput(t *testing.T, c *driver.Compilation) string {
-	t.Helper()
-	var out bytes.Buffer
-	if _, _, err := vm.Run(c.LIR, vm.Options{Out: &out}); err != nil {
-		t.Fatalf("vm: %v", err)
-	}
-	return out.String()
-}
-
-func nativeOutput(t *testing.T, c *driver.Compilation) string {
-	t.Helper()
-	art, _, err := store.BuildProgram(context.Background(), c.LIR)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	var out bytes.Buffer
-	if _, err := art.Run(context.Background(), &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return out.String()
-}
-
-// nativeMatchesVM fails t unless the checked native build of c prints
-// the VM's transcript.
-func nativeMatchesVM(t *testing.T, c *driver.Compilation) {
-	t.Helper()
-	want := vmOutput(t, c)
-	if got := nativeOutput(t, c); got != want {
-		t.Errorf("native output diverges from VM\nnative: %q\nvm:     %q", got, want)
-	}
-}
+// store is the oracle's: the cells of this package's matrix rows and
+// the tests below build into one store, so an emission two of them
+// reach is built once.
+var store = matrix.Store()
 
 // TestArtifactCacheHit: rebuilding an identical program must be a
 // store hit that skips the toolchain.
@@ -264,128 +222,53 @@ func TestRunReportsComputeTime(t *testing.T) {
 	}
 }
 
-// bitIdenticalLevels is the short differential ladder; -full (make
-// backend-diff) runs all nine levels.
-func bitIdenticalLevels() []core.Level {
-	if *full {
-		return core.AllLevels()
-	}
-	return []core.Level{core.Baseline, core.C2F3}
-}
-
-// benchConfigs returns a small problem size for a benchmark so the
-// differential suite stays fast.
-func benchConfigs(b programs.Benchmark) map[string]int64 {
-	n := int64(20)
-	if b.Rank == 1 {
-		n = 512
-	}
-	return map[string]int64{b.SizeConfig: n}
-}
-
-// TestBackendBitIdentical is the differential suite: every testdata
-// program across the ladder, plus every built-in benchmark under its
-// golden tuned plan and, with -full, at each of the nine levels (54
-// cells), must produce byte-identical output on the native backend and
-// the VM.
+// TestBackendBitIdentical is the native row of the matrix: every
+// testdata program at the ladder ends (-full: every level), and every
+// benchmark under its golden tuned plan (-full: also at every level),
+// prints the VM's bytes when built natively.
 func TestBackendBitIdentical(t *testing.T) {
 	requireToolchain(t)
 	if testing.Short() {
 		t.Skip("invokes the go toolchain repeatedly")
 	}
-
-	files, err := filepath.Glob("../../testdata/*.za")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no testdata programs: %v", err)
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lvl := range bitIdenticalLevels() {
-			t.Run(filepath.Base(f)+"/"+lvl.String(), func(t *testing.T) {
-				t.Parallel()
-				c, err := driver.Compile(string(data), driver.Options{Level: lvl})
-				if err != nil {
-					t.Fatal(err)
-				}
-				nativeMatchesVM(t, c)
-			})
+	var cells []matrix.Cell
+	for _, p := range matrix.Testdata(t) {
+		for _, lvl := range matrix.Ladder(core.Baseline, core.C2F3) {
+			cells = append(cells, p.At(lvl, matrix.Go))
 		}
 	}
-
-	// The golden tuned plans: the autotuner's committed winners must
-	// survive native code generation too.
-	for _, b := range programs.All() {
-		planFile := filepath.Join("../../testdata/plans", b.Name+"-c2+f4s.json")
-		data, err := os.ReadFile(planFile)
-		if err != nil {
-			t.Fatalf("golden plan: %v", err)
-		}
-		spec, err := core.ParseSpec(data)
-		if err != nil {
-			t.Fatalf("golden plan %s: %v", planFile, err)
-		}
-		t.Run("plan/"+b.Name, func(t *testing.T) {
-			t.Parallel()
-			c, err := driver.Compile(b.Source, driver.Options{Plan: spec, Configs: benchConfigs(b)})
-			if err != nil {
-				t.Fatal(err)
+	for _, p := range matrix.Benchmarks() {
+		c := p.At(core.Baseline, matrix.Go)
+		c.Name, c.Opt.Plan = "plan/"+p.Name, matrix.GoldenPlan(t, p.Name)
+		cells = append(cells, c)
+		if matrix.Full() {
+			for _, lvl := range core.AllLevels() {
+				cells = append(cells, p.At(lvl, matrix.Go))
 			}
-			nativeMatchesVM(t, c)
-		})
-		if !*full {
-			continue
-		}
-		for _, lvl := range core.AllLevels() {
-			t.Run(b.Name+"/"+lvl.String(), func(t *testing.T) {
-				t.Parallel()
-				c, err := driver.Compile(b.Source, driver.Options{Level: lvl, Configs: benchConfigs(b)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				nativeMatchesVM(t, c)
-			})
 		}
 	}
+	matrix.Run(t, cells...)
 }
 
 // TestSeedFaultCaught is the -checkfault-style self-test: a seeded
-// miscompile must make the differential harness report divergence —
-// proving the bit-identity assertion has teeth.
+// code-generator miscompile in the go column must be reported by the
+// matrix — proving its bit-identity assertion has teeth.
 func TestSeedFaultCaught(t *testing.T) {
 	requireToolchain(t)
 	src, err := os.ReadFile("../../testdata/quickstart.za")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := driver.Compile(string(src), driver.Options{Level: core.C2F3})
-	if err != nil {
-		t.Fatal(err)
+	c := matrix.Program{Name: "quickstart.za", Src: string(src)}.At(core.C2F3, matrix.Go)
+	c.Miscompile = backend.SeedFault
+	_, bad := matrix.Diff(c)
+	want := c.Name + " go: transcript differs from vm"
+	for _, b := range bad {
+		if strings.HasPrefix(b, want) {
+			return
+		}
 	}
-	goSrc, err := gogen.Emit(c.LIR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated, ok := backend.SeedFault(goSrc)
-	if !ok {
-		t.Fatal("program offers no fault site")
-	}
-	if mutated == goSrc {
-		t.Fatal("SeedFault returned the source unchanged")
-	}
-	art, err := store.Build(context.Background(), mutated)
-	if err != nil {
-		t.Fatalf("seeded source must still build: %v", err)
-	}
-	var out bytes.Buffer
-	if _, err := art.Run(context.Background(), &out); err != nil {
-		t.Fatalf("seeded binary must still run: %v", err)
-	}
-	if want := vmOutput(t, c); out.String() == want {
-		t.Errorf("seeded miscompile produced VM-identical output %q — the harness would miss it", want)
-	}
+	t.Errorf("the matrix missed the seeded miscompile; its findings: %q", bad)
 }
 
 // TestStateProtocolRoundTrip: a state-protocol artifact must dump its

@@ -18,85 +18,47 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/difftest/matrix"
 	"repro/internal/driver"
 	"repro/internal/gogen"
-	"repro/internal/programs"
-	"repro/internal/vm"
 )
 
-// nativeBoundsOutput builds and runs the proof-carrying emission.
-func nativeBoundsOutput(t *testing.T, c *driver.Compilation) string {
-	t.Helper()
-	art, _, err := store.BuildProgramBounds(context.Background(), c.LIR, c.Bounds)
-	if err != nil {
-		t.Fatalf("build with bounds: %v", err)
-	}
-	var out bytes.Buffer
-	if _, err := art.Run(context.Background(), &out); err != nil {
-		t.Fatalf("run with bounds: %v", err)
-	}
-	return out.String()
-}
-
-// TestProveBitIdentical: checked VM, unchecked VM, checked native, and
-// unchecked native all agree byte-for-byte, and the unchecked emission
-// really is unchecked (raw pointer accesses, no recover scaffold).
+// TestProveBitIdentical: every site is proven, the checked and the
+// proof-carrying native builds print the VM's bytes (the matrix row),
+// and the proof-carrying emission really is unchecked (raw pointer
+// accesses, no recover scaffold).
 func TestProveBitIdentical(t *testing.T) {
 	requireToolchain(t)
 	if testing.Short() {
 		t.Skip("invokes the go toolchain repeatedly")
 	}
-
-	type cse struct {
-		name string
-		src  string
-		cfgs map[string]int64
+	data, err := os.ReadFile("../../testdata/quickstart.za")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var cases []cse
-	if data, err := os.ReadFile("../../testdata/quickstart.za"); err == nil {
-		cases = append(cases, cse{name: "quickstart", src: string(data)})
-	}
-	for _, b := range programs.All() {
-		if b.Name == "tomcatv" || b.Name == "ep" {
-			cases = append(cases, cse{name: b.Name, src: b.Source, cfgs: benchConfigs(b)})
+	cases := []matrix.Program{{Name: "quickstart", Src: string(data)}}
+	for _, p := range matrix.Benchmarks() {
+		if p.Name == "tomcatv" || p.Name == "ep" {
+			cases = append(cases, p)
 		}
 	}
-	for _, cs := range cases {
+	for _, p := range cases {
 		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
-			cs, lvl := cs, lvl
-			t.Run(cs.name+"/"+lvl.String(), func(t *testing.T) {
+			t.Run(p.Name+"/"+lvl.String(), func(t *testing.T) {
 				t.Parallel()
-				c, err := driver.Compile(cs.src, driver.Options{Level: lvl, Configs: cs.cfgs, Check: true})
+				c := p.At(lvl, matrix.Go|matrix.GoProved)
+				c.Proven = true
+				matrix.Check(t, c)
+
+				comp, err := driver.Compile(p.Src, c.Opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c.Bounds == nil || !c.Bounds.AllProven() {
-					t.Fatalf("expected a fully proven program, got %+v", c.Bounds)
-				}
-
-				vmChecked := vmOutput(t, c)
-				var unchk bytes.Buffer
-				if _, _, err := c.Run(vm.Options{Out: &unchk}); err != nil {
-					t.Fatalf("vm unchecked: %v", err)
-				}
-				if unchk.String() != vmChecked {
-					t.Errorf("VM unchecked diverges from checked\nchecked   %q\nunchecked %q", vmChecked, unchk.String())
-				}
-
-				nativeChecked := nativeOutput(t, c)
-				nativeUnchecked := nativeBoundsOutput(t, c)
-				if nativeChecked != vmChecked {
-					t.Errorf("native checked diverges from VM\nnative %q\nvm     %q", nativeChecked, vmChecked)
-				}
-				if nativeUnchecked != vmChecked {
-					t.Errorf("native unchecked diverges from VM\nnative %q\nvm     %q", nativeUnchecked, vmChecked)
-				}
-
-				goSrc, err := gogen.EmitBounds(c.LIR, c.Bounds)
+				goSrc, err := gogen.EmitBounds(comp.LIR, comp.Bounds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(c.Bounds.Sites) > 0 && !strings.Contains(goSrc, "unsafe.Add") {
+				if len(comp.Bounds.Sites) > 0 && !strings.Contains(goSrc, "unsafe.Add") {
 					t.Error("proven emission contains no unchecked access")
 				}
 				if strings.Contains(goSrc, "recover()") {
@@ -119,11 +81,11 @@ func TestProveFaultCaughtNative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := matrix.Check(t, matrix.Program{Name: "quickstart", Src: string(src)}.At(core.C2F4, matrix.GoProved))
 	sound, err := driver.Compile(string(src), driver.Options{Level: core.C2F4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := nativeBoundsOutput(t, sound)
 	total := sound.Bounds.NumProven
 	if total == 0 {
 		t.Skip("program has no proven sites to fault")
@@ -171,25 +133,18 @@ func TestEmittedCheckptrClean(t *testing.T) {
 		t.Skip("invokes the go toolchain repeatedly")
 	}
 	tool, _ := backend.Toolchain()
-	file := func(name string) string {
-		data, err := os.ReadFile("../../testdata/" + name)
-		if err != nil {
-			t.Fatal(err)
+	var cases []matrix.Program
+	for _, p := range append(matrix.Testdata(t), matrix.Benchmarks()...) {
+		if name := strings.TrimSuffix(p.Name, ".za"); name == "heat" || name == "tomcatv" || name == "rowsums" {
+			p.Name = name
+			cases = append(cases, p)
 		}
-		return string(data)
 	}
-	tomcatv, _ := programs.ByName("tomcatv")
-	for _, cs := range []struct {
-		name, src string
-		cfgs      map[string]int64
-	}{
-		{"heat", file("heat.za"), nil},
-		{"tomcatv", tomcatv.Source, benchConfigs(tomcatv)},
-		{"rowsums", file("rowsums.za"), nil},
-	} {
-		t.Run(cs.name, func(t *testing.T) {
+	for _, cs := range cases {
+		t.Run(cs.Name, func(t *testing.T) {
 			t.Parallel()
-			c, err := driver.Compile(cs.src, driver.Options{Level: core.C2F4, Configs: cs.cfgs})
+			want := matrix.Check(t, cs.At(core.C2F4, 0))
+			c, err := driver.Compile(cs.Src, driver.Options{Level: core.C2F4, Configs: cs.Configs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +170,7 @@ func TestEmittedCheckptrClean(t *testing.T) {
 			if err := run.Run(); err != nil {
 				t.Fatalf("run under checkptr: %v\n%s", err, stderr.String())
 			}
-			if want := vmOutput(t, c); stdout.String() != want {
+			if stdout.String() != want {
 				t.Errorf("output under checkptr %q, VM %q", stdout.String(), want)
 			}
 		})

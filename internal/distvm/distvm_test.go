@@ -2,113 +2,17 @@ package distvm_test
 
 import (
 	"bytes"
-	"math"
-	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/difftest/matrix"
 	"repro/internal/distvm"
 	"repro/internal/driver"
 	"repro/internal/programs"
 	"repro/internal/vm"
 )
-
-// runBoth compiles src for procs processors, executes sequentially and
-// distributed, and compares every non-contracted array element and the
-// writeln transcripts.
-func runBoth(t *testing.T, src string, lvl core.Level, procs int, cfg map[string]int64) {
-	t.Helper()
-	runBothOpt(t, src, driver.Options{Level: lvl, Configs: cfg}, procs)
-}
-
-// runBothOpt is runBoth over arbitrary compile options (opt.Comm is
-// set here for the distributed side).
-func runBothOpt(t *testing.T, src string, opt driver.Options, procs int) {
-	t.Helper()
-	// Sequential reference: same optimization level, no communication.
-	ref, err := driver.Compile(src, opt)
-	if err != nil {
-		t.Fatalf("sequential compile: %v", err)
-	}
-	var refOut bytes.Buffer
-	refM, _, err := vm.Run(ref.LIR, vm.Options{Out: &refOut})
-	if err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-
-	// Distributed: communication inserted, real exchanges performed.
-	co := comm.DefaultOptions(procs)
-	opt.Comm = &co
-	dc, err := driver.Compile(src, opt)
-	if err != nil {
-		t.Fatalf("distributed compile: %v", err)
-	}
-	var distOut bytes.Buffer
-	dm, err := distvm.Run(dc.LIR, distvm.Options{Procs: procs, Out: &distOut})
-	if err != nil {
-		t.Fatalf("distributed run (p=%d): %v", procs, err)
-	}
-
-	if !outputsClose(refOut.String(), distOut.String()) {
-		t.Errorf("p=%d transcripts differ:\nseq:  %q\ndist: %q", procs, refOut.String(), distOut.String())
-	}
-	if err := dm.ScalarsConsistent(); err != nil {
-		t.Errorf("p=%d: %v", procs, err)
-	}
-
-	// Compare arrays that are allocated in BOTH compilations (the
-	// distributed one may contract fewer arrays).
-	for name, info := range ref.AIR.Arrays {
-		if info.Contracted {
-			continue
-		}
-		dinfo := dc.AIR.Arrays[name]
-		if dinfo == nil || dinfo.Contracted {
-			continue
-		}
-		want := refM.ArrayData(name)
-		got := dm.Gather(name)
-		if len(want) != len(got) {
-			t.Errorf("p=%d %s: size %d vs %d", procs, name, len(want), len(got))
-			continue
-		}
-		for i := range want {
-			if !closeEnough(want[i], got[i]) {
-				t.Errorf("p=%d %s[%d] = %v, want %v", procs, name, i, got[i], want[i])
-				break
-			}
-		}
-	}
-}
-
-func closeEnough(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-9*math.Max(scale, 1)
-}
-
-func outputsClose(a, b string) bool {
-	ta, tb := strings.Fields(a), strings.Fields(b)
-	if len(ta) != len(tb) {
-		return false
-	}
-	for i := range ta {
-		if ta[i] == tb[i] {
-			continue
-		}
-		fa, errA := strconv.ParseFloat(ta[i], 64)
-		fb, errB := strconv.ParseFloat(tb[i], 64)
-		if errA != nil || errB != nil || !closeEnough(fa, fb) {
-			return false
-		}
-	}
-	return true
-}
 
 const stencilSrc = `
 program dstencil;
@@ -133,11 +37,19 @@ begin
 end;
 `
 
+// distributed is src at c2+f3 over each processor count, on the VM and
+// on distvm.
+func distributed(name, src string, procs ...int) matrix.Cell {
+	c := matrix.Program{Name: name, Src: src}.At(core.C2F3, 0)
+	c.Procs = procs
+	return c
+}
+
 func TestStencilMatchesSequential(t *testing.T) {
-	for _, procs := range []int{1, 2, 4, 9, 16} {
-		for _, lvl := range []core.Level{core.Baseline, core.C2F3} {
-			runBoth(t, stencilSrc, lvl, procs, nil)
-		}
+	for _, lvl := range []core.Level{core.Baseline, core.C2F3} {
+		c := matrix.Program{Name: "dstencil", Src: stencilSrc}.At(lvl, 0)
+		c.Procs = []int{1, 2, 4, 9, 16}
+		matrix.Check(t, c)
 	}
 }
 
@@ -160,9 +72,7 @@ begin
   writeln(s);
 end;
 `
-	for _, procs := range []int{4, 6, 9} {
-		runBoth(t, src, core.C2F3, procs, nil)
-	}
+	matrix.Check(t, distributed("diag", src, 4, 6, 9))
 }
 
 func TestWideOffsets(t *testing.T) {
@@ -181,9 +91,7 @@ begin
   writeln(s);
 end;
 `
-	for _, procs := range []int{2, 4, 5} {
-		runBoth(t, src, core.C2F3, procs, nil)
-	}
+	matrix.Check(t, distributed("wide", src, 2, 4, 5))
 }
 
 // TestBenchmarksDistributed runs every paper benchmark on the
@@ -197,10 +105,9 @@ func TestBenchmarksDistributed(t *testing.T) {
 			if b.Rank == 1 {
 				size = 128
 			}
-			cfg := map[string]int64{b.SizeConfig: size}
-			for _, procs := range []int{4, 9} {
-				runBoth(t, b.Source, core.C2F3, procs, cfg)
-			}
+			c := distributed(b.Name, b.Source, 4, 9)
+			c.Opt.Configs = map[string]int64{b.SizeConfig: size}
+			matrix.Check(t, c)
 		})
 	}
 }
@@ -220,7 +127,7 @@ func TestMissingCommDetected(t *testing.T) {
 	}
 	var distOut bytes.Buffer
 	_, err = distvm.Run(c.LIR, distvm.Options{Procs: 4, Out: &distOut})
-	if err == nil && outputsClose(refOut.String(), distOut.String()) {
+	if err == nil && difftest.Close(refOut.String(), distOut.String()) {
 		t.Error("run without communication still matched — comparison has no teeth")
 	}
 }
@@ -270,7 +177,7 @@ begin
   end;
 end;
 `
-	runBoth(t, src, core.C2F3, 4, nil)
+	matrix.Check(t, distributed("ctrl", src, 4))
 }
 
 func TestStepBudgetDistributed(t *testing.T) {

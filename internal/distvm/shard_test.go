@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest/matrix"
 	"repro/internal/distvm"
 	"repro/internal/driver"
 	"repro/internal/programs"
@@ -109,20 +110,10 @@ begin
 end;
 `
 	for _, replace := range []bool{false, true} {
-		opt := driver.Options{Level: core.Baseline, ScalarReplace: replace}
-		c, err := driver.Compile(src, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		if _, _, err := vm.Run(c.LIR, vm.Options{Out: &out}); err != nil {
-			t.Fatal(err)
-		}
-		if out.String() != "2506\n" {
-			t.Fatalf("ScalarReplace=%v: sequential output %q, want 2506", replace, out.String())
-		}
-		for _, procs := range []int{2, 4} {
-			runBothOpt(t, src, opt, procs)
+		c := matrix.Program{Name: "preload", Src: src}.At(core.Baseline, 0)
+		c.Opt.ScalarReplace, c.Procs = replace, []int{2, 4}
+		if out := matrix.Check(t, c); out != "2506\n" {
+			t.Fatalf("ScalarReplace=%v: sequential output %q, want 2506", replace, out)
 		}
 	}
 }

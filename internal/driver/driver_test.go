@@ -1,4 +1,4 @@
-package driver
+package driver_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/lir"
 	"repro/internal/vm"
 )
@@ -39,9 +40,9 @@ begin
 end;
 `
 
-func run(t *testing.T, src string, opt Options) (*vm.Machine, string) {
+func run(t *testing.T, src string, opt driver.Options) (*vm.Machine, string) {
 	t.Helper()
-	c, err := Compile(src, opt)
+	c, err := driver.Compile(src, opt)
 	if err != nil {
 		t.Fatalf("compile at %v: %v", opt.Level, err)
 	}
@@ -56,12 +57,12 @@ func run(t *testing.T, src string, opt Options) (*vm.Machine, string) {
 // TestAllLevelsAgree is the transformation-soundness test: every
 // optimization level computes the same results.
 func TestAllLevelsAgree(t *testing.T) {
-	_, want := run(t, stencil, Options{Level: core.Baseline})
+	_, want := run(t, stencil, driver.Options{Level: core.Baseline})
 	if !strings.Contains(want, "sum") {
 		t.Fatalf("baseline output missing sum: %q", want)
 	}
 	for _, lvl := range core.Levels()[1:] {
-		_, got := run(t, stencil, Options{Level: lvl})
+		_, got := run(t, stencil, driver.Options{Level: lvl})
 		if got != want {
 			t.Errorf("level %v output = %q, want %q", lvl, got, want)
 		}
@@ -71,12 +72,12 @@ func TestAllLevelsAgree(t *testing.T) {
 // TestAllLevelsAgreeDistributed re-checks soundness with communication
 // inserted, both strategies.
 func TestAllLevelsAgreeDistributed(t *testing.T) {
-	_, want := run(t, stencil, Options{Level: core.Baseline})
+	_, want := run(t, stencil, driver.Options{Level: core.Baseline})
 	for _, strat := range []comm.Strategy{comm.FavorFusion, comm.FavorComm} {
 		for _, lvl := range core.Levels() {
 			co := comm.DefaultOptions(4)
 			co.Strategy = strat
-			_, got := run(t, stencil, Options{Level: lvl, Comm: &co})
+			_, got := run(t, stencil, driver.Options{Level: lvl, Comm: &co})
 			if got != want {
 				t.Errorf("level %v strategy %v output = %q, want %q", lvl, strat, got, want)
 			}
@@ -85,8 +86,8 @@ func TestAllLevelsAgreeDistributed(t *testing.T) {
 }
 
 func TestContractionReducesMemory(t *testing.T) {
-	mBase, _ := run(t, stencil, Options{Level: core.Baseline})
-	mC2, _ := run(t, stencil, Options{Level: core.C2})
+	mBase, _ := run(t, stencil, driver.Options{Level: core.Baseline})
+	mC2, _ := run(t, stencil, driver.Options{Level: core.C2})
 	if mC2.MemoryFootprint() >= mBase.MemoryFootprint() {
 		t.Errorf("c2 footprint %d not below baseline %d",
 			mC2.MemoryFootprint(), mBase.MemoryFootprint())
@@ -94,7 +95,7 @@ func TestContractionReducesMemory(t *testing.T) {
 }
 
 func TestContractionEliminatesTempAndCompilerArrays(t *testing.T) {
-	c, err := Compile(stencil, Options{Level: core.C2})
+	c, err := driver.Compile(stencil, driver.Options{Level: core.C2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestContractionEliminatesTempAndCompilerArrays(t *testing.T) {
 }
 
 func TestC1ContractsOnlyCompilerArrays(t *testing.T) {
-	c, err := Compile(stencil, Options{Level: core.C1})
+	c, err := driver.Compile(stencil, driver.Options{Level: core.C1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +138,11 @@ func TestC1ContractsOnlyCompilerArrays(t *testing.T) {
 }
 
 func TestFusionReducesNestCount(t *testing.T) {
-	base, err := Compile(stencil, Options{Level: core.Baseline})
+	base, err := driver.Compile(stencil, driver.Options{Level: core.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Compile(stencil, Options{Level: core.C2})
+	c2, err := driver.Compile(stencil, driver.Options{Level: core.C2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ begin
 end;
 `
 	for _, lvl := range core.Levels() {
-		m, out := run(t, src, Options{Level: lvl})
+		m, out := run(t, src, driver.Options{Level: lvl})
 		// Y = 3.0 over the 2x2 interior; sum = 12.
 		if !strings.HasPrefix(strings.TrimSpace(out), "12") {
 			t.Errorf("level %v: output %q, want 12", lvl, out)
@@ -198,7 +199,7 @@ begin
 end;
 `
 	for _, lvl := range core.Levels() {
-		m, _ := run(t, src, Options{Level: lvl})
+		m, _ := run(t, src, driver.Options{Level: lvl})
 		// Row 1 reads the halo row 0 (zeros): A[1][*] = 0.
 		// Rows 2..4 = 6.0 each.
 		if v, ok := m.At("A", 1, 1); !ok || v != 0 {
@@ -225,7 +226,7 @@ begin
   writeln(a, b);
 end;
 `
-	_, out := run(t, src, Options{Level: core.C2})
+	_, out := run(t, src, driver.Options{Level: core.C2})
 	want := "9 85"
 	if strings.TrimSpace(out) != want {
 		t.Errorf("output %q, want %q", out, want)
@@ -233,7 +234,7 @@ end;
 }
 
 func TestConfigOverrideChangesProblemSize(t *testing.T) {
-	c, err := Compile(stencil, Options{Level: core.C2, Configs: map[string]int64{"n": 32}})
+	c, err := driver.Compile(stencil, driver.Options{Level: core.C2, Configs: map[string]int64{"n": 32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,17 +259,17 @@ begin
   writeln(m, mn);
 end;
 `
-	_, out := run(t, src, Options{Level: core.C2})
+	_, out := run(t, src, driver.Options{Level: core.C2})
 	if strings.TrimSpace(out) != "10 -2" {
 		t.Errorf("output %q, want 10 -2", out)
 	}
 }
 
 func TestCompileErrorsSurface(t *testing.T) {
-	if _, err := Compile("program broken;;", Options{}); err == nil {
+	if _, err := driver.Compile("program broken;;", driver.Options{}); err == nil {
 		t.Error("expected parse error")
 	}
-	if _, err := Compile("program p; proc main() begin x := 1; end;", Options{}); err == nil {
+	if _, err := driver.Compile("program p; proc main() begin x := 1; end;", driver.Options{}); err == nil {
 		t.Error("expected sema error")
 	}
 	src := `
@@ -277,7 +278,7 @@ proc a() begin b(); end;
 proc b() begin a(); end;
 proc main() begin a(); end;
 `
-	if _, err := Compile(src, Options{}); err == nil {
+	if _, err := driver.Compile(src, driver.Options{}); err == nil {
 		t.Error("expected recursion error")
 	}
 }
@@ -301,15 +302,15 @@ begin
   end;
 end;
 `
-	_, out := run(t, src, Options{Level: core.C2})
+	_, out := run(t, src, driver.Options{Level: core.C2})
 	if strings.TrimSpace(out) != "ok 120" {
 		t.Errorf("output %q", out)
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	m1, o1 := run(t, stencil, Options{Level: core.C2F4})
-	m2, o2 := run(t, stencil, Options{Level: core.C2F4})
+	m1, o1 := run(t, stencil, driver.Options{Level: core.C2F4})
+	m2, o2 := run(t, stencil, driver.Options{Level: core.C2F4})
 	if o1 != o2 {
 		t.Errorf("outputs differ: %q vs %q", o1, o2)
 	}
@@ -328,7 +329,7 @@ func TestDriverErrorPaths(t *testing.T) {
 		"badShape": "program p; region R = [5..1]; var A : [R] double; proc main() begin end;",
 	}
 	for name, src := range cases {
-		if _, err := Compile(src, Options{}); err == nil {
+		if _, err := driver.Compile(src, driver.Options{}); err == nil {
 			t.Errorf("%s: compile succeeded", name)
 		}
 	}
@@ -337,11 +338,11 @@ func TestDriverErrorPaths(t *testing.T) {
 func TestCompilationIsolation(t *testing.T) {
 	// Two compilations of the same source must not share mutable IR:
 	// planning one at c2 cannot mark arrays contracted in the other.
-	a, err := Compile(stencil, Options{Level: core.C2})
+	a, err := driver.Compile(stencil, driver.Options{Level: core.C2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compile(stencil, Options{Level: core.Baseline})
+	b, err := driver.Compile(stencil, driver.Options{Level: core.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}

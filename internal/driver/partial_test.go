@@ -1,13 +1,13 @@
-package driver
+package driver_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/distvm"
+	"repro/internal/difftest/matrix"
+	"repro/internal/driver"
 	"repro/internal/vm"
 )
 
@@ -35,7 +35,7 @@ end;
 `
 
 func TestPartialReductionValues(t *testing.T) {
-	m, out := run(t, partial, Options{Level: core.Baseline})
+	m, out := run(t, partial, driver.Options{Level: core.Baseline})
 	// Row i sum: sum_j (10i + j) = 60i + 21. RS[i][1] checks.
 	if v, ok := m.At("RS", 3, 1); !ok || v != 60*3+21 {
 		t.Errorf("RS[3] = %v, want %d", v, 60*3+21)
@@ -51,44 +51,21 @@ func TestPartialReductionValues(t *testing.T) {
 }
 
 func TestPartialReductionAllLevels(t *testing.T) {
-	_, want := run(t, partial, Options{Level: core.Baseline})
-	for _, lvl := range core.AllLevels()[1:] {
-		_, got := run(t, partial, Options{Level: lvl})
-		if !outputsClose(got, want) {
-			t.Errorf("level %v: %q != %q", lvl, got, want)
-		}
+	for _, lvl := range core.AllLevels() {
+		matrix.Check(t, matrix.Program{Name: "partial", Src: partial}.At(lvl, 0))
 	}
 }
 
 func TestPartialReductionDistributed(t *testing.T) {
-	want, err := runLevel(partial, core.C2F3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{2, 4, 9} {
-		co := comm.DefaultOptions(procs)
-		c, err := Compile(partial, Options{Level: core.C2F3, Comm: &co})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		dm, err := distvm.Run(c.LIR, distvm.Options{Procs: procs, Out: &out})
-		if err != nil {
-			t.Fatalf("p=%d: %v", procs, err)
-		}
-		if !outputsClose(out.String(), want) {
-			t.Errorf("p=%d: %q != %q", procs, out.String(), want)
-		}
-		if err := dm.ScalarsConsistent(); err != nil {
-			t.Errorf("p=%d: %v", procs, err)
-		}
-	}
+	c := matrix.Program{Name: "partial", Src: partial}.At(core.C2F3, 0)
+	c.Procs = []int{2, 4, 9}
+	matrix.Check(t, c)
 }
 
 // The destination array stays live and the reduction never fuses — it
 // is unnormalized like communication.
 func TestPartialReductionStaysUnfused(t *testing.T) {
-	c, err := Compile(partial, Options{Level: core.C2F4})
+	c, err := driver.Compile(partial, driver.Options{Level: core.C2F4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +98,7 @@ begin
 end;
 `
 	for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
-		_, out := run(t, src, Options{Level: lvl})
+		_, out := run(t, src, driver.Options{Level: lvl})
 		if strings.TrimSpace(out) != "16" {
 			t.Errorf("level %v: RS summed %q, want 16 (old A values)", lvl, out)
 		}
@@ -140,14 +117,14 @@ begin
   [Wrong] RS := +<< [R] A;
 end;
 `
-	if _, err := Compile(bad, Options{}); err == nil {
+	if _, err := driver.Compile(bad, driver.Options{}); err == nil {
 		t.Error("mismatched partial-reduction shape accepted")
 	}
 }
 
 func TestPartialReductionNative(t *testing.T) {
 	// gogen must emit it; toolchain round-trip happens in gogen tests.
-	c, err := Compile(partial, Options{Level: core.C2F3})
+	c, err := driver.Compile(partial, driver.Options{Level: core.C2F3})
 	if err != nil {
 		t.Fatal(err)
 	}

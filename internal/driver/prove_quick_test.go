@@ -1,13 +1,12 @@
-package driver
+package driver_test
 
 // Differential soundness fuzz for the bounds prover: on random
-// programs across the optimization ladder, bounds-check elimination
-// must be invisible — the unchecked run never traps and its output is
-// bit-identical (not merely close) to the fully checked run of the
-// same compilation, since both execute the same plan and the same
-// floating-point schedule. Every program is also pushed through the
-// check.Bounds cross-validator (Options.Check), so each fuzz input
-// doubles as a re-derivation test of the prover's evidence.
+// programs across the optimization ladder every access site is proven,
+// and the check.Bounds cross-validator (Options.Check, on in every
+// matrix cell) re-derives the evidence, so each fuzz input doubles as a
+// re-derivation test of the prover. A seeded one-element evidence fault
+// must be caught, statically by that cross-check and dynamically by the
+// wrong answer the VM's displaced accesses print.
 
 import (
 	"bytes"
@@ -16,76 +15,57 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/difftest/matrix"
+	"repro/internal/driver"
 	"repro/internal/programs"
 	"repro/internal/soak"
 	"repro/internal/vm"
 )
 
-// runProve compiles src once and runs it both checked (prover result
-// withheld from the VM) and unchecked (verdicts applied).
-func runProve(src string, lvl core.Level, fault int) (checked, unchecked string, proven, total int, err error) {
-	c, err := Compile(src, Options{Level: lvl, Check: fault == 0, ProveFault: fault})
+// runProve compiles src at c2+f4 with the evidence of the fault-th
+// proven site displaced by one element (0: none) and runs it on the VM.
+func runProve(src string, fault int) (out string, total int, err error) {
+	c, err := driver.Compile(src, driver.Options{Level: core.C2F4, Check: fault == 0, ProveFault: fault})
 	if err != nil {
-		return "", "", 0, 0, err
+		return "", 0, err
 	}
-	var chk bytes.Buffer
-	if _, _, err := vm.Run(c.LIR, vm.Options{Out: &chk}); err != nil {
-		return "", "", 0, 0, err
+	var buf bytes.Buffer
+	if _, _, err := c.Run(vm.Options{Out: &buf}); err != nil {
+		return "", 0, err
 	}
-	var unchk bytes.Buffer
-	if _, _, err := c.Run(vm.Options{Out: &unchk}); err != nil {
-		return "", "", 0, 0, err
-	}
-	return chk.String(), unchk.String(), c.Bounds.NumProven, len(c.Bounds.Sites), nil
+	return buf.String(), len(c.Bounds.Sites), nil
 }
 
 // TestQuickProveSoundness: for random programs at every ladder level,
-// the prover proves every site, the cross-validator agrees, and
-// unchecked execution is bit-identical to checked execution.
+// the prover proves every site and the cross-validator agrees.
 func TestQuickProveSoundness(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		src := programs.Random(r)
-		for _, lvl := range []core.Level{core.Baseline, core.C1, core.C2F4} {
-			checked, unchecked, proven, total, err := runProve(src, lvl, 0)
-			if err != nil {
-				t.Logf("%v failed (seed %d): %v\n%s", lvl, seed, err, src)
-				return false
-			}
-			if proven != total {
-				t.Logf("%v (seed %d): only %d/%d sites proven\n%s", lvl, seed, proven, total, src)
-				return false
-			}
-			if checked != unchecked {
-				t.Logf("%v (seed %d): unchecked output diverged\nchecked   %q\nunchecked %q\n%s",
-					lvl, seed, checked, unchecked, src)
-				return false
-			}
-		}
-		return true
-	}
 	cfg := soak.Config(t, 20, 4)
 	if testing.Short() {
 		cfg.MaxCount = 5
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
+	matrix.Quick(t, cfg, func(src string) []matrix.Cell {
+		var cells []matrix.Cell
+		for _, lvl := range []core.Level{core.Baseline, core.C1, core.C2F4} {
+			c := random(src).At(lvl, matrix.VM)
+			c.Proven = true
+			cells = append(cells, c)
+		}
+		return cells
+	})
 }
 
 // TestQuickProveFaultCaught: seeding a one-element evidence fault into
 // a random program must be caught — statically by the bounds
-// cross-check, and dynamically (for live sites) by the checked-vs-
-// unchecked differential. A site whose faulted output still matches is
-// legal (a dead store); what is never legal is the static check
-// missing it.
+// cross-check, and dynamically (for live sites) by the sound-vs-faulted
+// differential. A site whose faulted output still matches is legal (a
+// dead store); what is never legal is the static check missing it.
 func TestQuickProveFaultCaught(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src := programs.Random(r)
 
 		// Static catch: Check must reject the faulted compilation.
-		if _, err := Compile(src, Options{Level: core.C2F4, Check: true, ProveFault: 1}); err == nil {
+		if _, err := driver.Compile(src, driver.Options{Level: core.C2F4, Check: true, ProveFault: 1}); err == nil {
 			t.Logf("seed %d: check.Bounds missed the injected fault\n%s", seed, src)
 			return false
 		}
@@ -93,7 +73,7 @@ func TestQuickProveFaultCaught(t *testing.T) {
 		// Dynamic catch: at least one faulted site must change the
 		// output (random programs keep their arrays live through the
 		// final checksums, so dead sites are rare).
-		base, _, _, total, err := runProve(src, core.C2F4, 0)
+		base, total, err := runProve(src, 0)
 		if err != nil {
 			t.Logf("seed %d: baseline failed: %v", seed, err)
 			return false
@@ -102,7 +82,7 @@ func TestQuickProveFaultCaught(t *testing.T) {
 			return true // fully contracted: no sites to fault
 		}
 		for site := 1; site <= total; site++ {
-			_, faulted, _, _, err := runProve(src, core.C2F4, site)
+			faulted, _, err := runProve(src, site)
 			if err != nil || faulted != base {
 				return true
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/mhp"
 	"repro/internal/programs"
@@ -20,7 +21,7 @@ func TestRaceLadderClean(t *testing.T) {
 	for _, b := range programs.All() {
 		for _, lv := range core.AllLevels() {
 			for _, p := range []int{2, 4, 8} {
-				co := defaultComm(p)
+				co := comm.DefaultOptions(p)
 				c, err := Compile(b.Source, Options{
 					Level: lv, Comm: &co,
 					Configs: map[string]int64{b.SizeConfig: 32},
@@ -61,7 +62,7 @@ func TestRaceFaultsRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark simple not found")
 	}
-	co := defaultComm(4)
+	co := comm.DefaultOptions(4)
 	c, err := Compile(b.Source, Options{
 		Level: core.C2F3, Comm: &co,
 		Configs: map[string]int64{b.SizeConfig: 32},
@@ -122,7 +123,7 @@ func TestQuickRaceClean(t *testing.T) {
 		src := programs.Random(r)
 		for _, lvl := range []core.Level{core.C2, core.C2F3, core.C2F4} {
 			for _, procs := range []int{2, 4} {
-				co := defaultComm(procs)
+				co := comm.DefaultOptions(procs)
 				opt := Options{Level: lvl, Comm: &co}
 				if msg := raceFailure(src, opt, procs); msg != "" {
 					small := programs.Shrink(src, func(s string) string { return raceFailure(s, opt, procs) })

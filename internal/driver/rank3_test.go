@@ -1,15 +1,13 @@
-package driver
+package driver_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/air"
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/distvm"
-	"repro/internal/vm"
+	"repro/internal/difftest/matrix"
+	"repro/internal/driver"
 )
 
 // rank3 is a 3-D stencil with a contractible temporary and a
@@ -39,20 +37,13 @@ end;
 `
 
 func TestRank3AllLevels(t *testing.T) {
-	_, want := run(t, rank3, Options{Level: core.Baseline})
-	if !strings.Contains(want, "cube") {
-		t.Fatalf("no output: %q", want)
-	}
-	for _, lvl := range core.AllLevels()[1:] {
-		_, got := run(t, rank3, Options{Level: lvl})
-		// Fused reductions reorder the accumulation; compare with the
-		// usual floating-point tolerance.
-		if !outputsClose(got, want) {
-			t.Errorf("level %v: %q != %q", lvl, got, want)
+	for _, lvl := range core.AllLevels() {
+		if out := matrix.Check(t, matrix.Program{Name: "cube", Src: rank3}.At(lvl, 0)); !strings.Contains(out, "cube") {
+			t.Fatalf("%v: no output: %q", lvl, out)
 		}
 	}
 	// T must contract at c2.
-	c, err := Compile(rank3, Options{Level: core.C2})
+	c, err := driver.Compile(rank3, driver.Options{Level: core.C2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,28 +53,9 @@ func TestRank3AllLevels(t *testing.T) {
 }
 
 func TestRank3Distributed(t *testing.T) {
-	wantC, err := Compile(rank3, Options{Level: core.C2F3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if _, _, err := vm.Run(wantC.LIR, vm.Options{Out: &want}); err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{4, 8} {
-		co := comm.DefaultOptions(procs)
-		c, err := Compile(rank3, Options{Level: core.C2F3, Comm: &co})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if _, err := distvm.Run(c.LIR, distvm.Options{Procs: procs, Out: &got}); err != nil {
-			t.Fatalf("p=%d: %v", procs, err)
-		}
-		if !outputsClose(got.String(), want.String()) {
-			t.Errorf("p=%d: %q != %q", procs, got.String(), want.String())
-		}
-	}
+	c := matrix.Program{Name: "cube", Src: rank3}.At(core.C2F3, 0)
+	c.Procs = []int{4, 8}
+	matrix.Check(t, c)
 }
 
 // Rank-3 loop structure: a one-sided dependence in dimension 2 forces

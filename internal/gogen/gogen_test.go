@@ -1,7 +1,6 @@
 package gogen_test
 
 import (
-	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,47 +9,15 @@ import (
 
 	"repro/internal/air"
 	"repro/internal/core"
+	"repro/internal/difftest/matrix"
 	"repro/internal/driver"
 	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/programs"
-	"repro/internal/vm"
 )
 
-// runNative emits Go for the compilation, builds it with the host
-// toolchain, runs it, and returns stdout.
-func runNative(t *testing.T, c *driver.Compilation) string {
-	t.Helper()
-	src, err := gogen.Emit(c.LIR)
-	if err != nil {
-		t.Fatalf("emit: %v", err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "main.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", path)
-	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("go run: %v\nstderr:\n%s\nsource:\n%s", err, errb.String(), src)
-	}
-	return out.String()
-}
-
-func runVM(t *testing.T, c *driver.Compilation) string {
-	t.Helper()
-	var out bytes.Buffer
-	if _, _, err := vm.Run(c.LIR, vm.Options{Out: &out}); err != nil {
-		t.Fatal(err)
-	}
-	return out.String()
-}
-
-// TestNativeMatchesVM: generated Go output must equal the VM's exactly.
+// TestNativeMatchesVM: generated Go prints the VM's bytes on a program
+// with a procedure, both branches of an if and a loop-carried sum.
 func TestNativeMatchesVM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
@@ -88,15 +55,7 @@ begin
 end;
 `
 	for _, lvl := range []core.Level{core.Baseline, core.C2F3} {
-		c, err := driver.Compile(src, driver.Options{Level: lvl})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runVM(t, c)
-		got := runNative(t, c)
-		if got != want {
-			t.Errorf("level %v: native output %q, want %q", lvl, got, want)
-		}
+		matrix.Check(t, matrix.Program{Name: "native", Src: src}.At(lvl, matrix.Go))
 	}
 }
 
@@ -107,17 +66,8 @@ func TestNativeBenchmark(t *testing.T) {
 		t.Skip("invokes the go toolchain")
 	}
 	b, _ := programs.ByName("fibro")
-	c, err := driver.Compile(b.Source, driver.Options{
-		Level: core.C2F3, Configs: map[string]int64{"n": 24},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runVM(t, c)
-	got := runNative(t, c)
-	if got != want {
-		t.Errorf("native %q, want %q", got, want)
-	}
+	p := matrix.Program{Name: b.Name, Src: b.Source, Configs: map[string]int64{"n": 24}}
+	matrix.Check(t, p.At(core.C2F3, matrix.Go))
 }
 
 // TestEmitAllBenchmarks: every benchmark at every level emits valid,
@@ -279,15 +229,7 @@ begin
   writeln("s", s);
 end;
 `
-	c, err := driver.Compile(src, driver.Options{Level: core.C2F3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runVM(t, c)
-	got := runNative(t, c)
-	if got != want {
-		t.Errorf("native %q, want %q", got, want)
-	}
+	matrix.Check(t, matrix.Program{Name: "pnative", Src: src}.At(core.C2F3, matrix.Go))
 }
 
 // TestEmitStateNilSpecIdentical: a nil StateSpec must emit exactly the

@@ -2,6 +2,7 @@ package lazy
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -10,10 +11,11 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/difftest/matrix"
 	"repro/internal/driver"
 	"repro/internal/flight"
 	"repro/internal/remark"
-	"repro/internal/vm"
 )
 
 // diffZA is the reference program for the differential test: stencil
@@ -44,21 +46,6 @@ begin
   writeln("sum", s);
 end;
 `
-
-// runDiffZA executes the reference program on the VM and returns its
-// output.
-func runDiffZA(t *testing.T, lvl core.Level) string {
-	t.Helper()
-	c, err := driver.Compile(diffZA, driver.Options{Level: lvl})
-	if err != nil {
-		t.Fatalf("compile ZA at %v: %v", lvl, err)
-	}
-	var out bytes.Buffer
-	if _, _, err := c.Run(vm.Options{Out: &out}); err != nil {
-		t.Fatalf("run ZA at %v: %v", lvl, err)
-	}
-	return out.String()
-}
 
 // runDiffLazy issues the same computation through the lazy engine,
 // evaluating once per iteration like a real caller, and returns the
@@ -96,21 +83,32 @@ func runDiffLazy(t *testing.T, opt Options) string {
 }
 
 // TestLazyMatchesZA is the differential acceptance test: the lazy
-// engine's output is byte-identical to the equivalent ZA program
-// across ladder levels, on the VM and (when a toolchain is present)
-// the native backend.
+// engine's output is byte-identical to the equivalent ZA program —
+// which prints the same bytes at every level of the ladder here and
+// matches Reference — on the VM and (when a toolchain is present) the
+// native backend, and close to Reference itself.
 func TestLazyMatchesZA(t *testing.T) {
-	want := runDiffZA(t, core.Baseline)
+	levels := []core.Level{core.Baseline, core.C2, core.C2F4S}
+	want := matrix.Check(t, matrix.Program{Name: "diff", Src: diffZA}.At(core.Baseline, 0))
 	if !strings.Contains(want, "sum") {
 		t.Fatalf("reference output missing sum: %q", want)
 	}
-	levels := []core.Level{core.Baseline, core.C2, core.C2F4S}
-	for _, lvl := range levels {
-		if got := runDiffZA(t, lvl); got != want {
+	for _, lvl := range levels[1:] {
+		if got := matrix.Check(t, matrix.Program{Name: "diff", Src: diffZA}.At(lvl, 0)); got != want {
 			t.Errorf("ZA at %v = %q, want %q", lvl, got, want)
 		}
-		if got := runDiffLazy(t, Options{Level: lvl}); got != want {
-			t.Errorf("lazy VM at %v = %q, want %q", lvl, got, want)
+	}
+	prog, _, err := driver.FrontEnd(context.Background(), diffZA, nil, driver.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	if err := difftest.Reference(prog, &ref); err != nil {
+		t.Fatal(err)
+	}
+	for _, lvl := range levels {
+		if got := runDiffLazy(t, Options{Level: lvl}); got != want || !difftest.Close(got, ref.String()) {
+			t.Errorf("lazy VM at %v = %q, want %q (Reference %q)", lvl, got, want, ref.String())
 		}
 	}
 	if !backend.Available() {

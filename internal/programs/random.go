@@ -9,10 +9,10 @@ import (
 // Random builds a random straight-line-plus-loop ZA program over a
 // small pool of arrays: random element-wise statements with random
 // neighbor offsets, interleaved reductions, all checksummed at the
-// end. It is the input generator of the property tests (transformation
-// soundness, verifier, prover and race fuzz in internal/driver; the
-// strip-width differential in internal/vm): the same seed is the same
-// program everywhere.
+// end. It is the input generator of the matrix's random cells
+// (matrix.Quick; the native rows of internal/backend), the verifier,
+// prover and race fuzz in internal/driver and the strip-width
+// differential in internal/vm: one seed is one program everywhere.
 func Random(r *rand.Rand) string {
 	nArrays := 3 + r.Intn(4)
 	var b strings.Builder

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/difftest"
 	"repro/internal/tune"
 )
 
@@ -452,7 +452,7 @@ func TestDistributedRun(t *testing.T) {
 	if dist.Procs != 4 {
 		t.Errorf("procs = %d, want 4", dist.Procs)
 	}
-	if !transcriptsClose(seq.Output, dist.Output) {
+	if !difftest.Close(seq.Output, dist.Output) {
 		t.Errorf("distributed output %q != sequential %q", dist.Output, seq.Output)
 	}
 	// Distributed replies report what sequential ones do: every
@@ -488,39 +488,6 @@ func TestDistributedRun(t *testing.T) {
 	if !strings.Contains(string(mb), `zpld_race_pairs_total{verdict="proven-ordered"}`) {
 		t.Errorf("metrics lack zpld_race_pairs_total:\n%s", mb)
 	}
-}
-
-// transcriptsClose mirrors the CLI test helper: token-wise comparison
-// with a float tolerance (reductions reorder).
-func transcriptsClose(a, b string) bool {
-	ta, tb := strings.Fields(a), strings.Fields(b)
-	if len(ta) != len(tb) {
-		return false
-	}
-	for i := range ta {
-		if ta[i] == tb[i] {
-			continue
-		}
-		var fa, fb float64
-		if _, err := fmt.Sscanf(ta[i], "%g", &fa); err != nil {
-			return false
-		}
-		if _, err := fmt.Sscanf(tb[i], "%g", &fb); err != nil {
-			return false
-		}
-		diff := fa - fb
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if fa > scale {
-			scale = fa
-		}
-		if diff > 1e-9*scale {
-			return false
-		}
-	}
-	return true
 }
 
 // TestServeListenerDrains: ServeListener exits cleanly on context

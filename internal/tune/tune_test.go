@@ -1,17 +1,15 @@
 package tune
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/driver"
+	"repro/internal/difftest/matrix"
 	"repro/internal/machine"
 	"repro/internal/programs"
-	"repro/internal/vm"
 )
 
 func commOptions(p int) comm.Options { return comm.DefaultOptions(p) }
@@ -112,22 +110,6 @@ func TestLargeBlocksFallBackToBeam(t *testing.T) {
 	}
 }
 
-// runOutput compiles with the given options (static verifier on) and
-// returns the VM's output bytes and checksum-bearing final state.
-func runOutput(t *testing.T, src string, dopt driver.Options) []byte {
-	t.Helper()
-	dopt.Check = true
-	comp, err := driver.Compile(src, dopt)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	var out bytes.Buffer
-	if _, _, err := comp.Run(vm.Options{Out: &out}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return out.Bytes()
-}
-
 // TestTunedPlanBitIdentical is the differential satellite: for every
 // benchmark, the tuned plan (a) passes the static verifier's fusion
 // and contraction passes when applied through the driver, and (b)
@@ -142,11 +124,12 @@ func TestTunedPlanBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: tune: %v", b.Name, err)
 		}
-		baseline := runOutput(t, b.Source, driver.Options{Configs: cfgs, Level: core.Baseline})
-		tuned := runOutput(t, b.Source, driver.Options{Configs: cfgs, Plan: res.Spec})
-		if !bytes.Equal(baseline, tuned) {
-			t.Errorf("%s: tuned output differs from baseline:\nbaseline: %s\ntuned:    %s",
-				b.Name, baseline, tuned)
+		p := matrix.Program{Name: b.Name, Src: b.Source, Configs: cfgs}
+		tuned := p.At(core.Baseline, 0)
+		tuned.Name, tuned.Opt.Plan = b.Name+"/tuned", res.Spec
+		baseline, got := matrix.Check(t, p.At(core.Baseline, 0)), matrix.Check(t, tuned)
+		if baseline != got {
+			t.Errorf("%s: tuned output differs from baseline:\nbaseline: %s\ntuned:    %s", b.Name, baseline, got)
 		}
 	}
 }
@@ -164,10 +147,11 @@ func TestTunedPlanBitIdenticalDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tune: %v", err)
 	}
-	baseline := runOutput(t, b.Source, driver.Options{Configs: cfgs, Level: core.Baseline})
-	tuned := runOutput(t, b.Source, driver.Options{Configs: cfgs, Plan: res.Spec, Comm: &copt})
-	if !bytes.Equal(baseline, tuned) {
-		t.Errorf("distributed tuned output differs:\nbaseline: %s\ntuned:    %s", baseline, tuned)
+	p := matrix.Program{Name: b.Name, Src: b.Source, Configs: cfgs}
+	tuned := p.At(core.Baseline, 0)
+	tuned.Name, tuned.Opt.Plan, tuned.Opt.Comm = b.Name+"/tuned p=4", res.Spec, &copt
+	if baseline, got := matrix.Check(t, p.At(core.Baseline, 0)), matrix.Check(t, tuned); baseline != got {
+		t.Errorf("distributed tuned output differs:\nbaseline: %s\ntuned:    %s", baseline, got)
 	}
 	if res.Spec.Realign {
 		t.Error("distributed spec requests realignment (must be disabled when distributed)")
