@@ -198,8 +198,7 @@ func printPlan(c *driver.Compilation) {
 		}
 	}
 	if c.Comm != nil {
-		fmt.Printf("\ncommunication: %d inserted, %d eliminated, %d combined, %d pipelined\n",
-			c.Comm.Inserted, c.Comm.Eliminated, c.Comm.Combined, c.Comm.Pipelined)
+		fmt.Printf("\ncommunication: %d inserted, %d eliminated\n", c.Comm.Inserted, c.Comm.Eliminated)
 	}
 }
 
@@ -350,7 +349,7 @@ func faultContraction(c *driver.Compilation) bool {
 func faultComm(c *driver.Compilation) bool {
 	if c.Comm == nil {
 		for _, p := range c.LIR.Procs {
-			p.Body = append(p.Body, &lir.Comm{Array: "zplfault", Off: air.Offset{1}})
+			p.Body = append(p.Body, &lir.Comm{Array: "zplfault", Off: air.Offset{1}, Phase: air.CommRecv, MsgID: 1})
 			return true
 		}
 		return false

@@ -45,8 +45,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("tomcatv on %d processors: %d exchanges inserted, %d eliminated, %d pipelined\n",
-		procs, dc.Comm.Inserted, dc.Comm.Eliminated, dc.Comm.Pipelined)
+	fmt.Printf("tomcatv on %d processors: %d exchanges inserted, %d eliminated\n",
+		procs, dc.Comm.Inserted, dc.Comm.Eliminated)
 
 	// Element-by-element comparison of a representative array.
 	worst := 0.0

@@ -400,25 +400,22 @@ type CommStmt struct {
 	Array  string
 	Off    Offset
 	Region *sema.Region // region of the consuming statement
-	// Phase distinguishes the two halves created by pipelining.
+	// Phase distinguishes the two halves of a pipelined exchange.
 	Phase CommPhase
-	// MsgID pairs a pipelined send with its receive.
+	// MsgID pairs a send with its receive; it is always positive.
 	MsgID int
-	// Piggyback marks a message combined onto its predecessor: it
-	// pays bandwidth but not startup cost.
-	Piggyback bool
 	// Pos is the source position of the consuming statement.
 	Pos source.Pos
 }
 
-// CommPhase identifies whole or split (pipelined) communications.
+// CommPhase identifies the half of a pipelined exchange.
 type CommPhase int
 
-// Communication phases.
+// Communication phases. The values are explicit: the envelope codec
+// and the VM trace hashes record these integers.
 const (
-	CommWhole CommPhase = iota // send+recv as one primitive
-	CommSend                   // pipelined send half
-	CommRecv                   // pipelined receive half
+	CommSend CommPhase = 1 // send half, posted after the producer
+	CommRecv CommPhase = 2 // receive half, right before the consumer
 )
 
 func (p CommPhase) String() string {

@@ -103,3 +103,12 @@ func TestStatementStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestCommPhaseValues pins the two phases' integers: the envelope codec
+// writes them and the VM trace hashes print them, so renumbering either
+// moves stored artifacts and testdata/vm/trace_hashes.json.
+func TestCommPhaseValues(t *testing.T) {
+	if CommSend != 1 || CommRecv != 2 {
+		t.Errorf("CommSend = %d, CommRecv = %d; the wire format needs 1 and 2", CommSend, CommRecv)
+	}
+}

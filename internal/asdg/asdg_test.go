@@ -93,7 +93,7 @@ func TestIsFusible(t *testing.T) {
 		&air.ReduceStmt{Target: "s", Op: air.ReduceSum, Region: r,
 			Body: &air.RefExpr{Ref: ref("A", 0, 0)}},
 		&air.ScalarStmt{LHS: "x", RHS: &air.ConstExpr{Val: 1}},
-		&air.CommStmt{Array: "A", Off: air.Offset{0, 1}, Region: r},
+		&air.CommStmt{Array: "A", Off: air.Offset{0, 1}, Region: r, Phase: air.CommRecv, MsgID: 1},
 	})
 	want := []bool{true, true, false, false}
 	for v, w := range want {

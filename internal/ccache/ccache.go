@@ -114,9 +114,10 @@ func Fingerprint(opt driver.Options) string {
 		fmt.Fprintf(&b, ";plan=%s", opt.Plan.Hash())
 	}
 	if opt.Comm != nil && opt.Comm.Procs > 1 {
-		c := opt.Comm
-		fmt.Fprintf(&b, ";comm=procs=%d,strategy=%s,relim=%t,combine=%t,pipeline=%t",
-			c.Procs, c.Strategy, c.RedundancyElim, c.Combine, c.Pipeline)
+		// relim, combine and pipeline were settable once; their literal
+		// values keep every key built since then unchanged.
+		fmt.Fprintf(&b, ";comm=procs=%d,strategy=%s,relim=true,combine=true,pipeline=true",
+			opt.Comm.Procs, opt.Comm.Strategy)
 	}
 	return b.String()
 }

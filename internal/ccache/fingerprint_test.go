@@ -31,11 +31,8 @@ var (
 		"Hooks": "observes a compilation without changing its artifact",
 	}
 	keyedComm = map[string]func(*comm.Options){
-		"Procs":          func(c *comm.Options) { c.Procs = 8 },
-		"Strategy":       func(c *comm.Options) { c.Strategy = comm.FavorComm },
-		"RedundancyElim": func(c *comm.Options) { c.RedundancyElim = false },
-		"Combine":        func(c *comm.Options) { c.Combine = false },
-		"Pipeline":       func(c *comm.Options) { c.Pipeline = false },
+		"Procs":    func(c *comm.Options) { c.Procs = 8 },
+		"Strategy": func(c *comm.Options) { c.Strategy = comm.FavorComm },
 	}
 )
 
@@ -105,7 +102,6 @@ func TestGoldenKeys(t *testing.T) {
 	comm4 := comm.DefaultOptions(4)
 	favor := comm.DefaultOptions(2)
 	favor.Strategy = comm.FavorComm
-	bare := comm.Options{Procs: 8}
 	plan := &core.PlanSpec{Version: core.SpecVersion, Realign: true, Note: "ignored",
 		Blocks: []core.BlockSpec{{Block: 0, Clusters: [][]int{{0, 1}}, Contract: []string{"T"}}}}
 	n32 := map[string]int64{"n": 32}
@@ -125,7 +121,6 @@ func TestGoldenKeys(t *testing.T) {
 		{"norace p=4", KeyOf(heat, driver.Options{Level: core.C2F3, NoRace: true, Comm: &comm4}), "13e95c9f9276b8153fa9aec1b02d67d9c6b0ef1d7ab473d0296d023e424c4237"},
 		{"p=4 default comm", KeyOf(heat, driver.Options{Level: core.C2F3, Configs: n32, Comm: &comm4}), "4ef3d0d5b3e3fc85a6fd25d069cb356b26f74495d1e97d63bf381a6dc291a359"},
 		{"p=2 favor-comm", KeyOf(heat, driver.Options{Level: core.Baseline, Comm: &favor}), "f59f478496c264d0803865e131de59328be1a2a80258d01967d96c4562a2f822"},
-		{"p=8 no comm opts", KeyOf(heat, driver.Options{Level: core.C2F4S, Comm: &bare}), "0b7549bdcd10b05afc5f8db6ab4ae9b31f9cdee3d81c415f2e4ef91206b7d621"},
 		{"plan", KeyOf(heat, driver.Options{Plan: plan, Configs: n32}), "def6eb8de97843e4ae3db214e442db61f401c9816a63a5060ec0d197b03b637d"},
 		{"native kind", KeyOfKind(heat, driver.Options{Level: core.C2F3, Backend: driver.BackendGo}, ArtifactNative), "7f65ad7a82207d6700a3cf85c2f0606b1ae735dfbd9c4a0133186a3a1690171d"},
 		{"lazy kind", KeyOfKind("v0 := v1 + v2", driver.Options{Level: core.C2F3}, ArtifactLazy), "39dcbd598f7bc9b7c73bbf2e295437b8e6d5820dc371c80810adc9bac515e07b"},

@@ -214,22 +214,14 @@ func factsOf(s air.Stmt) *stmtFacts {
 			break
 		}
 		msg := fmt.Sprintf("$msg%d", x.MsgID)
-		read := func() { f.addRead(x.Array, x.Region, air.Zero(x.Region.Rank())) }
-		write := func() {
+		if x.Phase == air.CommSend {
+			f.addRead(x.Array, x.Region, air.Zero(x.Region.Rank()))
+			f.scalWrites = []string{msg}
+		} else {
 			lo, hi := haloSlab(x.Region, x.Off)
 			f.writes[x.Array] = append(f.writes[x.Array], racc{off: x.Off, lo: lo, hi: hi})
-		}
-		switch x.Phase {
-		case air.CommSend:
-			read()
-			f.scalWrites = []string{msg}
-		case air.CommRecv:
-			write()
 			f.flowReads = []string{msg}
 			f.antiReads = f.flowReads
-		default:
-			read()
-			write()
 		}
 	case *air.WritelnStmt:
 		for _, a := range x.Args {

@@ -73,12 +73,6 @@ func TestVerifierCleanDistributed(t *testing.T) {
 			if _, err := driver.Compile(src, driver.Options{Level: lvl, Comm: &co, Check: true}); err != nil {
 				t.Errorf("%s at %v p=4: %v", name, lvl, err)
 			}
-			// A second configuration exercises the unpipelined whole
-			// exchanges and the redundancy-elimination-off path.
-			co2 := comm.Options{Procs: 4}
-			if _, err := driver.Compile(src, driver.Options{Level: lvl, Comm: &co2, Check: true}); err != nil {
-				t.Errorf("%s at %v p=4 (plain): %v", name, lvl, err)
-			}
 		}
 	}
 }

@@ -116,24 +116,20 @@ func (st *commWalker) comm(c *lir.Comm) {
 	if c.Off.IsZero() {
 		st.rp.errorf(c.Pos, "exchange of %s with a null direction moves nothing", c.Array)
 	}
-	switch c.Phase {
-	case air.CommSend:
-		p := st.pair(c.MsgID, c)
+	p := st.pair(c.MsgID, c)
+	if c.Phase == air.CommSend {
 		p.sends = append(p.sends, c)
 		p.sendSeq = st.seq
-	case air.CommRecv:
-		p := st.pair(c.MsgID, c)
+	} else {
 		p.recvs = append(p.recvs, c)
 		p.recvSeq = st.seq
-		st.valid[haloDir{c.Array, c.Off.String()}] = true
-	default:
 		st.valid[haloDir{c.Array, c.Off.String()}] = true
 	}
 }
 
 func (st *commWalker) pair(id int, c *lir.Comm) *msgPair {
 	if id <= 0 {
-		st.rp.errorf(c.Pos, "pipelined %s of %s@%s carries no message id", c.Phase, c.Array, c.Off)
+		st.rp.errorf(c.Pos, "%s of %s@%s carries no message id", c.Phase, c.Array, c.Off)
 	}
 	p := st.pairs[id]
 	if p == nil {

@@ -10,8 +10,8 @@
 //     halo slab of an array statement, never per-element messages;
 //   - redundancy elimination skips an exchange whose halo is still
 //     valid (same array and offset, no intervening write);
-//   - message combining piggybacks consecutive exchanges headed to the
-//     same neighbor onto one message (startup paid once);
+//   - message combining is not implemented for pipelined send/recv
+//     pairs, the only kind of exchange there is;
 //   - pipelining splits an exchange into a send posted right after the
 //     producing statement and a receive right before the consumer, so
 //     intervening computation hides the latency.
@@ -47,33 +47,23 @@ func (s Strategy) String() string {
 	return "favor-fusion"
 }
 
-// Options configures insertion and optimization.
+// Options configures insertion. Redundancy elimination and pipelining
+// always run.
 type Options struct {
-	Procs          int // processor count; <=1 disables communication
-	Strategy       Strategy
-	RedundancyElim bool
-	Combine        bool
-	Pipeline       bool
+	Procs    int // processor count; <=1 disables communication
+	Strategy Strategy
 }
 
-// DefaultOptions enables every optimization with the favor-fusion
-// strategy, matching the configuration of the paper's main experiments.
+// DefaultOptions is the favor-fusion strategy on procs processors, the
+// configuration of the paper's main experiments.
 func DefaultOptions(procs int) Options {
-	return Options{
-		Procs:          procs,
-		Strategy:       FavorFusion,
-		RedundancyElim: true,
-		Combine:        true,
-		Pipeline:       true,
-	}
+	return Options{Procs: procs}
 }
 
 // Result reports what insertion did.
 type Result struct {
-	Inserted   int // primitives inserted (pipelined pairs count once)
+	Inserted   int // exchanges inserted, each one send/recv pair
 	Eliminated int // exchanges avoided by redundancy elimination
-	Combined   int // messages piggybacked onto a predecessor
-	Pipelined  int // exchanges split into send/recv halves
 }
 
 // Insert rewrites every block of the program, inserting communication
@@ -87,7 +77,7 @@ func Insert(prog *air.Program, opt Options) *Result {
 	}
 	msgID := 0
 	for _, b := range prog.AllBlocks() {
-		msgID = insertBlock(b, opt, res, msgID)
+		msgID = insertBlock(b, res, msgID)
 	}
 	return res
 }
@@ -97,7 +87,7 @@ type haloKey struct {
 	off   string
 }
 
-func insertBlock(b *air.Block, opt Options, res *Result, msgID int) int {
+func insertBlock(b *air.Block, res *Result, msgID int) int {
 	valid := map[haloKey]bool{}
 	lastWrite := map[string]int{} // array -> original index of last write
 	lastBarrier := -1             // index of the last unsummarized call
@@ -127,33 +117,26 @@ func insertBlock(b *air.Block, opt Options, res *Result, msgID int) int {
 			// strips and the north-east corner, each a disjoint slab.
 			for _, dir := range NeighborDirections(r.Off) {
 				key := haloKey{r.Array, dir.String()}
-				if opt.RedundancyElim && valid[key] {
+				if valid[key] {
 					res.Eliminated++
 					continue
 				}
 				valid[key] = true
 				res.Inserted++
+				msgID++
 				pos := air.PosOf(s)
-				if opt.Pipeline {
-					msgID++
-					res.Pipelined++
-					sendPos := lastBarrier + 1
-					if w, ok := lastWrite[r.Array]; ok && w+1 > sendPos {
-						sendPos = w + 1
-					}
-					before[sendPos] = append(before[sendPos], &air.CommStmt{
-						Array: r.Array, Off: dir, Region: reg,
-						Phase: air.CommSend, MsgID: msgID, Pos: pos,
-					})
-					before[j] = append(before[j], &air.CommStmt{
-						Array: r.Array, Off: dir, Region: reg,
-						Phase: air.CommRecv, MsgID: msgID, Pos: pos,
-					})
-				} else {
-					before[j] = append(before[j], &air.CommStmt{
-						Array: r.Array, Off: dir, Region: reg, Pos: pos,
-					})
+				sendPos := lastBarrier + 1
+				if w, ok := lastWrite[r.Array]; ok && w+1 > sendPos {
+					sendPos = w + 1
 				}
+				before[sendPos] = append(before[sendPos], &air.CommStmt{
+					Array: r.Array, Off: dir, Region: reg,
+					Phase: air.CommSend, MsgID: msgID, Pos: pos,
+				})
+				before[j] = append(before[j], &air.CommStmt{
+					Array: r.Array, Off: dir, Region: reg,
+					Phase: air.CommRecv, MsgID: msgID, Pos: pos,
+				})
 			}
 		}
 		// Writes invalidate the array's halos.
@@ -199,10 +182,6 @@ func insertBlock(b *air.Block, opt Options, res *Result, msgID int) int {
 		out = append(out, b.Stmts[j])
 	}
 	out = append(out, before[len(b.Stmts)]...)
-
-	if opt.Combine {
-		combine(out, res)
-	}
 	b.Stmts = out
 	return msgID
 }
@@ -218,24 +197,6 @@ func regionOf(s air.Stmt) *sema.Region {
 		return x.Region
 	}
 	return nil
-}
-
-// combine piggybacks consecutive whole exchanges to the same neighbor:
-// every primitive after the first in such a run pays only bandwidth.
-func combine(stmts []air.Stmt, res *Result) {
-	var prev *air.CommStmt
-	for _, s := range stmts {
-		c, ok := s.(*air.CommStmt)
-		if !ok || c.Phase != air.CommWhole {
-			prev = nil
-			continue
-		}
-		if prev != nil && prev.Off.Equal(c.Off) {
-			c.Piggyback = true
-			res.Combined++
-		}
-		prev = c
-	}
 }
 
 // NeighborDirections decomposes a read offset into the neighbor

@@ -42,16 +42,13 @@ func progWith(stmts []air.Stmt) (*air.Program, *air.Block) {
 	return p, b
 }
 
-func countComm(b *air.Block) (whole, send, recv int) {
+func countComm(b *air.Block) (send, recv int) {
 	for _, s := range b.Stmts {
 		if c, ok := s.(*air.CommStmt); ok {
-			switch c.Phase {
-			case air.CommSend:
+			if c.Phase == air.CommSend {
 				send++
-			case air.CommRecv:
+			} else {
 				recv++
-			default:
-				whole++
 			}
 		}
 	}
@@ -68,11 +65,10 @@ func TestInsertBasic(t *testing.T) {
 	if res.Inserted != 1 {
 		t.Errorf("inserted %d, want 1", res.Inserted)
 	}
-	whole, _, _ := countComm(b)
-	if whole != 1 {
-		t.Errorf("whole comms %d, want 1", whole)
+	if send, recv := countComm(b); send != 1 || recv != 1 {
+		t.Errorf("send/recv = %d/%d, want 1/1", send, recv)
 	}
-	// The comm must precede the consumer.
+	// Both halves must precede the consumer.
 	var commIdx, consIdx int
 	for i, s := range b.Stmts {
 		switch x := s.(type) {
@@ -102,7 +98,7 @@ func TestInsertSkipsZeroOffsets(t *testing.T) {
 	r := reg2(8)
 	prog, b := progWith([]air.Stmt{arrStmt(r, "C", ref("A", 0, 0))})
 	Insert(prog, Options{Procs: 4})
-	if w, s, rv := countComm(b); w+s+rv != 0 {
+	if s, rv := countComm(b); s+rv != 0 {
 		t.Error("comm inserted for an aligned reference")
 	}
 }
@@ -114,12 +110,12 @@ func TestRedundancyElimination(t *testing.T) {
 		arrStmt(r, "C", ref("A", east...)),
 		arrStmt(r, "D", ref("A", east...)), // same halo, still valid
 	})
-	res := Insert(prog, Options{Procs: 4, RedundancyElim: true})
+	res := Insert(prog, Options{Procs: 4})
 	if res.Inserted != 1 || res.Eliminated != 1 {
 		t.Errorf("inserted %d eliminated %d, want 1/1", res.Inserted, res.Eliminated)
 	}
-	if w, _, _ := countComm(b); w != 1 {
-		t.Errorf("whole comms %d, want 1", w)
+	if send, recv := countComm(b); send != 1 || recv != 1 {
+		t.Errorf("send/recv = %d/%d, want 1/1", send, recv)
 	}
 }
 
@@ -130,7 +126,7 @@ func TestWriteInvalidatesHalo(t *testing.T) {
 		arrStmt(r, "A", ref("B", 0, 0)), // rewrite A
 		arrStmt(r, "D", ref("A", 0, 1)), // needs a fresh exchange
 	})
-	res := Insert(prog, Options{Procs: 4, RedundancyElim: true})
+	res := Insert(prog, Options{Procs: 4})
 	if res.Inserted != 2 {
 		t.Errorf("inserted %d, want 2", res.Inserted)
 	}
@@ -144,11 +140,11 @@ func TestPipelineSplitsAndPlacesSend(t *testing.T) {
 		arrStmt(r, "X", ref("Y", 0, 0)), // unrelated (overlap window)
 		arrStmt(r, "C", ref("A", 0, 1)), // consumer
 	})
-	res := Insert(prog, Options{Procs: 4, Pipeline: true})
-	if res.Pipelined != 1 {
-		t.Fatalf("pipelined %d, want 1", res.Pipelined)
+	res := Insert(prog, Options{Procs: 4})
+	if res.Inserted != 1 {
+		t.Fatalf("inserted %d, want 1", res.Inserted)
 	}
-	_, send, recv := countComm(b)
+	send, recv := countComm(b)
 	if send != 1 || recv != 1 {
 		t.Fatalf("send/recv = %d/%d", send, recv)
 	}
@@ -174,31 +170,11 @@ func TestPipelineSplitsAndPlacesSend(t *testing.T) {
 	}
 }
 
-func TestCombineMarksPiggyback(t *testing.T) {
-	r := reg2(8)
-	prog, b := progWith([]air.Stmt{
-		arrStmt(r, "C", ref("A", 0, 1), ref("B", 0, 1)),
-	})
-	res := Insert(prog, Options{Procs: 4, Combine: true})
-	if res.Inserted != 2 || res.Combined != 1 {
-		t.Errorf("inserted %d combined %d, want 2/1", res.Inserted, res.Combined)
-	}
-	pig := 0
-	for _, s := range b.Stmts {
-		if c, ok := s.(*air.CommStmt); ok && c.Piggyback {
-			pig++
-		}
-	}
-	if pig != 1 {
-		t.Errorf("piggybacked %d, want 1", pig)
-	}
-}
-
 func TestSegments(t *testing.T) {
 	r := reg2(8)
 	stmts := []air.Stmt{
 		arrStmt(r, "A", ref("B", 0, 0)),
-		&air.CommStmt{Array: "A", Off: air.Offset{0, 1}, Region: r},
+		&air.CommStmt{Array: "A", Off: air.Offset{0, 1}, Region: r, Phase: air.CommRecv, MsgID: 1},
 		arrStmt(r, "C", ref("A", 0, 1)),
 		arrStmt(r, "D", ref("C", 0, 0)),
 	}

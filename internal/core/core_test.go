@@ -273,7 +273,7 @@ func TestCommPreventsContraction(t *testing.T) {
 	r := reg2(8, 8)
 	stmts := []air.Stmt{
 		arrStmt(r, "X", ref("A", 0, 0)),
-		&air.CommStmt{Array: "X", Off: off(0, 1), Region: r},
+		&air.CommStmt{Array: "X", Off: off(0, 1), Region: r, Phase: air.CommRecv, MsgID: 1},
 		arrStmt(r, "B", ref("X", 0, 1)),
 	}
 	_, contracted := plan(t, stmts, []string{"X"})
@@ -604,7 +604,7 @@ func randomGraph(r *rand.Rand) *asdg.Graph {
 		case k < 17:
 			stmts = append(stmts, &air.ReduceStmt{Target: "s", Region: reg, Body: arrStmt(reg, "", reads()...).RHS})
 		case k < 18:
-			stmts = append(stmts, &air.CommStmt{Array: array(), Off: off(0, 1), Region: reg})
+			stmts = append(stmts, &air.CommStmt{Array: array(), Off: off(0, 1), Region: reg, Phase: air.CommRecv, MsgID: 1})
 		case k < 19:
 			stmts = append(stmts, &air.ScalarStmt{LHS: "s", RHS: &air.ConstExpr{Val: 1}})
 		default:

@@ -149,21 +149,15 @@ func effects(s air.Stmt) stmtEffects {
 		}
 		e.scalarReads = air.ScalarReads(x.Body)
 	case *air.CommStmt:
-		// A ghost exchange reads interior elements and writes only
-		// the halo slabs outside the region. A pipelined pair is
-		// ordered through a pseudo-scalar keyed by the message id.
-		read := arrayAccess{x.Array, air.Zero(x.Region.Rank()), x.Region, nil}
-		writes := []arrayAccess{{x.Array, x.Off, x.Region, HaloRect(x.Region, x.Off)}}
-		switch x.Phase {
-		case air.CommSend:
-			e.arrayReads = []arrayAccess{read}
+		// A ghost exchange's send reads interior elements and its
+		// receive writes only the halo slabs outside the region. The
+		// pair is ordered through a pseudo-scalar keyed by the message id.
+		if x.Phase == air.CommSend {
+			e.arrayReads = []arrayAccess{{x.Array, air.Zero(x.Region.Rank()), x.Region, nil}}
 			e.scalarWrite = fmt.Sprintf("$msg%d", x.MsgID)
-		case air.CommRecv:
-			e.arrayWrites = writes
+		} else {
+			e.arrayWrites = []arrayAccess{{x.Array, x.Off, x.Region, HaloRect(x.Region, x.Off)}}
 			e.scalarReads = []string{fmt.Sprintf("$msg%d", x.MsgID)}
-		default:
-			e.arrayReads = []arrayAccess{read}
-			e.arrayWrites = writes
 		}
 	case *air.WritelnStmt:
 		for _, a := range x.Args {

@@ -241,20 +241,25 @@ func TestBarrierOrdering(t *testing.T) {
 func TestCommDependences(t *testing.T) {
 	r := reg2(4, 4)
 	east := off(0, 1)
-	// A := B;  comm A@east;  C := A@east
+	// A := B;  send A@east;  recv A@east;  C := A@east
 	stmts := []air.Stmt{
 		arrStmt(0, r, "A", air.Ref{Array: "B", Off: off(0, 0)}),
-		&air.CommStmt{Array: "A", Off: east, Region: r},
+		&air.CommStmt{Array: "A", Off: east, Region: r, Phase: air.CommSend, MsgID: 1},
+		&air.CommStmt{Array: "A", Off: east, Region: r, Phase: air.CommRecv, MsgID: 1},
 		arrStmt(1, r, "C", air.Ref{Array: "A", Off: east}),
 	}
 	es := Compute(stmts)
-	// comm reads A after its producer: flow 0->1.
+	// The send reads A after its producer: flow 0->1.
 	if it := findItem(es, 0, 1, "A", Flow); it == nil {
-		t.Error("flow producer->comm missing")
+		t.Error("flow producer->send missing")
 	}
-	// consumer reads halo written by comm: flow 1->2 with u = 0.
-	if it := findItem(es, 1, 2, "A", Flow); it == nil || !it.U.IsZero() {
-		t.Errorf("flow comm->consumer: %v, want null vector", it)
+	// The receive waits for its send through the message id.
+	if it := findItem(es, 1, 2, "$msg1", Flow); it == nil {
+		t.Error("flow send->recv missing")
+	}
+	// The consumer reads the halo the receive wrote: flow 2->3, u = 0.
+	if it := findItem(es, 2, 3, "A", Flow); it == nil || !it.U.IsZero() {
+		t.Errorf("flow recv->consumer: %v, want null vector", it)
 	}
 }
 

@@ -290,7 +290,7 @@ var Store = sync.OnceValue(func() *backend.Store {
 // width 1.
 type nopTracer struct{}
 
-func (nopTracer) Access(int64, bool)                                     {}
-func (nopTracer) Flops(int64)                                            {}
-func (nopTracer) Comm(string, air.Offset, int, air.CommPhase, int, bool) {}
-func (nopTracer) Reduce()                                                {}
+func (nopTracer) Access(int64, bool)                               {}
+func (nopTracer) Flops(int64)                                      {}
+func (nopTracer) Comm(string, air.Offset, int, air.CommPhase, int) {}
+func (nopTracer) Reduce()                                          {}

@@ -66,8 +66,7 @@ func legRows(c *lir.Comm, recv, owner, in *localArray) (rows []int, width int) {
 // them (legal because insertion guarantees the array is not rewritten
 // between a send and its receive, so send-time data equals
 // receive-time data); the receive phase installs the matching messages
-// into this processor's halo. A whole (unpipelined) primitive does
-// both at once.
+// into this processor's halo.
 func (s *shard) Comm(c *lir.Comm, data []float64) (func() error, error) {
 	locals, ok := s.m.locals[c.Array]
 	if !ok {
@@ -81,10 +80,10 @@ func (s *shard) Comm(c *lir.Comm, data []float64) (func() error, error) {
 		if q == s.id {
 			continue
 		}
-		if rows, w := legRows(c, other, mine, mine); rows != nil && c.Phase != air.CommRecv {
+		if rows, w := legRows(c, other, mine, mine); rows != nil && c.Phase == air.CommSend {
 			sends = append(sends, leg{q, rows, w})
 		}
-		if rows, w := legRows(c, mine, other, mine); rows != nil && c.Phase != air.CommSend {
+		if rows, w := legRows(c, mine, other, mine); rows != nil && c.Phase == air.CommRecv {
 			recvs = append(recvs, leg{q, rows, w})
 		}
 	}

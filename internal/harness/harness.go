@@ -53,15 +53,14 @@ type multiTracer struct {
 // traceEvent is one recorded Tracer callback. n doubles as the address
 // for accesses and the count for flops.
 type traceEvent struct {
-	kind      uint8
-	write     bool
-	piggyback bool
-	n         int64
-	elems     int
-	msgID     int
-	phase     air.CommPhase
-	array     string
-	off       air.Offset
+	kind  uint8
+	write bool
+	n     int64
+	elems int
+	msgID int
+	phase air.CommPhase
+	array string
+	off   air.Offset
 }
 
 const (
@@ -92,7 +91,7 @@ func newMultiTracer(ts []*machine.CostTracer) *multiTracer {
 					case evFlops:
 						t.Flops(e.n)
 					case evComm:
-						t.Comm(e.array, e.off, e.elems, e.phase, e.msgID, e.piggyback)
+						t.Comm(e.array, e.off, e.elems, e.phase, e.msgID)
 					case evReduce:
 						t.Reduce()
 					}
@@ -139,8 +138,8 @@ func (m *multiTracer) Flops(n int64) {
 	m.emit(traceEvent{kind: evFlops, n: n})
 }
 
-func (m *multiTracer) Comm(array string, off air.Offset, elems int, phase air.CommPhase, msgID int, piggyback bool) {
-	m.emit(traceEvent{kind: evComm, array: array, off: off, elems: elems, phase: phase, msgID: msgID, piggyback: piggyback})
+func (m *multiTracer) Comm(array string, off air.Offset, elems int, phase air.CommPhase, msgID int) {
+	m.emit(traceEvent{kind: evComm, array: array, off: off, elems: elems, phase: phase, msgID: msgID})
 }
 
 func (m *multiTracer) Reduce() {

@@ -128,13 +128,12 @@ type PartialReduce struct {
 // Comm is a retained communication primitive, executed by the machine
 // simulation (ghost-cell exchange of Array for offset Off).
 type Comm struct {
-	Array     string
-	Off       air.Offset
-	Reg       *sema.Region
-	Phase     air.CommPhase
-	MsgID     int
-	Piggyback bool
-	Pos       source.Pos
+	Array string
+	Off   air.Offset
+	Reg   *sema.Region
+	Phase air.CommPhase
+	MsgID int
+	Pos   source.Pos
 }
 
 // Call invokes a procedure.

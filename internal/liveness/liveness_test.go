@@ -131,7 +131,7 @@ func TestCommExcludesArray(t *testing.T) {
 	r := reg2(8)
 	b := &air.Block{ID: 0, Stmts: []air.Stmt{
 		arrStmt(r, "X", ref("A", 0, 0)),
-		&air.CommStmt{Array: "X", Off: air.Offset{0, 1}, Region: r},
+		&air.CommStmt{Array: "X", Off: air.Offset{0, 1}, Region: r, Phase: air.CommRecv, MsgID: 1},
 		arrStmt(r, "B", ref("X", 0, 1)),
 	}}
 	c := Candidates(progOf(b))

@@ -195,28 +195,19 @@ func (t *CostTracer) Flops(n int64) {
 }
 
 // messageCost is the α + β·bytes cycle cost of one message carrying
-// the given number of 8-byte elements; piggybacked messages skip α.
-func (t *CostTracer) messageCost(elems int, piggyback bool) float64 {
-	cost := float64(elems) * 8 / 1024 * t.Model.CommBetaPerKB
-	if !piggyback {
-		cost += t.Model.CommAlpha
-	}
-	return cost
+// the given number of 8-byte elements.
+func (t *CostTracer) messageCost(elems int) float64 {
+	return t.Model.CommAlpha + float64(elems)*8/1024*t.Model.CommBetaPerKB
 }
 
-// Comm charges one communication primitive. Whole messages cost their
-// full latency; a pipelined send is free at post time, and its receive
-// charges only the portion of the message cost not hidden by the
-// computation executed since the send.
-func (t *CostTracer) Comm(array string, off air.Offset, elems int, phase air.CommPhase, msgID int, piggyback bool) {
+// Comm charges one half of a pipelined exchange: a send costs only its
+// posting overhead, and its receive charges the portion of the message
+// cost not hidden by the computation executed since the send.
+func (t *CostTracer) Comm(array string, off air.Offset, elems int, phase air.CommPhase, msgID int) {
 	if t.Procs <= 1 {
 		return
 	}
 	switch phase {
-	case air.CommWhole:
-		c := t.messageCost(elems, piggyback)
-		t.Cycles += c
-		t.CommCycles += c
 	case air.CommSend:
 		// Post the message; overlap accounting happens at receive.
 		t.pending[msgID] = t.Cycles
@@ -224,7 +215,7 @@ func (t *CostTracer) Comm(array string, off air.Offset, elems int, phase air.Com
 		t.Cycles += t.Model.CommAlpha * 0.25
 		t.CommCycles += t.Model.CommAlpha * 0.25
 	case air.CommRecv:
-		cost := t.messageCost(elems, piggyback)
+		cost := t.messageCost(elems)
 		if posted, ok := t.pending[msgID]; ok {
 			elapsed := t.Cycles - posted
 			delete(t.pending, msgID)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/air"
@@ -44,34 +45,28 @@ func TestFlopCosts(t *testing.T) {
 
 func TestCommDisabledUniprocessor(t *testing.T) {
 	tr := NewCostTracer(SP2(), 1)
-	tr.Comm("A", air.Offset{0, 1}, 1000, air.CommWhole, 0, false)
+	tr.Comm("A", air.Offset{0, 1}, 1000, air.CommSend, 1)
+	tr.Comm("A", air.Offset{0, 1}, 1000, air.CommRecv, 1)
 	tr.Reduce()
 	if tr.Cycles != 0 {
 		t.Errorf("p=1 charged %f comm cycles", tr.Cycles)
 	}
 }
 
+// TestWholeMessageCost: an exchange with no computation between its
+// send and its receive hides nothing, so the pair costs the whole
+// message, α + β·bytes.
 func TestWholeMessageCost(t *testing.T) {
 	m := SP2()
 	tr := NewCostTracer(m, 4)
-	tr.Comm("A", air.Offset{0, 1}, 128, air.CommWhole, 0, false)
+	tr.Comm("A", air.Offset{0, 1}, 128, air.CommSend, 1)
+	tr.Comm("A", air.Offset{0, 1}, 128, air.CommRecv, 1)
 	want := m.CommAlpha + 128*8.0/1024*m.CommBetaPerKB
-	if tr.Cycles != want {
+	if d := math.Abs(tr.Cycles - want); d > 1e-9*want {
 		t.Errorf("message cost %f, want %f", tr.Cycles, want)
 	}
-	if tr.CommCycles != want {
-		t.Errorf("comm cycles %f, want %f", tr.CommCycles, want)
-	}
-}
-
-func TestPiggybackSkipsAlpha(t *testing.T) {
-	m := SP2()
-	a := NewCostTracer(m, 4)
-	a.Comm("A", air.Offset{0, 1}, 128, air.CommWhole, 0, false)
-	b := NewCostTracer(m, 4)
-	b.Comm("A", air.Offset{0, 1}, 128, air.CommWhole, 0, true)
-	if a.Cycles-b.Cycles != m.CommAlpha {
-		t.Errorf("piggyback saved %f, want alpha %f", a.Cycles-b.Cycles, m.CommAlpha)
+	if tr.CommCycles != tr.Cycles {
+		t.Errorf("comm cycles %f, want all %f", tr.CommCycles, tr.Cycles)
 	}
 }
 
@@ -79,10 +74,10 @@ func TestPipelineOverlap(t *testing.T) {
 	m := T3E()
 	// Fully hidden: lots of computation between send and recv.
 	hidden := NewCostTracer(m, 4)
-	hidden.Comm("A", air.Offset{0, 1}, 128, air.CommSend, 7, false)
+	hidden.Comm("A", air.Offset{0, 1}, 128, air.CommSend, 7)
 	hidden.Flops(10_000_000)
 	before := hidden.Cycles
-	hidden.Comm("A", air.Offset{0, 1}, 128, air.CommRecv, 7, false)
+	hidden.Comm("A", air.Offset{0, 1}, 128, air.CommRecv, 7)
 	if hidden.Cycles != before {
 		t.Errorf("fully overlapped receive still cost %f cycles", hidden.Cycles-before)
 	}
@@ -91,20 +86,18 @@ func TestPipelineOverlap(t *testing.T) {
 	// the full message cost minus only the posting overhead that
 	// already elapsed.
 	exposed := NewCostTracer(m, 4)
-	exposed.Comm("A", air.Offset{0, 1}, 128, air.CommSend, 7, false)
+	exposed.Comm("A", air.Offset{0, 1}, 128, air.CommSend, 7)
 	post := exposed.Cycles
-	exposed.Comm("A", air.Offset{0, 1}, 128, air.CommRecv, 7, false)
+	exposed.Comm("A", air.Offset{0, 1}, 128, air.CommRecv, 7)
 	full := m.CommAlpha + 128*8.0/1024*m.CommBetaPerKB
 	if got := exposed.Cycles - post; got != full-m.CommAlpha*0.25 {
 		t.Errorf("unoverlapped receive cost %f, want %f", got, full-m.CommAlpha*0.25)
 	}
 
-	// Pipelined-but-exposed must never exceed the whole-message cost
-	// by more than the posting overhead.
-	whole := NewCostTracer(m, 4)
-	whole.Comm("A", air.Offset{0, 1}, 128, air.CommWhole, 0, false)
-	if exposed.Cycles > whole.Cycles+m.CommAlpha*0.25 {
-		t.Errorf("pipelined cost %f exceeds whole %f + overhead", exposed.Cycles, whole.Cycles)
+	// Pipelined-but-exposed must never exceed α + β·bytes by more
+	// than the posting overhead.
+	if exposed.Cycles > full+m.CommAlpha*0.25 {
+		t.Errorf("pipelined cost %f exceeds α+β·bytes %f + overhead", exposed.Cycles, full)
 	}
 }
 

@@ -97,8 +97,8 @@ func injectBarrier(s *Schedule) (*Schedule, error) {
 	return nil, fmt.Errorf("no barrier separates a remote read from a later write of the same array")
 }
 
-// injectMispair negates the direction of the first pipelined or whole
-// send, breaking its pairing with the receive.
+// injectMispair negates the direction of the first send, breaking its
+// pairing with the receive.
 func injectMispair(s *Schedule) (*Schedule, error) {
 	for _, e := range s.Events {
 		if e.Kind != EvSend {

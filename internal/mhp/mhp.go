@@ -135,9 +135,8 @@ type Event struct {
 	Order    dep.LoopStructure // iteration order, for same-nest direction tests
 
 	// Send/recv payload: the exchanged array, the neighbor direction,
-	// and the message id pairing the two halves. Whole (unpipelined)
-	// exchanges are split into a send and a recv sharing a synthetic
-	// negative id.
+	// and the message id (positive) pairing the two halves of the
+	// exchange.
 	Array string
 	Off   air.Offset
 	MsgID int
@@ -231,7 +230,6 @@ type builder struct {
 	ctx      []ctxFrame
 	nextCtl  int
 	visiting map[string]bool
-	wholeID  int // synthetic ids for unpipelined exchanges, negative
 }
 
 func (b *builder) emit(e *Event) {
@@ -359,18 +357,11 @@ func (b *builder) partialReduce(x *lir.PartialReduce) {
 }
 
 func (b *builder) comm(c *lir.Comm) {
-	switch c.Phase {
-	case air.CommSend:
-		b.emit(&Event{Kind: EvSend, Pos: c.Pos, Array: c.Array, Off: c.Off.Clone(), MsgID: c.MsgID})
-	case air.CommRecv:
-		b.emit(&Event{Kind: EvRecv, Pos: c.Pos, Array: c.Array, Off: c.Off.Clone(), MsgID: c.MsgID})
-	default:
-		// A whole exchange is an adjacent send/recv pair under a
-		// synthetic id that can never collide with pipelined ids (> 0).
-		b.wholeID--
-		b.emit(&Event{Kind: EvSend, Pos: c.Pos, Array: c.Array, Off: c.Off.Clone(), MsgID: b.wholeID})
-		b.emit(&Event{Kind: EvRecv, Pos: c.Pos, Array: c.Array, Off: c.Off.Clone(), MsgID: b.wholeID})
+	kind := EvRecv
+	if c.Phase == air.CommSend {
+		kind = EvSend
 	}
+	b.emit(&Event{Kind: kind, Pos: c.Pos, Array: c.Array, Off: c.Off.Clone(), MsgID: c.MsgID})
 }
 
 // procWrites re-derives, per procedure, the arrays its body writes to

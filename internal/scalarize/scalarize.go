@@ -122,7 +122,7 @@ func (sc *scalarizer) single(s air.Stmt) (lir.Node, error) {
 	case *air.ScalarStmt:
 		return &lir.ScalarAssign{LHS: x.LHS, RHS: x.RHS, Pos: x.Pos}, nil
 	case *air.CommStmt:
-		return &lir.Comm{Array: x.Array, Off: x.Off, Reg: x.Region, Phase: x.Phase, MsgID: x.MsgID, Piggyback: x.Piggyback, Pos: x.Pos}, nil
+		return &lir.Comm{Array: x.Array, Off: x.Off, Reg: x.Region, Phase: x.Phase, MsgID: x.MsgID, Pos: x.Pos}, nil
 	case *air.WritelnStmt:
 		return &lir.Writeln{Args: x.Args, Pos: x.Pos}, nil
 	case *air.CallStmt:

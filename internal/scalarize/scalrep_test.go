@@ -84,10 +84,10 @@ func TestScalarReplaceSoundness(t *testing.T) {
 // accTracer tallies memory accesses only.
 type accTracer struct{ n int64 }
 
-func (c *accTracer) Access(int64, bool)                                     { c.n++ }
-func (c *accTracer) Flops(int64)                                            {}
-func (c *accTracer) Comm(string, air.Offset, int, air.CommPhase, int, bool) {}
-func (c *accTracer) Reduce()                                                {}
+func (c *accTracer) Access(int64, bool)                               { c.n++ }
+func (c *accTracer) Flops(int64)                                      {}
+func (c *accTracer) Comm(string, air.Offset, int, air.CommPhase, int) {}
+func (c *accTracer) Reduce()                                          {}
 
 func TestScalarReplaceReducesAccesses(t *testing.T) {
 	count := func(sr bool) int64 {

@@ -493,7 +493,7 @@ func (e *encoder) node(n lir.Node) {
 		e.region(x.Reg)
 		e.int(int(x.Phase))
 		e.int(x.MsgID)
-		e.bool(x.Piggyback)
+		e.byte(0) // retired: see the decoder's tagComm
 		e.pos(x.Pos)
 	case *lir.Call:
 		e.byte(tagCall)
@@ -636,6 +636,26 @@ func (d *decoder) int() int {
 	}
 	d.b = d.b[n:]
 	return int(v)
+}
+
+// enum reads a varint that must lie in [lo, hi]: a peer's envelope
+// may carry any integer, and the engines index tables with these.
+func (d *decoder) enum(what string, lo, hi int) int {
+	v := d.int()
+	if d.err == nil && (v < lo || v > hi) {
+		d.fail("%s %d outside [%d, %d]", what, v, lo, hi)
+	}
+	return v
+}
+
+func (d *decoder) reduceOp() air.ReduceOp {
+	return air.ReduceOp(d.enum("reduce op", int(air.ReduceSum), int(air.ReduceMin)))
+}
+
+func (d *decoder) op() air.Op { return air.Op(d.enum("operator", int(air.OpAdd), int(air.OpNot))) }
+
+func (d *decoder) typeKind() ast.TypeKind {
+	return ast.TypeKind(d.enum("type", int(ast.InvalidType), int(ast.Boolean)))
 }
 
 func (d *decoder) f64() float64 {
@@ -808,7 +828,7 @@ func (d *decoder) program() *lir.Program {
 		for i := 0; i < n && d.err == nil; i++ {
 			s.Arrays[d.key(&prev, i == 0)] = &air.ArrayInfo{
 				Name:       d.str(),
-				Elem:       ast.TypeKind(d.int()),
+				Elem:       d.typeKind(),
 				Declared:   d.region(),
 				Alloc:      d.region(),
 				Temp:       d.bool(),
@@ -821,7 +841,7 @@ func (d *decoder) program() *lir.Program {
 		for i := 0; i < n && d.err == nil; i++ {
 			s.Scalars[d.key(&prev, i == 0)] = &air.ScalarInfo{
 				Name:   d.str(),
-				Type:   ast.TypeKind(d.int()),
+				Type:   d.typeKind(),
 				Config: d.bool(),
 				Init:   d.f64(),
 			}
@@ -881,7 +901,7 @@ func (d *decoder) node() lir.Node {
 					Contracted: d.bool(),
 					IsReduce:   d.bool(),
 					Target:     d.str(),
-					Op:         air.ReduceOp(d.int()),
+					Op:         d.reduceOp(),
 					RHS:        d.expr(),
 					Pos:        d.pos(),
 				}
@@ -899,7 +919,7 @@ func (d *decoder) node() lir.Node {
 		return &lir.ScalarAssign{LHS: d.str(), RHS: d.expr(), Pos: d.pos()}
 	case tagPartialReduce:
 		return &lir.PartialReduce{
-			LHS: d.str(), Dest: d.region(), Op: air.ReduceOp(d.int()),
+			LHS: d.str(), Dest: d.region(), Op: d.reduceOp(),
 			Region: d.region(), Body: d.expr(), Pos: d.pos(),
 		}
 	case tagLoop:
@@ -909,10 +929,17 @@ func (d *decoder) node() lir.Node {
 	case tagIf:
 		return &lir.If{Cond: d.expr(), Then: d.nodes(), Else: d.nodes()}
 	case tagComm:
-		return &lir.Comm{
+		x := &lir.Comm{
 			Array: d.str(), Off: air.Offset(d.ints()), Reg: d.region(),
-			Phase: air.CommPhase(d.int()), MsgID: d.int(), Piggyback: d.bool(), Pos: d.pos(),
+			Phase: air.CommPhase(d.enum("comm phase", int(air.CommSend), int(air.CommRecv))), MsgID: d.int(),
 		}
+		// This byte held Piggyback, retired when every exchange became
+		// a pipelined pair. It is always 0; keeping it keeps the layout.
+		if b := d.byte(); b != 0 {
+			d.fail("retired comm byte %#x", b)
+		}
+		x.Pos = d.pos()
+		return x
 	case tagCall:
 		return &lir.Call{Target: d.str(), Proc: d.str(), Args: d.exprs(), Pos: d.pos()}
 	case tagReturn:
@@ -968,9 +995,9 @@ func (d *decoder) exprBody() air.Expr {
 	case tagConst:
 		return &air.ConstExpr{Val: d.f64()}
 	case tagBin:
-		return &air.BinExpr{Op: air.Op(d.int()), X: d.expr(), Y: d.expr()}
+		return &air.BinExpr{Op: d.op(), X: d.expr(), Y: d.expr()}
 	case tagUn:
-		return &air.UnExpr{Op: air.Op(d.int()), X: d.expr()}
+		return &air.UnExpr{Op: d.op(), X: d.expr()}
 	case tagCallExpr:
 		return &air.CallExpr{Name: d.str(), Args: d.exprs()}
 	default:

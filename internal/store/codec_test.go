@@ -14,9 +14,11 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/air"
+	"repro/internal/ast"
 	"repro/internal/ccache"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -218,6 +220,14 @@ var (
 		reflect.TypeOf(air.RefExpr{}), reflect.TypeOf(air.ScalarExpr{}), reflect.TypeOf(air.IndexExpr{}),
 		reflect.TypeOf(air.ConstExpr{}),
 	}
+	// The int types Decode range-checks, with the non-zero values the
+	// filler may pick for them.
+	enumRanges = map[reflect.Type][2]int{
+		reflect.TypeOf(air.CommPhase(0)): {int(air.CommSend), int(air.CommRecv)},
+		reflect.TypeOf(air.ReduceOp(0)):  {1, int(air.ReduceMin)},
+		reflect.TypeOf(air.Op(0)):        {1, int(air.OpNot)},
+		reflect.TypeOf(ast.TypeKind(0)):  {1, int(ast.Boolean)},
+	}
 )
 
 func (f *filler) fill(v reflect.Value) {
@@ -226,6 +236,10 @@ func (f *filler) fill(v reflect.Value) {
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Int:
+		if r, ok := enumRanges[v.Type()]; ok {
+			v.SetInt(int64(r[0] + f.n%(r[1]-r[0]+1)))
+			break
+		}
 		// Alternate signs so zigzag is exercised.
 		if f.n%2 == 0 {
 			v.SetInt(int64(f.n))
@@ -411,9 +425,19 @@ func firstDifference(a, b reflect.Value, path string) string {
 
 func TestCodecRejectsCorruption(t *testing.T) {
 	bad := corruptions(t)
+	enums := map[string]string{
+		"comm-phase":        "comm phase 0 outside [1, 2]",
+		"comm-retired-byte": "retired comm byte 0x1",
+		"reduce-op":         "reduce op 4 outside",
+		"operator":          "operator 16 outside",
+		"type-kind":         "type 4 outside",
+	}
 	for name, raw := range bad {
-		if _, err := Decode(raw); err == nil {
+		_, err := Decode(raw)
+		if err == nil {
 			t.Errorf("%s: Decode accepted corrupt envelope", name)
+		} else if want := enums[name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want an error naming %q", name, err, want)
 		}
 	}
 	// Damage to the framing is caught without decoding.
@@ -467,6 +491,15 @@ func v1Envelope() []byte {
 // over the result, so only the decoder's own checks stand between it
 // and an allocation.
 func hostile(rest func(e *encoder)) []byte {
+	return hostileProgram(func(e *encoder) {
+		e.bool(false) // no source tables
+		rest(e)
+	})
+}
+
+// hostileProgram frames a payload that is valid up to the program's
+// name and then continues as rest says.
+func hostileProgram(rest func(e *encoder)) []byte {
 	e := newEncoder(0)
 	e.buf = make([]byte, 32) // key
 	for i := 0; i < 5; i++ {
@@ -476,9 +509,30 @@ func hostile(rest func(e *encoder)) []byte {
 	e.bool(false) // no meta
 	e.bool(true)  // a program
 	e.str("p")
-	e.bool(false) // no source tables
 	rest(e)
 	return e.seal()
+}
+
+// hostileNode is hostileBody with a body of one node, written by node.
+func hostileNode(node func(e *encoder)) []byte {
+	return hostileBody(func(e *encoder) {
+		e.uvarint(1)
+		node(e)
+		e.uvarint(1) // main
+	})
+}
+
+// commNode writes an exchange of A@(1) whose phase and retired byte are
+// the caller's.
+func commNode(e *encoder, phase int, retired byte) {
+	e.byte(tagComm)
+	e.str("A")
+	e.ints([]int{1})
+	e.region(nil)
+	e.int(phase)
+	e.int(1) // message id
+	e.byte(retired)
+	e.pos(source.Pos{Line: 1, Col: 1})
 }
 
 // hostileBody is hostile with one procedure, main, whose body is body.
@@ -544,6 +598,46 @@ func corruptions(t testing.TB) map[string][]byte {
 			e.uvarint(0) // empty body
 			e.uvarint(1) // main
 			e.byte(0)
+		}),
+		// One envelope per enum the decoder range-checks; each is valid
+		// but for that one value (TestCodecRejectsCorruption checks the
+		// error names it).
+		"comm-phase": hostileNode(func(e *encoder) { commNode(e, 0, 0) }),
+		"comm-retired-byte": hostileNode(func(e *encoder) {
+			commNode(e, int(air.CommRecv), 1)
+		}),
+		"reduce-op": hostileNode(func(e *encoder) {
+			e.byte(tagPartialReduce)
+			e.str("A")
+			e.region(nil)
+			e.int(int(air.ReduceMin) + 1)
+			e.region(nil)
+			e.byte(tagConst)
+			e.f64(1)
+			e.pos(source.Pos{Line: 1, Col: 1})
+		}),
+		"operator": hostileNode(func(e *encoder) {
+			e.byte(tagReturn)
+			e.byte(tagBin)
+			e.int(int(air.OpNot) + 1)
+			for i := 0; i < 2; i++ {
+				e.byte(tagConst)
+				e.f64(1)
+			}
+			e.pos(source.Pos{Line: 1, Col: 1})
+		}),
+		"type-kind": hostileProgram(func(e *encoder) {
+			e.bool(true) // source tables
+			e.str("p")
+			e.uvarint(0) // arrays
+			e.uvarint(1) // scalars
+			e.str("s")
+			e.str("s")
+			e.int(int(ast.Boolean) + 1)
+			e.bool(false)
+			e.f64(0)
+			e.uvarint(0) // procedures
+			e.uvarint(0) // main
 		}),
 		"unsorted-keys": hostile(func(e *encoder) {
 			e.uvarint(2)

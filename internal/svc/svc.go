@@ -757,8 +757,7 @@ func planSummary(c *driver.Compilation) string {
 		counts.ContractedCompiler+counts.ContractedUser)
 	fmt.Fprintf(&b, "loop nests after fusion: %d\n", c.LIR.CountNests())
 	if c.Comm != nil {
-		fmt.Fprintf(&b, "communication: %d inserted, %d eliminated, %d combined, %d pipelined\n",
-			c.Comm.Inserted, c.Comm.Eliminated, c.Comm.Combined, c.Comm.Pipelined)
+		fmt.Fprintf(&b, "communication: %d inserted, %d eliminated\n", c.Comm.Inserted, c.Comm.Eliminated)
 	}
 	return b.String()
 }

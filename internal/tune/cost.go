@@ -182,13 +182,16 @@ func (c CycleModel) reduceCycles() float64 {
 	return float64(rounds) * (c.M.CommAlpha + 8.0/1024*c.M.CommBetaPerKB)
 }
 
-// commCycles statically prices one communication primitive: the halo
-// surface of the consuming region in the offset's direction, at
-// α + β·bytes, with pipelined sends paying the posting overhead and
-// receives credited half the message for overlap.
+// commCycles statically prices one half of a pipelined exchange: a
+// send pays the posting overhead, and a receive pays half of α + β·bytes
+// for the halo surface of the consuming region in the offset's
+// direction, the other half credited to the overlapped compute.
 func (c CycleModel) commCycles(s *air.CommStmt) float64 {
 	if c.Procs <= 1 {
 		return 0
+	}
+	if s.Phase == air.CommSend {
+		return c.M.CommAlpha * 0.25
 	}
 	elems := 1.0
 	for d := 0; d < s.Region.Rank() && d < len(s.Off); d++ {
@@ -202,17 +205,7 @@ func (c CycleModel) commCycles(s *air.CommStmt) float64 {
 			elems *= float64(s.Region.Extent(d))
 		}
 	}
-	cost := elems * 8 / 1024 * c.M.CommBetaPerKB
-	if !s.Piggyback {
-		cost += c.M.CommAlpha
-	}
-	switch s.Phase {
-	case air.CommSend:
-		return c.M.CommAlpha * 0.25
-	case air.CommRecv:
-		return cost * 0.5 // half hidden behind the overlapped compute
-	}
-	return cost
+	return (elems*8/1024*c.M.CommBetaPerKB + c.M.CommAlpha) * 0.5
 }
 
 // CacheModel replays a bounded sketch of each cluster's reference

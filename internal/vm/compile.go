@@ -290,14 +290,13 @@ func (m *Machine) compileComm(x *lir.Comm) (execFn, error) {
 	// already in place; the primitive only reports its traffic to the
 	// tracer (the machine model charges it).
 	elems := haloElems(x.Reg, x.Off)
-	arr, off, phase := x.Array, x.Off.Clone(), x.Phase
-	msgID, piggy := x.MsgID, x.Piggyback
+	arr, off, phase, msgID := x.Array, x.Off.Clone(), x.Phase, x.MsgID
 	return func(m *Machine) signal {
 		if !m.step() {
 			return sigFault
 		}
 		if m.tracer != nil {
-			m.tracer.Comm(arr, off, elems, phase, msgID, piggy)
+			m.tracer.Comm(arr, off, elems, phase, msgID)
 		}
 		return sigNext
 	}, nil

@@ -30,11 +30,10 @@ type Tracer interface {
 	Access(addr int64, write bool)
 	// Flops reports n floating-point operations.
 	Flops(n int64)
-	// Comm reports a communication primitive (ghost exchange of the
-	// halo slab for array/off over region elems elements). msgID pairs
-	// pipelined send/recv halves; piggyback marks a combined message
-	// that pays no startup cost.
-	Comm(array string, off air.Offset, elems int, phase air.CommPhase, msgID int, piggyback bool)
+	// Comm reports one half of a ghost exchange (the halo slab for
+	// array/off over region, elems elements): phase is send or recv,
+	// and msgID, always positive, pairs a send with its receive.
+	Comm(array string, off air.Offset, elems int, phase air.CommPhase, msgID int)
 	// Reduce reports the global combine of one full reduction.
 	Reduce()
 }

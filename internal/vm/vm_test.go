@@ -211,7 +211,7 @@ func (r *traceRecorder) Access(addr int64, write bool) {
 	}
 }
 func (r *traceRecorder) Flops(n int64) { r.flops += n }
-func (r *traceRecorder) Comm(string, air.Offset, int, air.CommPhase, int, bool) {
+func (r *traceRecorder) Comm(string, air.Offset, int, air.CommPhase, int) {
 	r.comms++
 }
 func (r *traceRecorder) Reduce() { r.reduces++ }
