@@ -158,17 +158,19 @@ plan-guard: build
 	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates' ./internal/core
 	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs|TestFlatOffsetMatchesEnumeration' ./internal/driver ./internal/mhp ./internal/absint
 
-# VM guard: the three tests that let the strip evaluator be changed
-# without the bench harness, re-run fresh — the Tracer stream against
+# VM guard: the tests that let the strip evaluator be changed without
+# the bench harness, re-run fresh — the Tracer stream against
 # testdata/vm/trace_hashes.json (what the machine models see), the
 # strip-width differential (widths 1, 3 and the production one agree on
-# every transcript, array bit and step count) and the allocation ceiling
-# on vm.New. All are ordinary tier-1 tests; this target is the one to
+# every transcript, array bit and step count), the rerun differential
+# (a re-seeded machine run again ends where a fresh one does: the lazy
+# runtime's resident machines) and the allocation ceilings on vm.New
+# and on a rerun (Machine.Reset + Run). All are ordinary tier-1 tests; this target is the one to
 # run after touching internal/vm. `go test -run '^$$' -bench Run
 # ./internal/vm` prints ns per element-statement for the same cells the
 # run-interp workload times.
 vm-guard: build
-	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestNewAllocs' ./internal/vm
+	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs' ./internal/vm
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
 
 # Non-test Go lines per top-level directory, so a simplicity PR quotes a
@@ -198,14 +200,17 @@ loc:
 soak: build
 	$(GO) test -count=1 -run 'TestQuick' ./internal/driver ./internal/parser ./internal/dist ./internal/difftest -soak
 
-# Coverage-guided fuzzing of the envelope decoder (what a peer's POST
-# /store/put reaches), from the committed seed corpus, for a bounded
-# time. Tier-1 runs the seeds only. A finding lands in
-# internal/store/testdata/fuzz/FuzzDecode/ and then runs with them:
-# fix it and commit the file.
+# Coverage-guided fuzzing, from the committed seed corpora, for a
+# bounded time each: the envelope decoder (what a peer's POST
+# /store/put reaches) and the lazy runtime's canonicalization memo
+# (memo hit = canonicalize, issue-order invariance). Tier-1 runs the
+# seeds only. A finding lands in the target's
+# internal/<pkg>/testdata/fuzz/<Fuzz...>/ and then runs with them: fix
+# it and commit the file.
 FUZZTIME ?= 60s
 fuzz-soak: build
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lazy
 
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary

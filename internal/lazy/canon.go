@@ -4,12 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/air"
 	"repro/internal/ast"
+	"repro/internal/ccache"
 	"repro/internal/sema"
 )
 
@@ -18,7 +21,9 @@ import (
 // batches with the same canonical text are the same program modulo
 // handle identity — the property that makes a double-buffer swap
 // (new := f(old) this step, old := f(new) the next) hit the same cache
-// entry with only the name binding flipped.
+// entry with only the name binding flipped. A batch bound from the
+// canonicalization memo (memoEntry.bind) carries only handles, scalars
+// and escapes: all that executing a cached compilation needs.
 type canonBatch struct {
 	order   []*op
 	aname   map[*Handle]string
@@ -140,10 +145,13 @@ func canonicalize(ops []*op, escapes map[*Handle]bool) (*canonBatch, error) {
 	// Kahn's algorithm; among ready ops pick the smallest structural
 	// key, then the smallest issue index. The key folds in the keys of
 	// the op's value sources, so structurally distinct computations
-	// order deterministically no matter how they were issued; true
-	// structural ties (symmetric ops over external state) fall back to
-	// issue order, which still canonicalizes to the same text — only
-	// the name binding differs.
+	// order deterministically no matter how they were issued. True
+	// structural ties (identical ops over external state) fall back to
+	// issue order: when nothing downstream tells the tied ops apart the
+	// text is the same and only the name binding differs, but when a
+	// later op reads them asymmetrically (a := 1; b := 1; c := a - b
+	// reissued with b first) the text differs — a second cache entry,
+	// never a wrong answer.
 	keys := make([]string, n)
 	var ready []int
 	push := func(j int) {
@@ -474,4 +482,253 @@ func renderProgram(p *air.Program) string {
 	}
 	b.WriteString("end\n")
 	return b.String()
+}
+
+// shape is the structural fingerprint of one batch's raw op stream in
+// issue order, the key of the canonicalization memo. It is integer
+// tokens only: op kinds, regions, reduce operators, the expression
+// trees (operators, offsets, Index dimensions, constants as their
+// IEEE bits, builtin names byte for byte), writeln strings byte for
+// byte, and every handle and scalar replaced by its number in order of
+// first appearance, each handle's region, temp flag and escape bit
+// appended. Pointer identity never enters, so the fresh Temp a solver
+// allocates every sweep does not defeat the memo; aliasing does, so
+// a := f(a) and a := f(b) differ. Everything canonicalize reads is
+// here, which makes the memo at least as fine as the canonical text.
+type shape struct {
+	words   []uint64
+	handles []*Handle       // handles[i] is the handle numbered i
+	scalars []*ScalarHandle // scalars[i] is the scalar numbered i
+	anum    map[*Handle]int
+	snum    map[*ScalarHandle]int
+}
+
+// Token tags: each starts a self-delimiting group, so two different op
+// streams never produce the same words.
+const (
+	tagAssign uint64 = iota + 1
+	tagReduce
+	tagWriteln
+	tagStr
+	tagExpr
+	tagRef
+	tagRef0
+	tagScalar
+	tagConst
+	tagIndex
+	tagBin
+	tagUn
+	tagCall
+)
+
+// of fingerprints a batch into s, reusing its storage.
+func (s *shape) of(ops []*op, escapes map[*Handle]bool) {
+	s.words = s.words[:0]
+	clear(s.handles)
+	clear(s.scalars)
+	s.handles, s.scalars = s.handles[:0], s.scalars[:0]
+	if s.anum == nil {
+		s.anum, s.snum = map[*Handle]int{}, map[*ScalarHandle]int{}
+	}
+	clear(s.anum)
+	clear(s.snum)
+	for _, o := range ops {
+		switch o.kind {
+		case opAssign:
+			s.put(tagAssign)
+			s.region(o.region)
+			s.expr(o.rhs)
+			s.put(s.handle(o.target))
+		case opReduce:
+			s.put(tagReduce, uint64(o.rop))
+			s.region(o.region)
+			s.expr(o.rhs)
+			s.put(s.scalar(o.starget))
+		case opWriteln:
+			s.put(tagWriteln, uint64(len(o.wargs)))
+			for _, w := range o.wargs {
+				if w.isStr {
+					s.put(tagStr)
+					s.str(w.str)
+				} else {
+					s.put(tagExpr)
+					s.expr(w.e)
+				}
+			}
+		}
+	}
+	s.put(uint64(len(s.handles)), uint64(len(s.scalars)))
+	for _, h := range s.handles {
+		s.region(h.region)
+		s.put(b2u(h.temp), b2u(!h.temp || escapes[h]))
+	}
+}
+
+func (s *shape) put(ws ...uint64) { s.words = append(s.words, ws...) }
+
+func (s *shape) handle(h *Handle) uint64 {
+	n, ok := s.anum[h]
+	if !ok {
+		n = len(s.handles)
+		s.anum[h] = n
+		s.handles = append(s.handles, h)
+	}
+	return uint64(n)
+}
+
+func (s *shape) scalar(x *ScalarHandle) uint64 {
+	n, ok := s.snum[x]
+	if !ok {
+		n = len(s.scalars)
+		s.snum[x] = n
+		s.scalars = append(s.scalars, x)
+	}
+	return uint64(n)
+}
+
+func (s *shape) region(r *sema.Region) {
+	s.put(uint64(r.Rank()))
+	for d := range r.Lo {
+		s.put(uint64(r.Lo[d]), uint64(r.Hi[d]))
+	}
+}
+
+// str packs a string's bytes eight to a word behind its length.
+func (s *shape) str(v string) {
+	s.put(uint64(len(v)))
+	for i := 0; i < len(v); i += 8 {
+		var w uint64
+		for j := i; j < i+8 && j < len(v); j++ {
+			w = w<<8 | uint64(v[j])
+		}
+		s.put(w)
+	}
+}
+
+func (s *shape) expr(e Expr) {
+	switch x := e.(type) {
+	case *refExpr:
+		s.put(tagRef, s.handle(x.h), uint64(len(x.off)))
+		for _, o := range x.off {
+			s.put(uint64(o))
+		}
+	case *Handle:
+		s.put(tagRef0, s.handle(x))
+	case *ScalarHandle:
+		s.put(tagScalar, s.scalar(x))
+	case *constExpr:
+		s.put(tagConst, math.Float64bits(x.val))
+	case *indexExpr:
+		s.put(tagIndex, uint64(x.dim))
+	case *binExpr:
+		s.put(tagBin, uint64(x.op))
+		s.expr(x.x)
+		s.expr(x.y)
+	case *unExpr:
+		s.put(tagUn, uint64(x.op))
+		s.expr(x.x)
+	case *callExpr:
+		s.put(tagCall)
+		s.str(x.name)
+		s.put(uint64(len(x.args)))
+		for _, a := range x.args {
+			s.expr(a)
+		}
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// hashWords is the memo's bucket hash (FNV-1a over words). Buckets only
+// narrow the search: a hit is confirmed by comparing every word.
+func hashWords(ws []uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range ws {
+		h = (h ^ w) * 1099511628211
+	}
+	return h
+}
+
+// memoEntry is one remembered canonicalization: a batch shape, the
+// content address canonicalize + renderProgram gave it, and the
+// binding from the shape's numbering to canonical names.
+type memoEntry struct {
+	words   []uint64
+	key     ccache.Key
+	handles []int // canonical v<i> is the shape's handle handles[i]
+	scalars []int // canonical s<i> is the shape's scalar scalars[i]
+}
+
+// memo maps batch shapes to their canonicalization. It holds entries
+// only for keys resident in the engine's cache (Engine.dropEvicted).
+type memo struct {
+	hash    func([]uint64) uint64 // hashWords; tests substitute a colliding one
+	buckets map[uint64][]*memoEntry
+}
+
+// find returns the entry whose shape is exactly s, or nil.
+func (m *memo) find(s *shape) *memoEntry {
+	for _, me := range m.buckets[m.hash(s.words)] {
+		if slices.Equal(me.words, s.words) {
+			return me
+		}
+	}
+	return nil
+}
+
+// add remembers that the batch fingerprinted as s canonicalized to cb
+// under key.
+func (m *memo) add(s *shape, key ccache.Key, cb *canonBatch) {
+	me := &memoEntry{
+		words:   slices.Clone(s.words),
+		key:     key,
+		handles: make([]int, len(cb.handles)),
+		scalars: make([]int, len(cb.scalars)),
+	}
+	for i, h := range cb.handles {
+		me.handles[i] = s.anum[h]
+	}
+	for i, x := range cb.scalars {
+		me.scalars[i] = s.snum[x]
+	}
+	if m.buckets == nil {
+		m.buckets = map[uint64][]*memoEntry{}
+	}
+	h := m.hash(s.words)
+	m.buckets[h] = append(m.buckets[h], me)
+}
+
+// keep drops every entry whose key fails resident.
+func (m *memo) keep(resident func(ccache.Key) bool) {
+	for h, b := range m.buckets {
+		b = slices.DeleteFunc(b, func(me *memoEntry) bool { return !resident(me.key) })
+		if len(b) == 0 {
+			delete(m.buckets, h)
+		} else {
+			m.buckets[h] = b
+		}
+	}
+}
+
+// bind is what canonicalize would return for the batch s fingerprints,
+// as far as executing its cached compilation needs: the handles and
+// scalars in canonical-name order.
+func (me *memoEntry) bind(s *shape, escapes map[*Handle]bool) *canonBatch {
+	cb := &canonBatch{
+		handles: make([]*Handle, len(me.handles)),
+		scalars: make([]*ScalarHandle, len(me.scalars)),
+		escapes: escapes,
+	}
+	for i, n := range me.handles {
+		cb.handles[i] = s.handles[n]
+	}
+	for i, n := range me.scalars {
+		cb.scalars[i] = s.scalars[n]
+	}
+	return cb
 }

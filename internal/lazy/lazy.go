@@ -5,19 +5,25 @@
 // the pending operation DAG.
 //
 // At a sync point the engine partitions the pending operations into
-// batches, canonicalizes each batch — dependence-respecting
-// topological order with structural tie-breaking, then renaming of
-// handles to v0,v1,... and scalars to s0,s1,... by first appearance —
-// and compiles the canonical AIR program through the existing
-// pipeline (driver.CompileAIR: fusion, contraction, scalarization,
-// bounds proving). The canonical text is the batch's content address
-// in the compilation cache (ccache.ArtifactLazy), so a fingerprint
-// that has been seen before — the steady state of an iterative solver,
-// including double-buffer handle swaps, which rename to the same
-// canonical program — reuses the compiled artifact without running a
-// single compiler phase. Handle state is bound to canonical names per
-// execution: the VM path seeds machine storage directly, the native
-// path speaks gogen's state-file protocol.
+// batches and fingerprints each batch's raw op stream structurally, in
+// issue order (canon.go's shape: integer tokens, handles numbered by
+// first appearance). A fingerprint seen before, confirmed word for word,
+// names its cache key and its handle-to-canonical-name binding at once:
+// the steady state of an iterative solver, including double-buffer
+// handle swaps and a fresh Temp every sweep, runs without
+// canonicalizing. Only a new fingerprint is canonicalized —
+// dependence-respecting topological order with structural
+// tie-breaking, then renaming of handles to v0,v1,... and scalars to
+// s0,s1,... by first appearance — and rendered: the canonical text is
+// the batch's content address in the compilation cache
+// (ccache.ArtifactLazy), so reissuing independent operations in
+// another order still finds the compiled artifact. A miss compiles the
+// canonical AIR program through the existing pipeline
+// (driver.CompileAIR: fusion, contraction, scalarization, bounds
+// proving); a hit runs no compiler phase. Handle state is bound to
+// canonical names per execution: the VM path seeds the storage of a
+// machine kept resident beside the cached compilation, the native path
+// speaks gogen's state-file protocol.
 //
 // Arrays observable through a handle are marked air.ArrayInfo.Escapes,
 // which keeps the contraction phase from eliminating storage the
@@ -110,12 +116,23 @@ type Engine struct {
 	// batches within one Eval; cleared when the Eval finishes.
 	tempState map[*Handle][]float64
 
+	// shape is the scratch fingerprint of the batch being run; memo
+	// maps fingerprints to canonicalizations and resident holds the
+	// machines (VM) and state layouts (native) of cached compilations.
+	// Both hold only keys the cache holds.
+	shape    shape
+	memo     memo
+	resident map[ccache.Key]*resident
+
 	remarks []remark.Remark
 	stats   Stats
 
 	// compileHook, set by tests only, runs first in a batch's compile:
 	// the seam for a compiler that panics.
 	compileHook func()
+	// memoHits counts batches that skipped canonicalization and
+	// machineBuilds the vm.New calls; tests read them.
+	memoHits, machineBuilds int64
 }
 
 // NewEngine creates an engine. A native-backend engine opens its
@@ -131,6 +148,8 @@ func NewEngine(opt Options) *Engine {
 		out:       out,
 		cache:     ccache.New(opt.CacheBytes),
 		tempState: map[*Handle][]float64{},
+		memo:      memo{hash: hashWords},
+		resident:  map[ccache.Key]*resident{},
 	}
 }
 
@@ -475,7 +494,7 @@ func (e *Engine) evalLocked(ctx context.Context) error {
 	e.remarks = e.remarks[:0]
 	defer func() {
 		// Temp values never survive a sync point, successful or not.
-		e.tempState = map[*Handle][]float64{}
+		clear(e.tempState)
 	}()
 
 	if err := validateTempReads(pending); err != nil {
@@ -485,12 +504,7 @@ func (e *Engine) evalLocked(ctx context.Context) error {
 	batches := partition(pending, e.opt.MaxBatchOps)
 	e.stats.Evals++
 	for i, b := range batches {
-		cb, err := canonicalize(b, escapeSet(batches, i))
-		if err != nil {
-			e.fail(err)
-			return e.err
-		}
-		if err := e.runBatch(ctx, cb); err != nil {
+		if err := e.runBatch(ctx, b, escapeSet(batches, i)); err != nil {
 			var pe *flight.PanicError
 			if errors.As(err, &pe) {
 				// Our fault, not the recorded program's: this Eval's
@@ -699,13 +713,15 @@ func (e *Engine) Remarks() []remark.Remark {
 	return out
 }
 
-// ClearCache drops every cached compilation (and, for the native
-// backend, the store handle — artifacts on disk remain). The
+// ClearCache drops every cached compilation with its resident machine
+// and memoized canonicalizations (native artifacts on disk remain). The
 // fresh-compile-per-iteration experiment arm uses this.
 func (e *Engine) ClearCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cache = ccache.New(e.opt.CacheBytes)
+	clear(e.resident)
+	e.memo.buckets = nil
 }
 
 // driverOptions is the compilation-affecting option set, the second

@@ -49,12 +49,16 @@ end;
 
 // runDiffLazy issues the same computation through the lazy engine,
 // evaluating once per iteration like a real caller, and returns the
-// writeln output.
-func runDiffLazy(t *testing.T, opt Options) string {
+// writeln output. collide makes every batch shape hash alike, so only
+// the memo's word-for-word comparison tells shapes apart.
+func runDiffLazy(t *testing.T, opt Options, collide bool) string {
 	t.Helper()
 	var out bytes.Buffer
 	opt.Out = &out
 	e := NewEngine(opt)
+	if collide {
+		e.memo.hash = collideAll
+	}
 	const n = 12
 	R2 := R(1, n, 1, n)
 	I := R(2, n-1, 2, n-1)
@@ -107,8 +111,11 @@ func TestLazyMatchesZA(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lvl := range levels {
-		if got := runDiffLazy(t, Options{Level: lvl}); got != want || !difftest.Close(got, ref.String()) {
-			t.Errorf("lazy VM at %v = %q, want %q (Reference %q)", lvl, got, want, ref.String())
+		for _, collide := range []bool{false, true} {
+			if got := runDiffLazy(t, Options{Level: lvl}, collide); got != want || !difftest.Close(got, ref.String()) {
+				t.Errorf("lazy VM at %v (colliding shape hashes %v) = %q, want %q (Reference %q)",
+					lvl, collide, got, want, ref.String())
+			}
 		}
 	}
 	if !backend.Available() {
@@ -116,7 +123,7 @@ func TestLazyMatchesZA(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, lvl := range levels {
-		got := runDiffLazy(t, Options{Level: lvl, Backend: driver.BackendGo, ArtifactDir: dir})
+		got := runDiffLazy(t, Options{Level: lvl, Backend: driver.BackendGo, ArtifactDir: dir}, false)
 		if got != want {
 			t.Errorf("lazy native at %v = %q, want %q", lvl, got, want)
 		}
@@ -136,7 +143,8 @@ func jacobiStep(e *Engine, cur, nxt *Handle, res *ScalarHandle) (*Handle, *Handl
 
 // TestSteadyStateZeroRecompile is the tentpole's cache property: an
 // iterative solver with double-buffer handle swaps compiles exactly
-// once; every later Eval is a pure cache hit.
+// once; every later Eval is a pure cache hit that neither
+// canonicalizes (the memo names its key) nor builds a machine.
 func TestSteadyStateZeroRecompile(t *testing.T) {
 	e := NewEngine(Options{Level: core.C2F4S})
 	R2 := R(1, 10, 1, 10)
@@ -156,6 +164,7 @@ func TestSteadyStateZeroRecompile(t *testing.T) {
 	if after1.Misses == 0 {
 		t.Fatalf("first sweep compiled nothing: %+v", after1)
 	}
+	memo1, builds1 := e.memoHits, e.machineBuilds
 
 	const iters = 6
 	for i := 0; i < iters; i++ {
@@ -173,6 +182,12 @@ func TestSteadyStateZeroRecompile(t *testing.T) {
 	}
 	if got := e.Stats().Evals; got != iters+2 {
 		t.Errorf("Evals = %d, want %d", got, iters+2)
+	}
+	if got := e.memoHits - memo1; got != iters {
+		t.Errorf("steady state took the memo path %d times in %d Evals", got, iters)
+	}
+	if got := e.machineBuilds - builds1; got != 0 {
+		t.Errorf("steady state built %d machines in %d Evals instead of reusing the resident one", got, iters)
 	}
 	if _, err := res.Value(); err != nil {
 		t.Fatal(err)
@@ -593,6 +608,9 @@ func TestEvalPanicIsAnError(t *testing.T) {
 	if e.Err() != nil {
 		t.Errorf("a panic left the engine with a sticky error: %v", e.Err())
 	}
+	if len(e.resident) != 0 || len(e.memo.buckets) != 0 {
+		t.Errorf("the panicking Eval left %d resident records and %d memo buckets", len(e.resident), len(e.memo.buckets))
+	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -613,4 +631,21 @@ func TestEvalPanicIsAnError(t *testing.T) {
 	if v, err := a.Values(); err != nil || v[7] != 8 {
 		t.Errorf("values after the retry: %v, %v", v, err)
 	}
+
+	// A panic inside the run itself (the machine turns it into an
+	// error) keeps no machine resident either.
+	w := NewEngine(Options{Out: panicWriter{}})
+	w.Writeln("boom")
+	if err := w.Eval(); err == nil {
+		t.Fatal("Eval whose writeln panics succeeded")
+	}
+	for k, r := range w.resident {
+		if r.vm != nil {
+			t.Errorf("the failed run left its machine resident for %s", k)
+		}
+	}
 }
+
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("writer") }

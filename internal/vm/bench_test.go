@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -69,5 +70,33 @@ func TestNewAllocs(t *testing.T) {
 	})
 	if allocs > 200 {
 		t.Errorf("vm.New(heat n=32 c2+f4): %.0f allocations, ceiling 200", allocs)
+	}
+}
+
+// TestRerunAllocs is the ceiling on running a built machine again
+// (Reset, then Run), the lazy runtime's steady state: the closures and
+// storage are kept, so a rerun allocates its Result and nothing else.
+func TestRerunAllocs(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "heat.za"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4, Configs: map[string]int64{"n": 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(c.LIR, vm.Options{Bounds: c.Bounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Reset(ctx)
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Reset + Run(heat n=32 c2+f4): %.0f allocations, ceiling 2", allocs)
 	}
 }

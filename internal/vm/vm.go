@@ -140,8 +140,9 @@ type execFn func(m *Machine) signal
 
 type evalFn func(m *Machine) float64
 
-// New compiles the program. The returned machine is single-use: call
-// Run once; storage persists for inspection afterwards.
+// New compiles the program. Run executes it, and storage persists for
+// inspection afterwards; to run it again, Reset the machine, re-seed the
+// storage and Run: the compiled closures are kept.
 func New(p *lir.Program, opt Options) (*Machine, error) {
 	return build(p, opt, nil, stripWidth)
 }
@@ -306,6 +307,19 @@ func (m *Machine) Run() (res *Result, err error) {
 		return nil, m.fault
 	}
 	return &Result{Steps: m.steps}, nil
+}
+
+// Reset readies the machine to run main again, under ctx (nil: no
+// cancellation), which replaces Options.Ctx. The step count, the fault,
+// the context poll countdown and the loop indices start over; the
+// compiled closures are kept, and so are storage and scalar slots as the
+// last run (or the caller) left them. The next Run therefore starts from
+// the bytes a fresh machine would only if the caller first overwrites
+// every array cell and slot the program reads before writing — the lazy
+// runtime's resident machines re-seed exactly that.
+func (m *Machine) Reset(ctx context.Context) {
+	m.steps, m.fault, m.ctxLeft, m.idx = 0, nil, 0, [4]int{}
+	m.ctx = ctx
 }
 
 // Scalar returns the final value of a scalar by mangled name. The

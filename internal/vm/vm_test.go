@@ -2,14 +2,22 @@ package vm_test
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/air"
 	"repro/internal/core"
+	"repro/internal/dep"
 	"repro/internal/driver"
 	"repro/internal/lir"
+	"repro/internal/programs"
+	"repro/internal/sema"
 	"repro/internal/vm"
 )
 
@@ -381,4 +389,162 @@ end;
 	if v, _ := m.Scalar("out"); v != 50 {
 		t.Errorf("out = %g, want 50", v)
 	}
+}
+
+// seedMachine is what a caller re-seeding a machine writes before a
+// run: every array cell and every scalar slot, drawn from rng, except
+// that the arrays in zero are cleared and config scalars get their
+// declared value. Names are visited in sorted order, so two machines
+// seeded from equal rngs hold equal bytes.
+func seedMachine(m *vm.Machine, p *lir.Program, rng *rand.Rand, zero map[string]bool) {
+	for _, n := range sortedKeys(p.Source.Arrays) {
+		data := m.ArrayData(n)
+		if zero[n] {
+			clear(data)
+			continue
+		}
+		for i := range data {
+			data[i] = rng.Float64()*4 - 2
+		}
+	}
+	for _, n := range sortedKeys(m.Scalars()) {
+		if s := p.Source.Scalars[n]; s != nil && s.Config {
+			m.SetScalar(n, s.Init)
+		} else {
+			m.SetScalar(n, rng.Float64()*4-2)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// readBeforeWrite is a hand-built LIR in which a temp cell is read
+// before a later nest writes it, as a lazy batch may do: B[4] reads
+// T[5], which only the third nest writes. A fresh machine reads 0 there.
+func readBeforeWrite() *lir.Program {
+	decl := &sema.Region{Lo: []int{1}, Hi: []int{8}}
+	nest := func(lo, hi int, lhs string, rhs air.Expr) *lir.Nest {
+		return &lir.Nest{
+			Region: &sema.Region{Lo: []int{lo}, Hi: []int{hi}},
+			Order:  dep.LoopStructure{1},
+			Body:   []*lir.NestStmt{{LHS: lhs, RHS: rhs}},
+		}
+	}
+	return &lir.Program{
+		Name: "rbw",
+		Source: &air.Program{
+			Arrays: map[string]*air.ArrayInfo{
+				"T": {Name: "T", Declared: decl, Alloc: decl, Temp: true},
+				"B": {Name: "B", Declared: decl, Alloc: decl},
+			},
+			Scalars: map[string]*air.ScalarInfo{},
+		},
+		Procs: map[string]*lir.Proc{"main": {Name: "main", Body: []lir.Node{
+			nest(1, 4, "T", &air.ConstExpr{Val: 1}),
+			nest(1, 4, "B", &air.RefExpr{Ref: air.Ref{Array: "T", Off: air.Offset{1}}}),
+			nest(5, 8, "T", &air.ConstExpr{Val: 2}),
+		}}},
+	}
+}
+
+// TestRerunMatchesFresh: a machine run five times, Reset and re-seeded
+// before each run, ends every run with the same output, array bits, scalar
+// bits and step count as a fresh vm.New given the same seed. The strip
+// buffers, loop indices, step count and fault carry nothing from one
+// run to the next; storage carries what the seed does not overwrite,
+// which readBeforeWrite shows.
+func TestRerunMatchesFresh(t *testing.T) {
+	heat, err := os.ReadFile(filepath.Join("..", "..", "testdata", "heat.za"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type prog struct {
+		name string
+		lir  *lir.Program
+		zero map[string]bool
+	}
+	progs := []prog{{"heat", compileAt(t, string(heat), "n", 16), nil}}
+	for _, name := range []string{"simple", "tomcatv"} {
+		b, _ := programs.ByName(name)
+		progs = append(progs, prog{name, compileAt(t, b.Source, b.SizeConfig, 16), nil})
+	}
+	progs = append(progs, prog{"read-before-write", readBeforeWrite(), map[string]bool{"T": true}})
+	ctx := context.Background()
+	for _, p := range progs {
+		var out bytes.Buffer
+		m, err := vm.New(p.lir, vm.Options{Out: &out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := int64(1); run <= 5; run++ {
+			out.Reset()
+			m.Reset(ctx)
+			seedMachine(m, p.lir, rand.New(rand.NewSource(run)), p.zero)
+			got, err := m.Run()
+			if err != nil {
+				t.Fatalf("%s run %d: %v", p.name, run, err)
+			}
+			var freshOut bytes.Buffer
+			f, err := vm.New(p.lir, vm.Options{Out: &freshOut})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedMachine(f, p.lir, rand.New(rand.NewSource(run)), p.zero)
+			want, err := f.Run()
+			if err != nil {
+				t.Fatalf("%s fresh run %d: %v", p.name, run, err)
+			}
+			if got.Steps != want.Steps || out.String() != freshOut.String() {
+				t.Errorf("%s run %d: %d steps, output %q; fresh: %d steps, %q",
+					p.name, run, got.Steps, out.String(), want.Steps, freshOut.String())
+			}
+			for n := range p.lir.Source.Arrays {
+				a, b := m.ArrayData(n), f.ArrayData(n)
+				for i := range b {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("%s run %d: %s[%d] = %v, fresh %v", p.name, run, n, i, a[i], b[i])
+					}
+				}
+			}
+			for n, v := range f.Scalars() {
+				if got, _ := m.Scalar(n); math.Float64bits(got) != math.Float64bits(v) {
+					t.Errorf("%s run %d: scalar %s = %v, fresh %v", p.name, run, n, got, v)
+				}
+			}
+		}
+	}
+
+	// Not re-zeroing the temp is visible: the reused machine's B[4]
+	// reads the T[5] the previous run wrote, where a fresh one reads 0.
+	p := readBeforeWrite()
+	m, err := vm.New(p, vm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		m.Reset(ctx)
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, _ := m.At("B", 4); v != 2 {
+		t.Errorf("B[4] after an unseeded rerun = %v, want 2 (the previous run's T[5])", v)
+	}
+}
+
+// compileAt compiles src at c2+f4 with one config overridden.
+func compileAt(t *testing.T, src, config string, v int64) *lir.Program {
+	t.Helper()
+	c, err := driver.Compile(src, driver.Options{Level: core.C2F4, Configs: map[string]int64{config: v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.LIR
 }
