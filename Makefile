@@ -181,7 +181,7 @@ vm-guard: build
 LOC_DIRS ?= $(filter-out bench results,$(patsubst %/,%,$(wildcard */)))
 # The three content-addressed stores and the one flight table they share
 # are sized apart, after the total: PR 21 bounded their sum by the three
-# stores' size before it (2,407 lines), and ROADMAP item 6(c) wants it
+# stores' size before it (2,407 lines), and ROADMAP item 8(c) wants it
 # down a further 30%.
 LOC_STORES ?= internal/ccache internal/store internal/backend internal/flight
 loc_sum = total=0; for d in $(1); do \
@@ -203,8 +203,8 @@ soak: build
 # Coverage-guided fuzzing, from the committed seed corpora, for a
 # bounded time each: the envelope decoder (what a peer's POST
 # /store/put reaches) and the lazy runtime's canonicalization memo
-# (memo hit = canonicalize, issue-order invariance). Tier-1 runs the
-# seeds only. A finding lands in the target's
+# (memo key = canonical key, issue-order invariance of the key). Tier-1
+# runs the seeds only. A finding lands in the target's
 # internal/<pkg>/testdata/fuzz/<Fuzz...>/ and then runs with them: fix
 # it and commit the file.
 FUZZTIME ?= 60s

@@ -233,7 +233,9 @@ func (s *Store) Build(ctx context.Context, goSrc string) (*Artifact, error) {
 
 // build invokes the toolchain; the binary lands under its final name
 // only via rename, so a concurrent or crashed build never exposes a
-// partial file.
+// partial file. Each call builds in a directory of its own: builds of
+// one key by two Stores on one directory (in this process or another)
+// never write the same temporary path.
 func (s *Store) build(ctx context.Context, tool string, art *Artifact, goSrc string) (*Artifact, error) {
 	if err := os.MkdirAll(art.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
@@ -241,7 +243,12 @@ func (s *Store) build(ctx context.Context, tool string, art *Artifact, goSrc str
 	if err := store.AtomicWrite(art.Src, []byte(goSrc)); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	tmp := art.Bin + ".tmp" + strconv.Itoa(os.Getpid())
+	tmpDir, err := os.MkdirTemp(art.Dir, "prog.tmp*")
+	if err != nil {
+		return nil, fmt.Errorf("backend: %w", err)
+	}
+	defer os.RemoveAll(tmpDir)
+	tmp := filepath.Join(tmpDir, "prog")
 	t0 := time.Now()
 	cmd := exec.CommandContext(ctx, tool, "build", "-o", tmp, "main.go")
 	// The artifact directory is outside any module on purpose: emitted
@@ -250,14 +257,12 @@ func (s *Store) build(ctx context.Context, tool string, art *Artifact, goSrc str
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		os.Remove(tmp)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
 		return nil, &BuildError{Diagnostics: stderr.String(), Err: err}
 	}
 	if err := os.Rename(tmp, art.Bin); err != nil {
-		os.Remove(tmp)
 		return nil, fmt.Errorf("backend: %w", err)
 	}
 	art.Build = time.Since(t0)

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,6 +87,51 @@ func TestArtifactCacheHit(t *testing.T) {
 	st := store.Stats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("stats not tracking: %+v", st)
+	}
+}
+
+// TestTwoStoresBuildOneKey: two Stores on one directory (two zpl
+// Contexts with the default ArtifactDir, two zpld nodes in one process)
+// build one key at the same time. Each build writes a temporary of its
+// own, so every Build succeeds and every binary is whole. A shared
+// temporary failed about one round in seven here, so the test runs ten
+// rounds, each on a key of its own.
+func TestTwoStoresBuildOneKey(t *testing.T) {
+	requireToolchain(t)
+	dir := t.TempDir()
+	var stores [2]*backend.Store
+	for i := range stores {
+		s, err := backend.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for round := 0; round < 10; round++ {
+		want := fmt.Sprintf("round %d\n", round)
+		src := fmt.Sprintf("package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Print(%q) }\n", want)
+		arts := make([]*backend.Artifact, 8)
+		errs := make([]error, len(arts))
+		var wg sync.WaitGroup
+		for i := range arts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				arts[i], errs[i] = stores[i%2].Build(ctx, src)
+			}()
+		}
+		wg.Wait()
+		for i, art := range arts {
+			if errs[i] != nil {
+				t.Fatalf("round %d, build %d: %v", round, i, errs[i])
+			}
+			var out bytes.Buffer
+			if _, err := art.Run(ctx, &out); err != nil || out.String() != want {
+				t.Fatalf("round %d, binary of build %d: %q, %v", round, i, out.String(), err)
+			}
+		}
 	}
 }
 

@@ -56,8 +56,8 @@ const (
 	ArtifactTune ArtifactKind = "tune"
 	// ArtifactLazy is a compilation of a canonicalized lazy-runtime
 	// batch (internal/lazy): the "source" under the key is the batch's
-	// canonical rendering, not ZA text, so the kind keeps lazy entries
-	// from ever aliasing a ZA program that happens to render the same.
+	// canonical words as bytes, not ZA text, so the kind keeps lazy
+	// entries from ever aliasing a ZA program with the same bytes.
 	ArtifactLazy ArtifactKind = "lazy"
 )
 

@@ -1,136 +1,158 @@
 package lazy
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/air"
 	"repro/internal/ast"
 	"repro/internal/ccache"
+	"repro/internal/driver"
 	"repro/internal/sema"
 )
 
 // canonBatch is one batch after canonicalization: a dependence-valid
-// statement order with every handle renamed to a canonical name. Two
-// batches with the same canonical text are the same program modulo
-// handle identity — the property that makes a double-buffer swap
-// (new := f(old) this step, old := f(new) the next) hit the same cache
-// entry with only the name binding flipped. A batch bound from the
-// canonicalization memo (memoEntry.bind) carries only handles, scalars
-// and escapes: all that executing a cached compilation needs.
+// statement order and the shape of the batch issued in that order. Its
+// numbering is the canonical naming — handles[i] is v<i>, scalars[i] is
+// s<i> — and its words are the batch's content address. Two batches with
+// the same canonical words are the same program modulo handle identity:
+// the property that makes a double-buffer swap (new := f(old) this step,
+// old := f(new) the next) hit the same cache entry with only the binding
+// flipped. A batch bound from the canonicalization memo (memoEntry.bind)
+// fills only handles, scalars and escapes: all that executing a cached
+// compilation needs.
 type canonBatch struct {
-	order   []*op
-	aname   map[*Handle]string
-	sname   map[*ScalarHandle]string
-	handles []*Handle       // in canonical-name order: handles[i] is v<i>
-	scalars []*ScalarHandle // scalars[i] is s<i>
-	escapes map[*Handle]bool
-	text    string
+	order []*op
+	shape
 }
 
-// access is one op's read/write footprint.
+// access is one op's footprint in its shape's numbers; -1 writes none.
 type access struct {
-	areads map[*Handle]bool
-	awrite *Handle
-	sreads map[*ScalarHandle]bool
-	swrite *ScalarHandle
-	io     bool
+	areads, sreads []int
+	awrite, swrite int
+	io             bool
 }
 
-func accessOf(o *op) access {
-	a := access{areads: map[*Handle]bool{}, sreads: map[*ScalarHandle]bool{}}
-	if o.rhs != nil {
-		exprReads(o.rhs, a.areads, a.sreads)
-	}
-	for _, w := range o.wargs {
-		if !w.isStr {
-			exprReads(w.e, a.areads, a.sreads)
+// accesses is the footprint of every op s fingerprints, read off its
+// operand list.
+func (s *shape) accesses() []access {
+	acc := make([]access, len(s.ops))
+	r := 0
+	for j, sp := range s.ops {
+		a := access{awrite: -1, swrite: -1, io: s.words[sp.start] == tagWriteln}
+		for ; r < sp.refs; r++ {
+			ref := s.refs[r]
+			n := int(s.words[ref.pos])
+			switch {
+			case ref.scalar && ref.write:
+				a.swrite = n
+			case ref.scalar:
+				a.sreads = append(a.sreads, n)
+			case ref.write:
+				a.awrite = n
+			default:
+				a.areads = append(a.areads, n)
+			}
 		}
+		acc[j] = a
 	}
-	switch o.kind {
-	case opAssign:
-		a.awrite = o.target
-	case opReduce:
-		a.swrite = o.starget
-	case opWriteln:
-		a.io = true
-	}
-	return a
+	return acc
 }
 
 // conflicts reports whether the earlier op i and the later op j must
 // stay ordered: a RAW/WAR/WAW dependence through any array or scalar,
 // or both performing I/O (output order is part of the semantics).
 func conflicts(i, j access) bool {
-	if i.awrite != nil && (j.areads[i.awrite] || j.awrite == i.awrite) {
+	if i.awrite >= 0 && (j.awrite == i.awrite || slices.Contains(j.areads, i.awrite)) {
 		return true
 	}
-	if j.awrite != nil && i.areads[j.awrite] {
+	if j.awrite >= 0 && slices.Contains(i.areads, j.awrite) {
 		return true
 	}
-	if i.swrite != nil && (j.sreads[i.swrite] || j.swrite == i.swrite) {
+	if i.swrite >= 0 && (j.swrite == i.swrite || slices.Contains(j.sreads, i.swrite)) {
 		return true
 	}
-	if j.swrite != nil && i.sreads[j.swrite] {
+	if j.swrite >= 0 && slices.Contains(i.sreads, j.swrite) {
 		return true
 	}
 	return i.io && j.io
 }
 
-// canonicalize orders a batch's ops topologically over the dependence
-// DAG — tie-breaking by a structural key so the order is invariant
-// under reissuing independent ops in a different sequence — and
-// assigns canonical names by first appearance in the resulting
-// statement order (right-hand side in pre-order, then the left-hand
-// side). escapes lists the Temp handles later batches of the same Eval
-// read; they must survive this batch.
-func canonicalize(ops []*op, escapes map[*Handle]bool) (*canonBatch, error) {
+// canonicalize orders the batch s fingerprints topologically over its
+// dependence DAG and fingerprints it again in that order, which numbers
+// handles and scalars by first appearance in canonical statement order
+// (right-hand side in pre-order, then the target): the canonical names.
+//
+// Among ready ops Kahn's algorithm takes the smallest tie-break key,
+// then the earliest issued. An op's key is the hash of its words with
+// every operand number replaced by its value source: the key of the op
+// that last wrote the operand before it, or the handle's region and
+// temp flag when the value enters the batch from outside. Keys thus
+// name computations, not handles, and the order is invariant under
+// reissuing independent ops in another sequence. Ties fall back to
+// issue order: when nothing downstream tells tied ops apart only the
+// binding differs, but when a later op reads them asymmetrically
+// (a := 1; b := 1; c := a - b reissued with b first) the canonical
+// words differ. So does a hash collision between keys, which only
+// reorders ready ops. Either costs a second cache entry, never a wrong
+// answer: any order canonicalize picks respects every dependence, and
+// the canonical words, not the keys, address the cache.
+func canonicalize(ops []*op, s *shape, hash func([]uint64) uint64) *canonBatch {
 	n := len(ops)
-	acc := make([]access, n)
-	for i, o := range ops {
-		acc[i] = accessOf(o)
+	acc := s.accesses()
+	keys := make([]uint64, n)
+	// lastA[h] (lastS[x]): the op that last wrote handle h (scalar x) so
+	// far, -1 for none.
+	lastA, lastS := make([]int, len(s.handles)), make([]int, len(s.scalars))
+	for i := range lastA {
+		lastA[i] = -1
 	}
-
-	// srcA/srcS: the issue-order value source (last preceding writer)
-	// of every operand, or -1 for state flowing in from outside the
-	// batch. Dependence edges guarantee the source is scheduled before
-	// its reader becomes ready, so reader keys can fold in source keys.
-	srcA := make([]map[*Handle]int, n)
-	srcS := make([]map[*ScalarHandle]int, n)
-	lastA := map[*Handle]int{}
-	lastS := map[*ScalarHandle]int{}
-	for j := range ops {
-		srcA[j] = map[*Handle]int{}
-		srcS[j] = map[*ScalarHandle]int{}
-		for h := range acc[j].areads {
-			if w, ok := lastA[h]; ok {
-				srcA[j][h] = w
-			} else {
-				srcA[j][h] = -1
+	for i := range lastS {
+		lastS[i] = -1
+	}
+	var tie shape
+	r := 0
+	for j, sp := range s.ops {
+		// Sources precede their readers in issue order, so every key an
+		// operand folds in is already computed.
+		tie.words = tie.words[:0]
+		at := sp.start
+		for ; r < sp.refs; r++ {
+			ref := s.refs[r]
+			tie.put(s.words[at:ref.pos]...)
+			at = ref.pos + 1
+			num := int(s.words[ref.pos])
+			src := lastA
+			if ref.scalar {
+				src = lastS
+			}
+			switch w := src[num]; {
+			case w >= 0:
+				tie.put(tagSource, keys[w])
+			case ref.scalar:
+				tie.put(tagOutside)
+			default:
+				h := s.handles[num]
+				tie.put(tagOutside)
+				tie.region(h.region)
+				tie.put(b2u(h.temp))
 			}
 		}
-		for s := range acc[j].sreads {
-			if w, ok := lastS[s]; ok {
-				srcS[j][s] = w
-			} else {
-				srcS[j][s] = -1
-			}
-		}
-		if acc[j].awrite != nil {
+		tie.put(s.words[at:sp.end]...)
+		keys[j] = hash(tie.words)
+		if acc[j].awrite >= 0 {
 			lastA[acc[j].awrite] = j
 		}
-		if acc[j].swrite != nil {
+		if acc[j].swrite >= 0 {
 			lastS[acc[j].swrite] = j
 		}
 	}
 
-	// Dependence edges (quadratic; batches are small).
+	// Dependence edges (quadratic; batches are small). They only point
+	// forward in issue order, so the graph is acyclic.
 	adj := make([][]int, n)
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -141,187 +163,53 @@ func canonicalize(ops []*op, escapes map[*Handle]bool) (*canonBatch, error) {
 			}
 		}
 	}
-
-	// Kahn's algorithm; among ready ops pick the smallest structural
-	// key, then the smallest issue index. The key folds in the keys of
-	// the op's value sources, so structurally distinct computations
-	// order deterministically no matter how they were issued. True
-	// structural ties (identical ops over external state) fall back to
-	// issue order: when nothing downstream tells the tied ops apart the
-	// text is the same and only the name binding differs, but when a
-	// later op reads them asymmetrically (a := 1; b := 1; c := a - b
-	// reissued with b first) the text differs — a second cache entry,
-	// never a wrong answer.
-	keys := make([]string, n)
 	var ready []int
-	push := func(j int) {
-		keys[j] = opKey(ops[j], srcA[j], srcS[j], keys)
-		ready = append(ready, j)
-	}
 	for j := 0; j < n; j++ {
 		if indeg[j] == 0 {
-			push(j)
+			ready = append(ready, j)
 		}
 	}
-	cb := &canonBatch{
-		aname:   map[*Handle]string{},
-		sname:   map[*ScalarHandle]string{},
-		escapes: escapes,
-	}
+	cb := &canonBatch{order: make([]*op, 0, n)}
 	for len(ready) > 0 {
 		best := 0
 		for k := 1; k < len(ready); k++ {
 			a, b := ready[k], ready[best]
-			if keys[a] < keys[b] || (keys[a] == keys[b] && ops[a].seq < ops[b].seq) {
+			if keys[a] < keys[b] || (keys[a] == keys[b] && a < b) {
 				best = k
 			}
 		}
 		j := ready[best]
 		ready = append(ready[:best], ready[best+1:]...)
 		cb.order = append(cb.order, ops[j])
-		for _, s := range adj[j] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				push(s)
+		for _, d := range adj[j] {
+			indeg[d]--
+			if indeg[d] == 0 {
+				ready = append(ready, d)
 			}
 		}
 	}
-	if len(cb.order) != n {
-		return nil, fmt.Errorf("lazy: internal: dependence graph has a cycle")
-	}
-
-	cb.rename()
-	prog, err := cb.build()
-	if err != nil {
-		return nil, err
-	}
-	cb.text = renderProgram(prog)
-	return cb, nil
+	cb.of(cb.order, func(h *Handle) bool { return s.escapes[s.anum[h]] })
+	return cb
 }
 
-// opKey is the structural hash used for topological tie-breaking:
-// everything semantic about the op — kind, region, operator structure,
-// constants — with operand references replaced by the key of their
-// value source ("ext" for state entering the batch), never by handle
-// identity.
-func opKey(o *op, srcA map[*Handle]int, srcS map[*ScalarHandle]int, keys []string) string {
-	h := sha256.New()
-	put := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	refKey := func(x *Handle) string {
-		if w := srcA[x]; w >= 0 {
-			return keys[w]
-		}
-		return "ext:" + x.region.String() + ":" + strconv.FormatBool(x.temp)
-	}
-	srefKey := func(x *ScalarHandle) string {
-		if w := srcS[x]; w >= 0 {
-			return keys[w]
-		}
-		return "ext"
-	}
-	var putExpr func(e Expr)
-	putExpr = func(e Expr) {
-		switch x := e.(type) {
-		case *refExpr:
-			put("ref", fmt.Sprint(x.off), refKey(x.h))
-		case *Handle:
-			put("ref0", refKey(x))
-		case *ScalarHandle:
-			put("sref", srefKey(x))
-		case *constExpr:
-			put("const", strconv.FormatFloat(x.val, 'g', -1, 64))
-		case *indexExpr:
-			put("index", strconv.Itoa(x.dim))
-		case *binExpr:
-			put("bin", x.op.String())
-			putExpr(x.x)
-			putExpr(x.y)
-		case *unExpr:
-			put("un", x.op.String())
-			putExpr(x.x)
-		case *callExpr:
-			put("call", x.name)
-			for _, a := range x.args {
-				putExpr(a)
-			}
-		}
-	}
-	switch o.kind {
-	case opAssign:
-		put("assign", o.region.String(), "tgt:"+strconv.FormatBool(o.target.temp))
-		putExpr(o.rhs)
-	case opReduce:
-		put("reduce", o.rop.String(), o.region.String())
-		putExpr(o.rhs)
-	case opWriteln:
-		put("writeln")
-		for _, w := range o.wargs {
-			if w.isStr {
-				put("str", w.str)
-			} else {
-				put("expr")
-				putExpr(w.e)
-			}
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// key is the batch's content address in the compilation cache: its
+// canonical words as bytes, under the compilation options.
+func (cb *canonBatch) key(dopt driver.Options) ccache.Key {
+	return ccache.KeyOfKind(cb.source(), dopt, ccache.ArtifactLazy)
 }
 
-// rename assigns canonical names by first appearance in canonical
-// statement order: within each op the right-hand side in pre-order,
-// then the left-hand side.
-func (cb *canonBatch) rename() {
-	seeA := func(h *Handle) {
-		if _, ok := cb.aname[h]; !ok {
-			cb.aname[h] = "v" + strconv.Itoa(len(cb.handles))
-			cb.handles = append(cb.handles, h)
-		}
+// source is the canonical words as little-endian bytes, the "source" a
+// lazy cache entry is addressed by.
+func (cb *canonBatch) source() string {
+	b := make([]byte, 0, 8*len(cb.words))
+	for _, w := range cb.words {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	seeS := func(s *ScalarHandle) {
-		if _, ok := cb.sname[s]; !ok {
-			cb.sname[s] = "s" + strconv.Itoa(len(cb.scalars))
-			cb.scalars = append(cb.scalars, s)
-		}
-	}
-	seeExpr := func(e Expr) {
-		walkExpr(e, func(x Expr) {
-			switch n := x.(type) {
-			case *refExpr:
-				seeA(n.h)
-			case *Handle:
-				seeA(n)
-			case *ScalarHandle:
-				seeS(n)
-			}
-		})
-	}
-	for _, o := range cb.order {
-		if o.rhs != nil {
-			seeExpr(o.rhs)
-		}
-		for _, w := range o.wargs {
-			if !w.isStr {
-				seeExpr(w.e)
-			}
-		}
-		switch o.kind {
-		case opAssign:
-			seeA(o.target)
-		case opReduce:
-			seeS(o.starget)
-		}
-	}
+	return string(b)
 }
 
-// build constructs the canonical AIR program for the batch. Each call
-// returns a fresh instance: driver.CompileAIR rewrites the program in
-// place, so the cached compilation and the fingerprint text must never
-// share nodes.
+// build constructs the canonical AIR program for the batch, the input
+// driver.CompileAIR compiles (and rewrites in place) on a cache miss.
 func (cb *canonBatch) build() (*air.Program, error) {
 	arrays := map[string]*air.ArrayInfo{}
 	for i, h := range cb.handles {
@@ -331,7 +219,7 @@ func (cb *canonBatch) build() (*air.Program, error) {
 			Declared: cloneRegion(h.region),
 			Alloc:    cloneRegion(h.region),
 			Temp:     h.temp,
-			Escapes:  !h.temp || cb.escapes[h],
+			Escapes:  cb.escapes[i],
 		}
 	}
 	scalars := map[string]*air.ScalarInfo{}
@@ -342,8 +230,8 @@ func (cb *canonBatch) build() (*air.Program, error) {
 		}
 	}
 
-	aname := func(h *Handle) string { return cb.aname[h] }
-	sname := func(s *ScalarHandle) string { return cb.sname[s] }
+	aname := func(h *Handle) string { return "v" + strconv.Itoa(cb.anum[h]) }
+	sname := func(s *ScalarHandle) string { return "s" + strconv.Itoa(cb.snum[s]) }
 
 	var stmts []air.Stmt
 	id := 0
@@ -353,7 +241,7 @@ func (cb *canonBatch) build() (*air.Program, error) {
 		case opAssign:
 			rank := o.region.Rank()
 			rhs := airExpr(o.rhs, rank, aname, sname)
-			lhs := cb.aname[o.target]
+			lhs := aname(o.target)
 			readsLHS := false
 			for _, r := range air.Refs(rhs) {
 				if r.Array == lhs {
@@ -385,7 +273,7 @@ func (cb *canonBatch) build() (*air.Program, error) {
 			}
 		case opReduce:
 			stmts = append(stmts, &air.ReduceStmt{
-				Target: cb.sname[o.starget],
+				Target: sname(o.starget),
 				Op:     o.rop,
 				Region: cloneRegion(o.region),
 				Body:   airExpr(o.rhs, o.region.Rank(), aname, sname),
@@ -448,63 +336,49 @@ func (cb *canonBatch) build() (*air.Program, error) {
 	}, nil
 }
 
-// renderProgram is the canonical text of a batch program: declarations
-// in name order, then the statements in canonical order. This string —
-// not any handle identity — is what the compilation cache addresses
-// (ccache.ArtifactLazy), together with the compilation options.
-func renderProgram(p *air.Program) string {
-	var b strings.Builder
-	b.WriteString("lazy batch v1\n")
-	names := make([]string, 0, len(p.Arrays))
-	for n := range p.Arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		a := p.Arrays[n]
-		fmt.Fprintf(&b, "array %s %s temp=%t escapes=%t\n", a.Name, a.Declared, a.Temp, a.Escapes)
-	}
-	names = names[:0]
-	for n := range p.Scalars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "scalar %s\n", n)
-	}
-	b.WriteString("begin\n")
-	for _, blk := range p.AllBlocks() {
-		for _, s := range blk.Stmts {
-			b.WriteString("  ")
-			b.WriteString(s.String())
-			b.WriteString("\n")
-		}
-	}
-	b.WriteString("end\n")
-	return b.String()
-}
-
-// shape is the structural fingerprint of one batch's raw op stream in
-// issue order, the key of the canonicalization memo. It is integer
-// tokens only: op kinds, regions, reduce operators, the expression
-// trees (operators, offsets, Index dimensions, constants as their
-// IEEE bits, builtin names byte for byte), writeln strings byte for
-// byte, and every handle and scalar replaced by its number in order of
-// first appearance, each handle's region, temp flag and escape bit
-// appended. Pointer identity never enters, so the fresh Temp a solver
-// allocates every sweep does not defeat the memo; aliasing does, so
-// a := f(a) and a := f(b) differ. Everything canonicalize reads is
-// here, which makes the memo at least as fine as the canonical text.
+// shape is the one encoding of a batch: its op stream as integer words.
+// The words hold op kinds, regions, reduce operators, the expression
+// trees (operators, offsets, Index dimensions, constants as their IEEE
+// bits, builtin names byte for byte), writeln strings byte for byte, and
+// every handle and scalar replaced by its number in order of first
+// appearance (right-hand side in pre-order, then the target), each
+// handle's region, temp flag and escape bit appended. Pointer identity
+// never enters, so the fresh Temp a solver allocates every sweep does
+// not change a shape; aliasing does, so a := f(a) and a := f(b) differ.
+//
+// It has three uses. In issue order it is the canonicalization memo's
+// key. Within canonicalize, an op's words with its operand numbers
+// replaced by their value sources are the op's tie-break key. In
+// canonical order its numbers are the canonical names and its words the
+// batch's content address (canonBatch). Everything canonicalize reads is
+// in the issue-order words, so the memo is at least as fine as the
+// canonical key; every word is in the canonical words, so the key is at
+// least as fine as the compiled program.
 type shape struct {
 	words   []uint64
 	handles []*Handle       // handles[i] is the handle numbered i
 	scalars []*ScalarHandle // scalars[i] is the scalar numbered i
+	escapes []bool          // escapes[i]: handle i's value outlives the batch
 	anum    map[*Handle]int
 	snum    map[*ScalarHandle]int
+	ops     []opSpan  // where each op's words and operands are
+	refs    []operand // every number in words, in order
+}
+
+// opSpan locates one op in its shape: its words are words[start:end],
+// and its operands the refs from the previous op's refs up to refs.
+type opSpan struct{ start, end, refs int }
+
+// operand is one handle or scalar number in a shape: its position in the
+// words, and whether the op writes (rather than reads) it.
+type operand struct {
+	pos           int
+	scalar, write bool
 }
 
 // Token tags: each starts a self-delimiting group, so two different op
-// streams never produce the same words.
+// streams never produce the same words. tagSource and tagOutside occur
+// only in tie-break words, each in place of an operand number.
 const (
 	tagAssign uint64 = iota + 1
 	tagReduce
@@ -519,31 +393,36 @@ const (
 	tagBin
 	tagUn
 	tagCall
+	tagSource
+	tagOutside
 )
 
-// of fingerprints a batch into s, reusing its storage.
-func (s *shape) of(ops []*op, escapes map[*Handle]bool) {
+// of fingerprints ops into s, reusing its storage; escapes reports
+// whether a Temp's value must outlive the batch.
+func (s *shape) of(ops []*op, escapes func(*Handle) bool) {
 	s.words = s.words[:0]
 	clear(s.handles)
 	clear(s.scalars)
-	s.handles, s.scalars = s.handles[:0], s.scalars[:0]
+	s.handles, s.scalars, s.escapes = s.handles[:0], s.scalars[:0], s.escapes[:0]
+	s.ops, s.refs = s.ops[:0], s.refs[:0]
 	if s.anum == nil {
 		s.anum, s.snum = map[*Handle]int{}, map[*ScalarHandle]int{}
 	}
 	clear(s.anum)
 	clear(s.snum)
 	for _, o := range ops {
+		start := len(s.words)
 		switch o.kind {
 		case opAssign:
 			s.put(tagAssign)
 			s.region(o.region)
 			s.expr(o.rhs)
-			s.put(s.handle(o.target))
+			s.handle(o.target, true)
 		case opReduce:
 			s.put(tagReduce, uint64(o.rop))
 			s.region(o.region)
 			s.expr(o.rhs)
-			s.put(s.scalar(o.starget))
+			s.scalar(o.starget, true)
 		case opWriteln:
 			s.put(tagWriteln, uint64(len(o.wargs)))
 			for _, w := range o.wargs {
@@ -556,34 +435,41 @@ func (s *shape) of(ops []*op, escapes map[*Handle]bool) {
 				}
 			}
 		}
+		s.ops = append(s.ops, opSpan{start, len(s.words), len(s.refs)})
 	}
 	s.put(uint64(len(s.handles)), uint64(len(s.scalars)))
 	for _, h := range s.handles {
+		esc := !h.temp || escapes(h)
+		s.escapes = append(s.escapes, esc)
 		s.region(h.region)
-		s.put(b2u(h.temp), b2u(!h.temp || escapes[h]))
+		s.put(b2u(h.temp), b2u(esc))
 	}
 }
 
 func (s *shape) put(ws ...uint64) { s.words = append(s.words, ws...) }
 
-func (s *shape) handle(h *Handle) uint64 {
+// handle writes h's number, numbering it on first appearance.
+func (s *shape) handle(h *Handle, write bool) {
 	n, ok := s.anum[h]
 	if !ok {
 		n = len(s.handles)
 		s.anum[h] = n
 		s.handles = append(s.handles, h)
 	}
-	return uint64(n)
+	s.refs = append(s.refs, operand{pos: len(s.words), write: write})
+	s.put(uint64(n))
 }
 
-func (s *shape) scalar(x *ScalarHandle) uint64 {
+// scalar writes x's number, numbering it on first appearance.
+func (s *shape) scalar(x *ScalarHandle, write bool) {
 	n, ok := s.snum[x]
 	if !ok {
 		n = len(s.scalars)
 		s.snum[x] = n
 		s.scalars = append(s.scalars, x)
 	}
-	return uint64(n)
+	s.refs = append(s.refs, operand{pos: len(s.words), scalar: true, write: write})
+	s.put(uint64(n))
 }
 
 func (s *shape) region(r *sema.Region) {
@@ -608,14 +494,18 @@ func (s *shape) str(v string) {
 func (s *shape) expr(e Expr) {
 	switch x := e.(type) {
 	case *refExpr:
-		s.put(tagRef, s.handle(x.h), uint64(len(x.off)))
+		s.put(tagRef)
+		s.handle(x.h, false)
+		s.put(uint64(len(x.off)))
 		for _, o := range x.off {
 			s.put(uint64(o))
 		}
 	case *Handle:
-		s.put(tagRef0, s.handle(x))
+		s.put(tagRef0)
+		s.handle(x, false)
 	case *ScalarHandle:
-		s.put(tagScalar, s.scalar(x))
+		s.put(tagScalar)
+		s.scalar(x, false)
 	case *constExpr:
 		s.put(tagConst, math.Float64bits(x.val))
 	case *indexExpr:
@@ -644,8 +534,10 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// hashWords is the memo's bucket hash (FNV-1a over words). Buckets only
-// narrow the search: a hit is confirmed by comparing every word.
+// hashWords is the word hash (FNV-1a) behind the memo's buckets and
+// canonicalize's tie-break keys. Neither trusts it: buckets only narrow
+// the search, a hit being confirmed by comparing every word, and a
+// tie-break collision only reorders ready ops.
 func hashWords(ws []uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, w := range ws {
@@ -655,8 +547,8 @@ func hashWords(ws []uint64) uint64 {
 }
 
 // memoEntry is one remembered canonicalization: a batch shape, the
-// content address canonicalize + renderProgram gave it, and the
-// binding from the shape's numbering to canonical names.
+// content address canonicalize gave it, and the binding from the
+// shape's numbering to canonical names.
 type memoEntry struct {
 	words   []uint64
 	key     ccache.Key
@@ -667,7 +559,7 @@ type memoEntry struct {
 // memo maps batch shapes to their canonicalization. It holds entries
 // only for keys resident in the engine's cache (Engine.dropEvicted).
 type memo struct {
-	hash    func([]uint64) uint64 // hashWords; tests substitute a colliding one
+	hash    func([]uint64) uint64 // hashWords, for canonicalize too; tests substitute a colliding one
 	buckets map[uint64][]*memoEntry
 }
 
@@ -715,20 +607,18 @@ func (m *memo) keep(resident func(ccache.Key) bool) {
 	}
 }
 
-// bind is what canonicalize would return for the batch s fingerprints,
-// as far as executing its cached compilation needs: the handles and
-// scalars in canonical-name order.
-func (me *memoEntry) bind(s *shape, escapes map[*Handle]bool) *canonBatch {
-	cb := &canonBatch{
-		handles: make([]*Handle, len(me.handles)),
-		scalars: make([]*ScalarHandle, len(me.scalars)),
-		escapes: escapes,
+// bind fills cb with what canonicalize would give the batch s
+// fingerprints, as far as executing its cached compilation needs: the
+// handles with their escape bits, and the scalars, in canonical order.
+func (me *memoEntry) bind(s *shape, cb *canonBatch) {
+	clear(cb.handles)
+	clear(cb.scalars)
+	cb.handles, cb.escapes, cb.scalars = cb.handles[:0], cb.escapes[:0], cb.scalars[:0]
+	for _, n := range me.handles {
+		cb.handles = append(cb.handles, s.handles[n])
+		cb.escapes = append(cb.escapes, s.escapes[n])
 	}
-	for i, n := range me.handles {
-		cb.handles[i] = s.handles[n]
+	for _, n := range me.scalars {
+		cb.scalars = append(cb.scalars, s.scalars[n])
 	}
-	for i, n := range me.scalars {
-		cb.scalars[i] = s.scalars[n]
-	}
-	return cb
 }

@@ -21,17 +21,17 @@ import (
 	"repro/internal/vm"
 )
 
-// runBatch executes one batch, compiling it only when the cache does
-// not hold it. The batch's shape is looked up in the canonicalization
-// memo first; only a shape seen for the first time is canonicalized and
-// rendered to find its content address (the hash of its canonical text
-// under the engine's options). A panic on the way — the compiler's, the
-// emitter's, the build's — comes back as an error naming the batch by
-// that address; the cache holds no trace of the attempt, so the same
-// shape compiles afresh next time.
-func (e *Engine) runBatch(ctx context.Context, ops []*op, escapes map[*Handle]bool) (err error) {
+// runBatch executes the Eval's batch number batch, compiling it only
+// when the cache does not hold it. The batch's shape is looked up in
+// the canonicalization memo first; only a shape seen for the first time
+// is canonicalized to find its content address (the hash of its
+// canonical words under the engine's options). A panic on the way — the
+// compiler's, the emitter's, the build's — comes back as an error naming
+// the batch by that address; the cache holds no trace of the attempt, so
+// the same shape compiles afresh next time.
+func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error) {
 	dopt := e.driverOptions()
-	e.shape.of(ops, escapes)
+	e.shape.of(ops, func(h *Handle) bool { return e.lastRead[h] > batch })
 	me := e.memo.find(&e.shape)
 	var cb *canonBatch
 	var key ccache.Key
@@ -39,10 +39,8 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, escapes map[*Handle]bo
 		key = me.key
 		e.memoHits++
 	} else {
-		if cb, err = canonicalize(ops, escapes); err != nil {
-			return err
-		}
-		key = ccache.KeyOfKind(cb.text, dopt, ccache.ArtifactLazy)
+		cb = canonicalize(ops, &e.shape, e.memo.hash)
+		key = cb.key(dopt)
 	}
 	defer func() {
 		if v := recover(); v != nil {
@@ -66,9 +64,7 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, escapes map[*Handle]bo
 		if cb == nil {
 			// Unreachable while dropEvicted runs after every eviction; the
 			// shape canonicalizes to the key the memo holds either way.
-			if cb, err = canonicalize(ops, escapes); err != nil {
-				return err
-			}
+			cb = canonicalize(ops, &e.shape, e.memo.hash)
 		}
 		if entry, r, err = e.compile(ctx, key, cb, dopt); err != nil {
 			return err
@@ -78,7 +74,8 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, escapes map[*Handle]bo
 		e.resident[key] = r
 	}
 	if cb == nil {
-		cb = me.bind(&e.shape, escapes)
+		me.bind(&e.shape, &e.bound)
+		cb = &e.bound
 	} else if me == nil && e.resident[key] == r && r.shapes < memoShapesPerKey {
 		e.memo.add(&e.shape, key, cb)
 		r.shapes++
@@ -115,8 +112,6 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 	if e.compileHook != nil {
 		e.compileHook()
 	}
-	// Build a fresh program: CompileAIR rewrites it in place, so the
-	// instance rendered for the fingerprint is never handed over.
 	prog, err := cb.build()
 	if err != nil {
 		return nil, nil, err
@@ -125,7 +120,7 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 	if err != nil {
 		return nil, nil, err
 	}
-	entry := &ccache.Entry{Key: key, Kind: ccache.ArtifactLazy, Source: cb.text, Comp: comp}
+	entry := &ccache.Entry{Key: key, Kind: ccache.ArtifactLazy, Source: cb.source(), Comp: comp}
 	r := &resident{}
 	if dopt.Backend.Native() {
 		r.native = bindState(comp.LIR, cb)
@@ -226,12 +221,12 @@ func (e *Engine) seedOf(h *Handle) []float64 {
 
 // resultOf is where a batch's final value of a handle goes: an array's
 // host data, a per-Eval buffer for a Temp a later batch of this Eval
-// reads, or nil for a Temp nothing reads again.
-func (e *Engine) resultOf(h *Handle, escapes map[*Handle]bool) []float64 {
+// reads (it escapes), or nil for a Temp nothing reads again.
+func (e *Engine) resultOf(h *Handle, escapes bool) []float64 {
 	if !h.temp {
 		return h.hostData()
 	}
-	if !escapes[h] {
+	if !escapes {
 		return nil
 	}
 	buf := e.tempState[h]
@@ -382,7 +377,7 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 	}
 	for i, h := range cb.handles {
 		if slab := rv.arrays[i]; slab != nil {
-			if dst := e.resultOf(h, cb.escapes); dst != nil {
+			if dst := e.resultOf(h, cb.escapes[i]); dst != nil {
 				copyRect(slab, rv.allocs[i], h.region, dst, false)
 			}
 		}
@@ -471,7 +466,7 @@ func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.En
 		size := info.Alloc.Size()
 		if i := sb.arrays[k]; i >= 0 {
 			h := cb.handles[i]
-			if dst := e.resultOf(h, cb.escapes); dst != nil {
+			if dst := e.resultOf(h, cb.escapes[i]); dst != nil {
 				slab := make([]float64, size)
 				for j := range slab {
 					slab[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*j:]))

@@ -123,20 +123,6 @@ func walkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// exprReads collects the array handles and scalar handles e reads.
-func exprReads(e Expr, arrays map[*Handle]bool, scalars map[*ScalarHandle]bool) {
-	walkExpr(e, func(x Expr) {
-		switch n := x.(type) {
-		case *refExpr:
-			arrays[n.h] = true
-		case *Handle:
-			arrays[n] = true
-		case *ScalarHandle:
-			scalars[n] = true
-		}
-	})
-}
-
 // checkExpr validates an expression against the engine and the
 // statement's iteration rank: every handle belongs to eng, every array
 // reference's offset and array rank match the iteration rank, index

@@ -237,27 +237,26 @@ func (rc *recording) expr(x *fuzzExpr) Expr {
 	return Const(x.val)
 }
 
-// canon canonicalizes the recording's pending ops as one batch.
-func (rc *recording) canon(t *testing.T) (*canonBatch, ccache.Key) {
+// canon fingerprints the recording's pending ops as one batch and
+// canonicalizes them.
+func (rc *recording) canon(t *testing.T) (*shape, *canonBatch, ccache.Key) {
 	t.Helper()
 	if rc.e.err != nil {
 		t.Fatalf("recording failed: %v", rc.e.err)
 	}
-	cb, err := canonicalize(rc.e.pending, rc.escapes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cb, ccache.KeyOfKind(cb.text, driver.Options{}, ccache.ArtifactLazy)
+	s := &shape{}
+	s.of(rc.e.pending, func(h *Handle) bool { return rc.escapes[h] })
+	cb := canonicalize(rc.e.pending, s, hashWords)
+	return s, cb, cb.key(driver.Options{})
 }
 
 // reissue is a random order of the stream's ops that keeps every pair of
 // conflicting ops (conflicts: RAW/WAR/WAW, both I/O) in issue order.
 func reissue(ops []*op, rng *rand.Rand) []int {
 	n := len(ops)
-	acc := make([]access, n)
-	for i, o := range ops {
-		acc[i] = accessOf(o)
-	}
+	var s shape
+	s.of(ops, func(*Handle) bool { return false })
+	acc := s.accesses()
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -296,7 +295,7 @@ func reissue(ops []*op, rng *rand.Rand) []int {
 //     and the handle and scalar binding canonicalize gives that
 //     recording.
 //   - Reissuing the independent ops in another order keeps the
-//     canonical text. Ties between structurally identical ops fall back
+//     canonical key. Ties between structurally identical ops fall back
 //     to issue order (canon.go), so this is checked on the stream with
 //     every op stamped with its own constant.
 func FuzzCanonicalize(f *testing.F) {
@@ -310,32 +309,31 @@ func FuzzCanonicalize(f *testing.F) {
 			identity[i] = i
 		}
 		a, b := s.record(identity, false, false), s.record(identity, true, false)
-		cbA, keyA := a.canon(t)
-		cbB, keyB := b.canon(t)
+		shA, cbA, keyA := a.canon(t)
+		shB, cbB, keyB := b.canon(t)
 		for _, hash := range []func([]uint64) uint64{hashWords, collideAll} {
 			m := memo{hash: hash}
-			var sh shape
-			sh.of(a.e.pending, a.escapes)
-			m.add(&sh, keyA, cbA)
-			sh.of(b.e.pending, b.escapes)
-			me := m.find(&sh)
+			m.add(shA, keyA, cbA)
+			me := m.find(shB)
 			if me == nil {
 				t.Fatal("the same stream on other handles missed the memo")
 			}
 			if me.key != keyB {
-				t.Fatalf("memo key %s, canonicalize %s:\n%s", me.key, keyB, cbB.text)
+				t.Fatalf("memo key %s, canonicalize %s:\n%s", me.key, keyB, statements(t, cbB))
 			}
-			bound := me.bind(&sh, b.escapes)
-			if !slices.Equal(bound.handles, cbB.handles) || !slices.Equal(bound.scalars, cbB.scalars) {
-				t.Fatalf("memo binding differs from canonicalize's:\n%s", cbB.text)
+			var bound canonBatch
+			me.bind(shB, &bound)
+			if !slices.Equal(bound.handles, cbB.handles) || !slices.Equal(bound.scalars, cbB.scalars) ||
+				!slices.Equal(bound.escapes, cbB.escapes) {
+				t.Fatalf("memo binding differs from canonicalize's:\n%s", statements(t, cbB))
 			}
 		}
 
-		stamped, _ := s.record(identity, false, true).canon(t)
+		_, stamped, stampedKey := s.record(identity, false, true).canon(t)
 		rng := rand.New(rand.NewSource(int64(hashWords(wordsOf(data)))))
 		order := reissue(s.record(identity, false, true).e.pending, rng)
-		if again, _ := s.record(order, true, true).canon(t); again.text != stamped.text {
-			t.Fatalf("reissued as %v, the canonical text changed:\n%s\nwant:\n%s", order, again.text, stamped.text)
+		if _, again, againKey := s.record(order, true, true).canon(t); againKey != stampedKey {
+			t.Fatalf("reissued as %v, the canonical key changed:\n%swant:\n%s", order, statements(t, again), statements(t, stamped))
 		}
 	})
 }

@@ -4,18 +4,19 @@
 // executes until a sync point (Eval, or reading a value back) forces
 // the pending operation DAG.
 //
-// At a sync point the engine partitions the pending operations into
-// batches and fingerprints each batch's raw op stream structurally, in
-// issue order (canon.go's shape: integer tokens, handles numbered by
-// first appearance). A fingerprint seen before, confirmed word for word,
-// names its cache key and its handle-to-canonical-name binding at once:
-// the steady state of an iterative solver, including double-buffer
-// handle swaps and a fresh Temp every sweep, runs without
-// canonicalizing. Only a new fingerprint is canonicalized —
-// dependence-respecting topological order with structural
-// tie-breaking, then renaming of handles to v0,v1,... and scalars to
-// s0,s1,... by first appearance — and rendered: the canonical text is
-// the batch's content address in the compilation cache
+// At a sync point one walk over the pending operations cuts them into
+// batches, checks that every Temp is written before it is read, and
+// notes which Temps a later batch reads. Each batch is then encoded
+// once, in issue order, as canon.go's shape: integer words, handles
+// numbered by first appearance. A shape seen before, confirmed word for
+// word, names its cache key and its handle-to-canonical-name binding at
+// once: the steady state of an iterative solver, including
+// double-buffer handle swaps and a fresh Temp every sweep, runs without
+// canonicalizing. Only a new shape is canonicalized — a
+// dependence-respecting topological order with structural tie-breaking,
+// encoded again in that order, which names handles v0,v1,... and
+// scalars s0,s1,... by first appearance. Those canonical words are the
+// batch's content address in the compilation cache
 // (ccache.ArtifactLazy), so reissuing independent operations in
 // another order still finds the compiled artifact. A miss compiles the
 // canonical AIR program through the existing pipeline
@@ -112,15 +113,20 @@ type Engine struct {
 	pending    []*op
 	err        error
 
-	// tempState holds the transient storage of Temp handles that span
-	// batches within one Eval; cleared when the Eval finishes.
+	// lastRead maps every Temp written so far in the Eval in progress to
+	// the last batch that reads it (-1: none), and tempState holds the
+	// values of Temps a later batch reads. Both are cleared when the
+	// Eval finishes.
+	lastRead  map[*Handle]int
 	tempState map[*Handle][]float64
 
-	// shape is the scratch fingerprint of the batch being run; memo
-	// maps fingerprints to canonicalizations and resident holds the
-	// machines (VM) and state layouts (native) of cached compilations.
-	// Both hold only keys the cache holds.
+	// shape is the scratch fingerprint of the batch being run and bound
+	// the scratch binding of a memo hit; memo maps fingerprints to
+	// canonicalizations and resident holds the machines (VM) and state
+	// layouts (native) of cached compilations. Both hold only keys the
+	// cache holds.
 	shape    shape
+	bound    canonBatch
 	memo     memo
 	resident map[ccache.Key]*resident
 
@@ -147,6 +153,7 @@ func NewEngine(opt Options) *Engine {
 		opt:       opt,
 		out:       out,
 		cache:     ccache.New(opt.CacheBytes),
+		lastRead:  map[*Handle]int{},
 		tempState: map[*Handle][]float64{},
 		memo:      memo{hash: hashWords},
 		resident:  map[ccache.Key]*resident{},
@@ -494,17 +501,18 @@ func (e *Engine) evalLocked(ctx context.Context) error {
 	e.remarks = e.remarks[:0]
 	defer func() {
 		// Temp values never survive a sync point, successful or not.
+		clear(e.lastRead)
 		clear(e.tempState)
 	}()
 
-	if err := validateTempReads(pending); err != nil {
+	batches, err := e.partition(pending)
+	if err != nil {
 		e.fail(err)
 		return e.err
 	}
-	batches := partition(pending, e.opt.MaxBatchOps)
 	e.stats.Evals++
 	for i, b := range batches {
-		if err := e.runBatch(ctx, b, escapeSet(batches, i)); err != nil {
+		if err := e.runBatch(ctx, b, i); err != nil {
 			var pe *flight.PanicError
 			if errors.As(err, &pe) {
 				// Our fault, not the recorded program's: this Eval's
@@ -519,86 +527,65 @@ func (e *Engine) evalLocked(ctx context.Context) error {
 	return nil
 }
 
-// validateTempReads enforces the Temp contract in issue order: a Temp
-// read must be preceded by a write to it within the same Eval, since
-// Temps hold no value across sync points.
-func validateTempReads(ops []*op) error {
-	written := map[*Handle]bool{}
-	for _, o := range ops {
-		if o.rhs != nil {
-			arrays := map[*Handle]bool{}
-			exprReads(o.rhs, arrays, map[*ScalarHandle]bool{})
-			for h := range arrays {
-				if h.temp && !written[h] {
-					return fmt.Errorf("lazy: temp %s read before any write in this eval (temps hold no value across sync points)", h.name)
-				}
-			}
-		}
-		for _, w := range o.wargs {
-			if w.isStr {
-				continue
-			}
-			arrays := map[*Handle]bool{}
-			exprReads(w.e, arrays, map[*ScalarHandle]bool{})
-			for h := range arrays {
-				if h.temp && !written[h] {
-					return fmt.Errorf("lazy: temp %s read before any write in this eval", h.name)
-				}
-			}
-		}
-		if o.kind == opAssign && o.target.temp {
-			written[o.target] = true
-		}
-	}
-	return nil
-}
-
-// partition splits the pending list into batches at barriers and, when
-// maxOps > 0, after every maxOps operations. Batches preserve issue
-// order; canonicalization reorders only within a batch.
-func partition(ops []*op, maxOps int) [][]*op {
-	var out [][]*op
-	var cur []*op
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, cur)
-			cur = nil
-		}
-	}
-	for _, o := range ops {
+// partition is the one walk over an Eval's pending operations. It cuts
+// them into batches at barriers and, when MaxBatchOps > 0, after every
+// MaxBatchOps operations; batches preserve issue order, and
+// canonicalization reorders only within one. On the way it holds Temps
+// to their contract in issue order — a Temp read must follow a write to
+// it within the Eval, since Temps hold no value across sync points — and
+// records in e.lastRead the last batch that reads each Temp. A Temp
+// escapes batch i, its value outliving the batch, exactly when that
+// last batch is after i; Temps confined to one batch are the
+// contraction candidates.
+func (e *Engine) partition(ops []*op) ([][]*op, error) {
+	var batches [][]*op
+	var err error
+	start := 0
+	for i, o := range ops {
 		if o.kind == opBarrier {
-			flush()
+			if i > start {
+				batches = append(batches, ops[start:i])
+			}
+			start = i + 1
 			continue
 		}
-		cur = append(cur, o)
-		if maxOps > 0 && len(cur) >= maxOps {
-			flush()
+		// Writeln arguments read no array (checkExpr), so only the
+		// right-hand side can read a Temp.
+		batch := len(batches)
+		walkExpr(o.rhs, func(x Expr) {
+			var h *Handle
+			switch n := x.(type) {
+			case *refExpr:
+				h = n.h
+			case *Handle:
+				h = n
+			}
+			if h == nil || !h.temp || err != nil {
+				return
+			}
+			if _, written := e.lastRead[h]; !written {
+				err = fmt.Errorf("lazy: temp %s read before any write in this eval (temps hold no value across sync points)", h.name)
+				return
+			}
+			e.lastRead[h] = batch
+		})
+		if err != nil {
+			return nil, err
+		}
+		if o.kind == opAssign && o.target.temp {
+			if _, written := e.lastRead[o.target]; !written {
+				e.lastRead[o.target] = -1
+			}
+		}
+		if max := e.opt.MaxBatchOps; max > 0 && i+1-start >= max {
+			batches = append(batches, ops[start:i+1])
+			start = i + 1
 		}
 	}
-	flush()
-	return out
-}
-
-// escapeSet computes, for batch i, the Temp handles whose value must
-// survive the batch because a later batch of the same Eval reads them.
-// Non-Temp handles always escape; Temps confined to one batch never
-// do — they are the contraction candidates.
-func escapeSet(batches [][]*op, i int) map[*Handle]bool {
-	esc := map[*Handle]bool{}
-	scalars := map[*ScalarHandle]bool{}
-	for _, b := range batches[i+1:] {
-		for _, o := range b {
-			if o.rhs != nil {
-				exprReads(o.rhs, esc, scalars)
-			}
-			for _, w := range o.wargs {
-				if !w.isStr {
-					exprReads(w.e, esc, scalars)
-				}
-			}
-		}
+	if start < len(ops) {
+		batches = append(batches, ops[start:])
 	}
-	return esc
+	return batches, nil
 }
 
 // Values syncs and returns a copy of the handle's current contents,
@@ -725,7 +712,7 @@ func (e *Engine) ClearCache() {
 }
 
 // driverOptions is the compilation-affecting option set, the second
-// fingerprint input besides the canonical text.
+// cache-key input besides the canonical words.
 func (e *Engine) driverOptions() driver.Options {
 	return driver.Options{
 		Level:         e.opt.Level,

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/ccache"
 	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/difftest/matrix"
@@ -194,25 +196,49 @@ func TestSteadyStateZeroRecompile(t *testing.T) {
 	}
 }
 
-// canonText canonicalizes an engine's pending operations (as one
-// batch, nothing escaping) and returns the fingerprint text.
-func canonText(t *testing.T, e *Engine) string {
+// canonKey canonicalizes the first batch of an engine's pending
+// operations, cut and escape-marked as an Eval would, under the given
+// tie-break hash, and returns its cache key.
+func canonKey(t *testing.T, e *Engine, hash func([]uint64) uint64) (ccache.Key, *canonBatch) {
 	t.Helper()
 	if e.err != nil {
 		t.Fatalf("deferred error: %v", e.err)
 	}
-	cb, err := canonicalize(e.pending, nil)
+	batches, err := e.partition(e.pending)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.shape.of(batches[0], func(h *Handle) bool { return e.lastRead[h] > 0 })
+	cb := canonicalize(batches[0], &e.shape, hash)
 	e.pending = nil
-	return cb.text
+	clear(e.lastRead)
+	return cb.key(e.driverOptions()), cb
+}
+
+// statements is a canonical batch's AIR statements, one a line, for
+// failure messages.
+func statements(t *testing.T, cb *canonBatch) string {
+	t.Helper()
+	prog, err := cb.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, blk := range prog.AllBlocks() {
+		for _, s := range blk.Stmts {
+			b.WriteString("  " + s.String() + "\n")
+		}
+	}
+	return b.String()
 }
 
 // TestFingerprintCanonicalization pins the equivalence classes the
-// fingerprint must induce: invariance under issue order of independent
-// statements, handle naming, and buffer roles; sensitivity to shapes,
-// regions, operators, offsets, and temp-ness.
+// canonical key must induce: invariance under handle naming and buffer
+// roles; sensitivity to shapes, regions, operators, offsets, temp-ness,
+// and each detail TestCanonMemoExact holds the memo to (±0, aliasing, a
+// temp target, an escape bit flipped by a later batch, writeln strings,
+// MaxOf vs MinOf). It runs with the real tie-break hash and with every
+// op's tie-break key colliding.
 func TestFingerprintCanonicalization(t *testing.T) {
 	base := func(e *Engine) {
 		r := R(1, 8, 1, 8)
@@ -275,27 +301,103 @@ func TestFingerprintCanonicalization(t *testing.T) {
 			e.Scalar("s", 0).Sum(r, b)
 		}, false},
 	}
-	eb := NewEngine(Options{})
-	base(eb)
-	want := canonText(t, eb)
-	for _, tc := range cases {
-		e := NewEngine(Options{})
-		tc.build(e)
-		got := canonText(t, e)
-		if (got == want) != tc.equal {
-			t.Errorf("%s: text equality = %v, want %v\nbase:\n%s\ngot:\n%s",
-				tc.name, got == want, tc.equal, want, got)
+
+	r := R(1, 4)
+	quotient := func(c float64) func(*Engine) {
+		return func(e *Engine) { e.Array("a", r).Assign(nil, Div(Const(1), Const(c))) }
+	}
+	increment := func(self bool) func(*Engine) {
+		return func(e *Engine) {
+			a, b := e.Array("a", r), e.Array("b", r)
+			src := b
+			if self {
+				src = a
+			}
+			a.Assign(nil, Add(src, Const(1)))
+		}
+	}
+	sumOf := func(temp bool) func(*Engine) {
+		return func(e *Engine) {
+			h := e.Array("h", r)
+			if temp {
+				h = e.Temp("h", r)
+			}
+			h.Assign(nil, Const(2))
+			e.Scalar("s", 0).Sum(r, h)
+		}
+	}
+	// Under MaxBatchOps 1 the first batch is t := 3 alone, and whether
+	// the second reads t flips t's escape bit.
+	escaping := func(read bool) func(*Engine) {
+		return func(e *Engine) {
+			tmp, b := e.Temp("t", r), e.Array("b", r)
+			tmp.Assign(nil, Const(3))
+			if read {
+				b.Assign(nil, Mul(tmp, Const(2)))
+			} else {
+				b.Assign(nil, Const(5))
+			}
+		}
+	}
+	say := func(word string) func(*Engine) {
+		return func(e *Engine) { e.Writeln(word, e.Scalar("s", 7)) }
+	}
+	extreme := func(max bool) func(*Engine) {
+		return func(e *Engine) {
+			a, s := e.Array("a", r), e.Scalar("s", 0)
+			if max {
+				s.MaxOf(r, a)
+			} else {
+				s.MinOf(r, a)
+			}
+		}
+	}
+	pairs := []struct {
+		name string
+		opt  Options
+		x, y func(*Engine)
+	}{
+		{"+0 vs -0", Options{}, quotient(0), quotient(math.Copysign(0, -1))},
+		{"a := f(a) vs a := f(b)", Options{}, increment(true), increment(false)},
+		{"temp vs array target", Options{}, sumOf(true), sumOf(false)},
+		{"escape bit", Options{MaxBatchOps: 1}, escaping(false), escaping(true)},
+		{"writeln strings", Options{}, say("alpha"), say("beta")},
+		{"MaxOf vs MinOf", Options{}, extreme(true), extreme(false)},
+	}
+
+	keyOf := func(opt Options, build func(*Engine), hash func([]uint64) uint64) (ccache.Key, *canonBatch) {
+		e := NewEngine(opt)
+		build(e)
+		return canonKey(t, e, hash)
+	}
+	for i, hash := range []func([]uint64) uint64{hashWords, collideAll} {
+		collide := i == 1
+		want, wantCB := keyOf(Options{}, base, hash)
+		for _, tc := range cases {
+			got, gotCB := keyOf(Options{}, tc.build, hash)
+			if (got == want) != tc.equal {
+				t.Errorf("%s (colliding tie-break %v): key equality = %v, want %v\nbase:\n%sgot:\n%s",
+					tc.name, collide, got == want, tc.equal, statements(t, wantCB), statements(t, gotCB))
+			}
+		}
+		for _, p := range pairs {
+			kx, cbx := keyOf(p.opt, p.x, hash)
+			ky, cby := keyOf(p.opt, p.y, hash)
+			if kx == ky {
+				t.Errorf("%s (colliding tie-break %v): one canonical key for both\n%sand\n%s",
+					p.name, collide, statements(t, cbx), statements(t, cby))
+			}
 		}
 	}
 }
 
 // TestFingerprintIssueOrderInvariance permutes independent statements
-// and checks the canonical text never moves. Dependent statements keep
+// and checks the canonical key never moves. Dependent statements keep
 // their dependence order by construction, so any recorded order of
 // this program is a legal schedule.
 func TestFingerprintIssueOrderInvariance(t *testing.T) {
 	r := R(1, 6)
-	build := func(perm []int) string {
+	build := func(perm []int) (ccache.Key, *canonBatch) {
 		e := NewEngine(Options{})
 		hs := make([]*Handle, 4)
 		for i := range hs {
@@ -310,14 +412,14 @@ func TestFingerprintIssueOrderInvariance(t *testing.T) {
 		for _, i := range perm {
 			stmts[i]()
 		}
-		return canonText(t, e)
+		return canonKey(t, e, hashWords)
 	}
-	want := build([]int{0, 1, 2, 3})
+	want, wantCB := build([]int{0, 1, 2, 3})
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		perm := rng.Perm(4)
-		if got := build(perm); got != want {
-			t.Fatalf("perm %v changed canonical text:\nwant:\n%s\ngot:\n%s", perm, want, got)
+		if got, gotCB := build(perm); got != want {
+			t.Fatalf("perm %v changed the canonical key:\nwant:\n%sgot:\n%s", perm, statements(t, wantCB), statements(t, gotCB))
 		}
 	}
 }
@@ -335,8 +437,10 @@ func TestFingerprintDependenceOrder(t *testing.T) {
 	a2, b2 := e2.Array("a", r), e2.Array("b", r)
 	b2.Assign(nil, a2)
 	a2.Assign(nil, Const(1))
-	if canonText(t, e1) == canonText(t, e2) {
-		t.Fatal("RAW and WAR programs canonicalized to the same text")
+	k1, _ := canonKey(t, e1, hashWords)
+	k2, _ := canonKey(t, e2, hashWords)
+	if k1 == k2 {
+		t.Fatal("RAW and WAR programs canonicalized to the same key")
 	}
 }
 

@@ -51,21 +51,6 @@ type Result struct {
 	Tier    string
 }
 
-// Store is the lookup interface the service compiles through: return
-// the entry for k, computing it at most once across concurrent callers
-// (errors are never cached), with a context threaded in (peer fetches
-// and joiners respect the request deadline) and the serving tier
-// reported alongside the outcome.
-type Store interface {
-	GetOrCompute(ctx context.Context, k ccache.Key, compute func() (*ccache.Entry, error)) (*ccache.Entry, Result, error)
-	// Stats aggregates across tiers into the classic counter shape:
-	// Hits counts lookups served from any tier, Misses counts lookups
-	// that ran the compute, DedupHits counts lookups that joined
-	// another caller's work (in-process flights and cluster claims).
-	Stats() ccache.Stats
-	TierStats() TierStats
-}
-
 // TierStats breaks a store's activity down by tier.
 type TierStats struct {
 	MemHits  int64
@@ -89,10 +74,10 @@ type served struct {
 	res Result
 }
 
-// Tiered is the Store implementation. disk and node are optional: a
-// nil disk drops the persistence tier, a nil node drops the peer tier
-// (and with both nil, Tiered is the memory LRU plus singleflight —
-// the pre-cluster behavior, re-expressed).
+// Tiered is the store the service compiles through. disk and node are
+// optional: a nil disk drops the persistence tier, a nil node drops the
+// peer tier (and with both nil, Tiered is the memory LRU plus
+// singleflight — the pre-cluster behavior, re-expressed).
 type Tiered struct {
 	mem     *ccache.Cache
 	disk    *Disk
@@ -107,7 +92,10 @@ func NewTiered(mem *ccache.Cache, disk *Disk, node *Node) *Tiered {
 	return &Tiered{mem: mem, disk: disk, node: node}
 }
 
-// GetOrCompute implements Store.
+// GetOrCompute returns the entry for k, computing it at most once
+// across concurrent callers (errors are never cached), with the context
+// threaded in (peer fetches and joiners respect the request deadline)
+// and the serving tier reported alongside the outcome.
 func (t *Tiered) GetOrCompute(ctx context.Context, k ccache.Key, compute func() (*ccache.Entry, error)) (*ccache.Entry, Result, error) {
 	// Hot tier first: no flight, no lock ordering, just the LRU.
 	if e, ok := t.mem.Get(k); ok {
@@ -289,8 +277,10 @@ func (t *Tiered) fillLocal(ctx context.Context, k ccache.Key, compute func() (*c
 	return e, Result{ccache.Miss, ""}, err
 }
 
-// Stats implements Store: gauges from the memory tier, flow counters
-// from the store's own cross-tier accounting.
+// Stats aggregates across tiers into the classic counter shape: gauges
+// from the memory tier; Hits counts lookups served from any tier,
+// Misses lookups that ran the compute, DedupHits lookups that joined
+// another caller's work (in-process flights and cluster claims).
 func (t *Tiered) Stats() ccache.Stats {
 	s := t.mem.Stats()
 	s.Hits = t.memHits.Load() + t.diskHits.Load() + t.peerHits.Load()
@@ -298,7 +288,7 @@ func (t *Tiered) Stats() ccache.Stats {
 	return s
 }
 
-// TierStats implements Store.
+// TierStats breaks the store's activity down by tier.
 func (t *Tiered) TierStats() TierStats {
 	ts := TierStats{Mem: t.mem.Stats()}
 	if t.disk != nil {

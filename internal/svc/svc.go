@@ -250,8 +250,8 @@ type ErrorResponse struct {
 // Server is one service instance.
 type Server struct {
 	cfg      Config
-	cache    store.Store    // tiered compilation cache (mem + disk + peers)
-	tcache   store.Store    // tiered tuned-plan cache (Entry.Aux payloads)
+	cache    *store.Tiered  // tiered compilation cache (mem + disk + peers)
+	tcache   *store.Tiered  // tiered tuned-plan cache (Entry.Aux payloads)
 	node     *store.Node    // cluster membership; nil when unclustered
 	disk     *store.Disk    // disk tier; nil when CacheDir is unset
 	bstore   *backend.Store // native-artifact store; nil when no toolchain
@@ -467,9 +467,15 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 	defer func() { <-s.queue }()
 
 	// Per-request deadline, threaded through compile and run.
+	// The cap is compared in milliseconds, before any conversion: a
+	// client's huge value as a Duration would overflow into a deadline
+	// already past.
 	timeout := s.cfg.DefaultTimeout
 	if *timeoutMS > 0 {
-		timeout = min(time.Duration(*timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+		timeout = s.cfg.MaxTimeout
+		if *timeoutMS < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(*timeoutMS) * time.Millisecond
+		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

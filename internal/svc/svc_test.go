@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -231,6 +232,21 @@ func TestTimeoutKeepsServing(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz after timeout: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestHugeTimeoutIsCapped: a timeout_ms too large for a Duration is
+// capped at MaxTimeout, never wrapped into a short or past deadline
+// (as a Duration the first value is -1 ms and the second 448 µs). Each
+// value gets its own server, so neither request is a cache hit, and
+// compiles sp at c2+f4, which takes longer than 448 µs.
+func TestHugeTimeoutIsCapped(t *testing.T) {
+	for _, ms := range []int64{math.MaxInt64, 18446744073710} {
+		_, ts := newTestServer(t, Config{})
+		req := Request{Bench: "sp", Level: "c2+f4", TimeoutMS: ms}
+		if status, body := post(t, ts.URL+"/compile", req); status != http.StatusOK {
+			t.Errorf("timeout_ms %d: HTTP %d (%s)", ms, status, body)
+		}
 	}
 }
 
