@@ -202,15 +202,17 @@ soak: build
 
 # Coverage-guided fuzzing, from the committed seed corpora, for a
 # bounded time each: the envelope decoder (what a peer's POST
-# /store/put reaches) and the lazy runtime's canonicalization memo
+# /store/put reaches), the lazy runtime's canonicalization memo
 # (memo key = canonical key, issue-order invariance of the key). Tier-1
-# runs the seeds only. A finding lands in the target's
+# runs the seeds only; the third target is the plan spec parser (a
+# -plan file; the hash survives Marshal). A finding lands in the target's
 # internal/<pkg>/testdata/fuzz/<Fuzz...>/ and then runs with them: fix
 # it and commit the file.
 FUZZTIME ?= 60s
 fuzz-soak: build
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lazy
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary

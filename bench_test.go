@@ -419,3 +419,42 @@ func BenchmarkLazySteadyState(b *testing.B) {
 	b.ReportMetric(float64(d.Misses), "compilations")
 	b.ReportMetric(float64(d.Hits)/float64(b.N), "hit-rate")
 }
+
+// BenchmarkLazyLarge is the lazy-large workload's VM Eval without the
+// bench harness: bench/w_lazy.go's damped double-buffered Jacobi sweep
+// at n=512 (a fresh Temp for the average every sweep, a max<< residual),
+// steady state, so that an Eval is the kernel over two 2 MiB grids plus
+// their seed and readback.
+func BenchmarkLazyLarge(b *testing.B) {
+	const n = 512
+	ctx := zpl.New(zpl.Config{Level: core.C2F4S})
+	full, inner := zpl.R(1, n, 1, n), zpl.R(2, n-1, 2, n-1)
+	cur, nxt := ctx.Array("cur", full), ctx.Array("nxt", full)
+	res := ctx.Scalar("res", 0)
+	cur.Assign(nil, zpl.Mul(zpl.Index(1), zpl.Index(1)))
+	nxt.Assign(nil, zpl.Mul(zpl.Index(1), zpl.Index(1)))
+	if err := ctx.Eval(); err != nil {
+		b.Fatal(err)
+	}
+	sweep := func() {
+		avg := ctx.Temp("avg", full)
+		avg.Assign(inner, zpl.Mul(zpl.Const(0.25),
+			zpl.Add(zpl.Add(cur.At(-1, 0), cur.At(1, 0)), zpl.Add(cur.At(0, -1), cur.At(0, 1)))))
+		nxt.Assign(inner, zpl.Add(cur, zpl.Mul(zpl.Const(0.8), zpl.Sub(avg, cur))))
+		res.MaxOf(inner, zpl.Abs(zpl.Sub(nxt, cur)))
+		cur, nxt = nxt, cur
+		if err := ctx.Eval(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep() // compile once, outside the timer
+	warm := ctx.CacheStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.StopTimer()
+	if d := ctx.CacheStats().Sub(warm); d.Misses != 0 {
+		b.Fatalf("steady state recompiled %d times", d.Misses)
+	}
+}

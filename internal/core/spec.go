@@ -115,8 +115,9 @@ func (s *PlanSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ParseSpec decodes a PlanSpec from JSON, rejecting unknown fields
-// and unsupported versions.
+// ParseSpec decodes a PlanSpec from JSON, rejecting unknown fields,
+// unsupported versions and empty clusters (a cluster has a first
+// member: canonicalize orders clusters by it).
 func ParseSpec(data []byte) (*PlanSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -126,6 +127,13 @@ func ParseSpec(data []byte) (*PlanSpec, error) {
 	}
 	if s.Version < 0 || s.Version > SpecVersion {
 		return nil, fmt.Errorf("plan spec: unsupported version %d (max %d)", s.Version, SpecVersion)
+	}
+	for _, b := range s.Blocks {
+		for i, c := range b.Clusters {
+			if len(c) == 0 {
+				return nil, fmt.Errorf("plan spec: block %d: cluster %d is empty", b.Block, i)
+			}
+		}
 	}
 	return &s, nil
 }

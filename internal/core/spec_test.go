@@ -222,4 +222,12 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec([]byte(`not json`)); err == nil {
 		t.Error("garbage accepted")
 	}
+	// An empty cluster has no first member to order by: Hash, which
+	// every cache key computes, indexed it.
+	for _, clusters := range []string{`[[],[0,1]]`, `[[0,1],null]`} {
+		src := `{"version":1,"note":"x","blocks":[{"block":1,"clusters":` + clusters + `}]}`
+		if _, err := ParseSpec([]byte(src)); err == nil || !strings.HasPrefix(err.Error(), "plan spec: ") {
+			t.Errorf("ParseSpec(%s) = %v, want a plan spec error", src, err)
+		}
+	}
 }

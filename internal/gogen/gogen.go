@@ -188,6 +188,12 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 	if g.useSign {
 		out.WriteString(helperSign)
 	}
+	if g.useMax {
+		out.WriteString(helperMax)
+	}
+	if g.useMin {
+		out.WriteString(helperMin)
+	}
 	if g.useB2F {
 		out.WriteString(helperB2F)
 	}
@@ -279,6 +285,8 @@ type gen struct {
 	// Import/helper usage, discovered during emission.
 	useMath   bool
 	useSign   bool
+	useMax    bool
+	useMin    bool
 	useB2F    bool
 	useUnsafe bool
 	useWrap   bool
@@ -326,8 +334,9 @@ func goName(n string) string { return mangle("za_", n) }
 // mangle is goName under another prefix: "zaP_" is the nest-local base
 // pointer of an array with unchecked accesses and "zaA_" a reduction
 // target's nest-local accumulator. Neither prefix — nor "zaO_" (row
-// offsets) and "zaH_" (hoisted expressions) — can collide with goName's
-// "za_" namespace.
+// offsets), "zaH_" (hoisted expressions) and "zaS_" (the max and min
+// helpers' out-of-line halves) — can collide with goName's "za_"
+// namespace.
 func mangle(prefix, n string) string {
 	n = strings.ReplaceAll(n, ".", "_")
 	n = strings.ReplaceAll(n, "$", "_")
@@ -393,6 +402,45 @@ const helperSign = `func za_sign(v float64) float64 {
 		return -1
 	}
 	return 0
+}
+
+`
+
+// helperMax and helperMin are the max and min builtins and the max/min
+// reduction step: math.Max and math.Min bit for bit, small enough to
+// inline into a nest, with the VM's rule (vm.fmax): b > a takes b,
+// b <= a keeps a when a is not zero, and a NaN or a = ±0 goes to the
+// out-of-line zaS_ half.
+const helperMax = `func za_max(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	if b <= a && a != 0 {
+		return a
+	}
+	return zaS_max(a, b)
+}
+
+//go:noinline
+func zaS_max(a, b float64) float64 {
+	return math.Max(a, b)
+}
+
+`
+
+const helperMin = `func za_min(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	if b >= a && a != 0 {
+		return a
+	}
+	return zaS_min(a, b)
+}
+
+//go:noinline
+func zaS_min(a, b float64) float64 {
+	return math.Min(a, b)
 }
 
 `
@@ -759,11 +807,9 @@ func (g *gen) reduceStep(dst string, op air.ReduceOp, rhs string) {
 	case air.ReduceProd:
 		g.text(dst, " *= ", rhs)
 	case air.ReduceMax:
-		g.useMath = true
-		g.text(dst, " = math.Max(", dst, ", ", rhs, ")")
+		g.text(dst, " = ", g.minMax("max", dst+", "+rhs))
 	case air.ReduceMin:
-		g.useMath = true
-		g.text(dst, " = math.Min(", dst, ", ", rhs, ")")
+		g.text(dst, " = ", g.minMax("min", dst+", "+rhs))
 	default:
 		g.fail("gogen: unknown reduce op %v", op)
 	}
@@ -1001,8 +1047,19 @@ func signed(n int) string {
 var mathFuncs = map[string]string{
 	"sqrt": "Sqrt", "exp": "Exp", "log": "Log", "sin": "Sin",
 	"cos": "Cos", "tan": "Tan", "abs": "Abs", "floor": "Floor",
-	"ceil": "Ceil", "min": "Min", "max": "Max", "pow": "Pow",
-	"mod": "Mod", "atan2": "Atan2",
+	"ceil": "Ceil", "pow": "Pow", "mod": "Mod", "atan2": "Atan2",
+}
+
+// minMax renders a call of za_max or za_min, the max and min builtins
+// and the max/min reduction step, and marks the helper used.
+func (g *gen) minMax(name, args string) string {
+	g.useMath = true
+	if name == "max" {
+		g.useMax = true
+	} else {
+		g.useMin = true
+	}
+	return "za_" + name + "(" + args + ")"
 }
 
 // expr renders an expression. Inside a sweep its maximal subexpressions
@@ -1100,9 +1157,12 @@ func (g *gen) render(e air.Expr) (string, bool) {
 			g.useMath = true
 			return "math." + fn + "(" + list + ")", all
 		}
-		if x.Name == "sign" {
+		switch x.Name {
+		case "sign":
 			g.useSign = true
 			return "za_sign(" + list + ")", all
+		case "max", "min":
+			return g.minMax(x.Name, list), all
 		}
 		g.fail("gogen: unknown builtin %s", x.Name)
 		return "0", true

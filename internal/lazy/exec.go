@@ -7,10 +7,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 
+	"repro/internal/air"
 	"repro/internal/backend"
 	"repro/internal/ccache"
 	"repro/internal/driver"
@@ -165,6 +165,67 @@ func (e *Engine) dropEvicted() {
 	e.memo.keep(cached)
 }
 
+// arrayUse is what a compiled batch does with one array's storage.
+type arrayUse struct {
+	written bool // some statement stores into it
+	// deadIn is the rectangle the first statement touching the array
+	// assigns without reading it: nothing can observe its cells' values
+	// at entry. Nil when there is none.
+	deadIn *sema.Region
+}
+
+// usesOf reads each array's arrayUse off a compiled batch. A batch's
+// main is straight-line nests and writelns, and a nest runs its
+// preloads, then each statement's reads before its store; a statement
+// that stores without reading the array is the first to touch it only
+// if nothing before it in that order did. Fusion keeps every dependence
+// inside a nest pointing forward, so a later statement of the nest reads
+// a cell of that rectangle only after the store. Any other node, which a
+// batch does not compile to, counts as touching and storing into every
+// array.
+func usesOf(p *lir.Program) map[string]arrayUse {
+	uses := make(map[string]arrayUse, len(p.Source.Arrays))
+	touched := map[string]bool{}
+	read := func(e air.Expr) {
+		air.Walk(e, func(x air.Expr) {
+			if r, ok := x.(*air.RefExpr); ok {
+				touched[r.Ref.Array] = true
+			}
+		})
+	}
+	for _, node := range p.Main.Body {
+		switch x := node.(type) {
+		case *lir.Nest:
+			for _, pl := range x.Preloads {
+				touched[pl.Array] = true
+			}
+			for _, s := range x.Body {
+				read(s.RHS)
+				if s.IsReduce || s.Contracted {
+					continue
+				}
+				u := uses[s.LHS]
+				if !touched[s.LHS] {
+					u.deadIn = x.Region
+					if s.Guard != nil {
+						u.deadIn = s.Guard
+					}
+				}
+				u.written, touched[s.LHS] = true, true
+				uses[s.LHS] = u
+			}
+		case *lir.Writeln, *lir.ScalarAssign:
+		default:
+			for name := range p.Source.Arrays {
+				u := uses[name]
+				u.written, touched[name] = true, true
+				uses[name] = u
+			}
+		}
+	}
+	return uses
+}
+
 // stateBinding is the native state-file layout of a cached compilation
 // — every allocated (non-contracted) array and every scalar, in sorted
 // name order, which the emitted binary and the engine's marshaling both
@@ -172,8 +233,16 @@ func (e *Engine) dropEvicted() {
 // derived once per cached compilation, not per Eval.
 type stateBinding struct {
 	spec    *gogen.StateSpec
-	arrays  []int // per spec.Arrays entry: i for v<i>, -1 for an array no handle binds
-	scalars []int // per spec.Scalars entry: i for s<i>, -1 for a compiler register
+	arrays  []stateArray // per spec.Arrays entry
+	scalars []int        // per spec.Scalars entry: i for s<i>, -1 for a compiler register
+	size    int          // of the state file, in float64s
+}
+
+// stateArray is one array's slab in the state file.
+type stateArray struct {
+	handle  int // i for v<i>, -1 for an array no handle binds
+	alloc   *sema.Region
+	written bool
 }
 
 func bindState(p *lir.Program, cb *canonBatch) *stateBinding {
@@ -195,18 +264,23 @@ func bindState(p *lir.Program, cb *canonBatch) *stateBinding {
 	for i := range cb.scalars {
 		canon["s"+strconv.Itoa(i)] = i
 	}
-	index := func(names []string) []int {
-		out := make([]int, len(names))
-		for k, n := range names {
-			if i, ok := canon[n]; ok {
-				out[k] = i
-			} else {
-				out[k] = -1
-			}
+	index := func(name string) int {
+		if i, ok := canon[name]; ok {
+			return i
 		}
-		return out
+		return -1
 	}
-	return &stateBinding{spec: spec, arrays: index(spec.Arrays), scalars: index(spec.Scalars)}
+	sb := &stateBinding{spec: spec, size: len(spec.Scalars)}
+	uses := usesOf(p)
+	for _, n := range spec.Arrays {
+		alloc := p.Source.Arrays[n].Alloc
+		sb.arrays = append(sb.arrays, stateArray{handle: index(n), alloc: alloc, written: uses[n].written})
+		sb.size += alloc.Size()
+	}
+	for _, n := range spec.Scalars {
+		sb.scalars = append(sb.scalars, index(n))
+	}
+	return sb
 }
 
 // seedOf is the value a handle brings into a batch: an array's host
@@ -237,64 +311,100 @@ func (e *Engine) resultOf(h *Handle, escapes bool) []float64 {
 	return buf
 }
 
-// copyRect copies the declared-region rectangle between a handle's
-// host storage (row-major over decl) and an allocation slab (row-major
-// over alloc, which contains decl). in=true seeds the slab from host;
-// in=false reads the slab back. Halo cells outside decl are left
-// untouched in the slab and never reach host storage.
-func copyRect(slab []float64, alloc, decl *sema.Region, host []float64, in bool) {
-	if sameRegion(alloc, decl) {
-		// One rectangle row-major over the same bounds: one copy.
-		if in {
-			copy(slab, host)
-		} else {
-			copy(host, slab)
-		}
-		return
-	}
-	rank := alloc.Rank()
+// rowsOf calls f for each row of r — its cells along the last dimension,
+// in row-major order — inside storage laid out row-major over alloc ⊇ r:
+// the row's indices (the last one r's first column) and the position of
+// its first cell in that storage (at) and in r's own row-major order
+// (own).
+func rowsOf(alloc, r *sema.Region, f func(idx [sema.MaxRank]int, at, own int)) {
+	last := r.Rank() - 1
 	var strides, idx [sema.MaxRank]int
 	s := 1
-	for k := rank - 1; k >= 0; k-- {
-		strides[k] = s
-		s *= alloc.Extent(k)
+	for d := last; d >= 0; d-- {
+		strides[d] = s
+		s *= alloc.Extent(d)
 	}
-	copy(idx[:], decl.Lo)
-	row := decl.Extent(rank - 1)
-	hostPos := 0
-	for {
-		pos := 0
-		for d := 0; d < rank; d++ {
-			pos += (idx[d] - alloc.Lo[d]) * strides[d]
+	copy(idx[:], r.Lo)
+	for own := 0; ; own += r.Extent(last) {
+		at := 0
+		for d := 0; d <= last; d++ {
+			at += (idx[d] - alloc.Lo[d]) * strides[d]
 		}
-		if in {
-			copy(slab[pos:pos+row], host[hostPos:hostPos+row])
-		} else {
-			copy(host[hostPos:hostPos+row], slab[pos:pos+row])
-		}
-		hostPos += row
-		d := rank - 2
+		f(idx, at, own)
+		d := last - 1
 		for ; d >= 0; d-- {
 			idx[d]++
-			if idx[d] <= decl.Hi[d] {
+			if idx[d] <= r.Hi[d] {
 				break
 			}
-			idx[d] = decl.Lo[d]
+			idx[d] = r.Lo[d]
 		}
 		if d < 0 {
-			break
+			return
 		}
 	}
 }
 
+// rowIn reports whether the row at idx (rowsOf) belongs to r.
+func rowIn(idx [sema.MaxRank]int, r *sema.Region) bool {
+	for d := 0; d < r.Rank()-1; d++ {
+		if idx[d] < r.Lo[d] || idx[d] > r.Hi[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// seedArray writes one array's starting values over its declared
+// rectangle decl (storage row-major over alloc ⊇ decl): src, row-major
+// over decl, or zeros when src is nil, except over the dead-in rectangle
+// dead ⊆ decl (nil: none), which the program assigns before anything
+// reads it. The halo outside decl is left alone: no statement stores
+// outside its array's declared region (Assign checks it), so halo cells
+// keep the zeros vm.New gave them.
+func seedArray(data []float64, alloc, decl, dead *sema.Region, src []float64) {
+	last := decl.Rank() - 1
+	n := decl.Extent(last)
+	fill := func(to []float64, from int) {
+		if src == nil {
+			clear(to)
+		} else {
+			copy(to, src[from:])
+		}
+	}
+	rowsOf(alloc, decl, func(idx [sema.MaxRank]int, at, host int) {
+		a, b := n, n // the row's dead cells, [a, b) from decl's first column
+		if dead != nil && rowIn(idx, dead) {
+			a, b = dead.Lo[last]-decl.Lo[last], dead.Hi[last]-decl.Lo[last]+1
+		}
+		fill(data[at:at+a], host)
+		fill(data[at+b:at+n], host+b)
+	})
+}
+
+// readBack copies the declared rectangle of an array's storage
+// (row-major over alloc ⊇ decl) to dst, row-major over decl.
+func readBack(data []float64, alloc, decl *sema.Region, dst []float64) {
+	n := decl.Extent(decl.Rank() - 1)
+	rowsOf(alloc, decl, func(_ [sema.MaxRank]int, at, host int) {
+		copy(dst[host:host+n], data[at:at+n])
+	})
+}
+
 // residentVM is a machine kept beside its cached compilation, with the
-// storage of every canonical array looked up once.
+// storage of every array and what a run does with it looked up once.
 type residentVM struct {
 	m      *vm.Machine
-	arrays [][]float64    // arrays[i] is v<i>'s storage; nil when contracted
-	allocs []*sema.Region // arrays[i]'s allocation
-	zero   [][]float64    // storage no handle seeds: the _t snapshots of a := f(a)
-	snames []string       // snames[i] is "s<i>"
+	arrays []residentArray
+	snames []string // snames[i] is "s<i>"
+}
+
+// residentArray is one array's storage in a resident machine.
+type residentArray struct {
+	data        []float64
+	alloc, decl *sema.Region
+	handle      int // i for v<i>; -1 for storage no handle binds, the _t snapshots of a := f(a)
+	arrayUse
 }
 
 // buildMachine builds the machine for a compiled batch whose canonical
@@ -305,23 +415,23 @@ func (e *Engine) buildMachine(comp *driver.Compilation, cb *canonBatch) (*reside
 		return nil, err
 	}
 	e.machineBuilds++
-	n := len(cb.handles)
-	rv := &residentVM{m: m, arrays: make([][]float64, n), allocs: make([]*sema.Region, n),
-		snames: make([]string, len(cb.scalars))}
-	bound := map[string]bool{}
-	for i := 0; i < n; i++ {
-		name := "v" + strconv.Itoa(i)
-		bound[name] = true
-		info := comp.LIR.Source.Arrays[name]
-		if info == nil || info.Contracted {
+	rv := &residentVM{m: m, snames: make([]string, len(cb.scalars))}
+	canon := map[string]int{}
+	for i := range cb.handles {
+		canon["v"+strconv.Itoa(i)] = i
+	}
+	uses := usesOf(comp.LIR)
+	for name, info := range comp.LIR.Source.Arrays {
+		data := m.ArrayData(name)
+		if data == nil {
 			continue
 		}
-		rv.arrays[i], rv.allocs[i] = m.ArrayData(name), info.Alloc
-	}
-	for name := range comp.LIR.Source.Arrays {
-		if data := m.ArrayData(name); data != nil && !bound[name] {
-			rv.zero = append(rv.zero, data)
+		i, ok := canon[name]
+		if !ok {
+			i = -1
 		}
+		rv.arrays = append(rv.arrays, residentArray{data: data, alloc: info.Alloc, decl: info.Declared,
+			handle: i, arrayUse: uses[name]})
 	}
 	for i := range rv.snames {
 		rv.snames[i] = "s" + strconv.Itoa(i)
@@ -329,19 +439,18 @@ func (e *Engine) buildMachine(comp *driver.Compilation, cb *canonBatch) (*reside
 	return rv, nil
 }
 
-func sameRegion(a, b *sema.Region) bool {
-	return slices.Equal(a.Lo, b.Lo) && slices.Equal(a.Hi, b.Hi)
-}
-
 // runVM executes a compiled batch on its resident machine, building one
-// when there is none. A rerun starts from exactly the bytes a fresh
-// machine plus the seed would: handle state is copied into the declared
-// rectangles, and every other cell the program could read before it
-// writes it — halo cells, the storage of a Temp with no value yet this
-// Eval (a batch may read a Temp cell it writes only later), the _t
-// snapshots — is zeroed first. The machine is checked out of the record
-// for the run and put back only when the run succeeds, so a run that
-// fails or panics leaves no machine behind.
+// when there is none. A rerun starts from the bytes a fresh machine plus
+// the seed would, as far as the program can observe: each handle's state
+// is copied into its declared rectangle, the declared rectangle of a
+// Temp with no value yet this Eval (a batch may read a Temp cell it
+// writes only later) and of a _t snapshot is zeroed, and halo cells are
+// still the zeros vm.New left. What the first statement touching an
+// array assigns without reading (arrayUse.deadIn) is neither copied nor
+// zeroed, and only what the program stores into is read back. The
+// machine is checked out of the record for the run and put back only
+// when the run succeeds, so a run that fails or panics leaves no machine
+// behind.
 func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compilation, r *resident) error {
 	rv := r.vm
 	r.vm = nil
@@ -351,22 +460,12 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 			return err
 		}
 	}
-	for i, h := range cb.handles {
-		slab := rv.arrays[i]
-		if slab == nil {
-			continue
+	for _, a := range rv.arrays {
+		var src []float64
+		if a.handle >= 0 {
+			src = e.seedOf(cb.handles[a.handle])
 		}
-		// A seed covering the whole allocation overwrites every cell.
-		src := e.seedOf(h)
-		if src == nil || !sameRegion(rv.allocs[i], h.region) {
-			clear(slab)
-		}
-		if src != nil {
-			copyRect(slab, rv.allocs[i], h.region, src, true)
-		}
-	}
-	for _, z := range rv.zero {
-		clear(z)
+		seedArray(a.data, a.alloc, a.decl, a.deadIn, src)
 	}
 	for i, s := range cb.scalars {
 		rv.m.SetScalar(rv.snames[i], s.val)
@@ -375,10 +474,10 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 	if _, err := rv.m.Run(); err != nil {
 		return err
 	}
-	for i, h := range cb.handles {
-		if slab := rv.arrays[i]; slab != nil {
-			if dst := e.resultOf(h, cb.escapes[i]); dst != nil {
-				copyRect(slab, rv.allocs[i], h.region, dst, false)
+	for _, a := range rv.arrays {
+		if a.handle >= 0 && a.written {
+			if dst := e.resultOf(cb.handles[a.handle], cb.escapes[a.handle]); dst != nil {
+				readBack(a.data, a.alloc, a.decl, dst)
 			}
 		}
 	}
@@ -394,9 +493,11 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 // runNative executes a compiled batch's native artifact through the
 // state-file protocol: marshal handle state in spec order, run the
 // binary with StateInEnv/StateOutEnv pointing at per-execution files,
-// unmarshal the dumped state back into the handles. The artifact is
-// re-resolved through the store (a stat on the content address), so a
-// wiped store directory degrades to a rebuild, never a stale binary.
+// unmarshal the dumped state of what the program writes back into the
+// handles. Host rectangles and the state buffer convert row by row; halo
+// cells go in as zeros and never come back. The artifact is re-resolved
+// through the store (a stat on the content address), so a wiped store
+// directory degrades to a rebuild, never a stale binary.
 func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.Entry, r *resident) error {
 	comp := entry.Comp
 	if r.native == nil {
@@ -408,30 +509,24 @@ func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.En
 		return err
 	}
 
-	total := 0
-	for _, n := range sb.spec.Arrays {
-		total += comp.LIR.Source.Arrays[n].Alloc.Size()
-	}
-	total += len(sb.spec.Scalars)
-	buf := make([]byte, 8*total)
+	buf := make([]byte, 8*sb.size)
 	off := 0
-	for k, n := range sb.spec.Arrays {
-		info := comp.LIR.Source.Arrays[n]
-		size := info.Alloc.Size()
-		if i := sb.arrays[k]; i >= 0 {
-			h := cb.handles[i]
+	for _, a := range sb.arrays {
+		if a.handle >= 0 {
+			h := cb.handles[a.handle]
 			if src := e.seedOf(h); src != nil {
-				slab := make([]float64, size)
-				copyRect(slab, info.Alloc, h.region, src, true)
-				for j, v := range slab {
-					binary.LittleEndian.PutUint64(buf[off+8*j:], math.Float64bits(v))
-				}
+				n := h.region.Extent(h.region.Rank() - 1)
+				rowsOf(a.alloc, h.region, func(_ [sema.MaxRank]int, at, host int) {
+					for j, v := range src[host : host+n] {
+						binary.LittleEndian.PutUint64(buf[off+8*(at+j):], math.Float64bits(v))
+					}
+				})
 			}
 		}
-		off += 8 * size
+		off += 8 * a.alloc.Size()
 	}
-	for k := range sb.spec.Scalars {
-		if i := sb.scalars[k]; i >= 0 {
+	for _, i := range sb.scalars {
+		if i >= 0 {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(cb.scalars[i].val))
 		}
 		off += 8
@@ -457,27 +552,26 @@ func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.En
 	if err != nil {
 		return fmt.Errorf("lazy: native run produced no state: %w", err)
 	}
-	if len(data) != 8*total {
-		return fmt.Errorf("lazy: state file is %d bytes, want %d", len(data), 8*total)
+	if len(data) != len(buf) {
+		return fmt.Errorf("lazy: state file is %d bytes, want %d", len(data), len(buf))
 	}
 	off = 0
-	for k, n := range sb.spec.Arrays {
-		info := comp.LIR.Source.Arrays[n]
-		size := info.Alloc.Size()
-		if i := sb.arrays[k]; i >= 0 {
-			h := cb.handles[i]
-			if dst := e.resultOf(h, cb.escapes[i]); dst != nil {
-				slab := make([]float64, size)
-				for j := range slab {
-					slab[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*j:]))
-				}
-				copyRect(slab, info.Alloc, h.region, dst, false)
+	for _, a := range sb.arrays {
+		if a.handle >= 0 && a.written {
+			h := cb.handles[a.handle]
+			if dst := e.resultOf(h, cb.escapes[a.handle]); dst != nil {
+				n := h.region.Extent(h.region.Rank() - 1)
+				rowsOf(a.alloc, h.region, func(_ [sema.MaxRank]int, at, host int) {
+					for j := range dst[host : host+n] {
+						dst[host+j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*(at+j):]))
+					}
+				})
 			}
 		}
-		off += 8 * size
+		off += 8 * a.alloc.Size()
 	}
-	for k := range sb.spec.Scalars {
-		if i := sb.scalars[k]; i >= 0 {
+	for _, i := range sb.scalars {
+		if i >= 0 {
 			cb.scalars[i].val = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		}
 		off += 8

@@ -608,20 +608,53 @@ func (m *Machine) store(dst ref, rhs value) stripFn {
 
 // fold accumulates the strip into a full reduction's target slot,
 // element by element in loop order (the bit pattern of a floating-point
-// reduction is its order).
+// reduction is its order). Each operator has its own loop, the
+// accumulator in a register; max and min spell out fmax and fmin (which
+// inline, but then show in a profile as a frame of their own).
 func fold(slot int, op air.ReduceOp, rhs value) stripFn {
-	combine := reduceCombine(op)
+	flops := rhs.flops + 1
+	switch op {
+	case air.ReduceProd:
+		return func(m *Machine, j, n int) {
+			m.flops(flops, n)
+			acc := m.slots[slot]
+			for _, x := range rhs.vec(m, j, n) {
+				acc *= x
+			}
+			m.slots[slot] = acc
+		}
+	case air.ReduceMax:
+		return func(m *Machine, j, n int) {
+			m.flops(flops, n)
+			acc := m.slots[slot]
+			for _, x := range rhs.vec(m, j, n) {
+				if x > acc {
+					acc = x
+				} else if !(x <= acc && acc != 0) {
+					acc = maxSlow(acc, x)
+				}
+			}
+			m.slots[slot] = acc
+		}
+	case air.ReduceMin:
+		return func(m *Machine, j, n int) {
+			m.flops(flops, n)
+			acc := m.slots[slot]
+			for _, x := range rhs.vec(m, j, n) {
+				if x < acc {
+					acc = x
+				} else if !(x >= acc && acc != 0) {
+					acc = minSlow(acc, x)
+				}
+			}
+			m.slots[slot] = acc
+		}
+	}
 	return func(m *Machine, j, n int) {
-		m.flops(rhs.flops+1, n)
-		acc, v := m.slots[slot], rhs.vec(m, j, n)
-		if op == air.ReduceSum {
-			for _, x := range v {
-				acc += x
-			}
-		} else {
-			for _, x := range v {
-				acc = combine(acc, x)
-			}
+		m.flops(flops, n)
+		acc := m.slots[slot]
+		for _, x := range rhs.vec(m, j, n) {
+			acc += x
 		}
 		m.slots[slot] = acc
 	}
@@ -634,16 +667,78 @@ func (m *Machine) flops(perElem int64, n int) {
 	}
 }
 
-func reduceCombine(op air.ReduceOp) func(a, b float64) float64 {
+// fmax is math.Max(acc, x) bit for bit, and inlines (cost 78 of the
+// inliner's 80). x > acc takes x. x <= acc keeps acc when acc is not
+// zero: a tie away from zero has one bit pattern. Anything else — a NaN,
+// or acc = ±0 with x not above it — goes to maxSlow, out of line, which
+// is math.Max and on amd64 a call to assembly. (Keeping acc for every
+// x < acc as well costs 82, and then fmax no longer inlines.) fold
+// spells the rule out, and gogen's za_max is the same rule.
+func fmax(acc, x float64) float64 {
+	if x > acc {
+		return x
+	}
+	if x <= acc && acc != 0 {
+		return acc
+	}
+	return maxSlow(acc, x)
+}
+
+// fmin is math.Min(acc, x) bit for bit, as fmax is math.Max.
+func fmin(acc, x float64) float64 {
+	if x < acc {
+		return x
+	}
+	if x >= acc && acc != 0 {
+		return acc
+	}
+	return minSlow(acc, x)
+}
+
+//go:noinline
+func maxSlow(acc, x float64) float64 { return math.Max(acc, x) }
+
+//go:noinline
+func minSlow(acc, x float64) float64 { return math.Min(acc, x) }
+
+// combine is one step of a reduction.
+func combine(op air.ReduceOp, acc, x float64) float64 {
 	switch op {
 	case air.ReduceProd:
-		return func(a, b float64) float64 { return a * b }
+		return acc * x
 	case air.ReduceMax:
-		return math.Max
+		return fmax(acc, x)
 	case air.ReduceMin:
-		return math.Min
+		return fmin(acc, x)
 	}
-	return func(a, b float64) float64 { return a + b }
+	return acc + x
+}
+
+// combineInto accumulates v into dst[p], dst[p+step], ...: a reduction's
+// strip into its projections, or one processor's partials into another's.
+func combineInto(op air.ReduceOp, dst []float64, p, step int, v []float64) {
+	switch op {
+	case air.ReduceProd:
+		for _, x := range v {
+			dst[p] *= x
+			p += step
+		}
+	case air.ReduceMax:
+		for _, x := range v {
+			dst[p] = fmax(dst[p], x)
+			p += step
+		}
+	case air.ReduceMin:
+		for _, x := range v {
+			dst[p] = fmin(dst[p], x)
+			p += step
+		}
+	default:
+		for _, x := range v {
+			dst[p] += x
+			p += step
+		}
+	}
 }
 
 // compilePartialReduce lowers a dimensional reduction: initialize the
@@ -685,13 +780,13 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 	if m.shard != nil {
 		return m.shardPartialReduce(x, order, body, dst, collapsed), nil
 	}
-	combine := reduceCombine(x.Op)
-	id := x.Op.Identity()
+	op, id := x.Op, x.Op.Identity()
 	fill := m.spread(uniform(func(*Machine) float64 { return id }, 0))
 	defer m.release(fill.own)
 	init := m.sweep(x.Dest, order, []stripFn{m.store(dst, fill)})
 	// The accumulation reads and writes the projected element through
-	// its own two sites.
+	// its own two sites; a faulted site or a traced run goes element by
+	// element, as a load and a store do.
 	into := dst.project(collapsed, x.Dest)
 	from := into
 	from.shift = 0
@@ -703,8 +798,12 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 		v := body.vec(m, j, n)
 		m.flops(body.flops+1, n)
 		p := into.pos(m, j)
+		if from.shift == 0 && into.shift == 0 && m.tracer == nil {
+			combineInto(op, data, p, into.step, v)
+			return
+		}
 		for _, x := range v {
-			r := combine(data[from.touch(m, p, false)], x)
+			r := combine(op, data[from.touch(m, p, false)], x)
 			data[into.touch(m, p, true)] = r
 			p += into.step
 		}
@@ -933,11 +1032,11 @@ func (m *Machine) compileExpr(e air.Expr) (value, error) {
 		}, x.X, 1)
 	case *air.CallExpr:
 		// Transcendental calls cost more than one op.
-		if f, ok := builtin1[x.Name]; ok && len(x.Args) == 1 {
-			return m.apply1(f, nil, x.Args[0], 4)
+		if b, ok := builtin1[x.Name]; ok && len(x.Args) == 1 {
+			return m.apply1(b.f, b.k, x.Args[0], 4)
 		}
-		if f, ok := builtin2[x.Name]; ok && len(x.Args) == 2 {
-			return m.apply2(f, nil, x.Args[0], x.Args[1], 4)
+		if b, ok := builtin2[x.Name]; ok && len(x.Args) == 2 {
+			return m.apply2(b.f, b.k, x.Args[0], x.Args[1], 4)
 		}
 		return value{}, fmt.Errorf("unknown builtin %s/%d", x.Name, len(x.Args))
 	}
@@ -1187,20 +1286,88 @@ func binOp(op air.Op) (func(a, b float64) float64, *kernels, error) {
 	return nil, nil, fmt.Errorf("unknown operator %v", op)
 }
 
-var builtin1 = map[string]func(float64) float64{
-	"sqrt": math.Sqrt, "exp": math.Exp, "log": math.Log, "sin": math.Sin, "cos": math.Cos, "tan": math.Tan,
-	"abs": math.Abs, "floor": math.Floor, "ceil": math.Ceil,
-	"sign": func(v float64) float64 {
-		switch {
-		case v > 0:
-			return 1
-		case v < 0:
-			return -1
+// builtin1 maps a one-argument builtin to its function and, for the
+// ones the Go compiler turns into an instruction or a few (math.Abs,
+// Sqrt, Floor and Ceil are intrinsics when called directly), a strip
+// loop; the libm calls go through f per element.
+var builtin1 = map[string]struct {
+	f func(float64) float64
+	k func(d, x []float64)
+}{
+	"sqrt": {math.Sqrt, func(d, x []float64) {
+		for i, v := range x[:len(d)] {
+			d[i] = math.Sqrt(v)
 		}
-		return 0
-	},
+	}},
+	"abs": {math.Abs, func(d, x []float64) {
+		for i, v := range x[:len(d)] {
+			d[i] = math.Abs(v)
+		}
+	}},
+	"floor": {math.Floor, func(d, x []float64) {
+		for i, v := range x[:len(d)] {
+			d[i] = math.Floor(v)
+		}
+	}},
+	"ceil": {math.Ceil, func(d, x []float64) {
+		for i, v := range x[:len(d)] {
+			d[i] = math.Ceil(v)
+		}
+	}},
+	"sign": {sign, func(d, x []float64) {
+		for i, v := range x[:len(d)] {
+			d[i] = sign(v)
+		}
+	}},
+	"exp": {f: math.Exp}, "log": {f: math.Log}, "sin": {f: math.Sin}, "cos": {f: math.Cos}, "tan": {f: math.Tan},
 }
 
-var builtin2 = map[string]func(x, y float64) float64{
-	"min": math.Min, "max": math.Max, "pow": math.Pow, "mod": math.Mod, "atan2": math.Atan2,
+func sign(v float64) float64 {
+	switch {
+	case v > 0:
+		return 1
+	case v < 0:
+		return -1
+	}
+	return 0
+}
+
+// builtin2 maps a two-argument builtin to its function and, for max and
+// min, complete strip kernels (apply2 fills in only a kernel set that
+// lacks loops, and these are shared). math.Max and math.Min are
+// symmetric in their operands, bits included, so uniform∘vector is
+// vector∘uniform.
+var builtin2 = map[string]struct {
+	f func(x, y float64) float64
+	k *kernels
+}{
+	"max": {math.Max, &kernels{vv: maxVV, vu: maxVU, uv: func(d []float64, x float64, y []float64) { maxVU(d, y, x) }}},
+	"min": {math.Min, &kernels{vv: minVV, vu: minVU, uv: func(d []float64, x float64, y []float64) { minVU(d, y, x) }}},
+	"pow": {f: math.Pow}, "mod": {f: math.Mod}, "atan2": {f: math.Atan2},
+}
+
+func maxVV(d, x, y []float64) {
+	y = y[:len(d)]
+	for i, v := range x[:len(d)] {
+		d[i] = fmax(v, y[i])
+	}
+}
+
+func maxVU(d, x []float64, y float64) {
+	for i, v := range x[:len(d)] {
+		d[i] = fmax(v, y)
+	}
+}
+
+func minVV(d, x, y []float64) {
+	y = y[:len(d)]
+	for i, v := range x[:len(d)] {
+		d[i] = fmin(v, y[i])
+	}
+}
+
+func minVU(d, x []float64, y float64) {
+	for i, v := range x[:len(d)] {
+		d[i] = fmin(v, y)
+	}
 }

@@ -108,16 +108,16 @@ func (m *Machine) fail(err error) signal {
 // synchronisation boundaries.
 func (m *Machine) shardNest(x *lir.Nest, sweep execFn) execFn {
 	var slots []int
-	var ops []func(a, b float64) float64
+	var ops []air.ReduceOp
 	for _, s := range x.Body {
 		if s.IsReduce {
 			slots = append(slots, m.slotIdx[s.Target])
-			ops = append(ops, reduceCombine(s.Op))
+			ops = append(ops, s.Op)
 		}
 	}
 	fold := func(acc, next []float64) {
 		for j := range acc {
-			acc[j] = ops[j](acc[j], next[j])
+			acc[j] = combine(ops[j], acc[j], next[j])
 		}
 	}
 	sh := m.shard
@@ -156,22 +156,13 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 		size *= dest.Extent(d)
 	}
 	flat := m.ref(slab, air.Zero(rank), nil).project(collapsed, dest)
-	combine := reduceCombine(x.Op)
-	id := x.Op.Identity()
-	fold := func(acc, next []float64) {
-		for i := range acc {
-			acc[i] = combine(acc[i], next[i])
-		}
-	}
+	op, id := x.Op, x.Op.Identity()
+	fold := func(acc, next []float64) { combineInto(op, acc, 0, 1, next) }
 	source, owned := m.portion(x.Region), m.portion(dest)
 	buf, spare := make([]float64, size), make([]float64, size)
 	var all []float64
 	accumulate := m.sweep(source, order, []stripFn{func(m *Machine, j, n int) {
-		p := flat.pos(m, j)
-		for _, v := range body.vec(m, j, n) {
-			buf[p] = combine(buf[p], v)
-			p += flat.step
-		}
+		combineInto(op, buf, flat.pos(m, j), flat.step, body.vec(m, j, n))
 	}})
 	store := m.sweep(owned, order, []stripFn{m.store(dst, value{own: -1, vec: func(m *Machine, j, n int) []float64 {
 		p := flat.pos(m, j)
