@@ -91,7 +91,9 @@ govulncheck:
 # distributed interpreter's engine protocol (the combining barrier's
 # rounds, fold order and mismatch errors, watchdog abort, peer
 # unblocking, mid-exchange cancellation), the lazy engine hammered from
-# many goroutines, and the zpld request burst. The distvm suite then
+# many goroutines, the native resident workers (pipes, deadlines, the
+# goroutine that reaps each, the finalizer that stops a forgotten one)
+# through the lazy engine and on their own, and the zpld request burst. The distvm suite then
 # runs once more on one P, where a wait that spins without yielding is
 # a hang and not a slowdown. Complements the static analyzer below: this
 # is the dynamic detector over our own runtime, that is the
@@ -99,7 +101,8 @@ govulncheck:
 race-smoke: build
 	$(GO) test -race -count=1 -run 'TestBarrierRounds|TestFoldInProcessorOrder|TestProtocolMismatch|TestLockstep|TestWatchdogTimeout|TestAbortUnblocksPeers|TestCancelMidExchange|TestDeadlineMidExchange|TestCancelBeforeRun' -v ./internal/distvm
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/distvm
-	$(GO) test -race -count=1 -run 'TestConcurrentEval' -v ./internal/lazy
+	$(GO) test -race -count=1 -run 'TestConcurrentEval|TestNative|TestEngineClose|TestUnclosedEngine|TestCacheBytesBoundsMachines|TestLazyMatchesZA' -v ./internal/lazy
+	$(GO) test -race -count=1 -run 'TestStateProtocolRoundTrip|TestWorkerFailures' -v ./internal/backend
 	$(GO) test -race -count=1 -run 'TestServe' -v .
 
 # Static race sweep: the happens-before analyzer re-verifies every

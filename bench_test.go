@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/air"
 	"repro/internal/asdg"
+	"repro/internal/backend"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dep"
@@ -424,10 +425,21 @@ func BenchmarkLazySteadyState(b *testing.B) {
 // bench harness: bench/w_lazy.go's damped double-buffered Jacobi sweep
 // at n=512 (a fresh Temp for the average every sweep, a max<< residual),
 // steady state, so that an Eval is the kernel over two 2 MiB grids plus
-// their seed and readback.
-func BenchmarkLazyLarge(b *testing.B) {
+// their seed and readback. BenchmarkLazyLargeNative is the same sweep's
+// native Eval, on the compilation's resident worker.
+func BenchmarkLazyLarge(b *testing.B) { benchLazyLarge(b, zpl.Config{Level: core.C2F4S}) }
+
+func BenchmarkLazyLargeNative(b *testing.B) {
+	if !backend.Available() {
+		b.Skip("no go toolchain")
+	}
+	benchLazyLarge(b, zpl.Config{Level: core.C2F4S, Backend: zpl.BackendGo, ArtifactDir: b.TempDir()})
+}
+
+func benchLazyLarge(b *testing.B, cfg zpl.Config) {
 	const n = 512
-	ctx := zpl.New(zpl.Config{Level: core.C2F4S})
+	ctx := zpl.New(cfg)
+	defer ctx.Close()
 	full, inner := zpl.R(1, n, 1, n), zpl.R(2, n-1, 2, n-1)
 	cur, nxt := ctx.Array("cur", full), ctx.Array("nxt", full)
 	res := ctx.Scalar("res", 0)

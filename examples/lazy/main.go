@@ -36,6 +36,7 @@ func main() {
 	}
 
 	ctx := zpl.New(zpl.Config{Level: lvl, Backend: be, Out: os.Stdout})
+	defer ctx.Close() // stops -backend go's worker processes
 	full := zpl.R(1, *n, 1, *n)
 	inner := zpl.R(2, *n-1, 2, *n-1)
 	cur := ctx.Array("cur", full)

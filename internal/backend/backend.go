@@ -2,7 +2,9 @@
 // Go source the gogen emitter produces, builds it with the host
 // toolchain into a content-addressed artifact store, and runs the
 // binary — the production execution path the bytecode VM exists to
-// cross-validate.
+// cross-validate. A binary runs once per process (Artifact.Run: zplrun,
+// zpld), or stays resident and runs on command over state it shares
+// with this process (Artifact.Start, Worker: the lazy runtime).
 //
 // The store is keyed by the SHA-256 of the generated source plus the
 // toolchain version, so identical emissions (the same program at the
@@ -306,16 +308,8 @@ type RunStats struct {
 // binary always runs with the self-timing hook enabled; the timing
 // line is consumed from stderr, never mixed into out.
 func (a *Artifact) Run(ctx context.Context, out io.Writer) (*RunStats, error) {
-	return a.RunEnv(ctx, out, nil)
-}
-
-// RunEnv is Run with additional "KEY=value" environment entries for
-// the binary — the lazy runtime passes gogen.StateInEnv/StateOutEnv
-// pairs here to point a state-protocol artifact at its per-execution
-// state files.
-func (a *Artifact) RunEnv(ctx context.Context, out io.Writer, extraEnv []string) (*RunStats, error) {
 	cmd := exec.CommandContext(ctx, a.Bin)
-	cmd.Env = append(append(os.Environ(), gogen.TimeEnv+"=1"), extraEnv...)
+	cmd.Env = append(os.Environ(), gogen.TimeEnv+"=1")
 	var stderr bytes.Buffer
 	cmd.Stdout = out
 	cmd.Stderr = &stderr
@@ -327,14 +321,21 @@ func (a *Artifact) RunEnv(ctx context.Context, out io.Writer, extraEnv []string)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
-		var xerr *exec.ExitError
-		if errors.As(err, &xerr) {
-			code := xerr.ExitCode()
-			return nil, &RunError{Trap: code == gogen.ExitTrap, ExitCode: code, Stderr: rest}
-		}
-		return nil, fmt.Errorf("backend: exec %s: %w", a.Bin, err)
+		return nil, exitError(a.Bin, err, rest)
 	}
 	return &RunStats{Wall: wall, Compute: compute}, nil
+}
+
+// exitError classifies the failure err of the binary bin, whose stderr
+// (timing line removed) was stderr: an exit the scaffold chose or a
+// signal is a *RunError, anything else the exec error itself.
+func exitError(bin string, err error, stderr string) error {
+	var xerr *exec.ExitError
+	if errors.As(err, &xerr) {
+		code := xerr.ExitCode()
+		return &RunError{Trap: code == gogen.ExitTrap, ExitCode: code, Stderr: stderr}
+	}
+	return fmt.Errorf("backend: exec %s: %w", bin, err)
 }
 
 // parseElapsed extracts the self-timing line from the binary's stderr,

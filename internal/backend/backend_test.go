@@ -3,12 +3,10 @@ package backend_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +18,10 @@ import (
 	"repro/internal/driver"
 	"repro/internal/flight"
 	"repro/internal/gogen"
+	"repro/internal/proctest"
 )
+
+func TestMain(m *testing.M) { os.Exit(proctest.Main(m)) }
 
 func requireToolchain(t *testing.T) {
 	t.Helper()
@@ -318,15 +319,56 @@ func TestSeedFaultCaught(t *testing.T) {
 	t.Errorf("the matrix missed the seeded miscompile; its findings: %q", bad)
 }
 
-// TestStateProtocolRoundTrip: a state-protocol artifact must dump its
-// final array/scalar state to the StateOutEnv file in spec order, and
-// a second run seeded from that file via StateInEnv must continue from
-// it — the mechanism that lets the lazy runtime reuse one cached
-// binary across the timesteps of an iterative solver.
-func TestStateProtocolRoundTrip(t *testing.T) {
-	requireToolchain(t)
-	const src = `
-program staterr;
+// workerOf compiles src and builds it as a resident worker whose state
+// is every allocated array and every scalar, in sorted order; bounds
+// are left unproven, so the trap scaffold stays. It returns the
+// artifact, the compilation and the spec.
+func workerOf(t testing.TB, src string, edit func(goSrc string) string) (*backend.Artifact, *driver.Compilation, *gogen.StateSpec) {
+	t.Helper()
+	c, err := driver.Compile(src, driver.Options{Level: core.C2F3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &gogen.StateSpec{}
+	for n, a := range c.LIR.Source.Arrays {
+		if !a.Contracted {
+			spec.Arrays = append(spec.Arrays, n)
+		}
+	}
+	for n := range c.LIR.Source.Scalars {
+		spec.Scalars = append(spec.Scalars, n)
+	}
+	sort.Strings(spec.Arrays)
+	sort.Strings(spec.Scalars)
+	goSrc, err := gogen.EmitState(c.LIR, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		goSrc = edit(goSrc)
+	}
+	art, err := store.Build(context.Background(), goSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art, c, spec
+}
+
+// start starts art as a worker over words float64s and closes it when
+// the test ends.
+func start(t *testing.T, art *backend.Artifact, words int) *backend.Worker {
+	t.Helper()
+	w, err := art.Start(context.Background(), words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// counter adds 1 to every element of A and prints the sum twice.
+const counter = `
+program counter;
 config n : integer = 8;
 region R = [1..n];
 var A : [R] double;
@@ -336,99 +378,161 @@ begin
   [R] A := A + 1;
   s := +<< [R] A;
   writeln("s =", s);
+  writeln("again", s);
 end;
 `
-	c, err := driver.Compile(src, driver.Options{Level: core.C2F3})
-	if err != nil {
-		t.Fatal(err)
+
+// TestStateProtocolRoundTrip: a worker's runs continue from the state
+// in its mapping — zeros at first, then what the host seeds and what
+// the last run left — and each run's writeln output reaches out in
+// order before Run returns: the mechanism that lets the lazy runtime
+// run one cached binary for every timestep of an iterative solver. A
+// mapping of another size than the spec lays out is refused with a
+// state error before the worker serves.
+func TestStateProtocolRoundTrip(t *testing.T) {
+	requireToolchain(t)
+	art, c, spec := workerOf(t, counter, nil)
+	words := gogen.StateWords(c.LIR, spec)
+	size := c.LIR.Source.Arrays[spec.Arrays[0]].Alloc.Size()
+	if len(spec.Arrays) != 1 || words != size+len(spec.Scalars) {
+		t.Fatalf("program shape changed: spec %+v, %d words", spec, words)
 	}
-	var arr string
-	for n, a := range c.LIR.Source.Arrays {
-		if !a.Contracted && !a.Temp {
-			arr = n
-		}
+	sAt := size + sort.SearchStrings(spec.Scalars, "s")
+	if spec.Scalars[sAt-size] != "s" {
+		t.Fatalf("no scalar s in %v", spec.Scalars)
 	}
-	var sc string
-	for n, si := range c.LIR.Source.Scalars {
-		if !si.Config && strings.HasSuffix(n, "s") {
-			sc = n
-		}
-	}
-	if arr == "" || sc == "" {
-		t.Fatalf("program shape changed: arr=%q sc=%q", arr, sc)
-	}
-	spec := &gogen.StateSpec{Arrays: []string{arr}, Scalars: []string{sc}}
-	goSrc, err := gogen.EmitState(c.LIR, c.Bounds, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := store.Build(context.Background(), goSrc)
-	if err != nil {
-		t.Fatal(err)
+	w := start(t, art, words)
+	state := w.State()
+	if len(state) != words {
+		t.Fatalf("State() holds %d words, want %d", len(state), words)
 	}
 
-	size := c.LIR.Source.Arrays[arr].Alloc.Size()
-	wantBytes := 8 * (size + 1)
-	dir := t.TempDir()
-	s1 := filepath.Join(dir, "s1.state")
-	s2 := filepath.Join(dir, "s2.state")
-
-	// First run: arrays start zeroed, A becomes all ones, s = 8.
 	var out bytes.Buffer
-	_, err = art.RunEnv(context.Background(), &out, []string{gogen.StateOutEnv + "=" + s1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != "s = 8\n" {
-		t.Fatalf("first run output %q, want \"s = 8\\n\"", got)
-	}
-	data, err := os.ReadFile(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != wantBytes {
-		t.Fatalf("state file is %d bytes, want %d", len(data), wantBytes)
-	}
-	at := func(i int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	for i := 0; i < size; i++ {
-		if at(i) != 1 {
-			t.Fatalf("A[%d] in state = %g, want 1", i, at(i))
+	run := func(want float64) {
+		t.Helper()
+		if err := w.Run(context.Background(), &out); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range state[:size] {
+			if v != want/float64(size) {
+				t.Fatalf("A[%d] = %g after the run, want %g", i, v, want/float64(size))
+			}
+		}
+		if state[sAt] != want {
+			t.Fatalf("s = %g after the run, want %g", state[sAt], want)
 		}
 	}
-	if at(size) != 8 {
-		t.Fatalf("s in state = %g, want 8", at(size))
+	run(8) // from zeros: A is all ones
+	for i := range state[:size] {
+		state[i] = 10 // seeded by the host
+	}
+	run(88)
+	run(96) // from what the last run left
+	if want := "s = 8\nagain 8\ns = 88\nagain 88\ns = 96\nagain 96\n"; out.String() != want {
+		t.Errorf("output %q, want %q", out.String(), want)
 	}
 
-	// Second run seeded from the first: A goes 1 -> 2, s = 16.
-	out.Reset()
-	_, err = art.RunEnv(context.Background(), &out, []string{
-		gogen.StateInEnv + "=" + s1, gogen.StateOutEnv + "=" + s2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != "s = 16\n" {
-		t.Fatalf("seeded run output %q, want \"s = 16\\n\"", got)
-	}
-
-	// A truncated state file must be a trap-classified state error, and
-	// must not leave a (misleading) output state file behind.
-	if err := os.WriteFile(s1, data[:len(data)-8], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	bad := filepath.Join(dir, "bad.state")
-	_, err = art.RunEnv(context.Background(), &out, []string{
-		gogen.StateInEnv + "=" + s1, gogen.StateOutEnv + "=" + bad})
+	_, err := art.Start(context.Background(), words+1)
 	var re *backend.RunError
-	if !errors.As(err, &re) || !re.Trap {
-		t.Fatalf("truncated state: error %v, want *RunError trap", err)
+	if !errors.As(err, &re) || !re.Trap || !strings.Contains(re.Stderr, "za state error") {
+		t.Fatalf("a mapping one word too long: %v, want a *RunError trap with a state error", err)
 	}
-	if !strings.Contains(re.Stderr, "za state error") {
-		t.Errorf("stderr missing state error: %q", re.Stderr)
+}
+
+// TestWorkerFailures: a worker killed from outside between runs is seen
+// dead and its next run is an abnormal exit, not a hang; a deadline that
+// expires mid-run kills it and returns the context's error; a trap ends
+// it with a *RunError trap. After each a fresh worker of the same
+// artifact runs right.
+func TestWorkerFailures(t *testing.T) {
+	requireToolchain(t)
+	art, c, spec := workerOf(t, counter, nil)
+	words := gogen.StateWords(c.LIR, spec)
+
+	w := start(t, art, words)
+	kids, err := proctest.Children()
+	if err != nil {
+		t.Skipf("no child count here: %v", err)
 	}
-	if _, err := os.Stat(bad); err == nil {
-		t.Error("faulted run left an output state file")
+	if len(kids) != 1 {
+		t.Fatalf("children %v, want the worker alone", kids)
+	}
+	if p, err := os.FindProcess(kids[0]); err != nil || p.Kill() != nil {
+		t.Fatalf("cannot kill the worker: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); w.Alive(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a killed worker still reads as alive")
+		}
+	}
+	var re *backend.RunError
+	if err := w.Run(context.Background(), nil); !errors.As(err, &re) || re.Trap {
+		t.Fatalf("run of a killed worker: %v, want a *RunError that is no trap", err)
+	}
+	var out bytes.Buffer
+	if err := start(t, art, words).Run(context.Background(), &out); err != nil || out.String() != "s = 8\nagain 8\n" {
+		t.Fatalf("fresh worker after a kill: %q, %v", out.String(), err)
+	}
+
+	// s counts up from its seed while it is not negative.
+	spin, sc, sspec := workerOf(t, `
+program spin;
+var s : double;
+proc main()
+begin
+  while s >= 0.0 do
+    s := s + 1.0;
+  end;
+  writeln("s", s);
+end;
+`, nil)
+	w = start(t, spin, gogen.StateWords(sc.LIR, sspec))
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := w.Run(ctx, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run past its deadline: %v, want DeadlineExceeded", err)
+	}
+	w.Close()
+	w = start(t, spin, gogen.StateWords(sc.LIR, sspec))
+	w.State()[sort.SearchStrings(sspec.Scalars, "s")] = -2.5
+	out.Reset()
+	if err := w.Run(context.Background(), &out); err != nil || out.String() != "s -2.5\n" {
+		t.Fatalf("fresh worker after a deadline: %q, %v", out.String(), err)
+	}
+
+	trap, _, _ := workerOf(t, counter, func(goSrc string) string {
+		return strings.Replace(goSrc, "func za_main() {", "func za_main() {\n\tzaTrapSelfTest()", 1) +
+			"\nfunc zaTrapSelfTest() {\n\tvar s []float64\n\t_ = s[1]\n}\n"
+	})
+	w = start(t, trap, words)
+	if err := w.Run(context.Background(), nil); !errors.As(err, &re) || !re.Trap || re.ExitCode != gogen.ExitTrap ||
+		!strings.Contains(re.Stderr, "za runtime error") {
+		t.Fatalf("trapping run: %v, want a *RunError trap", err)
+	}
+	w.Close()
+	if w.Alive() {
+		t.Error("a closed worker reads as alive")
+	}
+}
+
+// BenchmarkWorkerRun times one run of a resident worker whose kernel is
+// eight additions and a sum: the command byte, the reply frame and the
+// two pipe wake-ups a native lazy Eval pays beyond its kernel and
+// copies.
+func BenchmarkWorkerRun(b *testing.B) {
+	if !backend.Available() {
+		b.Skip("no go toolchain on PATH")
+	}
+	art, c, spec := workerOf(b, counter, nil)
+	w, err := art.Start(context.Background(), gogen.StateWords(c.LIR, spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Run(context.Background(), nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -169,8 +169,8 @@ func TestReferenceCatchesInheritedMiscompile(t *testing.T) {
 }
 
 // TestTestOnlyImports: no file of the module outside the oracle but a
-// test imports the oracle or the seed source, so neither can reach a
-// shipped binary.
+// test imports the oracle, the seed source or the process counter, so
+// none can reach a shipped binary.
 func TestTestOnlyImports(t *testing.T) {
 	const root = "../.."
 	fset := token.NewFileSet()
@@ -195,7 +195,7 @@ func TestTestOnlyImports(t *testing.T) {
 		}
 		files++
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "repro/internal/difftest") || p == "repro/internal/soak" {
+			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "repro/internal/difftest") || p == "repro/internal/soak" || p == "repro/internal/proctest" {
 				t.Errorf("%s imports %s, which only tests may", strings.TrimPrefix(path, root+"/"), p)
 			}
 		}

@@ -8,11 +8,14 @@
 // displacement, and what is fixed along a row is computed once per row
 // (see the sweep type; DESIGN.md §13). On the bench harness's run cells
 // the emitted loops cost ~2.0 ns per element-statement against the
-// VM's 3–5, and emitted heat runs within 1.1× of a hand-fused Go kernel;
-// a native run pays a process spawn (~4 ms) the VM does not, so native
-// wins on large arrays and long runs and the VM everywhere else
-// (ROADMAP item 2). Running both closes the loop on code-generation
-// correctness with the host toolchain as the final referee.
+// VM's 3–5, and emitted heat runs within 1.1× of a hand-fused Go kernel.
+// A one-shot program (zplrun, zpld) pays a process spawn (~2.8 ms on
+// the bench host) the VM does not. A program emitted with a StateSpec
+// is a resident worker instead: the lazy runtime starts it once per
+// cached compilation, and each run is a pipe round trip over state in
+// a shared mapping (DESIGN.md §29). Running both engines closes the
+// loop on code-generation correctness with the host toolchain as the
+// final referee.
 //
 // Emitted programs are self-contained (standard library only) and make
 // three guarantees the differential tests (internal/backend, make
@@ -30,7 +33,8 @@
 //     so measurements exclude process startup.
 //
 // Imports are emitted only when the program actually uses them (math
-// is conditional; fmt/os/time are always used by the main scaffold),
+// is conditional; fmt and os are always used by the main scaffold, time
+// by a one-shot one and syscall by a worker's),
 // so generated code compiles and vets clean with no blank-identifier
 // hacks.
 //
@@ -69,31 +73,44 @@ const TimeEnv = "ZPL_TIME_NS"
 // TimeEnv.
 const ElapsedPrefix = "za_elapsed_ns "
 
-// StateInEnv and StateOutEnv name the binary state files a generated
-// program reads its initial array/scalar state from and dumps its
-// final state to. They only exist in binaries emitted with a non-nil
-// StateSpec (the lazy runtime's artifacts); either variable may be
-// empty or unset, in which case the corresponding half is skipped —
-// arrays start zeroed, nothing is written back. Keeping the state in
-// environment-named files rather than embedded constants is what makes
-// a lazy batch's generated source — and therefore its content-addressed
-// artifact — identical across timesteps of an iterative solver.
-const (
-	StateInEnv  = "ZPL_STATE_IN"
-	StateOutEnv = "ZPL_STATE_OUT"
-)
+// StateFD is the descriptor at which a resident worker (a binary emitted
+// with a non-nil StateSpec) finds its state mapping.
+const StateFD = 3
 
-// StateSpec declares, in order, which arrays and scalars participate in
-// the state files. Each array contributes Alloc.Size() float64s (the
-// full allocated slab including halo, row-major) and each scalar one
-// float64, all raw little-endian, concatenated with no header: the file
-// length is exactly 8*(sum of array sizes + len(Scalars)) bytes, and a
-// mismatch is a state error (exit code ExitTrap). The caller owns the
-// ordering; the emitter follows it verbatim, so the reader and writer
-// of the files agree by construction.
+// StateSpec declares, in order, which arrays and scalars live in a
+// resident worker's state mapping. Each array contributes Alloc.Size()
+// float64s (the full allocated slab including halo, row-major) and each
+// scalar one float64, concatenated with no header: the mapping is
+// exactly StateWords float64s, and a mapping of another size is a state
+// error (exit code ExitTrap) before the worker serves. The caller owns
+// the ordering; the emitter follows it verbatim, so the two halves of
+// the protocol agree by construction.
+//
+// The worker maps the file at StateFD, points each spec array at its
+// slab, and writes an empty reply frame: it is ready. Each byte it then
+// reads on stdin is one run: it loads the spec scalars from the mapping,
+// runs the program (under the trap scaffold unless every access is
+// proven), stores the scalars back and replies with a frame of that
+// run's writeln bytes — a 4-byte little-endian length, then the bytes.
+// A trap ends the process with ExitTrap instead of a reply, and end of
+// input ends it with 0. Keeping the state outside the source is what
+// makes a lazy batch's generated source, and so its content-addressed
+// artifact, the same across timesteps of an iterative solver.
 type StateSpec struct {
 	Arrays  []string
 	Scalars []string
+}
+
+// StateWords is the size of the state mapping spec lays out over p, in
+// float64s. It does not check the names; the emitter does.
+func StateWords(p *lir.Program, spec *StateSpec) int {
+	n := len(spec.Scalars)
+	for _, a := range spec.Arrays {
+		if info := p.Source.Arrays[a]; info != nil {
+			n += info.Alloc.Size()
+		}
+	}
+	return n
 }
 
 // Emit renders the program as a compilable Go main package with every
@@ -117,13 +134,11 @@ func EmitBounds(p *lir.Program, bounds *absint.Result) (string, error) {
 }
 
 // EmitState renders the program like EmitBounds and, when spec is
-// non-nil, additionally wires in the state protocol: the binary loads
-// its initial array/scalar state from the file named by StateInEnv
-// before the timed region and dumps its final state to the file named
-// by StateOutEnv after it (both steps outside the TimeEnv-reported
-// window, so timings stay compute-only). spec == nil emits
-// byte-identical output to EmitBounds, so existing content-addressed
-// artifacts keep their keys.
+// non-nil, as a resident worker instead of a one-shot program: main is
+// the serve loop StateSpec describes, the spec arrays are slabs of the
+// state mapping, and writeln collects each run's output for the reply.
+// spec == nil emits byte-identical output to EmitBounds, so existing
+// content-addressed artifacts keep their keys.
 func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error) {
 	g := &gen{p: p, bounds: bounds, spec: spec}
 	var body bytes.Buffer
@@ -143,9 +158,10 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 		return "", g.err
 	}
 
-	// State functions render before the import block is fixed (they
-	// need math and encoding/binary), like declarations below.
-	stateFns, err := g.stateFuncs()
+	allProven := bounds != nil && bounds.AllProven()
+	// The serve loop renders before the import block is fixed (it may
+	// need unsafe), like declarations below.
+	serve, err := g.serveLoop(allProven)
 	if err != nil {
 		return "", err
 	}
@@ -156,30 +172,28 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 	g.declarations(&decls)
 
 	var out strings.Builder
-	out.Grow(body.Len() + decls.Len() + len(stateFns) + 2048)
+	out.Grow(body.Len() + decls.Len() + len(serve) + 2048)
 	out.WriteString("// Code generated by gogen from program " + p.Name + ". DO NOT EDIT.\n")
-	allProven := false
 	if bounds != nil {
 		fmt.Fprintf(&out, "// bounds prover: %d/%d sites proven safe, fingerprint %s.\n",
 			bounds.NumProven, len(bounds.Sites), bounds.Fingerprint())
-		allProven = bounds.AllProven()
 		if allProven {
 			out.WriteString("// all accesses proven: unchecked dispatch, no trap scaffold.\n")
 		}
 	}
 	if g.spec != nil {
-		fmt.Fprintf(&out, "// state protocol: %s/%s name raw little-endian float64 state files.\n",
-			StateInEnv, StateOutEnv)
+		fmt.Fprintf(&out, "// resident worker: state mapped from fd %d, one run per byte on stdin.\n", StateFD)
 	}
-	out.WriteString("package main\n\nimport (\n")
-	if g.useBinary {
-		out.WriteString("\t\"encoding/binary\"\n")
-	}
-	out.WriteString("\t\"fmt\"\n")
+	out.WriteString("package main\n\nimport (\n\t\"fmt\"\n")
 	if g.useMath {
 		out.WriteString("\t\"math\"\n")
 	}
-	out.WriteString("\t\"os\"\n\t\"time\"\n")
+	out.WriteString("\t\"os\"\n")
+	if g.spec != nil {
+		out.WriteString("\t\"syscall\"\n")
+	} else {
+		out.WriteString("\t\"time\"\n")
+	}
 	if g.useUnsafe {
 		out.WriteString("\t\"unsafe\"\n")
 	}
@@ -201,12 +215,9 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 		out.WriteString(helperWrap)
 	}
 	out.Write(body.Bytes())
-	out.WriteString(stateFns)
 	switch {
-	case g.spec != nil && allProven:
-		fmt.Fprintf(&out, mainScaffoldProvenState, TimeEnv, ElapsedPrefix)
 	case g.spec != nil:
-		fmt.Fprintf(&out, mainScaffoldState, ExitTrap, TimeEnv, ElapsedPrefix)
+		out.WriteString(serve)
 	case allProven:
 		fmt.Fprintf(&out, mainScaffoldProven, TimeEnv, ElapsedPrefix)
 	default:
@@ -215,16 +226,17 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 	return out.String(), nil
 }
 
-// stateFuncs renders za_load_state/za_dump_state (plus their shared
-// failure helper) for the generator's StateSpec; with no spec it
-// contributes nothing, keeping spec-less emission byte-identical to
-// the historical output. Load and dump walk the spec in its declared
-// order, so the file layout is fully determined by the caller.
-func (g *gen) stateFuncs() (string, error) {
+// serveLoop renders a resident worker's half of the protocol StateSpec
+// describes — mapping the state, and the serve loop as main, which runs
+// the program under the trap scaffold unless every access is proven —
+// after checking that the spec names only allocated arrays and known
+// scalars. With no spec it
+// contributes nothing, keeping spec-less emission byte-identical to the
+// historical output. The zaW_ prefix cannot collide with goName's "za_".
+func (g *gen) serveLoop(allProven bool) (string, error) {
 	if g.spec == nil {
 		return "", nil
 	}
-	total := 0
 	for _, n := range g.spec.Arrays {
 		a := g.p.Source.Arrays[n]
 		if a == nil {
@@ -233,46 +245,67 @@ func (g *gen) stateFuncs() (string, error) {
 		if a.Contracted {
 			return "", fmt.Errorf("gogen: state spec names contracted array %s", n)
 		}
-		total += a.Alloc.Size()
 	}
 	for _, n := range g.spec.Scalars {
 		if g.p.Source.Scalars[n] == nil {
 			return "", fmt.Errorf("gogen: state spec names unknown scalar %s", n)
 		}
-		total++
 	}
-	g.useMath = true
-	g.useBinary = true
-	bytes := 8 * total
+	words := StateWords(g.p, g.spec)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "func za_state_fail(msg string) {\n\tfmt.Fprintln(os.Stderr, \"za state error:\", msg)\n\tos.Exit(%d)\n}\n\n", ExitTrap)
-
-	fmt.Fprintf(&b, "func za_load_state() {\n\tpath := os.Getenv(%q)\n\tif path == \"\" {\n\t\treturn\n\t}\n", StateInEnv)
-	b.WriteString("\tdata, err := os.ReadFile(path)\n\tif err != nil {\n\t\tza_state_fail(err.Error())\n\t}\n")
-	fmt.Fprintf(&b, "\tif len(data) != %d {\n\t\tza_state_fail(fmt.Sprintf(\"state file is %%d bytes, want %d\", len(data)))\n\t}\n", bytes, bytes)
-	b.WriteString("\toff := 0\n")
+	b.WriteString("var zaW_state []float64\nvar zaW_out []byte\n\n")
+	fmt.Fprintf(&b, "func zaW_fail(msg string) {\n\tfmt.Fprintln(os.Stderr, \"za state error:\", msg)\n\tos.Exit(%d)\n}\n\n", ExitTrap)
+	fmt.Fprintf(&b, "func zaW_map() {\n\tvar st syscall.Stat_t\n\tif err := syscall.Fstat(%d, &st); err != nil {\n\t\tzaW_fail(err.Error())\n\t}\n", StateFD)
+	fmt.Fprintf(&b, "\tif st.Size != %d {\n\t\tzaW_fail(fmt.Sprintf(\"state mapping is %%d bytes, want %d\", st.Size))\n\t}\n", 8*words, 8*words)
+	if words > 0 {
+		g.useUnsafe = true
+		fmt.Fprintf(&b, "\tmem, err := syscall.Mmap(%d, 0, %d, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)\n", StateFD, 8*words)
+		fmt.Fprintf(&b, "\tif err != nil {\n\t\tzaW_fail(err.Error())\n\t}\n\tzaW_state = unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), %d)\n", words)
+	}
+	at := 0
 	for _, n := range g.spec.Arrays {
-		v := goName(n)
-		fmt.Fprintf(&b, "\tfor i := range %s {\n\t\t%s[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))\n\t\toff += 8\n\t}\n", v, v)
+		end := at + g.p.Source.Arrays[n].Alloc.Size()
+		fmt.Fprintf(&b, "\t%s = zaW_state[%d:%d:%d]\n", goName(n), at, end, end)
+		at = end
 	}
-	for _, n := range g.spec.Scalars {
-		fmt.Fprintf(&b, "\t%s = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))\n\toff += 8\n", goName(n))
-	}
-	b.WriteString("\t_ = off\n}\n\n")
+	b.WriteString("}\n\n")
 
-	fmt.Fprintf(&b, "func za_dump_state() {\n\tpath := os.Getenv(%q)\n\tif path == \"\" {\n\t\treturn\n\t}\n", StateOutEnv)
-	fmt.Fprintf(&b, "\tbuf := make([]byte, %d)\n\toff := 0\n", bytes)
-	for _, n := range g.spec.Arrays {
-		v := goName(n)
-		fmt.Fprintf(&b, "\tfor i := range %s {\n\t\tbinary.LittleEndian.PutUint64(buf[off:], math.Float64bits(%s[i]))\n\t\toff += 8\n\t}\n", v, v)
+	run := "za_main"
+	if !allProven {
+		run = "zaW_run"
+		fmt.Fprintf(&b, "func zaW_run() {\n\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\tfmt.Fprintln(os.Stderr, \"za runtime error:\", r)\n\t\t\tos.Exit(%d)\n\t\t}\n\t}()\n\tza_main()\n}\n\n", ExitTrap)
 	}
-	for _, n := range g.spec.Scalars {
-		fmt.Fprintf(&b, "\tbinary.LittleEndian.PutUint64(buf[off:], math.Float64bits(%s))\n\toff += 8\n", goName(n))
+	b.WriteString(serveHead)
+	for i, n := range g.spec.Scalars {
+		fmt.Fprintf(&b, "\t\t%s = zaW_state[%d]\n", goName(n), at+i)
 	}
-	b.WriteString("\t_ = off\n\tif err := os.WriteFile(path, buf, 0o644); err != nil {\n\t\tza_state_fail(err.Error())\n\t}\n}\n\n")
+	fmt.Fprintf(&b, "\t\t%s()\n", run)
+	for i, n := range g.spec.Scalars {
+		fmt.Fprintf(&b, "\t\tzaW_state[%d] = %s\n", at+i, goName(n))
+	}
+	b.WriteString("\t}\n}\n")
 	return b.String(), nil
 }
+
+// serveHead opens a resident worker's main: reply with the frame of the
+// last run's output (an empty one at start: ready), wait for the next
+// command, and end on end of input.
+const serveHead = `func main() {
+	zaW_map()
+	zaW_out = make([]byte, 4, 4096)
+	var cmd [1]byte
+	for {
+		n := len(zaW_out) - 4
+		zaW_out[0], zaW_out[1], zaW_out[2], zaW_out[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+		if _, err := os.Stdout.Write(zaW_out); err != nil {
+			return
+		}
+		if k, _ := os.Stdin.Read(cmd[:]); k == 0 {
+			return
+		}
+		zaW_out = zaW_out[:4]
+`
 
 type gen struct {
 	p      *lir.Program
@@ -290,7 +323,6 @@ type gen struct {
 	useB2F    bool
 	useUnsafe bool
 	useWrap   bool
-	useBinary bool
 
 	// sw is the loop nest being emitted, nil between nests, and inner
 	// the side buffer its body renders into (one for the whole
@@ -363,20 +395,29 @@ func (g *gen) floatLit(v float64) string {
 }
 
 // declarations emits array storage and scalar variables. Contracted
-// arrays have no storage at all: each is a local of its one nest.
+// arrays have no storage at all: each is a local of its one nest, and a
+// resident worker's spec arrays are slabs of its state mapping.
 func (g *gen) declarations(out *strings.Builder) {
 	names := make([]string, 0, len(g.p.Source.Arrays))
 	for n := range g.p.Source.Arrays {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	mapped := map[string]bool{}
+	if g.spec != nil {
+		for _, n := range g.spec.Arrays {
+			mapped[n] = true
+		}
+	}
 	for _, n := range names {
 		a := g.p.Source.Arrays[n]
-		if a.Contracted {
-			continue
+		switch {
+		case a.Contracted:
+		case mapped[n]:
+			fmt.Fprintf(out, "var %s []float64 // %s, mapped\n", goName(n), a.Alloc)
+		default:
+			fmt.Fprintf(out, "var %s = make([]float64, %d) // %s\n", goName(n), a.Alloc.Size(), a.Alloc)
 		}
-		size := a.Alloc.Size()
-		fmt.Fprintf(out, "var %s = make([]float64, %d) // %s\n", goName(n), size, a.Alloc)
 	}
 	names = names[:0]
 	for n := range g.p.Source.Scalars {
@@ -499,45 +540,6 @@ func main() {
 }
 `
 
-// mainScaffoldState adds the state protocol around the checked
-// scaffold: load before the timed region, dump after it, so TimeEnv
-// timings stay compute-only. A trap skips the dump — a faulted run
-// leaves no state file for a caller to mistake for a result. Verbs:
-// ExitTrap, TimeEnv, ElapsedPrefix.
-const mainScaffoldState = `
-func main() {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintln(os.Stderr, "za runtime error:", r)
-			os.Exit(%d)
-		}
-	}()
-	za_load_state()
-	t0 := time.Now()
-	za_main()
-	elapsed := time.Since(t0)
-	za_dump_state()
-	if os.Getenv(%q) != "" {
-		fmt.Fprintf(os.Stderr, "%s%%d\n", elapsed.Nanoseconds())
-	}
-}
-`
-
-// mainScaffoldProvenState is the state-protocol scaffold for a fully
-// proven program. Verbs: TimeEnv, ElapsedPrefix.
-const mainScaffoldProvenState = `
-func main() {
-	za_load_state()
-	t0 := time.Now()
-	za_main()
-	elapsed := time.Since(t0)
-	za_dump_state()
-	if os.Getenv(%q) != "" {
-		fmt.Fprintf(os.Stderr, "%s%%d\n", elapsed.Nanoseconds())
-	}
-}
-`
-
 func (g *gen) proc(pr *lir.Proc) error {
 	params := make([]string, len(pr.Params))
 	for i, p := range pr.Params {
@@ -626,9 +628,15 @@ func (g *gen) node(n lir.Node, pr *lir.Proc) {
 				args = append(args, fmt.Sprintf("%q", a.Str))
 			}
 		}
-		if len(args) == 0 {
+		// A resident worker collects a run's output for its reply.
+		switch {
+		case g.spec != nil && len(args) == 0:
+			g.line("zaW_out = append(zaW_out, '\\n')")
+		case g.spec != nil:
+			g.line("zaW_out = fmt.Appendf(zaW_out, %q, %s)", strings.Join(fmts, " ")+"\n", strings.Join(args, ", "))
+		case len(args) == 0:
 			g.line("fmt.Println()")
-		} else {
+		default:
 			g.line("fmt.Printf(%q, %s)", strings.Join(fmts, " ")+"\n", strings.Join(args, ", "))
 		}
 	default:

@@ -256,15 +256,16 @@ func TestEmitStateNilSpecIdentical(t *testing.T) {
 		if plain != stated {
 			t.Errorf("%s: EmitState(nil spec) diverged from EmitBounds", lvl)
 		}
-		if strings.Contains(plain, "za_load_state") {
-			t.Errorf("%s: spec-less emission contains state machinery", lvl)
+		if strings.Contains(plain, "zaW_") {
+			t.Errorf("%s: spec-less emission contains worker machinery", lvl)
 		}
 	}
 }
 
 // TestEmitStateSpecValidation: unknown or contracted names in the spec
-// must be emission errors, and a valid spec must produce the load/dump
-// pair wired into the scaffold.
+// must be emission errors, and a valid spec must produce a worker — its
+// mapping, its serve loop, its output buffer, no self-timing — whose
+// source go vet accepts.
 func TestEmitStateSpecValidation(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/quickstart.za")
 	if err != nil {
@@ -280,31 +281,40 @@ func TestEmitStateSpecValidation(t *testing.T) {
 	if _, err := gogen.EmitState(c.LIR, c.Bounds, &gogen.StateSpec{Scalars: []string{"nope"}}); err == nil {
 		t.Error("unknown scalar accepted")
 	}
+	spec := &gogen.StateSpec{}
 	var contracted string
-	var live []string
 	for n, a := range c.LIR.Source.Arrays {
 		if a.Contracted {
 			contracted = n
 		} else {
-			live = append(live, n)
+			spec.Arrays = append(spec.Arrays, n)
 		}
+	}
+	for n := range c.LIR.Source.Scalars {
+		spec.Scalars = append(spec.Scalars, n)
 	}
 	if contracted != "" {
 		if _, err := gogen.EmitState(c.LIR, c.Bounds, &gogen.StateSpec{Arrays: []string{contracted}}); err == nil {
 			t.Error("contracted array accepted")
 		}
 	}
-	if len(live) == 0 {
+	if len(spec.Arrays) == 0 {
 		t.Fatal("no live array to spec")
 	}
-	out, err := gogen.EmitState(c.LIR, c.Bounds, &gogen.StateSpec{Arrays: live[:1]})
+	out, err := gogen.EmitState(c.LIR, c.Bounds, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"za_load_state", "za_dump_state", gogen.StateInEnv, gogen.StateOutEnv, "encoding/binary"} {
+	for _, want := range []string{"func zaW_map()", "syscall.Mmap(", "zaW_out = fmt.Appendf(zaW_out,", "os.Stdin.Read("} {
 		if !strings.Contains(out, want) {
-			t.Errorf("stateful emission missing %q", want)
+			t.Errorf("worker emission missing %q", want)
 		}
+	}
+	if strings.Contains(out, `"time"`) || strings.Contains(out, "fmt.Printf") {
+		t.Errorf("worker emission times itself or prints to stdout:\n%s", out)
+	}
+	if _, err := exec.LookPath("go"); err == nil && !testing.Short() {
+		vetClean(t, "quickstart worker", out)
 	}
 }
 

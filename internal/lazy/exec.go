@@ -2,11 +2,7 @@ package lazy
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -83,10 +79,14 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 	if entry.Comp.Plan != nil {
 		e.remarks = append(e.remarks, entry.Comp.Plan.Remarks...)
 	}
-	if native {
-		return e.runNative(ctx, cb, entry, r)
+	if !native {
+		return e.runVM(ctx, cb, entry.Comp, r)
 	}
-	return e.runVM(ctx, cb, entry.Comp, r)
+	err = e.runNative(ctx, cb, entry, r)
+	if e.resident[key] != r {
+		r.close() // the cache refused the entry: its worker served this run only
+	}
+	return err
 }
 
 // memoShapesPerKey caps the memo entries of one cached compilation: a
@@ -96,18 +96,30 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 const memoShapesPerKey = 8
 
 // resident is what the engine keeps beside one cached compilation for
-// as long as the cache holds it.
+// as long as the cache holds it. Both executors are checked out of it
+// for a run and put back only when the run succeeds.
 type resident struct {
-	vm     *residentVM   // nil until built, and while a run has it checked out
-	native *stateBinding // nil until the first native run
-	shapes int           // memo entries holding this key
+	vm     *residentVM     // nil until built, and while a run has it checked out
+	native *residentNative // nil until started, and while a run has it checked out
+	shapes int             // memo entries holding this key
+}
+
+// close stops the record's worker, if it has one.
+func (r *resident) close() error {
+	if r.native == nil {
+		return nil
+	}
+	err := r.native.w.Close()
+	r.native = nil
+	return err
 }
 
 // compile runs the pipeline over a batch that missed the cache and
 // caches the result. On the VM the machine is built here, after the
 // compile succeeded, and its storage counts toward the entry's size, so
-// Options.CacheBytes bounds resident machines too. The returned record
-// is the engine's for key, or a throwaway when the entry did not fit.
+// Options.CacheBytes bounds resident machines too; a native entry counts
+// its worker's state mapping the same way. The returned record is the
+// engine's for key, or a throwaway when the entry did not fit.
 func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, dopt driver.Options) (*ccache.Entry, *resident, error) {
 	if e.compileHook != nil {
 		e.compileHook()
@@ -123,16 +135,20 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 	entry := &ccache.Entry{Key: key, Kind: ccache.ArtifactLazy, Source: cb.source(), Comp: comp}
 	r := &resident{}
 	if dopt.Backend.Native() {
-		r.native = bindState(comp.LIR, cb)
-		goSrc, err := gogen.EmitState(comp.LIR, comp.Bounds, r.native.spec)
+		spec := stateSpec(comp.LIR)
+		goSrc, err := gogen.EmitState(comp.LIR, comp.Bounds, spec)
 		if err != nil {
 			return nil, nil, err
+		}
+		if e.emitHook != nil {
+			goSrc = e.emitHook(goSrc)
 		}
 		art, err := e.store.Build(ctx, goSrc)
 		if err != nil {
 			return nil, nil, err
 		}
 		entry.GoSrc, entry.Bin, entry.BinKey = goSrc, art.Bin, art.Key
+		entry.Size = ccache.SizeOf(entry) + 8*int64(gogen.StateWords(comp.LIR, spec))
 	} else {
 		if r.vm, err = e.buildMachine(comp, cb); err != nil {
 			return nil, nil, err
@@ -151,14 +167,15 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 }
 
 // dropEvicted forgets the resident records and memo entries of keys the
-// cache no longer holds.
+// cache no longer holds, and stops their workers.
 func (e *Engine) dropEvicted() {
 	cached := func(k ccache.Key) bool {
 		_, ok := e.cache.Peek(k)
 		return ok
 	}
-	for k := range e.resident {
+	for k, r := range e.resident {
 		if !cached(k) {
+			r.close()
 			delete(e.resident, k)
 		}
 	}
@@ -226,26 +243,10 @@ func usesOf(p *lir.Program) map[string]arrayUse {
 	return uses
 }
 
-// stateBinding is the native state-file layout of a cached compilation
-// — every allocated (non-contracted) array and every scalar, in sorted
-// name order, which the emitted binary and the engine's marshaling both
-// follow — with the canonical handle or scalar each slot holds. It is
-// derived once per cached compilation, not per Eval.
-type stateBinding struct {
-	spec    *gogen.StateSpec
-	arrays  []stateArray // per spec.Arrays entry
-	scalars []int        // per spec.Scalars entry: i for s<i>, -1 for a compiler register
-	size    int          // of the state file, in float64s
-}
-
-// stateArray is one array's slab in the state file.
-type stateArray struct {
-	handle  int // i for v<i>, -1 for an array no handle binds
-	alloc   *sema.Region
-	written bool
-}
-
-func bindState(p *lir.Program, cb *canonBatch) *stateBinding {
+// stateSpec lays out a native compilation's worker state: every
+// allocated (non-contracted) array, then every scalar, each in sorted
+// name order.
+func stateSpec(p *lir.Program) *gogen.StateSpec {
 	spec := &gogen.StateSpec{}
 	for n, a := range p.Source.Arrays {
 		if !a.Contracted {
@@ -257,30 +258,27 @@ func bindState(p *lir.Program, cb *canonBatch) *stateBinding {
 		spec.Scalars = append(spec.Scalars, n)
 	}
 	sort.Strings(spec.Scalars)
-	canon := map[string]int{}
+	return spec
+}
+
+// canonNumbers maps the canonical names cb binds, v<i> and s<i>, to i.
+func canonNumbers(cb *canonBatch) map[string]int {
+	canon := make(map[string]int, len(cb.handles)+len(cb.scalars))
 	for i := range cb.handles {
 		canon["v"+strconv.Itoa(i)] = i
 	}
 	for i := range cb.scalars {
 		canon["s"+strconv.Itoa(i)] = i
 	}
-	index := func(name string) int {
-		if i, ok := canon[name]; ok {
-			return i
-		}
-		return -1
+	return canon
+}
+
+// number is canon[name], or -1 for a name no handle or scalar binds.
+func number(canon map[string]int, name string) int {
+	if i, ok := canon[name]; ok {
+		return i
 	}
-	sb := &stateBinding{spec: spec, size: len(spec.Scalars)}
-	uses := usesOf(p)
-	for _, n := range spec.Arrays {
-		alloc := p.Source.Arrays[n].Alloc
-		sb.arrays = append(sb.arrays, stateArray{handle: index(n), alloc: alloc, written: uses[n].written})
-		sb.size += alloc.Size()
-	}
-	for _, n := range spec.Scalars {
-		sb.scalars = append(sb.scalars, index(n))
-	}
-	return sb
+	return -1
 }
 
 // seedOf is the value a handle brings into a batch: an array's host
@@ -415,28 +413,51 @@ func (e *Engine) buildMachine(comp *driver.Compilation, cb *canonBatch) (*reside
 		return nil, err
 	}
 	e.machineBuilds++
-	rv := &residentVM{m: m, snames: make([]string, len(cb.scalars))}
-	canon := map[string]int{}
-	for i := range cb.handles {
-		canon["v"+strconv.Itoa(i)] = i
-	}
-	uses := usesOf(comp.LIR)
-	for name, info := range comp.LIR.Source.Arrays {
-		data := m.ArrayData(name)
-		if data == nil {
-			continue
-		}
-		i, ok := canon[name]
-		if !ok {
-			i = -1
-		}
-		rv.arrays = append(rv.arrays, residentArray{data: data, alloc: info.Alloc, decl: info.Declared,
-			handle: i, arrayUse: uses[name]})
-	}
+	rv := &residentVM{m: m, snames: make([]string, len(cb.scalars)),
+		arrays: residentArrays(comp.LIR, canonNumbers(cb), m.ArrayData)}
 	for i := range rv.snames {
 		rv.snames[i] = "s" + strconv.Itoa(i)
 	}
 	return rv, nil
+}
+
+// residentArrays describes a compiled batch's allocated arrays, where
+// data(name) is an array's storage (nil: it has none): the handle each
+// binds, by the canonical numbers canon, and what a run does with it.
+func residentArrays(p *lir.Program, canon map[string]int, data func(string) []float64) []residentArray {
+	uses := usesOf(p)
+	var arrays []residentArray
+	for name, info := range p.Source.Arrays {
+		if d := data(name); d != nil {
+			arrays = append(arrays, residentArray{data: d, alloc: info.Alloc, decl: info.Declared,
+				handle: number(canon, name), arrayUse: uses[name]})
+		}
+	}
+	return arrays
+}
+
+// seedArrays writes each array's starting values into its storage: the
+// state of the handle it binds, or zeros (seedArray).
+func (e *Engine) seedArrays(cb *canonBatch, arrays []residentArray) {
+	for _, a := range arrays {
+		var src []float64
+		if a.handle >= 0 {
+			src = e.seedOf(cb.handles[a.handle])
+		}
+		seedArray(a.data, a.alloc, a.decl, a.deadIn, src)
+	}
+}
+
+// readBackArrays copies each array the batch writes into where its
+// handle's result goes (resultOf).
+func (e *Engine) readBackArrays(cb *canonBatch, arrays []residentArray) {
+	for _, a := range arrays {
+		if a.handle >= 0 && a.written {
+			if dst := e.resultOf(cb.handles[a.handle], cb.escapes[a.handle]); dst != nil {
+				readBack(a.data, a.alloc, a.decl, dst)
+			}
+		}
+	}
 }
 
 // runVM executes a compiled batch on its resident machine, building one
@@ -460,13 +481,7 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 			return err
 		}
 	}
-	for _, a := range rv.arrays {
-		var src []float64
-		if a.handle >= 0 {
-			src = e.seedOf(cb.handles[a.handle])
-		}
-		seedArray(a.data, a.alloc, a.decl, a.deadIn, src)
-	}
+	e.seedArrays(cb, rv.arrays)
 	for i, s := range cb.scalars {
 		rv.m.SetScalar(rv.snames[i], s.val)
 	}
@@ -474,13 +489,7 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 	if _, err := rv.m.Run(); err != nil {
 		return err
 	}
-	for _, a := range rv.arrays {
-		if a.handle >= 0 && a.written {
-			if dst := e.resultOf(cb.handles[a.handle], cb.escapes[a.handle]); dst != nil {
-				readBack(a.data, a.alloc, a.decl, dst)
-			}
-		}
-	}
+	e.readBackArrays(cb, rv.arrays)
 	for i, s := range cb.scalars {
 		if v, ok := rv.m.Scalar(rv.snames[i]); ok {
 			s.val = v
@@ -490,91 +499,91 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 	return nil
 }
 
-// runNative executes a compiled batch's native artifact through the
-// state-file protocol: marshal handle state in spec order, run the
-// binary with StateInEnv/StateOutEnv pointing at per-execution files,
-// unmarshal the dumped state of what the program writes back into the
-// handles. Host rectangles and the state buffer convert row by row; halo
-// cells go in as zeros and never come back. The artifact is re-resolved
-// through the store (a stat on the content address), so a wiped store
-// directory degrades to a rebuild, never a stale binary.
-func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.Entry, r *resident) error {
-	comp := entry.Comp
-	if r.native == nil {
-		r.native = bindState(comp.LIR, cb)
-	}
-	sb := r.native
+// residentNative is a worker kept beside its cached native compilation,
+// with the views of its state mapping looked up once: each array's slab,
+// and each scalar's slot with the canonical scalar it holds.
+type residentNative struct {
+	w       *backend.Worker
+	arrays  []residentArray
+	scalars []float64 // the mapping's scalar slots, in spec order
+	snums   []int     // snums[i] is j for the s<j> in slot i, -1 for a compiler register
+}
+
+// startWorker starts the worker of a cached native compilation whose
+// canonical names cb binds. The artifact is re-resolved through the
+// store (a stat on the content address), so a wiped store directory
+// degrades to a rebuild, never a stale binary.
+func (e *Engine) startWorker(ctx context.Context, entry *ccache.Entry, cb *canonBatch) (*residentNative, error) {
 	art, err := e.store.Build(ctx, entry.GoSrc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	buf := make([]byte, 8*sb.size)
-	off := 0
-	for _, a := range sb.arrays {
-		if a.handle >= 0 {
-			h := cb.handles[a.handle]
-			if src := e.seedOf(h); src != nil {
-				n := h.region.Extent(h.region.Rank() - 1)
-				rowsOf(a.alloc, h.region, func(_ [sema.MaxRank]int, at, host int) {
-					for j, v := range src[host : host+n] {
-						binary.LittleEndian.PutUint64(buf[off+8*(at+j):], math.Float64bits(v))
-					}
-				})
-			}
-		}
-		off += 8 * a.alloc.Size()
-	}
-	for _, i := range sb.scalars {
-		if i >= 0 {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(cb.scalars[i].val))
-		}
-		off += 8
-	}
-
-	dir, err := os.MkdirTemp("", "zpl-lazy-state")
+	p := entry.Comp.LIR
+	spec := stateSpec(p)
+	w, err := art.Start(ctx, gogen.StateWords(p, spec))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	inPath := filepath.Join(dir, "in.state")
-	outPath := filepath.Join(dir, "out.state")
-	if err := os.WriteFile(inPath, buf, 0o644); err != nil {
-		return err
+	e.workerStarts++
+	state := w.State()
+	slabs := make(map[string][]float64, len(spec.Arrays))
+	at := 0
+	for _, n := range spec.Arrays {
+		end := at + p.Source.Arrays[n].Alloc.Size()
+		slabs[n] = state[at:end:end]
+		at = end
 	}
-	if _, err := art.RunEnv(ctx, e.out, []string{
-		gogen.StateInEnv + "=" + inPath,
-		gogen.StateOutEnv + "=" + outPath,
-	}); err != nil {
-		return err
+	canon := canonNumbers(cb)
+	rn := &residentNative{w: w, scalars: state[at:],
+		arrays: residentArrays(p, canon, func(n string) []float64 { return slabs[n] })}
+	for _, n := range spec.Scalars {
+		rn.snums = append(rn.snums, number(canon, n))
 	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		return fmt.Errorf("lazy: native run produced no state: %w", err)
+	return rn, nil
+}
+
+// runNative executes a compiled batch on its resident worker, starting
+// one when there is none or the last one was killed between Evals. It
+// seeds and reads back by runVM's rules, through the worker's state
+// mapping; a compiler register starts at zero, as in a fresh process.
+// The worker is checked out of the record for the run and put back only
+// when the run succeeds, so a run that fails, traps, is cancelled or
+// panics stops its worker and leaves host data untouched, and the next
+// Eval starts a fresh one.
+func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.Entry, r *resident) error {
+	rn := r.native
+	r.native = nil
+	if rn != nil && !rn.w.Alive() {
+		rn.w.Close()
+		rn = nil
 	}
-	if len(data) != len(buf) {
-		return fmt.Errorf("lazy: state file is %d bytes, want %d", len(data), len(buf))
-	}
-	off = 0
-	for _, a := range sb.arrays {
-		if a.handle >= 0 && a.written {
-			h := cb.handles[a.handle]
-			if dst := e.resultOf(h, cb.escapes[a.handle]); dst != nil {
-				n := h.region.Extent(h.region.Rank() - 1)
-				rowsOf(a.alloc, h.region, func(_ [sema.MaxRank]int, at, host int) {
-					for j := range dst[host : host+n] {
-						dst[host+j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*(at+j):]))
-					}
-				})
-			}
+	if rn == nil {
+		var err error
+		if rn, err = e.startWorker(ctx, entry, cb); err != nil {
+			return err
 		}
-		off += 8 * a.alloc.Size()
 	}
-	for _, i := range sb.scalars {
-		if i >= 0 {
-			cb.scalars[i].val = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+	defer func() {
+		if r.native == nil {
+			rn.w.Close()
 		}
-		off += 8
+	}()
+	e.seedArrays(cb, rn.arrays)
+	for i, s := range rn.snums {
+		rn.scalars[i] = 0
+		if s >= 0 {
+			rn.scalars[i] = cb.scalars[s].val
+		}
 	}
+	if err := rn.w.Run(ctx, e.out); err != nil {
+		return err
+	}
+	e.readBackArrays(cb, rn.arrays)
+	for i, s := range rn.snums {
+		if s >= 0 {
+			cb.scalars[s].val = rn.scalars[i]
+		}
+	}
+	r.native = rn
 	return nil
 }

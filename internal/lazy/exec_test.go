@@ -52,6 +52,7 @@ func TestMaxMinOfSpecialValues(t *testing.T) {
 	}
 	for _, opt := range opts {
 		e := NewEngine(opt)
+		defer e.Close()
 		p := e.Array("p", R(1, 2, 1, n*n))
 		if err := p.SetValues(pairs); err != nil {
 			t.Fatal(err)
@@ -240,6 +241,7 @@ func TestUnwrittenHandleNotReadBack(t *testing.T) {
 		w := &hostWriter{}
 		opt.Out = w
 		e := NewEngine(opt)
+		defer e.Close()
 		src, dst := e.Array("src", R(1, 4)), e.Array("dst", R(1, 4))
 		w.h = src
 		if err := src.SetValues([]float64{1, 2, 3, 4}); err != nil {
@@ -264,17 +266,25 @@ func TestUnwrittenHandleNotReadBack(t *testing.T) {
 		}
 	}
 
-	e := NewEngine(Options{Level: core.C2F4S, Out: panicWriter{}})
-	src, dst := e.Array("src", R(1, 4)), e.Array("dst", R(1, 4))
-	if err := src.SetValues([]float64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	dst.Assign(nil, Mul(src, Const(2)))
-	e.Writeln("boom")
-	if err := e.Eval(); err == nil {
-		t.Fatal("Eval whose writeln panics succeeded")
-	}
-	if !slices.Equal(src.data, []float64{1, 2, 3, 4}) || !slices.Equal(dst.hostData(), []float64{0, 0, 0, 0}) {
-		t.Errorf("a failed run changed host data: src %v, dst %v", src.data, dst.hostData())
+	for _, opt := range opts[1:] {
+		opt.Out = panicWriter{}
+		e := NewEngine(opt)
+		src, dst := e.Array("src", R(1, 4)), e.Array("dst", R(1, 4))
+		if err := src.SetValues([]float64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		dst.Assign(nil, Mul(src, Const(2)))
+		e.Writeln("boom")
+		if err := e.Eval(); err == nil {
+			t.Fatalf("%v: Eval whose writeln panics succeeded", opt.Backend)
+		}
+		if !slices.Equal(src.data, []float64{1, 2, 3, 4}) || !slices.Equal(dst.hostData(), []float64{0, 0, 0, 0}) {
+			t.Errorf("%v: a failed run changed host data: src %v, dst %v", opt.Backend, src.data, dst.hostData())
+		}
+		for _, r := range e.resident {
+			if r.vm != nil || r.native != nil {
+				t.Errorf("%v: the failed run left its executor resident", opt.Backend)
+			}
+		}
 	}
 }

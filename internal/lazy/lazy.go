@@ -24,7 +24,8 @@
 // proving); a hit runs no compiler phase. Handle state is bound to
 // canonical names per execution: the VM path seeds the storage of a
 // machine kept resident beside the cached compilation, the native path
-// speaks gogen's state-file protocol.
+// the state mapping of a worker process kept the same way
+// (backend.Worker), which Engine.Close stops.
 //
 // Arrays observable through a handle are marked air.ArrayInfo.Escapes,
 // which keeps the contraction phase from eliminating storage the
@@ -122,8 +123,8 @@ type Engine struct {
 
 	// shape is the scratch fingerprint of the batch being run and bound
 	// the scratch binding of a memo hit; memo maps fingerprints to
-	// canonicalizations and resident holds the machines (VM) and state
-	// layouts (native) of cached compilations. Both hold only keys the
+	// canonicalizations and resident holds the machines (VM) and worker
+	// processes (native) of cached compilations. Both hold only keys the
 	// cache holds.
 	shape    shape
 	bound    canonBatch
@@ -134,11 +135,15 @@ type Engine struct {
 	stats   Stats
 
 	// compileHook, set by tests only, runs first in a batch's compile:
-	// the seam for a compiler that panics.
+	// the seam for a compiler that panics. emitHook, also set by tests
+	// only, rewrites a native batch's emitted source before it is built:
+	// the seam for a program that traps.
 	compileHook func()
-	// memoHits counts batches that skipped canonicalization and
-	// machineBuilds the vm.New calls; tests read them.
-	memoHits, machineBuilds int64
+	emitHook    func(goSrc string) string
+	// memoHits counts batches that skipped canonicalization,
+	// machineBuilds the vm.New calls and workerStarts the native workers
+	// started; tests read them.
+	memoHits, machineBuilds, workerStarts int64
 }
 
 // NewEngine creates an engine. A native-backend engine opens its
@@ -700,15 +705,36 @@ func (e *Engine) Remarks() []remark.Remark {
 	return out
 }
 
-// ClearCache drops every cached compilation with its resident machine
-// and memoized canonicalizations (native artifacts on disk remain). The
-// fresh-compile-per-iteration experiment arm uses this.
+// ClearCache drops every cached compilation with its resident machine or
+// worker and memoized canonicalizations (native artifacts on disk
+// remain). The fresh-compile-per-iteration experiment arm uses this.
 func (e *Engine) ClearCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cache = ccache.New(e.opt.CacheBytes)
+	e.closeWorkers()
 	clear(e.resident)
 	e.memo.buckets = nil
+}
+
+// Close stops every worker process the native backend keeps beside its
+// cached compilations. The engine stays usable: compilations stay
+// cached, and the next native Eval of one starts its worker again. An
+// engine that becomes unreachable unclosed has its workers stopped by a
+// finalizer, and a worker whose host process exits exits too; Close is
+// what makes the moment deterministic.
+func (e *Engine) Close() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closeWorkers()
+}
+
+func (e *Engine) closeWorkers() error {
+	var errs []error
+	for _, r := range e.resident {
+		errs = append(errs, r.close())
+	}
+	return errors.Join(errs...)
 }
 
 // driverOptions is the compilation-affecting option set, the second

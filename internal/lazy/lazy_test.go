@@ -58,6 +58,7 @@ func runDiffLazy(t *testing.T, opt Options, collide bool) string {
 	var out bytes.Buffer
 	opt.Out = &out
 	e := NewEngine(opt)
+	defer e.Close()
 	if collide {
 		e.memo.hash = collideAll
 	}
@@ -665,25 +666,40 @@ func TestRPanics(t *testing.T) {
 
 // TestWritelnOrderAcrossStatements checks the IO chain survives
 // canonicalization: writelns interleaved with computation print in
-// issue order.
+// issue order, on the VM and through a native worker's reply frames,
+// and so does a batch of writelns alone (a worker with an empty state
+// mapping).
 func TestWritelnOrderAcrossStatements(t *testing.T) {
-	var out bytes.Buffer
-	e := NewEngine(Options{Level: core.C2F4S, Out: &out})
-	r := R(1, 3)
-	a := e.Array("a", r)
-	s := e.Scalar("s", 0)
-	a.Assign(nil, Const(1))
-	s.Sum(r, a)
-	e.Writeln("first", s)
-	a.Assign(nil, Const(2))
-	s.Sum(r, a)
-	e.Writeln("second", s)
-	if err := e.Eval(); err != nil {
-		t.Fatal(err)
+	opts := []Options{{Level: core.C2F4S}}
+	if backend.Available() {
+		opts = append(opts, Options{Level: core.C2F4S, Backend: driver.BackendGo, ArtifactDir: t.TempDir()})
 	}
-	want := "first 3\nsecond 6\n"
-	if out.String() != want {
-		t.Errorf("output = %q, want %q", out.String(), want)
+	for _, opt := range opts {
+		var out bytes.Buffer
+		opt.Out = &out
+		e := NewEngine(opt)
+		defer e.Close()
+		r := R(1, 3)
+		a := e.Array("a", r)
+		s := e.Scalar("s", 0)
+		a.Assign(nil, Const(1))
+		s.Sum(r, a)
+		e.Writeln("first", s)
+		a.Assign(nil, Const(2))
+		s.Sum(r, a)
+		e.Writeln("second", s)
+		if err := e.Eval(); err != nil {
+			t.Fatal(err)
+		}
+		e.Writeln("third")
+		e.Writeln()
+		if err := e.Eval(); err != nil {
+			t.Fatal(err)
+		}
+		want := "first 3\nsecond 6\nthird\n\n"
+		if out.String() != want {
+			t.Errorf("%v: output = %q, want %q", opt.Backend, out.String(), want)
+		}
 	}
 }
 

@@ -7,8 +7,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/ccache"
 	"repro/internal/core"
+	"repro/internal/driver"
+	"repro/internal/proctest"
 )
 
 // collideAll is the memo hash under which every shape lands in one
@@ -207,11 +210,17 @@ func TestCanonMemoExact(t *testing.T) {
 
 // TestResidentMachineStartsZeroed: a batch may read a Temp cell that it
 // writes only later (b[4] reads t[5] here), which a fresh machine holds
-// as 0. Every Eval after the first runs on the resident machine the
-// previous one left t[5] = 2, 3, ... in, and must still read 0.
+// as 0. Every Eval after the first runs on the resident machine (or the
+// native backend's resident worker) the previous one left t[5] = 2, 3,
+// ... in, and must still read 0.
 func TestResidentMachineStartsZeroed(t *testing.T) {
-	for _, lvl := range []core.Level{core.Baseline, core.C2F4S} {
-		e := NewEngine(Options{Level: lvl})
+	opts := []Options{{Level: core.Baseline}, {Level: core.C2F4S}}
+	if backend.Available() {
+		opts = append(opts, Options{Level: core.Baseline, Backend: driver.BackendGo, ArtifactDir: t.TempDir()})
+	}
+	for _, opt := range opts {
+		e := NewEngine(opt)
+		defer e.Close()
 		b := e.Array("b", R(1, 8))
 		k := e.Scalar("k", 0)
 		for i := 0; i < 4; i++ {
@@ -228,11 +237,12 @@ func TestResidentMachineStartsZeroed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := []float64{1, 1, 1, 0, 2 + float64(i), 2 + float64(i), 2 + float64(i), 2 + float64(i)}; !slices.Equal(got, want) {
-				t.Errorf("%v, Eval %d: b = %v, want %v", lvl, i+1, got, want)
+				t.Errorf("%v %v, Eval %d: b = %v, want %v", opt.Backend, opt.Level, i+1, got, want)
 			}
 		}
-		if e.machineBuilds != 1 {
-			t.Errorf("%v: %d machines built for 4 Evals of one shape, want 1", lvl, e.machineBuilds)
+		if e.machineBuilds+e.workerStarts != 1 {
+			t.Errorf("%v %v: %d machines built and %d workers started for 4 Evals of one shape, want 1",
+				opt.Backend, opt.Level, e.machineBuilds, e.workerStarts)
 		}
 	}
 }
@@ -283,54 +293,85 @@ func checkResident(t *testing.T, what string, e *Engine) {
 	}
 }
 
-// TestCacheBytesBoundsMachines: a resident machine's storage counts
-// toward its entry's size. An engine whose budget is below one
-// machine's footprint (though above the entry's size without it)
-// caches nothing, keeps no machine and no memo entry, and still
-// computes every sweep right. Eviction and ClearCache drop the machines
-// and memo entries of the keys they drop.
+// TestCacheBytesBoundsMachines: a resident machine's storage, and a
+// resident worker's state mapping, count toward its entry's size. An
+// engine whose budget is below one machine's footprint (though above the
+// entry's size without it) caches nothing, keeps no machine, worker or
+// memo entry — a native run gets a worker for that run only — and still
+// computes every sweep right. Eviction and ClearCache drop the machines,
+// workers and memo entries of the keys they drop.
 func TestCacheBytesBoundsMachines(t *testing.T) {
 	const n, sweeps = 40, 6
-	ref := NewEngine(Options{Level: core.C2F4S})
-	want := sweepEngine(t, ref, n, sweeps)
-	footprint := int64(2 * n * n * 8)
-	var withoutMachines int64
-	for k := range ref.resident {
-		el, _ := ref.cache.Peek(k)
-		withoutMachines = max(withoutMachines, ccache.SizeOf(&ccache.Entry{Source: el.Source, Comp: el.Comp}))
+	opts := []Options{{Level: core.C2F4S}}
+	if backend.Available() {
+		opts = append(opts, Options{Level: core.C2F4S, Backend: driver.BackendGo, ArtifactDir: t.TempDir()})
 	}
-	budget := footprint - 1
-	if withoutMachines >= budget {
-		t.Fatalf("largest entry without its machine is %d bytes, not below the %d-byte budget", withoutMachines, budget)
-	}
+	for _, opt := range opts {
+		engine := func(cacheBytes int64) *Engine {
+			o := opt
+			o.CacheBytes = cacheBytes
+			e := NewEngine(o)
+			t.Cleanup(func() { e.Close() })
+			return e
+		}
+		ref := engine(0)
+		want := sweepEngine(t, ref, n, sweeps)
+		footprint := int64(2 * n * n * 8)
+		var withoutMachines int64
+		for k := range ref.resident {
+			el, _ := ref.cache.Peek(k)
+			withoutMachines = max(withoutMachines, ccache.SizeOf(el))
+		}
+		budget := footprint - 1
+		if withoutMachines >= budget {
+			t.Fatalf("%v: largest entry without its machine is %d bytes, not below the %d-byte budget", opt.Backend, withoutMachines, budget)
+		}
 
-	small := NewEngine(Options{Level: core.C2F4S, CacheBytes: budget})
-	if got := sweepEngine(t, small, n, sweeps); !slices.Equal(got, want) {
-		t.Errorf("a machine-less engine computed a different grid")
-	}
-	if st := small.CacheStats(); st.Entries != 0 || st.TooLarge == 0 {
-		t.Errorf("cache below one machine's footprint: %+v, want nothing cached and refusals counted", st)
-	}
-	if len(small.resident) != 0 || len(small.memo.buckets) != 0 {
-		t.Errorf("%d machines and %d memo buckets kept for nothing cached", len(small.resident), len(small.memo.buckets))
-	}
+		small := engine(budget)
+		if got := sweepEngine(t, small, n, sweeps); !slices.Equal(got, want) {
+			t.Errorf("%v: a machine-less engine computed a different grid", opt.Backend)
+		}
+		if st := small.CacheStats(); st.Entries != 0 || st.TooLarge == 0 {
+			t.Errorf("%v: cache below one machine's footprint: %+v, want nothing cached and refusals counted", opt.Backend, st)
+		}
+		if len(small.resident) != 0 || len(small.memo.buckets) != 0 {
+			t.Errorf("%v: %d machines and %d memo buckets kept for nothing cached", opt.Backend, len(small.resident), len(small.memo.buckets))
+		}
+		if kids, err := proctest.Children(); err == nil && len(kids) != liveWorkers(ref) {
+			t.Errorf("%v: children %v, want only the unbounded engine's %d workers", opt.Backend, kids, liveWorkers(ref))
+		}
 
-	// Room for one sweep compilation with its machine, not two shapes:
-	// the initialising batch and the sweep evict each other.
-	one := NewEngine(Options{Level: core.C2F4S, CacheBytes: footprint + 3*withoutMachines/2})
-	if got := sweepEngine(t, one, n, sweeps); !slices.Equal(got, want) {
-		t.Errorf("an evicting engine computed a different grid")
+		// Room for one sweep compilation with its machine, not two shapes:
+		// the initialising batch and the sweep evict each other.
+		one := engine(footprint + 3*withoutMachines/2)
+		if got := sweepEngine(t, one, n, sweeps); !slices.Equal(got, want) {
+			t.Errorf("%v: an evicting engine computed a different grid", opt.Backend)
+		}
+		if one.CacheStats().Evictions == 0 {
+			t.Errorf("%v: no eviction with room for one entry: %+v", opt.Backend, one.CacheStats())
+		}
+		checkResident(t, "after evictions", one)
+		one.ClearCache()
+		checkResident(t, "after ClearCache", one)
+		if len(one.memo.buckets) != 0 {
+			t.Errorf("%v: ClearCache kept %d memo buckets", opt.Backend, len(one.memo.buckets))
+		}
+		if got := sweepEngine(t, one, n, sweeps); !slices.Equal(got, want) {
+			t.Errorf("%v: after ClearCache the engine computed a different grid", opt.Backend)
+		}
+		if kids, err := proctest.Children(); err == nil && len(kids) != liveWorkers(ref)+liveWorkers(one) {
+			t.Errorf("%v: children %v, want the %d workers the engines keep", opt.Backend, kids, liveWorkers(ref)+liveWorkers(one))
+		}
 	}
-	if one.CacheStats().Evictions == 0 {
-		t.Errorf("no eviction with room for one entry: %+v", one.CacheStats())
+}
+
+// liveWorkers counts the live workers an engine keeps.
+func liveWorkers(e *Engine) int {
+	n := 0
+	for _, r := range e.resident {
+		if r.native != nil && r.native.w.Alive() {
+			n++
+		}
 	}
-	checkResident(t, "after evictions", one)
-	one.ClearCache()
-	checkResident(t, "after ClearCache", one)
-	if len(one.memo.buckets) != 0 {
-		t.Errorf("ClearCache kept %d memo buckets", len(one.memo.buckets))
-	}
-	if got := sweepEngine(t, one, n, sweeps); !slices.Equal(got, want) {
-		t.Errorf("after ClearCache the engine computed a different grid")
-	}
+	return n
 }

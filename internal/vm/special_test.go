@@ -9,11 +9,8 @@ package vm_test
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -232,8 +229,8 @@ func TestSpecialValues(t *testing.T) {
 	checkSpecials(t, "native c2+f4", c, runNative(t, c))
 }
 
-// runNative builds c with the state protocol and returns the state the
-// binary dumps.
+// runNative builds c as a resident worker over every array and scalar,
+// runs it once and returns the state it leaves in its mapping.
 func runNative(t *testing.T, c *driver.Compilation) state {
 	t.Helper()
 	spec := &gogen.StateSpec{}
@@ -257,29 +254,23 @@ func runNative(t *testing.T, c *driver.Compilation) state {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(t.TempDir(), "out.state")
-	if _, err := art.RunEnv(context.Background(), nil, []string{gogen.StateOutEnv + "=" + out}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
+	w, err := art.Start(context.Background(), gogen.StateWords(c.LIR, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-		return v
+	defer w.Close()
+	if err := w.Run(context.Background(), nil); err != nil {
+		t.Fatal(err)
 	}
+	data := w.State()
 	st := state{arrays: map[string][]float64{}, scalars: map[string]float64{}}
 	for _, name := range spec.Arrays {
-		vals := make([]float64, c.LIR.Source.Arrays[name].Alloc.Size())
-		for i := range vals {
-			vals[i] = next()
-		}
-		st.arrays[name] = vals
+		n := c.LIR.Source.Arrays[name].Alloc.Size()
+		st.arrays[name] = append([]float64(nil), data[:n]...)
+		data = data[n:]
 	}
-	for _, name := range spec.Scalars {
-		st.scalars[name] = next()
+	for i, name := range spec.Scalars {
+		st.scalars[name] = data[i]
 	}
 	return st
 }

@@ -39,6 +39,15 @@
 // the promise that lets the contraction phase eliminate its storage —
 // the paper's payoff, available to library callers.
 //
+// On BackendGo each cached compilation keeps one worker process: a
+// natively built binary that stays resident and shares its arrays with
+// the Context through a memory mapping, so that an Eval costs the
+// kernel, two copies and a pipe round trip rather than a process start.
+// Context.Close stops every worker; the Context stays usable and starts
+// them again as Evals need them. A Context dropped without Close has its
+// workers stopped when the garbage collector finds it unreachable, and a
+// worker exits by itself when its host process does.
+//
 // Context.Eval (and every read-back, which is an Eval) returns errors and
 // does not panic: a panic inside the compiler, the emitter or a native
 // build comes back as an error that names the batch by its content
@@ -61,8 +70,9 @@ import (
 	"repro/internal/sema"
 )
 
-// Context owns handles and pending operations; one goroutine per
-// Context.
+// Context owns handles, pending operations, compiled batches and (on
+// BackendGo) their worker processes, which Close stops; one goroutine
+// per Context.
 type Context = lazy.Engine
 
 // Array is a handle to a deferred array with host-side storage

@@ -2,12 +2,16 @@ package zpl_test
 
 import (
 	"bytes"
+	"os"
 	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/proctest"
 	"repro/zpl"
 )
+
+func TestMain(m *testing.M) { os.Exit(proctest.Main(m)) }
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
