@@ -142,10 +142,12 @@ bench-smoke: build
 	$(GO) test -C bench ./...
 
 # Partitioner guard: the plan-identity and complexity tests of the
-# fusion partitioner, re-run fresh — distributed plans and remarks
-# against testdata/plans/dist_hashes.json, the production greedy against
-# the literal f4 rescan on benchmarks and random graphs, and the
-# allocation ceiling on the sp c2+f4 p=2 compile. All of them are
+# fusion partitioner, re-run fresh — plans and remarks (sequential,
+# distributed and supplied) against testdata/plans/dist_hashes.json, the
+# production greedy against the literal f4 rescan on benchmarks and
+# random graphs, one plan's remarks rendered from eight goroutines under
+# -race, and the allocation ceiling on the sp c2+f4 p=2 compile, which
+# renders no remark. All of them are
 # ordinary tier-1 tests; this target is the one to run after touching
 # internal/core. It also holds the provers to their contract: after
 # touching internal/mhp or internal/absint run this and race-sweep —
@@ -158,7 +160,8 @@ bench-smoke: build
 # offset to the offsets it describes.
 plan-guard: build
 	$(GO) test -count=1 -run 'TestGoldenPlans|TestEvidencePinned|TestZpllintEvidenceGolden|TestLoopDefectReportedOnce' . ./internal/mhp
-	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates' ./internal/core
+	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates|TestStmtWeightsMatchGraph' ./internal/core
+	$(GO) test -race -count=1 -run 'TestPlanRemarksConcurrent' ./internal/core
 	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs|TestFlatOffsetMatchesEnumeration' ./internal/driver ./internal/mhp ./internal/absint
 
 # VM guard: the tests that let the strip evaluator be changed without
@@ -208,7 +211,9 @@ soak: build
 # /store/put reaches), the lazy runtime's canonicalization memo
 # (memo key = canonical key, issue-order invariance of the key). Tier-1
 # runs the seeds only; the third target is the plan spec parser (a
-# -plan file; the hash survives Marshal). A finding lands in the target's
+# -plan file; the hash survives Marshal), the fourth the front end on
+# source text (no panic; every rejection a positioned source.ErrorList).
+# A finding lands in the target's
 # internal/<pkg>/testdata/fuzz/<Fuzz...>/ and then runs with them: fix
 # it and commit the file.
 FUZZTIME ?= 60s
@@ -216,6 +221,7 @@ fuzz-soak: build
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/lazy
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/driver
 
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary

@@ -168,8 +168,9 @@ func main() {
 // printRemarks lists the optimizer's decision records: why each
 // candidate was or was not fused/contracted, with the blocking edge.
 func printRemarks(file string, c *driver.Compilation) {
-	fmt.Printf("\nremarks (%d):\n", len(c.Plan.Remarks))
-	for _, r := range c.Plan.Remarks {
+	remarks := c.Plan.Remarks()
+	fmt.Printf("\nremarks (%d):\n", len(remarks))
+	for _, r := range remarks {
 		fmt.Printf("%s:%s\n", file, r)
 	}
 }

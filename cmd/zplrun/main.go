@@ -68,8 +68,9 @@ func main() {
 		fatal(err)
 	}
 	if *remarks {
-		fmt.Fprintf(os.Stderr, "zplrun: %d remarks:\n", len(c.Plan.Remarks))
-		for _, r := range c.Plan.Remarks {
+		remarks := c.Plan.Remarks()
+		fmt.Fprintf(os.Stderr, "zplrun: %d remarks:\n", len(remarks))
+		for _, r := range remarks {
 			fmt.Fprintf(os.Stderr, "%s:%s\n", src.Name, r)
 		}
 	}

@@ -247,8 +247,27 @@ func TestWeightOrdering(t *testing.T) {
 	if names[0] != "B" {
 		t.Errorf("heaviest = %s, want B (3 references)", names[0])
 	}
-	if Weight(g, "T") != 2*256 {
-		t.Errorf("w(T) = %d, want 512", Weight(g, "T"))
+	if w := weights(g)["T"]; w != 2*256 {
+		t.Errorf("w(T) = %d, want 512", w)
+	}
+}
+
+// TestStmtWeightsMatchGraph holds the realignment pre-pass's weights,
+// read off the statements, to the graph's on every benchmark block
+// (reductions and communication statements included).
+func TestStmtWeightsMatchGraph(t *testing.T) {
+	for _, b := range programs.All() {
+		var errs source.ErrorList
+		prog := lower.Lower(lowerBench(t, b.Name), &errs)
+		if errs.HasErrors() {
+			t.Fatal(errs.Err())
+		}
+		comm.Insert(prog, comm.DefaultOptions(2))
+		for bi, blk := range prog.AllBlocks() {
+			if got, want := stmtWeights(blk.Stmts), weights(asdg.Build(blk.Stmts)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s block %d: statement weights %v, graph weights %v", b.Name, bi, got, want)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/air"
 	"repro/internal/asdg"
-	"repro/internal/liveness"
 )
 
 // Emulation configures the engine to behave like one of the compilers
@@ -81,16 +80,7 @@ func ZPLEmulation() Emulation { return Emulations()[len(Emulations())-1] }
 // Emulate applies the emulated strategy to the whole program and
 // returns its fusion/contraction plan.
 func Emulate(prog *air.Program, em Emulation) *Plan {
-	cands := liveness.Candidates(prog)
-	plan := &Plan{Level: C2F3, Contracted: map[string]bool{}}
-
-	for _, b := range prog.AllBlocks() {
-		candidates := cands[b]
-		if em.Realign {
-			RealignTemps(prog, b, candidates)
-		}
-		g := asdg.Build(b.Stmts)
-
+	plan, _ := Walk(prog, C2F3, em.Realign, Config{}, func(_ int, g *asdg.Graph, candidates []string) (*Partition, map[string]bool, error) {
 		var temps, users []string
 		for _, x := range candidates {
 			if a := prog.Arrays[x]; a != nil && a.Temp {
@@ -127,18 +117,8 @@ func Emulate(prog *air.Program, em Emulation) *Plan {
 		if em.FuseForLocality && em.StatementFusion {
 			p = FusionForLocality(g, p, AllArrays(g))
 		}
-
-		bp := &BlockPlan{Block: b, Graph: g, Part: p}
-		for x := range contracted {
-			bp.Contracted = append(bp.Contracted, x)
-			plan.Contracted[x] = true
-			if a := prog.Arrays[x]; a != nil {
-				a.Contracted = true
-			}
-		}
-		sortStrings(bp.Contracted)
-		plan.Blocks = append(plan.Blocks, bp)
-	}
+		return p, contracted, nil
+	})
 	return plan
 }
 
@@ -177,13 +157,5 @@ func contractPairs(prog *air.Program, g *asdg.Graph, p *Partition, temps []strin
 		}
 		p.MergeSet(cs)
 		contracted[def.LHS] = true
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

@@ -29,9 +29,6 @@ func weights(g *asdg.Graph) map[string]int {
 	return w
 }
 
-// Weight returns w(x, G) for one array.
-func Weight(g *asdg.Graph, x string) int { return weights(g)[x] }
-
 // ByDecreasingWeight sorts array names by decreasing w(x, G), breaking
 // ties by name for determinism (line 3 of Fig. 3).
 func ByDecreasingWeight(g *asdg.Graph, names []string) []string {

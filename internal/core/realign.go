@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/air"
-	"repro/internal/asdg"
 	"repro/internal/sema"
 )
 
@@ -32,7 +31,7 @@ func RealignTemps(prog *air.Program, b *air.Block, candidates []string) {
 	for _, c := range candidates {
 		cand[c] = true
 	}
-	g := asdg.Build(b.Stmts)
+	w := stmtWeights(b.Stmts)
 
 	for i := 0; i+1 < len(b.Stmts); i++ {
 		def, ok := b.Stmts[i].(*air.ArrayStmt)
@@ -76,10 +75,10 @@ func RealignTemps(prog *air.Program, b *air.Block, candidates []string) {
 		shiftBenefit := 0
 		for _, r := range reads {
 			if r.Array != use.LHS && r.Array != def.LHS && cand[r.Array] {
-				shiftBenefit += Weight(g, r.Array)
+				shiftBenefit += w[r.Array]
 			}
 		}
-		stayBenefit := Weight(g, def.LHS)
+		stayBenefit := w[def.LHS]
 		if shiftBenefit <= stayBenefit {
 			continue
 		}
@@ -92,6 +91,29 @@ func RealignTemps(prog *air.Program, b *air.Block, candidates []string) {
 		rewriteOffsets(def.RHS, zero)
 		ref.Ref.Off = d.Clone()
 	}
+}
+
+// stmtWeights is weights read off a block's statements: realignment
+// runs before the block's graph is built, and a weight needs no
+// dependence. A shift moves a region without resizing it, so the
+// weights hold for the whole pre-pass.
+func stmtWeights(stmts []air.Stmt) map[string]int {
+	w := map[string]int{}
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *air.ArrayStmt:
+			n := s.Region.Size()
+			w[s.LHS] += n
+			for _, r := range s.Reads() {
+				w[r.Array] += n
+			}
+		case *air.ReduceStmt:
+			for _, r := range air.Refs(s.Body) {
+				w[r.Array] += s.Region.Size()
+			}
+		}
+	}
+	return w
 }
 
 // Translates reports whether two regions are exact translates of each

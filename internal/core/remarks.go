@@ -11,8 +11,8 @@ import (
 	"repro/internal/source"
 )
 
-// explainBlock produces one block's optimization remarks after the
-// strategy ladder has run on it:
+// explainBlock produces the optimization remarks of bp, block blockIdx
+// of the plan:
 //
 //   - one "fused" remark per multi-statement cluster of the final
 //     partition;
@@ -27,10 +27,10 @@ import (
 // Diagnoses run against the final partition, so every negative remark
 // names a test that fails right now — the remarks are auditable
 // against the emitted code, not against a transient algorithm state.
-func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
-	g *asdg.Graph, p *Partition, contracted map[string]bool,
-	candidates []string, live []liveness.Verdict) []remark.Remark {
-
+// They run on a copy of it: the predicates use a partition's scratch,
+// and a finished one stays read-only.
+func (pl *Plan) explainBlock(blockIdx int, bp *BlockPlan) []remark.Remark {
+	prog, level, g, p := pl.prog, pl.Level, bp.Graph, bp.Part.Clone()
 	var out []remark.Remark
 
 	// Fused clusters.
@@ -92,11 +92,11 @@ func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
 	}
 
 	// Contraction candidates.
-	sorted := append([]string(nil), candidates...)
+	sorted := append([]string(nil), bp.Candidates...)
 	sort.Strings(sorted)
 	for _, x := range sorted {
 		pos := firstWritePos(g, x)
-		if contracted[x] {
+		if pl.Contracted[x] {
 			cls := p.ClustersReferencing(x)
 			var members []int
 			for c := range cls {
@@ -115,8 +115,8 @@ func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
 
 	// Compiler temporaries excluded by liveness never reach the
 	// candidate list; explain them from the liveness verdicts.
-	for _, v := range live {
-		if v.Candidate || v.Block != b {
+	for _, v := range pl.live {
+		if v.Candidate || v.Block != bp.Block {
 			continue
 		}
 		a := prog.Arrays[v.Array]

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
-	"repro/internal/liveness"
 	"repro/internal/lower"
 	"repro/internal/parser"
 	"repro/internal/programs"
@@ -44,8 +45,8 @@ func TestRemarksCarryPositions(t *testing.T) {
 			if errs.HasErrors() {
 				t.Fatal(errs.Err())
 			}
-			plan := Apply(prog, lvl)
-			for _, r := range plan.Remarks {
+			plan := ApplyEx(prog, lvl, Config{})
+			for _, r := range plan.Remarks() {
 				if !r.Pos.IsValid() {
 					t.Errorf("%s at %s: remark without position: %s", b.Name, lvl, r)
 				}
@@ -69,8 +70,7 @@ func TestDiagnosisAgreesWithPredicates(t *testing.T) {
 		if errs.HasErrors() {
 			t.Fatal(errs.Err())
 		}
-		plan := Apply(prog, C2F3)
-		cands := liveness.Candidates(prog)
+		plan := ApplyEx(prog, C2F3, Config{})
 		for _, bp := range plan.Blocks {
 			p := bp.Part
 			for _, c := range p.Clusters() {
@@ -80,7 +80,7 @@ func TestDiagnosisAgreesWithPredicates(t *testing.T) {
 						b.Name, got, want, c)
 				}
 			}
-			for _, x := range cands[bp.Block] {
+			for _, x := range bp.Candidates {
 				cs := p.ClustersReferencing(x)
 				if len(cs) == 0 {
 					continue
@@ -93,6 +93,38 @@ func TestDiagnosisAgreesWithPredicates(t *testing.T) {
 						b.Name, got, want, x)
 				}
 			}
+		}
+	}
+}
+
+// TestPlanRemarksConcurrent renders one plan's remarks from eight
+// goroutines at once, as concurrent zpld requests may read a cached
+// compilation's: rendering must leave the plan untouched (run it under
+// -race), and every rendering must equal a serial one.
+func TestPlanRemarksConcurrent(t *testing.T) {
+	var errs source.ErrorList
+	prog := lower.Lower(lowerBench(t, "sp"), &errs)
+	if errs.HasErrors() {
+		t.Fatal(errs.Err())
+	}
+	plan := ApplyEx(prog, C2F4, Config{})
+	want := plan.Remarks()
+	if len(want) == 0 {
+		t.Fatal("sp at c2+f4 has no remarks")
+	}
+	got := make([][]remark.Remark, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = plan.Remarks()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Errorf("goroutine %d: rendering differs from the serial one", i)
 		}
 	}
 }

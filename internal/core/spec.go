@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/air"
 	"repro/internal/asdg"
-	"repro/internal/liveness"
 	"repro/internal/remark"
 )
 
@@ -144,9 +143,9 @@ func ParseSpec(data []byte) (*PlanSpec, error) {
 // Every Definition 5/6 condition is re-proved on the supplied plan —
 // a spec that names an illegal fusion or an unsafe contraction is
 // rejected with a descriptive error, never silently repaired. The
-// returned plan has Level External and carries the usual remarks
-// (negative decisions cite test "plan") plus one plan-kind remark
-// with the spec's provenance note.
+// returned plan has Level External; its remarks cite test "plan" for
+// negative decisions and end with one plan-kind remark carrying the
+// spec's provenance note.
 func ApplySpec(prog *air.Program, spec *PlanSpec, cfg Config) (*Plan, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("plan spec: nil")
@@ -160,63 +159,31 @@ func ApplySpec(prog *air.Program, spec *PlanSpec, cfg Config) (*Plan, error) {
 		byBlock[b.Block] = b
 	}
 
-	cands, live := liveness.Explain(prog)
-	plan := &Plan{Level: External, Contracted: map[string]bool{}}
-
-	blocks := prog.AllBlocks()
+	n := len(prog.AllBlocks())
 	for bi := range byBlock {
-		if bi < 0 || bi >= len(blocks) {
-			return nil, fmt.Errorf("plan spec: block %d out of range [0,%d)", bi, len(blocks))
+		if bi < 0 || bi >= n {
+			return nil, fmt.Errorf("plan spec: block %d out of range [0,%d)", bi, n)
 		}
 	}
 
-	for bi, b := range blocks {
-		candidates := cands[b]
-		if spec.Realign && !cfg.DisableRealign {
-			RealignTemps(prog, b, candidates)
-			plan.Realigned = true
-		}
-		cfg.begin("asdg")
-		g := asdg.Build(b.Stmts)
-		if cfg.SegmentFn != nil {
-			g.Seg = cfg.SegmentFn(b.Stmts)
-		}
-		cfg.done("asdg")
-
-		bs := byBlock[bi]
-		cfg.begin("fusion")
-		p, err := specPartition(g, bi, bs)
-		cfg.done("fusion")
-		if err != nil {
-			return nil, err
-		}
-
-		bp := &BlockPlan{Block: b, Graph: g, Part: p}
-		cfg.begin("contraction")
-		contracted, err := specContraction(prog, bi, bs, p, candidates)
-		if err != nil {
-			cfg.done("contraction")
-			return nil, err
-		}
-		for x := range contracted {
-			bp.Contracted = append(bp.Contracted, x)
-			plan.Contracted[x] = true
-			if a := prog.Arrays[x]; a != nil {
-				a.Contracted = true
+	plan, err := Walk(prog, External, spec.Realign, cfg,
+		func(bi int, g *asdg.Graph, candidates []string) (*Partition, map[string]bool, error) {
+			p, err := specPartition(g, bi, byBlock[bi])
+			if err != nil {
+				return nil, nil, err
 			}
-		}
-		sort.Strings(bp.Contracted)
-		plan.Remarks = append(plan.Remarks,
-			explainBlock(prog, External, bi, b, g, p, contracted, candidates, live)...)
-		cfg.done("contraction")
-		plan.Blocks = append(plan.Blocks, bp)
+			contracted, err := specContraction(prog, bi, byBlock[bi], p, candidates)
+			return p, contracted, err
+		})
+	if err != nil {
+		return nil, err
 	}
 	if spec.Note != "" {
-		plan.Remarks = append(plan.Remarks, remark.Remark{
+		plan.note = remark.Remark{
 			Kind: remark.Plan, Pass: "tune",
 			Reason: spec.Note,
 			Detail: "plan " + spec.Hash()[:12],
-		})
+		}
 	}
 	return plan, nil
 }

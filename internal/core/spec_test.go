@@ -34,7 +34,7 @@ func TestSpecRoundtrip(t *testing.T) {
 	for _, b := range programs.All() {
 		for _, lvl := range AllLevels() {
 			progA := lowerFresh(t, b.Name)
-			planA := Apply(progA, lvl)
+			planA := ApplyEx(progA, lvl, Config{})
 			spec := Extract(planA)
 
 			progB := lowerFresh(t, b.Name)
@@ -139,9 +139,9 @@ func TestApplySpecRejectsIllegalFusion(t *testing.T) {
 	found := false
 	for _, b := range programs.All() {
 		prog := lowerFresh(t, b.Name)
-		plan := Apply(prog, C2F4)
+		plan := ApplyEx(prog, C2F4, Config{})
 		for bi, bp := range plan.Blocks {
-			for _, r := range plan.Remarks {
+			for _, r := range plan.Remarks() {
 				if r.Block != bi || r.Kind != "not-fused" || r.Pair == nil {
 					continue
 				}

@@ -104,10 +104,16 @@ type BlockPlan struct {
 	Block      *air.Block
 	Graph      *asdg.Graph
 	Part       *Partition
-	Contracted []string // arrays contracted in this block
+	Contracted []string // arrays contracted in this block, sorted
+	// Candidates is the block's liveness-approved contraction candidate
+	// list, the input the decision was made from.
+	Candidates []string
 }
 
-// Plan is the whole-program fusion/contraction decision.
+// Plan is the whole-program fusion/contraction decision. It keeps what
+// the decision was made from (each block's graph and candidates, the
+// liveness verdicts), and Remarks explains it from that when asked; a
+// compilation nobody explains pays nothing for its remarks.
 type Plan struct {
 	Level      Level
 	Blocks     []*BlockPlan
@@ -117,13 +123,29 @@ type Plan struct {
 	// must replay the same pre-pass, or its vertex indices would name a
 	// differently-shaped graph.
 	Realigned bool
-	// Remarks explains every decision: one record per fused cluster,
-	// per edge-connected unfused cluster pair, per (un)contracted
-	// candidate, and per liveness-excluded temporary. Always recorded
-	// — remarks are evidence, not an optimization mode, and they are
-	// derived from the final plan so they cost one extra diagnosis
-	// pass per block.
-	Remarks []remark.Remark
+
+	prog *air.Program
+	live []liveness.Verdict // every referenced array's liveness verdict
+	// note is the provenance remark of a supplied spec (ApplySpec with
+	// a Note); its Kind is empty otherwise.
+	note remark.Remark
+}
+
+// Remarks explains every decision of the plan, block by block: one
+// record per fused cluster, per edge-connected unfused cluster pair,
+// per (un)contracted candidate, and per liveness-excluded temporary;
+// then a supplied spec's provenance. Each call renders them afresh from
+// the final plan and leaves the plan untouched (it is shared through
+// ccache), so concurrent calls are safe.
+func (p *Plan) Remarks() []remark.Remark {
+	var out []remark.Remark
+	for bi, bp := range p.Blocks {
+		out = append(out, p.explainBlock(bi, bp)...)
+	}
+	if p.note.Kind != "" {
+		out = append(out, p.note)
+	}
+	return out
 }
 
 // BlockPlanFor returns the plan for block b, or nil.
@@ -136,7 +158,7 @@ func (p *Plan) BlockPlanFor(b *air.Block) *BlockPlan {
 	return nil
 }
 
-// Config tunes Apply for distributed compilation.
+// Config tunes a plan's walk for distributed compilation.
 type Config struct {
 	// DisableRealign suppresses the temporary-realignment pre-pass
 	// (required when arrays are distributed: a realigned temporary
@@ -167,22 +189,29 @@ func (c Config) done(name string) {
 	}
 }
 
-// Apply runs the strategy ladder on every block of the program. It
-// mutates prog only by marking contracted arrays (and, at user-
-// contraction levels, realigning compiler temporaries); scalarization
-// consumes the returned plan.
-func Apply(prog *air.Program, level Level) *Plan {
-	return ApplyEx(prog, level, Config{})
-}
+// Chooser decides one block: on the block's ASDG it returns the fusion
+// partition and the arrays it contracts, drawn from candidates (the
+// block's liveness-approved contraction candidates). bi is the block's
+// index in prog.AllBlocks(). An error stops the walk.
+type Chooser func(bi int, g *asdg.Graph, candidates []string) (*Partition, map[string]bool, error)
 
-// ApplyEx is Apply with distribution-aware configuration.
-func ApplyEx(prog *air.Program, level Level, cfg Config) *Plan {
+// Walk is the one per-block planning loop of §4. It runs liveness once,
+// then for each block: the temporary-realignment pre-pass when realign
+// is set and cfg allows it, the ASDG with its communication segments
+// (phase "asdg"), the caller's choice (phase "fusion"), and the
+// contraction bookkeeping on the plan and on prog.Arrays (phase
+// "contraction"). ApplyEx, ApplySpec, Emulate and the zpltune search
+// differ only in their Chooser. It mutates prog only by realigning
+// temporaries and marking contracted arrays; scalarization consumes the
+// returned plan.
+func Walk(prog *air.Program, level Level, realign bool, cfg Config, choose Chooser) (*Plan, error) {
 	cands, live := liveness.Explain(prog)
-	plan := &Plan{Level: level, Contracted: map[string]bool{}}
+	plan := &Plan{Level: level, Contracted: map[string]bool{}, prog: prog, live: live}
+	realign = realign && !cfg.DisableRealign
 
 	for bi, b := range prog.AllBlocks() {
 		candidates := cands[b]
-		if level.FusesUsers() && !cfg.DisableRealign {
+		if realign {
 			RealignTemps(prog, b, candidates)
 			plan.Realigned = true
 		}
@@ -194,11 +223,14 @@ func ApplyEx(prog *air.Program, level Level, cfg Config) *Plan {
 		cfg.done("asdg")
 
 		cfg.begin("fusion")
-		p, contracted := LadderPartition(prog, g, level, candidates)
+		p, contracted, err := choose(bi, g, candidates)
 		cfg.done("fusion")
+		if err != nil {
+			return nil, err
+		}
 
-		bp := &BlockPlan{Block: b, Graph: g, Part: p}
 		cfg.begin("contraction")
+		bp := &BlockPlan{Block: b, Graph: g, Part: p, Candidates: candidates}
 		for x := range contracted {
 			bp.Contracted = append(bp.Contracted, x)
 			plan.Contracted[x] = true
@@ -207,11 +239,19 @@ func ApplyEx(prog *air.Program, level Level, cfg Config) *Plan {
 			}
 		}
 		sort.Strings(bp.Contracted)
-		plan.Remarks = append(plan.Remarks,
-			explainBlock(prog, level, bi, b, g, p, contracted, candidates, live)...)
 		cfg.done("contraction")
 		plan.Blocks = append(plan.Blocks, bp)
 	}
+	return plan, nil
+}
+
+// ApplyEx runs the strategy ladder on every block of the program.
+func ApplyEx(prog *air.Program, level Level, cfg Config) *Plan {
+	plan, _ := Walk(prog, level, level.FusesUsers(), cfg,
+		func(_ int, g *asdg.Graph, candidates []string) (*Partition, map[string]bool, error) {
+			p, contracted := LadderPartition(prog, g, level, candidates)
+			return p, contracted, nil
+		})
 	return plan
 }
 

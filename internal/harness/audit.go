@@ -70,7 +70,8 @@ func AuditProblems(rows []AuditRow) int {
 }
 
 func auditOne(name string, lvl core.Level, c *driver.Compilation) AuditRow {
-	row := AuditRow{Benchmark: name, Level: lvl, Remarks: len(c.Plan.Remarks)}
+	remarks := c.Plan.Remarks()
+	row := AuditRow{Benchmark: name, Level: lvl, Remarks: len(remarks)}
 	problem := func(format string, args ...any) {
 		row.Problems = append(row.Problems, fmt.Sprintf(format, args...))
 	}
@@ -80,7 +81,7 @@ func auditOne(name string, lvl core.Level, c *driver.Compilation) AuditRow {
 	notFused := map[pairKey]int{}
 	notContracted := map[string]int{}
 	contracted := map[string]int{}
-	for _, r := range c.Plan.Remarks {
+	for _, r := range remarks {
 		switch {
 		case r.Kind == remark.NotFused && r.Pair != nil:
 			notFused[pairKey{r.Block, r.Pair[0], r.Pair[1]}]++

@@ -76,9 +76,7 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 		e.memo.add(&e.shape, key, cb)
 		r.shapes++
 	}
-	if entry.Comp.Plan != nil {
-		e.remarks = append(e.remarks, entry.Comp.Plan.Remarks...)
-	}
+	e.plans = append(e.plans, entry.Comp.Plan)
 	if !native {
 		return e.runVM(ctx, cb, entry.Comp, r)
 	}

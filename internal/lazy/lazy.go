@@ -131,8 +131,10 @@ type Engine struct {
 	memo     memo
 	resident map[ccache.Key]*resident
 
-	remarks []remark.Remark
-	stats   Stats
+	// plans are the compiled plans of the most recent Eval's batches,
+	// in batch order; Remarks renders them.
+	plans []*core.Plan
+	stats Stats
 
 	// compileHook, set by tests only, runs first in a batch's compile:
 	// the seam for a compiler that panics. emitHook, also set by tests
@@ -503,7 +505,7 @@ func (e *Engine) evalLocked(ctx context.Context) error {
 	}
 	pending := e.pending
 	e.pending = nil
-	e.remarks = e.remarks[:0]
+	e.plans = e.plans[:0]
 	defer func() {
 		// Temp values never survive a sync point, successful or not.
 		clear(e.lastRead)
@@ -695,13 +697,16 @@ func (e *Engine) Stats() Stats {
 }
 
 // Remarks returns the optimization remarks of the most recent Eval's
-// batches (fused/contracted and their negatives), in batch order.
-// Positions are the zero Pos — lazy programs have no source text.
+// batches (fused/contracted and their negatives), in batch order,
+// rendered from their plans on each call. Positions are the zero Pos —
+// lazy programs have no source text.
 func (e *Engine) Remarks() []remark.Remark {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]remark.Remark, len(e.remarks))
-	copy(out, e.remarks)
+	var out []remark.Remark
+	for _, p := range e.plans {
+		out = append(out, p.Remarks()...)
+	}
 	return out
 }
 

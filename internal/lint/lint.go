@@ -175,14 +175,14 @@ func Run(src string, opt Options) (*Result, error) {
 		races = mhp.Analyze(mhp.BuildSchedule(lirProg, opt.Procs))
 	}
 
-	res := &Result{Remarks: plan.Remarks, Bounds: bounds, Races: races}
+	res := &Result{Remarks: plan.Remarks(), Bounds: bounds, Races: races}
 	var fs []Finding
 	fs = append(fs, arrayUsage(info)...)
 	fs = append(fs, regionRules(info)...)
 	fs = append(fs, shadowedDecls(info)...)
 	fs = append(fs, outOfRegionReads(info)...)
 	fs = append(fs, deadStmts(airProg)...)
-	fs = append(fs, wouldContract(plan)...)
+	fs = append(fs, wouldContract(res.Remarks)...)
 	fs = append(fs, boundsFindings(bounds, opt.BoundsNotes)...)
 	fs = append(fs, raceFindings(races, opt.RaceNotes)...)
 	for i := range fs {
@@ -664,9 +664,9 @@ func raceFindings(r *mhp.Result, notes bool) []Finding {
 // wouldContract surfaces the optimizer's fix-it remarks: temporaries
 // and candidate arrays blocked from contraction by a single offending
 // reference.
-func wouldContract(plan *core.Plan) []Finding {
+func wouldContract(remarks []remark.Remark) []Finding {
 	var out []Finding
-	for _, r := range plan.Remarks {
+	for _, r := range remarks {
 		if r.Kind == remark.NotContracted && r.Fixit != "" {
 			out = append(out, Finding{Rule: RuleWouldContract, Severity: SevNote, Pos: r.Pos,
 				Message: fmt.Sprintf("array %s is not contracted: %s", r.Array, r.Reason),

@@ -7,6 +7,7 @@ package liveness
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/air"
 	"repro/internal/source"
@@ -153,7 +154,7 @@ func Explain(prog *air.Program) (map[*air.Block][]string, []Verdict) {
 		verdicts = append(verdicts, v)
 	}
 	for _, names := range out {
-		sortStrings(names)
+		sort.Strings(names)
 	}
 	return out, verdicts
 }
@@ -264,12 +265,4 @@ func confined(b *air.Block, name string) Verdict {
 		}
 	}
 	return v
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -41,7 +41,7 @@ func serviceEntry(t testing.TB, src string, opt driver.Options) *ccache.Entry {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	remarks, err := json.Marshal(comp.Plan.Remarks)
+	remarks, err := json.Marshal(comp.Plan.Remarks())
 	if err != nil {
 		t.Fatal(err)
 	}

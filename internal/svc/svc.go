@@ -547,7 +547,8 @@ func (s *Server) compileAndRun(ctx context.Context, w http.ResponseWriter, req *
 		if err != nil {
 			return nil, err
 		}
-		e := &ccache.Entry{Kind: akind, Source: src, Comp: c, Plan: planSummary(c), Meta: metaOf(c)}
+		remarks := c.Plan.Remarks()
+		e := &ccache.Entry{Kind: akind, Source: src, Comp: c, Plan: planSummary(c), Meta: metaOf(c, remarks)}
 		// The generated Go rides in the artifact so emit_go requests
 		// hit too; gogen cannot emit distributed programs.
 		if opt.Comm == nil {
@@ -578,6 +579,15 @@ func (s *Server) compileAndRun(ctx context.Context, w http.ResponseWriter, req *
 				s.metrics.BackendBuild("miss")
 			}
 			e.Bin, e.BinKey = art.Bin, art.Key
+		}
+		// Count each plan's decisions once, here, where the compile ran;
+		// cache hits would multiply them by request rate.
+		s.metrics.Remarks(remark.CountByKind(remarks))
+		if c.Bounds != nil {
+			s.metrics.Bounds(c.Bounds)
+		}
+		if c.Races != nil {
+			s.metrics.Races(c.Races)
 		}
 		return e, nil
 	})
@@ -616,18 +626,6 @@ func (s *Server) compileAndRun(ctx context.Context, w http.ResponseWriter, req *
 	}
 	if req.EmitGo {
 		cresp.GoSource = entry.GoSrc
-	}
-	if lookup == ccache.Miss && entry.Comp.Plan != nil {
-		// Count each plan's remarks once, at compile time; cache hits
-		// would multiply them by request rate. A miss always compiled
-		// locally, so the full Compilation is present.
-		s.metrics.Remarks(remark.CountByKind(entry.Comp.Plan.Remarks))
-		if entry.Comp.Bounds != nil {
-			s.metrics.Bounds(entry.Comp.Bounds)
-		}
-		if entry.Comp.Races != nil {
-			s.metrics.Races(entry.Comp.Races)
-		}
 	}
 	if req.Remarks && entry.Meta != nil {
 		if uerr := json.Unmarshal(entry.Meta.RemarksJSON, &cresp.Remarks); uerr != nil {
@@ -725,9 +723,10 @@ func (s *Server) resolve(req *Request, run bool) (string, driver.Options, error)
 }
 
 // metaOf derives the serializable response metadata from a fresh
-// compilation — the projection that travels with the entry through
-// the disk and peer tiers, where the deep IR structures do not.
-func metaOf(c *driver.Compilation) *ccache.Meta {
+// compilation and its rendered remarks — the projection that travels
+// with the entry through the disk and peer tiers, where the deep IR
+// structures do not.
+func metaOf(c *driver.Compilation, remarks []remark.Remark) *ccache.Meta {
 	counts := core.CountStaticArrays(c.AIR, c.Plan)
 	m := &ccache.Meta{
 		NestCount:  c.LIR.CountNests(),
@@ -746,7 +745,7 @@ func metaOf(c *driver.Compilation) *ccache.Meta {
 			Race: rr.NumRace, Unknown: rr.NumUnknown, Deadlocks: len(rr.Deadlocks),
 		}
 	}
-	if buf, err := json.Marshal(c.Plan.Remarks); err == nil {
+	if buf, err := json.Marshal(remarks); err == nil {
 		m.RemarksJSON = buf
 	}
 	return m

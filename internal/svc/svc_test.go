@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -580,6 +581,19 @@ func TestCompileLintAndRemarks(t *testing.T) {
 	metrics := s.Metrics().Render(s.CacheStats(), s.TuneCacheStats())
 	if !strings.Contains(metrics, "zpld_remarks_total{kind=") {
 		t.Errorf("metrics missing zpld_remarks_total:\n%s", metrics)
+	}
+	// One compile ran (the second request was a hit): its remarks are
+	// counted once, the same ones the reply carries.
+	counted := 0
+	for _, line := range strings.Split(grepLines(metrics, "zpld_remarks_total{"), "\n") {
+		n, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		counted += n
+	}
+	if counted != len(resp.Remarks) {
+		t.Errorf("zpld_remarks_total sums to %d, the compile had %d remarks", counted, len(resp.Remarks))
 	}
 
 	// Lint a program with findings so the lint counter appears too.

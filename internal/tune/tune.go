@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/job"
-	"repro/internal/liveness"
 	"repro/internal/machine"
 )
 
@@ -133,7 +132,6 @@ func Tune(ctx context.Context, src string, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	cands := liveness.Candidates(prog)
 	realign := opt.Level.FusesUsers() && !cfg.DisableRealign
 
 	res := &Result{
@@ -144,22 +142,15 @@ func Tune(ctx context.Context, src string, opt Options) (*Result, error) {
 		LevelScores:    map[string]float64{},
 	}
 
-	for bi, b := range prog.AllBlocks() {
-		candidates := cands[b]
-		if realign {
-			core.RealignTemps(prog, b, candidates)
-		}
-		g := asdg.Build(b.Stmts)
-		if cfg.SegmentFn != nil {
-			g.Seg = cfg.SegmentFn(b.Stmts)
-		}
-
+	// The compiler's own walk, with the search as its chooser: each
+	// block's heuristic score, searched plan, spec and stats.
+	_, err = core.Walk(prog, core.External, realign, cfg, func(bi int, g *asdg.Graph, candidates []string) (*core.Partition, map[string]bool, error) {
 		heurP, heurC := core.LadderPartition(prog, g, opt.Level, candidates)
 		heurScore := model.BlockScore(prog, g, heurP, heurC)
 
 		bs, err := searchBlock(ctx, prog, g, candidates, model, opt.Search)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if bs.Score > heurScore {
 			// Defensive: the search is seeded with the ladder, so this
@@ -197,6 +188,10 @@ func Tune(ctx context.Context, src string, opt Options) (*Result, error) {
 		res.HeuristicScore += heurScore
 		res.TunedScore += bs.Score
 		res.Proven = res.Proven && bs.Proven
+		return bs.Part, bs.Contracted, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if res.HeuristicScore > 0 {

@@ -90,38 +90,57 @@ type distPlanHashes struct {
 }
 
 // TestGoldenPlansDistributed pins what TestGoldenPlans cannot: the
-// plans and remarks of distributed compilations, where communication
-// insertion reshapes every block's ASDG (and favor-comm adds segment
-// labels). One file holds PlanSpec.Hash and a SHA-256 of the JSON-
-// rendered Plan.Remarks per program × level × p × strategy; refresh
-// deliberately with
+// remarks of every compilation, and the plans of distributed ones,
+// where communication insertion reshapes every block's ASDG (and
+// favor-comm adds segment labels). One file holds PlanSpec.Hash and a
+// SHA-256 of the JSON-rendered remarks per program × level × p ×
+// strategy, p=1 being the sequential compilation. The "external" cells
+// re-apply each golden spec of TestGoldenPlans with a fixed provenance
+// note, so the remarks of a supplied plan (test "plan", and the
+// plan-kind remark) are pinned too. Refresh deliberately with
 //
 //	go test -run TestGoldenPlansDistributed -update
 func TestGoldenPlansDistributed(t *testing.T) {
 	path := filepath.Join("testdata", "plans", "dist_hashes.json")
 	got := map[string]distPlanHashes{}
+	pin := func(cell string, opt driver.Options, src string) {
+		c, err := driver.Compile(src, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", cell, err)
+		}
+		remarks, err := json.Marshal(c.Plan.Remarks())
+		if err != nil {
+			t.Fatalf("%s: marshal remarks: %v", cell, err)
+		}
+		sum := sha256.Sum256(remarks)
+		got[cell] = distPlanHashes{
+			Plan:    core.Extract(c.Plan).Hash(),
+			Remarks: hex.EncodeToString(sum[:]),
+		}
+	}
 	for _, b := range programs.All() {
 		for _, lvl := range core.AllLevels() {
-			for _, procs := range []int{2, 4, 8} {
+			for _, procs := range []int{1, 2, 4, 8} {
 				for _, strategy := range []comm.Strategy{comm.FavorFusion, comm.FavorComm} {
+					if procs == 1 && strategy == comm.FavorComm {
+						continue // a single processor has no communication to favor
+					}
 					co := comm.DefaultOptions(procs)
 					co.Strategy = strategy
-					cell := fmt.Sprintf("%s/%s/p%d/%s", b.Name, lvl, procs, strategy)
-					c, err := driver.Compile(b.Source, driver.Options{Level: lvl, Comm: &co})
-					if err != nil {
-						t.Fatalf("%s: %v", cell, err)
-					}
-					remarks, err := json.Marshal(c.Plan.Remarks)
-					if err != nil {
-						t.Fatalf("%s: marshal remarks: %v", cell, err)
-					}
-					sum := sha256.Sum256(remarks)
-					got[cell] = distPlanHashes{
-						Plan:    core.Extract(c.Plan).Hash(),
-						Remarks: hex.EncodeToString(sum[:]),
-					}
+					pin(fmt.Sprintf("%s/%s/p%d/%s", b.Name, lvl, procs, strategy),
+						driver.Options{Level: lvl, Comm: &co}, b.Source)
 				}
 			}
+			data, err := os.ReadFile(filepath.Join("testdata", "plans", fmt.Sprintf("%s-%s.json", b.Name, lvl)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := core.ParseSpec(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Note = "golden plan " + lvl.String()
+			pin(fmt.Sprintf("%s/%s/p1/external", b.Name, lvl), driver.Options{Plan: spec}, b.Source)
 		}
 	}
 	if *updatePlans {

@@ -60,10 +60,7 @@
 package zpl
 
 import (
-	"io"
-
 	"repro/internal/ccache"
-	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/lazy"
 	"repro/internal/remark"
@@ -109,45 +106,10 @@ type CacheStats = ccache.Stats
 type Remark = remark.Remark
 
 // Config configures a Context.
-type Config struct {
-	// Level is the fusion/contraction ladder level (§5.4); the zero
-	// value compiles every statement into its own loop nest
-	// (core.Baseline). Iterative workloads want core.C2F4S.
-	Level core.Level
-	// Backend selects the execution engine; zero value is BackendVM.
-	Backend Backend
-	// Out receives writeln output; nil discards it.
-	Out io.Writer
-	// CacheBytes bounds the compilation cache; <= 0 is unbounded.
-	CacheBytes int64
-	// ArtifactDir overrides the native artifact store location
-	// (BackendGo only).
-	ArtifactDir string
-	// MaxBatchOps caps operations per compiled batch; <= 0 compiles a
-	// whole sync point's DAG together (explicit Barriers still split).
-	MaxBatchOps int
-	// Check runs the static verifier on every compiled batch.
-	Check bool
-	// ScalarReplace enables scalar replacement in generated nests.
-	ScalarReplace bool
-	// NoProve disables the bounds prover (keeps every runtime check).
-	NoProve bool
-}
+type Config = lazy.Options
 
 // New creates a Context.
-func New(cfg Config) *Context {
-	return lazy.NewEngine(lazy.Options{
-		Level:         cfg.Level,
-		Backend:       cfg.Backend,
-		Out:           cfg.Out,
-		CacheBytes:    cfg.CacheBytes,
-		ArtifactDir:   cfg.ArtifactDir,
-		MaxBatchOps:   cfg.MaxBatchOps,
-		Check:         cfg.Check,
-		ScalarReplace: cfg.ScalarReplace,
-		NoProve:       cfg.NoProve,
-	})
-}
+func New(cfg Config) *Context { return lazy.NewEngine(cfg) }
 
 // R builds a region literal from lo,hi bound pairs: R(1, n) is
 // [1..n], R(1, n, 1, m) is [1..n, 1..m]. It panics on a malformed
