@@ -307,8 +307,10 @@ func BenchmarkLazySteadyState(b *testing.B) {
 // bench harness: bench/w_lazy.go's damped double-buffered Jacobi sweep
 // at n=512 (a fresh Temp for the average every sweep, a max<< residual),
 // steady state, so that an Eval is the kernel over two 2 MiB grids plus
-// their seed and readback. BenchmarkLazyLargeNative is the same sweep's
-// native Eval, on the compilation's resident worker.
+// the seed of nxt's frame: cur is bound and nxt swapped in.
+// BenchmarkLazyLargeNative is the same sweep's native Eval, on the
+// compilation's resident worker, whose mapping holds both grids between
+// Evals.
 func BenchmarkLazyLarge(b *testing.B) { benchLazyLarge(b, zpl.Config{Level: core.C2F4S}) }
 
 func BenchmarkLazyLargeNative(b *testing.B) {

@@ -366,6 +366,18 @@ func start(t *testing.T, art *backend.Artifact, words int) *backend.Worker {
 	return w
 }
 
+// startLaid is start over the plainest layout of spec (gogen.StateLayout),
+// with each array pointed at its slab.
+func startLaid(t *testing.T, art *backend.Artifact, c *driver.Compilation, spec *gogen.StateSpec) *backend.Worker {
+	t.Helper()
+	slabs, words := gogen.StateLayout(c.LIR, spec)
+	w := start(t, art, words)
+	for k, at := range slabs {
+		w.Point(k, at)
+	}
+	return w
+}
+
 // counter adds 1 to every element of A and prints the sum twice.
 const counter = `
 program counter;
@@ -386,34 +398,35 @@ end;
 // in its mapping — zeros at first, then what the host seeds and what
 // the last run left — and each run's writeln output reaches out in
 // order before Run returns: the mechanism that lets the lazy runtime
-// run one cached binary for every timestep of an iterative solver. A
-// mapping of another size than the spec lays out is refused with a
-// state error before the worker serves.
+// run one cached binary for every timestep of an iterative solver. The
+// header moves an array between runs: pointed at a second slab, the run
+// reads and writes there and leaves the first slab as it was.
 func TestStateProtocolRoundTrip(t *testing.T) {
 	requireToolchain(t)
 	art, c, spec := workerOf(t, counter, nil)
-	words := gogen.StateWords(c.LIR, spec)
+	slabs, words := gogen.StateLayout(c.LIR, spec)
 	size := c.LIR.Source.Arrays[spec.Arrays[0]].Alloc.Size()
-	if len(spec.Arrays) != 1 || words != size+len(spec.Scalars) {
-		t.Fatalf("program shape changed: spec %+v, %d words", spec, words)
+	if head := 1 + len(spec.Scalars); len(spec.Arrays) != 1 || slabs[0] != head || words != head+size {
+		t.Fatalf("program shape changed: spec %+v, slabs at %v of %d words", spec, slabs, words)
 	}
-	sAt := size + sort.SearchStrings(spec.Scalars, "s")
-	if spec.Scalars[sAt-size] != "s" {
+	sAt := 1 + sort.SearchStrings(spec.Scalars, "s")
+	if spec.Scalars[sAt-1] != "s" {
 		t.Fatalf("no scalar s in %v", spec.Scalars)
 	}
-	w := start(t, art, words)
+	w := start(t, art, words+size) // room for a second slab of A
 	state := w.State()
-	if len(state) != words {
-		t.Fatalf("State() holds %d words, want %d", len(state), words)
+	if len(state) != words+size {
+		t.Fatalf("State() holds %d words, want %d", len(state), words+size)
 	}
+	first, second := state[words-size:words], state[words:]
 
 	var out bytes.Buffer
-	run := func(want float64) {
+	run := func(slab []float64, want float64) {
 		t.Helper()
 		if err := w.Run(context.Background(), &out); err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range state[:size] {
+		for i, v := range slab {
 			if v != want/float64(size) {
 				t.Fatalf("A[%d] = %g after the run, want %g", i, v, want/float64(size))
 			}
@@ -422,34 +435,48 @@ func TestStateProtocolRoundTrip(t *testing.T) {
 			t.Fatalf("s = %g after the run, want %g", state[sAt], want)
 		}
 	}
-	run(8) // from zeros: A is all ones
-	for i := range state[:size] {
-		state[i] = 10 // seeded by the host
+	w.Point(0, slabs[0])
+	run(first, 8) // from zeros: A is all ones
+	for i := range first {
+		first[i] = 10 // seeded by the host
 	}
-	run(88)
-	run(96) // from what the last run left
-	if want := "s = 8\nagain 8\ns = 88\nagain 88\ns = 96\nagain 96\n"; out.String() != want {
+	run(first, 88)
+	for i := range second {
+		second[i] = 20
+	}
+	w.Point(0, words)
+	run(second, 168)
+	for i, v := range first {
+		if v != 11 {
+			t.Fatalf("first slab [%d] = %g after a run on the second, want the 11 it held", i, v)
+		}
+	}
+	w.Point(0, slabs[0])
+	run(first, 96) // from what the last run on it left
+	if want := "s = 8\nagain 8\ns = 88\nagain 88\ns = 168\nagain 168\ns = 96\nagain 96\n"; out.String() != want {
 		t.Errorf("output %q, want %q", out.String(), want)
-	}
-
-	_, err := art.Start(context.Background(), words+1)
-	var re *backend.RunError
-	if !errors.As(err, &re) || !re.Trap || !strings.Contains(re.Stderr, "za state error") {
-		t.Fatalf("a mapping one word too long: %v, want a *RunError trap with a state error", err)
 	}
 }
 
 // TestWorkerFailures: a worker killed from outside between runs is seen
 // dead and its next run is an abnormal exit, not a hang; a deadline that
 // expires mid-run kills it and returns the context's error; a trap ends
-// it with a *RunError trap. After each a fresh worker of the same
-// artifact runs right.
+// it with a *RunError trap, and so does a header word that puts a slab
+// outside the mapping's slabs, as a state error; a mapping shorter than
+// the header and the scalars is refused by Start. After each a fresh
+// worker of the same artifact runs right.
 func TestWorkerFailures(t *testing.T) {
 	requireToolchain(t)
 	art, c, spec := workerOf(t, counter, nil)
-	words := gogen.StateWords(c.LIR, spec)
+	fresh := func(what string) {
+		t.Helper()
+		var out bytes.Buffer
+		if err := startLaid(t, art, c, spec).Run(context.Background(), &out); err != nil || out.String() != "s = 8\nagain 8\n" {
+			t.Fatalf("fresh worker after %s: %q, %v", what, out.String(), err)
+		}
+	}
 
-	w := start(t, art, words)
+	w := startLaid(t, art, c, spec)
 	kids, err := proctest.Children()
 	if err != nil {
 		t.Skipf("no child count here: %v", err)
@@ -469,10 +496,24 @@ func TestWorkerFailures(t *testing.T) {
 	if err := w.Run(context.Background(), nil); !errors.As(err, &re) || re.Trap {
 		t.Fatalf("run of a killed worker: %v, want a *RunError that is no trap", err)
 	}
-	var out bytes.Buffer
-	if err := start(t, art, words).Run(context.Background(), &out); err != nil || out.String() != "s = 8\nagain 8\n" {
-		t.Fatalf("fresh worker after a kill: %q, %v", out.String(), err)
+	fresh("a kill")
+
+	// A's slab is 8 words: at the header, over the scalars, one word past
+	// the end, or at an offset that wraps around.
+	slabs, words := gogen.StateLayout(c.LIR, spec)
+	for _, at := range []int{0, slabs[0] - 1, words - 7, -1} {
+		w := start(t, art, words)
+		w.Point(0, at)
+		if err := w.Run(context.Background(), nil); !errors.As(err, &re) || !re.Trap || !strings.Contains(re.Stderr, "za state error") {
+			t.Fatalf("A's slab at word %d: %v, want a *RunError trap with a state error", at, err)
+		}
+		w.Close()
+		fresh(fmt.Sprintf("a slab at word %d", at))
 	}
+	if _, err := art.Start(context.Background(), slabs[0]-1); !errors.As(err, &re) || !re.Trap || !strings.Contains(re.Stderr, "za state error") {
+		t.Fatalf("a mapping one word short of the scalars: %v, want a *RunError trap with a state error", err)
+	}
+	fresh("a short mapping")
 
 	// s counts up from its seed while it is not negative.
 	spin, sc, sspec := workerOf(t, `
@@ -486,16 +527,16 @@ begin
   writeln("s", s);
 end;
 `, nil)
-	w = start(t, spin, gogen.StateWords(sc.LIR, sspec))
+	w = startLaid(t, spin, sc, sspec)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	if err := w.Run(ctx, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("run past its deadline: %v, want DeadlineExceeded", err)
 	}
 	w.Close()
-	w = start(t, spin, gogen.StateWords(sc.LIR, sspec))
-	w.State()[sort.SearchStrings(sspec.Scalars, "s")] = -2.5
-	out.Reset()
+	w = startLaid(t, spin, sc, sspec)
+	w.State()[len(sspec.Arrays)+sort.SearchStrings(sspec.Scalars, "s")] = -2.5
+	var out bytes.Buffer
 	if err := w.Run(context.Background(), &out); err != nil || out.String() != "s -2.5\n" {
 		t.Fatalf("fresh worker after a deadline: %q, %v", out.String(), err)
 	}
@@ -504,7 +545,7 @@ end;
 		return strings.Replace(goSrc, "func za_main() {", "func za_main() {\n\tzaTrapSelfTest()", 1) +
 			"\nfunc zaTrapSelfTest() {\n\tvar s []float64\n\t_ = s[1]\n}\n"
 	})
-	w = start(t, trap, words)
+	w = startLaid(t, trap, c, spec)
 	if err := w.Run(context.Background(), nil); !errors.As(err, &re) || !re.Trap || re.ExitCode != gogen.ExitTrap ||
 		!strings.Contains(re.Stderr, "za runtime error") {
 		t.Fatalf("trapping run: %v, want a *RunError trap", err)
@@ -517,18 +558,20 @@ end;
 
 // BenchmarkWorkerRun times one run of a resident worker whose kernel is
 // eight additions and a sum: the command byte, the reply frame and the
-// two pipe wake-ups a native lazy Eval pays beyond its kernel and
-// copies.
+// two pipe wake-ups a native lazy Eval pays beyond its kernel and the
+// frame it seeds.
 func BenchmarkWorkerRun(b *testing.B) {
 	if !backend.Available() {
 		b.Skip("no go toolchain on PATH")
 	}
 	art, c, spec := workerOf(b, counter, nil)
-	w, err := art.Start(context.Background(), gogen.StateWords(c.LIR, spec))
+	slabs, words := gogen.StateLayout(c.LIR, spec)
+	w, err := art.Start(context.Background(), words)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer w.Close()
+	w.Point(0, slabs[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.Run(context.Background(), nil); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -19,8 +20,9 @@ import (
 // mapping this process shares with it. A run is a command byte on the
 // worker's stdin, the kernel, and a reply frame of that run's output on
 // its stdout (the protocol is gogen.StateSpec's); there is no process
-// start and no state marshaling per run. The caller seeds State before
-// a run and reads results out of it after.
+// start and no state marshaling per run. The caller points each array
+// at a slab of State (Point) and seeds it before a run, and reads
+// results out of it after.
 //
 // A Worker serves one goroutine at a time. Close stops it; a Worker
 // that becomes unreachable unclosed is stopped by a finalizer, and a
@@ -56,10 +58,10 @@ var runCommand = []byte{'r'}
 
 // Start runs the artifact as a resident worker over a fresh, zeroed
 // mapping of words float64s, and returns once the worker has mapped it
-// and is ready to serve. A worker that refuses its mapping (one of
-// another size than its StateSpec lays out: a "za state error") or
-// exits before it is ready is a *RunError carrying its stderr. ctx
-// bounds the start only; its deadline or cancellation kills the worker.
+// and is ready to serve. A worker that refuses its mapping (one shorter
+// than its StateSpec's header and scalars: a "za state error") or exits
+// before it is ready is a *RunError carrying its stderr. ctx bounds the
+// start only; its deadline or cancellation kills the worker.
 func (a *Artifact) Start(ctx context.Context, words int) (*Worker, error) {
 	f, err := newMapping(8 * words)
 	if err != nil {
@@ -119,10 +121,16 @@ func (w *worker) start(f *os.File) error {
 	return nil
 }
 
-// State is the worker's arrays and scalars, laid out as its StateSpec
-// says: seed it before Run and read results from it after. The slice
-// views the mapping and is valid until Close.
+// State is the worker's whole mapping, laid out as its StateSpec says:
+// the header (written through Point), the scalars and the slabs. Seed it
+// before Run and read results from it after. The slice views the
+// mapping and is valid until Close: storage kept past Close must be
+// copied out first.
 func (w *Worker) State() []float64 { return w.state }
+
+// Point sets header word k: the worker's next run finds spec array k in
+// the slab that starts at word at of State.
+func (w *Worker) Point(k, at int) { w.state[k] = math.Float64frombits(uint64(at)) }
 
 // Run runs the program once over the state in the mapping and writes
 // that run's writeln output to out (nil discards it) before it returns.

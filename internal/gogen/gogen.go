@@ -78,39 +78,53 @@ const ElapsedPrefix = "za_elapsed_ns "
 const StateFD = 3
 
 // StateSpec declares, in order, which arrays and scalars live in a
-// resident worker's state mapping. Each array contributes Alloc.Size()
-// float64s (the full allocated slab including halo, row-major) and each
-// scalar one float64, concatenated with no header: the mapping is
-// exactly StateWords float64s, and a mapping of another size is a state
-// error (exit code ExitTrap) before the worker serves. The caller owns
-// the ordering; the emitter follows it verbatim, so the two halves of
-// the protocol agree by construction.
+// resident worker's state mapping, a whole number of 8-byte words laid
+// out as:
 //
-// The worker maps the file at StateFD, points each spec array at its
-// slab, and writes an empty reply frame: it is ready. Each byte it then
-// reads on stdin is one run: it loads the spec scalars from the mapping,
-// runs the program (under the trap scaffold unless every access is
-// proven), stores the scalars back and replies with a frame of that
-// run's writeln bytes — a 4-byte little-endian length, then the bytes.
-// A trap ends the process with ExitTrap instead of a reply, and end of
-// input ends it with 0. Keeping the state outside the source is what
-// makes a lazy batch's generated source, and so its content-addressed
-// artifact, the same across timesteps of an iterative solver.
+//   - the header: word k holds, as a little-endian uint64, the word
+//     offset of the slab of spec array k — Alloc.Size() float64s, the
+//     full allocated storage including halo, row-major;
+//   - the scalars, one float64 each, word len(Arrays)+i for scalar i;
+//   - the slabs, anywhere after that, as many as the host likes.
+//
+// The header is the host's to rewrite between runs: it moves an array
+// to another slab without copying it, and slabs of equal size are
+// interchangeable. A mapping shorter than the header and the scalars is
+// a state error (exit code ExitTrap) before the worker serves. The
+// caller owns the ordering; the emitter follows it verbatim, so the two
+// halves of the protocol agree by construction.
+//
+// The worker maps the file at StateFD and writes an empty reply frame:
+// it is ready. Each byte it then reads on stdin is one run: it reads the
+// header and re-slices each spec array to the slab its word names — an
+// offset that puts the slab inside the header or the scalars, or past
+// the end of the mapping, is a state error, exit ExitTrap, before the
+// kernel runs — loads the spec scalars, runs the program (under the trap
+// scaffold unless every access is proven), stores the scalars back and
+// replies with a frame of that run's writeln bytes — a 4-byte
+// little-endian length, then the bytes. A trap ends the process with
+// ExitTrap instead of a reply, and end of input ends it with 0. Keeping
+// the state outside the source is what makes a lazy batch's generated
+// source, and so its content-addressed artifact, the same across
+// timesteps of an iterative solver.
 type StateSpec struct {
 	Arrays  []string
 	Scalars []string
 }
 
-// StateWords is the size of the state mapping spec lays out over p, in
-// float64s. It does not check the names; the emitter does.
-func StateWords(p *lir.Program, spec *StateSpec) int {
-	n := len(spec.Scalars)
+// StateLayout is the plainest layout of spec over p: the slab of spec
+// array k at word slabs[k], one after another after the header and the
+// scalars, in a mapping of words float64s. It does not check the names;
+// the emitter does.
+func StateLayout(p *lir.Program, spec *StateSpec) (slabs []int, words int) {
+	words = len(spec.Arrays) + len(spec.Scalars)
 	for _, a := range spec.Arrays {
+		slabs = append(slabs, words)
 		if info := p.Source.Arrays[a]; info != nil {
-			n += info.Alloc.Size()
+			words += info.Alloc.Size()
 		}
 	}
-	return n
+	return slabs, words
 }
 
 // Emit renders the program as a compilable Go main package with every
@@ -227,10 +241,11 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 }
 
 // serveLoop renders a resident worker's half of the protocol StateSpec
-// describes — mapping the state, and the serve loop as main, which runs
-// the program under the trap scaffold unless every access is proven —
-// after checking that the spec names only allocated arrays and known
-// scalars. With no spec it
+// describes — mapping the state, and the serve loop as main, which
+// points each spec array at the slab its header word names (zaW_slab)
+// and runs the program under the trap scaffold unless every access is
+// proven — after checking that the spec names only allocated arrays and
+// known scalars. With no spec it
 // contributes nothing, keeping spec-less emission byte-identical to the
 // historical output. The zaW_ prefix cannot collide with goName's "za_".
 func (g *gen) serveLoop(allProven bool) (string, error) {
@@ -251,25 +266,35 @@ func (g *gen) serveLoop(allProven bool) (string, error) {
 			return "", fmt.Errorf("gogen: state spec names unknown scalar %s", n)
 		}
 	}
-	words := StateWords(g.p, g.spec)
+	// The header is words [0, head), the scalars [head, base).
+	head := len(g.spec.Arrays)
+	base := head + len(g.spec.Scalars)
 
 	var b strings.Builder
-	b.WriteString("var zaW_state []float64\nvar zaW_out []byte\n\n")
+	b.WriteString("var zaW_state []float64\n")
+	if head > 0 {
+		b.WriteString("var zaW_head []uint64\n")
+	}
+	b.WriteString("var zaW_out []byte\n\n")
 	fmt.Fprintf(&b, "func zaW_fail(msg string) {\n\tfmt.Fprintln(os.Stderr, \"za state error:\", msg)\n\tos.Exit(%d)\n}\n\n", ExitTrap)
 	fmt.Fprintf(&b, "func zaW_map() {\n\tvar st syscall.Stat_t\n\tif err := syscall.Fstat(%d, &st); err != nil {\n\t\tzaW_fail(err.Error())\n\t}\n", StateFD)
-	fmt.Fprintf(&b, "\tif st.Size != %d {\n\t\tzaW_fail(fmt.Sprintf(\"state mapping is %%d bytes, want %d\", st.Size))\n\t}\n", 8*words, 8*words)
-	if words > 0 {
+	if base > 0 {
 		g.useUnsafe = true
-		fmt.Fprintf(&b, "\tmem, err := syscall.Mmap(%d, 0, %d, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)\n", StateFD, 8*words)
-		fmt.Fprintf(&b, "\tif err != nil {\n\t\tzaW_fail(err.Error())\n\t}\n\tzaW_state = unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), %d)\n", words)
-	}
-	at := 0
-	for _, n := range g.spec.Arrays {
-		end := at + g.p.Source.Arrays[n].Alloc.Size()
-		fmt.Fprintf(&b, "\t%s = zaW_state[%d:%d:%d]\n", goName(n), at, end, end)
-		at = end
+		fmt.Fprintf(&b, "\tif st.Size < %d || st.Size%%8 != 0 {\n\t\tzaW_fail(fmt.Sprintf(\"state mapping is %%d bytes, want a multiple of 8, at least %d\", st.Size))\n\t}\n", 8*base, 8*base)
+		fmt.Fprintf(&b, "\tmem, err := syscall.Mmap(%d, 0, int(st.Size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)\n", StateFD)
+		b.WriteString("\tif err != nil {\n\t\tzaW_fail(err.Error())\n\t}\n\tzaW_state = unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), len(mem)/8)\n")
+		if head > 0 {
+			fmt.Fprintf(&b, "\tzaW_head = unsafe.Slice((*uint64)(unsafe.Pointer(&mem[0])), %d)\n", head)
+		}
 	}
 	b.WriteString("}\n\n")
+	if head > 0 {
+		// The comparisons are ordered so that none can wrap around.
+		fmt.Fprintf(&b, "func zaW_slab(k int, n uint64) []float64 {\n\to, end := zaW_head[k], uint64(len(zaW_state))\n"+
+			"\tif o < %d || o > end || end-o < n {\n"+
+			"\t\tzaW_fail(fmt.Sprintf(\"array %%d's slab of %%d words at word %%d is outside words %d..%%d\", k, n, o, end))\n"+
+			"\t}\n\treturn zaW_state[o : o+n : o+n]\n}\n\n", base, base)
+	}
 
 	run := "za_main"
 	if !allProven {
@@ -277,12 +302,15 @@ func (g *gen) serveLoop(allProven bool) (string, error) {
 		fmt.Fprintf(&b, "func zaW_run() {\n\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\tfmt.Fprintln(os.Stderr, \"za runtime error:\", r)\n\t\t\tos.Exit(%d)\n\t\t}\n\t}()\n\tza_main()\n}\n\n", ExitTrap)
 	}
 	b.WriteString(serveHead)
+	for k, n := range g.spec.Arrays {
+		fmt.Fprintf(&b, "\t\t%s = zaW_slab(%d, %d)\n", goName(n), k, g.p.Source.Arrays[n].Alloc.Size())
+	}
 	for i, n := range g.spec.Scalars {
-		fmt.Fprintf(&b, "\t\t%s = zaW_state[%d]\n", goName(n), at+i)
+		fmt.Fprintf(&b, "\t\t%s = zaW_state[%d]\n", goName(n), head+i)
 	}
 	fmt.Fprintf(&b, "\t\t%s()\n", run)
 	for i, n := range g.spec.Scalars {
-		fmt.Fprintf(&b, "\t\tzaW_state[%d] = %s\n", at+i, goName(n))
+		fmt.Fprintf(&b, "\t\tzaW_state[%d] = %s\n", head+i, goName(n))
 	}
 	b.WriteString("\t}\n}\n")
 	return b.String(), nil

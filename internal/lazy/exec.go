@@ -3,6 +3,7 @@ package lazy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -82,7 +83,7 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 	}
 	err = e.runNative(ctx, cb, entry, r)
 	if e.resident[key] != r {
-		r.close() // the cache refused the entry: its worker served this run only
+		e.endWorker(r.native) // the cache refused the entry: its worker served this run only
 	}
 	return err
 }
@@ -102,22 +103,13 @@ type resident struct {
 	shapes int             // memo entries holding this key
 }
 
-// close stops the record's worker, if it has one.
-func (r *resident) close() error {
-	if r.native == nil {
-		return nil
-	}
-	err := r.native.w.Close()
-	r.native = nil
-	return err
-}
-
 // compile runs the pipeline over a batch that missed the cache and
 // caches the result. On the VM the machine is built here, after the
 // compile succeeded, and its storage counts toward the entry's size, so
 // Options.CacheBytes bounds resident machines too; a native entry counts
-// its worker's state mapping the same way. The returned record is the
-// engine's for key, or a throwaway when the entry did not fit.
+// its worker's state mapping the same way, every slab of it
+// (workerWords). The returned record is the engine's for key, or a
+// throwaway when the entry did not fit.
 func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, dopt driver.Options) (*ccache.Entry, *resident, error) {
 	if e.compileHook != nil {
 		e.compileHook()
@@ -146,7 +138,8 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 			return nil, nil, err
 		}
 		entry.GoSrc, entry.Bin, entry.BinKey = goSrc, art.Bin, art.Key
-		entry.Size = ccache.SizeOf(entry) + 8*int64(gogen.StateWords(comp.LIR, spec))
+		words := workerWords(residentArrays(comp.LIR, canonNumbers(cb)), len(spec.Scalars))
+		entry.Size = ccache.SizeOf(entry) + 8*int64(words)
 	} else {
 		if r.vm, err = e.buildMachine(comp, cb); err != nil {
 			return nil, nil, err
@@ -173,7 +166,7 @@ func (e *Engine) dropEvicted() {
 	}
 	for k, r := range e.resident {
 		if !cached(k) {
-			r.close()
+			e.endWorker(r.native)
 			delete(e.resident, k)
 		}
 	}
@@ -241,17 +234,23 @@ func usesOf(p *lir.Program) map[string]arrayUse {
 	return uses
 }
 
-// stateSpec lays out a native compilation's worker state: every
-// allocated (non-contracted) array, then every scalar, each in sorted
-// name order.
-func stateSpec(p *lir.Program) *gogen.StateSpec {
-	spec := &gogen.StateSpec{}
+// allocated is the names of a compiled batch's allocated
+// (non-contracted) arrays, in sorted order.
+func allocated(p *lir.Program) []string {
+	var names []string
 	for n, a := range p.Source.Arrays {
 		if !a.Contracted {
-			spec.Arrays = append(spec.Arrays, n)
+			names = append(names, n)
 		}
 	}
-	sort.Strings(spec.Arrays)
+	sort.Strings(names)
+	return names
+}
+
+// stateSpec lays out a native compilation's worker state: every
+// allocated array, then every scalar, each in sorted name order.
+func stateSpec(p *lir.Program) *gogen.StateSpec {
+	spec := &gogen.StateSpec{Arrays: allocated(p)}
 	for n := range p.Source.Scalars {
 		spec.Scalars = append(spec.Scalars, n)
 	}
@@ -402,7 +401,7 @@ type residentVM struct {
 // residentArray is one array's storage in a resident executor.
 type residentArray struct {
 	name        string
-	data        []float64
+	data        []float64 // the machine's buffer, a worker's fixed slab, or the pool slab of a worker's run
 	alloc, decl *sema.Region
 	handle      int // i for v<i>; -1 for storage no handle binds, the _t snapshots of a := f(a)
 	arrayUse
@@ -410,21 +409,28 @@ type residentArray struct {
 }
 
 // link is how a run moves a handle's values into its executor and out.
+// The rule is one for both executors (residentArrays).
 type link uint8
 
 const (
-	// copied: seeded into the executor's storage (seedArray) and, when
-	// the batch writes it, read back (readBack). Every array of a native
-	// worker; on the VM a Temp, a _t snapshot and an array with a halo.
+	// copied: seeded into storage of the executor's own (seedArray) and,
+	// when the batch writes it, read back (readBack): a Temp, a _t
+	// snapshot and an array with a halo. On a worker this storage is a
+	// fixed slab of the mapping.
 	copied link = iota
-	// bound: the VM runs on the host slice itself, swapped into the
-	// machine for the run and out after it. A non-Temp handle the batch
-	// never writes, whose host slice has the storage's layout.
+	// bound: the executor runs on the handle's storage itself. The VM
+	// swaps the host slice into the machine for the run and out after
+	// it; a worker runs on a pool slab the handle holds as its storage,
+	// which the handle takes (one copy) when it holds none of that
+	// worker's. A non-Temp handle the batch never writes, whose storage
+	// has the executor array's layout.
 	bound
-	// swapped: seeded like a copied array into the machine's own buffer,
-	// which trades places with the host slice once the run succeeds.
-	// Nothing is read back, and a run that fails leaves the host slice as
-	// it was. A non-Temp handle the batch writes, laid out the same.
+	// swapped: seeded like a copied array into a buffer the handle does
+	// not hold — the machine's own, or a free pool slab of the worker —
+	// which becomes the handle's storage once the run succeeds (on the VM
+	// the old host slice becomes the machine's). Nothing is read back,
+	// and a run that fails leaves the handle's storage as it was. A
+	// non-Temp handle the batch writes, laid out the same.
 	swapped
 )
 
@@ -437,33 +443,34 @@ func (e *Engine) buildMachine(comp *driver.Compilation, cb *canonBatch) (*reside
 	}
 	e.machineBuilds++
 	rv := &residentVM{m: m, snames: make([]string, len(cb.scalars)),
-		arrays: residentArrays(comp.LIR, canonNumbers(cb), m.ArrayData)}
+		arrays: residentArrays(comp.LIR, canonNumbers(cb))}
 	for i := range rv.snames {
 		rv.snames[i] = "s" + strconv.Itoa(i)
 	}
 	for i := range rv.arrays {
-		a := &rv.arrays[i]
-		if a.handle >= 0 && !comp.LIR.Source.Arrays[a.name].Temp && a.alloc.Equal(a.decl) {
+		rv.arrays[i].data = m.ArrayData(rv.arrays[i].name)
+	}
+	return rv, nil
+}
+
+// residentArrays describes a compiled batch's allocated arrays, in the
+// order of allocated (and so of a worker's state spec): the handle each
+// binds, by the canonical numbers canon, what a run does with it and its
+// link. Their storage is the executor's to fill in.
+func residentArrays(p *lir.Program, canon map[string]int) []residentArray {
+	uses := usesOf(p)
+	var arrays []residentArray
+	for _, name := range allocated(p) {
+		info := p.Source.Arrays[name]
+		a := residentArray{name: name, alloc: info.Alloc, decl: info.Declared,
+			handle: number(canon, name), arrayUse: uses[name]}
+		if a.handle >= 0 && !info.Temp && a.alloc.Equal(a.decl) {
 			a.link = bound
 			if a.written {
 				a.link = swapped
 			}
 		}
-	}
-	return rv, nil
-}
-
-// residentArrays describes a compiled batch's allocated arrays, where
-// data(name) is an array's storage (nil: it has none): the handle each
-// binds, by the canonical numbers canon, and what a run does with it.
-func residentArrays(p *lir.Program, canon map[string]int, data func(string) []float64) []residentArray {
-	uses := usesOf(p)
-	var arrays []residentArray
-	for name, info := range p.Source.Arrays {
-		if d := data(name); d != nil {
-			arrays = append(arrays, residentArray{name: name, data: d, alloc: info.Alloc, decl: info.Declared,
-				handle: number(canon, name), arrayUse: uses[name]})
-		}
+		arrays = append(arrays, a)
 	}
 	return arrays
 }
@@ -556,19 +563,69 @@ func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compila
 }
 
 // residentNative is a worker kept beside its cached native compilation,
-// with the views of its state mapping looked up once: each array's slab,
-// and each scalar's slot with the canonical scalar it holds.
+// with the views of its state mapping looked up once: the fixed slab of
+// each copied array, the pool of slabs its bound and swapped arrays run
+// on, and each scalar's slot with the canonical scalar it holds.
 type residentNative struct {
 	w       *backend.Worker
-	arrays  []residentArray
+	arrays  []residentArray // arrays[k] is spec array k, named by header word k
+	pool    []slab
+	on      []int     // on[k] is the pool slab arrays[k] runs on in this run, -1 for a copied array
 	scalars []float64 // the mapping's scalar slots, in spec order
 	snums   []int     // snums[i] is j for the s<j> in slot i, -1 for a compiler register
 }
 
+// slab is a slab of a worker's pool. Slabs of one size are
+// interchangeable: the header says which array runs on which.
+type slab struct {
+	data  []float64 // its view of the mapping
+	at    int       // its first word
+	owner *Handle   // the handle last given it as storage (held says whether it still is)
+	used  bool      // an array of the run being set up runs on it
+}
+
+// held reports whether the slab is its owner's storage. The owner may
+// have moved on since: to a slab of another worker, or to the heap.
+func (s *slab) held() bool {
+	return s.owner != nil && len(s.owner.data) == len(s.data) && &s.owner.data[0] == &s.data[0]
+}
+
+// evacuate moves the values of a slab its owner still holds to the Go
+// heap, where the owner keeps them, and returns the words it copied.
+func (s *slab) evacuate() int {
+	n := 0
+	if s.held() {
+		s.owner.data = slices.Clone(s.data)
+		n = len(s.data)
+	}
+	s.owner = nil
+	return n
+}
+
+// workerWords is the size, in words, of the mapping of a worker whose
+// arrays are arrays (in spec order) and whose spec has nscalars
+// scalars: the header and the scalars (gogen.StateSpec), then a fixed
+// slab for each copied array, a pool slab for each bound one and two for
+// each swapped one — the one its handle holds and the one the run
+// writes.
+func workerWords(arrays []residentArray, nscalars int) int {
+	words := len(arrays) + nscalars
+	for _, a := range arrays {
+		n := a.alloc.Size()
+		if a.link == swapped {
+			n *= 2
+		}
+		words += n
+	}
+	return words
+}
+
 // startWorker starts the worker of a cached native compilation whose
-// canonical names cb binds. The artifact is re-resolved through the
-// store (a stat on the content address), so a wiped store directory
-// degrades to a rebuild, never a stale binary.
+// canonical names cb binds, over a mapping of workerWords, and carves
+// it: header, scalars, then each array's slabs in spec order. The
+// artifact is re-resolved through the store (a stat on the content
+// address), so a wiped store directory degrades to a rebuild, never a
+// stale binary.
 func (e *Engine) startWorker(ctx context.Context, entry *ccache.Entry, cb *canonBatch) (*residentNative, error) {
 	art, err := e.store.Build(ctx, entry.GoSrc)
 	if err != nil {
@@ -576,41 +633,137 @@ func (e *Engine) startWorker(ctx context.Context, entry *ccache.Entry, cb *canon
 	}
 	p := entry.Comp.LIR
 	spec := stateSpec(p)
-	w, err := art.Start(ctx, gogen.StateWords(p, spec))
+	canon := canonNumbers(cb)
+	arrays := residentArrays(p, canon)
+	w, err := art.Start(ctx, workerWords(arrays, len(spec.Scalars)))
 	if err != nil {
 		return nil, err
 	}
 	e.workerStarts++
 	state := w.State()
-	slabs := make(map[string][]float64, len(spec.Arrays))
-	at := 0
-	for _, n := range spec.Arrays {
-		end := at + p.Source.Arrays[n].Alloc.Size()
-		slabs[n] = state[at:end:end]
-		at = end
+	at := len(arrays) + len(spec.Scalars)
+	rn := &residentNative{w: w, arrays: arrays, on: make([]int, len(arrays)), scalars: state[len(arrays):at]}
+	carve := func(n int) slab {
+		at += n
+		return slab{data: state[at-n : at : at], at: at - n}
 	}
-	canon := canonNumbers(cb)
-	rn := &residentNative{w: w, scalars: state[at:],
-		arrays: residentArrays(p, canon, func(n string) []float64 { return slabs[n] })}
+	for k := range arrays {
+		a := &arrays[k]
+		n := a.alloc.Size()
+		switch a.link {
+		case copied:
+			s := carve(n)
+			w.Point(k, s.at)
+			a.data = s.data
+		case swapped:
+			rn.pool = append(rn.pool, carve(n))
+			fallthrough
+		case bound:
+			rn.pool = append(rn.pool, carve(n))
+		}
+	}
 	for _, n := range spec.Scalars {
 		rn.snums = append(rn.snums, number(canon, n))
 	}
 	return rn, nil
 }
 
+// endWorker ends a resident native worker, if rn is one; nothing else
+// closes one. The mapping goes with the worker, so first every pool slab
+// a handle still holds moves to the Go heap: no handle is left viewing
+// storage that is about to be unmapped.
+func (e *Engine) endWorker(rn *residentNative) error {
+	if rn == nil {
+		return nil
+	}
+	for i := range rn.pool {
+		e.stats.CopiedBytes += 8 * int64(rn.pool[i].evacuate())
+	}
+	return rn.w.Close()
+}
+
+// place chooses the pool slab each bound and swapped array runs on and
+// points the header at it. A bound array whose handle holds a pool slab
+// runs on it as it is. Every other one takes a slab no array of this run
+// uses and no handle holds: a bound array copies its handle's values in
+// and the handle holds the slab from then on; a swapped array's slab is
+// seeded by seedArrays and handed to its handle only after the run
+// succeeds.
+func (rn *residentNative) place(e *Engine, cb *canonBatch) {
+	for i := range rn.pool {
+		rn.pool[i].used = false
+	}
+	for k := range rn.arrays {
+		rn.on[k] = -1
+		if a := &rn.arrays[k]; a.link == bound {
+			for i := range rn.pool {
+				if s := &rn.pool[i]; s.owner == cb.handles[a.handle] && s.held() {
+					rn.on[k], s.used = i, true
+					break
+				}
+			}
+		}
+	}
+	for k := range rn.arrays {
+		a := &rn.arrays[k]
+		if a.link != copied && rn.on[k] < 0 {
+			i := rn.free(e, a.alloc.Size())
+			s := &rn.pool[i]
+			rn.on[k], s.used = i, true
+			if a.link == bound {
+				h := cb.handles[a.handle]
+				copy(s.data, h.hostData())
+				e.stats.CopiedBytes += 8 * int64(len(s.data))
+				s.owner, h.data = h, s.data
+			}
+		}
+		if i := rn.on[k]; i >= 0 {
+			a.data = rn.pool[i].data
+			rn.w.Point(k, rn.pool[i].at)
+		}
+	}
+}
+
+// free returns a pool slab of n words that no array of this run uses and
+// no handle holds. When every such slab is held, it evacuates the first
+// one this run does not use: its owner's values move to the Go heap.
+// There is always one, since the pool has a slab per bound array and two
+// per swapped one.
+func (rn *residentNative) free(e *Engine, n int) int {
+	spare := -1
+	for i := range rn.pool {
+		s := &rn.pool[i]
+		if s.used || len(s.data) != n {
+			continue
+		}
+		if !s.held() {
+			return i
+		}
+		if spare < 0 {
+			spare = i
+		}
+	}
+	e.stats.CopiedBytes += 8 * int64(rn.pool[spare].evacuate())
+	return spare
+}
+
 // runNative executes a compiled batch on its resident worker, starting
-// one when there is none or the last one was killed between Evals. It
-// seeds and reads back by runVM's rules, through the worker's state
-// mapping; a compiler register starts at zero, as in a fresh process.
-// The worker is checked out of the record for the run and put back only
-// when the run succeeds, so a run that fails, traps, is cancelled or
-// panics stops its worker and leaves host data untouched, and the next
-// Eval starts a fresh one.
+// one when there is none or the last one was killed between Evals. Its
+// arrays meet their handles by the VM's links (runVM), through the
+// worker's state mapping: place puts bound and swapped arrays on pool
+// slabs, copied ones are seeded into and read back out of their fixed
+// slabs, and after a successful run each swapped handle holds the slab
+// the run wrote. A compiler register starts at zero, as in a fresh
+// process. The worker is checked out of the record for the run and put
+// back only when the run succeeds, so a run that fails, traps, is
+// cancelled or panics ends its worker (endWorker) having written only
+// slabs no handle holds and its copied arrays: every handle is what it
+// was. The next Eval starts a fresh worker.
 func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.Entry, r *resident) error {
 	rn := r.native
 	r.native = nil
 	if rn != nil && !rn.w.Alive() {
-		rn.w.Close()
+		e.endWorker(rn)
 		rn = nil
 	}
 	if rn == nil {
@@ -621,9 +774,10 @@ func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.En
 	}
 	defer func() {
 		if r.native == nil {
-			rn.w.Close()
+			e.endWorker(rn)
 		}
 	}()
+	rn.place(e, cb)
 	e.seedArrays(cb, rn.arrays)
 	for i, s := range rn.snums {
 		rn.scalars[i] = 0
@@ -633,6 +787,13 @@ func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.En
 	}
 	if err := rn.w.Run(ctx, e.out); err != nil {
 		return err
+	}
+	for k := range rn.arrays {
+		if a := &rn.arrays[k]; a.link == swapped {
+			s := &rn.pool[rn.on[k]]
+			s.owner = cb.handles[a.handle]
+			s.owner.data = s.data
+		}
 	}
 	e.readBackArrays(cb, rn.arrays)
 	for i, s := range rn.snums {

@@ -15,15 +15,21 @@ import (
 	"repro/internal/sema"
 )
 
-// residentArrayOf returns the resident-machine record of h's storage in
-// the engine's one cached compilation that binds it.
+// residentArrayOf returns the resident machine's or worker's record of
+// h's storage in the engine's one cached compilation that binds it.
 func residentArrayOf(t *testing.T, e *Engine, h *Handle) residentArray {
 	t.Helper()
 	if len(e.resident) != 1 {
 		t.Fatalf("%d resident records, want 1", len(e.resident))
 	}
 	for _, r := range e.resident {
-		for _, a := range r.vm.arrays {
+		var arrays []residentArray
+		if r.vm != nil {
+			arrays = r.vm.arrays
+		} else if r.native != nil {
+			arrays = r.native.arrays
+		}
+		for _, a := range arrays {
 			if a.handle >= 0 && e.bound.handles[a.handle] == h {
 				return a
 			}
@@ -233,17 +239,28 @@ func (w *armedWriter) Write(p []byte) (int, error) {
 	return w.out.Write(p)
 }
 
-// TestBoundHandlesSurviveFailedRun: one VM batch runs on the host slice
-// of a handle it only reads, swaps in one it writes, copies one read a
-// cell past its region (so its allocation has a halo) and keeps a Temp,
-// and its writeln, between two nests, panics. The failed Eval leaves
-// every host value as it was and no machine resident; the same batch
+// TestBoundHandlesSurviveFailedRun: one batch runs on the storage of a
+// handle it only reads, swaps in one it writes, copies one read a cell
+// past its region (so its allocation has a halo) and keeps a Temp, and
+// its writeln, between two nests, panics. The failed Eval leaves every
+// host value as it was and no machine or worker resident; the same batch
 // run again with the writer disarmed prints and computes what an engine
-// that never failed does.
+// that never failed does. The links and the outcome are the same on the
+// VM and on a worker.
 func TestBoundHandlesSurviveFailedRun(t *testing.T) {
-	for _, lvl := range []core.Level{core.Baseline, core.C2F4S} {
+	opts := []Options{{Level: core.Baseline}, {Level: core.C2F4S}}
+	if backend.Available() {
+		for _, lvl := range []core.Level{core.Baseline, core.C2F4S} {
+			opts = append(opts, Options{Level: lvl, Backend: driver.BackendGo, ArtifactDir: t.TempDir()})
+		}
+	}
+	for _, opt := range opts {
+		lvl := fmt.Sprintf("%v %v", opt.Backend, opt.Level)
 		setup := func(w *armedWriter) (*Engine, []*Handle, func()) {
-			e := NewEngine(Options{Level: lvl, Out: w})
+			o := opt
+			o.Out = w
+			e := NewEngine(o)
+			t.Cleanup(func() { e.Close() })
 			ro, wr, halo := e.Array("ro", R(1, 8)), e.Array("wr", R(1, 8)), e.Array("halo", R(1, 8))
 			hs := []*Handle{ro, wr, halo}
 			for i, h := range hs {
@@ -305,8 +322,8 @@ func TestBoundHandlesSurviveFailedRun(t *testing.T) {
 			}
 		}
 		for _, r := range e.resident {
-			if r.vm != nil {
-				t.Errorf("%v: the failed run left its machine resident", lvl)
+			if r.vm != nil || r.native != nil {
+				t.Errorf("%v: the failed run left its executor resident", lvl)
 			}
 		}
 
@@ -329,18 +346,19 @@ func TestBoundHandlesSurviveFailedRun(t *testing.T) {
 }
 
 // TestCopiedBytesPerEval pins Stats.CopiedBytes on a steady-state n=64
-// Jacobi sweep. The VM copies nxt's frame only: cur runs from its host
-// slice, and nxt's interior is written before it is read and swapped
-// out. The native worker copies cur in, nxt's frame in and nxt out.
+// Jacobi sweep, one figure for both executors: nxt's frame only. cur
+// runs on its handle's storage (on a worker, the pool slab the last
+// sweep left it holding), and nxt's interior is written before it is
+// read and swapped in.
 func TestCopiedBytesPerEval(t *testing.T) {
 	const n, sweeps = 64, 4
-	frame := int64(8 * (n*n - (n-2)*(n-2)))
+	want := int64(8 * (n*n - (n-2)*(n-2)))
 	for _, native := range []bool{false, true} {
 		t.Run(fmt.Sprintf("native=%v", native), func(t *testing.T) {
-			opt, want := Options{Level: core.C2F4S}, frame
+			opt := Options{Level: core.C2F4S}
 			var e *Engine
 			if native {
-				e, want = nativeEngine(t, opt), 8*2*n*n+frame
+				e = nativeEngine(t, opt)
 			} else {
 				e = NewEngine(opt)
 			}

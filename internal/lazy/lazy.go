@@ -27,8 +27,12 @@
 // handles the batch only reads, and seeds its own storage for the ones
 // it writes, trading that storage for the host slices once the run
 // succeeds; Temps and arrays with a halo are copied in and out. The
-// native path seeds and reads back the state mapping of a worker
-// process kept the same way (backend.Worker), which Engine.Close stops.
+// native path keeps a worker process the same way (backend.Worker) and
+// applies the same rule through its state mapping: a handle's storage
+// may be a slab of that mapping, which the worker reads in place, and a
+// written handle takes the slab the run wrote once it succeeds. Ending
+// a worker (Engine.Close, ClearCache, eviction, a failed run) first moves
+// the values of the slabs handles hold back to the Go heap.
 //
 // Arrays observable through a handle are marked air.ArrayInfo.Escapes,
 // which keeps the contraction phase from eliminating storage the
@@ -99,9 +103,11 @@ type Stats struct {
 	Batches int64 // batches executed (>= Evals)
 	Ops     int64 // operations recorded
 	// CopiedBytes counts the array bytes seeded into an executor (copied
-	// from a handle, or zeroed) plus those read back out of it. On the
-	// VM a handle bound by reference costs none, and one swapped in only
-	// the cells seeded outside its dead-in rectangle (DESIGN.md §28).
+	// from a handle, or zeroed) plus those read back out of it. A handle
+	// bound by reference costs none — on a worker, once it holds a slab
+	// of that worker's mapping — and one swapped in only the cells seeded
+	// outside its dead-in rectangle (DESIGN.md §28, §29). A worker's slabs
+	// moved back to the Go heap when the worker ends count too.
 	CopiedBytes int64
 }
 
@@ -731,11 +737,13 @@ func (e *Engine) ClearCache() {
 }
 
 // Close stops every worker process the native backend keeps beside its
-// cached compilations. The engine stays usable: compilations stay
-// cached, and the next native Eval of one starts its worker again. An
-// engine that becomes unreachable unclosed has its workers stopped by a
-// finalizer, and a worker whose host process exits exits too; Close is
-// what makes the moment deterministic.
+// cached compilations, after moving the values of the handles whose
+// storage is a slab of a worker's mapping to the Go heap. The engine
+// stays usable: compilations stay cached, and the next native Eval of
+// one starts its worker again. An engine that becomes unreachable
+// unclosed has its workers stopped by a finalizer — its handles, which
+// point at the engine, are unreachable too — and a worker whose host
+// process exits exits too; Close is what makes the moment deterministic.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -745,7 +753,8 @@ func (e *Engine) Close() error {
 func (e *Engine) closeWorkers() error {
 	var errs []error
 	for _, r := range e.resident {
-		errs = append(errs, r.close())
+		errs = append(errs, e.endWorker(r.native))
+		r.native = nil
 	}
 	return errors.Join(errs...)
 }

@@ -316,11 +316,18 @@ func TestCacheBytesBoundsMachines(t *testing.T) {
 		}
 		ref := engine(0)
 		want := sweepEngine(t, ref, n, sweeps)
-		footprint := int64(2 * n * n * 8)
-		var withoutMachines int64
+		// An entry's size is its compilation's plus its executor's storage:
+		// two grids on the VM; on a worker, a slab per grid the batch only
+		// reads and two per grid it writes.
+		var withoutMachines, largest int64
+		footprint := int64(math.MaxInt64)
 		for k := range ref.resident {
 			el, _ := ref.cache.Peek(k)
 			withoutMachines = max(withoutMachines, ccache.SizeOf(el))
+			footprint, largest = min(footprint, el.Size-ccache.SizeOf(el)), max(largest, el.Size)
+		}
+		if footprint < 2*n*n*8 {
+			t.Fatalf("%v: an entry's executor holds %d bytes, less than its two grids", opt.Backend, footprint)
 		}
 		budget := footprint - 1
 		if withoutMachines >= budget {
@@ -343,7 +350,7 @@ func TestCacheBytesBoundsMachines(t *testing.T) {
 
 		// Room for one sweep compilation with its machine, not two shapes:
 		// the initialising batch and the sweep evict each other.
-		one := engine(footprint + 3*withoutMachines/2)
+		one := engine(largest + footprint/2)
 		if got := sweepEngine(t, one, n, sweeps); !slices.Equal(got, want) {
 			t.Errorf("%v: an evicting engine computed a different grid", opt.Backend)
 		}

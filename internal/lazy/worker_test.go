@@ -3,6 +3,7 @@ package lazy
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -191,11 +192,11 @@ func TestNativeTrapRetiresWorker(t *testing.T) {
 }
 
 // TestNativeEvalsLeaveNoResidue: a thousand steady-state Evals run on
-// the two workers the first Evals started and leave the open descriptor
-// and child process counts where they were.
+// the two workers the first Evals started and leave the open descriptor,
+// child process and state mapping counts where they were.
 func TestNativeEvalsLeaveNoResidue(t *testing.T) {
 	e := nativeEngine(t, Options{Level: core.C2F4S})
-	var fds, kids int
+	var fds, kids, maps int
 	jacobiGrid(t, e, 1002, func(i int) {
 		if i != 1 && i != 1001 {
 			return
@@ -204,11 +205,15 @@ func TestNativeEvalsLeaveNoResidue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m, err := proctest.Mappings()
+		if err != nil {
+			t.Fatal(err)
+		}
 		k := workers(t, e)
 		if i == 1 {
-			fds, kids = f, k
-		} else if f != fds || k != kids {
-			t.Errorf("after 1000 Evals: %d descriptors and %d workers, %d and %d before", f, k, fds, kids)
+			fds, kids, maps = f, k, m
+		} else if f != fds || k != kids || m != maps {
+			t.Errorf("after 1000 Evals: %d descriptors, %d workers and %d mappings, %d, %d and %d before", f, k, m, fds, kids, maps)
 		}
 	})
 	if e.workerStarts != 2 {
@@ -261,4 +266,184 @@ func TestUnclosedEngineReaped(t *testing.T) {
 		}
 	}
 	t.Fatal("an unreachable engine's worker outlives it")
+}
+
+// solver is jacobiGrid's solve, a sweep at a time: sweep swaps cur and
+// nxt only when its Eval succeeds.
+type solver struct {
+	e        *Engine
+	cur, nxt *Handle
+	res, tot *ScalarHandle
+}
+
+func newSolver(t *testing.T, e *Engine) *solver {
+	t.Helper()
+	R2 := R(1, 10, 1, 10)
+	s := &solver{e: e, cur: e.Array("cur", R2), nxt: e.Array("nxt", R2), res: e.Scalar("res", 0), tot: e.Scalar("tot", 0)}
+	s.cur.Assign(nil, Mul(Index(1), Index(2)))
+	if err := e.Eval(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func (s *solver) sweep(ctx context.Context) error {
+	jacobiStep(s.e, s.cur, s.nxt, s.res)
+	if err := s.e.EvalCtx(ctx); err != nil {
+		return err
+	}
+	s.cur, s.nxt = s.nxt, s.cur
+	return nil
+}
+
+// sum is a batch of another shape, which reads cur only.
+func (s *solver) sum() error {
+	s.tot.Sum(s.cur.region, s.cur)
+	return s.e.Eval()
+}
+
+// agree fails the test unless the handles and scalars of got hold the
+// bits those of want do.
+func agree(t *testing.T, what string, got, want *solver) {
+	t.Helper()
+	for _, p := range [][2]*Handle{{got.cur, want.cur}, {got.nxt, want.nxt}} {
+		g, err := p[0].Values()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		w, _ := p[1].Values()
+		if !slices.EqualFunc(g, w, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: %s = %v, want %v", what, p[0].name, g, w)
+		}
+	}
+	for _, p := range [][2]*ScalarHandle{{got.res, want.res}, {got.tot, want.tot}} {
+		if g, _ := p[0].Value(); math.Float64bits(g) != math.Float64bits(p[1].val) {
+			t.Fatalf("%s: %s = %v, want %v", what, p[0].name, g, p[1].val)
+		}
+	}
+}
+
+// TestNativeSlabsOutliveWorker: handles whose storage is a worker's pool
+// slab keep their values whichever way the worker ends — Engine.Close,
+// ClearCache, eviction, a trap, a missed deadline, a kill between Evals,
+// and the end of an entry too large to cache, whose worker serves one run
+// — and the next Evals are right: every handle and scalar holds a VM
+// engine's bits after each. Close leaves no state mapping behind.
+func TestNativeSlabsOutliveWorker(t *testing.T) {
+	nativeEngine(t, Options{}) // the skips
+	before, err := proctest.Mappings()
+	if err != nil {
+		t.Skipf("no mapping count here: %v", err)
+	}
+	kill := func(t *testing.T, e *Engine) {
+		kids, _ := proctest.Children()
+		for _, pid := range kids {
+			if p, err := os.FindProcess(pid); err != nil || p.Kill() != nil {
+				t.Fatalf("cannot kill worker %d: %v", pid, err)
+			}
+		}
+		for _, r := range e.resident {
+			for deadline := time.Now().Add(10 * time.Second); r.native != nil && r.native.w.Alive(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("a killed worker still reads as alive")
+				}
+			}
+		}
+	}
+	// The sweep's and the sum's entries, measured on an unbounded engine:
+	// room for the larger and half the smaller holds one, never both.
+	probe := newSolver(t, nativeEngine(t, Options{Level: core.C2F4S}))
+	if probe.sweep(context.Background()) != nil || probe.sum() != nil {
+		t.Fatal("probe engine failed")
+	}
+	smallest, largest := int64(math.MaxInt64), int64(0)
+	for k := range probe.e.resident {
+		el, _ := probe.e.cache.Peek(k)
+		smallest, largest = min(smallest, el.Size), max(largest, el.Size)
+	}
+	probe.e.Close()
+
+	for _, tc := range []struct {
+		name string
+		opt  Options // beside Level
+		// end ends the worker of the sweep that ran last and reports
+		// whether it did so by failing an Eval, which the VM skips.
+		end func(t *testing.T, nat, vm *solver) (failed bool)
+	}{
+		{"Close", Options{}, func(t *testing.T, nat, _ *solver) bool { return nat.e.Close() != nil }},
+		{"ClearCache", Options{}, func(t *testing.T, nat, _ *solver) bool { nat.e.ClearCache(); return false }},
+		{"eviction", Options{CacheBytes: largest + smallest/2}, func(t *testing.T, nat, vm *solver) bool {
+			if err := nat.sum(); err != nil || nat.e.CacheStats().Evictions == 0 {
+				t.Fatalf("the sum batch evicted nothing: %v, %+v", err, nat.e.CacheStats())
+			}
+			return vm.sum() != nil
+		}},
+		// Unproven, so that the trap scaffold turns the panic into a trap.
+		{"trap", Options{NoProve: true}, func(t *testing.T, nat, _ *solver) bool {
+			var re *backend.RunError
+			return errors.As(nat.sweep(context.Background()), &re) && re.Trap
+		}},
+		{"deadline", Options{}, func(t *testing.T, nat, _ *solver) bool {
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+			defer cancel()
+			return errors.Is(nat.sweep(ctx), context.DeadlineExceeded)
+		}},
+		{"kill", Options{}, func(t *testing.T, nat, _ *solver) bool { kill(t, nat.e); return false }},
+		{"oversize", Options{CacheBytes: 1}, func(t *testing.T, nat, _ *solver) bool { return false }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vm := newSolver(t, NewEngine(Options{Level: core.C2F4S}))
+			opt := tc.opt
+			opt.Level = core.C2F4S
+			e := nativeEngine(t, opt)
+			nat := newSolver(t, e)
+			for i := 0; i < 3; i++ {
+				if nat.sweep(context.Background()) != nil || vm.sweep(context.Background()) != nil {
+					t.Fatal("a sweep failed")
+				}
+			}
+			if tc.name == "trap" {
+				// Every later compile traps on its worker's third run: the
+				// sweep recompiles, and its worker runs twice right first.
+				e.emitHook = trapOnRun(3)
+				e.ClearCache()
+				for i := 0; i < 2; i++ {
+					if nat.sweep(context.Background()) != nil || vm.sweep(context.Background()) != nil {
+						t.Fatal("a sweep failed")
+					}
+				}
+			}
+			if tc.end(t, nat, vm) {
+				e.err = nil // sticky; the engine kept nothing of the failed run
+			} else if tc.name != "eviction" && tc.name != "Close" {
+				if err := vm.sweep(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if err := nat.sweep(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agree(t, "after the worker ended", nat, vm)
+			for i := 0; i < 2; i++ {
+				if nat.sweep(context.Background()) != nil || vm.sweep(context.Background()) != nil {
+					t.Fatalf("sweep %d after the worker ended failed: %v", i+1, e.err)
+				}
+				agree(t, fmt.Sprintf("sweep %d after the worker ended", i+1), nat, vm)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := proctest.Mappings(); err != nil || got != before {
+				t.Errorf("%d state mappings after Close, %d before the engine: %v", got, before, err)
+			}
+		})
+	}
+}
+
+// trapOnRun rewrites a worker's source so that its nth run traps.
+func trapOnRun(n int) func(string) string {
+	return func(goSrc string) string {
+		return strings.Replace(goSrc, "func za_main() {", "func za_main() {\n\tzaTrapSelfTest()", 1) +
+			fmt.Sprintf("\nvar zaTrapRuns int\n\nfunc zaTrapSelfTest() {\n\tif zaTrapRuns++; zaTrapRuns == %d {\n\t\tvar s []float64\n\t\t_ = s[1]\n\t}\n}\n", n)
+	}
 }

@@ -50,6 +50,14 @@ func OpenFDs() (int, error) {
 	return len(fds), err
 }
 
+// Mappings returns the number of this process's memory mappings of a
+// resident worker's state: the lines of /proc/self/maps naming
+// zpl-state, the name backend gives the file it maps.
+func Mappings() (int, error) {
+	b, err := os.ReadFile("/proc/self/maps")
+	return strings.Count(string(b), "zpl-state"), err
+}
+
 // Main runs the tests and fails them if a child process outlives them:
 //
 //	func TestMain(m *testing.M) { os.Exit(proctest.Main(m)) }

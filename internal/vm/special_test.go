@@ -254,23 +254,26 @@ func runNative(t *testing.T, c *driver.Compilation) state {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := art.Start(context.Background(), gogen.StateWords(c.LIR, spec))
+	slabs, words := gogen.StateLayout(c.LIR, spec)
+	w, err := art.Start(context.Background(), words)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	for k, at := range slabs {
+		w.Point(k, at)
+	}
 	if err := w.Run(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	data := w.State()
 	st := state{arrays: map[string][]float64{}, scalars: map[string]float64{}}
-	for _, name := range spec.Arrays {
+	for k, name := range spec.Arrays {
 		n := c.LIR.Source.Arrays[name].Alloc.Size()
-		st.arrays[name] = append([]float64(nil), data[:n]...)
-		data = data[n:]
+		st.arrays[name] = append([]float64(nil), data[slabs[k]:slabs[k]+n]...)
 	}
 	for i, name := range spec.Scalars {
-		st.scalars[name] = data[i]
+		st.scalars[name] = data[len(spec.Arrays)+i]
 	}
 	return st
 }

@@ -41,10 +41,13 @@
 //
 // On BackendGo each cached compilation keeps one worker process: a
 // natively built binary that stays resident and shares its arrays with
-// the Context through a memory mapping, so that an Eval costs the
-// kernel, two copies and a pipe round trip rather than a process start.
-// Context.Close stops every worker; the Context stays usable and starts
-// them again as Evals need them. A Context dropped without Close has its
+// the Context through a memory mapping. An array's values live in that
+// mapping between Evals, so that an Eval costs the kernel and a pipe
+// round trip, plus copies of what the batch's dead-in rule leaves
+// (Jacobi's frame), rather than a process start and the grids in and
+// out. Context.Close stops every worker, moving the values it held back
+// to the Go heap; the Context stays usable and starts them again as
+// Evals need them. A Context dropped without Close has its
 // workers stopped when the garbage collector finds it unreachable, and a
 // worker exits by itself when its host process does.
 //
