@@ -101,7 +101,7 @@ govulncheck:
 race-smoke: build
 	$(GO) test -race -count=1 -run 'TestBarrierRounds|TestFoldInProcessorOrder|TestProtocolMismatch|TestLockstep|TestWatchdogTimeout|TestAbortUnblocksPeers|TestCancelMidExchange|TestDeadlineMidExchange|TestCancelBeforeRun' -v ./internal/distvm
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/distvm
-	$(GO) test -race -count=1 -run 'TestConcurrentEval|TestNative|TestEngineClose|TestUnclosedEngine|TestCacheBytesBoundsMachines|TestLazyMatchesZA|TestBoundHandlesSurviveFailedRun' -v ./internal/lazy
+	$(GO) test -race -count=1 -run 'TestConcurrentEval|TestNative|TestEngineClose|TestUnclosedEngine|TestCacheBytesBoundsMachines|TestLazyMatchesZA|TestBoundHandlesSurviveFailedRun|TestCopiedBytesPerEval|TestUnwrittenHandleNotReadBack|TestResidentMachineStartsZeroed|TestSteadyStateAllocs' -v ./internal/lazy
 	$(GO) test -race -count=1 -run 'TestStateProtocolRoundTrip|TestWorkerFailures' -v ./internal/backend
 	$(GO) test -race -count=1 -run 'TestServe' -v .
 
@@ -238,9 +238,10 @@ fuzz-soak: build
 # re-run tests that `test` already ran. Each stays as the shortcut to
 # run after touching what its comment names. The last step is the whole
 # differential matrix (internal/difftest, DESIGN.md §26): tier-1 runs
-# its cut, -full every ladder level and every native cell, ~50 s.
+# its cut, -full every ladder level and every native cell, ~50 s; and
+# gogen's TestEmittedNoFMA at every level (tier-1: c2+f4), ~30 s.
 ci: vet fmt-check test race check lint-self audit results-check staticcheck govulncheck race-sweep bench-smoke
-	$(GO) test -count=1 ./internal/difftest ./internal/backend -full
+	$(GO) test -count=1 ./internal/difftest ./internal/backend ./internal/gogen -full
 
 # Every study, tables to stdout. All are deterministic: none builds a
 # native binary or reads a clock (wall-clock numbers are bench/'s).

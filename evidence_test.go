@@ -179,7 +179,7 @@ func evidenceCells(t *testing.T) map[string]string {
 		cells[fmt.Sprintf("bounds-edges/fault%d", n)] = buf.String()
 	}
 
-	// ROADMAP item 3's reproducer: comm leaves the pipelined receives of
+	// ROADMAP item 1's reproducer: comm leaves the pipelined receives of
 	// A0's halo below the nest fusion moved a reader into, and the
 	// analyzer rejects the schedule. Regenerate when comm is fixed.
 	halo := read(filepath.Join("testdata", "provers", "halo_race.za"))

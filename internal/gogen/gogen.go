@@ -835,13 +835,14 @@ func (g *gen) lines(ls []string) {
 	}
 }
 
-// reduceStep emits one accumulation statement dst op= rhs.
+// reduceStep emits one accumulation statement dst op= rhs. A product
+// is converted, as binary converts every product.
 func (g *gen) reduceStep(dst string, op air.ReduceOp, rhs string) {
 	switch op {
 	case air.ReduceSum:
 		g.text(dst, " += ", rhs)
 	case air.ReduceProd:
-		g.text(dst, " *= ", rhs)
+		g.text(dst, " = float64(", dst, " * ", rhs, ")")
 	case air.ReduceMax:
 		g.text(dst, " = ", g.minMax("max", dst+", "+rhs))
 	case air.ReduceMin:
@@ -1207,7 +1208,15 @@ func (g *gen) render(e air.Expr) (string, bool) {
 	return "0", true
 }
 
-// binary renders one binary operator over rendered operands.
+// binary renders one binary operator over rendered operands. Every
+// product and every quotient is converted to float64: the Go spec lets
+// a compiler fuse x*y + z into one fused multiply-add, possibly across
+// statements, unless the product is explicitly converted, and arm64,
+// ppc64le and s390x do, while the VM rounds every operator. A quotient
+// counts because the compiler turns x/2 into x*0.5. Converting only the
+// operands of + and - would not do: a hoisted operand (hoist) or a
+// reduction step (reduceStep) puts the product and the sum in different
+// statements. On amd64 the conversion emits no instruction.
 func (g *gen) binary(op air.Op, a, b string) string {
 	switch op {
 	case air.OpAdd:
@@ -1215,9 +1224,9 @@ func (g *gen) binary(op air.Op, a, b string) string {
 	case air.OpSub:
 		return "(" + a + " - " + b + ")"
 	case air.OpMul:
-		return "(" + a + " * " + b + ")"
+		return "float64(" + a + " * " + b + ")"
 	case air.OpDiv:
-		return "(" + a + " / " + b + ")"
+		return "float64(" + a + " / " + b + ")"
 	case air.OpRem:
 		g.useMath = true
 		return "math.Mod(" + a + ", " + b + ")"

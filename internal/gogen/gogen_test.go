@@ -201,7 +201,7 @@ func TestUnreadRegisterVetClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "_ = (float64(i2) * 1.5)") || strings.Contains(out, "za_DEAD") {
+	if !strings.Contains(out, "_ = float64(float64(i2) * 1.5)") || strings.Contains(out, "za_DEAD") {
 		t.Errorf("unread register not dropped:\n%s", out)
 	}
 	vetClean(t, "heat", out)

@@ -3,6 +3,7 @@ package lazy
 import (
 	"context"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -44,8 +45,7 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 			err = fmt.Errorf("lazy: batch %s: %w", key, flight.AsPanic(v))
 		}
 	}()
-	native := dopt.Backend.Native()
-	if native && e.store == nil {
+	if dopt.Backend.Native() && e.store == nil {
 		st, err := backend.Open(e.opt.ArtifactDir)
 		if err != nil {
 			return err
@@ -56,19 +56,24 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 	// The engine's lock is held over the whole Eval and no other engine
 	// shares this cache, so a miss has nobody to share its compile with.
 	entry, ok := e.cache.Get(key)
-	r := e.resident[key]
 	if !ok {
 		if cb == nil {
 			// Unreachable while dropEvicted runs after every eviction; the
 			// shape canonicalizes to the key the memo holds either way.
 			cb = canonicalize(ops, &e.shape, e.memo.hash)
 		}
-		if entry, r, err = e.compile(ctx, key, cb, dopt); err != nil {
+		if entry, err = e.compile(ctx, key, cb, dopt); err != nil {
 			return err
 		}
-	} else if r == nil {
+	}
+	r := e.resident[key]
+	if r == nil {
+		// Kept only if the cache took the entry: one it refused gets a
+		// record, and an executor, for this run only.
 		r = &resident{}
-		e.resident[key] = r
+		if _, ok := e.cache.Peek(key); ok {
+			e.resident[key] = r
+		}
 	}
 	if cb == nil {
 		me.bind(&e.shape, &e.bound)
@@ -78,12 +83,9 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 		r.shapes++
 	}
 	e.plans = append(e.plans, entry.Comp.Plan)
-	if !native {
-		return e.runVM(ctx, cb, entry.Comp, r)
-	}
-	err = e.runNative(ctx, cb, entry, r)
+	err = e.runResident(ctx, cb, entry, r)
 	if e.resident[key] != r {
-		e.endWorker(r.native) // the cache refused the entry: its worker served this run only
+		e.end(r.x) // the cache refused the entry: its executor served this run only
 	}
 	return err
 }
@@ -95,70 +97,58 @@ func (e *Engine) runBatch(ctx context.Context, ops []*op, batch int) (err error)
 const memoShapesPerKey = 8
 
 // resident is what the engine keeps beside one cached compilation for
-// as long as the cache holds it. Both executors are checked out of it
-// for a run and put back only when the run succeeds.
+// as long as the cache holds it. Its executor is checked out of it for a
+// run and put back only when the run succeeds.
 type resident struct {
-	vm     *residentVM     // nil until built, and while a run has it checked out
-	native *residentNative // nil until started, and while a run has it checked out
-	shapes int             // memo entries holding this key
+	x      *executor // nil until started, and while a run has it checked out
+	shapes int       // memo entries holding this key
 }
 
 // compile runs the pipeline over a batch that missed the cache and
-// caches the result. On the VM the machine is built here, after the
-// compile succeeded, and its storage counts toward the entry's size, so
-// Options.CacheBytes bounds resident machines too; a native entry counts
-// its worker's state mapping the same way, every slab of it
-// (workerWords). The returned record is the engine's for key, or a
-// throwaway when the entry did not fit.
-func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, dopt driver.Options) (*ccache.Entry, *resident, error) {
+// caches the result. The storage its executor will keep counts toward
+// the entry's size (executorWords), known before the executor starts,
+// so Options.CacheBytes bounds resident machines and workers too.
+func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, dopt driver.Options) (*ccache.Entry, error) {
 	if e.compileHook != nil {
 		e.compileHook()
 	}
 	prog, err := cb.build()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	comp, err := driver.CompileAIR(ctx, prog, dopt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	entry := &ccache.Entry{Key: key, Kind: ccache.ArtifactLazy, Source: cb.source(), Comp: comp}
-	r := &resident{}
-	if dopt.Backend.Native() {
-		spec := stateSpec(comp.LIR)
+	spec := stateSpec(comp.LIR)
+	native := dopt.Backend.Native()
+	if native {
 		goSrc, err := gogen.EmitState(comp.LIR, comp.Bounds, spec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if e.emitHook != nil {
 			goSrc = e.emitHook(goSrc)
 		}
 		art, err := e.store.Build(ctx, goSrc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		entry.GoSrc, entry.Bin, entry.BinKey = goSrc, art.Bin, art.Key
-		words := workerWords(residentArrays(comp.LIR, canonNumbers(cb)), len(spec.Scalars))
-		entry.Size = ccache.SizeOf(entry) + 8*int64(words)
-	} else {
-		if r.vm, err = e.buildMachine(comp, cb); err != nil {
-			return nil, nil, err
-		}
-		entry.Size = ccache.SizeOf(entry) + r.vm.m.MemoryFootprint()
 	}
+	words := executorWords(spec, residentArrays(comp.LIR, spec), native)
+	entry.Size = ccache.SizeOf(entry) + 8*int64(words)
 	evictions := e.cache.Stats().Evictions
 	e.cache.Put(key, entry)
 	if e.cache.Stats().Evictions != evictions {
 		e.dropEvicted()
 	}
-	if _, ok := e.cache.Peek(key); ok {
-		e.resident[key] = r
-	}
-	return entry, r, nil
+	return entry, nil
 }
 
 // dropEvicted forgets the resident records and memo entries of keys the
-// cache no longer holds, and stops their workers.
+// cache no longer holds, and ends their executors.
 func (e *Engine) dropEvicted() {
 	cached := func(k ccache.Key) bool {
 		_, ok := e.cache.Peek(k)
@@ -166,7 +156,7 @@ func (e *Engine) dropEvicted() {
 	}
 	for k, r := range e.resident {
 		if !cached(k) {
-			e.endWorker(r.native)
+			e.end(r.x)
 			delete(e.resident, k)
 		}
 	}
@@ -234,48 +224,22 @@ func usesOf(p *lir.Program) map[string]arrayUse {
 	return uses
 }
 
-// allocated is the names of a compiled batch's allocated
-// (non-contracted) arrays, in sorted order.
-func allocated(p *lir.Program) []string {
-	var names []string
+// stateSpec lays out a compiled batch's executor state: every allocated
+// (non-contracted) array, then every scalar, each in sorted name order.
+// A worker's mapping follows it, and residentArrays keeps its order.
+func stateSpec(p *lir.Program) *gogen.StateSpec {
+	spec := &gogen.StateSpec{}
 	for n, a := range p.Source.Arrays {
 		if !a.Contracted {
-			names = append(names, n)
+			spec.Arrays = append(spec.Arrays, n)
 		}
 	}
-	sort.Strings(names)
-	return names
-}
-
-// stateSpec lays out a native compilation's worker state: every
-// allocated array, then every scalar, each in sorted name order.
-func stateSpec(p *lir.Program) *gogen.StateSpec {
-	spec := &gogen.StateSpec{Arrays: allocated(p)}
 	for n := range p.Source.Scalars {
 		spec.Scalars = append(spec.Scalars, n)
 	}
+	sort.Strings(spec.Arrays)
 	sort.Strings(spec.Scalars)
 	return spec
-}
-
-// canonNumbers maps the canonical names cb binds, v<i> and s<i>, to i.
-func canonNumbers(cb *canonBatch) map[string]int {
-	canon := make(map[string]int, len(cb.handles)+len(cb.scalars))
-	for i := range cb.handles {
-		canon["v"+strconv.Itoa(i)] = i
-	}
-	for i := range cb.scalars {
-		canon["s"+strconv.Itoa(i)] = i
-	}
-	return canon
-}
-
-// number is canon[name], or -1 for a name no handle or scalar binds.
-func number(canon map[string]int, name string) int {
-	if i, ok := canon[name]; ok {
-		return i
-	}
-	return -1
 }
 
 // seedOf is the value a handle brings into a batch: an array's host
@@ -390,18 +354,10 @@ func readBack(data []float64, alloc, decl *sema.Region, dst []float64) {
 	})
 }
 
-// residentVM is a machine kept beside its cached compilation, with the
-// storage of every array and what a run does with it looked up once.
-type residentVM struct {
-	m      *vm.Machine
-	arrays []residentArray
-	snames []string // snames[i] is "s<i>"
-}
-
 // residentArray is one array's storage in a resident executor.
 type residentArray struct {
 	name        string
-	data        []float64 // the machine's buffer, a worker's fixed slab, or the pool slab of a worker's run
+	data        []float64 // a copied array's fixed buffer, or the storage the array runs on in this run
 	alloc, decl *sema.Region
 	handle      int // i for v<i>; -1 for storage no handle binds, the _t snapshots of a := f(a)
 	arrayUse
@@ -409,61 +365,47 @@ type residentArray struct {
 }
 
 // link is how a run moves a handle's values into its executor and out.
-// The rule is one for both executors (residentArrays).
+// The rule is one for both engines (residentArrays).
 type link uint8
 
 const (
-	// copied: seeded into storage of the executor's own (seedArray) and,
-	// when the batch writes it, read back (readBack): a Temp, a _t
-	// snapshot and an array with a halo. On a worker this storage is a
-	// fixed slab of the mapping.
+	// copied: seeded into a fixed buffer of the executor's own
+	// (seedArray) and, when the batch writes it, read back (readBack): a
+	// Temp, a _t snapshot and an array with a halo.
 	copied link = iota
 	// bound: the executor runs on the handle's storage itself. The VM
-	// swaps the host slice into the machine for the run and out after
-	// it; a worker runs on a pool slab the handle holds as its storage,
-	// which the handle takes (one copy) when it holds none of that
-	// worker's. A non-Temp handle the batch never writes, whose storage
-	// has the executor array's layout.
+	// runs on the host slice; a worker runs on a pool slab the handle
+	// holds as its storage, which the handle takes (one copy) when it
+	// holds none of that worker's. A non-Temp handle the batch never
+	// writes, whose storage has the executor array's layout.
 	bound
-	// swapped: seeded like a copied array into a buffer the handle does
-	// not hold — the machine's own, or a free pool slab of the worker —
-	// which becomes the handle's storage once the run succeeds (on the VM
-	// the old host slice becomes the machine's). Nothing is read back,
-	// and a run that fails leaves the handle's storage as it was. A
-	// non-Temp handle the batch writes, laid out the same.
+	// swapped: seeded like a copied array into a free pool slab, which
+	// becomes the handle's storage once the run succeeds (adopt). Nothing
+	// is read back, and a run that fails leaves the handle's storage as
+	// it was. A non-Temp handle the batch writes, laid out the same.
 	swapped
 )
 
-// buildMachine builds the machine for a compiled batch whose canonical
-// names cb binds; each run installs its own context through Reset.
-func (e *Engine) buildMachine(comp *driver.Compilation, cb *canonBatch) (*residentVM, error) {
-	m, err := vm.New(comp.LIR, vm.Options{Out: e.out, Bounds: comp.Bounds})
-	if err != nil {
-		return nil, err
+// number is i for the canonical name kind<i> — v<i> for the array of
+// the batch's handle i, s<i> for its scalar i (canonBatch.build) — or -1
+// for a name the compiler made up, all of which start with "_".
+func number(kind byte, name string) int {
+	if i, err := strconv.Atoi(name[1:]); err == nil && name[0] == kind {
+		return i
 	}
-	e.machineBuilds++
-	rv := &residentVM{m: m, snames: make([]string, len(cb.scalars)),
-		arrays: residentArrays(comp.LIR, canonNumbers(cb))}
-	for i := range rv.snames {
-		rv.snames[i] = "s" + strconv.Itoa(i)
-	}
-	for i := range rv.arrays {
-		rv.arrays[i].data = m.ArrayData(rv.arrays[i].name)
-	}
-	return rv, nil
+	return -1
 }
 
 // residentArrays describes a compiled batch's allocated arrays, in the
-// order of allocated (and so of a worker's state spec): the handle each
-// binds, by the canonical numbers canon, what a run does with it and its
-// link. Their storage is the executor's to fill in.
-func residentArrays(p *lir.Program, canon map[string]int) []residentArray {
+// order of its state spec: the handle each binds (number), what a run
+// does with it and its link. Their storage is the executor's to fill in.
+func residentArrays(p *lir.Program, spec *gogen.StateSpec) []residentArray {
 	uses := usesOf(p)
 	var arrays []residentArray
-	for _, name := range allocated(p) {
+	for _, name := range spec.Arrays {
 		info := p.Source.Arrays[name]
 		a := residentArray{name: name, alloc: info.Alloc, decl: info.Declared,
-			handle: number(canon, name), arrayUse: uses[name]}
+			handle: number('v', name), arrayUse: uses[name]}
 		if a.handle >= 0 && !info.Temp && a.alloc.Equal(a.decl) {
 			a.link = bound
 			if a.written {
@@ -473,6 +415,27 @@ func residentArrays(p *lir.Program, canon map[string]int) []residentArray {
 		arrays = append(arrays, a)
 	}
 	return arrays
+}
+
+// executorWords is the size, in words, of the storage kept by an
+// executor whose state spec is spec and whose arrays are arrays: on the
+// VM one buffer per array, which is what vm.Machine.MemoryFootprint
+// sums; on a worker its whole mapping — the header and the scalars
+// (gogen.StateSpec), then a slab per array and a second one per swapped
+// array, since the handle keeps the one the last run wrote (adopt).
+func executorWords(spec *gogen.StateSpec, arrays []residentArray, native bool) int {
+	words := 0
+	if native {
+		words = len(arrays) + len(spec.Scalars)
+	}
+	for _, a := range arrays {
+		n := a.alloc.Size()
+		if native && a.link == swapped {
+			n *= 2
+		}
+		words += n
+	}
+	return words
 }
 
 // seedArrays writes the starting values of each array not bound by
@@ -504,84 +467,68 @@ func (e *Engine) readBackArrays(cb *canonBatch, arrays []residentArray) {
 	}
 }
 
-// runVM executes a compiled batch on its resident machine, building one
-// when there is none. A rerun starts from the bytes a fresh machine plus
-// the seed would, as far as the program can observe: each handle's state
-// is copied into its declared rectangle, the declared rectangle of a
-// Temp with no value yet this Eval (a batch may read a Temp cell it
-// writes only later) and of a _t snapshot is zeroed, and halo cells are
-// still the zeros vm.New left. What the first statement touching an
-// array assigns without reading (arrayUse.deadIn) is neither copied nor
-// zeroed, and only what the program stores into is read back. A handle
-// the batch only reads is not copied at all when its host slice has the
-// storage's layout: the machine runs on the host slice (link bound). One
-// it writes is seeded the same way into the machine's own buffer, which
-// then trades places with the host slice (link swapped). The machine is
-// checked out of the record for the run and put back only when the run
-// succeeds, so a run that fails or panics leaves no machine behind, and
-// no handle changed: it wrote none of the host slices it ran on.
-func (e *Engine) runVM(ctx context.Context, cb *canonBatch, comp *driver.Compilation, r *resident) error {
-	rv := r.vm
-	r.vm = nil
-	if rv == nil {
-		var err error
-		if rv, err = e.buildMachine(comp, cb); err != nil {
-			return err
-		}
-	}
-	e.seedArrays(cb, rv.arrays)
-	for i := range rv.arrays {
-		if a := &rv.arrays[i]; a.link == bound {
-			rv.m.SwapArray(a.name, cb.handles[a.handle].hostData())
-		}
-	}
-	for i, s := range cb.scalars {
-		rv.m.SetScalar(rv.snames[i], s.val)
-	}
-	rv.m.Reset(ctx)
-	if _, err := rv.m.Run(); err != nil {
-		return err
-	}
-	for i := range rv.arrays {
-		switch a := &rv.arrays[i]; a.link {
-		case bound:
-			rv.m.SwapArray(a.name, a.data)
-		case swapped:
-			h := cb.handles[a.handle]
-			h.data, a.data = a.data, h.data
-			rv.m.SwapArray(a.name, a.data)
-		}
-	}
-	e.readBackArrays(cb, rv.arrays)
-	for i, s := range cb.scalars {
-		if v, ok := rv.m.Scalar(rv.snames[i]); ok {
-			s.val = v
-		}
-	}
-	r.vm = rv
-	return nil
+// executor runs a cached compilation's batches on storage it keeps
+// between them: a machine on the VM, a worker process and its state
+// mapping on the native backend. Everything but four operations is
+// written once for both (runResident): point, anywhere (which storage
+// the engine runs on in place), run and close. alive is true but for a
+// worker killed from outside.
+type executor struct {
+	m       *vm.Machine     // the VM's machine, or nil
+	w       *backend.Worker // the native worker, or nil
+	arrays  []residentArray // arrays[k] is spec array k
+	pool    []slab          // the storage bound and swapped arrays may run on
+	on      []int           // on[k] is the pool slab arrays[k] runs on in this run, -1 for none
+	scalars []*float64      // the engine's scalar slots, in spec order
+	snums   []int           // snums[i] is j for the s<j> in scalars[i], -1 for a compiler register
 }
 
-// residentNative is a worker kept beside its cached native compilation,
-// with the views of its state mapping looked up once: the fixed slab of
-// each copied array, the pool of slabs its bound and swapped arrays run
-// on, and each scalar's slot with the canonical scalar it holds.
-type residentNative struct {
-	w       *backend.Worker
-	arrays  []residentArray // arrays[k] is spec array k, named by header word k
-	pool    []slab
-	on      []int     // on[k] is the pool slab arrays[k] runs on in this run, -1 for a copied array
-	scalars []float64 // the mapping's scalar slots, in spec order
-	snums   []int     // snums[i] is j for the s<j> in slot i, -1 for a compiler register
-}
-
-// slab is a slab of a worker's pool. Slabs of one size are
-// interchangeable: the header says which array runs on which.
+// slab is storage in an executor's pool: a buffer of the machine's, or a
+// slab of a worker's mapping. Slabs of one size are interchangeable:
+// point says which array runs on which.
 type slab struct {
-	data  []float64 // its view of the mapping
-	at    int       // its first word
+	data  []float64 // its storage
+	at    int       // its first word in a worker's mapping
 	owner *Handle   // the handle last given it as storage (held says whether it still is)
 	used  bool      // an array of the run being set up runs on it
+}
+
+// point makes data, whose first word in a worker's mapping is at, array
+// k's storage for the next run.
+func (x *executor) point(k int, data []float64, at int) {
+	if x.w != nil {
+		x.w.Point(k, at)
+		return
+	}
+	x.m.SwapArray(x.arrays[k].name, data)
+}
+
+// anywhere reports whether the engine can run an array in place on any
+// storage of the array's length, as the VM can; a worker runs only on
+// slabs of its own mapping.
+func (x *executor) anywhere() bool { return x.w == nil }
+
+// run runs the batch once over the storage the arrays point at.
+func (x *executor) run(ctx context.Context, out io.Writer) error {
+	if x.w != nil {
+		return x.w.Run(ctx, out)
+	}
+	x.m.Reset(ctx)
+	_, err := x.m.Run()
+	return err
+}
+
+// alive reports whether the executor can run: a worker killed between
+// Evals cannot.
+func (x *executor) alive() bool { return x.w == nil || x.w.Alive() }
+
+// close stops a worker and unmaps its state. A machine has nothing to
+// stop.
+func (x *executor) close() error {
+	if x.w == nil {
+		return nil
+	}
+	return x.w.Close()
 }
 
 // held reports whether the slab is its owner's storage. The owner may
@@ -602,137 +549,142 @@ func (s *slab) evacuate() int {
 	return n
 }
 
-// workerWords is the size, in words, of the mapping of a worker whose
-// arrays are arrays (in spec order) and whose spec has nscalars
-// scalars: the header and the scalars (gogen.StateSpec), then a fixed
-// slab for each copied array, a pool slab for each bound one and two for
-// each swapped one — the one its handle holds and the one the run
-// writes.
-func workerWords(arrays []residentArray, nscalars int) int {
-	words := len(arrays) + nscalars
-	for _, a := range arrays {
-		n := a.alloc.Size()
-		if a.link == swapped {
-			n *= 2
-		}
-		words += n
-	}
-	return words
-}
-
-// startWorker starts the worker of a cached native compilation whose
-// canonical names cb binds, over a mapping of workerWords, and carves
-// it: header, scalars, then each array's slabs in spec order. The
-// artifact is re-resolved through the store (a stat on the content
-// address), so a wiped store directory degrades to a rebuild, never a
-// stale binary.
-func (e *Engine) startWorker(ctx context.Context, entry *ccache.Entry, cb *canonBatch) (*residentNative, error) {
-	art, err := e.store.Build(ctx, entry.GoSrc)
-	if err != nil {
-		return nil, err
-	}
+// start starts the executor of a cached compilation. On the VM that is
+// a machine (each run installs its own context through Reset) whose
+// buffers are the arrays' storage. On the native backend it is a worker
+// over a mapping of executorWords, carved into the header, the scalars
+// and then each array's slabs in spec order; the artifact is
+// re-resolved through the store (a stat on the content address), so a
+// wiped store directory degrades to a rebuild, never a stale binary. A
+// copied array keeps its first buffer; the others go to the pool, with
+// a second for a swapped array on a worker.
+func (e *Engine) start(ctx context.Context, entry *ccache.Entry) (*executor, error) {
 	p := entry.Comp.LIR
 	spec := stateSpec(p)
-	canon := canonNumbers(cb)
-	arrays := residentArrays(p, canon)
-	w, err := art.Start(ctx, workerWords(arrays, len(spec.Scalars)))
-	if err != nil {
-		return nil, err
+	x := &executor{arrays: residentArrays(p, spec)}
+	var buffer func(k int) slab
+	var slot func(i int) *float64
+	if !e.opt.Backend.Native() {
+		m, err := vm.New(p, vm.Options{Out: e.out, Bounds: entry.Comp.Bounds})
+		if err != nil {
+			return nil, err
+		}
+		x.m = m
+		buffer = func(k int) slab { return slab{data: m.ArrayData(x.arrays[k].name)} }
+		slot = func(i int) *float64 { return m.ScalarSlot(spec.Scalars[i]) }
+	} else {
+		art, err := e.store.Build(ctx, entry.GoSrc)
+		if err != nil {
+			return nil, err
+		}
+		if x.w, err = art.Start(ctx, executorWords(spec, x.arrays, true)); err != nil {
+			return nil, err
+		}
+		state := x.w.State()
+		at := len(x.arrays) + len(spec.Scalars)
+		buffer = func(k int) slab {
+			n := x.arrays[k].alloc.Size()
+			at += n
+			return slab{data: state[at-n : at : at], at: at - n}
+		}
+		slot = func(i int) *float64 { return &state[len(x.arrays)+i] }
 	}
-	e.workerStarts++
-	state := w.State()
-	at := len(arrays) + len(spec.Scalars)
-	rn := &residentNative{w: w, arrays: arrays, on: make([]int, len(arrays)), scalars: state[len(arrays):at]}
-	carve := func(n int) slab {
-		at += n
-		return slab{data: state[at-n : at : at], at: at - n}
-	}
-	for k := range arrays {
-		a := &arrays[k]
-		n := a.alloc.Size()
-		switch a.link {
+	e.starts++
+	x.on = make([]int, len(x.arrays))
+	for k := range x.arrays {
+		switch a, s := &x.arrays[k], buffer(k); a.link {
 		case copied:
-			s := carve(n)
-			w.Point(k, s.at)
 			a.data = s.data
+			x.point(k, s.data, s.at)
 		case swapped:
-			rn.pool = append(rn.pool, carve(n))
+			if !x.anywhere() {
+				x.pool = append(x.pool, buffer(k))
+			}
 			fallthrough
 		case bound:
-			rn.pool = append(rn.pool, carve(n))
+			x.pool = append(x.pool, s)
 		}
 	}
-	for _, n := range spec.Scalars {
-		rn.snums = append(rn.snums, number(canon, n))
+	for i, n := range spec.Scalars {
+		if s := slot(i); s != nil {
+			x.scalars = append(x.scalars, s)
+			x.snums = append(x.snums, number('s', n))
+		}
 	}
-	return rn, nil
+	return x, nil
 }
 
-// endWorker ends a resident native worker, if rn is one; nothing else
-// closes one. The mapping goes with the worker, so first every pool slab
-// a handle still holds moves to the Go heap: no handle is left viewing
-// storage that is about to be unmapped.
-func (e *Engine) endWorker(rn *residentNative) error {
-	if rn == nil {
+// end ends an executor, if x is one; nothing else does. A worker's
+// mapping goes with it, so first every pool slab a handle still holds
+// moves to the Go heap: no handle is left viewing storage that is about
+// to be unmapped.
+func (e *Engine) end(x *executor) error {
+	if x == nil {
 		return nil
 	}
-	for i := range rn.pool {
-		e.stats.CopiedBytes += 8 * int64(rn.pool[i].evacuate())
+	for i := range x.pool {
+		e.stats.CopiedBytes += 8 * int64(x.pool[i].evacuate())
 	}
-	return rn.w.Close()
+	return x.close()
 }
 
-// place chooses the pool slab each bound and swapped array runs on and
-// points the header at it. A bound array whose handle holds a pool slab
-// runs on it as it is. Every other one takes a slab no array of this run
-// uses and no handle holds: a bound array copies its handle's values in
-// and the handle holds the slab from then on; a swapped array's slab is
-// seeded by seedArrays and handed to its handle only after the run
-// succeeds.
-func (rn *residentNative) place(e *Engine, cb *canonBatch) {
-	for i := range rn.pool {
-		rn.pool[i].used = false
+// place chooses the storage each bound and swapped array runs on and
+// points the engine at it. A bound array runs in place on its handle's
+// storage when the engine can: on the VM always, on a worker when the
+// handle holds one of its pool slabs. Every other one takes a pool slab
+// no array of this run uses and no handle holds (free): a bound array
+// copies its handle's values in and the handle holds the slab from then
+// on; a swapped array's slab is seeded by seedArrays and handed to its
+// handle only after the run succeeds (adopt).
+func (x *executor) place(e *Engine, cb *canonBatch) {
+	for i := range x.pool {
+		x.pool[i].used = false
 	}
-	for k := range rn.arrays {
-		rn.on[k] = -1
-		if a := &rn.arrays[k]; a.link == bound {
-			for i := range rn.pool {
-				if s := &rn.pool[i]; s.owner == cb.handles[a.handle] && s.held() {
-					rn.on[k], s.used = i, true
+	for k := range x.arrays {
+		x.on[k] = -1
+		if a := &x.arrays[k]; a.link == bound {
+			for i := range x.pool {
+				if s := &x.pool[i]; s.owner == cb.handles[a.handle] && s.held() {
+					x.on[k], s.used = i, true
 					break
 				}
 			}
 		}
 	}
-	for k := range rn.arrays {
-		a := &rn.arrays[k]
-		if a.link != copied && rn.on[k] < 0 {
-			i := rn.free(e, a.alloc.Size())
-			s := &rn.pool[i]
-			rn.on[k], s.used = i, true
-			if a.link == bound {
-				h := cb.handles[a.handle]
+	for k := range x.arrays {
+		a := &x.arrays[k]
+		if a.link == copied {
+			continue
+		}
+		h := cb.handles[a.handle]
+		if x.on[k] < 0 {
+			if a.link == bound && x.anywhere() {
+				a.data = h.hostData()
+				x.point(k, a.data, 0)
+				continue
+			}
+			x.on[k] = x.free(e, a.alloc.Size())
+			if s := &x.pool[x.on[k]]; a.link == bound {
 				copy(s.data, h.hostData())
 				e.stats.CopiedBytes += 8 * int64(len(s.data))
 				s.owner, h.data = h, s.data
 			}
 		}
-		if i := rn.on[k]; i >= 0 {
-			a.data = rn.pool[i].data
-			rn.w.Point(k, rn.pool[i].at)
-		}
+		s := &x.pool[x.on[k]]
+		s.used, a.data = true, s.data
+		x.point(k, s.data, s.at)
 	}
 }
 
 // free returns a pool slab of n words that no array of this run uses and
 // no handle holds. When every such slab is held, it evacuates the first
 // one this run does not use: its owner's values move to the Go heap.
-// There is always one, since the pool has a slab per bound array and two
-// per swapped one.
-func (rn *residentNative) free(e *Engine, n int) int {
+// There is always one, since the pool has a slab per bound and swapped
+// array, and on a worker a second per swapped one.
+func (x *executor) free(e *Engine, n int) int {
 	spare := -1
-	for i := range rn.pool {
-		s := &rn.pool[i]
+	for i := range x.pool {
+		s := &x.pool[i]
 		if s.used || len(s.data) != n {
 			continue
 		}
@@ -743,64 +695,79 @@ func (rn *residentNative) free(e *Engine, n int) int {
 			spare = i
 		}
 	}
-	e.stats.CopiedBytes += 8 * int64(rn.pool[spare].evacuate())
+	e.stats.CopiedBytes += 8 * int64(x.pool[spare].evacuate())
 	return spare
 }
 
-// runNative executes a compiled batch on its resident worker, starting
-// one when there is none or the last one was killed between Evals. Its
-// arrays meet their handles by the VM's links (runVM), through the
-// worker's state mapping: place puts bound and swapped arrays on pool
-// slabs, copied ones are seeded into and read back out of their fixed
-// slabs, and after a successful run each swapped handle holds the slab
-// the run wrote. A compiler register starts at zero, as in a fresh
-// process. The worker is checked out of the record for the run and put
-// back only when the run succeeds, so a run that fails, traps, is
-// cancelled or panics ends its worker (endWorker) having written only
-// slabs no handle holds and its copied arrays: every handle is what it
-// was. The next Eval starts a fresh worker.
-func (e *Engine) runNative(ctx context.Context, cb *canonBatch, entry *ccache.Entry, r *resident) error {
-	rn := r.native
-	r.native = nil
-	if rn != nil && !rn.w.Alive() {
-		e.endWorker(rn)
-		rn = nil
+// adopt hands each swapped array's slab to its handle after a successful
+// run. On the VM the storage the handle gives up takes the slab's place
+// in the pool, which keeps one buffer per array; on a worker it is
+// dropped, or, if it was a slab of this worker's, free again.
+func (x *executor) adopt(cb *canonBatch) {
+	for k := range x.arrays {
+		if a := &x.arrays[k]; a.link == swapped {
+			s, h := &x.pool[x.on[k]], cb.handles[a.handle]
+			if x.anywhere() {
+				s.data, h.data = h.data, s.data
+			} else {
+				s.owner, h.data = h, s.data
+			}
+		}
 	}
-	if rn == nil {
+}
+
+// runResident executes a compiled batch on its resident executor,
+// starting one when there is none or the last one's worker was killed
+// between Evals. A rerun starts from the bytes a fresh executor plus the
+// seed would, as far as the program can observe: place puts bound and
+// swapped arrays on their storage, each handle's state is copied into
+// the declared rectangle of its copied or swapped array, the declared
+// rectangle of a Temp with no value yet this Eval (a batch may read a
+// Temp cell it writes only later) and of a _t snapshot is zeroed, halo
+// cells are still the zeros the executor started with, and so is every
+// compiler register. What the first statement touching an array assigns
+// without reading (arrayUse.deadIn) is neither copied nor zeroed, and
+// only what the program stores into a copied array is read back. The
+// executor is checked out of the record for the run and put back only
+// when the run succeeds, so a run that fails, traps, is cancelled or
+// panics ends its executor (end) having written only its copied arrays
+// and pool slabs no handle holds: every handle is what it was.
+func (e *Engine) runResident(ctx context.Context, cb *canonBatch, entry *ccache.Entry, r *resident) error {
+	x := r.x
+	r.x = nil
+	if x != nil && !x.alive() {
+		e.end(x)
+		x = nil
+	}
+	if x == nil {
 		var err error
-		if rn, err = e.startWorker(ctx, entry, cb); err != nil {
+		if x, err = e.start(ctx, entry); err != nil {
 			return err
 		}
 	}
 	defer func() {
-		if r.native == nil {
-			e.endWorker(rn)
+		if r.x == nil {
+			e.end(x)
 		}
 	}()
-	rn.place(e, cb)
-	e.seedArrays(cb, rn.arrays)
-	for i, s := range rn.snums {
-		rn.scalars[i] = 0
+	x.place(e, cb)
+	e.seedArrays(cb, x.arrays)
+	for i, s := range x.snums {
+		*x.scalars[i] = 0
 		if s >= 0 {
-			rn.scalars[i] = cb.scalars[s].val
+			*x.scalars[i] = cb.scalars[s].val
 		}
 	}
-	if err := rn.w.Run(ctx, e.out); err != nil {
+	if err := x.run(ctx, e.out); err != nil {
 		return err
 	}
-	for k := range rn.arrays {
-		if a := &rn.arrays[k]; a.link == swapped {
-			s := &rn.pool[rn.on[k]]
-			s.owner = cb.handles[a.handle]
-			s.owner.data = s.data
-		}
-	}
-	e.readBackArrays(cb, rn.arrays)
-	for i, s := range rn.snums {
+	x.adopt(cb)
+	e.readBackArrays(cb, x.arrays)
+	for i, s := range x.snums {
 		if s >= 0 {
-			cb.scalars[s].val = rn.scalars[i]
+			cb.scalars[s].val = *x.scalars[i]
 		}
 	}
-	r.native = rn
+	r.x = x
 	return nil
 }

@@ -23,13 +23,10 @@ func residentArrayOf(t *testing.T, e *Engine, h *Handle) residentArray {
 		t.Fatalf("%d resident records, want 1", len(e.resident))
 	}
 	for _, r := range e.resident {
-		var arrays []residentArray
-		if r.vm != nil {
-			arrays = r.vm.arrays
-		} else if r.native != nil {
-			arrays = r.native.arrays
+		if r.x == nil {
+			continue
 		}
-		for _, a := range arrays {
+		for _, a := range r.x.arrays {
 			if a.handle >= 0 && e.bound.handles[a.handle] == h {
 				return a
 			}
@@ -128,8 +125,8 @@ func TestDeadInFrameKeepsHostValues(t *testing.T) {
 	if r := residentArrayOf(t, e, a); r.deadIn == nil || !r.deadIn.Equal(inner) || !r.written {
 		t.Errorf("a's storage: written %v, dead-in %v; want written over %v", r.written, r.deadIn, inner)
 	}
-	if e.machineBuilds != 1 {
-		t.Errorf("%d machines built, want 1", e.machineBuilds)
+	if e.starts != 1 {
+		t.Errorf("%d machines built, want 1", e.starts)
 	}
 }
 
@@ -322,7 +319,7 @@ func TestBoundHandlesSurviveFailedRun(t *testing.T) {
 			}
 		}
 		for _, r := range e.resident {
-			if r.vm != nil || r.native != nil {
+			if r.x != nil {
 				t.Errorf("%v: the failed run left its executor resident", lvl)
 			}
 		}
@@ -451,7 +448,7 @@ func TestUnwrittenHandleNotReadBack(t *testing.T) {
 			t.Errorf("%v: a failed run changed host data: src %v, dst %v", opt.Backend, src.data, dst.hostData())
 		}
 		for _, r := range e.resident {
-			if r.vm != nil || r.native != nil {
+			if r.x != nil {
 				t.Errorf("%v: the failed run left its executor resident", opt.Backend)
 			}
 		}

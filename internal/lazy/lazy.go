@@ -22,17 +22,20 @@
 // canonical AIR program through the existing pipeline
 // (driver.CompileAIR: fusion, contraction, scalarization, bounds
 // proving); a hit runs no compiler phase. Handle state is bound to
-// canonical names per execution. The VM path runs a machine kept
-// resident beside the cached compilation on the host slices of the
-// handles the batch only reads, and seeds its own storage for the ones
-// it writes, trading that storage for the host slices once the run
-// succeeds; Temps and arrays with a halo are copied in and out. The
-// native path keeps a worker process the same way (backend.Worker) and
-// applies the same rule through its state mapping: a handle's storage
-// may be a slab of that mapping, which the worker reads in place, and a
-// written handle takes the slab the run wrote once it succeeds. Ending
-// a worker (Engine.Close, ClearCache, eviction, a failed run) first moves
-// the values of the slabs handles hold back to the Go heap.
+// canonical names per execution, by one resident executor kept beside
+// the cached compilation and written once for both engines (exec.go):
+// a machine on the VM, a worker process sharing a state mapping on the
+// native backend (backend.Worker). Its size counts toward the cache's
+// budget before it starts. It runs a batch in place on the storage of
+// the handles the batch only reads — any host slice on the VM, a slab of
+// its mapping that the handle holds on a worker — and seeds a pool
+// buffer for each handle it writes, which the handle takes once the run
+// succeeds; Temps and arrays with a halo are copied in and out. Only
+// four things differ between the engines: pointing an array at storage,
+// which storage the engine runs on in place, running and closing.
+// Ending an executor (Engine.Close, ClearCache, eviction, a failed run)
+// first moves the values of the worker slabs handles hold back to the
+// Go heap.
 //
 // Arrays observable through a handle are marked air.ArrayInfo.Escapes,
 // which keeps the contraction phase from eliminating storage the
@@ -137,8 +140,8 @@ type Engine struct {
 
 	// shape is the scratch fingerprint of the batch being run and bound
 	// the scratch binding of a memo hit; memo maps fingerprints to
-	// canonicalizations and resident holds the machines (VM) and worker
-	// processes (native) of cached compilations. Both hold only keys the
+	// canonicalizations and resident holds the executors (a machine or a
+	// worker process) of cached compilations. Both hold only keys the
 	// cache holds.
 	shape    shape
 	bound    canonBatch
@@ -156,10 +159,10 @@ type Engine struct {
 	// the seam for a program that traps.
 	compileHook func()
 	emitHook    func(goSrc string) string
-	// memoHits counts batches that skipped canonicalization,
-	// machineBuilds the vm.New calls and workerStarts the native workers
-	// started; tests read them.
-	memoHits, machineBuilds, workerStarts int64
+	// memoHits counts batches that skipped canonicalization and starts
+	// the executors started (machines built, workers started); tests
+	// read them.
+	memoHits, starts int64
 }
 
 // NewEngine creates an engine. A native-backend engine opens its
@@ -724,37 +727,38 @@ func (e *Engine) Remarks() []remark.Remark {
 	return out
 }
 
-// ClearCache drops every cached compilation with its resident machine or
-// worker and memoized canonicalizations (native artifacts on disk
+// ClearCache drops every cached compilation with its executor and
+// memoized canonicalizations (native artifacts on disk
 // remain). The fresh-compile-per-iteration experiment arm uses this.
 func (e *Engine) ClearCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cache = ccache.New(e.opt.CacheBytes)
-	e.closeWorkers()
+	e.endExecutors()
 	clear(e.resident)
 	e.memo.buckets = nil
 }
 
-// Close stops every worker process the native backend keeps beside its
-// cached compilations, after moving the values of the handles whose
-// storage is a slab of a worker's mapping to the Go heap. The engine
-// stays usable: compilations stay cached, and the next native Eval of
-// one starts its worker again. An engine that becomes unreachable
+// Close ends every executor the engine keeps beside its cached
+// compilations: it stops the native backend's worker processes, after
+// moving the values of the handles whose storage is a slab of a
+// worker's mapping to the Go heap, and lets the VM's machines go. The
+// engine stays usable: compilations stay cached, and the next Eval of
+// one starts its executor again. An engine that becomes unreachable
 // unclosed has its workers stopped by a finalizer — its handles, which
 // point at the engine, are unreachable too — and a worker whose host
 // process exits exits too; Close is what makes the moment deterministic.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.closeWorkers()
+	return e.endExecutors()
 }
 
-func (e *Engine) closeWorkers() error {
+func (e *Engine) endExecutors() error {
 	var errs []error
 	for _, r := range e.resident {
-		errs = append(errs, e.endWorker(r.native))
-		r.native = nil
+		errs = append(errs, e.end(r.x))
+		r.x = nil
 	}
 	return errors.Join(errs...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -86,6 +87,7 @@ func runDiffLazy(t *testing.T, opt Options, collide bool) string {
 	if err := e.Eval(); err != nil {
 		t.Fatalf("final eval: %v", err)
 	}
+	checkResident(t, fmt.Sprintf("%v, native %v", opt.Level, opt.Backend.Native()), e)
 	return out.String()
 }
 
@@ -168,7 +170,7 @@ func TestSteadyStateZeroRecompile(t *testing.T) {
 	if after1.Misses == 0 {
 		t.Fatalf("first sweep compiled nothing: %+v", after1)
 	}
-	memo1, builds1 := e.memoHits, e.machineBuilds
+	memo1, builds1 := e.memoHits, e.starts
 
 	const iters = 6
 	for i := 0; i < iters; i++ {
@@ -190,7 +192,7 @@ func TestSteadyStateZeroRecompile(t *testing.T) {
 	if got := e.memoHits - memo1; got != iters {
 		t.Errorf("steady state took the memo path %d times in %d Evals", got, iters)
 	}
-	if got := e.machineBuilds - builds1; got != 0 {
+	if got := e.starts - builds1; got != 0 {
 		t.Errorf("steady state built %d machines in %d Evals instead of reusing the resident one", got, iters)
 	}
 	if _, err := res.Value(); err != nil {
@@ -761,7 +763,7 @@ func TestEvalPanicIsAnError(t *testing.T) {
 		t.Fatal("Eval whose writeln panics succeeded")
 	}
 	for k, r := range w.resident {
-		if r.vm != nil {
+		if r.x != nil {
 			t.Errorf("the failed run left its machine resident for %s", k)
 		}
 	}

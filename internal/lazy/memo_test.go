@@ -240,9 +240,9 @@ func TestResidentMachineStartsZeroed(t *testing.T) {
 				t.Errorf("%v %v, Eval %d: b = %v, want %v", opt.Backend, opt.Level, i+1, got, want)
 			}
 		}
-		if e.machineBuilds+e.workerStarts != 1 {
-			t.Errorf("%v %v: %d machines built and %d workers started for 4 Evals of one shape, want 1",
-				opt.Backend, opt.Level, e.machineBuilds, e.workerStarts)
+		if e.starts != 1 {
+			t.Errorf("%v %v: %d executors started for 4 Evals of one shape, want 1",
+				opt.Backend, opt.Level, e.starts)
 		}
 	}
 }
@@ -273,12 +273,29 @@ func sweepEngine(t *testing.T, e *Engine, n, sweeps int) []float64 {
 }
 
 // checkResident fails unless the engine's resident records and memo
-// entries are exactly for keys its cache holds.
+// entries are exactly for keys its cache holds, and unless each entry's
+// size, predicted before its executor started, counts exactly the
+// storage the executor keeps: the machine's footprint on the VM, the
+// whole state mapping on a worker.
 func checkResident(t *testing.T, what string, e *Engine) {
 	t.Helper()
-	for k := range e.resident {
-		if _, ok := e.cache.Peek(k); !ok {
+	for k, r := range e.resident {
+		el, ok := e.cache.Peek(k)
+		if !ok {
 			t.Errorf("%s: a machine is kept for evicted key %s", what, k)
+			continue
+		}
+		if r.x == nil {
+			continue
+		}
+		var kept int64
+		if r.x.m != nil {
+			kept = r.x.m.MemoryFootprint()
+		} else {
+			kept = 8 * int64(len(r.x.w.State()))
+		}
+		if got := el.Size - ccache.SizeOf(el); got != kept {
+			t.Errorf("%s: key %s's entry counts %d bytes of executor storage, its executor keeps %d", what, k, got, kept)
 		}
 	}
 	for _, b := range e.memo.buckets {
@@ -316,6 +333,7 @@ func TestCacheBytesBoundsMachines(t *testing.T) {
 		}
 		ref := engine(0)
 		want := sweepEngine(t, ref, n, sweeps)
+		checkResident(t, "unbounded", ref)
 		// An entry's size is its compilation's plus its executor's storage:
 		// two grids on the VM; on a worker, a slab per grid the batch only
 		// reads and two per grid it writes.
@@ -326,8 +344,15 @@ func TestCacheBytesBoundsMachines(t *testing.T) {
 			withoutMachines = max(withoutMachines, ccache.SizeOf(el))
 			footprint, largest = min(footprint, el.Size-ccache.SizeOf(el)), max(largest, el.Size)
 		}
-		if footprint < 2*n*n*8 {
-			t.Fatalf("%v: an entry's executor holds %d bytes, less than its two grids", opt.Backend, footprint)
+		// The smallest is the sweep's: two grids on the VM, three on a
+		// worker (it writes one grid) and the worker's header and scalars.
+		wantGrids, header := int64(2), false
+		if opt.Backend.Native() {
+			wantGrids, header = 3, true
+		}
+		if grids, rest := footprint/(8*n*n), footprint%(8*n*n); grids != wantGrids || (rest > 0) != header {
+			t.Fatalf("%v: the smallest entry's executor holds %d bytes, %d grids and %d bytes; want %d grids, header %v",
+				opt.Backend, footprint, grids, rest, wantGrids, header)
 		}
 		budget := footprint - 1
 		if withoutMachines >= budget {
@@ -341,6 +366,7 @@ func TestCacheBytesBoundsMachines(t *testing.T) {
 		if st := small.CacheStats(); st.Entries != 0 || st.TooLarge == 0 {
 			t.Errorf("%v: cache below one machine's footprint: %+v, want nothing cached and refusals counted", opt.Backend, st)
 		}
+		checkResident(t, "below one machine", small)
 		if len(small.resident) != 0 || len(small.memo.buckets) != 0 {
 			t.Errorf("%v: %d machines and %d memo buckets kept for nothing cached", opt.Backend, len(small.resident), len(small.memo.buckets))
 		}
@@ -376,7 +402,7 @@ func TestCacheBytesBoundsMachines(t *testing.T) {
 func liveWorkers(e *Engine) int {
 	n := 0
 	for _, r := range e.resident {
-		if r.native != nil && r.native.w.Alive() {
+		if r.x != nil && r.x.w != nil && r.x.alive() {
 			n++
 		}
 	}

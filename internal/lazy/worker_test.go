@@ -89,7 +89,7 @@ func TestNativeWorkerKilledBetweenEvals(t *testing.T) {
 			}
 		}
 		for _, r := range e.resident {
-			for deadline := time.Now().Add(10 * time.Second); r.native != nil && r.native.w.Alive(); time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(10 * time.Second); r.x != nil && r.x.alive(); time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("a killed worker still reads as alive")
 				}
@@ -99,8 +99,8 @@ func TestNativeWorkerKilledBetweenEvals(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("grid after a worker was killed mid-solve:\n%v\nwant\n%v", got, want)
 	}
-	if e.workerStarts != 3 {
-		t.Errorf("%d workers started, want 3: the init batch's, the sweep's and its replacement", e.workerStarts)
+	if e.starts != 3 {
+		t.Errorf("%d workers started, want 3: the init batch's, the sweep's and its replacement", e.starts)
 	}
 	workers(t, e)
 }
@@ -159,8 +159,8 @@ func TestNativeDeadlineRetiresWorker(t *testing.T) {
 	if !slices.Equal(a.data, ha) || !slices.Equal(b.data, hb) {
 		t.Error("the Eval after a cancelled one computed a different grid")
 	}
-	if e.workerStarts != 3 {
-		t.Errorf("%d workers started, want 3: the init batch's, the chain's and its replacement", e.workerStarts)
+	if e.starts != 3 {
+		t.Errorf("%d workers started, want 3: the init batch's, the chain's and its replacement", e.starts)
 	}
 }
 
@@ -216,8 +216,8 @@ func TestNativeEvalsLeaveNoResidue(t *testing.T) {
 			t.Errorf("after 1000 Evals: %d descriptors, %d workers and %d mappings, %d, %d and %d before", f, k, m, fds, kids, maps)
 		}
 	})
-	if e.workerStarts != 2 {
-		t.Errorf("%d workers started for two shapes", e.workerStarts)
+	if e.starts != 2 {
+		t.Errorf("%d workers started for two shapes", e.starts)
 	}
 }
 
@@ -238,8 +238,8 @@ func TestEngineCloseStopsWorkers(t *testing.T) {
 	if got := jacobiGrid(t, e, 3, nil); !slices.Equal(got, want) {
 		t.Errorf("grid after Close: %v, want %v", got, want)
 	}
-	if e.workerStarts != 4 || e.CacheStats().Misses != 2 {
-		t.Errorf("%d workers started and %+v after Close, want 4 and no recompile", e.workerStarts, e.CacheStats())
+	if e.starts != 4 || e.CacheStats().Misses != 2 {
+		t.Errorf("%d workers started and %+v after Close, want 4 and no recompile", e.starts, e.CacheStats())
 	}
 }
 
@@ -343,7 +343,7 @@ func TestNativeSlabsOutliveWorker(t *testing.T) {
 			}
 		}
 		for _, r := range e.resident {
-			for deadline := time.Now().Add(10 * time.Second); r.native != nil && r.native.w.Alive(); time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(10 * time.Second); r.x != nil && r.x.alive(); time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("a killed worker still reads as alive")
 				}

@@ -349,15 +349,15 @@ func (m *Machine) Scalars() map[string]float64 {
 	return out
 }
 
-// SetScalar overwrites a scalar's slot before Run — the lazy runtime's
-// seeding path (it also overwrites config scalars, whose Init value
-// New already installed). Reports whether the scalar exists.
-func (m *Machine) SetScalar(name string, v float64) bool {
+// ScalarSlot returns a scalar's slot by mangled name, or nil for a name
+// with none: Run reads the scalar from it and leaves its final value
+// there. Config scalars hold the Init value New installed. The lazy
+// runtime seeds and reads back a resident machine's scalars through it.
+func (m *Machine) ScalarSlot(name string) *float64 {
 	if i, ok := m.slotIdx[name]; ok {
-		m.slots[i] = v
-		return true
+		return &m.slots[i]
 	}
-	return false
+	return nil
 }
 
 // ArrayData exposes an array's backing storage: data in row-major

@@ -53,8 +53,8 @@ end;
 	}
 	want := 0.0
 	for i := 1; i <= 10; i++ {
-		a := float64(i) * 1.5
-		want += math.Sqrt(a) + a*a - a/2
+		a := float64(float64(i) * 1.5)
+		want += math.Sqrt(a) + float64(a*a) - float64(a/2)
 	}
 	got, _ := m.Scalar("s")
 	if math.Abs(got-want) > 1e-9 {
@@ -374,11 +374,13 @@ end;
 		t.Fatal(err)
 	}
 	copy(m.ArrayData("A"), []float64{1, 2, 3, 4})
-	if !m.SetScalar("s", 10) {
-		t.Fatal("SetScalar missed scalar s")
+	slot := m.ScalarSlot("s")
+	if slot == nil {
+		t.Fatal("ScalarSlot missed scalar s")
 	}
-	if m.SetScalar("nope", 1) {
-		t.Error("SetScalar accepted an unknown scalar")
+	*slot = 10
+	if m.ScalarSlot("nope") != nil {
+		t.Error("ScalarSlot found an unknown scalar")
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -404,14 +406,14 @@ func seedMachine(m *vm.Machine, p *lir.Program, rng *rand.Rand, zero map[string]
 			continue
 		}
 		for i := range data {
-			data[i] = rng.Float64()*4 - 2
+			data[i] = float64(rng.Float64()*4) - 2
 		}
 	}
 	for _, n := range sortedKeys(m.Scalars()) {
 		if s := p.Source.Scalars[n]; s != nil && s.Config {
-			m.SetScalar(n, s.Init)
+			*m.ScalarSlot(n) = s.Init
 		} else {
-			m.SetScalar(n, rng.Float64()*4-2)
+			*m.ScalarSlot(n) = float64(rng.Float64()*4) - 2
 		}
 	}
 }

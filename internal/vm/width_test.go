@@ -281,19 +281,19 @@ func TestWidthDirectWrites(t *testing.T) {
 	a, cc := make([]float64, rows*cols), make([]float64, rows*cols)
 	for i := 1; i <= rows; i++ {
 		for j := 1; j <= cols; j++ {
-			a[(i-1)*cols+j-1] = float64(i)*10.0 + float64(j)
-			cc[(i-1)*cols+j-1] = float64(i) - float64(j)*0.25
+			a[(i-1)*cols+j-1] = float64(float64(i)*10.0) + float64(j)
+			cc[(i-1)*cols+j-1] = float64(i) - float64(float64(j)*0.25)
 		}
 	}
 	wantA, wantC := slices.Clone(a), slices.Clone(cc)
 	for i := 1; i <= rows; i++ {
 		for j := 1; j <= cols; j++ {
-			p, b := (i-1)*cols+j-1, float64(j)*0.5-float64(i)
+			p, b := (i-1)*cols+j-1, float64(float64(j)*0.5)-float64(i)
 			if j < cols {
-				wantA[p] = a[p+1]*2.0 + b
+				wantA[p] = float64(a[p+1]*2.0) + b
 			}
 			if j > 1 {
-				wantC[p] = cc[p-1]*0.5 - b
+				wantC[p] = float64(cc[p-1]*0.5) - b
 			}
 		}
 	}
