@@ -301,6 +301,10 @@ type RunStats struct {
 	// Compute is the binary's self-reported in-program wall clock
 	// (gogen's TimeEnv hook); 0 when the binary predates the hook.
 	Compute time.Duration
+	// System is the kernel CPU time the process used: page faults,
+	// mappings and writes. The kernel accounts it by sampling, so a run
+	// shorter than a tick may report 0.
+	System time.Duration
 }
 
 // Run executes the artifact's binary, streaming its stdout to out
@@ -323,7 +327,7 @@ func (a *Artifact) Run(ctx context.Context, out io.Writer) (*RunStats, error) {
 		}
 		return nil, exitError(a.Bin, err, rest)
 	}
-	return &RunStats{Wall: wall, Compute: compute}, nil
+	return &RunStats{Wall: wall, Compute: compute, System: cmd.ProcessState.SystemTime()}, nil
 }
 
 // exitError classifies the failure err of the binary bin, whose stderr

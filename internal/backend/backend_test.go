@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -270,6 +271,39 @@ func TestRunReportsComputeTime(t *testing.T) {
 	}
 }
 
+// TestRunReportsSystemTime: a successful run reports the kernel CPU
+// time its process used. Each writeln of a one-shot program is a write
+// to the stdout pipe, so 50,000 of them keep the process in the kernel
+// for many scheduler ticks: the sampled System cannot round to 0.
+func TestRunReportsSystemTime(t *testing.T) {
+	requireToolchain(t)
+	src := `
+program systime;
+config n : integer = 50000;
+proc main()
+begin
+  for i := 1 to n do
+    writeln(i);
+  end;
+end;
+`
+	c, err := driver.Compile(src, driver.Options{Level: core.C2F4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, _, err := store.BuildProgram(context.Background(), c.LIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := art.Run(context.Background(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.System <= 0 {
+		t.Errorf("system time not reported: %+v", stats)
+	}
+}
+
 // TestBackendBitIdentical is the native row of the matrix: every
 // testdata program at the ladder ends (-full: every level), and every
 // benchmark under its golden tuned plan (-full: also at every level),
@@ -454,6 +488,57 @@ func TestStateProtocolRoundTrip(t *testing.T) {
 	w.Point(0, slabs[0])
 	run(first, 96) // from what the last run on it left
 	if want := "s = 8\nagain 8\ns = 88\nagain 88\ns = 168\nagain 168\ns = 96\nagain 96\n"; out.String() != want {
+		t.Errorf("output %q, want %q", out.String(), want)
+	}
+}
+
+// TestWorkerArenaArrays: an array outside a worker's spec is a slab of
+// the worker's own arena, not of the state mapping, and keeps its values
+// from one run to the next as any global of the process does.
+func TestWorkerArenaArrays(t *testing.T) {
+	requireToolchain(t)
+	src := `
+program split;
+config n : integer = 8;
+region R = [1..n];
+var A, B : [R] double;
+var s : double;
+proc main()
+begin
+  [R] B := B + A + 1;
+  s := +<< [R] B;
+  writeln("s =", s);
+end;
+`
+	c, err := driver.Compile(src, driver.Options{Level: core.Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &gogen.StateSpec{Arrays: []string{"A"}, Scalars: []string{"s"}}
+	goSrc, err := gogen.EmitState(c.LIR, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arrays, _, _ := gogen.ArenaLayout(c.LIR, spec); len(arrays) == 0 || arrays[0] != "B" {
+		t.Fatalf("arena arrays %v, want B and the temporaries", arrays)
+	}
+	art, err := store.Build(context.Background(), goSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := startLaid(t, art, c, spec)
+	var out bytes.Buffer
+	if err := w.Run(context.Background(), &out); err != nil {
+		t.Fatal(err)
+	}
+	slabs, _ := gogen.StateLayout(c.LIR, spec)
+	for i := range 8 {
+		w.State()[slabs[0]+i] = 10
+	}
+	if err := w.Run(context.Background(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "s = 8\ns = 96\n"; out.String() != want {
 		t.Errorf("output %q, want %q", out.String(), want)
 	}
 }

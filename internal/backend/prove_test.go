@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -127,12 +128,17 @@ func TestProveFaultCaughtNative(t *testing.T) {
 // pointer leaves its allocation" — the reason a row offset is an
 // integer added to the array's base in one step, never a row pointer
 // that an outer loop parks before the first element or beyond the last.
+//
+// The arena is a mapping the checker cannot see into, so the check runs
+// on the emitted accesses unchanged over heap slabs: zaM_slab, the one
+// place an array is cut from the arena, is swapped for a make per slab.
+// A derived pointer seeded to straddle the start of the second slab must
+// then be caught, or the check is vacuous.
 func TestEmittedCheckptrClean(t *testing.T) {
 	requireToolchain(t)
 	if testing.Short() {
 		t.Skip("invokes the go toolchain repeatedly")
 	}
-	tool, _ := backend.Toolchain()
 	var cases []matrix.Program
 	for _, p := range append(matrix.Testdata(t), matrix.Benchmarks()...) {
 		if name := strings.TrimSuffix(p.Name, ".za"); name == "heat" || name == "tomcatv" || name == "rowsums" {
@@ -140,6 +146,11 @@ func TestEmittedCheckptrClean(t *testing.T) {
 			cases = append(cases, p)
 		}
 	}
+	const (
+		arenaSlab = "func zaM_slab(o, n int) []float64 {\n\treturn zaM_arena[o : o+n : o+n]\n}\n"
+		heapSlab  = "func zaM_slab(o, n int) []float64 {\n\treturn make([]float64, n)\n}\n"
+	)
+	slabDecl := regexp.MustCompile(`(?m)^var (za_\w+) = zaM_slab\(`)
 	for _, cs := range cases {
 		t.Run(cs.Name, func(t *testing.T) {
 			t.Parallel()
@@ -155,24 +166,47 @@ func TestEmittedCheckptrClean(t *testing.T) {
 			if !strings.Contains(goSrc, "unsafe.Add") {
 				t.Fatal("emission has no unchecked access; the case is vacuous")
 			}
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
-				t.Fatal(err)
+			if strings.Count(goSrc, arenaSlab) != 1 {
+				t.Fatalf("emission does not cut its arrays through one zaM_slab:\n%s", goSrc)
 			}
-			build := exec.Command(tool, "build", "-gcflags=all=-d=checkptr", "-o", "prog", "main.go")
-			build.Dir = dir
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("go build -d=checkptr: %v\n%s", err, out)
+			heap := strings.Replace(goSrc, arenaSlab, heapSlab, 1)
+			stdout, stderr, err := runCheckptr(t, heap)
+			if err != nil {
+				t.Fatalf("run under checkptr: %v\n%s", err, stderr)
 			}
-			var stdout, stderr bytes.Buffer
-			run := exec.Command(filepath.Join(dir, "prog"))
-			run.Stdout, run.Stderr = &stdout, &stderr
-			if err := run.Run(); err != nil {
-				t.Fatalf("run under checkptr: %v\n%s", err, stderr.String())
+			if stdout != want {
+				t.Errorf("output under checkptr %q, VM %q", stdout, want)
 			}
-			if stdout.String() != want {
-				t.Errorf("output under checkptr %q, VM %q", stdout.String(), want)
+
+			slabs := slabDecl.FindAllStringSubmatch(heap, -1)
+			if len(slabs) < 2 {
+				t.Fatalf("%d arena slabs: no two to straddle", len(slabs))
+			}
+			seeded := strings.Replace(heap, "func za_main() {\n",
+				"var zaT_sink float64\n\nfunc za_main() {\n\tzaT_sink = *(*float64)(unsafe.Add(unsafe.Pointer(&"+slabs[1][1]+"[0]), -4))\n", 1)
+			if _, stderr, err := runCheckptr(t, seeded); err == nil || !strings.Contains(stderr, "checkptr") {
+				t.Errorf("a pointer straddling the start of %s ran under checkptr: %v\n%s", slabs[1][1], err, stderr)
 			}
 		})
 	}
+}
+
+// runCheckptr builds one emitted source with -d=checkptr and runs it.
+func runCheckptr(t *testing.T, goSrc string) (stdout, stderr string, err error) {
+	t.Helper()
+	tool, _ := backend.Toolchain()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	build := exec.Command(tool, "build", "-gcflags=all=-d=checkptr", "-o", "prog", "main.go")
+	build.Dir = dir
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build -d=checkptr: %v\n%s", err, out)
+	}
+	var out, errs bytes.Buffer
+	run := exec.Command(filepath.Join(dir, "prog"))
+	run.Stdout, run.Stderr = &out, &errs
+	err = run.Run()
+	return out.String(), errs.String(), err
 }

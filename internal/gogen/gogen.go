@@ -32,9 +32,14 @@
 //     its compute-only wall clock ("za_elapsed_ns <n>") on stderr,
 //     so measurements exclude process startup.
 //
+// Every array with storage of its own is a slab of one allocation, the
+// arena (ArenaLayout): on Linux an anonymous mapping, off the Go heap,
+// so a one-shot program pays neither a make per array nor the garbage
+// collections those makes start during initialization.
+//
 // Imports are emitted only when the program actually uses them (math
 // is conditional; fmt and os are always used by the main scaffold, time
-// by a one-shot one and syscall by a worker's),
+// by a one-shot one, and syscall by a worker's and by a mapped arena),
 // so generated code compiles and vets clean with no blank-identifier
 // hacks.
 //
@@ -127,6 +132,51 @@ func StateLayout(p *lir.Program, spec *StateSpec) (slabs []int, words int) {
 	return slabs, words
 }
 
+// Arena geometry, in float64 words: a slab starts on its own 64-byte
+// cache line of a 4 KiB page, and an arena of at least a 2 MiB huge
+// page is advised onto huge pages.
+const (
+	lineWords = 8
+	pageWords = 512
+	hugeBytes = 2 << 20
+)
+
+// ArenaLayout lays out the arena of p emitted with spec (nil for a
+// one-shot program): arrays are the allocated arrays outside spec, in
+// name order, and array k is the slab arena[slabs[k] : slabs[k]+n :
+// slabs[k]+n] of an arena of words float64s, n its Alloc.Size(), so a
+// checked access traps with the message a slice of its own gives.
+//
+// Slab k starts at the first word after slab k-1 that sits on cache
+// line k mod 64 of a 4 KiB page. The stagger is what makes one arena
+// pay: equal slabs packed end to end on aligned huge pages start in the
+// same cache set, and a nest that reads several of them at one index
+// evicts its own lines (DESIGN.md §30). The gaps cost at most 4 KiB a
+// slab and are never touched; past 64 slabs the lines repeat.
+func ArenaLayout(p *lir.Program, spec *StateSpec) (arrays []string, slabs []int, words int) {
+	mapped := map[string]bool{}
+	if spec != nil {
+		for _, n := range spec.Arrays {
+			mapped[n] = true
+		}
+	}
+	for n, a := range p.Source.Arrays {
+		if !a.Contracted && !mapped[n] {
+			arrays = append(arrays, n)
+		}
+	}
+	sort.Strings(arrays)
+	for k, n := range arrays {
+		at := (k*lineWords - words) % pageWords
+		if at < 0 {
+			at += pageWords
+		}
+		slabs = append(slabs, words+at)
+		words += at + p.Source.Arrays[n].Alloc.Size()
+	}
+	return arrays, slabs, words
+}
+
 // Emit renders the program as a compilable Go main package with every
 // array access bounds-checked (Go's implicit slice check plus the
 // recover scaffold).
@@ -203,9 +253,10 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 		out.WriteString("\t\"math\"\n")
 	}
 	out.WriteString("\t\"os\"\n")
-	if g.spec != nil {
+	if g.spec != nil || g.useSyscall {
 		out.WriteString("\t\"syscall\"\n")
-	} else {
+	}
+	if g.spec == nil {
 		out.WriteString("\t\"time\"\n")
 	}
 	if g.useUnsafe {
@@ -344,13 +395,14 @@ type gen struct {
 	err    error
 
 	// Import/helper usage, discovered during emission.
-	useMath   bool
-	useSign   bool
-	useMax    bool
-	useMin    bool
-	useB2F    bool
-	useUnsafe bool
-	useWrap   bool
+	useMath    bool
+	useSign    bool
+	useMax     bool
+	useMin     bool
+	useB2F     bool
+	useUnsafe  bool
+	useWrap    bool
+	useSyscall bool
 
 	// sw is the loop nest being emitted, nil between nests, and inner
 	// the side buffer its body renders into (one for the whole
@@ -423,28 +475,26 @@ func (g *gen) floatLit(v float64) string {
 }
 
 // declarations emits array storage and scalar variables. Contracted
-// arrays have no storage at all: each is a local of its one nest, and a
-// resident worker's spec arrays are slabs of its state mapping.
+// arrays have no storage at all: each is a local of its one nest, a
+// resident worker's spec arrays are slabs of its state mapping, and
+// every other array is a slab of the arena (ArenaLayout).
 func (g *gen) declarations(out *strings.Builder) {
+	arrays, slabs, words := ArenaLayout(g.p, g.spec)
 	names := make([]string, 0, len(g.p.Source.Arrays))
 	for n := range g.p.Source.Arrays {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	mapped := map[string]bool{}
-	if g.spec != nil {
-		for _, n := range g.spec.Arrays {
-			mapped[n] = true
-		}
-	}
+	k := 0 // arrays is in name order too
 	for _, n := range names {
 		a := g.p.Source.Arrays[n]
 		switch {
 		case a.Contracted:
-		case mapped[n]:
-			fmt.Fprintf(out, "var %s []float64 // %s, mapped\n", goName(n), a.Alloc)
+		case k < len(arrays) && arrays[k] == n:
+			fmt.Fprintf(out, "var %s = zaM_slab(%d, %d) // %s\n", goName(n), slabs[k], a.Alloc.Size(), a.Alloc)
+			k++
 		default:
-			fmt.Fprintf(out, "var %s = make([]float64, %d) // %s\n", goName(n), a.Alloc.Size(), a.Alloc)
+			fmt.Fprintf(out, "var %s []float64 // %s, mapped\n", goName(n), a.Alloc)
 		}
 	}
 	names = names[:0]
@@ -461,7 +511,21 @@ func (g *gen) declarations(out *strings.Builder) {
 		}
 	}
 	out.WriteString("\n")
+	if len(arrays) > 0 {
+		fmt.Fprintf(out, "// zaM_arena holds the arrays above that own storage: %d words, each slab on its own cache line mod 4 KiB.\n", words)
+		g.arenaMap(out, words)
+		out.WriteString(helperSlab)
+	}
 }
+
+// helperSlab is the one place an array's storage is cut from the arena.
+// The checkptr test swaps its body for a make per slab, which the
+// pointer checker can see and the mapping is not.
+const helperSlab = `func zaM_slab(o, n int) []float64 {
+	return zaM_arena[o : o+n : o+n]
+}
+
+`
 
 const helperSign = `func za_sign(v float64) float64 {
 	switch {

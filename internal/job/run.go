@@ -117,6 +117,7 @@ type Result struct {
 	Art       *backend.Artifact
 	BuildWall time.Duration // artifact lookup or toolchain run
 	Compute   time.Duration // the binary's self-timed main
+	System    time.Duration // the binary's kernel CPU time
 }
 
 // Build ensures the native binary of c exists in store (nil = the
@@ -161,7 +162,7 @@ func Run(ctx context.Context, c *driver.Compilation, rs RunSpec, out io.Writer, 
 		if err != nil {
 			return res, err
 		}
-		res.Compute = stats.Compute
+		res.Compute, res.System = stats.Compute, stats.System
 
 	case rs.Dist:
 		t0 = time.Now()
