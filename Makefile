@@ -9,7 +9,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 .PHONY: all build test vet fmt-check race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit results-check race-smoke race-sweep \
-	cluster-smoke bench-smoke plan-guard vm-guard loc soak fuzz-soak
+	cluster-smoke bench-smoke plan-guard vm-guard native-guard loc soak fuzz-soak
 
 all: build test
 
@@ -182,6 +182,22 @@ vm-guard: build
 	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs' ./internal/vm
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
 
+# Native guard: the tests to run after touching internal/gogen,
+# internal/backend or the lazy executor, re-run fresh — the sha256 of
+# every benchmark's one-shot and worker emission at the ladder ends
+# (internal/gogen/testdata/emission_hashes.json: a changed hash is a
+# changed artifact and binary, -update only for a deliberate change to
+# the emitted code), the one-shot arena's layout, no fused multiply-add
+# in emitted code, the checkptr run, the worker protocol and its
+# failures, a worker exiting when its host is killed, and the lazy
+# executor's copied bytes and allocations per Eval. All are ordinary
+# tier-1 tests; this target is the one to run after touching those
+# packages.
+native-guard: build
+	$(GO) test -count=1 -run 'TestEmissionPinned|TestArenaLayout|TestEmittedNoFMA' ./internal/gogen
+	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost' ./internal/backend
+	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs' ./internal/lazy
+
 # Non-test Go lines per top-level directory, so a simplicity PR quotes a
 # reproducible before/after instead of a hand count. bench/ (its own
 # module, frozen by BENCHMARK.json) and results/ are excluded. Override
@@ -232,10 +248,10 @@ fuzz-soak: build
 # The front-end parity table (internal/job, internal/svc, cli_test.go)
 # and the fingerprint field-coverage test (internal/ccache) are ordinary
 # package tests, so `test` runs them and `race` runs them under -race.
-# For the same reason five targets are not chained here: serve-test,
+# For the same reason six targets are not chained here: serve-test,
 # race-smoke and cluster-smoke re-run, with -run filters, tests that
-# `race` (and `test`, `build`) already ran, and plan-guard and vm-guard
-# re-run tests that `test` already ran. Each stays as the shortcut to
+# `race` (and `test`, `build`) already ran, and plan-guard, vm-guard and
+# native-guard re-run tests that `test` already ran. Each stays as the shortcut to
 # run after touching what its comment names. The last step is the whole
 # differential matrix (internal/difftest, DESIGN.md §26): tier-1 runs
 # its cut, -full every ladder level and every native cell, ~50 s; and

@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -353,28 +355,16 @@ func TestSeedFaultCaught(t *testing.T) {
 	t.Errorf("the matrix missed the seeded miscompile; its findings: %q", bad)
 }
 
-// workerOf compiles src and builds it as a resident worker whose state
-// is every allocated array and every scalar, in sorted order; bounds
-// are left unproven, so the trap scaffold stays. It returns the
-// artifact, the compilation and the spec.
+// workerOf compiles src and builds it as a resident worker; bounds are
+// left unproven, so the trap scaffold stays. It returns the artifact,
+// the compilation and its state (gogen.StateOf).
 func workerOf(t testing.TB, src string, edit func(goSrc string) string) (*backend.Artifact, *driver.Compilation, *gogen.StateSpec) {
 	t.Helper()
 	c, err := driver.Compile(src, driver.Options{Level: core.C2F3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &gogen.StateSpec{}
-	for n, a := range c.LIR.Source.Arrays {
-		if !a.Contracted {
-			spec.Arrays = append(spec.Arrays, n)
-		}
-	}
-	for n := range c.LIR.Source.Scalars {
-		spec.Scalars = append(spec.Scalars, n)
-	}
-	sort.Strings(spec.Arrays)
-	sort.Strings(spec.Scalars)
-	goSrc, err := gogen.EmitState(c.LIR, nil, spec)
+	goSrc, err := gogen.EmitWorker(c.LIR, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +375,7 @@ func workerOf(t testing.TB, src string, edit func(goSrc string) string) (*backen
 	if err != nil {
 		t.Fatal(err)
 	}
-	return art, c, spec
+	return art, c, gogen.StateOf(c.LIR)
 }
 
 // start starts art as a worker over words float64s and closes it when
@@ -400,11 +390,23 @@ func start(t *testing.T, art *backend.Artifact, words int) *backend.Worker {
 	return w
 }
 
-// startLaid is start over the plainest layout of spec (gogen.StateLayout),
-// with each array pointed at its slab.
+// layout is the plainest layout of spec over c: the slab of array k at
+// word slabs[k], one after another after the header and the scalars, in
+// a mapping of words float64s.
+func layout(c *driver.Compilation, spec *gogen.StateSpec) (slabs []int, words int) {
+	words = spec.Base()
+	for _, a := range spec.Arrays {
+		slabs = append(slabs, words)
+		words += c.LIR.Source.Arrays[a].Alloc.Size()
+	}
+	return slabs, words
+}
+
+// startLaid is start over layout(c, spec), with each array pointed at
+// its slab.
 func startLaid(t *testing.T, art *backend.Artifact, c *driver.Compilation, spec *gogen.StateSpec) *backend.Worker {
 	t.Helper()
-	slabs, words := gogen.StateLayout(c.LIR, spec)
+	slabs, words := layout(c, spec)
 	w := start(t, art, words)
 	for k, at := range slabs {
 		w.Point(k, at)
@@ -438,15 +440,16 @@ end;
 func TestStateProtocolRoundTrip(t *testing.T) {
 	requireToolchain(t)
 	art, c, spec := workerOf(t, counter, nil)
-	slabs, words := gogen.StateLayout(c.LIR, spec)
+	slabs, words := layout(c, spec)
 	size := c.LIR.Source.Arrays[spec.Arrays[0]].Alloc.Size()
-	if head := 1 + len(spec.Scalars); len(spec.Arrays) != 1 || slabs[0] != head || words != head+size {
+	if head := spec.Base(); len(spec.Arrays) != 1 || slabs[0] != head || words != head+size {
 		t.Fatalf("program shape changed: spec %+v, slabs at %v of %d words", spec, slabs, words)
 	}
-	sAt := 1 + sort.SearchStrings(spec.Scalars, "s")
-	if spec.Scalars[sAt-1] != "s" {
+	i := sort.SearchStrings(spec.Scalars, "s")
+	if spec.Scalars[i] != "s" {
 		t.Fatalf("no scalar s in %v", spec.Scalars)
 	}
+	sAt := spec.Scalar(i)
 	w := start(t, art, words+size) // room for a second slab of A
 	state := w.State()
 	if len(state) != words+size {
@@ -488,57 +491,6 @@ func TestStateProtocolRoundTrip(t *testing.T) {
 	w.Point(0, slabs[0])
 	run(first, 96) // from what the last run on it left
 	if want := "s = 8\nagain 8\ns = 88\nagain 88\ns = 168\nagain 168\ns = 96\nagain 96\n"; out.String() != want {
-		t.Errorf("output %q, want %q", out.String(), want)
-	}
-}
-
-// TestWorkerArenaArrays: an array outside a worker's spec is a slab of
-// the worker's own arena, not of the state mapping, and keeps its values
-// from one run to the next as any global of the process does.
-func TestWorkerArenaArrays(t *testing.T) {
-	requireToolchain(t)
-	src := `
-program split;
-config n : integer = 8;
-region R = [1..n];
-var A, B : [R] double;
-var s : double;
-proc main()
-begin
-  [R] B := B + A + 1;
-  s := +<< [R] B;
-  writeln("s =", s);
-end;
-`
-	c, err := driver.Compile(src, driver.Options{Level: core.Baseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &gogen.StateSpec{Arrays: []string{"A"}, Scalars: []string{"s"}}
-	goSrc, err := gogen.EmitState(c.LIR, nil, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arrays, _, _ := gogen.ArenaLayout(c.LIR, spec); len(arrays) == 0 || arrays[0] != "B" {
-		t.Fatalf("arena arrays %v, want B and the temporaries", arrays)
-	}
-	art, err := store.Build(context.Background(), goSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := startLaid(t, art, c, spec)
-	var out bytes.Buffer
-	if err := w.Run(context.Background(), &out); err != nil {
-		t.Fatal(err)
-	}
-	slabs, _ := gogen.StateLayout(c.LIR, spec)
-	for i := range 8 {
-		w.State()[slabs[0]+i] = 10
-	}
-	if err := w.Run(context.Background(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if want := "s = 8\ns = 96\n"; out.String() != want {
 		t.Errorf("output %q, want %q", out.String(), want)
 	}
 }
@@ -585,7 +537,7 @@ func TestWorkerFailures(t *testing.T) {
 
 	// A's slab is 8 words: at the header, over the scalars, one word past
 	// the end, or at an offset that wraps around.
-	slabs, words := gogen.StateLayout(c.LIR, spec)
+	slabs, words := layout(c, spec)
 	for _, at := range []int{0, slabs[0] - 1, words - 7, -1} {
 		w := start(t, art, words)
 		w.Point(0, at)
@@ -620,7 +572,7 @@ end;
 	}
 	w.Close()
 	w = startLaid(t, spin, sc, sspec)
-	w.State()[len(sspec.Arrays)+sort.SearchStrings(sspec.Scalars, "s")] = -2.5
+	w.State()[sspec.Scalar(sort.SearchStrings(sspec.Scalars, "s"))] = -2.5
 	var out bytes.Buffer
 	if err := w.Run(context.Background(), &out); err != nil || out.String() != "s -2.5\n" {
 		t.Fatalf("fresh worker after a deadline: %q, %v", out.String(), err)
@@ -641,6 +593,54 @@ end;
 	}
 }
 
+// TestWorkerExitsWithHost: a worker whose host process dies sees end of
+// input and exits. A helper process starts a worker and reports its
+// pid; the test kills the helper with SIGKILL, which leaves it no
+// cleanup to run, and the worker must be gone within a few seconds. A
+// program that never closes its lazy contexts leaves no process running
+// because of this.
+func TestWorkerExitsWithHost(t *testing.T) {
+	requireToolchain(t)
+	if _, err := proctest.Children(); err != nil {
+		t.Skipf("no process table here: %v", err)
+	}
+	if args, ok := proctest.InHelper(); ok {
+		start(t, &backend.Artifact{Bin: args[0]}, 64)
+		kids, err := proctest.Children()
+		if err != nil || len(kids) != 1 {
+			t.Fatalf("children %v, want the worker alone: %v", kids, err)
+		}
+		fmt.Println(kids[0])
+		time.Sleep(time.Hour) // until the test kills this process
+	}
+	art, _, _ := workerOf(t, counter, nil)
+	helper := proctest.Helper("TestWorkerExitsWithHost", art.Bin)
+	var stderr bytes.Buffer
+	helper.Stderr = &stderr
+	stdout, err := helper.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := helper.Start(); err != nil {
+		t.Fatal(err)
+	}
+	line, _ := bufio.NewReader(stdout).ReadString('\n')
+	helper.Process.Kill()
+	helper.Wait()
+	pid, err := strconv.Atoi(strings.TrimSpace(line))
+	if err != nil {
+		t.Fatalf("the helper reported %q, not a worker's pid: %v\n%s", line, err, stderr.String())
+	}
+	for deadline := time.Now().Add(10 * time.Second); proctest.Running(pid); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			if p, err := os.FindProcess(pid); err == nil {
+				p.Kill()
+			}
+			t.Fatalf("worker %d still runs 10 s after its host was killed", pid)
+		}
+	}
+}
+
 // BenchmarkWorkerRun times one run of a resident worker whose kernel is
 // eight additions and a sum: the command byte, the reply frame and the
 // two pipe wake-ups a native lazy Eval pays beyond its kernel and the
@@ -650,7 +650,7 @@ func BenchmarkWorkerRun(b *testing.B) {
 		b.Skip("no go toolchain on PATH")
 	}
 	art, c, spec := workerOf(b, counter, nil)
-	slabs, words := gogen.StateLayout(c.LIR, spec)
+	slabs, words := layout(c, spec)
 	w, err := art.Start(context.Background(), words)
 	if err != nil {
 		b.Fatal(err)

@@ -16,7 +16,7 @@ import (
 )
 
 // Worker is one resident process of a worker artifact: a program
-// emitted with a gogen.StateSpec, whose arrays and scalars live in a
+// emitted by gogen.EmitWorker, whose arrays and scalars live in a
 // mapping this process shares with it. A run is a command byte on the
 // worker's stdin, the kernel, and a reply frame of that run's output on
 // its stdout (the protocol is gogen.StateSpec's); there is no process
@@ -59,7 +59,7 @@ var runCommand = []byte{'r'}
 // Start runs the artifact as a resident worker over a fresh, zeroed
 // mapping of words float64s, and returns once the worker has mapped it
 // and is ready to serve. A worker that refuses its mapping (one shorter
-// than its StateSpec's header and scalars: a "za state error") or exits
+// than its StateSpec's Base: a "za state error") or exits
 // before it is ready is a *RunError carrying its stderr. ctx bounds the
 // start only; its deadline or cancellation kills the worker.
 func (a *Artifact) Start(ctx context.Context, words int) (*Worker, error) {
@@ -128,7 +128,7 @@ func (w *worker) start(f *os.File) error {
 // copied out first.
 func (w *Worker) State() []float64 { return w.state }
 
-// Point sets header word k: the worker's next run finds spec array k in
+// Point sets header word k: the worker's next run finds array k in
 // the slab that starts at word at of State.
 func (w *Worker) Point(k, at int) { w.state[k] = math.Float64frombits(uint64(at)) }
 

@@ -5,7 +5,6 @@ import (
 	"os"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,20 +16,20 @@ import (
 )
 
 // TestArenaLayout: every benchmark at the ladder ends, at its default
-// size and at the run-go bench's (eight times, ep sixteen), and heat
-// emitted as a worker with one array in its spec, cut each array that
-// owns storage from the arena as ArenaLayout says: the slabs are
+// size and at the run-go bench's (eight times, ep sixteen), cut each
+// array that owns storage from the arena as ArenaLayout says: the slabs are
 // disjoint, each is declared arena[o:o+n:o+n] with n its Alloc.Size(),
 // each starts on a 64-byte line, no two start at the same offset in a
 // 4 KiB page, and the huge-page advice is emitted exactly when the
 // arena spans a 2 MiB huge page (on Linux; elsewhere the arena is a
-// make and never advised).
+// make and never advised). Heat emitted as a worker has no arena at all:
+// its arrays are slabs of the state mapping.
 func TestArenaLayout(t *testing.T) {
 	type emission struct {
-		name string
-		src  string
-		spec *gogen.StateSpec
-		opt  driver.Options
+		name   string
+		src    string
+		worker bool
+		opt    driver.Options
 	}
 	var cases []emission
 	for _, b := range programs.All() {
@@ -40,7 +39,7 @@ func TestArenaLayout(t *testing.T) {
 		}
 		for _, n := range []int64{b.DefaultSize, scale * b.DefaultSize} {
 			for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
-				cases = append(cases, emission{fmt.Sprintf("%s n=%d at %v", b.Name, n, lvl), b.Source, nil,
+				cases = append(cases, emission{fmt.Sprintf("%s n=%d at %v", b.Name, n, lvl), b.Source, false,
 					driver.Options{Level: lvl, Configs: map[string]int64{b.SizeConfig: n}}})
 			}
 		}
@@ -49,7 +48,7 @@ func TestArenaLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, emission{"heat worker", string(heat), &gogen.StateSpec{}, driver.Options{Level: core.Baseline}})
+	cases = append(cases, emission{"heat worker", string(heat), true, driver.Options{Level: core.Baseline}})
 
 	slabDecl := regexp.MustCompile(`(?m)^var (za_\w+) = zaM_slab\((\d+), (\d+)\) //`)
 	arenaLen := regexp.MustCompile(`var zaM_arena = (?:zaM_map\(|make\(\[\]float64, )(\d+)\)`)
@@ -60,29 +59,25 @@ func TestArenaLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cs.name, err)
 		}
-		mapped := map[string]bool{}
-		if cs.spec != nil {
-			// The worker maps its first allocated array; the rest stay in
-			// the arena.
-			var alloc []string
-			for n, a := range c.LIR.Source.Arrays {
-				if !a.Contracted {
-					alloc = append(alloc, n)
-				}
+		if cs.worker {
+			src, err := gogen.EmitWorker(c.LIR, c.Bounds)
+			if err != nil {
+				t.Fatalf("%s: %v", cs.name, err)
 			}
-			sort.Strings(alloc)
-			cs.spec.Arrays = alloc[:1]
-			mapped[alloc[0]] = true
+			if strings.Contains(src, "zaM_") {
+				t.Errorf("%s: a worker emits an arena", cs.name)
+			}
+			continue
 		}
-		arrays, slabs, words := gogen.ArenaLayout(c.LIR, cs.spec)
-		src, err := gogen.EmitState(c.LIR, c.Bounds, cs.spec)
+		arrays, slabs, words := gogen.ArenaLayout(c.LIR)
+		src, err := gogen.EmitBounds(c.LIR, c.Bounds)
 		if err != nil {
 			t.Fatalf("%s: %v", cs.name, err)
 		}
 
 		want := 0
-		for n, a := range c.LIR.Source.Arrays {
-			if !a.Contracted && !mapped[n] {
+		for _, a := range c.LIR.Source.Arrays {
+			if !a.Contracted {
 				want++
 			}
 		}

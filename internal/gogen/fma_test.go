@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -59,22 +58,12 @@ func TestEmittedNoFMA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s at %v: %v", name, lvl, err)
 		}
-		var spec *gogen.StateSpec
+		render := gogen.EmitBounds
 		if worker {
-			spec = &gogen.StateSpec{}
-			for n, a := range c.LIR.Source.Arrays {
-				if !a.Contracted {
-					spec.Arrays = append(spec.Arrays, n)
-				}
-			}
-			for n := range c.LIR.Source.Scalars {
-				spec.Scalars = append(spec.Scalars, n)
-			}
-			sort.Strings(spec.Arrays)
-			sort.Strings(spec.Scalars)
+			render = gogen.EmitWorker
 			name += " worker"
 		}
-		goSrc, err := gogen.EmitState(c.LIR, c.Bounds, spec)
+		goSrc, err := render(c.LIR, c.Bounds)
 		if err != nil {
 			t.Fatalf("%s at %v: %v", name, lvl, err)
 		}

@@ -10,8 +10,8 @@
 // the emitted loops cost ~2.0 ns per element-statement against the
 // VM's 3–5, and emitted heat runs within 1.1× of a hand-fused Go kernel.
 // A one-shot program (zplrun, zpld) pays a process spawn (~2.8 ms on
-// the bench host) the VM does not. A program emitted with a StateSpec
-// is a resident worker instead: the lazy runtime starts it once per
+// the bench host) the VM does not. A program emitted by EmitWorker is a
+// resident worker instead: the lazy runtime starts it once per
 // cached compilation, and each run is a pipe round trip over state in
 // a shared mapping (DESIGN.md §29). Running both engines closes the
 // loop on code-generation correctness with the host toolchain as the
@@ -32,10 +32,11 @@
 //     its compute-only wall clock ("za_elapsed_ns <n>") on stderr,
 //     so measurements exclude process startup.
 //
-// Every array with storage of its own is a slab of one allocation, the
-// arena (ArenaLayout): on Linux an anonymous mapping, off the Go heap,
-// so a one-shot program pays neither a make per array nor the garbage
-// collections those makes start during initialization.
+// Every array of a one-shot program with storage of its own is a slab
+// of one allocation, the arena (ArenaLayout): on Linux an anonymous
+// mapping, off the Go heap, so the program pays neither a make per array
+// nor the garbage collections those makes start during initialization.
+// A worker's arrays are slabs of the mapping it shares with its host.
 //
 // Imports are emitted only when the program actually uses them (math
 // is conditional; fmt and os are always used by the main scaffold, time
@@ -78,33 +79,33 @@ const TimeEnv = "ZPL_TIME_NS"
 // TimeEnv.
 const ElapsedPrefix = "za_elapsed_ns "
 
-// StateFD is the descriptor at which a resident worker (a binary emitted
-// with a non-nil StateSpec) finds its state mapping.
+// StateFD is the descriptor at which a resident worker (EmitWorker)
+// finds its state mapping.
 const StateFD = 3
 
-// StateSpec declares, in order, which arrays and scalars live in a
-// resident worker's state mapping, a whole number of 8-byte words laid
-// out as:
+// StateSpec is what a resident worker shares with its host, in order
+// (StateOf): its arrays and scalars live in the state mapping, a whole
+// number of 8-byte words laid out as:
 //
 //   - the header: word k holds, as a little-endian uint64, the word
-//     offset of the slab of spec array k — Alloc.Size() float64s, the
-//     full allocated storage including halo, row-major;
-//   - the scalars, one float64 each, word len(Arrays)+i for scalar i;
-//   - the slabs, anywhere after that, as many as the host likes.
+//     offset of the slab of array k — Alloc.Size() float64s, the full
+//     allocated storage including halo, row-major;
+//   - the scalars, one float64 each, word Scalar(i) for scalar i;
+//   - the slabs, from word Base() on, as many as the host likes.
 //
 // The header is the host's to rewrite between runs: it moves an array
 // to another slab without copying it, and slabs of equal size are
-// interchangeable. A mapping shorter than the header and the scalars is
-// a state error (exit code ExitTrap) before the worker serves. The
-// caller owns the ordering; the emitter follows it verbatim, so the two
-// halves of the protocol agree by construction.
+// interchangeable. A mapping shorter than Base() words is a state error
+// (exit code ExitTrap) before the worker serves. Host and worker both
+// take the order from StateOf, so the two halves of the protocol agree
+// by construction.
 //
 // The worker maps the file at StateFD and writes an empty reply frame:
 // it is ready. Each byte it then reads on stdin is one run: it reads the
-// header and re-slices each spec array to the slab its word names — an
+// header and re-slices each array to the slab its word names — an
 // offset that puts the slab inside the header or the scalars, or past
 // the end of the mapping, is a state error, exit ExitTrap, before the
-// kernel runs — loads the spec scalars, runs the program (under the trap
+// kernel runs — loads the scalars, runs the program (under the trap
 // scaffold unless every access is proven), stores the scalars back and
 // replies with a frame of that run's writeln bytes — a 4-byte
 // little-endian length, then the bytes. A trap ends the process with
@@ -117,20 +118,31 @@ type StateSpec struct {
 	Scalars []string
 }
 
-// StateLayout is the plainest layout of spec over p: the slab of spec
-// array k at word slabs[k], one after another after the header and the
-// scalars, in a mapping of words float64s. It does not check the names;
-// the emitter does.
-func StateLayout(p *lir.Program, spec *StateSpec) (slabs []int, words int) {
-	words = len(spec.Arrays) + len(spec.Scalars)
-	for _, a := range spec.Arrays {
-		slabs = append(slabs, words)
-		if info := p.Source.Arrays[a]; info != nil {
-			words += info.Alloc.Size()
+// StateOf is the state a resident worker of p shares with its host:
+// every allocated (non-contracted) array and every scalar, each in name
+// order. Contraction has already decided which arrays p stores; a worker
+// shares all of them, so it keeps no storage of its own.
+func StateOf(p *lir.Program) *StateSpec {
+	s := &StateSpec{}
+	for n, a := range p.Source.Arrays {
+		if !a.Contracted {
+			s.Arrays = append(s.Arrays, n)
 		}
 	}
-	return slabs, words
+	for n := range p.Source.Scalars {
+		s.Scalars = append(s.Scalars, n)
+	}
+	sort.Strings(s.Arrays)
+	sort.Strings(s.Scalars)
+	return s
 }
+
+// Base is the number of words before the slabs: the header and the
+// scalars.
+func (s *StateSpec) Base() int { return len(s.Arrays) + len(s.Scalars) }
+
+// Scalar is the word that holds scalar i.
+func (s *StateSpec) Scalar(i int) int { return len(s.Arrays) + i }
 
 // Arena geometry, in float64 words: a slab starts on its own 64-byte
 // cache line of a 4 KiB page, and an arena of at least a 2 MiB huge
@@ -141,11 +153,12 @@ const (
 	hugeBytes = 2 << 20
 )
 
-// ArenaLayout lays out the arena of p emitted with spec (nil for a
-// one-shot program): arrays are the allocated arrays outside spec, in
-// name order, and array k is the slab arena[slabs[k] : slabs[k]+n :
-// slabs[k]+n] of an arena of words float64s, n its Alloc.Size(), so a
-// checked access traps with the message a slice of its own gives.
+// ArenaLayout lays out the arena of p's one-shot program: arrays are
+// its allocated arrays in name order, and array k is the slab
+// arena[slabs[k] : slabs[k]+n : slabs[k]+n] of an arena of words
+// float64s, n its Alloc.Size(), so a checked access traps with the
+// message a slice of its own gives. A worker has no arena: its arrays
+// are slabs of the state mapping (StateSpec).
 //
 // Slab k starts at the first word after slab k-1 that sits on cache
 // line k mod 64 of a 4 KiB page. The stagger is what makes one arena
@@ -153,19 +166,8 @@ const (
 // same cache set, and a nest that reads several of them at one index
 // evicts its own lines (DESIGN.md §30). The gaps cost at most 4 KiB a
 // slab and are never touched; past 64 slabs the lines repeat.
-func ArenaLayout(p *lir.Program, spec *StateSpec) (arrays []string, slabs []int, words int) {
-	mapped := map[string]bool{}
-	if spec != nil {
-		for _, n := range spec.Arrays {
-			mapped[n] = true
-		}
-	}
-	for n, a := range p.Source.Arrays {
-		if !a.Contracted && !mapped[n] {
-			arrays = append(arrays, n)
-		}
-	}
-	sort.Strings(arrays)
+func ArenaLayout(p *lir.Program) (arrays []string, slabs []int, words int) {
+	arrays = StateOf(p).Arrays
 	for k, n := range arrays {
 		at := (k*lineWords - words) % pageWords
 		if at < 0 {
@@ -194,16 +196,21 @@ func Emit(p *lir.Program) (string, error) { return EmitBounds(p, nil) }
 // shift, wrapped into the storage, making the seeded wrong interval an
 // observable wrong answer. bounds == nil emits fully checked code.
 func EmitBounds(p *lir.Program, bounds *absint.Result) (string, error) {
-	return EmitState(p, bounds, nil)
+	return emit(p, bounds, nil)
 }
 
-// EmitState renders the program like EmitBounds and, when spec is
-// non-nil, as a resident worker instead of a one-shot program: main is
-// the serve loop StateSpec describes, the spec arrays are slabs of the
-// state mapping, and writeln collects each run's output for the reply.
-// spec == nil emits byte-identical output to EmitBounds, so existing
-// content-addressed artifacts keep their keys.
-func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error) {
+// EmitWorker renders the program like EmitBounds but as a resident
+// worker instead of a one-shot program: main is the serve loop
+// StateSpec describes, every array and scalar is the state StateOf(p)
+// the worker shares with its host, and writeln collects each run's
+// output for the reply.
+func EmitWorker(p *lir.Program, bounds *absint.Result) (string, error) {
+	return emit(p, bounds, StateOf(p))
+}
+
+// emit renders p as a one-shot program, or as a resident worker over
+// spec when spec is non-nil.
+func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error) {
 	g := &gen{p: p, bounds: bounds, spec: spec}
 	var body bytes.Buffer
 	g.b = &body
@@ -225,10 +232,7 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 	allProven := bounds != nil && bounds.AllProven()
 	// The serve loop renders before the import block is fixed (it may
 	// need unsafe), like declarations below.
-	serve, err := g.serveLoop(allProven)
-	if err != nil {
-		return "", err
-	}
+	serve := g.serveLoop(allProven)
 
 	// Declarations may themselves need math (an Inf/NaN initializer),
 	// so they render to a side buffer before the import block is fixed.
@@ -293,33 +297,16 @@ func EmitState(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, 
 
 // serveLoop renders a resident worker's half of the protocol StateSpec
 // describes — mapping the state, and the serve loop as main, which
-// points each spec array at the slab its header word names (zaW_slab)
-// and runs the program under the trap scaffold unless every access is
-// proven — after checking that the spec names only allocated arrays and
-// known scalars. With no spec it
-// contributes nothing, keeping spec-less emission byte-identical to the
-// historical output. The zaW_ prefix cannot collide with goName's "za_".
-func (g *gen) serveLoop(allProven bool) (string, error) {
+// points each array at the slab its header word names (zaW_slab) and
+// runs the program under the trap scaffold unless every access is
+// proven. A one-shot program has none. The zaW_ prefix cannot collide
+// with goName's "za_".
+func (g *gen) serveLoop(allProven bool) string {
 	if g.spec == nil {
-		return "", nil
-	}
-	for _, n := range g.spec.Arrays {
-		a := g.p.Source.Arrays[n]
-		if a == nil {
-			return "", fmt.Errorf("gogen: state spec names unknown array %s", n)
-		}
-		if a.Contracted {
-			return "", fmt.Errorf("gogen: state spec names contracted array %s", n)
-		}
-	}
-	for _, n := range g.spec.Scalars {
-		if g.p.Source.Scalars[n] == nil {
-			return "", fmt.Errorf("gogen: state spec names unknown scalar %s", n)
-		}
+		return ""
 	}
 	// The header is words [0, head), the scalars [head, base).
-	head := len(g.spec.Arrays)
-	base := head + len(g.spec.Scalars)
+	head, base := len(g.spec.Arrays), g.spec.Base()
 
 	var b strings.Builder
 	b.WriteString("var zaW_state []float64\n")
@@ -357,14 +344,14 @@ func (g *gen) serveLoop(allProven bool) (string, error) {
 		fmt.Fprintf(&b, "\t\t%s = zaW_slab(%d, %d)\n", goName(n), k, g.p.Source.Arrays[n].Alloc.Size())
 	}
 	for i, n := range g.spec.Scalars {
-		fmt.Fprintf(&b, "\t\t%s = zaW_state[%d]\n", goName(n), head+i)
+		fmt.Fprintf(&b, "\t\t%s = zaW_state[%d]\n", goName(n), g.spec.Scalar(i))
 	}
 	fmt.Fprintf(&b, "\t\t%s()\n", run)
 	for i, n := range g.spec.Scalars {
-		fmt.Fprintf(&b, "\t\tzaW_state[%d] = %s\n", head+i, goName(n))
+		fmt.Fprintf(&b, "\t\tzaW_state[%d] = %s\n", g.spec.Scalar(i), goName(n))
 	}
 	b.WriteString("\t}\n}\n")
-	return b.String(), nil
+	return b.String()
 }
 
 // serveHead opens a resident worker's main: reply with the frame of the
@@ -475,34 +462,23 @@ func (g *gen) floatLit(v float64) string {
 }
 
 // declarations emits array storage and scalar variables. Contracted
-// arrays have no storage at all: each is a local of its one nest, a
-// resident worker's spec arrays are slabs of its state mapping, and
-// every other array is a slab of the arena (ArenaLayout).
+// arrays have no storage at all: each is a local of its one nest. Every
+// other array is a slab of a worker's state mapping (StateSpec) or of a
+// one-shot program's arena (ArenaLayout).
 func (g *gen) declarations(out *strings.Builder) {
-	arrays, slabs, words := ArenaLayout(g.p, g.spec)
-	names := make([]string, 0, len(g.p.Source.Arrays))
-	for n := range g.p.Source.Arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	k := 0 // arrays is in name order too
-	for _, n := range names {
+	// arrays is every allocated array in name order; the slabs and the
+	// arena's words serve a one-shot program only.
+	state := StateOf(g.p)
+	arrays, slabs, words := ArenaLayout(g.p)
+	for k, n := range arrays {
 		a := g.p.Source.Arrays[n]
-		switch {
-		case a.Contracted:
-		case k < len(arrays) && arrays[k] == n:
-			fmt.Fprintf(out, "var %s = zaM_slab(%d, %d) // %s\n", goName(n), slabs[k], a.Alloc.Size(), a.Alloc)
-			k++
-		default:
+		if g.spec != nil {
 			fmt.Fprintf(out, "var %s []float64 // %s, mapped\n", goName(n), a.Alloc)
+		} else {
+			fmt.Fprintf(out, "var %s = zaM_slab(%d, %d) // %s\n", goName(n), slabs[k], a.Alloc.Size(), a.Alloc)
 		}
 	}
-	names = names[:0]
-	for n := range g.p.Source.Scalars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range state.Scalars {
 		s := g.p.Source.Scalars[n]
 		if s.Config {
 			fmt.Fprintf(out, "var %s float64 = %s\n", goName(n), g.floatLit(s.Init))
@@ -511,7 +487,7 @@ func (g *gen) declarations(out *strings.Builder) {
 		}
 	}
 	out.WriteString("\n")
-	if len(arrays) > 0 {
+	if g.spec == nil && len(arrays) > 0 {
 		fmt.Fprintf(out, "// zaM_arena holds the arrays above that own storage: %d words, each slab on its own cache line mod 4 KiB.\n", words)
 		g.arenaMap(out, words)
 		out.WriteString(helperSlab)

@@ -232,9 +232,12 @@ end;
 	matrix.Check(t, matrix.Program{Name: "pnative", Src: src}.At(core.C2F3, matrix.Go))
 }
 
-// TestEmitStateNilSpecIdentical: a nil StateSpec must emit exactly the
-// historical output — the state protocol may not perturb the content
-// addresses of existing native artifacts.
+// TestEmitStateNilSpecIdentical: the one-shot emission carries none of
+// the worker machinery — the state protocol may not perturb the content
+// addresses of one-shot native artifacts — and the worker emission of
+// the same program has its mapping, its serve loop and its output
+// buffer, no arena, no self-timing and no print to stdout, and go vet
+// accepts it.
 func TestEmitStateNilSpecIdentical(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/quickstart.za")
 	if err != nil {
@@ -249,72 +252,24 @@ func TestEmitStateNilSpecIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stated, err := gogen.EmitState(c.LIR, c.Bounds, nil)
+		if strings.Contains(plain, "zaW_") {
+			t.Errorf("%s: one-shot emission contains worker machinery", lvl)
+		}
+		out, err := gogen.EmitWorker(c.LIR, c.Bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plain != stated {
-			t.Errorf("%s: EmitState(nil spec) diverged from EmitBounds", lvl)
+		for _, want := range []string{"func zaW_map()", "syscall.Mmap(", "zaW_out = fmt.Appendf(zaW_out,", "os.Stdin.Read("} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: worker emission missing %q", lvl, want)
+			}
 		}
-		if strings.Contains(plain, "zaW_") {
-			t.Errorf("%s: spec-less emission contains worker machinery", lvl)
+		if strings.Contains(out, `"time"`) || strings.Contains(out, "fmt.Printf") || strings.Contains(out, "zaM_") {
+			t.Errorf("%s: worker emission times itself, prints to stdout or has an arena:\n%s", lvl, out)
 		}
-	}
-}
-
-// TestEmitStateSpecValidation: unknown or contracted names in the spec
-// must be emission errors, and a valid spec must produce a worker — its
-// mapping, its serve loop, its output buffer, no self-timing — whose
-// source go vet accepts.
-func TestEmitStateSpecValidation(t *testing.T) {
-	src, err := os.ReadFile("../../testdata/quickstart.za")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4S})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gogen.EmitState(c.LIR, c.Bounds, &gogen.StateSpec{Arrays: []string{"nope"}}); err == nil {
-		t.Error("unknown array accepted")
-	}
-	if _, err := gogen.EmitState(c.LIR, c.Bounds, &gogen.StateSpec{Scalars: []string{"nope"}}); err == nil {
-		t.Error("unknown scalar accepted")
-	}
-	spec := &gogen.StateSpec{}
-	var contracted string
-	for n, a := range c.LIR.Source.Arrays {
-		if a.Contracted {
-			contracted = n
-		} else {
-			spec.Arrays = append(spec.Arrays, n)
+		if _, err := exec.LookPath("go"); err == nil && !testing.Short() {
+			vetClean(t, "quickstart worker", out)
 		}
-	}
-	for n := range c.LIR.Source.Scalars {
-		spec.Scalars = append(spec.Scalars, n)
-	}
-	if contracted != "" {
-		if _, err := gogen.EmitState(c.LIR, c.Bounds, &gogen.StateSpec{Arrays: []string{contracted}}); err == nil {
-			t.Error("contracted array accepted")
-		}
-	}
-	if len(spec.Arrays) == 0 {
-		t.Fatal("no live array to spec")
-	}
-	out, err := gogen.EmitState(c.LIR, c.Bounds, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"func zaW_map()", "syscall.Mmap(", "zaW_out = fmt.Appendf(zaW_out,", "os.Stdin.Read("} {
-		if !strings.Contains(out, want) {
-			t.Errorf("worker emission missing %q", want)
-		}
-	}
-	if strings.Contains(out, `"time"`) || strings.Contains(out, "fmt.Printf") {
-		t.Errorf("worker emission times itself or prints to stdout:\n%s", out)
-	}
-	if _, err := exec.LookPath("go"); err == nil && !testing.Short() {
-		vetClean(t, "quickstart worker", out)
 	}
 }
 

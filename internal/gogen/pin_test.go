@@ -1,0 +1,95 @@
+package gogen_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/driver"
+	"repro/internal/gogen"
+	"repro/internal/programs"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/emission_hashes.json from this build's emitter")
+
+// TestEmissionPinned pins what the emitter writes: the SHA-256 of the
+// one-shot emission (EmitBounds, what zplrun -backend go builds) and of
+// the worker emission (EmitWorker, what the lazy runtime builds) of
+// each benchmark at its default size and of testdata/heat.za, at the
+// ladder ends, with the prover's verdicts, against
+// testdata/emission_hashes.json. An emission is the content address of
+// its artifact, so a changed hash is a changed binary: -update only for
+// a deliberate change to the emitted code. One-shot hashes are checked
+// on Linux only, since the arena's host half differs by OS
+// (arena_linux.go, arena_other.go); a worker has no arena, and its
+// hashes hold everywhere.
+func TestEmissionPinned(t *testing.T) {
+	path := filepath.Join("testdata", "emission_hashes.json")
+	heat, err := os.ReadFile("../../testdata/heat.za")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := append(programs.All(), programs.Benchmark{Name: "heat", Source: string(heat)})
+	sum := func(src string) string {
+		h := sha256.Sum256([]byte(src))
+		return hex.EncodeToString(h[:])
+	}
+	got := map[string]string{}
+	for _, p := range progs {
+		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+			id := fmt.Sprintf("%s/%s", p.Name, lvl)
+			c, err := driver.Compile(p.Source, driver.Options{Level: lvl})
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			oneShot, err := gogen.EmitBounds(c.LIR, c.Bounds)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			worker, err := gogen.EmitWorker(c.LIR, c.Bounds)
+			if err != nil {
+				t.Fatalf("%s worker: %v", id, err)
+			}
+			got[id+"/one-shot"], got[id+"/worker"] = sum(oneShot), sum(worker)
+		}
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with go test ./internal/gogen -run TestEmissionPinned -update)", err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d emissions hashed, %d pinned", len(got), len(want))
+	}
+	for id, w := range want {
+		if filepath.Base(id) == "one-shot" && runtime.GOOS != "linux" {
+			continue
+		}
+		if got[id] != w {
+			t.Errorf("%s: emission changed (%.12s, pinned %.12s)", id, got[id], w)
+		}
+	}
+}

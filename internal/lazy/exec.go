@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/air"
@@ -121,10 +120,10 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 		return nil, err
 	}
 	entry := &ccache.Entry{Key: key, Kind: ccache.ArtifactLazy, Source: cb.source(), Comp: comp}
-	spec := stateSpec(comp.LIR)
+	spec := gogen.StateOf(comp.LIR)
 	native := dopt.Backend.Native()
 	if native {
-		goSrc, err := gogen.EmitState(comp.LIR, comp.Bounds, spec)
+		goSrc, err := gogen.EmitWorker(comp.LIR, comp.Bounds)
 		if err != nil {
 			return nil, err
 		}
@@ -222,24 +221,6 @@ func usesOf(p *lir.Program) map[string]arrayUse {
 		}
 	}
 	return uses
-}
-
-// stateSpec lays out a compiled batch's executor state: every allocated
-// (non-contracted) array, then every scalar, each in sorted name order.
-// A worker's mapping follows it, and residentArrays keeps its order.
-func stateSpec(p *lir.Program) *gogen.StateSpec {
-	spec := &gogen.StateSpec{}
-	for n, a := range p.Source.Arrays {
-		if !a.Contracted {
-			spec.Arrays = append(spec.Arrays, n)
-		}
-	}
-	for n := range p.Source.Scalars {
-		spec.Scalars = append(spec.Scalars, n)
-	}
-	sort.Strings(spec.Arrays)
-	sort.Strings(spec.Scalars)
-	return spec
 }
 
 // seedOf is the value a handle brings into a batch: an array's host
@@ -397,8 +378,9 @@ func number(kind byte, name string) int {
 }
 
 // residentArrays describes a compiled batch's allocated arrays, in the
-// order of its state spec: the handle each binds (number), what a run
-// does with it and its link. Their storage is the executor's to fill in.
+// order of its state (gogen.StateOf): the handle each binds (number),
+// what a run does with it and its link. Their storage is the executor's
+// to fill in.
 func residentArrays(p *lir.Program, spec *gogen.StateSpec) []residentArray {
 	uses := usesOf(p)
 	var arrays []residentArray
@@ -418,15 +400,15 @@ func residentArrays(p *lir.Program, spec *gogen.StateSpec) []residentArray {
 }
 
 // executorWords is the size, in words, of the storage kept by an
-// executor whose state spec is spec and whose arrays are arrays: on the
-// VM one buffer per array, which is what vm.Machine.MemoryFootprint
-// sums; on a worker its whole mapping — the header and the scalars
+// executor whose state is spec and whose arrays are arrays: on the VM
+// one buffer per array, which is what vm.Machine.MemoryFootprint sums;
+// on a worker its whole mapping — the header and the scalars
 // (gogen.StateSpec), then a slab per array and a second one per swapped
 // array, since the handle keeps the one the last run wrote (adopt).
 func executorWords(spec *gogen.StateSpec, arrays []residentArray, native bool) int {
 	words := 0
 	if native {
-		words = len(arrays) + len(spec.Scalars)
+		words = spec.Base()
 	}
 	for _, a := range arrays {
 		n := a.alloc.Size()
@@ -560,7 +542,7 @@ func (s *slab) evacuate() int {
 // a second for a swapped array on a worker.
 func (e *Engine) start(ctx context.Context, entry *ccache.Entry) (*executor, error) {
 	p := entry.Comp.LIR
-	spec := stateSpec(p)
+	spec := gogen.StateOf(p)
 	x := &executor{arrays: residentArrays(p, spec)}
 	var buffer func(k int) slab
 	var slot func(i int) *float64
@@ -581,13 +563,13 @@ func (e *Engine) start(ctx context.Context, entry *ccache.Entry) (*executor, err
 			return nil, err
 		}
 		state := x.w.State()
-		at := len(x.arrays) + len(spec.Scalars)
+		at := spec.Base()
 		buffer = func(k int) slab {
 			n := x.arrays[k].alloc.Size()
 			at += n
 			return slab{data: state[at-n : at : at], at: at - n}
 		}
-		slot = func(i int) *float64 { return &state[len(x.arrays)+i] }
+		slot = func(i int) *float64 { return &state[spec.Scalar(i)] }
 	}
 	e.starts++
 	x.on = make([]int, len(x.arrays))

@@ -87,16 +87,6 @@ type Options struct {
 	// ArtifactDir overrides the native artifact store location
 	// (BackendGo only); "" uses backend.DefaultDir.
 	ArtifactDir string
-	// MaxBatchOps splits a sync point's pending operations into
-	// batches of at most this many operations; <= 0 batches the whole
-	// DAG together (barriers still split).
-	MaxBatchOps int
-	// Check runs the static AIR/plan verifier on every compiled batch.
-	Check bool
-	// ScalarReplace enables scalar replacement in generated nests.
-	ScalarReplace bool
-	// NoProve disables the bounds prover (keeps every runtime check).
-	NoProve bool
 }
 
 // Stats counts an engine's activity. Compilation-cache behavior is
@@ -156,9 +146,11 @@ type Engine struct {
 	// compileHook, set by tests only, runs first in a batch's compile:
 	// the seam for a compiler that panics. emitHook, also set by tests
 	// only, rewrites a native batch's emitted source before it is built:
-	// the seam for a program that traps.
+	// the seam for a program that traps, which needs noProve too, so
+	// that the trap scaffold is emitted.
 	compileHook func()
 	emitHook    func(goSrc string) string
+	noProve     bool
 	// memoHits counts batches that skipped canonicalization and starts
 	// the executors started (machines built, workers started); tests
 	// read them.
@@ -552,15 +544,14 @@ func (e *Engine) evalLocked(ctx context.Context) error {
 }
 
 // partition is the one walk over an Eval's pending operations. It cuts
-// them into batches at barriers and, when MaxBatchOps > 0, after every
-// MaxBatchOps operations; batches preserve issue order, and
+// them into batches at barriers; batches preserve issue order, and
 // canonicalization reorders only within one. On the way it holds Temps
 // to their contract in issue order — a Temp read must follow a write to
-// it within the Eval, since Temps hold no value across sync points — and
-// records in e.lastRead the last batch that reads each Temp. A Temp
-// escapes batch i, its value outliving the batch, exactly when that
-// last batch is after i; Temps confined to one batch are the
-// contraction candidates.
+// it within the Eval, since Temps hold no value across sync points; the
+// first read that breaks it is the error — and records in e.lastRead
+// the last batch that reads each Temp. A Temp escapes batch i, its value
+// outliving the batch, exactly when that last batch is after i; Temps
+// confined to one batch are the contraction candidates.
 func (e *Engine) partition(ops []*op) ([][]*op, error) {
 	var batches [][]*op
 	var err error
@@ -593,23 +584,16 @@ func (e *Engine) partition(ops []*op) ([][]*op, error) {
 			}
 			e.lastRead[h] = batch
 		})
-		if err != nil {
-			return nil, err
-		}
 		if o.kind == opAssign && o.target.temp {
 			if _, written := e.lastRead[o.target]; !written {
 				e.lastRead[o.target] = -1
 			}
 		}
-		if max := e.opt.MaxBatchOps; max > 0 && i+1-start >= max {
-			batches = append(batches, ops[start:i+1])
-			start = i + 1
-		}
 	}
 	if start < len(ops) {
 		batches = append(batches, ops[start:])
 	}
-	return batches, nil
+	return batches, err
 }
 
 // Values syncs and returns a copy of the handle's current contents,
@@ -766,11 +750,5 @@ func (e *Engine) endExecutors() error {
 // driverOptions is the compilation-affecting option set, the second
 // cache-key input besides the canonical words.
 func (e *Engine) driverOptions() driver.Options {
-	return driver.Options{
-		Level:         e.opt.Level,
-		ScalarReplace: e.opt.ScalarReplace,
-		Check:         e.opt.Check,
-		NoProve:       e.opt.NoProve,
-		Backend:       e.opt.Backend,
-	}
+	return driver.Options{Level: e.opt.Level, NoProve: e.noProve, Backend: e.opt.Backend}
 }

@@ -330,12 +330,13 @@ func TestFingerprintCanonicalization(t *testing.T) {
 			e.Scalar("s", 0).Sum(r, h)
 		}
 	}
-	// Under MaxBatchOps 1 the first batch is t := 3 alone, and whether
-	// the second reads t flips t's escape bit.
+	// The first batch is t := 3 alone, and whether the second reads t
+	// flips t's escape bit.
 	escaping := func(read bool) func(*Engine) {
 		return func(e *Engine) {
 			tmp, b := e.Temp("t", r), e.Array("b", r)
 			tmp.Assign(nil, Const(3))
+			e.Barrier()
 			if read {
 				b.Assign(nil, Mul(tmp, Const(2)))
 			} else {
@@ -358,35 +359,34 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 	pairs := []struct {
 		name string
-		opt  Options
 		x, y func(*Engine)
 	}{
-		{"+0 vs -0", Options{}, quotient(0), quotient(math.Copysign(0, -1))},
-		{"a := f(a) vs a := f(b)", Options{}, increment(true), increment(false)},
-		{"temp vs array target", Options{}, sumOf(true), sumOf(false)},
-		{"escape bit", Options{MaxBatchOps: 1}, escaping(false), escaping(true)},
-		{"writeln strings", Options{}, say("alpha"), say("beta")},
-		{"MaxOf vs MinOf", Options{}, extreme(true), extreme(false)},
+		{"+0 vs -0", quotient(0), quotient(math.Copysign(0, -1))},
+		{"a := f(a) vs a := f(b)", increment(true), increment(false)},
+		{"temp vs array target", sumOf(true), sumOf(false)},
+		{"escape bit", escaping(false), escaping(true)},
+		{"writeln strings", say("alpha"), say("beta")},
+		{"MaxOf vs MinOf", extreme(true), extreme(false)},
 	}
 
-	keyOf := func(opt Options, build func(*Engine), hash func([]uint64) uint64) (ccache.Key, *canonBatch) {
-		e := NewEngine(opt)
+	keyOf := func(build func(*Engine), hash func([]uint64) uint64) (ccache.Key, *canonBatch) {
+		e := NewEngine(Options{})
 		build(e)
 		return canonKey(t, e, hash)
 	}
 	for i, hash := range []func([]uint64) uint64{hashWords, collideAll} {
 		collide := i == 1
-		want, wantCB := keyOf(Options{}, base, hash)
+		want, wantCB := keyOf(base, hash)
 		for _, tc := range cases {
-			got, gotCB := keyOf(Options{}, tc.build, hash)
+			got, gotCB := keyOf(tc.build, hash)
 			if (got == want) != tc.equal {
 				t.Errorf("%s (colliding tie-break %v): key equality = %v, want %v\nbase:\n%sgot:\n%s",
 					tc.name, collide, got == want, tc.equal, statements(t, wantCB), statements(t, gotCB))
 			}
 		}
 		for _, p := range pairs {
-			kx, cbx := keyOf(p.opt, p.x, hash)
-			ky, cby := keyOf(p.opt, p.y, hash)
+			kx, cbx := keyOf(p.x, hash)
+			ky, cby := keyOf(p.y, hash)
 			if kx == ky {
 				t.Errorf("%s (colliding tie-break %v): one canonical key for both\n%sand\n%s",
 					p.name, collide, statements(t, cbx), statements(t, cby))
@@ -448,9 +448,9 @@ func TestFingerprintDependenceOrder(t *testing.T) {
 	}
 }
 
-// TestBarrierSplitsBatches checks explicit barriers and MaxBatchOps
-// both split an Eval into multiple batches, and that a Temp read
-// across the split still carries its value (it escapes its batch).
+// TestBarrierSplitsBatches checks that an explicit barrier splits an
+// Eval into multiple batches, and that a Temp read across the split
+// still carries its value (it escapes its batch).
 func TestBarrierSplitsBatches(t *testing.T) {
 	var out bytes.Buffer
 	e := NewEngine(Options{Level: core.C2, Out: &out})
@@ -471,17 +471,18 @@ func TestBarrierSplitsBatches(t *testing.T) {
 		t.Errorf("output = %q, want %q", out.String(), "s 8\n")
 	}
 
-	// Temp spanning a forced split: written in batch 1, read in batch 2.
-	e2 := NewEngine(Options{Level: core.C2, MaxBatchOps: 1})
+	// Temp spanning the split: written in batch 1, read in batch 2.
+	e2 := NewEngine(Options{Level: core.C2})
 	tmp := e2.Temp("t", r)
 	b := e2.Array("b", r)
 	tmp.Assign(nil, Const(3))
+	e2.Barrier()
 	b.Assign(nil, Mul(tmp, Const(2)))
 	if err := e2.Eval(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.Stats().Batches; got != 2 {
-		t.Errorf("forced split batches = %d, want 2", got)
+		t.Errorf("batches across the temp = %d, want 2", got)
 	}
 	v, err := b.Value(1)
 	if err != nil {

@@ -121,9 +121,9 @@ func TestCanonMemoExact(t *testing.T) {
 			return scalar(s)
 		}}
 	}
-	// Under MaxBatchOps 1 the temp's write is a batch of its own, and
-	// whether the next batch reads it flips the temp's escape bit. A
-	// memo hit of the non-escaping compilation would lose its value.
+	// The temp's write is a batch of its own, and whether the next batch
+	// reads it flips the temp's escape bit. A memo hit of the
+	// non-escaping compilation would lose its value.
 	escaping := func(read bool) side {
 		want := "5"
 		if read {
@@ -132,6 +132,7 @@ func TestCanonMemoExact(t *testing.T) {
 		return side{want, func(e *Engine, _ *bytes.Buffer) string {
 			tmp, b := e.Temp("t", r), e.Array("b", r)
 			tmp.Assign(nil, Const(3))
+			e.Barrier()
 			if read {
 				b.Assign(nil, Mul(tmp, Const(2)))
 			} else {
@@ -169,23 +170,20 @@ func TestCanonMemoExact(t *testing.T) {
 	}
 	pairs := []struct {
 		name string
-		opt  Options
 		x, y side
 	}{
-		{"+0 vs -0", Options{Level: core.C2}, quotient(0), quotient(math.Copysign(0, -1))},
-		{"a := f(a) vs a := f(b)", Options{Level: core.C2}, increment(true), increment(false)},
-		{"temp vs array target", Options{Level: core.C2}, sumOf(true), sumOf(false)},
-		{"escape bit", Options{Level: core.C2, MaxBatchOps: 1}, escaping(false), escaping(true)},
-		{"writeln strings", Options{Level: core.C2}, say("alpha"), say("beta")},
-		{"MaxOf vs MinOf", Options{Level: core.C2}, extreme(true), extreme(false)},
+		{"+0 vs -0", quotient(0), quotient(math.Copysign(0, -1))},
+		{"a := f(a) vs a := f(b)", increment(true), increment(false)},
+		{"temp vs array target", sumOf(true), sumOf(false)},
+		{"escape bit", escaping(false), escaping(true)},
+		{"writeln strings", say("alpha"), say("beta")},
+		{"MaxOf vs MinOf", extreme(true), extreme(false)},
 	}
 	for _, collide := range []bool{false, true} {
 		for _, p := range pairs {
 			for _, order := range [][]side{{p.x, p.y, p.x}, {p.y, p.x, p.y}} {
 				var out bytes.Buffer
-				opt := p.opt
-				opt.Out = &out
-				e := NewEngine(opt)
+				e := NewEngine(Options{Level: core.C2, Out: &out})
 				if collide {
 					e.memo.hash = collideAll
 				}

@@ -168,7 +168,8 @@ func TestNativeDeadlineRetiresWorker(t *testing.T) {
 // a *backend.RunError trap, leaves host data as it was and keeps no
 // worker.
 func TestNativeTrapRetiresWorker(t *testing.T) {
-	e := nativeEngine(t, Options{Level: core.C2F4S, NoProve: true})
+	e := nativeEngine(t, Options{Level: core.C2F4S})
+	e.noProve = true
 	e.emitHook = func(goSrc string) string {
 		return strings.Replace(goSrc, "func za_main() {", "func za_main() {\n\tzaTrapSelfTest()", 1) +
 			"\nfunc zaTrapSelfTest() {\n\tvar s []float64\n\t_ = s[1]\n}\n"
@@ -379,7 +380,7 @@ func TestNativeSlabsOutliveWorker(t *testing.T) {
 			return vm.sum() != nil
 		}},
 		// Unproven, so that the trap scaffold turns the panic into a trap.
-		{"trap", Options{NoProve: true}, func(t *testing.T, nat, _ *solver) bool {
+		{"trap", Options{}, func(t *testing.T, nat, _ *solver) bool {
 			var re *backend.RunError
 			return errors.As(nat.sweep(context.Background()), &re) && re.Trap
 		}},
@@ -396,6 +397,7 @@ func TestNativeSlabsOutliveWorker(t *testing.T) {
 			opt := tc.opt
 			opt.Level = core.C2F4S
 			e := nativeEngine(t, opt)
+			e.noProve = tc.name == "trap"
 			nat := newSolver(t, e)
 			for i := 0; i < 3; i++ {
 				if nat.sweep(context.Background()) != nil || vm.sweep(context.Background()) != nil {

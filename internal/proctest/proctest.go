@@ -1,12 +1,16 @@
 // Package proctest counts what tests leave running in their process:
 // child processes and open descriptors. It reads Linux's /proc; where
 // there is none, the counts are unavailable and Main checks nothing.
-// Only test files import this package.
+// It also re-executes a test binary as a helper process (Helper), for a
+// test of what happens when a process dies. Only test files import this
+// package.
 package proctest
 
 import (
+	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -26,13 +30,7 @@ func Children() ([]int, error) {
 	self := os.Getpid()
 	var kids []int
 	for _, path := range stats {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			continue // the process is gone
-		}
-		// pid (comm) state ppid ...; comm may hold spaces and parentheses.
-		s := string(b)
-		fields := strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
+		fields := statFields(path) // empty when the process is gone
 		if len(fields) < 2 {
 			continue
 		}
@@ -42,6 +40,46 @@ func Children() ([]int, error) {
 		}
 	}
 	return kids, nil
+}
+
+// statFields returns the fields of a /proc/<pid>/stat file after the
+// command name — state, ppid, ... — or none if it cannot be read.
+func statFields(path string) []string {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil
+	}
+	// pid (comm) state ppid ...; comm may hold spaces and parentheses.
+	s := string(b)
+	return strings.Fields(s[strings.LastIndexByte(s, ')')+1:])
+}
+
+// Running reports whether process pid exists and has not exited: an
+// exited process nobody has reaped yet is not running.
+func Running(pid int) bool {
+	fields := statFields(fmt.Sprintf("/proc/%d/stat", pid))
+	return len(fields) > 0 && fields[0] != "Z" && fields[0] != "X"
+}
+
+// helperArg marks a helper process: the first argument after the test
+// binary's flags.
+const helperArg = "proctest-helper"
+
+// Helper returns a command that re-executes the test binary as a helper
+// process that runs only the test named test, given args: in it
+// InHelper returns them, and the test plays the helper's part instead of
+// its own.
+func Helper(test string, args ...string) *exec.Cmd {
+	return exec.Command(os.Args[0], append([]string{"-test.run=^" + test + "$", "-test.count=1", "--", helperArg}, args...)...)
+}
+
+// InHelper reports whether this process is a helper process (Helper),
+// and with which arguments.
+func InHelper() (args []string, ok bool) {
+	if a := flag.Args(); len(a) > 0 && a[0] == helperArg {
+		return a[1:], true
+	}
+	return nil, false
 }
 
 // OpenFDs returns the number of this process's open descriptors.

@@ -451,6 +451,12 @@ func TestCodecRejectsCorruption(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Fuzzing: the decoder is what a peer's POST /store/put reaches.
 
+// seedGoSrc is the Go source of the fuzz seeds' entries. The codec
+// carries GoSrc as an opaque string, so a fixed text serves as well as
+// an emission and keeps the committed seeds independent of the emitter
+// and of the host (a one-shot emission differs by OS).
+const seedGoSrc = "// Code generated by gogen from program fig2. DO NOT EDIT.\npackage main\n\nfunc main() {}\n"
+
 // validSeeds is one valid envelope per artifact kind, over a small
 // program so the committed corpus stays small.
 func validSeeds(t testing.TB) map[string][]byte {
@@ -464,7 +470,7 @@ func validSeeds(t testing.TB) map[string][]byte {
 		e := &ccache.Entry{Kind: kind, Source: string(src), Aux: []byte(`{"tuned":true}`)}
 		if kind != ccache.ArtifactTune {
 			e = serviceEntry(t, string(src), driver.Options{Level: core.C2F4})
-			e.Kind = kind
+			e.Kind, e.GoSrc = kind, seedGoSrc
 		}
 		e.Key = ccache.KeyOfKind(string(src), driver.Options{Level: core.C2F4}, kind)
 		raw, err := Encode(e)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -229,20 +228,11 @@ func TestSpecialValues(t *testing.T) {
 	checkSpecials(t, "native c2+f4", c, runNative(t, c))
 }
 
-// runNative builds c as a resident worker over every array and scalar,
-// runs it once and returns the state it leaves in its mapping.
+// runNative builds c as a resident worker, runs it once and returns the
+// state it leaves in its mapping.
 func runNative(t *testing.T, c *driver.Compilation) state {
 	t.Helper()
-	spec := &gogen.StateSpec{}
-	for name := range c.LIR.Source.Arrays {
-		spec.Arrays = append(spec.Arrays, name)
-	}
-	for name := range c.LIR.Source.Scalars {
-		spec.Scalars = append(spec.Scalars, name)
-	}
-	sort.Strings(spec.Arrays)
-	sort.Strings(spec.Scalars)
-	src, err := gogen.EmitState(c.LIR, c.Bounds, spec)
+	src, err := gogen.EmitWorker(c.LIR, c.Bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +244,13 @@ func runNative(t *testing.T, c *driver.Compilation) state {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slabs, words := gogen.StateLayout(c.LIR, spec)
+	// The slabs follow the header and the scalars, one after another.
+	spec := gogen.StateOf(c.LIR)
+	slabs, words := []int{}, spec.Base()
+	for _, name := range spec.Arrays {
+		slabs = append(slabs, words)
+		words += c.LIR.Source.Arrays[name].Alloc.Size()
+	}
 	w, err := art.Start(context.Background(), words)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +269,7 @@ func runNative(t *testing.T, c *driver.Compilation) state {
 		st.arrays[name] = append([]float64(nil), data[slabs[k]:slabs[k]+n]...)
 	}
 	for i, name := range spec.Scalars {
-		st.scalars[name] = data[len(spec.Arrays)+i]
+		st.scalars[name] = data[spec.Scalar(i)]
 	}
 	return st
 }
