@@ -93,7 +93,8 @@ govulncheck:
 # unblocking, mid-exchange cancellation), the lazy engine hammered from
 # many goroutines, the native resident workers (pipes, deadlines, the
 # goroutine that reaps each, the finalizer that stops a forgotten one)
-# through the lazy engine and on their own, and the zpld request burst. The distvm suite then
+# through the lazy engine and on their own, a threaded worker's state
+# and replies at GOMAXPROCS 1 against 2, and the zpld request burst. The distvm suite then
 # runs once more on one P, where a wait that spins without yielding is
 # a hang and not a slowdown. Complements the static analyzer below: this
 # is the dynamic detector over our own runtime, that is the
@@ -102,7 +103,7 @@ race-smoke: build
 	$(GO) test -race -count=1 -run 'TestBarrierRounds|TestFoldInProcessorOrder|TestProtocolMismatch|TestLockstep|TestWatchdogTimeout|TestAbortUnblocksPeers|TestCancelMidExchange|TestDeadlineMidExchange|TestCancelBeforeRun' -v ./internal/distvm
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/distvm
 	$(GO) test -race -count=1 -run 'TestConcurrentEval|TestNative|TestEngineClose|TestUnclosedEngine|TestCacheBytesBoundsMachines|TestLazyMatchesZA|TestBoundHandlesSurviveFailedRun|TestCopiedBytesPerEval|TestUnwrittenHandleNotReadBack|TestResidentMachineStartsZeroed|TestSteadyStateAllocs' -v ./internal/lazy
-	$(GO) test -race -count=1 -run 'TestStateProtocolRoundTrip|TestWorkerFailures' -v ./internal/backend
+	$(GO) test -race -count=1 -run 'TestStateProtocolRoundTrip|TestWorkerFailures|TestThreadedMatchesOneProc' -v ./internal/backend
 	$(GO) test -race -count=1 -run 'TestServe' -v .
 
 # Static race sweep: the happens-before analyzer re-verifies every
@@ -190,13 +191,18 @@ vm-guard: build
 # the emitted code), the one-shot arena's layout, no fused multiply-add
 # in emitted code, the checkptr run, the worker protocol and its
 # failures, a worker exiting when its host is killed, and the lazy
-# executor's copied bytes and allocations per Eval. All are ordinary
-# tier-1 tests; this target is the one to run after touching those
-# packages.
+# executor's copied bytes and allocations per Eval. Then the threaded
+# nests (DESIGN.md §31): the outer-parallel pass over every nest a
+# worker splits and its seeded fault, GOMAXPROCS 1 against 2 byte for
+# byte, a -race build of a threaded worker, an idle threaded worker
+# using no CPU, and max/min of special values across a chunk boundary.
+# All are ordinary tier-1 tests; this target is the one to run after
+# touching those packages.
 native-guard: build
 	$(GO) test -count=1 -run 'TestEmissionPinned|TestArenaLayout|TestEmittedNoFMA' ./internal/gogen
-	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost' ./internal/backend
-	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs' ./internal/lazy
+	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded' ./internal/backend
+	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs|TestMaxMinOfSpecialValues' ./internal/lazy
+	$(GO) test -count=1 -run 'TestOuterParallel' ./internal/check
 
 # Non-test Go lines per top-level directory, so a simplicity PR quotes a
 # reproducible before/after instead of a hand count. bench/ (its own

@@ -3,7 +3,8 @@
 // level, then independently re-proves what the optimizer claimed —
 // AIR well-formedness, every ASDG dependence edge, fusion legality of
 // the chosen partition (Theorems 1–2), contraction safety of every
-// contracted array, and the distributed communication schedule.
+// contracted array, the distributed communication schedule, and the
+// independence of the rows of every nest a resident worker threads.
 //
 // Usage:
 //
@@ -15,14 +16,18 @@
 //	-pass names   comma-separated verifier passes to run (default
 //	              "all"): air-wellformed, asdg-crosscheck,
 //	              fusion-legality, contraction-safety, comm-schedule,
-//	              bounds, race. The bounds pass re-derives every array
-//	              access hull and cross-checks the abstract
-//	              interpreter's ProvenSafe evidence; the race pass
-//	              rebuilds the distributed event schedule and proves
-//	              every conflicting cross-processor access pair
+//	              bounds, race, outer-parallel. The bounds pass
+//	              re-derives every array access hull and cross-checks
+//	              the abstract interpreter's ProvenSafe evidence; the
+//	              race pass rebuilds the distributed event schedule and
+//	              proves every conflicting cross-processor access pair
 //	              happens-before ordered and the send/recv matching
 //	              deadlock-free (needs -p > 1 to have any schedule
-//	              to analyze)
+//	              to analyze); the outer-parallel pass re-proves from
+//	              the ASDG that every nest a resident worker splits
+//	              across goroutines carries no dependence on its
+//	              outermost loop (a nest splits only above
+//	              gogen.SplitPoints points: raise n with -config)
 //	-p n          additionally verify a distributed compilation for
 //	              n processors (communication inserted)
 //	-config k=v   override a config constant (repeatable)
@@ -174,13 +179,14 @@ func verify(u job.Source, lvl core.Level, opt driver.Options, suffix string, ver
 
 // knownPasses maps every selectable pass name to true.
 var knownPasses = map[string]bool{
-	check.PassAIR:         true,
-	check.PassASDG:        true,
-	check.PassFusion:      true,
-	check.PassContraction: true,
-	check.PassComm:        true,
-	check.PassBounds:      true,
-	check.PassRace:        true,
+	check.PassAIR:           true,
+	check.PassASDG:          true,
+	check.PassFusion:        true,
+	check.PassContraction:   true,
+	check.PassComm:          true,
+	check.PassBounds:        true,
+	check.PassRace:          true,
+	check.PassOuterParallel: true,
 }
 
 // parsePasses turns the -pass flag into a selection set; nil means all.
@@ -192,9 +198,10 @@ func parsePasses(s string) (map[string]bool, error) {
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
 		if !knownPasses[name] {
-			return nil, job.Usagef("unknown verifier pass %q (want all, %s, %s, %s, %s, %s, %s, or %s)",
+			return nil, job.Usagef("unknown verifier pass %q (want all, %s, %s, %s, %s, %s, %s, %s, or %s)",
 				name, check.PassAIR, check.PassASDG, check.PassFusion,
-				check.PassContraction, check.PassComm, check.PassBounds, check.PassRace)
+				check.PassContraction, check.PassComm, check.PassBounds, check.PassRace,
+				check.PassOuterParallel)
 		}
 		sel[name] = true
 	}
@@ -202,10 +209,11 @@ func parsePasses(s string) (map[string]bool, error) {
 }
 
 // runPasses runs the selected verifier passes (nil = every pass) over
-// one compilation. The bounds pass cross-checks the abstract
-// interpreter's result, which the driver attaches to the compilation
-// by default; the race pass rebuilds and re-analyzes the distributed
-// event schedule for nprocs processors (0 for a sequential unit).
+// one compilation. The bounds and outer-parallel passes read the
+// abstract interpreter's result, which the driver attaches to the
+// compilation by default; the race pass rebuilds and re-analyzes the
+// distributed event schedule for nprocs processors (0 for a sequential
+// unit).
 func runPasses(c *driver.Compilation, sel map[string]bool, nprocs int) []check.Report {
 	want := func(p string) bool { return sel == nil || sel[p] }
 	var out []check.Report
@@ -232,6 +240,9 @@ func runPasses(c *driver.Compilation, sel map[string]bool, nprocs int) []check.R
 		}
 		if want(check.PassRace) {
 			out = append(out, check.Races(c.LIR, nprocs)...)
+		}
+		if want(check.PassOuterParallel) {
+			out = append(out, check.OuterParallel(c.Plan, c.LIR, c.Bounds)...)
 		}
 	}
 	return out

@@ -594,7 +594,8 @@ end;
 }
 
 // TestWorkerExitsWithHost: a worker whose host process dies sees end of
-// input and exits. A helper process starts a worker and reports its
+// input and exits, a threaded one (its helper goroutines parked) as
+// well as a plain one. A helper process starts a worker and reports its
 // pid; the test kills the helper with SIGKILL, which leaves it no
 // cleanup to run, and the worker must be gone within a few seconds. A
 // program that never closes its lazy contexts leaves no process running
@@ -613,30 +614,33 @@ func TestWorkerExitsWithHost(t *testing.T) {
 		fmt.Println(kids[0])
 		time.Sleep(time.Hour) // until the test kills this process
 	}
-	art, _, _ := workerOf(t, counter, nil)
-	helper := proctest.Helper("TestWorkerExitsWithHost", art.Bin)
-	var stderr bytes.Buffer
-	helper.Stderr = &stderr
-	stdout, err := helper.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := helper.Start(); err != nil {
-		t.Fatal(err)
-	}
-	line, _ := bufio.NewReader(stdout).ReadString('\n')
-	helper.Process.Kill()
-	helper.Wait()
-	pid, err := strconv.Atoi(strings.TrimSpace(line))
-	if err != nil {
-		t.Fatalf("the helper reported %q, not a worker's pid: %v\n%s", line, err, stderr.String())
-	}
-	for deadline := time.Now().Add(10 * time.Second); proctest.Running(pid); time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			if p, err := os.FindProcess(pid); err == nil {
-				p.Kill()
+	plain, _, _ := workerOf(t, counter, nil)
+	threaded, _, _, _ := threadedHeat(t)
+	for _, art := range []*backend.Artifact{plain, threaded} {
+		helper := proctest.Helper("TestWorkerExitsWithHost", art.Bin)
+		var stderr bytes.Buffer
+		helper.Stderr = &stderr
+		stdout, err := helper.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := helper.Start(); err != nil {
+			t.Fatal(err)
+		}
+		line, _ := bufio.NewReader(stdout).ReadString('\n')
+		helper.Process.Kill()
+		helper.Wait()
+		pid, err := strconv.Atoi(strings.TrimSpace(line))
+		if err != nil {
+			t.Fatalf("the helper reported %q, not a worker's pid: %v\n%s", line, err, stderr.String())
+		}
+		for deadline := time.Now().Add(10 * time.Second); proctest.Running(pid); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				if p, err := os.FindProcess(pid); err == nil {
+					p.Kill()
+				}
+				t.Fatalf("worker %d of %s still runs 10 s after its host was killed", pid, art.Bin)
 			}
-			t.Fatalf("worker %d still runs 10 s after its host was killed", pid)
 		}
 	}
 }

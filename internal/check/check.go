@@ -1,18 +1,19 @@
 package check
 
 import (
+	"repro/internal/absint"
 	"repro/internal/air"
 	"repro/internal/core"
 	"repro/internal/lir"
 )
 
 // All runs every verifier pass over one compilation's artifacts and
-// returns the concatenated reports. plan and lp may be nil when the
-// corresponding phase has not run; procs is the distributed processor
+// returns the concatenated reports. plan, lp and bounds may be nil when
+// the corresponding phase has not run; procs is the distributed processor
 // count (0 or 1 for a sequential compilation), which tells the
 // comm-schedule pass whether primitives are expected or forbidden and
 // gives the race pass its machine size.
-func All(prog *air.Program, plan *core.Plan, lp *lir.Program, procs int) []Report {
+func All(prog *air.Program, plan *core.Plan, lp *lir.Program, bounds *absint.Result, procs int) []Report {
 	var out []Report
 	out = append(out, AIRWellFormed(prog)...)
 	if plan != nil {
@@ -23,6 +24,7 @@ func All(prog *air.Program, plan *core.Plan, lp *lir.Program, procs int) []Repor
 	if lp != nil {
 		out = append(out, CommSchedule(prog, lp, procs > 1)...)
 		out = append(out, Races(lp, procs)...)
+		out = append(out, OuterParallel(plan, lp, bounds)...)
 	}
 	return out
 }

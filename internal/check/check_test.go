@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/driver"
+	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/programs"
 )
@@ -265,5 +266,103 @@ func TestVerifierAcceptsViaDriver(t *testing.T) {
 	}
 	if c.LIR == nil || c.Plan == nil {
 		t.Fatal("compilation artifacts missing")
+	}
+}
+
+// splitSize is a problem size at which every nest over a benchmark's
+// main region has at least gogen.SplitPoints points.
+func splitSize(rank int) int64 {
+	if rank == 1 {
+		return 2 * gogen.SplitPoints
+	}
+	return 256
+}
+
+// TestOuterParallelClean: every nest a resident worker would split, in
+// the six benchmarks and heat at every level with n raised above the
+// split threshold, is proven free of dependences on its outer loop
+// from the plan's ASDG — and there are such nests, in every program.
+func TestOuterParallelClean(t *testing.T) {
+	heat := testdataSources(t)["heat.za"]
+	progs := append(programs.All(), programs.Benchmark{Name: "heat", Source: heat, SizeConfig: "n", Rank: 2})
+	for _, p := range progs {
+		splits := 0
+		for _, lvl := range core.AllLevels() {
+			c, err := driver.Compile(p.Source, driver.Options{Level: lvl,
+				Configs: map[string]int64{p.SizeConfig: splitSize(p.Rank)}})
+			if err != nil {
+				t.Fatalf("%s at %v: %v", p.Name, lvl, err)
+			}
+			if reps := check.OuterParallel(c.Plan, c.LIR, c.Bounds); len(reps) > 0 {
+				t.Errorf("%s at %v:\n%s", p.Name, lvl, reportDump(reps))
+			}
+			if reps := check.All(c.AIR, c.Plan, c.LIR, c.Bounds, 0); len(reps) > 0 {
+				t.Errorf("%s at %v, check.All:\n%s", p.Name, lvl, reportDump(reps))
+			}
+			for _, pr := range c.LIR.Procs {
+				for _, n := range lir.Nests(pr.Body) {
+					if gogen.Splits(c.LIR, c.Bounds, n) {
+						splits++
+					}
+				}
+			}
+		}
+		if splits == 0 {
+			t.Errorf("%s: no nest splits at any level: the pass checked nothing", p.Name)
+		}
+	}
+}
+
+// carried's two array statements fuse, under a supplied plan, into one
+// nest whose outer loop runs down the rows and carries A's anti
+// dependence (u = (-1,0)): row i reads row i-1 of A before it is stored.
+const carried = `
+program carried;
+config n : integer = 8;
+region R = [1..n, 1..n];
+region I = [2..n, 1..n];
+var A, B, C : [R] double;
+proc main()
+begin
+  [I] C := A@(-1, 0) + B;
+  [I] A := B + 1.0;
+  writeln(max<< [R] C);
+end;
+`
+
+// TestOuterParallelCatchesCarriedSplit is the pass's seeded fault:
+// forcing a split of the nest that carries a dependence on its outer
+// loop is reported, positioned, by the outer-parallel pass; and at a
+// size above the threshold gogen itself declines to split it.
+func TestOuterParallelCatchesCarriedSplit(t *testing.T) {
+	fuse := &core.PlanSpec{Version: core.SpecVersion, Blocks: []core.BlockSpec{{Block: 0, Clusters: [][]int{{0, 1}}}}}
+	for _, n := range []int64{8, 256} {
+		c, err := driver.Compile(carried, driver.Options{Plan: fuse, Configs: map[string]int64{"n": n}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fused *lir.Nest
+		for _, nest := range lir.Nests(c.LIR.Main.Body) {
+			if len(nest.Body) == 2 {
+				fused = nest
+			}
+		}
+		if fused == nil {
+			t.Fatalf("n=%d: the supplied plan fused no nest", n)
+		}
+		forced := check.OuterParallelOf(c.Plan, c.LIR, c.Bounds, func(x *lir.Nest) bool { return x == fused })
+		var carries []check.Report
+		for _, r := range forced {
+			if strings.Contains(r.Message, "carries (A, (-1,0), anti)") {
+				carries = append(carries, r)
+			}
+		}
+		requirePositioned(t, check.PassOuterParallel, carries)
+		if gogen.Splits(c.LIR, c.Bounds, fused) {
+			t.Errorf("n=%d: gogen splits the nest that carries A", n)
+		}
+		if reps := check.OuterParallel(c.Plan, c.LIR, c.Bounds); len(reps) > 0 {
+			t.Errorf("n=%d: gogen's own splits:\n%s", n, reportDump(reps))
+		}
 	}
 }

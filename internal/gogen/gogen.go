@@ -9,13 +9,26 @@
 // (see the sweep type; DESIGN.md §13). On the bench harness's run cells
 // the emitted loops cost ~2.0 ns per element-statement against the
 // VM's 3–5, and emitted heat runs within 1.1× of a hand-fused Go kernel.
-// A one-shot program (zplrun, zpld) pays a process spawn (~2.8 ms on
+// A one-shot program (zplrun, zpld) pays a process spawn (~1.2 ms on
 // the bench host) the VM does not. A program emitted by EmitWorker is a
 // resident worker instead: the lazy runtime starts it once per
 // cached compilation, and each run is a pipe round trip over state in
 // a shared mapping (DESIGN.md §29). Running both engines closes the
 // loop on code-generation correctness with the host toolchain as the
 // final referee.
+//
+// A worker also uses the host's cores. A nest of at least SplitPoints
+// points whose outermost loop carries no dependence, whose accesses are
+// all proven and whose reductions are only max and min (Splits) becomes
+// a function over a range of its outer rows; at start-up the worker
+// parks GOMAXPROCS-1 helper goroutines, and in the nest's place the
+// main goroutine hands each a contiguous chunk of rows, runs the first
+// chunk itself, and folds the chunks' accumulators in row order, which
+// is the sequential fold bit for bit (DESIGN.md §31). The helpers block
+// on channels between nests and runs. A one-shot program, and a worker
+// with no such nest, is emitted exactly as before: no helpers, no
+// runtime import. internal/check's outer-parallel pass re-proves each
+// split from the plan's dependence graph.
 //
 // Emitted programs are self-contained (standard library only) and make
 // three guarantees the differential tests (internal/backend, make
@@ -40,7 +53,8 @@
 //
 // Imports are emitted only when the program actually uses them (math
 // is conditional; fmt and os are always used by the main scaffold, time
-// by a one-shot one, and syscall by a worker's and by a mapped arena),
+// by a one-shot one, syscall by a worker's and by a mapped arena, and
+// runtime by a worker that splits a nest),
 // so generated code compiles and vets clean with no blank-identifier
 // hacks.
 //
@@ -257,6 +271,9 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 		out.WriteString("\t\"math\"\n")
 	}
 	out.WriteString("\t\"os\"\n")
+	if len(g.cases) > 0 {
+		out.WriteString("\t\"runtime\"\n")
+	}
 	if g.spec != nil || g.useSyscall {
 		out.WriteString("\t\"syscall\"\n")
 	}
@@ -284,6 +301,10 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 		out.WriteString(helperWrap)
 	}
 	out.Write(body.Bytes())
+	if len(g.cases) > 0 {
+		out.Write(g.threaded.Bytes())
+		g.chunks(&out)
+	}
 	switch {
 	case g.spec != nil:
 		out.WriteString(serve)
@@ -297,10 +318,10 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 
 // serveLoop renders a resident worker's half of the protocol StateSpec
 // describes — mapping the state, and the serve loop as main, which
-// points each array at the slab its header word names (zaW_slab) and
-// runs the program under the trap scaffold unless every access is
-// proven. A one-shot program has none. The zaW_ prefix cannot collide
-// with goName's "za_".
+// parks the helpers of any threaded nest (chunks), points each array at
+// the slab its header word names (zaW_slab) and runs the program under
+// the trap scaffold unless every access is proven. A one-shot program
+// has none. The zaW_ prefix cannot collide with goName's "za_".
 func (g *gen) serveLoop(allProven bool) string {
 	if g.spec == nil {
 		return ""
@@ -339,6 +360,10 @@ func (g *gen) serveLoop(allProven bool) string {
 		run = "zaW_run"
 		fmt.Fprintf(&b, "func zaW_run() {\n\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\tfmt.Fprintln(os.Stderr, \"za runtime error:\", r)\n\t\t\tos.Exit(%d)\n\t\t}\n\t}()\n\tza_main()\n}\n\n", ExitTrap)
 	}
+	b.WriteString("func main() {\n\tzaW_map()\n")
+	if len(g.cases) > 0 {
+		b.WriteString("\tzaC_start()\n")
+	}
 	b.WriteString(serveHead)
 	for k, n := range g.spec.Arrays {
 		fmt.Fprintf(&b, "\t\t%s = zaW_slab(%d, %d)\n", goName(n), k, g.p.Source.Arrays[n].Alloc.Size())
@@ -354,12 +379,11 @@ func (g *gen) serveLoop(allProven bool) string {
 	return b.String()
 }
 
-// serveHead opens a resident worker's main: reply with the frame of the
-// last run's output (an empty one at start: ready), wait for the next
-// command, and end on end of input.
-const serveHead = `func main() {
-	zaW_map()
-	zaW_out = make([]byte, 4, 4096)
+// serveHead is a resident worker's main once the state is mapped and
+// any helpers are parked: reply with the frame of the last run's output
+// (an empty one at start: ready), wait for the next command, and end on
+// end of input.
+const serveHead = `	zaW_out = make([]byte, 4, 4096)
 	var cmd [1]byte
 	for {
 		n := len(zaW_out) - 4
@@ -398,6 +422,14 @@ type gen struct {
 	sw      *sweep
 	inner   bytes.Buffer
 	strides map[string][]int
+
+	// threaded holds the functions of the nests a worker splits
+	// (Splits), numbered in emission order, and cases the zaC_do arm
+	// that runs each; maxAccs is the most max/min accumulators one of
+	// them returns.
+	threaded bytes.Buffer
+	cases    []string
+	maxAccs  int
 }
 
 func (g *gen) line(format string, args ...interface{}) {
@@ -433,8 +465,9 @@ func goName(n string) string { return mangle("za_", n) }
 // mangle is goName under another prefix: "zaP_" is the nest-local base
 // pointer of an array with unchecked accesses and "zaA_" a reduction
 // target's nest-local accumulator. Neither prefix — nor "zaO_" (row
-// offsets), "zaH_" (hoisted expressions) and "zaS_" (the max and min
-// helpers' out-of-line halves) — can collide with goName's "za_"
+// offsets), "zaH_" (hoisted expressions), "zaS_" (the max and min
+// helpers' out-of-line halves), "zaN_" (a threaded nest's function) and
+// "zaC_" (the chunks that run it) — can collide with goName's "za_"
 // namespace.
 func mangle(prefix, n string) string {
 	n = strings.ReplaceAll(n, ".", "_")
@@ -493,6 +526,70 @@ func (g *gen) declarations(out *strings.Builder) {
 		out.WriteString(helperSlab)
 	}
 }
+
+// chunks emits what runs a worker's threaded nests (Splits): a chunk
+// per GOMAXPROCS at start-up, a helper goroutine parked on each chunk
+// but the first, and zaC_do, which runs a chunk's rows of nest
+// zaN_<t>. The helpers block on their channels between nests and
+// between runs: an idle worker spins on nothing.
+func (g *gen) chunks(out *strings.Builder) {
+	fmt.Fprintf(out, helperChunks, g.maxAccs)
+	out.WriteString("func zaC_do(c *zaC_chunk) {\n\tswitch c.nest {\n")
+	for t, call := range g.cases {
+		fmt.Fprintf(out, "\tcase %d:\n\t\t%s\n", t, call)
+	}
+	out.WriteString("\t}\n}\n\n")
+}
+
+// helperChunks is the fixed part of chunks. Verb: the size of a chunk's
+// accumulator array. zaC_run hands chunk c its rows and wakes its
+// helper through run, runs chunk 0 on the calling goroutine, and waits
+// on each done; the channels order every access a chunk makes between
+// the caller's before and after, and carry no data, so a nest allocates
+// nothing.
+const helperChunks = `type zaC_chunk struct {
+	nest, lo, hi int
+	acc          [%d]float64
+	run, done    chan struct{}
+}
+
+var zaC_chunks []zaC_chunk
+
+func zaC_start() {
+	zaC_chunks = make([]zaC_chunk, runtime.GOMAXPROCS(0))
+	for c := 1; c < len(zaC_chunks); c++ {
+		zaC_chunks[c].run, zaC_chunks[c].done = make(chan struct{}), make(chan struct{}, 1)
+		go zaC_help(&zaC_chunks[c])
+	}
+}
+
+func zaC_help(c *zaC_chunk) {
+	for range c.run {
+		zaC_do(c)
+		c.done <- struct{}{}
+	}
+}
+
+func zaC_run(t, lo, hi int) []zaC_chunk {
+	cs := zaC_chunks
+	if rows := hi - lo + 1; len(cs) > rows {
+		cs = cs[:rows]
+	}
+	n := len(cs)
+	for c := range cs {
+		cs[c].nest, cs[c].lo, cs[c].hi = t, lo+c*(hi-lo+1)/n, lo+(c+1)*(hi-lo+1)/n-1
+	}
+	for c := 1; c < n; c++ {
+		cs[c].run <- struct{}{}
+	}
+	zaC_do(&cs[0])
+	for c := 1; c < n; c++ {
+		<-cs[c].done
+	}
+	return cs
+}
+
+`
 
 // helperSlab is the one place an array's storage is cut from the arena.
 // The checkptr test swaps its body for a make per slab, which the
@@ -781,8 +878,14 @@ type sweep struct {
 
 	pre   []string          // declarations at the top of the block
 	defs  []string          // row offsets and hoisted expressions, just outside the innermost loop
-	post  []string          // accumulator stores after the loops
+	accs  []accum           // reduction accumulators, stored to their targets after the loops
 	names map[string]string // a declared name, or a definition's text, to its local
+}
+
+// accum is a reduction target's nest-local accumulator.
+type accum struct {
+	name, target string
+	op           air.ReduceOp
 }
 
 // loop is one level of a sweep: dimension dim from lo to hi, or from hi
@@ -835,27 +938,49 @@ func (sw *sweep) define(prefix, text string) string {
 }
 
 // sweep emits the block of one loop nest around the statements body
-// renders (see the sweep type).
-func (g *gen) sweep(idx []string, reads map[string]bool, loops []loop, body func()) {
+// renders (see the sweep type), or, when split, the function of a
+// threaded nest and the block that runs it (threaded).
+func (g *gen) sweep(idx []string, reads map[string]bool, loops []loop, split bool, body func()) {
 	sw := &sweep{idx: idx, inner: loops[len(loops)-1].dim, reads: reads, names: map[string]string{}}
-	out, depth := g.b, len(loops)+1
+	out, ind := g.b, g.ind
+	if split {
+		g.ind = 0 // the body renders into a function of its own
+	}
 	g.inner.Reset()
-	g.b, g.sw, g.ind = &g.inner, sw, g.ind+depth
+	g.b, g.sw, g.ind = &g.inner, sw, g.ind+len(loops)+1
 	body()
-	g.b, g.sw, g.ind = out, nil, g.ind-depth
+	g.b, g.sw, g.ind = out, nil, ind
+	if split {
+		g.threadedNest(sw, loops)
+		return
+	}
 
 	g.line("{")
 	g.ind++
+	g.loops(sw, loops, strconv.Itoa(loops[0].lo), strconv.Itoa(loops[0].hi))
+	for _, a := range sw.accs {
+		g.text(goName(a.target), " = ", a.name)
+	}
+	g.ind--
+	g.line("}")
+}
+
+// loops emits a sweep's declarations and loops around its body, the
+// outermost loop from lo to hi.
+func (g *gen) loops(sw *sweep, loops []loop, lo, hi string) {
 	g.lines(sw.pre)
 	for k, l := range loops {
 		if k == len(loops)-1 {
 			g.lines(sw.defs)
 		}
-		v := sw.idx[l.dim]
+		v, from, to := sw.idx[l.dim], strconv.Itoa(l.lo), strconv.Itoa(l.hi)
+		if k == 0 {
+			from, to = lo, hi
+		}
 		if l.down {
-			g.line("for %s := %d; %s >= %d; %s-- {", v, l.hi, v, l.lo, v)
+			g.line("for %s := %s; %s >= %s; %s-- {", v, to, v, from, v)
 		} else {
-			g.line("for %s := %d; %s <= %d; %s++ {", v, l.lo, v, l.hi, v)
+			g.line("for %s := %s; %s <= %s; %s++ {", v, from, v, to, v)
 		}
 		g.ind++
 	}
@@ -864,7 +989,71 @@ func (g *gen) sweep(idx []string, reads map[string]bool, loops []loop, body func
 		g.ind--
 		g.line("}")
 	}
-	g.lines(sw.post)
+}
+
+// threadedNest emits a nest the worker splits (Splits). Its loops become
+// zaN_<t>, a function over the outer rows zaC_lo..zaC_hi that returns
+// its max/min accumulators; in the nest's place, zaC_run runs it over
+// one contiguous chunk of rows per goroutine and the block folds the
+// chunks' accumulators in row order, which for max and min is the
+// sequential fold bit for bit.
+func (g *gen) threadedNest(sw *sweep, loops []loop) {
+	t := len(g.cases)
+	fn := "zaN_" + strconv.Itoa(t)
+	var returns, acc []string
+	for i, a := range sw.accs {
+		returns = append(returns, a.name)
+		acc = append(acc, "c.acc["+strconv.Itoa(i)+"]")
+	}
+	g.maxAccs = max(g.maxAccs, len(sw.accs))
+	call := fn + "(c.lo, c.hi)"
+	sig := ""
+	switch len(acc) {
+	case 0:
+	case 1:
+		sig = " float64"
+	default:
+		sig = " (" + strings.Repeat("float64, ", len(acc)-1) + "float64)"
+	}
+	if len(acc) > 0 {
+		call = strings.Join(acc, ", ") + " = " + call
+	}
+	g.cases = append(g.cases, call)
+
+	out, ind := g.b, g.ind
+	g.b, g.ind = &g.threaded, 0
+	g.line("func %s(zaC_lo, zaC_hi int)%s {", fn, sig)
+	g.ind++
+	g.loops(sw, loops, "zaC_lo", "zaC_hi")
+	if len(returns) > 0 {
+		g.text("return ", strings.Join(returns, ", "))
+	}
+	g.ind--
+	g.line("}")
+	g.line("")
+	g.b, g.ind = out, ind
+
+	run := fmt.Sprintf("zaC_run(%d, %d, %d)", t, loops[0].lo, loops[0].hi)
+	if len(sw.accs) == 0 {
+		g.text(run)
+		return
+	}
+	g.line("{")
+	g.ind++
+	for _, a := range sw.accs {
+		g.text("var ", a.name, " float64 = ", g.identity(a.op))
+	}
+	g.text("zaC_c := ", run)
+	g.line("for zaC_k := range zaC_c {")
+	g.ind++
+	for i, a := range sw.accs {
+		g.reduceStep(a.name, a.op, "zaC_c[zaC_k].acc["+strconv.Itoa(i)+"]")
+	}
+	g.ind--
+	g.line("}")
+	for _, a := range sw.accs {
+		g.text(goName(a.target), " = ", a.name)
+	}
 	g.ind--
 	g.line("}")
 }
@@ -905,7 +1094,7 @@ func (g *gen) partialReduce(x *lir.PartialReduce) {
 	if g.bounds != nil {
 		site = g.bounds.ReduceStore(x)
 	}
-	g.sweep(idx, nil, loopsOf(x.Dest.Lo, x.Dest.Hi, nil), func() {
+	g.sweep(idx, nil, loopsOf(x.Dest.Lo, x.Dest.Hi, nil), false, func() {
 		g.line("%s = %s", g.indexed(x.LHS, air.Zero(rank), idx, site), g.identity(x.Op))
 	})
 	// A collapsed dimension is pinned at the destination's one index.
@@ -917,9 +1106,114 @@ func (g *gen) partialReduce(x *lir.PartialReduce) {
 			proj[k] = idx[k]
 		}
 	}
-	g.sweep(idx, nil, loopsOf(x.Region.Lo, x.Region.Hi, nil), func() {
+	g.sweep(idx, nil, loopsOf(x.Region.Lo, x.Region.Hi, nil), false, func() {
 		g.reduceStep(g.indexed(x.LHS, air.Zero(rank), proj, site), x.Op, g.expr(x.Body))
 	})
+}
+
+// SplitPoints is the fewest points a nest's region must have for a
+// resident worker to split it across goroutines (Splits). Below it,
+// waking a parked helper costs more than the rows it takes over
+// (DESIGN.md §31).
+const SplitPoints = 1 << 15
+
+// Splits reports whether EmitWorker runs nest n of p in contiguous
+// chunks of its outermost loop's rows, one per goroutine (a one-shot
+// program never splits). It does when the nest
+//
+//   - covers at least SplitPoints points;
+//   - has every access ProvenSafe under bounds, so a chunk never traps
+//     outside the worker's recover;
+//   - carries no dependence on its outermost loop (Nest.Order[0]): every
+//     reference to an array the nest stores has offset 0 in that loop's
+//     dimension, and every read of a contracted array follows a store of
+//     it, earlier in the body, whose guard covers the read's, so no
+//     register holds a value from an earlier row (a preload is loaded
+//     afresh every iteration);
+//   - reduces only with max and min, each target in one statement and
+//     read by none: folding the chunks' accumulators in row order is the
+//     sequential fold bit for bit, which a sum's or a product's rounding
+//     would not be.
+func Splits(p *lir.Program, bounds *absint.Result, n *lir.Nest) bool {
+	if bounds == nil || len(n.Body) == 0 {
+		return false
+	}
+	for k := range n.Region.Lo {
+		if n.Region.Extent(k) < 1 {
+			return false
+		}
+	}
+	if n.Region.Size() < SplitPoints {
+		return false
+	}
+	outer := 0
+	if len(n.Order) > 0 {
+		outer = max(n.Order[0], -n.Order[0]) - 1
+	}
+	proven := func(s *absint.Site) bool {
+		return s != nil && s.Verdict == absint.ProvenSafe && s.FaultShift == 0
+	}
+	stored, targets := map[string]bool{}, map[string]bool{}
+	for _, s := range n.Body {
+		switch {
+		case s.IsReduce:
+			if s.Op != air.ReduceMax && s.Op != air.ReduceMin || targets[s.Target] {
+				return false
+			}
+			targets[s.Target] = true
+		case !s.Contracted:
+			if !proven(bounds.Store(s)) {
+				return false
+			}
+			stored[s.LHS] = true
+		}
+	}
+	for i, pl := range n.Preloads {
+		if !proven(bounds.PreloadSite(n, i)) || stored[pl.Array] && pl.Off[outer] != 0 {
+			return false
+		}
+	}
+	ok := true
+	for i, s := range n.Body {
+		air.Walk(s.RHS, func(e air.Expr) {
+			switch x := e.(type) {
+			case *air.ScalarExpr:
+				ok = ok && !targets[x.Name]
+			case *air.RefExpr:
+				if a := p.Source.Arrays[x.Ref.Array]; a != nil && a.Contracted {
+					ok = ok && storedBefore(n, i, x.Ref.Array)
+				} else {
+					ok = ok && proven(bounds.Read(x)) && (!stored[x.Ref.Array] || x.Ref.Off[outer] == 0)
+				}
+			}
+		})
+	}
+	return ok
+}
+
+// storedBefore reports whether a statement before n.Body[i] stores
+// contracted array x at every point where n.Body[i] runs.
+func storedBefore(n *lir.Nest, i int, x string) bool {
+	r := n.Body[i].Guard
+	for _, w := range n.Body[:i] {
+		if !w.Contracted || w.LHS != x {
+			continue
+		}
+		if w.Guard == nil {
+			return true
+		}
+		if r == nil {
+			continue
+		}
+		in := true
+		for k := range r.Lo {
+			in = in && w.Guard.Lo[k] <= r.Lo[k] && r.Hi[k] <= w.Guard.Hi[k]
+		}
+		if in {
+			return true
+		}
+	}
+	return false
 }
 
 func (g *gen) nest(n *lir.Nest) {
@@ -954,7 +1248,8 @@ func (g *gen) nest(n *lir.Nest) {
 		}
 	}
 	idx := idxSlice(n.Region.Rank())
-	g.sweep(idx, reads, loopsOf(n.Region.Lo, n.Region.Hi, n.Order), func() {
+	split := g.spec != nil && Splits(g.p, g.bounds, n)
+	g.sweep(idx, reads, loopsOf(n.Region.Lo, n.Region.Hi, n.Order), split, func() {
 		for i, pl := range n.Preloads {
 			var site *absint.Site
 			if g.bounds != nil {
@@ -993,7 +1288,7 @@ func (g *gen) stmt(n *lir.Nest, s *lir.NestStmt) {
 	case s.IsReduce:
 		acc := mangle("zaA_", s.Target)
 		if sw.declare(acc, "var ", acc, " float64 = ", g.identity(s.Op)) {
-			sw.post = append(sw.post, goName(s.Target)+" = "+acc)
+			sw.accs = append(sw.accs, accum{acc, s.Target, s.Op})
 		}
 		g.reduceStep(acc, s.Op, rhs)
 	case s.Contracted:

@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/gogen"
+	"repro/internal/lir"
 	"repro/internal/programs"
 )
 
@@ -29,7 +31,9 @@ var update = flag.Bool("update", false, "rewrite testdata/emission_hashes.json f
 // a deliberate change to the emitted code. One-shot hashes are checked
 // on Linux only, since the arena's host half differs by OS
 // (arena_linux.go, arena_other.go); a worker has no arena, and its
-// hashes hold everywhere.
+// hashes hold everywhere. At their default sizes no nest is large
+// enough for a worker to split (Splits); heat@512's workers pin the
+// threaded emission.
 func TestEmissionPinned(t *testing.T) {
 	path := filepath.Join("testdata", "emission_hashes.json")
 	heat, err := os.ReadFile("../../testdata/heat.za")
@@ -49,6 +53,13 @@ func TestEmissionPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
+			for _, pr := range c.LIR.Procs {
+				for _, n := range lir.Nests(pr.Body) {
+					if gogen.Splits(c.LIR, c.Bounds, n) {
+						t.Errorf("%s: a worker splits a nest at the default size", id)
+					}
+				}
+			}
 			oneShot, err := gogen.EmitBounds(c.LIR, c.Bounds)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
@@ -59,6 +70,21 @@ func TestEmissionPinned(t *testing.T) {
 			}
 			got[id+"/one-shot"], got[id+"/worker"] = sum(oneShot), sum(worker)
 		}
+	}
+	for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+		id := fmt.Sprintf("heat@512/%s/worker", lvl)
+		c, err := driver.Compile(string(heat), driver.Options{Level: lvl, Configs: map[string]int64{"n": 512}})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		worker, err := gogen.EmitWorker(c.LIR, c.Bounds)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if !strings.Contains(worker, "zaC_run(") {
+			t.Errorf("%s: no nest split", id)
+		}
+		got[id] = sum(worker)
 	}
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")

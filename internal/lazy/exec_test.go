@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/air"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/sema"
 )
@@ -40,48 +42,93 @@ func residentArrayOf(t *testing.T, e *Engine, h *Handle) residentArray {
 // ±0, three NaN bit patterns (math.NaN(), the negative quiet NaN amd64
 // divisions make, a signalling one), ±Inf and a tie are bit-identical to
 // a left fold of math.Max and math.Min from the identity, on the VM and
-// the native backend.
+// the native backend. Pair k is the first column of block k of two rows
+// and w columns, the rest of the block the reduction's identity, and
+// the 81 blocks make a nest a native worker splits (gogen.Splits): at
+// GOMAXPROCS 2 the two values of a pair fall in different chunks, whose
+// accumulators the worker folds after the helpers finish; at
+// GOMAXPROCS 1 the nest runs as one chunk. Every native result also
+// equals the VM's bit for bit.
 func TestMaxMinOfSpecialValues(t *testing.T) {
 	s := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000001), 2, -2}
 	n := len(s)
-	pairs := make([]float64, 2*n*n)
+	w := gogen.SplitPoints/(2*n*n) + 1
+	cols := n * n * w
+	lo, hi := make([]float64, 2*cols), make([]float64, 2*cols) // max's grid, min's
+	for i := range lo {
+		lo[i], hi[i] = math.Inf(-1), math.Inf(1)
+	}
 	for j, a := range s {
 		for i, b := range s {
-			pairs[n*j+i], pairs[n*n+n*j+i] = a, b
+			k := (n*j + i) * w
+			lo[k], lo[cols+k], hi[k], hi[cols+k] = a, b, a, b
 		}
 	}
-	opts := []Options{{Level: core.C2F4S}}
-	if backend.Available() {
-		opts = append(opts, Options{Level: core.C2F4S, Backend: driver.BackendGo, ArtifactDir: t.TempDir()})
+	type arm struct {
+		opt   Options
+		procs string // the native worker's GOMAXPROCS
 	}
-	for _, opt := range opts {
-		e := NewEngine(opt)
+	arms := []arm{{opt: Options{Level: core.C2F4S}}}
+	if backend.Available() {
+		for _, procs := range []string{"1", "2"} {
+			arms = append(arms, arm{Options{Level: core.C2F4S, Backend: driver.BackendGo, ArtifactDir: t.TempDir()}, procs})
+		}
+	}
+	var vm []float64 // the VM's results, max then min of each pair
+	for _, a := range arms {
+		name := fmt.Sprintf("%v GOMAXPROCS=%s", a.opt.Backend, a.procs)
+		if a.procs != "" {
+			t.Setenv("GOMAXPROCS", a.procs)
+		}
+		e := NewEngine(a.opt)
 		defer e.Close()
-		p := e.Array("p", R(1, 2, 1, n*n))
-		if err := p.SetValues(pairs); err != nil {
+		split := true // every nest over rows 1..2 is threaded
+		e.emitHook = func(goSrc string) string {
+			split = split && strings.Contains(goSrc, "zaC_run(") && !strings.Contains(goSrc, "i1 <= 2;")
+			return goSrc
+		}
+		pl, ph := e.Array("lo", R(1, 2, 1, cols)), e.Array("hi", R(1, 2, 1, cols))
+		if err := pl.SetValues(lo); err != nil {
+			t.Fatal(err)
+		}
+		if err := ph.SetValues(hi); err != nil {
 			t.Fatal(err)
 		}
 		mx, mn := make([]*ScalarHandle, n*n), make([]*ScalarHandle, n*n)
 		for k := range mx {
 			mx[k], mn[k] = e.Scalar("", 0), e.Scalar("", 0)
-			mx[k].MaxOf(R(1, 2, k+1, k+1), p)
-			mn[k].MinOf(R(1, 2, k+1, k+1), p)
+			mx[k].MaxOf(R(1, 2, k*w+1, (k+1)*w), pl)
+			mn[k].MinOf(R(1, 2, k*w+1, (k+1)*w), ph)
 		}
 		if err := e.Eval(); err != nil {
 			t.Fatal(err)
 		}
+		if a.procs != "" && !split {
+			t.Fatalf("%s: the worker runs a nest over rows 1..2 on one goroutine", name)
+		}
 		check := func(op string, got, want, a, b float64) {
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%v: %s<< (%#x, %#x) = %#x, want %#x", opt.Backend, op,
+				t.Errorf("%s: %s<< (%#x, %#x) = %#x, want %#x", name, op,
 					math.Float64bits(a), math.Float64bits(b), math.Float64bits(got), math.Float64bits(want))
 			}
 		}
+		var got []float64
 		for j, a := range s {
 			for i, b := range s {
 				k := n*j + i
 				check("max", mx[k].val, math.Max(math.Max(math.Inf(-1), a), b), a, b)
 				check("min", mn[k].val, math.Min(math.Min(math.Inf(1), a), b), a, b)
+				got = append(got, mx[k].val, mn[k].val)
+			}
+		}
+		if vm == nil {
+			vm = got
+			continue
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(vm[i]) {
+				t.Errorf("%s: result %d is %#x, the VM's %#x", name, i, math.Float64bits(got[i]), math.Float64bits(vm[i]))
 			}
 		}
 	}

@@ -61,6 +61,22 @@ func Running(pid int) bool {
 	return len(fields) > 0 && fields[0] != "Z" && fields[0] != "X"
 }
 
+// CPUTicks returns the CPU time process pid has used, user and system,
+// in clock ticks.
+func CPUTicks(pid int) (int, error) {
+	fields := statFields(fmt.Sprintf("/proc/%d/stat", pid))
+	// utime and stime are fields 14 and 15 of the line; fields[0] is 3.
+	if len(fields) < 13 {
+		return 0, fmt.Errorf("proctest: no CPU times for process %d", pid)
+	}
+	utime, err := strconv.Atoi(fields[11])
+	if err != nil {
+		return 0, err
+	}
+	stime, err := strconv.Atoi(fields[12])
+	return utime + stime, err
+}
+
 // helperArg marks a helper process: the first argument after the test
 // binary's flags.
 const helperArg = "proctest-helper"
