@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -694,5 +695,45 @@ func TestZplrunBindsZplcsPipelineFlags(t *testing.T) {
 	}
 	if !difftest.Close(seq, comm) {
 		t.Errorf("-comm favor-comm output %q != sequential %q", comm, seq)
+	}
+}
+
+// TestZpldUsageDocumented: every flag `zpld -h` prints is listed in
+// cmd/zpld's usage comment, and the comment lists no flag zpld lacks.
+// The comment is written by hand; this keeps it from drifting when a
+// flag is added or removed.
+func TestZpldUsageDocumented(t *testing.T) {
+	_, stderr, err := runTool(t, "zpld", "-h")
+	if err != nil {
+		t.Fatalf("zpld -h: %v\n%s", err, stderr)
+	}
+	flags := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr, -1) {
+		flags[m[1]] = true
+	}
+	if len(flags) == 0 {
+		t.Fatalf("zpld -h listed no flags:\n%s", stderr)
+	}
+	src, err := os.ReadFile("cmd/zpld/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, ok := strings.Cut(string(src), "\npackage main")
+	if !ok {
+		t.Fatal("cmd/zpld/main.go: no package clause")
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^//\t-([a-z][a-z-]*)`).FindAllStringSubmatch(doc, -1) {
+		documented[m[1]] = true
+	}
+	for f := range flags {
+		if !documented[f] {
+			t.Errorf("zpld -h prints -%s, which cmd/zpld's usage comment does not list", f)
+		}
+	}
+	for f := range documented {
+		if !flags[f] {
+			t.Errorf("cmd/zpld's usage comment lists -%s, which zpld -h does not print", f)
+		}
 	}
 }

@@ -13,8 +13,8 @@
 //	                   address is printed to stderr)
 //	-workers n         concurrent compiles/runs (default: GOMAXPROCS)
 //	-queue n           waiting requests beyond the pool before 429s
-//	-cache-bytes n     compilation-cache budget (default 64 MiB)
-//	-tune-cache-bytes n  tuned-plan cache budget for /tune (default 16 MiB)
+//	-cache-bytes n     memory-tier budget: compilations and /tune's
+//	                   tuned plans (default 64 MiB)
 //	-max-body n        request-size limit in bytes (default 1 MiB)
 //	-timeout d         default per-request deadline (default 30s)
 //	-max-timeout d     cap on client-supplied deadlines (default 5m)
@@ -69,8 +69,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8348", "listen address")
 	workers := flag.Int("workers", 0, "concurrent compiles/runs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "waiting requests beyond the pool (0 = 4x workers)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "compilation-cache budget in bytes")
-	tuneCacheBytes := flag.Int64("tune-cache-bytes", 16<<20, "tuned-plan cache budget in bytes")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "memory-tier budget in bytes (compilations and tuned plans)")
 	maxBody := flag.Int64("max-body", 1<<20, "request-size limit in bytes")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-supplied deadlines")
@@ -91,7 +90,6 @@ func main() {
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheBytes:     *cacheBytes,
-		TuneCacheBytes: *tuneCacheBytes,
 		MaxBodyBytes:   *maxBody,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,

@@ -678,6 +678,57 @@ func (p *Program) AllBlocks() []*Block {
 	return out
 }
 
+// CoverAllocs widens each array's allocation to cover every reference
+// in the program: writes cover the statement region; a read at offset d
+// over region S covers S shifted by d. The difference between the
+// declared and allocated bounds is the array's halo. Each widening
+// installs a new Alloc region and never mutates the old one, which may
+// be shared (with Declared, or with another array).
+func (p *Program) CoverAllocs() {
+	cover := func(name string, reg *sema.Region, off Offset) {
+		if a := p.Arrays[name]; a != nil && reg.Rank() == a.Declared.Rank() {
+			a.cover(reg, off)
+		}
+	}
+	for _, blk := range p.AllBlocks() {
+		for _, s := range blk.Stmts {
+			switch x := s.(type) {
+			case *ArrayStmt:
+				cover(x.LHS, x.Region, nil)
+				for _, r := range x.Reads() {
+					cover(r.Array, x.Region, r.Off)
+				}
+			case *ReduceStmt:
+				for _, r := range Refs(x.Body) {
+					cover(r.Array, x.Region, r.Off)
+				}
+			case *PartialReduceStmt:
+				cover(x.LHS, x.Dest, nil)
+				for _, r := range Refs(x.Body) {
+					cover(r.Array, x.Region, r.Off)
+				}
+			}
+		}
+	}
+}
+
+// cover widens a's allocation to hold reg shifted by off (nil: no shift).
+func (a *ArrayInfo) cover(reg *sema.Region, off Offset) {
+	lo := make([]int, reg.Rank())
+	hi := make([]int, reg.Rank())
+	copy(lo, a.Alloc.Lo)
+	copy(hi, a.Alloc.Hi)
+	for i := range lo {
+		d := 0
+		if off != nil {
+			d = off[i]
+		}
+		lo[i] = min(lo[i], reg.Lo[i]+d)
+		hi[i] = max(hi[i], reg.Hi[i]+d)
+	}
+	a.Alloc = &sema.Region{Name: a.Alloc.Name, Lo: lo, Hi: hi}
+}
+
 func sortedProcs(p *Program) []*Proc {
 	// main first, then others by name for determinism.
 	var out []*Proc

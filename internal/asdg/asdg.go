@@ -82,13 +82,6 @@ func (g *Graph) Edge(from, to int) *dep.Edge {
 	return nil
 }
 
-// IsNormalized reports whether vertex v is a normalized array
-// statement (the only fusion candidates).
-func (g *Graph) IsNormalized(v int) bool {
-	_, ok := g.Stmts[v].(*air.ArrayStmt)
-	return ok
-}
-
 // ArrayStmt returns vertex v as an ArrayStmt, or nil.
 func (g *Graph) ArrayStmt(v int) *air.ArrayStmt {
 	s, _ := g.Stmts[v].(*air.ArrayStmt)

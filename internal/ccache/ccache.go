@@ -48,8 +48,8 @@ const (
 	// ArtifactIR is a plain compilation: AIR/LIR plus plan metadata
 	// (the default; the empty string means ArtifactIR).
 	ArtifactIR ArtifactKind = "ir"
-	// ArtifactNative is a compilation plus a built native binary
-	// (Entry.Bin) produced by the go backend.
+	// ArtifactNative is a compilation whose generated Go the go backend
+	// built (Entry.BinKey names the binary in the backend's store).
 	ArtifactNative ArtifactKind = "native"
 	// ArtifactTune is a serialized tuning result (Entry.Aux) with no
 	// compilation attached.
@@ -209,11 +209,6 @@ type Entry struct {
 	Meta   *Meta  // serializable response metadata (see Meta)
 	GoSrc  string // generated Go program ("" when emission was not requested)
 	Plan   string // plan summary: contraction counts, nests, comm stats
-	// Bin is the path of the built native binary in the backend's
-	// artifact store (ArtifactNative entries only). The store is
-	// content-addressed on the generated source, so the path stays
-	// valid for the life of the store directory.
-	Bin string
 	// BinKey is the backend artifact store's content address of the
 	// generated Go source (its hex digest), for logs and responses.
 	BinKey string
@@ -228,7 +223,7 @@ type Entry struct {
 // IR (nodes are small heap objects; 128 bytes each is deliberately
 // generous so the byte bound errs toward evicting early).
 func SizeOf(e *Entry) int64 {
-	n := int64(len(e.Source) + len(e.GoSrc) + len(e.Plan) + len(e.Aux) + len(e.Bin) + len(e.BinKey))
+	n := int64(len(e.Source) + len(e.GoSrc) + len(e.Plan) + len(e.Aux) + len(e.BinKey))
 	if e.Meta != nil {
 		n += int64(len(e.Meta.RemarksJSON)) + 128
 	}

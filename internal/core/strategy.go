@@ -85,10 +85,6 @@ func ParseLevel(s string) (Level, error) {
 	return Baseline, fmt.Errorf("unknown optimization level %q", s)
 }
 
-// ContractsTemps reports whether the level performs compiler-array
-// contraction.
-func (l Level) ContractsTemps() bool { return l >= C1 }
-
 // ContractsUsers reports whether the level performs user-array
 // contraction.
 func (l Level) ContractsUsers() bool {

@@ -105,13 +105,6 @@ func BlockRange(lo, hi, parts, idx int) (int, int) {
 	return start, start + size - 1
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Decomp is a block decomposition of an anchor index space over a grid.
 // Ownership of every index is defined by the anchor, so arrays and
 // statement regions of the same rank partition consistently.
@@ -180,8 +173,8 @@ func Intersect(a, b *sema.Region) *sema.Region {
 	lo := make([]int, a.Rank())
 	hi := make([]int, a.Rank())
 	for k := range lo {
-		lo[k] = maxInt(a.Lo[k], b.Lo[k])
-		hi[k] = minInt(a.Hi[k], b.Hi[k])
+		lo[k] = max(a.Lo[k], b.Lo[k])
+		hi[k] = min(a.Hi[k], b.Hi[k])
 	}
 	return &sema.Region{Lo: lo, Hi: hi}
 }
@@ -194,18 +187,4 @@ func Empty(r *sema.Region) bool {
 		}
 	}
 	return false
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -213,11 +213,12 @@ func (cb *canonBatch) source() string {
 func (cb *canonBatch) build() (*air.Program, error) {
 	arrays := map[string]*air.ArrayInfo{}
 	for i, h := range cb.handles {
+		r := cloneRegion(h.region)
 		arrays["v"+strconv.Itoa(i)] = &air.ArrayInfo{
 			Name:     "v" + strconv.Itoa(i),
 			Elem:     ast.Double,
-			Declared: cloneRegion(h.region),
-			Alloc:    cloneRegion(h.region),
+			Declared: r,
+			Alloc:    r, // widened by CoverAllocs
 			Temp:     h.temp,
 			Escapes:  cb.escapes[i],
 		}
@@ -255,11 +256,12 @@ func (cb *canonBatch) build() (*air.Program, error) {
 				// snapshot, exactly as source lowering would insert it.
 				tmp := "_t" + strconv.Itoa(ntemp)
 				ntemp++
+				r := cloneRegion(o.region)
 				arrays[tmp] = &air.ArrayInfo{
 					Name:     tmp,
 					Elem:     ast.Double,
-					Declared: cloneRegion(o.region),
-					Alloc:    cloneRegion(o.region),
+					Declared: r,
+					Alloc:    r,
 					Temp:     true,
 				}
 				stmts = append(stmts,
@@ -293,47 +295,17 @@ func (cb *canonBatch) build() (*air.Program, error) {
 		}
 	}
 
-	// Widen allocations to cover every access: writes at the statement
-	// region, reads at the region shifted by their offset (same cover
-	// rule as source lowering).
-	widen := func(name string, r *sema.Region, off air.Offset) {
-		a := arrays[name]
-		for d := 0; d < r.Rank(); d++ {
-			o := 0
-			if off != nil {
-				o = off[d]
-			}
-			if lo := r.Lo[d] + o; lo < a.Alloc.Lo[d] {
-				a.Alloc.Lo[d] = lo
-			}
-			if hi := r.Hi[d] + o; hi > a.Alloc.Hi[d] {
-				a.Alloc.Hi[d] = hi
-			}
-		}
-	}
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *air.ArrayStmt:
-			widen(x.LHS, x.Region, nil)
-			for _, r := range x.Reads() {
-				widen(r.Array, x.Region, r.Off)
-			}
-		case *air.ReduceStmt:
-			for _, r := range air.Refs(x.Body) {
-				widen(r.Array, x.Region, r.Off)
-			}
-		}
-	}
-
 	main := &air.Proc{Name: "main", Body: []air.Node{&air.Block{ID: 0, Stmts: stmts}}}
-	return &air.Program{
+	prog := &air.Program{
 		Name:     "lazy",
 		Arrays:   arrays,
 		Scalars:  scalars,
 		Procs:    map[string]*air.Proc{"main": main},
 		Main:     main,
 		NumStmts: id,
-	}, nil
+	}
+	prog.CoverAllocs()
+	return prog, nil
 }
 
 // shape is the one encoding of a batch: its op stream as integer words.

@@ -134,7 +134,7 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 		if err != nil {
 			return nil, err
 		}
-		entry.GoSrc, entry.Bin, entry.BinKey = goSrc, art.Bin, art.Key
+		entry.GoSrc, entry.BinKey = goSrc, art.Key
 	}
 	words := executorWords(spec, residentArrays(comp.LIR, spec), native)
 	entry.Size = ccache.SizeOf(entry) + 8*int64(words)

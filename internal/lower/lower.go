@@ -48,7 +48,7 @@ func Lower(info *sema.Info, errs *source.ErrorList) *air.Program {
 		lw.lowerProc(pd)
 	}
 	lw.prog.Main = lw.prog.Procs["main"]
-	lw.computeAllocBounds()
+	lw.prog.CoverAllocs()
 	lw.computeEffects()
 	return lw.prog
 }
@@ -539,54 +539,4 @@ func unOp(k token.Kind) air.Op {
 		return air.OpNot
 	}
 	return air.OpNeg
-}
-
-// computeAllocBounds widens each array's allocation to cover every
-// reference in the program: writes cover the statement region; a read
-// at offset d over region S covers S shifted by d. The difference
-// between the declared and allocated bounds is the array's halo.
-func (lw *lowerer) computeAllocBounds() {
-	cover := func(name string, reg *sema.Region, off air.Offset) {
-		a := lw.prog.Arrays[name]
-		if a == nil || reg.Rank() != a.Declared.Rank() {
-			return
-		}
-		lo := make([]int, reg.Rank())
-		hi := make([]int, reg.Rank())
-		copy(lo, a.Alloc.Lo)
-		copy(hi, a.Alloc.Hi)
-		for i := 0; i < reg.Rank(); i++ {
-			d := 0
-			if off != nil {
-				d = off[i]
-			}
-			if reg.Lo[i]+d < lo[i] {
-				lo[i] = reg.Lo[i] + d
-			}
-			if reg.Hi[i]+d > hi[i] {
-				hi[i] = reg.Hi[i] + d
-			}
-		}
-		a.Alloc = &sema.Region{Name: a.Alloc.Name, Lo: lo, Hi: hi}
-	}
-	for _, blk := range lw.prog.AllBlocks() {
-		for _, s := range blk.Stmts {
-			switch x := s.(type) {
-			case *air.ArrayStmt:
-				cover(x.LHS, x.Region, nil)
-				for _, r := range x.Reads() {
-					cover(r.Array, x.Region, r.Off)
-				}
-			case *air.ReduceStmt:
-				for _, r := range air.Refs(x.Body) {
-					cover(r.Array, x.Region, r.Off)
-				}
-			case *air.PartialReduceStmt:
-				cover(x.LHS, x.Dest, nil)
-				for _, r := range air.Refs(x.Body) {
-					cover(r.Array, x.Region, r.Off)
-				}
-			}
-		}
-	}
 }

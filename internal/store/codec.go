@@ -23,10 +23,10 @@
 //     LIR was scalarized from. Nothing downstream of scalarization
 //     reads it (executors and emitters use Source.{Name, Arrays,
 //     Scalars} only), and it was more than 40% of the old envelope;
-//   - Entry.Bin — the native binary's path is local to one machine's
-//     artifact store; the Go *source* travels, and each node rebuilds
-//     through its own content-addressed backend store (normally a
-//     build-cache hit after the first run).
+//   - the native binary — an entry holds none, only BinKey, its content
+//     address; the Go *source* travels, and each node builds through
+//     its own content-addressed backend store (normally a build-cache
+//     hit after the first run).
 //
 // Regions are interned by value, so nodes whose regions are equal share
 // one *sema.Region after decoding whether or not they did before. That

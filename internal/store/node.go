@@ -13,7 +13,7 @@
 //	         claimant's put before re-checking.
 //
 //	POST /store/put?key=<hex>            body = envelope
-//	     204 — stored (disk + matching memory tiers) and any claim on
+//	     204 — stored (disk + memory tier) and any claim on
 //	         the key resolved; 400 — undecodable or key mismatch.
 //	POST /store/put?key=<hex>&claim=1    no body
 //	     200 with one of "granted" | "present" | "busy".
@@ -50,15 +50,6 @@ type claim struct {
 	expires time.Time
 }
 
-// localTier is one registered in-process cache a node can serve peers
-// from; accepts filters by artifact kind so the compile cache and the
-// tune cache each see only their entries.
-type localTier struct {
-	name    string
-	cache   *ccache.Cache
-	accepts func(ccache.ArtifactKind) bool
-}
-
 // NodeStats counts the server side of the peer protocol.
 type NodeStats struct {
 	ServedHits   int64 // /store/get answered with an envelope
@@ -73,7 +64,8 @@ type NodeStats struct {
 type Node struct {
 	self     string
 	ring     *Ring
-	disk     *Disk // may be nil: peers are then served from mem only
+	mem      *ccache.Cache // may be nil: peers are then served from disk only
+	disk     *Disk         // may be nil: peers are then served from mem only
 	peers    *Peers
 	claimTTL time.Duration
 	waitCap  time.Duration
@@ -81,7 +73,6 @@ type Node struct {
 
 	mu     sync.Mutex
 	claims map[ccache.Key]*claim
-	locals []localTier
 	stats  NodeStats
 
 	now func() time.Time
@@ -91,7 +82,8 @@ type Node struct {
 type NodeConfig struct {
 	Self     string        // this node's host:port as it appears in Peers
 	Peers    []string      // static member list (may or may not include Self)
-	Disk     *Disk         // shared with the Tiered stores; may be nil
+	Mem      *ccache.Cache // the memory tier of this node's Tiered store; may be nil
+	Disk     *Disk         // the disk tier of this node's Tiered store; may be nil
 	Timeout  time.Duration // per-attempt peer timeout (0 → DefaultPeerTimeout)
 	ClaimTTL time.Duration // compile-claim lifetime (0 → DefaultClaimTTL)
 	WaitCap  time.Duration // max blocking on a claim (0 → DefaultPeerWait)
@@ -105,6 +97,7 @@ func NewNode(cfg NodeConfig) *Node {
 	n := &Node{
 		self:     cfg.Self,
 		ring:     NewRing(members),
+		mem:      cfg.Mem,
 		disk:     cfg.Disk,
 		peers:    NewPeers(cfg.Timeout, cfg.MaxBytes),
 		claimTTL: cfg.ClaimTTL,
@@ -150,24 +143,13 @@ func (n *Node) Stats() NodeStats {
 	return n.stats
 }
 
-// RegisterLocal attaches an in-process cache as a peer-servable tier.
-// accepts filters which artifact kinds route into it on puts.
-func (n *Node) RegisterLocal(name string, c *ccache.Cache, accepts func(ccache.ArtifactKind) bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.locals = append(n.locals, localTier{name: name, cache: c, accepts: accepts})
-}
-
-// lookupLocal finds k in the registered memory tiers or on disk,
-// returning the encoded envelope and the tier name. Memory hits are
-// read with Peek: serving a peer must not distort this node's own
-// LRU recency or hit counters.
+// lookupLocal finds k in the memory tier or on disk, returning the
+// encoded envelope and the tier name. Memory hits are read with Peek:
+// serving a peer must not distort this node's own LRU recency or hit
+// counters.
 func (n *Node) lookupLocal(k ccache.Key) (raw []byte, tier string, ok bool) {
-	n.mu.Lock()
-	locals := n.locals
-	n.mu.Unlock()
-	for _, lt := range locals {
-		if e, ok := lt.cache.Peek(k); ok {
+	if n.mem != nil {
+		if e, ok := n.mem.Peek(k); ok {
 			if raw, err := Encode(e); err == nil {
 				return raw, TierMem, true
 			}
@@ -313,20 +295,15 @@ func (n *Node) ServePut(w http.ResponseWriter, r *http.Request) {
 		// The envelope binds content to its key; a mismatch is a
 		// routing bug on the sender, not something to store.
 		n.count(func(s *NodeStats) { s.BadRequests++ })
-		http.Error(w, "key mismatch", http.StatusBadRequest)
+		http.Error(w, "key mismatch: the envelope holds "+e.Key.String(), http.StatusBadRequest)
 		return
 	}
 
 	if n.disk != nil {
 		n.disk.PutRaw(k, raw)
 	}
-	n.mu.Lock()
-	locals := n.locals
-	n.mu.Unlock()
-	for _, lt := range locals {
-		if lt.accepts == nil || lt.accepts(e.Kind) {
-			lt.cache.Put(k, e)
-		}
+	if n.mem != nil {
+		n.mem.Put(k, e)
 	}
 	n.resolveClaim(k)
 	n.count(func(s *NodeStats) { s.ServedPuts++ })

@@ -497,15 +497,15 @@ func newTestCluster(t *testing.T, n int, waitCap time.Duration) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mem := ccache.New(0)
 		node := NewNode(NodeConfig{
 			Self:    c.addrs[i],
 			Peers:   c.addrs,
+			Mem:     mem,
 			Disk:    disk,
 			Timeout: 2 * time.Second,
 			WaitCap: waitCap,
 		})
-		mem := ccache.New(0)
-		node.RegisterLocal("compile", mem, nil)
 		st := NewTiered(mem, disk, node)
 		handlers[i].HandleFunc("/store/get", node.ServeGet)
 		handlers[i].HandleFunc("/store/put", node.ServePut)
@@ -629,15 +629,15 @@ func TestDeadPeerDegradesToLocalCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem := ccache.New(0)
 	node := NewNode(NodeConfig{
 		Self:    "127.0.0.1:1", // never dialed: only remote owners are
 		Peers:   []string{deadAddr},
+		Mem:     mem,
 		Disk:    disk,
 		Timeout: 200 * time.Millisecond,
 		WaitCap: 200 * time.Millisecond,
 	})
-	mem := ccache.New(0)
-	node.RegisterLocal("compile", mem, nil)
 	ts := NewTiered(mem, disk, node)
 
 	// Find a source variant whose key the dead peer owns.
@@ -816,13 +816,12 @@ func TestPeerAnsweringV1DegradesToLocalCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find a key the old node owns (the ring holds this node too).
-	node := NewNode(NodeConfig{Self: "127.0.0.1:1", Peers: []string{oldAddr}, Disk: disk, Timeout: 2 * time.Second})
+	mem := ccache.New(0)
+	node := NewNode(NodeConfig{Self: "127.0.0.1:1", Peers: []string{oldAddr}, Mem: mem, Disk: disk, Timeout: 2 * time.Second})
 	for node.Owner(k) != oldAddr {
 		src += "\n"
 		k = ccache.KeyOf(src, opt)
 	}
-	mem := ccache.New(0)
-	node.RegisterLocal("compile", mem, nil)
 	ts := NewTiered(mem, disk, node)
 
 	e, res, err := ts.GetOrCompute(context.Background(), k, func() (*ccache.Entry, error) {

@@ -45,11 +45,11 @@ type ClusterResponse struct {
 	Self      string   `json:"self,omitempty"`
 	Clustered bool     `json:"clustered"`
 	Members   []string `json:"members,omitempty"`
-	// Tiers maps tier name to residency: "mem" (compilation cache),
-	// "mem_tune" (tuned-plan cache), "disk" (shared, when enabled).
+	// Tiers maps tier name to residency: "mem" (compilations and tuned
+	// plans), "disk" (when enabled), "peer" (hits only, when clustered).
 	Tiers map[string]ClusterTier `json:"tiers"`
-	// Misses/Dedups are the compilation store's compute counters, so
-	// hit rates are derivable from the tier hits alone.
+	// Misses/Dedups are the store's compute counters, so hit rates are
+	// derivable from the tier hits alone.
 	Misses int64 `json:"misses"`
 	Dedups int64 `json:"dedups"`
 	// PeerServed counts what this node answered for others.
@@ -65,25 +65,23 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs := s.cache.TierStats()
-	ts := s.tcache.TierStats()
 	resp := ClusterResponse{
 		Clustered: s.node != nil,
 		Tiers: map[string]ClusterTier{
-			"mem":      {Entries: cs.Mem.Entries, Bytes: cs.Mem.Bytes, Hits: cs.MemHits},
-			"mem_tune": {Entries: ts.Mem.Entries, Bytes: ts.Mem.Bytes, Hits: ts.MemHits},
+			"mem": {Entries: cs.Mem.Entries, Bytes: cs.Mem.Bytes, Hits: cs.MemHits},
 		},
-		Misses:   cs.Misses + ts.Misses,
-		Dedups:   cs.Dedups + ts.Dedups,
+		Misses:   cs.Misses,
+		Dedups:   cs.Dedups,
 		Warnings: s.warns,
 	}
 	if s.disk != nil {
 		ds := s.disk.Stats()
-		resp.Tiers["disk"] = ClusterTier{Entries: ds.Entries, Bytes: ds.Bytes, Hits: cs.DiskHits + ts.DiskHits}
+		resp.Tiers["disk"] = ClusterTier{Entries: ds.Entries, Bytes: ds.Bytes, Hits: cs.DiskHits}
 	}
 	if s.node != nil {
 		resp.Self = s.node.Self()
 		resp.Members = s.node.Members()
-		resp.Tiers["peer"] = ClusterTier{Hits: cs.PeerHits + ts.PeerHits}
+		resp.Tiers["peer"] = ClusterTier{Hits: cs.PeerHits}
 		ns := s.node.Stats()
 		resp.PeerServedHits = ns.ServedHits
 		resp.PeerServedPuts = ns.ServedPuts

@@ -166,9 +166,9 @@ func (m *Metrics) family(b *strings.Builder, name string, labels ...string) bool
 	return true
 }
 
-// Render emits the registry plus the counters of the compilation
-// cache (cs) and the tuned-plan cache (ts).
-func (m *Metrics) Render(cs, ts ccache.Stats) string {
+// Render emits the registry plus the counters of the store (cs), which
+// holds compilations and tuned plans alike.
+func (m *Metrics) Render(cs ccache.Stats) string {
 	var b strings.Builder
 
 	m.mu.Lock()
@@ -199,51 +199,37 @@ func (m *Metrics) Render(cs, ts ccache.Stats) string {
 	scalar(&b, "zpld_cache_entries", "gauge", cs.Entries)
 	scalar(&b, "zpld_cache_max_bytes", "gauge", cs.MaxBytes)
 
-	scalar(&b, "zpld_tune_cache_hits_total", "counter", ts.Hits)
-	scalar(&b, "zpld_tune_cache_misses_total", "counter", ts.Misses)
-	scalar(&b, "zpld_tune_cache_dedup_hits_total", "counter", ts.DedupHits)
-	scalar(&b, "zpld_tune_cache_evictions_total", "counter", ts.Evictions)
-	scalar(&b, "zpld_tune_cache_bytes", "gauge", ts.Bytes)
-	scalar(&b, "zpld_tune_cache_entries", "gauge", ts.Entries)
-
 	renderHistograms(&b, "zpld_phase_seconds", "phase", m.Phases)
 	renderHistograms(&b, "zpld_request_seconds", "endpoint", m.byRoute)
 	return b.String()
 }
 
 // RenderStoreMetrics emits the tiered-store families: per-tier hits
-// and residency for the compilation store (cs) and the tuned-plan
-// store (ts), plus the peer-protocol counters when clustered. It is
-// rendered after Render in /metrics; the classic zpld_cache_* families
-// above stay aggregate for dashboard continuity.
-func RenderStoreMetrics(cs, ts store.TierStats, node *store.Node) string {
+// and residency of the store (st), plus the peer-protocol counters when
+// clustered. It is rendered after Render in /metrics; the classic
+// zpld_cache_* families above stay aggregate for dashboard continuity.
+// The store and disk labels keep the values they had when tuned plans
+// lived in a store of their own, so existing series keep their names.
+func RenderStoreMetrics(st store.TierStats, node *store.Node) string {
 	var b strings.Builder
 
 	b.WriteString("# TYPE zpld_store_tier_hits_total counter\n")
-	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"compile\",tier=\"mem\"} %d\n", cs.MemHits)
-	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"tune\",tier=\"mem\"} %d\n", ts.MemHits)
-	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"compile\",tier=\"disk\"} %d\n", cs.DiskHits)
-	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"tune\",tier=\"disk\"} %d\n", ts.DiskHits)
-	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"compile\",tier=\"peer\"} %d\n", cs.PeerHits)
-	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"tune\",tier=\"peer\"} %d\n", ts.PeerHits)
+	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"compile\",tier=\"mem\"} %d\n", st.MemHits)
+	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"compile\",tier=\"disk\"} %d\n", st.DiskHits)
+	fmt.Fprintf(&b, "zpld_store_tier_hits_total{store=\"compile\",tier=\"peer\"} %d\n", st.PeerHits)
 
-	// The disk tier is shared between the two stores; report it once
-	// under the compile store's snapshot.
 	b.WriteString("# TYPE zpld_store_tier_entries gauge\n")
-	fmt.Fprintf(&b, "zpld_store_tier_entries{store=\"compile\",tier=\"mem\"} %d\n", cs.Mem.Entries)
-	fmt.Fprintf(&b, "zpld_store_tier_entries{store=\"tune\",tier=\"mem\"} %d\n", ts.Mem.Entries)
-	fmt.Fprintf(&b, "zpld_store_tier_entries{store=\"shared\",tier=\"disk\"} %d\n", cs.Disk.Entries)
+	fmt.Fprintf(&b, "zpld_store_tier_entries{store=\"compile\",tier=\"mem\"} %d\n", st.Mem.Entries)
+	fmt.Fprintf(&b, "zpld_store_tier_entries{store=\"shared\",tier=\"disk\"} %d\n", st.Disk.Entries)
 	b.WriteString("# TYPE zpld_store_tier_bytes gauge\n")
-	fmt.Fprintf(&b, "zpld_store_tier_bytes{store=\"compile\",tier=\"mem\"} %d\n", cs.Mem.Bytes)
-	fmt.Fprintf(&b, "zpld_store_tier_bytes{store=\"tune\",tier=\"mem\"} %d\n", ts.Mem.Bytes)
-	fmt.Fprintf(&b, "zpld_store_tier_bytes{store=\"shared\",tier=\"disk\"} %d\n", cs.Disk.Bytes)
-	scalar(&b, "zpld_store_disk_corrupt_total", "counter", cs.Disk.Corrupt)
-	scalar(&b, "zpld_store_disk_errors_total", "counter", cs.Disk.Errors)
+	fmt.Fprintf(&b, "zpld_store_tier_bytes{store=\"compile\",tier=\"mem\"} %d\n", st.Mem.Bytes)
+	fmt.Fprintf(&b, "zpld_store_tier_bytes{store=\"shared\",tier=\"disk\"} %d\n", st.Disk.Bytes)
+	scalar(&b, "zpld_store_disk_corrupt_total", "counter", st.Disk.Corrupt)
+	scalar(&b, "zpld_store_disk_errors_total", "counter", st.Disk.Errors)
 	// Entries the envelope codec refused: served from memory, absent
 	// from the disk and peer tiers.
 	b.WriteString("# TYPE zpld_store_encode_errors_total counter\n")
-	fmt.Fprintf(&b, "zpld_store_encode_errors_total{store=\"compile\"} %d\n", cs.EncodeErrors)
-	fmt.Fprintf(&b, "zpld_store_encode_errors_total{store=\"tune\"} %d\n", ts.EncodeErrors)
+	fmt.Fprintf(&b, "zpld_store_encode_errors_total{store=\"compile\"} %d\n", st.EncodeErrors)
 
 	if node == nil {
 		return b.String()

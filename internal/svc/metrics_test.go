@@ -22,13 +22,14 @@ var update = flag.Bool("update", false, "rewrite testdata/metrics.golden from th
 // followed by the unclustered store families. The golden was generated
 // at PR 23's parent (PR 24 added the zpld_store_encode_errors_total
 // family and nothing else); dashboards parse this text, so a changed
-// byte is a changed interface, not a refresh.
+// byte is a changed interface, not a refresh. Folding the tuned-plan
+// cache into the one store only deleted lines: the zpld_tune_cache_*
+// families and every store="tune" series.
 func TestMetricsRenderGolden(t *testing.T) {
-	render := func(m *Metrics, cs, ts ccache.Stats, cst, tst store.TierStats) string {
-		return m.Render(cs, ts) + RenderStoreMetrics(cst, tst, nil)
+	render := func(m *Metrics, cs ccache.Stats, st store.TierStats) string {
+		return m.Render(cs) + RenderStoreMetrics(st, nil)
 	}
-	got := "# empty registry\n" +
-		render(NewMetrics(), ccache.Stats{}, ccache.Stats{}, store.TierStats{}, store.TierStats{})
+	got := "# empty registry\n" + render(NewMetrics(), ccache.Stats{}, store.TierStats{})
 
 	m := NewMetrics()
 	m.Request("/run", 200, 3*time.Millisecond)
@@ -70,10 +71,8 @@ func TestMetricsRenderGolden(t *testing.T) {
 
 	got += "# every recording method\n" + render(m,
 		ccache.Stats{Hits: 7, Misses: 3, DedupHits: 2, Evictions: 1, TooLarge: 4, Bytes: 4096, Entries: 5, MaxBytes: 1 << 20},
-		ccache.Stats{Hits: 6, Misses: 8, DedupHits: 9, Evictions: 10, Bytes: 11, Entries: 12},
 		store.TierStats{MemHits: 1, DiskHits: 2, PeerHits: 3, Mem: ccache.Stats{Entries: 4, Bytes: 5},
-			Disk: store.DiskStats{Corrupt: 6, Errors: 7, Entries: 8, Bytes: 9}, EncodeErrors: 15},
-		store.TierStats{MemHits: 10, DiskHits: 11, PeerHits: 12, Mem: ccache.Stats{Entries: 13, Bytes: 14}, EncodeErrors: 16})
+			Disk: store.DiskStats{Corrupt: 6, Errors: 7, Entries: 8, Bytes: 9}, EncodeErrors: 15})
 
 	const golden = "testdata/metrics.golden"
 	if *update {

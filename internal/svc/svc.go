@@ -59,8 +59,7 @@ type Config struct {
 	Workers        int           // concurrent compiles/runs; default GOMAXPROCS
 	QueueDepth     int           // admitted-but-waiting requests; default 4×Workers
 	MaxBodyBytes   int64         // request size limit; default 1 MiB
-	CacheBytes     int64         // compilation cache budget; default 64 MiB
-	TuneCacheBytes int64         // tuned-plan cache budget; default 16 MiB
+	CacheBytes     int64         // memory-tier budget (compilations and tuned plans); default 64 MiB
 	DefaultTimeout time.Duration // per-request deadline when the client sends none; default 30s
 	MaxTimeout     time.Duration // cap on client-supplied deadlines; default 5m
 	MaxSteps       int64         // execution budget per run; 0 = interpreter default
@@ -108,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.TuneCacheBytes == 0 {
-		c.TuneCacheBytes = 16 << 20
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
@@ -250,8 +246,7 @@ type ErrorResponse struct {
 // Server is one service instance.
 type Server struct {
 	cfg      Config
-	cache    *store.Tiered  // tiered compilation cache (mem + disk + peers)
-	tcache   *store.Tiered  // tiered tuned-plan cache (Entry.Aux payloads)
+	cache    *store.Tiered  // compilations and tuned plans (mem + disk + peers)
 	node     *store.Node    // cluster membership; nil when unclustered
 	disk     *store.Disk    // disk tier; nil when CacheDir is unset
 	bstore   *backend.Store // native-artifact store; nil when no toolchain
@@ -286,7 +281,8 @@ func New(cfg Config) *Server {
 		}
 	}
 
-	// Assemble the tiered compilation store. Every tier degrades
+	// Assemble the one tiered store, which holds compilations and tuned
+	// plans alike (their keys differ by artifact kind). Every tier degrades
 	// independently: a disk that fails to open or a missing member
 	// list just drops that tier, never the service.
 	if cfg.CacheDir != "" {
@@ -297,6 +293,7 @@ func New(cfg Config) *Server {
 			s.disk = d
 		}
 	}
+	mem := ccache.New(cfg.CacheBytes)
 	if len(cfg.Peers) > 0 {
 		if cfg.Self == "" {
 			s.warns = append(s.warns, "peer tier disabled: peers configured without self address")
@@ -304,6 +301,7 @@ func New(cfg Config) *Server {
 			s.node = store.NewNode(store.NodeConfig{
 				Self:     cfg.Self,
 				Peers:    cfg.Peers,
+				Mem:      mem,
 				Disk:     s.disk,
 				Timeout:  cfg.PeerTimeout,
 				ClaimTTL: cfg.ClaimTTL,
@@ -312,16 +310,7 @@ func New(cfg Config) *Server {
 			})
 		}
 	}
-	cmem := ccache.New(cfg.CacheBytes)
-	tmem := ccache.New(cfg.TuneCacheBytes)
-	if s.node != nil {
-		// Peers are served out of the hot tiers too; the kind filter
-		// routes incoming puts to the right cache.
-		s.node.RegisterLocal("compile", cmem, func(k ccache.ArtifactKind) bool { return k != ccache.ArtifactTune })
-		s.node.RegisterLocal("tune", tmem, func(k ccache.ArtifactKind) bool { return k == ccache.ArtifactTune })
-	}
-	s.cache = store.NewTiered(cmem, s.disk, s.node)
-	s.tcache = store.NewTiered(tmem, s.disk, s.node)
+	s.cache = store.NewTiered(mem, s.disk, s.node)
 	return s
 }
 
@@ -338,12 +327,9 @@ func (s *Server) Warnings() []string { return append([]string(nil), s.warns...) 
 // Metrics exposes the registry (for embedding and tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// CacheStats exposes the compilation cache counters, aggregated
-// across tiers (Hits = any tier, Misses = compiles run here).
+// CacheStats exposes the store's counters, aggregated across tiers
+// (Hits = any tier, Misses = compiles and searches run here).
 func (s *Server) CacheStats() ccache.Stats { return s.cache.Stats() }
-
-// TuneCacheStats exposes the tuned-plan cache counters.
-func (s *Server) TuneCacheStats() ccache.Stats { return s.tcache.Stats() }
 
 // SetDraining flips the drain flag: new work is refused with 503 while
 // in-flight requests finish.
@@ -367,8 +353,8 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	io.WriteString(w, s.metrics.Render(s.cache.Stats(), s.tcache.Stats()))
-	io.WriteString(w, RenderStoreMetrics(s.cache.TierStats(), s.tcache.TierStats(), s.node))
+	io.WriteString(w, s.metrics.Render(s.cache.Stats()))
+	io.WriteString(w, RenderStoreMetrics(s.cache.TierStats(), s.node))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -578,7 +564,7 @@ func (s *Server) compileAndRun(ctx context.Context, w http.ResponseWriter, req *
 			} else {
 				s.metrics.BackendBuild("miss")
 			}
-			e.Bin, e.BinKey = art.Bin, art.Key
+			e.BinKey = art.Key
 		}
 		// Count each plan's decisions once, here, where the compile ran;
 		// cache hits would multiply them by request rate.

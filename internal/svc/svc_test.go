@@ -578,7 +578,7 @@ func TestCompileLintAndRemarks(t *testing.T) {
 		t.Error("heat.za at the default level should have negative remarks")
 	}
 
-	metrics := s.Metrics().Render(s.CacheStats(), s.TuneCacheStats())
+	metrics := s.Metrics().Render(s.CacheStats())
 	if !strings.Contains(metrics, "zpld_remarks_total{kind=") {
 		t.Errorf("metrics missing zpld_remarks_total:\n%s", metrics)
 	}
@@ -628,7 +628,7 @@ end;
 	if !found {
 		t.Errorf("lint findings missing unused-array for U: %+v", wresp.Lint)
 	}
-	metrics = s.Metrics().Render(s.CacheStats(), s.TuneCacheStats())
+	metrics = s.Metrics().Render(s.CacheStats())
 	if !strings.Contains(metrics, `zpld_lint_findings_total{rule="unused-array"`) {
 		t.Errorf("metrics missing zpld_lint_findings_total:\n%s", metrics)
 	}
@@ -710,13 +710,9 @@ func TestTuneEndpoint(t *testing.T) {
 		t.Errorf("bounded tune: cached=%t, key collides=%t", third.Cached, third.Key == first.Key)
 	}
 
-	st := s.TuneCacheStats()
-	if st.Misses != 2 || st.Hits != 1 {
-		t.Errorf("tune cache stats: %+v", st)
-	}
-	// The compilation cache is untouched by /tune.
-	if cst := s.CacheStats(); cst.Misses != 0 {
-		t.Errorf("tune polluted the compilation cache: %+v", cst)
+	// Tuned plans share the one store with compilations.
+	if st := s.CacheStats(); st.Misses != 2 || st.Hits != 1 || st.Entries != 2 {
+		t.Errorf("store stats after three tunes: %+v", st)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -731,8 +727,8 @@ func TestTuneEndpoint(t *testing.T) {
 	text := string(mb)
 	for _, want := range []string{
 		"zpld_tune_requests_total 3",
-		"zpld_tune_cache_hits_total 1",
-		"zpld_tune_cache_misses_total 2",
+		"zpld_cache_hits_total 1",
+		"zpld_cache_misses_total 2",
 		`zpld_phase_seconds_count{phase="tune"} 2`,
 		`zpld_request_seconds_count{endpoint="/tune"} 3`,
 		`zpld_requests_total{endpoint="/tune",code="200"} 3`,

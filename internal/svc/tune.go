@@ -51,7 +51,7 @@ type TuneRequest struct {
 // and (in measured mode) wall-clock times.
 type TuneResponse struct {
 	Key    string          `json:"key"`            // content address (hex SHA-256)
-	Cached bool            `json:"cached"`         // served from the tuned-plan cache
+	Cached bool            `json:"cached"`         // served from the store
 	Dedup  bool            `json:"dedup"`          // joined an in-flight identical search
 	Tier   string          `json:"tier,omitempty"` // serving tier (mem|disk|peer)
 	Result json.RawMessage `json:"result"`
@@ -97,7 +97,7 @@ func resolveTune(req *TuneRequest) (src job.Source, topt tune.Options, dopt driv
 }
 
 // tuneExtra renders the search knobs — every TuneRequest field tagged
-// `key` — as the extra dimension of the tuned-plan cache key, straight
+// `key` — as the extra dimension of the tuned-plan key, straight
 // from the struct the request decoded into, so a new knob joins the key
 // by carrying the tag (TestTuneKeyCoversEveryField fails if it carries
 // neither the tag nor an exemption).
@@ -130,7 +130,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		},
 		func(ctx context.Context) (string, error) {
 			key := ccache.KeyOfExtra(src.Text, dopt, tuneExtra(&req))
-			entry, res, err := s.tcache.GetOrCompute(ctx, key, func() (*ccache.Entry, error) {
+			entry, res, err := s.cache.GetOrCompute(ctx, key, func() (*ccache.Entry, error) {
 				start := time.Now()
 				res, terr := tune.Tune(ctx, src.Text, topt)
 				s.metrics.Phases.Observe("tune", time.Since(start))
@@ -141,8 +141,6 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 				if merr != nil {
 					return nil, merr
 				}
-				// The kind routes cluster puts into the tune cache rather than
-				// the compilation cache (see Server.New's RegisterLocal calls).
 				return &ccache.Entry{Kind: ccache.ArtifactTune, Source: src.Text, Aux: buf}, nil
 			})
 			if err != nil {
