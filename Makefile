@@ -212,19 +212,19 @@ native-guard: build
 LOC_DIRS ?= $(filter-out bench results,$(patsubst %/,%,$(wildcard */)))
 # ROADMAP item 8(c)'s subject is sized apart, after the total: the
 # content-addressed stores an artifact passes through (ccache, store,
-# backend.go's artifact store) and the one flight table they share. The
-# envelope codec (LOC_NOT_STORES) is a wire format, not a store, and
-# backend's worker and mapping run programs; neither is counted. The sum
-# was 2,213 lines while zpld still kept two memory tiers.
-LOC_STORES ?= internal/ccache internal/store internal/backend/backend.go internal/flight
-LOC_NOT_STORES ?= codec.go
+# backend.go's artifact store) and the one flight table they share.
+# store's envelope codec is a wire format, not a store, and backend's
+# worker and mapping run programs; neither is counted. The sum was 2,213
+# lines while zpld still kept two memory tiers.
+LOC_STORES ?= internal/ccache $(filter-out %_test.go %/codec.go,$(wildcard internal/store/*.go)) \
+	internal/backend/backend.go internal/flight
 loc_sum = total=0; for d in $(1); do \
-		n=$$(find $$d -name '*.go' ! -name '*_test.go' $(foreach x,$(3),! -name '$(x)') -print0 | xargs -0 cat 2>/dev/null | wc -l); \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat 2>/dev/null | wc -l); \
 		printf '%8d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%8d  $(2)\n' $$total
 loc:
 	@$(call loc_sum,$(LOC_DIRS),total)
-	@$(call loc_sum,$(LOC_STORES),item 8(c): the stores without $(LOC_NOT_STORES),$(LOC_NOT_STORES))
+	@$(call loc_sum,$(LOC_STORES),item 8(c): the stores)
 
 # The time-seeded search the property tests used to be on every tier-1
 # run: each test prints the seed it drew before using it (a failure

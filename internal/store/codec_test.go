@@ -750,7 +750,7 @@ func TestPutRefusesWhatDecodeRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := NewNode(NodeConfig{Self: "a:1", Disk: disk})
+	node := NewNode(NodeConfig{Self: "a:1", Mem: ccache.New(0), Disk: disk})
 	srv := httptest.NewServer(http.HandlerFunc(node.ServePut))
 	defer srv.Close()
 

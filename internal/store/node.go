@@ -64,8 +64,8 @@ type NodeStats struct {
 type Node struct {
 	self     string
 	ring     *Ring
-	mem      *ccache.Cache // may be nil: peers are then served from disk only
-	disk     *Disk         // may be nil: peers are then served from mem only
+	mem      *ccache.Cache
+	disk     *Disk // may be nil: peers are then served from mem only
 	peers    *Peers
 	claimTTL time.Duration
 	waitCap  time.Duration
@@ -82,7 +82,7 @@ type Node struct {
 type NodeConfig struct {
 	Self     string        // this node's host:port as it appears in Peers
 	Peers    []string      // static member list (may or may not include Self)
-	Mem      *ccache.Cache // the memory tier of this node's Tiered store; may be nil
+	Mem      *ccache.Cache // the memory tier of this node's Tiered store; required
 	Disk     *Disk         // the disk tier of this node's Tiered store; may be nil
 	Timeout  time.Duration // per-attempt peer timeout (0 → DefaultPeerTimeout)
 	ClaimTTL time.Duration // compile-claim lifetime (0 → DefaultClaimTTL)
@@ -148,11 +148,9 @@ func (n *Node) Stats() NodeStats {
 // serving a peer must not distort this node's own LRU recency or hit
 // counters.
 func (n *Node) lookupLocal(k ccache.Key) (raw []byte, tier string, ok bool) {
-	if n.mem != nil {
-		if e, ok := n.mem.Peek(k); ok {
-			if raw, err := Encode(e); err == nil {
-				return raw, TierMem, true
-			}
+	if e, ok := n.mem.Peek(k); ok {
+		if raw, err := Encode(e); err == nil {
+			return raw, TierMem, true
 		}
 	}
 	if n.disk != nil {
@@ -217,8 +215,7 @@ func parseKey(s string) (ccache.Key, error) {
 func (n *Node) ServeGet(w http.ResponseWriter, r *http.Request) {
 	k, err := parseKey(r.URL.Query().Get("key"))
 	if err != nil {
-		n.count(func(s *NodeStats) { s.BadRequests++ })
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		n.badRequest(w, err.Error())
 		return
 	}
 	raw, tier, ok := n.lookupLocal(k)
@@ -257,8 +254,7 @@ func (n *Node) ServePut(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	k, err := parseKey(q.Get("key"))
 	if err != nil {
-		n.count(func(s *NodeStats) { s.BadRequests++ })
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		n.badRequest(w, err.Error())
 		return
 	}
 
@@ -281,33 +277,34 @@ func (n *Node) ServePut(w http.ResponseWriter, r *http.Request) {
 
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.maxBytes))
 	if err != nil {
-		n.count(func(s *NodeStats) { s.BadRequests++ })
-		http.Error(w, "body too large or unreadable", http.StatusBadRequest)
+		n.badRequest(w, "body too large or unreadable")
 		return
 	}
 	e, err := Decode(raw)
 	if err != nil {
-		n.count(func(s *NodeStats) { s.BadRequests++ })
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		n.badRequest(w, err.Error())
 		return
 	}
 	if e.Key != k {
 		// The envelope binds content to its key; a mismatch is a
 		// routing bug on the sender, not something to store.
-		n.count(func(s *NodeStats) { s.BadRequests++ })
-		http.Error(w, "key mismatch: the envelope holds "+e.Key.String(), http.StatusBadRequest)
+		n.badRequest(w, "key mismatch")
 		return
 	}
 
 	if n.disk != nil {
 		n.disk.PutRaw(k, raw)
 	}
-	if n.mem != nil {
-		n.mem.Put(k, e)
-	}
+	n.mem.Put(k, e)
 	n.resolveClaim(k)
 	n.count(func(s *NodeStats) { s.ServedPuts++ })
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// badRequest counts and answers a request this node cannot act on.
+func (n *Node) badRequest(w http.ResponseWriter, msg string) {
+	n.count(func(s *NodeStats) { s.BadRequests++ })
+	http.Error(w, msg, http.StatusBadRequest)
 }
 
 func (n *Node) count(f func(*NodeStats)) {

@@ -687,7 +687,7 @@ func TestDeadPeerDegradesToLocalCompile(t *testing.T) {
 }
 
 func TestClaimExpiry(t *testing.T) {
-	node := NewNode(NodeConfig{Self: "a:1", ClaimTTL: time.Minute})
+	node := NewNode(NodeConfig{Self: "a:1", Mem: ccache.New(0), ClaimTTL: time.Minute})
 	now := time.Now()
 	node.now = func() time.Time { return now }
 
