@@ -188,8 +188,12 @@ vm-guard: build
 # every benchmark's one-shot and worker emission at the ladder ends
 # (internal/gogen/testdata/emission_hashes.json: a changed hash is a
 # changed artifact and binary, -update only for a deliberate change to
-# the emitted code), the one-shot arena's layout, no fused multiply-add
-# in emitted code, the checkptr run, the worker protocol and its
+# the emitted code) and their imports inside gogen.Imports, the
+# one-shot arena's layout, no fused multiply-add in emitted code, the
+# native build (its failures named by step, a canceled build leaving no
+# temporary and no child, an importcfg that heals after the build cache
+# is trimmed, two stores building one key), the checkptr run, the
+# worker protocol and its
 # failures, a worker exiting when its host is killed, and the lazy
 # executor's copied bytes and allocations per Eval. Then the threaded
 # nests (DESIGN.md §31): the outer-parallel pass over every nest a
@@ -199,8 +203,8 @@ vm-guard: build
 # All are ordinary tier-1 tests; this target is the one to run after
 # touching those packages.
 native-guard: build
-	$(GO) test -count=1 -run 'TestEmissionPinned|TestArenaLayout|TestEmittedNoFMA' ./internal/gogen
-	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded' ./internal/backend
+	$(GO) test -count=1 -run 'TestEmissionPinned|TestEmittedImports|TestArenaLayout|TestEmittedNoFMA' ./internal/gogen
+	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded|TestBuildErrorDiagnostics|TestBuildCanceled|TestImportcfgHeals|TestTwoStoresBuildOneKey' ./internal/backend
 	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs|TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestOuterParallel' ./internal/check
 

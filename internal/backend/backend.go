@@ -1,26 +1,27 @@
 // Package backend executes compiled programs natively: it takes the
 // Go source the gogen emitter produces, builds it with the host
-// toolchain into a content-addressed artifact store, and runs the
-// binary — the production execution path the bytecode VM exists to
-// cross-validate. A binary runs once per process (Artifact.Run: zplrun,
-// zpld), or stays resident and runs on command over state it shares
-// with this process (Artifact.Start, Worker: the lazy runtime).
+// toolchain's compile and link into a content-addressed artifact
+// store, and runs the binary — the production execution path the
+// bytecode VM exists to cross-validate. A binary runs once per process
+// (Artifact.Run: zplrun, zpld), or stays resident and runs on command
+// over state it shares with this process (Artifact.Start, Worker: the
+// lazy runtime).
 //
 // The store is keyed by the SHA-256 of the generated source plus the
-// toolchain version, so identical emissions (the same program at the
-// same plan, or the same request repeated) are build cache hits: the
-// binary on disk is reused without invoking the toolchain at all.
-// Builds are deduplicated in-process (internal/flight: concurrent
-// requests for one key share a single toolchain invocation) and
-// written atomically (temp-file + rename), so several processes may
-// share one store directory.
+// version of the go tool on PATH, so identical emissions (the same
+// program at the same plan, or the same request repeated) are build
+// cache hits: the binary on disk is reused without compiling or
+// linking anything. Builds are deduplicated in-process
+// (internal/flight: concurrent requests for one key share a single
+// build) and written atomically (temp-file + rename), so several
+// processes may share one store directory.
 //
 // Failure classification mirrors the repo's exit-code discipline:
 //
 //   - a toolchain failure building emitted code is a *compile* error
-//     and surfaces as *BuildError with the full diagnostics (zplrun
-//     exit 3, zpld HTTP 422) — generated code failing to build is a
-//     code-generator bug, not a runtime fault;
+//     and surfaces as *BuildError naming the failing step, with the
+//     full diagnostics (zplrun exit 3, zpld HTTP 422) — generated code
+//     failing to build is a code-generator bug, not a runtime fault;
 //   - a fault inside the running binary (the gogen trap scaffold
 //     exits with gogen.ExitTrap) is a *runtime* error and surfaces as
 //     *RunError (zplrun exit 1, zpld HTTP 500);
@@ -39,7 +40,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,6 +77,104 @@ func Available() bool {
 	return ok
 }
 
+// goTool is what the go tool on PATH tells a build, asked once per
+// process: the release that builds (the artifact key's toolchain), the
+// directory of its compile and link, and, from the first store miss
+// on, the importcfg that names the export data of every package
+// gogen.Imports lists. The importcfg is kept as text, never as a path:
+// a file would live in one store's directory and go with it.
+var goTool struct {
+	mu      sync.Mutex
+	version string // GOVERSION
+	toolDir string // GOTOOLDIR
+
+	cfgMu     sync.Mutex // held while listing: a hit never waits for it
+	importcfg string
+}
+
+// release returns the go tool's GOVERSION and GOTOOLDIR, asking it once.
+// The go commands run in dir, a store's directory, outside any module
+// the caller's working directory may be in.
+func release(ctx context.Context, tool, dir string) (version, toolDir string, err error) {
+	goTool.mu.Lock()
+	defer goTool.mu.Unlock()
+	if goTool.version == "" {
+		out, err := run(ctx, dir, "go env", tool, "env", "GOVERSION", "GOTOOLDIR")
+		if err != nil {
+			return "", "", err
+		}
+		version, toolDir, _ := strings.Cut(strings.TrimSpace(out), "\n")
+		if lang(version) == "" || toolDir == "" {
+			return "", "", fmt.Errorf("backend: go env GOVERSION GOTOOLDIR printed %q", out)
+		}
+		goTool.version, goTool.toolDir = version, toolDir
+	}
+	return goTool.version, goTool.toolDir, nil
+}
+
+// importcfg returns the importcfg, listing it on first use with the
+// one go command that fills the build cache with gogen.Imports' export
+// data (go build fills it the same way). stale is an importcfg a build
+// found naming a file that is gone: if it is still the one kept, it is
+// listed again.
+func importcfg(ctx context.Context, tool, dir, stale string) (string, error) {
+	goTool.cfgMu.Lock()
+	defer goTool.cfgMu.Unlock()
+	if goTool.importcfg == "" || goTool.importcfg == stale {
+		args := append([]string{"list", "-export", "-deps", "-f", "{{if .Export}}packagefile {{.ImportPath}}={{.Export}}{{end}}"}, gogen.Imports[:]...)
+		out, err := run(ctx, dir, "go list", tool, args...)
+		if err != nil {
+			return "", err
+		}
+		goTool.importcfg = out
+	}
+	return goTool.importcfg, nil
+}
+
+// gone reports whether the importcfg cfg names a package file that no
+// longer exists: the build cache was trimmed or cleaned under it.
+func gone(cfg string) bool {
+	for _, line := range strings.Split(cfg, "\n") {
+		if pkg, ok := strings.CutPrefix(line, "packagefile "); ok {
+			_, file, _ := strings.Cut(pkg, "=")
+			if _, err := os.Stat(file); err != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// lang is the -lang a toolchain of the given GOVERSION compiles
+// emitted code at: go1.24 for go1.24.0, go1.24rc1 or "devel
+// go1.24-abcdef ..."; "" when the version names none.
+func lang(version string) string {
+	_, minor, _ := strings.Cut(version, "go1.")
+	n := len(minor) - len(strings.TrimLeft(minor, "0123456789"))
+	if n == 0 {
+		return ""
+	}
+	return "go1." + minor[:n]
+}
+
+// run runs one toolchain step in dir and returns its stdout. A failure
+// is a *BuildError carrying everything the step printed (compile writes
+// its diagnostics to stdout), or the context's error when the context
+// ended: the child is killed and reaped before run returns.
+func run(ctx context.Context, dir, step, name string, args ...string) (string, error) {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return "", ctxErr
+		}
+		return "", &BuildError{Step: step, Diagnostics: stdout.String() + stderr.String(), Err: err}
+	}
+	return stdout.String(), nil
+}
+
 // DirEnv overrides the default artifact-store location.
 const DirEnv = "ZPL_ARTIFACT_DIR"
 
@@ -94,20 +192,22 @@ func DefaultDir() string {
 	return filepath.Join(os.TempDir(), "zpl-native")
 }
 
-// BuildError is a toolchain failure compiling emitted Go: a compile
-// error in the repo's classification, carrying the full diagnostics
-// so the code-generator bug is debuggable from the report alone.
+// BuildError is a toolchain failure building emitted Go: a compile
+// error in the repo's classification, naming the step that failed and
+// carrying the full diagnostics so the code-generator bug is debuggable
+// from the report alone.
 type BuildError struct {
-	Diagnostics string // toolchain stderr
+	Step        string // compile, link, or the go command that probes the toolchain
+	Diagnostics string // everything the step printed
 	Err         error  // the underlying exec error
 }
 
 func (e *BuildError) Error() string {
 	d := strings.TrimSpace(e.Diagnostics)
 	if d == "" {
-		return fmt.Sprintf("go build of emitted code failed: %v", e.Err)
+		return fmt.Sprintf("building emitted code: %s failed: %v", e.Step, e.Err)
 	}
-	return fmt.Sprintf("go build of emitted code failed: %v\n%s", e.Err, d)
+	return fmt.Sprintf("building emitted code: %s failed: %v\n%s", e.Step, e.Err, d)
 }
 
 func (e *BuildError) Unwrap() error { return e.Err }
@@ -180,15 +280,16 @@ type Artifact struct {
 	Src   string        // path of the emitted Go source
 	Bin   string        // path of the built binary
 	Hit   bool          // served from the store without invoking the toolchain
-	Build time.Duration // toolchain wall clock (0 on a hit)
+	Build time.Duration // toolchain wall clock (0 on a hit; a process's first miss includes listing the importcfg)
 }
 
-// KeyOf computes the store address of a generated source: the
-// toolchain version is folded in so a Go upgrade rebuilds rather than
-// reusing binaries from another compiler.
-func KeyOf(goSrc string) string {
+// KeyOf computes the store address of a generated source built by the
+// go tool of the given GOVERSION: the version is folded in so upgrading
+// the toolchain on PATH rebuilds rather than reusing binaries from
+// another compiler.
+func KeyOf(goVersion, goSrc string) string {
 	h := sha256.New()
-	io.WriteString(h, runtime.Version())
+	io.WriteString(h, goVersion)
 	h.Write([]byte{0})
 	io.WriteString(h, goSrc)
 	return hex.EncodeToString(h.Sum(nil))
@@ -202,7 +303,11 @@ func (s *Store) Build(ctx context.Context, goSrc string) (*Artifact, error) {
 	if !ok {
 		return nil, fmt.Errorf("backend: no go toolchain on PATH")
 	}
-	key := KeyOf(goSrc)
+	version, toolDir, err := release(ctx, tool, s.dir)
+	if err != nil {
+		return nil, err
+	}
+	key := KeyOf(version, goSrc)
 	dir := filepath.Join(s.dir, key)
 	art := &Artifact{
 		Key: key,
@@ -221,7 +326,7 @@ func (s *Store) Build(ctx context.Context, goSrc string) (*Artifact, error) {
 	// Deduplicate concurrent builds of the same key.
 	built, joined, err := s.builds.Do(ctx, key, func() (*Artifact, error) {
 		s.misses.Add(1)
-		a, err := s.build(ctx, tool, art, goSrc)
+		a, err := s.build(ctx, tool, toolDir, version, art, goSrc)
 		if err != nil {
 			s.failures.Add(1)
 		}
@@ -233,12 +338,13 @@ func (s *Store) Build(ctx context.Context, goSrc string) (*Artifact, error) {
 	return built, err
 }
 
-// build invokes the toolchain; the binary lands under its final name
-// only via rename, so a concurrent or crashed build never exposes a
-// partial file. Each call builds in a directory of its own: builds of
-// one key by two Stores on one directory (in this process or another)
-// never write the same temporary path.
-func (s *Store) build(ctx context.Context, tool string, art *Artifact, goSrc string) (*Artifact, error) {
+// build runs the two steps go build would: compile main.go, then link
+// the binary without its symbol table and DWARF. The binary lands under
+// its final name only via rename, so a concurrent or crashed build
+// never exposes a partial file. Each call builds in a directory of its
+// own: builds of one key by two Stores on one directory (in this
+// process or another) never write the same temporary path.
+func (s *Store) build(ctx context.Context, tool, toolDir, version string, art *Artifact, goSrc string) (*Artifact, error) {
 	if err := os.MkdirAll(art.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
@@ -250,25 +356,48 @@ func (s *Store) build(ctx context.Context, tool string, art *Artifact, goSrc str
 		return nil, fmt.Errorf("backend: %w", err)
 	}
 	defer os.RemoveAll(tmpDir)
-	tmp := filepath.Join(tmpDir, "prog")
 	t0 := time.Now()
-	cmd := exec.CommandContext(ctx, tool, "build", "-o", tmp, "main.go")
-	// The artifact directory is outside any module on purpose: emitted
-	// programs are stdlib-only and build in file mode.
-	cmd.Dir = art.Dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, &BuildError{Diagnostics: stderr.String(), Err: err}
+	cfg, err := importcfg(ctx, tool, s.dir, "")
+	if err != nil {
+		return nil, err
 	}
-	if err := os.Rename(tmp, art.Bin); err != nil {
+	bin, err := compileLink(ctx, toolDir, version, art.Dir, tmpDir, cfg)
+	if err != nil && ctx.Err() == nil && gone(cfg) {
+		// The build cache lost a package file: list the importcfg
+		// again and build once more.
+		if cfg, err = importcfg(ctx, tool, s.dir, cfg); err == nil {
+			bin, err = compileLink(ctx, toolDir, version, art.Dir, tmpDir, cfg)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Rename(bin, art.Bin); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
 	art.Build = time.Since(t0)
 	return art, nil
+}
+
+// compileLink builds dir/main.go with the toolchain of the given
+// GOVERSION into a binary in tmp, against the importcfg cfg, and
+// returns the binary's path. Emitted programs are
+// stdlib-only, so main.go is the whole package; -trimpath makes every
+// position "main.go:line:col", the diagnostics' and the binary's alike.
+func compileLink(ctx context.Context, toolDir, version, dir, tmp, cfg string) (string, error) {
+	cfgFile, obj, bin := filepath.Join(tmp, "importcfg"), filepath.Join(tmp, "main.a"), filepath.Join(tmp, "prog")
+	if err := os.WriteFile(cfgFile, []byte(cfg), 0o644); err != nil {
+		return "", fmt.Errorf("backend: %w", err)
+	}
+	for _, step := range [][]string{
+		{"compile", "-o", obj, "-p", "main", "-lang=" + lang(version), "-complete", "-trimpath", dir + "=>", "-importcfg", cfgFile, "-pack", "main.go"},
+		{"link", "-s", "-w", "-buildmode=exe", "-importcfg", cfgFile, "-o", bin, obj},
+	} {
+		if _, err := run(ctx, dir, step[0], filepath.Join(toolDir, step[0]), step[1:]...); err != nil {
+			return "", err
+		}
+	}
+	return bin, nil
 }
 
 // BuildProgram emits p as Go (fully bounds-checked) and builds it,

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,9 +52,30 @@ func TestArtifactCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a1, _, err := store.BuildProgram(context.Background(), c.LIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, _, err := store.BuildProgram(context.Background(), c.LIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a1.Key != a2.Key {
+		t.Fatalf("keys differ for identical source: %s vs %s", a1.Key, a2.Key)
+	}
+	if !a2.Hit {
+		t.Error("second build of identical source was not a store hit")
+	}
+	st := store.Stats()
+	if st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("stats not tracking: %+v", st)
+	}
+
 	// A build that panics (exec.CommandContext does, on a nil Context)
 	// reaches its caller and leaves the key free: the same source builds
-	// on the next call. The suffix keeps the key cold on every run.
+	// on the next call. The suffix keeps the key cold on every run. It
+	// comes after a build, which asked the go tool for its version: a
+	// nil Context panics in that probe too, outside any flight.
 	goSrc, err := gogen.Emit(c.LIR)
 	if err != nil {
 		t.Fatal(err)
@@ -72,25 +95,6 @@ func TestArtifactCacheHit(t *testing.T) {
 	defer cancel()
 	if art, err := store.Build(ctx, goSrc); err != nil || art.Hit {
 		t.Fatalf("build after a panicked build of the same key: %+v, %v", art, err)
-	}
-
-	a1, _, err := store.BuildProgram(context.Background(), c.LIR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, _, err := store.BuildProgram(context.Background(), c.LIR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.Key != a2.Key {
-		t.Fatalf("keys differ for identical source: %s vs %s", a1.Key, a2.Key)
-	}
-	if !a2.Hit {
-		t.Error("second build of identical source was not a store hit")
-	}
-	st := store.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("stats not tracking: %+v", st)
 	}
 }
 
@@ -140,19 +144,79 @@ func TestTwoStoresBuildOneKey(t *testing.T) {
 }
 
 // TestBuildErrorDiagnostics: a toolchain failure must classify as
-// *BuildError and carry the diagnostics.
+// *BuildError, name the step that failed and carry the diagnostics,
+// positioned in main.go and free of the store's temporary paths.
 func TestBuildErrorDiagnostics(t *testing.T) {
 	requireToolchain(t)
-	_, err := store.Build(context.Background(), "package main\n\nfunc main() { undefinedIdentifier() }\n")
-	if err == nil {
-		t.Fatal("build of broken source succeeded")
+	for _, c := range []struct{ src, step, want string }{
+		{"package main\n\nfunc main() { undefinedIdentifier() }\n", "compile", `(^|\n)main\.go:3:15: undefined: undefinedIdentifier`},
+		// A main package without main compiles; the link refuses it.
+		{"package main\n\nvar x int\n", "link", `function main is undeclared`},
+	} {
+		_, err := store.Build(context.Background(), c.src)
+		if err == nil {
+			t.Fatalf("build of broken source succeeded:\n%s", c.src)
+		}
+		var be *backend.BuildError
+		if !errors.As(err, &be) {
+			t.Fatalf("error is %T, want *BuildError: %v", err, err)
+		}
+		if be.Step != c.step || !strings.Contains(err.Error(), c.step+" failed") {
+			t.Errorf("step %q (%v), want %s", be.Step, err, c.step)
+		}
+		if !regexp.MustCompile(c.want).MatchString(be.Diagnostics) {
+			t.Errorf("diagnostics do not match %q:\n%s", c.want, be.Diagnostics)
+		}
+		if strings.Contains(be.Diagnostics, store.Dir()) || strings.Contains(be.Diagnostics, "prog.tmp") {
+			t.Errorf("diagnostics name a store path:\n%s", be.Diagnostics)
+		}
 	}
-	var be *backend.BuildError
-	if !errors.As(err, &be) {
-		t.Fatalf("error is %T, want *BuildError: %v", err, err)
+}
+
+// TestBuildCanceled: a build whose context ends while the toolchain
+// runs returns the context's error, and leaves neither its temporary
+// directory nor a child process behind.
+func TestBuildCanceled(t *testing.T) {
+	requireToolchain(t)
+	if _, err := proctest.Children(); err != nil {
+		t.Skipf("no child count here: %v", err)
 	}
-	if !strings.Contains(be.Diagnostics, "undefinedIdentifier") {
-		t.Errorf("diagnostics missing the offending identifier:\n%s", be.Diagnostics)
+	// Thousands of statements: compile runs for a good part of a second.
+	var src strings.Builder
+	src.WriteString("package main\n\nvar x [4001]float64\n\nfunc main() {\n")
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&src, "\tx[%d] = x[%d]*1.5 + %d\n", i+1, i, i)
+	}
+	src.WriteString("}\n")
+	s, err := backend.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmps := func() []string {
+		m, _ := filepath.Glob(filepath.Join(s.Dir(), "*", "prog.tmp*"))
+		return m
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Build(ctx, src.String())
+		done <- err
+	}()
+	for deadline := time.Now().Add(time.Minute); len(tmps()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the build never made its temporary directory")
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled build returned %v, want the context's error", err)
+	}
+	if left := tmps(); len(left) != 0 {
+		t.Errorf("canceled build left %v", left)
+	}
+	if kids, err := proctest.Children(); err != nil || len(kids) != 0 {
+		t.Errorf("children after a canceled build: %v, %v", kids, err)
 	}
 }
 

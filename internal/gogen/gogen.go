@@ -51,12 +51,13 @@
 // nor the garbage collections those makes start during initialization.
 // A worker's arrays are slabs of the mapping it shares with its host.
 //
-// Imports are emitted only when the program actually uses them (math
-// is conditional; fmt and os are always used by the main scaffold, time
-// by a one-shot one, syscall by a worker's and by a mapped arena, and
-// runtime by a worker that splits a nest),
-// so generated code compiles and vets clean with no blank-identifier
-// hacks.
+// Imports come from the fixed set Imports, which the native backend
+// builds against, and are emitted only when the program actually uses
+// them (math is conditional; fmt and os are always used by the main
+// scaffold, time by a one-shot one, syscall by a worker's and by a
+// mapped arena, unsafe by proven accesses and by either mapping, and
+// runtime by a worker that splits a nest), so generated code compiles and vets clean with
+// no blank-identifier hacks.
 //
 // Communication primitives are dropped: generated code is the
 // sequential (single-processor) program, whose semantics the
@@ -75,6 +76,11 @@ import (
 	"repro/internal/air"
 	"repro/internal/lir"
 )
+
+// Imports is every package an emitted program can import, in the order
+// its import block lists them: fmt, math, os, runtime, syscall, time,
+// unsafe. The native backend builds against exactly this set.
+var Imports = [...]string{"fmt", "math", "os", "runtime", "syscall", "time", "unsafe"}
 
 // ExitTrap is the process exit code of a generated binary whose
 // execution hit a runtime fault. It is deliberately distinct from 0
@@ -266,22 +272,20 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 	if g.spec != nil {
 		fmt.Fprintf(&out, "// resident worker: state mapped from fd %d, one run per byte on stdin.\n", StateFD)
 	}
-	out.WriteString("package main\n\nimport (\n\t\"fmt\"\n")
-	if g.useMath {
-		out.WriteString("\t\"math\"\n")
+	uses := map[string]bool{
+		"fmt":     true,
+		"math":    g.useMath,
+		"os":      true,
+		"runtime": len(g.cases) > 0,
+		"syscall": g.spec != nil || g.useSyscall,
+		"time":    g.spec == nil,
+		"unsafe":  g.useUnsafe,
 	}
-	out.WriteString("\t\"os\"\n")
-	if len(g.cases) > 0 {
-		out.WriteString("\t\"runtime\"\n")
-	}
-	if g.spec != nil || g.useSyscall {
-		out.WriteString("\t\"syscall\"\n")
-	}
-	if g.spec == nil {
-		out.WriteString("\t\"time\"\n")
-	}
-	if g.useUnsafe {
-		out.WriteString("\t\"unsafe\"\n")
+	out.WriteString("package main\n\nimport (\n")
+	for _, path := range Imports {
+		if uses[path] {
+			out.WriteString("\t\"" + path + "\"\n")
+		}
 	}
 	out.WriteString(")\n\n")
 	out.WriteString(decls.String())

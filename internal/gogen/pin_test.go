@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,55 +39,10 @@ var update = flag.Bool("update", false, "rewrite testdata/emission_hashes.json f
 // threaded emission.
 func TestEmissionPinned(t *testing.T) {
 	path := filepath.Join("testdata", "emission_hashes.json")
-	heat, err := os.ReadFile("../../testdata/heat.za")
-	if err != nil {
-		t.Fatal(err)
-	}
-	progs := append(programs.All(), programs.Benchmark{Name: "heat", Source: string(heat)})
-	sum := func(src string) string {
-		h := sha256.Sum256([]byte(src))
-		return hex.EncodeToString(h[:])
-	}
 	got := map[string]string{}
-	for _, p := range progs {
-		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
-			id := fmt.Sprintf("%s/%s", p.Name, lvl)
-			c, err := driver.Compile(p.Source, driver.Options{Level: lvl})
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			for _, pr := range c.LIR.Procs {
-				for _, n := range lir.Nests(pr.Body) {
-					if gogen.Splits(c.LIR, c.Bounds, n) {
-						t.Errorf("%s: a worker splits a nest at the default size", id)
-					}
-				}
-			}
-			oneShot, err := gogen.EmitBounds(c.LIR, c.Bounds)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			worker, err := gogen.EmitWorker(c.LIR, c.Bounds)
-			if err != nil {
-				t.Fatalf("%s worker: %v", id, err)
-			}
-			got[id+"/one-shot"], got[id+"/worker"] = sum(oneShot), sum(worker)
-		}
-	}
-	for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
-		id := fmt.Sprintf("heat@512/%s/worker", lvl)
-		c, err := driver.Compile(string(heat), driver.Options{Level: lvl, Configs: map[string]int64{"n": 512}})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		worker, err := gogen.EmitWorker(c.LIR, c.Bounds)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !strings.Contains(worker, "zaC_run(") {
-			t.Errorf("%s: no nest split", id)
-		}
-		got[id] = sum(worker)
+	for id, src := range pinnedEmissions(t) {
+		h := sha256.Sum256([]byte(src))
+		got[id] = hex.EncodeToString(h[:])
 	}
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -117,5 +75,86 @@ func TestEmissionPinned(t *testing.T) {
 		if got[id] != w {
 			t.Errorf("%s: emission changed (%.12s, pinned %.12s)", id, got[id], w)
 		}
+	}
+}
+
+// pinnedEmissions returns the emissions TestEmissionPinned pins, by id.
+func pinnedEmissions(t *testing.T) map[string]string {
+	t.Helper()
+	heat, err := os.ReadFile("../../testdata/heat.za")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := append(programs.All(), programs.Benchmark{Name: "heat", Source: string(heat)})
+	got := map[string]string{}
+	for _, p := range progs {
+		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+			id := fmt.Sprintf("%s/%s", p.Name, lvl)
+			c, err := driver.Compile(p.Source, driver.Options{Level: lvl})
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			for _, pr := range c.LIR.Procs {
+				for _, n := range lir.Nests(pr.Body) {
+					if gogen.Splits(c.LIR, c.Bounds, n) {
+						t.Errorf("%s: a worker splits a nest at the default size", id)
+					}
+				}
+			}
+			oneShot, err := gogen.EmitBounds(c.LIR, c.Bounds)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			worker, err := gogen.EmitWorker(c.LIR, c.Bounds)
+			if err != nil {
+				t.Fatalf("%s worker: %v", id, err)
+			}
+			got[id+"/one-shot"], got[id+"/worker"] = oneShot, worker
+		}
+	}
+	for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+		id := fmt.Sprintf("heat@512/%s/worker", lvl)
+		c, err := driver.Compile(string(heat), driver.Options{Level: lvl, Configs: map[string]int64{"n": 512}})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		worker, err := gogen.EmitWorker(c.LIR, c.Bounds)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if !strings.Contains(worker, "zaC_run(") {
+			t.Errorf("%s: no nest split", id)
+		}
+		got[id] = worker
+	}
+	return got
+}
+
+// TestEmittedImports: every import of every pinned emission, one-shot
+// and worker, is in gogen.Imports, the set the native backend builds
+// against (its importcfg). An import outside it would fail every native
+// build of that program at run time.
+func TestEmittedImports(t *testing.T) {
+	allowed := map[string]bool{}
+	for _, path := range gogen.Imports {
+		allowed[path] = true
+	}
+	seen := map[string]bool{}
+	for id, src := range pinnedEmissions(t) {
+		f, err := parser.ParseFile(token.NewFileSet(), "main.go", src, parser.ImportsOnly)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if !allowed[path] {
+				t.Errorf("%s imports %q, which is not in gogen.Imports %v", id, path, gogen.Imports)
+			}
+			seen[path] = true
+		}
+	}
+	// Not vacuous: together the cells import every package of the set.
+	if len(seen) != len(gogen.Imports) {
+		t.Errorf("the pinned emissions import %d of gogen.Imports' %d packages", len(seen), len(gogen.Imports))
 	}
 }

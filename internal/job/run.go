@@ -39,7 +39,7 @@ var classes = [...]struct {
 	ClassOK:       {0, 200, ""},
 	ClassRuntime:  {1, 500, "runtime_error"}, // execution fault, budget exhaustion, native trap
 	ClassUsage:    {2, 400, "bad_request"},   // illegal Spec, no go toolchain for backend go
-	ClassCompile:  {3, 422, "compile_error"}, // parse/sema/verifier failure, go build failure of emitted code
+	ClassCompile:  {3, 422, "compile_error"}, // parse/sema/verifier failure, a failed compile or link of emitted code
 	ClassTimeout:  {4, 504, "timeout"},       // the deadline expired: compiling, building, or running
 	ClassCanceled: {1, 499, "canceled"},      // the client went away (nginx's convention)
 	ClassInternal: {1, 500, "internal"},      // a panic in the compiler or an executor: this program's bug, not the request's
