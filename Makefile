@@ -9,7 +9,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 .PHONY: all build test vet fmt-check race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit results-check race-smoke race-sweep \
-	cluster-smoke bench-smoke plan-guard vm-guard native-guard loc soak fuzz-soak
+	cluster-smoke bench-smoke plan-guard vm-guard native-guard loc soak fuzz-soak cross
 
 all: build test
 
@@ -175,12 +175,16 @@ plan-guard: build
 # side), the rerun differential
 # (a re-seeded machine run again ends where a fresh one does: the lazy
 # runtime's resident machines) and the allocation ceilings on vm.New
-# and on a rerun (Machine.Reset + Run). All are ordinary tier-1 tests; this target is the one to
+# and on a rerun (Machine.Reset + Run), and the packed strip kernels
+# (DESIGN.md §32): each kernel bit for bit against its Go loop over
+# special values, tail lengths and aliased destinations, every benchmark
+# and heat with them forced off and on, and no fused multiply-add in the
+# package's listing. All are ordinary tier-1 tests; this target is the one to
 # run after touching internal/vm. `go test -run '^$$' -bench Run
 # ./internal/vm` prints ns per element-statement for the same cells the
 # run-interp workload times.
 vm-guard: build
-	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs' ./internal/vm
+	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestPackedKernelsBitIdentical|TestPackedProgramsIdentical|TestVMNoFMA' ./internal/vm
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
 
 # Native guard: the tests to run after touching internal/gogen,
@@ -207,6 +211,14 @@ native-guard: build
 	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded|TestBuildErrorDiagnostics|TestBuildCanceled|TestImportcfgHeals|TestTwoStoresBuildOneKey' ./internal/backend
 	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs|TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestOuterParallel' ./internal/check
+
+# Cross-build: internal/vm has amd64 assembly (the packed strip
+# kernels) and a !amd64 file that keeps the Go loops; building and
+# vetting for arm64 keeps that fallback compiling. On amd64, `vet`
+# checks the assembly's frame offsets against its Go declarations.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/vm
 
 # Non-test Go lines per top-level directory, so a simplicity PR quotes a
 # reproducible before/after instead of a hand count. bench/ (its own
@@ -269,7 +281,7 @@ fuzz-soak: build
 # differential matrix (internal/difftest, DESIGN.md §26): tier-1 runs
 # its cut, -full every ladder level and every native cell, ~50 s; and
 # gogen's TestEmittedNoFMA at every level (tier-1: c2+f4), ~30 s.
-ci: vet fmt-check test race check lint-self audit results-check staticcheck govulncheck race-sweep bench-smoke
+ci: vet fmt-check cross test race check lint-self audit results-check staticcheck govulncheck race-sweep bench-smoke
 	$(GO) test -count=1 ./internal/difftest ./internal/backend ./internal/gogen -full
 
 # Every study, tables to stdout. All are deterministic: none builds a

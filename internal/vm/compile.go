@@ -340,10 +340,11 @@ func haloElems(reg *sema.Region, off air.Offset) int {
 // in either loop direction, and width 1 is the element-at-a-time order.
 
 // stripWidth is the number of innermost-loop iterations a sweep runs per
-// dispatch. Measured on the run-interp workload the time per element is
-// flat from here up (DESIGN.md §22), so it is a constant, not an option.
-// A traced machine runs at width 1, which reports every Access, Flops
-// and Reduce in element order.
+// dispatch. Measured with the packed kernels (DESIGN.md §32), 64 is
+// slower and 256 no faster beyond the runs' spread, and at 128 a fused
+// nest's strip buffers fit in the L1 data cache, so it is a constant,
+// not an option. A traced machine runs at width 1, which reports every
+// Access, Flops and Reduce in element order.
 const stripWidth = 128
 
 // stripFn runs one statement over elements j..j+n-1 of the current
@@ -1088,14 +1089,13 @@ func (m *Machine) compileInto(e air.Expr, into vecFn) (value, error) {
 		if x.Op == air.OpNot {
 			return m.apply1(func(v float64) float64 { return b2f(!truthy(v)) }, nil, x.X, 1, into)
 		}
-		return m.apply1(func(v float64) float64 { return -v }, func(d, x []float64) {
-			for i, v := range x[:len(d)] {
-				d[i] = -v
-			}
-		}, x.X, 1, into)
+		return m.apply1(func(v float64) float64 { return -v }, active.neg, x.X, 1, into)
 	case *air.CallExpr:
 		// Transcendental calls cost more than one op.
 		if b, ok := builtin1[x.Name]; ok && len(x.Args) == 1 {
+			if x.Name == "sqrt" {
+				b.k = active.sqrt
+			}
 			return m.apply1(b.f, b.k, x.Args[0], 4, into)
 		}
 		if b, ok := builtin2[x.Name]; ok && len(x.Args) == 2 {
@@ -1288,86 +1288,18 @@ func direct2(k *kernels, into vecFn, xu, yu evalFn, xv, yv vecFn) vecFn {
 }
 
 // binOp returns an operator's scalar function and, for the four
-// arithmetic operators every benchmark's time goes to, loops the
-// compiler can keep in registers; the rest call f per element.
+// arithmetic operators every benchmark's time goes to, the strip kernels
+// of the active set; the rest call f per element.
 func binOp(op air.Op) (func(a, b float64) float64, *kernels, error) {
 	switch op {
 	case air.OpAdd:
-		return func(a, b float64) float64 { return a + b }, &kernels{
-			vv: func(d, x, y []float64) {
-				y = y[:len(d)]
-				for i, v := range x[:len(d)] {
-					d[i] = v + y[i]
-				}
-			},
-			vu: func(d, x []float64, y float64) {
-				for i, v := range x[:len(d)] {
-					d[i] = v + y
-				}
-			},
-			uv: func(d []float64, x float64, y []float64) {
-				for i, v := range y[:len(d)] {
-					d[i] = x + v
-				}
-			},
-		}, nil
+		return func(a, b float64) float64 { return a + b }, &active.add, nil
 	case air.OpSub:
-		return func(a, b float64) float64 { return a - b }, &kernels{
-			vv: func(d, x, y []float64) {
-				y = y[:len(d)]
-				for i, v := range x[:len(d)] {
-					d[i] = v - y[i]
-				}
-			},
-			vu: func(d, x []float64, y float64) {
-				for i, v := range x[:len(d)] {
-					d[i] = v - y
-				}
-			},
-			uv: func(d []float64, x float64, y []float64) {
-				for i, v := range y[:len(d)] {
-					d[i] = x - v
-				}
-			},
-		}, nil
+		return func(a, b float64) float64 { return a - b }, &active.sub, nil
 	case air.OpMul:
-		return func(a, b float64) float64 { return a * b }, &kernels{
-			vv: func(d, x, y []float64) {
-				y = y[:len(d)]
-				for i, v := range x[:len(d)] {
-					d[i] = v * y[i]
-				}
-			},
-			vu: func(d, x []float64, y float64) {
-				for i, v := range x[:len(d)] {
-					d[i] = v * y
-				}
-			},
-			uv: func(d []float64, x float64, y []float64) {
-				for i, v := range y[:len(d)] {
-					d[i] = x * v
-				}
-			},
-		}, nil
+		return func(a, b float64) float64 { return a * b }, &active.mul, nil
 	case air.OpDiv:
-		return func(a, b float64) float64 { return a / b }, &kernels{
-			vv: func(d, x, y []float64) {
-				y = y[:len(d)]
-				for i, v := range x[:len(d)] {
-					d[i] = v / y[i]
-				}
-			},
-			vu: func(d, x []float64, y float64) {
-				for i, v := range x[:len(d)] {
-					d[i] = v / y
-				}
-			},
-			uv: func(d []float64, x float64, y []float64) {
-				for i, v := range y[:len(d)] {
-					d[i] = x / v
-				}
-			},
-		}, nil
+		return func(a, b float64) float64 { return a / b }, &active.div, nil
 	case air.OpRem:
 		return math.Mod, nil, nil
 	case air.OpPow:
@@ -1394,17 +1326,14 @@ func binOp(op air.Op) (func(a, b float64) float64, *kernels, error) {
 
 // builtin1 maps a one-argument builtin to its function and, for the
 // ones the Go compiler turns into an instruction or a few (math.Abs,
-// Sqrt, Floor and Ceil are intrinsics when called directly), a strip
-// loop; the libm calls go through f per element.
+// Floor and Ceil are intrinsics when called directly), a strip loop;
+// sqrt's strip kernel is the active set's, and the libm calls go
+// through f per element.
 var builtin1 = map[string]struct {
 	f func(float64) float64
 	k func(d, x []float64)
 }{
-	"sqrt": {math.Sqrt, func(d, x []float64) {
-		for i, v := range x[:len(d)] {
-			d[i] = math.Sqrt(v)
-		}
-	}},
+	"sqrt": {f: math.Sqrt}, // its strip kernel is active.sqrt
 	"abs": {math.Abs, func(d, x []float64) {
 		for i, v := range x[:len(d)] {
 			d[i] = math.Abs(v)

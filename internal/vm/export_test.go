@@ -18,3 +18,16 @@ func NewWidth(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error
 // writes the destination itself instead of a scratch strip that is then
 // copied there.
 func DirectWrites(m *Machine) int { return m.directs }
+
+// PackedOnHost reports whether this host runs the packed strip kernels
+// (DESIGN.md §32).
+func PackedOnHost() bool { return packed }
+
+// SetPacked makes the machines built from now on run the packed strip
+// kernels (on, where the host has them) or the Go loops, and returns the
+// function that undoes it. Machines already built keep their kernels.
+func SetPacked(on bool) (restore func()) {
+	old := active
+	active = pick(on && packed)
+	return func() { active = old }
+}

@@ -1,0 +1,168 @@
+package vm
+
+// The packed strip kernels against the Go loops they replace: every
+// kernel in every operand shape must write the bits the Go loop writes,
+// NaN payloads included, at lengths around the 8-element block and the
+// production strip, with the destination disjoint from its operands or
+// aliasing either one, and must write nothing past len(d).
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// stripValues are the operands: ±0, ±Inf, three NaNs (a quiet one, the
+// sign-set default NaN an invalid operation makes, a signalling one),
+// ±subnormal, the largest magnitudes and ordinary values. There are 13,
+// so the 169 ordered pairs are the cells a two-operand kernel must get
+// right.
+var stripValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.Float64frombits(0x7ff8_0000_0000_0001),
+	math.Float64frombits(0xfff8_0000_0000_0000),
+	math.Float64frombits(0x7ff4_0000_0000_beef),
+	5e-324, -2.5e-310, 1e308, -1.5, 3, 0.1,
+}
+
+// stripLengths straddle the 8-element block and the 128-element strip.
+var stripLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 127, 128, 129}
+
+const (
+	guardLen  = 8                     // elements past len(d) that must stay untouched
+	guardBits = 0x7ff8_dead_beef_0000 // their bits
+)
+
+// operand returns n values starting at stripValues[shift], so that over
+// all shifts every value sits at every residue of the block.
+func operand(n, shift int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = stripValues[(i+shift)%len(stripValues)]
+	}
+	return v
+}
+
+// dest returns a destination of length n followed by guardLen guard
+// elements; from, when not nil, is copied into it (the aliased operand).
+func dest(n int, from []float64) []float64 {
+	d := make([]float64, n+guardLen)
+	for i := range d {
+		d[i] = math.Float64frombits(guardBits)
+	}
+	copy(d, from)
+	return d[:n]
+}
+
+// sameBits compares what a Go loop and a packed kernel wrote, guard
+// elements included.
+func sameBits(t *testing.T, what string, want, got []float64, operands ...[]float64) {
+	t.Helper()
+	want, got = want[:len(want)+guardLen], got[:len(got)+guardLen]
+	for i := range want {
+		if a, b := math.Float64bits(want[i]), math.Float64bits(got[i]); a != b {
+			var ops string
+			for _, o := range operands {
+				if i < len(o) {
+					ops += fmt.Sprintf(" %#016x", math.Float64bits(o[i]))
+				}
+			}
+			t.Errorf("%s: element %d: Go loop %#016x, packed %#016x (operands%s)", what, i, a, b, ops)
+			return
+		}
+	}
+}
+
+func TestPackedKernelsBitIdentical(t *testing.T) {
+	if !packed {
+		t.Skip("this host runs the Go loops only")
+	}
+	ops := []struct {
+		name     string
+		ref, got *kernels
+	}{
+		{"add", &goStrips.add, &packedStrips.add},
+		{"sub", &goStrips.sub, &packedStrips.sub},
+		{"mul", &goStrips.mul, &packedStrips.mul},
+		{"div", &goStrips.div, &packedStrips.div},
+	}
+	shifts := len(stripValues)
+	for _, op := range ops {
+		for _, n := range stripLengths {
+			for s := 0; s < shifts; s++ {
+				x := operand(n, 0)
+				y := operand(n, s)
+				// vector∘vector: the pair (x[i], y[i]) over all shifts
+				// is every ordered pair.
+				for _, alias := range []string{"disjoint", "d=x", "d=y"} {
+					var from []float64
+					switch alias {
+					case "d=x":
+						from = x
+					case "d=y":
+						from = y
+					}
+					want, got := dest(n, from), dest(n, from)
+					wx, wy, gx, gy := x, y, x, y
+					switch alias {
+					case "d=x":
+						wx, gx = want, got
+					case "d=y":
+						wy, gy = want, got
+					}
+					op.ref.vv(want, wx, wy)
+					op.got.vv(got, gx, gy)
+					sameBits(t, fmt.Sprintf("%s vv n=%d shift=%d %s", op.name, n, s, alias), want, got, x, y)
+				}
+				// vector∘uniform and uniform∘vector: the uniform is each
+				// value in turn, the vector every value.
+				u := stripValues[s]
+				for _, alias := range []string{"disjoint", "d=vector"} {
+					var from []float64
+					if alias == "d=vector" {
+						from = y
+					}
+					want, got := dest(n, from), dest(n, from)
+					wy, gy := y, y
+					if from != nil {
+						wy, gy = want, got
+					}
+					op.ref.vu(want, wy, u)
+					op.got.vu(got, gy, u)
+					sameBits(t, fmt.Sprintf("%s vu n=%d uniform=%#x %s", op.name, n, math.Float64bits(u), alias), want, got, y)
+
+					want, got = dest(n, from), dest(n, from)
+					wy, gy = y, y
+					if from != nil {
+						wy, gy = want, got
+					}
+					op.ref.uv(want, u, wy)
+					op.got.uv(got, u, gy)
+					sameBits(t, fmt.Sprintf("%s uv n=%d uniform=%#x %s", op.name, n, math.Float64bits(u), alias), want, got, y)
+				}
+			}
+		}
+	}
+	unary := []struct {
+		name     string
+		ref, got func(d, x []float64)
+	}{
+		{"sqrt", goStrips.sqrt, packedStrips.sqrt},
+		{"neg", goStrips.neg, packedStrips.neg},
+	}
+	for _, op := range unary {
+		for _, n := range stripLengths {
+			for s := 0; s < shifts; s++ {
+				x := operand(n, s)
+				want, got := dest(n, nil), dest(n, nil)
+				op.ref(want, x)
+				op.got(got, x)
+				sameBits(t, fmt.Sprintf("%s n=%d shift=%d disjoint", op.name, n, s), want, got, x)
+				want, got = dest(n, x), dest(n, x)
+				op.ref(want, want)
+				op.got(got, got)
+				sameBits(t, fmt.Sprintf("%s n=%d shift=%d d=x", op.name, n, s), want, got, x)
+			}
+		}
+	}
+}

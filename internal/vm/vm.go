@@ -1,16 +1,19 @@
 // Package vm executes scalarized (LIR) programs on real data. It
 // compiles expressions and statements to closures once, then runs
 // them, a loop nest a strip of its innermost loop at a time (DESIGN.md
-// §22): 3–5 ns per element-statement on the six benchmarks against
+// §22): 2–6 ns per element-statement on the six benchmarks against
 // ~2.5 for the emitted Go of internal/gogen, so it is the default
 // engine, not only the instrumented one. + − × ÷, the max, min, abs,
 // sign, sqrt, floor and ceil builtins and every reduction run as typed
-// loops over a strip, with no call per element through a func value;
-// max and min are math.Max and math.Min bit for bit, calling
-// them only for a NaN or a zero accumulator (fmax). Every array element
-// access can be streamed to a Tracer, which is how the machine models
-// observe the memory behavior that fusion and contraction change; a
-// traced machine runs at strip width 1 and reports element order.
+// loops over a strip, with no call per element through a func value.
+// On an amd64 host with AVX, + − × ÷, negation and sqrt run as packed
+// kernels instead, four lanes per instruction and bit for bit the Go
+// loops (DESIGN.md §32). max and min are math.Max and math.Min bit for
+// bit, calling them only for a NaN or a zero accumulator (fmax). Every
+// array element access can be streamed to a Tracer, which is how the
+// machine models observe the memory behavior that fusion and
+// contraction change; a traced machine runs at strip width 1 and
+// reports element order.
 //
 // All values are float64 (integers are exact up to 2^53; booleans are
 // 0/1), matching the ZA surface language's numeric model.
