@@ -108,13 +108,19 @@ race-smoke: build
 
 # Static race sweep: the happens-before analyzer re-verifies every
 # compiler-produced comm schedule — 6 benchmarks x 9 levels at p=4
-# (54 configurations) plus the ladder ends at p=2 and p=8 — and the
-# seeded-fault self-test proves the analyzer catches each planted
-# schedule bug (exit 1 is the expected "fault detected" status).
+# (54 configurations) plus the ladder ends at p=2 and p=8 — then every
+# zplcheck pass over the reused-halo program (a statement reading a
+# halo received for a wider one; DESIGN.md §33) at every level and
+# p = 2, 4, 8, and the seeded-fault self-test proves the analyzer
+# catches each planted schedule bug (exit 1 is the expected "fault
+# detected" status).
 race-sweep: build
 	$(GO) run ./cmd/zplcheck -bench all -O all -p 4 -pass race
 	$(GO) run ./cmd/zplcheck -bench all -O baseline,c2+f4s -p 2 -pass race
 	$(GO) run ./cmd/zplcheck -bench all -O baseline,c2+f4s -p 8 -pass race
+	$(GO) run ./cmd/zplcheck -O all -p 2 -pass all testdata/provers/halo_race.za
+	$(GO) run ./cmd/zplcheck -O all -p 4 -pass all testdata/provers/halo_race.za
+	$(GO) run ./cmd/zplcheck -O all -p 8 -pass all testdata/provers/halo_race.za
 	@for k in barrier mispair stale; do \
 		$(GO) run ./cmd/zplc -O c2+f3 -p 4 -racefault $$k testdata/heat.za >/dev/null 2>&1; \
 		st=$$?; if [ $$st -ne 1 ]; then echo "racefault $$k: exit $$st, want 1"; exit 1; fi; \
@@ -158,12 +164,14 @@ bench-smoke: build
 # internal/mhp/testdata/evidence_hashes.json, TestAnalyzeAllocs fails
 # if an analysis starts wording (or storing) what it can render, and
 # TestFlatOffsetMatchesEnumeration holds Reason's closed-form flat
-# offset to the offsets it describes.
+# offset to the offsets it describes. TestReceiveWritesItsGhost pins
+# what a receive writes in the ASDG (DESIGN.md §33).
 plan-guard: build
 	$(GO) test -count=1 -run 'TestGoldenPlans|TestEvidencePinned|TestZpllintEvidenceGolden|TestLoopDefectReportedOnce' . ./internal/mhp
 	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates|TestStmtWeightsMatchGraph' ./internal/core
 	$(GO) test -race -count=1 -run 'TestPlanRemarksConcurrent' ./internal/core
 	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs|TestFlatOffsetMatchesEnumeration' ./internal/driver ./internal/mhp ./internal/absint
+	$(GO) test -count=1 -run 'TestReceiveWritesItsGhost' ./internal/dep
 
 # VM guard: the tests that let the strip evaluator be changed without
 # the bench harness, re-run fresh — the Tracer stream against

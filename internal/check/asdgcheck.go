@@ -16,6 +16,12 @@ import (
 // the graphs the optimizer built. A missing edge means the optimizer
 // under-approximated the dependences (unsound fusion may follow); a
 // spurious edge means it over-approximated (optimization lost).
+//
+// Communication is checked against dep's ghost model: a receive of
+// A@dir writes only ghost(A, dir), and a read A@d reads the ghosts of
+// every direction between 0 and d, comm.NeighborDirections(d) for unit
+// offsets. Both are re-derived here, as a point and a box of ghost
+// accesses that meet no element access.
 func ASDGCrossCheck(prog *air.Program, plan *core.Plan) []Report {
 	rp := &reporter{pass: PassASDG}
 	for _, bp := range plan.Blocks {
@@ -105,12 +111,31 @@ func itemCounts(items []dep.Item) map[string]int {
 // ---------------------------------------------------------------------------
 // Independent pairwise dependence recomputation.
 
-// racc is one real array access: its offset and touched rectangle.
-// Summary (whole-array) accesses of summarized calls are tracked
-// separately and never carry offsets.
+// racc is one real array access: its offset and touched rectangle,
+// of elements or, when ghost is set, of halo directions (the point dir
+// is the halo a receive of dir fills). Summary (whole-array) accesses
+// of summarized calls are tracked separately and never carry offsets.
 type racc struct {
 	off    air.Offset
 	lo, hi []int
+	ghost  bool
+}
+
+// meets reports whether two accesses touch a common location: they
+// lie in the same space and their rectangles intersect on the common
+// rank prefix (permissive on rank mismatch, as summarized-call accesses
+// demand).
+func (a racc) meets(b racc) bool {
+	for i := 0; i < min(len(a.lo), len(b.lo)); i++ {
+		if a.hi[i] < b.lo[i] || b.hi[i] < a.lo[i] {
+			return false
+		}
+	}
+	return a.ghost == b.ghost
+}
+
+func (a racc) covers(b racc) bool {
+	return a.ghost == b.ghost && rectContains(a.lo, a.hi, b.lo, b.hi)
 }
 
 // stmtFacts is an independently derived summary of what one statement
@@ -131,9 +156,18 @@ func newFacts() *stmtFacts {
 	return &stmtFacts{reads: map[string][]racc{}, writes: map[string][]racc{}}
 }
 
+// addRead records a read of x@off over reg: its elements and, for a
+// nonzero offset, every halo direction from 0 to off.
 func (f *stmtFacts) addRead(x string, reg *sema.Region, off air.Offset) {
 	lo, hi := shiftedRect(reg, off)
 	f.reads[x] = append(f.reads[x], racc{off: off, lo: lo, hi: hi})
+	if !off.IsZero() {
+		lo, hi = make([]int, len(off)), make([]int, len(off))
+		for k, v := range off {
+			lo[k], hi[k] = min(v, 0), max(v, 0)
+		}
+		f.reads[x] = append(f.reads[x], racc{off: off, lo: lo, hi: hi, ghost: true})
+	}
 }
 
 func shiftedRect(reg *sema.Region, off air.Offset) (lo, hi []int) {
@@ -146,26 +180,6 @@ func shiftedRect(reg *sema.Region, off air.Offset) (lo, hi []int) {
 		}
 		lo[i] = reg.Lo[i] + d
 		hi[i] = reg.Hi[i] + d
-	}
-	return lo, hi
-}
-
-// haloSlab computes the rectangle a ghost exchange writes: the slab
-// strictly outside the region in every displaced dimension.
-// (Re-derived from the paper's block decomposition, independently of
-// dep.HaloRect.)
-func haloSlab(reg *sema.Region, off air.Offset) (lo, hi []int) {
-	lo = make([]int, reg.Rank())
-	hi = make([]int, reg.Rank())
-	for k := 0; k < reg.Rank(); k++ {
-		switch {
-		case off[k] > 0:
-			lo[k], hi[k] = reg.Hi[k]+1, reg.Hi[k]+off[k]
-		case off[k] < 0:
-			lo[k], hi[k] = reg.Lo[k]+off[k], reg.Lo[k]-1
-		default:
-			lo[k], hi[k] = reg.Lo[k], reg.Hi[k]
-		}
 	}
 	return lo, hi
 }
@@ -218,8 +232,7 @@ func factsOf(s air.Stmt) *stmtFacts {
 			f.addRead(x.Array, x.Region, air.Zero(x.Region.Rank()))
 			f.scalWrites = []string{msg}
 		} else {
-			lo, hi := haloSlab(x.Region, x.Off)
-			f.writes[x.Array] = append(f.writes[x.Array], racc{off: x.Off, lo: lo, hi: hi})
+			f.writes[x.Array] = append(f.writes[x.Array], racc{off: x.Off, lo: x.Off, hi: x.Off, ghost: true})
 			f.flowReads = []string{msg}
 			f.antiReads = f.flowReads
 		}
@@ -291,22 +304,6 @@ func without(xs []string, drop string) []string {
 	return out
 }
 
-// rectOverlap reports whether two rectangles intersect, comparing the
-// common rank prefix (permissive on rank mismatch, as summarized-call
-// accesses demand).
-func rectOverlap(alo, ahi, blo, bhi []int) bool {
-	n := len(alo)
-	if len(blo) < n {
-		n = len(blo)
-	}
-	for i := 0; i < n; i++ {
-		if ahi[i] < blo[i] || bhi[i] < alo[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // rectContains reports whether rectangle a fully contains b; rank
 // mismatch never contains.
 func rectContains(alo, ahi, blo, bhi []int) bool {
@@ -358,7 +355,7 @@ func recomputeDeps(stmts []air.Stmt) map[[2]int][]dep.Item {
 	liveAt := func(i int, x string, a racc, j int) bool {
 		for k := i + 1; k < j; k++ {
 			for _, w := range fs[k].writes[x] {
-				if rectContains(w.lo, w.hi, a.lo, a.hi) {
+				if w.covers(a) {
 					return false
 				}
 			}
@@ -392,7 +389,7 @@ func recomputeDeps(stmts []air.Stmt) map[[2]int][]dep.Item {
 			for x, rs := range fj.reads {
 				for _, r := range rs {
 					for _, w := range fi.writes[x] {
-						if rectOverlap(w.lo, w.hi, r.lo, r.hi) && liveAt(i, x, w, j) {
+						if w.meets(r) && liveAt(i, x, w, j) {
 							add(i, j, dep.Item{Var: x, Kind: dep.Flow, Vector: true,
 								U: unconstrainedVec(w.off, r.off)})
 						}
@@ -405,7 +402,7 @@ func recomputeDeps(stmts []air.Stmt) map[[2]int][]dep.Item {
 			for x, ws := range fj.writes {
 				for _, w := range ws {
 					for _, r := range fi.reads[x] {
-						if rectOverlap(r.lo, r.hi, w.lo, w.hi) && liveAt(i, x, r, j) {
+						if r.meets(w) && liveAt(i, x, r, j) {
 							add(i, j, dep.Item{Var: x, Kind: dep.Anti, Vector: true,
 								U: unconstrainedVec(r.off, w.off)})
 						}
@@ -414,7 +411,7 @@ func recomputeDeps(stmts []air.Stmt) map[[2]int][]dep.Item {
 						add(i, j, dep.Item{Var: x, Kind: dep.Anti})
 					}
 					for _, pw := range fi.writes[x] {
-						if rectOverlap(pw.lo, pw.hi, w.lo, w.hi) && liveAt(i, x, pw, j) {
+						if pw.meets(w) && liveAt(i, x, pw, j) {
 							add(i, j, dep.Item{Var: x, Kind: dep.Output, Vector: true,
 								U: unconstrainedVec(pw.off, w.off)})
 						}

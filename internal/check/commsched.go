@@ -228,7 +228,9 @@ func (st *commWalker) checkPairs() {
 
 // neighborDirs re-derives the per-neighbor decomposition of a read
 // offset: every nonzero sign sub-pattern over the active dimensions,
-// built recursively (insertion uses a bitmask enumeration).
+// built recursively (insertion uses a bitmask enumeration). It is the
+// one deliberate copy of comm.NeighborDirections, which insertion and
+// mhp call: a checker that shared it could not catch a wrong one.
 func neighborDirs(off air.Offset) []air.Offset {
 	var active []int
 	for k, v := range off {

@@ -15,15 +15,22 @@ type Edge struct {
 	Items    []Item
 }
 
-// rect is the rectangle of array elements touched by one access:
-// the statement region shifted by the access offset.
+// rect is a box of locations one access touches. Its last coordinate
+// names the space the box lies in: the array's elements (0), or its
+// ghost space (1), where the point dir stands for ghost(A, dir), the
+// cells a receive of A@dir fills.
 type rect struct {
 	lo, hi []int
 }
 
+const ghostSpace = 1
+
+// makeRect is the statement region shifted by the access offset, in
+// element space.
 func makeRect(reg *sema.Region, off air.Offset) rect {
-	r := rect{lo: make([]int, reg.Rank()), hi: make([]int, reg.Rank())}
-	for i := 0; i < reg.Rank(); i++ {
+	n := reg.Rank()
+	r := rect{lo: make([]int, n+1), hi: make([]int, n+1)}
+	for i := 0; i < n; i++ {
 		d := 0
 		if off != nil {
 			d = off[i]
@@ -34,13 +41,27 @@ func makeRect(reg *sema.Region, off air.Offset) rect {
 	return r
 }
 
+// ghostRect is a box in the ghost space. A receive of A@dir writes the
+// point dir. A read A@d reads the box between 0 and d, whose nonzero
+// points are d's neighbour directions (comm.NeighborDirections) when
+// d's widths are 1, and contain them when wider. So a receive is a
+// dependence of the reads whose halo it fills, whatever their regions.
+func ghostRect(d air.Offset, point bool) rect {
+	r := rect{lo: make([]int, len(d)+1), hi: make([]int, len(d)+1)}
+	for i, v := range d {
+		r.lo[i], r.hi[i] = min(v, 0), max(v, 0)
+		if point {
+			r.lo[i], r.hi[i] = v, v
+		}
+	}
+	r.lo[len(d)], r.hi[len(d)] = ghostSpace, ghostSpace
+	return r
+}
+
 func (r rect) overlaps(o rect) bool {
 	// Rank mismatch only arises against the "everything" rectangle of
 	// a summarized call; compare the common prefix (permissive).
-	n := len(r.lo)
-	if len(o.lo) < n {
-		n = len(o.lo)
-	}
+	n := min(len(r.lo), len(o.lo))
 	for i := 0; i < n; i++ {
 		if r.hi[i] < o.lo[i] || o.hi[i] < r.lo[i] {
 			return false
@@ -68,48 +89,30 @@ type access struct {
 	rc   rect
 }
 
-// arrayAccess describes the array reads and writes of a statement.
-// When slab is non-nil it overrides the touched rectangle (used by
-// communication primitives, which write only the halo slab outside
-// the region, not the whole shifted region).
+// arrayAccess is one array access of a statement: the offset its
+// distance vectors are measured from and the box it touches.
 type arrayAccess struct {
 	array string
 	off   air.Offset
-	reg   *sema.Region
-	slab  *sema.Region
+	rc    rect
 }
 
-// rectOf computes the element rectangle an access touches.
-func rectOf(a arrayAccess) rect {
-	if a.slab != nil {
-		return makeRect(a.slab, nil)
-	}
-	return makeRect(a.reg, a.off)
+// whole is an access of array at offset zero over reg.
+func whole(array string, reg *sema.Region) arrayAccess {
+	return arrayAccess{array, air.Zero(reg.Rank()), makeRect(reg, nil)}
 }
 
-// HaloRect returns the rectangle a ghost exchange writes: the slab
-// outside the region in every displaced dimension (strips for cardinal
-// directions, corners for diagonal ones). Slabs of distinct neighbor
-// directions are disjoint, which is what keeps exchanges from carrying
-// spurious dependences against each other; package comm decomposes
-// multi-direction offsets into such per-direction exchanges.
-func HaloRect(reg *sema.Region, off air.Offset) *sema.Region {
-	lo := make([]int, reg.Rank())
-	hi := make([]int, reg.Rank())
-	for k := 0; k < reg.Rank(); k++ {
-		switch {
-		case off[k] > 0:
-			lo[k] = reg.Hi[k] + 1
-			hi[k] = reg.Hi[k] + off[k]
-		case off[k] < 0:
-			lo[k] = reg.Lo[k] + off[k]
-			hi[k] = reg.Lo[k] - 1
-		default:
-			lo[k] = reg.Lo[k]
-			hi[k] = reg.Hi[k]
+// readsOf is the accesses of refs read over reg: each ref's elements
+// and, in a block with ghost state, the ghosts a nonzero offset reads.
+func readsOf(refs []air.Ref, reg *sema.Region, ghosts bool) []arrayAccess {
+	var out []arrayAccess
+	for _, r := range refs {
+		out = append(out, arrayAccess{r.Array, r.Off, makeRect(reg, r.Off)})
+		if ghosts && !r.Off.IsZero() {
+			out = append(out, arrayAccess{r.Array, r.Off, ghostRect(r.Off, false)})
 		}
 	}
-	return &sema.Region{Lo: lo, Hi: hi}
+	return out
 }
 
 // stmtEffects summarizes what a statement touches.
@@ -124,39 +127,33 @@ type stmtEffects struct {
 	summary *air.ProcEffects
 }
 
-func effects(s air.Stmt) stmtEffects {
+func effects(s air.Stmt, ghosts bool) stmtEffects {
 	var e stmtEffects
 	switch x := s.(type) {
 	case *air.ArrayStmt:
-		e.arrayWrites = []arrayAccess{{x.LHS, air.Zero(x.Region.Rank()), x.Region, nil}}
-		for _, r := range x.Reads() {
-			e.arrayReads = append(e.arrayReads, arrayAccess{r.Array, r.Off, x.Region, nil})
-		}
+		e.arrayWrites = []arrayAccess{whole(x.LHS, x.Region)}
+		e.arrayReads = readsOf(x.Reads(), x.Region, ghosts)
 		e.scalarReads = air.ScalarReads(x.RHS)
 	case *air.ScalarStmt:
 		e.scalarReads = air.ScalarReads(x.RHS)
 		e.scalarWrite = x.LHS
 	case *air.ReduceStmt:
-		for _, r := range air.Refs(x.Body) {
-			e.arrayReads = append(e.arrayReads, arrayAccess{r.Array, r.Off, x.Region, nil})
-		}
+		e.arrayReads = readsOf(air.Refs(x.Body), x.Region, ghosts)
 		e.scalarReads = air.ScalarReads(x.Body)
 		e.scalarWrite = x.Target
 	case *air.PartialReduceStmt:
-		e.arrayWrites = []arrayAccess{{x.LHS, air.Zero(x.Dest.Rank()), x.Dest, nil}}
-		for _, r := range air.Refs(x.Body) {
-			e.arrayReads = append(e.arrayReads, arrayAccess{r.Array, r.Off, x.Region, nil})
-		}
+		e.arrayWrites = []arrayAccess{whole(x.LHS, x.Dest)}
+		e.arrayReads = readsOf(air.Refs(x.Body), x.Region, ghosts)
 		e.scalarReads = air.ScalarReads(x.Body)
 	case *air.CommStmt:
 		// A ghost exchange's send reads interior elements and its
-		// receive writes only the halo slabs outside the region. The
-		// pair is ordered through a pseudo-scalar keyed by the message id.
+		// receive writes one ghost, ghost(A, dir). The pair is ordered
+		// through a pseudo-scalar keyed by the message id.
 		if x.Phase == air.CommSend {
-			e.arrayReads = []arrayAccess{{x.Array, air.Zero(x.Region.Rank()), x.Region, nil}}
+			e.arrayReads = []arrayAccess{whole(x.Array, x.Region)}
 			e.scalarWrite = fmt.Sprintf("$msg%d", x.MsgID)
 		} else {
-			e.arrayWrites = []arrayAccess{{x.Array, x.Off, x.Region, HaloRect(x.Region, x.Off)}}
+			e.arrayWrites = []arrayAccess{{x.Array, x.Off, ghostRect(x.Off, true)}}
 			e.scalarReads = []string{fmt.Sprintf("$msg%d", x.MsgID)}
 		}
 	case *air.WritelnStmt:
@@ -244,9 +241,19 @@ func compute(stmts []air.Stmt, killAware bool) []Edge {
 	lastScalarWrite := map[string]int{}
 	scalarReadsSince := map[string][]int{}
 	lastBarrier := -1
+	// Ghost state exists only in a block with a receive. A write does
+	// not invalidate a ghost here: comm receives afresh after every
+	// write, and that receive is the ghost's next writer.
+	ghosts := false
+	for _, s := range stmts {
+		if c, ok := s.(*air.CommStmt); ok && c.Phase == air.CommRecv {
+			ghosts = true
+			break
+		}
+	}
 
 	for j, s := range stmts {
-		eff := effects(s)
+		eff := effects(s, ghosts)
 
 		if lastBarrier >= 0 {
 			addItem(lastBarrier, j, Item{Var: "$order", Kind: Flow})
@@ -254,9 +261,8 @@ func compute(stmts []air.Stmt, killAware bool) []Edge {
 
 		// Array reads: flow dependences from active writes.
 		for _, ar := range eff.arrayReads {
-			rc := rectOf(ar)
 			for _, w := range writes[ar.array] {
-				if !w.rc.overlaps(rc) {
+				if !w.rc.overlaps(ar.rc) {
 					continue
 				}
 				if w.off == nil {
@@ -273,9 +279,8 @@ func compute(stmts []air.Stmt, killAware bool) []Edge {
 		// Array writes: anti dependences from active reads, output
 		// dependences from active writes.
 		for _, aw := range eff.arrayWrites {
-			rc := rectOf(aw)
 			for _, r := range reads[aw.array] {
-				if !r.rc.overlaps(rc) {
+				if !r.rc.overlaps(aw.rc) {
 					continue
 				}
 				if r.off == nil {
@@ -288,7 +293,7 @@ func compute(stmts []air.Stmt, killAware bool) []Edge {
 				})
 			}
 			for _, w := range writes[aw.array] {
-				if !w.rc.overlaps(rc) {
+				if !w.rc.overlaps(aw.rc) {
 					continue
 				}
 				if w.off == nil {
@@ -360,18 +365,15 @@ func compute(stmts []air.Stmt, killAware bool) []Edge {
 		// Update state: kills, then registrations.
 		if killAware {
 			for _, aw := range eff.arrayWrites {
-				rc := rectOf(aw)
-				writes[aw.array] = retire(writes[aw.array], rc)
-				reads[aw.array] = retire(reads[aw.array], rc)
+				writes[aw.array] = retire(writes[aw.array], aw.rc)
+				reads[aw.array] = retire(reads[aw.array], aw.rc)
 			}
 		}
 		for _, aw := range eff.arrayWrites {
-			writes[aw.array] = append(writes[aw.array],
-				access{stmt: j, off: aw.off.Clone(), rc: rectOf(aw)})
+			writes[aw.array] = append(writes[aw.array], access{stmt: j, off: aw.off, rc: aw.rc})
 		}
 		for _, ar := range eff.arrayReads {
-			reads[ar.array] = append(reads[ar.array],
-				access{stmt: j, off: ar.off.Clone(), rc: rectOf(ar)})
+			reads[ar.array] = append(reads[ar.array], access{stmt: j, off: ar.off, rc: ar.rc})
 		}
 		for _, name := range eff.scalarReads {
 			scalarReadsSince[name] = append(scalarReadsSince[name], j)

@@ -1,6 +1,9 @@
 package dep
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/air"
@@ -277,5 +280,117 @@ func TestReduceDependences(t *testing.T) {
 	}
 	if it := findItem(es, 1, 2, "s", Flow); it == nil {
 		t.Error("scalar flow out of reduction missing")
+	}
+}
+
+// render prints the edges of a block the way zplc -emit asdg does.
+func render(es []Edge) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = fmt.Sprintf("v%d -> v%d:", e.From, e.To)
+		for _, it := range e.Items {
+			out[i] += " " + it.String()
+		}
+	}
+	return out
+}
+
+func send(a string, d air.Offset, r *sema.Region, id int) *air.CommStmt {
+	return &air.CommStmt{Array: a, Off: d, Region: r, Phase: air.CommSend, MsgID: id}
+}
+
+func recv(a string, d air.Offset, r *sema.Region, id int) *air.CommStmt {
+	return &air.CommStmt{Array: a, Off: d, Region: r, Phase: air.CommRecv, MsgID: id}
+}
+
+// TestReceiveWritesItsGhost: a receive of A@dir writes ghost(A, dir)
+// and nothing else, so it is a dependence of every later read of that
+// halo whatever the read's region, and of no access that does not
+// read it. Both blocks are zplc -emit asdg output at p=2.
+func TestReceiveWritesItsGhost(t *testing.T) {
+	sq := func(lo, hi int) *sema.Region { return &sema.Region{Lo: []int{lo, lo}, Hi: []int{hi, hi}} }
+	ref := func(a string, d air.Offset) air.Ref { return air.Ref{Array: a, Off: d} }
+	scalar := func(lhs string, rhs ...string) *air.ScalarStmt {
+		var e air.Expr = &air.ScalarExpr{Name: rhs[0]}
+		for _, x := range rhs[1:] {
+			e = &air.BinExpr{Op: air.OpAdd, X: e, Y: &air.ScalarExpr{Name: x}}
+		}
+		return &air.ScalarStmt{LHS: lhs, RHS: e}
+	}
+	R, I := sq(1, 8), sq(2, 7)
+	w, s, sw := off(-1, 0), off(0, -1), off(-1, -1)
+
+	// testdata/provers/halo_race.za at c2+f3, block 1: v17 reuses the
+	// A0@(0,-1) halo v14 received for v16, whose region is wider. The
+	// A0 ghost cells v14 fills are interior columns of the neighbour's
+	// block, so v17 must stay below v14.
+	halo := []air.Stmt{
+		send("A1", off(1, 0), I, 1), recv("A1", off(1, 0), I, 1),
+		send("A1", s, I, 2), recv("A1", s, I, 2),
+		send("A1", off(1, -1), I, 3), recv("A1", off(1, -1), I, 3),
+		arrStmt(0, I, "A0", ref("A1", off(1, -1))),
+		send("A0", w, R, 4), send("A0", s, R, 5), send("A0", sw, R, 6),
+		&air.ReduceStmt{Target: "_s1", Op: air.ReduceSum, Region: I,
+			Body: &air.RefExpr{Ref: ref("A3", off(0, 0))}},
+		scalar("s", "_s1"),
+		scalar("acc", "acc", "s"),
+		recv("A0", w, R, 4), recv("A0", s, R, 5), recv("A0", sw, R, 6),
+		arrStmt(1, R, "A2", ref("A0", sw)),
+		arrStmt(2, I, "A1", ref("A3", off(0, 0)), ref("A0", s)),
+	}
+	want := []string{
+		"v0 -> v1: ($msg1, -, flow)",
+		"v2 -> v3: ($msg2, -, flow)",
+		"v4 -> v5: ($msg3, -, flow)",
+		"v1 -> v6: (A1, (0,1), flow)",
+		"v3 -> v6: (A1, (-1,0), flow)",
+		"v5 -> v6: (A1, (0,0), flow)",
+		"v6 -> v7: (A0, (0,0), flow)",
+		"v6 -> v8: (A0, (0,0), flow)",
+		"v6 -> v9: (A0, (0,0), flow)",
+		"v10 -> v11: (_s1, -, flow)",
+		"v11 -> v12: (s, -, flow)",
+		"v7 -> v13: ($msg4, -, flow)",
+		"v8 -> v14: ($msg5, -, flow)",
+		"v9 -> v15: ($msg6, -, flow)",
+		"v6 -> v16: (A0, (1,1), flow)",
+		"v13 -> v16: (A0, (0,1), flow)",
+		"v14 -> v16: (A0, (1,0), flow)",
+		"v15 -> v16: (A0, (0,0), flow)",
+		"v6 -> v17: (A0, (0,1), flow) (A1, (1,-1), anti)",
+		"v14 -> v17: (A0, (0,0), flow)",
+		"v0 -> v17: (A1, (0,0), anti)",
+		"v2 -> v17: (A1, (0,0), anti)",
+		"v4 -> v17: (A1, (0,0), anti)",
+	}
+	if got := render(Compute(halo)); !slices.Equal(got, want) {
+		t.Errorf("halo_race block 1:\ngot\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// A receive of A@(0,-1) over [2..8,2..8]: its ghost is neither the
+	// elements the earlier write v0 or the send v3 touch, nor a
+	// direction C := A@(-1,0) reads, whatever the regions. A slab
+	// outside the region gave all three an edge from v2.
+	J := &sema.Region{Lo: []int{2, 2}, Hi: []int{8, 8}}
+	slab := []air.Stmt{
+		arrStmt(0, R, "A"),
+		send("A", s, J, 1), recv("A", s, J, 1),
+		send("A", w, R, 2),
+		arrStmt(1, J, "B", ref("A", s)),
+		recv("A", w, R, 2),
+		arrStmt(2, R, "C", ref("A", w)),
+	}
+	want = []string{
+		"v0 -> v1: (A, (0,0), flow)",
+		"v1 -> v2: ($msg1, -, flow)",
+		"v0 -> v3: (A, (0,0), flow)",
+		"v0 -> v4: (A, (0,1), flow)",
+		"v2 -> v4: (A, (0,0), flow)",
+		"v3 -> v5: ($msg2, -, flow)",
+		"v0 -> v6: (A, (1,0), flow)",
+		"v5 -> v6: (A, (0,0), flow)",
+	}
+	if got := render(Compute(slab)); !slices.Equal(got, want) {
+		t.Errorf("slab block:\ngot\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

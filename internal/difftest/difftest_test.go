@@ -99,6 +99,17 @@ func TestMatrix(t *testing.T) {
 		c.Name, c.Opt.Plan = "plan/"+p.Name, matrix.GoldenPlan(t, p.Name)
 		cells = append(cells, c)
 	}
+	// A statement that reuses a halo received for a wider one: the
+	// receive is its dependence at every level and processor count.
+	halo, err := os.ReadFile(filepath.Join("..", "..", "testdata", "provers", "halo_race.za"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lvl := range core.AllLevels() {
+		c := matrix.Program{Name: "halo_race.za", Src: string(halo)}.At(lvl, matrix.Traced)
+		c.Procs = []int{2, 4, 8}
+		cells = append(cells, c)
+	}
 	matrix.Run(t, cells...)
 }
 

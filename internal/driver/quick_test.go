@@ -83,11 +83,9 @@ func TestQuickDistributedSoundness(t *testing.T) {
 	}
 	matrix.Quick(t, cfg, distributed)
 	// The one program the time-seeded runs of this test have found that
-	// fails it: a halo reused by a later statement is a dependence the
-	// ASDG does not carry (ROADMAP item 1, diagnosed there, fixed by the
-	// PR that takes it). Un-skip it with that fix.
+	// failed it: a halo reused by a later statement is a dependence on
+	// the receive that filled it (ROADMAP item 1; DESIGN.md §33).
 	t.Run("seed -5482402805499627837 (ROADMAP item 1)", func(t *testing.T) {
-		t.Skip("known failure, ROADMAP item 1: the reused-halo dependence is missing from the ASDG")
 		for _, c := range distributed(programs.Random(rand.New(rand.NewSource(-5482402805499627837)))) {
 			matrix.Check(t, c)
 		}
@@ -138,10 +136,9 @@ func TestQuickVerifierClean(t *testing.T) {
 		t.Error(err)
 	}
 	// The second program the time-seeded runs found for ROADMAP item 1:
-	// at c2+f3 the comm-schedule pass rejects it for p = 2, 4 and 8
+	// at c2+f3 the comm-schedule pass rejected it for p = 2, 4 and 8
 	// (a read of A0@(0,-1) fused above the receive of its halo).
 	t.Run("seed 3540307592844577193 (ROADMAP item 1)", func(t *testing.T) {
-		t.Skip("known failure, ROADMAP item 1: the reused-halo dependence is missing from the ASDG")
 		src := programs.Random(rand.New(rand.NewSource(3540307592844577193)))
 		for _, p := range []int{2, 4, 8} {
 			co := comm.DefaultOptions(p)

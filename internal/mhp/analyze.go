@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/air"
+	"repro/internal/comm"
 	"repro/internal/dep"
 	"repro/internal/sema"
 	"repro/internal/source"
@@ -284,8 +285,15 @@ func walkCoverage(sched *Schedule, exchanges map[msgKey]*exchange) (reads, write
 					continue
 				}
 				r := accessRec{ev: e, acc: a}
-				for _, dir := range neighborDirs(a.Off) {
+				for _, dir := range comm.NeighborDirections(a.Off) {
 					r.cov = append(r.cov, covEntry{dir, covering(valid[a.Array], dir)})
+				}
+				// Evidence words the chains with dimension 0 as the high
+				// bit of the direction's mask; comm counts it as the low.
+				for i := 1; i < len(r.cov); i++ {
+					for j := i; j > 0 && dimMask(r.cov[j-1].dir) > dimMask(r.cov[j].dir); j-- {
+						r.cov[j], r.cov[j-1] = r.cov[j-1], r.cov[j]
+					}
 				}
 				reads = append(reads, r)
 			}
@@ -483,30 +491,15 @@ func overlap(a, b Access) (conflict, unknown bool) {
 	return true, false
 }
 
-// neighborDirs decomposes a read offset into the per-neighbor
-// direction sub-patterns the exchange machinery uses: every nonzero
-// sign sub-pattern over the active dimensions.
-func neighborDirs(off air.Offset) []air.Offset {
-	var active []int
-	for k, v := range off {
+// dimMask is the set of dir's nonzero dimensions, dimension 0 the
+// most significant bit.
+func dimMask(dir air.Offset) int {
+	m := 0
+	for _, v := range dir {
+		m <<= 1
 		if v != 0 {
-			active = append(active, k)
+			m |= 1
 		}
 	}
-	var out []air.Offset
-	var build func(i int, cur air.Offset, any bool)
-	build = func(i int, cur air.Offset, any bool) {
-		if i == len(active) {
-			if any {
-				out = append(out, cur.Clone())
-			}
-			return
-		}
-		build(i+1, cur, any)
-		cur[active[i]] = off[active[i]]
-		build(i+1, cur, true)
-		cur[active[i]] = 0
-	}
-	build(0, air.Zero(len(off)), false)
-	return out
+	return m
 }
