@@ -187,12 +187,17 @@ plan-guard: build
 # (DESIGN.md §32): each kernel bit for bit against its Go loop over
 # special values, tail lengths and aliased destinations, every benchmark
 # and heat with them forced off and on, and no fused multiply-add in the
-# package's listing. All are ordinary tier-1 tests; this target is the one to
-# run after touching internal/vm. `go test -run '^$$' -bench Run
+# package's listing. Then the split nests (DESIGN.md §31): every benchmark
+# and heat above the split threshold at GOMAXPROCS 1 against 2 bit for
+# bit with no goroutine left behind, a chunk's panic returned as an
+# error, a cancellation inside a split nest, all under -race too. All
+# are ordinary tier-1 tests; this target is the one to run after
+# touching internal/vm. `go test -run '^$$' -bench Run
 # ./internal/vm` prints ns per element-statement for the same cells the
 # run-interp workload times.
 vm-guard: build
-	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestPackedKernelsBitIdentical|TestPackedProgramsIdentical|TestVMNoFMA' ./internal/vm
+	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestPackedKernelsBitIdentical|TestPackedProgramsIdentical|TestVMNoFMA|TestSplit' ./internal/vm
+	$(GO) test -race -count=1 -run 'TestSplit' ./internal/vm
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
 
 # Native guard: the tests to run after touching internal/gogen,
@@ -208,10 +213,11 @@ vm-guard: build
 # worker protocol and its
 # failures, a worker exiting when its host is killed, and the lazy
 # executor's copied bytes and allocations per Eval. Then the threaded
-# nests (DESIGN.md §31): the outer-parallel pass over every nest a
-# worker splits and its seeded fault, GOMAXPROCS 1 against 2 byte for
+# nests (DESIGN.md §31): the outer-parallel pass over every nest an
+# engine splits (absint.Result.Splits) and its seeded fault, GOMAXPROCS 1 against 2 byte for
 # byte, a -race build of a threaded worker, an idle threaded worker
-# using no CPU, and max/min of special values across a chunk boundary.
+# using no CPU, and max/min of special values across a chunk boundary
+# on both engines.
 # All are ordinary tier-1 tests; this target is the one to run after
 # touching those packages.
 native-guard: build

@@ -24,10 +24,10 @@
 //	              happens-before ordered and the send/recv matching
 //	              deadlock-free (needs -p > 1 to have any schedule
 //	              to analyze); the outer-parallel pass re-proves from
-//	              the ASDG that every nest a resident worker splits
-//	              across goroutines carries no dependence on its
-//	              outermost loop (a nest splits only above
-//	              gogen.SplitPoints points: raise n with -config)
+//	              the ASDG that every nest a resident worker or a VM
+//	              machine splits across goroutines carries no
+//	              dependence on its outermost loop (a nest splits only
+//	              above absint.SplitPoints points: raise n with -config)
 //	-p n          additionally verify a distributed compilation for
 //	              n processors (communication inserted)
 //	-config k=v   override a config constant (repeatable)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/absint"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -21,7 +22,7 @@ import (
 )
 
 // threadedPrograms are the six benchmarks and heat at a size where
-// every nest over their main region has at least gogen.SplitPoints
+// every nest over their main region has at least absint.SplitPoints
 // points, so that their workers split nests across goroutines.
 func threadedPrograms(t *testing.T) []programs.Benchmark {
 	t.Helper()
@@ -38,7 +39,7 @@ func threadedWorkerOf(t *testing.T, p programs.Benchmark, lvl core.Level) (*back
 	t.Helper()
 	n := int64(256)
 	if p.Rank == 1 {
-		n = 2 * gogen.SplitPoints
+		n = 2 * absint.SplitPoints
 	}
 	c, err := driver.Compile(p.Source, driver.Options{Level: lvl, Configs: map[string]int64{p.SizeConfig: n}})
 	if err != nil {

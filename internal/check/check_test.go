@@ -6,13 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/absint"
 	"repro/internal/air"
 	"repro/internal/check"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/driver"
-	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/programs"
 )
@@ -270,10 +270,10 @@ func TestVerifierAcceptsViaDriver(t *testing.T) {
 }
 
 // splitSize is a problem size at which every nest over a benchmark's
-// main region has at least gogen.SplitPoints points.
+// main region has at least absint.SplitPoints points.
 func splitSize(rank int) int64 {
 	if rank == 1 {
-		return 2 * gogen.SplitPoints
+		return 2 * absint.SplitPoints
 	}
 	return 256
 }
@@ -301,7 +301,7 @@ func TestOuterParallelClean(t *testing.T) {
 			}
 			for _, pr := range c.LIR.Procs {
 				for _, n := range lir.Nests(pr.Body) {
-					if gogen.Splits(c.LIR, c.Bounds, n) {
+					if c.Bounds.Splits(c.LIR, n) {
 						splits++
 					}
 				}
@@ -358,7 +358,7 @@ func TestOuterParallelCatchesCarriedSplit(t *testing.T) {
 			}
 		}
 		requirePositioned(t, check.PassOuterParallel, carries)
-		if gogen.Splits(c.LIR, c.Bounds, fused) {
+		if c.Bounds.Splits(c.LIR, fused) {
 			t.Errorf("n=%d: gogen splits the nest that carries A", n)
 		}
 		if reps := check.OuterParallel(c.Plan, c.LIR, c.Bounds); len(reps) > 0 {

@@ -1,5 +1,5 @@
 package check
 
 // OuterParallelOf is OuterParallel over a given per-nest decision in
-// place of gogen.Splits: the seeded fault forces a split.
+// place of absint.Result.Splits: the seeded fault forces a split.
 var OuterParallelOf = outerParallel

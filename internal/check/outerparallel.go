@@ -9,20 +9,19 @@ import (
 	"repro/internal/air"
 	"repro/internal/core"
 	"repro/internal/dep"
-	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/sema"
 	"repro/internal/source"
 )
 
-// PassOuterParallel audits the nests a resident worker splits across
-// goroutines.
+// PassOuterParallel audits the nests an engine splits across goroutines.
 const PassOuterParallel = "outer-parallel"
 
-// OuterParallel re-proves that every nest a resident worker runs in
-// chunks of its outermost loop's rows (gogen.Splits, the emitter's one
-// per-nest decision) may run them in any order. gogen decides from an
-// offset scan of the nest's references; this pass decides from the
+// OuterParallel re-proves that every nest either engine splits — a
+// resident worker or a whole-program VM machine running it in chunks of
+// its outermost loop's rows (absint.Result.Splits, the one per-nest
+// decision both read) — may run them in any order. The rule decides
+// from an offset scan of the nest's references; this pass decides from the
 // plan's ASDG instead (Definition 4, Theorem 1): each dependence between
 // two statements of the nest's cluster, constrained by the nest's loop
 // structure, must have a zero first element — the outermost loop
@@ -33,7 +32,7 @@ const PassOuterParallel = "outer-parallel"
 // folds whose result does not depend on how the rows are grouped), and
 // that every access be ProvenSafe, so a helper goroutine cannot trap.
 func OuterParallel(plan *core.Plan, lp *lir.Program, bounds *absint.Result) []Report {
-	return outerParallel(plan, lp, bounds, func(n *lir.Nest) bool { return gogen.Splits(lp, bounds, n) })
+	return outerParallel(plan, lp, bounds, func(n *lir.Nest) bool { return bounds.Splits(lp, n) })
 }
 
 // outerParallel is OuterParallel over any decision; the seeded-fault

@@ -360,7 +360,8 @@ func finishAIR(ctx context.Context, airProg *air.Program, info *sema.Info, opt O
 
 // Run executes the compiled program on the VM. The prover's result
 // rides along unless the caller supplied its own Options.Bounds; the VM
-// reads only a seeded fault from it (-provefault).
+// reads from it which nests it may split across goroutines and any
+// seeded fault (-provefault).
 func (c *Compilation) Run(opt vm.Options) (*vm.Machine, *vm.Result, error) {
 	if opt.Bounds == nil && c.Bounds != nil {
 		opt.Bounds = c.Bounds

@@ -17,9 +17,10 @@
 // loop on code-generation correctness with the host toolchain as the
 // final referee.
 //
-// A worker also uses the host's cores. A nest of at least SplitPoints
-// points whose outermost loop carries no dependence, whose accesses are
-// all proven and whose reductions are only max and min (Splits) becomes
+// A worker also uses the host's cores. A nest of at least
+// absint.SplitPoints points whose outermost loop carries no dependence,
+// whose accesses are all proven and whose reductions are only max and
+// min (absint.Result.Splits, the rule the VM splits by too) becomes
 // a function over a range of its outer rows; at start-up the worker
 // parks GOMAXPROCS-1 helper goroutines, and in the nest's place the
 // main goroutine hands each a contiguous chunk of rows, runs the first
@@ -428,9 +429,9 @@ type gen struct {
 	strides map[string][]int
 
 	// threaded holds the functions of the nests a worker splits
-	// (Splits), numbered in emission order, and cases the zaC_do arm
-	// that runs each; maxAccs is the most max/min accumulators one of
-	// them returns.
+	// (absint.Result.Splits), numbered in emission order, and cases the
+	// zaC_do arm that runs each; maxAccs is the most max/min
+	// accumulators one of them returns.
 	threaded bytes.Buffer
 	cases    []string
 	maxAccs  int
@@ -531,9 +532,9 @@ func (g *gen) declarations(out *strings.Builder) {
 	}
 }
 
-// chunks emits what runs a worker's threaded nests (Splits): a chunk
-// per GOMAXPROCS at start-up, a helper goroutine parked on each chunk
-// but the first, and zaC_do, which runs a chunk's rows of nest
+// chunks emits what runs a worker's threaded nests
+// (absint.Result.Splits): a chunk per GOMAXPROCS at start-up, a helper
+// goroutine parked on each chunk but the first, and zaC_do, which runs a chunk's rows of nest
 // zaN_<t>. The helpers block on their channels between nests and
 // between runs: an idle worker spins on nothing.
 func (g *gen) chunks(out *strings.Builder) {
@@ -995,8 +996,8 @@ func (g *gen) loops(sw *sweep, loops []loop, lo, hi string) {
 	}
 }
 
-// threadedNest emits a nest the worker splits (Splits). Its loops become
-// zaN_<t>, a function over the outer rows zaC_lo..zaC_hi that returns
+// threadedNest emits a nest the worker splits (absint.Result.Splits).
+// Its loops become zaN_<t>, a function over the outer rows zaC_lo..zaC_hi that returns
 // its max/min accumulators; in the nest's place, zaC_run runs it over
 // one contiguous chunk of rows per goroutine and the block folds the
 // chunks' accumulators in row order, which for max and min is the
@@ -1115,111 +1116,6 @@ func (g *gen) partialReduce(x *lir.PartialReduce) {
 	})
 }
 
-// SplitPoints is the fewest points a nest's region must have for a
-// resident worker to split it across goroutines (Splits). Below it,
-// waking a parked helper costs more than the rows it takes over
-// (DESIGN.md §31).
-const SplitPoints = 1 << 15
-
-// Splits reports whether EmitWorker runs nest n of p in contiguous
-// chunks of its outermost loop's rows, one per goroutine (a one-shot
-// program never splits). It does when the nest
-//
-//   - covers at least SplitPoints points;
-//   - has every access ProvenSafe under bounds, so a chunk never traps
-//     outside the worker's recover;
-//   - carries no dependence on its outermost loop (Nest.Order[0]): every
-//     reference to an array the nest stores has offset 0 in that loop's
-//     dimension, and every read of a contracted array follows a store of
-//     it, earlier in the body, whose guard covers the read's, so no
-//     register holds a value from an earlier row (a preload is loaded
-//     afresh every iteration);
-//   - reduces only with max and min, each target in one statement and
-//     read by none: folding the chunks' accumulators in row order is the
-//     sequential fold bit for bit, which a sum's or a product's rounding
-//     would not be.
-func Splits(p *lir.Program, bounds *absint.Result, n *lir.Nest) bool {
-	if bounds == nil || len(n.Body) == 0 {
-		return false
-	}
-	for k := range n.Region.Lo {
-		if n.Region.Extent(k) < 1 {
-			return false
-		}
-	}
-	if n.Region.Size() < SplitPoints {
-		return false
-	}
-	outer := 0
-	if len(n.Order) > 0 {
-		outer = max(n.Order[0], -n.Order[0]) - 1
-	}
-	proven := func(s *absint.Site) bool {
-		return s != nil && s.Verdict == absint.ProvenSafe && s.FaultShift == 0
-	}
-	stored, targets := map[string]bool{}, map[string]bool{}
-	for _, s := range n.Body {
-		switch {
-		case s.IsReduce:
-			if s.Op != air.ReduceMax && s.Op != air.ReduceMin || targets[s.Target] {
-				return false
-			}
-			targets[s.Target] = true
-		case !s.Contracted:
-			if !proven(bounds.Store(s)) {
-				return false
-			}
-			stored[s.LHS] = true
-		}
-	}
-	for i, pl := range n.Preloads {
-		if !proven(bounds.PreloadSite(n, i)) || stored[pl.Array] && pl.Off[outer] != 0 {
-			return false
-		}
-	}
-	ok := true
-	for i, s := range n.Body {
-		air.Walk(s.RHS, func(e air.Expr) {
-			switch x := e.(type) {
-			case *air.ScalarExpr:
-				ok = ok && !targets[x.Name]
-			case *air.RefExpr:
-				if a := p.Source.Arrays[x.Ref.Array]; a != nil && a.Contracted {
-					ok = ok && storedBefore(n, i, x.Ref.Array)
-				} else {
-					ok = ok && proven(bounds.Read(x)) && (!stored[x.Ref.Array] || x.Ref.Off[outer] == 0)
-				}
-			}
-		})
-	}
-	return ok
-}
-
-// storedBefore reports whether a statement before n.Body[i] stores
-// contracted array x at every point where n.Body[i] runs.
-func storedBefore(n *lir.Nest, i int, x string) bool {
-	r := n.Body[i].Guard
-	for _, w := range n.Body[:i] {
-		if !w.Contracted || w.LHS != x {
-			continue
-		}
-		if w.Guard == nil {
-			return true
-		}
-		if r == nil {
-			continue
-		}
-		in := true
-		for k := range r.Lo {
-			in = in && w.Guard.Lo[k] <= r.Lo[k] && r.Hi[k] <= w.Guard.Hi[k]
-		}
-		if in {
-			return true
-		}
-	}
-	return false
-}
-
 func (g *gen) nest(n *lir.Nest) {
 	// One walk before anything renders: which of the names the body
 	// assigns — registers and reduction targets — does it also read?
@@ -1252,7 +1148,7 @@ func (g *gen) nest(n *lir.Nest) {
 		}
 	}
 	idx := idxSlice(n.Region.Rank())
-	split := g.spec != nil && Splits(g.p, g.bounds, n)
+	split := g.spec != nil && g.bounds.Splits(g.p, n)
 	g.sweep(idx, reads, loopsOf(n.Region.Lo, n.Region.Hi, n.Order), split, func() {
 		for i, pl := range n.Preloads {
 			var site *absint.Site

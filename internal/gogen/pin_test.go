@@ -35,7 +35,7 @@ var update = flag.Bool("update", false, "rewrite testdata/emission_hashes.json f
 // on Linux only, since the arena's host half differs by OS
 // (arena_linux.go, arena_other.go); a worker has no arena, and its
 // hashes hold everywhere. At their default sizes no nest is large
-// enough for a worker to split (Splits); heat@512's workers pin the
+// enough for a worker to split (absint.Result.Splits); heat@512's workers pin the
 // threaded emission.
 func TestEmissionPinned(t *testing.T) {
 	path := filepath.Join("testdata", "emission_hashes.json")
@@ -96,7 +96,7 @@ func pinnedEmissions(t *testing.T) map[string]string {
 			}
 			for _, pr := range c.LIR.Procs {
 				for _, n := range lir.Nests(pr.Body) {
-					if gogen.Splits(c.LIR, c.Bounds, n) {
+					if c.Bounds.Splits(c.LIR, n) {
 						t.Errorf("%s: a worker splits a nest at the default size", id)
 					}
 				}

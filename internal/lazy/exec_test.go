@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/absint"
 	"repro/internal/air"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/sema"
 )
@@ -44,16 +45,18 @@ func residentArrayOf(t *testing.T, e *Engine, h *Handle) residentArray {
 // a left fold of math.Max and math.Min from the identity, on the VM and
 // the native backend. Pair k is the first column of block k of two rows
 // and w columns, the rest of the block the reduction's identity, and
-// the 81 blocks make a nest a native worker splits (gogen.Splits): at
-// GOMAXPROCS 2 the two values of a pair fall in different chunks, whose
-// accumulators the worker folds after the helpers finish; at
-// GOMAXPROCS 1 the nest runs as one chunk. Every native result also
-// equals the VM's bit for bit.
+// the 81 blocks make a nest both engines split (absint.Result.Splits):
+// at GOMAXPROCS 2 the two values of a pair fall in different chunks,
+// whose accumulators the engine folds after the other chunk ends; at
+// GOMAXPROCS 1 the nest runs as one chunk. Every arm equals the first,
+// the VM at GOMAXPROCS 1, bit for bit. The VM's arms set
+// runtime.GOMAXPROCS, which an in-process machine reads; a worker reads
+// its environment.
 func TestMaxMinOfSpecialValues(t *testing.T) {
 	s := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000001), 2, -2}
 	n := len(s)
-	w := gogen.SplitPoints/(2*n*n) + 1
+	w := absint.SplitPoints/(2*n*n) + 1
 	cols := n * n * w
 	lo, hi := make([]float64, 2*cols), make([]float64, 2*cols) // max's grid, min's
 	for i := range lo {
@@ -68,18 +71,22 @@ func TestMaxMinOfSpecialValues(t *testing.T) {
 	type arm struct {
 		opt   Options
 		procs string // the native worker's GOMAXPROCS
+		vm    int    // the VM's runtime.GOMAXPROCS
 	}
-	arms := []arm{{opt: Options{Level: core.C2F4S}}}
+	arms := []arm{{opt: Options{Level: core.C2F4S}, vm: 1}, {opt: Options{Level: core.C2F4S}, vm: 2}}
 	if backend.Available() {
 		for _, procs := range []string{"1", "2"} {
-			arms = append(arms, arm{Options{Level: core.C2F4S, Backend: driver.BackendGo, ArtifactDir: t.TempDir()}, procs})
+			arms = append(arms, arm{opt: Options{Level: core.C2F4S, Backend: driver.BackendGo, ArtifactDir: t.TempDir()}, procs: procs})
 		}
 	}
-	var vm []float64 // the VM's results, max then min of each pair
+	var vm []float64 // the first arm's results, max then min of each pair
 	for _, a := range arms {
 		name := fmt.Sprintf("%v GOMAXPROCS=%s", a.opt.Backend, a.procs)
 		if a.procs != "" {
 			t.Setenv("GOMAXPROCS", a.procs)
+		} else {
+			name = fmt.Sprintf("%v runtime.GOMAXPROCS=%d", a.opt.Backend, a.vm)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(a.vm))
 		}
 		e := NewEngine(a.opt)
 		defer e.Close()
@@ -107,6 +114,9 @@ func TestMaxMinOfSpecialValues(t *testing.T) {
 		if a.procs != "" && !split {
 			t.Fatalf("%s: the worker runs a nest over rows 1..2 on one goroutine", name)
 		}
+		if a.procs == "" && !vmSplits(e, 1, 2) {
+			t.Fatalf("%s: the machine runs a nest over rows 1..2 unsplit", name)
+		}
 		check := func(op string, got, want, a, b float64) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s: %s<< (%#x, %#x) = %#x, want %#x", name, op,
@@ -128,10 +138,35 @@ func TestMaxMinOfSpecialValues(t *testing.T) {
 		}
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(vm[i]) {
-				t.Errorf("%s: result %d is %#x, the VM's %#x", name, i, math.Float64bits(got[i]), math.Float64bits(vm[i]))
+				t.Errorf("%s: result %d is %#x, the VM's at GOMAXPROCS 1 %#x", name, i, math.Float64bits(got[i]), math.Float64bits(vm[i]))
 			}
 		}
 	}
+}
+
+// vmSplits reports whether the engine's cached compilations have a nest
+// over rows lo..hi and the split rule accepts every such nest: a
+// machine built at GOMAXPROCS > 1 runs them in chunks.
+func vmSplits(e *Engine, lo, hi int) bool {
+	some := false
+	for key := range e.resident {
+		entry, ok := e.cache.Peek(key)
+		if !ok {
+			continue
+		}
+		for _, pr := range entry.Comp.LIR.Procs {
+			for _, n := range lir.Nests(pr.Body) {
+				if n.Region.Lo[0] != lo || n.Region.Hi[0] != hi {
+					continue
+				}
+				if !entry.Comp.Bounds.Splits(entry.Comp.LIR, n) {
+					return false
+				}
+				some = true
+			}
+		}
+	}
+	return some
 }
 
 // TestDeadInFrameKeepsHostValues: a handle whose first statement

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -76,27 +77,60 @@ func TestNewAllocs(t *testing.T) {
 // TestRerunAllocs is the ceiling on running a built machine again
 // (Reset, then Run), the lazy runtime's steady state: the closures and
 // storage are kept, so a rerun allocates its Result and nothing else.
+// At n=512 heat's initialising nests split on two goroutines, and a
+// chunk's go statement and the wait allocate nothing either.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, where no nest splits, so
+// the split cell counts mallocs itself.
 func TestRerunAllocs(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "heat.za"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4, Configs: map[string]int64{"n": 32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := vm.New(c.LIR, vm.Options{Bounds: c.Bounds})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(20, func() {
-		m.Reset(ctx)
-		if _, err := m.Run(); err != nil {
+	for _, n := range []int64{32, 512} {
+		c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4, Configs: map[string]int64{"n": n}})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 2 {
-		t.Errorf("Reset + Run(heat n=32 c2+f4): %.0f allocations, ceiling 2", allocs)
+		rerun := func(m *vm.Machine) {
+			m.Reset(ctx)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var allocs float64
+		if n == 32 {
+			m, err := vm.New(c.LIR, vm.Options{Bounds: c.Bounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs = testing.AllocsPerRun(20, func() { rerun(m) })
+		} else {
+			atProcs(2, func() {
+				m, err := vm.New(c.LIR, vm.Options{Bounds: c.Bounds})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vm.Splits(m) == 0 || vm.Views(m) != 1 {
+					t.Fatalf("heat n=512: %d split nests, %d views; want some, 1", vm.Splits(m), vm.Views(m))
+				}
+				// go takes a dead goroutine from its P's free list, and
+				// makes one only while the lists are still filling: warm
+				// up, then average over many reruns.
+				for range 100 {
+					rerun(m)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range 100 {
+					rerun(m)
+				}
+				runtime.ReadMemStats(&after)
+				allocs = float64(after.Mallocs-before.Mallocs) / 100
+			})
+		}
+		if allocs > 2 {
+			t.Errorf("Reset + Run(heat n=%d c2+f4): %.1f allocations, ceiling 2", n, allocs)
+		}
 	}
 }

@@ -425,8 +425,11 @@ func (m *Machine) reg(name string) int {
 }
 
 // sweep builds the loop nest over region per the structure vector: the
-// outer loops set m.idx, the innermost runs stmts a strip at a time.
-func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []stripFn) func(*Machine) {
+// outer loops set m.idx, the innermost runs stmts a strip at a time. A
+// split sweep's outermost loop runs only iterations m.rows[0] to
+// m.rows[1]-1 of its machine (split.go); a split sweep of rank 1 strips
+// from its chunk's first element.
+func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []stripFn, split bool) func(*Machine) {
 	inner, dir, w := m.nest.inner, m.nest.dir, m.width
 	first, extent := region.Lo[inner], region.Extent(inner)
 	if dir < 0 {
@@ -441,6 +444,17 @@ func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []st
 			}
 		}
 	}
+	if split && len(order) == 1 {
+		run = func(m *Machine) {
+			for done, end := m.rows[0], m.rows[1]; done < end; done += w {
+				m.idx[inner] = first + dir*done
+				n := min(w, end-done)
+				for _, st := range stmts {
+					st(m, 0, n)
+				}
+			}
+		}
+	}
 	for k := len(order) - 2; k >= 0; k-- {
 		d, dir := loopOf(order[k])
 		first, extent := region.Lo[d], region.Extent(d)
@@ -448,6 +462,15 @@ func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []st
 			first = region.Hi[d]
 		}
 		inner := run
+		if split && k == 0 {
+			run = func(m *Machine) {
+				for i := m.rows[0]; i < m.rows[1]; i++ {
+					m.idx[d] = first + dir*i
+					inner(m)
+				}
+			}
+			break
+		}
 		run = func(m *Machine) {
 			for i, left := first, extent; left > 0; i, left = i+dir, left-1 {
 				m.idx[d] = i
@@ -509,6 +532,7 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 	var stmts []stripFn
 	var targets []int // reduction target slots, set to the identity before the sweep
 	var ids []float64
+	var ops []air.ReduceOp
 
 	// Scalar-replacement preloads run first in every strip.
 	for i, pl := range x.Preloads {
@@ -569,7 +593,7 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 			if !ok {
 				return nil, fmt.Errorf("unknown reduction target %s", s.Target)
 			}
-			targets, ids = append(targets, slot), append(ids, s.Op.Identity())
+			targets, ids, ops = append(targets, slot), append(ids, s.Op.Identity()), append(ops, s.Op)
 			st = fold(slot, s.Op, rhs)
 		case rhs.direct:
 			m.directs++
@@ -583,8 +607,26 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 		stmts = append(stmts, m.clip(s.Guard, x.Region, st))
 	}
 
-	run := m.sweep(region, x.Order, stmts)
+	// A whole-program, untraced machine splits what the one rule says
+	// splits (split.go).
+	split := m.shard == nil && m.tracer == nil && m.bounds.Splits(m.prog, x)
+	run := m.sweep(region, x.Order, stmts, split)
 	elemSteps := int64(region.Size()) * int64(len(stmts))
+	if split {
+		m.splits++
+		outer, _ := loopOf(x.Order[0])
+		rows := region.Extent(outer)
+		return func(m *Machine) signal {
+			if !m.charge(elemSteps) {
+				return sigFault
+			}
+			for i, slot := range targets {
+				m.slots[slot] = ids[i]
+			}
+			m.split(run, rows, targets, ops)
+			return sigNext
+		}, nil
+	}
 	sweep := func(m *Machine) signal {
 		if !m.charge(elemSteps) {
 			return sigFault
@@ -830,7 +872,7 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 	op, id := x.Op, x.Op.Identity()
 	fill := m.spread(uniform(func(*Machine) float64 { return id }, 0))
 	defer m.release(fill.own)
-	init := m.sweep(x.Dest, order, []stripFn{m.store(dst, fill)})
+	init := m.sweep(x.Dest, order, []stripFn{m.store(dst, fill)}, false)
 	// The accumulation reads and writes the projected element through
 	// its own two sites; a faulted site or a traced run goes element by
 	// element, as a load and a store do.
@@ -853,7 +895,7 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 			data[into.touch(m, p, true)] = r
 			p += into.step
 		}
-	}})
+	}}, false)
 	elems := int64(x.Region.Size())
 	return func(m *Machine) signal {
 		if !m.charge(elems) {

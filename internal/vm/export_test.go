@@ -31,3 +31,19 @@ func SetPacked(on bool) (restore func()) {
 	active = pick(on && packed)
 	return func() { active = old }
 }
+
+// Splits is the number of m's nests compiled to run in chunks of their
+// outermost loop's rows.
+func Splits(m *Machine) int { return m.splits }
+
+// Views is the number of machines besides m that run chunks of its
+// split nests.
+func Views(m *Machine) int { return len(m.views) }
+
+// SetChunkHook makes every chunk a view runs call hook with its chunk
+// index first, and returns the function that undoes it.
+func SetChunkHook(hook func(chunk int)) (restore func()) {
+	old := chunkHook
+	chunkHook = hook
+	return func() { chunkHook = old }
+}

@@ -163,11 +163,11 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 	var all []float64
 	accumulate := m.sweep(source, order, []stripFn{func(m *Machine, j, n int) {
 		combineInto(op, buf, flat.pos(m, j), flat.step, body.vec(m, j, n))
-	}})
+	}}, false)
 	store := m.sweep(owned, order, []stripFn{m.store(dst, value{own: -1, vec: func(m *Machine, j, n int) []float64 {
 		p := flat.pos(m, j)
 		return all[p : p+n]
-	}})})
+	}})}, false)
 	elems := int64(source.Size())
 	sh := m.shard
 	return func(m *Machine) signal {

@@ -15,6 +15,18 @@
 // contraction change; a traced machine runs at strip width 1 and
 // reports element order.
 //
+// A whole-program, untraced machine also uses the host's cores. A nest
+// that absint.Result.Splits accepts under Options.Bounds — at least
+// absint.SplitPoints points, every access proven, no dependence carried
+// by its outermost loop, only max and min reductions, the rule a
+// resident native worker splits by — runs in contiguous chunks of its
+// outermost loop's rows, one per GOMAXPROCS: chunk 0 on the calling
+// goroutine, the others on views started with go for the nest and
+// waited for before it ends, their accumulators folded in chunk order
+// (split.go, DESIGN.md §31). Output, steps and every bit of storage are
+// those of the one-chunk run. A distvm shard and a traced machine never
+// split.
+//
 // All values are float64 (integers are exact up to 2^53; booleans are
 // 0/1), matching the ZA surface language's numeric model.
 package vm
@@ -24,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/absint"
 	"repro/internal/air"
@@ -57,14 +70,17 @@ type Options struct {
 	// ctxPollInterval scalar statements. The run reports ctx.Err()
 	// (errors.Is-testable for context.DeadlineExceeded).
 	Ctx context.Context
-	// Bounds carries the bounds prover's per-site
-	// verdicts (internal/absint) for this exact LIR instance. The
-	// machine checks one slice bound per strip whatever the verdict, so
-	// a proof buys it nothing; the field stays for the -provefault
-	// self-test. A Faulted site has every element access displaced by
-	// FaultShift elements (wrapped into the storage), so the seeded
-	// wrong evidence becomes an observable wrong answer for the
-	// differential harness to catch. Nil means no site is faulted.
+	// Bounds carries the bounds prover's per-site verdicts
+	// (internal/absint) for this exact LIR instance. The machine checks
+	// one slice bound per strip whatever the verdict; what a proof buys
+	// it is the split: a whole-program, untraced machine runs each nest
+	// Bounds.Splits accepts — every access proven, among other
+	// conditions — in chunks on GOMAXPROCS goroutines (split.go). Nil
+	// splits nothing. A Faulted site has every element access displaced
+	// by FaultShift elements (wrapped into the storage), so the seeded
+	// wrong evidence of the -provefault self-test becomes an observable
+	// wrong answer for the differential harness to catch; a nest with a
+	// faulted site never splits.
 	Bounds *absint.Result
 }
 
@@ -114,6 +130,15 @@ type Machine struct {
 	// directs counts the statements compiled to write their destination
 	// directly (compileInto); tests read it.
 	directs int
+
+	// A split nest (split.go): splits counts the nests compiled to
+	// split, views are the machines that run chunks 1.. of one, wg
+	// waits for them, and rows is the range of outermost-loop
+	// iterations the chunk this machine runs covers.
+	splits int
+	views  []*view
+	wg     sync.WaitGroup
+	rows   [2]int
 
 	// curResult is the result slot of the procedure currently being
 	// compiled (-1 when none); used by return-with-value.
@@ -272,16 +297,26 @@ func build(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error) {
 	if m.procs["main"] == nil {
 		return nil, fmt.Errorf("vm: program has no main")
 	}
+	m.bufs = stripBuffers(m.bufLen)
+	if m.splits > 0 {
+		m.addViews()
+	}
+	return m, nil
+}
+
+// stripBuffers allocates strip buffers of the given lengths as cuts of
+// one slab.
+func stripBuffers(lens []int) [][]float64 {
 	total := 0
-	for _, n := range m.bufLen {
+	for _, n := range lens {
 		total += n
 	}
 	slab := make([]float64, total)
-	m.bufs = make([][]float64, len(m.bufLen))
-	for i, n := range m.bufLen {
-		m.bufs[i], slab = slab[:n:n], slab[n:]
+	bufs := make([][]float64, len(lens))
+	for i, n := range lens {
+		bufs[i], slab = slab[:n:n], slab[n:]
 	}
-	return m, nil
+	return bufs
 }
 
 // Run executes main. It is not reentrant.
