@@ -392,6 +392,13 @@ func TestZplrunExitCodes(t *testing.T) {
 		t.Errorf("compile diagnostic missing: %q", stderr)
 	}
 
+	// Compile error: array storage past an int64 of bytes, refused
+	// before anything is allocated.
+	_, stderr, err = runTool(t, "zplrun", "-bench", "frac", "-config", "n=4294967296")
+	if c := exitCode(t, err); c != 3 || !strings.Contains(stderr, "exceeds") {
+		t.Errorf("overflowing storage: exit = %d, want 3 (stderr %q)", c, stderr)
+	}
+
 	// Runtime error: step budget exhausted.
 	_, stderr, err = runTool(t, "zplrun", "-maxsteps", "10", "testdata/heat.za")
 	if c := exitCode(t, err); c != 1 {

@@ -85,8 +85,8 @@ func main() {
 		if res.Art.Hit {
 			cache = "hit"
 		}
-		fmt.Fprintf(os.Stderr, "zplrun: native backend: artifact %.12s (cache %s, build %v), compute %v, system %v, wall %v\n",
-			res.Art.Key, cache, res.Art.Build.Round(time.Millisecond), res.Compute, res.System, res.Wall)
+		fmt.Fprintf(os.Stderr, "zplrun: native backend: artifact %.12s (cache %s, build %v), compute %v, system %v, wall %v, %d bytes of arrays\n",
+			res.Art.Key, cache, res.Art.Build.Round(time.Millisecond), res.Compute, res.System, res.Wall, res.MemoryBytes)
 		return
 	}
 	fmt.Fprintf(os.Stderr, "zplrun: %d element-statements, %d bytes of arrays\n", res.Steps, res.MemoryBytes)

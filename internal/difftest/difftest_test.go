@@ -2,24 +2,31 @@ package difftest_test
 
 import (
 	"bytes"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/air"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/difftest/matrix"
+	"repro/internal/distvm"
 	"repro/internal/driver"
+	"repro/internal/job"
 	"repro/internal/lir"
+	"repro/internal/programs"
 	"repro/internal/sema"
 	"repro/internal/soak"
+	"repro/internal/vm"
 )
 
 func TestClose(t *testing.T) {
@@ -127,6 +134,57 @@ func TestQuickLadder(t *testing.T) {
 		}
 		return cells
 	})
+}
+
+// TestQuickPrice holds job.Price to what the engines allocate on random
+// programs at a random ladder level: the VM's footprint, and distvm's at
+// p = 2 and 4 on the program compiled for that processor count (make
+// soak draws the seeds from the clock).
+func TestQuickPrice(t *testing.T) {
+	levels := core.AllLevels()
+	mismatch := func(src string, lvl core.Level) error {
+		c, err := driver.Compile(src, driver.Options{Level: lvl})
+		if err != nil {
+			return err
+		}
+		m, err := vm.New(c.LIR, vm.Options{})
+		if err != nil {
+			return err
+		}
+		if price, err := job.Price(c, job.RunSpec{}); err != nil || price != m.MemoryFootprint() {
+			return fmt.Errorf("vm allocates %d bytes, priced %d (%v)", m.MemoryFootprint(), price, err)
+		}
+		for _, p := range []int{2, 4} {
+			co, err := job.CommOptions(p, "")
+			if err != nil {
+				return err
+			}
+			c, err := driver.Compile(src, driver.Options{Level: lvl, Comm: co})
+			if err != nil {
+				return err
+			}
+			dm, err := distvm.Run(c.LIR, distvm.Options{Procs: p})
+			if err != nil {
+				return err
+			}
+			if price, err := job.Price(c, job.RunSpec{Dist: true, Procs: p}); err != nil || price != dm.MemoryFootprint() {
+				return fmt.Errorf("p=%d: distvm allocates %d bytes, priced %d (%v)", p, dm.MemoryFootprint(), price, err)
+			}
+		}
+		return nil
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		src, lvl := programs.Random(r), levels[r.Intn(len(levels))]
+		if err := mismatch(src, lvl); err != nil {
+			t.Logf("seed %d at %v: %v\n%s", seed, lvl, err, src)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, soak.Config(t, 10, 13)); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestReferenceCatchesInheritedMiscompile seeds a fault into the

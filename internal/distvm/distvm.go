@@ -98,15 +98,7 @@ type Options struct {
 // moves only by message; the shared state is the slots, the channels
 // and the abort context.
 type Machine struct {
-	prog  *lir.Program
-	procs int
-
-	// One decomposition per array rank, anchored at the bounding box
-	// of every region of that rank, and every processor's block of it.
-	decomps map[int]*dist.Decomp
-	blocks  map[int][]*sema.Region
-	// Every processor's storage bounds for every uncontracted array.
-	locals map[string][]*localArray
+	geometry
 
 	shards  []*vm.Machine        // processor p's executor, storage included
 	ends    []*shard             // and its end of the protocol
@@ -128,6 +120,61 @@ type Machine struct {
 	aborted  atomic.Bool
 	failOnce sync.Once
 	failErr  error
+}
+
+// geometry is where a run's arrays live, decided before any processor
+// starts.
+type geometry struct {
+	prog  *lir.Program
+	procs int
+
+	// One decomposition per array rank, anchored at the bounding box
+	// of every region of that rank, and every processor's block of it.
+	decomps map[int]*dist.Decomp
+	blocks  map[int][]*sema.Region
+	// Every processor's storage bounds for every uncontracted array.
+	locals map[string][]*localArray
+}
+
+// plan decomposes prog over procs processors and lays out every
+// processor's storage. It starts no goroutine and allocates no array:
+// Run builds its processors on the result, and Bytes prices it.
+func plan(prog *lir.Program, procs int) (geometry, error) {
+	if procs < 1 {
+		return geometry{}, fmt.Errorf("distvm: need at least one processor")
+	}
+	g := geometry{
+		prog:    prog,
+		procs:   procs,
+		decomps: map[int]*dist.Decomp{},
+		blocks:  map[int][]*sema.Region{},
+		locals:  map[string][]*localArray{},
+	}
+	if err := g.decompose(); err != nil {
+		return geometry{}, err
+	}
+	g.layout()
+	return g, nil
+}
+
+// Bytes is the array storage a run of prog on procs processors
+// allocates, halos included, priced from the layout Run uses without
+// running: the MemoryFootprint of the machine Run returns. A total past
+// an int64 is sema.ErrTooLarge.
+func Bytes(prog *lir.Program, procs int) (int64, error) {
+	g, err := plan(prog, procs)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, locals := range g.locals {
+		for _, a := range locals {
+			if total, err = sema.AddStorage(total, a.bounds); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return total, nil
 }
 
 // Traffic counts what a run's processors exchanged. Everything but
@@ -207,24 +254,14 @@ func (a *localArray) at(idx []int) int {
 // compiles its shard and then runs it — and returns the machine for
 // inspection.
 func Run(prog *lir.Program, opt Options) (*Machine, error) {
-	if opt.Procs < 1 {
-		return nil, fmt.Errorf("distvm: need at least one processor")
+	g, err := plan(prog, opt.Procs)
+	if err != nil {
+		return nil, err
 	}
-	m := &Machine{
-		prog:    prog,
-		procs:   opt.Procs,
-		decomps: map[int]*dist.Decomp{},
-		blocks:  map[int][]*sema.Region{},
-		locals:  map[string][]*localArray{},
-		timeout: opt.Timeout,
-	}
+	m := &Machine{geometry: g, timeout: opt.Timeout}
 	if m.timeout == 0 {
 		m.timeout = 30 * time.Second
 	}
-	if err := m.decompose(); err != nil {
-		return nil, err
-	}
-	m.layout()
 	m.connect(opt.Ctx)
 	defer m.cancel()
 	vopt := vm.Options{Out: opt.Out, MaxSteps: opt.MaxSteps, Ctx: m.ctx}
@@ -310,8 +347,8 @@ func (m *Machine) connect(parent context.Context) {
 }
 
 // sweeps calls visit for every Nest and PartialReduce of the program.
-func (m *Machine) sweeps(visit func(lir.Node)) {
-	for _, pr := range m.prog.Procs {
+func (g *geometry) sweeps(visit func(lir.Node)) {
+	for _, pr := range g.prog.Procs {
 		lir.Walk(pr.Body, func(n lir.Node) {
 			switch n.(type) {
 			case *lir.Nest, *lir.PartialReduce:
@@ -324,7 +361,7 @@ func (m *Machine) sweeps(visit func(lir.Node)) {
 // decompose builds one anchor per rank covering every declared region
 // and every sweep region, so ownership is total over all executed
 // indices.
-func (m *Machine) decompose() error {
+func (g *geometry) decompose() error {
 	bbox := map[int]*sema.Region{}
 	cover := func(r *sema.Region) {
 		b, ok := bbox[r.Rank()]
@@ -337,12 +374,12 @@ func (m *Machine) decompose() error {
 			b.Hi[k] = max(b.Hi[k], r.Hi[k])
 		}
 	}
-	for _, a := range m.prog.Source.Arrays {
+	for _, a := range g.prog.Source.Arrays {
 		if !a.Contracted {
 			cover(a.Declared)
 		}
 	}
-	m.sweeps(func(n lir.Node) {
+	g.sweeps(func(n lir.Node) {
 		switch x := n.(type) {
 		case *lir.Nest:
 			cover(x.Region)
@@ -352,13 +389,13 @@ func (m *Machine) decompose() error {
 		}
 	})
 	for rank, b := range bbox {
-		d, err := dist.NewDecomp(m.procs, b)
+		d, err := dist.NewDecomp(g.procs, b)
 		if err != nil {
 			return fmt.Errorf("distvm: rank %d: %w", rank, err)
 		}
-		m.decomps[rank] = d
-		for p := 0; p < m.procs; p++ {
-			m.blocks[rank] = append(m.blocks[rank], d.Block(p))
+		g.decomps[rank] = d
+		for p := 0; p < g.procs; p++ {
+			g.blocks[rank] = append(g.blocks[rank], d.Block(p))
 		}
 	}
 	return nil
@@ -371,16 +408,16 @@ func (m *Machine) decompose() error {
 // neighbor offset deep in the interior still needs a local ghost row.
 // The offsets come from lir.Refs, preloads included — the walk the
 // shard executor checks its storage against.
-func (m *Machine) layout() {
+func (g *geometry) layout() {
 	type widths struct{ lo, hi []int }
 	halos := map[string]widths{}
-	for name, a := range m.prog.Source.Arrays {
+	for name, a := range g.prog.Source.Arrays {
 		if !a.Contracted {
 			lo, hi := a.Halo()
 			halos[name] = widths{lo, hi}
 		}
 	}
-	m.sweeps(func(n lir.Node) {
+	g.sweeps(func(n lir.Node) {
 		lir.Refs(n, func(array string, off air.Offset, _ *sema.Region) {
 			h, ok := halos[array]
 			if !ok {
@@ -393,10 +430,10 @@ func (m *Machine) layout() {
 		})
 	})
 	for name, h := range halos {
-		a := m.prog.Source.Arrays[name]
+		a := g.prog.Source.Arrays[name]
 		rank := a.Declared.Rank()
-		locals := make([]*localArray, m.procs)
-		for p, blk := range m.blocks[rank] {
+		locals := make([]*localArray, g.procs)
+		for p, blk := range g.blocks[rank] {
 			b := &sema.Region{Lo: make([]int, rank), Hi: make([]int, rank)}
 			for k := 0; k < rank; k++ {
 				b.Lo[k] = max(blk.Lo[k]-h.lo[k], a.Alloc.Lo[k])
@@ -410,6 +447,6 @@ func (m *Machine) layout() {
 			}
 			locals[p] = la
 		}
-		m.locals[name] = locals
+		g.locals[name] = locals
 	}
 }

@@ -16,8 +16,10 @@ import (
 
 func machineWithScalars(scalars []map[string]float64) *Machine {
 	return &Machine{
-		prog:    &lir.Program{Source: &air.Program{Arrays: map[string]*air.ArrayInfo{}}},
-		procs:   len(scalars),
+		geometry: geometry{
+			prog:  &lir.Program{Source: &air.Program{Arrays: map[string]*air.ArrayInfo{}}},
+			procs: len(scalars),
+		},
 		scalars: scalars,
 	}
 }
@@ -63,7 +65,7 @@ func TestScalarsConsistentAccepts(t *testing.T) {
 // testMachine is a machine with its barrier connected and no program:
 // the shards' AllCombine can be driven directly.
 func testMachine(procs int, timeout time.Duration) (*Machine, []*shard) {
-	m := &Machine{procs: procs, timeout: timeout}
+	m := &Machine{geometry: geometry{procs: procs}, timeout: timeout}
 	m.connect(nil)
 	ends := make([]*shard, procs)
 	for p := range ends {

@@ -215,8 +215,14 @@ func Emit(p *lir.Program) (string, error) { return EmitBounds(p, nil) }
 // different verdicts never alias. A Faulted site (the -provefault
 // self-test) emits its access displaced by the injected evidence
 // shift, wrapped into the storage, making the seeded wrong interval an
-// observable wrong answer. bounds == nil emits fully checked code.
+// observable wrong answer. bounds == nil emits fully checked code. A
+// program whose storage does not fit an int64 of bytes
+// (lir.Program.Bytes) is refused: its arena and the offsets of its
+// unchecked accesses would wrap.
 func EmitBounds(p *lir.Program, bounds *absint.Result) (string, error) {
+	if _, err := p.Bytes(); err != nil {
+		return "", err
+	}
 	return emit(p, bounds, nil)
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/job"
 	"repro/internal/programs"
 )
 
@@ -109,7 +110,8 @@ func maxProblemSize(b programs.Benchmark, lvl core.Level) (int, error) {
 		if err != nil {
 			return false, fmt.Errorf("%s n=%d: %w", b.Name, n, err)
 		}
-		return footprint(c) <= Fig8Budget, nil
+		price, err := job.Price(c, job.RunSpec{})
+		return price <= Fig8Budget, err
 	}
 	lo, hi := 8, limit
 	ok, err := fits(lo)
@@ -134,18 +136,6 @@ func maxProblemSize(b programs.Benchmark, lvl core.Level) (int, error) {
 		}
 	}
 	return lo, nil
-}
-
-// footprint sums the allocated array bytes of a compilation.
-func footprint(c *driver.Compilation) int64 {
-	var total int64
-	for _, a := range c.AIR.Arrays {
-		if a.Contracted {
-			continue
-		}
-		total += int64(a.Alloc.Size()) * 8
-	}
-	return total
 }
 
 // FormatFig8 renders the table.

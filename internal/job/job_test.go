@@ -177,6 +177,18 @@ func TestRunEnginesAgree(t *testing.T) {
 	if _, _, err := vm.Run(c.LIR, vm.Options{Out: &checked}); err != nil || checked.String() != seq.String() {
 		t.Errorf("checked run diverged: %v\n%q\n%q", err, checked.String(), seq.String())
 	}
+	// A native run reports the storage of its arena: the VM's.
+	if backend.Available() {
+		store, err := backend.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var native bytes.Buffer
+		nres, err := Run(ctx, c, RunSpec{Backend: driver.BackendGo}, &native, store)
+		if err != nil || native.String() != seq.String() || nres.MemoryBytes != res.MemoryBytes {
+			t.Errorf("native run: %v, %d bytes of arrays (vm %d)\n%q\n%q", err, nres.MemoryBytes, res.MemoryBytes, native.String(), seq.String())
+		}
+	}
 
 	dspec := Spec{Bench: "fibro", Configs: map[string]int64{"n": 16}, Procs: 4, Dist: true}
 	dsrc, dopt, err := dspec.Resolve()

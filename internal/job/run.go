@@ -13,6 +13,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/gogen"
 	"repro/internal/machine"
+	"repro/internal/sema"
 	"repro/internal/vm"
 )
 
@@ -108,7 +109,7 @@ type RunSpec struct {
 // Result reports one execution.
 type Result struct {
 	Steps       int64 // interpreted runs; summed over processors when distributed
-	MemoryBytes int64 // array storage; halos included when distributed
+	MemoryBytes int64 // array storage (Price); halos included when distributed
 	Wall        time.Duration
 	Cost        *machine.CostTracer // traced runs only
 	Traffic     *distvm.Traffic     // distributed runs only: what the processors exchanged
@@ -138,16 +139,42 @@ func Build(ctx context.Context, c *driver.Compilation, goSrc string, store *back
 	return store.Build(ctx, goSrc)
 }
 
+// Price is the array storage, in bytes, a run of c as rs asks
+// allocates, decided before anything is allocated. The VM and the
+// native backend allocate the sequential storage (lir.Program.Bytes);
+// distvm allocates its own layout's, halos included (distvm.Bytes).
+// Storage past an int64 of bytes is a compile error: the program, at
+// its configs, asks for more than any machine has.
+func Price(c *driver.Compilation, rs RunSpec) (int64, error) {
+	var n int64
+	var err error
+	if rs.Dist && !rs.Backend.Native() {
+		n, err = distvm.Bytes(c.LIR, rs.Procs)
+	} else {
+		n, err = c.LIR.Bytes()
+	}
+	if errors.Is(err, sema.ErrTooLarge) {
+		return 0, &CompileError{err}
+	}
+	return n, err
+}
+
 // Run executes c as rs asks, writing the program's output to out. The
-// interpreters go through Compilation.Run's proof-carrying dispatch
-// (a compilation without proofs — NoProve, or rehydrated from a tier
-// they do not travel through — stays checked). The Result is non-nil
-// even on error: Wall is how long the failed execution took.
+// run is priced first (Price), so a program that cannot be allocated is
+// refused before anything is. The interpreters go through
+// Compilation.Run's proof-carrying dispatch (a compilation without
+// proofs — NoProve, or rehydrated from a tier they do not travel
+// through — stays checked). The Result is non-nil even on error: Wall
+// is how long the failed execution took.
 func Run(ctx context.Context, c *driver.Compilation, rs RunSpec, out io.Writer, store *backend.Store) (*Result, error) {
 	res := &Result{}
-	var t0 time.Time
+	t0 := time.Now()
 	defer func() { res.Wall = time.Since(t0) }()
 
+	var err error
+	if res.MemoryBytes, err = Price(c, rs); err != nil {
+		return res, err
+	}
 	switch {
 	case rs.Backend.Native():
 		t0 = time.Now()
@@ -174,7 +201,7 @@ func Run(ctx context.Context, c *driver.Compilation, rs RunSpec, out io.Writer, 
 			return res, fmt.Errorf("replicated-scalar invariant violated: %w", err)
 		}
 		tr := dm.Traffic()
-		res.Steps, res.MemoryBytes, res.Traffic = dm.Steps(), dm.MemoryFootprint(), &tr
+		res.Steps, res.Traffic = dm.Steps(), &tr
 
 	default:
 		opt := vm.Options{Out: out, MaxSteps: rs.MaxSteps, Ctx: ctx}
@@ -183,11 +210,11 @@ func Run(ctx context.Context, c *driver.Compilation, rs RunSpec, out io.Writer, 
 			opt.Tracer = res.Cost
 		}
 		t0 = time.Now()
-		m, r, err := c.Run(opt)
+		_, r, err := c.Run(opt)
 		if err != nil {
 			return res, err
 		}
-		res.Steps, res.MemoryBytes = r.Steps, m.MemoryFootprint()
+		res.Steps = r.Steps
 	}
 	return res, nil
 }

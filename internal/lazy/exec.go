@@ -105,8 +105,10 @@ type resident struct {
 
 // compile runs the pipeline over a batch that missed the cache and
 // caches the result. The storage its executor will keep counts toward
-// the entry's size (executorWords), known before the executor starts,
-// so Options.CacheBytes bounds resident machines and workers too.
+// the entry's size — the program's price (lir.Program.Bytes) and what a
+// worker keeps on top of it (executorWords) — known before the executor
+// starts, so Options.CacheBytes bounds resident machines and workers
+// too.
 func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, dopt driver.Options) (*ccache.Entry, error) {
 	if e.compileHook != nil {
 		e.compileHook()
@@ -116,6 +118,10 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 		return nil, err
 	}
 	comp, err := driver.CompileAIR(ctx, prog, dopt)
+	if err != nil {
+		return nil, err
+	}
+	price, err := comp.LIR.Bytes()
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +143,7 @@ func (e *Engine) compile(ctx context.Context, key ccache.Key, cb *canonBatch, do
 		entry.GoSrc, entry.BinKey = goSrc, art.Key
 	}
 	words := executorWords(spec, residentArrays(comp.LIR, spec), native)
-	entry.Size = ccache.SizeOf(entry) + 8*int64(words)
+	entry.Size = ccache.SizeOf(entry) + price + 8*int64(words)
 	evictions := e.cache.Stats().Evictions
 	e.cache.Put(key, entry)
 	if e.cache.Stats().Evictions != evictions {
@@ -399,23 +405,21 @@ func residentArrays(p *lir.Program, spec *gogen.StateSpec) []residentArray {
 	return arrays
 }
 
-// executorWords is the size, in words, of the storage kept by an
-// executor whose state is spec and whose arrays are arrays: on the VM
-// one buffer per array, which is what vm.Machine.MemoryFootprint sums;
-// on a worker its whole mapping — the header and the scalars
-// (gogen.StateSpec), then a slab per array and a second one per swapped
-// array, since the handle keeps the one the last run wrote (adopt).
+// executorWords is the storage, in words, an executor whose state is
+// spec and whose arrays are arrays keeps on top of its program's price
+// (lir.Program.Bytes: a slab per array, all that a VM machine keeps).
+// A worker's mapping adds the header and the scalars before the slabs
+// (gogen.StateSpec) and a second slab per swapped array, since the
+// handle keeps the one the last run wrote (adopt).
 func executorWords(spec *gogen.StateSpec, arrays []residentArray, native bool) int {
-	words := 0
-	if native {
-		words = spec.Base()
+	if !native {
+		return 0
 	}
+	words := spec.Base()
 	for _, a := range arrays {
-		n := a.alloc.Size()
-		if native && a.link == swapped {
-			n *= 2
+		if a.link == swapped {
+			words += a.alloc.Size()
 		}
-		words += n
 	}
 	return words
 }
@@ -534,12 +538,12 @@ func (s *slab) evacuate() int {
 // start starts the executor of a cached compilation. On the VM that is
 // a machine (each run installs its own context through Reset) whose
 // buffers are the arrays' storage. On the native backend it is a worker
-// over a mapping of executorWords, carved into the header, the scalars
-// and then each array's slabs in spec order; the artifact is
-// re-resolved through the store (a stat on the content address), so a
-// wiped store directory degrades to a rebuild, never a stale binary. A
-// copied array keeps its first buffer; the others go to the pool, with
-// a second for a swapped array on a worker.
+// over a mapping of its price and executorWords, carved into the
+// header, the scalars and then each array's slabs in spec order; the
+// artifact is re-resolved through the store (a stat on the content
+// address), so a wiped store directory degrades to a rebuild, never a
+// stale binary. A copied array keeps its first buffer; the others go
+// to the pool, with a second for a swapped array on a worker.
 func (e *Engine) start(ctx context.Context, entry *ccache.Entry) (*executor, error) {
 	p := entry.Comp.LIR
 	spec := gogen.StateOf(p)
@@ -555,11 +559,15 @@ func (e *Engine) start(ctx context.Context, entry *ccache.Entry) (*executor, err
 		buffer = func(k int) slab { return slab{data: m.ArrayData(x.arrays[k].name)} }
 		slot = func(i int) *float64 { return m.ScalarSlot(spec.Scalars[i]) }
 	} else {
+		price, err := p.Bytes()
+		if err != nil {
+			return nil, err
+		}
 		art, err := e.store.Build(ctx, entry.GoSrc)
 		if err != nil {
 			return nil, err
 		}
-		if x.w, err = art.Start(ctx, executorWords(spec, x.arrays, true)); err != nil {
+		if x.w, err = art.Start(ctx, int(price>>3)+executorWords(spec, x.arrays, true)); err != nil {
 			return nil, err
 		}
 		state := x.w.State()

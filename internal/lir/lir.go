@@ -21,6 +21,23 @@ type Program struct {
 	Main   *Proc
 }
 
+// Bytes is the array storage a sequential run of p allocates: 8 bytes
+// an element of the allocation bounds of every array contraction kept.
+// The VM's buffers, a native one-shot program's arena slabs and a
+// resident worker's slabs are each exactly this. A total past an int64
+// is sema.ErrTooLarge.
+func (p *Program) Bytes() (total int64, err error) {
+	for _, a := range p.Source.Arrays {
+		if a.Contracted {
+			continue
+		}
+		if total, err = sema.AddStorage(total, a.Alloc); err != nil {
+			return 0, err
+		}
+	}
+	return total, nil
+}
+
 // Proc is one scalarized procedure.
 type Proc struct {
 	Name      string

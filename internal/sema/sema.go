@@ -9,6 +9,7 @@
 package sema
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -41,6 +42,31 @@ func (r *Region) Size() int {
 
 // Extent returns the number of indices along dimension i.
 func (r *Region) Extent(i int) int { return r.Hi[i] - r.Lo[i] + 1 }
+
+// ErrTooLarge is the refusal of array storage past an int64 of bytes.
+var ErrTooLarge = errors.New("array storage exceeds 2^63-1 bytes")
+
+// AddStorage returns total plus the float64 storage over r, 8 bytes an
+// index point (a region with an empty extent holds none). A product or
+// a sum past an int64 is refused with ErrTooLarge, never wrapped.
+func AddStorage(total int64, r *Region) (int64, error) {
+	n, over := int64(8), false
+	for i := range r.Lo {
+		e := int64(r.Extent(i))
+		switch {
+		case e <= 0:
+			return total, nil
+		case n > math.MaxInt64/e:
+			over = true
+		default:
+			n *= e
+		}
+	}
+	if over || n > math.MaxInt64-total {
+		return 0, ErrTooLarge
+	}
+	return total + n, nil
+}
 
 // Equal reports whether two regions denote the same index set.
 func (r *Region) Equal(o *Region) bool {

@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -361,4 +362,32 @@ begin
 end;
 `
 	checkOK(t, shadow, nil)
+}
+
+// TestAddStorage: 8 bytes an index point, nothing for a region with an
+// empty extent (even after extents whose product overflows), and a
+// product or a sum past an int64 refused rather than wrapped.
+func TestAddStorage(t *testing.T) {
+	big := 3037000500 // big*big*8 > 2^63-1
+	for _, tc := range []struct {
+		name   string
+		total  int64
+		lo, hi []int
+		want   int64
+		refuse bool
+	}{
+		{"rank 0", 0, nil, nil, 8, false},
+		{"rank 2", 16, []int{1, 1}, []int{4, 3}, 16 + 96, false},
+		{"empty", 16, []int{1, 5}, []int{4, 4}, 16, false},
+		{"empty after an overflowing product", 0, []int{1, 1, 1}, []int{big, big, 0}, 0, false},
+		{"2^64 points wrap to zero", 0, []int{1, 1}, []int{1 << 32, 1 << 32}, 0, true},
+		{"product past an int64", 0, []int{1, 1}, []int{big, big}, 0, true},
+		{"sum past an int64", math.MaxInt64 - 8, []int{1}, []int{2}, 0, true},
+		{"sum at the edge", math.MaxInt64 - 15, []int{1}, []int{1}, math.MaxInt64 - 7, false},
+	} {
+		got, err := AddStorage(tc.total, &Region{Lo: tc.lo, Hi: tc.hi})
+		if tc.refuse != (err == ErrTooLarge) || got != tc.want {
+			t.Errorf("%s: %d, %v; want %d, refused %v", tc.name, got, err, tc.want, tc.refuse)
+		}
+	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestNativeBackendRun drives /run with backend "go" end to end: the
-// native output must be byte-identical to the VM's, the second request
+// native output and memory_bytes must be the VM's, the second request
 // must be a cache hit whose binary is served from the artifact store,
 // and the backend counters must show up in /metrics.
 func TestNativeBackendRun(t *testing.T) {
@@ -43,6 +43,9 @@ func TestNativeBackendRun(t *testing.T) {
 	}
 	if native.Backend != "go" || native.Artifact == "" {
 		t.Errorf("native run metadata missing: %+v", native)
+	}
+	if native.MemoryBytes == 0 || native.MemoryBytes != vmResp.MemoryBytes {
+		t.Errorf("native run reports %d bytes of arrays, the VM %d", native.MemoryBytes, vmResp.MemoryBytes)
 	}
 	if native.Cached {
 		t.Error("first native request reported cached (the VM entry must not alias it)")

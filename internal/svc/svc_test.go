@@ -142,6 +142,8 @@ func TestStatusMapping(t *testing.T) {
 
 	check("compile error", http.StatusUnprocessableEntity, "compile_error",
 		Request{Source: "program junk; not a program"})
+	check("storage past an int64", http.StatusUnprocessableEntity, "compile_error",
+		Request{Bench: "frac", Configs: map[string]int64{"n": 3037000500}})
 	check("runtime error", http.StatusInternalServerError, "runtime_error",
 		Request{Bench: "fibro", Configs: map[string]int64{"n": 16}, MaxSteps: 10})
 	check("timeout", http.StatusGatewayTimeout, "timeout",

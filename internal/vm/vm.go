@@ -183,6 +183,11 @@ func New(p *lir.Program, opt Options) (*Machine, error) {
 }
 
 func build(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error) {
+	// A shard's storage is clipped to the allocation bounds, so a
+	// program whose price fits fits every shard too.
+	if _, err := p.Bytes(); err != nil {
+		return nil, fmt.Errorf("vm: %w", err)
+	}
 	if opt.Tracer != nil {
 		width = 1
 	}
