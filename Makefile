@@ -165,10 +165,16 @@ bench-smoke: build
 # if an analysis starts wording (or storing) what it can render, and
 # TestFlatOffsetMatchesEnumeration holds Reason's closed-form flat
 # offset to the offsets it describes. TestReceiveWritesItsGhost pins
-# what a receive writes in the ASDG (DESIGN.md §33).
+# what a receive writes in the ASDG (DESIGN.md §33). The one fusion
+# predicate (DESIGN.md §12): a supplied plan's refusal names the test
+# the remarks name (TestApplySpecRejects*), FusionOK agrees with an
+# independent reading of Definition 5 (TestFusionAntiMonotone), the
+# exhaustive search that prunes with it still proves frac optimal, and
+# a program too large to count is refused before the tuner scores it.
 plan-guard: build
 	$(GO) test -count=1 -run 'TestGoldenPlans|TestEvidencePinned|TestZpllintEvidenceGolden|TestLoopDefectReportedOnce' . ./internal/mhp
-	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates|TestStmtWeightsMatchGraph' ./internal/core
+	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates|TestStmtWeightsMatchGraph|TestApplySpecRejects' ./internal/core
+	$(GO) test -count=1 -run 'TestExhaustiveProvesSmallBenchmark|TestTuneRefusesOverflow' ./internal/tune
 	$(GO) test -race -count=1 -run 'TestPlanRemarksConcurrent' ./internal/core
 	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs|TestFlatOffsetMatchesEnumeration' ./internal/driver ./internal/mhp ./internal/absint
 	$(GO) test -count=1 -run 'TestReceiveWritesItsGhost' ./internal/dep

@@ -567,6 +567,16 @@ func TestZpltuneExitCodes(t *testing.T) {
 		t.Errorf("compile diagnostic missing: %q", stderr)
 	}
 
+	// Compile error: storage past an int64 (each array wrapped to 0
+	// words) is refused before any plan is scored.
+	_, stderr, err = runTool(t, "zpltune", "-bench", "frac", "-config", "n=4294967296")
+	if c := exitCode(t, err); c != 3 {
+		t.Errorf("storage past an int64 exit = %d, want 3 (stderr %q)", c, stderr)
+	}
+	if !strings.Contains(stderr, "array storage exceeds") {
+		t.Errorf("storage diagnostic missing: %q", stderr)
+	}
+
 	// Timeout: a 1ms deadline cannot cover a search of sp.
 	_, stderr, err = runTool(t, "zpltune", "-bench", "sp", "-timeout", "1ms")
 	if c := exitCode(t, err); c != 4 {

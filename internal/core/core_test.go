@@ -534,9 +534,20 @@ func refFusionOK(p *Partition, cs map[int]bool) bool {
 			return false
 		}
 	}
-	vectors, flowsNull, ok := p.IntraVectors(cs)
-	if !ok || !flowsNull {
-		return false
+	// Its own walk of the would-be intra-cluster dependences, so that
+	// the reference shares no code with the predicate it checks.
+	var vectors []air.Offset
+	for _, e := range g.Edges {
+		if !cs[p.rep[e.From]] || !cs[p.rep[e.To]] {
+			continue
+		}
+		for _, it := range e.Items {
+			nonNull := it.Vector && !it.U.IsZero()
+			if !it.Vector || nonNull && (it.Kind == dep.Flow || it.Kind == dep.Anti && p.NoCarriedAnti) {
+				return false
+			}
+			vectors = append(vectors, it.U)
+		}
 	}
 	_, found := FindLoopStructure(g.StmtRegion(first).Rank(), vectors)
 	return found

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/air"
@@ -184,10 +185,10 @@ func checkContraction(p *Partition, x string, set []int) verdict {
 }
 
 // diagnoseFusion renders checkFusion's verdict on the merge of the
-// clusters in cs as remark evidence.
-func diagnoseFusion(p *Partition, cs map[int]bool) diagnosis {
+// clusters in set as remark evidence.
+func diagnoseFusion(p *Partition, set []int) diagnosis {
 	g := p.G
-	d := checkFusion(p, p.clustersOf(cs))
+	d := checkFusion(p, set)
 	pos := func(v int) source.Pos { return air.PosOf(g.Stmts[v]) }
 	switch d.test {
 	case "":
@@ -224,11 +225,24 @@ func diagnoseFusion(p *Partition, cs map[int]bool) diagnosis {
 	case remark.TestCarriedAnti:
 		out.Reason = "the fused cluster would carry a non-null anti dependence (emulated compiler restriction)"
 	case remark.TestLoopStructure:
-		vectors, _, _ := p.IntraVectors(cs)
+		// checkFusion ran to the end and left every vector in p.vecs.
 		out.Reason = "FIND-LOOP-STRUCTURE: no loop structure vector preserves every intra-cluster dependence"
-		out.Detail = fmt.Sprintf("intra-cluster distance vectors %v", vectors)
+		out.Detail = fmt.Sprintf("intra-cluster distance vectors %v", p.vecs)
 	}
 	return out
+}
+
+// err renders a failed diagnosis of subject as an error, its parts in
+// the order remark.Remark.String prints them.
+func (d diagnosis) err(subject string) error {
+	msg := fmt.Sprintf("%s [%s]: %s", subject, d.Test, d.Reason)
+	if d.Edge != nil {
+		msg += fmt.Sprintf(" (blocking edge %s)", d.Edge)
+	}
+	if d.Detail != "" {
+		msg += "; " + d.Detail
+	}
+	return errors.New(msg)
 }
 
 // diagnoseContraction renders checkContraction's verdict as remark

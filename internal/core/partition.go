@@ -23,10 +23,10 @@ import (
 // instead of a rebuild of the condensation from every ASDG edge.
 //
 // The accessors (ClusterOf, Members, Clusters, TopoClusters, Acyclic,
-// IntraVectors, LoopStructureFor, Validate) only read, so a finished
-// partition may be shared between goroutines, as a cached compilation's
-// is. Grow, MergeSet and the legality predicates use the partition's
-// scratch sets and belong to the one goroutine building it.
+// LoopStructureFor, Validate) only read, so a finished partition may be
+// shared between goroutines, as a cached compilation's is. Grow,
+// MergeSet and the legality predicates use the partition's scratch
+// sets and belong to the one goroutine building it.
 type Partition struct {
 	G   *asdg.Graph
 	rep []int // vertex -> cluster representative
@@ -367,48 +367,11 @@ func (p *Partition) Grow(c map[int]bool) map[int]bool {
 // (condition (iii) of Definition 5): a topological order covers it.
 func (p *Partition) Acyclic() bool { return len(p.TopoClusters()) == p.count }
 
-// IntraVectors returns the unconstrained distance vectors of every
-// dependence between vertices that would share a cluster if the
-// clusters in cs were fused. ok is false if such a dependence has no
-// vector (ordering-only), which forbids fusion outright. When the
-// partition forbids carried anti dependences, a non-null anti vector
-// also clears ok.
-func (p *Partition) IntraVectors(cs map[int]bool) (vectors []air.Offset, flowsNull bool, ok bool) {
-	flowsNull = true
-	ok = true
-	for _, e := range p.G.Edges {
-		if !cs[p.rep[e.From]] || !cs[p.rep[e.To]] {
-			continue
-		}
-		for _, it := range e.Items {
-			if !it.Vector {
-				ok = false
-				continue
-			}
-			vectors = append(vectors, it.U)
-			if it.Kind == dep.Flow && !it.U.IsZero() {
-				flowsNull = false
-			}
-			if p.NoCarriedAnti && it.Kind == dep.Anti && !it.U.IsZero() {
-				ok = false
-			}
-		}
-	}
-	return vectors, flowsNull, ok
-}
-
-// clusterVectors returns the vectors of dependences internal to the
-// existing cluster c.
-func (p *Partition) clusterVectors(c int) []air.Offset {
-	cs := map[int]bool{c: true}
-	vs, _, _ := p.IntraVectors(cs)
-	return vs
-}
-
 // LoopStructureFor computes the loop structure vector for an existing
-// cluster: the Fig. 4 algorithm over its internal dependences, or the
-// identity structure when unconstrained. The bool is false when no
-// legal structure exists (which a valid partition never exhibits).
+// cluster: the Fig. 4 algorithm over the vectors of its internal
+// dependences (the identity structure when there are none). The bool
+// is false when no legal structure exists (which a valid partition
+// never exhibits).
 func (p *Partition) LoopStructureFor(c int) (dep.LoopStructure, bool) {
 	members := p.membersOf(c)
 	if len(members) == 0 {
@@ -418,42 +381,31 @@ func (p *Partition) LoopStructureFor(c int) (dep.LoopStructure, bool) {
 	if reg == nil {
 		return nil, true // unnormalized singleton: no loop nest
 	}
-	vs := p.clusterVectors(c)
-	if len(vs) == 0 {
-		return Identity(reg.Rank()), true
+	var vs []air.Offset
+	for _, e := range p.G.Edges {
+		if p.rep[e.From] == c && p.rep[e.To] == c {
+			for _, it := range e.Items {
+				if it.Vector {
+					vs = append(vs, it.U)
+				}
+			}
+		}
 	}
 	return FindLoopStructure(reg.Rank(), vs)
 }
 
-// Validate re-checks every condition of Definition 5 on the current
-// partition; it is used by tests and property checks, not by the
-// fusion algorithms themselves.
+// Validate re-checks Definition 5 on the partition, as ApplySpec does
+// for a supplied plan: every cluster's members, merged from singletons,
+// pass checkFusion (the predicate the ladder and the plan searches
+// use), and the condensation is acyclic. A failed cluster's error is
+// the diagnosis a remark would carry: the test and its witness. The
+// check runs on a trivial partition of its own, so p stays read-only.
 func (p *Partition) Validate() error {
+	t := Trivial(p.G)
+	t.NoCarriedAnti = p.NoCarriedAnti
 	for _, c := range p.Clusters() {
-		members := p.members[c]
-		if len(members) == 1 {
-			continue
-		}
-		var reg = p.G.StmtRegion(members[0])
-		for _, v := range members {
-			if !p.G.IsFusible(v) {
-				return fmt.Errorf("cluster %d contains unfusible statement v%d", c, v)
-			}
-			r := p.G.StmtRegion(v)
-			if reg == nil || r == nil || !Translates(reg, r) {
-				return fmt.Errorf("cluster %d mixes non-conformable regions", c)
-			}
-		}
-		cs := map[int]bool{c: true}
-		vectors, flowsNull, ok := p.IntraVectors(cs)
-		if !ok {
-			return fmt.Errorf("cluster %d has an ordering-only internal dependence", c)
-		}
-		if !flowsNull {
-			return fmt.Errorf("cluster %d carries a non-null flow dependence", c)
-		}
-		if _, found := FindLoopStructure(reg.Rank(), vectors); !found {
-			return fmt.Errorf("cluster %d has no legal loop structure", c)
+		if d := diagnoseFusion(t, p.members[c]); !d.OK {
+			return d.err("cluster " + clusterString(p.members[c]))
 		}
 	}
 	if !p.Acyclic() {
@@ -504,12 +456,16 @@ func insertSorted(s []int, v int) []int {
 func (p *Partition) String() string {
 	var parts []string
 	for _, c := range p.TopoClusters() {
-		ms := p.members[c]
-		strs := make([]string, len(ms))
-		for i, v := range ms {
-			strs[i] = fmt.Sprintf("v%d", v)
-		}
-		parts = append(parts, "{"+strings.Join(strs, " ")+"}")
+		parts = append(parts, clusterString(p.members[c]))
 	}
 	return strings.Join(parts, " ")
+}
+
+// clusterString renders the vertices ms as {v0 v2}.
+func clusterString(ms []int) string {
+	strs := make([]string, len(ms))
+	for i, v := range ms {
+		strs[i] = fmt.Sprintf("v%d", v)
+	}
+	return "{" + strings.Join(strs, " ") + "}"
 }

@@ -74,7 +74,7 @@ func (pl *Plan) explainBlock(blockIdx int, bp *BlockPlan) []remark.Remark {
 		for d := range p.Grow(cs) {
 			cs[d] = true
 		}
-		d := diagnoseFusion(p, cs)
+		d := diagnoseFusion(p, p.clustersOf(cs))
 		r := remark.Remark{
 			Kind: remark.NotFused, Pass: "fusion", Block: blockIdx,
 			Pair: &[2]int{key[0], key[1]},
@@ -175,7 +175,7 @@ func explainUncontracted(prog *air.Program, level Level, blockIdx int,
 		}
 		return r
 	}
-	if fd := diagnoseFusion(p, cs); !fd.OK {
+	if fd := diagnoseFusion(p, p.clustersOf(cs)); !fd.OK {
 		r.Test = fd.Test
 		r.Reason = "the fusion contraction requires is illegal: " + fd.Reason
 		r.Detail, r.Edge = fd.Detail, fd.Edge

@@ -74,8 +74,7 @@ func TestDiagnosisAgreesWithPredicates(t *testing.T) {
 		for _, bp := range plan.Blocks {
 			p := bp.Part
 			for _, c := range p.Clusters() {
-				cs := map[int]bool{c: true}
-				if got, want := diagnoseFusion(p, cs).OK, FusionOK(p, cs); got != want {
+				if got, want := diagnoseFusion(p, []int{c}).OK, FusionOK(p, map[int]bool{c: true}); got != want {
 					t.Errorf("%s: diagnoseFusion=%v but FusionOK=%v for cluster %d",
 						b.Name, got, want, c)
 				}

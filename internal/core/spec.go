@@ -200,19 +200,6 @@ func specPartition(g *asdg.Graph, bi int, bs *BlockSpec) (*Partition, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("plan spec: block %d: illegal fusion: %v", bi, err)
 	}
-	// Validate proves Definition 5; the FavorComm segment constraint
-	// (fusion may not cross a communication segment) is checked here.
-	if g.Seg != nil {
-		for _, c := range p.Clusters() {
-			members := p.Members(c)
-			for _, v := range members[1:] {
-				if g.Seg[v] != g.Seg[members[0]] {
-					return nil, fmt.Errorf("plan spec: block %d: cluster {v%d…} crosses communication segments (%d vs %d)",
-						bi, members[0], g.Seg[members[0]], g.Seg[v])
-				}
-			}
-		}
-	}
 	return p, nil
 }
 

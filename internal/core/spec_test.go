@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/air"
+	"repro/internal/comm"
 	"repro/internal/liveness"
 	"repro/internal/lower"
 	"repro/internal/programs"
+	"repro/internal/remark"
 	"repro/internal/source"
 )
 
@@ -134,25 +136,40 @@ func TestApplySpecRejects(t *testing.T) {
 
 // TestApplySpecRejectsIllegalFusion finds, via the remarks engine, a
 // cluster pair whose merge genuinely fails a Definition 5 test, then
-// submits a spec performing that merge and asserts rejection.
+// submits a spec performing that merge and asserts rejection naming
+// the remark's test: ApplySpec judges with the predicate the remark
+// renders. The FavorComm arm compiles for two processors, where a
+// merge across communication segments must be refused as "segment".
 func TestApplySpecRejectsIllegalFusion(t *testing.T) {
-	found := false
-	for _, b := range programs.All() {
-		prog := lowerFresh(t, b.Name)
-		plan := ApplyEx(prog, C2F4, Config{})
-		for bi, bp := range plan.Blocks {
+	favorComm := Config{DisableRealign: true, SegmentFn: comm.Segments}
+	for _, arm := range []struct {
+		name string
+		cfg  Config
+		want string // the test some rejection must name; "" for any
+	}{
+		{"sequential", Config{}, ""},
+		{"p=2 favor-comm", favorComm, remark.TestSegment},
+	} {
+		fresh := func(name string) *air.Program {
+			prog := lowerFresh(t, name)
+			if arm.cfg.SegmentFn != nil {
+				comm.Insert(prog, comm.DefaultOptions(2))
+			}
+			return prog
+		}
+		found := false
+		for _, b := range programs.All() {
+			plan := ApplyEx(fresh(b.Name), C2F4, arm.cfg)
 			for _, r := range plan.Remarks() {
-				if r.Block != bi || r.Kind != "not-fused" || r.Pair == nil {
+				if r.Kind != remark.NotFused || r.Pair == nil {
 					continue
 				}
-				if r.Test == "heuristic" || r.Test == "level" || r.Test == "plan" || r.Test == "" {
+				if r.Test == remark.TestHeuristic || r.Test == remark.TestLevel || r.Test == remark.TestPlan || r.Test == "" {
 					continue
 				}
 				// Rebuild the block's cluster list with the pair merged.
-				var clusters [][]int
-				merged := append(append([]int(nil),
-					bp.Part.Members(r.Pair[0])...), bp.Part.Members(r.Pair[1])...)
-				clusters = append(clusters, merged)
+				bp := plan.Blocks[r.Block]
+				clusters := [][]int{append(bp.Part.Members(r.Pair[0]), bp.Part.Members(r.Pair[1])...)}
 				for _, c := range bp.Part.Clusters() {
 					if c == r.Pair[0] || c == r.Pair[1] {
 						continue
@@ -161,20 +178,22 @@ func TestApplySpecRejectsIllegalFusion(t *testing.T) {
 						clusters = append(clusters, ms)
 					}
 				}
-				spec := &PlanSpec{Version: 1, Blocks: []BlockSpec{{Block: bi, Clusters: clusters}}}
-				prog2 := lowerFresh(t, b.Name)
-				if _, err := ApplySpec(prog2, spec, Config{}); err == nil {
-					t.Errorf("%s block %d: merging {v%d,v%d} (fails %s) was accepted",
-						b.Name, bi, r.Pair[0], r.Pair[1], r.Test)
+				spec := &PlanSpec{Version: 1, Blocks: []BlockSpec{{Block: r.Block, Clusters: clusters}}}
+				_, err := ApplySpec(fresh(b.Name), spec, arm.cfg)
+				if err == nil || !strings.Contains(err.Error(), "["+r.Test+"]") {
+					t.Errorf("%s %s block %d: merging {v%d,v%d} (fails %s): err = %v",
+						arm.name, b.Name, r.Block, r.Pair[0], r.Pair[1], r.Test, err)
 				}
-				found = true
+				found = found || arm.want == "" || r.Test == arm.want
+			}
+			if found {
+				break
 			}
 		}
-		if found {
-			return
+		if !found {
+			t.Errorf("%s: no pair failing %q found in any benchmark — remark engine regression?", arm.name, arm.want)
 		}
 	}
-	t.Error("no genuinely illegal pair found in any benchmark — remark engine regression?")
 }
 
 // TestApplySpecRejectsUnsafeContraction asks for contraction of an

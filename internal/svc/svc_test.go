@@ -765,6 +765,8 @@ func TestTuneStatusMapping(t *testing.T) {
 
 	check("compile error", http.StatusUnprocessableEntity, "compile_error",
 		TuneRequest{Source: "program junk; not a program"})
+	check("storage past an int64", http.StatusUnprocessableEntity, "compile_error",
+		TuneRequest{Bench: "frac", Configs: map[string]int64{"n": 1 << 32}})
 	check("no source", http.StatusBadRequest, "bad_request", TuneRequest{})
 	check("both sources", http.StatusBadRequest, "bad_request",
 		TuneRequest{Source: "x", Bench: "frac"})

@@ -8,7 +8,6 @@ import (
 	"repro/internal/air"
 	"repro/internal/asdg"
 	"repro/internal/core"
-	"repro/internal/dep"
 )
 
 // SearchOptions bounds the per-block plan search.
@@ -92,60 +91,14 @@ func searchBlock(ctx context.Context, prog *air.Program, g *asdg.Graph,
 	return beamSearch(ctx, prog, g, candidates, model, opts)
 }
 
-// clusterLegal re-proves the cluster-internal Definition 5 conditions
-// for a vertex set: fusibility, conformable regions (Translates),
-// shared communication segment, vector-labelled internal dependences
-// with null flow (Theorem 2), and an existing loop structure
-// (Theorem 1). These conditions are monotone — adding a vertex can
-// only add constraints — which is what makes pruning partial
-// enumeration states sound. Acyclicity of the condensation is NOT
-// checked here; it is a whole-partition property checked at leaves.
-func clusterLegal(g *asdg.Graph, members []int) bool {
-	if len(members) < 2 {
-		return true
-	}
-	reg0 := g.StmtRegion(members[0])
-	if reg0 == nil {
-		return false
-	}
-	in := map[int]bool{}
-	for _, v := range members {
-		if !g.IsFusible(v) {
-			return false
-		}
-		r := g.StmtRegion(v)
-		if r == nil || !core.Translates(reg0, r) {
-			return false
-		}
-		if g.Seg != nil && g.Seg[v] != g.Seg[members[0]] {
-			return false
-		}
-		in[v] = true
-	}
-	var vectors []air.Offset
-	for _, e := range g.Edges {
-		if !in[e.From] || !in[e.To] {
-			continue
-		}
-		for _, it := range e.Items {
-			if !it.Vector {
-				return false
-			}
-			if it.Kind == dep.Flow && !it.U.IsZero() {
-				return false
-			}
-			vectors = append(vectors, it.U)
-		}
-	}
-	_, ok := core.FindLoopStructure(reg0.Rank(), vectors)
-	return ok
-}
-
 // exhaustive enumerates every set partition of the block's fusible
 // vertices in restricted-growth order, pruning a branch as soon as a
-// group violates a monotone cluster-internal condition, and checking
-// condensation acyclicity at each leaf. complete is false when the
-// state budget ran out — the caller falls back to beam search.
+// group fails core.FusionOK merged from singletons, and checking
+// condensation acyclicity at each leaf. FusionOK's conditions are
+// cluster-internal and monotone — adding a vertex only adds
+// constraints — which is what makes pruning a partial group sound.
+// complete is false when the state budget ran out — the caller falls
+// back to beam search.
 func exhaustive(ctx context.Context, prog *air.Program, g *asdg.Graph,
 	fusible []int, candidates []string, model CostModel,
 	opts SearchOptions) (*BlockSearch, bool, error) {
@@ -154,6 +107,14 @@ func exhaustive(ctx context.Context, prog *air.Program, g *asdg.Graph,
 	states := 0
 	var groups [][]int
 	var ctxErr error
+	singletons := core.Trivial(g)
+	legal := func(group []int) bool {
+		cs := make(map[int]bool, len(group))
+		for _, v := range group {
+			cs[v] = true
+		}
+		return core.FusionOK(singletons, cs)
+	}
 
 	var assign func(i int) bool // false = budget exhausted / cancelled
 	assign = func(i int) bool {
@@ -186,7 +147,7 @@ func exhaustive(ctx context.Context, prog *air.Program, g *asdg.Graph,
 		v := fusible[i]
 		for gi := range groups {
 			groups[gi] = append(groups[gi], v)
-			if clusterLegal(g, groups[gi]) {
+			if legal(groups[gi]) {
 				if !assign(i + 1) {
 					return false
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/air"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/job"
 	"repro/internal/machine"
+	"repro/internal/sema"
 )
 
 // CompileError marks a failure of the source itself (parse, sema,
@@ -107,14 +109,76 @@ type Result struct {
 
 // frontEnd is the driver's pipeline up to the planning phase (front
 // half, then communication insertion for distributed tuning), with a
-// failure of the source typed as a compile error.
+// failure of the source typed as a compile error. A program the cost
+// models cannot count (countable) is one too.
 func frontEnd(ctx context.Context, src string, configs map[string]int64, commOpt *comm.Options) (*air.Program, core.Config, error) {
 	prog, _, err := driver.FrontEnd(ctx, src, configs, driver.Hooks{})
+	if err == nil {
+		err = countable(prog)
+	}
 	if err != nil {
 		return nil, core.Config{}, &CompileError{Err: err}
 	}
 	_, cfg := driver.Distribute(prog, commOpt, driver.Hooks{})
 	return prog, cfg, nil
+}
+
+// countable refuses a program whose array storage (each array's Alloc,
+// else Declared: the bounds arrayBytes prices, summed by
+// sema.AddStorage) or some statement region's point count exceeds an
+// int64. The models multiply sizes unchecked, so such a program would
+// be ranked on wrapped numbers. It runs before communication is
+// inserted: a communication statement's region is its consumer's.
+func countable(prog *air.Program) error {
+	var total int64
+	for _, a := range prog.Arrays {
+		r := a.Alloc
+		if r == nil {
+			r = a.Declared
+		}
+		var err error
+		if total, err = sema.AddStorage(total, r); err != nil {
+			return err
+		}
+	}
+	for _, blk := range prog.AllBlocks() {
+		for _, s := range blk.Stmts {
+			var regs []*sema.Region
+			switch s := s.(type) {
+			case *air.ArrayStmt:
+				regs = []*sema.Region{s.Region}
+			case *air.ReduceStmt:
+				regs = []*sema.Region{s.Region}
+			case *air.PartialReduceStmt:
+				regs = []*sema.Region{s.Region, s.Dest}
+			}
+			for _, r := range regs {
+				if !pointsFit(r) {
+					return fmt.Errorf("statement region %s has more than 2^63-1 points", r)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// pointsFit reports whether r's point count fits an int64. As in
+// sema.AddStorage, a region with an empty extent has no points, even
+// after extents whose product overflows.
+func pointsFit(r *sema.Region) bool {
+	n, over := int64(1), false
+	for i := range r.Lo {
+		e := int64(r.Extent(i))
+		switch {
+		case e <= 0:
+			return true
+		case n > math.MaxInt64/e:
+			over = true
+		default:
+			n *= e
+		}
+	}
+	return !over
 }
 
 // Tune searches for the best legal fusion/contraction plan of the

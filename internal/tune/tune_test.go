@@ -2,9 +2,13 @@ package tune
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/air"
+	"repro/internal/asdg"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/difftest/matrix"
@@ -207,5 +211,48 @@ func TestCompileErrorTyped(t *testing.T) {
 	}
 	if _, ok := err.(*CompileError); !ok {
 		t.Errorf("error type %T, want *CompileError", err)
+	}
+}
+
+// scoreless is a cost model that fails the test if anything is scored.
+type scoreless struct{ t *testing.T }
+
+func (scoreless) Name() string { return "scoreless" }
+func (m scoreless) BlockScore(*air.Program, *asdg.Graph, *core.Partition, map[string]bool) float64 {
+	m.t.Error("a plan was scored")
+	return 0
+}
+
+// TestTuneRefusesOverflow pins that a program whose sizes exceed an
+// int64 is a compile error before any plan is scored, not a ranking of
+// wrapped numbers: frac at n = 2^32 (each array wrapped to 0 words)
+// and at n = 3037000500 (n² is just past 2^63-1; the total went
+// negative), and a reduction over that many points that no array backs.
+func TestTuneRefusesOverflow(t *testing.T) {
+	frac, _ := programs.ByName("frac")
+	for _, tc := range []struct {
+		name, src string
+		n         int64
+		want      string
+	}{
+		{"frac", frac.Source, 1 << 32, "array storage"},
+		{"frac", frac.Source, 3037000500, "array storage"},
+		{"arrayless", `program arrayless;
+config n : integer = 8;
+region R = [1..n, 1..n];
+var s : double;
+proc main()
+begin
+  s := +<< [R] index1;
+  writeln(s);
+end;`, 3037000500, "points"},
+	} {
+		_, err := Tune(context.Background(), tc.src, Options{
+			Level: core.C2F4, Model: scoreless{t}, Configs: map[string]int64{"n": tc.n},
+		})
+		var ce *CompileError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s at n=%d: err = %v, want a *CompileError naming %q", tc.name, tc.n, err, tc.want)
+		}
 	}
 }
