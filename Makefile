@@ -191,19 +191,25 @@ plan-guard: build
 # runtime's resident machines) and the allocation ceilings on vm.New
 # and on a rerun (Machine.Reset + Run), and the packed strip kernels
 # (DESIGN.md §32): each kernel bit for bit against its Go loop over
-# special values, tail lengths and aliased destinations, every benchmark
+# special values, tail lengths and aliased destinations, the max and min
+# folds against a left fold of math.Max and math.Min, every benchmark
 # and heat with them forced off and on, and no fused multiply-add in the
 # package's listing. Then the split nests (DESIGN.md §31): every benchmark
 # and heat above the split threshold at GOMAXPROCS 1 against 2 bit for
 # bit with no goroutine left behind, a chunk's panic returned as an
-# error, a cancellation inside a split nest, all under -race too. All
+# error, a cancellation inside a split nest, all under -race too, and
+# the lazy runtime's max and min of special values at GOMAXPROCS 1 and
+# 2 (at 2 the packed fold runs in each chunk of a split nest). All
 # are ordinary tier-1 tests; this target is the one to run after
 # touching internal/vm. `go test -run '^$$' -bench Run
 # ./internal/vm` prints ns per element-statement for the same cells the
-# run-interp workload times.
+# run-interp workload times, and `-bench Fold` ns per element of the max
+# and + folds over one strip, packed and Go loop.
 vm-guard: build
-	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestPackedKernelsBitIdentical|TestPackedProgramsIdentical|TestVMNoFMA|TestSplit' ./internal/vm
+	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestPackedKernelsBitIdentical|TestPackedFoldsBitIdentical|TestPackedProgramsIdentical|TestVMNoFMA|TestSplit' ./internal/vm
 	$(GO) test -race -count=1 -run 'TestSplit' ./internal/vm
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
+	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
 
 # Native guard: the tests to run after touching internal/gogen,

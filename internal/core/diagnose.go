@@ -201,10 +201,14 @@ func diagnoseFusion(p *Partition, set []int) diagnosis {
 			Pos:    pos(d.v),
 		}
 	case remark.TestFusible:
+		detail := "cycle closure (GROW) may have pulled the statement into the merge set"
+		if p.named {
+			detail = fmt.Sprintf("v%d (line %d) is not an array statement or a full reduction: %s", d.v, pos(d.v).Line, g.Stmts[d.v])
+		}
 		return diagnosis{
 			Test:   d.test,
 			Reason: fmt.Sprintf("statement v%d is not a fusible (normalized) statement", d.v),
-			Detail: "cycle closure (GROW) may have pulled the statement into the merge set",
+			Detail: detail,
 			Pos:    pos(d.v),
 		}
 	case remark.TestConformable:

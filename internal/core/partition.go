@@ -47,6 +47,11 @@ type Partition struct {
 	in, down, up      stampSet
 	seeds, set, queue []int
 	vecs              []air.Offset
+
+	// named is set on the partition Validate checks a plan's clusters
+	// on: every statement of a merge set is one the plan names. A
+	// remark's merge set is closed under GROW, which may add others.
+	named bool
 }
 
 // stampSet is a set over [0,n) that empties in O(1): its members are
@@ -402,7 +407,7 @@ func (p *Partition) LoopStructureFor(c int) (dep.LoopStructure, bool) {
 // check runs on a trivial partition of its own, so p stays read-only.
 func (p *Partition) Validate() error {
 	t := Trivial(p.G)
-	t.NoCarriedAnti = p.NoCarriedAnti
+	t.NoCarriedAnti, t.named = p.NoCarriedAnti, true
 	for _, c := range p.Clusters() {
 		if d := diagnoseFusion(t, p.members[c]); !d.OK {
 			return d.err("cluster " + clusterString(p.members[c]))

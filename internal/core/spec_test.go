@@ -250,3 +250,44 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestApplySpecNamesUnfusibleStatement pins the detail of a fusible
+// refusal on both paths. A not-fused remark closes its pair under GROW,
+// so its detail names cycle closure; a supplied plan runs no GROW, so
+// ApplySpec's refusal of the same merge says what the statement is.
+// tomcatv at p=2 FavorComm has such a pair: {v20 v21}, v20 a receive.
+func TestApplySpecNamesUnfusibleStatement(t *testing.T) {
+	cfg := Config{DisableRealign: true, SegmentFn: comm.Segments}
+	fresh := func() *air.Program {
+		prog := lowerFresh(t, "tomcatv")
+		comm.Insert(prog, comm.DefaultOptions(2))
+		return prog
+	}
+	plan := ApplyEx(fresh(), C2F4, cfg)
+	for _, r := range plan.Remarks() {
+		if r.Kind != remark.NotFused || r.Pair == nil || *r.Pair != [2]int{20, 21} {
+			continue
+		}
+		if r.Test != remark.TestFusible || !strings.Contains(r.Detail, "cycle closure (GROW)") {
+			t.Errorf("remark on {v20 v21}: test %s, detail %q; want %s and cycle closure", r.Test, r.Detail, remark.TestFusible)
+		}
+		bp := plan.Blocks[r.Block]
+		clusters := [][]int{append(bp.Part.Members(20), bp.Part.Members(21)...)}
+		spec := &PlanSpec{Version: 1, Blocks: []BlockSpec{{Block: r.Block, Clusters: clusters}}}
+		_, err := ApplySpec(fresh(), spec, cfg)
+		if err == nil {
+			t.Fatal("merging tomcatv's {v20 v21} at p=2 favor-comm was accepted")
+		}
+		msg := err.Error()
+		for _, want := range []string{"[" + remark.TestFusible + "]", "v20 (line ", ") is not an array statement or a full reduction: recv "} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("refusal %q does not contain %q", msg, want)
+			}
+		}
+		if strings.Contains(msg, "GROW") {
+			t.Errorf("refusal %q blames cycle closure, which a supplied plan does not run", msg)
+		}
+		return
+	}
+	t.Fatal("no not-fused remark on tomcatv's {v20 v21} at p=2 favor-comm")
+}

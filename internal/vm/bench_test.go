@@ -3,11 +3,14 @@ package vm_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/air"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/programs"
@@ -49,6 +52,54 @@ func BenchmarkRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFold times a full reduction's fold over one strip, the max
+// and + folds on two kinds of data: near ties, a slow rise under noise
+// of the same size, where about seven elements in eight set a new
+// maximum by a few ulps and the rest do not, so the Go loop's branch
+// goes both ways without a pattern; and uniform random values, where a
+// new maximum is rare. The accumulator starts at the identity for every
+// strip. Each cell runs with the packed kernels (where the host has
+// them) and with the Go loops, and reports ns per element, so the
+// fold's cost can be watched without bench/.
+func BenchmarkFold(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	near, random := make([]float64, vm.StripWidth), make([]float64, vm.StripWidth)
+	for i := range near {
+		near[i] = 1 + 1e-9*(float64(i)+2*r.Float64())
+		random[i] = r.Float64()
+	}
+	for _, op := range []struct {
+		name     string
+		op       air.ReduceOp
+		identity float64
+	}{{"max", air.ReduceMax, math.Inf(-1)}, {"sum", air.ReduceSum, 0}} {
+		for _, data := range []struct {
+			name string
+			x    []float64
+		}{{"near-tie", near}, {"random", random}} {
+			for _, kernels := range []string{"packed", "go"} {
+				b.Run(op.name+"/"+data.name+"/"+kernels, func(b *testing.B) {
+					if kernels == "packed" && !vm.PackedOnHost() {
+						b.Skip("this host runs the Go loops only")
+					}
+					restore := vm.SetPacked(kernels == "packed")
+					f := vm.FoldStrip(op.op)
+					restore()
+					var acc float64
+					for i := 0; i < b.N; i++ {
+						acc = f(op.identity, data.x)
+					}
+					foldSink = acc
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data.x)), "ns/elem")
+				})
+			}
+		}
+	}
+}
+
+// foldSink keeps BenchmarkFold's result live.
+var foldSink float64
 
 // TestNewAllocs is the ceiling on what building a machine costs: zpld
 // and the lazy runtime build one per operation, and the strip buffers

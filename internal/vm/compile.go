@@ -695,11 +695,11 @@ func (m *Machine) store(dst ref, rhs value) stripFn {
 	}
 }
 
-// fold accumulates the strip into a full reduction's target slot,
-// element by element in loop order (the bit pattern of a floating-point
-// reduction is its order). Each operator has its own loop, the
-// accumulator in a register; max and min spell out fmax and fmin (which
-// inline, but then show in a profile as a frame of their own).
+// fold accumulates the strip into a full reduction's target slot. +
+// and × run element by element in loop order, the accumulator in a
+// register (the bit pattern of a sum or a product is its order); max
+// and min call the active set's fold, whose result does not depend on
+// the order (DESIGN.md §32).
 func fold(slot int, op air.ReduceOp, rhs value) stripFn {
 	flops := rhs.flops + 1
 	switch op {
@@ -712,31 +712,14 @@ func fold(slot int, op air.ReduceOp, rhs value) stripFn {
 			}
 			m.slots[slot] = acc
 		}
-	case air.ReduceMax:
-		return func(m *Machine, j, n int) {
-			m.flops(flops, n)
-			acc := m.slots[slot]
-			for _, x := range rhs.vec(m, j, n) {
-				if x > acc {
-					acc = x
-				} else if !(x <= acc && acc != 0) {
-					acc = maxSlow(acc, x)
-				}
-			}
-			m.slots[slot] = acc
+	case air.ReduceMax, air.ReduceMin:
+		f := active.maxFold
+		if op == air.ReduceMin {
+			f = active.minFold
 		}
-	case air.ReduceMin:
 		return func(m *Machine, j, n int) {
 			m.flops(flops, n)
-			acc := m.slots[slot]
-			for _, x := range rhs.vec(m, j, n) {
-				if x < acc {
-					acc = x
-				} else if !(x >= acc && acc != 0) {
-					acc = minSlow(acc, x)
-				}
-			}
-			m.slots[slot] = acc
+			m.slots[slot] = f(m.slots[slot], rhs.vec(m, j, n))
 		}
 	}
 	return func(m *Machine, j, n int) {
@@ -761,8 +744,8 @@ func (m *Machine) flops(perElem int64, n int) {
 // zero: a tie away from zero has one bit pattern. Anything else — a NaN,
 // or acc = ±0 with x not above it — goes to maxSlow, out of line, which
 // is math.Max and on amd64 a call to assembly. (Keeping acc for every
-// x < acc as well costs 82, and then fmax no longer inlines.) fold
-// spells the rule out, and gogen's za_max is the same rule.
+// x < acc as well costs 82, and then fmax no longer inlines.) The Go
+// fold loop spells the rule out, and gogen's za_max is the same rule.
 func fmax(acc, x float64) float64 {
 	if x > acc {
 		return x
@@ -1135,13 +1118,23 @@ func (m *Machine) compileInto(e air.Expr, into vecFn) (value, error) {
 	case *air.CallExpr:
 		// Transcendental calls cost more than one op.
 		if b, ok := builtin1[x.Name]; ok && len(x.Args) == 1 {
-			if x.Name == "sqrt" {
+			switch x.Name {
+			case "sqrt":
 				b.k = active.sqrt
+			case "abs":
+				b.k = active.abs
 			}
 			return m.apply1(b.f, b.k, x.Args[0], 4, into)
 		}
-		if b, ok := builtin2[x.Name]; ok && len(x.Args) == 2 {
-			return m.apply2(b.f, b.k, x.Args[0], x.Args[1], 4, into)
+		if f, ok := builtin2[x.Name]; ok && len(x.Args) == 2 {
+			var k *kernels
+			switch x.Name {
+			case "max":
+				k = &active.max
+			case "min":
+				k = &active.min
+			}
+			return m.apply2(f, k, x.Args[0], x.Args[1], 4, into)
 		}
 		return value{}, fmt.Errorf("unknown builtin %s/%d", x.Name, len(x.Args))
 	}
@@ -1367,20 +1360,16 @@ func binOp(op air.Op) (func(a, b float64) float64, *kernels, error) {
 }
 
 // builtin1 maps a one-argument builtin to its function and, for the
-// ones the Go compiler turns into an instruction or a few (math.Abs,
-// Floor and Ceil are intrinsics when called directly), a strip loop;
-// sqrt's strip kernel is the active set's, and the libm calls go
+// ones the Go compiler turns into an instruction or a few (math.Floor
+// and Ceil are intrinsics when called directly), a strip loop; sqrt's
+// and abs's strip kernels are the active set's, and the libm calls go
 // through f per element.
 var builtin1 = map[string]struct {
 	f func(float64) float64
 	k func(d, x []float64)
 }{
 	"sqrt": {f: math.Sqrt}, // its strip kernel is active.sqrt
-	"abs": {math.Abs, func(d, x []float64) {
-		for i, v := range x[:len(d)] {
-			d[i] = math.Abs(v)
-		}
-	}},
+	"abs":  {f: math.Abs},  // its strip kernel is active.abs
 	"floor": {math.Floor, func(d, x []float64) {
 		for i, v := range x[:len(d)] {
 			d[i] = math.Floor(v)
@@ -1409,42 +1398,9 @@ func sign(v float64) float64 {
 	return 0
 }
 
-// builtin2 maps a two-argument builtin to its function and, for max and
-// min, complete strip kernels (apply2 fills in only a kernel set that
-// lacks loops, and these are shared). math.Max and math.Min are
-// symmetric in their operands, bits included, so uniform∘vector is
-// vector∘uniform.
-var builtin2 = map[string]struct {
-	f func(x, y float64) float64
-	k *kernels
-}{
-	"max": {math.Max, &kernels{vv: maxVV, vu: maxVU, uv: func(d []float64, x float64, y []float64) { maxVU(d, y, x) }}},
-	"min": {math.Min, &kernels{vv: minVV, vu: minVU, uv: func(d []float64, x float64, y []float64) { minVU(d, y, x) }}},
-	"pow": {f: math.Pow}, "mod": {f: math.Mod}, "atan2": {f: math.Atan2},
-}
-
-func maxVV(d, x, y []float64) {
-	y = y[:len(d)]
-	for i, v := range x[:len(d)] {
-		d[i] = fmax(v, y[i])
-	}
-}
-
-func maxVU(d, x []float64, y float64) {
-	for i, v := range x[:len(d)] {
-		d[i] = fmax(v, y)
-	}
-}
-
-func minVV(d, x, y []float64) {
-	y = y[:len(d)]
-	for i, v := range x[:len(d)] {
-		d[i] = fmin(v, y[i])
-	}
-}
-
-func minVU(d, x []float64, y float64) {
-	for i, v := range x[:len(d)] {
-		d[i] = fmin(v, y)
-	}
+// builtin2 maps a two-argument builtin to its function. max's and
+// min's strip kernels are the active set's; the rest call the function
+// per element.
+var builtin2 = map[string]func(x, y float64) float64{
+	"max": math.Max, "min": math.Min, "pow": math.Pow, "mod": math.Mod, "atan2": math.Atan2,
 }

@@ -1,6 +1,9 @@
 package vm
 
-import "repro/internal/lir"
+import (
+	"repro/internal/air"
+	"repro/internal/lir"
+)
 
 // StripWidth is the production strip width.
 const StripWidth = stripWidth
@@ -46,4 +49,17 @@ func SetChunkHook(hook func(chunk int)) (restore func()) {
 	old := chunkHook
 	chunkHook = hook
 	return func() { chunkHook = old }
+}
+
+// FoldStrip returns a full reduction's fold of one strip into its
+// accumulator, compiled as a machine compiles it with the active
+// kernels, so that its cost can be timed alone.
+func FoldStrip(op air.ReduceOp) func(acc float64, x []float64) float64 {
+	m := &Machine{slots: make([]float64, 1), bufs: make([][]float64, 1)}
+	f := fold(0, op, register(0))
+	return func(acc float64, x []float64) float64 {
+		m.slots[0], m.bufs[0] = acc, x
+		f(m, 0, len(x))
+		return m.slots[0]
+	}
 }

@@ -85,12 +85,14 @@ func TestVMNoFMA(t *testing.T) {
 			t.Errorf("fused multiply-add in internal/vm: %s", strings.TrimSpace(line))
 		}
 	}
-	for _, sym := range []string{"vaddVV", "vaddVU", "vsubVV", "vsubVU", "vsubUV", "vmulVV", "vmulVU", "vdivVV", "vdivVU", "vdivUV", "vsqrt", "vneg"} {
+	for _, sym := range []string{"vaddVV", "vaddVU", "vsubVV", "vsubVU", "vsubUV", "vmulVV", "vmulVU", "vdivVV", "vdivVU", "vdivUV", "vsqrt", "vneg",
+		"vmaxVV", "vmaxVU", "vminVV", "vminVU", "vmaxFold", "vminFold", "vabs"} {
 		if !strings.Contains(string(listing), fmt.Sprintf("\tTEXT\trepro/internal/vm.%s(SB), NOSPLIT", sym)) {
 			t.Errorf("packed kernel %s missing from the listing", sym)
 		}
 	}
-	for _, op := range []string{"VADDPD", "VSUBPD", "VMULPD", "VDIVPD", "VSQRTPD", "VXORPD"} {
+	for _, op := range []string{"VADDPD", "VSUBPD", "VMULPD", "VDIVPD", "VSQRTPD", "VXORPD",
+		"VMAXPD", "VMINPD", "VANDPD", "VCMPPD"} {
 		if !strings.Contains(string(listing), "\t"+op+"\t") {
 			t.Errorf("no %s in the listing", op)
 		}

@@ -4,19 +4,26 @@ package vm
 var packed = hasAVX()
 
 // packedStrips run four lanes per instruction, eight elements per
-// iteration, and finish with a scalar tail. Every instruction is the
-// packed form of the one the Go loop compiles to, so each lane rounds
-// alike. NaN payloads follow the first source operand, as in the Go
-// loops: the vector comes first in the commutative uniform∘vector
-// shapes (the Go compiler puts it there for x + v and x * v), so add
-// and mul reuse their vector∘uniform kernel for it.
+// iteration, and finish with a scalar tail. Every arithmetic
+// instruction is the packed form of the one the Go loop compiles to,
+// so each lane rounds alike. NaN payloads follow the first source
+// operand, as in the Go loops: the vector comes first in the
+// commutative uniform∘vector shapes (the Go compiler puts it there for
+// x + v and x * v), so add and mul reuse their vector∘uniform kernel
+// for it. max and min repair each lane of VMAXPD and VMINPD to
+// math.Max's and math.Min's rule (strip_amd64.s).
 var packedStrips = strips{
-	add:  kernels{vv: addVVPacked, vu: addVUPacked, uv: addUVPacked},
-	sub:  kernels{vv: subVVPacked, vu: subVUPacked, uv: subUVPacked},
-	mul:  kernels{vv: mulVVPacked, vu: mulVUPacked, uv: mulUVPacked},
-	div:  kernels{vv: divVVPacked, vu: divVUPacked, uv: divUVPacked},
-	sqrt: sqrtPacked,
-	neg:  negPacked,
+	add:     kernels{vv: addVVPacked, vu: addVUPacked, uv: addUVPacked},
+	sub:     kernels{vv: subVVPacked, vu: subVUPacked, uv: subUVPacked},
+	mul:     kernels{vv: mulVVPacked, vu: mulVUPacked, uv: mulUVPacked},
+	div:     kernels{vv: divVVPacked, vu: divVUPacked, uv: divUVPacked},
+	max:     kernels{vv: maxVVPacked, vu: maxVUPacked, uv: maxUVPacked},
+	min:     kernels{vv: minVVPacked, vu: minVUPacked, uv: minUVPacked},
+	sqrt:    sqrtPacked,
+	neg:     negPacked,
+	abs:     absPacked,
+	maxFold: maxFoldPacked,
+	minFold: minFoldPacked,
 }
 
 // The wrappers cut the operands to len(d), which is the only length the
@@ -37,13 +44,55 @@ func divVUPacked(d, x []float64, y float64)           { vdivVU(d, x[:len(d)], y)
 func divUVPacked(d []float64, x float64, y []float64) { vdivUV(d, x, y[:len(d)]) }
 func sqrtPacked(d, x []float64)                       { vsqrt(d, x[:len(d)]) }
 func negPacked(d, x []float64)                        { vneg(d, x[:len(d)]) }
+func absPacked(d, x []float64)                        { vabs(d, x[:len(d)]) }
+
+// math.Max and math.Min are symmetric in their operands, bits
+// included, so uniform∘vector is vector∘uniform.
+
+func maxVVPacked(d, x, y []float64)                   { vmaxVV(d, x[:len(d)], y[:len(d)]) }
+func maxVUPacked(d, x []float64, y float64)           { vmaxVU(d, x[:len(d)], y) }
+func maxUVPacked(d []float64, x float64, y []float64) { vmaxVU(d, y[:len(d)], x) }
+func minVVPacked(d, x, y []float64)                   { vminVV(d, x[:len(d)], y[:len(d)]) }
+func minVUPacked(d, x []float64, y float64)           { vminVU(d, x[:len(d)], y) }
+func minUVPacked(d []float64, x float64, y []float64) { vminVU(d, y[:len(d)], x) }
+
+// The max and min folds take the lanes of x's max (min) from assembly
+// and combine them into acc with fmax (fmin): four lanes, each the max
+// of a subset of x, in place of len(x) dependent steps. The order does
+// not matter, bits included (DESIGN.md §32). Fewer than four elements
+// go through the Go loop.
+
+func maxFoldPacked(acc float64, x []float64) float64 {
+	if len(x) < 4 {
+		return maxFold(acc, x)
+	}
+	var l [4]float64
+	vmaxFold(&l, x)
+	for _, v := range l {
+		acc = fmax(acc, v)
+	}
+	return acc
+}
+
+func minFoldPacked(acc float64, x []float64) float64 {
+	if len(x) < 4 {
+		return minFold(acc, x)
+	}
+	var l [4]float64
+	vminFold(&l, x)
+	for _, v := range l {
+		acc = fmin(acc, v)
+	}
+	return acc
+}
 
 // hasAVX reports CPUID's AVX and OSXSAVE bits and XCR0's XMM and YMM
 // state bits: the CPU has AVX and the OS saves the YMM registers.
 func hasAVX() bool
 
 // The kernels: d[i] = x[i] op y[i], x[i] op y, x op y[i], sqrt(x[i]),
-// −x[i] for i < len(d). Each operand holds at least len(d) elements.
+// −x[i], |x[i]| for i < len(d). Each operand holds at least len(d)
+// elements. The folds write four lanes whose max (min) is x's.
 
 //go:noescape
 func vaddVV(d, x, y []float64)
@@ -80,3 +129,24 @@ func vsqrt(d, x []float64)
 
 //go:noescape
 func vneg(d, x []float64)
+
+//go:noescape
+func vmaxVV(d, x, y []float64)
+
+//go:noescape
+func vmaxVU(d, x []float64, y float64)
+
+//go:noescape
+func vminVV(d, x, y []float64)
+
+//go:noescape
+func vminVU(d, x []float64, y float64)
+
+//go:noescape
+func vabs(d, x []float64)
+
+//go:noescape
+func vmaxFold(l *[4]float64, x []float64)
+
+//go:noescape
+func vminFold(l *[4]float64, x []float64)

@@ -4,7 +4,9 @@ package vm
 // kernel in every operand shape must write the bits the Go loop writes,
 // NaN payloads included, at lengths around the 8-element block and the
 // production strip, with the destination disjoint from its operands or
-// aliasing either one, and must write nothing past len(d).
+// aliasing either one, and must write nothing past len(d). The packed
+// max and min folds must return the bits of a left fold of math.Max
+// and math.Min.
 
 import (
 	"fmt"
@@ -85,6 +87,8 @@ func TestPackedKernelsBitIdentical(t *testing.T) {
 		{"sub", &goStrips.sub, &packedStrips.sub},
 		{"mul", &goStrips.mul, &packedStrips.mul},
 		{"div", &goStrips.div, &packedStrips.div},
+		{"max", &goStrips.max, &packedStrips.max},
+		{"min", &goStrips.min, &packedStrips.min},
 	}
 	shifts := len(stripValues)
 	for _, op := range ops {
@@ -149,6 +153,7 @@ func TestPackedKernelsBitIdentical(t *testing.T) {
 	}{
 		{"sqrt", goStrips.sqrt, packedStrips.sqrt},
 		{"neg", goStrips.neg, packedStrips.neg},
+		{"abs", goStrips.abs, packedStrips.abs},
 	}
 	for _, op := range unary {
 		for _, n := range stripLengths {
@@ -162,6 +167,74 @@ func TestPackedKernelsBitIdentical(t *testing.T) {
 				op.ref(want, want)
 				op.got(got, got)
 				sameBits(t, fmt.Sprintf("%s n=%d shift=%d d=x", op.name, n, s), want, got, x)
+			}
+		}
+	}
+}
+
+func TestPackedFoldsBitIdentical(t *testing.T) {
+	if !packed {
+		t.Skip("this host runs the Go loops only")
+	}
+	folds := []struct {
+		name     string
+		identity float64
+		ref      func(a, b float64) float64
+		got      func(acc float64, x []float64) float64
+	}{
+		{"max", math.Inf(-1), math.Max, packedStrips.maxFold},
+		{"min", math.Inf(1), math.Min, packedStrips.minFold},
+	}
+	for _, f := range folds {
+		// The slot starts at the identity and at each special value.
+		starts := append([]float64{f.identity}, stripValues...)
+		check := func(acc float64, x []float64, what string) {
+			t.Helper()
+			want := acc
+			for _, v := range x {
+				want = f.ref(want, v)
+			}
+			if a, b := math.Float64bits(want), math.Float64bits(f.got(acc, x)); a != b {
+				t.Errorf("%s fold %s slot=%#016x: left fold %#016x, packed %#016x", f.name, what, math.Float64bits(acc), a, b)
+			}
+		}
+		for _, n := range stripLengths {
+			for s := 0; s < len(stripValues); s++ {
+				x := operand(n, s)
+				for _, acc := range starts {
+					check(acc, x, fmt.Sprintf("n=%d shift=%d", n, s))
+				}
+			}
+		}
+		// Two values at every ordered pair of positions of a strip that
+		// takes every path of the kernel (the 16-element loop, a
+		// 4-element step and the overlapping last four), over values
+		// that lose to both: a NaN and the winning infinity, so the NaN
+		// comes before the infinity and after it; a NaN without one;
+		// and the two zeros, each before the other.
+		win, lose := math.Inf(1), -2.0
+		if f.name == "min" {
+			win, lose = math.Inf(-1), 2.0
+		}
+		pairs := [][2]float64{{0, math.Copysign(0, -1)}}
+		for _, nan := range stripValues[4:7] {
+			pairs = append(pairs, [2]float64{nan, win}, [2]float64{nan, nan})
+		}
+		for _, p := range pairs {
+			for i := 0; i < 23; i++ {
+				for j := 0; j < 23; j++ {
+					if i == j {
+						continue
+					}
+					x := make([]float64, 23)
+					for k := range x {
+						x[k] = lose * float64(1+k%5)
+					}
+					x[i], x[j] = p[0], p[1]
+					for _, acc := range starts {
+						check(acc, x, fmt.Sprintf("%#x at %d, %#x at %d", math.Float64bits(p[0]), i, math.Float64bits(p[1]), j))
+					}
+				}
 			}
 		}
 	}

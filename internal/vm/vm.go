@@ -6,10 +6,11 @@
 // engine, not only the instrumented one. + − × ÷, the max, min, abs,
 // sign, sqrt, floor and ceil builtins and every reduction run as typed
 // loops over a strip, with no call per element through a func value.
-// On an amd64 host with AVX, + − × ÷, negation and sqrt run as packed
-// kernels instead, four lanes per instruction and bit for bit the Go
-// loops (DESIGN.md §32). max and min are math.Max and math.Min bit for
-// bit, calling them only for a NaN or a zero accumulator (fmax). Every
+// On an amd64 host with AVX, + − × ÷, max, min, negation, abs and sqrt
+// and the max and min reductions run as packed kernels instead, four
+// lanes per instruction and bit for bit the Go loops (DESIGN.md §32).
+// max and min are math.Max and math.Min bit for bit, the Go loops
+// calling them only for a NaN or a zero accumulator (fmax). Every
 // array element access can be streamed to a Tracer, which is how the
 // machine models observe the memory behavior that fusion and
 // contraction change; a traced machine runs at strip width 1 and
