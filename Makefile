@@ -199,7 +199,12 @@ plan-guard: build
 # bit with no goroutine left behind, a chunk's panic returned as an
 # error, a cancellation inside a split nest, all under -race too, and
 # the lazy runtime's max and min of special values at GOMAXPROCS 1 and
-# 2 (at 2 the packed fold runs in each chunk of a split nest). All
+# 2 (at 2 the packed fold runs in each chunk of a split nest). Last,
+# the one work count (lir.Work, DESIGN.md §22, §34): Result.Steps of the
+# six benchmarks x 9 levels x {plain, -scalarrep} on the VM and distvm
+# p=2 against testdata/vm/steps.json, and a sweep whose
+# element-statements overflow an int64 refused before a step on the VM,
+# distvm and native, under the test's own deadline. All
 # are ordinary tier-1 tests; this target is the one to run after
 # touching internal/vm. `go test -run '^$$' -bench Run
 # ./internal/vm` prints ns per element-statement for the same cells the
@@ -211,6 +216,7 @@ vm-guard: build
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
+	$(GO) test -count=1 -run 'TestStepsPinned|TestPriceRefusesWorkOverflow' ./internal/job
 
 # Native guard: the tests to run after touching internal/gogen,
 # internal/backend or the lazy executor, re-run fresh — the sha256 of

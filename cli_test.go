@@ -399,6 +399,19 @@ func TestZplrunExitCodes(t *testing.T) {
 		t.Errorf("overflowing storage: exit = %d, want 3 (stderr %q)", c, stderr)
 	}
 
+	// Compile error: a sweep of more than 2^63-1 element-statements,
+	// whose wrapped count once charged nothing and ran forever.
+	arrayless := filepath.Join(t.TempDir(), "arrayless.za")
+	src := "program arrayless;\nconfig n : integer = 8;\nregion R = [1..n, 1..n];\nvar s : double;\n" +
+		"proc main()\nbegin\n  s := +<< [R] index1;\n  writeln(s);\nend;\n"
+	if err := os.WriteFile(arrayless, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, err = runTool(t, "zplrun", "-timeout", "10s", "-config", "n=4294967296", arrayless)
+	if c := exitCode(t, err); c != 3 || !strings.Contains(stderr, "element-statements") {
+		t.Errorf("overflowing work: exit = %d, want 3 (stderr %q)", c, stderr)
+	}
+
 	// Runtime error: step budget exhausted.
 	_, stderr, err = runTool(t, "zplrun", "-maxsteps", "10", "testdata/heat.za")
 	if c := exitCode(t, err); c != 1 {

@@ -27,7 +27,8 @@
 //	              the ASDG that every nest a resident worker or a VM
 //	              machine splits across goroutines carries no
 //	              dependence on its outermost loop (a nest splits only
-//	              above absint.SplitPoints points: raise n with -config)
+//	              from absint.SplitWork element-statements, points ×
+//	              statements: raise n with -config)
 //	-p n          additionally verify a distributed compilation for
 //	              n processors (communication inserted)
 //	-config k=v   override a config constant (repeatable)

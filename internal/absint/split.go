@@ -5,11 +5,11 @@ import (
 	"repro/internal/lir"
 )
 
-// SplitPoints is the fewest points a nest's region must have for an
-// engine to split it across goroutines (Splits). Below it, starting or
-// waking a helper goroutine costs more than the rows it takes over
-// (DESIGN.md §31).
-const SplitPoints = 1 << 15
+// SplitWork is the least work (lir.Work, element-statements) a nest
+// must do for an engine to split it across goroutines (Splits). Below
+// it, starting or waking a helper goroutine costs more than the rows it
+// takes over (DESIGN.md §31).
+const SplitWork = 3 << 16
 
 // Splits reports whether nest n of p may run in contiguous chunks of its
 // outermost loop's rows, one per goroutine. It is the one per-nest
@@ -19,7 +19,7 @@ const SplitPoints = 1 << 15
 // split from the plan's dependence graph. A nil result never splits. A
 // nest splits when it
 //
-//   - covers at least SplitPoints points;
+//   - does at least SplitWork element-statements over its region;
 //   - has every access ProvenSafe under r, so a chunk never traps
 //     outside the engine's recover;
 //   - carries no dependence on its outermost loop (Nest.Order[0]): every
@@ -33,15 +33,7 @@ const SplitPoints = 1 << 15
 //     sequential fold bit for bit, which a sum's or a product's rounding
 //     would not be.
 func (r *Result) Splits(p *lir.Program, n *lir.Nest) bool {
-	if r == nil || len(n.Body) == 0 {
-		return false
-	}
-	for k := range n.Region.Lo {
-		if n.Region.Extent(k) < 1 {
-			return false
-		}
-	}
-	if n.Region.Size() < SplitPoints {
+	if w, err := lir.Work(n, n.Region); r == nil || len(n.Body) == 0 || err != nil || w < SplitWork {
 		return false
 	}
 	outer := 0

@@ -21,9 +21,8 @@ import (
 	"repro/internal/programs"
 )
 
-// threadedPrograms are the six benchmarks and heat at a size where
-// every nest over their main region has at least absint.SplitPoints
-// points, so that their workers split nests across goroutines.
+// threadedPrograms are the six benchmarks and heat, run at
+// threadedSize.
 func threadedPrograms(t *testing.T) []programs.Benchmark {
 	t.Helper()
 	heat, err := os.ReadFile("../../testdata/heat.za")
@@ -33,15 +32,22 @@ func threadedPrograms(t *testing.T) []programs.Benchmark {
 	return append(programs.All(), programs.Benchmark{Name: "heat", Source: string(heat), SizeConfig: "n", Rank: 2})
 }
 
+// threadedSize is the size at which a one-statement nest over a
+// program's main region, or over its interior, does absint.SplitWork
+// element-statements, so that its worker splits nests across
+// goroutines.
+func threadedSize(rank int) int64 {
+	if rank == 1 {
+		return absint.SplitWork + 2
+	}
+	return int64(math.Ceil(math.Sqrt(absint.SplitWork))) + 2
+}
+
 // threadedWorkerOf compiles p at lvl above the split threshold with the
 // prover's verdicts and builds its worker emission.
 func threadedWorkerOf(t *testing.T, p programs.Benchmark, lvl core.Level) (*backend.Artifact, *driver.Compilation, *gogen.StateSpec, string) {
 	t.Helper()
-	n := int64(256)
-	if p.Rank == 1 {
-		n = 2 * absint.SplitPoints
-	}
-	c, err := driver.Compile(p.Source, driver.Options{Level: lvl, Configs: map[string]int64{p.SizeConfig: n}})
+	c, err := driver.Compile(p.Source, driver.Options{Level: lvl, Configs: map[string]int64{p.SizeConfig: threadedSize(p.Rank)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -269,13 +270,14 @@ func TestVerifierAcceptsViaDriver(t *testing.T) {
 	}
 }
 
-// splitSize is a problem size at which every nest over a benchmark's
-// main region has at least absint.SplitPoints points.
+// splitSize is the size at which a one-statement nest over a
+// benchmark's main region, or over its interior, does
+// absint.SplitWork element-statements.
 func splitSize(rank int) int64 {
 	if rank == 1 {
-		return 2 * absint.SplitPoints
+		return absint.SplitWork + 2
 	}
-	return 256
+	return int64(math.Ceil(math.Sqrt(absint.SplitWork))) + 2
 }
 
 // TestOuterParallelClean: every nest a resident worker would split, in

@@ -170,7 +170,7 @@ func Bytes(prog *lir.Program, procs int) (int64, error) {
 	for _, locals := range g.locals {
 		for _, a := range locals {
 			if total, err = sema.AddStorage(total, a.bounds); err != nil {
-				return 0, err
+				return 0, sema.ErrStorage
 			}
 		}
 	}

@@ -18,7 +18,8 @@
 // final referee.
 //
 // A worker also uses the host's cores. A nest of at least
-// absint.SplitPoints points whose outermost loop carries no dependence,
+// absint.SplitWork element-statements (lir.Work: points × statements)
+// whose outermost loop carries no dependence,
 // whose accesses are all proven and whose reductions are only max and
 // min (absint.Result.Splits, the rule the VM splits by too) becomes
 // a function over a range of its outer rows; at start-up the worker

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"regexp"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/distvm"
 	"repro/internal/driver"
@@ -154,5 +156,74 @@ func TestHostilePrice(t *testing.T) {
 			t.Errorf("%s: pricing allocates %v times, more than its %v arrays", b.Name, allocs, arrays)
 		}
 		t.Logf("%s: %.1f TB after a %v compile", b.Name, float64(price)/1e12, compile)
+	}
+}
+
+// arrayless reduces over [1..n, 1..n] without an array: its price in
+// storage is 0 at any n, so only its work can refuse it. tworeds fuses
+// two such reductions into one nest of two statements a point.
+const (
+	arrayless = `program arrayless;
+config n : integer = 8;
+region R = [1..n, 1..n];
+var s : double;
+proc main()
+begin
+  s := +<< [R] index1;
+  writeln(s);
+end;`
+	tworeds = `program tworeds;
+config n : integer = 8;
+region R = [1..n, 1..n];
+var s, t : double;
+proc main()
+begin
+  s := +<< [R] index1;
+  t := max<< [R] index2;
+  writeln(s, t);
+end;`
+)
+
+// TestPriceRefusesWorkOverflow: a sweep whose element-statements do not
+// fit an int64 is refused like storage that does not. At n = 2^32 the
+// arrayless reduction's points wrap to 0, at n = 3037000500 negative,
+// and at n = 2^31 tworeds' 2^62 points fit but twice that does not; a
+// wrapped count charged nothing, so the run never reached its budget
+// and never polled its context. Each run is refused as a compile error
+// before a step, on the VM, on distvm and before a native build. The
+// test keeps its own deadline: a run that is not refused does not end.
+func TestPriceRefusesWorkOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		n   int64
+	}{{arrayless, 1 << 32}, {arrayless, 3037000500}, {tworeds, 1 << 31}} {
+		t.Run(fmt.Sprint(tc.n), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			c, err := Compile(ctx, tc.src, driver.Options{Level: core.C2F4, Configs: map[string]int64{"n": tc.n}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := backend.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rs := range []RunSpec{{MaxSteps: 1000}, {Dist: true, Procs: 2, MaxSteps: 1000}, {Backend: driver.BackendGo}} {
+				done := make(chan struct{})
+				var res *Result
+				go func() {
+					defer close(done)
+					res, err = Run(ctx, c, rs, io.Discard, store)
+				}()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%+v: still running after 10 s", rs)
+				}
+				if Classify(err) != ClassCompile || !errors.Is(err, sema.ErrTooLarge) || res.Steps != 0 || res.Art != nil {
+					t.Errorf("%+v: %v after %d steps (built: %v), want a compile-class refusal before any", rs, err, res.Steps, res.Art != nil)
+				}
+			}
+		})
 	}
 }

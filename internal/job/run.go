@@ -140,17 +140,17 @@ func Build(ctx context.Context, c *driver.Compilation, goSrc string, store *back
 }
 
 // Price is the array storage, in bytes, a run of c as rs asks
-// allocates, decided before anything is allocated. The VM and the
-// native backend allocate the sequential storage (lir.Program.Bytes);
-// distvm allocates its own layout's, halos included (distvm.Bytes).
-// Storage past an int64 of bytes is a compile error: the program, at
-// its configs, asks for more than any machine has.
+// allocates, decided before anything is allocated or built. The VM and
+// the native backend allocate lir.Program.Bytes; distvm its own layout's,
+// halos included (distvm.Bytes). A sweep whose work does not fit an int64
+// (lir.Program.Fits), or storage past an int64 of bytes, is a compile
+// error: the program, at its configs, asks for more than any machine has.
 func Price(c *driver.Compilation, rs RunSpec) (int64, error) {
 	var n int64
-	var err error
-	if rs.Dist && !rs.Backend.Native() {
+	err := c.LIR.Fits()
+	if err == nil && rs.Dist && !rs.Backend.Native() {
 		n, err = distvm.Bytes(c.LIR, rs.Procs)
-	} else {
+	} else if err == nil {
 		n, err = c.LIR.Bytes()
 	}
 	if errors.Is(err, sema.ErrTooLarge) {

@@ -56,7 +56,7 @@ func TestMaxMinOfSpecialValues(t *testing.T) {
 	s := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000001), 2, -2}
 	n := len(s)
-	w := absint.SplitPoints/(2*n*n) + 1
+	w := absint.SplitWork/(2*n*n) + 1
 	cols := n * n * w
 	lo, hi := make([]float64, 2*cols), make([]float64, 2*cols) // max's grid, min's
 	for i := range lo {

@@ -5,6 +5,10 @@
 package lir
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
 	"repro/internal/air"
 	"repro/internal/dep"
 	"repro/internal/sema"
@@ -32,10 +36,51 @@ func (p *Program) Bytes() (total int64, err error) {
 			continue
 		}
 		if total, err = sema.AddStorage(total, a.Alloc); err != nil {
-			return 0, err
+			return 0, sema.ErrStorage
 		}
 	}
 	return total, nil
+}
+
+// Work is the one count of a sweep's work: the element-statements that
+// n, a Nest or a PartialReduce, does over region over, its Region or a
+// shard's part of it (points × (preloads + statements) for a Nest,
+// points for a PartialReduce). The VM charges it and Splits in absint
+// compares it with absint.SplitWork; past an int64 it is sema.ErrTooLarge.
+func Work(n Node, over *sema.Region) (int64, error) {
+	points, err := over.Points()
+	per := int64(1)
+	if x, ok := n.(*Nest); ok {
+		per = int64(len(x.Preloads) + len(x.Body))
+	}
+	hi, lo := bits.Mul64(uint64(points), uint64(per))
+	if err != nil || hi != 0 || lo > math.MaxInt64 {
+		return 0, sema.ErrTooLarge
+	}
+	return int64(lo), nil
+}
+
+// Fits returns an error wrapping sema.ErrTooLarge when the Work of a
+// sweep node of p over its whole region does not fit an int64. A shard
+// sweeps part of a region, so it does no more.
+func (p *Program) Fits() (err error) {
+	for _, pr := range p.Procs {
+		Walk(pr.Body, func(n Node) {
+			var over *sema.Region
+			switch x := n.(type) {
+			case *Nest:
+				over = x.Region
+			case *PartialReduce:
+				over = x.Region
+			default:
+				return
+			}
+			if _, e := Work(n, over); e != nil {
+				err = fmt.Errorf("work over %s %w element-statements", over, e)
+			}
+		})
+	}
+	return err
 }
 
 // Proc is one scalarized procedure.

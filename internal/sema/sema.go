@@ -43,29 +43,42 @@ func (r *Region) Size() int {
 // Extent returns the number of indices along dimension i.
 func (r *Region) Extent(i int) int { return r.Hi[i] - r.Lo[i] + 1 }
 
-// ErrTooLarge is the refusal of array storage past an int64 of bytes.
-var ErrTooLarge = errors.New("array storage exceeds 2^63-1 bytes")
+// ErrTooLarge refuses a count past an int64 (points, element-statements,
+// bytes); ErrStorage is the refusal of a storage sum, naming it.
+var ErrTooLarge = errors.New("exceeds 2^63-1")
+var ErrStorage = fmt.Errorf("array storage %w bytes", ErrTooLarge)
 
-// AddStorage returns total plus the float64 storage over r, 8 bytes an
-// index point (a region with an empty extent holds none). A product or
-// a sum past an int64 is refused with ErrTooLarge, never wrapped.
-func AddStorage(total int64, r *Region) (int64, error) {
-	n, over := int64(8), false
+// Points returns r's number of index points: 0 when an extent is empty
+// (even after extents whose product overflows), ErrTooLarge when the
+// product is past an int64, never a wrapped count.
+func (r *Region) Points() (int64, error) {
+	n, over := int64(1), false
 	for i := range r.Lo {
 		e := int64(r.Extent(i))
 		switch {
 		case e <= 0:
-			return total, nil
+			return 0, nil
 		case n > math.MaxInt64/e:
 			over = true
 		default:
 			n *= e
 		}
 	}
-	if over || n > math.MaxInt64-total {
+	if over {
 		return 0, ErrTooLarge
 	}
-	return total + n, nil
+	return n, nil
+}
+
+// AddStorage returns total plus the float64 storage over r, 8 bytes an
+// index point. A product or a sum past an int64 is refused with
+// ErrTooLarge, never wrapped.
+func AddStorage(total int64, r *Region) (int64, error) {
+	n, err := r.Points()
+	if err != nil || n > (math.MaxInt64-total)/8 {
+		return 0, ErrTooLarge
+	}
+	return total + 8*n, nil
 }
 
 // Equal reports whether two regions denote the same index set.

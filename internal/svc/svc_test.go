@@ -144,6 +144,9 @@ func TestStatusMapping(t *testing.T) {
 		Request{Source: "program junk; not a program"})
 	check("storage past an int64", http.StatusUnprocessableEntity, "compile_error",
 		Request{Bench: "frac", Configs: map[string]int64{"n": 3037000500}})
+	check("work past an int64", http.StatusUnprocessableEntity, "compile_error",
+		Request{Source: "program arrayless;\nconfig n : integer = 8;\nregion R = [1..n, 1..n];\nvar s : double;\n" +
+			"proc main()\nbegin\n  s := +<< [R] index1;\n  writeln(s);\nend;", Configs: map[string]int64{"n": 1 << 32}})
 	check("runtime error", http.StatusInternalServerError, "runtime_error",
 		Request{Bench: "fibro", Configs: map[string]int64{"n": 16}, MaxSteps: 10})
 	check("timeout", http.StatusGatewayTimeout, "timeout",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"repro/internal/air"
@@ -125,10 +124,10 @@ func frontEnd(ctx context.Context, src string, configs map[string]int64, commOpt
 
 // countable refuses a program whose array storage (each array's Alloc,
 // else Declared: the bounds arrayBytes prices, summed by
-// sema.AddStorage) or some statement region's point count exceeds an
-// int64. The models multiply sizes unchecked, so such a program would
-// be ranked on wrapped numbers. It runs before communication is
-// inserted: a communication statement's region is its consumer's.
+// sema.AddStorage) or some statement region's Points exceeds an int64.
+// The models multiply sizes unchecked, so such a program would be ranked
+// on wrapped numbers. It runs before communication is inserted: a
+// communication statement's region is its consumer's.
 func countable(prog *air.Program) error {
 	var total int64
 	for _, a := range prog.Arrays {
@@ -138,7 +137,7 @@ func countable(prog *air.Program) error {
 		}
 		var err error
 		if total, err = sema.AddStorage(total, r); err != nil {
-			return err
+			return sema.ErrStorage
 		}
 	}
 	for _, blk := range prog.AllBlocks() {
@@ -153,32 +152,13 @@ func countable(prog *air.Program) error {
 				regs = []*sema.Region{s.Region, s.Dest}
 			}
 			for _, r := range regs {
-				if !pointsFit(r) {
+				if _, err := r.Points(); err != nil {
 					return fmt.Errorf("statement region %s has more than 2^63-1 points", r)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// pointsFit reports whether r's point count fits an int64. As in
-// sema.AddStorage, a region with an empty extent has no points, even
-// after extents whose product overflows.
-func pointsFit(r *sema.Region) bool {
-	n, over := int64(1), false
-	for i := range r.Lo {
-		e := int64(r.Extent(i))
-		switch {
-		case e <= 0:
-			return true
-		case n > math.MaxInt64/e:
-			over = true
-		default:
-			n *= e
-		}
-	}
-	return !over
 }
 
 // Tune searches for the best legal fusion/contraction plan of the

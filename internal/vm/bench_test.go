@@ -128,7 +128,7 @@ func TestNewAllocs(t *testing.T) {
 // TestRerunAllocs is the ceiling on running a built machine again
 // (Reset, then Run), the lazy runtime's steady state: the closures and
 // storage are kept, so a rerun allocates its Result and nothing else.
-// At n=512 heat's initialising nests split on two goroutines, and a
+// At splitSize heat's initialising nests split on two goroutines, and a
 // chunk's go statement and the wait allocate nothing either.
 // testing.AllocsPerRun runs at GOMAXPROCS 1, where no nest splits, so
 // the split cell counts mallocs itself.
@@ -138,7 +138,7 @@ func TestRerunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, n := range []int64{32, 512} {
+	for _, n := range []int64{32, splitSize(2)} {
 		c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4, Configs: map[string]int64{"n": n}})
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestRerunAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				if vm.Splits(m) == 0 || vm.Views(m) != 1 {
-					t.Fatalf("heat n=512: %d split nests, %d views; want some, 1", vm.Splits(m), vm.Views(m))
+					t.Fatalf("heat n=%d: %d split nests, %d views; want some, 1", n, vm.Splits(m), vm.Views(m))
 				}
 				// go takes a dead goroutine from its P's free list, and
 				// makes one only while the lists are still filling: warm

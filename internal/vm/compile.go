@@ -611,13 +611,16 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 	// splits (split.go).
 	split := m.shard == nil && m.tracer == nil && m.bounds.Splits(m.prog, x)
 	run := m.sweep(region, x.Order, stmts, split)
-	elemSteps := int64(region.Size()) * int64(len(stmts))
+	steps, err := lir.Work(x, region)
+	if err != nil {
+		return nil, err
+	}
 	if split {
 		m.splits++
 		outer, _ := loopOf(x.Order[0])
 		rows := region.Extent(outer)
 		return func(m *Machine) signal {
-			if !m.charge(elemSteps) {
+			if !m.charge(steps) {
 				return sigFault
 			}
 			for i, slot := range targets {
@@ -628,7 +631,7 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 		}, nil
 	}
 	sweep := func(m *Machine) signal {
-		if !m.charge(elemSteps) {
+		if !m.charge(steps) {
 			return sigFault
 		}
 		for i, slot := range targets {
@@ -840,6 +843,10 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 	if m.bounds != nil {
 		loadSite, storeSite = m.bounds.ReduceLoad(x), m.bounds.ReduceStore(x)
 	}
+	steps, err := lir.Work(x, x.Region)
+	if err != nil {
+		return nil, err
+	}
 	a, err := m.array(x.LHS)
 	if err != nil {
 		return nil, err
@@ -879,9 +886,8 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 			p += into.step
 		}
 	}}, false)
-	elems := int64(x.Region.Size())
 	return func(m *Machine) signal {
-		if !m.charge(elems) {
+		if !m.charge(steps) {
 			return sigFault
 		}
 		init(m)

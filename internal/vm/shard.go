@@ -159,6 +159,7 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 	op, id := x.Op, x.Op.Identity()
 	fold := func(acc, next []float64) { combineInto(op, acc, 0, 1, next) }
 	source, owned := m.portion(x.Region), m.portion(dest)
+	steps, _ := lir.Work(x, source) // part of x.Region, whose work fits
 	buf, spare := make([]float64, size), make([]float64, size)
 	var all []float64
 	accumulate := m.sweep(source, order, []stripFn{func(m *Machine, j, n int) {
@@ -168,10 +169,9 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 		p := flat.pos(m, j)
 		return all[p : p+n]
 	}})}, false)
-	elems := int64(source.Size())
 	sh := m.shard
 	return func(m *Machine) signal {
-		if !m.charge(elems) {
+		if !m.charge(steps) {
 			return sigFault
 		}
 		buf, spare = spare, buf // see Shard.AllCombine

@@ -29,14 +29,21 @@ func splitPrograms(t *testing.T) []programs.Benchmark {
 	return append(programs.All(), programs.Benchmark{Name: "heat", Source: string(heat), SizeConfig: "n", Rank: 2})
 }
 
-// compileSplit compiles p at lvl at a size where the nests over its
-// main region, 192 × 192 or 2·absint.SplitPoints points, split.
+// splitSize is the size at which a one-statement nest over a
+// program's main region, or over its interior, does absint.SplitWork
+// element-statements: 446 × 446 or SplitWork + 2 points.
+func splitSize(rank int) int64 {
+	if rank == 1 {
+		return absint.SplitWork + 2
+	}
+	return int64(math.Ceil(math.Sqrt(absint.SplitWork))) + 2
+}
+
+// compileSplit compiles p at lvl at splitSize, where its nests over
+// the main region split.
 func compileSplit(t *testing.T, p programs.Benchmark, lvl core.Level) *driver.Compilation {
 	t.Helper()
-	n := int64(192)
-	if p.Rank == 1 {
-		n = 2 * absint.SplitPoints
-	}
+	n := splitSize(p.Rank)
 	c, err := driver.Compile(p.Source, driver.Options{Level: lvl, Configs: map[string]int64{p.SizeConfig: n}})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,8 @@
 //
 // A whole-program, untraced machine also uses the host's cores. A nest
 // that absint.Result.Splits accepts under Options.Bounds — at least
-// absint.SplitPoints points, every access proven, no dependence carried
+// absint.SplitWork element-statements (lir.Work, the count the machine
+// charges), every access proven, no dependence carried
 // by its outermost loop, only max and min reductions, the rule a
 // resident native worker splits by — runs in contiguous chunks of its
 // outermost loop's rows, one per GOMAXPROCS: chunk 0 on the calling
@@ -461,17 +462,18 @@ func (m *Machine) MemoryFootprint() int64 {
 // with sigFault.
 func (m *Machine) step() bool { return m.charge(1) }
 
-// charge accounts n statement executions at once (whole loop nests
-// charge in bulk) and polls the context on a statement-count
-// countdown; false means the caller must unwind with sigFault.
+// charge accounts n statement executions at once (a sweep charges its
+// lir.Work in bulk), compared with the budget before it is added, and
+// polls the context on a statement-count countdown; false means the
+// caller must unwind with sigFault.
 func (m *Machine) charge(n int64) bool {
-	m.steps += n
-	if m.steps > m.max {
+	if n > m.max-m.steps {
 		if m.fault == nil {
 			m.fault = fmt.Errorf("vm: execution budget exceeded (%d steps)", m.max)
 		}
 		return false
 	}
+	m.steps += n
 	if m.ctx != nil {
 		m.ctxLeft -= n
 		if m.ctxLeft <= 0 {
