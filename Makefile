@@ -171,6 +171,11 @@ bench-smoke: build
 # independent reading of Definition 5 (TestFusionAntiMonotone), the
 # exhaustive search that prunes with it still proves frac optimal, and
 # a program too large to count is refused before the tuner scores it.
+# Compile cost stays linear in block size (TestCompileScales: the
+# generated one-block chain at 6,400 statements makes at most 20x the
+# allocations of 400), and the one-walk liveness pass gives the verdicts
+# the block-walking reference gives (TestExplainMatchesBlockWalk,
+# DESIGN.md §35).
 plan-guard: build
 	$(GO) test -count=1 -run 'TestGoldenPlans|TestEvidencePinned|TestZpllintEvidenceGolden|TestLoopDefectReportedOnce' . ./internal/mhp
 	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates|TestStmtWeightsMatchGraph|TestApplySpecRejects' ./internal/core
@@ -178,6 +183,7 @@ plan-guard: build
 	$(GO) test -race -count=1 -run 'TestPlanRemarksConcurrent' ./internal/core
 	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs|TestFlatOffsetMatchesEnumeration' ./internal/driver ./internal/mhp ./internal/absint
 	$(GO) test -count=1 -run 'TestReceiveWritesItsGhost' ./internal/dep
+	$(GO) test -count=1 -run 'TestCompileScales|TestExplainMatchesBlockWalk' ./internal/driver ./internal/liveness
 
 # VM guard: the tests that let the strip evaluator be changed without
 # the bench harness, re-run fresh — the Tracer stream against
@@ -204,7 +210,9 @@ plan-guard: build
 # six benchmarks x 9 levels x {plain, -scalarrep} on the VM and distvm
 # p=2 against testdata/vm/steps.json, and a sweep whose
 # element-statements overflow an int64 refused before a step on the VM,
-# distvm and native, under the test's own deadline. All
+# distvm and native, under the test's own deadline, and one long sweep
+# stopped by a 50 ms deadline through its per-row polls (rows, strips,
+# split chunks and distvm shards). All
 # are ordinary tier-1 tests; this target is the one to run after
 # touching internal/vm. `go test -run '^$$' -bench Run
 # ./internal/vm` prints ns per element-statement for the same cells the
@@ -217,6 +225,7 @@ vm-guard: build
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
 	$(GO) test -count=1 -run 'TestStepsPinned|TestPriceRefusesWorkOverflow' ./internal/job
+	$(GO) test -count=1 -run 'TestLongSweepStopsAtDeadline|TestLongShardSweepStopsAtDeadline' ./internal/vm ./internal/distvm
 
 # Native guard: the tests to run after touching internal/gogen,
 # internal/backend or the lazy executor, re-run fresh — the sha256 of

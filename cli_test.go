@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/difftest"
 )
@@ -410,6 +411,17 @@ func TestZplrunExitCodes(t *testing.T) {
 	_, stderr, err = runTool(t, "zplrun", "-timeout", "10s", "-config", "n=4294967296", arrayless)
 	if c := exitCode(t, err); c != 3 || !strings.Contains(stderr, "element-statements") {
 		t.Errorf("overflowing work: exit = %d, want 3 (stderr %q)", c, stderr)
+	}
+
+	// Timeout: the same sweep at n=60000 is 3.6e9 element-statements,
+	// one charge under the step budget; the sweep's own polls stop it.
+	start := time.Now()
+	_, stderr, err = runTool(t, "zplrun", "-timeout", "1s", "-config", "n=60000", arrayless)
+	if c := exitCode(t, err); c != 4 || !strings.Contains(stderr, "timeout") {
+		t.Errorf("long sweep past its deadline: exit = %d, want 4 (stderr %q)", c, stderr)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("long sweep past a 1s deadline exited after %v", d)
 	}
 
 	// Runtime error: step budget exhausted.

@@ -303,9 +303,6 @@ type ArrayStmt struct {
 	Pos    source.Pos // source position of the originating statement
 }
 
-// Reads returns the array references on the right-hand side.
-func (s *ArrayStmt) Reads() []Ref { return Refs(s.RHS) }
-
 func (s *ArrayStmt) String() string {
 	return fmt.Sprintf("%s %s := %s;", s.Region, s.LHS, s.RHS)
 }
@@ -505,6 +502,44 @@ func (s *ReturnStmt) String() string {
 	return "return " + s.Value.String() + ";"
 }
 
+// Sweep is a statement that iterates a region: an ArrayStmt, a
+// ReduceStmt or a PartialReduceStmt. It is AIR's one definition of what
+// a statement touches, the counterpart of lir.Refs: every pass but the
+// verifier (package check, on purpose) reads a statement's arrays and
+// regions through it.
+type Sweep interface {
+	Stmt
+	// Over is the region the statement iterates.
+	Over() *sema.Region
+	// Elem is the element-wise expression evaluated at each point of
+	// Over: the right-hand side, or the reduced body.
+	Elem() Expr
+	// Reads returns every array reference of Elem in Refs' visit
+	// order; each reads Over shifted by its offset.
+	Reads() []Ref
+	// Writes returns the array the statement writes and the region it
+	// writes at offset zero: LHS over Region, LHS over Dest for a
+	// partial reduction, and ("", nil) for a full reduction, whose
+	// result is a scalar.
+	Writes() (string, *sema.Region)
+}
+
+func (s *ArrayStmt) Over() *sema.Region         { return s.Region }
+func (s *ReduceStmt) Over() *sema.Region        { return s.Region }
+func (s *PartialReduceStmt) Over() *sema.Region { return s.Region }
+
+func (s *ArrayStmt) Elem() Expr         { return s.RHS }
+func (s *ReduceStmt) Elem() Expr        { return s.Body }
+func (s *PartialReduceStmt) Elem() Expr { return s.Body }
+
+func (s *ArrayStmt) Reads() []Ref         { return Refs(s.RHS) }
+func (s *ReduceStmt) Reads() []Ref        { return Refs(s.Body) }
+func (s *PartialReduceStmt) Reads() []Ref { return Refs(s.Body) }
+
+func (s *ArrayStmt) Writes() (string, *sema.Region)         { return s.LHS, s.Region }
+func (s *ReduceStmt) Writes() (string, *sema.Region)        { return "", nil }
+func (s *PartialReduceStmt) Writes() (string, *sema.Region) { return s.LHS, s.Dest }
+
 func (*ArrayStmt) stmtNode()         {}
 func (*ScalarStmt) stmtNode()        {}
 func (*ReduceStmt) stmtNode()        {}
@@ -692,21 +727,15 @@ func (p *Program) CoverAllocs() {
 	}
 	for _, blk := range p.AllBlocks() {
 		for _, s := range blk.Stmts {
-			switch x := s.(type) {
-			case *ArrayStmt:
-				cover(x.LHS, x.Region, nil)
-				for _, r := range x.Reads() {
-					cover(r.Array, x.Region, r.Off)
-				}
-			case *ReduceStmt:
-				for _, r := range Refs(x.Body) {
-					cover(r.Array, x.Region, r.Off)
-				}
-			case *PartialReduceStmt:
-				cover(x.LHS, x.Dest, nil)
-				for _, r := range Refs(x.Body) {
-					cover(r.Array, x.Region, r.Off)
-				}
+			sw, ok := s.(Sweep)
+			if !ok {
+				continue
+			}
+			if w, reg := sw.Writes(); w != "" {
+				cover(w, reg, nil)
+			}
+			for _, r := range sw.Reads() {
+				cover(r.Array, sw.Over(), r.Off)
 			}
 		}
 	}

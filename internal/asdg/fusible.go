@@ -25,11 +25,8 @@ func (g *Graph) IsFusible(v int) bool {
 // StmtRegion returns the iteration region of a fusible vertex, or nil
 // for unnormalized statements.
 func (g *Graph) StmtRegion(v int) *sema.Region {
-	switch s := g.Stmts[v].(type) {
-	case *air.ArrayStmt:
-		return s.Region
-	case *air.ReduceStmt:
-		return s.Region
+	if g.IsFusible(v) {
+		return g.Stmts[v].(air.Sweep).Over()
 	}
 	return nil
 }
@@ -50,17 +47,20 @@ func (g *Graph) Referencing(x string) []int { return g.refs[x] }
 // its subject). The slice is the graph's own.
 func (g *Graph) Arrays(v int) []string { return g.arrays[v] }
 
-// referenced lists the arrays a statement references, with repeats.
+// referenced lists the arrays a statement references, with repeats:
+// a sweep's written array, then each read; a communication statement's
+// subject.
 func referenced(s air.Stmt) []string {
 	var out []string
 	switch s := s.(type) {
-	case *air.ArrayStmt:
-		out = append(out, s.LHS)
-		for _, r := range s.Reads() {
-			out = append(out, r.Array)
+	case *air.PartialReduceStmt:
+		// Lists none: it never joins a cluster, and dependence edges
+		// alone order it.
+	case air.Sweep:
+		if w, _ := s.Writes(); w != "" {
+			out = append(out, w)
 		}
-	case *air.ReduceStmt:
-		for _, r := range air.Refs(s.Body) {
+		for _, r := range s.Reads() {
 			out = append(out, r.Array)
 		}
 	case *air.CommStmt:

@@ -11,6 +11,14 @@
 // them against what the pipeline computed. A clean program at every
 // optimization level therefore certifies both the optimizer and the
 // verifier; any report is a compiler bug, never a user error.
+//
+// That is why the passes read statements through their own type
+// switches and not through air.Sweep, the pipeline's one definition of
+// what a statement touches (DESIGN.md §35): the redundancy is the
+// point. The halo bug DESIGN.md §33 mends survived as long as it did
+// because dep and this package derived a receive's footprint from one
+// shared idea; a verifier that read the pipeline's definition would
+// certify any mistake in it.
 package check
 
 import (

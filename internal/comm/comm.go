@@ -97,15 +97,11 @@ func insertBlock(b *air.Block, res *Result, msgID int) int {
 
 	for j, s := range b.Stmts {
 		var reads []air.Ref
-		reg := regionOf(s)
-		switch x := s.(type) {
-		case *air.ArrayStmt:
-			reads = x.Reads()
-		case *air.ReduceStmt:
-			reads = air.Refs(x.Body)
-		case *air.PartialReduceStmt:
-			reads = air.Refs(x.Body)
-			reg = x.Region
+		var reg *sema.Region
+		var written string
+		if sw, ok := s.(air.Sweep); ok {
+			reads, reg = sw.Reads(), sw.Over()
+			written, _ = sw.Writes()
 		}
 		for _, r := range reads {
 			if r.Off.IsZero() {
@@ -140,13 +136,6 @@ func insertBlock(b *air.Block, res *Result, msgID int) int {
 			}
 		}
 		// Writes invalidate the array's halos.
-		var written string
-		switch x := s.(type) {
-		case *air.ArrayStmt:
-			written = x.LHS
-		case *air.PartialReduceStmt:
-			written = x.LHS
-		}
 		if written != "" {
 			for k := range valid {
 				if k.array == written {
@@ -184,19 +173,6 @@ func insertBlock(b *air.Block, res *Result, msgID int) int {
 	out = append(out, before[len(b.Stmts)]...)
 	b.Stmts = out
 	return msgID
-}
-
-// regionOf returns the iteration region of a fusible statement.
-func regionOf(s air.Stmt) *sema.Region {
-	switch x := s.(type) {
-	case *air.ArrayStmt:
-		return x.Region
-	case *air.ReduceStmt:
-		return x.Region
-	case *air.PartialReduceStmt:
-		return x.Region
-	}
-	return nil
 }
 
 // NeighborDirections decomposes a read offset into the neighbor

@@ -100,17 +100,16 @@ func RealignTemps(prog *air.Program, b *air.Block, candidates []string) {
 func stmtWeights(stmts []air.Stmt) map[string]int {
 	w := map[string]int{}
 	for _, s := range stmts {
-		switch s := s.(type) {
-		case *air.ArrayStmt:
-			n := s.Region.Size()
-			w[s.LHS] += n
-			for _, r := range s.Reads() {
-				w[r.Array] += n
-			}
-		case *air.ReduceStmt:
-			for _, r := range air.Refs(s.Body) {
-				w[r.Array] += s.Region.Size()
-			}
+		sw, ok := s.(air.Sweep)
+		if _, partial := s.(*air.PartialReduceStmt); !ok || partial {
+			continue // the graph weighs fusible statements only
+		}
+		n := sw.Over().Size()
+		if x, _ := sw.Writes(); x != "" {
+			w[x] += n
+		}
+		for _, r := range sw.Reads() {
+			w[r.Array] += n
 		}
 	}
 	return w

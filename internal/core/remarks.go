@@ -253,14 +253,9 @@ func livenessReason(v liveness.Verdict) string {
 // in the block's graph, falling back to the first reference.
 func firstWritePos(g *asdg.Graph, x string) (pos source.Pos) {
 	for v := 0; v < g.N(); v++ {
-		switch s := g.Stmts[v].(type) {
-		case *air.ArrayStmt:
-			if s.LHS == x {
-				return s.Pos
-			}
-		case *air.PartialReduceStmt:
-			if s.LHS == x {
-				return s.Pos
+		if s, ok := g.Stmts[v].(air.Sweep); ok {
+			if w, _ := s.Writes(); w == x {
+				return air.PosOf(s)
 			}
 		}
 	}

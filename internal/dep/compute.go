@@ -129,22 +129,21 @@ type stmtEffects struct {
 
 func effects(s air.Stmt, ghosts bool) stmtEffects {
 	var e stmtEffects
+	if sw, ok := s.(air.Sweep); ok {
+		if w, reg := sw.Writes(); w != "" {
+			e.arrayWrites = []arrayAccess{whole(w, reg)}
+		}
+		e.arrayReads = readsOf(sw.Reads(), sw.Over(), ghosts)
+		e.scalarReads = air.ScalarReads(sw.Elem())
+		if r, ok := s.(*air.ReduceStmt); ok {
+			e.scalarWrite = r.Target
+		}
+		return e
+	}
 	switch x := s.(type) {
-	case *air.ArrayStmt:
-		e.arrayWrites = []arrayAccess{whole(x.LHS, x.Region)}
-		e.arrayReads = readsOf(x.Reads(), x.Region, ghosts)
-		e.scalarReads = air.ScalarReads(x.RHS)
 	case *air.ScalarStmt:
 		e.scalarReads = air.ScalarReads(x.RHS)
 		e.scalarWrite = x.LHS
-	case *air.ReduceStmt:
-		e.arrayReads = readsOf(air.Refs(x.Body), x.Region, ghosts)
-		e.scalarReads = air.ScalarReads(x.Body)
-		e.scalarWrite = x.Target
-	case *air.PartialReduceStmt:
-		e.arrayWrites = []arrayAccess{whole(x.LHS, x.Dest)}
-		e.arrayReads = readsOf(air.Refs(x.Body), x.Region, ghosts)
-		e.scalarReads = air.ScalarReads(x.Body)
 	case *air.CommStmt:
 		// A ghost exchange's send reads interior elements and its
 		// receive writes one ghost, ghost(A, dir). The pair is ordered

@@ -104,3 +104,27 @@ func TestCancelBeforeRun(t *testing.T) {
 		t.Fatalf("run error is %v, want context.Canceled", err)
 	}
 }
+
+// TestLongShardSweepStopsAtDeadline: one arrayless reduction of 3.6e9
+// element-statements is one charge per processor followed by seconds
+// of sweeping; a 50 ms deadline stops every shard's sweep within a
+// second through the sweep's per-row polls.
+func TestLongShardSweepStopsAtDeadline(t *testing.T) {
+	const src = "program longsweep;\nregion R = [1..60000, 1..60000];\nvar s : double;\n" +
+		"proc main()\nbegin\n  s := +<< [R] index1;\n  writeln(s);\nend;\n"
+	co := comm.DefaultOptions(2)
+	c, err := driver.Compile(src, driver.Options{Level: core.C2F4, Comm: &co})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = distvm.Run(c.LIR, distvm.Options{Procs: 2, Ctx: ctx, MaxSteps: 1 << 40, Timeout: 30 * time.Second})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the run stopped %v after starting, want within 1s", d)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Run = %v, want the deadline", err)
+	}
+}

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/comm"
@@ -53,5 +54,34 @@ func TestCompileDistAllocs(t *testing.T) {
 	const ceiling = 12_400
 	if got := testing.AllocsPerRun(3, func() { compileDist(t, "sp") }); got > ceiling {
 		t.Errorf("sp c2+f4 p=2 compile: %.0f allocations, ceiling %d", got, ceiling)
+	}
+}
+
+// compileMallocs is the number of heap allocations one Compile of src
+// at c2+f4 makes.
+func compileMallocs(tb testing.TB, src string) uint64 {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Compile(src, Options{Level: core.C2F4}); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCompileScales holds compile cost to linear growth in block size,
+// counted in allocations so that it does not read the clock. The
+// generated chain is one block of N statements, each reading the
+// previous one's array: 16x the statements must cost at most 20x the
+// allocations (linear is 16x). While liveness re-walked the block for
+// every candidate array, 6,400 statements made 215x the allocations of
+// 400.
+func TestCompileScales(t *testing.T) {
+	small := compileMallocs(t, programs.Chain(400))
+	large := compileMallocs(t, programs.Chain(6400))
+	if ratio := float64(large) / float64(small); ratio > 20 {
+		t.Errorf("chain compile: %d mallocs at N=6,400, %d at N=400 (%.1fx; at most 20x)", large, small, ratio)
 	}
 }

@@ -502,17 +502,8 @@ func deadStmts(prog *air.Program) []Finding {
 		// flagging each write as dead would be noise.
 		readsIn := map[string]int{}
 		for _, s := range b.Stmts {
-			switch x := s.(type) {
-			case *air.ArrayStmt:
-				for _, r := range x.Reads() {
-					readsIn[r.Array]++
-				}
-			case *air.ReduceStmt:
-				for _, r := range air.Refs(x.Body) {
-					readsIn[r.Array]++
-				}
-			case *air.PartialReduceStmt:
-				for _, r := range air.Refs(x.Body) {
+			if sw, ok := s.(air.Sweep); ok {
+				for _, r := range sw.Reads() {
 					readsIn[r.Array]++
 				}
 			}
@@ -564,30 +555,16 @@ func deadAfter(rest []air.Stmt, w *air.ArrayStmt) bool {
 		}
 		return true
 	}
-	readsHit := func(region *sema.Region, refs []air.Ref) bool {
-		for _, r := range refs {
-			if r.Array == w.LHS && overlapsW(region, r.Off) {
-				return true
-			}
-		}
-		return false
-	}
 	for _, s := range rest {
 		switch x := s.(type) {
-		case *air.ArrayStmt:
-			if readsHit(x.Region, x.Reads()) {
-				return false
+		case air.Sweep:
+			for _, r := range x.Reads() {
+				if r.Array == w.LHS && overlapsW(x.Over(), r.Off) {
+					return false
+				}
 			}
-			if x.LHS == w.LHS && covers(x.Region) {
+			if lhs, reg := x.Writes(); lhs == w.LHS && covers(reg) {
 				return true
-			}
-		case *air.ReduceStmt:
-			if readsHit(x.Region, air.Refs(x.Body)) {
-				return false
-			}
-		case *air.PartialReduceStmt:
-			if readsHit(x.Region, air.Refs(x.Body)) {
-				return false
 			}
 		case *air.CommStmt:
 			if x.Array == w.LHS {

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/air"
+	"repro/internal/sema"
 	"repro/internal/source"
 )
 
@@ -49,12 +50,28 @@ type Verdict struct {
 	Offending int
 }
 
-// blockRef counts how a block touches an array.
+// blockRef is one block that references an array, with the position
+// of its first reference there.
 type blockRef struct {
 	block    *air.Block
-	reads    int
-	writes   int
 	firstPos source.Pos
+}
+
+// event is one access to an array, in program order. Within a
+// statement the reads come before the statement's own write; a
+// communication statement is one event, with a nil region.
+type event struct {
+	pos   source.Pos
+	over  *sema.Region // the region written, or read before shifting by off
+	off   air.Offset
+	write bool
+}
+
+// touches is everything the program does to one array: the blocks
+// that reference it and its accesses.
+type touches struct {
+	blocks []blockRef
+	events []event
 }
 
 // Candidates returns, for each block, the arrays eligible for
@@ -77,46 +94,44 @@ func Candidates(prog *air.Program) map[*air.Block][]string {
 // every referenced array, including the ineligible ones, so callers
 // can report why an array is not a contraction candidate.
 func Explain(prog *air.Program) (map[*air.Block][]string, []Verdict) {
-	refs := map[string][]blockRef{}
+	arrays := map[string]*touches{}
 	var order []string
-	note := func(b *air.Block, name string, isWrite bool, pos source.Pos) {
-		lst := refs[name]
-		if lst == nil {
+	note := func(b *air.Block, name string, pos source.Pos) *touches {
+		t := arrays[name]
+		if t == nil {
+			t = &touches{}
+			arrays[name] = t
 			order = append(order, name)
 		}
-		if len(lst) == 0 || lst[len(lst)-1].block != b {
-			lst = append(lst, blockRef{block: b, firstPos: pos})
+		if n := len(t.blocks); n == 0 || t.blocks[n-1].block != b {
+			t.blocks = append(t.blocks, blockRef{block: b, firstPos: pos})
 		}
-		if isWrite {
-			lst[len(lst)-1].writes++
-		} else {
-			lst[len(lst)-1].reads++
-		}
-		refs[name] = lst
+		return t
 	}
 
-	blocks := prog.AllBlocks()
-	for _, b := range blocks {
+	// One walk: each statement's arrays are noted write first, then
+	// reads (the order of first notes is the order of the verdicts),
+	// and each access is recorded on its array's list.
+	for _, b := range prog.AllBlocks() {
 		for _, s := range b.Stmts {
 			pos := air.PosOf(s)
 			switch x := s.(type) {
-			case *air.ArrayStmt:
-				note(b, x.LHS, true, pos)
+			case air.Sweep:
+				w, wreg := x.Writes()
+				var wt *touches
+				if w != "" {
+					wt = note(b, w, pos)
+				}
 				for _, r := range x.Reads() {
-					note(b, r.Array, false, pos)
+					t := note(b, r.Array, pos)
+					t.events = append(t.events, event{pos: pos, over: x.Over(), off: r.Off})
 				}
-			case *air.ReduceStmt:
-				for _, r := range air.Refs(x.Body) {
-					note(b, r.Array, false, pos)
-				}
-			case *air.PartialReduceStmt:
-				note(b, x.LHS, true, pos)
-				for _, r := range air.Refs(x.Body) {
-					note(b, r.Array, false, pos)
+				if wt != nil {
+					wt.events = append(wt.events, event{pos: pos, over: wreg, write: true})
 				}
 			case *air.CommStmt:
-				note(b, x.Array, false, pos)
-				note(b, x.Array, true, pos)
+				t := note(b, x.Array, pos)
+				t.events = append(t.events, event{pos: pos})
 			}
 		}
 	}
@@ -124,7 +139,7 @@ func Explain(prog *air.Program) (map[*air.Block][]string, []Verdict) {
 	out := map[*air.Block][]string{}
 	var verdicts []Verdict
 	for _, name := range order {
-		lst := refs[name]
+		lst := arrays[name].blocks
 		if a := prog.Arrays[name]; a != nil && a.Escapes {
 			verdicts = append(verdicts, Verdict{Array: name, Reason: ReasonEscapes,
 				Block:  lst[0].block,
@@ -132,20 +147,16 @@ func Explain(prog *air.Program) (map[*air.Block][]string, []Verdict) {
 				Detail: "final value observable through a runtime handle"})
 			continue
 		}
-		if len(lst) != 1 {
+		if len(lst) > 1 {
 			// Referenced in several blocks: live across boundaries.
-			v := Verdict{Array: name, Reason: ReasonMultiBlock,
+			verdicts = append(verdicts, Verdict{Array: name, Reason: ReasonMultiBlock,
 				Block:  lst[0].block,
 				Pos:    lst[0].firstPos,
-				Detail: fmt.Sprintf("referenced in %d blocks", len(lst))}
-			if len(lst) > 1 {
-				v.Detail += fmt.Sprintf("; also at %s", lst[1].firstPos)
-			}
-			verdicts = append(verdicts, v)
+				Detail: fmt.Sprintf("referenced in %d blocks; also at %s", len(lst), lst[1].firstPos)})
 			continue
 		}
 		b := lst[0].block
-		v := confined(b, name)
+		v := confined(name, arrays[name].events)
 		v.Array = name
 		v.Block = b
 		if v.Candidate {
@@ -159,23 +170,26 @@ func Explain(prog *air.Program) (map[*air.Block][]string, []Verdict) {
 	return out, verdicts
 }
 
-// confined checks conditions 2 and 3 within the block — first access
-// is a write and every read is covered by an earlier write — and
-// reports the evidence: the first offending reference and how many
-// reads fail coverage in total.
-func confined(b *air.Block, name string) Verdict {
-	type wrect struct{ lo, hi []int }
-	var writes []wrect
+// confined checks conditions 2 and 3 over the array's accesses in its
+// one block — first access is a write and every read is covered by an
+// earlier write — and reports the evidence: the first offending
+// reference and how many reads fail coverage in total. It walks only
+// this array's events, so Explain is linear in statements plus
+// references.
+func confined(name string, events []event) Verdict {
+	var writes []*sema.Region
 	v := Verdict{Candidate: true}
 
-	covered := func(lo, hi []int) bool {
+	// covered reports whether an earlier write contains over shifted
+	// by off.
+	covered := func(over *sema.Region, off air.Offset) bool {
 	next:
 		for _, w := range writes {
-			if len(w.lo) != len(lo) {
+			if len(w.Lo) != len(over.Lo) {
 				continue
 			}
-			for i := range lo {
-				if w.lo[i] > lo[i] || w.hi[i] < hi[i] {
+			for i := range over.Lo {
+				if w.Lo[i] > over.Lo[i]+off[i] || w.Hi[i] < over.Hi[i]+off[i] {
 					continue next
 				}
 			}
@@ -184,83 +198,31 @@ func confined(b *air.Block, name string) Verdict {
 		return false
 	}
 
-	shifted := func(lo, hi []int, off air.Offset) ([]int, []int) {
-		l := make([]int, len(lo))
-		h := make([]int, len(hi))
-		for i := range lo {
-			d := 0
-			if off != nil {
-				d = off[i]
-			}
-			l[i] = lo[i] + d
-			h[i] = hi[i] + d
-		}
-		return l, h
-	}
-
-	// fail records one uncovered read; the first one becomes the
-	// verdict's witness.
-	fail := func(pos source.Pos, off air.Offset, lo, hi []int) {
-		v.Offending++
-		if v.Candidate {
-			v.Candidate = false
-			v.Reason = ReasonUncoveredRead
-			v.Pos = pos
-			v.Off = off.Clone()
-			v.Detail = fmt.Sprintf("read of %s over %v..%v not covered by an earlier write", name, lo, hi)
-		}
-	}
-
-	for _, s := range b.Stmts {
-		switch x := s.(type) {
-		case *air.ArrayStmt:
-			for _, r := range x.Reads() {
-				if r.Array != name {
-					continue
+	for _, e := range events {
+		switch {
+		case e.over == nil:
+			// Communication implies distribution halos; such an
+			// array is never contraction-eligible. This outranks
+			// any read-coverage evidence.
+			return Verdict{Reason: ReasonCommunicated, Pos: e.pos,
+				Detail: "array is the subject of a communication statement"}
+		case e.write:
+			writes = append(writes, e.over)
+		case !covered(e.over, e.off):
+			// The first uncovered read becomes the verdict's witness.
+			v.Offending++
+			if v.Candidate {
+				lo := make([]int, len(e.over.Lo))
+				hi := make([]int, len(e.over.Hi))
+				for i := range lo {
+					lo[i] = e.over.Lo[i] + e.off[i]
+					hi[i] = e.over.Hi[i] + e.off[i]
 				}
-				lo, hi := shifted(x.Region.Lo, x.Region.Hi, r.Off)
-				if !covered(lo, hi) {
-					fail(x.Pos, r.Off, lo, hi)
-				}
-			}
-			if x.LHS == name {
-				lo, hi := shifted(x.Region.Lo, x.Region.Hi, nil)
-				writes = append(writes, wrect{lo, hi})
-			}
-		case *air.ReduceStmt:
-			for _, r := range air.Refs(x.Body) {
-				if r.Array != name {
-					continue
-				}
-				lo, hi := shifted(x.Region.Lo, x.Region.Hi, r.Off)
-				if !covered(lo, hi) {
-					fail(x.Pos, r.Off, lo, hi)
-				}
-			}
-		case *air.PartialReduceStmt:
-			// The partial reduction's own writes and reads are never
-			// contraction-relevant (it is unnormalized and cannot join
-			// a cluster), but its reads still require coverage.
-			for _, r := range air.Refs(x.Body) {
-				if r.Array != name {
-					continue
-				}
-				lo, hi := shifted(x.Region.Lo, x.Region.Hi, r.Off)
-				if !covered(lo, hi) {
-					fail(x.Pos, r.Off, lo, hi)
-				}
-			}
-			if x.LHS == name {
-				lo, hi := shifted(x.Dest.Lo, x.Dest.Hi, nil)
-				writes = append(writes, wrect{lo, hi})
-			}
-		case *air.CommStmt:
-			if x.Array == name {
-				// Communication implies distribution halos; such an
-				// array is never contraction-eligible. This outranks
-				// any read-coverage evidence.
-				return Verdict{Reason: ReasonCommunicated, Pos: x.Pos,
-					Detail: "array is the subject of a communication statement"}
+				v.Candidate = false
+				v.Reason = ReasonUncoveredRead
+				v.Pos = e.pos
+				v.Off = e.off.Clone()
+				v.Detail = fmt.Sprintf("read of %s over %v..%v not covered by an earlier write", name, lo, hi)
 			}
 		}
 	}

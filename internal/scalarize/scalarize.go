@@ -156,40 +156,23 @@ func (sc *scalarizer) nest(part *core.Partition, c int, members []int) (*lir.Nes
 
 	nest := &lir.Nest{Region: union, Order: order}
 	for _, v := range members {
-		stmt := g.Stmts[v]
-		switch x := stmt.(type) {
+		sw, _ := g.Stmts[v].(air.Sweep)
+		var ns *lir.NestStmt
+		switch x := sw.(type) {
 		case *air.ArrayStmt:
-			ns := &lir.NestStmt{
-				LHS:        x.LHS,
-				Contracted: sc.plan.Contracted[x.LHS],
-				RHS:        x.RHS,
-				Pos:        x.Pos,
-			}
-			if !x.Region.Equal(union) {
-				ns.Guard = x.Region
-			}
-			if err := sc.checkContractedReads(x.RHS); err != nil {
-				return nil, err
-			}
-			nest.Body = append(nest.Body, ns)
+			ns = &lir.NestStmt{LHS: x.LHS, Contracted: sc.plan.Contracted[x.LHS], RHS: x.RHS, Pos: x.Pos}
 		case *air.ReduceStmt:
-			ns := &lir.NestStmt{
-				IsReduce: true,
-				Target:   x.Target,
-				Op:       x.Op,
-				RHS:      x.Body,
-				Pos:      x.Pos,
-			}
-			if !x.Region.Equal(union) {
-				ns.Guard = x.Region
-			}
-			if err := sc.checkContractedReads(x.Body); err != nil {
-				return nil, err
-			}
-			nest.Body = append(nest.Body, ns)
+			ns = &lir.NestStmt{IsReduce: true, Target: x.Target, Op: x.Op, RHS: x.Body, Pos: x.Pos}
 		default:
-			return nil, fmt.Errorf("unfusible statement %T in cluster", stmt)
+			return nil, fmt.Errorf("unfusible statement %T in cluster", g.Stmts[v])
 		}
+		if !sw.Over().Equal(union) {
+			ns.Guard = sw.Over()
+		}
+		if err := sc.checkContractedReads(ns.RHS); err != nil {
+			return nil, err
+		}
+		nest.Body = append(nest.Body, ns)
 	}
 	return nest, nil
 }

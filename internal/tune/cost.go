@@ -127,38 +127,38 @@ func (c CycleModel) BlockScore(prog *air.Program, g *asdg.Graph,
 		}
 
 		for _, v := range members {
-			switch s := g.Stmts[v].(type) {
-			case *air.ArrayStmt:
-				n := float64(s.Region.Size()) / c.div()
-				if n > iters {
-					iters = n
+			sw, ok := g.Stmts[v].(air.Sweep)
+			if !ok {
+				if s, ok := g.Stmts[v].(*air.CommStmt); ok {
+					cycles += c.commCycles(s)
+				} else {
+					cycles += stmtCycles
 				}
+				continue
+			}
+			n := float64(sw.Over().Size()) / c.div()
+			flops := countFlops(sw.Elem())
+			_, isArray := sw.(*air.ArrayStmt)
+			if isArray {
+				iters = max(iters, n)
 				fusible = true
-				cycles += n * float64(countFlops(s.RHS)) * c.M.FlopCycles
-				for _, r := range s.Reads() {
-					charge(r.Array, n)
-				}
-				charge(s.LHS, n)
-			case *air.ReduceStmt:
-				n := float64(s.Region.Size()) / c.div()
-				cycles += n * float64(countFlops(s.Body)+1) * c.M.FlopCycles
-				for _, r := range air.Refs(s.Body) {
-					charge(r.Array, n)
-				}
+			} else {
+				flops++ // a reduction's fold
+			}
+			cycles += n * float64(flops) * c.M.FlopCycles
+			for _, r := range sw.Reads() {
+				charge(r.Array, n)
+			}
+			if w, reg := sw.Writes(); w != "" {
+				charge(w, float64(reg.Size())/c.div())
+			}
+			if !isArray {
+				// A reduction runs its own loop; a full one also
+				// combines across processors.
 				cycles += loopStartCycles + n
-				cycles += c.reduceCycles()
-			case *air.PartialReduceStmt:
-				n := float64(s.Region.Size()) / c.div()
-				cycles += n * float64(countFlops(s.Body)+1) * c.M.FlopCycles
-				for _, r := range air.Refs(s.Body) {
-					charge(r.Array, n)
+				if _, full := sw.(*air.ReduceStmt); full {
+					cycles += c.reduceCycles()
 				}
-				charge(s.LHS, float64(s.Dest.Size())/c.div())
-				cycles += loopStartCycles + n
-			case *air.CommStmt:
-				cycles += c.commCycles(s)
-			default:
-				cycles += stmtCycles
 			}
 		}
 		if fusible {
@@ -308,25 +308,23 @@ func (c CacheModel) BlockScore(prog *air.Program, g *asdg.Graph,
 				mem += c.M.MemCycles
 			}
 		}
+		// A reduction is replayed for every iteration of the cluster,
+		// an array statement up to its own size. A partial reduction's
+		// store is not replayed: it is a cluster of its own in every
+		// plan, so replaying it would move every score and re-rank
+		// nothing.
 		for i := int64(0); i < sim; i++ {
 			for _, v := range members {
-				switch s := g.Stmts[v].(type) {
-				case *air.ArrayStmt:
-					if int64(s.Region.Size()) <= i {
-						continue
-					}
-					for _, r := range s.Reads() {
-						access(r.Array, i, r.Off)
-					}
-					access(s.LHS, i, nil)
-				case *air.ReduceStmt:
-					for _, r := range air.Refs(s.Body) {
-						access(r.Array, i, r.Off)
-					}
-				case *air.PartialReduceStmt:
-					for _, r := range air.Refs(s.Body) {
-						access(r.Array, i, r.Off)
-					}
+				sw, ok := g.Stmts[v].(air.Sweep)
+				a, isArray := sw.(*air.ArrayStmt)
+				if !ok || isArray && int64(a.Region.Size()) <= i {
+					continue
+				}
+				for _, r := range sw.Reads() {
+					access(r.Array, i, r.Off)
+				}
+				if isArray {
+					access(a.LHS, i, nil)
 				}
 			}
 		}
@@ -342,13 +340,12 @@ func (c CacheModel) BlockScore(prog *air.Program, g *asdg.Graph,
 				n := float64(s.Region.Size()) / cyc.div()
 				cycles += n * float64(countFlops(s.RHS)) * c.M.FlopCycles
 				fusible = true
-			case *air.ReduceStmt:
-				n := float64(s.Region.Size()) / cyc.div()
-				cycles += n*float64(countFlops(s.Body)+1)*c.M.FlopCycles + loopStartCycles + n
-				cycles += cyc.reduceCycles()
-			case *air.PartialReduceStmt:
-				n := float64(s.Region.Size()) / cyc.div()
-				cycles += n*float64(countFlops(s.Body)+1)*c.M.FlopCycles + loopStartCycles + n
+			case air.Sweep: // a reduction, full or partial
+				n := float64(s.Over().Size()) / cyc.div()
+				cycles += n*float64(countFlops(s.Elem())+1)*c.M.FlopCycles + loopStartCycles + n
+				if _, full := s.(*air.ReduceStmt); full {
+					cycles += cyc.reduceCycles()
+				}
 			case *air.CommStmt:
 				cycles += cyc.commCycles(s)
 			default:

@@ -142,16 +142,15 @@ func countable(prog *air.Program) error {
 	}
 	for _, blk := range prog.AllBlocks() {
 		for _, s := range blk.Stmts {
-			var regs []*sema.Region
-			switch s := s.(type) {
-			case *air.ArrayStmt:
-				regs = []*sema.Region{s.Region}
-			case *air.ReduceStmt:
-				regs = []*sema.Region{s.Region}
-			case *air.PartialReduceStmt:
-				regs = []*sema.Region{s.Region, s.Dest}
+			sw, ok := s.(air.Sweep)
+			if !ok {
+				continue
 			}
-			for _, r := range regs {
+			_, dst := sw.Writes()
+			for _, r := range []*sema.Region{sw.Over(), dst} {
+				if r == nil {
+					continue // a full reduction writes no region
+				}
 				if _, err := r.Points(); err != nil {
 					return fmt.Errorf("statement region %s has more than 2^63-1 points", r)
 				}

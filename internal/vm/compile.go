@@ -435,8 +435,14 @@ func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []st
 	if dir < 0 {
 		first = region.Hi[inner]
 	}
+	// Every row polls the context (set). The strip loop polls only in
+	// a one-dimensional nest, whose only row is the whole sweep.
+	outer := len(order) == 1
 	run := func(m *Machine) {
 		for done := 0; done < extent; done += w {
+			if outer && m.ctx != nil && done%ctxPollInterval < w && m.cancelled() {
+				return
+			}
 			m.idx[inner] = first + dir*done
 			n := min(w, extent-done)
 			for _, st := range stmts {
@@ -444,9 +450,12 @@ func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []st
 			}
 		}
 	}
-	if split && len(order) == 1 {
+	if split && outer {
 		run = func(m *Machine) {
 			for done, end := m.rows[0], m.rows[1]; done < end; done += w {
+				if m.ctx != nil && done%ctxPollInterval < w && m.cancelled() {
+					return
+				}
 				m.idx[inner] = first + dir*done
 				n := min(w, end-done)
 				for _, st := range stmts {
@@ -465,6 +474,9 @@ func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []st
 		if split && k == 0 {
 			run = func(m *Machine) {
 				for i := m.rows[0]; i < m.rows[1]; i++ {
+					if m.ctx != nil && m.cancelled() {
+						return
+					}
 					m.idx[d] = first + dir*i
 					inner(m)
 				}
@@ -473,6 +485,9 @@ func (m *Machine) sweep(region *sema.Region, order dep.LoopStructure, stmts []st
 		}
 		run = func(m *Machine) {
 			for i, left := first, extent; left > 0; i, left = i+dir, left-1 {
+				if m.ctx != nil && m.cancelled() {
+					return
+				}
 				m.idx[d] = i
 				inner(m)
 			}
@@ -623,21 +638,19 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 			if !m.charge(steps) {
 				return sigFault
 			}
-			for i, slot := range targets {
-				m.slots[slot] = ids[i]
-			}
-			m.split(run, rows, targets, ops)
-			return sigNext
+			return m.split(run, rows, targets, ids, ops)
 		}, nil
 	}
 	sweep := func(m *Machine) signal {
-		if !m.charge(steps) {
-			return sigFault
+		if m.charge(steps) {
+			for i, slot := range targets {
+				m.slots[slot] = ids[i]
+			}
+			run(m)
 		}
-		for i, slot := range targets {
-			m.slots[slot] = ids[i]
+		if m.fault != nil {
+			return sigFault // refused by charge, or cancelled within the sweep
 		}
-		run(m)
 		if m.tracer != nil {
 			for range targets {
 				m.tracer.Reduce()
@@ -887,11 +900,13 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 		}
 	}}, false)
 	return func(m *Machine) signal {
-		if !m.charge(steps) {
+		if m.charge(steps) {
+			init(m)
+			accumulate(m)
+		}
+		if m.fault != nil {
 			return sigFault
 		}
-		init(m)
-		accumulate(m)
 		if m.tracer != nil {
 			m.tracer.Reduce()
 		}

@@ -179,11 +179,17 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 			buf[i] = id
 		}
 		accumulate(m)
+		if m.fault != nil {
+			return sigFault
+		}
 		var err error
 		if all, err = sh.AllCombine(buf, fold); err != nil {
 			return m.fail(err)
 		}
 		store(m)
+		if m.fault != nil {
+			return sigFault
+		}
 		return sigNext
 	}
 }

@@ -19,7 +19,9 @@ import (
 // views' max/min accumulators into its own in chunk order, which is
 // the sequential fold bit for bit. Nothing is parked between nests, so
 // nothing outlives one and an idle machine uses no CPU. The nest's
-// steps are charged once, by the main goroutine, before it splits.
+// steps are charged once, by the main goroutine, before it splits;
+// every chunk polls the run's context once per row, and a chunk that
+// stops there makes the nest fail as a cancelled charge does.
 
 // view is one chunk's machine of a split nest, with what its goroutine
 // needs to run and report.
@@ -61,10 +63,14 @@ func (m *Machine) addViews() {
 	}
 }
 
-// split runs a split nest's sweep over its rows iterations of the
-// outermost loop and folds the reduction targets' chunk accumulators,
-// each already at its identity in m.slots.
-func (m *Machine) split(run func(*Machine), rows int, targets []int, ops []air.ReduceOp) {
+// split starts the reduction targets at their identities ids, runs a
+// split nest's sweep over its rows iterations of the outermost loop and
+// folds the targets' chunk accumulators; sigFault when a chunk stopped
+// at the run's context.
+func (m *Machine) split(run func(*Machine), rows int, targets []int, ids []float64, ops []air.ReduceOp) signal {
+	for i, slot := range targets {
+		m.slots[slot] = ids[i]
+	}
 	n := min(runtime.GOMAXPROCS(0), len(m.views)+1, rows)
 	views := m.views[:n-1]
 	m.fork(run, rows, views)
@@ -72,6 +78,9 @@ func (m *Machine) split(run func(*Machine), rows int, targets []int, ops []air.R
 		if v.fault != nil {
 			panic(v.fault)
 		}
+	}
+	if m.ctx != nil && m.cancelled() {
+		return sigFault // a chunk may have stopped at the context
 	}
 	for _, v := range views {
 		for i, slot := range targets {
@@ -82,6 +91,7 @@ func (m *Machine) split(run func(*Machine), rows int, targets []int, ops []air.R
 			}
 		}
 	}
+	return sigNext
 }
 
 // fork starts a goroutine per view on chunks 1.., runs chunk 0, and
@@ -90,6 +100,7 @@ func (m *Machine) fork(run func(*Machine), rows int, views []*view) {
 	n := len(views) + 1
 	for c, v := range views {
 		copy(v.m.slots, m.slots)
+		v.m.ctx = m.ctx
 		v.run, v.m.rows = run, [2]int{(c + 1) * rows / n, (c + 2) * rows / n}
 		m.wg.Add(1)
 		go v.start()

@@ -177,7 +177,7 @@ func TestSplitChunkFault(t *testing.T) {
 }
 
 // TestSplitCancel: a context cancelled while a split nest runs stops
-// the run at its next charge, as an unsplit nest's does.
+// the run at the next row any chunk starts, as an unsplit nest's does.
 func TestSplitCancel(t *testing.T) {
 	c := heatSplit(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -67,10 +67,12 @@ type Options struct {
 	MaxSteps int64     // statement-execution budget; 0 means default (1e10)
 	// Ctx, when non-nil, cancels the execution: every statement charge
 	// (single statements and whole loop nests alike) decrements a poll
-	// countdown, so a cancelled or expired context stops even a
-	// runaway interpreter loop with a resolution of one loop nest or
-	// ctxPollInterval scalar statements. The run reports ctx.Err()
-	// (errors.Is-testable for context.DeadlineExceeded).
+	// countdown, and every row of a loop nest polls (a one-dimensional
+	// nest every ctxPollInterval elements), so a cancelled or expired
+	// context stops a runaway interpreter loop within ctxPollInterval
+	// scalar statements and one long sweep within a row. The run
+	// reports ctx.Err() (errors.Is-testable for
+	// context.DeadlineExceeded).
 	Ctx context.Context
 	// Bounds carries the bounds prover's per-site verdicts
 	// (internal/absint) for this exact LIR instance. The machine checks
@@ -86,9 +88,10 @@ type Options struct {
 	Bounds *absint.Result
 }
 
-// ctxPollInterval is the number of charged statements between context
-// polls: cheap enough to leave on, fine-grained enough that a 1ms
-// deadline stops a long run promptly.
+// ctxPollInterval is the number of charged statements, or of elements
+// of a one-dimensional sweep, between context polls: cheap enough to
+// leave on, fine-grained enough that a 1ms deadline stops a long run
+// promptly.
 const ctxPollInterval = 1024
 
 // Result summarizes an execution.
@@ -478,17 +481,25 @@ func (m *Machine) charge(n int64) bool {
 		m.ctxLeft -= n
 		if m.ctxLeft <= 0 {
 			m.ctxLeft = ctxPollInterval
-			select {
-			case <-m.ctx.Done():
-				if m.fault == nil {
-					m.fault = fmt.Errorf("vm: execution cancelled after %d steps: %w", m.steps, m.ctx.Err())
-				}
-				return false
-			default:
-			}
+			return !m.cancelled()
 		}
 	}
 	return true
+}
+
+// cancelled polls the context (set) and, when it is done, records the
+// cancellation as the run's fault. charge asks on its countdown, and a
+// sweep, charged in bulk before it runs, asks once per row.
+func (m *Machine) cancelled() bool {
+	select {
+	case <-m.ctx.Done():
+		if m.fault == nil {
+			m.fault = fmt.Errorf("vm: execution cancelled after %d steps: %w", m.steps, m.ctx.Err())
+		}
+		return true
+	default:
+		return false
+	}
 }
 
 func truthy(v float64) bool { return v != 0 }
