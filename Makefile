@@ -195,12 +195,14 @@ plan-guard: build
 # side), the rerun differential
 # (a re-seeded machine run again ends where a fresh one does: the lazy
 # runtime's resident machines) and the allocation ceilings on vm.New
-# and on a rerun (Machine.Reset + Run), and the packed strip kernels
-# (DESIGN.md §32): each kernel bit for bit against its Go loop over
-# special values, tail lengths and aliased destinations, the max and min
-# folds against a left fold of math.Max and math.Min, every benchmark
-# and heat with them forced off and on, and no fused multiply-add in the
-# package's listing. Then the split nests (DESIGN.md §31): every benchmark
+# and on a rerun (Machine.Reset + Run), and the kernel package the VM
+# runs its operators from (internal/kernel, DESIGN.md §32): walking its
+# table, each packed kernel bit for bit against its Go loop over special
+# values, tail lengths and aliased destinations and each packed fold
+# against a left fold of its scalar rule, max's and min's rule against
+# math.Max and math.Min; every operator and builtin with an entry, every
+# benchmark and heat with the packed kernels forced off and on, and no
+# fused multiply-add in the listing of either package. Then the split nests (DESIGN.md §31): every benchmark
 # and heat above the split threshold at GOMAXPROCS 1 against 2 bit for
 # bit with no goroutine left behind, a chunk's panic returned as an
 # error, a cancellation inside a split nest, all under -race too, and
@@ -212,14 +214,15 @@ plan-guard: build
 # element-statements overflow an int64 refused before a step on the VM,
 # distvm and native, under the test's own deadline, and one long sweep
 # stopped by a 50 ms deadline through its per-row polls (rows, strips,
-# split chunks and distvm shards). All
-# are ordinary tier-1 tests; this target is the one to run after
-# touching internal/vm. `go test -run '^$$' -bench Run
+# split chunks and distvm shards), distvm's at the VM's default budget
+# too. All are ordinary tier-1 tests; this target is the one to run
+# after touching internal/vm or internal/kernel. `go test -run '^$$' -bench Run
 # ./internal/vm` prints ns per element-statement for the same cells the
 # run-interp workload times, and `-bench Fold` ns per element of the max
 # and + folds over one strip, packed and Go loop.
 vm-guard: build
-	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestPackedKernelsBitIdentical|TestPackedFoldsBitIdentical|TestPackedProgramsIdentical|TestVMNoFMA|TestSplit' ./internal/vm
+	$(GO) test -count=1 ./internal/kernel
+	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestEveryOperatorHasAnEntry|TestPackedProgramsIdentical|TestVMNoFMA|TestSplit' ./internal/vm
 	$(GO) test -race -count=1 -run 'TestSplit' ./internal/vm
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
@@ -253,13 +256,14 @@ native-guard: build
 	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs|TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestOuterParallel' ./internal/check
 
-# Cross-build: internal/vm has amd64 assembly (the packed strip
+# Cross-build: internal/kernel has amd64 assembly (the packed strip
 # kernels) and a !amd64 file that keeps the Go loops; building and
-# vetting for arm64 keeps that fallback compiling. On amd64, `vet`
-# checks the assembly's frame offsets against its Go declarations.
+# vetting it and the VM that runs it for arm64 keeps that fallback
+# compiling. On amd64, `vet` checks the assembly's frame offsets
+# against its Go declarations.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/vm
+	GOARCH=arm64 $(GO) vet ./internal/vm ./internal/kernel
 
 # Non-test Go lines per top-level directory, so a simplicity PR quotes a
 # reproducible before/after instead of a hand count. bench/ (its own

@@ -18,7 +18,7 @@
 //	-max-body n        request-size limit in bytes (default 1 MiB)
 //	-timeout d         default per-request deadline (default 30s)
 //	-max-timeout d     cap on client-supplied deadlines (default 5m)
-//	-maxsteps n        execution budget per run; 0 = interpreter default
+//	-maxsteps n        execution budget per run; 0 = the VM's default (1e10)
 //	-artifact-dir d    native-artifact store for backend "go" requests
 //	                   (default $ZPL_ARTIFACT_DIR, else the user cache
 //	                   directory; requests are refused with 400 when the
@@ -73,7 +73,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "request-size limit in bytes")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-supplied deadlines")
-	maxSteps := flag.Int64("maxsteps", 0, "execution budget per run (0 = interpreter default)")
+	maxSteps := flag.Int64("maxsteps", 0, "execution budget per run (0 = the VM's default, 1e10)")
 	artifactDir := flag.String("artifact-dir", "", "native-artifact store for backend \"go\" (\"\" = default location)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown grace period")
 	quiet := flag.Bool("quiet", false, "suppress the JSON request log")

@@ -14,8 +14,8 @@
 //	-machine m    t3e | sp2 | paragon | origin: print modeled cycles/time
 //	              (applies to the sequential traced execution only;
 //	              rejected together with -dist and -backend=go)
-//	-maxsteps n   element-statement execution budget; 0 keeps the
-//	              interpreter default
+//	-maxsteps n   element-statement execution budget, per processor
+//	              under -dist; 0 keeps the VM's default (1e10)
 //	-remarks      print one optimization remark per fusion/contraction
 //	              decision to stderr before executing
 //	-timeout d    wall-clock deadline for the whole compile+run

@@ -108,7 +108,8 @@ func TestCancelBeforeRun(t *testing.T) {
 // TestLongShardSweepStopsAtDeadline: one arrayless reduction of 3.6e9
 // element-statements is one charge per processor followed by seconds
 // of sweeping; a 50 ms deadline stops every shard's sweep within a
-// second through the sweep's per-row polls.
+// second through the sweep's per-row polls. Each shard's 1.8e9 steps
+// fit the VM's default budget, which MaxSteps 0 gives distvm too.
 func TestLongShardSweepStopsAtDeadline(t *testing.T) {
 	const src = "program longsweep;\nregion R = [1..60000, 1..60000];\nvar s : double;\n" +
 		"proc main()\nbegin\n  s := +<< [R] index1;\n  writeln(s);\nend;\n"
@@ -117,14 +118,16 @@ func TestLongShardSweepStopsAtDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = distvm.Run(c.LIR, distvm.Options{Procs: 2, Ctx: ctx, MaxSteps: 1 << 40, Timeout: 30 * time.Second})
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("the run stopped %v after starting, want within 1s", d)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Run = %v, want the deadline", err)
+	for _, max := range []int64{0, 1 << 40} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		_, err = distvm.Run(c.LIR, distvm.Options{Procs: 2, Ctx: ctx, MaxSteps: max, Timeout: 30 * time.Second})
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("MaxSteps %d: the run stopped %v after starting, want within 1s", max, d)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("MaxSteps %d: Run = %v, want the deadline", max, err)
+		}
+		cancel()
 	}
 }

@@ -82,7 +82,7 @@ import (
 type Options struct {
 	Procs    int
 	Out      io.Writer     // processor 0's writeln output; nil discards
-	MaxSteps int64         // per-processor statement budget (the VM's charging rule); 0 = default 1e9
+	MaxSteps int64         // per-processor statement budget (the VM's charging rule); 0 = the VM's default
 	Timeout  time.Duration // watchdog for lost processors; 0 = default 30s
 	// Ctx, when non-nil, cancels the run: cancellation aborts every
 	// processor the same way a peer failure does (blocked channel
@@ -265,9 +265,6 @@ func Run(prog *lir.Program, opt Options) (*Machine, error) {
 	m.connect(opt.Ctx)
 	defer m.cancel()
 	vopt := vm.Options{Out: opt.Out, MaxSteps: opt.MaxSteps, Ctx: m.ctx}
-	if vopt.MaxSteps == 0 {
-		vopt.MaxSteps = 1e9
-	}
 
 	m.shards = make([]*vm.Machine, m.procs)
 	m.ends = make([]*shard, m.procs)

@@ -626,8 +626,9 @@ const helperSign = `func za_sign(v float64) float64 {
 
 // helperMax and helperMin are the max and min builtins and the max/min
 // reduction step: math.Max and math.Min bit for bit, small enough to
-// inline into a nest, with the VM's rule (vm.fmax): b > a takes b,
-// b <= a keeps a when a is not zero, and a NaN or a = ±0 goes to the
+// inline into a nest, with the kernel package's max and min rule
+// (internal/kernel's fmax, which the VM runs): b > a takes b, b <= a
+// keeps a when a is not zero, and a NaN or a = ±0 goes to the
 // out-of-line zaS_ half.
 const helperMax = `func za_max(a, b float64) float64 {
 	if b > a {

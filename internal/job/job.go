@@ -90,7 +90,7 @@ var flagDefs = []struct {
 	{"norace", "norace", "skip the happens-before race analyzer a distributed compilation runs by default", func(s *Spec) any { return &s.NoRace }},
 	{"bench", "bench", "built-in benchmark `name` instead of a file: ep, frac, sp, tomcatv, simple, fibro", func(s *Spec) any { return &s.Bench }},
 	{"dist", "dist", "execute on the distributed interpreter (real block decomposition and ghost exchanges); needs -p > 1", func(s *Spec) any { return &s.Dist }},
-	{"maxsteps", "max_steps", "element-statement execution budget `n`; 0 keeps the interpreter default", func(s *Spec) any { return &s.MaxSteps }},
+	{"maxsteps", "max_steps", "element-statement execution budget `n`, per processor under -dist; 0 keeps the VM's default (1e10)", func(s *Spec) any { return &s.MaxSteps }},
 	{"machine", "machine", "price the traced sequential run on machine `model`: t3e | sp2 | paragon | origin", func(s *Spec) any { return &s.Machine }},
 }
 

@@ -1,51 +1,12 @@
-package vm
+package kernel
 
 import "math"
 
-// The strip kernels of + − × ÷, max, min, sqrt, negation and abs, and
-// the max and min folds: the operators every benchmark's time goes to.
-// The Go loops below are the reference and the fallback; on amd64 a
-// host with AVX runs packed kernels instead (strip_amd64.s), which
-// agree with them bit for bit (DESIGN.md §32).
-
-// strips is one set of those kernels.
-type strips struct {
-	add, sub, mul, div, max, min kernels
-	sqrt, neg, abs               func(d, x []float64)
-	// maxFold and minFold return acc folded with every element of x.
-	maxFold, minFold func(acc float64, x []float64) float64
-}
-
-// goStrips are the Go loops. Like packedStrips they are package-level
-// values: binOp hands out pointers into them and builds nothing per
-// call.
-var goStrips = strips{
-	add:     kernels{vv: addVV, vu: addVU, uv: addUV},
-	sub:     kernels{vv: subVV, vu: subVU, uv: subUV},
-	mul:     kernels{vv: mulVV, vu: mulVU, uv: mulUV},
-	div:     kernels{vv: divVV, vu: divVU, uv: divUV},
-	max:     kernels{vv: maxVV, vu: maxVU, uv: maxUV},
-	min:     kernels{vv: minVV, vu: minVU, uv: minUV},
-	sqrt:    sqrtV,
-	neg:     negV,
-	abs:     absV,
-	maxFold: maxFold,
-	minFold: minFold,
-}
-
-// active is the kernel set of the machines built from now on: the
-// packed one where the host runs it. binOp, compileInto's builtins and
-// fold read it as they compile an operator; only export_test.go
-// changes it.
-var active = pick(packed)
-
-// pick returns the packed set when on, else the Go loops.
-func pick(on bool) *strips {
-	if on {
-		return &packedStrips
-	}
-	return &goStrips
-}
+// The Go loops of the operators every benchmark's time goes to: + − ×
+// ÷, max, min, sqrt, negation, abs, floor, ceil and sign, and the four
+// reductions' folds. They are the reference and the fallback; on amd64
+// a host with AVX runs packed kernels instead where strip_amd64.go has
+// them, which agree with these bit for bit (DESIGN.md §32).
 
 func addVV(d, x, y []float64) {
 	y = y[:len(d)]
@@ -141,6 +102,26 @@ func absV(d, x []float64) {
 	}
 }
 
+// math.Floor and math.Ceil are intrinsics when called directly.
+
+func floorV(d, x []float64) {
+	for i, v := range x[:len(d)] {
+		d[i] = math.Floor(v)
+	}
+}
+
+func ceilV(d, x []float64) {
+	for i, v := range x[:len(d)] {
+		d[i] = math.Ceil(v)
+	}
+}
+
+func signV(d, x []float64) {
+	for i, v := range x[:len(d)] {
+		d[i] = sign(v)
+	}
+}
+
 // math.Max and math.Min are symmetric in their operands, bits included,
 // so uniform∘vector is vector∘uniform.
 
@@ -174,9 +155,24 @@ func minVU(d, x []float64, y float64) {
 
 func minUV(d []float64, x float64, y []float64) { minVU(d, y, x) }
 
-// maxFold and minFold fold x into acc element by element in loop
-// order, spelling out fmax and fmin (which inline, but then show in a
-// profile as a frame of their own).
+// The folds fold x into acc element by element in loop order. The bit
+// pattern of a sum or a product is its order, so sumFold and prodFold
+// have no packed form. maxFold and minFold spell out fmax and fmin
+// (which inline, but then show in a profile as a frame of their own).
+
+func sumFold(acc float64, x []float64) float64 {
+	for _, v := range x {
+		acc += v
+	}
+	return acc
+}
+
+func prodFold(acc float64, x []float64) float64 {
+	for _, v := range x {
+		acc *= v
+	}
+	return acc
+}
 
 func maxFold(acc float64, x []float64) float64 {
 	for _, v := range x {

@@ -1,29 +1,27 @@
-package vm
+package kernel
 
-// packed is whether this host runs the packed kernels.
-var packed = hasAVX()
+// hasPacked is whether this host runs the packed kernels.
+var hasPacked = hasAVX()
 
-// packedStrips run four lanes per instruction, eight elements per
-// iteration, and finish with a scalar tail. Every arithmetic
-// instruction is the packed form of the one the Go loop compiles to,
-// so each lane rounds alike. NaN payloads follow the first source
-// operand, as in the Go loops: the vector comes first in the
-// commutative uniform∘vector shapes (the Go compiler puts it there for
-// x + v and x * v), so add and mul reuse their vector∘uniform kernel
-// for it. max and min repair each lane of VMAXPD and VMINPD to
-// math.Max's and math.Min's rule (strip_amd64.s).
-var packedStrips = strips{
-	add:     kernels{vv: addVVPacked, vu: addVUPacked, uv: addUVPacked},
-	sub:     kernels{vv: subVVPacked, vu: subVUPacked, uv: subUVPacked},
-	mul:     kernels{vv: mulVVPacked, vu: mulVUPacked, uv: mulUVPacked},
-	div:     kernels{vv: divVVPacked, vu: divVUPacked, uv: divUVPacked},
-	max:     kernels{vv: maxVVPacked, vu: maxVUPacked, uv: maxUVPacked},
-	min:     kernels{vv: minVVPacked, vu: minVUPacked, uv: minUVPacked},
-	sqrt:    sqrtPacked,
-	neg:     negPacked,
-	abs:     absPacked,
-	maxFold: maxFoldPacked,
-	minFold: minFoldPacked,
+// packedSets are the packed kernels, by entry. They run four lanes per
+// instruction, eight elements per iteration, and finish with a scalar
+// tail. Every arithmetic instruction is the packed form of the one the
+// Go loop compiles to, so each lane rounds alike. NaN payloads follow
+// the first source operand, as in the Go loops: the vector comes first
+// in the commutative uniform∘vector shapes (the Go compiler puts it
+// there for x + v and x * v), so add and mul reuse their
+// vector∘uniform kernel for it. max and min repair each lane of VMAXPD
+// and VMINPD to math.Max's and math.Min's rule (strip_amd64.s). A sum
+// or a product folds in loop order, so it keeps its Go fold.
+var packedSets = map[string]Kernels{
+	"+":    {VV: addVVPacked, VU: addVUPacked, UV: addUVPacked, Fold: sumFold},
+	"-":    {V: negPacked, VV: subVVPacked, VU: subVUPacked, UV: subUVPacked},
+	"*":    {VV: mulVVPacked, VU: mulVUPacked, UV: mulUVPacked, Fold: prodFold},
+	"/":    {VV: divVVPacked, VU: divVUPacked, UV: divUVPacked},
+	"max":  {VV: maxVVPacked, VU: maxVUPacked, UV: maxUVPacked, Fold: maxFoldPacked},
+	"min":  {VV: minVVPacked, VU: minVUPacked, UV: minUVPacked, Fold: minFoldPacked},
+	"sqrt": {V: sqrtPacked},
+	"abs":  {V: absPacked},
 }
 
 // The wrappers cut the operands to len(d), which is the only length the

@@ -1,18 +1,32 @@
-package vm
+package kernel
 
 // The packed strip kernels against the Go loops they replace: every
-// kernel in every operand shape must write the bits the Go loop writes,
-// NaN payloads included, at lengths around the 8-element block and the
-// production strip, with the destination disjoint from its operands or
-// aliasing either one, and must write nothing past len(d). The packed
-// max and min folds must return the bits of a left fold of math.Max
-// and math.Min.
+// entry's kernel in every operand shape must write the bits its Go loop
+// writes, NaN payloads included, at lengths around the 8-element block
+// and the production strip, with the destination disjoint from its
+// operands or aliasing either one, and must write nothing past len(d).
+// Every packed fold must return the bits of a left fold of its entry's
+// scalar rule, and max's and min's rule is math.Max's and math.Min's.
+// The tests walk the table, so a packed kernel added to it is tested
+// here with no new line.
 
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 )
+
+// sorted is the table in name order.
+func sorted() []*Entry {
+	var es []*Entry
+	for _, e := range table {
+		es = append(es, e)
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].Name < es[j].Name })
+	return es
+}
 
 // stripValues are the operands: ±0, ±Inf, three NaNs (a quiet one, the
 // sign-set default NaN an invalid operation makes, a signalling one),
@@ -76,23 +90,21 @@ func sameBits(t *testing.T, what string, want, got []float64, operands ...[]floa
 }
 
 func TestPackedKernelsBitIdentical(t *testing.T) {
-	if !packed {
+	if !hasPacked {
 		t.Skip("this host runs the Go loops only")
 	}
-	ops := []struct {
-		name     string
-		ref, got *kernels
-	}{
-		{"add", &goStrips.add, &packedStrips.add},
-		{"sub", &goStrips.sub, &packedStrips.sub},
-		{"mul", &goStrips.mul, &packedStrips.mul},
-		{"div", &goStrips.div, &packedStrips.div},
-		{"max", &goStrips.max, &packedStrips.max},
-		{"min", &goStrips.min, &packedStrips.min},
-	}
 	shifts := len(stripValues)
-	for _, op := range ops {
+	for _, e := range sorted() {
+		loop, packed := &e.Go, &e.Packed
+		if (loop.V == nil) != (packed.V == nil) || (loop.VV == nil) != (packed.VV == nil) || (loop.VU == nil) != (packed.VU == nil) ||
+			(loop.UV == nil) != (packed.UV == nil) || (loop.Fold == nil) != (packed.Fold == nil) {
+			t.Errorf("%s: the packed set has other shapes than the Go loops", e.Name)
+			continue
+		}
 		for _, n := range stripLengths {
+			if loop.VV == nil {
+				break
+			}
 			for s := 0; s < shifts; s++ {
 				x := operand(n, 0)
 				y := operand(n, s)
@@ -114,9 +126,9 @@ func TestPackedKernelsBitIdentical(t *testing.T) {
 					case "d=y":
 						wy, gy = want, got
 					}
-					op.ref.vv(want, wx, wy)
-					op.got.vv(got, gx, gy)
-					sameBits(t, fmt.Sprintf("%s vv n=%d shift=%d %s", op.name, n, s, alias), want, got, x, y)
+					loop.VV(want, wx, wy)
+					packed.VV(got, gx, gy)
+					sameBits(t, fmt.Sprintf("%s vv n=%d shift=%d %s", e.Name, n, s, alias), want, got, x, y)
 				}
 				// vector∘uniform and uniform∘vector: the uniform is each
 				// value in turn, the vector every value.
@@ -131,71 +143,62 @@ func TestPackedKernelsBitIdentical(t *testing.T) {
 					if from != nil {
 						wy, gy = want, got
 					}
-					op.ref.vu(want, wy, u)
-					op.got.vu(got, gy, u)
-					sameBits(t, fmt.Sprintf("%s vu n=%d uniform=%#x %s", op.name, n, math.Float64bits(u), alias), want, got, y)
+					loop.VU(want, wy, u)
+					packed.VU(got, gy, u)
+					sameBits(t, fmt.Sprintf("%s vu n=%d uniform=%#x %s", e.Name, n, math.Float64bits(u), alias), want, got, y)
 
 					want, got = dest(n, from), dest(n, from)
 					wy, gy = y, y
 					if from != nil {
 						wy, gy = want, got
 					}
-					op.ref.uv(want, u, wy)
-					op.got.uv(got, u, gy)
-					sameBits(t, fmt.Sprintf("%s uv n=%d uniform=%#x %s", op.name, n, math.Float64bits(u), alias), want, got, y)
+					loop.UV(want, u, wy)
+					packed.UV(got, u, gy)
+					sameBits(t, fmt.Sprintf("%s uv n=%d uniform=%#x %s", e.Name, n, math.Float64bits(u), alias), want, got, y)
 				}
 			}
 		}
-	}
-	unary := []struct {
-		name     string
-		ref, got func(d, x []float64)
-	}{
-		{"sqrt", goStrips.sqrt, packedStrips.sqrt},
-		{"neg", goStrips.neg, packedStrips.neg},
-		{"abs", goStrips.abs, packedStrips.abs},
-	}
-	for _, op := range unary {
 		for _, n := range stripLengths {
+			if loop.V == nil {
+				break
+			}
 			for s := 0; s < shifts; s++ {
 				x := operand(n, s)
 				want, got := dest(n, nil), dest(n, nil)
-				op.ref(want, x)
-				op.got(got, x)
-				sameBits(t, fmt.Sprintf("%s n=%d shift=%d disjoint", op.name, n, s), want, got, x)
+				loop.V(want, x)
+				packed.V(got, x)
+				sameBits(t, fmt.Sprintf("%s n=%d shift=%d disjoint", e.Name, n, s), want, got, x)
 				want, got = dest(n, x), dest(n, x)
-				op.ref(want, want)
-				op.got(got, got)
-				sameBits(t, fmt.Sprintf("%s n=%d shift=%d d=x", op.name, n, s), want, got, x)
+				loop.V(want, want)
+				packed.V(got, got)
+				sameBits(t, fmt.Sprintf("%s n=%d shift=%d d=x", e.Name, n, s), want, got, x)
 			}
 		}
 	}
 }
 
 func TestPackedFoldsBitIdentical(t *testing.T) {
-	if !packed {
+	if !hasPacked {
 		t.Skip("this host runs the Go loops only")
 	}
-	folds := []struct {
-		name     string
-		identity float64
-		ref      func(a, b float64) float64
-		got      func(acc float64, x []float64) float64
-	}{
-		{"max", math.Inf(-1), math.Max, packedStrips.maxFold},
-		{"min", math.Inf(1), math.Min, packedStrips.minFold},
-	}
-	for _, f := range folds {
-		// The slot starts at the identity and at each special value.
-		starts := append([]float64{f.identity}, stripValues...)
+	for _, e := range sorted() {
+		// A sum and a product keep their Go loop as their packed fold:
+		// their bits are their order, and a left fold of the scalar rule
+		// need not even match the loop's NaN payloads (the compiler may
+		// swap the operands of x * y).
+		if e.Packed.Fold == nil || reflect.ValueOf(e.Packed.Fold).Pointer() == reflect.ValueOf(e.Go.Fold).Pointer() {
+			continue
+		}
+		// The slot starts at each special value, the identity among them.
+		starts := stripValues
 		check := func(acc float64, x []float64, what string) {
 			t.Helper()
 			want := acc
 			for _, v := range x {
-				want = f.ref(want, v)
+				want = e.F2(want, v)
 			}
-			if a, b := math.Float64bits(want), math.Float64bits(f.got(acc, x)); a != b {
-				t.Errorf("%s fold %s slot=%#016x: left fold %#016x, packed %#016x", f.name, what, math.Float64bits(acc), a, b)
+			if a, b := math.Float64bits(want), math.Float64bits(e.Packed.Fold(acc, x)); a != b {
+				t.Errorf("%s fold %s slot=%#016x: left fold %#016x, packed %#016x", e.Name, what, math.Float64bits(acc), a, b)
 			}
 		}
 		for _, n := range stripLengths {
@@ -213,7 +216,7 @@ func TestPackedFoldsBitIdentical(t *testing.T) {
 		// comes before the infinity and after it; a NaN without one;
 		// and the two zeros, each before the other.
 		win, lose := math.Inf(1), -2.0
-		if f.name == "min" {
+		if e.F2(win, 0) != win { // min
 			win, lose = math.Inf(-1), 2.0
 		}
 		pairs := [][2]float64{{0, math.Copysign(0, -1)}}
@@ -234,6 +237,25 @@ func TestPackedFoldsBitIdentical(t *testing.T) {
 					for _, acc := range starts {
 						check(acc, x, fmt.Sprintf("%#x at %d, %#x at %d", math.Float64bits(p[0]), i, math.Float64bits(p[1]), j))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxMinRule holds max's and min's scalar rule, which every fold
+// and kernel of theirs is checked against, to math.Max and math.Min
+// over every ordered pair of special values.
+func TestMaxMinRule(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want func(x, y float64) float64
+	}{{"max", math.Max}, {"min", math.Min}} {
+		f := Lookup(c.name, 2).F2
+		for _, x := range stripValues {
+			for _, y := range stripValues {
+				if a, b := math.Float64bits(c.want(x, y)), math.Float64bits(f(x, y)); a != b {
+					t.Errorf("%s(%#016x, %#016x): math %#016x, rule %#016x", c.name, math.Float64bits(x), math.Float64bits(y), a, b)
 				}
 			}
 		}

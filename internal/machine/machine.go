@@ -141,6 +141,39 @@ func (m Model) WithCommAlpha(alpha float64) Model {
 	return m
 }
 
+// The charges below are the model's one definition of each event's
+// cost: CostTracer charges them as a run reports its events, and
+// internal/tune's static models charge them per statement.
+
+// AccessCycles is the charge of one access served by cache level
+// (0 is L1); a level past the last cache is memory.
+func (m Model) AccessCycles(level int) float64 {
+	if level < len(m.HitCycles) {
+		return m.HitCycles[level]
+	}
+	return m.MemCycles
+}
+
+// MessageCycles is the α + β·bytes cost of one message carrying elems
+// 8-byte elements.
+func (m Model) MessageCycles(elems float64) float64 {
+	return m.CommAlpha + elems*8/1024*m.CommBetaPerKB
+}
+
+// SendCycles is the posting overhead of a pipelined send, α/4.
+func (m Model) SendCycles() float64 { return m.CommAlpha * 0.25 }
+
+// ReduceCycles is the global combine of one full reduction over procs
+// processors: a binary combining tree of ⌈log2 procs⌉ rounds of
+// one-element messages.
+func (m Model) ReduceCycles(procs int) float64 {
+	rounds := 0
+	for p := 1; p < procs; p *= 2 {
+		rounds++
+	}
+	return float64(rounds) * m.MessageCycles(1)
+}
+
 // CostTracer implements vm.Tracer, accumulating modeled cycles.
 //
 // Concurrency contract: a CostTracer is single-goroutine state — the
@@ -180,24 +213,13 @@ func (t *CostTracer) Hierarchy() *cachesim.Hierarchy { return t.hier }
 // Access charges one array element access through the cache hierarchy.
 func (t *CostTracer) Access(addr int64, write bool) {
 	t.AccessCount++
-	level := t.hier.Access(addr)
-	if level < len(t.Model.HitCycles) {
-		t.Cycles += t.Model.HitCycles[level]
-	} else {
-		t.Cycles += t.Model.MemCycles
-	}
+	t.Cycles += t.Model.AccessCycles(t.hier.Access(addr))
 }
 
 // Flops charges n floating-point operations.
 func (t *CostTracer) Flops(n int64) {
 	t.FlopCount += n
 	t.Cycles += float64(n) * t.Model.FlopCycles
-}
-
-// messageCost is the α + β·bytes cycle cost of one message carrying
-// the given number of 8-byte elements.
-func (t *CostTracer) messageCost(elems int) float64 {
-	return t.Model.CommAlpha + float64(elems)*8/1024*t.Model.CommBetaPerKB
 }
 
 // Comm charges one half of a pipelined exchange: a send costs only its
@@ -212,10 +234,10 @@ func (t *CostTracer) Comm(array string, off air.Offset, elems int, phase air.Com
 		// Post the message; overlap accounting happens at receive.
 		t.pending[msgID] = t.Cycles
 		// Posting overhead.
-		t.Cycles += t.Model.CommAlpha * 0.25
-		t.CommCycles += t.Model.CommAlpha * 0.25
+		t.Cycles += t.Model.SendCycles()
+		t.CommCycles += t.Model.SendCycles()
 	case air.CommRecv:
-		cost := t.messageCost(elems)
+		cost := t.Model.MessageCycles(float64(elems))
 		if posted, ok := t.pending[msgID]; ok {
 			elapsed := t.Cycles - posted
 			delete(t.pending, msgID)
@@ -230,17 +252,12 @@ func (t *CostTracer) Comm(array string, off air.Offset, elems int, phase air.Com
 	}
 }
 
-// Reduce charges the global combine of one full reduction: a binary
-// combining tree of log2(p) message rounds.
+// Reduce charges the global combine of one full reduction.
 func (t *CostTracer) Reduce() {
 	if t.Procs <= 1 {
 		return
 	}
-	rounds := 0
-	for p := 1; p < t.Procs; p *= 2 {
-		rounds++
-	}
-	c := float64(rounds) * (t.Model.CommAlpha + float64(8)/1024*t.Model.CommBetaPerKB)
+	c := t.Model.ReduceCycles(t.Procs)
 	t.Cycles += c
 	t.CommCycles += c
 }

@@ -62,7 +62,7 @@ type Config struct {
 	CacheBytes     int64         // memory-tier budget (compilations and tuned plans); default 64 MiB
 	DefaultTimeout time.Duration // per-request deadline when the client sends none; default 30s
 	MaxTimeout     time.Duration // cap on client-supplied deadlines; default 5m
-	MaxSteps       int64         // execution budget per run; 0 = interpreter default
+	MaxSteps       int64         // execution budget per run; 0 = the VM's default
 	DrainTimeout   time.Duration // graceful-shutdown grace; default 10s
 	Logs           io.Writer     // JSON-lines request log; nil disables
 	ArtifactDir    string        // native-artifact store; "" = backend.DefaultDir

@@ -175,11 +175,7 @@ func (c CycleModel) reduceCycles() float64 {
 	if c.Procs <= 1 {
 		return 0
 	}
-	rounds := 0
-	for p := 1; p < c.Procs; p *= 2 {
-		rounds++
-	}
-	return float64(rounds) * (c.M.CommAlpha + 8.0/1024*c.M.CommBetaPerKB)
+	return c.M.ReduceCycles(c.Procs)
 }
 
 // commCycles statically prices one half of a pipelined exchange: a
@@ -191,7 +187,7 @@ func (c CycleModel) commCycles(s *air.CommStmt) float64 {
 		return 0
 	}
 	if s.Phase == air.CommSend {
-		return c.M.CommAlpha * 0.25
+		return c.M.SendCycles()
 	}
 	elems := 1.0
 	for d := 0; d < s.Region.Rank() && d < len(s.Off); d++ {
@@ -205,7 +201,7 @@ func (c CycleModel) commCycles(s *air.CommStmt) float64 {
 			elems *= float64(s.Region.Extent(d))
 		}
 	}
-	return (elems*8/1024*c.M.CommBetaPerKB + c.M.CommAlpha) * 0.5
+	return c.M.MessageCycles(elems) * 0.5
 }
 
 // CacheModel replays a bounded sketch of each cluster's reference
@@ -301,12 +297,7 @@ func (c CacheModel) BlockScore(prog *air.Program, g *asdg.Graph,
 				mem += registerCycles
 				return
 			}
-			level := hier.Access(addr(x, i, off))
-			if level < len(c.M.HitCycles) {
-				mem += c.M.HitCycles[level]
-			} else {
-				mem += c.M.MemCycles
-			}
+			mem += c.M.AccessCycles(hier.Access(addr(x, i, off)))
 		}
 		// A reduction is replayed for every iteration of the cluster,
 		// an array statement up to its own size. A partial reduction's

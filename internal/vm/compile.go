@@ -2,11 +2,11 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/absint"
 	"repro/internal/air"
 	"repro/internal/dep"
+	"repro/internal/kernel"
 	"repro/internal/lir"
 	"repro/internal/sema"
 )
@@ -609,7 +609,7 @@ func (m *Machine) compileNest(x *lir.Nest) (execFn, error) {
 				return nil, fmt.Errorf("unknown reduction target %s", s.Target)
 			}
 			targets, ids, ops = append(targets, slot), append(ids, s.Op.Identity()), append(ops, s.Op)
-			st = fold(slot, s.Op, rhs)
+			st = fold(slot, reductions[s.Op], rhs)
 		case rhs.direct:
 			m.directs++
 			st = written(rhs)
@@ -711,40 +711,15 @@ func (m *Machine) store(dst ref, rhs value) stripFn {
 	}
 }
 
-// fold accumulates the strip into a full reduction's target slot. +
-// and × run element by element in loop order, the accumulator in a
-// register (the bit pattern of a sum or a product is its order); max
-// and min call the active set's fold, whose result does not depend on
-// the order (DESIGN.md §32).
-func fold(slot int, op air.ReduceOp, rhs value) stripFn {
-	flops := rhs.flops + 1
-	switch op {
-	case air.ReduceProd:
-		return func(m *Machine, j, n int) {
-			m.flops(flops, n)
-			acc := m.slots[slot]
-			for _, x := range rhs.vec(m, j, n) {
-				acc *= x
-			}
-			m.slots[slot] = acc
-		}
-	case air.ReduceMax, air.ReduceMin:
-		f := active.maxFold
-		if op == air.ReduceMin {
-			f = active.minFold
-		}
-		return func(m *Machine, j, n int) {
-			m.flops(flops, n)
-			m.slots[slot] = f(m.slots[slot], rhs.vec(m, j, n))
-		}
-	}
+// fold accumulates the strip into a full reduction's target slot with
+// its operator's fold. + and × fold element by element in loop order
+// (the bit pattern of a sum or a product is its order); max's and
+// min's result does not depend on the order (DESIGN.md §32).
+func fold(slot int, e *kernel.Entry, rhs value) stripFn {
+	flops, f := rhs.flops+1, strips(e).Fold
 	return func(m *Machine, j, n int) {
 		m.flops(flops, n)
-		acc := m.slots[slot]
-		for _, x := range rhs.vec(m, j, n) {
-			acc += x
-		}
-		m.slots[slot] = acc
+		m.slots[slot] = f(m.slots[slot], rhs.vec(m, j, n))
 	}
 }
 
@@ -755,77 +730,19 @@ func (m *Machine) flops(perElem int64, n int) {
 	}
 }
 
-// fmax is math.Max(acc, x) bit for bit, and inlines (cost 78 of the
-// inliner's 80). x > acc takes x. x <= acc keeps acc when acc is not
-// zero: a tie away from zero has one bit pattern. Anything else — a NaN,
-// or acc = ±0 with x not above it — goes to maxSlow, out of line, which
-// is math.Max and on amd64 a call to assembly. (Keeping acc for every
-// x < acc as well costs 82, and then fmax no longer inlines.) The Go
-// fold loop spells the rule out, and gogen's za_max is the same rule.
-func fmax(acc, x float64) float64 {
-	if x > acc {
-		return x
-	}
-	if x <= acc && acc != 0 {
-		return acc
-	}
-	return maxSlow(acc, x)
+// reductions are the reductions' operators.
+var reductions = [...]*kernel.Entry{
+	air.ReduceSum: kernel.Lookup("+", 2), air.ReduceProd: kernel.Lookup("*", 2),
+	air.ReduceMax: kernel.Lookup("max", 2), air.ReduceMin: kernel.Lookup("min", 2),
 }
 
-// fmin is math.Min(acc, x) bit for bit, as fmax is math.Max.
-func fmin(acc, x float64) float64 {
-	if x < acc {
-		return x
-	}
-	if x >= acc && acc != 0 {
-		return acc
-	}
-	return minSlow(acc, x)
-}
-
-//go:noinline
-func maxSlow(acc, x float64) float64 { return math.Max(acc, x) }
-
-//go:noinline
-func minSlow(acc, x float64) float64 { return math.Min(acc, x) }
-
-// combine is one step of a reduction.
-func combine(op air.ReduceOp, acc, x float64) float64 {
-	switch op {
-	case air.ReduceProd:
-		return acc * x
-	case air.ReduceMax:
-		return fmax(acc, x)
-	case air.ReduceMin:
-		return fmin(acc, x)
-	}
-	return acc + x
-}
-
-// combineInto accumulates v into dst[p], dst[p+step], ...: a reduction's
-// strip into its projections, or one processor's partials into another's.
-func combineInto(op air.ReduceOp, dst []float64, p, step int, v []float64) {
-	switch op {
-	case air.ReduceProd:
-		for _, x := range v {
-			dst[p] *= x
-			p += step
-		}
-	case air.ReduceMax:
-		for _, x := range v {
-			dst[p] = fmax(dst[p], x)
-			p += step
-		}
-	case air.ReduceMin:
-		for _, x := range v {
-			dst[p] = fmin(dst[p], x)
-			p += step
-		}
-	default:
-		for _, x := range v {
-			dst[p] += x
-			p += step
-		}
+// combineInto accumulates v into dst[p], dst[p+step], ... with a
+// reduction's scalar rule f: a reduction's strip into its projections,
+// or one processor's partials into another's.
+func combineInto(f func(x, y float64) float64, dst []float64, p, step int, v []float64) {
+	for _, x := range v {
+		dst[p] = f(dst[p], x)
+		p += step
 	}
 }
 
@@ -886,15 +803,15 @@ func (m *Machine) compilePartialReduce(x *lir.PartialReduce) (execFn, error) {
 		from.shift = loadSite.FaultShift
 	}
 	accumulate := m.sweep(x.Region, order, []stripFn{func(m *Machine, j, n int) {
-		v, data := body.vec(m, j, n), a.data
+		v, data, f := body.vec(m, j, n), a.data, reductions[op].F2
 		m.flops(body.flops+1, n)
 		p := into.pos(m, j)
 		if from.shift == 0 && into.shift == 0 && m.tracer == nil {
-			combineInto(op, data, p, into.step, v)
+			combineInto(f, data, p, into.step, v)
 			return
 		}
 		for _, x := range v {
-			r := combine(op, data[from.touch(m, p, false)], x)
+			r := f(data[from.touch(m, p, false)], x)
 			data[into.touch(m, p, true)] = r
 			p += into.step
 		}
@@ -1126,38 +1043,25 @@ func (m *Machine) compileInto(e air.Expr, into vecFn) (value, error) {
 			return out
 		}}, nil
 	case *air.BinExpr:
-		f, k, err := binOp(x.Op)
-		if err != nil {
-			return value{}, err
+		if e := kernel.Lookup(x.Op.String(), 2); e != nil {
+			return m.apply2(e, x.X, x.Y, 1, into)
 		}
-		return m.apply2(f, k, x.X, x.Y, 1, into)
+		return value{}, fmt.Errorf("unknown operator %v", x.Op)
 	case *air.UnExpr:
-		if x.Op == air.OpNot {
-			return m.apply1(func(v float64) float64 { return b2f(!truthy(v)) }, nil, x.X, 1, into)
+		if e := kernel.Lookup(x.Op.String(), 1); e != nil {
+			return m.apply1(e, x.X, 1, into)
 		}
-		return m.apply1(func(v float64) float64 { return -v }, active.neg, x.X, 1, into)
+		return value{}, fmt.Errorf("unknown operator %v", x.Op)
 	case *air.CallExpr:
 		// Transcendental calls cost more than one op.
-		if b, ok := builtin1[x.Name]; ok && len(x.Args) == 1 {
-			switch x.Name {
-			case "sqrt":
-				b.k = active.sqrt
-			case "abs":
-				b.k = active.abs
-			}
-			return m.apply1(b.f, b.k, x.Args[0], 4, into)
+		switch e := kernel.Lookup(x.Name, len(x.Args)); {
+		case e == nil:
+			return value{}, fmt.Errorf("unknown builtin %s/%d", x.Name, len(x.Args))
+		case len(x.Args) == 1:
+			return m.apply1(e, x.Args[0], 4, into)
+		default:
+			return m.apply2(e, x.Args[0], x.Args[1], 4, into)
 		}
-		if f, ok := builtin2[x.Name]; ok && len(x.Args) == 2 {
-			var k *kernels
-			switch x.Name {
-			case "max":
-				k = &active.max
-			case "min":
-				k = &active.min
-			}
-			return m.apply2(f, k, x.Args[0], x.Args[1], 4, into)
-		}
-		return value{}, fmt.Errorf("unknown builtin %s/%d", x.Name, len(x.Args))
 	}
 	return value{}, fmt.Errorf("unknown expression %T", e)
 }
@@ -1168,23 +1072,30 @@ func register(buf int) value {
 	return value{own: -1, vec: func(m *Machine, j, n int) []float64 { return m.bufs[buf][j : j+n] }}
 }
 
-// apply1 compiles a one-operand operator: f on a uniform, k (or f per
-// element) over a vector, into the destination into views when there is
-// one, else in place when the operand owns its buffer.
-func (m *Machine) apply1(f func(float64) float64, k func(d, x []float64), e air.Expr, cost int64, into vecFn) (value, error) {
+// packed is whether the machines built from now on run the entries'
+// packed kernels (where kernel.HasPacked) or their Go loops; only
+// export_test.go changes it.
+var packed = true
+
+// strips returns the kernels of e that a machine built now runs.
+func strips(e *kernel.Entry) *kernel.Kernels {
+	if packed {
+		return &e.Packed
+	}
+	return &e.Go
+}
+
+// apply1 compiles a one-operand operator: its scalar rule on a
+// uniform, its kernel over a vector, into the destination into views
+// when there is one, else in place when the operand owns its buffer.
+func (m *Machine) apply1(op *kernel.Entry, e air.Expr, cost int64, into vecFn) (value, error) {
 	x, err := m.compileExpr(e)
 	if err != nil {
 		return value{}, err
 	}
+	f, k := op.F1, strips(op).V
 	if u := x.uni; u != nil {
 		return uniform(func(m *Machine) float64 { return f(u(m)) }, x.flops+cost), nil
-	}
-	if k == nil {
-		k = func(d, x []float64) {
-			for i, v := range x[:len(d)] {
-				d[i] = f(v)
-			}
-		}
 	}
 	out, xv := x.own, x.vec
 	if into != nil {
@@ -1205,36 +1116,13 @@ func (m *Machine) apply1(f func(float64) float64, k func(d, x []float64), e air.
 	}}, nil
 }
 
-// kernels are the three operand shapes of a two-operand operator over a
-// strip: vector∘vector, vector∘uniform, uniform∘vector.
-type kernels struct {
-	vv func(d, x, y []float64)
-	vu func(d, x []float64, y float64)
-	uv func(d []float64, x float64, y []float64)
-	// decided, for & and |, reports that the first operand fixes the
-	// result at every element; the second is then not evaluated, which
-	// at width 1 is the short circuit a traced run has always reported.
-	decided func(x []float64) bool
-}
-
-// allAre tests that every element's truth value is t.
-func allAre(t bool) func(x []float64) bool {
-	return func(x []float64) bool {
-		for _, v := range x {
-			if truthy(v) != t {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // apply2 compiles a two-operand operator. The result goes to the
 // destination into views when there is one, else it reuses an operand's
 // scratch buffer when it has one (every kernel is element-wise, so it
 // may overwrite its input); an operand buffer the result does not reuse
-// returns to the pool for the nodes evaluated after this one.
-func (m *Machine) apply2(f func(a, b float64) float64, k *kernels, ex, ey air.Expr, cost int64, into vecFn) (value, error) {
+// returns to the pool for the nodes evaluated after this one. Every
+// machine shares the entry, so apply2 only reads it.
+func (m *Machine) apply2(op *kernel.Entry, ex, ey air.Expr, cost int64, into vecFn) (value, error) {
 	x, err := m.compileExpr(ex)
 	if err != nil {
 		return value{}, err
@@ -1243,40 +1131,20 @@ func (m *Machine) apply2(f func(a, b float64) float64, k *kernels, ex, ey air.Ex
 	if err != nil {
 		return value{}, err
 	}
-	flops := x.flops + y.flops + cost
+	flops, f := x.flops+y.flops+cost, op.F2
 	xu, yu, xv, yv := x.uni, y.uni, x.vec, y.vec
 	if xu != nil && yu != nil {
 		return uniform(func(m *Machine) float64 { return f(xu(m), yu(m)) }, flops), nil
 	}
-	if k == nil {
-		k = &kernels{}
-	}
-	if k.vv == nil {
-		k.vv = func(d, x, y []float64) {
-			y = y[:len(d)]
-			for i, v := range x[:len(d)] {
-				d[i] = f(v, y[i])
-			}
-		}
-		k.vu = func(d, x []float64, y float64) {
-			for i, v := range x[:len(d)] {
-				d[i] = f(v, y)
-			}
-		}
-		k.uv = func(d []float64, x float64, y []float64) {
-			for i, v := range y[:len(d)] {
-				d[i] = f(x, v)
-			}
-		}
-	}
-	if k.decided != nil && xu != nil {
+	k, decided := strips(op), op.Decided
+	if decided != nil && xu != nil {
 		x = m.spread(x)
 		xu, xv = nil, x.vec
 	}
 	if into != nil {
 		m.release(x.own)
 		m.release(y.own)
-		return value{own: -1, flops: flops, direct: true, vec: direct2(k, into, xu, yu, xv, yv)}, nil
+		return value{own: -1, flops: flops, direct: true, vec: direct2(k, decided, into, xu, yu, xv, yv)}, nil
 	}
 	out := x.own
 	switch {
@@ -1292,22 +1160,22 @@ func (m *Machine) apply2(f func(a, b float64) float64, k *kernels, ex, ey air.Ex
 	case yu != nil:
 		v.vec = func(m *Machine, j, n int) []float64 {
 			d := m.bufs[out][:n]
-			k.vu(d, xv(m, j, n), yu(m))
+			k.VU(d, xv(m, j, n), yu(m))
 			return d
 		}
 	case xu != nil:
 		v.vec = func(m *Machine, j, n int) []float64 {
 			d := m.bufs[out][:n]
-			k.uv(d, xu(m), yv(m, j, n))
+			k.UV(d, xu(m), yv(m, j, n))
 			return d
 		}
 	default:
 		v.vec = func(m *Machine, j, n int) []float64 {
 			a, d := xv(m, j, n), m.bufs[out][:n]
-			if k.decided != nil && k.decided(a) {
-				k.vu(d, a, 0)
+			if decided != nil && decided(a) {
+				k.VU(d, a, 0)
 			} else {
-				k.vv(d, a, yv(m, j, n))
+				k.VV(d, a, yv(m, j, n))
 			}
 			return d
 		}
@@ -1317,111 +1185,28 @@ func (m *Machine) apply2(f func(a, b float64) float64, k *kernels, ex, ey air.Ex
 
 // direct2 is apply2's vector over the strip when it writes into the
 // statement's destination.
-func direct2(k *kernels, into vecFn, xu, yu evalFn, xv, yv vecFn) vecFn {
+func direct2(k *kernel.Kernels, decided func([]float64) bool, into vecFn, xu, yu evalFn, xv, yv vecFn) vecFn {
 	switch {
 	case yu != nil:
 		return func(m *Machine, j, n int) []float64 {
 			d := into(m, j, n)
-			k.vu(d, xv(m, j, n), yu(m))
+			k.VU(d, xv(m, j, n), yu(m))
 			return d
 		}
 	case xu != nil:
 		return func(m *Machine, j, n int) []float64 {
 			d := into(m, j, n)
-			k.uv(d, xu(m), yv(m, j, n))
+			k.UV(d, xu(m), yv(m, j, n))
 			return d
 		}
 	}
 	return func(m *Machine, j, n int) []float64 {
 		a, d := xv(m, j, n), into(m, j, n)
-		if k.decided != nil && k.decided(a) {
-			k.vu(d, a, 0)
+		if decided != nil && decided(a) {
+			k.VU(d, a, 0)
 		} else {
-			k.vv(d, a, yv(m, j, n))
+			k.VV(d, a, yv(m, j, n))
 		}
 		return d
 	}
-}
-
-// binOp returns an operator's scalar function and, for the four
-// arithmetic operators every benchmark's time goes to, the strip kernels
-// of the active set; the rest call f per element.
-func binOp(op air.Op) (func(a, b float64) float64, *kernels, error) {
-	switch op {
-	case air.OpAdd:
-		return func(a, b float64) float64 { return a + b }, &active.add, nil
-	case air.OpSub:
-		return func(a, b float64) float64 { return a - b }, &active.sub, nil
-	case air.OpMul:
-		return func(a, b float64) float64 { return a * b }, &active.mul, nil
-	case air.OpDiv:
-		return func(a, b float64) float64 { return a / b }, &active.div, nil
-	case air.OpRem:
-		return math.Mod, nil, nil
-	case air.OpPow:
-		return math.Pow, nil, nil
-	case air.OpEq:
-		return func(a, b float64) float64 { return b2f(a == b) }, nil, nil
-	case air.OpNe:
-		return func(a, b float64) float64 { return b2f(a != b) }, nil, nil
-	case air.OpLt:
-		return func(a, b float64) float64 { return b2f(a < b) }, nil, nil
-	case air.OpLe:
-		return func(a, b float64) float64 { return b2f(a <= b) }, nil, nil
-	case air.OpGt:
-		return func(a, b float64) float64 { return b2f(a > b) }, nil, nil
-	case air.OpGe:
-		return func(a, b float64) float64 { return b2f(a >= b) }, nil, nil
-	case air.OpAnd:
-		return func(a, b float64) float64 { return b2f(truthy(a) && truthy(b)) }, &kernels{decided: allAre(false)}, nil
-	case air.OpOr:
-		return func(a, b float64) float64 { return b2f(truthy(a) || truthy(b)) }, &kernels{decided: allAre(true)}, nil
-	}
-	return nil, nil, fmt.Errorf("unknown operator %v", op)
-}
-
-// builtin1 maps a one-argument builtin to its function and, for the
-// ones the Go compiler turns into an instruction or a few (math.Floor
-// and Ceil are intrinsics when called directly), a strip loop; sqrt's
-// and abs's strip kernels are the active set's, and the libm calls go
-// through f per element.
-var builtin1 = map[string]struct {
-	f func(float64) float64
-	k func(d, x []float64)
-}{
-	"sqrt": {f: math.Sqrt}, // its strip kernel is active.sqrt
-	"abs":  {f: math.Abs},  // its strip kernel is active.abs
-	"floor": {math.Floor, func(d, x []float64) {
-		for i, v := range x[:len(d)] {
-			d[i] = math.Floor(v)
-		}
-	}},
-	"ceil": {math.Ceil, func(d, x []float64) {
-		for i, v := range x[:len(d)] {
-			d[i] = math.Ceil(v)
-		}
-	}},
-	"sign": {sign, func(d, x []float64) {
-		for i, v := range x[:len(d)] {
-			d[i] = sign(v)
-		}
-	}},
-	"exp": {f: math.Exp}, "log": {f: math.Log}, "sin": {f: math.Sin}, "cos": {f: math.Cos}, "tan": {f: math.Tan},
-}
-
-func sign(v float64) float64 {
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
-	}
-	return 0
-}
-
-// builtin2 maps a two-argument builtin to its function. max's and
-// min's strip kernels are the active set's; the rest call the function
-// per element.
-var builtin2 = map[string]func(x, y float64) float64{
-	"max": math.Max, "min": math.Min, "pow": math.Pow, "mod": math.Mod, "atan2": math.Atan2,
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"repro/internal/air"
+	"repro/internal/kernel"
 	"repro/internal/lir"
 )
 
@@ -24,15 +25,15 @@ func DirectWrites(m *Machine) int { return m.directs }
 
 // PackedOnHost reports whether this host runs the packed strip kernels
 // (DESIGN.md §32).
-func PackedOnHost() bool { return packed }
+func PackedOnHost() bool { return kernel.HasPacked() }
 
 // SetPacked makes the machines built from now on run the packed strip
 // kernels (on, where the host has them) or the Go loops, and returns the
 // function that undoes it. Machines already built keep their kernels.
 func SetPacked(on bool) (restore func()) {
-	old := active
-	active = pick(on && packed)
-	return func() { active = old }
+	old := packed
+	packed = on
+	return func() { packed = old }
 }
 
 // Splits is the number of m's nests compiled to run in chunks of their
@@ -52,11 +53,11 @@ func SetChunkHook(hook func(chunk int)) (restore func()) {
 }
 
 // FoldStrip returns a full reduction's fold of one strip into its
-// accumulator, compiled as a machine compiles it with the active
-// kernels, so that its cost can be timed alone.
+// accumulator, compiled as a machine compiles it with the kernels it
+// runs, so that its cost can be timed alone.
 func FoldStrip(op air.ReduceOp) func(acc float64, x []float64) float64 {
 	m := &Machine{slots: make([]float64, 1), bufs: make([][]float64, 1)}
-	f := fold(0, op, register(0))
+	f := fold(0, reductions[op], register(0))
 	return func(acc float64, x []float64) float64 {
 		m.slots[0], m.bufs[0] = acc, x
 		f(m, 0, len(x))

@@ -4,7 +4,7 @@ package vm_test
 // heat, at the ladder's two ends and at every test width, print the same
 // bytes and end with the same array bits whether the machine runs the
 // packed kernels or the Go loops (DESIGN.md §32). The kernels
-// themselves are compared bit for bit in strip_test.go; this pins that
+// themselves are compared bit for bit in internal/kernel; this pins that
 // every operator a program compiles gets kernels that agree.
 
 import (
@@ -65,29 +65,36 @@ func TestPackedProgramsIdentical(t *testing.T) {
 // the compiler's and the assembler's listings.
 var fusedMultiplyAdd = regexp.MustCompile(`\sVFN?M(ADD|SUB)\w*\s`)
 
-// TestVMNoFMA lists every instruction of internal/vm, compiled Go and
-// assembly alike, and fails on a fused multiply-add: the VM rounds every
+// TestVMNoFMA lists every instruction of internal/vm and of
+// internal/kernel, whose kernels it runs, compiled Go and assembly
+// alike, and fails on a fused multiply-add: the VM rounds every
 // product, as the reference and the emitted Go do. The packed kernels
 // and their packed instructions must be in the listing, so the check
 // cannot pass on code it did not see. The listing is the toolchain's
-// own (-gcflags=-S, -asmflags=-S), not go tool objdump's: objdump's x86
-// decoder has no VEX tables, so it prints neither VADDPD nor VFMADD231SD.
+// own (-gcflags=-S, -asmflags=-S, which list only the packages named),
+// not go tool objdump's: objdump's x86 decoder has no VEX tables, so it
+// prints neither VADDPD nor VFMADD231SD.
 func TestVMNoFMA(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the packed kernels are amd64's")
 	}
-	listing, err := exec.Command("go", "build", "-gcflags=-S", "-asmflags=-S", "-o", os.DevNull, ".").CombinedOutput()
+	listing, err := exec.Command("go", "build", "-gcflags=-S", "-asmflags=-S", "-o", os.DevNull, ".", "../kernel").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build -gcflags=-S: %v\n%s", err, listing)
 	}
 	for _, line := range strings.Split(string(listing), "\n") {
 		if fusedMultiplyAdd.MatchString(line) {
-			t.Errorf("fused multiply-add in internal/vm: %s", strings.TrimSpace(line))
+			t.Errorf("fused multiply-add in the listing: %s", strings.TrimSpace(line))
+		}
+	}
+	for _, sym := range []string{"vm.(*Machine).apply2", "kernel.addVV"} {
+		if !strings.Contains(string(listing), "\tTEXT\trepro/internal/"+sym+"(SB), ") {
+			t.Errorf("%s missing from the listing", sym)
 		}
 	}
 	for _, sym := range []string{"vaddVV", "vaddVU", "vsubVV", "vsubVU", "vsubUV", "vmulVV", "vmulVU", "vdivVV", "vdivVU", "vdivUV", "vsqrt", "vneg",
 		"vmaxVV", "vmaxVU", "vminVV", "vminVU", "vmaxFold", "vminFold", "vabs"} {
-		if !strings.Contains(string(listing), fmt.Sprintf("\tTEXT\trepro/internal/vm.%s(SB), NOSPLIT", sym)) {
+		if !strings.Contains(string(listing), fmt.Sprintf("\tTEXT\trepro/internal/kernel.%s(SB), NOSPLIT", sym)) {
 			t.Errorf("packed kernel %s missing from the listing", sym)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/air"
 	"repro/internal/dep"
+	"repro/internal/kernel"
 	"repro/internal/lir"
 	"repro/internal/sema"
 )
@@ -108,16 +109,16 @@ func (m *Machine) fail(err error) signal {
 // synchronisation boundaries.
 func (m *Machine) shardNest(x *lir.Nest, sweep execFn) execFn {
 	var slots []int
-	var ops []air.ReduceOp
+	var rules []*kernel.Entry
 	for _, s := range x.Body {
 		if s.IsReduce {
 			slots = append(slots, m.slotIdx[s.Target])
-			ops = append(ops, s.Op)
+			rules = append(rules, reductions[s.Op])
 		}
 	}
 	fold := func(acc, next []float64) {
 		for j := range acc {
-			acc[j] = combine(ops[j], acc[j], next[j])
+			acc[j] = rules[j].F2(acc[j], next[j])
 		}
 	}
 	sh := m.shard
@@ -156,14 +157,14 @@ func (m *Machine) shardPartialReduce(x *lir.PartialReduce, order dep.LoopStructu
 		size *= dest.Extent(d)
 	}
 	flat := m.ref(slab, air.Zero(rank), nil).project(collapsed, dest)
-	op, id := x.Op, x.Op.Identity()
-	fold := func(acc, next []float64) { combineInto(op, acc, 0, 1, next) }
+	f, id := reductions[x.Op].F2, x.Op.Identity()
+	fold := func(acc, next []float64) { combineInto(f, acc, 0, 1, next) }
 	source, owned := m.portion(x.Region), m.portion(dest)
 	steps, _ := lir.Work(x, source) // part of x.Region, whose work fits
 	buf, spare := make([]float64, size), make([]float64, size)
 	var all []float64
 	accumulate := m.sweep(source, order, []stripFn{func(m *Machine, j, n int) {
-		combineInto(op, buf, flat.pos(m, j), flat.step, body.vec(m, j, n))
+		combineInto(f, buf, flat.pos(m, j), flat.step, body.vec(m, j, n))
 	}}, false)
 	store := m.sweep(owned, order, []stripFn{m.store(dst, value{own: -1, vec: func(m *Machine, j, n int) []float64 {
 		p := flat.pos(m, j)

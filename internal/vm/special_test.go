@@ -4,8 +4,8 @@ package vm_test
 // sign over ±0, three NaN bit patterns, ±Inf and ties, on every engine:
 // the VM at each strip width, distvm at p=2 and the native build. Each
 // result must have the bits of math.Max, math.Min or math.Abs applied
-// as a left fold, which is what the engines' fast paths (vm.fmax,
-// gogen's za_max) claim to compute without calling them.
+// as a left fold, which is what the engines' fast paths (internal/kernel's
+// fmax, gogen's za_max) claim to compute without calling them.
 
 import (
 	"context"

@@ -84,11 +84,7 @@ func (m *Machine) split(run func(*Machine), rows int, targets []int, ids []float
 	}
 	for _, v := range views {
 		for i, slot := range targets {
-			if ops[i] == air.ReduceMax {
-				m.slots[slot] = fmax(m.slots[slot], v.m.slots[slot])
-			} else {
-				m.slots[slot] = fmin(m.slots[slot], v.m.slots[slot])
-			}
+			m.slots[slot] = reductions[ops[i]].F2(m.slots[slot], v.m.slots[slot])
 		}
 	}
 	return sigNext

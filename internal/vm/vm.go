@@ -3,14 +3,13 @@
 // them, a loop nest a strip of its innermost loop at a time (DESIGN.md
 // §22): 2–6 ns per element-statement on the six benchmarks against
 // ~2.5 for the emitted Go of internal/gogen, so it is the default
-// engine, not only the instrumented one. + − × ÷, the max, min, abs,
-// sign, sqrt, floor and ceil builtins and every reduction run as typed
-// loops over a strip, with no call per element through a func value.
-// On an amd64 host with AVX, + − × ÷, max, min, negation, abs and sqrt
-// and the max and min reductions run as packed kernels instead, four
-// lanes per instruction and bit for bit the Go loops (DESIGN.md §32).
-// max and min are math.Max and math.Min bit for bit, the Go loops
-// calling them only for a NaN or a zero accumulator (fmax). Every
+// engine, not only the instrumented one. The machine defines no
+// operator itself: each operator, builtin and reduction is an entry of
+// internal/kernel, whose scalar rule a uniform operand runs and whose
+// strip kernels a vector runs — typed loops for + − × ÷, max, min, abs,
+// sign, sqrt, floor, ceil and the folds, and on an amd64 host with AVX
+// packed kernels, four lanes per instruction and bit for bit the Go
+// loops (DESIGN.md §32). Every
 // array element access can be streamed to a Tracer, which is how the
 // machine models observe the memory behavior that fusion and
 // contraction change; a traced machine runs at strip width 1 and
@@ -34,6 +33,7 @@
 package vm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -60,11 +60,15 @@ type Tracer interface {
 	Reduce()
 }
 
+// defaultMaxSteps is the step budget of a machine whose Options leave
+// it 0: a run's, and each processor's of a distvm run.
+const defaultMaxSteps = 1e10
+
 // Options configures a run.
 type Options struct {
 	Out      io.Writer // writeln destination; nil discards
 	Tracer   Tracer    // nil disables tracing
-	MaxSteps int64     // statement-execution budget; 0 means default (1e10)
+	MaxSteps int64     // statement-execution budget; 0 means 1e10 (defaultMaxSteps)
 	// Ctx, when non-nil, cancels the execution: every statement charge
 	// (single statements and whole loop nests alike) decrements a poll
 	// countdown, and every row of a loop nest polls (a one-dimensional
@@ -204,13 +208,10 @@ func build(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error) {
 		procs:   map[string]*compiledProc{},
 		out:     opt.Out,
 		tracer:  opt.Tracer,
-		max:     opt.MaxSteps,
+		max:     cmp.Or(opt.MaxSteps, defaultMaxSteps),
 		ctx:     opt.Ctx,
 		bounds:  opt.Bounds,
 		shard:   sh,
-	}
-	if m.max == 0 {
-		m.max = 1e10
 	}
 
 	// Scalar slots: the declared scalars. Scalar-replacement preloads
@@ -503,10 +504,3 @@ func (m *Machine) cancelled() bool {
 }
 
 func truthy(v float64) bool { return v != 0 }
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/driver"
+	"repro/internal/kernel"
 	"repro/internal/lir"
 	"repro/internal/programs"
 	"repro/internal/sema"
@@ -549,4 +550,24 @@ func compileAt(t *testing.T, src, config string, v int64) *lir.Program {
 		t.Fatal(err)
 	}
 	return c.LIR
+}
+
+// TestEveryOperatorHasAnEntry: every AIR operator and every builtin
+// sema accepts, in the form it takes, has an entry in the kernel table
+// the machine compiles operators from.
+func TestEveryOperatorHasAnEntry(t *testing.T) {
+	for op := air.OpAdd; op <= air.OpNot; op++ {
+		n := 2
+		if op == air.OpNeg || op == air.OpNot {
+			n = 1
+		}
+		if kernel.Lookup(op.String(), n) == nil {
+			t.Errorf("operator %v/%d has no kernel entry", op, n)
+		}
+	}
+	for name, n := range sema.Builtins {
+		if kernel.Lookup(name, n) == nil {
+			t.Errorf("builtin %s/%d has no kernel entry", name, n)
+		}
+	}
 }
