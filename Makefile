@@ -178,7 +178,7 @@ bench-smoke: build
 # DESIGN.md §35).
 plan-guard: build
 	$(GO) test -count=1 -run 'TestGoldenPlans|TestEvidencePinned|TestZpllintEvidenceGolden|TestLoopDefectReportedOnce' . ./internal/mhp
-	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates|TestStmtWeightsMatchGraph|TestApplySpecRejects' ./internal/core
+	$(GO) test -count=1 -run 'TestGreedyMatches|TestCondensationTracksMerges|TestFusionAntiMonotone|TestGrowSteadyStateAllocs|TestDiagnosisAgreesWithPredicates|TestVerdictsMatchBlockWalk|TestStmtWeightsMatchGraph|TestApplySpecRejects' ./internal/core
 	$(GO) test -count=1 -run 'TestExhaustiveProvesSmallBenchmark|TestTuneRefusesOverflow' ./internal/tune
 	$(GO) test -race -count=1 -run 'TestPlanRemarksConcurrent' ./internal/core
 	$(GO) test -count=1 -run 'TestCompileDistAllocs|TestAnalyzeAllocs|TestFlatOffsetMatchesEnumeration' ./internal/driver ./internal/mhp ./internal/absint

@@ -25,11 +25,10 @@ type Graph struct {
 	// segment; the FavorComm strategy forbids fusion across segments.
 	Seg []int
 
-	succ   [][]int
-	pred   [][]int
-	idx    map[[2]int]int   // (from,to) -> index into Edges
-	arrays [][]string       // vertex -> arrays it references, with repeats
-	refs   map[string][]int // array -> vertices referencing it, ascending
+	out, in [][]int          // vertex -> indices of the edges it starts, ends; ascending
+	on      map[string][]int // variable -> indices of the edges with an item on it, ascending
+	arrays  [][]string       // vertex -> arrays it references, with repeats
+	refs    map[string][]int // array -> vertices referencing it, ascending
 }
 
 // Build computes dependences among stmts and assembles the graph.
@@ -43,9 +42,9 @@ func BuildWith(stmts []air.Stmt, computeDeps func([]air.Stmt) []dep.Edge) *Graph
 	g := &Graph{
 		Stmts:  stmts,
 		Edges:  computeDeps(stmts),
-		succ:   make([][]int, len(stmts)),
-		pred:   make([][]int, len(stmts)),
-		idx:    map[[2]int]int{},
+		out:    make([][]int, len(stmts)),
+		in:     make([][]int, len(stmts)),
+		on:     map[string][]int{},
 		arrays: make([][]string, len(stmts)),
 		refs:   map[string][]int{},
 	}
@@ -58,9 +57,13 @@ func BuildWith(stmts []air.Stmt, computeDeps func([]air.Stmt) []dep.Edge) *Graph
 		}
 	}
 	for i, e := range g.Edges {
-		g.succ[e.From] = append(g.succ[e.From], e.To)
-		g.pred[e.To] = append(g.pred[e.To], e.From)
-		g.idx[[2]int{e.From, e.To}] = i
+		g.out[e.From] = append(g.out[e.From], i)
+		g.in[e.To] = append(g.in[e.To], i)
+		for _, it := range e.Items {
+			if on := g.on[it.Var]; len(on) == 0 || on[len(on)-1] != i {
+				g.on[it.Var] = append(on, i)
+			}
+		}
 	}
 	return g
 }
@@ -68,82 +71,22 @@ func BuildWith(stmts []air.Stmt, computeDeps func([]air.Stmt) []dep.Edge) *Graph
 // N returns the number of statements (vertices).
 func (g *Graph) N() int { return len(g.Stmts) }
 
-// Succ returns the successors of vertex v.
-func (g *Graph) Succ(v int) []int { return g.succ[v] }
+// Out returns the indices into Edges of the edges leaving vertex v,
+// ascending. The slice is the graph's own.
+func (g *Graph) Out(v int) []int { return g.out[v] }
 
-// Pred returns the predecessors of vertex v.
-func (g *Graph) Pred(v int) []int { return g.pred[v] }
+// In returns the indices into Edges of the edges entering vertex v,
+// ascending. The slice is the graph's own.
+func (g *Graph) In(v int) []int { return g.in[v] }
 
-// Edge returns the edge from→to, or nil when absent.
-func (g *Graph) Edge(from, to int) *dep.Edge {
-	if i, ok := g.idx[[2]int{from, to}]; ok {
-		return &g.Edges[i]
-	}
-	return nil
-}
+// On returns the indices into Edges of the edges whose label mentions
+// variable x, ascending. The slice is the graph's own.
+func (g *Graph) On(x string) []int { return g.on[x] }
 
 // ArrayStmt returns vertex v as an ArrayStmt, or nil.
 func (g *Graph) ArrayStmt(v int) *air.ArrayStmt {
 	s, _ := g.Stmts[v].(*air.ArrayStmt)
 	return s
-}
-
-// DependencesOn returns every edge whose label mentions variable x.
-func (g *Graph) DependencesOn(x string) []dep.Edge {
-	var out []dep.Edge
-	for _, e := range g.Edges {
-		for _, it := range e.Items {
-			if it.Var == x {
-				out = append(out, e)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Vertices returns the vertex list in program (topological) order.
-func (g *Graph) Vertices() []int {
-	vs := make([]int, g.N())
-	for i := range vs {
-		vs[i] = i
-	}
-	return vs
-}
-
-// ReachableFrom returns the set of vertices reachable from any vertex
-// in from (excluding unreachable members of from itself).
-func (g *Graph) ReachableFrom(from []int) map[int]bool {
-	seen := map[int]bool{}
-	stack := append([]int(nil), from...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.succ[v] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
-// Reaching returns the set of vertices that can reach any vertex in to.
-func (g *Graph) Reaching(to []int) map[int]bool {
-	seen := map[int]bool{}
-	stack := append([]int(nil), to...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.pred[v] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
 }
 
 // String renders the graph for debugging and golden tests.

@@ -1,6 +1,7 @@
 package asdg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,26 +41,63 @@ func fig2Graph() *Graph {
 	})
 }
 
+// edge returns the edge from→to, found through Out, or nil.
+func edge(g *Graph, from, to int) *dep.Edge {
+	for _, i := range g.Out(from) {
+		if g.Edges[i].To == to {
+			return &g.Edges[i]
+		}
+	}
+	return nil
+}
+
+// checkIndex holds Out, In and On to the edge list: each lists exactly
+// the edges it names, ascending.
+func checkIndex(t *testing.T, g *Graph) {
+	t.Helper()
+	out, in, on := make([][]int, g.N()), make([][]int, g.N()), map[string][]int{}
+	for i, e := range g.Edges {
+		out[e.From] = append(out[e.From], i)
+		in[e.To] = append(in[e.To], i)
+		for _, it := range e.Items {
+			if l := on[it.Var]; len(l) == 0 || l[len(l)-1] != i {
+				on[it.Var] = append(l, i)
+			}
+		}
+	}
+	for v := 0; v < g.N(); v++ {
+		if fmt.Sprint(g.Out(v)) != fmt.Sprint(out[v]) || fmt.Sprint(g.In(v)) != fmt.Sprint(in[v]) {
+			t.Errorf("v%d: Out %v In %v, want %v %v", v, g.Out(v), g.In(v), out[v], in[v])
+		}
+	}
+	for x, want := range on {
+		if got := g.On(x); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("On(%s) = %v, want %v", x, got, want)
+		}
+	}
+}
+
 func TestGraphStructure(t *testing.T) {
 	g := fig2Graph()
 	if g.N() != 3 {
 		t.Fatalf("N = %d", g.N())
 	}
-	if e := g.Edge(0, 1); e == nil {
+	if e := edge(g, 0, 1); e == nil {
 		t.Error("missing edge 0->1")
 	}
-	if e := g.Edge(0, 2); e == nil {
+	if e := edge(g, 0, 2); e == nil {
 		t.Error("missing edge 0->2")
 	}
-	if e := g.Edge(1, 2); e != nil {
+	if e := edge(g, 1, 2); e != nil {
 		t.Errorf("spurious edge 1->2: %v", e)
 	}
-	if len(g.Succ(0)) != 2 {
-		t.Errorf("succ(0) = %v", g.Succ(0))
+	if len(g.Out(0)) != 2 {
+		t.Errorf("Out(0) = %v", g.Out(0))
 	}
-	if len(g.Pred(2)) != 1 {
-		t.Errorf("pred(2) = %v", g.Pred(2))
+	if len(g.In(2)) != 1 {
+		t.Errorf("In(2) = %v", g.In(2))
 	}
+	checkIndex(t, g)
 }
 
 func TestAcyclicByConstruction(t *testing.T) {
@@ -71,15 +109,30 @@ func TestAcyclicByConstruction(t *testing.T) {
 	}
 }
 
+// TestReachability walks the graph through Out and In: the paths the
+// partitioner's condensation is built from.
 func TestReachability(t *testing.T) {
 	g := fig2Graph()
-	down := g.ReachableFrom([]int{0})
-	if !down[1] || !down[2] {
-		t.Errorf("ReachableFrom(0) = %v", down)
+	reach := func(v int, adj func(int) []int, end func(*dep.Edge) int) map[int]bool {
+		seen := map[int]bool{}
+		for stack := []int{v}; len(stack) > 0; {
+			v, stack = stack[len(stack)-1], stack[:len(stack)-1]
+			for _, i := range adj(v) {
+				if w := end(&g.Edges[i]); !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+		return seen
 	}
-	up := g.Reaching([]int{2})
+	down := reach(0, g.Out, func(e *dep.Edge) int { return e.To })
+	if !down[1] || !down[2] {
+		t.Errorf("reachable from 0 = %v", down)
+	}
+	up := reach(2, g.In, func(e *dep.Edge) int { return e.From })
 	if !up[0] {
-		t.Errorf("Reaching(2) = %v", up)
+		t.Errorf("reaching 2 = %v", up)
 	}
 	if up[1] {
 		t.Errorf("1 should not reach 2: %v", up)
@@ -111,24 +164,22 @@ func TestIsFusible(t *testing.T) {
 
 func TestReferences(t *testing.T) {
 	g := fig2Graph()
-	if !g.References(0, "A") || !g.References(0, "B") {
-		t.Error("statement 0 references A (write) and B (read)")
-	}
-	if g.References(1, "B") {
-		t.Error("statement 1 does not reference B")
+	if got := fmt.Sprint(g.Referencing("A"), g.Referencing("B")); got != "[0 1 2] [0 2]" {
+		t.Errorf("Referencing(A), Referencing(B) = %s, want [0 1 2] [0 2]", got)
 	}
 }
 
+// TestDependencesOn: On lists the edges whose label mentions a
+// variable.
 func TestDependencesOn(t *testing.T) {
 	g := fig2Graph()
-	edges := g.DependencesOn("A")
-	if len(edges) != 2 {
+	if edges := g.On("A"); len(edges) != 2 {
 		t.Errorf("deps on A: %d edges, want 2", len(edges))
 	}
-	edges = g.DependencesOn("B")
-	if len(edges) != 1 {
+	if edges := g.On("B"); len(edges) != 1 {
 		t.Errorf("deps on B: %d edges, want 1", len(edges))
 	}
+	checkIndex(t, g)
 }
 
 func TestString(t *testing.T) {
@@ -154,17 +205,12 @@ func TestSelfEdges(t *testing.T) {
 		t.Fatalf("N = %d", g.N())
 	}
 	for v := 0; v < g.N(); v++ {
-		if e := g.Edge(v, v); e != nil {
+		if e := edge(g, v, v); e != nil {
 			t.Errorf("self edge on v%d: %v", v, e)
-		}
-		for _, s := range g.Succ(v) {
-			if s == v {
-				t.Errorf("v%d lists itself as successor", v)
-			}
 		}
 	}
 	// The genuine cross-statement flow dependence must survive.
-	if e := g.Edge(0, 1); e == nil {
+	if e := edge(g, 0, 1); e == nil {
 		t.Error("flow edge 0->1 missing")
 	}
 }
@@ -178,7 +224,7 @@ func TestParallelFlowAndAnti(t *testing.T) {
 		arrStmt(r, "A", ref("B", -1, 0)),
 		arrStmt(r, "B", ref("A", 0, -1)),
 	})
-	e := g.Edge(0, 1)
+	e := edge(g, 0, 1)
 	if e == nil {
 		t.Fatal("edge 0->1 missing")
 	}
@@ -194,14 +240,14 @@ func TestParallelFlowAndAnti(t *testing.T) {
 	if flows != 1 || antis != 1 {
 		t.Errorf("edge 0->1 items = %v; want one A flow and one B anti", e.Items)
 	}
-	if got := len(g.DependencesOn("A")); got != 1 {
-		t.Errorf("DependencesOn(A) = %d edges, want 1", got)
+	if got := len(g.On("A")); got != 1 {
+		t.Errorf("On(A) = %d edges, want 1", got)
 	}
-	if got := len(g.DependencesOn("B")); got != 1 {
-		t.Errorf("DependencesOn(B) = %d edges, want 1", got)
+	if got := len(g.On("B")); got != 1 {
+		t.Errorf("On(B) = %d edges, want 1", got)
 	}
-	if got := g.DependencesOn("C"); got != nil {
-		t.Errorf("DependencesOn(C) = %v, want nil", got)
+	if got := g.On("C"); got != nil {
+		t.Errorf("On(C) = %v, want nil", got)
 	}
 }
 
@@ -211,13 +257,10 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 {
 		t.Fatalf("N = %d", g.N())
 	}
-	if e := g.Edge(0, 0); e != nil {
-		t.Errorf("Edge on empty graph = %v", e)
+	if len(g.Edges) != 0 {
+		t.Errorf("edges on empty graph = %v", g.Edges)
 	}
-	if deps := g.DependencesOn("A"); len(deps) != 0 {
-		t.Errorf("DependencesOn on empty graph = %v", deps)
-	}
-	if vs := g.Vertices(); len(vs) != 0 {
-		t.Errorf("Vertices on empty graph = %v", vs)
+	if deps := g.On("A"); len(deps) != 0 {
+		t.Errorf("On on empty graph = %v", deps)
 	}
 }

@@ -1,8 +1,6 @@
 package asdg
 
 import (
-	"slices"
-
 	"repro/internal/air"
 	"repro/internal/sema"
 )
@@ -31,15 +29,9 @@ func (g *Graph) StmtRegion(v int) *sema.Region {
 	return nil
 }
 
-// References reports whether vertex v references array x (as a read,
-// write, reduction input, or communication subject).
-func (g *Graph) References(v int, x string) bool {
-	_, found := slices.BinarySearch(g.refs[x], v)
-	return found
-}
-
 // Referencing returns, in program order, the vertices that reference
-// array x. The slice is the graph's own.
+// array x (as a read, write, reduction input, or communication
+// subject). The slice is the graph's own.
 func (g *Graph) Referencing(x string) []int { return g.refs[x] }
 
 // Arrays returns the arrays vertex v references, once per reference:

@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/air"
@@ -12,7 +15,9 @@ import (
 	"repro/internal/dep"
 	"repro/internal/liveness"
 	"repro/internal/lower"
+	"repro/internal/parser"
 	"repro/internal/programs"
+	"repro/internal/remark"
 	"repro/internal/sema"
 	"repro/internal/source"
 )
@@ -722,9 +727,44 @@ func randomSet(r *rand.Rand, p *Partition, k int) map[int]bool {
 // TestCondensationTracksMerges drives random legal merge sequences and
 // after every merge compares what the partition maintains with what
 // the definitions give: GROW and FUSION-PARTITION? on random sets, and
-// the member and adjacency lists against a fresh condensation of rep.
+// the member and adjacency lists and the proofs against a fresh
+// condensation of rep. A merge on a clone leaves the original as it
+// was.
 func TestCondensationTracksMerges(t *testing.T) {
-	lists := func(p *Partition) string { return fmt.Sprint(p.members, p.succ, p.pred, p.count) }
+	lists := func(p *Partition) string {
+		// A proof's vectors are a set; a merge may list them in
+		// another order than a fresh walk of the edges.
+		proofs := make([]string, len(p.proofs))
+		for c, s := range p.proofs {
+			vecs := make([]string, len(s.vecs))
+			for i, u := range s.vecs {
+				vecs[i] = u.String()
+			}
+			sort.Strings(vecs)
+			proofs[c] = fmt.Sprint(s.first, vecs)
+		}
+		return fmt.Sprint(p.members, p.succ, p.pred, p.count, proofs)
+	}
+	// A proof with spare capacity: {v0..v3} holds three vectors. The
+	// clone's merge with v4 and the original's check with v5 each add
+	// one more; neither may land where the other keeps it.
+	r8 := reg2(8, 8)
+	p, _ := FromClusters(asdg.Build([]air.Stmt{
+		arrStmt(r8, "A", ref("Z", 0, 0)),
+		arrStmt(r8, "B", ref("A", 0, 1)),
+		arrStmt(r8, "C", ref("A", 1, 0)),
+		arrStmt(r8, "D", ref("A", 1, 1)),
+		arrStmt(r8, "E", ref("A", -1, 0)),
+		arrStmt(r8, "F", ref("A", 0, -1)),
+	}), [][]int{{0, 1, 2, 3}})
+	clone := p.Clone()
+	clone.MergeSet(map[int]bool{0: true, 4: true})
+	cloned := lists(clone)
+	FusionOK(p, map[int]bool{0: true, 5: true})
+	if got := lists(clone); got != cloned {
+		t.Fatalf("a check on the original changed a clone's merge:\n got  %s\n want %s", got, cloned)
+	}
+
 	r := rand.New(rand.NewSource(61))
 	merges := 0
 	for i := 0; i < 200; i++ {
@@ -737,6 +777,22 @@ func TestCondensationTracksMerges(t *testing.T) {
 				cs[d] = true
 			}
 			if refFusionOK(p, cs) {
+				// Neither the clone's merge nor the original's checks
+				// may write into what the other holds.
+				before, clone := lists(p), p.Clone()
+				clone.MergeSet(cs)
+				cloned := lists(clone)
+				for c := range cs {
+					more := randomSet(r, p, 2)
+					more[c] = true
+					FusionOK(p, more)
+				}
+				if got := lists(p); got != before {
+					t.Fatalf("graph %d: merging %v on a clone changed the original:\n got  %s\n want %s", i, cs, got, before)
+				}
+				if got := lists(clone); got != cloned {
+					t.Fatalf("graph %d: checks on the original changed a clone's merge of %v:\n got  %s\n want %s", i, cs, got, cloned)
+				}
 				p.MergeSet(cs)
 				merges++
 			}
@@ -841,4 +897,248 @@ func TestNonRepresentativeKeys(t *testing.T) {
 	if p.NumClusters() != 1 || p.ClusterOf(2) != 0 {
 		t.Errorf("MergeSet through a member vertex: %s", p)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// The predicates against the block walks they replaced.
+//
+// checkFusion, checkContraction and LoopStructureFor read the proofs of
+// the clusters in question and the edges crossing between them. The
+// references below are those three as they were before clusters kept
+// proofs: one walk over every vertex and every edge of the block.
+
+// refCheckFusion is the whole-block checkFusion. It also returns every
+// internal vector in edge order, zeros included: what a loop-structure
+// remark lists.
+func refCheckFusion(p *Partition, set []int) (verdict, []air.Offset) {
+	g := p.G
+	in := map[int]bool{}
+	for _, c := range set {
+		in[c] = true
+	}
+	if len(in) < 2 {
+		return verdict{}, nil
+	}
+	if g.Seg != nil {
+		first := -1
+		for v, r := range p.rep {
+			switch {
+			case !in[r]:
+			case first < 0:
+				first = v
+			case g.Seg[v] != g.Seg[first]:
+				return verdict{test: remark.TestSegment, v: v, ref: first}, nil
+			}
+		}
+	}
+	first := -1
+	for v, r := range p.rep {
+		switch {
+		case !in[r]:
+		case !g.IsFusible(v):
+			return verdict{test: remark.TestFusible, v: v}, nil
+		case first < 0:
+			first = v
+		case !Translates(g.StmtRegion(first), g.StmtRegion(v)):
+			return verdict{test: remark.TestConformable, v: v, ref: first}, nil
+		}
+	}
+	var vecs []air.Offset
+	nonNull := verdict{}
+	for ei, e := range g.Edges {
+		if !in[p.rep[e.From]] || !in[p.rep[e.To]] {
+			continue
+		}
+		for ii, it := range e.Items {
+			switch {
+			case !it.Vector:
+				return verdict{test: remark.TestOrderingOnly, edge: ei, item: ii}, nil
+			case it.U.IsZero():
+			case it.Kind == dep.Flow:
+				return verdict{test: remark.TestNullFlow, edge: ei, item: ii}, nil
+			case it.Kind == dep.Anti && p.NoCarriedAnti:
+				return verdict{test: remark.TestCarriedAnti, edge: ei, item: ii}, nil
+			case nonNull.ok():
+				nonNull = verdict{test: remark.TestLoopStructure, edge: ei, item: ii}
+			}
+			vecs = append(vecs, it.U)
+		}
+	}
+	if !nonNull.ok() {
+		if _, found := FindLoopStructure(g.StmtRegion(first).Rank(), vecs); !found {
+			return nonNull, vecs
+		}
+	}
+	return verdict{}, vecs
+}
+
+// refCheckContraction is the whole-block checkContraction.
+func refCheckContraction(p *Partition, x string, set []int) verdict {
+	in := map[int]bool{}
+	for _, c := range set {
+		in[c] = true
+	}
+	var d verdict
+	for ei, e := range p.G.Edges {
+		for ii, it := range e.Items {
+			test := ""
+			switch {
+			case it.Var != x:
+				continue
+			case !in[p.rep[e.From]] || !in[p.rep[e.To]]:
+				test = remark.TestConfined
+			case !it.Vector || !it.U.IsZero():
+				test = remark.TestNullVector
+			default:
+				continue
+			}
+			if d.offending == 0 {
+				d.test, d.edge, d.item = test, ei, ii
+			}
+			d.offending++
+		}
+	}
+	return d
+}
+
+// refLoopStructure is the whole-block LoopStructureFor.
+func refLoopStructure(p *Partition, c int) (dep.LoopStructure, bool) {
+	if len(p.membersOf(c)) == 0 || p.G.StmtRegion(c) == nil {
+		return nil, true
+	}
+	var vs []air.Offset
+	for _, e := range p.G.Edges {
+		if p.rep[e.From] == c && p.rep[e.To] == c {
+			for _, it := range e.Items {
+				if it.Vector {
+					vs = append(vs, it.U)
+				}
+			}
+		}
+	}
+	return FindLoopStructure(p.G.StmtRegion(c).Rank(), vs)
+}
+
+// TestVerdictsMatchBlockWalk holds every verdict checkFusion and
+// checkContraction return, on every set they are asked about, and
+// LoopStructureFor on every cluster, to the block walks. The sets are
+// the ones the ladder, the emulations and the remarks ask: on the
+// benchmarks and testdata at every level, sequential and at p=2 under
+// both strategies, on programs.Chain(400) and random programs; and on
+// random merge sequences that turn NoCarriedAnti on and off, as
+// contractPairs does. Each of the nine tests the two predicates name
+// must occur.
+func TestVerdictsMatchBlockWalk(t *testing.T) {
+	seen := map[string]int{}
+	same := func(p *Partition, x string, set []int, got, want verdict) {
+		seen[want.test]++
+		if got != want {
+			t.Fatalf("set %v, array %q: verdict %+v, want %+v\n%s\n%s", set, x, got, want, p, p.G)
+		}
+	}
+	checkFusion = func(p *Partition, set []int) verdict {
+		got := fusionPartition(p, set)
+		want, vecs := refCheckFusion(p, set)
+		if want.test == remark.TestLoopStructure && !reflect.DeepEqual(internalVectors(p, set), vecs) {
+			t.Fatalf("set %v: remark vectors %v, want %v\n%s", set, internalVectors(p, set), vecs, p.G)
+		}
+		same(p, "", set, got, want)
+		return got
+	}
+	checkContraction = func(p *Partition, x string, set []int) verdict {
+		got := contractible(p, x, set)
+		same(p, x, set, got, refCheckContraction(p, x, set))
+		return got
+	}
+	defer func() { checkFusion, checkContraction = fusionPartition, contractible }()
+	loops := func(what string, p *Partition) {
+		t.Helper()
+		for _, c := range p.Clusters() {
+			got, gok := p.LoopStructureFor(c)
+			want, wok := refLoopStructure(p, c)
+			if !reflect.DeepEqual(got, want) || gok != wok {
+				t.Fatalf("%s: cluster %d: loop structure %v %v, want %v %v", what, c, got, gok, want, wok)
+			}
+		}
+	}
+
+	srcs := map[string]string{"chain400": programs.Chain(400)}
+	for _, b := range programs.All() {
+		srcs[b.Name] = b.Source
+	}
+	files, _ := filepath.Glob("../../testdata/*.za")
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(f)] = string(src)
+	}
+	r := rand.New(rand.NewSource(30))
+	for i := 0; i < 12; i++ {
+		srcs[fmt.Sprintf("random%d", i)] = programs.Random(r)
+	}
+	for name, src := range srcs {
+		var errs source.ErrorList
+		info := sema.Check(parser.Parse(src, &errs), nil, &errs)
+		if errs.HasErrors() {
+			t.Fatalf("%s: %v", name, errs.Err())
+		}
+		lowered := func() *air.Program {
+			prog := lower.Lower(info, &errs)
+			if errs.HasErrors() {
+				t.Fatalf("%s: %v", name, errs.Err())
+			}
+			return prog
+		}
+		for _, mode := range []string{"seq", "p2", "p2 favor-comm"} {
+			for _, lvl := range AllLevels() {
+				prog, cfg := lowered(), Config{}
+				if mode != "seq" {
+					opts := comm.DefaultOptions(2)
+					if mode == "p2 favor-comm" {
+						opts.Strategy, cfg.SegmentFn = comm.FavorComm, comm.Segments
+					}
+					comm.Insert(prog, opts)
+					cfg.DisableRealign = true
+				}
+				plan := ApplyEx(prog, lvl, cfg)
+				plan.Remarks()
+				for bi, bp := range plan.Blocks {
+					loops(fmt.Sprintf("%s %s %s block %d", name, mode, lvl, bi), bp.Part)
+				}
+			}
+		}
+		for _, em := range Emulations() {
+			for bi, bp := range Emulate(lowered(), em).Blocks {
+				loops(fmt.Sprintf("%s %s block %d", name, em.Name, bi), bp.Part)
+			}
+		}
+	}
+
+	for i := 0; i < 200; i++ {
+		g := randomGraph(r)
+		p := Trivial(g)
+		for try := 0; try < 2*g.N(); try++ {
+			p.NoCarriedAnti = r.Intn(2) == 0
+			cs := randomSet(r, p, 2)
+			for d := range p.Grow(cs) {
+				cs[d] = true
+			}
+			ContractionOK(p, fmt.Sprintf("A%d", r.Intn(6)), cs)
+			if FusionOK(p, cs) {
+				p.MergeSet(cs)
+				loops(fmt.Sprintf("graph %d", i), p)
+			}
+		}
+	}
+
+	for _, test := range []string{remark.TestSegment, remark.TestFusible, remark.TestConformable,
+		remark.TestOrderingOnly, remark.TestNullFlow, remark.TestCarriedAnti, remark.TestLoopStructure,
+		remark.TestConfined, remark.TestNullVector} {
+		if seen[test] == 0 {
+			t.Errorf("no verdict %s: the inputs do not exercise it", test)
+		}
+	}
+	t.Logf("verdicts: %v", seen)
 }

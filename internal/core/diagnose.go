@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/air"
 	"repro/internal/asdg"
@@ -57,6 +58,65 @@ type verdict struct {
 
 func (d verdict) ok() bool { return d.test == "" }
 
+// proof is what a cluster has proved about the dependence items among
+// its members: the first item, in G.Edges order, of each kind
+// checkFusion tests, and the distinct non-null vectors, the only ones
+// FIND-LOOP-STRUCTURE's answer depends on (direction ignores zeros;
+// prune keeps them, but they constrain nothing). Its vectors are never
+// appended to once it is built.
+type proof struct {
+	first [orderingOnly + 1]at // the first non-null item of each dep.Kind, then the first without a vector
+	vecs  []air.Offset
+}
+
+const orderingOnly = int(dep.Output) + 1
+
+// at names the item G.Edges[e].Items[i] as (e+1)<<32 | i, so that items
+// compare in G.Edges order and 0 names none.
+type at int64
+
+func (a at) edge() int        { return int(a>>32) - 1 }
+func (a at) item() int        { return int(a & (1<<32 - 1)) }
+func (a at) before(b at) bool { return a != 0 && (b == 0 || a < b) }
+
+// mark records a as the first item of kind k unless s has an earlier one.
+func (s *proof) mark(k int, a at) {
+	if a.before(s.first[k]) {
+		s.first[k] = a
+	}
+}
+
+// edge records the items of e, which is G.Edges[ei].
+func (s *proof) edge(e *dep.Edge, ei int) {
+	for ii := range e.Items {
+		it, a := &e.Items[ii], at(ei+1)<<32|at(ii)
+		switch {
+		case !it.Vector:
+			s.mark(orderingOnly, a)
+		case !it.U.IsZero():
+			s.mark(int(it.Kind), a)
+			s.add(it.U)
+		}
+	}
+}
+
+// join adds what o proves to s.
+func (s *proof) join(o *proof) {
+	for k, a := range o.first {
+		s.mark(k, a)
+	}
+	for _, u := range o.vecs {
+		s.add(u)
+	}
+}
+
+// add records the non-null vector u unless s holds it already.
+func (s *proof) add(u air.Offset) {
+	if !slices.ContainsFunc(s.vecs, u.Equal) {
+		s.vecs = append(s.vecs, u)
+	}
+}
+
 // checkFusion is the FUSION-PARTITION? predicate: merging the clusters
 // in set must yield a valid fusion partition (Definition 5, plus the
 // segment constraint). Inter-cluster cycles are not checked — the
@@ -67,80 +127,68 @@ func (d verdict) ok() bool { return d.test == "" }
 // Exact translates of a region are admitted as well as equal regions
 // (equal extents, shifted bounds): realigned compiler temporaries
 // produce such clusters, and scalarization guards the shifted
-// statements inside the union loop nest.
-func checkFusion(p *Partition, set []int) verdict {
+// statements inside the union loop nest. It is a variable, as is
+// checkContraction, so that a test can watch it.
+var checkFusion = fusionPartition
+
+func fusionPartition(p *Partition, set []int) verdict {
 	g := p.G
-	p.in.reset(len(p.rep))
-	n := 0
-	for _, c := range set {
-		if p.in.add(c) {
-			n++
-		}
-	}
+	n, m, big := p.stamp(set)
 	if n < 2 {
 		return verdict{}
 	}
 
 	// FavorComm segment constraint: fusion may not cross a
 	// communication primitive (it would shrink the overlap window).
-	if g.Seg != nil {
-		first := -1
-		for v, r := range p.rep {
-			switch {
-			case !p.in.has(r):
-			case first < 0:
-				first = v
-			case g.Seg[v] != g.Seg[first]:
-				return verdict{test: remark.TestSegment, v: v, ref: first}
-			}
-		}
-	}
-
 	// Conditions (i) + fusibility: every member statement is fusible
-	// and operates under one region (or an exact translate of it).
-	first := -1
-	for v, r := range p.rep {
-		switch {
-		case !p.in.has(r):
-		case !g.IsFusible(v):
-			return verdict{test: remark.TestFusible, v: v}
-		case first < 0:
-			first = v
-		case !Translates(g.StmtRegion(first), g.StmtRegion(v)):
-			return verdict{test: remark.TestConformable, v: v, ref: first}
+	// and operates under one region (or an exact translate of it). By
+	// the Partition invariant the first offending statement is the
+	// smallest offending representative.
+	reg, seg, v := g.StmtRegion(m), -1, -1
+	for _, c := range set {
+		if g.Seg != nil && g.Seg[c] != g.Seg[m] && (seg < 0 || c < seg) {
+			seg = c
 		}
+		if reg != nil && (v < 0 || c < v) && (!g.IsFusible(c) || !Translates(reg, g.StmtRegion(c))) {
+			v = c
+		}
+	}
+	switch {
+	case seg >= 0:
+		return verdict{test: remark.TestSegment, v: seg, ref: m}
+	case reg == nil:
+		return verdict{test: remark.TestFusible, v: m}
+	case v < 0:
+	case !g.IsFusible(v):
+		return verdict{test: remark.TestFusible, v: v}
+	default:
+		return verdict{test: remark.TestConformable, v: v, ref: m}
 	}
 
-	// Conditions (ii) and (iv) over the would-be intra-cluster deps.
-	vecs := p.vecs[:0]
-	nonNull := verdict{}
-	for ei := range g.Edges {
-		e := &g.Edges[ei]
-		if !p.in.has(p.rep[e.From]) || !p.in.has(p.rep[e.To]) {
-			continue
-		}
-		for ii := range e.Items {
-			it := &e.Items[ii]
-			switch {
-			case !it.Vector:
-				return verdict{test: remark.TestOrderingOnly, edge: ei, item: ii}
-			case it.U.IsZero():
-			case it.Kind == dep.Flow:
-				return verdict{test: remark.TestNullFlow, edge: ei, item: ii}
-			case it.Kind == dep.Anti && p.NoCarriedAnti:
-				return verdict{test: remark.TestCarriedAnti, edge: ei, item: ii}
-			case nonNull.ok():
-				nonNull = verdict{test: remark.TestLoopStructure, edge: ei, item: ii}
-			}
-			vecs = append(vecs, it.U)
+	// Conditions (ii) and (iv) over the would-be intra-cluster deps:
+	// the first ordering-only item, non-null flow or (under
+	// NoCarriedAnti) non-null anti is the witness.
+	s := p.joined(set, big)
+	var w at
+	test := ""
+	for k, t := range [...]string{dep.Flow: remark.TestNullFlow, dep.Anti: remark.TestCarriedAnti, orderingOnly: remark.TestOrderingOnly} {
+		if t != "" && s.first[k].before(w) && (k != int(dep.Anti) || p.NoCarriedAnti) {
+			w, test = s.first[k], t
 		}
 	}
-	p.vecs = vecs
+	if w != 0 {
+		return verdict{test: test, edge: w.edge(), item: w.item()}
+	}
 	// An all-null vector set always admits the identity structure; the
 	// first non-null vector is the witness when none exists.
-	if !nonNull.ok() {
-		if _, found := FindLoopStructure(g.StmtRegion(first).Rank(), vecs); !found {
-			return nonNull
+	for _, a := range s.first[:orderingOnly] {
+		if a.before(w) {
+			w = a
+		}
+	}
+	if w != 0 {
+		if _, found := FindLoopStructure(reg.Rank(), s.vecs); !found {
+			return verdict{test: remark.TestLoopStructure, edge: w.edge(), item: w.item()}
 		}
 	}
 	return verdict{}
@@ -153,13 +201,15 @@ func checkFusion(p *Partition, set []int) verdict {
 // first offending item and counts them all. The caller must also have
 // established that x's live range permits elimination (package
 // liveness).
-func checkContraction(p *Partition, x string, set []int) verdict {
+var checkContraction = contractible
+
+func contractible(p *Partition, x string, set []int) verdict {
 	p.in.reset(len(p.rep))
 	for _, c := range set {
 		p.in.add(c)
 	}
 	var d verdict
-	for ei := range p.G.Edges {
+	for _, ei := range p.G.On(x) {
 		e := &p.G.Edges[ei]
 		confined := p.in.has(p.rep[e.From]) && p.in.has(p.rep[e.To])
 		for ii := range e.Items {
@@ -229,11 +279,34 @@ func diagnoseFusion(p *Partition, set []int) diagnosis {
 	case remark.TestCarriedAnti:
 		out.Reason = "the fused cluster would carry a non-null anti dependence (emulated compiler restriction)"
 	case remark.TestLoopStructure:
-		// checkFusion ran to the end and left every vector in p.vecs.
 		out.Reason = "FIND-LOOP-STRUCTURE: no loop structure vector preserves every intra-cluster dependence"
-		out.Detail = fmt.Sprintf("intra-cluster distance vectors %v", p.vecs)
+		out.Detail = fmt.Sprintf("intra-cluster distance vectors %v", internalVectors(p, set))
 	}
 	return out
+}
+
+// internalVectors lists the vector of every item on an edge between
+// two statements of the clusters in set, zeros included, in G.Edges
+// order.
+func internalVectors(p *Partition, set []int) (vecs []air.Offset) {
+	p.stamp(set)
+	var edges []int
+	for _, c := range set {
+		for _, v := range p.members[c] {
+			edges = append(edges, p.G.Out(v)...)
+		}
+	}
+	slices.Sort(edges)
+	for _, ei := range edges {
+		if e := &p.G.Edges[ei]; p.in.has(p.rep[e.To]) {
+			for _, it := range e.Items {
+				if it.Vector {
+					vecs = append(vecs, it.U)
+				}
+			}
+		}
+	}
+	return vecs
 }
 
 // err renders a failed diagnosis of subject as an error, its parts in
@@ -253,8 +326,8 @@ func (d diagnosis) err(subject string) error {
 // evidence. When a single non-null flow dependence is the only
 // blocker, it adds a fix-it note naming the read offset the user would
 // have to align.
-func diagnoseContraction(p *Partition, x string, cs map[int]bool) diagnosis {
-	d := checkContraction(p, x, p.clustersOf(cs))
+func diagnoseContraction(p *Partition, x string, set []int) diagnosis {
+	d := checkContraction(p, x, set)
 	if d.ok() {
 		return diagnosis{OK: true}
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/air"
 	"repro/internal/asdg"
 	"repro/internal/dep"
 )
@@ -21,6 +20,15 @@ import (
 // representative — built once by Trivial, FromClusters and Clone and
 // updated by MergeSet. GROW therefore costs O(e), as Fig. 3 states,
 // instead of a rebuild of the condensation from every ASDG edge.
+//
+// Each cluster also keeps a proof of its internal dependence items, so
+// the legality predicates and LoopStructureFor read the clusters asked
+// about and the edges between them, never the whole block. Invariant:
+// every multi-statement cluster passed checkFusion when it formed
+// (Validate checks a supplied one), so its members share a segment,
+// are fusible and translate one another, and its representative speaks
+// for them. Of its own items, only a carried anti, merged with
+// NoCarriedAnti off, can fail a later check.
 //
 // The accessors (ClusterOf, Members, Clusters, TopoClusters, Acyclic,
 // LoopStructureFor, Validate) only read, so a finished partition may be
@@ -41,12 +49,12 @@ type Partition struct {
 	members [][]int // representative -> its vertices, ascending; nil for other vertices
 	succ    [][]int // representative -> successor clusters, ascending
 	pred    [][]int // representative -> predecessor clusters, ascending
+	proofs  []proof // representative -> what its internal items prove
 
 	// Scratch of the mutating half, reused so that a legality query
 	// allocates nothing once the buffers have grown.
 	in, down, up      stampSet
 	seeds, set, queue []int
-	vecs              []air.Offset
 
 	// named is set on the partition Validate checks a plan's clusters
 	// on: every statement of a merge set is one the plan names. A
@@ -120,21 +128,25 @@ func FromClusters(g *asdg.Graph, clusters [][]int) (*Partition, error) {
 	return p, nil
 }
 
-// condense builds the condensation from rep and the ASDG's edges.
+// condense builds the condensation and proofs from rep and the edges.
 func (p *Partition) condense() {
 	n := len(p.rep)
 	p.count = 0
 	p.members, p.succ, p.pred = make([][]int, n), make([][]int, n), make([][]int, n)
+	p.proofs = make([]proof, n)
 	for v, r := range p.rep {
 		if v == r {
 			p.count++
 		}
 		p.members[r] = append(p.members[r], v)
 	}
-	for _, e := range p.G.Edges {
+	for ei := range p.G.Edges {
+		e := &p.G.Edges[ei]
 		if a, b := p.rep[e.From], p.rep[e.To]; a != b {
 			p.succ[a] = append(p.succ[a], b)
 			p.pred[b] = append(p.pred[b], a)
+		} else {
+			p.proofs[a].edge(e, ei)
 		}
 	}
 	for c := range p.succ {
@@ -153,6 +165,7 @@ func (p *Partition) Clone() *Partition {
 		members: cloneLists(p.members),
 		succ:    cloneLists(p.succ),
 		pred:    cloneLists(p.pred),
+		proofs:  append([]proof(nil), p.proofs...),
 	}
 }
 
@@ -237,17 +250,14 @@ func (p *Partition) clusters(vertices []int) []int {
 }
 
 // merge unions the given distinct clusters and folds their rows of the
-// condensation into the survivor's, in time proportional to the
-// clusters' members and neighbours.
+// condensation and their proofs into the survivor's, in time
+// proportional to the clusters' members and neighbours.
 func (p *Partition) merge(set []int) {
 	if len(set) < 2 {
 		return
 	}
-	m := slices.Min(set)
-	p.in.reset(len(p.rep))
-	for _, c := range set {
-		p.in.add(c)
-	}
+	_, m, big := p.stamp(set)
+	proved := p.joined(set, big)
 	succ := p.absorb(p.succ, p.pred, set, m)
 	pred := p.absorb(p.pred, p.succ, set, m)
 	all := p.members[m]
@@ -259,11 +269,55 @@ func (p *Partition) merge(set []int) {
 			p.rep[v] = m
 		}
 		all = append(all, p.members[c]...)
-		p.members[c], p.succ[c], p.pred[c] = nil, nil, nil
+		p.members[c], p.succ[c], p.pred[c], p.proofs[c] = nil, nil, nil, proof{}
 	}
 	sort.Ints(all)
-	p.members[m], p.succ[m], p.pred[m] = all, succ, pred
+	p.members[m], p.succ[m], p.pred[m], p.proofs[m] = all, succ, pred, proved
 	p.count -= len(set) - 1
+}
+
+// stamp puts the clusters of set in p.in and returns how many are
+// distinct, the smallest and the one with the most members.
+func (p *Partition) stamp(set []int) (n, m, big int) {
+	p.in.reset(len(p.rep))
+	for _, c := range set {
+		if p.in.add(c) {
+			if n++; n == 1 || c < m {
+				m = c
+			}
+			if n == 1 || len(p.members[c]) > len(p.members[big]) {
+				big = c
+			}
+		}
+	}
+	return n, m, big
+}
+
+// joined returns the proof of the merge of the clusters in set, which
+// p.in holds: their proofs and the items on the edges between them,
+// each found once from the members of the clusters other than big.
+func (p *Partition) joined(set []int, big int) proof {
+	g := p.G
+	s := proof{first: p.proofs[big].first, vecs: slices.Clone(p.proofs[big].vecs)}
+	for _, c := range set {
+		if c == big {
+			continue
+		}
+		s.join(&p.proofs[c])
+		for _, v := range p.members[c] {
+			for _, ei := range g.Out(v) {
+				if d := p.rep[g.Edges[ei].To]; d != c && p.in.has(d) {
+					s.edge(&g.Edges[ei], ei)
+				}
+			}
+			for _, ei := range g.In(v) {
+				if p.rep[g.Edges[ei].From] == big {
+					s.edge(&g.Edges[ei], ei)
+				}
+			}
+		}
+	}
+	return s
 }
 
 // absorb returns the union of the fwd lists of the clusters in set
@@ -386,17 +440,7 @@ func (p *Partition) LoopStructureFor(c int) (dep.LoopStructure, bool) {
 	if reg == nil {
 		return nil, true // unnormalized singleton: no loop nest
 	}
-	var vs []air.Offset
-	for _, e := range p.G.Edges {
-		if p.rep[e.From] == c && p.rep[e.To] == c {
-			for _, it := range e.Items {
-				if it.Vector {
-					vs = append(vs, it.U)
-				}
-			}
-		}
-	}
-	return FindLoopStructure(reg.Rank(), vs)
+	return FindLoopStructure(reg.Rank(), p.proofs[c].vecs)
 }
 
 // Validate re-checks Definition 5 on the partition, as ApplySpec does

@@ -70,11 +70,7 @@ func (pl *Plan) explainBlock(blockIdx int, bp *BlockPlan) []remark.Remark {
 		}
 		seen[key] = true
 
-		cs := map[int]bool{a: true, c: true}
-		for d := range p.Grow(cs) {
-			cs[d] = true
-		}
-		d := diagnoseFusion(p, p.clustersOf(cs))
+		d := diagnoseFusion(p, p.closure(key[:]))
 		r := remark.Remark{
 			Kind: remark.NotFused, Pass: "fusion", Block: blockIdx,
 			Pair: &[2]int{key[0], key[1]},
@@ -97,9 +93,8 @@ func (pl *Plan) explainBlock(blockIdx int, bp *BlockPlan) []remark.Remark {
 	for _, x := range sorted {
 		pos := firstWritePos(g, x)
 		if pl.Contracted[x] {
-			cls := p.ClustersReferencing(x)
 			var members []int
-			for c := range cls {
+			for _, c := range p.clusters(g.Referencing(x)) {
 				members = append(members, p.members[c]...)
 			}
 			sort.Ints(members)
@@ -159,23 +154,21 @@ func explainUncontracted(prog *air.Program, level Level, blockIdx int,
 		return r
 	}
 
-	cs := p.ClustersReferencing(x)
-	if len(cs) == 0 {
+	set := p.clusters(g.Referencing(x))
+	if len(set) == 0 {
 		r.Test = remark.TestFusible
 		r.Reason = "no fusible statement references the array (only unnormalized or communication statements do)"
 		return r
 	}
-	for d := range p.Grow(cs) {
-		cs[d] = true
-	}
-	if cd := diagnoseContraction(p, x, cs); !cd.OK {
+	set = p.closure(set)
+	if cd := diagnoseContraction(p, x, set); !cd.OK {
 		r.Test, r.Reason, r.Detail, r.Edge, r.Fixit = cd.Test, cd.Reason, cd.Detail, cd.Edge, cd.Fixit
 		if cd.Pos.IsValid() {
 			r.Pos = cd.Pos
 		}
 		return r
 	}
-	if fd := diagnoseFusion(p, p.clustersOf(cs)); !fd.OK {
+	if fd := diagnoseFusion(p, set); !fd.OK {
 		r.Test = fd.Test
 		r.Reason = "the fusion contraction requires is illegal: " + fd.Reason
 		r.Detail, r.Edge = fd.Detail, fd.Edge
@@ -259,10 +252,8 @@ func firstWritePos(g *asdg.Graph, x string) (pos source.Pos) {
 			}
 		}
 	}
-	for v := 0; v < g.N(); v++ {
-		if g.References(v, x) {
-			return air.PosOf(g.Stmts[v])
-		}
+	if vs := g.Referencing(x); len(vs) > 0 {
+		return air.PosOf(g.Stmts[vs[0]])
 	}
 	return pos
 }

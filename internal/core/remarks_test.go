@@ -87,7 +87,7 @@ func TestDiagnosisAgreesWithPredicates(t *testing.T) {
 				for d := range p.Grow(cs) {
 					cs[d] = true
 				}
-				if got, want := diagnoseContraction(p, x, cs).OK, ContractionOK(p, x, cs); got != want {
+				if got, want := diagnoseContraction(p, x, p.clustersOf(cs)).OK, ContractionOK(p, x, cs); got != want {
 					t.Errorf("%s: diagnoseContraction=%v but ContractionOK=%v for %s",
 						b.Name, got, want, x)
 				}

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -38,6 +39,26 @@ func BenchmarkCompileDist(b *testing.B) {
 				compileDist(b, name)
 			}
 		})
+	}
+}
+
+// BenchmarkCompileChain times the one-block programs.Chain compile at
+// 6,400 and 28,000 statements (the latter just under zpld's 1 MiB body
+// limit), at baseline and at c2+f4: the partitioner's legality checks
+// and LoopStructureFor read one cluster's proof, so both grow about
+// linearly. Not part of tier-1; run with -benchtime 1x.
+func BenchmarkCompileChain(b *testing.B) {
+	for _, n := range []int{6400, 28000} {
+		src := programs.Chain(n)
+		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+			b.Run(fmt.Sprintf("%d/%s", n, lvl), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := Compile(src, Options{Level: lvl}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
