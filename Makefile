@@ -233,7 +233,8 @@ vm-guard: build
 # Native guard: the tests to run after touching internal/gogen,
 # internal/backend or the lazy executor, re-run fresh — the sha256 of
 # every benchmark's one-shot and worker emission at the ladder ends
-# (internal/gogen/testdata/emission_hashes.json: a changed hash is a
+# (internal/gogen/testdata/emission_hashes{,_strips}.json, without and
+# with the packed kernels: a changed hash is a
 # changed artifact and binary, -update only for a deliberate change to
 # the emitted code) and their imports inside gogen.Imports, the
 # one-shot arena's layout, no fused multiply-add in emitted code, the
@@ -247,20 +248,26 @@ vm-guard: build
 # engine splits (absint.Result.Splits) and its seeded fault, GOMAXPROCS 1 against 2 byte for
 # byte, a -race build of a threaded worker, an idle threaded worker
 # using no CPU, and max/min of special values across a chunk boundary
-# on both engines.
+# on both engines. Then strips on native (DESIGN.md §13): nests that
+# run strips against the VM at the extents and guards where a strip's
+# edge lands (TestNativeStripEdges), the kernel package cross-built
+# without fused multiply-adds (TestEmittedNoFMA/kernel), a nest outside
+# the strip rule emitted exactly as before, and a seeded miscompile of
+# the strips' addition caught.
 # All are ordinary tier-1 tests; this target is the one to run after
 # touching those packages.
 native-guard: build
-	$(GO) test -count=1 -run 'TestEmissionPinned|TestEmittedImports|TestArenaLayout|TestEmittedNoFMA' ./internal/gogen
-	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded|TestBuildErrorDiagnostics|TestBuildCanceled|TestImportcfgHeals|TestTwoStoresBuildOneKey' ./internal/backend
+	$(GO) test -count=1 -run 'TestEmissionPinned|TestEmittedImports|TestArenaLayout|TestEmittedNoFMA|TestStripRuleLeavesOtherNests|TestUnreadRegisterVetClean' ./internal/gogen
+	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded|TestBuildErrorDiagnostics|TestBuildCanceled|TestImportcfgHeals|TestTwoStoresBuildOneKey|TestNativeStripEdges|TestStripSpecialsAreSpecial|TestSeedFaultCaught' ./internal/backend
 	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs|TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestOuterParallel' ./internal/check
 
 # Cross-build: internal/kernel has amd64 assembly (the packed strip
 # kernels) and a !amd64 file that keeps the Go loops; building and
 # vetting it and the VM that runs it for arm64 keeps that fallback
-# compiling. On amd64, `vet` checks the assembly's frame offsets
-# against its Go declarations.
+# compiling (the native backend builds the same files for emitted
+# programs, kernel.Source). On amd64, `vet` checks the assembly's frame
+# offsets against its Go declarations.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/vm ./internal/kernel

@@ -24,6 +24,15 @@ var (
 	buildErr  error
 )
 
+// TestMain removes the directory buildTools built the CLIs into.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
 // buildTools compiles the CLIs once per test run.
 func buildTools(t *testing.T) string {
 	t.Helper()

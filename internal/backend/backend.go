@@ -99,7 +99,7 @@ func release(ctx context.Context, tool, dir string) (version, toolDir string, er
 	goTool.mu.Lock()
 	defer goTool.mu.Unlock()
 	if goTool.version == "" {
-		out, err := run(ctx, dir, "go env", tool, "env", "GOVERSION", "GOTOOLDIR")
+		out, err := run(ctx, dir, nil, "go env", tool, "env", "GOVERSION", "GOTOOLDIR")
 		if err != nil {
 			return "", "", err
 		}
@@ -114,15 +114,21 @@ func release(ctx context.Context, tool, dir string) (version, toolDir string, er
 
 // importcfg returns the importcfg, listing it on first use with the
 // one go command that fills the build cache with gogen.Imports' export
-// data (go build fills it the same way). stale is an importcfg a build
-// found naming a file that is gone: if it is still the one kept, it is
-// listed again.
+// data (go build fills it the same way), the kernel package's included:
+// the command runs in the kernel's module (kernelModule, in kernelDir),
+// and builds the package there on a build cache miss. dir is the
+// store's directory. stale is an importcfg a build found naming a file
+// that is gone: if it is still the one kept, it is listed again.
 func importcfg(ctx context.Context, tool, dir, stale string) (string, error) {
 	goTool.cfgMu.Lock()
 	defer goTool.cfgMu.Unlock()
 	if goTool.importcfg == "" || goTool.importcfg == stale {
+		mod, err := kernelModule(kernelDir(dir))
+		if err != nil {
+			return "", err
+		}
 		args := append([]string{"list", "-export", "-deps", "-f", "{{if .Export}}packagefile {{.ImportPath}}={{.Export}}{{end}}"}, gogen.Imports[:]...)
-		out, err := run(ctx, dir, "go list", tool, args...)
+		out, err := run(ctx, mod, moduleEnv, "go list", tool, args...)
 		if err != nil {
 			return "", err
 		}
@@ -145,6 +151,10 @@ func gone(cfg string) bool {
 	return false
 }
 
+// moduleEnv makes a go command resolve packages in the module of its
+// directory whatever the caller's environment says.
+var moduleEnv = []string{"GOWORK=off", "GO111MODULE=on"}
+
 // lang is the -lang a toolchain of the given GOVERSION compiles
 // emitted code at: go1.24 for go1.24.0, go1.24rc1 or "devel
 // go1.24-abcdef ..."; "" when the version names none.
@@ -157,13 +167,14 @@ func lang(version string) string {
 	return "go1." + minor[:n]
 }
 
-// run runs one toolchain step in dir and returns its stdout. A failure
+// run runs one toolchain step in dir, with env added to this process's
+// environment, and returns its stdout. A failure
 // is a *BuildError carrying everything the step printed (compile writes
 // its diagnostics to stdout), or the context's error when the context
 // ended: the child is killed and reaped before run returns.
-func run(ctx context.Context, dir, step, name string, args ...string) (string, error) {
+func run(ctx context.Context, dir string, env []string, step, name string, args ...string) (string, error) {
 	cmd := exec.CommandContext(ctx, name, args...)
-	cmd.Dir = dir
+	cmd.Dir, cmd.Env = dir, append(os.Environ(), env...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
@@ -381,8 +392,9 @@ func (s *Store) build(ctx context.Context, tool, toolDir, version string, art *A
 
 // compileLink builds dir/main.go with the toolchain of the given
 // GOVERSION into a binary in tmp, against the importcfg cfg, and
-// returns the binary's path. Emitted programs are
-// stdlib-only, so main.go is the whole package; -trimpath makes every
+// returns the binary's path. An emitted program imports the standard
+// library and the kernel package, both in cfg, so main.go is the whole
+// package; -trimpath makes every
 // position "main.go:line:col", the diagnostics' and the binary's alike.
 func compileLink(ctx context.Context, toolDir, version, dir, tmp, cfg string) (string, error) {
 	cfgFile, obj, bin := filepath.Join(tmp, "importcfg"), filepath.Join(tmp, "main.a"), filepath.Join(tmp, "prog")
@@ -393,7 +405,7 @@ func compileLink(ctx context.Context, toolDir, version, dir, tmp, cfg string) (s
 		{"compile", "-o", obj, "-p", "main", "-lang=" + lang(version), "-complete", "-trimpath", dir + "=>", "-importcfg", cfgFile, "-pack", "main.go"},
 		{"link", "-s", "-w", "-buildmode=exe", "-importcfg", cfgFile, "-o", bin, obj},
 	} {
-		if _, err := run(ctx, dir, step[0], filepath.Join(toolDir, step[0]), step[1:]...); err != nil {
+		if _, err := run(ctx, dir, nil, step[0], filepath.Join(toolDir, step[0]), step[1:]...); err != nil {
 			return "", err
 		}
 	}
@@ -489,19 +501,24 @@ func parseElapsed(stderr string) (time.Duration, string) {
 }
 
 // SeedFault injects a deterministic miscompile into emitted Go source
-// (the first additive operator inside za_main becomes a subtraction),
-// for -checkfault-style self-tests proving the differential harness
-// catches a code-generator bug. ok is false when the program offers
-// no fault site.
+// (the first additive operator inside za_main becomes a subtraction, or,
+// when za_main has none because its nests run strips, the strips'
+// addition kernel becomes subtraction's), for -checkfault-style
+// self-tests proving the differential harness catches a code-generator
+// bug. ok is false when the program offers no fault site.
 func SeedFault(goSrc string) (mutated string, ok bool) {
 	at := strings.Index(goSrc, "func za_main(")
 	if at < 0 {
 		return goSrc, false
 	}
-	site := strings.Index(goSrc[at:], " + ")
-	if site < 0 {
-		return goSrc, false
+	if site := strings.Index(goSrc[at:], " + "); site >= 0 {
+		site += at
+		return goSrc[:site] + " - " + goSrc[site+3:], true
 	}
-	site += at
-	return goSrc[:site] + " - " + goSrc[site+3:], true
+	add := `&kernel.Lookup("+", 2).Packed`
+	if strings.Contains(goSrc, add) {
+		sub := `kernel.Lookup("-", 2).Packed`
+		return strings.Replace(goSrc, add, "&kernel.Kernels{VV: "+sub+".VV, VU: "+sub+".VU, UV: "+sub+".UV, Fold: "+add[1:]+".Fold}", 1), true
+	}
+	return goSrc, false
 }

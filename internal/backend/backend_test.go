@@ -26,7 +26,13 @@ import (
 	"repro/internal/proctest"
 )
 
-func TestMain(m *testing.M) { os.Exit(proctest.Main(m)) }
+// TestMain fails the package if a child process outlives its tests, and
+// removes the artifact store the native cells build into.
+func TestMain(m *testing.M) {
+	code := proctest.Main(m)
+	matrix.RemoveStore()
+	os.Exit(code)
+}
 
 func requireToolchain(t *testing.T) {
 	t.Helper()
@@ -38,7 +44,10 @@ func requireToolchain(t *testing.T) {
 // store is the oracle's: the cells of this package's matrix rows and
 // the tests below build into one store, so an emission two of them
 // reach is built once.
-var store = matrix.Store()
+//
+// A function, not a variable: a helper process (proctest.Helper) that
+// never builds makes no store, since a killed one cannot remove it.
+func store() *backend.Store { return matrix.Store() }
 
 // TestArtifactCacheHit: rebuilding an identical program must be a
 // store hit that skips the toolchain.
@@ -52,11 +61,11 @@ func TestArtifactCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, _, err := store.BuildProgram(context.Background(), c.LIR)
+	a1, _, err := store().BuildProgram(context.Background(), c.LIR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := store.BuildProgram(context.Background(), c.LIR)
+	a2, _, err := store().BuildProgram(context.Background(), c.LIR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +75,7 @@ func TestArtifactCacheHit(t *testing.T) {
 	if !a2.Hit {
 		t.Error("second build of identical source was not a store hit")
 	}
-	st := store.Stats()
+	st := store().Stats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("stats not tracking: %+v", st)
 	}
@@ -89,11 +98,11 @@ func TestArtifactCacheHit(t *testing.T) {
 			}
 		}()
 		var none context.Context
-		store.Build(none, goSrc)
+		store().Build(none, goSrc)
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if art, err := store.Build(ctx, goSrc); err != nil || art.Hit {
+	if art, err := store().Build(ctx, goSrc); err != nil || art.Hit {
 		t.Fatalf("build after a panicked build of the same key: %+v, %v", art, err)
 	}
 }
@@ -153,7 +162,7 @@ func TestBuildErrorDiagnostics(t *testing.T) {
 		// A main package without main compiles; the link refuses it.
 		{"package main\n\nvar x int\n", "link", `function main is undeclared`},
 	} {
-		_, err := store.Build(context.Background(), c.src)
+		_, err := store().Build(context.Background(), c.src)
 		if err == nil {
 			t.Fatalf("build of broken source succeeded:\n%s", c.src)
 		}
@@ -167,7 +176,7 @@ func TestBuildErrorDiagnostics(t *testing.T) {
 		if !regexp.MustCompile(c.want).MatchString(be.Diagnostics) {
 			t.Errorf("diagnostics do not match %q:\n%s", c.want, be.Diagnostics)
 		}
-		if strings.Contains(be.Diagnostics, store.Dir()) || strings.Contains(be.Diagnostics, "prog.tmp") {
+		if strings.Contains(be.Diagnostics, store().Dir()) || strings.Contains(be.Diagnostics, "prog.tmp") {
 			t.Errorf("diagnostics name a store path:\n%s", be.Diagnostics)
 		}
 	}
@@ -246,7 +255,7 @@ func TestRunTrapExitCode(t *testing.T) {
 	}
 	faulty := strings.Replace(goSrc, marker, marker+"\n\tzaTrapSelfTest()", 1) +
 		"\nfunc zaTrapSelfTest() {\n\tvar s []float64\n\t_ = s[1]\n}\n"
-	art, err := store.Build(context.Background(), faulty)
+	art, err := store().Build(context.Background(), faulty)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -293,7 +302,7 @@ func main() {
 	}
 }
 `
-	art, err := store.Build(context.Background(), src)
+	art, err := store().Build(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +326,7 @@ func TestRunReportsComputeTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, _, err := store.BuildProgram(context.Background(), c.LIR)
+	art, _, err := store().BuildProgram(context.Background(), c.LIR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +366,7 @@ end;
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, _, err := store.BuildProgram(context.Background(), c.LIR)
+	art, _, err := store().BuildProgram(context.Background(), c.LIR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +444,7 @@ func workerOf(t testing.TB, src string, edit func(goSrc string) string) (*backen
 	if edit != nil {
 		goSrc = edit(goSrc)
 	}
-	art, err := store.Build(context.Background(), goSrc)
+	art, err := store().Build(context.Background(), goSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestProveFaultCaughtNative(t *testing.T) {
 		if !strings.Contains(goSrc, "za_wrap") {
 			t.Fatalf("faulted emission (site %d) carries no displaced access", site)
 		}
-		art, err := store.Build(context.Background(), goSrc)
+		art, err := store().Build(context.Background(), goSrc)
 		if err != nil {
 			t.Fatalf("faulted source must still build: %v", err)
 		}
@@ -199,8 +199,12 @@ func runCheckptr(t *testing.T, goSrc string) (stdout, stderr string, err error) 
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := backend.WriteProgramModule(dir); err != nil {
+		t.Fatal(err)
+	}
 	build := exec.Command(tool, "build", "-gcflags=all=-d=checkptr", "-o", "prog", "main.go")
 	build.Dir = dir
+	build.Env = append(os.Environ(), "GOWORK=off")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build -d=checkptr: %v\n%s", err, out)
 	}

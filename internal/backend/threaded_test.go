@@ -55,7 +55,7 @@ func threadedWorkerOf(t *testing.T, p programs.Benchmark, lvl core.Level) (*back
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := store.Build(context.Background(), goSrc)
+	art, err := store().Build(context.Background(), goSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,12 @@ func TestThreadedWorkerRaceClean(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := backend.WriteProgramModule(dir); err != nil {
+		t.Fatal(err)
+	}
 	build := exec.Command(tool, "build", "-race", "-o", "prog", "main.go")
 	build.Dir = dir
+	build.Env = append(os.Environ(), "GOWORK=off")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build -race: %v\n%s", err, out)
 	}

@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -273,18 +274,32 @@ func Quick(t *testing.T, cfg *quick.Config, cells func(src string) []Cell) {
 
 // Store is the artifact store every native engine of the process builds
 // into. Tests that build sources of their own share it, so an emission
-// two tests reach is built once.
+// two tests reach is built once. A package whose tests build into it
+// removes it when they end (RemoveStore).
 var Store = sync.OnceValue(func() *backend.Store {
 	dir, err := os.MkdirTemp("", "zpl-difftest")
 	if err != nil {
 		panic(err)
 	}
+	storeDir.Store(&dir)
 	s, err := backend.Open(dir)
 	if err != nil {
 		panic(err)
 	}
 	return s
 })
+
+// storeDir is the directory Store made, once it has made one.
+var storeDir atomic.Pointer[string]
+
+// RemoveStore removes the directory of the artifact store Store made in
+// this process, if it made one: a test binary's TestMain calls it after
+// its tests have run, so no run leaves a store behind.
+func RemoveStore() {
+	if dir := storeDir.Load(); dir != nil {
+		os.RemoveAll(*dir)
+	}
+}
 
 // nopTracer observes nothing; its presence makes the VM run at strip
 // width 1.

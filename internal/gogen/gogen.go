@@ -32,9 +32,21 @@
 // runtime import. internal/check's outer-parallel pass re-proves each
 // split from the plan's dependence graph.
 //
-// Emitted programs are self-contained (standard library only) and make
-// three guarantees the differential tests (internal/backend, make
-// backend-diff) rely on:
+// A nest the strip rule admits (strips: on a host with the packed
+// kernels, an ascending unit-stride innermost loop of at least one strip
+// whose operators all have packed kernels, or one of which is a call
+// into libm) runs as the
+// VM runs it: its innermost loop strip-mined at kernel.Width elements,
+// each operator one call of its internal/kernel entry over the strip,
+// its registers strip buffers (DESIGN.md §13 "Strips on native"). Such a
+// program imports the kernel package (KernelPath), which the native
+// backend builds from the source embedded in this binary
+// (kernel.Source); every other nest is the scalar sweep above, and a
+// host without packed kernels emits it alone.
+//
+// Emitted programs import the standard library and the kernel package
+// only, and make three guarantees the differential tests
+// (internal/backend, make backend-diff) rely on:
 //
 //   - stdout is bit-identical to the VM's: writeln arguments print
 //     with %g separated by single spaces, exactly like internal/vm;
@@ -57,8 +69,9 @@
 // builds against, and are emitted only when the program actually uses
 // them (math is conditional; fmt and os are always used by the main
 // scaffold, time by a one-shot one, syscall by a worker's and by a
-// mapped arena, unsafe by proven accesses and by either mapping, and
-// runtime by a worker that splits a nest), so generated code compiles and vets clean with
+// mapped arena, unsafe by proven accesses and by either mapping,
+// runtime by a worker that splits a nest, and the kernel package by a
+// nest that runs strips), so generated code compiles and vets clean with
 // no blank-identifier hacks.
 //
 // Communication primitives are dropped: generated code is the
@@ -76,13 +89,15 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/air"
+	"repro/internal/kernel"
 	"repro/internal/lir"
 )
 
 // Imports is every package an emitted program can import, in the order
 // its import block lists them: fmt, math, os, runtime, syscall, time,
-// unsafe. The native backend builds against exactly this set.
-var Imports = [...]string{"fmt", "math", "os", "runtime", "syscall", "time", "unsafe"}
+// unsafe and the kernel package (KernelPath). The native backend builds
+// against exactly this set.
+var Imports = [...]string{"fmt", "math", "os", "runtime", "syscall", "time", "unsafe", KernelPath}
 
 // ExitTrap is the process exit code of a generated binary whose
 // execution hit a runtime fault. It is deliberately distinct from 0
@@ -239,7 +254,7 @@ func EmitWorker(p *lir.Program, bounds *absint.Result) (string, error) {
 // emit renders p as a one-shot program, or as a resident worker over
 // spec when spec is non-nil.
 func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error) {
-	g := &gen{p: p, bounds: bounds, spec: spec}
+	g := &gen{p: p, bounds: bounds, spec: spec, kernels: map[string]string{}}
 	var body bytes.Buffer
 	g.b = &body
 
@@ -280,6 +295,10 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 	if g.spec != nil {
 		fmt.Fprintf(&out, "// resident worker: state mapped from fd %d, one run per byte on stdin.\n", StateFD)
 	}
+	if g.stripped > 0 {
+		fmt.Fprintf(&out, "// strips: %d of %d nests run %d-element strips through kernel source %.16s.\n",
+			g.stripped, g.nests, kernel.Width, KernelSum())
+	}
 	uses := map[string]bool{
 		"fmt":     true,
 		"math":    g.useMath,
@@ -288,6 +307,8 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 		"syscall": g.spec != nil || g.useSyscall,
 		"time":    g.spec == nil,
 		"unsafe":  g.useUnsafe,
+
+		KernelPath: g.stripped > 0,
 	}
 	out.WriteString("package main\n\nimport (\n")
 	for _, path := range Imports {
@@ -297,6 +318,21 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 	}
 	out.WriteString(")\n\n")
 	out.WriteString(decls.String())
+	for _, d := range g.kernelDecls {
+		out.WriteString(d)
+	}
+	if g.pool > 0 {
+		fmt.Fprintf(&out, "\n// zaB holds the strip buffers of the nests that run strips.\nvar zaB [%d][%d]float64\n", g.pool, kernel.Width)
+	}
+	if g.stripped > 0 {
+		out.WriteString("\n")
+	}
+	if g.useFill {
+		out.WriteString(helperFill)
+	}
+	if g.useIota {
+		out.WriteString(helperIota)
+	}
 	if g.useSign {
 		out.WriteString(helperSign)
 	}
@@ -435,6 +471,16 @@ type gen struct {
 	inner   bytes.Buffer
 	strides map[string][]int
 
+	// kernels names the variable of each operator whose kernels strips
+	// call, and kernelDecls declares them in first-use order; pool is the
+	// most strip buffers a nest outside a threaded function uses, and
+	// nests and stripped count the nests and those that run strips.
+	kernels          map[string]string
+	kernelDecls      []string
+	useFill, useIota bool
+	pool             int
+	nests, stripped  int
+
 	// threaded holds the functions of the nests a worker splits
 	// (absint.Result.Splits), numbered in emission order, and cases the
 	// zaC_do arm that runs each; maxAccs is the most max/min
@@ -478,9 +524,11 @@ func goName(n string) string { return mangle("za_", n) }
 // pointer of an array with unchecked accesses and "zaA_" a reduction
 // target's nest-local accumulator. Neither prefix — nor "zaO_" (row
 // offsets), "zaH_" (hoisted expressions), "zaS_" (the max and min
-// helpers' out-of-line halves), "zaN_" (a threaded nest's function) and
-// "zaC_" (the chunks that run it) — can collide with goName's "za_"
-// namespace.
+// helpers' out-of-line halves), "zaN_" (a threaded nest's function),
+// "zaC_" (the chunks that run it), "zaK_" (an operator's kernels),
+// "zaF_" (the strip helpers), nor zaB, zaL, zaJ and zaE (the strip
+// buffers, a strip's length and a guard's cut of it) — can collide with
+// goName's "za_" namespace.
 func mangle(prefix, n string) string {
 	n = strings.ReplaceAll(n, ".", "_")
 	n = strings.ReplaceAll(n, "$", "_")
@@ -893,6 +941,14 @@ type sweep struct {
 	defs  []string          // row offsets and hoisted expressions, just outside the innermost loop
 	accs  []accum           // reduction accumulators, stored to their targets after the loops
 	names map[string]string // a declared name, or a definition's text, to its local
+
+	// strip: the innermost loop runs kernel.Width-element strips; regs
+	// are the pool buffers of its registers, bufs how many buffers it
+	// uses and free those it has released.
+	strip bool
+	regs  map[string]int
+	bufs  int
+	free  []int
 }
 
 // accum is a reduction target's nest-local accumulator.
@@ -953,8 +1009,8 @@ func (sw *sweep) define(prefix, text string) string {
 // sweep emits the block of one loop nest around the statements body
 // renders (see the sweep type), or, when split, the function of a
 // threaded nest and the block that runs it (threaded).
-func (g *gen) sweep(idx []string, reads map[string]bool, loops []loop, split bool, body func()) {
-	sw := &sweep{idx: idx, inner: loops[len(loops)-1].dim, reads: reads, names: map[string]string{}}
+func (g *gen) sweep(idx []string, reads map[string]bool, loops []loop, split, strip bool, body func()) {
+	sw := &sweep{idx: idx, inner: loops[len(loops)-1].dim, reads: reads, names: map[string]string{}, strip: strip}
 	out, ind := g.b, g.ind
 	if split {
 		g.ind = 0 // the body renders into a function of its own
@@ -964,9 +1020,14 @@ func (g *gen) sweep(idx []string, reads map[string]bool, loops []loop, split boo
 	body()
 	g.b, g.sw, g.ind = out, nil, ind
 	if split {
+		if sw.bufs > 0 {
+			// A threaded nest's chunks run at once: each has buffers of its own.
+			sw.pre = append([]string{fmt.Sprintf("var zaB [%d][%d]float64", sw.bufs, kernel.Width)}, sw.pre...)
+		}
 		g.threadedNest(sw, loops)
 		return
 	}
+	g.pool = max(g.pool, sw.bufs)
 
 	g.line("{")
 	g.ind++
@@ -990,9 +1051,13 @@ func (g *gen) loops(sw *sweep, loops []loop, lo, hi string) {
 		if k == 0 {
 			from, to = lo, hi
 		}
-		if l.down {
+		switch {
+		case sw.strip && k == len(loops)-1:
+			g.line("for %s := %s; %s <= %s; %s += %d {", v, from, v, to, v, kernel.Width)
+			g.line("\tzaL := min(%d, %s+1-%s)", kernel.Width, to, v)
+		case l.down:
 			g.line("for %s := %s; %s >= %s; %s-- {", v, to, v, from, v)
-		} else {
+		default:
 			g.line("for %s := %s; %s <= %s; %s++ {", v, from, v, to, v)
 		}
 		g.ind++
@@ -1107,7 +1172,7 @@ func (g *gen) partialReduce(x *lir.PartialReduce) {
 	if g.bounds != nil {
 		site = g.bounds.ReduceStore(x)
 	}
-	g.sweep(idx, nil, loopsOf(x.Dest.Lo, x.Dest.Hi, nil), false, func() {
+	g.sweep(idx, nil, loopsOf(x.Dest.Lo, x.Dest.Hi, nil), false, false, func() {
 		g.line("%s = %s", g.indexed(x.LHS, air.Zero(rank), idx, site), g.identity(x.Op))
 	})
 	// A collapsed dimension is pinned at the destination's one index.
@@ -1119,7 +1184,7 @@ func (g *gen) partialReduce(x *lir.PartialReduce) {
 			proj[k] = idx[k]
 		}
 	}
-	g.sweep(idx, nil, loopsOf(x.Region.Lo, x.Region.Hi, nil), false, func() {
+	g.sweep(idx, nil, loopsOf(x.Region.Lo, x.Region.Hi, nil), false, false, func() {
 		g.reduceStep(g.indexed(x.LHS, air.Zero(rank), proj, site), x.Op, g.expr(x.Body))
 	})
 }
@@ -1157,7 +1222,16 @@ func (g *gen) nest(n *lir.Nest) {
 	}
 	idx := idxSlice(n.Region.Rank())
 	split := g.spec != nil && g.bounds.Splits(g.p, n)
-	g.sweep(idx, reads, loopsOf(n.Region.Lo, n.Region.Hi, n.Order), split, func() {
+	strip := g.strips(n, reads)
+	g.nests++
+	if strip {
+		g.stripped++
+	}
+	g.sweep(idx, reads, loopsOf(n.Region.Lo, n.Region.Hi, n.Order), split, strip, func() {
+		if strip {
+			g.stripBody(n)
+			return
+		}
 		for i, pl := range n.Preloads {
 			var site *absint.Site
 			if g.bounds != nil {
@@ -1251,11 +1325,44 @@ func (g *gen) identity(op air.ReduceOp) string {
 // renders with its access displaced by the injected evidence shift
 // (wrapped into the storage).
 func (g *gen) indexed(name string, off air.Offset, idx []string, site *absint.Site) string {
-	a, sw := g.p.Source.Arrays[name], g.sw
-	if a == nil {
+	if g.p.Source.Arrays[name] == nil {
 		g.fail("gogen: unknown array %s", name)
 		return "zaBAD"
 	}
+	at, base, size := g.flatAt(name, off, idx)
+	v := goName(name)
+	proven := site != nil && site.Verdict == absint.ProvenSafe && size > 0
+	if proven && site.FaultShift == 0 {
+		// The displacement stays outside the scaled index: base +
+		// 8*register + constant is one addressing mode.
+		g.useUnsafe = true
+		p := mangle("zaP_", name)
+		g.sw.declare(p, p, " := unsafe.Pointer(&", v, "[0])")
+		return "*(*float64)(unsafe.Add(" + p + ", 8*(" + at + ")" + signed(8*base) + "))"
+	}
+	g.sw.declare(v, v, " := ", v)
+	if proven {
+		g.useWrap = true
+		return v + "[za_wrap(" + at + signed(base+site.FaultShift) + ", " + strconv.Itoa(size) + ")]"
+	}
+	return v + "[" + at + signed(base) + "]"
+}
+
+// flat is flatAt at the sweep's indices.
+func (g *gen) flat(name string, off air.Offset) (at string, base, size int) {
+	if g.p.Source.Arrays[name] == nil {
+		g.fail("gogen: unknown array %s", name)
+		return "0", 0, 0
+	}
+	return g.flatAt(name, off, g.sw.idx)
+}
+
+// flatAt returns the flat position of array name's element at idx +
+// off: the text of its index terms — the sweep's row offset for the
+// terms of the outer dimensions, plus the innermost term — and the
+// constant displacement; and the array's size.
+func (g *gen) flatAt(name string, off air.Offset, idx []string) (at string, base, size int) {
+	a, sw := g.p.Source.Arrays[name], g.sw
 	strides := g.strides[name]
 	if strides == nil {
 		strides = make([]int, a.Alloc.Rank())
@@ -1269,8 +1376,7 @@ func (g *gen) indexed(name string, off air.Offset, idx []string, site *absint.Si
 		}
 		g.strides[name] = strides
 	}
-	var row, at string
-	base := 0
+	var row string
 	for k, stride := range strides {
 		base += (off[k] - a.Alloc.Lo[k]) * stride
 		term := idx[k]
@@ -1293,23 +1399,7 @@ func (g *gen) indexed(name string, off air.Offset, idx []string, site *absint.Si
 		}
 		at = row + at
 	}
-	size := a.Alloc.Size()
-	v := goName(name)
-	proven := site != nil && site.Verdict == absint.ProvenSafe && size > 0
-	if proven && site.FaultShift == 0 {
-		// The displacement stays outside the scaled index: base +
-		// 8*register + constant is one addressing mode.
-		g.useUnsafe = true
-		p := mangle("zaP_", name)
-		sw.declare(p, p, " := unsafe.Pointer(&", v, "[0])")
-		return "*(*float64)(unsafe.Add(" + p + ", 8*(" + at + ")" + signed(8*base) + "))"
-	}
-	sw.declare(v, v, " := ", v)
-	if proven {
-		g.useWrap = true
-		return v + "[za_wrap(" + at + signed(base+site.FaultShift) + ", " + strconv.Itoa(size) + ")]"
-	}
-	return v + "[" + at + signed(base) + "]"
+	return at, base, a.Alloc.Size()
 }
 
 // signed renders a constant term of a sum: "+n", "-n", nothing for 0.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/air"
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/difftest/matrix"
 	"repro/internal/driver"
@@ -167,8 +168,12 @@ func vetClean(t *testing.T, name, src string) {
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := backend.WriteProgramModule(dir); err != nil {
+		t.Fatal(err)
+	}
 	cmd := exec.Command("go", "vet", "main.go")
 	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Errorf("%s: go vet rejects emitted source: %v\n%s", name, err, out)
 	}
@@ -176,8 +181,9 @@ func vetClean(t *testing.T, name, src string) {
 
 // TestUnreadRegisterVetClean: a register the nest assigns and nothing
 // reads (the compiler does not leave one behind; the emitter must not
-// depend on that) is not declared — Go rejects an unused local — and its
-// right-hand side is still evaluated.
+// depend on that) is not declared by the scalar sweep — Go rejects an
+// unused local — and its right-hand side is still evaluated. A nest that
+// runs strips keeps it in a strip buffer, and vets clean too.
 func TestUnreadRegisterVetClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
@@ -189,7 +195,8 @@ func TestUnreadRegisterVetClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4})
+	// Rows of 160 run strips, where the emission has them.
+	c, err := driver.Compile(string(src), driver.Options{Level: core.C2F4, Configs: map[string]int64{"n": 160}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +204,9 @@ func TestUnreadRegisterVetClean(t *testing.T) {
 		nest.Body = append(nest.Body, &lir.NestStmt{LHS: "DEAD", Contracted: true,
 			RHS: &air.BinExpr{Op: air.OpMul, X: &air.IndexExpr{Dim: 2}, Y: &air.ConstExpr{Val: 1.5}}})
 	}
+	was := gogen.SetPackedHost(false)
 	out, err := gogen.EmitBounds(c.LIR, c.Bounds)
+	gogen.SetPackedHost(was)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +214,18 @@ func TestUnreadRegisterVetClean(t *testing.T) {
 		t.Errorf("unread register not dropped:\n%s", out)
 	}
 	vetClean(t, "heat", out)
+
+	// A nest that runs strips keeps its registers in the strip buffers,
+	// where an unread one is no unused local.
+	defer gogen.SetPackedHost(gogen.SetPackedHost(true))
+	out, err = gogen.EmitBounds(c.LIR, c.Bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "\n// strips: ") {
+		t.Fatal("heat at n=160 runs no strips; the second half is vacuous")
+	}
+	vetClean(t, "heat strips", out)
 }
 
 // TestNativePartialReduction: dimensional reductions through the
@@ -299,6 +320,59 @@ func BenchmarkEmit(b *testing.B) {
 				b.Fatal(err)
 			}
 			emitSink += len(src)
+		}
+	}
+}
+
+// TestStripRuleLeavesOtherNests: a nest outside the strip rule — one
+// whose only operators are comparisons, one that only copies and sums —
+// is emitted on a host with the packed kernels exactly as on one
+// without them, which is the emission from before strips existed. ZA
+// source compares scalars only, so the comparisons are put into B's
+// and C's right-hand sides after compilation.
+func TestStripRuleLeavesOtherNests(t *testing.T) {
+	const src = `
+program cmp;
+config n : integer = 300;
+region R = [1..4, 1..n];
+var A, B, C : [R] double;
+var s : double;
+proc main()
+begin
+  [R] A := index2;
+  [R] B := A;
+  [R] C := B;
+  s := +<< [R] C;
+  writeln(s);
+end;
+`
+	for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+		c, err := driver.Compile(src, driver.Options{Level: lvl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nest := range lir.Nests(c.LIR.Main.Body) {
+			for _, st := range nest.Body {
+				switch st.LHS {
+				case "B":
+					st.RHS = &air.BinExpr{Op: air.OpLt, X: st.RHS, Y: &air.ConstExpr{Val: 150}}
+				case "C":
+					st.RHS = &air.BinExpr{Op: air.OpEq, X: &air.BinExpr{Op: air.OpGe, X: st.RHS, Y: st.RHS},
+						Y: &air.BinExpr{Op: air.OpNe, X: st.RHS, Y: &air.ConstExpr{Val: 0}}}
+				}
+			}
+		}
+		var out [2]string
+		for i, packed := range []bool{false, true} {
+			was := gogen.SetPackedHost(packed)
+			out[i], err = gogen.EmitBounds(c.LIR, c.Bounds)
+			gogen.SetPackedHost(was)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out[0] != out[1] || !strings.Contains(out[0], "za_b2f(") {
+			t.Errorf("at %v the emission moved with the packed kernels:\n%s", lvl, out[1])
 		}
 	}
 }

@@ -28,19 +28,36 @@ var update = flag.Bool("update", false, "rewrite testdata/emission_hashes.json f
 // one-shot emission (EmitBounds, what zplrun -backend go builds) and of
 // the worker emission (EmitWorker, what the lazy runtime builds) of
 // each benchmark at its default size and of testdata/heat.za, at the
-// ladder ends, with the prover's verdicts, against
-// testdata/emission_hashes.json. An emission is the content address of
-// its artifact, so a changed hash is a changed binary: -update only for
-// a deliberate change to the emitted code. One-shot hashes are checked
-// on Linux only, since the arena's host half differs by OS
-// (arena_linux.go, arena_other.go); a worker has no arena, and its
-// hashes hold everywhere. At their default sizes no nest is large
-// enough for a worker to split (absint.Result.Splits); heat@512's workers pin the
-// threaded emission.
+// ladder ends, with the prover's verdicts. An emission is the content
+// address of its artifact, so a changed hash is a changed binary:
+// -update only for a deliberate change to the emitted code. The
+// emission depends on whether the host runs the packed kernels, and
+// both are pinned on every host: testdata/emission_hashes.json holds
+// the emission without them, where no nest runs strips (unchanged since
+// before strips existed), and emission_hashes_strips.json the one with
+// them. One-shot hashes are checked on Linux only, since the arena's
+// host half differs by OS (arena_linux.go, arena_other.go); a worker
+// has no arena, and its hashes hold everywhere. At their default sizes
+// no nest is large enough for a worker to split (absint.Result.Splits);
+// heat@512's workers pin the threaded emission.
 func TestEmissionPinned(t *testing.T) {
-	path := filepath.Join("testdata", "emission_hashes.json")
+	for _, pin := range []struct {
+		file   string
+		packed bool
+	}{{"emission_hashes.json", false}, {"emission_hashes_strips.json", true}} {
+		was := gogen.SetPackedHost(pin.packed)
+		emissions := pinnedEmissions(t)
+		gogen.SetPackedHost(was)
+		checkPins(t, filepath.Join("testdata", pin.file), emissions)
+	}
+}
+
+// checkPins holds the hashes of emissions to the pins in path, or with
+// -update writes them there.
+func checkPins(t *testing.T, path string, emissions map[string]string) {
+	t.Helper()
 	got := map[string]string{}
-	for id, src := range pinnedEmissions(t) {
+	for id, src := range emissions {
 		h := sha256.Sum256([]byte(src))
 		got[id] = hex.EncodeToString(h[:])
 	}
@@ -66,14 +83,14 @@ func TestEmissionPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Errorf("%d emissions hashed, %d pinned", len(got), len(want))
+		t.Errorf("%s: %d emissions hashed, %d pinned", path, len(got), len(want))
 	}
 	for id, w := range want {
 		if filepath.Base(id) == "one-shot" && runtime.GOOS != "linux" {
 			continue
 		}
 		if got[id] != w {
-			t.Errorf("%s: emission changed (%.12s, pinned %.12s)", id, got[id], w)
+			t.Errorf("%s: %s: emission changed (%.12s, pinned %.12s)", path, id, got[id], w)
 		}
 	}
 }
@@ -131,10 +148,12 @@ func pinnedEmissions(t *testing.T) map[string]string {
 }
 
 // TestEmittedImports: every import of every pinned emission, one-shot
-// and worker, is in gogen.Imports, the set the native backend builds
-// against (its importcfg). An import outside it would fail every native
+// and worker, emitted as on a host with the packed kernels, is in
+// gogen.Imports, the set the native backend builds against (its
+// importcfg): the standard library and the kernel package. An import outside it would fail every native
 // build of that program at run time.
 func TestEmittedImports(t *testing.T) {
+	defer gogen.SetPackedHost(gogen.SetPackedHost(true))
 	allowed := map[string]bool{}
 	for _, path := range gogen.Imports {
 		allowed[path] = true

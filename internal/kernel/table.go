@@ -8,8 +8,8 @@
 // decided once, from the CPU probe (HasPacked).
 //
 // The package imports the standard library only, so that a program
-// that imports it can be built from its source alone, without a
-// module. An engine therefore names an operator by its ZA spelling
+// that imports it can be built from its source alone (Source), without
+// the rest of this module: emitted native programs do. An engine therefore names an operator by its ZA spelling
 // (Lookup), not by a type of its own IR.
 package kernel
 
@@ -43,6 +43,12 @@ type Entry struct {
 	// Go are the Go loops. Packed are the packed kernels where this host
 	// runs them and the Go loops elsewhere.
 	Go, Packed Kernels
+	// Packs reports that Packed holds packed kernels on this host. Call
+	// reports that the scalar rule compiles to a call at GOAMD64=v1
+	// (libm, pow, mod, atan2, floor and ceil), so a loop that applies it
+	// element by element saves and restores its live float registers
+	// around every element: Go's internal ABI has no callee-saved ones.
+	Packs, Call bool
 }
 
 // Lookup returns the entry of the operator or builtin spelled name in
@@ -57,6 +63,10 @@ func Lookup(name string, operands int) *Entry {
 // HasPacked reports whether this host runs the packed kernels.
 func HasPacked() bool { return hasPacked }
 
+// Width is the number of elements of a strip: the VM's, and the one
+// native code strip-mines its innermost loops at (DESIGN.md §22).
+const Width = 128
+
 // table holds every entry by name. An entry's kernels that the list
 // leaves nil are loops calling its scalar rule per element.
 var table = entries(
@@ -68,8 +78,8 @@ var table = entries(
 		Kernels{VV: mulVV, VU: mulVU, UV: mulUV, Fold: prodFold}),
 	op("/", nil, func(x, y float64) float64 { return x / y },
 		Kernels{VV: divVV, VU: divVU, UV: divUV}),
-	op("%", nil, math.Mod, Kernels{}),
-	op("^", nil, math.Pow, Kernels{}),
+	calls(op("%", nil, math.Mod, Kernels{})),
+	calls(op("^", nil, math.Pow, Kernels{})),
 	op("=", nil, func(x, y float64) float64 { return b2f(x == y) }, Kernels{}),
 	op("!=", nil, func(x, y float64) float64 { return b2f(x != y) }, Kernels{}),
 	op("<", nil, func(x, y float64) float64 { return b2f(x < y) }, Kernels{}),
@@ -83,17 +93,17 @@ var table = entries(
 	op("min", nil, fmin, Kernels{VV: minVV, VU: minVU, UV: minUV, Fold: minFold}),
 	op("sqrt", math.Sqrt, nil, Kernels{V: sqrtV}),
 	op("abs", math.Abs, nil, Kernels{V: absV}),
-	op("floor", math.Floor, nil, Kernels{V: floorV}),
-	op("ceil", math.Ceil, nil, Kernels{V: ceilV}),
+	calls(op("floor", math.Floor, nil, Kernels{V: floorV})),
+	calls(op("ceil", math.Ceil, nil, Kernels{V: ceilV})),
 	op("sign", sign, nil, Kernels{V: signV}),
-	op("exp", math.Exp, nil, Kernels{}),
-	op("log", math.Log, nil, Kernels{}),
-	op("sin", math.Sin, nil, Kernels{}),
-	op("cos", math.Cos, nil, Kernels{}),
-	op("tan", math.Tan, nil, Kernels{}),
-	op("pow", nil, math.Pow, Kernels{}),
-	op("mod", nil, math.Mod, Kernels{}),
-	op("atan2", nil, math.Atan2, Kernels{}),
+	calls(op("exp", math.Exp, nil, Kernels{})),
+	calls(op("log", math.Log, nil, Kernels{})),
+	calls(op("sin", math.Sin, nil, Kernels{})),
+	calls(op("cos", math.Cos, nil, Kernels{})),
+	calls(op("tan", math.Tan, nil, Kernels{})),
+	calls(op("pow", nil, math.Pow, Kernels{})),
+	calls(op("mod", nil, math.Mod, Kernels{})),
+	calls(op("atan2", nil, math.Atan2, Kernels{})),
 )
 
 func entries(list ...*Entry) map[string]*Entry {
@@ -133,10 +143,17 @@ func op(name string, f1 func(float64) float64, f2 func(x, y float64) float64, k 
 			}
 		}
 	}
-	e := &Entry{Name: name, F1: f1, F2: f2, Go: k, Packed: k}
-	if p, ok := packedSets[name]; ok && hasPacked {
+	p, ok := packedSets[name]
+	e := &Entry{Name: name, F1: f1, F2: f2, Go: k, Packed: k, Packs: ok && hasPacked}
+	if e.Packs {
 		e.Packed = p
 	}
+	return e
+}
+
+// calls marks an entry whose scalar rule is a call (Entry.Call).
+func calls(e *Entry) *Entry {
+	e.Call = true
 	return e
 }
 

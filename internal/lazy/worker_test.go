@@ -14,11 +14,18 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/difftest/matrix"
 	"repro/internal/driver"
 	"repro/internal/proctest"
 )
 
-func TestMain(m *testing.M) { os.Exit(proctest.Main(m)) }
+// TestMain fails the package if a child process outlives its tests, and
+// removes the artifact store the native cells build into.
+func TestMain(m *testing.M) {
+	code := proctest.Main(m)
+	matrix.RemoveStore()
+	os.Exit(code)
+}
 
 // nativeEngine is a native-backend engine closed when the test ends; the
 // test is skipped without a toolchain or a child count.

@@ -345,7 +345,7 @@ func haloElems(reg *sema.Region, off air.Offset) int {
 // nest's strip buffers fit in the L1 data cache, so it is a constant,
 // not an option. A traced machine runs at width 1, which reports every
 // Access, Flops and Reduce in element order.
-const stripWidth = 128
+const stripWidth = kernel.Width
 
 // stripFn runs one statement over elements j..j+n-1 of the current
 // strip. Element i of a strip sits at index m.idx[inner] + dir·i of the
