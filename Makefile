@@ -245,10 +245,12 @@ vm-guard: build
 # failures, a worker exiting when its host is killed, and the lazy
 # executor's copied bytes and allocations per Eval. Then the threaded
 # nests (DESIGN.md §31): the outer-parallel pass over every nest an
-# engine splits (absint.Result.Splits) and its seeded fault, GOMAXPROCS 1 against 2 byte for
-# byte, a -race build of a threaded worker, an idle threaded worker
-# using no CPU, and max/min of special values across a chunk boundary
-# on both engines. Then strips on native (DESIGN.md §13): nests that
+# engine splits (absint.Result.Splits) and its seeded fault, GOMAXPROCS 1
+# against 2 byte for byte for workers and one-shot programs
+# (TestThreadedOneShotMatchesOneProc), a -race build of heat's threaded
+# worker and one-shot program, the threaded one-shot program under
+# checkptr, an idle threaded worker using no CPU, and max/min of special
+# values across a chunk boundary on both engines, one-shot included. Then strips on native (DESIGN.md §13): nests that
 # run strips against the VM at the extents and guards where a strip's
 # edge lands (TestNativeStripEdges), the kernel package cross-built
 # without fused multiply-adds (TestEmittedNoFMA/kernel), a nest outside
@@ -258,7 +260,7 @@ vm-guard: build
 # touching those packages.
 native-guard: build
 	$(GO) test -count=1 -run 'TestEmissionPinned|TestEmittedImports|TestArenaLayout|TestEmittedNoFMA|TestStripRuleLeavesOtherNests|TestUnreadRegisterVetClean' ./internal/gogen
-	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded|TestBuildErrorDiagnostics|TestBuildCanceled|TestImportcfgHeals|TestTwoStoresBuildOneKey|TestNativeStripEdges|TestStripSpecialsAreSpecial|TestSeedFaultCaught' ./internal/backend
+	$(GO) test -count=1 -run 'TestEmittedCheckptrClean|TestStateProtocolRoundTrip|TestWorkerFailures|TestWorkerExitsWithHost|TestThreaded|TestBuildErrorDiagnostics|TestBuildCanceled|TestImportcfgHeals|TestTwoStoresBuildOneKey|TestNativeStripEdges|TestStripSpecialsAreSpecial|TestSeedFaultCaught|TestRunReportsSystemTime' ./internal/backend
 	$(GO) test -count=1 -run 'TestCopiedBytesPerEval|TestSteadyStateAllocs|TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestOuterParallel' ./internal/check
 

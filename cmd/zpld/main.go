@@ -11,7 +11,9 @@
 //	-addr a            listen address (default 127.0.0.1:8348; use
 //	                   127.0.0.1:0 to pick a free port — the chosen
 //	                   address is printed to stderr)
-//	-workers n         concurrent compiles/runs (default: GOMAXPROCS)
+//	-workers n         concurrent compiles/runs (default: GOMAXPROCS);
+//	                   a native run's child splits a large nest over
+//	                   the GOMAXPROCS of its environment (DESIGN.md §10)
 //	-queue n           waiting requests beyond the pool before 429s
 //	-cache-bytes n     memory-tier budget: compilations and /tune's
 //	                   tuned plans (default 64 MiB)

@@ -347,26 +347,53 @@ func TestRunReportsComputeTime(t *testing.T) {
 }
 
 // TestRunReportsSystemTime: a successful run reports the kernel CPU
-// time its process used. Each writeln of a one-shot program is a write
-// to the stdout pipe, so 50,000 of them keep the process in the kernel
-// for many scheduler ticks: the sampled System cannot round to 0.
+// time its process used. The kernel charges CPU time by sampling at its
+// tick, so a process must spend several ticks in the kernel for its
+// System to be above 0 for certain; a count of writes cannot promise
+// that (50,000 pipe writes of a 17 ms run were charged 0 about one run
+// in eight). This program maps, faults in and unmaps a 1 MiB region
+// until its own rusage says it has been charged 50 ms of system time,
+// five ticks at the slowest Linux tick rate (100 Hz), and the backend
+// must report what the kernel charged.
 func TestRunReportsSystemTime(t *testing.T) {
 	requireToolchain(t)
-	src := `
-program systime;
-config n : integer = 50000;
-proc main()
-begin
-  for i := 1 to n do
-    writeln(i);
-  end;
-end;
-`
-	c, err := driver.Compile(src, driver.Options{Level: core.C2F4})
-	if err != nil {
-		t.Fatal(err)
+	src := `package main
+
+import (
+	"fmt"
+	"os"
+	"syscall"
+	"time"
+)
+
+func main() {
+	deadline := time.Now().Add(10 * time.Second)
+	var ru syscall.Rusage
+	for ru.Stime.Nano() < int64(50*time.Millisecond) {
+		if time.Now().After(deadline) {
+			fmt.Fprintln(os.Stderr, "charged", ru.Stime.Nano(), "ns of system time in 10 s")
+			os.Exit(1)
+		}
+		mem, err := syscall.Mmap(-1, 0, 1<<20, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		for i := 0; i < len(mem); i += os.Getpagesize() {
+			mem[i] = 1
+		}
+		if err := syscall.Munmap(mem); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
-	art, _, err := store().BuildProgram(context.Background(), c.LIR)
+}
+`
+	art, err := store().Build(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

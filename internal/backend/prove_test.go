@@ -10,6 +10,7 @@ package backend_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -133,7 +134,9 @@ func TestProveFaultCaughtNative(t *testing.T) {
 // on the emitted accesses unchanged over heap slabs: zaM_slab, the one
 // place an array is cut from the arena, is swapped for a make per slab.
 // A derived pointer seeded to straddle the start of the second slab must
-// then be caught, or the check is vacuous.
+// then be caught, or the check is vacuous. Heat runs twice: at its
+// default size, and above the split threshold (threadedSize), where its
+// one-shot program runs threaded nests on helper goroutines.
 func TestEmittedCheckptrClean(t *testing.T) {
 	requireToolchain(t)
 	if testing.Short() {
@@ -144,6 +147,10 @@ func TestEmittedCheckptrClean(t *testing.T) {
 		if name := strings.TrimSuffix(p.Name, ".za"); name == "heat" || name == "tomcatv" || name == "rowsums" {
 			p.Name = name
 			cases = append(cases, p)
+			if name == "heat" {
+				n := threadedSize(2)
+				cases = append(cases, matrix.Program{Name: fmt.Sprintf("heat@%d", n), Src: p.Src, Configs: map[string]int64{"n": n}})
+			}
 		}
 	}
 	const (
@@ -165,6 +172,9 @@ func TestEmittedCheckptrClean(t *testing.T) {
 			}
 			if !strings.Contains(goSrc, "unsafe.Add") {
 				t.Fatal("emission has no unchecked access; the case is vacuous")
+			}
+			if threaded := strings.HasPrefix(cs.Name, "heat@"); strings.Contains(goSrc, "zaC_run(") != threaded {
+				t.Fatalf("emission splits a nest: %v, want %v", !threaded, threaded)
 			}
 			if strings.Count(goSrc, arenaSlab) != 1 {
 				t.Fatalf("emission does not cut its arrays through one zaM_slab:\n%s", goSrc)

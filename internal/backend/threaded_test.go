@@ -17,8 +17,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/gogen"
+	"repro/internal/lir"
 	"repro/internal/proctest"
 	"repro/internal/programs"
+	"repro/internal/vm"
 )
 
 // threadedPrograms are the six benchmarks and heat, run at
@@ -43,15 +45,16 @@ func threadedSize(rank int) int64 {
 	return int64(math.Ceil(math.Sqrt(absint.SplitWork))) + 2
 }
 
-// threadedWorkerOf compiles p at lvl above the split threshold with the
-// prover's verdicts and builds its worker emission.
-func threadedWorkerOf(t *testing.T, p programs.Benchmark, lvl core.Level) (*backend.Artifact, *driver.Compilation, *gogen.StateSpec, string) {
+// threadedOf compiles p at lvl above the split threshold with the
+// prover's verdicts and builds the emission emit makes of it: the
+// worker (gogen.EmitWorker) or the one-shot program (gogen.EmitBounds).
+func threadedOf(t *testing.T, p programs.Benchmark, lvl core.Level, emit func(*lir.Program, *absint.Result) (string, error)) (*backend.Artifact, *driver.Compilation, string) {
 	t.Helper()
 	c, err := driver.Compile(p.Source, driver.Options{Level: lvl, Configs: map[string]int64{p.SizeConfig: threadedSize(p.Rank)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goSrc, err := gogen.EmitWorker(c.LIR, c.Bounds)
+	goSrc, err := emit(c.LIR, c.Bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +62,13 @@ func threadedWorkerOf(t *testing.T, p programs.Benchmark, lvl core.Level) (*back
 	if err != nil {
 		t.Fatal(err)
 	}
+	return art, c, goSrc
+}
+
+// threadedWorkerOf is threadedOf's worker, with the state it shares.
+func threadedWorkerOf(t *testing.T, p programs.Benchmark, lvl core.Level) (*backend.Artifact, *driver.Compilation, *gogen.StateSpec, string) {
+	t.Helper()
+	art, c, goSrc := threadedOf(t, p, lvl, gogen.EmitWorker)
 	return art, c, gogen.StateOf(c.LIR), goSrc
 }
 
@@ -71,6 +81,16 @@ func threadedHeat(t *testing.T) (*backend.Artifact, *driver.Compilation, *gogen.
 		t.Fatal("heat's worker splits no nest")
 	}
 	return art, c, spec, goSrc
+}
+
+// vmTranscript is what c prints on the VM.
+func vmTranscript(t *testing.T, c *driver.Compilation) string {
+	t.Helper()
+	var out bytes.Buffer
+	if _, _, err := c.Run(vm.Options{Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
 }
 
 // seedConfigs writes each config scalar's value into w's state: a
@@ -141,17 +161,75 @@ func TestThreadedMatchesOneProc(t *testing.T) {
 	}
 }
 
-// TestThreadedWorkerRaceClean builds heat's threaded worker with the
-// race detector and runs it three times at GOMAXPROCS 2: the channels
-// that hand chunks to the helpers must order every access they make. A
-// report halts the worker, and the run fails.
+// TestThreadedOneShotMatchesOneProc: a one-shot program splits the
+// nests a worker splits, and prints the same bytes at GOMAXPROCS 2 as
+// at GOMAXPROCS 1, where each split nest is one chunk on the main
+// goroutine, and as the VM: for the six benchmarks and heat above the
+// split threshold, at the ladder ends.
+func TestThreadedOneShotMatchesOneProc(t *testing.T) {
+	requireToolchain(t)
+	for _, p := range threadedPrograms(t) {
+		threaded := false
+		for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
+			art, c, goSrc := threadedOf(t, p, lvl, gogen.EmitBounds)
+			threaded = threaded || strings.Contains(goSrc, "zaC_run(")
+			want := vmTranscript(t, c)
+			for _, procs := range []string{"1", "2"} {
+				t.Setenv("GOMAXPROCS", procs)
+				var out bytes.Buffer
+				if _, err := art.Run(context.Background(), &out); err != nil {
+					t.Fatalf("%s at %v, GOMAXPROCS=%s: %v", p.Name, lvl, procs, err)
+				}
+				if out.String() != want {
+					t.Errorf("%s at %v: GOMAXPROCS=%s prints %q, the VM %q", p.Name, lvl, procs, out.String(), want)
+				}
+			}
+		}
+		if !threaded {
+			t.Errorf("%s: the one-shot program splits no nest at either level", p.Name)
+		}
+	}
+}
+
+// TestThreadedWorkerRaceClean builds heat's threaded worker and its
+// threaded one-shot program with the race detector and runs the worker
+// three times and the program once at GOMAXPROCS 2: the channels that
+// hand chunks to the helpers must order every access they make. A
+// report halts the process, and the run fails.
 func TestThreadedWorkerRaceClean(t *testing.T) {
 	requireToolchain(t)
 	tool, _ := backend.Toolchain()
 	if out, err := exec.Command(tool, "env", "CGO_ENABLED").Output(); err != nil || strings.TrimSpace(string(out)) != "1" {
 		t.Skip("no cgo: no race detector")
 	}
+	t.Setenv("GOMAXPROCS", "2")
+	t.Setenv("GORACE", "halt_on_error=1")
 	_, c, spec, goSrc := threadedHeat(t)
+	w := startLaid(t, raceBuild(t, tool, goSrc), c, spec)
+	seedConfigs(w, c, spec)
+	for r := range 3 {
+		if err := w.Run(context.Background(), nil); err != nil {
+			t.Fatalf("run %d under the race detector: %v", r+1, err)
+		}
+	}
+
+	ps := threadedPrograms(t)
+	_, c, goSrc = threadedOf(t, ps[len(ps)-1], core.C2F4, gogen.EmitBounds)
+	if !strings.Contains(goSrc, "zaC_run(") {
+		t.Fatal("heat's one-shot program splits no nest")
+	}
+	var out bytes.Buffer
+	if _, err := raceBuild(t, tool, goSrc).Run(context.Background(), &out); err != nil {
+		t.Fatalf("the one-shot program under the race detector: %v", err)
+	}
+	if want := vmTranscript(t, c); out.String() != want {
+		t.Errorf("the one-shot program under the race detector prints %q, the VM %q", out.String(), want)
+	}
+}
+
+// raceBuild builds one emitted source with the race detector.
+func raceBuild(t *testing.T, tool, goSrc string) *backend.Artifact {
+	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(goSrc), 0o644); err != nil {
 		t.Fatal(err)
@@ -165,15 +243,7 @@ func TestThreadedWorkerRaceClean(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build -race: %v\n%s", err, out)
 	}
-	t.Setenv("GOMAXPROCS", "2")
-	t.Setenv("GORACE", "halt_on_error=1")
-	w := startLaid(t, &backend.Artifact{Bin: filepath.Join(dir, "prog")}, c, spec)
-	seedConfigs(w, c, spec)
-	for r := range 3 {
-		if err := w.Run(context.Background(), nil); err != nil {
-			t.Fatalf("run %d under the race detector: %v", r+1, err)
-		}
-	}
+	return &backend.Artifact{Bin: filepath.Join(dir, "prog")}
 }
 
 // TestThreadedWorkerIdle: between runs a threaded worker's helpers are

@@ -17,20 +17,21 @@
 // loop on code-generation correctness with the host toolchain as the
 // final referee.
 //
-// A worker also uses the host's cores. A nest of at least
-// absint.SplitWork element-statements (lir.Work: points × statements)
-// whose outermost loop carries no dependence,
-// whose accesses are all proven and whose reductions are only max and
-// min (absint.Result.Splits, the rule the VM splits by too) becomes
-// a function over a range of its outer rows; at start-up the worker
-// parks GOMAXPROCS-1 helper goroutines, and in the nest's place the
-// main goroutine hands each a contiguous chunk of rows, runs the first
-// chunk itself, and folds the chunks' accumulators in row order, which
-// is the sequential fold bit for bit (DESIGN.md §31). The helpers block
-// on channels between nests and runs. A one-shot program, and a worker
-// with no such nest, is emitted exactly as before: no helpers, no
-// runtime import. internal/check's outer-parallel pass re-proves each
-// split from the plan's dependence graph.
+// Every program uses the host's cores, one-shot and worker alike. A nest
+// of at least absint.SplitWork element-statements (lir.Work: points ×
+// statements) whose outermost loop carries no dependence, whose accesses
+// are all proven and whose reductions are only max and min
+// (absint.Result.Splits, the rule the VM splits by too) becomes a
+// function over a range of its outer rows; main starts by parking
+// GOMAXPROCS-1 helper goroutines, and in the nest's place the main
+// goroutine hands each a contiguous chunk of rows, runs the first chunk
+// itself, and folds the chunks' accumulators in row order, which is the
+// sequential fold bit for bit (DESIGN.md §31). No helper can trap: a
+// split nest has no checked access. The helpers block on channels
+// between nests and runs; at GOMAXPROCS=1 there are none and a split
+// nest is one chunk on the main goroutine. A program with no such nest
+// has no helpers and no runtime import. internal/check's outer-parallel
+// pass re-proves each split from the plan's dependence graph.
 //
 // A nest the strip rule admits (strips: on a host with the packed
 // kernels, an ascending unit-stride innermost loop of at least one strip
@@ -70,7 +71,7 @@
 // them (math is conditional; fmt and os are always used by the main
 // scaffold, time by a one-shot one, syscall by a worker's and by a
 // mapped arena, unsafe by proven accesses and by either mapping,
-// runtime by a worker that splits a nest, and the kernel package by a
+// runtime by a program that splits a nest, and the kernel package by a
 // nest that runs strips), so generated code compiles and vets clean with
 // no blank-identifier hacks.
 //
@@ -357,9 +358,9 @@ func emit(p *lir.Program, bounds *absint.Result, spec *StateSpec) (string, error
 	case g.spec != nil:
 		out.WriteString(serve)
 	case allProven:
-		fmt.Fprintf(&out, mainScaffoldProven, TimeEnv, ElapsedPrefix)
+		fmt.Fprintf(&out, mainScaffoldProven, g.start(), TimeEnv, ElapsedPrefix)
 	default:
-		fmt.Fprintf(&out, mainScaffold, ExitTrap, TimeEnv, ElapsedPrefix)
+		fmt.Fprintf(&out, mainScaffold, g.start(), ExitTrap, TimeEnv, ElapsedPrefix)
 	}
 	return out.String(), nil
 }
@@ -409,9 +410,7 @@ func (g *gen) serveLoop(allProven bool) string {
 		fmt.Fprintf(&b, "func zaW_run() {\n\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\tfmt.Fprintln(os.Stderr, \"za runtime error:\", r)\n\t\t\tos.Exit(%d)\n\t\t}\n\t}()\n\tza_main()\n}\n\n", ExitTrap)
 	}
 	b.WriteString("func main() {\n\tzaW_map()\n")
-	if len(g.cases) > 0 {
-		b.WriteString("\tzaC_start()\n")
-	}
+	b.WriteString(g.start())
 	b.WriteString(serveHead)
 	for k, n := range g.spec.Arrays {
 		fmt.Fprintf(&b, "\t\t%s = zaW_slab(%d, %d)\n", goName(n), k, g.p.Source.Arrays[n].Alloc.Size())
@@ -425,6 +424,17 @@ func (g *gen) serveLoop(allProven bool) string {
 	}
 	b.WriteString("\t}\n}\n")
 	return b.String()
+}
+
+// start is what main runs before the program in either mode (a worker
+// maps its state first): it parks the helpers of the threaded nests
+// (chunks), when there are any, so that a one-shot program's
+// self-timing excludes starting them.
+func (g *gen) start() string {
+	if len(g.cases) == 0 {
+		return ""
+	}
+	return "\tzaC_start()\n"
 }
 
 // serveHead is a resident worker's main once the state is mapped and
@@ -481,7 +491,7 @@ type gen struct {
 	pool             int
 	nests, stripped  int
 
-	// threaded holds the functions of the nests a worker splits
+	// threaded holds the functions of the nests the program splits
 	// (absint.Result.Splits), numbered in emission order, and cases the
 	// zaC_do arm that runs each; maxAccs is the most max/min
 	// accumulators one of them returns.
@@ -587,8 +597,8 @@ func (g *gen) declarations(out *strings.Builder) {
 	}
 }
 
-// chunks emits what runs a worker's threaded nests
-// (absint.Result.Splits): a chunk per GOMAXPROCS at start-up, a helper
+// chunks emits what runs a program's threaded nests
+// (absint.Result.Splits): a chunk per GOMAXPROCS at start-up (start), a helper
 // goroutine parked on each chunk but the first, and zaC_do, which runs a chunk's rows of nest
 // zaN_<t>. The helpers block on their channels between nests and
 // between runs: an idle worker spins on nothing.
@@ -736,10 +746,11 @@ const helperWrap = `func za_wrap(p, n int) int {
 `
 
 // mainScaffold wraps za_main with runtime-fault propagation and the
-// opt-in self-timing hook. Verbs: ExitTrap, TimeEnv, ElapsedPrefix.
+// opt-in self-timing hook. Verbs: start, ExitTrap, TimeEnv,
+// ElapsedPrefix.
 const mainScaffold = `
 func main() {
-	defer func() {
+%s	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintln(os.Stderr, "za runtime error:", r)
 			os.Exit(%d)
@@ -755,10 +766,10 @@ func main() {
 
 // mainScaffoldProven is the scaffold for a fully proven program: every
 // access is statically safe, so there is nothing to recover from and
-// no trap path to ship. Verbs: TimeEnv, ElapsedPrefix.
+// no trap path to ship. Verbs: start, TimeEnv, ElapsedPrefix.
 const mainScaffoldProven = `
 func main() {
-	t0 := time.Now()
+%s	t0 := time.Now()
 	za_main()
 	if os.Getenv(%q) != "" {
 		fmt.Fprintf(os.Stderr, "%s%%d\n", time.Since(t0).Nanoseconds())
@@ -1069,7 +1080,7 @@ func (g *gen) loops(sw *sweep, loops []loop, lo, hi string) {
 	}
 }
 
-// threadedNest emits a nest the worker splits (absint.Result.Splits).
+// threadedNest emits a nest the program splits (absint.Result.Splits).
 // Its loops become zaN_<t>, a function over the outer rows zaC_lo..zaC_hi that returns
 // its max/min accumulators; in the nest's place, zaC_run runs it over
 // one contiguous chunk of rows per goroutine and the block folds the
@@ -1221,7 +1232,7 @@ func (g *gen) nest(n *lir.Nest) {
 		}
 	}
 	idx := idxSlice(n.Region.Rank())
-	split := g.spec != nil && g.bounds.Splits(g.p, n)
+	split := g.bounds.Splits(g.p, n)
 	strip := g.strips(n, reads)
 	g.nests++
 	if strip {

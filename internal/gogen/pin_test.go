@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/absint"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/gogen"
@@ -38,8 +39,8 @@ var update = flag.Bool("update", false, "rewrite testdata/emission_hashes.json f
 // them. One-shot hashes are checked on Linux only, since the arena's
 // host half differs by OS (arena_linux.go, arena_other.go); a worker
 // has no arena, and its hashes hold everywhere. At their default sizes
-// no nest is large enough for a worker to split (absint.Result.Splits);
-// heat@512's workers pin the threaded emission.
+// no nest is large enough to split (absint.Result.Splits); heat@512's
+// workers and one-shot programs pin the threaded emission.
 func TestEmissionPinned(t *testing.T) {
 	for _, pin := range []struct {
 		file   string
@@ -130,19 +131,24 @@ func pinnedEmissions(t *testing.T) map[string]string {
 		}
 	}
 	for _, lvl := range []core.Level{core.Baseline, core.C2F4} {
-		id := fmt.Sprintf("heat@512/%s/worker", lvl)
 		c, err := driver.Compile(string(heat), driver.Options{Level: lvl, Configs: map[string]int64{"n": 512}})
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("heat@512/%s: %v", lvl, err)
 		}
-		worker, err := gogen.EmitWorker(c.LIR, c.Bounds)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+		for mode, emit := range map[string]func(*lir.Program, *absint.Result) (string, error){
+			"one-shot": gogen.EmitBounds,
+			"worker":   gogen.EmitWorker,
+		} {
+			id := fmt.Sprintf("heat@512/%s/%s", lvl, mode)
+			src, err := emit(c.LIR, c.Bounds)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			if !strings.Contains(src, "zaC_run(") {
+				t.Errorf("%s: no nest split", id)
+			}
+			got[id] = src
 		}
-		if !strings.Contains(worker, "zaC_run(") {
-			t.Errorf("%s: no nest split", id)
-		}
-		got[id] = worker
 	}
 	return got
 }

@@ -2,10 +2,12 @@ package lazy
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/gogen"
 	"repro/internal/lir"
 	"repro/internal/sema"
 )
@@ -51,7 +54,9 @@ func residentArrayOf(t *testing.T, e *Engine, h *Handle) residentArray {
 // GOMAXPROCS 1 the nest runs as one chunk. Every arm equals the first,
 // the VM at GOMAXPROCS 1, bit for bit. The VM's arms set
 // runtime.GOMAXPROCS, which an in-process machine reads; a worker reads
-// its environment.
+// its environment. The one-shot arms run the same reductions as a ZA
+// program's one-shot native emission (oneShotSpecials), which splits
+// the nest as a worker does.
 func TestMaxMinOfSpecialValues(t *testing.T) {
 	s := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000001), 2, -2}
@@ -142,6 +147,116 @@ func TestMaxMinOfSpecialValues(t *testing.T) {
 			}
 		}
 	}
+	if !backend.Available() {
+		return
+	}
+	for procs, got := range oneShotSpecials(t, lo, hi, n*n, w) {
+		for i := range vm {
+			if math.Float64bits(got[i]) != math.Float64bits(vm[i]) {
+				t.Errorf("one-shot GOMAXPROCS=%d: result %d is %#x, the VM's at GOMAXPROCS 1 %#x", procs+1, i, math.Float64bits(got[i]), math.Float64bits(vm[i]))
+			}
+		}
+	}
+}
+
+// oneShotSpecials runs TestMaxMinOfSpecialValues' reductions as the
+// one-shot native program of a ZA program, at GOMAXPROCS 1 and 2: pair
+// k's max<< over block k of lo and min<< over block k of hi. A one-shot
+// program's arrays start at zero, so the emission gets an init function
+// that writes the grids into them (lo's and hi's identity, then every
+// other value, by its bits), and main prints the results' bits after
+// za_main, max then min of each pair.
+func oneShotSpecials(t *testing.T, lo, hi []float64, pairs, w int) [2][]float64 {
+	t.Helper()
+	var src strings.Builder
+	fmt.Fprintf(&src, "program specials;\nregion R = [1..2, 1..%d];\n", len(lo)/2)
+	for k := range pairs {
+		fmt.Fprintf(&src, "region B%d = [1..2, %d..%d];\n", k, k*w+1, (k+1)*w)
+	}
+	src.WriteString("var lo : [R] double;\nvar hi : [R] double;\n")
+	var results []string
+	for k := range pairs {
+		fmt.Fprintf(&src, "var mx%d : double;\nvar mn%d : double;\n", k, k)
+		results = append(results, fmt.Sprintf("mx%d", k), fmt.Sprintf("mn%d", k))
+	}
+	src.WriteString("proc main()\nbegin\n")
+	for k := range pairs {
+		fmt.Fprintf(&src, "  mx%d := max<< [B%d] lo;\n  mn%d := min<< [B%d] hi;\n", k, k, k, k)
+	}
+	src.WriteString("  writeln(" + strings.Join(results, ", ") + ");\nend;\n")
+	c, err := driver.Compile(src.String(), driver.Options{Level: core.C2F4S})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goSrc, err := gogen.EmitBounds(c.LIR, c.Bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(goSrc, "zaC_run(") || strings.Contains(goSrc, "i1 <= 2;") {
+		t.Fatal("one-shot: the program runs a nest over rows 1..2 on one goroutine")
+	}
+
+	var seed strings.Builder
+	seed.WriteString("func init() {\n")
+	for _, a := range []struct {
+		name     string
+		v        []float64
+		identity float64
+	}{{"lo", lo, math.Inf(-1)}, {"hi", hi, math.Inf(1)}} {
+		if n := c.LIR.Source.Arrays[a.name].Alloc.Size(); n != len(a.v) {
+			t.Fatalf("one-shot: %s has %d elements of storage, want %d", a.name, n, len(a.v))
+		}
+		fmt.Fprintf(&seed, "\tfor i := range za_%s {\n\t\tza_%s[i] = zaT_math.Float64frombits(%#x)\n\t}\n", a.name, a.name, math.Float64bits(a.identity))
+		for i, v := range a.v {
+			if math.Float64bits(v) != math.Float64bits(a.identity) {
+				fmt.Fprintf(&seed, "\tza_%s[%d] = zaT_math.Float64frombits(%#x)\n", a.name, i, math.Float64bits(v))
+			}
+		}
+	}
+	seed.WriteString("}\n\nfunc zaT_dump() {\n")
+	for _, r := range results {
+		fmt.Fprintf(&seed, "\tfmt.Println(zaT_math.Float64bits(za_%s))\n", r)
+	}
+	seed.WriteString("}\n")
+	for _, edit := range [][2]string{
+		{"import (\n", "import (\n\tzaT_math \"math\"\n"},
+		{"\tza_main()\n", "\tza_main()\n\tzaT_dump()\n"},
+	} {
+		if strings.Count(goSrc, edit[0]) != 1 {
+			t.Fatalf("one-shot: the emission has no single %q", edit[0])
+		}
+		goSrc = strings.Replace(goSrc, edit[0], edit[1], 1)
+	}
+	goSrc += "\n" + seed.String()
+
+	st, err := backend.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := st.Build(context.Background(), goSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]float64
+	for procs := range got {
+		t.Setenv("GOMAXPROCS", strconv.Itoa(procs+1))
+		var out bytes.Buffer
+		if _, err := art.Run(context.Background(), &out); err != nil {
+			t.Fatalf("one-shot GOMAXPROCS=%d: %v", procs+1, err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if len(lines) != 1+len(results) {
+			t.Fatalf("one-shot GOMAXPROCS=%d: %d lines of output, want %d", procs+1, len(lines), 1+len(results))
+		}
+		for _, l := range lines[1:] {
+			b, err := strconv.ParseUint(l, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[procs] = append(got[procs], math.Float64frombits(b))
+		}
+	}
+	return got
 }
 
 // vmSplits reports whether the engine's cached compilations have a nest
