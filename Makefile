@@ -37,9 +37,11 @@ race:
 # Service smoke: start zpld, hit it with a zplload burst (mixed
 # identical/distinct requests at concurrency 16), and require zero
 # failed requests, a warm cache, and live per-phase metrics — all
-# under the race detector.
+# under the race detector. Then hot /run of one key from six clients
+# at once, on the one machine its compilation keeps (DESIGN.md §10).
 serve-test: build
 	$(GO) test -race -run 'TestServe' -v .
+	$(GO) test -race -count=1 -run 'TestHotRunsOfOneKey' ./internal/svc
 
 # Static verification: zplcheck independently re-proves every
 # optimizer claim (ASDG edges, fusion legality, contraction safety,
@@ -195,7 +197,11 @@ plan-guard: build
 # side), the rerun differential
 # (a re-seeded machine run again ends where a fresh one does: the lazy
 # runtime's resident machines) and the allocation ceilings on vm.New
-# and on a rerun (Machine.Reset + Run), and the kernel package the VM
+# and on a rerun (Machine.Reset + Run), the rewind differential (a
+# machine rewound after a failed and after a finished run ends where a
+# fresh one does, at GOMAXPROCS 1 and 2, the split cell under -race too:
+# zpld's resident machines, DESIGN.md §10) and what Rewind refuses, and
+# the kernel package the VM
 # runs its operators from (internal/kernel, DESIGN.md §32): walking its
 # table, each packed kernel bit for bit against its Go loop over special
 # values, tail lengths and aliased destinations and each packed fold
@@ -210,7 +216,8 @@ plan-guard: build
 # 2 (at 2 the packed fold runs in each chunk of a split nest). Last,
 # the one work count (lir.Work, DESIGN.md §22, §34): Result.Steps of the
 # six benchmarks x 9 levels x {plain, -scalarrep} on the VM and distvm
-# p=2 against testdata/vm/steps.json, and a sweep whose
+# p=2 against testdata/vm/steps.json, a hot job.Run's allocation
+# ceiling and the fresh bytes after a failed run, and a sweep whose
 # element-statements overflow an int64 refused before a step on the VM,
 # distvm and native, under the test's own deadline, and one long sweep
 # stopped by a 50 ms deadline through its per-row polls (rows, strips,
@@ -222,12 +229,12 @@ plan-guard: build
 # and + folds over one strip, packed and Go loop.
 vm-guard: build
 	$(GO) test -count=1 ./internal/kernel
-	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestEveryOperatorHasAnEntry|TestPackedProgramsIdentical|TestVMNoFMA|TestSplit' ./internal/vm
-	$(GO) test -race -count=1 -run 'TestSplit' ./internal/vm
+	$(GO) test -count=1 -run 'TestTraceStreamPinned|TestWidth|TestWidthDirectWrites|TestNewAllocs|TestRerunMatchesFresh|TestRerunAllocs|TestRewind|TestEveryOperatorHasAnEntry|TestPackedProgramsIdentical|TestVMNoFMA|TestSplit' ./internal/vm
+	$(GO) test -race -count=1 -run 'TestSplit|TestRewindMatchesFresh/heat-446' ./internal/vm
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestMaxMinOfSpecialValues' ./internal/lazy
 	$(GO) test -count=1 -run 'TestQuickTracedMatchesUntraced' ./internal/driver
-	$(GO) test -count=1 -run 'TestStepsPinned|TestPriceRefusesWorkOverflow' ./internal/job
+	$(GO) test -count=1 -run 'TestStepsPinned|TestPriceRefusesWorkOverflow|TestHotRunAllocs|TestFailedRunDropsItsMachine' ./internal/job
 	$(GO) test -count=1 -run 'TestLongSweepStopsAtDeadline|TestLongShardSweepStopsAtDeadline' ./internal/vm ./internal/distvm
 
 # Native guard: the tests to run after touching internal/gogen,

@@ -11,8 +11,11 @@
 //
 // Cached entries are shared by reference, which is sound because a
 // finished Compilation is immutable: the VM and the distributed
-// interpreter allocate their own storage per run and only read the
-// LIR (see internal/vm, internal/distvm).
+// interpreter only read the LIR (see internal/vm, internal/distvm).
+// What a compilation holds besides is one resident VM machine, which a
+// run takes for itself alone (driver.Compilation.Run) and hands back
+// when it succeeds; an IR entry the cache holds pays for the machine's
+// storage (Put).
 package ccache
 
 import (
@@ -233,6 +236,17 @@ func SizeOf(e *Entry) int64 {
 	return n + 4096 // fixed overhead: maps, headers, sema info
 }
 
+// machinePrice is the storage of the VM machine an entry's compilation
+// may keep: its program's price, for an IR entry with a program that
+// fits a machine.
+func machinePrice(e *Entry) (int64, bool) {
+	if e.Kind != "" && e.Kind != ArtifactIR || e.Comp == nil || e.Comp.LIR == nil {
+		return 0, false
+	}
+	price, err := e.Comp.LIR.Bytes()
+	return price, err == nil
+}
+
 func countNodes(p *lir.Program) int64 {
 	var n int64
 	var walk func(ns []lir.Node)
@@ -366,6 +380,14 @@ func (c *Cache) Peek(k Key) (*Entry, bool) {
 // the promotion path of the tiered store, which uses this cache purely
 // as its memory tier. LRU entries past the byte bound are evicted;
 // inserting an already-resident key refreshes its recency.
+//
+// An IR entry whose Size is not set yet is charged SizeOf plus its
+// program's price (lir.Program.Bytes), the storage of the one VM
+// machine its compilation may then keep between runs
+// (driver.Compilation.Resident), as the lazy engine charges its
+// resident executors. When the price would not fit the budget, the
+// entry is charged SizeOf alone and its runs build their machines, as
+// every run did before machines were kept.
 func (c *Cache) Put(k Key, e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -375,8 +397,13 @@ func (c *Cache) Put(k Key, e *Entry) {
 	if e.Key != k {
 		e.Key = k
 	}
+	resident := false
 	if e.Size <= 0 {
 		e.Size = SizeOf(e)
+		if price, ok := machinePrice(e); ok && (c.max <= 0 || e.Size+price <= c.max) {
+			e.Size += price
+			resident = true
+		}
 	}
 	if old, ok := c.entries[k]; ok {
 		// Already resident (a peer's put raced a compile, say).
@@ -386,6 +413,9 @@ func (c *Cache) Put(k Key, e *Entry) {
 	if c.max > 0 && e.Size > c.max {
 		c.tooLarge++
 		return
+	}
+	if resident {
+		e.Comp.Resident()
 	}
 	c.entries[k] = c.ll.PushFront(e)
 	c.size += e.Size

@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/vm"
 )
 
 func keyN(n int) Key {
@@ -199,5 +200,51 @@ func TestKeySensitivity(t *testing.T) {
 	}
 	if KeyOfKind(src, base, "") != KeyOf(src, base) {
 		t.Error("empty kind diverged from KeyOf")
+	}
+}
+
+// TestPutChargesResidentMachine: an IR entry is charged its program's
+// price on top of SizeOf, and its compilation then keeps the machine a
+// run hands back, which the next run rewinds; where the price would not
+// fit the budget, the entry is charged SizeOf alone and every run
+// builds its machine. A lazy entry (whose engine charges its own
+// executors) is charged what it says.
+func TestPutChargesResidentMachine(t *testing.T) {
+	src := "program p; region R = [1..8]; var A : [R] double; var s : double;\n" +
+		"proc main() begin [R] A := index1; s := +<< [R] A; writeln(s); end;"
+	for _, budget := range []int64{1 << 20, 0, -1} {
+		comp := driver.MustCompile(src, driver.Options{Level: core.Baseline})
+		price, err := comp.LIR.Bytes()
+		if err != nil || price == 0 {
+			t.Fatalf("price %d, %v", price, err)
+		}
+		e := &Entry{Source: src, Comp: comp}
+		size := SizeOf(e)
+		if budget < 0 {
+			budget = size + price - 1
+		}
+		New(budget).Put(keyN(1), e)
+		keeps := budget == 0 || budget == 1<<20
+		if want := size + price; keeps && e.Size != want || !keeps && e.Size != size {
+			t.Errorf("budget %d: entry charged %d, SizeOf %d, price %d", budget, e.Size, size, price)
+		}
+		m, _, err := comp.Run(vm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp.HandBack(m)
+		again, _, err := comp.Run(vm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (again == m) != keeps {
+			t.Errorf("budget %d: the second run rewound the first run's machine: %t, want %t", budget, again == m, keeps)
+		}
+	}
+
+	lazy := &Entry{Kind: ArtifactLazy, Source: src, Comp: driver.MustCompile(src, driver.Options{}), Size: 77}
+	New(0).Put(keyN(2), lazy)
+	if lazy.Size != 77 {
+		t.Errorf("a lazy entry was charged %d, not its own 77", lazy.Size)
 	}
 }

@@ -11,6 +11,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/absint"
 	"repro/internal/air"
@@ -153,6 +154,12 @@ type Compilation struct {
 	// under Options.NoRace. A compilation only succeeds when the result
 	// is free of races and deadlocks.
 	Races *mhp.Result
+
+	// keeps says the compilation may keep a VM machine between runs
+	// (Resident); resident is the machine it keeps, nil while it keeps
+	// none or a run holds it (Run, HandBack).
+	keeps    atomic.Bool
+	resident atomic.Pointer[vm.Machine]
 }
 
 // Compile runs the full pipeline on ZA source text.
@@ -361,12 +368,43 @@ func finishAIR(ctx context.Context, airProg *air.Program, info *sema.Info, opt O
 // Run executes the compiled program on the VM. The prover's result
 // rides along unless the caller supplied its own Options.Bounds; the VM
 // reads from it which nests it may split across goroutines and any
-// seeded fault (-provefault).
+// seeded fault (-provefault). The machine is the caller's alone: the
+// one the compilation keeps, rewound to the state vm.New leaves
+// (vm.Machine.Rewind), when it keeps one and opt asks for no other
+// machine; else a new one, and a kept machine opt does not fit is
+// dropped.
 func (c *Compilation) Run(opt vm.Options) (*vm.Machine, *vm.Result, error) {
 	if opt.Bounds == nil && c.Bounds != nil {
 		opt.Bounds = c.Bounds
 	}
-	return vm.Run(c.LIR, opt)
+	m := c.resident.Swap(nil)
+	if m == nil || !m.Rewind(opt) {
+		var err error
+		if m, err = vm.New(c.LIR, opt); err != nil {
+			return nil, nil, err
+		}
+	}
+	res, err := m.Run()
+	return m, res, err
+}
+
+// Resident lets the compilation keep one VM machine between runs: the
+// one a run hands back (HandBack), which the next Run rewinds instead of
+// building another. A cache that charges the program's price
+// (lir.Program.Bytes) for the machine calls it (ccache.Cache.Put); a
+// compilation nobody made resident keeps nothing.
+func (c *Compilation) Resident() { c.keeps.Store(true) }
+
+// HandBack gives back m, an untraced machine Run returned from a run
+// that succeeded, for the next Run to rewind; the caller does not touch
+// m again. The compilation keeps one machine: m is dropped when it
+// already keeps one or may keep none (Resident). A kept machine holds
+// nothing of the run's caller: its writer and context are dropped.
+func (c *Compilation) HandBack(m *vm.Machine) {
+	if c.keeps.Load() {
+		m.Release()
+		c.resident.CompareAndSwap(nil, m)
+	}
 }
 
 // MustCompile panics on error; for tests and examples.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/lir"
+	"repro/internal/machine"
 	"repro/internal/vm"
 )
 
@@ -353,5 +354,45 @@ func TestCompilationIsolation(t *testing.T) {
 	}
 	if len(a.Plan.Contracted) == 0 {
 		t.Error("c2 compilation contracted nothing")
+	}
+}
+
+// TestResidentMachine: a compilation nobody made resident keeps no
+// machine; a resident one keeps the first machine handed back and drops
+// a second, Run rewinds the kept one to print what a fresh machine
+// does, and a traced run, which needs another machine, drops it.
+func TestResidentMachine(t *testing.T) {
+	c := driver.MustCompile(stencil, driver.Options{Level: core.C2F4})
+	runs := func() (*vm.Machine, string) {
+		t.Helper()
+		var out bytes.Buffer
+		m, _, err := c.Run(vm.Options{Out: &out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, out.String()
+	}
+	m1, want := runs()
+	c.HandBack(m1)
+	if m, _ := runs(); m == m1 {
+		t.Fatal("a compilation nobody made resident kept a machine")
+	}
+
+	c.Resident()
+	m2, _ := runs()
+	m3, _ := runs()
+	c.HandBack(m2)
+	c.HandBack(m3)
+	m, got := runs()
+	if m != m2 || got != want {
+		t.Errorf("kept the first machine handed back: %t; output %q, fresh %q", m == m2, got, want)
+	}
+	c.HandBack(m)
+	model, _ := machine.ByName("t3e")
+	if _, _, err := c.Run(vm.Options{Tracer: machine.NewCostTracer(model, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := runs(); m == m2 {
+		t.Error("a traced run left the kept machine kept")
 	}
 }

@@ -164,8 +164,12 @@ func Price(c *driver.Compilation, rs RunSpec) (int64, error) {
 // refused before anything is. The interpreters go through
 // Compilation.Run's proof-carrying dispatch (a compilation without
 // proofs — NoProve, or rehydrated from a tier they do not travel
-// through — stays checked). The Result is non-nil even on error: Wall
-// is how long the failed execution took.
+// through — stays checked). Nothing else holds the VM machine a run
+// ends with, so an untraced run that succeeded hands it back to c
+// (Compilation.HandBack), and a hot run of a cached compilation rewinds
+// it instead of building one; a failed run's machine is dropped. The
+// Result is non-nil even on error: Wall is how long the failed
+// execution took.
 func Run(ctx context.Context, c *driver.Compilation, rs RunSpec, out io.Writer, store *backend.Store) (*Result, error) {
 	res := &Result{}
 	t0 := time.Now()
@@ -210,11 +214,14 @@ func Run(ctx context.Context, c *driver.Compilation, rs RunSpec, out io.Writer, 
 			opt.Tracer = res.Cost
 		}
 		t0 = time.Now()
-		_, r, err := c.Run(opt)
+		m, r, err := c.Run(opt)
 		if err != nil {
 			return res, err
 		}
 		res.Steps = r.Steps
+		if opt.Tracer == nil {
+			c.HandBack(m)
+		}
 	}
 	return res, nil
 }

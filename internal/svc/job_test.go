@@ -6,7 +6,6 @@ package svc
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -145,32 +144,17 @@ func TestProofsRideMemTierNotDiskTier(t *testing.T) {
 		}
 		return resp
 	}
-	entryOf := func(s *Server) *ccache.Entry {
-		t.Helper()
-		src, opt, err := s.resolve(&req, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, _, err := s.cache.GetOrCompute(context.Background(), ccache.KeyOf(src, opt), func() (*ccache.Entry, error) {
-			return nil, fmt.Errorf("entry not cached")
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-
 	s1, ts1 := newTestServer(t, Config{CacheDir: dir})
 	run(ts1.URL, "")
 	mem := run(ts1.URL, store.TierMem)
-	if entryOf(s1).Comp.Bounds == nil {
+	if cachedEntry(t, s1, req).Comp.Bounds == nil {
 		t.Error("mem-tier entry lost its bounds proofs")
 	}
 	ts1.Close()
 
 	s2, ts2 := newTestServer(t, Config{CacheDir: dir})
 	disk := run(ts2.URL, store.TierDisk)
-	if entryOf(s2).Comp.Bounds != nil {
+	if cachedEntry(t, s2, req).Comp.Bounds != nil {
 		t.Error("rehydrated entry claims proofs that never travelled")
 	}
 	if disk.Output != mem.Output {

@@ -533,8 +533,13 @@ func (s *Server) compileAndRun(ctx context.Context, w http.ResponseWriter, req *
 		if err != nil {
 			return nil, err
 		}
+		// The memory tier keeps what an entry rehydrated from the disk
+		// or peer tier holds, plus the proofs: Plan and Meta are taken
+		// from c here, and the plan, sema info, comm result and race
+		// analysis would be heap every GC marks.
 		remarks := c.Plan.Remarks()
-		e := &ccache.Entry{Kind: akind, Source: src, Comp: c, Plan: planSummary(c), Meta: metaOf(c, remarks)}
+		e := &ccache.Entry{Kind: akind, Source: src, Comp: &driver.Compilation{LIR: c.LIR, Bounds: c.Bounds},
+			Plan: planSummary(c), Meta: metaOf(c, remarks)}
 		// The generated Go rides in the artifact so emit_go requests
 		// hit too; gogen cannot emit distributed programs.
 		if opt.Comm == nil {

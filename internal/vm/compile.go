@@ -26,6 +26,11 @@ func (m *Machine) compileNodes(nodes []lir.Node) ([]execFn, error) {
 	return out, nil
 }
 
+// notRule is the operator table's ! (internal/kernel), which gives 0
+// exactly where a value is true: an if's or a while's condition holds
+// where its ! is 0, so truth has one definition.
+func notRule() func(float64) float64 { return kernel.Lookup("!", 1).F1 }
+
 func (m *Machine) compileNode(n lir.Node) (execFn, error) {
 	switch x := n.(type) {
 	case *lir.Nest:
@@ -60,8 +65,9 @@ func (m *Machine) compileNode(n lir.Node) (execFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		not := notRule()
 		return func(m *Machine) signal {
-			for truthy(cond(m)) {
+			for not(cond(m)) == 0 {
 				if !m.step() {
 					return sigFault
 				}
@@ -86,12 +92,13 @@ func (m *Machine) compileNode(n lir.Node) (execFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		not := notRule()
 		return func(m *Machine) signal {
 			if !m.step() {
 				return sigFault
 			}
 			branch := els
-			if truthy(cond(m)) {
+			if not(cond(m)) == 0 {
 				branch = then
 			}
 			for _, fn := range branch {

@@ -28,6 +28,11 @@
 // those of the one-chunk run. A distvm shard and a traced machine never
 // split.
 //
+// A machine runs again without being compiled again: Rewind returns it
+// to the state New leaves (zpld's resident machines, DESIGN.md §10),
+// and Reset restarts only its counters, for a caller that re-seeds the
+// storage itself (the lazy engine's, §28).
+//
 // All values are float64 (integers are exact up to 2^53; booleans are
 // 0/1), matching the ZA surface language's numeric model.
 package vm
@@ -37,6 +42,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -152,6 +158,16 @@ type Machine struct {
 	// curResult is the result slot of the procedure currently being
 	// compiled (-1 when none); used by return-with-value.
 	curResult int
+
+	// inits are the config scalars' slots and declared values (fresh).
+	inits []slotInit
+}
+
+// slotInit is a config scalar's slot and the value a fresh machine
+// holds there.
+type slotInit struct {
+	slot int
+	v    float64
 }
 
 type arrayStore struct {
@@ -185,8 +201,9 @@ type execFn func(m *Machine) signal
 type evalFn func(m *Machine) float64
 
 // New compiles the program. Run executes it, and storage persists for
-// inspection afterwards; to run it again, Reset the machine, re-seed the
-// storage and Run: the compiled closures are kept.
+// inspection afterwards. To run it again, Rewind it to the state New
+// leaves, or Reset it and re-seed the storage, and Run: the compiled
+// closures are kept.
 func New(p *lir.Program, opt Options) (*Machine, error) {
 	return build(p, opt, nil, stripWidth)
 }
@@ -206,10 +223,7 @@ func build(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error) {
 		slotIdx: map[string]int{},
 		arrays:  map[string]*arrayStore{},
 		procs:   map[string]*compiledProc{},
-		out:     opt.Out,
 		tracer:  opt.Tracer,
-		max:     cmp.Or(opt.MaxSteps, defaultMaxSteps),
-		ctx:     opt.Ctx,
 		bounds:  opt.Bounds,
 		shard:   sh,
 	}
@@ -243,7 +257,7 @@ func build(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error) {
 	m.slots = make([]float64, len(m.slotIdx))
 	for _, n := range names {
 		if s := p.Source.Scalars[n]; s.Config {
-			m.slots[m.slotIdx[n]] = s.Init
+			m.inits = append(m.inits, slotInit{m.slotIdx[n], s.Init})
 		}
 	}
 
@@ -312,6 +326,7 @@ func build(p *lir.Program, opt Options, sh Shard, width int) (*Machine, error) {
 	if m.splits > 0 {
 		m.addViews()
 	}
+	m.fresh(opt, false)
 	return m, nil
 }
 
@@ -503,4 +518,61 @@ func (m *Machine) cancelled() bool {
 	}
 }
 
-func truthy(v float64) bool { return v != 0 }
+// Rewind readies the machine to run main again from exactly the state
+// New(p, opt) leaves a machine in (fresh), its compiled closures kept:
+// storage, strip buffers and slots as New leaves them, Out, Ctx and
+// MaxSteps opt's. It reports false, and changes nothing, when New would
+// compile another machine for opt: opt or the machine has a Tracer,
+// opt's Bounds are not the ones it was built with, it is a shard, or it
+// splits nests into another number of chunks than GOMAXPROCS asks for
+// now.
+func (m *Machine) Rewind(opt Options) bool {
+	if opt.Tracer != nil || m.tracer != nil || opt.Bounds != m.bounds || m.shard != nil ||
+		m.splits > 0 && len(m.views) != runtime.GOMAXPROCS(0)-1 {
+		return false
+	}
+	m.fresh(opt, true)
+	return true
+}
+
+// Release drops the writer and context of the machine's last run, for
+// a machine kept idle until a Rewind sets both again.
+func (m *Machine) Release() {
+	m.out, m.ctx = nil, nil
+	for _, v := range m.views {
+		v.m.ctx = nil
+	}
+}
+
+// fresh sets the state a machine New returns starts from, under opt:
+// every array word (halos included), strip buffer and view zero, config
+// scalars at their declared value and every other slot 0, the step
+// count, fault, context poll countdown and loop indices reset (Reset),
+// and Out, Ctx and MaxSteps opt's. New's storage and buffers were
+// allocated just now and are zero already; written says they may hold
+// what a run or a caller wrote since, and clears them.
+func (m *Machine) fresh(opt Options, written bool) {
+	m.Reset(opt.Ctx)
+	m.out, m.max, m.rows = opt.Out, cmp.Or(opt.MaxSteps, defaultMaxSteps), [2]int{}
+	clear(m.slots)
+	for _, in := range m.inits {
+		m.slots[in.slot] = in.v
+	}
+	if !written {
+		return
+	}
+	for _, a := range m.arrays {
+		clear(a.data)
+	}
+	for _, b := range m.bufs {
+		clear(b)
+	}
+	for _, v := range m.views {
+		v.m.Reset(nil)
+		v.m.rows, v.run, v.fault = [2]int{}, nil, nil
+		clear(v.m.slots)
+		for _, b := range v.m.bufs {
+			clear(b)
+		}
+	}
+}
